@@ -12,11 +12,9 @@ import numpy as np
 import pytest
 
 from _bench_utils import print_series
-from repro.core.evaluator_path import (
-    make_path_phase_program,
-    make_path_phase_program_overlapped,
-)
+from repro.core.evaluator_path import path_recurrence
 from repro.core.halo import build_halo_views
+from repro.core.leveldp import phase_program
 from repro.ff.fingerprint import Fingerprint
 from repro.graph.generators import erdos_renyi
 from repro.graph.partition import random_partition
@@ -79,9 +77,10 @@ def test_overlap_results_identical_real_kernel():
     fp = Fingerprint.draw(g.n, K, RngStream(2))
     part = random_partition(g, 4, rng=RngStream(3))
     views = build_halo_views(g, part)
-    a = Simulator(4, trace=False).run(make_path_phase_program(views, fp, 0, N2))
+    rec = path_recurrence(K)
+    a = Simulator(4, trace=False).run(phase_program(views, rec, fp, 0, N2))
     b = Simulator(4, trace=False).run(
-        make_path_phase_program_overlapped(views, fp, 0, N2)
+        phase_program(views, rec, fp, 0, N2, overlapped=True)
     )
     assert a.results == b.results
 
@@ -124,13 +123,10 @@ def test_phase_wall_time(benchmark, variant, bench_datasets):
     fp = Fingerprint.draw(g.n, K, RngStream(4))
     part = random_partition(g, 4, rng=RngStream(5))
     views = build_halo_views(g, part)
-    factory = (
-        make_path_phase_program
-        if variant == "synchronous"
-        else make_path_phase_program_overlapped
-    )
+    prog = phase_program(views, path_recurrence(K), fp, 0, N2,
+                         overlapped=(variant != "synchronous"))
 
     def run():
-        return Simulator(4, trace=False).run(factory(views, fp, 0, N2)).results[0]
+        return Simulator(4, trace=False).run(prog).results[0]
 
     benchmark(run)

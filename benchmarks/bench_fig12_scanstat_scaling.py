@@ -82,11 +82,9 @@ def test_fig12_shape_matches_fig10(calibration):
 @pytest.mark.parametrize("n1", [1, 4])
 def test_scan_phase_kernel(benchmark, bench_datasets, n1):
     """Real scan-stat phase on the miami stand-in (sequential vs SPMD)."""
-    from repro.core.evaluator_scanstat import (
-        make_scanstat_phase_program,
-        scanstat_phase_value,
-    )
+    from repro.core.evaluator_scanstat import scanstat_phase_value, scanstat_recurrence
     from repro.core.halo import build_halo_views
+    from repro.core.leveldp import phase_program
     from repro.ff.fingerprint import Fingerprint
     from repro.graph.partition import random_partition
     from repro.runtime.scheduler import Simulator
@@ -103,7 +101,7 @@ def test_scan_phase_kernel(benchmark, bench_datasets, n1):
         views = build_halo_views(g, part)
 
         def run():
-            prog = make_scanstat_phase_program(views, w, fp, z_max, 0, 4)
+            prog = phase_program(views, scanstat_recurrence(w, dim, z_max), fp, 0, 4)
             return Simulator(n1, trace=False).run(prog).results[0]
 
         benchmark(run)

@@ -112,8 +112,9 @@ def test_fig10_classic_strong_scaling(calibration):
 @pytest.mark.parametrize("n1", [2, 4, 8])
 def test_simulated_phase_makespan(benchmark, bench_datasets, n1):
     """Real SPMD execution of one phase at several N1 (small instance)."""
-    from repro.core.evaluator_path import make_path_phase_program
+    from repro.core.evaluator_path import path_recurrence
     from repro.core.halo import build_halo_views
+    from repro.core.leveldp import phase_program
     from repro.ff.fingerprint import Fingerprint
     from repro.graph.partition import random_partition
     from repro.runtime.scheduler import Simulator
@@ -125,7 +126,7 @@ def test_simulated_phase_makespan(benchmark, bench_datasets, n1):
     views = build_halo_views(g, part)
 
     def run_phase():
-        prog = make_path_phase_program(views, fp, 0, 8)
+        prog = phase_program(views, path_recurrence(fp.k), fp, 0, 8)
         return Simulator(n1, trace=False).run(prog).results[0]
 
     result = benchmark(run_phase)

@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 
 from _bench_utils import print_series
-from repro.core.evaluator_path import make_path_phase_program
+from repro.core.evaluator_path import path_recurrence
 from repro.core.halo import build_halo_views
+from repro.core.leveldp import phase_program
 from repro.core.model import PartitionStats, estimate_runtime
 from repro.core.schedule import PhaseSchedule
 from repro.ff.fingerprint import Fingerprint
@@ -37,7 +38,7 @@ def simulated_phase_comm_seconds(g, n1, fp):
     views = build_halo_views(g, part)
     cm = juliet().cost_model(n1)
     sim = Simulator(n1, cost_model=cm, measure_compute=False, trace=True)
-    res = sim.run(make_path_phase_program(views, fp, 0, N2))
+    res = sim.run(phase_program(views, path_recurrence(K), fp, 0, N2))
     return res.makespan, part
 
 

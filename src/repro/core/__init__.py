@@ -3,10 +3,14 @@
 * :mod:`repro.core.schedule` — the round/batch/phase decomposition (Fig 1);
 * :mod:`repro.core.halo` — per-rank partitioned graph views with the
   boundary send/recv lists that Algorithm 3's message pattern needs;
-* :mod:`repro.core.evaluator_path` — PAREVALUATEPOLYNOMIALPATH (Alg 3);
-* :mod:`repro.core.evaluator_tree` — PAREVALUATEPOLYNOMIALTREE (Alg 4);
-* :mod:`repro.core.evaluator_scanstat` — PAREVALUATEPOLYNOMIALSCANSTAT
-  (Alg 5);
+* :mod:`repro.core.leveldp` — the level-DP core: the one neighbour sum,
+  the one halo exchange, two lane layouts (field elements / bit-planes)
+  and the two drivers (whole graph, simulated ranks) that run any
+  recurrence;
+* :mod:`repro.core.evaluator_path` / ``evaluator_tree`` /
+  ``evaluator_wpath`` / ``evaluator_scanstat`` — one recurrence each
+  (Algorithms 3, 4, the weighted-path variant, 5) plus its validated
+  whole-graph entry point;
 * :mod:`repro.core.problems` — each application as a :class:`ProblemSpec`
   (data, not a bespoke driver);
 * :mod:`repro.core.engine` — the unified detection engine: one
@@ -28,6 +32,7 @@ from repro.core.engine import (
     ThreadedBackend,
 )
 from repro.core.halo import HaloView, build_halo_views
+from repro.core.leveldp import phase_program, run_whole_graph, whole_graph_lanes
 from repro.core.mld import (
     CircuitStep,
     MLDCircuit,
@@ -69,6 +74,9 @@ __all__ = [
     "scanstat_problem",
     "HaloView",
     "build_halo_views",
+    "phase_program",
+    "run_whole_graph",
+    "whole_graph_lanes",
     "CircuitStep",
     "MLDCircuit",
     "algorithm1_reference",

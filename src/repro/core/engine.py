@@ -47,6 +47,7 @@ from typing import Callable, Dict, List, Optional, Type
 
 from repro.core.model import PartitionStats, PerformanceEstimate, estimate_runtime
 from repro.core.halo import build_halo_views
+from repro.core.leveldp import phase_program
 from repro.core.problems import ProblemSpec, Value
 from repro.core.schedule import PhaseSchedule, pow2_floor, rounds_for_epsilon
 from repro.errors import (
@@ -275,11 +276,11 @@ class MidasRuntime:
         """The GF kernel strategy for a ``(m, n2)`` evaluation window.
 
         An explicit ``kernel`` wins unconditionally; ``"auto"`` consults
-        the kernel calibration.  ``plane=True`` means the caller's
-        evaluator can keep the DP state plane-resident (currently the
-        k-path evaluator) — only then may auto pick ``"bitsliced"``, and
-        only in the real-execution modes (the simulated/modeled SPMD
-        programs evaluate element-wise).
+        the kernel calibration.  ``plane=True`` marks the callers auto
+        may route to ``"bitsliced"`` (currently the k-path drivers), and
+        only in the real-execution modes: the whole-graph driver keeps
+        the DP state plane-resident there, while simulated/modeled SPMD
+        ranks evaluate element-wise.
         """
         if self.kernel != "auto":
             return self.kernel
@@ -581,7 +582,7 @@ class SequentialBackend(ExecutionBackend):
             q0, q1 = sched.phase_window(t)
             p0 = time.perf_counter()
             with e.prof.span("kernel", phase="rounds", callsite=spec.name):
-                contrib = spec.seq_phase(fp, q0, sched.n2)
+                contrib = spec.phase_value(e.graph, fp, q0, sched.n2)
             value = spec.combine(value, contrib)
             dt = time.perf_counter() - p0
             stage.phase_hist.observe(dt)
@@ -640,7 +641,7 @@ class ThreadedBackend(ExecutionBackend):
             q0, q1 = sched.phase_window(t)
             p0 = time.perf_counter()
             with e.prof.span("kernel", phase="rounds", callsite=spec.name):
-                v = spec.seq_phase(fp, q0, sched.n2)
+                v = spec.phase_value(e.graph, fp, q0, sched.n2)
             p1 = time.perf_counter()
             return t, q0, q1, v, p0 - round0, p1 - round0, threading.current_thread().name
 
@@ -814,9 +815,6 @@ class SimulatedBackend(ExecutionBackend):
         e = self.engine
         rt, rec, fc = e.rt, e.rec, e.fc
         spec, sched = stage.spec, stage.sched
-        factory = (
-            spec.program_factory_overlapped if rt.overlap else spec.program_factory
-        )
         want_trace = rt.trace or rec is not None
         value = spec.acc_init()
         round_virtual = 0.0
@@ -832,7 +830,8 @@ class SimulatedBackend(ExecutionBackend):
             batch_slow = (0, 0.0)  # (global rank, end time) of slowest phase
             for gi, t in enumerate(batch):
                 q0, q1 = sched.phase_window(t)
-                prog = factory(e.views, fp, q0, sched.n2)
+                prog = phase_program(e.views, spec.recurrence, fp, q0, sched.n2,
+                                     overlapped=rt.overlap)
                 res, sim, extra, failed = _run_phase_resilient(
                     rt, fc, prog, f"{stage.key_prefix}r{ell}/b{bi}/p{t}",
                     self._cost_model, want_trace=want_trace, sanitizer=e.san,

@@ -1,4 +1,4 @@
-"""PAREVALUATEPOLYNOMIALPATH (paper Algorithm 3), vectorized.
+"""PAREVALUATEPOLYNOMIALPATH (paper Algorithm 3) as a level-DP recurrence.
 
 The k-path polynomial is evaluated per iteration ``q`` via the DP
 
@@ -6,31 +6,36 @@ The k-path polynomial is evaluated per iteration ``q`` via the DP
 
 where ``x_i`` evaluates, at iteration ``q`` and DP level ``j``, to
 ``y[i, j] * [ <v_i, q> even ]`` (see :mod:`repro.ff.fingerprint`).  A whole
-*phase* of ``N_2`` iterations is evaluated at once: ``P`` is an
-``(n, N_2)`` field array and each level is exactly three vectorized ops —
-gather, XOR-segment-reduce, field-multiply.
+*phase* of ``N_2`` iterations is evaluated at once.
 
-Two entry points:
-
-* :func:`path_eval_phase` — single-process, whole graph (used by the
-  sequential and modeled drivers, and as the ground truth the parallel
-  version must match bit-for-bit);
-* :func:`make_path_phase_program` — the SPMD rank program for the runtime
-  simulator, with per-level halo exchange of boundary values batched over
-  the phase's ``N_2`` iterations (the paper's message coalescing).
+:func:`path_recurrence` is the DP itself; :mod:`repro.core.leveldp` runs
+it on the whole graph (:func:`path_eval_phase` — the ground truth every
+backend must match bit-for-bit, element-wise or plane-resident by the
+field's kernel) or on simulated ranks with per-level halo exchange of
+boundary values batched over the phase's ``N_2`` iterations (the paper's
+message coalescing).
 """
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
+from repro.core.leveldp import Recurrence, run_whole_graph, whole_graph_lanes
 from repro.errors import ConfigurationError
 from repro.ff.fingerprint import Fingerprint
-from repro.graph.csr import CSRGraph, xor_segment_reduce
-from repro.core.halo import HaloView
-from repro.runtime.comm import AllReduce, Irecv, Recv, Send, Wait
+from repro.graph.csr import CSRGraph
+
+
+def path_recurrence(k: int) -> Recurrence:
+    """``P(., j) = x(j) * neighbour-sum(P(., j-1))`` for ``j = 1 .. k-1``."""
+
+    def recurrence(lanes):
+        p = lanes.base(0)
+        for j in range(1, k):
+            p = lanes.mul(lanes.base(j), (yield p))
+        return p
+
+    return recurrence
 
 
 def path_eval_phase(graph: CSRGraph, fp: Fingerprint, q_start: int, n2: int) -> np.ndarray:
@@ -39,138 +44,12 @@ def path_eval_phase(graph: CSRGraph, fp: Fingerprint, q_start: int, n2: int) -> 
     Returns an ``(n2,)`` field array: entry ``t`` is
     ``sum_i P(i, q_start + t, k)``.  XORing these across all ``2^k``
     iterations gives the round's final value.
-
-    Fields resolved to the ``"bitsliced"`` kernel take the plane-resident
-    fast path: the DP state never leaves bit-plane layout, so each level is
-    a plane gather + XOR-segment-reduce + carry-less multiply, and only the
-    final ``(m, W)`` reduction is unpacked.  Both paths are bit-identical.
     """
-    field = fp.field
-    k = fp.k
-    if fp.levels < k:
-        raise ConfigurationError(f"fingerprint has {fp.levels} levels; k={k} needed")
-    if getattr(field, "kernel_strategy", None) == "bitsliced":
-        return _path_eval_phase_bitsliced(graph, fp, q_start, n2)
-    p = fp.level_base_block(0, q_start, n2)  # (n, n2)
-    for j in range(1, k):
-        gathered = p[graph.indices]  # (nnz, n2)
-        acc = xor_segment_reduce(gathered, graph.indptr)  # (n, n2)
-        p = field.mul(fp.level_base_block(j, q_start, n2), acc)
-    return field.xor_sum(p, axis=0)  # (n2,)
-
-
-def _path_eval_phase_bitsliced(
-    graph: CSRGraph, fp: Fingerprint, q_start: int, n2: int
-) -> np.ndarray:
-    """Plane-resident k-path phase: DP state stays ``(n, m, W)`` uint64.
-
-    The per-level base block is built straight from the {0,1} indicator and
-    the ``y`` column (:meth:`BitslicedGF2m.indicator_planes`) — the
-    ``(n, n2)`` element array is never materialized.  The segment reduce
-    sees the planes flattened to ``(nnz, m * W)``; XOR is bitwise so the
-    reshape is free of semantics.
-    """
-    field = fp.field
-    bs = field.bitsliced
-    m, w = bs.m, bs.words(n2)
-    n = graph.n
-    iw = bs.pack_indicator(fp.base_block(q_start, n2))  # (n, W), per-phase
-    p = bs.planes_from_words(iw, fp.y[:, 0])  # (n, m, W)
-    for j in range(1, fp.k):
-        gathered = p[graph.indices]  # (nnz, m, W)
-        acc = xor_segment_reduce(
-            gathered.reshape(len(graph.indices), m * w), graph.indptr
-        ).reshape(n, m, w)
-        p = bs.mul(bs.planes_from_words(iw, fp.y[:, j]), acc)
-    return bs.unslice(bs.xor_sum(p, axis=0), n2, field.dtype)  # (n2,)
+    if fp.levels < fp.k:
+        raise ConfigurationError(f"fingerprint has {fp.levels} levels; k={fp.k} needed")
+    return run_whole_graph(graph, path_recurrence(fp.k), whole_graph_lanes(fp, q_start, n2))
 
 
 def path_phase_value(graph: CSRGraph, fp: Fingerprint, q_start: int, n2: int) -> int:
     """The phase's scalar contribution ``SUM_t`` (XOR over its iterations)."""
     return int(np.bitwise_xor.reduce(path_eval_phase(graph, fp, q_start, n2)))
-
-
-def make_path_phase_program(views: List[HaloView], fp: Fingerprint, q_start: int, n2: int):
-    """SPMD program factory for one k-path phase on ``len(views)`` ranks.
-
-    Each rank owns ``views[rank]``; per DP level it computes its own rows,
-    sends the new values of boundary vertices to each peer as one batched
-    ``(boundary, N_2)`` message, and scatters received ghosts.  The program
-    ends with an XOR all-reduce of the local partial sums, so every rank
-    returns the same ``SUM_t`` scalar — bit-identical to
-    :func:`path_phase_value` on the whole graph.
-    """
-    field = fp.field
-    k = fp.k
-
-    def program(ctx):
-        view = views[ctx.rank]
-        buf = np.zeros((view.n_local, n2), dtype=field.dtype)
-        vals = fp.level_base_block(0, q_start, n2, nodes=view.own)
-        for j in range(1, k):
-            if ctx.tracer is not None:
-                ctx.annotate(f"level{j}")
-            # halo-exchange level j-1 values, then advance the DP
-            buf[: view.n_own] = vals
-            for peer, idxs in view.send_lists.items():
-                yield Send(peer, j - 1, vals[idxs])
-            for peer, slots in view.recv_lists.items():
-                msg = yield Recv(peer, j - 1)
-                buf[view.n_own + slots] = msg
-            gathered = buf[view.indices]
-            acc = xor_segment_reduce(gathered, view.indptr)
-            vals = field.mul(
-                fp.level_base_block(j, q_start, n2, nodes=view.own), acc
-            )
-        local = int(np.bitwise_xor.reduce(field.xor_sum(vals, axis=0))) if view.n_own else 0
-        total = yield AllReduce(np.uint64(local), op="xor", nbytes=8)
-        return int(total)
-
-    return program
-
-
-def make_path_phase_program_overlapped(
-    views: List[HaloView], fp: Fingerprint, q_start: int, n2: int
-):
-    """Communication-overlapping variant of the k-path phase program.
-
-    Per level: send boundary values, post nonblocking receives, reduce the
-    *local-column* half of every row's neighbour sum while the messages fly,
-    then wait and fold in the ghost-column half (GF addition is XOR, so the
-    two halves compose exactly).  Results are bit-identical to
-    :func:`make_path_phase_program`; on latency-bound configurations the
-    makespan improves because local compute hides message flight time —
-    the standard MPI_Irecv/MPI_Wait overlap optimization, here as an
-    ablation of the paper's synchronous exchange.
-    """
-    field = fp.field
-    k = fp.k
-
-    def program(ctx):
-        view = views[ctx.rank]
-        iptr_own, idx_own, iptr_gh, idx_gh = view.split_adjacency()
-        ghost = np.zeros((view.n_ghost, n2), dtype=field.dtype)
-        vals = fp.level_base_block(0, q_start, n2, nodes=view.own)
-        for j in range(1, k):
-            if ctx.tracer is not None:
-                ctx.annotate(f"level{j}")
-            for peer, idxs in view.send_lists.items():
-                yield Send(peer, j - 1, vals[idxs])
-            requests = {}
-            for peer in view.recv_lists:
-                requests[peer] = yield Irecv(peer, j - 1)
-            # overlap window: the own-column half needs no remote data
-            acc = xor_segment_reduce(vals[idx_own], iptr_own)
-            for peer, slots in view.recv_lists.items():
-                msg = yield Wait(requests[peer])
-                ghost[slots] = msg
-            if len(idx_gh):
-                acc ^= xor_segment_reduce(ghost[idx_gh], iptr_gh)
-            vals = field.mul(
-                fp.level_base_block(j, q_start, n2, nodes=view.own), acc
-            )
-        local = int(np.bitwise_xor.reduce(field.xor_sum(vals, axis=0))) if view.n_own else 0
-        total = yield AllReduce(np.uint64(local), op="xor", nbytes=8)
-        return int(total)
-
-    return program

@@ -1,4 +1,4 @@
-"""PAREVALUATEPOLYNOMIALSCANSTAT (paper Algorithm 5), vectorized.
+"""PAREVALUATEPOLYNOMIALSCANSTAT (paper Algorithm 5) as a level-DP recurrence.
 
 The scan-statistics polynomial tracks connected subgraphs by *size* ``j``
 and integer *weight* ``z``:
@@ -7,9 +7,11 @@ and integer *weight* ``z``:
     ``P(i, j, z) = sum_u sum_{j'} sum_{z'} P(i, j', z') P(u, j-j', z-z')``
 
 Because multiplication distributes over the neighbour sum, the inner loop
-factorizes: with ``S(u-side) = XOR-segment-reduce of P(., j-j', .)`` the
-update is a *z-convolution* of two ``(n, Z+1, N_2)`` arrays, vectorized
-over nodes, weight, and the iteration batch.
+factorizes: with ``S(j'')`` the neighbour sum of ``P(., j'', .)`` the
+update is a *z-convolution* of two ``(rows, Z+1, lanes...)`` arrays,
+vectorized over nodes, weight, and the iteration batch.  On simulated
+ranks each size level's halo message carries the whole weight axis — the
+``W(V)`` factor in Lemma 3's communication bound.
 
 Two deliberate deviations from the raw pseudocode (documented in
 DESIGN.md):
@@ -27,62 +29,37 @@ DESIGN.md):
 
 from __future__ import annotations
 
-from typing import Dict, List
-
 import numpy as np
 
+from repro.core.evaluator_wpath import check_weights, weight_seed
+from repro.core.leveldp import Recurrence, run_whole_graph, whole_graph_lanes
 from repro.errors import ConfigurationError
 from repro.ff.fingerprint import Fingerprint
-from repro.graph.csr import CSRGraph, xor_segment_reduce
-from repro.core.halo import HaloView
-from repro.runtime.comm import AllReduce, Irecv, Recv, Send, Wait
+from repro.graph.csr import CSRGraph
 
 
-def _check_weights(graph: CSRGraph, weights: np.ndarray, z_max: int) -> np.ndarray:
-    w = np.asarray(weights, dtype=np.int64)
-    if w.shape != (graph.n,):
-        raise ConfigurationError(
-            f"weights must be one integer per vertex ({graph.n}), got shape {w.shape}"
-        )
-    if np.any(w < 0):
-        raise ConfigurationError("weights must be non-negative integers")
-    if z_max < 0:
-        raise ConfigurationError(f"z_max must be >= 0, got {z_max}")
-    return w
+def scanstat_recurrence(weights: np.ndarray, dim: int, z_max: int) -> Recurrence:
+    """``P(., j, .) = y(j) * sum_{j1 + j2 = j} P(., j1, .) (*) S(j2)`` where
+    ``S(j2)`` is the neighbour sum of ``P(., j2, .)`` and ``(*)`` is the
+    convolution along the weight axis."""
+    weights = np.asarray(weights, dtype=np.int64)
 
+    def recurrence(lanes):
+        p = {1: weight_seed(lanes, lanes.take(weights), z_max)}
+        s = {}
+        for j in range(2, dim + 1):
+            s[j - 1] = yield p[j - 1]
+            acc = np.zeros_like(p[1])
+            for j1 in range(1, j):
+                a, b = p[j1], s[j - j1]
+                for z1 in range(z_max + 1):
+                    col = a[:, z1]
+                    if col.any():
+                        acc[:, z1:] ^= lanes.mul(col[:, None], b[:, : z_max + 1 - z1])
+            p[j] = lanes.mul(lanes.coeff(j)[:, None], acc)
+        return p[dim]
 
-def _base_row(fp: Fingerprint, w: np.ndarray, z_max: int, q_start: int, n2: int,
-              nodes: np.ndarray = None) -> np.ndarray:
-    """``P(., 1, ., .)`` as an (n_rows, Z+1, n2) array."""
-    base = fp.level_base_block(0, q_start, n2, nodes=nodes)  # (rows, n2)
-    rows = base.shape[0]
-    wloc = w if nodes is None else w[np.asarray(nodes, np.int64)]
-    out = np.zeros((rows, z_max + 1, n2), dtype=fp.field.dtype)
-    ok = wloc <= z_max
-    idx = np.nonzero(ok)[0]
-    out[idx, wloc[idx], :] = base[idx]
-    return out
-
-
-def _advance_size(field, p_by_size: Dict[int, np.ndarray], s_by_size: Dict[int, np.ndarray],
-                  j: int, z_max: int, join_coeff: np.ndarray) -> np.ndarray:
-    """Compute ``P(., j, ., .)`` from smaller sizes (shared by both modes).
-
-    ``p_by_size[j']`` are own-row arrays, ``s_by_size[j']`` the
-    neighbour-summed arrays aligned with the same rows.
-    """
-    some = next(iter(p_by_size.values()))
-    acc = np.zeros_like(some)
-    for j1 in range(1, j):
-        j2 = j - j1
-        a = p_by_size[j1]
-        s = s_by_size[j2]
-        for z1 in range(z_max + 1):
-            col = a[:, z1, :]
-            if not col.any():
-                continue
-            acc[:, z1:, :] ^= field.mul(col[:, None, :], s[:, : z_max + 1 - z1, :])
-    return field.mul(join_coeff[:, None, None], acc)
+    return recurrence
 
 
 def scanstat_eval_phase(
@@ -95,23 +72,15 @@ def scanstat_eval_phase(
     ``(z_max + 1, n2)`` field array: ``out[z, t]`` is
     ``sum_i P(i, q_start + t, dim, z)``.
     """
-    field = fp.field
-    dim = fp.k
-    if fp.levels < dim + 1:
+    if fp.levels < fp.k + 1:
         raise ConfigurationError(
-            f"scan-stat evaluation needs {dim + 1} fingerprint levels (base + join "
+            f"scan-stat evaluation needs {fp.k + 1} fingerprint levels (base + join "
             f"coefficients per size), fingerprint has {fp.levels}"
         )
-    w = _check_weights(graph, weights, z_max)
-    p: Dict[int, np.ndarray] = {1: _base_row(fp, w, z_max, q_start, n2)}
-    s: Dict[int, np.ndarray] = {}
-    for j in range(2, dim + 1):
-        j_prev = j - 1
-        gathered = p[j_prev][graph.indices]  # (nnz, Z+1, n2)
-        s[j_prev] = xor_segment_reduce(gathered, graph.indptr)
-        p[j] = _advance_size(field, p, s, j, z_max, fp.y[:, j])
-    out = field.xor_sum(p[dim], axis=0)  # (Z+1, n2)
-    return out
+    w = check_weights(graph.n, weights, z_max)
+    return run_whole_graph(
+        graph, scanstat_recurrence(w, fp.k, z_max), whole_graph_lanes(fp, q_start, n2)
+    )
 
 
 def scanstat_phase_value(
@@ -121,105 +90,3 @@ def scanstat_phase_value(
     """Per-weight scalar contributions of the phase: ``(z_max + 1,)``."""
     vals = scanstat_eval_phase(graph, weights, fp, z_max, q_start, n2)
     return np.bitwise_xor.reduce(vals, axis=1)
-
-
-def make_scanstat_phase_program(
-    views: List[HaloView], weights: np.ndarray, fp: Fingerprint, z_max: int,
-    q_start: int, n2: int,
-):
-    """SPMD program for one scan-statistics phase.
-
-    Identical structure to the path program, but each level's halo message
-    carries the whole weight axis: ``(boundary, Z+1, N_2)`` field elements —
-    the ``W(V)`` factor in Lemma 3's communication bound.
-    """
-    field = fp.field
-    dim = fp.k
-    w = np.asarray(weights, dtype=np.int64)
-
-    def program(ctx):
-        view = views[ctx.rank]
-        p_own: Dict[int, np.ndarray] = {
-            1: _base_row(fp, w, z_max, q_start, n2, nodes=view.own)
-        }
-        s_own: Dict[int, np.ndarray] = {}
-        join = fp.y[:, : dim + 1][np.asarray(view.own, np.int64)]
-        for j in range(2, dim + 1):
-            if ctx.tracer is not None:
-                ctx.annotate(f"size{j}")
-            j_prev = j - 1
-            src = p_own[j_prev]
-            ghost = np.zeros((view.n_ghost, z_max + 1, n2), dtype=field.dtype)
-            for peer, idxs in view.send_lists.items():
-                yield Send(peer, ("s", j_prev), src[idxs])
-            for peer, slots in view.recv_lists.items():
-                msg = yield Recv(peer, ("s", j_prev))
-                ghost[slots] = msg
-            combined = np.concatenate([src, ghost], axis=0)
-            gathered = combined[view.indices]
-            s_own[j_prev] = xor_segment_reduce(gathered, view.indptr)
-            p_own[j] = _advance_size(field, p_own, s_own, j, z_max, join[:, j])
-        local = (
-            np.bitwise_xor.reduce(field.xor_sum(p_own[dim], axis=0), axis=1)
-            if view.n_own
-            else np.zeros(z_max + 1, dtype=field.dtype)
-        )
-        total = yield AllReduce(local.astype(np.uint8), op="xor")
-        return np.asarray(total, dtype=field.dtype)
-
-    return program
-
-
-def make_scanstat_phase_program_overlapped(
-    views: List[HaloView], weights: np.ndarray, fp: Fingerprint, z_max: int,
-    q_start: int, n2: int,
-):
-    """Communication-overlapping scan-statistics phase program.
-
-    Per size level: send boundary values, post receives, reduce the
-    own-column half of the neighbour sum (over the whole weight axis) in
-    the overlap window, then fold in the ghost half after the waits.
-    Bit-identical to :func:`make_scanstat_phase_program`; the hideable
-    window is largest here because the messages carry the full ``Z+1``
-    weight axis (Lemma 3's ``W(V)`` factor).
-    """
-    field = fp.field
-    dim = fp.k
-    w = np.asarray(weights, dtype=np.int64)
-
-    def program(ctx):
-        view = views[ctx.rank]
-        iptr_own, idx_own, iptr_gh, idx_gh = view.split_adjacency()
-        p_own: Dict[int, np.ndarray] = {
-            1: _base_row(fp, w, z_max, q_start, n2, nodes=view.own)
-        }
-        s_own: Dict[int, np.ndarray] = {}
-        join = fp.y[:, : dim + 1][np.asarray(view.own, np.int64)]
-        for j in range(2, dim + 1):
-            if ctx.tracer is not None:
-                ctx.annotate(f"size{j}")
-            j_prev = j - 1
-            src = p_own[j_prev]
-            for peer, idxs in view.send_lists.items():
-                yield Send(peer, ("s", j_prev), src[idxs])
-            requests = {}
-            for peer in view.recv_lists:
-                requests[peer] = yield Irecv(peer, ("s", j_prev))
-            acc = xor_segment_reduce(src[idx_own], iptr_own)
-            ghost = np.zeros((view.n_ghost, z_max + 1, n2), dtype=field.dtype)
-            for peer, slots in view.recv_lists.items():
-                msg = yield Wait(requests[peer])
-                ghost[slots] = msg
-            if len(idx_gh):
-                acc = acc ^ xor_segment_reduce(ghost[idx_gh], iptr_gh)
-            s_own[j_prev] = acc
-            p_own[j] = _advance_size(field, p_own, s_own, j, z_max, join[:, j])
-        local = (
-            np.bitwise_xor.reduce(field.xor_sum(p_own[dim], axis=0), axis=1)
-            if view.n_own
-            else np.zeros(z_max + 1, dtype=field.dtype)
-        )
-        total = yield AllReduce(local.astype(np.uint8), op="xor")
-        return np.asarray(total, dtype=field.dtype)
-
-    return program

@@ -1,4 +1,4 @@
-"""PAREVALUATEPOLYNOMIALTREE (paper Algorithm 4), vectorized.
+"""PAREVALUATEPOLYNOMIALTREE (paper Algorithm 4) as a level-DP recurrence.
 
 The k-tree polynomial follows the template decomposition of
 :func:`repro.graph.templates.decompose_template` (paper Fig 2):
@@ -10,37 +10,43 @@ The k-tree polynomial follows the template decomposition of
 * composite subtree ``H'`` with children ``H'_1`` (same root) and ``H'_2``
   (rooted at the detached neighbour):
   ``P(i, H') = sum_{u in NBR(i)} P(i, H'_1) * P(u, H'_2)``
-  — one gather + XOR-segment-reduce of the branch child, then one field
-  multiply with the same-root child.
+  — one neighbour sum of the branch child, then one field multiply with
+  the same-root child.
 
-Specs are evaluated children-first; arrays are freed as soon as their last
-consumer has run, keeping peak memory at ``O(k)`` arrays of ``(n, N_2)``.
+Specs are evaluated children-first.  The decomposition gives every
+non-root subtree exactly one consumer, so a child's array is released the
+moment it is used, keeping peak memory at ``O(k)`` arrays of ``(n, N_2)``.
 The k-path is the special case of a path template (and the test-suite
 checks the two evaluators agree on it).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from repro.core.leveldp import Recurrence, run_whole_graph, whole_graph_lanes
 from repro.errors import ConfigurationError
 from repro.ff.fingerprint import Fingerprint
-from repro.graph.csr import CSRGraph, xor_segment_reduce
-from repro.core.halo import HaloView
+from repro.graph.csr import CSRGraph
 from repro.graph.templates import SubtreeSpec, TreeTemplate, decompose_template
-from repro.runtime.comm import AllReduce, Irecv, Recv, Send, Wait
 
 
-def _last_use(specs: Sequence[SubtreeSpec]) -> Dict[int, int]:
-    """Map each spec id to the index of its last consumer (for freeing)."""
-    last: Dict[int, int] = {}
-    for s in specs:
-        if not s.is_leaf:
-            last[s.child_same] = s.sid
-            last[s.child_branch] = s.sid
-    return last
+def tree_recurrence(specs: Sequence[SubtreeSpec]) -> Recurrence:
+    """``P(., H') = P(., H'_1) * neighbour-sum(P(., H'_2))`` per composite spec."""
+
+    def recurrence(lanes):
+        values = {}
+        for s in specs:
+            if s.is_leaf:
+                values[s.sid] = lanes.base(s.root)
+            else:
+                acc = yield values.pop(s.child_branch)
+                values[s.sid] = lanes.mul(values.pop(s.child_same), acc)
+        return values[specs[-1].sid]
+
+    return recurrence
 
 
 def tree_eval_phase(
@@ -60,24 +66,9 @@ def tree_eval_phase(
             f"tree evaluation needs one fingerprint level per template node "
             f"({template.k}); fingerprint has {fp.levels}"
         )
-    field = fp.field
     if specs is None:
         specs = decompose_template(template)
-    last = _last_use(specs)
-    values: Dict[int, np.ndarray] = {}
-    for s in specs:
-        if s.is_leaf:
-            values[s.sid] = fp.level_base_block(s.root, q_start, n2)
-        else:
-            gathered = values[s.child_branch][graph.indices]
-            acc = xor_segment_reduce(gathered, graph.indptr)
-            values[s.sid] = field.mul(values[s.child_same], acc)
-            # free children whose last consumer was this spec
-            for c in (s.child_same, s.child_branch):
-                if last.get(c) == s.sid and c != s.sid:
-                    values.pop(c, None)
-    root_vals = values[specs[-1].sid]
-    return field.xor_sum(root_vals, axis=0)
+    return run_whole_graph(graph, tree_recurrence(specs), whole_graph_lanes(fp, q_start, n2))
 
 
 def tree_phase_value(
@@ -86,119 +77,3 @@ def tree_phase_value(
 ) -> int:
     """The phase's scalar ``SUM_t`` for the tree polynomial."""
     return int(np.bitwise_xor.reduce(tree_eval_phase(graph, template, fp, q_start, n2, specs)))
-
-
-def make_tree_phase_program(
-    views: List[HaloView], template: TreeTemplate, fp: Fingerprint, q_start: int, n2: int,
-    specs: Sequence[SubtreeSpec] = None,
-):
-    """SPMD program for one k-tree phase.
-
-    The message pattern generalizes the path program: before evaluating a
-    composite spec, the branch child's boundary values are halo-exchanged
-    (once per spec, batched over ``N_2`` iterations).  Tags carry the spec
-    id so overlapping exchanges of different subtrees cannot mix.
-    """
-    field = fp.field
-    if specs is None:
-        specs = decompose_template(template)
-    branch_children = sorted({s.child_branch for s in specs if not s.is_leaf})
-    specs_local = list(specs)
-    last = _last_use(specs_local)
-
-    def program(ctx):
-        view = views[ctx.rank]
-        own_vals: Dict[int, np.ndarray] = {}
-        ghost_vals: Dict[int, np.ndarray] = {}
-        for s in specs_local:
-            if s.is_leaf:
-                own_vals[s.sid] = fp.level_base_block(s.root, q_start, n2, nodes=view.own)
-            else:
-                if ctx.tracer is not None:
-                    ctx.annotate(f"subtree{s.sid}")
-                b = s.child_branch
-                if b not in ghost_vals:
-                    # halo-exchange the branch child's boundary values
-                    gv = np.zeros((view.n_ghost, n2), dtype=field.dtype)
-                    src = own_vals[b]
-                    for peer, idxs in view.send_lists.items():
-                        yield Send(peer, ("t", b), src[idxs])
-                    for peer, slots in view.recv_lists.items():
-                        msg = yield Recv(peer, ("t", b))
-                        gv[slots] = msg
-                    ghost_vals[b] = gv
-                combined = np.concatenate([own_vals[b], ghost_vals[b]], axis=0)
-                gathered = combined[view.indices]
-                acc = xor_segment_reduce(gathered, view.indptr)
-                own_vals[s.sid] = field.mul(own_vals[s.child_same], acc)
-                for c in (s.child_same, s.child_branch):
-                    if last.get(c) == s.sid:
-                        own_vals.pop(c, None)
-                        ghost_vals.pop(c, None)
-        root_vals = own_vals[specs_local[-1].sid]
-        local = int(np.bitwise_xor.reduce(field.xor_sum(root_vals, axis=0))) if view.n_own else 0
-        total = yield AllReduce(np.uint64(local), op="xor", nbytes=8)
-        return int(total)
-
-    return program
-
-
-def make_tree_phase_program_overlapped(
-    views: List[HaloView], template: TreeTemplate, fp: Fingerprint, q_start: int, n2: int,
-    specs: Sequence[SubtreeSpec] = None,
-):
-    """Communication-overlapping k-tree phase program.
-
-    Before evaluating a composite spec, the branch child's boundary values
-    are sent and receives are posted; the own-column half of the neighbour
-    reduction runs in the overlap window, and the ghost-column half folds
-    in after the waits (XOR composes the halves exactly).  Bit-identical
-    to :func:`make_tree_phase_program`.
-    """
-    field = fp.field
-    if specs is None:
-        specs = decompose_template(template)
-    specs_local = list(specs)
-    last = _last_use(specs_local)
-
-    def program(ctx):
-        view = views[ctx.rank]
-        iptr_own, idx_own, iptr_gh, idx_gh = view.split_adjacency()
-        own_vals: Dict[int, np.ndarray] = {}
-        ghost_vals: Dict[int, np.ndarray] = {}
-        for s in specs_local:
-            if s.is_leaf:
-                own_vals[s.sid] = fp.level_base_block(s.root, q_start, n2, nodes=view.own)
-            else:
-                if ctx.tracer is not None:
-                    ctx.annotate(f"subtree{s.sid}")
-                b = s.child_branch
-                if b not in ghost_vals:
-                    src = own_vals[b]
-                    for peer, idxs in view.send_lists.items():
-                        yield Send(peer, ("t", b), src[idxs])
-                    requests = {}
-                    for peer in view.recv_lists:
-                        requests[peer] = yield Irecv(peer, ("t", b))
-                    # overlap window: own-column half of this spec's reduce
-                    acc = xor_segment_reduce(src[idx_own], iptr_own)
-                    gv = np.zeros((view.n_ghost, n2), dtype=field.dtype)
-                    for peer, slots in view.recv_lists.items():
-                        msg = yield Wait(requests[peer])
-                        gv[slots] = msg
-                    ghost_vals[b] = gv
-                else:
-                    acc = xor_segment_reduce(own_vals[b][idx_own], iptr_own)
-                if len(idx_gh):
-                    acc = acc ^ xor_segment_reduce(ghost_vals[b][idx_gh], iptr_gh)
-                own_vals[s.sid] = field.mul(own_vals[s.child_same], acc)
-                for c in (s.child_same, s.child_branch):
-                    if last.get(c) == s.sid:
-                        own_vals.pop(c, None)
-                        ghost_vals.pop(c, None)
-        root_vals = own_vals[specs_local[-1].sid]
-        local = int(np.bitwise_xor.reduce(field.xor_sum(root_vals, axis=0))) if view.n_own else 0
-        total = yield AllReduce(np.uint64(local), op="xor", nbytes=8)
-        return int(total)
-
-    return program

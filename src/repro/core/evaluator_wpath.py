@@ -12,20 +12,65 @@ analogue of Algorithm 5's weight axis:
 Summed over the ``2^k`` iterations, cell ``z`` of the degree-``k`` row is
 nonzero iff a simple k-path of total node weight exactly ``z`` exists;
 the maximum nonzero ``z`` is the answer.  The per-node shift ``z - w(i)``
-is vectorized as one fancy-indexed gather along the weight axis.
+is vectorized as one fancy-indexed gather along the weight axis, applied
+to the neighbour sum.  States are ``(rows, Z+1, lanes...)``; on simulated
+ranks each level's halo message therefore carries the whole weight axis.
 """
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
+from repro.core.leveldp import Lanes, Recurrence, run_whole_graph, whole_graph_lanes
 from repro.errors import ConfigurationError
 from repro.ff.fingerprint import Fingerprint
-from repro.graph.csr import CSRGraph, xor_segment_reduce
-from repro.core.halo import HaloView
-from repro.runtime.comm import AllReduce, Irecv, Recv, Send, Wait
+from repro.graph.csr import CSRGraph
+
+
+def check_weights(n: int, weights: np.ndarray, z_max: int) -> np.ndarray:
+    """Validate a node-weight vector; returns it as int64."""
+    w = np.asarray(weights, dtype=np.int64)
+    if w.shape != (n,):
+        raise ConfigurationError(
+            f"weights must be one integer per vertex ({n}), got shape {w.shape}"
+        )
+    if np.any(w < 0):
+        raise ConfigurationError("weights must be non-negative integers")
+    if z_max < 0:
+        raise ConfigurationError(f"z_max must be >= 0, got {z_max}")
+    return w
+
+
+def weight_seed(lanes: Lanes, w: np.ndarray, z_max: int) -> np.ndarray:
+    """``P(., 1, ., .)``: each row's level-0 variable at weight ``w(i)``
+    (rows heavier than ``z_max`` stay zero)."""
+    base = lanes.base(0)
+    out = np.zeros((len(w), z_max + 1) + base.shape[1:], dtype=base.dtype)
+    ok = np.nonzero(w <= z_max)[0]
+    out[ok, w[ok]] = base[ok]
+    return out
+
+
+def weighted_path_recurrence(weights: np.ndarray, k: int, z_max: int) -> Recurrence:
+    """``P(i, j, z) = x_i(j) * neighbour-sum(P(., j-1, .))[i, z - w(i)]``."""
+    weights = np.asarray(weights, dtype=np.int64)
+
+    def recurrence(lanes):
+        w = lanes.take(weights)
+        p = weight_seed(lanes, w, z_max)
+        # per-row shifted gather: shifted[i, z] = s[i, z - w(i)] (0 pad)
+        src_z = np.arange(z_max + 1, dtype=np.int64)[None, :] - w[:, None]
+        valid = src_z >= 0
+        src_z = np.where(valid, src_z, 0)
+        row_idx = np.arange(len(w), dtype=np.int64)[:, None]
+        for j in range(1, k):
+            s = yield p
+            shifted = s[row_idx, src_z]
+            shifted[~valid] = 0
+            p = lanes.mul(lanes.base(j)[:, None], shifted)
+        return p
+
+    return recurrence
 
 
 def weighted_path_eval_phase(
@@ -41,42 +86,12 @@ def weighted_path_eval_phase(
     Returns a ``(z_max + 1, n2)`` field array: ``out[z, t]`` is
     ``sum_i P(i, q_start + t, k, z)``.
     """
-    field = fp.field
-    k = fp.k
-    if fp.levels < k:
-        raise ConfigurationError(f"fingerprint has {fp.levels} levels; k={k} needed")
-    w = np.asarray(weights, dtype=np.int64)
-    if w.shape != (graph.n,):
-        raise ConfigurationError(
-            f"weights must be one integer per vertex ({graph.n}), got {w.shape}"
-        )
-    if np.any(w < 0):
-        raise ConfigurationError("weights must be non-negative integers")
-    if z_max < 0:
-        raise ConfigurationError(f"z_max must be >= 0, got {z_max}")
-
-    n = graph.n
-    base0 = fp.level_base_block(0, q_start, n2)  # (n, n2)
-    p = np.zeros((n, z_max + 1, n2), dtype=field.dtype)
-    ok = w <= z_max
-    idx = np.nonzero(ok)[0]
-    p[idx, w[idx], :] = base0[idx]
-
-    # per-node shifted gather: shifted[i, z, :] = s[i, z - w(i), :] (0 pad)
-    z_grid = np.arange(z_max + 1, dtype=np.int64)
-    src_z = z_grid[None, :] - w[:, None]  # (n, Z+1)
-    valid = src_z >= 0
-    src_z_safe = np.where(valid, src_z, 0)
-    row_idx = np.arange(n, dtype=np.int64)[:, None]
-
-    for j in range(1, k):
-        gathered = p[graph.indices]  # (nnz, Z+1, n2)
-        s = xor_segment_reduce(gathered, graph.indptr)  # (n, Z+1, n2)
-        shifted = s[row_idx, src_z_safe, :]
-        shifted[~valid] = 0
-        base_j = fp.level_base_block(j, q_start, n2)  # (n, n2)
-        p = field.mul(base_j[:, None, :], shifted)
-    return field.xor_sum(p, axis=0)  # (Z+1, n2)
+    if fp.levels < fp.k:
+        raise ConfigurationError(f"fingerprint has {fp.levels} levels; k={fp.k} needed")
+    w = check_weights(graph.n, weights, z_max)
+    return run_whole_graph(
+        graph, weighted_path_recurrence(w, fp.k, z_max), whole_graph_lanes(fp, q_start, n2)
+    )
 
 
 def weighted_path_phase_value(
@@ -90,124 +105,3 @@ def weighted_path_phase_value(
     """Per-weight scalar contributions of the phase: ``(z_max + 1,)``."""
     vals = weighted_path_eval_phase(graph, weights, fp, z_max, q_start, n2)
     return np.bitwise_xor.reduce(vals, axis=1)
-
-
-def make_weighted_path_phase_program(
-    views: List[HaloView], weights: np.ndarray, fp: Fingerprint, z_max: int,
-    q_start: int, n2: int,
-):
-    """SPMD program for one weight-resolved k-path phase.
-
-    Same halo pattern as the plain path program but each level's message
-    carries the whole weight axis (``(boundary, Z+1, N_2)``), and the
-    per-node shift ``z - w(i)`` is applied to the combined own+ghost
-    neighbour sum.  Bit-identical to :func:`weighted_path_phase_value`.
-    """
-    field = fp.field
-    k = fp.k
-    w = np.asarray(weights, dtype=np.int64)
-
-    def program(ctx):
-        view = views[ctx.rank]
-        own_ids = np.asarray(view.own, dtype=np.int64)
-        n_own = view.n_own
-        w_own = w[own_ids]
-        base0 = fp.level_base_block(0, q_start, n2, nodes=view.own)
-        p = np.zeros((n_own, z_max + 1, n2), dtype=field.dtype)
-        ok = np.nonzero(w_own <= z_max)[0]
-        p[ok, w_own[ok], :] = base0[ok]
-
-        z_grid = np.arange(z_max + 1, dtype=np.int64)
-        src_z = z_grid[None, :] - w_own[:, None]
-        valid = src_z >= 0
-        src_z_safe = np.where(valid, src_z, 0)
-        row_idx = np.arange(n_own, dtype=np.int64)[:, None]
-
-        for j in range(1, k):
-            if ctx.tracer is not None:
-                ctx.annotate(f"level{j}")
-            ghost = np.zeros((view.n_ghost, z_max + 1, n2), dtype=field.dtype)
-            for peer, idxs in view.send_lists.items():
-                yield Send(peer, ("w", j - 1), p[idxs])
-            for peer, slots in view.recv_lists.items():
-                msg = yield Recv(peer, ("w", j - 1))
-                ghost[slots] = msg
-            combined = np.concatenate([p, ghost], axis=0)
-            s = xor_segment_reduce(combined[view.indices], view.indptr)
-            shifted = s[row_idx, src_z_safe, :]
-            shifted[~valid] = 0
-            base_j = fp.level_base_block(j, q_start, n2, nodes=view.own)
-            p = field.mul(base_j[:, None, :], shifted)
-        local = (
-            np.bitwise_xor.reduce(field.xor_sum(p, axis=0), axis=1)
-            if n_own
-            else np.zeros(z_max + 1, dtype=field.dtype)
-        )
-        total = yield AllReduce(local.astype(np.uint8), op="xor")
-        return np.asarray(total, dtype=field.dtype)
-
-    return program
-
-
-def make_weighted_path_phase_program_overlapped(
-    views: List[HaloView], weights: np.ndarray, fp: Fingerprint, z_max: int,
-    q_start: int, n2: int,
-):
-    """Communication-overlapping weight-resolved k-path phase program.
-
-    Per level: send boundary rows, post nonblocking receives, reduce the
-    own-column half of the neighbour sum (over the whole weight axis)
-    during the flight window, fold in the ghost half after the waits,
-    then apply the per-node ``z - w(i)`` shift to the combined sum.
-    Bit-identical to :func:`make_weighted_path_phase_program`.
-    """
-    field = fp.field
-    k = fp.k
-    w = np.asarray(weights, dtype=np.int64)
-
-    def program(ctx):
-        view = views[ctx.rank]
-        iptr_own, idx_own, iptr_gh, idx_gh = view.split_adjacency()
-        own_ids = np.asarray(view.own, dtype=np.int64)
-        n_own = view.n_own
-        w_own = w[own_ids]
-        base0 = fp.level_base_block(0, q_start, n2, nodes=view.own)
-        p = np.zeros((n_own, z_max + 1, n2), dtype=field.dtype)
-        ok = np.nonzero(w_own <= z_max)[0]
-        p[ok, w_own[ok], :] = base0[ok]
-
-        z_grid = np.arange(z_max + 1, dtype=np.int64)
-        src_z = z_grid[None, :] - w_own[:, None]
-        valid = src_z >= 0
-        src_z_safe = np.where(valid, src_z, 0)
-        row_idx = np.arange(n_own, dtype=np.int64)[:, None]
-
-        for j in range(1, k):
-            if ctx.tracer is not None:
-                ctx.annotate(f"level{j}")
-            for peer, idxs in view.send_lists.items():
-                yield Send(peer, ("w", j - 1), p[idxs])
-            requests = {}
-            for peer in view.recv_lists:
-                requests[peer] = yield Irecv(peer, ("w", j - 1))
-            # overlap window: the own-column half needs no remote data
-            s = xor_segment_reduce(p[idx_own], iptr_own)
-            ghost = np.zeros((view.n_ghost, z_max + 1, n2), dtype=field.dtype)
-            for peer, slots in view.recv_lists.items():
-                msg = yield Wait(requests[peer])
-                ghost[slots] = msg
-            if len(idx_gh):
-                s = s ^ xor_segment_reduce(ghost[idx_gh], iptr_gh)
-            shifted = s[row_idx, src_z_safe, :]
-            shifted[~valid] = 0
-            base_j = fp.level_base_block(j, q_start, n2, nodes=view.own)
-            p = field.mul(base_j[:, None, :], shifted)
-        local = (
-            np.bitwise_xor.reduce(field.xor_sum(p, axis=0), axis=1)
-            if n_own
-            else np.zeros(z_max + 1, dtype=field.dtype)
-        )
-        total = yield AllReduce(local.astype(np.uint8), op="xor")
-        return np.asarray(total, dtype=field.dtype)
-
-    return program

@@ -59,9 +59,10 @@ _LOG = get_logger(__name__)
 def _field_for(rt: MidasRuntime, k: int, plane: bool = False):
     """The GF(2^l) tables for ``k`` with the kernel this runtime resolves.
 
-    ``plane=True`` marks call sites whose evaluator can keep the DP
-    plane-resident (the k-path drivers) — the only ones where ``auto``
-    may choose ``"bitsliced"``.  With a session attached the field comes
+    ``plane=True`` marks the call sites where ``auto`` may choose
+    ``"bitsliced"`` — today the k-path drivers only, although the
+    level-DP core keeps every kind plane-resident once a bit-sliced
+    field is handed to it.  With a session attached the field comes
     from its per-``(degree, strategy)`` cache; otherwise a fresh,
     identical table set is built here (``None`` would make the problem
     factory build a default-kernel field, losing the resolution).

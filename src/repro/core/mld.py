@@ -30,15 +30,16 @@ positive direction, and the production path is the fingerprinted
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.core.leveldp import Recurrence, run_whole_graph, whole_graph_lanes
 from repro.core.schedule import rounds_for_epsilon
 from repro.ff.fingerprint import Fingerprint, base_indicator_block
 from repro.ff.gf2m import default_field_for_k
-from repro.graph.csr import CSRGraph, xor_segment_reduce
+from repro.graph.csr import CSRGraph
 from repro.graph.templates import TreeTemplate, decompose_template
 from repro.util.rng import as_stream
 
@@ -95,6 +96,16 @@ class MLDCircuit:
                 raise ConfigurationError(f"slot {s.factor} out of range")
             if s.variable_level is not None and not (0 <= s.variable_level < self.levels):
                 raise ConfigurationError(f"level {s.variable_level} out of range")
+        written = {slot for slot, _level in self.leaves}
+        for s in self.steps:
+            for ref in (s.operand, s.factor):
+                if ref is not None and ref not in written:
+                    raise ConfigurationError(
+                        f"step writing slot {s.target} reads slot {ref} before it is set"
+                    )
+            written.add(s.target)
+        if self.output not in written:
+            raise ConfigurationError("output slot never written")
 
     # ------------------------------------------------------------ builders
     @staticmethod
@@ -132,87 +143,27 @@ class MLDCircuit:
         )
 
     # ----------------------------------------------------------- evaluation
+    def recurrence(self) -> Recurrence:
+        """The circuit as a :mod:`repro.core.leveldp` recurrence: one
+        neighbour sum per step (run it on simulated ranks with
+        :func:`~repro.core.leveldp.phase_program`)."""
+
+        def recurrence(lanes):
+            slots = {slot: lanes.base(level) for slot, level in self.leaves}
+            for s in self.steps:
+                acc = yield slots[s.operand]
+                if s.factor is not None:
+                    acc = lanes.mul(slots[s.factor], acc)
+                if s.variable_level is not None:
+                    acc = lanes.mul(lanes.base(s.variable_level), acc)
+                slots[s.target] = acc
+            return slots[self.output]
+
+        return recurrence
+
     def eval_phase(self, graph: CSRGraph, fp: Fingerprint, q_start: int, n2: int) -> np.ndarray:
         """Evaluate per-iteration values over a window: returns ``(n2,)``."""
-        field = fp.field
-        slots: List[Optional[np.ndarray]] = [None] * self.n_slots
-        for slot, level in self.leaves:
-            slots[slot] = fp.level_base_block(level, q_start, n2)
-        for s in self.steps:
-            src = slots[s.operand]
-            if src is None:
-                raise ConfigurationError(
-                    f"step writes slot {s.target} before operand {s.operand} is set"
-                )
-            acc = xor_segment_reduce(src[graph.indices], graph.indptr)
-            if s.factor is not None:
-                if slots[s.factor] is None:
-                    raise ConfigurationError(
-                        f"step factor slot {s.factor} not yet set"
-                    )
-                acc = field.mul(slots[s.factor], acc)
-            if s.variable_level is not None:
-                acc = field.mul(
-                    fp.level_base_block(s.variable_level, q_start, n2), acc
-                )
-            slots[s.target] = acc
-        out = slots[self.output]
-        if out is None:
-            raise ConfigurationError("output slot never written")
-        return field.xor_sum(out, axis=0)
-
-
-def make_circuit_phase_program(views, circuit: MLDCircuit, fp: Fingerprint,
-                               q_start: int, n2: int):
-    """SPMD rank program evaluating an arbitrary :class:`MLDCircuit`.
-
-    Each step halo-exchanges the operand slot's boundary values, then runs
-    the same gather/reduce/multiply as :meth:`MLDCircuit.eval_phase` on the
-    local rows.  Tags carry the step index so concurrent exchanges of
-    different slots cannot mix.  Returns the phase scalar from every rank,
-    bit-identical to the single-process evaluation.
-    """
-    from repro.runtime.comm import AllReduce, Recv, Send
-
-    field = fp.field
-
-    def program(ctx):
-        view = views[ctx.rank]
-        slots: List[Optional[np.ndarray]] = [None] * circuit.n_slots
-        for slot, level in circuit.leaves:
-            slots[slot] = fp.level_base_block(level, q_start, n2, nodes=view.own)
-        for step_idx, s in enumerate(circuit.steps):
-            src = slots[s.operand]
-            if src is None:
-                raise ConfigurationError(
-                    f"step writes slot {s.target} before operand {s.operand} is set"
-                )
-            ghost = np.zeros((view.n_ghost, n2), dtype=field.dtype)
-            for peer, idxs in view.send_lists.items():
-                yield Send(peer, ("c", step_idx), src[idxs])
-            for peer, gslots in view.recv_lists.items():
-                msg = yield Recv(peer, ("c", step_idx))
-                ghost[gslots] = msg
-            combined = np.concatenate([src, ghost], axis=0)
-            acc = xor_segment_reduce(combined[view.indices], view.indptr)
-            if s.factor is not None:
-                if slots[s.factor] is None:
-                    raise ConfigurationError(f"step factor slot {s.factor} not yet set")
-                acc = field.mul(slots[s.factor], acc)
-            if s.variable_level is not None:
-                acc = field.mul(
-                    fp.level_base_block(s.variable_level, q_start, n2, nodes=view.own),
-                    acc,
-                )
-            slots[s.target] = acc
-        out = slots[circuit.output]
-        if out is None:
-            raise ConfigurationError("output slot never written")
-        local = int(np.bitwise_xor.reduce(field.xor_sum(out, axis=0))) if view.n_own else 0
-        total = yield AllReduce(np.uint64(local), op="xor", nbytes=8)
-        return int(total)
-
-    return program
+        return run_whole_graph(graph, self.recurrence(), whole_graph_lanes(fp, q_start, n2))
 
 
 def detect_multilinear(

@@ -12,9 +12,8 @@ that differs between applications as data:
 * the accumulator semantics — a scalar GF(2^l) value XORed per phase
   (path/tree) or a ``(z_max + 1)``-wide weight-axis vector XORed
   elementwise (weighted paths, scan statistics);
-* the sequential phase kernel and the SPMD program factories (plain and
-  communication-overlapped) the simulated backend feeds to the runtime
-  simulator;
+* the DP itself, as one ``recurrence`` (:mod:`repro.core.leveldp`) that
+  the whole-graph driver and the simulated rank programs both run;
 * the analytic-model parameters (Theorem 2) for the modeled backend.
 
 The :class:`~repro.core.engine.DetectionEngine` consumes a spec and runs
@@ -25,30 +24,15 @@ wrappers that build a spec and post-process the per-round values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Any, Callable, Dict, Optional, Union
+from typing import Any, Dict, Optional, Union
 
 import numpy as np
 
-from repro.core.evaluator_path import (
-    make_path_phase_program,
-    make_path_phase_program_overlapped,
-    path_phase_value,
-)
-from repro.core.evaluator_scanstat import (
-    make_scanstat_phase_program,
-    make_scanstat_phase_program_overlapped,
-    scanstat_phase_value,
-)
-from repro.core.evaluator_tree import (
-    make_tree_phase_program,
-    make_tree_phase_program_overlapped,
-    tree_phase_value,
-)
-from repro.core.evaluator_wpath import (
-    make_weighted_path_phase_program,
-    make_weighted_path_phase_program_overlapped,
-    weighted_path_phase_value,
-)
+from repro.core.evaluator_path import path_recurrence
+from repro.core.evaluator_scanstat import scanstat_recurrence
+from repro.core.evaluator_tree import tree_recurrence
+from repro.core.evaluator_wpath import check_weights, weighted_path_recurrence
+from repro.core.leveldp import Recurrence, run_whole_graph, whole_graph_lanes
 from repro.ff.fingerprint import Fingerprint
 from repro.ff.gf2m import default_field_for_k
 from repro.graph.csr import CSRGraph
@@ -74,17 +58,15 @@ class ProblemSpec:
     levels: int  # fingerprint levels to draw per round
     field: Any  # GF(2^l) arithmetic table set
     payload: int  # accumulator width: 1 = scalar, else z_max + 1
-    seq_phase: Callable[[Fingerprint, int, int], Value]  # (fp, q0, n2) -> value
-    program_factory: Callable[..., Any]  # (views, fp, q0, n2) -> rank program
-    program_factory_overlapped: Callable[..., Any]
+    recurrence: Recurrence  # the DP, run by either repro.core.leveldp driver
     model_problem: str = "path"  # `problem` arg of estimate_runtime
     model_levels: Optional[int] = None  # `levels` arg of estimate_runtime
     model_z_axis: int = 1  # `z_axis` arg of estimate_runtime
     vector: bool = False  # accumulator is a weight axis even when payload == 1
     details: Dict[str, object] = dc_field(default_factory=dict)
     # picklable rebuild instructions ``(kind, params)`` for worker processes:
-    # the closures above capture the graph and cannot cross a process
-    # boundary, so the process backend ships this instead and calls
+    # the recurrence is a closure and cannot cross a process boundary, so
+    # the process backend ships this instead and calls
     # spec_from_recipe against the shared-memory graph (None = spec was
     # hand-built and cannot run on mode="process")
     recipe: Optional[tuple] = None
@@ -120,6 +102,11 @@ class ProblemSpec:
             return int(raw)
         return np.asarray(raw, dtype=self.field.dtype)
 
+    def phase_value(self, graph: CSRGraph, fp: Fingerprint, q0: int, n2: int) -> Value:
+        """One phase window's contribution, evaluated on the whole graph."""
+        per_lane = run_whole_graph(graph, self.recurrence, whole_graph_lanes(fp, q0, n2))
+        return self.rank_value(np.bitwise_xor.reduce(per_lane, axis=-1))
+
     def hit(self, value: Value) -> bool:
         """Does this round's accumulator certify a witness?"""
         if self.scalar:
@@ -144,9 +131,7 @@ def path_problem(graph: CSRGraph, k: int, field: Any = None) -> ProblemSpec:
         levels=k,
         field=fld,
         payload=1,
-        seq_phase=lambda fp, q0, n2: path_phase_value(graph, fp, q0, n2),
-        program_factory=make_path_phase_program,
-        program_factory_overlapped=make_path_phase_program_overlapped,
+        recurrence=path_recurrence(k),
         model_problem="k-path",
         model_levels=k - 1,
         recipe=("k-path", {"k": k}),
@@ -168,15 +153,7 @@ def tree_problem(graph: CSRGraph, template: TreeTemplate,
         levels=k,
         field=fld,
         payload=1,
-        seq_phase=lambda fp, q0, n2: tree_phase_value(
-            graph, template, fp, q0, n2, specs
-        ),
-        program_factory=lambda views, fp, q0, n2: make_tree_phase_program(
-            views, template, fp, q0, n2, specs
-        ),
-        program_factory_overlapped=lambda views, fp, q0, n2: (
-            make_tree_phase_program_overlapped(views, template, fp, q0, n2, specs)
-        ),
+        recurrence=tree_recurrence(specs),
         model_problem="k-tree",
         model_levels=k - 1,
         details={"template": template.name, "n_subtrees": len(specs)},
@@ -200,7 +177,7 @@ def weighted_path_problem(
 
     ``field`` is an optional prebuilt table set — see :func:`path_problem`.
     """
-    w = np.asarray(weights, dtype=np.int64)
+    w = check_weights(graph.n, weights, z_max)
     fld = field if field is not None else default_field_for_k(k)
     return ProblemSpec(
         name="weighted-path",
@@ -208,15 +185,7 @@ def weighted_path_problem(
         levels=k,
         field=fld,
         payload=z_max + 1,
-        seq_phase=lambda fp, q0, n2: weighted_path_phase_value(
-            graph, w, fp, z_max, q0, n2
-        ),
-        program_factory=lambda views, fp, q0, n2: make_weighted_path_phase_program(
-            views, w, fp, z_max, q0, n2
-        ),
-        program_factory_overlapped=lambda views, fp, q0, n2: (
-            make_weighted_path_phase_program_overlapped(views, w, fp, z_max, q0, n2)
-        ),
+        recurrence=weighted_path_recurrence(w, k, z_max),
         model_problem="k-path",
         model_levels=k - 1,
         model_z_axis=z_max + 1,
@@ -235,7 +204,7 @@ def scanstat_problem(
     iterations and resolves every weight cell ``z <= z_max`` of that row
     at once (the driver assembles the full grid from one spec per size).
     """
-    w = np.asarray(weights, dtype=np.int64)
+    w = check_weights(graph.n, weights, z_max)
     fld = field if field is not None else default_field_for_k(max(size, 2))
     return ProblemSpec(
         name="scanstat",
@@ -243,15 +212,7 @@ def scanstat_problem(
         levels=size + 1,  # base row + per-size join coefficients
         field=fld,
         payload=z_max + 1,
-        seq_phase=lambda fp, q0, n2: scanstat_phase_value(
-            graph, w, fp, z_max, q0, n2
-        ),
-        program_factory=lambda views, fp, q0, n2: make_scanstat_phase_program(
-            views, w, fp, z_max, q0, n2
-        ),
-        program_factory_overlapped=lambda views, fp, q0, n2: (
-            make_scanstat_phase_program_overlapped(views, w, fp, z_max, q0, n2)
-        ),
+        recurrence=scanstat_recurrence(w, size, z_max),
         model_problem="scanstat",
         model_levels=None,
         model_z_axis=z_max + 1,

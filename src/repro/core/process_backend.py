@@ -10,8 +10,8 @@ speedup.  This module runs the same contract across *processes*:
 * the graph's CSR arrays (and any problem payload arrays, e.g. scan-stat
   weights) are published **once** via ``multiprocessing.shared_memory``
   — workers attach zero-copy, nothing is pickled per phase;
-* problem specs close over the graph and cannot cross a process
-  boundary, so workers rebuild them from the spec's picklable
+* problem specs hold closures (the recurrence) and cannot cross a
+  process boundary, so workers rebuild them from the spec's picklable
   ``recipe`` (:func:`repro.core.problems.spec_from_recipe`) against the
   shared graph, caching per recipe;
 * each phase task ships only the round fingerprint (``k``, ``v``, ``y``
@@ -174,7 +174,7 @@ def _phase_task(wired: bytes, k: int, v: np.ndarray, y: np.ndarray,
         })
     fp = Fingerprint(k=k, field=spec.field, v=v, y=y)
     t0 = perf_counter()
-    value = spec.seq_phase(fp, q_start, n2)
+    value = spec.phase_value(_WORKER_GRAPH, fp, q_start, n2)
     t1 = perf_counter()
     get_default_registry().counter(
         "midas_worker_phases_total", "Phase windows evaluated in process workers"
@@ -269,7 +269,10 @@ class ProcessPhasePool:
         )
 
     def close(self) -> None:
-        self._executor.shutdown(wait=False, cancel_futures=True)
+        # join the workers before unlinking: one still in _worker_init
+        # would otherwise attach to a name that is already gone.  Queued
+        # phases are cancelled; only the ones already running finish.
+        self._executor.shutdown(wait=True, cancel_futures=True)
         for shm in self._segments:
             try:
                 shm.close()

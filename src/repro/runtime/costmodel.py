@@ -212,15 +212,15 @@ class KernelCalibration:
     def measure(sample_nodes: int = 4096, avg_degree: int = 16,
                 grid: Sequence[int] = DEFAULT_GRID, k: int = 8,
                 min_time: float = 0.02, rng_seed: int = 12345) -> "KernelCalibration":
-        """Time the real path-DP kernel at each N2 on a synthetic sample.
+        """Time one path-DP level at each N2 on a synthetic sample.
 
-        The kernel measured here is byte-for-byte the one
-        :mod:`repro.core.evaluator_path` runs: gather neighbour values,
-        XOR-segment-reduce, GF-multiply by the level base block.
+        The level is the :mod:`repro.core.leveldp` step every evaluator
+        runs — neighbour sum, then the layout's multiply by the level
+        base block — on the element layout.
         """
+        from repro.core.leveldp import ElementLanes, neighbour_sum
         from repro.ff.fingerprint import Fingerprint
         from repro.ff.gf2m import default_field_for_k
-        from repro.graph.csr import xor_segment_reduce
         from repro.graph.generators import erdos_renyi
         from repro.obs.metrics import get_default_registry
         from repro.util.rng import RngStream
@@ -243,13 +243,12 @@ class KernelCalibration:
         fp = Fingerprint.draw(g.n, k, rng, field=field)
         rates = []
         for n2 in grid:
-            base = fp.level_base_block(1, 0, int(n2))
+            lanes = ElementLanes(fp, 0, int(n2))
+            base = lanes.base(1)
             prev = field.random(rng, size=(g.n, int(n2)))
 
-            def step(base=base, prev=prev):
-                gathered = prev[g.indices]
-                acc = xor_segment_reduce(gathered, g.indptr)
-                return field.mul(base, acc)
+            def step(lanes=lanes, base=base, prev=prev):
+                return lanes.mul(base, neighbour_sum(prev, g.indptr, g.indices))
 
             step()  # warm caches and numpy dispatch before timing
             # min over independent passes: the standard noise-robust timing
@@ -268,18 +267,18 @@ class KernelCalibration:
                            grid: Sequence[int] = (16, 64, 256), k: int = 8,
                            min_time: float = 0.01,
                            rng_seed: int = 12345) -> Dict[str, Dict[int, float]]:
-        """Measure per-DP-step seconds of each GF kernel strategy vs N2.
+        """Measure per-DP-level seconds of each GF kernel strategy vs N2.
 
-        Returns a ``gf_rates`` mapping for :meth:`choose_kernel`.  The
-        table/logexp strategies time the element-wise step (gather,
-        segment-reduce, ``field.mul``); ``bitsliced`` times the
-        *plane-resident* step the path evaluator actually runs, including
-        the per-level plane build but not the per-phase pack (amortized
-        over ``k`` levels in real runs).
+        Returns a ``gf_rates`` mapping for :meth:`choose_kernel`.  Every
+        strategy times the same :mod:`repro.core.leveldp` level on the
+        layout that strategy runs with: table/logexp on element lanes
+        with the base block prebuilt, ``bitsliced`` on plane lanes
+        including the per-level plane build but not the per-phase pack
+        (amortized over ``k`` levels in real runs).
         """
+        from repro.core.leveldp import ElementLanes, PlaneLanes, neighbour_sum
         from repro.ff.fingerprint import Fingerprint
         from repro.ff.gf2m import GF2m
-        from repro.graph.csr import xor_segment_reduce
         from repro.graph.generators import erdos_renyi
         from repro.util.rng import RngStream
 
@@ -292,26 +291,17 @@ class KernelCalibration:
             fp = Fingerprint.draw(g.n, k, RngStream(rng_seed + 1), field=f)
             for n2 in grid:
                 n2 = int(n2)
+                prev = f.random(rng, size=(g.n, n2))
                 if strategy == "bitsliced":
-                    bs = f.bitsliced
-                    w = bs.words(n2)
-                    iw = bs.pack_indicator(fp.base_block(0, n2))
-                    prev = bs.slice(f.random(rng, size=(g.n, n2)))
-
-                    def step(iw=iw, prev=prev, bs=bs, w=w):
-                        acc = xor_segment_reduce(
-                            prev[g.indices].reshape(len(g.indices), bs.m * w), g.indptr
-                        ).reshape(g.n, bs.m, w)
-                        return bs.mul(bs.planes_from_words(iw, fp.y[:, 1]), acc)
-
+                    lanes, base = PlaneLanes(fp, 0, n2), None
+                    prev = lanes.bs.slice(prev)
                 else:
-                    base = fp.level_base_block(1, 0, n2)
-                    prev = f.random(rng, size=(g.n, n2))
+                    lanes = ElementLanes(fp, 0, n2)
+                    base = lanes.base(1)
 
-                    def step(base=base, prev=prev, f=f):
-                        gathered = prev[g.indices]
-                        acc = xor_segment_reduce(gathered, g.indptr)
-                        return f.mul(base, acc)
+                def step(lanes=lanes, base=base, prev=prev):
+                    return lanes.mul(lanes.base(1) if base is None else base,
+                                     neighbour_sum(prev, g.indptr, g.indices))
 
                 step()  # warm caches and numpy dispatch before timing
                 rates[strategy][n2] = min(

@@ -1,0 +1,59 @@
+"""Run one level-DP recurrence through every driver (import-name-safe module).
+
+The equivalence matrix in ``test_leveldp_matrix.py`` and the per-kind
+property tests in ``test_evaluators.py`` / ``test_overlap.py`` /
+``test_wpath_and_cells.py`` / ``test_mld.py`` all funnel through
+:func:`assert_drivers_agree`, so "the SPMD program returns the
+whole-graph value" is asserted in one place for every problem kind.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.core.halo import build_halo_views
+from repro.core.leveldp import phase_program, run_whole_graph, whole_graph_lanes
+from repro.graph.partition import Partition, random_partition
+from repro.runtime.scheduler import Simulator
+from repro.util.rng import RngStream
+
+DRIVERS = ("whole-graph", "spmd", "spmd-overlapped")
+
+
+def phase_value(graph, recurrence, fp, q0, n2, driver="whole-graph", partition=None):
+    """The phase contribution of ``recurrence`` under ``driver``.
+
+    Scalar problems give an integer, weight-axis problems a ``(Z+1,)``
+    array in ``fp.field.dtype``.  For the SPMD drivers every rank must
+    return the same value.
+    """
+    if driver == "whole-graph":
+        per_lane = run_whole_graph(graph, recurrence, whole_graph_lanes(fp, q0, n2))
+        return np.bitwise_xor.reduce(per_lane, axis=-1)
+    views = build_halo_views(graph, partition)
+    prog = phase_program(views, recurrence, fp, q0, n2,
+                         overlapped=(driver == "spmd-overlapped"))
+    results = Simulator(partition.n_parts, trace=False).run(prog).results
+    for r in results[1:]:
+        assert np.array_equal(r, results[0])
+    return results[0]
+
+
+def assert_drivers_agree(graph, recurrence, fp, q0, n2, partition, expected=None):
+    """Every driver returns ``expected`` (default: the whole-graph value);
+    weight axes keep the field's dtype."""
+    if expected is None:
+        expected = phase_value(graph, recurrence, fp, q0, n2)
+    for driver in DRIVERS:
+        got = phase_value(graph, recurrence, fp, q0, n2, driver, partition)
+        if np.ndim(got):
+            assert got.dtype == fp.field.dtype, driver
+        assert np.array_equal(got, expected), driver
+    return expected
+
+
+def partition_with_empty_rank(graph, n_parts, empty_rank, seed=0):
+    """A random partition in which ``empty_rank`` owns no vertex."""
+    owner = random_partition(graph, n_parts - 1, rng=RngStream(seed)).owner.copy()
+    owner[owner >= empty_rank] += 1
+    return Partition(graph, owner, n_parts)

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.evaluator_path import make_path_phase_program, path_phase_value
+from repro.core.evaluator_path import path_phase_value, path_recurrence
 from repro.core.halo import build_halo_views
+from repro.core.leveldp import phase_program
 from repro.core.midas import MidasRuntime, detect_path, detect_tree, scan_grid
 from repro.ff.fingerprint import Fingerprint
 from repro.graph.csr import CSRGraph
@@ -26,7 +27,9 @@ class TestEmptyRank:
         assert views[2].n_own == 0
         fp = Fingerprint.draw(g.n, 4, RngStream(1))
         expected = path_phase_value(g, fp, 0, 4)
-        res = Simulator(3, trace=False).run(make_path_phase_program(views, fp, 0, 4))
+        res = Simulator(3, trace=False).run(
+            phase_program(views, path_recurrence(4), fp, 0, 4)
+        )
         assert all(r == expected for r in res.results)
 
 

@@ -183,6 +183,31 @@ class TestFaultEquivalence:
         assert faulty == clean
 
 
+_CLOSE_EARLY_SCRIPT = """
+import os
+from repro.core.problems import path_problem
+from repro.core.process_backend import ProcessPhasePool
+from repro.graph.generators import erdos_renyi
+from repro.util.rng import RngStream
+
+def main():
+    g = erdos_renyi(60, m=150, rng=RngStream(1))
+    spec = path_problem(g, 5)
+    fp = spec.draw_fingerprint(g.n, RngStream(2))
+    for _ in range(3):
+        pool = ProcessPhasePool(g, 4, start_method="spawn")
+        names = [seg.name.lstrip("/") for seg in pool._segments]
+        wired = pool.wire_spec(spec)
+        futures = [pool.submit(wired, fp, q, 4) for q in range(0, 32, 4)]
+        futures[0].result(timeout=60)
+        pool.close()
+        print(f"leaked={sum(os.path.exists('/dev/shm/' + n) for n in names)}")
+
+if __name__ == "__main__":
+    main()
+"""
+
+
 class TestProcessConfig:
     def test_workers_validated(self):
         with pytest.raises(ConfigurationError):
@@ -213,6 +238,23 @@ class TestProcessConfig:
                 pool.wire_spec(spec)
         finally:
             pool.close()
+
+    def test_close_right_after_first_result_is_clean(self, tmp_path):
+        """close() while some spawned workers are still in their
+        initializer: the segments must outlive every worker's attach —
+        no BrokenProcessPool, no traceback, nothing left in /dev/shm."""
+        import os
+        import subprocess
+        import sys
+
+        script = tmp_path / "close_early.py"
+        script.write_text(_CLOSE_EARLY_SCRIPT)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, str(script)], env=env, text=True,
+                             capture_output=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert "Traceback" not in out.stderr and "BrokenProcessPool" not in out.stderr
+        assert out.stdout.split() == ["leaked=0"] * 3
 
     def test_pool_released_and_reusable(self):
         g = erdos_renyi(16, 36, rng=RngStream(41, name="g"))

@@ -4,7 +4,9 @@ The key invariants:
 
 * the partitioned SPMD programs are **bit-identical** to the sequential
   evaluators for any (partition, N2) choice — the parallelization changes
-  nothing but the execution;
+  nothing but the execution (the fixed matrix over kinds, kernels and rank
+  layouts is ``test_leveldp_matrix.py``; the ``test_parallel_bit_identical``
+  properties here feed random graphs and partitions to the same check);
 * phase values XOR-composed over split windows equal one big window
   (iteration batching is associative);
 * the tree evaluator on a path template agrees with the specialized path
@@ -18,29 +20,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.evaluator_path import (
-    make_path_phase_program,
-    path_eval_phase,
-    path_phase_value,
-)
+from _leveldp_drivers import assert_drivers_agree
+from repro.core.evaluator_path import path_eval_phase, path_phase_value, path_recurrence
 from repro.core.evaluator_scanstat import (
-    make_scanstat_phase_program,
     scanstat_eval_phase,
     scanstat_phase_value,
+    scanstat_recurrence,
 )
-from repro.core.evaluator_tree import (
-    make_tree_phase_program,
-    tree_eval_phase,
-    tree_phase_value,
-)
-from repro.core.halo import build_halo_views
+from repro.core.evaluator_tree import tree_eval_phase, tree_phase_value, tree_recurrence
 from repro.errors import ConfigurationError
 from repro.ff.fingerprint import Fingerprint
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import erdos_renyi, grid2d
 from repro.graph.partition import random_partition
-from repro.graph.templates import TreeTemplate
-from repro.runtime.scheduler import Simulator
+from repro.graph.templates import TreeTemplate, decompose_template
 from repro.util.rng import RngStream
 
 
@@ -105,11 +98,8 @@ class TestPathEvaluator:
         k = 4
         fp = Fingerprint.draw(g.n, k, RngStream(seed + 1))
         p = random_partition(g, n_parts, rng=RngStream(seed + 2))
-        views = build_halo_views(g, p)
-        expected = path_phase_value(g, fp, 0, n2)
-        prog = make_path_phase_program(views, fp, 0, n2)
-        res = Simulator(n_parts, trace=False).run(prog)
-        assert all(r == expected for r in res.results)
+        assert_drivers_agree(g, path_recurrence(k), fp, 0, n2, p,
+                             expected=path_phase_value(g, fp, 0, n2))
 
 
 class TestTreeEvaluator:
@@ -171,12 +161,8 @@ class TestTreeEvaluator:
         tmpl = TreeTemplate.binary(5)
         fp = Fingerprint.draw(g.n, 5, RngStream(seed + 1))
         p = random_partition(g, n_parts, rng=RngStream(seed + 2))
-        views = build_halo_views(g, p)
-        expected = tree_phase_value(g, tmpl, fp, 0, 8)
-        res = Simulator(n_parts, trace=False).run(
-            make_tree_phase_program(views, tmpl, fp, 0, 8)
-        )
-        assert all(r == expected for r in res.results)
+        assert_drivers_agree(g, tree_recurrence(decompose_template(tmpl)), fp, 0, 8, p,
+                             expected=tree_phase_value(g, tmpl, fp, 0, 8))
 
 
 class TestScanStatEvaluator:
@@ -240,10 +226,5 @@ class TestScanStatEvaluator:
         dim, z_max = 3, 6
         fp = Fingerprint.draw(g.n, dim, RngStream(seed + 1), levels=dim + 1)
         p = random_partition(g, n_parts, rng=RngStream(seed + 2))
-        views = build_halo_views(g, p)
-        expected = scanstat_phase_value(g, w, fp, z_max, 0, 4)
-        res = Simulator(n_parts, trace=False).run(
-            make_scanstat_phase_program(views, w, fp, z_max, 0, 4)
-        )
-        for r in res.results:
-            assert np.array_equal(np.asarray(r), expected)
+        assert_drivers_agree(g, scanstat_recurrence(w, dim, z_max), fp, 0, 4, p,
+                             expected=scanstat_phase_value(g, w, fp, z_max, 0, 4))

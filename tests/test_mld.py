@@ -45,6 +45,12 @@ class TestCircuitConstruction:
         with pytest.raises(ConfigurationError):
             MLDCircuit(k=2, n_slots=2, leaves=[(0, 0)], output=1, levels=2,
                        steps=[CircuitStep(1, None, 9, 1)])
+        # read-before-write and a never-written output are construction errors
+        with pytest.raises(ConfigurationError, match="before it is set"):
+            MLDCircuit(k=2, n_slots=3, leaves=[(0, 0)], output=2, levels=2,
+                       steps=[CircuitStep(2, 1, 0, 1)])
+        with pytest.raises(ConfigurationError, match="never written"):
+            MLDCircuit(k=2, n_slots=2, leaves=[(0, 0)], output=1, levels=2, steps=[])
 
 
 class TestCircuitMatchesSpecializedEvaluators:
@@ -72,40 +78,28 @@ class TestCircuitMatchesSpecializedEvaluators:
 class TestCircuitSPMD:
     @pytest.mark.parametrize("n_parts", [1, 2, 4])
     def test_path_circuit_parallel_bit_identical(self, n_parts):
-        from repro.core.halo import build_halo_views
-        from repro.core.mld import make_circuit_phase_program
+        from _leveldp_drivers import assert_drivers_agree
         from repro.graph.partition import random_partition
-        from repro.runtime.scheduler import Simulator
 
         g = erdos_renyi(22, m=45, rng=RngStream(30))
         k = 4
         c = MLDCircuit.k_path(k)
         fp = Fingerprint.draw(g.n, k, RngStream(31))
-        expected = int(np.bitwise_xor.reduce(c.eval_phase(g, fp, 0, 8)))
+        expected = np.bitwise_xor.reduce(c.eval_phase(g, fp, 0, 8))
         p = random_partition(g, n_parts, rng=RngStream(32))
-        views = build_halo_views(g, p)
-        res = Simulator(n_parts, trace=False).run(
-            make_circuit_phase_program(views, c, fp, 0, 8)
-        )
-        assert all(r == expected for r in res.results)
+        assert_drivers_agree(g, c.recurrence(), fp, 0, 8, p, expected=expected)
 
     def test_tree_circuit_parallel_bit_identical(self):
-        from repro.core.halo import build_halo_views
-        from repro.core.mld import make_circuit_phase_program
+        from _leveldp_drivers import assert_drivers_agree
         from repro.graph.partition import random_partition
-        from repro.runtime.scheduler import Simulator
 
         g = erdos_renyi(18, m=40, rng=RngStream(33))
         tmpl = TreeTemplate.star(4)
         c = MLDCircuit.k_tree(tmpl)
         fp = Fingerprint.draw(g.n, 4, RngStream(34))
-        expected = int(np.bitwise_xor.reduce(c.eval_phase(g, fp, 0, 4)))
+        expected = np.bitwise_xor.reduce(c.eval_phase(g, fp, 0, 4))
         p = random_partition(g, 3, rng=RngStream(35))
-        views = build_halo_views(g, p)
-        res = Simulator(3, trace=False).run(
-            make_circuit_phase_program(views, c, fp, 0, 4)
-        )
-        assert all(r == expected for r in res.results)
+        assert_drivers_agree(g, c.recurrence(), fp, 0, 4, p, expected=expected)
 
 
 class TestDetectMultilinear:

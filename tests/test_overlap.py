@@ -5,12 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.evaluator_path import (
-    make_path_phase_program,
-    make_path_phase_program_overlapped,
-    path_phase_value,
-)
+from _leveldp_drivers import phase_value
+from repro.core.evaluator_path import path_phase_value, path_recurrence
 from repro.core.halo import build_halo_views
+from repro.core.leveldp import phase_program
 from repro.errors import DeadlockError
 from repro.ff.fingerprint import Fingerprint
 from repro.graph.csr import xor_segment_reduce
@@ -155,11 +153,8 @@ class TestOverlappedEvaluator:
         k = 4
         fp = Fingerprint.draw(g.n, k, RngStream(seed + 1))
         p = random_partition(g, n_parts, rng=RngStream(seed + 2))
-        views = build_halo_views(g, p)
-        expected = path_phase_value(g, fp, 0, n2)
-        prog = make_path_phase_program_overlapped(views, fp, 0, n2)
-        res = Simulator(n_parts, trace=False).run(prog)
-        assert all(r == expected for r in res.results)
+        got = phase_value(g, path_recurrence(k), fp, 0, n2, "spmd-overlapped", p)
+        assert got == path_phase_value(g, fp, 0, n2)
 
     @given(
         st.integers(min_value=0, max_value=10**6),
@@ -167,22 +162,16 @@ class TestOverlappedEvaluator:
     )
     @settings(max_examples=12, deadline=None)
     def test_tree_overlapped_bit_identical(self, seed, n_parts):
-        from repro.core.evaluator_tree import (
-            make_tree_phase_program_overlapped,
-            tree_phase_value,
-        )
-        from repro.graph.templates import TreeTemplate
+        from repro.core.evaluator_tree import tree_phase_value, tree_recurrence
+        from repro.graph.templates import TreeTemplate, decompose_template
 
         g = erdos_renyi(20, m=45, rng=RngStream(seed))
         tmpl = TreeTemplate.binary(5)
         fp = Fingerprint.draw(g.n, 5, RngStream(seed + 1))
         p = random_partition(g, n_parts, rng=RngStream(seed + 2))
-        views = build_halo_views(g, p)
-        expected = tree_phase_value(g, tmpl, fp, 0, 8)
-        res = Simulator(n_parts, trace=False).run(
-            make_tree_phase_program_overlapped(views, tmpl, fp, 0, 8)
-        )
-        assert all(r == expected for r in res.results)
+        got = phase_value(g, tree_recurrence(decompose_template(tmpl)), fp, 0, 8,
+                          "spmd-overlapped", p)
+        assert got == tree_phase_value(g, tmpl, fp, 0, 8)
 
     @given(
         st.integers(min_value=0, max_value=10**6),
@@ -191,8 +180,8 @@ class TestOverlappedEvaluator:
     @settings(max_examples=10, deadline=None)
     def test_scanstat_overlapped_bit_identical(self, seed, n_parts):
         from repro.core.evaluator_scanstat import (
-            make_scanstat_phase_program_overlapped,
             scanstat_phase_value,
+            scanstat_recurrence,
         )
 
         g = erdos_renyi(15, m=30, rng=RngStream(seed))
@@ -200,13 +189,9 @@ class TestOverlappedEvaluator:
         dim, z_max = 3, 6
         fp = Fingerprint.draw(g.n, dim, RngStream(seed + 1), levels=dim + 1)
         p = random_partition(g, n_parts, rng=RngStream(seed + 2))
-        views = build_halo_views(g, p)
-        expected = scanstat_phase_value(g, w, fp, z_max, 0, 4)
-        res = Simulator(n_parts, trace=False).run(
-            make_scanstat_phase_program_overlapped(views, w, fp, z_max, 0, 4)
-        )
-        for r in res.results:
-            assert np.array_equal(np.asarray(r), expected)
+        got = phase_value(g, scanstat_recurrence(w, dim, z_max), fp, 0, 4,
+                          "spmd-overlapped", p)
+        assert np.array_equal(got, scanstat_phase_value(g, w, fp, z_max, 0, 4))
 
     def test_scan_grid_overlap_flag(self):
         from repro.core.midas import MidasRuntime, scan_grid
@@ -254,8 +239,9 @@ class TestOverlappedEvaluator:
         fp = Fingerprint.draw(g.n, 5, RngStream(11))
         p = random_partition(g, 4, rng=RngStream(12))
         views = build_halo_views(g, p)
-        a = Simulator(4, trace=False).run(make_path_phase_program(views, fp, 0, 8))
+        rec = path_recurrence(5)
+        a = Simulator(4, trace=False).run(phase_program(views, rec, fp, 0, 8))
         b = Simulator(4, trace=False).run(
-            make_path_phase_program_overlapped(views, fp, 0, 8)
+            phase_program(views, rec, fp, 0, 8, overlapped=True)
         )
         assert a.results == b.results

@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro.core.problems as problems
 from repro.core.engine import MidasRuntime
 from repro.core.midas import (
     detect_path,
@@ -100,15 +99,15 @@ def test_invalid_reference_mode(graph):
 def test_corrupted_phase_localized(graph, monkeypatch):
     """Corrupting the very first phase contribution of the primary run is
     pinpointed as a *phase* divergence at (round 0, batch 0, phase 0)."""
-    real = problems.path_phase_value
+    real = ProblemSpec.phase_value
     calls = {"n": 0}
 
-    def crooked(g, fp, q0, n2):
+    def crooked(self, g, fp, q0, n2):
         calls["n"] += 1
-        v = real(g, fp, q0, n2)
+        v = real(self, g, fp, q0, n2)
         return v ^ 1 if calls["n"] == 1 else v
 
-    monkeypatch.setattr(problems, "path_phase_value", crooked)
+    monkeypatch.setattr(ProblemSpec, "phase_value", crooked)
     rt = MidasRuntime(mode="sequential")
     with pytest.raises(ReplayMismatchError) as ei:
         verify_replay(detect_path, graph, 4, runtime=rt, seed=5, eps=0.8)

@@ -108,28 +108,19 @@ class TestMaxWeightPath:
 class TestWeightedPathParallel:
     @pytest.mark.parametrize("n_parts", [1, 2, 4])
     def test_spmd_program_bit_identical(self, n_parts):
+        from _leveldp_drivers import assert_drivers_agree
         from repro.core.evaluator_wpath import (
-            make_weighted_path_phase_program,
             weighted_path_phase_value,
+            weighted_path_recurrence,
         )
-        from repro.core.halo import build_halo_views
         from repro.graph.partition import random_partition
-        from repro.runtime.scheduler import Simulator
 
         g = erdos_renyi(18, m=35, rng=RngStream(70))
         w = RngStream(71).integers(0, 4, size=g.n)
-        fp_args = dict(levels=4)
-        from repro.ff.fingerprint import Fingerprint
-
         fp = Fingerprint.draw(g.n, 4, RngStream(72))
         p = random_partition(g, n_parts, rng=RngStream(73))
-        views = build_halo_views(g, p)
-        expected = weighted_path_phase_value(g, w, fp, 8, 0, 4)
-        res = Simulator(n_parts, trace=False).run(
-            make_weighted_path_phase_program(views, w, fp, 8, 0, 4)
-        )
-        for r in res.results:
-            assert np.array_equal(np.asarray(r), expected)
+        assert_drivers_agree(g, weighted_path_recurrence(w, 4, 8), fp, 0, 4, p,
+                             expected=weighted_path_phase_value(g, w, fp, 8, 0, 4))
 
     def test_simulated_mode_matches_sequential(self):
         from repro.core.midas import MidasRuntime
