@@ -15,7 +15,8 @@
   (data, not a bespoke driver);
 * :mod:`repro.core.engine` — the unified detection engine: one
   round → batch → phase loop with pluggable execution backends
-  (``sequential``, ``simulated``, ``modeled``, ``threaded``);
+  (``sequential``, ``simulated``, ``modeled``, ``threaded``,
+  ``process``);
 * :mod:`repro.core.midas` — the MIDAS drivers (Alg 2), thin wrappers
   over the engine;
 * :mod:`repro.core.model` — the analytic performance model (Theorem 2 with
@@ -27,6 +28,7 @@ from repro.core.engine import (
     DetectionEngine,
     ExecutionBackend,
     ModeledBackend,
+    ProcessBackend,
     SequentialBackend,
     SimulatedBackend,
     ThreadedBackend,
@@ -67,6 +69,7 @@ __all__ = [
     "SimulatedBackend",
     "ModeledBackend",
     "ThreadedBackend",
+    "ProcessBackend",
     "ProblemSpec",
     "path_problem",
     "tree_problem",

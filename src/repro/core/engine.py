@@ -3,33 +3,48 @@ MIDAS problems, with pluggable execution backends.
 
 The paper's contribution is a single execution discipline (Fig. 1,
 Table I) applied uniformly to every application.  This module writes
-that discipline exactly once:
+that discipline exactly once, as **round loop × executor × phase
+boundary**:
 
 * :class:`MidasRuntime` — the user-facing execution configuration
   (mode, ``(N, N1, N2)``, cluster, observability, fault tolerance);
-* :class:`DetectionEngine` — owns amplification rounds, seeded RNG-stream
-  derivation, metrics families, run-level trace splicing, fault-tolerance
-  accounting, and the per-stage schedule; consumes a
-  :class:`~repro.core.problems.ProblemSpec`;
-* :class:`ExecutionBackend` subclasses — how one round's phases actually
-  execute:
+* :class:`EngineSession` — the prepared state every engine runs on
+  (partition, halo views, GF(2^l) tables, calibration): the runtime's
+  shared one, or a private one built the same way;
+* :class:`DetectionEngine` — owns the amplification rounds
+  (:meth:`~DetectionEngine.run_stage`: seeded RNG-stream derivation,
+  one stamped span per round, checkpoints, early exit) and the one
+  **phase boundary** :meth:`~DetectionEngine.phase_done`, where every
+  finished phase window — whoever ran it — meets the histogram, the
+  profile, the digest log, live status, the watchdog and the recorder;
+* :class:`ExecutionBackend` — the whole-graph **round loop**
+  (:meth:`~ExecutionBackend.run_round`: fold completed windows into the
+  XOR accumulator, report each to the boundary, cancel what has not
+  started if anything raises), written once; the subclasses say only
+  *how a window gets executed*:
 
   ``SequentialBackend``
-      Single-process vectorized evaluation, one phase at a time.
-  ``ThreadedBackend``
-      A round's independent phase windows run concurrently on a
-      :class:`~concurrent.futures.ThreadPoolExecutor`.  The GF(2^l)
-      kernels are numpy table lookups that release the GIL, and XOR
-      accumulation is commutative and associative, so results are
-      bit-identical to sequential regardless of completion order while
-      wall-clock drops on multi-core hosts.
-  ``SimulatedBackend``
-      The real SPMD decomposition on the runtime simulator, with halo
-      messages, XOR all-reduces, checkpoint/retry under fault injection,
-      and virtual-time accounting.
+      Inline on the calling thread, one window at a time — no pool, no
+      future.
   ``ModeledBackend``
-      Sequential evaluation plus the analytic Theorem-2 model for
-      virtual time (cluster-scale sweeps).
+      The same, plus the analytic Theorem-2 model for virtual time
+      (cluster-scale sweeps).
+  ``ThreadedBackend``
+      On a :class:`~concurrent.futures.ThreadPoolExecutor`.  The GF(2^l)
+      kernels are numpy pipelines that release the GIL, and XOR
+      accumulation is commutative and associative, so folding in
+      completion order is bit-identical to sequential.
+  ``ProcessBackend``
+      On worker processes sharing the graph through
+      :class:`~repro.core.process_backend.ProcessPhasePool` — the same
+      commutativity argument past the GIL; decodes the wire, merges
+      worker metrics and spans, and turns a dead worker into a typed
+      :class:`~repro.errors.WorkerCrashedError`.
+  ``SimulatedBackend``
+      The real SPMD decomposition on the runtime simulator — its own
+      round → batch → phase loop with halo messages, XOR all-reduces,
+      checkpoint/retry under fault injection and virtual-time
+      accounting — reporting to the same phase boundary.
 
 Every driver in :mod:`repro.core.midas` is a thin wrapper over this
 engine, so every feature — overlap, fault tolerance, metrics, tracing,
@@ -42,8 +57,9 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
+from contextlib import closing, nullcontext
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Type
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Type
 
 from repro.core.model import PartitionStats, PerformanceEstimate, estimate_runtime
 from repro.core.halo import build_halo_views
@@ -69,7 +85,6 @@ from repro.runtime.scheduler import Simulator
 from repro.runtime.tracing import Scope, TraceRecorder
 from repro.util.log import get_logger
 from repro.util.rng import RngStream
-from repro.util.timing import Stopwatch
 
 _LOG = get_logger(__name__)
 
@@ -434,8 +449,8 @@ class _FaultContext:
 
 
 def _run_phase_resilient(rt: MidasRuntime, fc: _FaultContext, prog, key: str,
-                         sim_cost_model, want_trace: bool, sanitizer=None,
-                         prof=None, heartbeat=None):
+                         sim_cost_model, want_trace: bool, prof,
+                         sanitizer=None, heartbeat=None):
     """Run one phase window to completion under the fault plan.
 
     Retries the window (same program, seeded-identical randomness) on any
@@ -463,12 +478,9 @@ def _run_phase_resilient(rt: MidasRuntime, fc: _FaultContext, prog, key: str,
         err = None
         res = None
         try:
-            if prof is not None:
-                # callsite is the problem, not the phase key — one
-                # aggregate row per problem, not per phase window
-                with prof.span("simulate", phase="rounds", callsite=fc.problem):
-                    res = sim.run(prog)
-            else:
+            # callsite is the problem, not the phase key — one
+            # aggregate row per problem, not per phase window
+            with prof.span("simulate", phase="rounds", callsite=fc.problem):
                 res = sim.run(prog)
             if res.crashed_ranks:
                 # the program "finished" but ranks died: their partial
@@ -545,11 +557,27 @@ class StageResult:
         return len(self.values)
 
 
-class ExecutionBackend:
-    """How one amplification round's phases execute.
+#: a finished phase window as the round loop consumes it: the value, the
+#: ``perf_counter`` stamps taken where the kernel ran, and that lane's name
+Window = Tuple[Value, float, float, str]
 
-    Subclasses implement :meth:`run_round`; the engine owns everything
-    else (round loop, RNG, metrics, accumulation, early exit).
+
+def _run_window(graph: CSRGraph, stage: _Stage, fp, t: int) -> Window:
+    """Evaluate phase window ``t`` on the calling thread, stamped here."""
+    t0 = time.perf_counter()
+    value = stage.spec.phase_value(graph, fp, stage.sched.phase_window(t)[0],
+                                   stage.sched.n2)
+    return value, t0, time.perf_counter(), threading.current_thread().name
+
+
+class ExecutionBackend:
+    """How one amplification round's phase windows get executed.
+
+    The whole-graph round loop (:meth:`run_round`) is written here once;
+    it knows nothing about telemetry — every finished window goes to the
+    engine's phase boundary.  A whole-graph backend supplies only the
+    executor: :meth:`submit` for a pool (the default :meth:`windows`
+    joins and cancels), or :meth:`windows` itself to run inline.
     """
 
     name = "?"
@@ -560,39 +588,63 @@ class ExecutionBackend:
     def prepare(self, stage: _Stage) -> None:
         """Per-stage setup (partitioning, pools); may be called repeatedly."""
 
-    def run_round(self, stage: _Stage, fp, ell: int):
-        """Execute round ``ell`` and return ``(value, virtual_seconds)``."""
+    def submit(self, stage: _Stage, fp, t: int):
+        """A future of window ``t``'s result (pool executors)."""
         raise NotImplementedError
 
+    def completed(self, stage: _Stage, t: int, result) -> Window:
+        """Decode window ``t``'s executor result into a :data:`Window`."""
+        return result
+
+    def windows(self, stage: _Stage, fp) -> Iterator[tuple]:
+        """Run the round's windows; yield ``(t, result)`` as each finishes.
+
+        The windows are independent and the fold is commutative, so
+        completion order is as good as schedule order.  When the consumer
+        stops early — a watchdog trip, a dead worker, Ctrl-C — the
+        windows that have not started are cancelled before the exception
+        propagates, so nothing keeps computing for a discarded round.
+        """
+        futures = {self.submit(stage, fp, t): t
+                   for t in range(stage.sched.n_phases)}
+        try:
+            for fut in as_completed(futures):
+                yield futures[fut], fut.result()
+        finally:
+            for fut in futures:
+                fut.cancel()
+
+    def run_round(self, stage: _Stage, fp, ell: int):
+        """Execute round ``ell`` and return ``(value, virtual_seconds)``.
+
+        The one whole-graph round loop: XOR-fold each finished window and
+        hand it to the phase boundary.  ``closing`` ends the executor's
+        generator on the way out, whatever the reason, which is what
+        cancels the windows that have not started.
+        """
+        e = self.engine
+        value = stage.spec.acc_init()
+        round0 = time.perf_counter()
+        with closing(self.windows(stage, fp)) as done:
+            for t, result in done:
+                contrib, t0, t1, lane = self.completed(stage, t, result)
+                value = stage.spec.combine(value, contrib)
+                e.phase_done(stage, ell, t, contrib, t0, t1, lane)
+        e.round_joined(stage, ell, round0, time.perf_counter())
+        return value, 0.0
+
     def close(self) -> None:
-        """Release backend resources (thread pools)."""
+        """Release backend resources (pools)."""
 
 
 class SequentialBackend(ExecutionBackend):
-    """Single-process vectorized evaluation, one phase window at a time."""
+    """Inline on the calling thread, one phase window at a time."""
 
     name = "sequential"
 
-    def run_round(self, stage: _Stage, fp, ell: int):
-        e = self.engine
-        spec, sched = stage.spec, stage.sched
-        rec = e.rec
-        value = spec.acc_init()
-        for t in range(sched.n_phases):
-            q0, q1 = sched.phase_window(t)
-            p0 = time.perf_counter()
-            with e.prof.span("kernel", phase="rounds", callsite=spec.name):
-                contrib = spec.phase_value(e.graph, fp, q0, sched.n2)
-            value = spec.combine(value, contrib)
-            dt = time.perf_counter() - p0
-            stage.phase_hist.observe(dt)
-            e.note_phase(stage, ell, t, contrib)
-            if rec is not None:
-                rec.record(0, "compute", e.cursor, e.cursor + dt,
-                           scope=Scope(round=ell, phase=t, q0=q0, q1=q1,
-                                       label=stage.label))
-                e.cursor += dt
-        return value, 0.0
+    def windows(self, stage: _Stage, fp) -> Iterator[tuple]:
+        for t in range(stage.sched.n_phases):
+            yield t, _run_window(self.engine.graph, stage, fp, t)
 
 
 class ModeledBackend(SequentialBackend):
@@ -611,7 +663,7 @@ class ModeledBackend(SequentialBackend):
 
 
 class ThreadedBackend(ExecutionBackend):
-    """Run a round's independent phase windows concurrently.
+    """Run a round's independent phase windows on a thread pool.
 
     The phase kernels are numpy table-lookup pipelines that release the
     GIL, and the round accumulator is an XOR fold — commutative and
@@ -632,49 +684,12 @@ class ThreadedBackend(ExecutionBackend):
                 thread_name_prefix="midas-phase",
             )
 
-    def run_round(self, stage: _Stage, fp, ell: int):
-        e = self.engine
-        spec, sched = stage.spec, stage.sched
-        round0 = time.perf_counter()
-
-        def run_phase(t: int):
-            q0, q1 = sched.phase_window(t)
-            p0 = time.perf_counter()
-            with e.prof.span("kernel", phase="rounds", callsite=spec.name):
-                v = spec.phase_value(e.graph, fp, q0, sched.n2)
-            p1 = time.perf_counter()
-            return t, q0, q1, v, p0 - round0, p1 - round0, threading.current_thread().name
-
-        futures = [self._pool.submit(run_phase, t) for t in range(sched.n_phases)]
-        value = spec.acc_init()
-        timings = []
-        for fut in as_completed(futures):
-            t, q0, q1, v, s0, s1, worker = fut.result()
-            value = spec.combine(value, v)
-            stage.phase_hist.observe(s1 - s0)
-            timings.append((t, q0, q1, s0, s1, worker))
-            # digests are keyed by phase index, so completion order is moot
-            e.note_phase(stage, ell, t, v)
-        elapsed = time.perf_counter() - round0
-        if e.rec is not None:
-            # record after the barrier (the recorder is not thread-safe):
-            # one timeline lane per worker thread, wall offsets preserved
-            lanes = {w: i for i, w in enumerate(sorted({tm[5] for tm in timings}))}
-            for t, q0, q1, s0, s1, worker in sorted(timings, key=lambda tm: tm[3]):
-                e.rec.record(lanes[worker], "compute", e.cursor + s0, e.cursor + s1,
-                             scope=Scope(round=ell, phase=t, q0=q0, q1=q1,
-                                         label=stage.label))
-            if timings:
-                # the round's accumulator join waits on the slowest phase
-                slow = max(timings, key=lambda tm: tm[4])
-                e.rec.record_edge("barrier", lanes[slow[5]], e.cursor + slow[4],
-                                  0, e.cursor + elapsed, info=f"r{ell} join")
-            e.cursor += elapsed
-        return value, 0.0
+    def submit(self, stage: _Stage, fp, t: int):
+        return self._pool.submit(_run_window, self.engine.graph, stage, fp, t)
 
     def close(self) -> None:
         if self._pool is not None:
-            self._pool.shutdown(wait=True)
+            self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
 
 
@@ -694,17 +709,8 @@ class ProcessBackend(ExecutionBackend):
     def __init__(self, engine: "DetectionEngine") -> None:
         super().__init__(engine)
         self._pool = None
-        # id(spec) -> (spec, wire descriptor); the spec is pinned so a
-        # recycled id cannot alias a stale descriptor across grid cells
-        self._wired: Dict[int, tuple] = {}
 
     def prepare(self, stage: _Stage) -> None:
-        if stage.spec.recipe is None:
-            raise ConfigurationError(
-                f"problem {stage.spec.name!r} carries no recipe and cannot run "
-                "on mode='process'; use the factory constructors in "
-                "repro.core.problems"
-            )
         if self._pool is None:
             from repro.core.process_backend import ProcessPhasePool
 
@@ -714,86 +720,58 @@ class ProcessBackend(ExecutionBackend):
                     self.engine.rt.get_workers(),
                     start_method=self.engine.rt.process_start,
                 )
-        if id(stage.spec) not in self._wired:
-            self._wired[id(stage.spec)] = (
-                stage.spec, self._pool.wire_spec(stage.spec)
-            )
+        # publishes the spec's payload once (the pool caches the wire per
+        # spec); a hand-built spec without a recipe is refused here
+        self._pool.wire_spec(stage.spec)
+
+    def submit(self, stage: _Stage, fp, t: int):
+        return self._pool.submit(
+            self._pool.wire_spec(stage.spec), fp,
+            stage.sched.phase_window(t)[0], stage.sched.n2,
+            self.engine.qt is not None)
+
+    def completed(self, stage: _Stage, t: int, result) -> Window:
+        raw, (pid, t0, t1, *build), mdelta = result
+        e = self.engine
+        if mdelta:
+            # increments made inside the worker (field builds, calibration,
+            # phase counters) land in the parent's run registry exactly once
+            from repro.obs.metrics import merge_into
+
+            merge_into(e.reg, mdelta)
+        lane = f"worker-{pid}"
+        if e.qt is not None:
+            # perf_counter is CLOCK_MONOTONIC on Linux: worker and parent
+            # stamps share a timebase, so the spans splice in as stamped
+            if build:
+                e.qt.add_span("worker.spec_build", *build, pid=pid, lane=lane)
+            e.qt.add_span("worker.kernel", t0, t1, pid=pid, lane=lane,
+                          q_start=stage.sched.phase_window(t)[0],
+                          n2=stage.sched.n2, k=stage.spec.k)
+        return stage.spec.rank_value(raw), t0, t1, lane
 
     def run_round(self, stage: _Stage, fp, ell: int):
         from concurrent.futures.process import BrokenProcessPool
 
-        e = self.engine
-        spec, sched = stage.spec, stage.sched
-        wired = self._wired[id(stage.spec)][1]
-        want_spans = e.qt is not None
-        round0 = time.perf_counter()
-        futures = {
-            self._pool.submit(wired, fp, sched.phase_window(t)[0], sched.n2,
-                              want_spans): t
-            for t in range(sched.n_phases)
-        }
-        value = spec.acc_init()
-        timings = []
         try:
-            with e.prof.span("kernel", phase="rounds", callsite=spec.name):
-                for fut in as_completed(futures):
-                    t = futures[fut]
-                    q0, q1 = sched.phase_window(t)
-                    raw, p0, p1, pid, wspans, mdelta = fut.result()
-                    v = spec.rank_value(raw)
-                    value = spec.combine(value, v)
-                    if mdelta:
-                        # increments made inside the worker (field builds,
-                        # calibration, phase counters) land in the parent's
-                        # run registry exactly once
-                        from repro.obs.metrics import merge_into
-
-                        merge_into(e.reg, mdelta)
-                    if wspans and e.qt is not None:
-                        e.qt.add_spans(wspans)
-                    # perf_counter is CLOCK_MONOTONIC on Linux: worker and
-                    # parent stamps share a timebase (clamped for safety)
-                    s0, s1 = max(p0 - round0, 0.0), max(p1 - round0, 0.0)
-                    stage.phase_hist.observe(s1 - s0)
-                    timings.append((t, q0, q1, s0, s1, f"pid-{pid}"))
-                    # digests are keyed by phase index: completion order moot
-                    e.note_phase(stage, ell, t, v)
+            return super().run_round(stage, fp, ell)
         except BrokenProcessPool as exc:
             self.close()
-            from repro.obs.qtrace import get_flight_recorder
-
-            fr = get_flight_recorder()
-            fr.record("worker_crash", problem=spec.name, round=ell,
-                      graph=getattr(e.graph, "name", None),
-                      trace_id=e.qt.trace_id if e.qt is not None else None)
-            fr.dump("worker_crash", extra={
-                "open_spans": [s.to_dict() for s in e.qt.open_spans()]
-                if e.qt is not None else [],
-            })
+            e = self.engine
+            e.flight_dump(
+                "worker_crash", round=ell, graph=getattr(e.graph, "name", None),
+                extra={"open_spans": [s.to_dict() for s in e.qt.open_spans()]
+                       if e.qt is not None else []})
             raise WorkerCrashedError(
                 f"a worker process died while evaluating round {ell} of "
-                f"{spec.name!r} (see stderr for the worker's fate); the "
+                f"{stage.spec.name!r} (see stderr for the worker's fate); the "
                 "process pool is closed"
             ) from exc
-        elapsed = time.perf_counter() - round0
-        if e.rec is not None:
-            lanes = {w: i for i, w in enumerate(sorted({tm[5] for tm in timings}))}
-            for t, q0, q1, s0, s1, worker in sorted(timings, key=lambda tm: tm[3]):
-                e.rec.record(lanes[worker], "compute", e.cursor + s0, e.cursor + s1,
-                             scope=Scope(round=ell, phase=t, q0=q0, q1=q1,
-                                         label=stage.label))
-            if timings:
-                slow = max(timings, key=lambda tm: tm[4])
-                e.rec.record_edge("barrier", lanes[slow[5]], e.cursor + slow[4],
-                                  0, e.cursor + elapsed, info=f"r{ell} join")
-            e.cursor += elapsed
-        return value, 0.0
 
     def close(self) -> None:
         if self._pool is not None:
             self._pool.close()
             self._pool = None
-        self._wired = {}
 
 
 class SimulatedBackend(ExecutionBackend):
@@ -803,12 +781,14 @@ class SimulatedBackend(ExecutionBackend):
 
     def __init__(self, engine: "DetectionEngine") -> None:
         super().__init__(engine)
+        self._views = None
         self._cost_model = None
 
     def prepare(self, stage: _Stage) -> None:
         e = self.engine
-        e.ensure_views()
-        if self._cost_model is None:
+        if self._views is None:
+            e.partition = e.session.ensure_partition(e.prof)
+            self._views = e.session.ensure_views(e.prof, e.problem)
             self._cost_model = e.rt.get_cluster().cost_model(e.rt.n1)
 
     def run_round(self, stage: _Stage, fp, ell: int):
@@ -830,45 +810,42 @@ class SimulatedBackend(ExecutionBackend):
             batch_slow = (0, 0.0)  # (global rank, end time) of slowest phase
             for gi, t in enumerate(batch):
                 q0, q1 = sched.phase_window(t)
-                prog = phase_program(e.views, spec.recurrence, fp, q0, sched.n2,
-                                     overlapped=rt.overlap)
+                prog = phase_program(self._views, spec.recurrence, fp, q0,
+                                     sched.n2, overlapped=rt.overlap)
                 res, sim, extra, failed = _run_phase_resilient(
                     rt, fc, prog, f"{stage.key_prefix}r{ell}/b{bi}/p{t}",
-                    self._cost_model, want_trace=want_trace, sanitizer=e.san,
-                    prof=e.prof, heartbeat=e._hb,
+                    self._cost_model, want_trace, e.prof, sanitizer=e.san,
+                    heartbeat=e._hb,
                 )
                 contrib = spec.rank_value(res.results[0])
                 value = spec.combine(value, contrib)
-                e.note_phase(stage, ell, t, contrib)
+                # a virtual makespan, not a wall interval: no lane
+                e.phase_done(stage, ell, t, contrib, 0.0, res.makespan, None)
                 phase_end = extra + res.makespan
                 if phase_end >= batch_time:
                     slow_local = int(res.clocks.argmax()) if len(res.clocks) else 0
                     batch_slow = (gi * rt.n1 + slow_local, phase_end)
                 batch_time = max(batch_time, phase_end)
-                stage.phase_hist.observe(res.makespan)
                 if rt.trace:
                     e.trace_compute += res.summary.total_compute
                     e.trace_comm += res.summary.total_comm
                 if rec is not None:
-                    # splice the phase's group onto global ranks/clock;
-                    # failed attempts first, at their own offsets
-                    for shift, attempt, events, fedges in failed:
+                    # splice the phase's group onto global ranks/clock:
+                    # failed attempts at their own offsets, then the one
+                    # that succeeded
+                    attempts = [
+                        (shift, _compose_label(stage.label, f"failed-attempt{a}"),
+                         events, edges)
+                        for shift, a, events, edges in failed
+                    ] + [(extra, stage.label, sim.trace.events, sim.trace.edges)]
+                    for shift, label, events, edges in attempts:
                         rec.extend(
                             events, t_shift=e.cursor + shift,
                             rank_offset=gi * rt.n1,
                             scope=Scope(round=ell, batch=bi, phase=t, q0=q0,
-                                        q1=q1,
-                                        label=_compose_label(
-                                            stage.label, f"failed-attempt{attempt}")),
-                            edges=fedges,
+                                        q1=q1, label=label),
+                            edges=edges,
                         )
-                    rec.extend(
-                        sim.trace.events, t_shift=e.cursor + extra,
-                        rank_offset=gi * rt.n1,
-                        scope=Scope(round=ell, batch=bi, phase=t, q0=q0, q1=q1,
-                                    label=stage.label),
-                        edges=sim.trace.edges,
-                    )
                 if want_trace:
                     e.bytes_ctr.inc(res.summary.total_bytes)
             round_virtual += batch_time
@@ -907,12 +884,13 @@ _BACKENDS: Dict[str, Type[ExecutionBackend]] = {
 class EngineSession:
     """Reusable prepared stage state for one ``(graph, decomposition)``.
 
-    A one-shot :class:`DetectionEngine` rebuilds the partition, the halo
-    views, the GF(2^l) field tables, and the kernel calibration on every
-    driver call — fine for a single CLI invocation, wasteful for a
-    service answering many queries against the same preloaded graph.  A
-    session hoists exactly the state that is (a) expensive to build and
-    (b) *immutable once built*:
+    Every :class:`DetectionEngine` runs on a session: the one attached as
+    ``MidasRuntime(session=...)``, or a private one it builds with
+    :meth:`for_runtime` and drops when the driver call ends — fine for a
+    single CLI invocation, wasteful for a service answering many queries
+    against the same preloaded graph, which shares one.  A session holds
+    exactly the state that is (a) expensive to build and (b) *immutable
+    once built*:
 
     * the vertex partition (deterministic in ``(graph, n1,
       partition_method, partition_seed)`` — the session's RNG lineage);
@@ -988,14 +966,18 @@ class EngineSession:
             self.uses += 1
 
     # ------------------------------------------------------ prepared state
+    @staticmethod
+    def _setup_span(prof, op: str, callsite: str):
+        """A setup span of ``prof`` — nothing when no profiler watches."""
+        if prof is None:
+            return nullcontext()
+        return prof.span(op, phase="setup", callsite=callsite)
+
     def ensure_partition(self, prof=None):
         """The session's vertex partition, built once under the lock."""
         with self._lock:
             if self._partition is None:
-                span = (prof.span("partition", phase="setup",
-                                  callsite=self.partition_method)
-                        if prof is not None else _null_span())
-                with span:
+                with self._setup_span(prof, "partition", self.partition_method):
                     self._partition = make_partition(
                         self.graph, self.n1, self.partition_method,
                         rng=RngStream(self.partition_seed, name="partition"),
@@ -1007,9 +989,7 @@ class EngineSession:
         part = self.ensure_partition(prof)
         with self._lock:
             if self._views is None:
-                span = (prof.span("halo", phase="setup", callsite=problem)
-                        if prof is not None else _null_span())
-                with span:
+                with self._setup_span(prof, "halo", problem):
                     self._views = build_halo_views(self.graph, part)
             return self._views
 
@@ -1056,29 +1036,21 @@ class EngineSession:
             }
 
 
-class _null_span:
-    """Context-manager no-op stand-in for a profiler span."""
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-
 class DetectionEngine:
     """The round → batch → phase evaluation loop, written once.
 
-    One engine instance serves one driver call: it owns the lazily built
-    partition/halo views, the run-level virtual clock that trace events
-    are spliced onto, the shared metric families, and (in simulated mode)
-    the fault-tolerance context.  :meth:`run_stage` executes the
-    amplification rounds of one :class:`~repro.core.problems.ProblemSpec`;
-    multi-stage drivers (the scan grid's one-spec-per-size loop) call it
-    repeatedly and all stages share the same run-level accounting.
+    One engine instance serves one driver call: it runs on an
+    :class:`EngineSession` (the runtime's, or a private one that is never
+    stored back on the runtime) and owns the run-level virtual clock that
+    trace events are spliced onto, the shared metric families, and (in
+    simulated mode) the fault-tolerance context.  :meth:`run_stage`
+    executes the amplification rounds of one
+    :class:`~repro.core.problems.ProblemSpec`; multi-stage drivers (the
+    scan grid's one-spec-per-size loop) call it repeatedly and all stages
+    share the same run-level accounting.
 
-    Use as a context manager so backend resources (the threaded
-    backend's pool) are released deterministically.
+    Use as a context manager so backend resources (the thread or
+    process pool) are released deterministically.
     """
 
     def __init__(self, graph: CSRGraph, rt: MidasRuntime, problem: str) -> None:
@@ -1106,18 +1078,14 @@ class DetectionEngine:
                     # comm checking only has a substrate in simulated mode;
                     # other modes still get the report/metrics plumbing
                     self.san = CommSanitizer(rt.sanitize, self.san_report)
-        try:
-            self.backend = _BACKENDS[rt.mode](self)
-        except KeyError:  # unreachable given MidasRuntime validation
-            raise ConfigurationError(f"no backend for mode {rt.mode!r}") from None
-        self.session = rt.session
-        if self.session is not None:
-            mismatch = self.session.compatible(graph, rt)
-            if mismatch is not None:
-                raise ConfigurationError(f"engine session mismatch: {mismatch}")
-            self.session.attach()
-        self.partition = None
-        self.views = None
+        self.backend = _BACKENDS[rt.mode](self)  # rt.mode is validated
+        self.session = (rt.session if rt.session is not None
+                        else EngineSession.for_runtime(graph, rt))
+        mismatch = self.session.compatible(graph, rt)
+        if mismatch is not None:
+            raise ConfigurationError(f"engine session mismatch: {mismatch}")
+        self.session.attach()
+        self.partition = None  # set once this run has asked the session for it
         self.prof = rt.get_profiler()
         self.live = rt.get_live()
         # per-query trace (repro.obs.qtrace.QueryTrace) threaded in by the
@@ -1125,7 +1093,8 @@ class DetectionEngine:
         self.qt = rt.qtrace
         if self.qt is not None and self.live is not None:
             self.live.trace_id = self.qt.trace_id
-        self.round_sw = Stopwatch()  # wall clock around the round loop
+        self.round_walls: List[float] = []  # wall seconds of each round run
+        self._windows: List[tuple] = []  # (t, t0, t1, lane) awaiting the join
         if self.live is not None:
             self.live.run_started(problem, rt.mode,
                                   graph_nodes=graph.n,
@@ -1173,11 +1142,7 @@ class DetectionEngine:
                 state, error = "failed", f"{exc_type.__name__}: {exc}"
             self.live.run_ended(state, error=error)
         if exc_type is not None and issubclass(exc_type, SanitizerError):
-            from repro.obs.qtrace import get_flight_recorder
-
-            fr = get_flight_recorder()
-            fr.record("sanitizer_error", problem=self.problem, detail=str(exc))
-            fr.dump("sanitizer_error")
+            self.flight_dump("sanitizer_error", detail=str(exc))
         self.close()
 
     def close(self) -> None:
@@ -1232,31 +1197,82 @@ class DetectionEngine:
             "p(miss) <= %.3g", exc.reason, rounds_done,
             self.degraded["p_failure_bound"],
         )
-        from repro.obs.qtrace import get_flight_recorder
-
-        fr = get_flight_recorder()
-        fr.record("watchdog_trip", problem=self.problem, reason=exc.reason,
-                  rounds_completed=int(rounds_done),
-                  trace_id=self.qt.trace_id if self.qt is not None else None)
-        fr.dump("watchdog_trip", extra={"degraded": dict(self.degraded)})
+        self.flight_dump("watchdog_trip", reason=exc.reason,
+                         rounds_completed=int(rounds_done),
+                         extra={"degraded": dict(self.degraded)})
         if self.ckpt is not None:
             self.ckpt.save()
 
-    # ------------------------------------------------------------- digests
-    def note_phase(self, stage: "_Stage", ell: int, t: int, contribution) -> None:
-        """Record one phase contribution's digest (no-op without a log)
-        and tick the live phase counter/heartbeat.  Called from worker
-        threads in threaded mode — both sinks are thread-safe."""
+    def flight_dump(self, kind: str, extra: Optional[dict] = None, **fields) -> None:
+        """Record a notable event in the process-wide flight recorder and
+        dump the ring (to ``$REPRO_FLIGHT_DIR`` when set)."""
+        from repro.obs.qtrace import get_flight_recorder  # lazy: optional layer
+
+        fr = get_flight_recorder()
+        fr.record(kind, problem=self.problem,
+                  trace_id=self.qt.trace_id if self.qt is not None else None,
+                  **fields)
+        fr.dump(kind, extra=extra)
+
+    # ------------------------------------------------------ phase boundary
+    def phase_done(self, stage: "_Stage", ell: int, t: int, value,
+                   t0: float, t1: float, lane: Optional[str]) -> None:
+        """The one phase boundary: every backend reports each finished
+        phase window here, on the thread that folds the round
+        accumulator (so no sink needs to be thread-safe for it).
+
+        ``t0``/``t1`` were stamped where the window ran: ``perf_counter``
+        seconds on thread or worker ``lane``, or — ``lane=None`` — a
+        virtual makespan from the simulator, which has no wall interval
+        to profile or to lay on a recorder lane.  The watchdog is checked
+        here, so a trip surfaces between two windows of any backend.
+        """
+        stage.phase_hist.observe(t1 - t0)
+        if lane is not None:
+            self.prof.add_span("kernel", t0, t1, phase="rounds",
+                               callsite=stage.spec.name, lane=lane)
+            if self.rec is not None:
+                # the recorder lanes are laid out once the round has joined
+                self._windows.append((t, t0, t1, lane))
         if self.wd is not None:
             self.wd.beat()
             self.wd.check()
         if self.digests is not None:
+            # keyed by phase index, so completion order is moot
             self.digests.record_phase(
                 stage.label, ell, t // stage.sched.concurrency, t,
-                self._value_digest(contribution),
+                self._value_digest(value),
             )
         if self.live is not None:
             self.live.phase_done(ell, t)
+
+    def round_joined(self, stage: "_Stage", ell: int, round0: float,
+                     round1: float) -> None:
+        """The join half of the boundary: lay the round's windows on the
+        recorder — one timeline lane per thread/worker that ran any, wall
+        offsets from the round start preserved — and advance the run-level
+        clock by the round's wall.  When the accumulator join crossed
+        threads, a barrier edge hangs it on the window that finished last.
+        """
+        if self.rec is None:
+            return
+        windows, self._windows = self._windows, []
+        lanes = {w: i for i, w in enumerate(sorted({w[3] for w in windows}))}
+
+        def at(stamp: float) -> float:  # clamped: worker clocks are foreign
+            return self.cursor + max(stamp - round0, 0.0)
+
+        for t, t0, t1, lane in sorted(windows, key=lambda w: w[1]):
+            q0, q1 = stage.sched.phase_window(t)
+            self.rec.record(lanes[lane], "compute", at(t0), at(t1),
+                            scope=Scope(round=ell, phase=t, q0=q0, q1=q1,
+                                        label=stage.label))
+        if windows:
+            _, _, t1, lane = max(windows, key=lambda w: w[2])
+            if lane != threading.current_thread().name:
+                self.rec.record_edge("barrier", lanes[lane], at(t1), 0,
+                                     at(round1), info=f"r{ell} join")
+        self.cursor += round1 - round0
 
     def note_result(self, found: bool) -> None:
         """Publish the detection's final answer to the live bus."""
@@ -1268,32 +1284,6 @@ class DetectionEngine:
         if self.digests is not None:
             self.digests.record_round(stage.label, ell,
                                       self._value_digest(value))
-
-    # ------------------------------------------------------------ resources
-    def ensure_partition(self):
-        if self.partition is None:
-            if self.session is not None:
-                # session-cached: built once per (graph, n1, method, seed),
-                # identical to the one-shot construction below
-                self.partition = self.session.ensure_partition(self.prof)
-            else:
-                with self.prof.span("partition", phase="setup",
-                                    callsite=self.rt.partition_method):
-                    self.partition = make_partition(
-                        self.graph, self.rt.n1, self.rt.partition_method,
-                        rng=RngStream(self.rt.partition_seed, name="partition"),
-                    )
-        return self.partition
-
-    def ensure_views(self):
-        if self.views is None:
-            if self.session is not None:
-                self.views = self.session.ensure_views(self.prof, self.problem)
-            else:
-                with self.prof.span("halo", phase="setup", callsite=self.problem):
-                    self.views = build_halo_views(self.graph,
-                                                  self.ensure_partition())
-        return self.views
 
     # ------------------------------------------------------------ main loop
     def run_stage(
@@ -1324,7 +1314,8 @@ class DetectionEngine:
         ).labels(problem=self.problem, mode=rt.mode, k=spec.k, n1=rt.n1, n2=sched.n2)
         estimate = None
         if want_estimate:
-            stats = PartitionStats.from_partition(self.ensure_partition())
+            self.partition = self.session.ensure_partition(self.prof)
+            stats = PartitionStats.from_partition(self.partition)
             cluster = rt.get_cluster()
             estimate = estimate_runtime(
                 stats, sched, rt.get_calibration(),
@@ -1343,7 +1334,7 @@ class DetectionEngine:
         if self.live is not None:
             self.live.stage_started(label or self.problem, spec.k, rounds,
                                     sched.n_phases, eps=eps)
-        stage_sw = Stopwatch()  # this stage's rounds only, for the ETA
+        walls0 = len(self.round_walls)  # the ETA averages this stage's rounds
 
         values: List[Value] = []
         virtuals: List[float] = []
@@ -1379,18 +1370,22 @@ class DetectionEngine:
                     self._note_degraded(exc, len(values))
                     break
             fp = spec.draw_fingerprint(self.graph.n, rng.child(f"round{ell}"))
-            round_t0 = time.perf_counter()
+            # the round is stamped once: this span's t0/t1 also feed
+            # details["wall"], the ETA and the query trace's engine.round
+            span = self.prof.span("round", phase="rounds",
+                                  callsite=label or self.problem)
             try:
-                with self.round_sw, stage_sw, self.prof.span(
-                        "round", phase="rounds", callsite=label or self.problem):
+                with span:
                     value, round_virtual = self.backend.run_round(stage, fp, ell)
             except WatchdogExpired as exc:
                 # the in-flight round's partial work is discarded; a resume
                 # re-runs it from the same round-scoped stream, bit-identical
                 self._note_degraded(exc, len(values))
                 break
+            finally:
+                self.round_walls.append(span.t1 - span.t0)
             if stage_span is not None:
-                self.qt.add_span("engine.round", round_t0, time.perf_counter(),
+                self.qt.add_span("engine.round", span.t0, span.t1,
                                  parent=stage_span.context, lane="engine",
                                  round=ell)
             self.note_round(stage, ell, value)
@@ -1402,9 +1397,10 @@ class DetectionEngine:
             if self.live is not None:
                 remaining = 0 if hit else rounds - (ell + 1)
                 mean_virtual = (sum(virtuals) / len(virtuals)) if virtuals else 0.0
+                stage_walls = self.round_walls[walls0:]
                 self.live.round_done(
                     ell, hit, self.virtual_total,
-                    eta_seconds=stage_sw.mean * remaining,
+                    eta_seconds=sum(stage_walls) / len(stage_walls) * remaining,
                     eta_virtual_seconds=mean_virtual * remaining,
                 )
                 if self.fc is not None and self.fc.injector is not None:
@@ -1433,11 +1429,12 @@ class DetectionEngine:
         if self.partition is not None:
             det.setdefault("max_load", self.partition.max_load)
             det.setdefault("max_deg", self.partition.max_degree)
-        if self.round_sw.calls:
+        if self.round_walls:
+            total = sum(self.round_walls)
             det.setdefault("wall", {
-                "rounds_seconds": self.round_sw.elapsed,
-                "rounds": self.round_sw.calls,
-                "mean_round_seconds": self.round_sw.mean,
+                "rounds_seconds": total,
+                "rounds": len(self.round_walls),
+                "mean_round_seconds": total / len(self.round_walls),
             })
         if estimate is not None:
             det.setdefault("estimate", estimate)
@@ -1474,6 +1471,7 @@ __all__ = [
     "SimulatedBackend",
     "ModeledBackend",
     "ThreadedBackend",
+    "ProcessBackend",
     "StageResult",
     "rounds_for_epsilon",
 ]

@@ -13,9 +13,10 @@ One entry point per application:
 Each builds a :class:`~repro.core.problems.ProblemSpec` and hands it to
 the :class:`~repro.core.engine.DetectionEngine`, which owns the
 round → batch → phase loop once for all problems; execution modes
-(``sequential`` / ``simulated`` / ``modeled`` / ``threaded``) are
-pluggable backends of the engine — see :mod:`repro.core.engine` for the
-mode semantics and :class:`MidasRuntime` knobs.  Because every driver
+(``sequential`` / ``simulated`` / ``modeled`` / ``threaded`` /
+``process``) are pluggable backends of the engine — see
+:mod:`repro.core.engine` for the mode semantics and
+:class:`MidasRuntime` knobs.  Because every driver
 routes through the same engine, all of them honor ``overlap``,
 ``fault_plan``, ``recorder``, and ``metrics`` uniformly — as well as
 durability: ``MidasRuntime(checkpoint_dir=...)`` commits a
@@ -27,13 +28,13 @@ overrunning — see :mod:`repro.runtime.durable`.
 
 Randomness is *round-scoped*: all modes draw identical fingerprints from
 the caller's stream, so answers never depend on ``(N, N1, N2)``, the
-backend, or (for the threaded backend) thread completion order.
+backend, or (for the threaded and process backends) completion order.
 """
 
 from __future__ import annotations
 
 import time
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -56,47 +57,54 @@ from repro.util.rng import as_stream
 _LOG = get_logger(__name__)
 
 
-def _field_for(rt: MidasRuntime, k: int, plane: bool = False):
-    """The GF(2^l) tables for ``k`` with the kernel this runtime resolves.
+def _field_for(engine: DetectionEngine, k: int, plane: bool = False):
+    """The GF(2^l) tables for ``k`` with the kernel the runtime resolves,
+    from the engine's session cache (per ``(degree, strategy)``).
 
     ``plane=True`` marks the call sites where ``auto`` may choose
     ``"bitsliced"`` — today the k-path drivers only, although the
     level-DP core keeps every kind plane-resident once a bit-sliced
-    field is handed to it.  With a session attached the field comes
-    from its per-``(degree, strategy)`` cache; otherwise a fresh,
-    identical table set is built here (``None`` would make the problem
-    factory build a default-kernel field, losing the resolution).
+    field is handed to it.  (``field=None`` would make the problem
+    factory build a default-kernel field, losing the resolution.)
     """
     from repro.ff.gf2m import field_degree_for_k
 
-    deg = field_degree_for_k(k)
-    strategy = rt.resolve_kernel(deg, rt.schedule_for(k).n2, plane=plane)
-    if rt.session is not None:
-        return rt.session.field_for_k(k, strategy=strategy)
-    from repro.ff.gf2m import default_field_for_k
+    rt = engine.rt
+    strategy = rt.resolve_kernel(field_degree_for_k(k), rt.schedule_for(k).n2,
+                                 plane=plane)
+    return engine.session.field_for_k(k, strategy=strategy)
 
-    return default_field_for_k(
-        k, kernel_strategy=None if strategy == "auto" else strategy
-    )
+
+def _node_weights(graph: CSRGraph, weights) -> np.ndarray:
+    """``weights`` as the validated non-negative int64 node-weight vector."""
+    w = np.asarray(weights, dtype=np.int64)
+    if w.shape != (graph.n,):
+        raise ConfigurationError(f"weights must have shape ({graph.n},), got {w.shape}")
+    if np.any(w < 0):
+        raise ConfigurationError("weights must be non-negative")
+    return w
 
 
 def _run_scalar_detection(
     graph: CSRGraph,
-    spec: ProblemSpec,
+    problem: str,
+    make_spec: Callable[[object], ProblemSpec],
     k: int,
     eps: float,
     rng,
     rt: MidasRuntime,
     early_exit: bool,
+    plane: bool = False,
 ) -> DetectionResult:
-    """Shared k-path / k-tree wrapper: engine run -> DetectionResult."""
-    problem = spec.name
+    """Shared k-path / k-tree wrapper: engine run -> DetectionResult.
+
+    ``make_spec(field)`` builds the problem over a GF(2^l) table set.
+    """
     if graph.n < 1:
         raise ConfigurationError("graph must have at least one vertex")
     if k > graph.n:
         # more template vertices than graph vertices: trivially absent
-        det = dict(spec.details)
-        det["reason"] = "k exceeds |V|"
+        det = dict(make_spec(None).details, reason="k exceeds |V|")
         return DetectionResult(problem, k, False, [], eps, mode=rt.mode,
                                n_processors=rt.n_processors, n1=rt.n1, n2=rt.n2 or 0,
                                details=det)
@@ -104,6 +112,7 @@ def _run_scalar_detection(
     rng = as_stream(rng, f"{problem}-detect")
     wall0 = time.perf_counter()
     with DetectionEngine(graph, rt, problem) as engine:
+        spec = make_spec(_field_for(engine, k, plane=plane))
         out = engine.run_stage(
             spec, rounds, rng, eps=eps,
             stop=spec.hit if early_exit else None,
@@ -144,10 +153,9 @@ def detect_path(
     One-sided Monte Carlo: "yes" answers are certificates; "no" answers are
     wrong with probability at most ``eps``.
     """
-    rt = runtime or MidasRuntime()
     return _run_scalar_detection(
-        graph, path_problem(graph, k, field=_field_for(rt, k, plane=True)),
-        k, eps, rng, rt, early_exit
+        graph, "k-path", lambda field: path_problem(graph, k, field=field),
+        k, eps, rng, runtime or MidasRuntime(), early_exit, plane=True
     )
 
 
@@ -160,11 +168,10 @@ def detect_tree(
     early_exit: bool = True,
 ) -> DetectionResult:
     """Decide whether the template tree has a non-induced embedding."""
-    rt = runtime or MidasRuntime()
     return _run_scalar_detection(
-        graph, tree_problem(graph, template,
-                            field=_field_for(rt, template.k)),
-        template.k, eps, rng, rt, early_exit
+        graph, "k-tree",
+        lambda field: tree_problem(graph, template, field=field),
+        template.k, eps, rng, runtime or MidasRuntime(), early_exit
     )
 
 
@@ -191,20 +198,16 @@ def max_weight_path(
     maximum exceeds it with probability at most ``eps``.
     """
     rt = runtime or MidasRuntime()
-    w = np.asarray(weights, dtype=np.int64)
-    if w.shape != (graph.n,):
-        raise ConfigurationError(f"weights must have shape ({graph.n},), got {w.shape}")
-    if np.any(w < 0):
-        raise ConfigurationError("weights must be non-negative")
+    w = _node_weights(graph, weights)
     if k < 1 or k > graph.n:
         return None
     if z_max is None:
         z_max = int(np.sort(w)[-k:].sum())
     rounds = rounds_for_epsilon(eps)
     rng = as_stream(rng, "max-weight-path")
-    spec = weighted_path_problem(graph, w, k, z_max,
-                                 field=_field_for(rt, k))
-    with DetectionEngine(graph, rt, spec.name) as engine:
+    with DetectionEngine(graph, rt, "weighted-path") as engine:
+        spec = weighted_path_problem(graph, w, k, z_max,
+                                     field=_field_for(engine, k))
         out = engine.run_stage(spec, rounds, rng, eps=eps,
                                want_estimate=engine.want_estimate_default())
         hit = np.zeros(z_max + 1, dtype=bool)
@@ -239,13 +242,14 @@ def detect_scan_cell(
         return False
     rounds = rounds_for_epsilon(eps)
     rng = as_stream(rng, "scan-cell")
-    spec = scanstat_problem(graph, w, size, z_max=weight,
-                            field=_field_for(rt, max(size, 2)))
-    with DetectionEngine(graph, rt, spec.name) as engine:
+    with DetectionEngine(graph, rt, "scanstat") as engine:
+        spec = scanstat_problem(graph, w, size, z_max=weight,
+                                field=_field_for(engine, max(size, 2)))
         out = engine.run_stage(spec, rounds, rng, eps=eps,
                                stop=lambda acc: acc[weight] != 0)
-        engine.note_result(bool(out.values and out.values[-1][weight] != 0))
-    return bool(out.values and out.values[-1][weight] != 0)
+        hit = bool(out.values and out.values[-1][weight] != 0)
+        engine.note_result(hit)
+    return hit
 
 
 def scan_grid(
@@ -270,11 +274,7 @@ def scan_grid(
     ``1..k``); rows outside it stay undetected in the returned grid.
     """
     rt = runtime or MidasRuntime()
-    w = np.asarray(weights, dtype=np.int64)
-    if w.shape != (graph.n,):
-        raise ConfigurationError(f"weights must have shape ({graph.n},), got {w.shape}")
-    if np.any(w < 0):
-        raise ConfigurationError("weights must be non-negative")
+    w = _node_weights(graph, weights)
     if k < 1 or k > graph.n:
         raise ConfigurationError(f"k must be in [1, {graph.n}], got {k}")
     if z_max is None:
@@ -295,7 +295,7 @@ def scan_grid(
         for j in sizes:
             out = engine.run_stage(
                 scanstat_problem(graph, w, j, z_max,
-                                 field=_field_for(rt, max(j, 2))), rounds,
+                                 field=_field_for(engine, max(j, 2))), rounds,
                 rng.child(f"size{j}"), eps=eps,
                 key_prefix=f"size{j}/", label=f"size{j}",
                 want_estimate=(rt.mode == "modeled"),

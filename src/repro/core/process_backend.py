@@ -16,8 +16,8 @@ speedup.  This module runs the same contract across *processes*:
   shared graph, caching per recipe;
 * each phase task ships only the round fingerprint (``k``, ``v``, ``y``
   — a few KB) and its ``(q_start, n2)`` window, and returns the phase
-  value plus ``perf_counter`` stamps (CLOCK_MONOTONIC on Linux, so
-  parent and workers share a timebase for trace lanes).
+  value plus one ``perf_counter``-stamped kernel record (CLOCK_MONOTONIC
+  on Linux, so parent and workers share a timebase for trace lanes).
 
 The parent owns every shared segment's lifecycle: workers only attach
 (the resource tracker is shared with the parent under every start
@@ -102,7 +102,12 @@ def _attach(ref: ShmArray) -> np.ndarray:
 def _worker_init(n: int, indptr_ref: ShmArray, indices_ref: ShmArray,
                  graph_name: str) -> None:
     """Pool initializer: attach the CSR graph once per worker."""
-    global _WORKER_GRAPH
+    global _WORKER_GRAPH, _METRICS_BASE
+    from repro.obs.metrics import get_default_registry
+
+    # a forked worker inherits the parent's default registry; the parent
+    # has counted that already, so only increments from here on are shipped
+    _METRICS_BASE = get_default_registry().snapshot()
     indptr = _attach(indptr_ref)
     indices = _attach(indices_ref)
     # CSRGraph keeps already-conforming int64 arrays as-is (no copy), so
@@ -149,44 +154,34 @@ def _phase_task(wired: bytes, k: int, v: np.ndarray, y: np.ndarray,
                 q_start: int, n2: int, want_spans: bool = False):
     """Evaluate one phase window.
 
-    Returns ``(value, t0, t1, pid, spans, mdelta)``: the phase value,
-    kernel perf stamps, worker pid, a list of serialized qtrace spans
-    (empty unless ``want_spans``), and the worker registry's metric
-    delta since the previous task (None when unchanged).  Spans and
-    deltas are buffered worker-side and shipped on the task wire — the
-    only channel back to the parent.
+    Returns ``(value, stamps, mdelta)``: the raw phase value, the
+    window's one stamped record ``(pid, t0, t1)`` — the
+    ``worker.kernel`` interval where it ran, extended by the
+    ``worker.spec_build`` interval ``(tb0, tb1)`` when ``want_spans``
+    and the rebuild took over a microsecond — and the worker registry's
+    metric delta since the previous task (None when unchanged).  The
+    parent derives the histogram sample, the profile row, the recorder
+    lane and the query-trace splice from that one record; the task wire
+    is the only channel back to it.
     """
     if os.environ.get(_CRASH_ENV):
         os._exit(23)
     from repro.ff.fingerprint import Fingerprint
     from repro.obs.metrics import get_default_registry
 
-    pid = os.getpid()
-    spans = []
     tb0 = perf_counter()
     spec = _spec_for(wired)
     tb1 = perf_counter()
-    if want_spans and tb1 - tb0 > 1e-6:
-        spans.append({
-            "span_id": os.urandom(8).hex(), "parent_id": None,
-            "name": "worker.spec_build", "t_start": tb0, "t_end": tb1,
-            "pid": pid, "lane": f"worker-{pid}", "trace_id": "",
-        })
     fp = Fingerprint(k=k, field=spec.field, v=v, y=y)
     t0 = perf_counter()
     value = spec.phase_value(_WORKER_GRAPH, fp, q_start, n2)
-    t1 = perf_counter()
+    stamps = (os.getpid(), t0, perf_counter())
+    if want_spans and tb1 - tb0 > 1e-6:
+        stamps += (tb0, tb1)
     get_default_registry().counter(
         "midas_worker_phases_total", "Phase windows evaluated in process workers"
     ).inc()
-    if want_spans:
-        spans.append({
-            "span_id": os.urandom(8).hex(), "parent_id": None,
-            "name": "worker.kernel", "t_start": t0, "t_end": t1,
-            "pid": pid, "lane": f"worker-{pid}", "trace_id": "",
-            "tags": {"q_start": q_start, "n2": n2, "k": k},
-        })
-    return value, t0, t1, pid, spans, _metrics_delta()
+    return value, stamps, _metrics_delta()
 
 
 # --------------------------------------------------------------- parent side
@@ -263,7 +258,7 @@ class ProcessPhasePool:
     def submit(self, wired: bytes, fp, q_start: int, n2: int,
                want_spans: bool = False):
         """Submit one phase window; future resolves to
-        ``(value, t0, t1, pid, spans, mdelta)`` — see :func:`_phase_task`."""
+        ``(value, stamps, mdelta)`` — see :func:`_phase_task`."""
         return self._executor.submit(
             _phase_task, wired, fp.k, fp.v, fp.y, q_start, n2, want_spans
         )

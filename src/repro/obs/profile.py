@@ -61,28 +61,29 @@ class SpanRecord:
 
 
 class _SpanCtx:
-    """Context manager for one span; re-entrant per call (not shared)."""
+    """Context manager for one span; re-entrant per call (not shared).
+    ``t0``/``t1`` (``perf_counter``) stay readable after exit."""
 
-    __slots__ = ("_prof", "_phase", "_op", "_callsite", "_t0", "_depth")
+    __slots__ = ("_prof", "_phase", "_op", "_callsite", "t0", "t1", "_depth")
 
     def __init__(self, prof: "WallProfiler", phase: str, op: str, callsite: str) -> None:
         self._prof = prof
         self._phase = phase
         self._op = op
         self._callsite = callsite
-        self._t0 = 0.0
+        self.t0 = self.t1 = 0.0
         self._depth = 0
 
     def __enter__(self) -> "_SpanCtx":
         self._depth = self._prof._push()
-        self._t0 = time.perf_counter()
+        self.t0 = time.perf_counter()
         return self
 
     def __exit__(self, *exc) -> None:
-        t1 = time.perf_counter()
+        self.t1 = time.perf_counter()
         self._prof._pop()
         self._prof._record(self._phase, self._op, self._callsite,
-                           self._t0, t1, self._depth)
+                           self.t0, self.t1, self._depth)
 
 
 class WallProfiler:
@@ -128,14 +129,26 @@ class WallProfiler:
     def _pop(self) -> None:
         self._tls.depth = getattr(self._tls, "depth", 1) - 1
 
-    def _record(self, phase: str, op: str, callsite: str,
-                t0: float, t1: float, depth: int) -> None:
+    def add_span(self, op: str, t0: float, t1: float, phase: str = "",
+                 callsite: str = "", lane: Optional[str] = None) -> None:
+        """Record a span stamped elsewhere (``perf_counter`` seconds) on
+        thread/worker ``lane``; on the calling thread's own name it nests
+        at the caller's current depth, as if opened and closed here."""
+        own = lane == threading.current_thread().name
+        self._record(phase, op, callsite, t0, t1,
+                     getattr(self._tls, "depth", 0) if own else 0,
+                     None if own else lane)
+
+    def _record(self, phase: str, op: str, callsite: str, t0: float,
+                t1: float, depth: int, lane: Optional[str] = None) -> None:
         if not self.enabled:
             return
         thread = threading.current_thread()
         with self._lock:
             if self._owner is None:
                 self._owner = thread.ident
+            if lane is None:
+                lane = thread.name if thread.ident != self._owner else "main"
             sw = self._agg.get((phase, op, callsite))
             if sw is None:
                 sw = self._agg[(phase, op, callsite)] = Stopwatch()
@@ -144,9 +157,7 @@ class WallProfiler:
                 if len(self.spans) < self.max_spans:
                     self.spans.append(SpanRecord(
                         phase, op, callsite,
-                        t0 - self.epoch, t1 - self.epoch,
-                        thread.name if thread.ident != self._owner else "main",
-                        depth,
+                        t0 - self.epoch, t1 - self.epoch, lane, depth,
                     ))
                 else:
                     self.dropped_spans += 1

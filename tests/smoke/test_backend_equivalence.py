@@ -1,0 +1,80 @@
+"""Backend smoke: every whole-graph mode answers like sequential, on every
+driver, and honours a deadline.
+
+CI's ``threaded-smoke`` and ``process-smoke`` jobs run this file with
+``-k threaded`` / ``-k process``; locally
+``PYTHONPATH=src python -m pytest -m smoke tests/smoke`` covers every
+whole-graph mode × kernel.  Larger inputs than the tier-1 equivalence
+matrix (400 vertices, 4 workers), still seconds.
+"""
+
+import time
+
+import numpy as np
+import pytest
+
+from repro.core.midas import (
+    MidasRuntime,
+    detect_path,
+    detect_tree,
+    max_weight_path,
+    scan_grid,
+)
+from repro.graph.generators import erdos_renyi, plant_path
+from repro.graph.templates import TreeTemplate
+from repro.util.rng import RngStream
+
+pytestmark = pytest.mark.smoke
+
+MODES = ("sequential", "threaded", "process")
+# "bitsliced" is rebuilt inside each process worker from the wire recipe
+KERNELS = ("auto", "bitsliced")
+
+
+def _inputs():
+    g = erdos_renyi(400, 2400, rng=RngStream(7, name="g"))
+    g, _ = plant_path(g, 6, rng=RngStream(8, name="p"))
+    return g, RngStream(9, name="w").integers(0, 3, size=g.n)
+
+
+def _answers(rt: MidasRuntime) -> dict:
+    g, w = _inputs()
+    path = detect_path(g, 6, eps=0.2, rng=RngStream(1), runtime=rt,
+                       early_exit=False)
+    return {
+        "path_round_values": [r.value for r in path.rounds],
+        "tree_found": detect_tree(g, TreeTemplate.binary(5), eps=0.3,
+                                  rng=RngStream(2), runtime=rt).found,
+        "max_weight": max_weight_path(g, 4, w, eps=0.3, rng=RngStream(3),
+                                      runtime=rt),
+        "grid": scan_grid(g, w, k=4, eps=0.3, rng=RngStream(4),
+                          runtime=rt).detected.tolist(),
+    }
+
+
+@pytest.fixture(scope="module")
+def sequential_answers():
+    return _answers(MidasRuntime())
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("mode", MODES)
+def test_bit_identical_to_sequential(mode, kernel, sequential_answers):
+    rt = MidasRuntime(mode=mode, workers=4, kernel=kernel)
+    assert _answers(rt) == sequential_answers
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_deadline_is_not_overrun(mode):
+    """256 windows per round and a deadline well inside the first round:
+    the run degrades and returns promptly instead of draining the queue
+    (which takes several seconds here)."""
+    g = erdos_renyi(2000, 12000, rng=RngStream(5, name="g"))
+    rt = MidasRuntime(mode=mode, workers=4, n2=16, deadline=0.2)
+    t0 = time.perf_counter()
+    res = detect_path(g, 12, eps=0.2, rng=RngStream(6), runtime=rt,
+                      early_exit=False)
+    elapsed = time.perf_counter() - t0
+    rt.close_live()
+    assert res.details["degraded"]["reason"] == "deadline"
+    assert elapsed < 1.5, elapsed

@@ -294,30 +294,3 @@ class TestThreadedConfig:
         a = detect_path(g, 4, eps=0.3, rng=RngStream(42), runtime=rt)
         b = detect_path(g, 4, eps=0.3, rng=RngStream(42), runtime=rt)
         assert _round_values(a) == _round_values(b)
-
-    def test_process_trace_records_phase_windows(self):
-        g = erdos_renyi(16, 36, rng=RngStream(51, name="g"))
-        rec = TraceRecorder()
-        rt = MidasRuntime(mode="process", workers=2, n2=4, recorder=rec)
-        res = detect_path(g, 4, eps=0.4, rng=RngStream(52), runtime=rt,
-                          early_exit=False)
-        sched_phases = 16 // 4
-        computes = [ev for ev in rec.events if ev.kind == "compute"]
-        assert len(computes) == sched_phases * len(res.rounds)
-        r0 = sorted((ev.scope.q0, ev.scope.q1) for ev in computes
-                    if ev.scope.round == 0)
-        assert r0 == [(i * 4, (i + 1) * 4) for i in range(sched_phases)]
-
-    def test_threaded_trace_records_phase_windows(self):
-        g = erdos_renyi(16, 36, rng=RngStream(51, name="g"))
-        rec = TraceRecorder()
-        rt = MidasRuntime(mode="threaded", workers=2, n2=4, recorder=rec)
-        res = detect_path(g, 4, eps=0.4, rng=RngStream(52), runtime=rt,
-                          early_exit=False)
-        sched_phases = 16 // 4
-        computes = [ev for ev in rec.events if ev.kind == "compute"]
-        assert len(computes) == sched_phases * len(res.rounds)
-        # every phase window of round 0 appears exactly once
-        r0 = sorted((ev.scope.q0, ev.scope.q1) for ev in computes
-                    if ev.scope.round == 0)
-        assert r0 == [(i * 4, (i + 1) * 4) for i in range(sched_phases)]
