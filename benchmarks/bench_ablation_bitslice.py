@@ -1,16 +1,24 @@
 """Ablation: plane-resident bit-sliced evaluation vs element-wise kernels.
 
 The bit-sliced substrate transposes each node's N2 coefficients into m
-uint64 bit-planes, turning a GF(2^m) multiply into an m^2 schedule of
-64-way-parallel AND/XOR word ops — and, crucially, the path evaluator
-keeps its DP state *in plane space* across all k levels, so the
+uint64 bit-planes, turning a GF(2^m) multiply into m block ANDs and m
+block XORs over whole planes (the m^2 64-way-parallel word-ANDs of the
+carry-less product, issued 2m ufunc calls at a time) plus a chunked fold
+by the modulus — and, crucially, the level-DP core keeps its state *in
+plane space*, plane-major in memory, across all k levels, so the
 slice/unslice transposes happen once per phase instead of once per
-multiply.  This bench measures one full phase evaluation (gather +
-XOR-reduce + level multiply, k levels) per kernel and asserts the
-bit-sliced path both matches the table kernel bit-for-bit and beats it
-by the >1.2x the calibration model assumes.  The win is per-word data
+multiply and the gather and XOR-reduce run along contiguous words.  This
+bench measures one full phase evaluation (gather + XOR-reduce + level
+multiply, k levels) per kernel and asserts the bit-sliced path both
+matches the table kernel bit-for-bit and beats it by the >1.2x the
+calibration model assumes.  Both sides share the 64-bit gather and
+XOR-reduce, and at m = 7 planes move about as many bytes as elements
+do, so the gap is the multiply alone: ~1.9x at one lane word, ~4x at
+four (the phase indicator, shared by both sides, is folded at the
+window's width and no longer dilutes it).  The win is per-word data
 parallelism, not threading, so it is asserted unconditionally — core
-count does not matter.
+count does not matter; each side is the best of three interleaved passes
+so that one noisy pass on a shared runner does not decide a 1.2x floor.
 """
 
 import numpy as np
@@ -44,8 +52,9 @@ def test_bitsliced_phase_vs_elementwise():
         fn_b = _phase_fn(g, bits, n2)
         # same (k, v, y) draw on both fields -> the outputs must be equal
         assert np.array_equal(fn_t(), fn_b())
-        wall_t = time_call(fn_t, min_time=0.05)
-        wall_b = time_call(fn_b, min_time=0.05)
+        passes = [(time_call(fn_t, min_time=0.05), time_call(fn_b, min_time=0.05))
+                  for _ in range(3)]
+        wall_t, wall_b = (min(side) for side in zip(*passes))
         speedups[n2] = wall_t / wall_b
         rows.append([f"N2={n2}", f"{wall_t * 1e3:.1f}", f"{wall_b * 1e3:.1f}",
                      f"{speedups[n2]:.2f}x"])

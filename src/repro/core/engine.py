@@ -123,10 +123,10 @@ class MidasRuntime:
     ``kernel`` picks the GF(2^l) kernel strategy: ``"table"``,
     ``"logexp"``, ``"bitsliced"``, or ``"auto"`` — the default — which
     asks the kernel calibration per ``(m, N2)`` window
-    (:meth:`resolve_kernel`), choosing bit-sliced planes for
-    plane-resident evaluators at wide batches and the dense table
-    otherwise.  All kernels are bit-identical (property-tested); only
-    wall-clock changes.
+    (:meth:`resolve_kernel`), choosing bit-sliced planes for every
+    problem kind on the whole-graph backends at wide batches
+    (``N2 >= 64``) and the dense table otherwise.  All kernels are
+    bit-identical (property-tested); only wall-clock changes.
 
     Observability: attach a :class:`~repro.runtime.tracing.TraceRecorder`
     as ``recorder`` to collect a run-level, schedule-scoped timeline
@@ -287,19 +287,22 @@ class MidasRuntime:
         """Worker count for the threaded and process backends."""
         return self.workers if self.workers is not None else (os.cpu_count() or 1)
 
-    def resolve_kernel(self, m: int, n2: int, plane: bool = False) -> str:
+    def resolve_kernel(self, m: int, n2: int, plane: object = None) -> str:
         """The GF kernel strategy for a ``(m, n2)`` evaluation window.
 
         An explicit ``kernel`` wins unconditionally; ``"auto"`` consults
-        the kernel calibration.  ``plane=True`` marks the callers auto
-        may route to ``"bitsliced"`` (currently the k-path drivers), and
-        only in the real-execution modes: the whole-graph driver keeps
-        the DP state plane-resident there, while simulated/modeled SPMD
-        ranks evaluate element-wise.
+        the kernel calibration, which may route to ``"bitsliced"`` in the
+        real-execution modes only: the whole-graph driver keeps the DP
+        state of every problem kind plane-resident there, while
+        simulated/modeled SPMD ranks evaluate element-wise.
+
+        ``plane`` is ignored.  It used to mark the k-path call sites; the
+        frozen benchmark (``benchmarks/ledger/layers.py``) still passes
+        it, so the keyword stays accepted until the ledger is re-anchored.
         """
         if self.kernel != "auto":
             return self.kernel
-        plane_resident = plane and self.mode in ("sequential", "threaded", "process")
+        plane_resident = self.mode in ("sequential", "threaded", "process")
         return self.get_calibration().choose_kernel(m, n2, plane_resident=plane_resident)
 
     def get_live(self):

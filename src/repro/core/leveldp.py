@@ -17,7 +17,8 @@ orthogonal pieces:
 * a **lane layout** — how the ``n2`` iterations of a phase are stored:
   :class:`ElementLanes` keeps ``(rows, [Z+1,] n2)`` field elements,
   :class:`PlaneLanes` keeps ``(rows, [Z+1,] m, W)`` uint64 bit-planes
-  (:mod:`repro.ff.bitsliced`) with the phase indicator packed once;
+  (:mod:`repro.ff.bitsliced`) — that *logical* shape over plane-major
+  memory; either way the phase indicator is computed once per window;
 * a **driver** — where the rows live: :func:`run_whole_graph` holds all
   of them in one process, :func:`phase_program` spreads them over
   simulated ranks and owns the only halo exchange in the code base
@@ -36,7 +37,7 @@ import numpy as np
 from repro.core.halo import HaloView
 from repro.errors import ConfigurationError
 from repro.ff.fingerprint import Fingerprint
-from repro.graph.csr import CSRGraph, xor_segment_reduce
+from repro.graph.csr import CSRGraph, memory_order, xor_segment_reduce
 from repro.runtime.comm import AllReduce, Irecv, Recv, Send, Wait
 
 #: ``recurrence(lanes)`` -> generator yielding states to neighbour-sum
@@ -57,6 +58,8 @@ class Lanes:
         self.fp, self.q_start, self.n2 = fp, q_start, n2
         self.rows = None if rows is None else np.asarray(rows, dtype=np.int64)
         self.field = fp.field
+        # {0, 1}, (rows, n2): depends on the window alone, not on the level
+        self.indicator = fp.base_block(q_start, n2, nodes=self.rows)
 
     def take(self, per_vertex: np.ndarray) -> np.ndarray:
         """Restrict a per-vertex array (weights, ...) to this layout's rows."""
@@ -92,7 +95,8 @@ class ElementLanes(Lanes):
     """``(rows, [Z+1,] n2)`` field elements, one per iteration."""
 
     def base(self, level: int) -> np.ndarray:
-        return self.fp.level_base_block(level, self.q_start, self.n2, nodes=self.rows)
+        # indicator in {0, 1}: multiply == select; avoids a field multiply
+        return (self.indicator * self.coeff(level)).astype(self.field.dtype, copy=False)
 
     def coeff(self, level: int) -> np.ndarray:
         return self._y(level)[:, None]
@@ -107,16 +111,20 @@ class ElementLanes(Lanes):
 class PlaneLanes(Lanes):
     """``(rows, [Z+1,] m, W)`` uint64 bit-planes, 64 iterations per word.
 
-    The ``{0, 1}`` indicator is packed into lane words once per phase;
-    each level's base block is then at most ``m`` row selections, and the
-    ``(rows, n2)`` element block is never materialised.
+    That is the *logical* shape — what recurrences index (``[:, z]``,
+    ``[row_idx, src_z]``).  In memory the plane axis is outermost: every
+    state this layout hands out is a transposed view of a contiguous
+    ``(m, rows, [Z+1,] W)`` block, so the multiply is ``2m`` unit-stride
+    block ops and :func:`neighbour_sum` gathers and reduces along
+    contiguous words.  The ``{0, 1}`` indicator is packed into lane words
+    once per phase; each level's base block is one masked AND of them.
     """
 
     def __init__(self, fp: Fingerprint, q_start: int, n2: int,
                  rows: Optional[np.ndarray] = None) -> None:
         super().__init__(fp, q_start, n2, rows)
         self.bs = fp.field.bitsliced
-        self.words = self.bs.pack_indicator(fp.base_block(q_start, n2, nodes=self.rows))
+        self.words = self.bs.pack_indicator(self.indicator)
 
     def base(self, level: int) -> np.ndarray:
         return self.bs.planes_from_words(self.words, self._y(level))
@@ -126,7 +134,7 @@ class PlaneLanes(Lanes):
                                          self._y(level))
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self.bs.mul(*np.broadcast_arrays(a, b))
+        return self.bs.mul(a, b)
 
     def finish(self, state: np.ndarray) -> np.ndarray:
         return self.bs.unslice(self.bs.xor_sum(state, axis=0), self.n2, self.field.dtype)
@@ -149,8 +157,12 @@ def whole_graph_lanes(fp: Fingerprint, q_start: int, n2: int) -> Lanes:
 def neighbour_sum(state: np.ndarray, indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
     """Row ``i`` of the result is the XOR of ``state[indices[j]]`` over
     ``indptr[i] <= j < indptr[i + 1]`` — GF(2^m) summation over a CSR
-    neighbourhood, trailing axes untouched."""
-    return xor_segment_reduce(state[indices], indptr)
+    neighbourhood, trailing axes untouched.  Rows are copied (``np.take``,
+    bounds-checked) along the row axis as it lies in memory, so the
+    result keeps the state's memory order."""
+    order, inverse = memory_order(state)
+    gathered = np.take(state.transpose(order), indices, axis=order.index(0))
+    return xor_segment_reduce(gathered.transpose(inverse), indptr)
 
 
 def _advance(gen, acc=None):

@@ -57,21 +57,19 @@ from repro.util.rng import as_stream
 _LOG = get_logger(__name__)
 
 
-def _field_for(engine: DetectionEngine, k: int, plane: bool = False):
+def _field_for(engine: DetectionEngine, k: int):
     """The GF(2^l) tables for ``k`` with the kernel the runtime resolves,
     from the engine's session cache (per ``(degree, strategy)``).
 
-    ``plane=True`` marks the call sites where ``auto`` may choose
-    ``"bitsliced"`` — today the k-path drivers only, although the
-    level-DP core keeps every kind plane-resident once a bit-sliced
-    field is handed to it.  (``field=None`` would make the problem
-    factory build a default-kernel field, losing the resolution.)
+    Every driver resolves the same way: the level-DP core keeps any
+    problem kind plane-resident once a bit-sliced field is handed to it.
+    (``field=None`` would make the problem factory build a
+    default-kernel field, losing the resolution.)
     """
     from repro.ff.gf2m import field_degree_for_k
 
     rt = engine.rt
-    strategy = rt.resolve_kernel(field_degree_for_k(k), rt.schedule_for(k).n2,
-                                 plane=plane)
+    strategy = rt.resolve_kernel(field_degree_for_k(k), rt.schedule_for(k).n2)
     return engine.session.field_for_k(k, strategy=strategy)
 
 
@@ -94,7 +92,6 @@ def _run_scalar_detection(
     rng,
     rt: MidasRuntime,
     early_exit: bool,
-    plane: bool = False,
 ) -> DetectionResult:
     """Shared k-path / k-tree wrapper: engine run -> DetectionResult.
 
@@ -112,7 +109,7 @@ def _run_scalar_detection(
     rng = as_stream(rng, f"{problem}-detect")
     wall0 = time.perf_counter()
     with DetectionEngine(graph, rt, problem) as engine:
-        spec = make_spec(_field_for(engine, k, plane=plane))
+        spec = make_spec(_field_for(engine, k))
         out = engine.run_stage(
             spec, rounds, rng, eps=eps,
             stop=spec.hit if early_exit else None,
@@ -155,7 +152,7 @@ def detect_path(
     """
     return _run_scalar_detection(
         graph, "k-path", lambda field: path_problem(graph, k, field=field),
-        k, eps, rng, runtime or MidasRuntime(), early_exit, plane=True
+        k, eps, rng, runtime or MidasRuntime(), early_exit
     )
 
 

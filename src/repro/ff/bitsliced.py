@@ -8,10 +8,12 @@ array of field elements is transposed into ``m`` uint64 planes: plane
 layout
 
 * addition is a plane-wise XOR (64 lanes per machine word);
-* multiplication is a carry-less schoolbook product — ``m^2`` AND/XOR
-  word ops into ``2m - 1`` partial planes — followed by a reduction
-  schedule derived from the modulus (``x^m = modulus mod x^m``, applied
-  top plane down);
+* multiplication is a carry-less schoolbook product — the same ``m^2``
+  word-ANDs, issued as ``m`` block ANDs and ``m`` block XORs into
+  ``2m - 1`` partial planes (operand plane ``i`` against *all* planes of
+  the other operand at once) — followed by a block reduction derived from
+  the modulus (``x^m = modulus mod x^m``): the high planes fold down in
+  chunks of ``m - max(tap)`` planes, one XOR per tap per chunk;
 * scalar multiplication is a GF(2)-linear map: at most ``m`` XORs per
   output plane, with the column masks ``s * x^i mod modulus`` precomputed
   per scalar.
@@ -20,14 +22,21 @@ This is the trick the paper's C kernels (and Williams' original 2^k
 algorithm) lean on: ~``m^2`` word ops cover 64 iteration lanes at once,
 where the table kernel pays one gather *per lane*.
 
-Layout is **node-major** ``(..., m, W)`` with ``W = ceil(n2 / 64)``: the
-leading axes stay the node axis, so the evaluators' CSR gather
-(``planes[indices]``) and :func:`repro.graph.csr.xor_segment_reduce`
-work on planes unchanged — the whole DP can stay plane-resident across
-levels and only the final ``(m, W)`` reduction is unpacked.  The
-round-trip per-call dispatch (slice, multiply, unslice) is also provided
-for API completeness; it is the *plane-resident* use that wins (see
-``benchmarks/bench_ablation_bitslice.py``).
+**Logical shape vs memory order.**  Every plane array has the *logical*
+shape ``(..., m, W)`` with ``W = ceil(n2 / 64)``: the leading axes stay
+the node (and weight) axes, so callers index rows exactly as they index
+element arrays.  The *memory* order is free.  :meth:`slice` returns
+node-major (C-contiguous) planes; the arithmetic (:meth:`mul`,
+:meth:`square`, :meth:`planes_from_words`) accepts any order and returns
+**plane-major** memory — a ``(m, ..., W)`` block seen through a
+transposed view — because that is where every op of the schedule is one
+unit-stride pass over whole planes, and where the evaluators' CSR gather
+and :func:`repro.graph.csr.xor_segment_reduce` (both of which follow an
+array's memory order) run along contiguous words.  The whole DP stays
+plane-resident across levels and only the final ``(m, W)`` reduction is
+unpacked.  The round-trip per-call dispatch (slice, multiply, unslice) is
+also provided for API completeness; it is the *plane-resident* use that
+wins (see ``benchmarks/bench_ablation_bitslice.py``).
 
 Lane packing uses little-endian bit order within bytes and native
 (little-endian) byte order within words — the layout
@@ -61,13 +70,24 @@ def _pack_bit_rows(bits: np.ndarray, words: int) -> np.ndarray:
     return np.ascontiguousarray(packed).view(np.uint64)
 
 
+def _plane_first(p: np.ndarray) -> np.ndarray:
+    """View logical ``(..., m, W)`` planes as ``(m, ..., W)``."""
+    p = np.asarray(p, dtype=np.uint64)
+    return p.transpose(p.ndim - 2, *range(p.ndim - 2), p.ndim - 1)
+
+
+def _plane_back(t: np.ndarray) -> np.ndarray:
+    """View a ``(m, ..., W)`` block as logical ``(..., m, W)`` planes."""
+    return t.transpose(*range(1, t.ndim - 1), 0, t.ndim - 1)
+
+
 class BitslicedGF2m:
     """Plane-wise GF(2^m) arithmetic for one ``(m, modulus)`` pair.
 
-    All plane arguments have shape ``(..., m, W)`` uint64 (node-major;
-    see the module docs).  The substrate is stateless apart from the
-    reduction taps and a per-scalar column cache, so one instance may be
-    shared by any number of threads.
+    All plane arguments have logical shape ``(..., m, W)`` uint64, in any
+    memory order (see the module docs).  The substrate is stateless apart
+    from the reduction taps and a per-scalar column cache, so one instance
+    may be shared by any number of threads.
     """
 
     def __init__(self, m: int, modulus: int) -> None:
@@ -76,8 +96,10 @@ class BitslicedGF2m:
         self.m = int(m)
         self.modulus = int(modulus)
         # x^m = sum_{s in taps} x^s (mod modulus): the reduction schedule
-        # folds plane d into planes d - m + s for every tap s
+        # folds plane d into planes d - m + s for every tap s — none of
+        # which lies within m - max(tap) planes of d, so that many fold at once
         self._taps = tuple(s for s in range(self.m) if (self.modulus >> s) & 1)
+        self._fold = self.m - max(self._taps, default=0)
         self._scalar_cols: Dict[int, Tuple[int, ...]] = {}
 
     # ------------------------------------------------------------- layout
@@ -125,16 +147,13 @@ class BitslicedGF2m:
 
         ``iw`` is ``(n, W)`` from :meth:`pack_indicator`, ``y`` is ``(n,)``
         field scalars; lane ``(i, t)`` of the result holds ``y[i]`` where
-        the indicator bit is set — at most ``m`` row selections, no
-        element-wise multiply and no per-plane slicing of a full
-        ``(n, n2)`` element array.
+        the indicator bit is set — one AND of the words with the
+        ``(m, n)`` 0/~0 mask of ``y``'s bits, no element-wise multiply and
+        no ``(n, n2)`` element array.  Returns ``(n, m, W)``, plane-major.
         """
-        y = np.asarray(y)
-        out = np.zeros((iw.shape[0], self.m, iw.shape[-1]), dtype=np.uint64)
-        for b in range(self.m):
-            rows = ((y >> b) & 1).astype(bool)
-            out[rows, b, :] = iw[rows]
-        return out
+        bits = (np.asarray(y)[None, :] >> np.arange(self.m)[:, None]) & 1
+        mask = -bits.astype(np.uint64)  # 0 -> 0, 1 -> ~0
+        return _plane_back(mask[:, :, None] & iw)
 
     def indicator_planes(self, indicator: np.ndarray, y: np.ndarray) -> np.ndarray:
         """One-shot :meth:`pack_indicator` + :meth:`planes_from_words`."""
@@ -150,42 +169,45 @@ class BitslicedGF2m:
         return np.bitwise_xor.reduce(planes, axis=axis)
 
     def _reduce(self, t: np.ndarray) -> np.ndarray:
-        """Fold partial planes ``t`` (``(..., >= m, W)``) modulo the modulus."""
-        m = self.m
-        for d in range(t.shape[-2] - 1, m - 1, -1):
-            td = t[..., d, :]
+        """Fold partial planes ``t`` (``(>= m, ..., W)``, plane axis first)
+        modulo the modulus; returns the logical ``(..., m, W)`` view."""
+        m, hi = self.m, t.shape[0]
+        while hi > m:
+            lo = max(m, hi - self._fold)
             for s in self._taps:
-                t[..., d - m + s, :] ^= td
-        return np.ascontiguousarray(t[..., :m, :])
+                t[lo - m + s : hi - m + s] ^= t[lo:hi]
+            hi = lo
+        return _plane_back(t[:m])
 
     def mul(self, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
         """Carry-less schoolbook multiply + reduction, plane-wise.
 
-        ``m^2`` AND/XOR word ops into ``2m - 1`` partial planes, then the
-        shift-and-reduce schedule.  Operand shapes must match exactly.
+        ``m`` block ANDs (plane ``i`` of ``pa`` against every plane of
+        ``pb``) and ``m`` block XORs into ``2m - 1`` partial planes, then
+        the chunked reduction.  Leading axes broadcast.
         """
-        pa = np.asarray(pa, dtype=np.uint64)
-        pb = np.asarray(pb, dtype=np.uint64)
-        if pa.shape != pb.shape:
+        a, b = _plane_first(pa), _plane_first(pb)
+        if a.ndim != b.ndim or any(
+            x != y and 1 not in (x, y) for x, y in zip(a.shape, b.shape)
+        ):
             raise FieldError(
-                f"plane shapes must match, got {pa.shape} vs {pb.shape}"
+                f"plane shapes must broadcast axis for axis, got "
+                f"{np.shape(pa)} vs {np.shape(pb)}"
             )
         m = self.m
-        t = np.zeros(pa.shape[:-2] + (2 * m - 1, pa.shape[-1]), dtype=np.uint64)
-        tmp = np.empty(pa.shape[:-2] + (pa.shape[-1],), dtype=np.uint64)
-        for i in range(m):
-            ai = pa[..., i, :]
-            for j in range(m):
-                np.bitwise_and(ai, pb[..., j, :], out=tmp)
-                t[..., i + j, :] ^= tmp
+        tmp = a[0] & b  # the broadcast (m, ..., W) block
+        t = np.zeros((2 * m - 1,) + tmp.shape[1:], dtype=np.uint64)
+        t[:m] = tmp
+        for i in range(1, m):
+            np.bitwise_and(a[i], b, out=tmp)
+            t[i : i + m] ^= tmp
         return self._reduce(t)
 
     def square(self, pa: np.ndarray) -> np.ndarray:
         """Plane squaring: ``(sum a_i x^i)^2 = sum a_i x^{2i}`` in char 2."""
-        pa = np.asarray(pa, dtype=np.uint64)
-        m = self.m
-        t = np.zeros(pa.shape[:-2] + (2 * m - 1, pa.shape[-1]), dtype=np.uint64)
-        t[..., 0 : 2 * m - 1 : 2, :] = pa
+        a = _plane_first(pa)
+        t = np.zeros((2 * self.m - 1,) + a.shape[1:], dtype=np.uint64)
+        t[::2] = a
         return self._reduce(t)
 
     def pow(self, pa: np.ndarray, e: int) -> np.ndarray:

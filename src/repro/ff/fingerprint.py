@@ -27,7 +27,6 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.ff.gf2m import GF2m, default_field_for_k
-from repro.util.bitops import parity_u64
 from repro.util.rng import RngStream
 
 
@@ -52,9 +51,17 @@ def base_indicator_block(v: np.ndarray, q_start: int, n_q: int) -> np.ndarray:
         raise ConfigurationError(f"iteration window must be >= 1 wide, got {n_q}")
     if q_start < 0:
         raise ConfigurationError(f"iteration window must start at >= 0, got {q_start}")
-    v = np.asarray(v, dtype=np.uint64)
-    q = np.arange(q_start, q_start + n_q, dtype=np.uint64)
-    return (1 - parity_u64(v[:, None] & q[None, :])).astype(np.uint8)
+    # ``v & q`` has no bit above the window's highest iteration index, so the
+    # parity folds at that width (one byte for k <= 8) instead of on
+    # ``(n, n_q)`` 64-bit temporaries
+    dtype = np.min_scalar_type(q_start + n_q - 1)
+    q = np.arange(q_start, q_start + n_q, dtype=np.uint64).astype(dtype)
+    x = np.asarray(v, dtype=np.uint64).astype(dtype)[:, None] & q[None, :]
+    shift = 4 * dtype.itemsize
+    while shift:
+        x ^= x >> shift
+        shift //= 2
+    return (~x & 1).astype(np.uint8, copy=False)
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,10 @@
 
 The DP inner loop of every evaluator is "for each node, XOR-accumulate a
 field product over its neighbours".  With CSR storage that whole step is two
-vectorized operations: a fancy-indexed gather ``P[indices]`` followed by
-:func:`xor_segment_reduce` (a ``bitwise_xor.reduceat`` with empty-row
-repair).  No Python-level per-node loop ever runs.
+vectorized operations: a row gather (``np.take`` along the state's row axis)
+followed by :func:`xor_segment_reduce` (a ``bitwise_xor.reduceat`` over 64-bit
+words, with empty-row repair when there is an empty row).  No Python-level
+per-node loop ever runs.
 
 Graphs are simple and undirected: both ``(u, v)`` and ``(v, u)`` are stored,
 self-loops and duplicates are dropped at construction.
@@ -12,44 +13,71 @@ self-loops and duplicates are dropped at construction.
 
 from __future__ import annotations
 
-from typing import Iterable, Tuple
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
 from repro.errors import GraphError
 
 
+def memory_order(a: np.ndarray) -> Tuple[List[int], List[int]]:
+    """Axes of ``a`` by descending stride, and the inverse permutation.
+
+    ``a.transpose(order)`` is the block as it lies in memory (C-contiguous
+    when ``a`` is a transposed view of a contiguous array, e.g. plane-major
+    bit-planes seen as ``(rows, m, W)``); ``.transpose(inverse)`` of a
+    result computed on that block restores the logical axes.
+    """
+    order = sorted(range(a.ndim), key=lambda ax: -a.strides[ax])
+    return order, sorted(range(a.ndim), key=order.__getitem__)
+
+
 def xor_segment_reduce(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     """XOR-reduce ``values`` over CSR segments defined by ``indptr``.
 
-    ``values`` has shape ``(nnz, ...)``; the result has shape
-    ``(len(indptr) - 1, ...)`` where row ``i`` is the XOR of
-    ``values[indptr[i]:indptr[i+1]]`` (zeros for empty segments).
+    ``values`` has logical shape ``(nnz, ...)`` in any memory order; the
+    result has shape ``(len(indptr) - 1, ...)`` in the same order, where
+    row ``i`` is the XOR of ``values[indptr[i]:indptr[i+1]]`` (zeros for
+    empty segments).
 
     This is GF(2^m) summation over each node's neighbourhood — the single
-    hottest reduction in the library.  ``np.bitwise_xor.reduceat`` computes
-    it in one pass; empty segments (isolated vertices) and a trailing
-    ``indptr`` entry equal to ``nnz`` need repair, handled here.
+    hottest reduction in the library, one ``np.bitwise_xor.reduceat``.
+    XOR cares neither about the word size nor about the axis order, so the
+    pass runs at machine width: a C-contiguous array of narrower elements
+    whose rows are whole 64-bit words is reduced through its uint64 view,
+    and any other array along its row axis *as it lies in memory* (for
+    plane-major bit-planes, along contiguous words).  Empty segments
+    (isolated vertices) need repair, paid only when ``indptr`` has one.
     """
     indptr = np.asarray(indptr, dtype=np.int64)
-    n = len(indptr) - 1
-    nnz = values.shape[0]
-    out_shape = (n,) + values.shape[1:]
-    out = np.zeros(out_shape, dtype=values.dtype)
-    if n == 0 or nnz == 0:
-        return out
+    n, nnz = len(indptr) - 1, values.shape[0]
+    nonempty = indptr[:-1] < indptr[1:]
+    if nnz == 0 or not nonempty.any():
+        return np.zeros((n,) + values.shape[1:], dtype=values.dtype)
     if indptr[-1] != nnz:
         raise GraphError(
             f"indptr[-1] (={indptr[-1]}) must equal len(values) (={nnz})"
         )
-    starts = indptr[:-1]
-    nonempty = starts < indptr[1:]
-    if np.any(nonempty):
-        # reduceat over non-empty starts only: consecutive non-empty starts
-        # are exactly the segment boundaries (empty segments in between do
-        # not advance indptr), so each reduction covers one segment.
-        out[nonempty] = np.bitwise_xor.reduceat(values, starts[nonempty], axis=0)
-    return out
+    # reduceat over non-empty starts only: consecutive non-empty starts
+    # are exactly the segment boundaries (empty segments in between do
+    # not advance indptr), so each reduction covers one segment.
+    full = bool(nonempty.all())
+    starts = indptr[:-1] if full else indptr[:-1][nonempty]
+    order, inverse = memory_order(values)
+    block, axis = values.transpose(order), order.index(0)
+    if (axis == 0 and block.flags.c_contiguous and values.itemsize < 8
+            and values.nbytes // nnz % 8 == 0):
+        out = np.bitwise_xor.reduceat(
+            block.reshape(nnz, -1).view(np.uint64), starts, axis=0
+        ).view(values.dtype).reshape((len(starts),) + block.shape[1:])
+    else:
+        out = np.bitwise_xor.reduceat(block, starts, axis=axis)
+    if not full:
+        # row i takes the reduction of the last non-empty row <= i, then
+        # the (few) empty rows are zeroed: a row copy, not a scatter of all
+        out = np.take(out, np.cumsum(nonempty) - 1, axis=axis)
+        out[(slice(None),) * axis + (np.flatnonzero(~nonempty),)] = 0
+    return out.transpose(inverse)
 
 
 class CSRGraph:

@@ -125,6 +125,24 @@ class CostModel:
         return steps * per
 
 
+def _level_step(graph, fp, n2: int):
+    """One DP level as the whole-graph drivers run it, as a callable.
+
+    The layout is the one :func:`repro.core.leveldp.whole_graph_lanes`
+    picks for ``fp``'s field, the incoming state is one that layout built
+    itself (so it has the layout's memory order), and the step is what a
+    path recurrence does per level: the level's base block, the
+    neighbour sum, the multiply.  The per-phase indicator (and its
+    packing) is outside, amortized over the levels in real runs.
+    """
+    from repro.core.leveldp import neighbour_sum, whole_graph_lanes
+
+    lanes = whole_graph_lanes(fp, 0, n2)
+    prev = lanes.base(0)
+    return lambda: lanes.mul(lanes.base(1),
+                             neighbour_sum(prev, graph.indptr, graph.indices))
+
+
 class KernelCalibration:
     """Measured compute rates of the real DP kernels, as a function of N2.
 
@@ -215,10 +233,8 @@ class KernelCalibration:
         """Time one path-DP level at each N2 on a synthetic sample.
 
         The level is the :mod:`repro.core.leveldp` step every evaluator
-        runs — neighbour sum, then the layout's multiply by the level
-        base block — on the element layout.
+        runs (:func:`_level_step`) on the element layout.
         """
-        from repro.core.leveldp import ElementLanes, neighbour_sum
         from repro.ff.fingerprint import Fingerprint
         from repro.ff.gf2m import default_field_for_k
         from repro.graph.generators import erdos_renyi
@@ -243,13 +259,7 @@ class KernelCalibration:
         fp = Fingerprint.draw(g.n, k, rng, field=field)
         rates = []
         for n2 in grid:
-            lanes = ElementLanes(fp, 0, int(n2))
-            base = lanes.base(1)
-            prev = field.random(rng, size=(g.n, int(n2)))
-
-            def step(lanes=lanes, base=base, prev=prev):
-                return lanes.mul(base, neighbour_sum(prev, g.indptr, g.indices))
-
+            step = _level_step(g, fp, int(n2))
             step()  # warm caches and numpy dispatch before timing
             # min over independent passes: the standard noise-robust timing
             # estimator (transient machine load only ever inflates a pass)
@@ -270,13 +280,11 @@ class KernelCalibration:
         """Measure per-DP-level seconds of each GF kernel strategy vs N2.
 
         Returns a ``gf_rates`` mapping for :meth:`choose_kernel`.  Every
-        strategy times the same :mod:`repro.core.leveldp` level on the
-        layout that strategy runs with: table/logexp on element lanes
-        with the base block prebuilt, ``bitsliced`` on plane lanes
-        including the per-level plane build but not the per-phase pack
-        (amortized over ``k`` levels in real runs).
+        strategy times the same :mod:`repro.core.leveldp` level
+        (:func:`_level_step`) on the layout the drivers run that strategy
+        with: table/logexp on element lanes, ``bitsliced`` on plane-major
+        plane lanes.
         """
-        from repro.core.leveldp import ElementLanes, PlaneLanes, neighbour_sum
         from repro.ff.fingerprint import Fingerprint
         from repro.ff.gf2m import GF2m
         from repro.graph.generators import erdos_renyi
@@ -287,22 +295,11 @@ class KernelCalibration:
         strategies = ["logexp", "bitsliced"] + (["table"] if m <= 8 else [])
         rates: Dict[str, Dict[int, float]] = {s: {} for s in strategies}
         for strategy in strategies:
-            f = GF2m(m, kernel_strategy=None if strategy == "bitsliced" else strategy)
+            f = GF2m(m, kernel_strategy=strategy)
             fp = Fingerprint.draw(g.n, k, RngStream(rng_seed + 1), field=f)
             for n2 in grid:
                 n2 = int(n2)
-                prev = f.random(rng, size=(g.n, n2))
-                if strategy == "bitsliced":
-                    lanes, base = PlaneLanes(fp, 0, n2), None
-                    prev = lanes.bs.slice(prev)
-                else:
-                    lanes = ElementLanes(fp, 0, n2)
-                    base = lanes.base(1)
-
-                def step(lanes=lanes, base=base, prev=prev):
-                    return lanes.mul(lanes.base(1) if base is None else base,
-                                     neighbour_sum(prev, g.indptr, g.indices))
-
+                step = _level_step(g, fp, n2)
                 step()  # warm caches and numpy dispatch before timing
                 rates[strategy][n2] = min(
                     time_call(step, min_time=min_time) for _ in range(3)

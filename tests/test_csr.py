@@ -162,3 +162,90 @@ class TestXorSegmentReduce:
         vals = np.array([[1], [2], [4], [8]], dtype=np.uint8)
         out = xor_segment_reduce(vals[g.indices], g.indptr)
         assert out[:, 0].tolist() == [2 ^ 4, 1 ^ 4, 1 ^ 2 ^ 8, 4]
+
+
+# ------------------------------------------------- layouts x widths x empties
+LANES = (1, 2, 4, 8, 12, 64)
+TRAILING = {
+    "lanes": lambda n2: (n2,),  # element state
+    "weight_lanes": lambda n2: (3, n2),  # element state with a weight axis
+    "planes": lambda n2: (5, (n2 + 63) // 64),  # (m, W) bit-planes
+}
+LAYOUTS = ("contiguous", "sliced", "transposed")
+
+
+def _values(rng, nnz, trailing, dtype, layout):
+    """Random ``(nnz,) + trailing`` values of ``dtype`` in the given memory
+    layout: C-contiguous, every other element of a wider last axis, or a
+    transposed view whose row axis is innermost (plane-major style)."""
+    hi = int(np.iinfo(dtype).max)
+    if layout == "transposed":
+        base = rng.integers(0, hi, size=trailing + (nnz,), endpoint=True, dtype=dtype)
+        return np.moveaxis(base, -1, 0)
+    shape = (nnz,) + trailing
+    if layout == "sliced":
+        wide = rng.integers(0, hi, size=shape[:-1] + (2 * shape[-1],),
+                            endpoint=True, dtype=dtype)
+        return wide[..., ::2]
+    return rng.integers(0, hi, size=shape, endpoint=True, dtype=dtype)
+
+
+def _whole_words(values):
+    """The rule ``xor_segment_reduce`` widens by, restated from the array."""
+    return (values.flags.c_contiguous and values.itemsize < 8
+            and values[0].nbytes % 8 == 0)
+
+
+class TestXorSegmentReduceLayouts:
+    """The reduction against a per-row Python XOR loop, for every element
+    width, trailing shape, lane count and memory layout the level step
+    hands it — with empty rows in every position."""
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("trailing", sorted(TRAILING))
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint64])
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_matches_python_loop(self, dtype, trailing, layout, data):
+        n2 = data.draw(st.sampled_from(LANES), label="n2")
+        lens = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=6), label="lens")
+        # force empty rows where the repair can go wrong
+        for where in data.draw(st.sets(st.sampled_from(["lead", "mid", "trail"])),
+                               label="empty"):
+            at = {"lead": 0, "mid": len(lens) // 2, "trail": len(lens)}[where]
+            lens[at:at] = [0] * data.draw(st.integers(1, 2), label=f"n_{where}")
+        indptr = np.concatenate([[0], np.cumsum(lens)]).astype(np.int64)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1), label="seed"))
+        values = _values(rng, int(indptr[-1]), TRAILING[trailing](n2), dtype, layout)
+
+        out = xor_segment_reduce(values, indptr)
+
+        assert out.shape == (len(lens),) + values.shape[1:] and out.dtype == dtype
+        for i in range(len(lens)):
+            expected = np.zeros(values.shape[1:], dtype=dtype)
+            for row in values[indptr[i]:indptr[i + 1]]:
+                expected ^= row
+            assert np.array_equal(out[i], expected), (i, lens)
+        if layout == "transposed" and len(values) > 1:
+            # the result keeps the input's memory order: rows innermost
+            # (a single row has no order to keep)
+            assert np.moveaxis(out, 0, -1).flags.c_contiguous
+
+    def test_grid_reaches_both_reductions(self):
+        """Which inputs go through the uint64 view is decided by the array
+        alone; the grid above has plenty on each side of that rule."""
+        rng = np.random.default_rng(0)
+        widened = {
+            (np.dtype(dtype).name, trailing, n2, layout)
+            for dtype in (np.uint8, np.uint16, np.uint64)
+            for trailing in TRAILING for n2 in LANES for layout in LAYOUTS
+            if _whole_words(_values(rng, 3, TRAILING[trailing](n2), dtype, layout))
+        }
+        assert ("uint8", "lanes", 64, "contiguous") in widened  # the hot element state
+        assert ("uint8", "weight_lanes", 8, "contiguous") in widened
+        assert ("uint16", "lanes", 4, "contiguous") in widened
+        assert ("uint8", "lanes", 12, "contiguous") not in widened  # 12-byte rows
+        assert ("uint8", "lanes", 4, "contiguous") not in widened
+        assert not any(layout != "contiguous" or dtype == "uint64"
+                       for dtype, _, _, layout in widened)
+        assert 10 <= len(widened) <= 3 * 3 * len(LANES) * 3 - 100

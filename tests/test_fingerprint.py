@@ -38,6 +38,18 @@ class TestBaseIndicatorBlock:
         window = base_indicator_block(v, q0, nq)
         assert np.array_equal(wide[:, q0:], window)
 
+    @pytest.mark.parametrize("bits", [1, 7, 8, 9, 16, 17, 32, 33, 63])
+    def test_every_fold_width_matches_the_64_bit_parity(self, bits):
+        # windows ending just below / at / above 2^8, 2^16, 2^32 fold the
+        # parity in uint8, uint16, uint32 and uint64; vectors keep all 63 bits
+        v = np.random.default_rng(bits).integers(0, 1 << 63, size=40).astype(np.uint64)
+        top = (1 << bits) - 1
+        for q0, nq in [(max(0, top - 5), min(6, top + 1)), (top, 3), (0, min(top + 1, 64))]:
+            q = np.arange(q0, q0 + nq, dtype=np.uint64)
+            want = (1 - parity_u64(v[:, None] & q[None, :])).astype(np.uint8)
+            got = base_indicator_block(v, q0, nq)
+            assert got.dtype == np.uint8 and np.array_equal(got, want), (bits, q0, nq)
+
     def test_invalid_window_rejected(self):
         v = np.zeros(2, dtype=np.uint64)
         with pytest.raises(ConfigurationError):

@@ -182,6 +182,85 @@ class TestSubstrateLayout:
             bs.mul(np.zeros((2, 4, 1), np.uint64), np.zeros((3, 4, 1), np.uint64))
 
 
+
+def high_tap_modulus(m):
+    """An irreducible degree-m modulus whose highest tap (set bit below
+    ``x^m``) is at least ``m / 2``, so the high partial planes fold in
+    several short chunks; ``None`` when no such modulus exists."""
+    for cand in range((1 << (m + 1)) - 1, 1 << m, -1):
+        if 2 * ((cand ^ (1 << m)).bit_length() - 1) >= m and is_irreducible(cand):
+            return cand
+    return None
+
+
+def plane_major(planes):
+    """The same logical ``(..., m, W)`` planes over plane-outermost memory."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(planes, -2, 0)), 0, -2)
+
+
+# (m, modulus) for every degree: the default modulus, a high-tap one where
+# the degree has one, and GF(2) as GF(2)[x] / (x) — no tap, nothing to fold
+FIELDS = sorted(
+    {(m, GF2m(m).modulus) for m in range(1, 17)}
+    | {(m, high_tap_modulus(m)) for m in range(2, 17) if high_tap_modulus(m)}
+    | {(1, 0b10)}
+)
+
+
+class TestPlaneArithmeticLayouts:
+    """``mul`` / ``square`` / ``mul_scalar`` / ``pow`` on planes equal the
+    element-wise oracle for every degree, for moduli that exercise the
+    one-chunk, many-chunk and no-tap reductions, whatever the memory order
+    of the operands, and for operands that broadcast along a weight axis."""
+
+    @pytest.mark.parametrize("memory", ["node_major", "plane_major"])
+    @pytest.mark.parametrize("m,modulus", FIELDS,
+                             ids=[f"m{m}-{modulus:b}" for m, modulus in FIELDS])
+    def test_matches_oracle(self, m, modulus, memory):
+        oracle, bits = field_pair(m, modulus)
+        bs = bits.bitsliced
+        layout = plane_major if memory == "plane_major" else (lambda p: p)
+        rng = np.random.default_rng(modulus)
+        rows, z, n2 = 4, 3, 70  # two lane words, the second partly padding
+        a = rng.integers(0, oracle.order, size=(rows, n2)).astype(oracle.dtype)
+        b = rng.integers(0, oracle.order, size=(rows, n2)).astype(oracle.dtype)
+        c = rng.integers(0, oracle.order, size=(rows, z, n2)).astype(oracle.dtype)
+        a[0, :3] = (0, 1, oracle.order - 1)
+        pa, pb, pc = layout(bs.slice(a)), layout(bs.slice(b)), layout(bs.slice(c))
+        assert m == 1 or pa.flags.c_contiguous == (memory == "node_major")
+
+        def elems(planes):
+            assert planes.shape[-2:] == (m, bs.words(n2))
+            return bs.unslice(planes, n2, oracle.dtype)
+
+        assert np.array_equal(elems(bs.mul(pa, pb)), oracle.mul(a, b))
+        # one operand in each memory order
+        assert np.array_equal(elems(bs.mul(pa, bs.slice(b))), oracle.mul(a, b))
+        assert np.array_equal(elems(bs.square(pa)), oracle.mul(a, a))
+        for s in (0, 1, oracle.order - 1, 0x53 % oracle.order):
+            assert np.array_equal(elems(bs.mul_scalar(pa, s)), oracle.mul_scalar(a, s))
+        for e in (0, 1, 2, 5, oracle.order - 1, oracle.order + 1):
+            assert np.array_equal(elems(bs.pow(pa, e)), oracle.pow(a, e))
+        # (rows, 1, m, W) x (rows, Z, m, W): the weight-axis recurrences
+        wide = bs.mul(pa[:, None], pc)
+        assert wide.shape == (rows, z, m, bs.words(n2))
+        assert np.array_equal(elems(wide), oracle.mul(a[:, None, :], c))
+        assert np.array_equal(elems(bs.mul(pc, pa[:, None])), oracle.mul(c, a[:, None, :]))
+
+    def test_chunked_fold_is_exercised(self):
+        # highest tap 6 (as in x^7 + x^6 + 1): the six high planes fold one
+        # at a time; the default x^7 + x + 1 folds them all at once
+        assert is_irreducible(0b11000001)
+        assert BitslicedGF2m(7, 0b11000001)._fold == 1
+        assert BitslicedGF2m(7, high_tap_modulus(7))._fold == 1
+        assert BitslicedGF2m(7, GF2m(7).modulus)._fold == 6
+
+    def test_operands_must_broadcast_axis_for_axis(self):
+        bs = BitslicedGF2m(4, 0b10011)
+        with pytest.raises(FieldError, match="shapes"):
+            bs.mul(np.zeros((2, 3, 4, 1), np.uint64), np.zeros((4, 1), np.uint64))
+
+
 class TestPlaneResidentEvaluator:
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1),
            n2=st.sampled_from([1, 8, 64, 96]),

@@ -10,6 +10,9 @@ tenants; shutdown leaks no threads.
 from __future__ import annotations
 
 import json
+import platform
+import subprocess
+import sys
 import threading
 import time
 import urllib.request
@@ -377,6 +380,57 @@ class TestCacheCoalesceQuota:
             with pytest.raises(UnknownGraphError):
                 svc.query(QuerySpec(kind="detect-path", graph="ghost", k=3,
                                     seed={"seed": 1}))
+
+
+# ------------------------------------------------------------ worker heaps
+
+_HEAP_CHURN = """
+import resource, sys, threading
+from repro.core.midas import detect_path
+from repro.graph.generators import erdos_renyi
+from repro.service.broker import retain_worker_heaps
+from repro.util.rng import RngStream
+
+if sys.argv[1] == "retain":
+    assert retain_worker_heaps()
+graph = erdos_renyi(1500, m=6000, rng=RngStream(5))
+faults = []
+
+def worker():  # what a broker worker runs: k=6 path queries, plane lanes
+    def query(seed):
+        detect_path(graph, 6, eps=0.2, rng=RngStream(seed), early_exit=False)
+    query(0)
+    before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+    for seed in range(1, 11):
+        query(seed)
+    faults.append(resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before)
+
+t = threading.Thread(target=worker)
+t.start()
+t.join()
+print(faults[0])
+"""
+
+
+class TestWorkerHeaps:
+    def test_reports_whether_glibc_took_the_thresholds(self):
+        first = broker_mod.retain_worker_heaps()
+        assert first is (platform.libc_ver()[0] == "glibc")
+        assert broker_mod.retain_worker_heaps() is first
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc mallopt only")
+    def test_worker_thread_stops_refaulting_its_arena(self):
+        """A fresh process each: the thresholds are process-wide and final."""
+        def faults(mode):
+            out = subprocess.run([sys.executable, "-c", _HEAP_CHURN, mode],
+                                 capture_output=True, text=True, check=True)
+            return int(out.stdout)
+
+        kept = faults("retain")
+        # 400 level steps gathering 576 KB each: left alone, glibc 2.36 takes
+        # 23 440 page faults re-mapping the arena top over these ten queries
+        assert kept < 500
+        assert kept <= faults("default")
 
 
 # ------------------------------------------------------- sweep + records
