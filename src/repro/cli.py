@@ -299,9 +299,9 @@ def _flush_interrupted(args, rt, problem: str) -> int:
     _write_obs(args, rt, problem=problem, truncated=True)
     from repro.obs.qtrace import get_flight_recorder
 
-    qt = getattr(rt, "qtrace", None)
-    extra = ({"open_spans": [sp.to_dict() for sp in qt.open_spans()]}
-             if qt is not None else None)
+    prof = rt.profiler  # the query's trace, once the broker has attached it
+    extra = ({"open_spans": [sp.to_dict() for sp in prof.open_spans()]}
+             if prof is not None else None)
     rec = get_flight_recorder()
     rec.record("interrupted", problem=problem)
     path = rec.dump("interrupted", extra=extra)
@@ -1116,8 +1116,8 @@ def cmd_trace(args) -> int:
     import json as _json
 
     from repro.errors import ConfigurationError, ServiceError
-    from repro.obs.chrome_trace import validate_chrome_trace
-    from repro.obs.qtrace import render_timeline, trace_to_chrome
+    from repro.obs.chrome_trace import trace_to_chrome, validate_chrome_trace
+    from repro.obs.qtrace import render_timeline
     from repro.service.client import HttpClient
 
     client = HttpClient(args.url)

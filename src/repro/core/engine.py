@@ -16,7 +16,9 @@ boundary**:
   one stamped span per round, checkpoints, early exit) and the one
   **phase boundary** :meth:`~DetectionEngine.phase_done`, where every
   finished phase window — whoever ran it — meets the histogram, the
-  profile, the digest log, live status, the watchdog and the recorder;
+  span log (``rt.get_profiler()``: the run's profile and, for a served
+  query, its trace — one list), the digest log, live status, the
+  watchdog and the recorder;
 * :class:`ExecutionBackend` — the whole-graph **round loop**
   (:meth:`~ExecutionBackend.run_round`: fold completed windows into the
   XOR accumulator, report each to the boundary, cancel what has not
@@ -57,7 +59,7 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
-from contextlib import closing, nullcontext
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple, Type
 
@@ -76,7 +78,8 @@ from repro.errors import (
 )
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import make_partition
-from repro.obs.metrics import MetricsRegistry, get_default_registry
+from repro.obs.metrics import MetricsRegistry, get_default_registry, merge_into
+from repro.obs.profile import WallProfiler
 from repro.runtime.cluster import VirtualCluster, laptop
 from repro.runtime.costmodel import KernelCalibration
 from repro.runtime.durable import decode_value
@@ -91,6 +94,8 @@ _LOG = get_logger(__name__)
 _MODES = ("sequential", "simulated", "modeled", "threaded", "process")
 _SANITIZE = ("off", "warn", "strict")
 _KERNELS = ("auto", "table", "logexp", "bitsliced")
+#: the null span log: session build steps nobody is watching go here
+_UNPROFILED = WallProfiler(enabled=False)
 
 
 @dataclass
@@ -195,7 +200,6 @@ class MidasRuntime:
     hang_timeout: Optional[float] = None
     watchdog: Optional[object] = None
     session: Optional["EngineSession"] = None
-    qtrace: Optional[object] = None
 
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
@@ -325,16 +329,17 @@ class MidasRuntime:
         return self.live
 
     def get_profiler(self):
-        """The wall-clock profiler (always present; created on first use).
+        """The wall-clock span log (always present; created on first use)
+        — the engine's only wall-span sink.
 
         Every engine run is profiled by default — span overhead is
         nanoseconds against the kernels it wraps (see
         :mod:`repro.obs.profile`) and the ``wall_*`` RunRecord values
-        depend on it.
+        depend on it.  The service broker attaches each traced query's
+        trace here (a ``QueryTrace``, which is a ``WallProfiler``), so the
+        query's trace document and its profile are views of one list.
         """
         if self.profiler is None:
-            from repro.obs.profile import WallProfiler  # lazy: optional layer
-
             self.profiler = WallProfiler()
         return self.profiler
 
@@ -483,7 +488,8 @@ def _run_phase_resilient(rt: MidasRuntime, fc: _FaultContext, prog, key: str,
         try:
             # callsite is the problem, not the phase key — one
             # aggregate row per problem, not per phase window
-            with prof.span("simulate", phase="rounds", callsite=fc.problem):
+            with prof.span("engine.simulate", phase="rounds",
+                           callsite=fc.problem):
                 res = sim.run(prog)
             if res.crashed_ranks:
                 # the program "finished" but ranks died: their partial
@@ -561,8 +567,9 @@ class StageResult:
 
 
 #: a finished phase window as the round loop consumes it: the value, the
-#: ``perf_counter`` stamps taken where the kernel ran, and that lane's name
-Window = Tuple[Value, float, float, str]
+#: ``perf_counter`` stamps taken where the kernel ran, that lane's name, and
+#: the worker's pid when that was another process
+Window = Tuple[Value, float, float, str, Optional[int]]
 
 
 def _run_window(graph: CSRGraph, stage: _Stage, fp, t: int) -> Window:
@@ -570,7 +577,7 @@ def _run_window(graph: CSRGraph, stage: _Stage, fp, t: int) -> Window:
     t0 = time.perf_counter()
     value = stage.spec.phase_value(graph, fp, stage.sched.phase_window(t)[0],
                                    stage.sched.n2)
-    return value, t0, time.perf_counter(), threading.current_thread().name
+    return value, t0, time.perf_counter(), threading.current_thread().name, None
 
 
 class ExecutionBackend:
@@ -630,9 +637,9 @@ class ExecutionBackend:
         round0 = time.perf_counter()
         with closing(self.windows(stage, fp)) as done:
             for t, result in done:
-                contrib, t0, t1, lane = self.completed(stage, t, result)
+                contrib, t0, t1, lane, pid = self.completed(stage, t, result)
                 value = stage.spec.combine(value, contrib)
-                e.phase_done(stage, ell, t, contrib, t0, t1, lane)
+                e.phase_done(stage, ell, t, contrib, t0, t1, lane, pid)
         e.round_joined(stage, ell, round0, time.perf_counter())
         return value, 0.0
 
@@ -717,7 +724,8 @@ class ProcessBackend(ExecutionBackend):
         if self._pool is None:
             from repro.core.process_backend import ProcessPhasePool
 
-            with self.engine.prof.span("pool", phase="setup", callsite="process"):
+            with self.engine.prof.span("engine.pool", phase="setup",
+                                       callsite="process"):
                 self._pool = ProcessPhasePool(
                     self.engine.graph,
                     self.engine.rt.get_workers(),
@@ -730,8 +738,7 @@ class ProcessBackend(ExecutionBackend):
     def submit(self, stage: _Stage, fp, t: int):
         return self._pool.submit(
             self._pool.wire_spec(stage.spec), fp,
-            stage.sched.phase_window(t)[0], stage.sched.n2,
-            self.engine.qt is not None)
+            stage.sched.phase_window(t)[0], stage.sched.n2)
 
     def completed(self, stage: _Stage, t: int, result) -> Window:
         raw, (pid, t0, t1, *build), mdelta = result
@@ -739,19 +746,14 @@ class ProcessBackend(ExecutionBackend):
         if mdelta:
             # increments made inside the worker (field builds, calibration,
             # phase counters) land in the parent's run registry exactly once
-            from repro.obs.metrics import merge_into
-
             merge_into(e.reg, mdelta)
         lane = f"worker-{pid}"
-        if e.qt is not None:
+        if build:
             # perf_counter is CLOCK_MONOTONIC on Linux: worker and parent
-            # stamps share a timebase, so the spans splice in as stamped
-            if build:
-                e.qt.add_span("worker.spec_build", *build, pid=pid, lane=lane)
-            e.qt.add_span("worker.kernel", t0, t1, pid=pid, lane=lane,
-                          q_start=stage.sched.phase_window(t)[0],
-                          n2=stage.sched.n2, k=stage.spec.k)
-        return stage.spec.rank_value(raw), t0, t1, lane
+            # stamps share a timebase, so the span goes in as stamped
+            e.prof.add_span("worker.spec_build", *build, pid=pid, lane=lane,
+                            phase="setup", callsite=stage.spec.name)
+        return stage.spec.rank_value(raw), t0, t1, lane, pid
 
     def run_round(self, stage: _Stage, fp, ell: int):
         from concurrent.futures.process import BrokenProcessPool
@@ -763,8 +765,7 @@ class ProcessBackend(ExecutionBackend):
             e = self.engine
             e.flight_dump(
                 "worker_crash", round=ell, graph=getattr(e.graph, "name", None),
-                extra={"open_spans": [s.to_dict() for s in e.qt.open_spans()]
-                       if e.qt is not None else []})
+                extra={"open_spans": [s.to_dict() for s in e.prof.open_spans()]})
             raise WorkerCrashedError(
                 f"a worker process died while evaluating round {ell} of "
                 f"{stage.spec.name!r} (see stderr for the worker's fate); the "
@@ -969,34 +970,32 @@ class EngineSession:
             self.uses += 1
 
     # ------------------------------------------------------ prepared state
-    @staticmethod
-    def _setup_span(prof, op: str, callsite: str):
-        """A setup span of ``prof`` — nothing when no profiler watches."""
-        if prof is None:
-            return nullcontext()
-        return prof.span(op, phase="setup", callsite=callsite)
+    # each build step is one setup span of ``prof``, the span log of
+    # whichever run finds the state missing
 
-    def ensure_partition(self, prof=None):
+    def ensure_partition(self, prof=_UNPROFILED):
         """The session's vertex partition, built once under the lock."""
         with self._lock:
             if self._partition is None:
-                with self._setup_span(prof, "partition", self.partition_method):
+                with prof.span("engine.partition", phase="setup",
+                               callsite=self.partition_method):
                     self._partition = make_partition(
                         self.graph, self.n1, self.partition_method,
                         rng=RngStream(self.partition_seed, name="partition"),
                     )
             return self._partition
 
-    def ensure_views(self, prof=None, problem: str = ""):
+    def ensure_views(self, prof=_UNPROFILED, problem: str = ""):
         """The halo views over :meth:`ensure_partition`, built once."""
         part = self.ensure_partition(prof)
         with self._lock:
             if self._views is None:
-                with self._setup_span(prof, "halo", problem):
+                with prof.span("engine.halo", phase="setup", callsite=problem):
                     self._views = build_halo_views(self.graph, part)
             return self._views
 
-    def field_for_k(self, k: int, strategy: Optional[str] = None):
+    def field_for_k(self, k: int, strategy: Optional[str] = None,
+                    prof=_UNPROFILED):
         """The GF(2^l) table set for iteration exponent ``k``, cached per
         ``(field degree, kernel strategy)`` (many ``k`` share one degree).
 
@@ -1015,7 +1014,9 @@ class EngineSession:
             fld = self._fields.get(key)
             if fld is None:
                 kernel = None if strategy == "auto" else strategy
-                fld = self._fields[key] = default_field_for_k(k, kernel_strategy=kernel)
+                with prof.span("engine.field", phase="setup", callsite=strategy):
+                    fld = self._fields[key] = default_field_for_k(
+                        k, kernel_strategy=kernel)
             return fld
 
     def get_calibration(self) -> KernelCalibration:
@@ -1091,11 +1092,9 @@ class DetectionEngine:
         self.partition = None  # set once this run has asked the session for it
         self.prof = rt.get_profiler()
         self.live = rt.get_live()
-        # per-query trace (repro.obs.qtrace.QueryTrace) threaded in by the
-        # service broker; None for standalone runs
-        self.qt = rt.qtrace
-        if self.qt is not None and self.live is not None:
-            self.live.trace_id = self.qt.trace_id
+        if self.live is not None:
+            # empty unless the span log is a served query's trace
+            self.live.trace_id = self.prof.trace_id
         self.round_walls: List[float] = []  # wall seconds of each round run
         self._windows: List[tuple] = []  # (t, t0, t1, lane) awaiting the join
         if self.live is not None:
@@ -1213,27 +1212,31 @@ class DetectionEngine:
 
         fr = get_flight_recorder()
         fr.record(kind, problem=self.problem,
-                  trace_id=self.qt.trace_id if self.qt is not None else None,
-                  **fields)
+                  trace_id=self.prof.trace_id or None, **fields)
         fr.dump(kind, extra=extra)
 
     # ------------------------------------------------------ phase boundary
     def phase_done(self, stage: "_Stage", ell: int, t: int, value,
-                   t0: float, t1: float, lane: Optional[str]) -> None:
+                   t0: float, t1: float, lane: Optional[str],
+                   pid: Optional[int] = None) -> None:
         """The one phase boundary: every backend reports each finished
         phase window here, on the thread that folds the round
         accumulator (so no sink needs to be thread-safe for it).
 
         ``t0``/``t1`` were stamped where the window ran: ``perf_counter``
-        seconds on thread or worker ``lane``, or — ``lane=None`` — a
-        virtual makespan from the simulator, which has no wall interval
-        to profile or to lay on a recorder lane.  The watchdog is checked
-        here, so a trip surfaces between two windows of any backend.
+        seconds on thread ``lane`` or worker process ``pid``, or —
+        ``lane=None`` — a virtual makespan from the simulator, which has
+        no wall interval to profile or to lay on a recorder lane.  The
+        watchdog is checked here, so a trip surfaces between two windows
+        of any backend.
         """
         stage.phase_hist.observe(t1 - t0)
         if lane is not None:
-            self.prof.add_span("kernel", t0, t1, phase="rounds",
-                               callsite=stage.spec.name, lane=lane)
+            self.prof.add_span(
+                "engine.kernel" if pid is None else "worker.kernel", t0, t1,
+                pid=pid, lane=lane, phase="rounds", callsite=stage.spec.name,
+                q_start=stage.sched.phase_window(t)[0], n2=stage.sched.n2,
+                k=stage.spec.k)
             if self.rec is not None:
                 # the recorder lanes are laid out once the round has joined
                 self._windows.append((t, t0, t1, lane))
@@ -1312,118 +1315,114 @@ class DetectionEngine:
         """
         rt = self.rt
         sched = rt.schedule_for(spec.k)
-        phase_hist = self.reg.histogram(
-            "midas_phase_seconds", "Per-phase time (virtual makespan or wall)"
-        ).labels(problem=self.problem, mode=rt.mode, k=spec.k, n1=rt.n1, n2=sched.n2)
-        estimate = None
-        if want_estimate:
-            self.partition = self.session.ensure_partition(self.prof)
-            stats = PartitionStats.from_partition(self.partition)
-            cluster = rt.get_cluster()
-            estimate = estimate_runtime(
-                stats, sched, rt.get_calibration(),
-                cluster.cost_model(min(rt.n_processors, cluster.total_cores)),
-                eps=eps, problem=spec.model_problem, levels=spec.model_levels,
-                z_axis=spec.model_z_axis,
-            )
-        stage = _Stage(spec, sched, rounds, key_prefix, label, phase_hist, estimate)
-        # the stage key is consumed unconditionally (creation order), so a
-        # resumed process walks the same key sequence as the killed one
-        skey = self.ckpt.stage_key(self.ekey, label) if self.ckpt is not None else None
-        if self.degraded is not None:
-            # a previous stage tripped the watchdog: start no new work
-            return StageResult([], [], sched, estimate)
-        self.backend.prepare(stage)
-        if self.live is not None:
-            self.live.stage_started(label or self.problem, spec.k, rounds,
-                                    sched.n_phases, eps=eps)
-        walls0 = len(self.round_walls)  # the ETA averages this stage's rounds
+        # the stage is a span too: what this run has to build for it (pool,
+        # partition, halo) and its rounds nest inside
+        with self.prof.span("engine.stage", lane="engine",
+                            label=label or self.problem, k=spec.k,
+                            mode=rt.mode, rounds=rounds) as stage_span:
+            phase_hist = self.reg.histogram(
+                "midas_phase_seconds", "Per-phase time (virtual makespan or wall)"
+            ).labels(problem=self.problem, mode=rt.mode, k=spec.k, n1=rt.n1, n2=sched.n2)
+            estimate = None
+            if want_estimate:
+                self.partition = self.session.ensure_partition(self.prof)
+                stats = PartitionStats.from_partition(self.partition)
+                cluster = rt.get_cluster()
+                estimate = estimate_runtime(
+                    stats, sched, rt.get_calibration(),
+                    cluster.cost_model(min(rt.n_processors, cluster.total_cores)),
+                    eps=eps, problem=spec.model_problem, levels=spec.model_levels,
+                    z_axis=spec.model_z_axis,
+                )
+            stage = _Stage(spec, sched, rounds, key_prefix, label, phase_hist, estimate)
+            # the stage key is consumed unconditionally (creation order), so a
+            # resumed process walks the same key sequence as the killed one
+            skey = self.ckpt.stage_key(self.ekey, label) if self.ckpt is not None else None
+            if self.degraded is not None:
+                # a previous stage tripped the watchdog: start no new work
+                return StageResult([], [], sched, estimate)
+            self.backend.prepare(stage)
+            if self.live is not None:
+                self.live.stage_started(label or self.problem, spec.k, rounds,
+                                        sched.n_phases, eps=eps)
+            walls0 = len(self.round_walls)  # the ETA averages this stage's rounds
 
-        values: List[Value] = []
-        virtuals: List[float] = []
-        start_round = 0
-        if skey is not None:
-            st = self.ckpt.restored_stage(self.ekey, skey)
-            if st is not None:
-                values = [decode_value(v, spec) for v in st["values"]]
-                virtuals = [float(x) for x in st["virtuals"]]
-                # children are spawn-order-derived: re-requesting the
-                # restored rounds' streams leaves the parent positioned
-                # exactly where the killed run left it
-                for ell in range(len(values)):
-                    rng.child(f"round{ell}")
-                self.virtual_total += sum(virtuals)
-                start_round = len(values)
-                if self.live is not None and start_round:
-                    self.live.rounds_restored(start_round, self.virtual_total)
-                _LOG.info("%s: restored %d checkpointed round(s)",
-                          self.problem, start_round)
-                if st.get("hit") or st.get("complete"):
-                    return StageResult(values, virtuals, sched, estimate)
+            values: List[Value] = []
+            virtuals: List[float] = []
+            start_round = 0
+            if skey is not None:
+                st = self.ckpt.restored_stage(self.ekey, skey)
+                if st is not None:
+                    values = [decode_value(v, spec) for v in st["values"]]
+                    virtuals = [float(x) for x in st["virtuals"]]
+                    # children are spawn-order-derived: re-requesting the
+                    # restored rounds' streams leaves the parent positioned
+                    # exactly where the killed run left it
+                    for ell in range(len(values)):
+                        rng.child(f"round{ell}")
+                    self.virtual_total += sum(virtuals)
+                    start_round = len(values)
+                    if self.live is not None and start_round:
+                        self.live.rounds_restored(start_round, self.virtual_total)
+                    _LOG.info("%s: restored %d checkpointed round(s)",
+                              self.problem, start_round)
+                    if st.get("hit") or st.get("complete"):
+                        return StageResult(values, virtuals, sched, estimate)
 
-        stage_span = (self.qt.span("engine.stage", lane="engine",
-                                   label=label or self.problem, k=spec.k,
-                                   mode=rt.mode, rounds=rounds)
-                      if self.qt is not None else None)
-        for ell in range(start_round, rounds):
-            if self.wd is not None:
+            for ell in range(start_round, rounds):
+                if self.wd is not None:
+                    try:
+                        self.wd.check()
+                    except WatchdogExpired as exc:
+                        self._note_degraded(exc, len(values))
+                        break
+                fp = spec.draw_fingerprint(self.graph.n, rng.child(f"round{ell}"))
+                # the round is stamped once: this span is the profile's and
+                # the query trace's, and feeds details["wall"] and the ETA
+                span = self.prof.span("engine.round", phase="rounds",
+                                      callsite=label or self.problem, round=ell)
                 try:
-                    self.wd.check()
+                    with span:
+                        value, round_virtual = self.backend.run_round(stage, fp, ell)
                 except WatchdogExpired as exc:
+                    # the in-flight round's partial work is discarded; a resume
+                    # re-runs it from the same round-scoped stream, bit-identical
                     self._note_degraded(exc, len(values))
                     break
-            fp = spec.draw_fingerprint(self.graph.n, rng.child(f"round{ell}"))
-            # the round is stamped once: this span's t0/t1 also feed
-            # details["wall"], the ETA and the query trace's engine.round
-            span = self.prof.span("round", phase="rounds",
-                                  callsite=label or self.problem)
-            try:
-                with span:
-                    value, round_virtual = self.backend.run_round(stage, fp, ell)
-            except WatchdogExpired as exc:
-                # the in-flight round's partial work is discarded; a resume
-                # re-runs it from the same round-scoped stream, bit-identical
-                self._note_degraded(exc, len(values))
-                break
-            finally:
-                self.round_walls.append(span.t1 - span.t0)
-            if stage_span is not None:
-                self.qt.add_span("engine.round", span.t0, span.t1,
-                                 parent=stage_span.context, lane="engine",
-                                 round=ell)
-            self.note_round(stage, ell, value)
-            self.rounds_ctr.inc()
-            self.virtual_total += round_virtual
-            values.append(value)
-            virtuals.append(round_virtual)
-            hit = stop is not None and stop(value)
-            if self.live is not None:
-                remaining = 0 if hit else rounds - (ell + 1)
-                mean_virtual = (sum(virtuals) / len(virtuals)) if virtuals else 0.0
-                stage_walls = self.round_walls[walls0:]
-                self.live.round_done(
-                    ell, hit, self.virtual_total,
-                    eta_seconds=sum(stage_walls) / len(stage_walls) * remaining,
-                    eta_virtual_seconds=mean_virtual * remaining,
-                )
-                if self.fc is not None and self.fc.injector is not None:
-                    self.live.fault_update(
-                        self.fc.phase_failures, self.fc.retries,
-                        sum(self.fc.injected.values()),
+                finally:
+                    self.round_walls.append(span.span.duration)
+                self.note_round(stage, ell, value)
+                self.rounds_ctr.inc()
+                self.virtual_total += round_virtual
+                values.append(value)
+                virtuals.append(round_virtual)
+                hit = stop is not None and stop(value)
+                if self.live is not None:
+                    remaining = 0 if hit else rounds - (ell + 1)
+                    mean_virtual = (sum(virtuals) / len(virtuals)) if virtuals else 0.0
+                    stage_walls = self.round_walls[walls0:]
+                    self.live.round_done(
+                        ell, hit, self.virtual_total,
+                        eta_seconds=sum(stage_walls) / len(stage_walls) * remaining,
+                        eta_virtual_seconds=mean_virtual * remaining,
                     )
-            if skey is not None:
-                self.ckpt.note_round(self.ekey, skey, value, round_virtual,
-                                     hit=hit,
-                                     complete=hit or (ell + 1 == rounds))
-            _LOG.debug("%s k=%d round %d/%d", self.problem, spec.k, ell + 1, rounds)
-            if hit:
-                _LOG.info("%s k=%d: witness found in round %d",
-                          self.problem, spec.k, ell + 1)
-                break
-        if stage_span is not None:
+                    if self.fc is not None and self.fc.injector is not None:
+                        self.live.fault_update(
+                            self.fc.phase_failures, self.fc.retries,
+                            sum(self.fc.injected.values()),
+                        )
+                if skey is not None:
+                    self.ckpt.note_round(self.ekey, skey, value, round_virtual,
+                                         hit=hit,
+                                         complete=hit or (ell + 1 == rounds))
+                _LOG.debug("%s k=%d round %d/%d", self.problem, spec.k, ell + 1, rounds)
+                if hit:
+                    _LOG.info("%s k=%d: witness found in round %d",
+                              self.problem, spec.k, ell + 1)
+                    break
             stage_span.tag(rounds_done=len(values),
-                           degraded=self.degraded is not None).finish()
-        return StageResult(values, virtuals, sched, estimate)
+                           degraded=self.degraded is not None)
+            return StageResult(values, virtuals, sched, estimate)
 
     # ------------------------------------------------------------- details
     def fill_details(self, det: dict, estimate=None) -> dict:

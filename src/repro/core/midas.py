@@ -70,7 +70,7 @@ def _field_for(engine: DetectionEngine, k: int):
 
     rt = engine.rt
     strategy = rt.resolve_kernel(field_degree_for_k(k), rt.schedule_for(k).n2)
-    return engine.session.field_for_k(k, strategy=strategy)
+    return engine.session.field_for_k(k, strategy=strategy, prof=engine.prof)
 
 
 def _node_weights(graph: CSRGraph, weights) -> np.ndarray:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from multiprocessing import get_context, shared_memory
@@ -40,6 +41,14 @@ import numpy as np
 from repro.core.problems import spec_from_recipe
 from repro.errors import ConfigurationError
 from repro.graph.csr import CSRGraph
+
+# multiprocessing's resource tracker takes a process-wide lock whenever a
+# segment is registered or unregistered, and a fork() while another thread
+# holds it leaves the child deadlocked at its first attach.  Pools of
+# concurrent engines (one per in-flight service query) therefore take turns
+# at the two things that touch it: creating or unlinking segments, and the
+# submit that forks the workers.
+_MP_STATE_LOCK = threading.Lock()
 
 # environment hook for the crash-regression test: a worker that sees this
 # set dies hard (os._exit skips atexit/finally), exactly like a segfault
@@ -151,18 +160,18 @@ def _metrics_delta():
 
 
 def _phase_task(wired: bytes, k: int, v: np.ndarray, y: np.ndarray,
-                q_start: int, n2: int, want_spans: bool = False):
+                q_start: int, n2: int):
     """Evaluate one phase window.
 
     Returns ``(value, stamps, mdelta)``: the raw phase value, the
     window's one stamped record ``(pid, t0, t1)`` — the
     ``worker.kernel`` interval where it ran, extended by the
-    ``worker.spec_build`` interval ``(tb0, tb1)`` when ``want_spans``
-    and the rebuild took over a microsecond — and the worker registry's
-    metric delta since the previous task (None when unchanged).  The
-    parent derives the histogram sample, the profile row, the recorder
-    lane and the query-trace splice from that one record; the task wire
-    is the only channel back to it.
+    ``worker.spec_build`` interval ``(tb0, tb1)`` when the spec had to
+    be rebuilt (anything over a microsecond; a cache hit is not) — and
+    the worker registry's metric delta since the previous task (None
+    when unchanged).  The parent derives the histogram sample, the span
+    in its span log and the recorder lane from that one record; the task
+    wire is the only channel back to it.
     """
     if os.environ.get(_CRASH_ENV):
         os._exit(23)
@@ -176,7 +185,7 @@ def _phase_task(wired: bytes, k: int, v: np.ndarray, y: np.ndarray,
     t0 = perf_counter()
     value = spec.phase_value(_WORKER_GRAPH, fp, q_start, n2)
     stamps = (os.getpid(), t0, perf_counter())
-    if want_spans and tb1 - tb0 > 1e-6:
+    if tb1 - tb0 > 1e-6:
         stamps += (tb0, tb1)
     get_default_registry().counter(
         "midas_worker_phases_total", "Phase windows evaluated in process workers"
@@ -220,7 +229,8 @@ class ProcessPhasePool:
     def _publish(self, arr: np.ndarray) -> ShmArray:
         ref = self._published.get(id(arr))
         if ref is None:
-            ref, shm = publish_array(arr)
+            with _MP_STATE_LOCK:
+                ref, shm = publish_array(arr)
             self._segments.append(shm)
             self._published[id(arr)] = ref
             self._keepalive.append(arr)
@@ -255,13 +265,13 @@ class ProcessPhasePool:
         self._wire_cache[id(spec)] = (spec, wired)
         return wired
 
-    def submit(self, wired: bytes, fp, q_start: int, n2: int,
-               want_spans: bool = False):
+    def submit(self, wired: bytes, fp, q_start: int, n2: int):
         """Submit one phase window; future resolves to
         ``(value, stamps, mdelta)`` — see :func:`_phase_task`."""
-        return self._executor.submit(
-            _phase_task, wired, fp.k, fp.v, fp.y, q_start, n2, want_spans
-        )
+        with _MP_STATE_LOCK:  # the first submit forks every worker
+            return self._executor.submit(
+                _phase_task, wired, fp.k, fp.v, fp.y, q_start, n2
+            )
 
     def close(self) -> None:
         # join the workers before unlinking: one still in _worker_init
@@ -271,7 +281,8 @@ class ProcessPhasePool:
         for shm in self._segments:
             try:
                 shm.close()
-                shm.unlink()
+                with _MP_STATE_LOCK:
+                    shm.unlink()
             except FileNotFoundError:  # pragma: no cover - already gone
                 pass
         self._segments = []

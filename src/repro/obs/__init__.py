@@ -24,14 +24,17 @@ Three complementary views of one MIDAS run:
 * :mod:`repro.obs.http` — stdlib HTTP exporter serving ``/metrics``
   (Prometheus text), ``/status`` (JSON RunStatus) and ``/healthz``
   (``MidasRuntime(live_port=...)`` / CLI ``--live-port``);
-* :mod:`repro.obs.profile` — wall-clock span profiler over the real
-  kernel/evaluator/collective call sites with per-(phase, op, callsite)
-  aggregates, a ``profile`` RunReport section, and speedscope export;
+* :mod:`repro.obs.profile` — the wall-clock span log: one ``Span``
+  record and one thread-safe collector (``WallProfiler``) that every
+  session build step, round, phase window and broker stage is recorded
+  in once, with per-(phase, op, callsite) aggregates, a ``profile``
+  RunReport section, and speedscope export as views;
 * :mod:`repro.obs.qtrace` — end-to-end query tracing for the detection
-  service: W3C-traceparent contexts minted per query, spans across
-  client/broker/engine/process-worker boundaries on one shared
-  monotonic timebase, per-tenant SLO histograms with exemplar trace
-  ids, and a crash flight recorder (``repro trace <id>``).
+  service: W3C-traceparent contexts minted per query, a ``QueryTrace``
+  (that collector plus the trace identity) shared by broker, engine and
+  process workers on one monotonic timebase, per-tenant SLO histograms
+  with exemplar trace ids, and a crash flight recorder
+  (``repro trace <id>``).
 
 CLI: ``python -m repro detect-path ... --trace-out run.json
 --metrics-out metrics.json --report-out report.json`` and
@@ -50,6 +53,7 @@ from repro.obs.analyze import (
 from repro.obs.chrome_trace import (
     dump_chrome_trace,
     to_chrome_trace,
+    trace_to_chrome,
     validate_chrome_trace,
 )
 from repro.obs.http import LiveServer
@@ -65,7 +69,7 @@ from repro.obs.metrics import (
     log_buckets,
 )
 from repro.obs.profile import (
-    SpanRecord,
+    Span,
     WallProfiler,
     validate_speedscope,
 )
@@ -73,12 +77,10 @@ from repro.obs.qtrace import (
     FlightRecorder,
     QueryTrace,
     QueryTracer,
-    Span,
     TraceContext,
     get_flight_recorder,
     render_timeline,
     reset_flight_recorder,
-    trace_to_chrome,
 )
 from repro.obs.report import RunReport
 from repro.obs.store import (
@@ -113,7 +115,6 @@ __all__ = [
     "RunStatus",
     "RunStore",
     "Span",
-    "SpanRecord",
     "TraceContext",
     "WallProfiler",
     "analyze_run",

@@ -1,5 +1,11 @@
 """Export trace recordings to Chrome / Perfetto ``trace_event`` JSON.
 
+Two front-ends feed the one ``traceEvents`` writer here:
+:func:`trace_to_chrome` lays a served query's wall-clock span log
+(:mod:`repro.obs.qtrace`) out as one Chrome process per OS process and
+one thread per lane; :func:`to_chrome_trace` does the simulator's
+virtual-time event log, described from here on.
+
 Any list of :class:`~repro.runtime.tracing.TraceEvent` (one simulator
 run, or a whole detection spliced together by the driver) becomes a
 timeline loadable in ``chrome://tracing`` or https://ui.perfetto.dev:
@@ -22,14 +28,13 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError
+from repro.obs.profile import Span
 from repro.runtime.tracing import TraceEvent
 
 PathLike = Union[str, Path]
-
-_PID = 1  # single virtual process; ranks are threads within it
 
 #: event kinds -> trace_event category (used for colouring/filtering)
 _CATEGORIES = {
@@ -55,21 +60,44 @@ def _tid(rank: int, nranks: int) -> int:
     return rank if rank >= 0 else nranks  # coordinator thread after ranks
 
 
+def _trace_events(processes: Iterable[Tuple[int, str]],
+                  threads: Iterable[Tuple[int, int, str, Optional[int]]],
+                  timed: Iterable[dict]) -> List[dict]:
+    """The one ``traceEvents`` writer: metadata events naming every
+    ``(pid, label)`` process and ``(pid, tid, name, sort_index)`` thread
+    (the index is optional), then the timed events in the order given."""
+    out: List[dict] = [
+        {"ph": "M", "pid": pid, "tid": 0, "name": "process_name",
+         "args": {"name": label}}
+        for pid, label in processes
+    ]
+    for pid, tid, name, sort_index in threads:
+        out.append({"ph": "M", "pid": pid, "tid": tid, "name": "thread_name",
+                    "args": {"name": name}})
+        if sort_index is not None:
+            out.append({"ph": "M", "pid": pid, "tid": tid,
+                        "name": "thread_sort_index",
+                        "args": {"sort_index": sort_index}})
+    out.extend(timed)
+    return out
+
+
+def _complete(pid: int, tid: int, name: str, cat: str, start: float,
+              duration: float, args: dict) -> dict:
+    """One complete ("X") event; ``start``/``duration`` in seconds."""
+    return {"ph": "X", "pid": pid, "tid": tid, "name": name, "cat": cat,
+            "ts": start * 1e6, "dur": duration * 1e6, "args": args}
+
+
 def to_chrome_trace(
     events: Sequence[TraceEvent],
     nranks: Optional[int] = None,
     meta: Optional[dict] = None,
-    pid: int = _PID,
-    process_name: str = "midas",
 ) -> dict:
     """Build the ``trace_event`` JSON object for a recording.
 
     ``nranks`` sizes the thread list; inferred from the events when
     omitted.  ``meta`` lands in ``otherData`` (run parameters etc.).
-    ``pid``/``process_name`` label the Chrome process the recording's
-    threads live in — callers splicing several recordings into one
-    multi-process trace (e.g. qtrace's cross-process query timelines)
-    give each its own.
     """
     events = list(events)
     if nranks is None:
@@ -77,23 +105,11 @@ def to_chrome_trace(
     if nranks < 1:
         raise ConfigurationError(f"nranks must be >= 1, got {nranks}")
 
-    _PID = int(pid)  # noqa: N806 - shadows the module default on purpose
-    out: List[dict] = [
-        {"ph": "M", "pid": _PID, "tid": 0, "name": "process_name",
-         "args": {"name": process_name}},
-    ]
-    has_coordinator = any(e.rank < 0 for e in events)
-    for r in range(nranks):
-        out.append({"ph": "M", "pid": _PID, "tid": r, "name": "thread_name",
-                    "args": {"name": f"rank {r}"}})
-        out.append({"ph": "M", "pid": _PID, "tid": r, "name": "thread_sort_index",
-                    "args": {"sort_index": r}})
-    if has_coordinator:
-        out.append({"ph": "M", "pid": _PID, "tid": nranks, "name": "thread_name",
-                    "args": {"name": "coordinator"}})
-        out.append({"ph": "M", "pid": _PID, "tid": nranks,
-                    "name": "thread_sort_index", "args": {"sort_index": nranks}})
-
+    pid = 1  # one virtual process; the ranks are its threads
+    threads = [(pid, r, f"rank {r}", r) for r in range(nranks)]
+    if any(e.rank < 0 for e in events):
+        threads.append((pid, nranks, "coordinator", nranks))
+    timed: List[dict] = []
     cumulative: Dict[int, int] = {}
     for e in sorted(events, key=lambda ev: (ev.t_start, ev.t_end)):
         args: dict = {}
@@ -103,34 +119,71 @@ def to_chrome_trace(
             args["info"] = e.info
         if e.nbytes:
             args["nbytes"] = e.nbytes
-        out.append({
-            "ph": "X",
-            "pid": _PID,
-            "tid": _tid(e.rank, nranks),
-            "name": _event_name(e),
-            "cat": _CATEGORIES.get(e.kind, e.kind),
-            "ts": e.t_start * 1e6,
-            "dur": max(0.0, e.duration) * 1e6,
-            "args": args,
-        })
+        timed.append(_complete(pid, _tid(e.rank, nranks), _event_name(e),
+                               _CATEGORIES.get(e.kind, e.kind), e.t_start,
+                               max(0.0, e.duration), args))
         if e.kind == "send" and e.nbytes:
             key = _tid(e.rank, nranks)
             cumulative[key] = cumulative.get(key, 0) + e.nbytes
-            out.append({
+            timed.append({
                 "ph": "C",
-                "pid": _PID,
+                "pid": pid,
                 "tid": 0,
                 "name": "comm bytes",
                 "ts": e.t_start * 1e6,
                 "args": {f"rank{k}": v for k, v in sorted(cumulative.items())},
             })
-
-    doc = {
-        "traceEvents": out,
+    return {
+        "traceEvents": _trace_events([(pid, "midas")], threads, timed),
         "displayTimeUnit": "ms",
         "otherData": dict(meta or {}),
     }
-    return doc
+
+
+def trace_to_chrome(doc: Dict[str, Any]) -> Dict[str, Any]:
+    """Convert a query-trace document (``/api/trace/<id>``) into one
+    Chrome ``traceEvents`` object.
+
+    Each distinct span pid becomes a Chrome process (workers show up as
+    their own pids); lanes become threads.  Events are complete ("X")
+    events on the shared perf_counter timebase, shifted so the earliest
+    span starts at ts=0 and sorted by (ts, dur), so the stream passes
+    :func:`validate_chrome_trace`.
+    """
+    spans = sorted((Span.from_dict(d) for d in doc.get("spans", [])),
+                   key=lambda s: (s.t_start, s.t_end))
+    t0 = min((s.t_start for s in spans), default=0.0)
+    processes = []
+    for pid in sorted({s.pid for s in spans}):
+        layers = {s.name.split(".", 1)[0] for s in spans if s.pid == pid}
+        role = ("service" if pid == doc.get("service_pid")
+                else "client" if "client" in layers
+                else "worker" if "worker" in layers else None)
+        processes.append((pid, f"{role} (pid {pid})" if role else f"pid {pid}"))
+    tid_of: Dict[Tuple[int, str], int] = {}
+    for pid, lane in sorted({(s.pid, s.lane) for s in spans}):
+        tid_of[(pid, lane)] = 1 + sum(1 for p, _lane in tid_of if p == pid)
+    timed = []
+    for s in spans:
+        args: Dict[str, Any] = {"span_id": s.span_id}
+        if s.parent_id:
+            args["parent_id"] = s.parent_id
+        args.update({str(k): v for k, v in s.tags.items()})
+        timed.append(_complete(s.pid, tid_of[(s.pid, s.lane)], s.name,
+                               s.name.split(".", 1)[0], s.t_start - t0,
+                               s.duration, args))
+    return {
+        "traceEvents": _trace_events(
+            processes,
+            [(pid, tid, lane, None) for (pid, lane), tid in tid_of.items()],
+            timed),
+        "displayTimeUnit": "ms",
+        "metadata": {
+            "trace_id": doc.get("trace_id"),
+            "tenant": doc.get("tenant"),
+            "outcome": doc.get("outcome"),
+        },
+    }
 
 
 def dump_chrome_trace(

@@ -1,35 +1,51 @@
-"""Wall-clock profiling of the real kernel hot paths.
+"""The wall-clock span log: one record, one collector, every view of it.
 
 Virtual time (the simulator's clocks, the Theorem-2 model) answers *what
 the algorithm costs on the modeled machine*; it cannot see where real
-seconds go in this process — the GIL, numpy dispatch, thread-pool
-overhead.  :class:`WallProfiler` closes that gap: call sites wrap their
-work in :meth:`WallProfiler.span` and the profiler aggregates wall time
-into per-``(phase, op, callsite)`` :class:`~repro.util.timing.Stopwatch`
-accumulators while also retaining the raw span timeline for a
-speedscope-compatible export (https://www.speedscope.app — drop the JSON
-in to browse the flame graph).
+seconds go in this process — the GIL, numpy dispatch, pool overhead.
+Every wall-clock interval worth timing (a session build step, a round, a
+phase window, a broker stage) is recorded **once**, as one :class:`Span`
+in one :class:`WallProfiler`, and everything a user can hold is a view of
+that list: the per-``(phase, op, callsite)`` aggregates and the
+RunReport ``profile`` section, the speedscope export
+(https://www.speedscope.app), and — on the
+:class:`~repro.obs.qtrace.QueryTrace` subclass the service hands the
+engine as ``MidasRuntime(profiler=...)`` — the ``/api/trace`` document,
+its Chrome trace and the ``repro trace`` timeline.
+
+Stamps are ``time.perf_counter()`` seconds.  On Linux that is
+CLOCK_MONOTONIC, shared by every process on the machine, so spans
+stamped in a client or a worker process lie on the same timebase and
+:meth:`WallProfiler.add_span` takes them as they are.
+
+A span is *named* ``layer.op`` (``engine.round``, ``worker.kernel``);
+its ``phase`` tag (the layer, for a span without one), the last dotted
+component of the name and its ``callsite`` tag are the aggregate key.
+Its *lane* is the track it is drawn on:
+``main`` for the thread that first records on its own lane, the thread's
+name for any other, or whatever the caller passes (``broker``,
+``worker-<pid>``).  Its *parent* is the span open on the calling thread
+when it was recorded, so nesting needs no plumbing, and a span's depth
+on its lane — what :meth:`WallProfiler.by_phase` tiles the run with and
+what orders the flame stacks — is a walk up the parents.
 
 The engine profiles every run by default (see
 ``MidasRuntime.get_profiler``): a span costs one ``perf_counter`` pair,
-a lock acquisition, and a dict update — nanoseconds against the
+a lock acquisition or two, and a dict update — nanoseconds against the
 millisecond-scale GF kernels it wraps (bounded by
 ``benchmarks/bench_profile_overhead.py``).
-
-Spans nest per thread (a thread-local stack tracks depth), so the
-export renders proper flame stacks and :meth:`by_phase` can tile the
-run's wall clock from the depth-0 spans of the profiling thread without
-double-counting nested or concurrent work.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import os
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.util.timing import Stopwatch
 
@@ -38,62 +54,106 @@ SPEEDSCOPE_SCHEMA = "https://www.speedscope.app/file-format-schema.json"
 ProfKey = Tuple[str, str, str]  # (phase, op, callsite)
 
 
-@dataclass(frozen=True)
-class SpanRecord:
-    """One completed wall-clock span (times relative to the profiler epoch)."""
+@dataclass(eq=False)
+class Span:
+    """One timed interval — also the ``/api/trace`` wire shape.
 
-    phase: str
-    op: str
-    callsite: str
-    t0: float
-    t1: float
-    thread: str
-    depth: int
+    ``t_start``/``t_end`` are ``perf_counter`` stamps; ``pid`` tells
+    processes apart in a spliced timeline, ``lane`` the track within
+    one.  ``trace_id`` is empty outside a served query.
+    """
+
+    name: str
+    t_start: float
+    t_end: float
+    pid: int = 0
+    lane: str = "main"
+    span_id: str = ""
+    parent_id: Optional[str] = None
+    tags: Dict[str, Any] = field(default_factory=dict)
+    trace_id: str = ""
 
     @property
     def duration(self) -> float:
-        return self.t1 - self.t0
+        return max(self.t_end - self.t_start, 0.0)
 
     @property
-    def frame_name(self) -> str:
-        base = f"{self.phase}/{self.op}" if self.phase else self.op
-        return f"{base} {self.callsite}" if self.callsite else base
+    def op(self) -> str:
+        return self.name.rpartition(".")[2]
+
+    @property
+    def key(self) -> ProfKey:
+        """The aggregate row: a span without a ``phase`` tag files under
+        its layer (``broker.total`` -> ``broker/total``)."""
+        layer, _, op = self.name.rpartition(".")
+        return (self.tags.get("phase", layer), op, self.tags.get("callsite", ""))
+
+    def to_dict(self) -> Dict[str, Any]:
+        """The wire form: the record's fields, ``tags`` only when any."""
+        d = dict(vars(self), tags=dict(self.tags))
+        if not self.tags:
+            del d["tags"]
+        return d
+
+    @staticmethod
+    def from_dict(d: Dict[str, Any]) -> "Span":
+        return Span(
+            name=d["name"],
+            t_start=float(d["t_start"]),
+            t_end=float(d["t_end"]),
+            pid=int(d.get("pid", 0)),
+            lane=str(d.get("lane", "main")),
+            span_id=d["span_id"],
+            parent_id=d.get("parent_id"),
+            tags=dict(d.get("tags") or {}),
+            trace_id=d.get("trace_id", ""),
+        )
 
 
-class _SpanCtx:
-    """Context manager for one span; re-entrant per call (not shared).
-    ``t0``/``t1`` (``perf_counter``) stay readable after exit."""
+class _OpenSpan:
+    """A span being timed — what :meth:`WallProfiler.span` returns.
 
-    __slots__ = ("_prof", "_phase", "_op", "_callsite", "t0", "t1", "_depth")
+    Close it by leaving the ``with`` block or calling :meth:`finish`;
+    ``span`` (and its stamps) stays readable afterwards."""
 
-    def __init__(self, prof: "WallProfiler", phase: str, op: str, callsite: str) -> None:
-        self._prof = prof
-        self._phase = phase
-        self._op = op
-        self._callsite = callsite
-        self.t0 = self.t1 = 0.0
-        self._depth = 0
+    __slots__ = ("_log", "span")
 
-    def __enter__(self) -> "_SpanCtx":
-        self._depth = self._prof._push()
-        self.t0 = time.perf_counter()
+    def __init__(self, log: "WallProfiler", span: Span) -> None:
+        self._log = log
+        self.span = span
+
+    def tag(self, **tags: Any) -> "_OpenSpan":
+        self.span.tags.update(tags)
         return self
 
-    def __exit__(self, *exc) -> None:
-        self.t1 = time.perf_counter()
-        self._prof._pop()
-        self._prof._record(self._phase, self._op, self._callsite,
-                           self.t0, self.t1, self._depth)
+    def __enter__(self) -> "_OpenSpan":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.finish(error=exc is not None)
+
+    def finish(self, *, error: bool = False) -> Span:
+        self.span.t_end = time.perf_counter()
+        if error:
+            self.span.tags.setdefault("error", True)
+        self._log._close(self.span)
+        return self.span
 
 
 class WallProfiler:
-    """Thread-safe wall-clock span aggregator (see module docs).
+    """The thread-safe span collector (see module docs).
 
-    ``keep_spans`` retains the raw span timeline for the speedscope
-    export; aggregates are always kept.  Raw retention is bounded by
-    ``max_spans`` (beyond it spans are dropped and counted in
-    ``dropped_spans`` — aggregation continues unaffected).
+    ``keep_spans`` retains the raw span list; aggregates are always
+    kept.  Retention is bounded by ``max_spans`` (beyond it spans are
+    dropped and counted in ``dropped_spans`` — aggregation continues
+    unaffected).  ``enabled=False`` is the null object: spans are still
+    stamped for their caller, nothing is recorded.
     """
+
+    #: what a served query's :class:`~repro.obs.qtrace.QueryTrace` sets:
+    #: its trace id, and the parent of a span recorded with nothing open
+    trace_id = ""
+    root_id: Optional[str] = None
 
     def __init__(self, keep_spans: bool = True, max_spans: int = 100_000,
                  enabled: bool = True) -> None:
@@ -101,64 +161,86 @@ class WallProfiler:
         self.keep_spans = keep_spans
         self.max_spans = max_spans
         self.epoch = time.perf_counter()
-        self.spans: List[SpanRecord] = []
+        self.pid = os.getpid()
         self.dropped_spans = 0
+        self._spans: List[Span] = []
+        self._open: Dict[str, Span] = {}
         self._agg: Dict[ProfKey, Stopwatch] = {}
+        self._ids = itertools.count(1)
         self._lock = threading.Lock()
         self._tls = threading.local()
-        # the thread whose depth-0 spans tile the run (first to record)
+        # the thread whose own lane is "main" (first to record on it)
         self._owner: Optional[int] = None
 
-    # --------------------------------------------------------------- spans
-    def span(self, op: str, phase: str = "", callsite: str = "") -> _SpanCtx:
-        """``with profiler.span("kernel", phase="rounds", callsite="k-path")``."""
-        return _SpanCtx(self, phase, op, callsite)
+    @property
+    def spans(self) -> List[Span]:
+        """The recorded spans, in the order they closed (the live list)."""
+        return self._spans
 
-    def _push(self) -> int:
-        if self._owner is None:
-            # first thread to open a span owns the timeline; claiming on
-            # open (not close) matters in threaded mode, where worker
-            # spans close before the enclosing round span does
-            with self._lock:
-                if self._owner is None:
-                    self._owner = threading.get_ident()
-        depth = getattr(self._tls, "depth", 0)
-        self._tls.depth = depth + 1
-        return depth
+    # ----------------------------------------------------------- recording
+    def _new(self, name: str, t_start: float, t_end: float,
+             pid: Optional[int], lane: Optional[str], tags: dict) -> Span:
+        thread = threading.current_thread()
+        if lane is None or lane == thread.name:
+            if self._owner is None:
+                # claimed on open, not close: in threaded mode worker spans
+                # close before the round span around them does
+                with self._lock:
+                    if self._owner is None:
+                        self._owner = thread.ident
+            lane = "main" if thread.ident == self._owner else thread.name
+        stack = self._tls.__dict__.setdefault("stack", [])  # this thread's
+        return Span(name, t_start, t_end, self.pid if pid is None else pid,
+                    lane, f"{next(self._ids):016x}",
+                    stack[-1].span_id if stack else self.root_id, tags,
+                    self.trace_id)
 
-    def _pop(self) -> None:
-        self._tls.depth = getattr(self._tls, "depth", 1) - 1
+    def span(self, name: str, *, lane: Optional[str] = None,
+             **tags: Any) -> _OpenSpan:
+        """``with profiler.span("engine.round", phase="rounds", round=3)``:
+        time a block on the calling thread's lane (or ``lane``)."""
+        if not self.enabled:
+            return _OpenSpan(self, Span(name, time.perf_counter(), 0.0))
+        sp = self._new(name, 0.0, 0.0, None, lane, tags)
+        self._tls.stack.append(sp)
+        with self._lock:
+            self._open[sp.span_id] = sp
+        sp.t_start = time.perf_counter()
+        return _OpenSpan(self, sp)
 
-    def add_span(self, op: str, t0: float, t1: float, phase: str = "",
-                 callsite: str = "", lane: Optional[str] = None) -> None:
-        """Record a span stamped elsewhere (``perf_counter`` seconds) on
-        thread/worker ``lane``; on the calling thread's own name it nests
-        at the caller's current depth, as if opened and closed here."""
-        own = lane == threading.current_thread().name
-        self._record(phase, op, callsite, t0, t1,
-                     getattr(self._tls, "depth", 0) if own else 0,
-                     None if own else lane)
-
-    def _record(self, phase: str, op: str, callsite: str, t0: float,
-                t1: float, depth: int, lane: Optional[str] = None) -> None:
+    def _close(self, span: Span) -> None:
         if not self.enabled:
             return
-        thread = threading.current_thread()
+        stack = getattr(self._tls, "stack", ())
+        if span in stack:  # not when another thread finishes it
+            stack.remove(span)
+        self._commit(span)
+
+    def add_span(self, name: str, t_start: float, t_end: float, *,
+                 pid: Optional[int] = None, lane: Optional[str] = None,
+                 **tags: Any) -> Optional[Span]:
+        """Record a span stamped elsewhere — another thread (``lane``) or
+        another process (``pid``) — as a child of whatever is open here.
+        A ``lane`` that names the calling thread is that thread's own."""
+        if not self.enabled:
+            return None
+        sp = self._new(name, t_start, t_end, pid, lane, tags)
+        self._commit(sp)
+        return sp
+
+    def _observe(self, key: ProfKey, seconds: float) -> None:
+        sw = self._agg.get(key)  # lock held
+        if sw is None:
+            sw = self._agg[key] = Stopwatch()
+        sw.observe(seconds)
+
+    def _commit(self, span: Span) -> None:
         with self._lock:
-            if self._owner is None:
-                self._owner = thread.ident
-            if lane is None:
-                lane = thread.name if thread.ident != self._owner else "main"
-            sw = self._agg.get((phase, op, callsite))
-            if sw is None:
-                sw = self._agg[(phase, op, callsite)] = Stopwatch()
-            sw.observe(t1 - t0)
+            self._open.pop(span.span_id, None)
+            self._observe(span.key, span.t_end - span.t_start)
             if self.keep_spans:
-                if len(self.spans) < self.max_spans:
-                    self.spans.append(SpanRecord(
-                        phase, op, callsite,
-                        t0 - self.epoch, t1 - self.epoch, lane, depth,
-                    ))
+                if len(self._spans) < self.max_spans:
+                    self._spans.append(span)
                 else:
                     self.dropped_spans += 1
 
@@ -166,15 +248,28 @@ class WallProfiler:
                 callsite: str = "") -> None:
         """Fold an externally measured duration into the aggregates only
         (no raw span — for call sites that already hold a duration)."""
-        if not self.enabled:
-            return
-        with self._lock:
-            sw = self._agg.get((phase, op, callsite))
-            if sw is None:
-                sw = self._agg[(phase, op, callsite)] = Stopwatch()
-            sw.observe(seconds)
+        if self.enabled:
+            with self._lock:
+                self._observe((phase, op, callsite), seconds)
 
-    # ---------------------------------------------------------- aggregates
+    def open_spans(self) -> List[Span]:
+        """Copies of the started-but-unfinished spans, closed at *now* and
+        tagged ``open`` (for crash dumps)."""
+        now = time.perf_counter()
+        with self._lock:
+            return [replace(sp, t_end=now, tags=dict(sp.tags, open=True))
+                    for sp in self._open.values()]
+
+    def reset(self) -> None:
+        with self._lock:
+            self._agg.clear()
+            self._spans.clear()
+            self._open.clear()
+            self.dropped_spans = 0
+            self._owner = None
+            self.epoch = time.perf_counter()
+
+    # --------------------------------------------------------------- views
     @property
     def has_data(self) -> bool:
         return bool(self._agg)
@@ -190,85 +285,88 @@ class WallProfiler:
         rows.sort(key=lambda r: r["seconds"], reverse=True)
         return rows
 
-    def by_phase(self) -> Dict[str, float]:
-        """Wall seconds per phase, from the profiling thread's depth-0 spans.
+    def _with_depths(self) -> List[Tuple[Span, int]]:
+        """Each recorded span with its depth on its lane: how many of its
+        ancestors share its ``(pid, lane)``."""
+        with self._lock:
+            spans = list(self._spans)
+        by_id = {s.span_id: s for s in spans}
+        out = []
+        for s in spans:
+            depth, up = 0, by_id.get(s.parent_id)
+            for _ in range(64):  # spliced-in parent links are untrusted
+                if up is None:
+                    break
+                depth += (up.pid, up.lane) == (s.pid, s.lane)
+                up = by_id.get(up.parent_id)
+            out.append((s, depth))
+        return out
 
-        Depth-0 spans of the owning thread tile the instrumented run
-        without overlap (nested spans and concurrent worker threads are
-        excluded), so these totals sum to the run's covered wall time.
+    def by_phase(self) -> Dict[str, float]:
+        """Wall seconds per phase, from the depth-0 spans of lane ``main``.
+
+        Those tile the instrumented run without overlap (nested spans,
+        concurrent threads and worker processes are excluded), so these
+        totals sum to the run's covered wall time.
         """
         out: Dict[str, float] = {}
-        with self._lock:
-            for s in self.spans:
-                if s.depth == 0 and s.thread == "main":
-                    out[s.phase or s.op] = out.get(s.phase or s.op, 0.0) + s.duration
+        for s, depth in self._with_depths():
+            if depth == 0 and s.lane == "main" and s.pid == self.pid:
+                phase = s.tags.get("phase") or s.op
+                out[phase] = out.get(phase, 0.0) + s.duration
         return out
 
     def section(self) -> dict:
         """The RunReport ``profile`` section (plain data)."""
         phases = self.by_phase()
         with self._lock:
-            spans = list(self.spans)
-            n_spans = len(self.spans)
+            spans = list(self._spans)
             dropped = self.dropped_spans
-        threads = {s.thread for s in spans}
-        extent = (max((s.t1 for s in spans), default=0.0)
-                  - min((s.t0 for s in spans), default=0.0))
+        extent = (max((s.t_end for s in spans), default=0.0)
+                  - min((s.t_start for s in spans), default=0.0))
         return {
             "wall_total": sum(phases.values()),
             "wall_span": extent,
             "phases": phases,
             "ops": self.aggregates(),
-            "threads": len(threads),
-            "spans": n_spans,
+            "threads": len({s.lane for s in spans}),
+            "spans": len(spans),
             "dropped_spans": dropped,
         }
 
-    def reset(self) -> None:
-        with self._lock:
-            self._agg.clear()
-            self.spans.clear()
-            self.dropped_spans = 0
-            self._owner = None
-            self.epoch = time.perf_counter()
-
-    # ---------------------------------------------------------- speedscope
     def to_speedscope(self, name: str = "repro run") -> dict:
-        """Render the raw span timeline as a speedscope JSON document.
+        """Render the span list as a speedscope JSON document.
 
-        One ``evented`` profile per thread; frames are the distinct
-        ``phase/op callsite`` names.  Open at https://www.speedscope.app.
+        One ``evented`` profile per lane, times relative to the
+        collector's epoch; frames are the distinct ``phase/op callsite``
+        names.  Open at https://www.speedscope.app.
         """
-        with self._lock:
-            spans = list(self.spans)
         frame_ix: Dict[str, int] = {}
-        frames: List[dict] = []
-        by_thread: Dict[str, List[SpanRecord]] = {}
-        for s in spans:
-            if s.frame_name not in frame_ix:
-                frame_ix[s.frame_name] = len(frames)
-                frames.append({"name": s.frame_name})
-            by_thread.setdefault(s.thread, []).append(s)
+        by_lane: Dict[str, list] = {}
+        for s, depth in self._with_depths():
+            phase, op, callsite = s.key
+            frame = f"{phase}/{op}" if phase else op
+            if callsite:
+                frame = f"{frame} {callsite}"
+            ix = frame_ix.setdefault(frame, len(frame_ix))
+            events = by_lane.setdefault(s.lane, [])
+            events.append((s.t_start - self.epoch, 1, depth, ix))
+            events.append((s.t_end - self.epoch, 0, depth, ix))
         profiles = []
-        for tname in sorted(by_thread):
-            tspans = by_thread[tname]
-            events = []
-            for s in tspans:
-                events.append((s.t0, 1, s.depth, frame_ix[s.frame_name]))
-                events.append((s.t1, 0, s.depth, frame_ix[s.frame_name]))
+        for lane in sorted(by_lane):
             # at equal timestamps: close before open; closes unwind
             # deepest-first, opens descend shallowest-first
-            events.sort(key=lambda e: (e[0], e[1], e[2] if e[1] else -e[2]))
-            end = max((s.t1 for s in tspans), default=0.0)
+            events = sorted(by_lane[lane],
+                            key=lambda e: (e[0], e[1], e[2] if e[1] else -e[2]))
             profiles.append({
                 "type": "evented",
-                "name": f"{name} [{tname}]",
+                "name": f"{name} [{lane}]",
                 "unit": "seconds",
                 "startValue": 0.0,
-                "endValue": end,
+                "endValue": max(t for t, kind, _d, _f in events if not kind),
                 "events": [
-                    {"type": "O" if kind else "C", "frame": frame, "at": t}
-                    for t, kind, _depth, frame in events
+                    {"type": "O" if kind else "C", "frame": ix, "at": t}
+                    for t, kind, _depth, ix in events
                 ],
             })
         return {
@@ -276,7 +374,7 @@ class WallProfiler:
             "name": name,
             "exporter": "repro.obs.profile",
             "activeProfileIndex": 0,
-            "shared": {"frames": frames},
+            "shared": {"frames": [{"name": f} for f in frame_ix]},
             "profiles": profiles,
         }
 
@@ -335,7 +433,7 @@ def validate_speedscope(doc: dict) -> int:
 
 
 __all__ = [
-    "SpanRecord",
+    "Span",
     "WallProfiler",
     "validate_speedscope",
     "SPEEDSCOPE_SCHEMA",

@@ -1,23 +1,22 @@
 """End-to-end query tracing across the service and process-worker boundary.
 
 This module gives every service query a W3C-traceparent-style identity
-(:class:`TraceContext`) that is minted in the client, propagated through
-the HTTP routes and the broker admission pipeline, threaded into the
-engine via ``MidasRuntime.qtrace``, and carried across the
-``mode="process"`` boundary — workers buffer spans locally and ship them
-back on the task wire so the parent can splice a single cross-process
-timeline with distinct pids per worker.
+(:class:`TraceContext`) that is minted in the client and propagated
+through the HTTP routes into the broker, which roots the query's span
+log — a :class:`QueryTrace` — at it.  The broker records its admission
+stages there and hands the same object to the engine as
+``MidasRuntime(profiler=trace)``, so rounds, phase windows (stamped in
+``mode="process"`` workers and shipped back on the task wire) and
+session build steps land in the one list the trace document is made of.
 
 Three layers live here:
 
-* :class:`TraceContext` / :class:`Span` / :class:`QueryTrace` — the
-  per-query span collector.  All timestamps are ``time.perf_counter()``
-  stamps: on Linux ``perf_counter`` is CLOCK_MONOTONIC, which is shared
-  by every process on the machine, so client, service, and worker spans
-  land on one common timebase and can be spliced without clock-skew
-  correction.  Each :class:`QueryTrace` carries an ``anchor`` pairing a
-  perf stamp with a unix wall stamp so renderers can map spans back to
-  wall-clock time.
+* :class:`TraceContext` / :class:`QueryTrace` — the per-query span
+  collector: a :class:`~repro.obs.profile.WallProfiler` (one
+  :class:`~repro.obs.profile.Span` record, ``perf_counter`` stamps on
+  the machine-wide monotonic timebase) plus the trace identity, an
+  ``anchor`` pairing a perf stamp with a unix wall stamp so renderers
+  can map spans back to wall-clock time, and the document views.
 * :class:`QueryTracer` — the service-resident side: a bounded in-memory
   store of finished traces (for ``/api/trace/<id>`` and ``repro
   trace``), plus per-tenant SLO accounting — per-stage latency
@@ -40,8 +39,10 @@ import os
 import threading
 import time
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Iterable, List, Optional, Tuple
+
+from repro.obs.profile import Span, WallProfiler
 
 __all__ = [
     "TraceContext",
@@ -51,7 +52,6 @@ __all__ = [
     "FlightRecorder",
     "get_flight_recorder",
     "reset_flight_recorder",
-    "trace_to_chrome",
     "render_timeline",
     "SLO_STAGES",
 ]
@@ -115,230 +115,76 @@ def _nothex(s: str) -> bool:
         return True
 
 
-@dataclass
-class Span:
-    """One timed operation inside a trace.
+def _splice(dicts: Iterable[Dict[str, Any]], known: set, root_id: str,
+            trace_id: str) -> List[Span]:
+    """Serialized spans from outside the service (a client, a worker) as
+    spans of trace ``trace_id``: malformed ones and ids already in
+    ``known`` are skipped, and orphans hang off the root so the timeline
+    stays connected."""
+    added = []
+    for d in dicts:
+        try:
+            sp = Span.from_dict(dict(d, trace_id=trace_id))
+        except (KeyError, TypeError, ValueError):
+            continue
+        if sp.span_id not in known:
+            known.add(sp.span_id)
+            added.append(sp)
+    for sp in added:
+        if sp.parent_id not in known:
+            sp.parent_id = root_id
+    return added
 
-    ``t_start``/``t_end`` are perf_counter stamps (shared machine-wide
-    monotonic timebase); ``pid`` distinguishes processes in the spliced
-    Chrome trace, ``lane`` the thread/worker track within a process.
+
+class QueryTrace(WallProfiler):
+    """The span log of one query, rooted at its :class:`TraceContext`.
+
+    The trace lives in the service process: the broker and the engine
+    record into it directly; spans serialized elsewhere (a client) are
+    spliced in via :meth:`add_spans`.  Span ids come from the
+    collector's counter — only the contexts that cross the client
+    boundary are random.
     """
 
-    trace_id: str
-    span_id: str
-    parent_id: Optional[str]
-    name: str
-    t_start: float
-    t_end: float
-    pid: int
-    lane: str = "main"
-    tags: Dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def duration(self) -> float:
-        return max(self.t_end - self.t_start, 0.0)
-
-    def to_dict(self) -> Dict[str, Any]:
-        d: Dict[str, Any] = {
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "name": self.name,
-            "t_start": self.t_start,
-            "t_end": self.t_end,
-            "pid": self.pid,
-            "lane": self.lane,
-        }
-        if self.tags:
-            d["tags"] = dict(self.tags)
-        return d
-
-    @staticmethod
-    def from_dict(d: Dict[str, Any]) -> "Span":
-        return Span(
-            trace_id=d["trace_id"],
-            span_id=d["span_id"],
-            parent_id=d.get("parent_id"),
-            name=d["name"],
-            t_start=float(d["t_start"]),
-            t_end=float(d["t_end"]),
-            pid=int(d.get("pid", 0)),
-            lane=str(d.get("lane", "main")),
-            tags=dict(d.get("tags") or {}),
-        )
-
-
-class _SpanHandle:
-    """Context manager returned by :meth:`QueryTrace.span`."""
-
-    __slots__ = ("_qt", "_span")
-
-    def __init__(self, qt: "QueryTrace", span: Span) -> None:
-        self._qt = qt
-        self._span = span
-
-    @property
-    def span(self) -> Span:
-        return self._span
-
-    @property
-    def context(self) -> TraceContext:
-        return TraceContext(
-            trace_id=self._span.trace_id,
-            span_id=self._span.span_id,
-            parent_id=self._span.parent_id,
-        )
-
-    def tag(self, **tags: Any) -> "_SpanHandle":
-        self._span.tags.update(tags)
-        return self
-
-    def __enter__(self) -> "_SpanHandle":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.finish(error=exc is not None)
-
-    def finish(self, *, error: bool = False) -> Span:
-        self._span.t_end = time.perf_counter()
-        if error:
-            self._span.tags.setdefault("error", True)
-        self._qt._commit(self._span)
-        return self._span
-
-
-class QueryTrace:
-    """Thread-safe span collector for one query.
-
-    The trace lives in the service process; spans produced elsewhere
-    (client, process workers) are serialized as dicts and spliced in via
-    :meth:`add_spans`.
-    """
-
-    def __init__(self, ctx: TraceContext, *, tenant: str = "-") -> None:
+    def __init__(self, ctx: TraceContext, *, tenant: str = "-",
+                 enabled: bool = True) -> None:
+        super().__init__(enabled=enabled)
         self.ctx = ctx
         self.tenant = tenant
+        self.trace_id = ctx.trace_id
+        self.root_id = ctx.span_id
         # Pair a perf stamp with a wall stamp so renderers can translate
         # the shared monotonic timebase back to wall-clock time.
-        self.anchor = {"perf": time.perf_counter(), "unix": time.time()}
-        self._lock = threading.Lock()
-        self._spans: List[Span] = []
-        self._open: Dict[str, Span] = {}
-
-    @property
-    def trace_id(self) -> str:
-        return self.ctx.trace_id
-
-    def span(
-        self,
-        name: str,
-        *,
-        parent: Optional[TraceContext] = None,
-        lane: str = "main",
-        **tags: Any,
-    ) -> _SpanHandle:
-        par = parent if parent is not None else self.ctx
-        sp = Span(
-            trace_id=self.ctx.trace_id,
-            span_id=_hex(8),
-            parent_id=par.span_id,
-            name=name,
-            t_start=time.perf_counter(),
-            t_end=0.0,
-            pid=os.getpid(),
-            lane=lane,
-            tags=dict(tags),
-        )
-        with self._lock:
-            self._open[sp.span_id] = sp
-        return _SpanHandle(self, sp)
-
-    def _commit(self, span: Span) -> None:
-        with self._lock:
-            self._open.pop(span.span_id, None)
-            self._spans.append(span)
-
-    def add_span(
-        self,
-        name: str,
-        t_start: float,
-        t_end: float,
-        *,
-        parent: Optional[TraceContext] = None,
-        pid: Optional[int] = None,
-        lane: str = "main",
-        **tags: Any,
-    ) -> Span:
-        """Record an already-measured span (no context manager)."""
-        par = parent if parent is not None else self.ctx
-        sp = Span(
-            trace_id=self.ctx.trace_id,
-            span_id=_hex(8),
-            parent_id=par.span_id,
-            name=name,
-            t_start=t_start,
-            t_end=t_end,
-            pid=os.getpid() if pid is None else pid,
-            lane=lane,
-            tags=dict(tags),
-        )
-        with self._lock:
-            self._spans.append(sp)
-        return sp
-
-    def add_spans(self, spans: Iterable[Dict[str, Any]]) -> int:
-        """Splice in serialized spans (from a worker or a client).
-
-        Spans keep their own pid/lane; their trace_id is rewritten to
-        this trace (workers don't know it) and orphan parents are
-        re-parented under the root so the timeline stays connected.
-        """
-        known: set
-        with self._lock:
-            known = {s.span_id for s in self._spans}
-            known.add(self.ctx.span_id)
-        added = []
-        for d in spans:
-            sp = Span.from_dict(dict(d, trace_id=self.ctx.trace_id))
-            added.append(sp)
-            known.add(sp.span_id)
-        for sp in added:
-            if sp.parent_id is None or sp.parent_id not in known:
-                sp.parent_id = self.ctx.span_id
-        with self._lock:
-            self._spans.extend(added)
-        return len(added)
+        self.anchor = {"perf": self.epoch, "unix": time.time()}
 
     def spans(self) -> List[Span]:
+        """A snapshot of the recorded spans (safe while others commit)."""
         with self._lock:
             return list(self._spans)
 
-    def open_spans(self) -> List[Span]:
-        """Snapshot of started-but-unfinished spans (for crash dumps)."""
-        now = time.perf_counter()
+    def add_spans(self, spans: Iterable[Dict[str, Any]]) -> int:
+        """Splice in serialized spans (see :func:`_splice`); they keep
+        their own pid/lane.  Returns the number accepted."""
         with self._lock:
-            out = []
-            for sp in self._open.values():
-                cp = Span(**{**sp.to_dict(), "tags": dict(sp.tags, open=True)})
-                cp.t_end = now
-                out.append(cp)
-            return out
+            known = {s.span_id for s in self._spans} | {self.root_id}
+            added = _splice(spans, known, self.root_id, self.trace_id)
+            self._spans.extend(added)
+        return len(added)
 
     def stage_walls(self) -> Dict[str, float]:
         """Total wall per broker pipeline stage (``broker.<stage>`` spans)."""
         walls: Dict[str, float] = {}
         for sp in self.spans():
             if sp.name.startswith("broker."):
-                stage = sp.name.split(".", 1)[1]
-                walls[stage] = walls.get(stage, 0.0) + sp.duration
+                walls[sp.op] = walls.get(sp.op, 0.0) + sp.duration
         return walls
 
     def to_doc(self, **extra: Any) -> Dict[str, Any]:
         """A JSON-safe document for the trace store / ``/api/trace``."""
         spans = sorted(self.spans(), key=lambda s: (s.t_start, s.t_end))
         doc: Dict[str, Any] = {
-            "trace_id": self.ctx.trace_id,
-            "root_span_id": self.ctx.span_id,
+            "trace_id": self.trace_id,
+            "root_span_id": self.root_id,
             "tenant": self.tenant,
             "anchor": dict(self.anchor),
             "spans": [s.to_dict() for s in spans],
@@ -423,12 +269,6 @@ class QueryTracer:
             self.m_errors.labels(tenant=tenant, type=outcome).inc()
         return doc
 
-    def note_rejected(self, tenant: str, reason: str) -> None:
-        self.m_errors.labels(tenant=tenant, type=reason).inc()
-        tstat = self._tenant(tenant)
-        with self._lock:
-            tstat["rejected"] += 1
-
     def _tenant(self, tenant: str) -> Dict[str, Any]:
         with self._lock:
             if tenant not in self._tenants:
@@ -455,23 +295,11 @@ class QueryTracer:
             doc = self._store.get(trace_id)
             if doc is None:
                 return 0
-            known = {s["span_id"] for s in doc["spans"]}
-            known.add(doc["root_span_id"])
-            added = 0
-            for d in spans:
-                try:
-                    sp = Span.from_dict(dict(d, trace_id=trace_id))
-                except (KeyError, TypeError, ValueError):
-                    continue
-                if sp.span_id in known:
-                    continue
-                if sp.parent_id is None or sp.parent_id not in known:
-                    sp.parent_id = doc["root_span_id"]
-                doc["spans"].append(sp.to_dict())
-                known.add(sp.span_id)
-                added += 1
+            known = {s["span_id"] for s in doc["spans"]} | {doc["root_span_id"]}
+            added = _splice(spans, known, doc["root_span_id"], trace_id)
+            doc["spans"].extend(sp.to_dict() for sp in added)
             doc["spans"].sort(key=lambda s: (s["t_start"], s["t_end"]))
-            return added
+            return len(added)
 
     def tenant_slos(self) -> Dict[str, Dict[str, Any]]:
         with self._lock:
@@ -591,75 +419,8 @@ def reset_flight_recorder() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Rendering: Chrome trace splice + text timeline
+# Rendering: the text timeline (the Chrome view is chrome_trace.trace_to_chrome)
 # ---------------------------------------------------------------------------
-
-
-def trace_to_chrome(doc: Dict[str, Any]) -> Dict[str, Any]:
-    """Convert a trace document into one Chrome ``traceEvents`` object.
-
-    Each distinct span pid becomes a Chrome process (workers show up as
-    their own pids); lanes become threads.  Events are complete ("X")
-    events on the shared perf_counter timebase, shifted so the earliest
-    span starts at ts=0, emitted sorted by (ts, dur) so the stream
-    passes :func:`repro.obs.chrome_trace.validate_chrome_trace`.
-    """
-    spans = [Span.from_dict(d) for d in doc.get("spans", [])]
-    events: List[Dict[str, Any]] = []
-    if not spans:
-        return {"traceEvents": [], "displayTimeUnit": "ms",
-                "metadata": {"trace_id": doc.get("trace_id")}}
-    t0 = min(s.t_start for s in spans)
-    pids = sorted({s.pid for s in spans})
-    service_pid = doc.get("service_pid")
-    lanes = sorted({(s.pid, s.lane) for s in spans})
-    for pid in pids:
-        label = f"pid {pid}"
-        if service_pid is not None and pid == service_pid:
-            label = f"service (pid {pid})"
-        elif any(s.pid == pid and s.name.startswith("client.") for s in spans):
-            label = f"client (pid {pid})"
-        elif any(s.pid == pid and s.name.startswith("worker.") for s in spans):
-            label = f"worker (pid {pid})"
-        events.append({
-            "name": "process_name", "ph": "M", "pid": pid, "tid": 0,
-            "args": {"name": label},
-        })
-    tid_of: Dict[Tuple[int, str], int] = {}
-    for pid, lane in lanes:
-        tid = len([1 for (p, _l) in tid_of if p == pid]) + 1
-        tid_of[(pid, lane)] = tid
-        events.append({
-            "name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
-            "args": {"name": lane},
-        })
-    xevents = []
-    for s in sorted(spans, key=lambda s: (s.t_start, s.t_end)):
-        args: Dict[str, Any] = {"span_id": s.span_id}
-        if s.parent_id:
-            args["parent_id"] = s.parent_id
-        if s.tags:
-            args.update({str(k): v for k, v in s.tags.items()})
-        xevents.append({
-            "name": s.name,
-            "ph": "X",
-            "pid": s.pid,
-            "tid": tid_of[(s.pid, s.lane)],
-            "ts": (s.t_start - t0) * 1e6,
-            "dur": s.duration * 1e6,
-            "cat": s.name.split(".", 1)[0],
-            "args": args,
-        })
-    events.extend(xevents)
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "metadata": {
-            "trace_id": doc.get("trace_id"),
-            "tenant": doc.get("tenant"),
-            "outcome": doc.get("outcome"),
-        },
-    }
 
 
 def render_timeline(doc: Dict[str, Any], *, width: int = 72) -> str:
@@ -688,13 +449,23 @@ def render_timeline(doc: Dict[str, Any], *, width: int = 72) -> str:
         children.setdefault(key, []).append(s)
     for v in children.values():
         v.sort(key=lambda s: (s.t_start, s.t_end))
-    name_w = max(
-        (len(s.name) + 2 * _depth(s, spans, ids) for s in spans), default=20
-    )
+    rows: List[Tuple[Span, int]] = []  # depth-first: each span, its depth
+
+    def walk(s: Span, depth: int) -> None:
+        rows.append((s, depth))
+        for c in children.get(s.span_id, []):
+            walk(c, depth + 1)
+
+    for root in children.get(None, []):
+        walk(root, 0)
+    name_w = max((len(s.name) + 2 * depth for s, depth in rows), default=20)
     name_w = min(max(name_w, 20), 44)
     barw = max(width - name_w - 26, 10)
-
-    def emit(s: Span, depth: int) -> None:
+    lines.append(
+        f"  {'span':<{name_w}} {'start':>9} {'dur':>9}  {'pid':>9}  "
+        f"|{'timeline':<{barw}}|"
+    )
+    for s, depth in rows:
         off = int((s.t_start - t0) / total * barw)
         length = max(int(s.duration / total * barw), 1)
         length = min(length, barw - off) or 1
@@ -705,15 +476,6 @@ def render_timeline(doc: Dict[str, Any], *, width: int = 72) -> str:
             f"  {label:<{name_w}} {_ms(s.t_start - t0):>9} {_ms(s.duration):>9}"
             f"  {pidmark:>9}  |{bar:<{barw}}|"
         )
-        for c in children.get(s.span_id, []):
-            emit(c, depth + 1)
-
-    lines.append(
-        f"  {'span':<{name_w}} {'start':>9} {'dur':>9}  {'pid':>9}  "
-        f"|{'timeline':<{barw}}|"
-    )
-    for root in children.get(None, []):
-        emit(root, 0)
     walls = doc.get("stage_walls") or {}
     if walls:
         parts = ", ".join(
@@ -723,20 +485,6 @@ def render_timeline(doc: Dict[str, Any], *, width: int = 72) -> str:
     lines.append(f"  total: {_ms(total)} across {len(spans)} spans, "
                  f"{len({s.pid for s in spans})} process(es)")
     return "\n".join(lines)
-
-
-def _depth(s: Span, spans: List[Span], ids: set) -> int:
-    by_id = {x.span_id: x for x in spans}
-    d = 0
-    cur = s
-    seen = set()
-    while cur.parent_id in by_id and cur.parent_id not in seen:
-        seen.add(cur.span_id)
-        cur = by_id[cur.parent_id]
-        d += 1
-        if d > 32:
-            break
-    return d
 
 
 def _ms(seconds: float) -> str:

@@ -43,11 +43,15 @@ import numpy as np
 from repro.core.engine import MidasRuntime
 from repro.errors import ConfigurationError, QuotaExceededError
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.qtrace import QueryTrace, TraceContext
 from repro.service.registry import GraphEntry, GraphRegistry
 from repro.util.log import get_logger
 from repro.util.rng import RngStream
 
 _LOG = get_logger(__name__)
+
+#: the span log of every query of a service that traces nothing
+_UNTRACED = QueryTrace(TraceContext("", ""), enabled=False)
 
 # <malloc.h> parameter numbers, and the fixed thresholds asked for: arrays
 # under 16 MB come from the arena heaps, whose freed top is handed back to
@@ -462,7 +466,7 @@ class QueryBroker:
         self.cache_size = cache_size
         self.coalesce = coalesce
         self.store = store
-        # repro.obs.qtrace.QueryTracer; None disables per-query tracing
+        # repro.obs.qtrace.QueryTracer; None: queries record into _UNTRACED
         self.tracer = tracer
         self._runtime_config = dict(runtime_config or {})
         retain_worker_heaps()
@@ -510,12 +514,12 @@ class QueryBroker:
         concurrent executions must never share one."""
         return MidasRuntime(metrics=self.metrics, **self._runtime_config)
 
-    def _served(self, payload: dict, tenant: str, *, cache_hit: bool,
-                coalesced: bool, qt=None) -> dict:
+    def _served(self, payload: dict, tenant: str, qt: QueryTrace, *,
+                cache_hit: bool = False, coalesced: bool = False) -> dict:
         out = dict(payload)
         out["served"] = {"cache_hit": cache_hit, "coalesced": coalesced,
                          "tenant": tenant}
-        if qt is not None:
+        if qt.enabled:
             # per-request identity: cache hits and coalesced joins share a
             # payload but each carries its own trace
             out["trace"] = {"trace_id": qt.trace_id,
@@ -534,49 +538,49 @@ class QueryBroker:
         self.m_cache_entries.set(len(self._cache))
 
     # ----------------------------------------------------------- admission
-    def _begin_trace(self, spec: QuerySpec, tenant: str, trace):
-        """Start a QueryTrace for this request (None when tracing is off).
+    def _begin_trace(self, tenant: str, trace) -> QueryTrace:
+        """This request's span log (the disabled one when tracing is off).
 
         ``trace`` is the client's request-side context: a dict carrying a
         ``traceparent`` header value (malformed values are ignored — the
         query must not fail over its telemetry), a TraceContext, or None.
         """
         if self.tracer is None:
-            return None
-        from repro.obs.qtrace import TraceContext
-
+            return _UNTRACED
         ctx = None
         if isinstance(trace, TraceContext):
             ctx = trace.child()
-        elif isinstance(trace, dict):
-            tp = trace.get("traceparent")
-            if tp:
-                try:
-                    ctx = TraceContext.from_traceparent(str(tp)).child()
-                except ValueError:
-                    ctx = None
-        if ctx is None:
-            ctx = TraceContext.mint()
-        return self.tracer.begin(ctx, tenant=tenant)
+        elif isinstance(trace, dict) and trace.get("traceparent"):
+            try:
+                ctx = TraceContext.from_traceparent(
+                    str(trace["traceparent"])).child()
+            except ValueError:
+                pass
+        return self.tracer.begin(ctx or TraceContext.mint(), tenant=tenant)
+
+    def _finish_trace(self, qt: QueryTrace, total, outcome: str,
+                      **extra) -> None:
+        """Close the request's ``broker.total`` span and hand the trace to
+        the tracer's store and SLO accounting."""
+        total.finish(error=outcome in ("error", "interrupted"))
+        if self.tracer is not None:
+            self.tracer.finish(qt, outcome=outcome, service_pid=os.getpid(),
+                               **extra)
 
     def _traced_execute(self, spec: QuerySpec, entry: GraphEntry,
-                        rt: MidasRuntime, qt, submit_t: float):
+                        rt: MidasRuntime, qt: QueryTrace, submit_t: float):
         """Executor-thread wrapper decorating the module-level
         :func:`execute_query` (which tests monkeypatch) with the
-        ``broker.queue`` / ``broker.execute`` spans and handing the
-        engine its QueryTrace via ``rt.qtrace``."""
-        if qt is None:
-            return execute_query(spec, entry, rt)
-        t0 = time.perf_counter()
-        qt.add_span("broker.queue", submit_t, t0, lane="broker")
-        exec_span = qt.span("broker.execute", lane="broker",
-                            kind=spec.kind, graph=entry.sha[:12], k=spec.k)
-        rt.qtrace = qt
-        # on exception the execute span is left open on purpose: crash
-        # dumps capture it through QueryTrace.open_spans()
-        payload, raw = execute_query(spec, entry, rt)
-        rounds = payload.get("timing", {}).get("rounds", 0)
-        exec_span.tag(rounds=int(rounds)).finish()
+        ``broker.queue`` / ``broker.execute`` spans and making the query's
+        trace the span log the engine records into."""
+        qt.add_span("broker.queue", submit_t, time.perf_counter(),
+                    lane="broker")
+        if qt.enabled:
+            rt.profiler = qt
+        with qt.span("broker.execute", lane="broker", kind=spec.kind,
+                     graph=entry.sha[:12], k=spec.k) as span:
+            payload, raw = execute_query(spec, entry, rt)
+            span.tag(rounds=int(payload.get("timing", {}).get("rounds", 0)))
         return payload, raw
 
     async def submit(self, spec: QuerySpec, tenant: str = "default",
@@ -593,77 +597,49 @@ class QueryBroker:
         """
         entry = self.registry.resolve(spec.graph)
         key = spec.cache_key(entry.sha)
-        qt = self._begin_trace(spec, tenant, trace)
-        total_span = (qt.span("broker.total", lane="broker", kind=spec.kind)
-                      if qt is not None else None)
+        qt = self._begin_trace(tenant, trace)
+        total = qt.span("broker.total", lane="broker", kind=spec.kind)
 
-        cache_span = (qt.span("broker.cache", lane="broker",
-                              parent=total_span.context)
-                      if qt is not None else None)
-        cached = self._cache.get(key)
-        if cache_span is not None:
-            cache_span.tag(hit=cached is not None).finish()
+        with qt.span("broker.cache", lane="broker") as span:
+            cached = self._cache.get(key)
+            span.tag(hit=cached is not None)
         if cached is not None:
             self._cache.move_to_end(key)
             self.stats["cache_hits"] += 1
             self.m_cache_hits.labels(kind=spec.kind).inc()
             self.m_queries.labels(kind=spec.kind, tenant=tenant,
                                   outcome="cached").inc()
-            if qt is not None:
-                total_span.finish()
-                self.tracer.finish(qt, outcome="cache_hit", kind=spec.kind,
-                                   service_pid=os.getpid())
-            return QueryOutcome(self._served(cached, tenant, cache_hit=True,
-                                             coalesced=False, qt=qt))
+            self._finish_trace(qt, total, "cache_hit", kind=spec.kind)
+            return QueryOutcome(self._served(cached, tenant, qt,
+                                             cache_hit=True))
 
-        if self.coalesce:
-            existing = self._inflight.get(key)
-            if existing is not None:
-                self.stats["coalesced"] += 1
-                self.m_coalesced.labels(kind=spec.kind).inc()
-                self.m_queries.labels(kind=spec.kind, tenant=tenant,
-                                      outcome="coalesced").inc()
-                co_span = (qt.span("broker.coalesce", lane="broker",
-                                   parent=total_span.context)
-                           if qt is not None else None)
-                try:
+        existing = self._inflight.get(key) if self.coalesce else None
+        if existing is not None:
+            self.stats["coalesced"] += 1
+            self.m_coalesced.labels(kind=spec.kind).inc()
+            self.m_queries.labels(kind=spec.kind, tenant=tenant,
+                                  outcome="coalesced").inc()
+            try:
+                with qt.span("broker.coalesce", lane="broker"):
                     payload = await asyncio.shield(existing)
-                except BaseException as exc:
-                    if qt is not None:
-                        co_span.finish(error=True)
-                        total_span.finish(error=True)
-                        self.tracer.finish(qt, outcome="error",
-                                           error=f"coalesced execution "
-                                                 f"failed: {exc}")
-                    raise
-                if qt is not None:
-                    co_span.finish()
-                    total_span.finish()
-                    self.tracer.finish(qt, outcome="coalesced",
-                                       kind=spec.kind,
-                                       service_pid=os.getpid())
-                return QueryOutcome(self._served(payload, tenant,
-                                                 cache_hit=False,
-                                                 coalesced=True, qt=qt))
+            except BaseException as exc:
+                self._finish_trace(
+                    qt, total, "error",
+                    error=f"coalesced execution failed: {exc}")
+                raise
+            self._finish_trace(qt, total, "coalesced", kind=spec.kind)
+            return QueryOutcome(self._served(payload, tenant, qt,
+                                             coalesced=True))
 
-        quota_span = (qt.span("broker.quota", lane="broker",
-                              parent=total_span.context)
-                      if qt is not None else None)
-        held = self._tenant_inflight.get(tenant, 0)
+        with qt.span("broker.quota", lane="broker") as span:
+            held = self._tenant_inflight.get(tenant, 0)
+            span.tag(rejected=held >= self.quota)
         if held >= self.quota:
             self.stats["rejected"] += 1
             self.m_rejected.labels(tenant=tenant).inc()
-            if qt is not None:
-                quota_span.tag(rejected=True).finish()
-                total_span.finish()
-                self.tracer.finish(
-                    qt, outcome="quota",
-                    error=f"tenant {tenant!r} at quota {self.quota}",
-                    service_pid=os.getpid(),
-                )
+            self._finish_trace(qt, total, "quota",
+                               error=f"tenant {tenant!r} at quota {self.quota}")
             raise QuotaExceededError(tenant, self.quota)
-        if quota_span is not None:
-            quota_span.finish()
         self._tenant_inflight[tenant] = held + 1
         self.m_inflight.inc()
 
@@ -681,31 +657,14 @@ class QueryBroker:
                 self.pool, self._traced_execute, spec, entry, rt, qt, t0
             )
         except (KeyboardInterrupt, SystemExit) as exc:
-            self.stats["errors"] += 1
-            self.m_queries.labels(kind=spec.kind, tenant=tenant,
-                                  outcome="error").inc()
             carrier = ExecutionInterrupted(exc)
-            if not fut.done():
-                fut.set_exception(carrier)
-                fut.exception()  # mark retrieved: waiters may be zero
-            if qt is not None:
-                total_span.finish(error=True)
-                self.tracer.finish(qt, outcome="interrupted",
-                                   error=str(carrier),
-                                   service_pid=os.getpid())
+            self._failed(spec, tenant, fut, carrier)
+            self._finish_trace(qt, total, "interrupted", error=str(carrier))
             raise carrier from exc
         except Exception as exc:
-            self.stats["errors"] += 1
-            self.m_queries.labels(kind=spec.kind, tenant=tenant,
-                                  outcome="error").inc()
-            if not fut.done():
-                fut.set_exception(exc)
-                fut.exception()  # mark retrieved: waiters may be zero
-            if qt is not None:
-                total_span.finish(error=True)
-                self.tracer.finish(qt, outcome="error",
-                                   error=f"{type(exc).__name__}: {exc}",
-                                   service_pid=os.getpid())
+            self._failed(spec, tenant, fut, exc)
+            self._finish_trace(qt, total, "error",
+                               error=f"{type(exc).__name__}: {exc}")
             raise
         else:
             wall = time.perf_counter() - t0
@@ -716,21 +675,15 @@ class QueryBroker:
             self.m_queries.labels(kind=spec.kind, tenant=tenant,
                                   outcome="ok").inc()
             self.m_latency.labels(kind=spec.kind).observe(wall)
-            if qt is not None:
-                total_span.finish()
-                self.tracer.finish(qt, outcome="ok", kind=spec.kind,
-                                   wall_seconds=wall,
-                                   service_pid=os.getpid(),
-                                   mode=rt.mode)
+            self._finish_trace(qt, total, "ok", kind=spec.kind,
+                               wall_seconds=wall, mode=rt.mode)
             self._completed.append({
                 "spec": spec, "entry": entry, "tenant": tenant,
                 "wall": wall, "payload": payload, "mode": rt.mode,
                 "nranks": rt.n_processors,
-                "trace_id": qt.trace_id if qt is not None else None,
+                "trace_id": qt.trace_id or None,
             })
-            return QueryOutcome(self._served(payload, tenant,
-                                             cache_hit=False,
-                                             coalesced=False, qt=qt), raw)
+            return QueryOutcome(self._served(payload, tenant, qt), raw)
         finally:
             self._inflight.pop(key, None)
             left = self._tenant_inflight.get(tenant, 1) - 1
@@ -739,6 +692,16 @@ class QueryBroker:
             else:
                 self._tenant_inflight.pop(tenant, None)
             self.m_inflight.dec()
+
+    def _failed(self, spec: QuerySpec, tenant: str, fut: asyncio.Future,
+                exc: BaseException) -> None:
+        """Count a failed execution and fail everyone coalesced onto it."""
+        self.stats["errors"] += 1
+        self.m_queries.labels(kind=spec.kind, tenant=tenant,
+                              outcome="error").inc()
+        if not fut.done():
+            fut.set_exception(exc)
+            fut.exception()  # mark retrieved: waiters may be zero
 
     # ------------------------------------------------------------ coordinator
     def _record_from(self, item: dict):

@@ -68,12 +68,9 @@ class LocalClient:
 
     def query(self, query, tenant: str = "default", runtime=None,
               timeout: Optional[float] = None) -> QueryOutcome:
-        """Submit one query; when the service traces, a per-request
-        client context is minted here and the measured client span is
-        spliced into the stored trace after the reply."""
-        if self.service.tracer is None:
-            return self.service.query(query, tenant=tenant, runtime=runtime,
-                                      timeout=timeout)
+        """Submit one query under a per-request client context minted
+        here; when the service traces, the measured client span is spliced
+        into the stored trace after the reply."""
         ctx = TraceContext.mint()
         t0 = time.perf_counter()
         outcome = self.service.query(

@@ -8,6 +8,7 @@ of damaged checkpoints, and the watchdog tests pin graceful degradation
 (a valid partial result carrying the live ``0.8^rounds`` bound).
 """
 
+import glob
 import json
 import threading
 
@@ -211,11 +212,13 @@ class TestKillResumeBitIdentity:
         assert rt1.digest_log.rounds == rt0.digest_log.rounds
         assert rt1.digest_log.phases == rt0.digest_log.phases
 
-    @pytest.mark.parametrize("mode", ["sequential", "simulated"])
+    @pytest.mark.parametrize("mode", ["sequential", "simulated", "process"])
     def test_every_round_boundary(self, islands, tmp_path, mode):
         rt_kw = {"mode": mode}
         if mode == "simulated":
             rt_kw.update(n_processors=4, n1=2)
+        if mode == "process":
+            rt_kw.update(workers=2)
         res0, rt0 = self._control(islands, **rt_kw)
         assert not res0.found and len(res0.rounds) >= 3  # witness-free
 
@@ -235,6 +238,8 @@ class TestKillResumeBitIdentity:
                                rng=RngStream(7).child("detect"), runtime=rt2)
             self._assert_identical(res0, res1, rt0, rt2)
             assert res1.details["resumed_from"] == str(ckpt_dir)
+        # neither the killed nor the resumed runs leave a pool segment behind
+        assert not glob.glob("/dev/shm/psm_*")
 
     def test_resume_restores_fault_state(self, islands, tmp_path):
         plan = FaultPlan([crash(rank=1, after_ops=40, max_events=2),

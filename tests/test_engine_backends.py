@@ -208,7 +208,65 @@ if __name__ == "__main__":
 """
 
 
+_CONCURRENT_POOLS_SCRIPT = """
+import sys
+import threading
+from repro.core.midas import MidasRuntime, detect_path
+from repro.graph.generators import erdos_renyi
+from repro.util.rng import RngStream
+
+def main():
+    sys.setswitchinterval(1e-5)  # hand the GIL over mid-registration
+    g = erdos_renyi(300, m=1200, rng=RngStream(1))
+    values = {}
+
+    def queries(i):  # what one service worker thread does, back to back
+        for j in range(4):
+            rt = MidasRuntime(mode="process", workers=2)
+            res = detect_path(g, 5, eps=0.4, rng=RngStream(7), runtime=rt,
+                              early_exit=False)
+            values[i, j] = [r.value for r in res.rounds]
+
+    threads = [threading.Thread(target=queries, args=(i,)) for i in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert len(values) == 16 and len({str(v) for v in values.values()}) == 1
+    print("done")
+
+if __name__ == "__main__":
+    main()
+"""
+
+
 class TestProcessConfig:
+    def test_concurrent_pools_never_fork_into_a_held_lock(self, tmp_path):
+        """Engines in sibling threads (one per in-flight service query) each
+        own a pool.  One forking its workers while another registers a
+        shared-memory segment used to leave the child deadlocked on the
+        resource tracker's lock at its first attach — a third of 4-client
+        service runs on two cores.  More threads than cores, own process
+        group so a regression is a timeout here, not a hung suite."""
+        import os
+        import signal
+        import subprocess
+        import sys
+
+        script = tmp_path / "concurrent_pools.py"
+        script.write_text(_CONCURRENT_POOLS_SCRIPT)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.Popen([sys.executable, str(script)], env=env,
+                                text=True, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, start_new_session=True)
+        try:
+            out, err = proc.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("a forked worker deadlocked (no answer in 120 s)")
+        assert proc.returncode == 0 and out.split() == ["done"], err
+
     def test_workers_validated(self):
         with pytest.raises(ConfigurationError):
             MidasRuntime(mode="process", workers=0)

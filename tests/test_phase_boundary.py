@@ -124,7 +124,7 @@ def test_every_mode_leaves_the_same_phase_effects(mode, driver, reference):
         return
     prof, rec = got["rt"].profiler, got["rt"].recorder
     kernels = [s for s in prof.spans if s.op == "kernel"]
-    assert {s.thread.startswith(LANE_PREFIX[mode]) for s in kernels} == {True}
+    assert {s.lane.startswith(LANE_PREFIX[mode]) for s in kernels} == {True}
     # worker lanes never count towards the wall tiling: "rounds" is still
     # exactly the main thread's round spans
     round_seconds = sum(s.duration for s in prof.spans if s.op == "round")

@@ -24,7 +24,7 @@ from repro.core.engine import MidasRuntime
 from repro.core.midas import detect_path
 from repro.errors import ConfigurationError, WorkerCrashedError
 from repro.graph.generators import erdos_renyi, plant_path
-from repro.obs.chrome_trace import validate_chrome_trace
+from repro.obs.chrome_trace import trace_to_chrome, validate_chrome_trace
 from repro.obs.metrics import MetricsRegistry, merge_into, snapshot_delta
 from repro.obs.qtrace import (
     FlightRecorder,
@@ -34,7 +34,6 @@ from repro.obs.qtrace import (
     get_flight_recorder,
     render_timeline,
     reset_flight_recorder,
-    trace_to_chrome,
 )
 from repro.service import DetectionService, LocalClient, QuerySpec, canonical_result
 from repro.util.rng import RngStream
@@ -157,6 +156,40 @@ class TestQueryTraceSpans:
         assert got[0]["parent_id"] == doc["root_span_id"]
         assert tracer.ingest("0" * 32, [client]) == 0  # unknown trace
 
+    def test_span_ids_are_counted_not_drawn(self, monkeypatch):
+        """Spans minted inside the service cost no syscall: 16 hex digits
+        from the trace's counter, unique; only client-boundary contexts
+        are random.  Splicing still de-duplicates and re-parents."""
+        tracer = QueryTracer(MetricsRegistry())
+        qt = tracer.begin(TraceContext.mint())
+        drawn = []
+        monkeypatch.setattr(os, "urandom",
+                            lambda n: drawn.append(n) or b"\0" * n)
+        for i in range(5000):
+            with qt.span("engine.round", round=i):
+                qt.add_span("engine.kernel", 0.0, 1.0, lane="w")
+        assert drawn == []
+        ids = [sp.span_id for sp in qt.spans()]
+        assert len(set(ids)) == len(ids) == 10_000
+        assert all(re.fullmatch(r"[0-9a-f]{16}", i) for i in ids)
+
+        client = {"span_id": "cc" * 8, "parent_id": "ff" * 8,
+                  "name": "client.request", "t_start": 0.0, "t_end": 1.0,
+                  "pid": 1, "lane": "client", "trace_id": ""}
+        echo = dict(client, span_id=ids[0], name="client.echo")
+        child = dict(client, span_id="dd" * 8, parent_id="cc" * 8)
+        # listed child-first: the parent arrives in the same batch
+        assert qt.add_spans([child, client, echo, client, {"junk": 1}]) == 2
+        by_id = {sp.span_id: sp for sp in qt.spans()}
+        assert len(by_id) == 10_002 and by_id[ids[0]].name != "client.echo"
+        assert by_id["cc" * 8].parent_id == qt.ctx.span_id
+        assert by_id["dd" * 8].parent_id == "cc" * 8
+        tracer.finish(qt, outcome="ok")
+        assert tracer.ingest(qt.trace_id, [client, child, echo]) == 0
+        late = dict(client, span_id="ee" * 8, parent_id="dd" * 8)
+        assert tracer.ingest(qt.trace_id, [late, late]) == 1
+        assert drawn == []
+
     def test_finish_outcomes_feed_tenant_slos(self):
         tracer = QueryTracer(MetricsRegistry())
         for outcome in ("ok", "cache_hit", "quota", "error"):
@@ -167,6 +200,34 @@ class TestQueryTraceSpans:
         assert slos["cache_hits"] == 1
         assert slos["rejected"] == 1
         assert slos["errors"] == 2  # quota + error
+
+
+class TestRenderTimeline:
+    def test_large_document_renders_in_linear_time(self):
+        """2 000 spans, 40 rounds of 49 windows under one stage: depths
+        come from one walk of the parent index, not one index per span."""
+        spans = [{"span_id": "stage", "parent_id": None, "name": "engine.stage",
+                  "t_start": 0.0, "t_end": 40.0, "pid": 1, "lane": "engine"}]
+        for r in range(40):
+            spans.append({"span_id": f"r{r}", "parent_id": "stage",
+                          "name": "engine.round", "t_start": float(r),
+                          "t_end": r + 1.0, "pid": 1, "lane": "main"})
+            spans.extend({"span_id": f"r{r}w{w}", "parent_id": f"r{r}",
+                          "name": "worker.kernel", "t_start": r + w / 50,
+                          "t_end": r + (w + 1) / 50, "pid": 2 + w % 2,
+                          "lane": f"worker-{2 + w % 2}"} for w in range(49))
+        doc = {"trace_id": "t", "tenant": "acme", "outcome": "ok",
+               "spans": spans}
+        assert len(spans) == 2001
+        t0 = time.perf_counter()
+        text = render_timeline(doc)
+        assert time.perf_counter() - t0 < 0.5
+        lines = text.splitlines()
+        assert len(lines) == 2001 + 3  # header, column heads, total
+        assert lines[2].lstrip().startswith("engine.stage")
+        assert lines[3].startswith("    engine.round")
+        assert lines[4].startswith("      worker.kernel")
+        assert lines[-1].endswith("across 2001 spans, 3 process(es)")
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +446,85 @@ class TestEndToEndProcessTrace:
         text = render_timeline(doc)
         assert out.trace_id in text
         assert "worker.kernel" in text and "stage walls" in text
+
+    @pytest.mark.parametrize("mode", ["sequential", "threaded", "process"])
+    def test_every_mode_trace_explains_itself(self, mode):
+        """One span log per query, whoever runs the windows: every mode's
+        trace carries rounds x phases kernel spans on that mode's lanes,
+        and a first query on a fresh session shows what it had to build."""
+        from test_phase_boundary import LANE_PREFIX
+
+        svc = DetectionService()
+        svc.registry.register(_graph(seed=5), name="g")
+        with svc:
+            client = LocalClient(svc)
+            docs = []
+            for seed in (11, 12):  # cold session, then warm
+                rt = MidasRuntime(mode=mode, workers=2, n2=4)
+                out = client.query(_spec(seed=seed), tenant="acme", runtime=rt)
+                docs.append(client.trace(out.trace_id))
+                # the query's trace *is* the run's profile: the same list
+                assert rt.profiler.trace_id == out.trace_id
+                mine = [s for s in docs[-1]["spans"]
+                        if s["name"] != "client.request"]
+                assert len(rt.profiler.spans()) == len(mine)
+        cold, warm = docs
+
+        by_id = {s["span_id"]: s for s in cold["spans"]}
+
+        def ancestors(span):
+            while span["parent_id"] in by_id:
+                span = by_id[span["parent_id"]]
+                yield span["name"]
+
+        rounds = [s for s in cold["spans"] if s["name"] == "engine.round"]
+        kernels = [s for s in cold["spans"] if s["name"].endswith(".kernel")]
+        rounds_run = next(s for s in cold["spans"]
+                          if s["name"] == "engine.stage")["tags"]["rounds_done"]
+        assert len(rounds) == rounds_run
+        assert len(kernels) == rounds_run * (1 << 4) // 4  # k=4, n2=4
+        assert {s["name"] for s in kernels} == {
+            "worker.kernel" if mode == "process" else "engine.kernel"}
+        for s in kernels:
+            assert s["lane"].startswith(LANE_PREFIX[mode])
+            assert list(ancestors(s))[:3] == ["engine.round", "engine.stage",
+                                              "broker.execute"]
+            assert (s["pid"] != cold["service_pid"]) == (mode == "process")
+        assert sorted(s["tags"]["q_start"] for s in kernels
+                      if by_id[s["parent_id"]] is rounds[0]) == [0, 4, 8, 12]
+
+        # what the cold query built, and the warm one found in the session
+        built = {"engine.field"} | ({"engine.pool"} if mode == "process"
+                                    else set())
+        names = lambda doc: {s["name"] for s in doc["spans"]}  # noqa: E731
+        assert built <= names(cold)
+        assert "engine.field" not in names(warm)
+        for s in cold["spans"]:
+            if s["name"] in built:
+                assert "broker.execute" in ancestors(s)
+                assert s["tags"]["phase"] == "setup"
+        pool = [s for s in cold["spans"] if s["name"] == "engine.pool"]
+        assert all(by_id[s["parent_id"]]["name"] == "engine.stage"
+                   for s in pool)
+
+        for doc in docs:
+            walls = doc["stage_walls"]
+            tiled = sum(v for k, v in walls.items() if k != "total")
+            assert 0.5 * walls["total"] <= tiled <= 1.05 * walls["total"]
+            assert validate_chrome_trace(trace_to_chrome(doc)) > 0
+
+    def test_simulated_trace_shows_partition_and_halo(self):
+        svc = DetectionService()
+        svc.registry.register(_graph(seed=5), name="g")
+        with svc:
+            client = LocalClient(svc)
+            rt = MidasRuntime(mode="simulated", n_processors=2, n1=2)
+            out = client.query(_spec(seed=11), tenant="acme", runtime=rt)
+            doc = client.trace(out.trace_id)
+        by_id = {s["span_id"]: s for s in doc["spans"]}
+        for name in ("engine.partition", "engine.halo"):
+            (span,) = [s for s in doc["spans"] if s["name"] == name]
+            assert by_id[span["parent_id"]]["name"] == "engine.stage"
 
     def test_results_bit_identical_to_tracing_off(self):
         g = _graph(seed=9)

@@ -9,6 +9,7 @@ tenants; shutdown leaks no threads.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import platform
 import subprocess
@@ -44,7 +45,7 @@ from repro.service import (
     graph_sha,
 )
 from repro.service import broker as broker_mod
-from repro.service.broker import _detection_result, _scan_result
+from repro.service.broker import QueryBroker, _detection_result, _scan_result
 from repro.util.rng import RngStream
 
 
@@ -417,6 +418,27 @@ class TestWorkerHeaps:
         first = broker_mod.retain_worker_heaps()
         assert first is (platform.libc_ver()[0] == "glibc")
         assert broker_mod.retain_worker_heaps() is first
+
+    @pytest.mark.parametrize("libc", ["missing", "no mallopt"])
+    def test_off_glibc_is_false_and_the_broker_still_serves(self, monkeypatch,
+                                                            libc):
+        def cdll(name):
+            if libc == "missing":
+                raise OSError("no C library to load")
+            return object()  # musl, macOS: a libc without mallopt
+
+        monkeypatch.setattr(broker_mod.ctypes, "CDLL", cdll)
+        assert broker_mod.retain_worker_heaps() is False
+        registry = GraphRegistry()
+        registry.register(_graph(), name="g")
+        broker = QueryBroker(registry, metrics=MetricsRegistry(), workers=1)
+        try:
+            spec = QuerySpec(kind="detect-path", graph="g", k=5,
+                             seed={"seed": 3})
+            out = asyncio.run(broker.submit(spec))
+        finally:
+            broker.close()
+        assert out.result == _standalone(spec, _graph())
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc mallopt only")
     def test_worker_thread_stops_refaulting_its_arena(self):
