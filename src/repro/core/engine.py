@@ -46,7 +46,8 @@ boundary**:
       The real SPMD decomposition on the runtime simulator — its own
       round → batch → phase loop with halo messages, XOR all-reduces,
       checkpoint/retry under fault injection and virtual-time
-      accounting — reporting to the same phase boundary.
+      accounting — reporting to the same phase boundary.  A stage's
+      communication is enacted once; later windows reuse its timeline.
 
 Every driver in :mod:`repro.core.midas` is a thin wrapper over this
 engine, so every feature — overlap, fault tolerance, metrics, tracing,
@@ -60,8 +61,10 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from contextlib import closing
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, Type
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple, Type
+
+import numpy as np
 
 from repro.core.model import PartitionStats, PerformanceEstimate, estimate_runtime
 from repro.core.halo import build_halo_views
@@ -72,6 +75,7 @@ from repro.errors import (
     ConfigurationError,
     FaultInjectedError,
     RankFailedError,
+    ReplayMismatchError,
     SanitizerError,
     WatchdogExpired,
     WorkerCrashedError,
@@ -160,7 +164,11 @@ class MidasRuntime:
     accumulates a report) and stamps a ``sanitizer`` section into result
     details / the RunReport plus ``sanitizer_*`` metric families.
     Sanitizer hooks charge no virtual time, so sanitized runs keep
-    identical clocks and results.  ``digest_log`` optionally attaches a
+    identical clocks and results — and because the sanitizer has to see
+    every message, a sanitized run enacts every phase window instead of
+    reusing one per stage (as do ``fault_plan`` and
+    ``measure_compute=True``; see :class:`SimulatedBackend`).
+    ``digest_log`` optionally attaches a
     :class:`~repro.sanitize.DigestLog` that records per-phase and
     per-round accumulator digests for deterministic-replay verification
     (:func:`repro.sanitize.verify_replay`).
@@ -550,6 +558,8 @@ class _Stage:
     label: str  # trace-scope label ("", "size3", ...)
     phase_hist: object  # midas_phase_seconds histogram, pre-labeled
     estimate: Optional[PerformanceEstimate] = None
+    # simulated mode: exchange signature -> the _Timeline enacted for it
+    timelines: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -763,9 +773,8 @@ class ProcessBackend(ExecutionBackend):
         except BrokenProcessPool as exc:
             self.close()
             e = self.engine
-            e.flight_dump(
-                "worker_crash", round=ell, graph=getattr(e.graph, "name", None),
-                extra={"open_spans": [s.to_dict() for s in e.prof.open_spans()]})
+            e.flight_dump("worker_crash", round=ell,
+                          graph=getattr(e.graph, "name", None))
             raise WorkerCrashedError(
                 f"a worker process died while evaluating round {ell} of "
                 f"{stage.spec.name!r} (see stderr for the worker's fate); the "
@@ -778,8 +787,37 @@ class ProcessBackend(ExecutionBackend):
             self._pool = None
 
 
+class _Timeline(NamedTuple):
+    """What one enacted phase window leaves behind besides its value.
+
+    Plain data on purpose: the :class:`~repro.runtime.scheduler.Simulator`,
+    its rank generators and ``SimResult.results`` reference each other in
+    cycles, and a stage keeps its timelines until it ends.
+    """
+
+    makespan: float
+    clocks: np.ndarray  # per-rank virtual clocks at the end of the window
+    summary: object  # the window's TraceSummary
+    # the window's own recording (clock from 0, ranks 0..N1-1), for the
+    # splice onto the run's timeline; both empty unless tracing
+    events: list  # of TraceEvent
+    edges: list  # of DepEdge
+
+
 class SimulatedBackend(ExecutionBackend):
-    """The real SPMD decomposition on the runtime simulator."""
+    """The real SPMD decomposition on the runtime simulator.
+
+    Every phase of a stage runs the same partition, message pattern and
+    message sizes, so with modeled compute a window's virtual timeline
+    depends on its exchange shapes alone, never on the data.  Each stage
+    therefore *enacts* one window per exchange signature — in practice
+    its first — on the coroutine simulator and checks the enacted value
+    against the whole-graph evaluation of the same window; every later
+    window takes its value from the whole-graph level-DP core and its
+    makespan, clocks, trace splice and byte counts from the stored
+    :class:`_Timeline`.  A fault plan, a sanitizer or measured compute
+    make timelines window-specific: then every window is enacted.
+    """
 
     name = "simulated"
 
@@ -787,6 +825,9 @@ class SimulatedBackend(ExecutionBackend):
         super().__init__(engine)
         self._views = None
         self._cost_model = None
+        rt = engine.rt
+        self._reuse = (rt.fault_plan is None and rt.sanitize == "off"
+                       and not rt.measure_compute)
 
     def prepare(self, stage: _Stage) -> None:
         e = self.engine
@@ -814,25 +855,49 @@ class SimulatedBackend(ExecutionBackend):
             batch_slow = (0, 0.0)  # (global rank, end time) of slowest phase
             for gi, t in enumerate(batch):
                 q0, q1 = sched.phase_window(t)
-                prog = phase_program(self._views, spec.recurrence, fp, q0,
-                                     sched.n2, overlapped=rt.overlap)
-                res, sim, extra, failed = _run_phase_resilient(
-                    rt, fc, prog, f"{stage.key_prefix}r{ell}/b{bi}/p{t}",
-                    self._cost_model, want_trace, e.prof, sanitizer=e.san,
-                    heartbeat=e._hb,
-                )
-                contrib = spec.rank_value(res.results[0])
+                tl, extra, failed = None, 0.0, ()
+                if self._reuse:
+                    # the whole-graph value, and with it the signature that
+                    # says whether this window's messages were enacted before
+                    t0, exchanges = time.perf_counter(), []
+                    contrib = spec.phase_value(e.graph, fp, q0, sched.n2, exchanges)
+                    signature = tuple(exchanges)
+                    tl = stage.timelines.get(signature)
+                if tl is not None:
+                    e.prof.add_span("engine.simulate", t0, time.perf_counter(),
+                                    phase="rounds", callsite=fc.problem)
+                    if e._hb is not None:
+                        e._hb()  # one simulator heartbeat per reused window
+                else:
+                    key = f"{stage.key_prefix}r{ell}/b{bi}/p{t}"
+                    prog = phase_program(self._views, spec.recurrence, fp, q0,
+                                         sched.n2, overlapped=rt.overlap)
+                    res, sim, extra, failed = _run_phase_resilient(
+                        rt, fc, prog, key, self._cost_model, want_trace, e.prof,
+                        sanitizer=e.san, heartbeat=e._hb,
+                    )
+                    tl = _Timeline(res.makespan, res.clocks, res.summary,
+                                   sim.trace.events, sim.trace.edges)
+                    enacted = spec.rank_value(res.results[0])
+                    if self._reuse:
+                        if not np.array_equal(enacted, contrib):
+                            raise ReplayMismatchError(
+                                f"simulated phase {key} evaluates to {enacted!r} "
+                                f"but the whole-graph level DP gives {contrib!r} "
+                                "for the same window", ell, bi, t)
+                        stage.timelines[signature] = tl
+                    contrib = enacted
                 value = spec.combine(value, contrib)
                 # a virtual makespan, not a wall interval: no lane
-                e.phase_done(stage, ell, t, contrib, 0.0, res.makespan, None)
-                phase_end = extra + res.makespan
+                e.phase_done(stage, ell, t, contrib, 0.0, tl.makespan, None)
+                phase_end = extra + tl.makespan
                 if phase_end >= batch_time:
-                    slow_local = int(res.clocks.argmax()) if len(res.clocks) else 0
+                    slow_local = int(tl.clocks.argmax()) if len(tl.clocks) else 0
                     batch_slow = (gi * rt.n1 + slow_local, phase_end)
                 batch_time = max(batch_time, phase_end)
                 if rt.trace:
-                    e.trace_compute += res.summary.total_compute
-                    e.trace_comm += res.summary.total_comm
+                    e.trace_compute += tl.summary.total_compute
+                    e.trace_comm += tl.summary.total_comm
                 if rec is not None:
                     # splice the phase's group onto global ranks/clock:
                     # failed attempts at their own offsets, then the one
@@ -841,7 +906,7 @@ class SimulatedBackend(ExecutionBackend):
                         (shift, _compose_label(stage.label, f"failed-attempt{a}"),
                          events, edges)
                         for shift, a, events, edges in failed
-                    ] + [(extra, stage.label, sim.trace.events, sim.trace.edges)]
+                    ] + [(extra, stage.label, tl.events, tl.edges)]
                     for shift, label, events, edges in attempts:
                         rec.extend(
                             events, t_shift=e.cursor + shift,
@@ -851,7 +916,7 @@ class SimulatedBackend(ExecutionBackend):
                             edges=edges,
                         )
                 if want_trace:
-                    e.bytes_ctr.inc(res.summary.total_bytes)
+                    e.bytes_ctr.inc(tl.summary.total_bytes)
             round_virtual += batch_time
             e.cursor += batch_time
             e.last_join = (batch_slow[0], e.cursor)
@@ -1207,13 +1272,16 @@ class DetectionEngine:
 
     def flight_dump(self, kind: str, extra: Optional[dict] = None, **fields) -> None:
         """Record a notable event in the process-wide flight recorder and
-        dump the ring (to ``$REPRO_FLIGHT_DIR`` when set)."""
+        dump the ring (to ``$REPRO_FLIGHT_DIR`` when set), with the spans
+        that were open when it happened: where the run was."""
         from repro.obs.qtrace import get_flight_recorder  # lazy: optional layer
 
         fr = get_flight_recorder()
         fr.record(kind, problem=self.problem,
                   trace_id=self.prof.trace_id or None, **fields)
-        fr.dump(kind, extra=extra)
+        fr.dump(kind, extra={
+            **(extra or {}),
+            "open_spans": [s.to_dict() for s in self.prof.open_spans()]})
 
     # ------------------------------------------------------ phase boundary
     def phase_done(self, stage: "_Stage", ell: int, t: int, value,

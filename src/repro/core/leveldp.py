@@ -173,15 +173,26 @@ def _advance(gen, acc=None):
         return stop.value, True
 
 
-def run_whole_graph(graph: CSRGraph, recurrence: Recurrence, lanes: Lanes) -> np.ndarray:
+def run_whole_graph(graph: CSRGraph, recurrence: Recurrence, lanes: Lanes,
+                    exchanges: Optional[list] = None) -> np.ndarray:
     """Evaluate ``recurrence`` with every vertex in this process.
 
     Returns the per-iteration values ``([Z+1,] n2)`` in ``field.dtype``;
     XOR over the last axis is the phase's contribution to the round.
+
+    ``exchanges``, when given, collects the window's *exchange signature*:
+    the ``(row shape, dtype)`` of every state the recurrence asked to have
+    neighbour-summed.  Under :func:`phase_program` each of those is one
+    halo exchange whose message sizes are the partition's boundary lists
+    times that row, so two windows of one stage with equal signatures put
+    the same messages on the wire — the guard the simulated backend keys
+    its memoised phase timelines by.
     """
     gen = recurrence(lanes)
     state, done = _advance(gen)
     while not done:
+        if exchanges is not None:
+            exchanges.append((state.shape[1:], state.dtype))
         state, done = _advance(gen, neighbour_sum(state, graph.indptr, graph.indices))
     return lanes.finish(state)
 

@@ -102,9 +102,12 @@ class ProblemSpec:
             return int(raw)
         return np.asarray(raw, dtype=self.field.dtype)
 
-    def phase_value(self, graph: CSRGraph, fp: Fingerprint, q0: int, n2: int) -> Value:
-        """One phase window's contribution, evaluated on the whole graph."""
-        per_lane = run_whole_graph(graph, self.recurrence, whole_graph_lanes(fp, q0, n2))
+    def phase_value(self, graph: CSRGraph, fp: Fingerprint, q0: int, n2: int,
+                    exchanges: Optional[list] = None) -> Value:
+        """One phase window's contribution, evaluated on the whole graph
+        (``exchanges``: see :func:`~repro.core.leveldp.run_whole_graph`)."""
+        per_lane = run_whole_graph(graph, self.recurrence,
+                                   whole_graph_lanes(fp, q0, n2), exchanges)
         return self.rank_value(np.bitwise_xor.reduce(per_lane, axis=-1))
 
     def hit(self, value: Value) -> bool:

@@ -97,22 +97,25 @@ class CostModel:
         self.spec = spec
         self.rank_node = None if rank_node is None else np.asarray(rank_node, dtype=np.int64)
 
-    def _tier(self, src: int, dst: int):
-        if self.rank_node is None:
-            return self.spec.alpha, self.spec.beta
-        if self.rank_node[src] == self.rank_node[dst]:
-            return self.spec.intra_alpha, self.spec.intra_beta
-        return self.spec.alpha, self.spec.beta
+    def send_cost(self, src: int, dst: int, nbytes: int):
+        """``(arrival delay, sender occupancy)`` of one eager point-to-point
+        message of ``nbytes``: the alpha–beta flight time and the injection
+        cost the sender pays, from one tier lookup (the simulator asks for
+        both on every message)."""
+        spec, node = self.spec, self.rank_node
+        if node is not None and node[src] == node[dst]:
+            a, b = spec.intra_alpha, spec.intra_beta
+        else:
+            a, b = spec.alpha, spec.beta
+        return a + nbytes * b, a + 0.25 * nbytes * b
 
     def pt2pt(self, src: int, dst: int, nbytes: int) -> float:
         """Seconds for one point-to-point message of ``nbytes``."""
-        a, b = self._tier(src, dst)
-        return a + nbytes * b
+        return self.send_cost(src, dst, nbytes)[0]
 
     def send_overhead(self, src: int, dst: int, nbytes: int) -> float:
         """Sender-side occupancy of an eager send (injection cost)."""
-        a, b = self._tier(src, dst)
-        return a + 0.25 * nbytes * b
+        return self.send_cost(src, dst, nbytes)[1]
 
     def collective(self, kind: str, nranks: int, nbytes: int) -> float:
         """Seconds for a tree-based collective over ``nranks`` ranks."""

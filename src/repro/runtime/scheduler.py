@@ -395,9 +395,10 @@ class Simulator:
                 payload = payload.copy()
             else:
                 payload = _copy.deepcopy(payload)
-        arrive = st.clock + self.cost.pt2pt(st.rank, op.dst, nbytes)
+        flight, occupancy = self.cost.send_cost(st.rank, op.dst, nbytes)
         t = st.clock
-        st.clock += self.cost.send_overhead(st.rank, op.dst, nbytes)
+        arrive = t + flight
+        st.clock += occupancy
         if self.trace.enabled:
             self.trace.record(st.rank, "send", t, st.clock, info=f"->{op.dst}",
                               nbytes=nbytes)

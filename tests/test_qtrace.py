@@ -22,7 +22,7 @@ import pytest
 
 from repro.core.engine import MidasRuntime
 from repro.core.midas import detect_path
-from repro.errors import ConfigurationError, WorkerCrashedError
+from repro.errors import ConfigurationError, SanitizerError, WorkerCrashedError
 from repro.graph.generators import erdos_renyi, plant_path
 from repro.obs.chrome_trace import trace_to_chrome, validate_chrome_trace
 from repro.obs.metrics import MetricsRegistry, merge_into, snapshot_delta
@@ -562,6 +562,43 @@ class TestEndToEndProcessTrace:
         assert snap["reason"] == "worker_crash"
         assert any(e["kind"] == "worker_crash" for e in snap["events"])
         assert "open_spans" in snap
+
+    @pytest.mark.parametrize("kind", ["watchdog_trip", "sanitizer_error"])
+    def test_engine_dumps_carry_open_spans(self, kind, tmp_path, monkeypatch):
+        """Every dump the engine makes says where the run was: the spans
+        still open when the watchdog tripped / the sanitizer raised."""
+        monkeypatch.setenv("REPRO_FLIGHT_DIR", str(tmp_path))
+        reset_flight_recorder()
+        if kind == "watchdog_trip":
+            rt = MidasRuntime(deadline=1e-9)
+        else:
+            from repro.runtime.comm import Send
+
+            def self_sending(*_args, **_kw):
+                def program(ctx):
+                    yield Send(ctx.rank, "t", 1)
+                return program
+
+            monkeypatch.setattr("repro.core.engine.phase_program", self_sending)
+            rt = MidasRuntime(mode="simulated", n_processors=2, n1=2,
+                              sanitize="strict")
+        with rt.get_profiler().span("caller.request", lane="caller"):
+            if kind == "watchdog_trip":
+                res = detect_path(_graph(seed=2), 3, runtime=rt)
+                assert res.details["degraded"]["reason"] == "deadline"
+            else:
+                with pytest.raises(SanitizerError):
+                    detect_path(_graph(seed=2), 3, runtime=rt)
+        rt.close_live()
+        (dump,) = tmp_path.glob(f"flight_{kind}_*.json")
+        snap = json.loads(dump.read_text())
+        assert snap["reason"] == kind
+        still_open = {s["name"] for s in snap["open_spans"]}
+        assert "caller.request" in still_open
+        if kind == "watchdog_trip":
+            # tripped between rounds: the stage was still running
+            assert "engine.stage" in still_open
+            assert snap["degraded"]["reason"] == "deadline"
 
     def test_status_snapshot_surfaces_tenant_slos(self):
         svc = DetectionService()

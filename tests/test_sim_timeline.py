@@ -1,0 +1,211 @@
+"""One enacted window per stage, and nobody can tell.
+
+``SimulatedBackend`` enacts a stage's communication once — the first
+window of each exchange signature runs on the coroutine simulator, later
+windows take their value from the whole-graph level DP and everything
+else from the stored timeline.  ``sanitize="warn"`` still enacts every
+window, so it is the reference: a memoised run must equal its fully
+enacted twin in everything a simulated run reports.  The rest pins *when*
+windows are enacted (``Simulator.run`` calls), the signature guard, and
+the value check on the enacted window.
+"""
+
+from __future__ import annotations
+
+import gc
+import types
+
+import numpy as np
+import pytest
+
+from _leveldp_drivers import partition_with_empty_rank
+from _sim_observe import DRIVERS, EPS, GRAPH, identity, observe
+from repro.core.engine import DetectionEngine, EngineSession, MidasRuntime
+from repro.core.problems import ProblemSpec
+from repro.core.schedule import rounds_for_epsilon
+from repro.errors import ReplayMismatchError
+from repro.ff.gf2m import default_field_for_k
+from repro.obs.analyze import extract_critical_path
+from repro.obs.metrics import MetricsRegistry
+from repro.runtime.faults import FaultPlan, FaultSpec
+from repro.runtime.scheduler import Simulator
+from repro.runtime.tracing import TraceSummary
+from repro.util.rng import RngStream
+
+ROUNDS = rounds_for_epsilon(EPS)
+
+
+def _shape(n1: int, **extra) -> dict:
+    """Two processor groups of ``n1`` ranks, 4 iterations per phase; the
+    4-rank layout leaves rank 2 without a vertex."""
+    shape = dict(n_processors=2 * n1, n1=n1, n2=4, **extra)
+    if n1 == 4:
+        session = EngineSession(GRAPH, n1=4)
+        session._partition = partition_with_empty_rank(GRAPH, 4, empty_rank=2, seed=6)
+        shape["session"] = session
+    return shape
+
+
+@pytest.fixture
+def sim_runs(monkeypatch):
+    """Counts ``Simulator.run`` calls while the test runs."""
+    calls = []
+    real = Simulator.run
+
+    def counted(self, program):
+        calls.append(self.nranks)
+        return real(self, program)
+
+    monkeypatch.setattr(Simulator, "run", counted)
+    return calls
+
+
+# ------------------------------------------------- memoised == fully enacted
+@pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("n1", [1, 3, 4])
+@pytest.mark.parametrize("overlap", [False, True], ids=["blocking", "overlap"])
+@pytest.mark.parametrize("driver", sorted(DRIVERS))
+def test_memoised_run_equals_fully_enacted_run(driver, overlap, n1, trace, sim_runs):
+    memo = observe(driver, trace=trace, **_shape(n1, overlap=overlap))
+    n_memo = len(sim_runs)
+    full = observe(driver, trace=trace, **_shape(n1, overlap=overlap, sanitize="warn"))
+    n_full = len(sim_runs) - n_memo
+
+    # round values, phase and round digests, virtual seconds per round and
+    # in total, comm bytes; traced: send counts/bytes, event and edge counts
+    assert identity(memo) == identity(full)
+    stages = memo["stages"]
+    assert n_memo == len(stages) < n_full
+    assert n_full == len(memo["phase_digests"])  # one per window
+    if n1 == 4:
+        assert memo["_rt"].session.ensure_partition().part_nodes(2).size == 0
+    if not trace:
+        return
+    nranks = 2 * n1
+    a, b = memo["_rec"], full["_rec"]
+    sa, sb = (TraceSummary.from_events(r.events, nranks) for r in (a, b))
+    assert np.array_equal(sa.bytes_sent, sb.bytes_sent)
+    assert np.array_equal(sa.comm, sb.comm) and np.array_equal(sa.idle, sb.idle)
+    assert sa.makespan == sb.makespan
+    # the spliced timelines are the same lists, event for event
+    assert a.events == b.events and a.edges == b.edges
+    pa, pb = (extract_critical_path(r.events, r.edges) for r in (a, b))
+    assert pa.to_dict() == pb.to_dict()
+    assert pa.length == pytest.approx(pa.makespan, rel=1e-9)
+
+
+# ------------------------------------------------------- when windows are enacted
+def _windows(seen: dict) -> int:
+    return len(seen["phase_digests"])
+
+
+def test_fault_free_enacts_once_per_stage(sim_runs):
+    seen = observe("detect_path", trace=False, **_shape(3))
+    assert _windows(seen) == ROUNDS * 8 and len(sim_runs) == 1
+    del sim_runs[:]
+    seen = observe("scan_grid", trace=False, **_shape(3))
+    # one stage per grid size, each with its own message sizes
+    assert [s["label"] for s in seen["stages"]] == ["size1", "size2", "size3"]
+    assert len(sim_runs) == 3 < _windows(seen)
+
+
+QUIET_PLAN = FaultPlan(specs=(FaultSpec(kind="delay", src=0, dst=1, delay=1e-6,
+                                        p=0.0),), seed=3)
+
+
+@pytest.mark.parametrize("forcing", [
+    dict(fault_plan=QUIET_PLAN),
+    dict(sanitize="warn"),
+    dict(sanitize="strict"),
+    dict(measure_compute=True),
+], ids=["fault-plan", "sanitize-warn", "sanitize-strict", "measured-compute"])
+def test_faults_sanitizer_and_measured_compute_enact_every_window(forcing, sim_runs):
+    seen = observe("detect_path", trace=False, **_shape(3, **forcing))
+    assert len(sim_runs) == _windows(seen) == ROUNDS * 8
+    assert set(sim_runs) == {3}
+
+
+def test_stored_timeline_is_plain_data(monkeypatch):
+    """Nothing reachable from a stored timeline is a Simulator, a rank
+    generator or a rank's result: those keep each other alive in cycles."""
+    stages = {}
+    real = DetectionEngine.phase_done
+
+    def spy(self, stage, *args, **kw):
+        stages[id(stage)] = stage
+        return real(self, stage, *args, **kw)
+
+    monkeypatch.setattr(DetectionEngine, "phase_done", spy)
+    observe("max_weight_path", trace=True, **_shape(3))
+    (stage,) = stages.values()
+    (timeline,) = stage.timelines.values()
+    assert len(timeline.events) > 0 and len(timeline.edges) > 0
+    seen, todo = set(), [timeline]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        assert not isinstance(obj, (Simulator, types.GeneratorType, types.FunctionType)), obj
+        todo.extend(gc.get_referents(obj))
+    assert len(seen) > len(timeline.events)  # the walk went through the lists
+
+
+# ----------------------------------------------------------- signature guard
+def _wide_after(q_wide: int):
+    """A 3-level path recurrence whose first exchange travels as uint32
+    from iteration ``q_wide`` on: same values, four times the bytes."""
+
+    def recurrence(lanes):
+        state = lanes.base(0)
+        if lanes.q_start >= q_wide:
+            state = state.astype(np.uint32)
+        acc = (yield state).astype(lanes.field.dtype)
+        acc = yield lanes.mul(lanes.base(1), acc)
+        return lanes.mul(lanes.base(2), acc)
+
+    return recurrence
+
+
+def _run_spec(spec, **shape):
+    rt = MidasRuntime(mode="simulated", metrics=MetricsRegistry(), **shape)
+    with DetectionEngine(GRAPH, rt, spec.name) as engine:
+        return engine.run_stage(spec, 2, RngStream(41))
+
+
+def _spec(recurrence) -> ProblemSpec:
+    return ProblemSpec(name="shifty", k=3, levels=3, field=default_field_for_k(3),
+                       payload=1, recurrence=recurrence)
+
+
+def test_a_window_with_another_exchange_signature_is_re_enacted(sim_runs):
+    shape = dict(n_processors=3, n1=3, n2=2)  # 4 windows per round, one at a time
+    memo = _run_spec(_spec(_wide_after(4)), **shape)
+    assert len(sim_runs) == 2  # windows 0 and 2 of round 0; round 1 reuses both
+    full = _run_spec(_spec(_wide_after(4)), sanitize="warn", **shape)
+    assert len(sim_runs) == 2 + 2 * 4
+    assert memo.values == full.values and memo.virtuals == full.virtuals
+    # the wide windows really cost more: one timeline would have been wrong
+    narrow = _run_spec(_spec(_wide_after(8)), **shape)
+    assert narrow.values == memo.values
+    assert narrow.virtuals[0] < memo.virtuals[0]
+
+
+# ------------------------------------------------- value check on enactment
+@pytest.mark.parametrize("bad_call,where", [(1, (0, 0, 0)), (3, (0, 2, 2))])
+def test_corrupted_whole_graph_value_is_caught_where_it_is_enacted(
+        bad_call, where, monkeypatch):
+    real = ProblemSpec.phase_value
+    calls = {"n": 0}
+
+    def crooked(self, *args, **kw):
+        calls["n"] += 1
+        v = real(self, *args, **kw)
+        return v ^ 1 if calls["n"] == bad_call else v
+
+    monkeypatch.setattr(ProblemSpec, "phase_value", crooked)
+    with pytest.raises(ReplayMismatchError) as ei:
+        _run_spec(_spec(_wide_after(4)), n_processors=3, n1=3, n2=2)
+    err = ei.value
+    assert (err.round_index, err.batch, err.phase) == where
+    assert f"r{where[0]}/b{where[1]}/p{where[2]}" in str(err)
