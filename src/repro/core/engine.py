@@ -80,7 +80,7 @@ from repro.errors import (
     WatchdogExpired,
     WorkerCrashedError,
 )
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, graph_sha
 from repro.graph.partition import make_partition
 from repro.obs.metrics import MetricsRegistry, get_default_registry, merge_into
 from repro.obs.profile import WallProfiler
@@ -1172,6 +1172,7 @@ class DetectionEngine:
         if self.ckpt is not None:
             self.ekey = self.ckpt.attach_engine(self)
             self.ckpt.restore_into(self)
+            self.graph_sha = graph_sha(graph)  # in every stage's identity
         self.wd = rt.get_watchdog()
         if self.wd is not None:
             # on a hard hang the monitor thread still flushes a checkpoint;
@@ -1419,8 +1420,16 @@ class DetectionEngine:
             virtuals: List[float] = []
             start_round = 0
             if skey is not None:
-                st = self.ckpt.restored_stage(self.ekey, skey)
-                if st is not None:
+                # restored rounds must be this question's: same graph,
+                # polynomial, field and randomness, or a false positive
+                st = self.ckpt.open_stage(self.ekey, skey, {
+                    "graph": self.graph_sha, "problem": spec.name,
+                    "k": spec.k, "levels": spec.levels,
+                    "field_degree": spec.field.m,
+                    "field_modulus": spec.field.modulus,
+                    "rng": rng.state(), "rounds": rounds,
+                })
+                if st["values"]:
                     values = [decode_value(v, spec) for v in st["values"]]
                     virtuals = [float(x) for x in st["virtuals"]]
                     # children are spawn-order-derived: re-requesting the
@@ -1430,11 +1439,11 @@ class DetectionEngine:
                         rng.child(f"round{ell}")
                     self.virtual_total += sum(virtuals)
                     start_round = len(values)
-                    if self.live is not None and start_round:
+                    if self.live is not None:
                         self.live.rounds_restored(start_round, self.virtual_total)
                     _LOG.info("%s: restored %d checkpointed round(s)",
                               self.problem, start_round)
-                    if st.get("hit") or st.get("complete"):
+                    if st["hit"] or st["complete"]:
                         return StageResult(values, virtuals, sched, estimate)
 
             for ell in range(start_round, rounds):

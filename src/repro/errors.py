@@ -151,9 +151,11 @@ class CheckpointCorruptError(ReproError, RuntimeError):
     """A durable checkpoint failed validation on load.
 
     Raised by :mod:`repro.runtime.durable` when a checkpoint file is
-    truncated, fails its CRC, or carries an unknown format version.
+    truncated, fails its CRC, carries an unknown format version, or holds
+    a stage computed for a different question than the one resuming it.
     ``path`` names the offending file and ``reason`` the failed check
-    (``"truncated"``, ``"crc"``, ``"version"``, ``"header"``).  A resume
+    (``"truncated"``, ``"crc"``, ``"version"``, ``"header"``,
+    ``"identity"``).  A resume
     may fall back to restart-from-scratch only when the caller passed
     ``allow_restart`` — silently discarding state would hide corruption.
     """

@@ -13,6 +13,7 @@ self-loops and duplicates are dropped at construction.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Iterable, List, Tuple
 
 import numpy as np
@@ -248,3 +249,20 @@ class CSRGraph:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         label = f" {self.name!r}" if self.name else ""
         return f"CSRGraph(n={self.n}, m={self.num_edges}{label})"
+
+
+def graph_sha(graph: CSRGraph) -> str:
+    """Content identity of a CSR graph: sha256 over ``(n, indptr, indices)``.
+
+    CSR construction canonicalizes edge order (sorted rows, deduped,
+    both orientations), so two graphs built from the same edge set in
+    any order hash identically — the property the service result cache
+    and a checkpoint's stage identity rely on.
+    """
+    h = hashlib.sha256()
+    h.update(str(int(graph.n)).encode())
+    h.update(b"|")
+    h.update(graph.indptr.tobytes())
+    h.update(b"|")
+    h.update(graph.indices.tobytes())
+    return h.hexdigest()

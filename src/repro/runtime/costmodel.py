@@ -162,9 +162,7 @@ class KernelCalibration:
     #: once a full uint64 word of lanes is in flight
     BITSLICE_MIN_N2 = 64
 
-    def __init__(self, grid: Sequence[int], c1_seconds: Sequence[float],
-                 pack_bytes_per_s: float = 2.0e9,
-                 gf_rates: Optional[Dict[str, Dict[int, float]]] = None) -> None:
+    def __init__(self, grid: Sequence[int], c1_seconds: Sequence[float]) -> None:
         if len(grid) != len(c1_seconds) or len(grid) < 1:
             raise ConfigurationError("calibration grid and rates must align and be non-empty")
         order = np.argsort(grid)
@@ -172,20 +170,6 @@ class KernelCalibration:
         self.c1_grid = np.asarray(c1_seconds, dtype=np.float64)[order]
         if np.any(self.c1_grid <= 0):
             raise ConfigurationError("calibrated rates must be positive")
-        self.pack_bytes_per_s = float(pack_bytes_per_s)
-        # gf_rates[strategy][n2] = measured seconds per DP step for that
-        # kernel at that batch width (see measure_gf_kernels); None means
-        # choose_kernel falls back to the static heuristic
-        if gf_rates is not None:
-            for strategy, table in gf_rates.items():
-                if strategy not in ("table", "logexp", "bitsliced"):
-                    raise ConfigurationError(f"unknown kernel strategy {strategy!r}")
-                for n2, sec in table.items():
-                    if n2 < 1 or sec <= 0:
-                        raise ConfigurationError(
-                            f"gf_rates[{strategy!r}][{n2}] must be positive at n2 >= 1"
-                        )
-        self.gf_rates = gf_rates
 
     def c1(self, n2: int) -> float:
         """Interpolated seconds per (vertex, iteration) at batch width n2."""
@@ -194,37 +178,18 @@ class KernelCalibration:
         lg = np.log2(self.grid.astype(np.float64))
         return float(np.interp(math.log2(n2), lg, self.c1_grid))
 
-    def _gf_rate(self, strategy: str, n2: int) -> Optional[float]:
-        table = (self.gf_rates or {}).get(strategy)
-        if not table:
-            return None
-        grid = sorted(table)
-        lg = [math.log2(g) for g in grid]
-        return float(np.interp(math.log2(n2), lg, [table[g] for g in grid]))
-
     def choose_kernel(self, m: int, n2: int, plane_resident: bool = True) -> str:
         """Pick the GF(2^m) kernel for a ``(m, n2)`` evaluation window.
 
-        Candidates are ``logexp`` (always), ``table`` (``m <= 8``), and
-        ``bitsliced`` — the latter only when the caller can keep the DP
-        state *plane-resident* (``plane_resident=True``): per-call
+        ``bitsliced`` once a full lane word is in flight
+        (``n2 >= BITSLICE_MIN_N2``) — and only when the caller can keep
+        the DP state *plane-resident* (``plane_resident=True``): per-call
         slice/unslice round-trips cost more than the carry-less multiply
-        saves, so round-trip callers must not pick it.  With measured
-        ``gf_rates`` the cheapest wins; otherwise a static heuristic:
-        bitsliced once a full lane word is in flight
-        (``n2 >= BITSLICE_MIN_N2``), else the dense table when elements fit
-        a byte, else log/antilog.
+        saves, so round-trip callers must not pick it.  Otherwise the
+        dense ``table`` when elements fit a byte, else ``logexp``.
         """
         if n2 < 1:
             raise ConfigurationError(f"n2 must be >= 1, got {n2}")
-        candidates = ["logexp"]
-        if m <= 8:
-            candidates.append("table")
-        if plane_resident:
-            candidates.append("bitsliced")
-        measured = {s: r for s in candidates if (r := self._gf_rate(s, n2)) is not None}
-        if measured:
-            return min(measured, key=measured.get)
         if plane_resident and n2 >= self.BITSLICE_MIN_N2:
             return "bitsliced"
         return "table" if m <= 8 else "logexp"
@@ -274,40 +239,6 @@ class KernelCalibration:
             rates.append(per_call / (g.n * int(n2)))
             c1_gauge.labels(n2=int(n2)).set(rates[-1])
         return KernelCalibration(list(grid), rates)
-
-    @staticmethod
-    def measure_gf_kernels(m: int = 7, sample_nodes: int = 2048, avg_degree: int = 8,
-                           grid: Sequence[int] = (16, 64, 256), k: int = 8,
-                           min_time: float = 0.01,
-                           rng_seed: int = 12345) -> Dict[str, Dict[int, float]]:
-        """Measure per-DP-level seconds of each GF kernel strategy vs N2.
-
-        Returns a ``gf_rates`` mapping for :meth:`choose_kernel`.  Every
-        strategy times the same :mod:`repro.core.leveldp` level
-        (:func:`_level_step`) on the layout the drivers run that strategy
-        with: table/logexp on element lanes, ``bitsliced`` on plane-major
-        plane lanes.
-        """
-        from repro.ff.fingerprint import Fingerprint
-        from repro.ff.gf2m import GF2m
-        from repro.graph.generators import erdos_renyi
-        from repro.util.rng import RngStream
-
-        rng = RngStream(rng_seed, name="gf-calibration")
-        g = erdos_renyi(sample_nodes, m=sample_nodes * avg_degree // 2, rng=rng)
-        strategies = ["logexp", "bitsliced"] + (["table"] if m <= 8 else [])
-        rates: Dict[str, Dict[int, float]] = {s: {} for s in strategies}
-        for strategy in strategies:
-            f = GF2m(m, kernel_strategy=strategy)
-            fp = Fingerprint.draw(g.n, k, RngStream(rng_seed + 1), field=f)
-            for n2 in grid:
-                n2 = int(n2)
-                step = _level_step(g, fp, n2)
-                step()  # warm caches and numpy dispatch before timing
-                rates[strategy][n2] = min(
-                    time_call(step, min_time=min_time) for _ in range(3)
-                )
-        return rates
 
     @staticmethod
     def synthetic(c1_inf: float = 2.0e-9, dispatch_overhead: float = 1.2e-7,

@@ -195,7 +195,8 @@ class CheckpointManager:
          "engines": {"e0:k-path": {
              "fault": {"remaining": [[idx, n|null], ...],
                        "counts": {...}, "accounting": {...}},
-             "stages": {"s0:": {"values": [...], "virtuals": [...],
+             "stages": {"s0:": {"identity": {...what it was computed for...},
+                                "values": [...], "virtuals": [...],
                                 "hit": false, "complete": false}}}},
          "digests": {"phases": [[label, r, b, p, crc], ...],
                      "rounds": [[label, r, crc], ...]},
@@ -203,7 +204,11 @@ class CheckpointManager:
 
     Engines and stages key by *creation order* plus label; drivers
     construct them deterministically, so a resumed process consumes the
-    same keys in the same order and every stage finds its own state.
+    same keys in the same order and every stage finds its own state —
+    and :meth:`open_stage` checks that it *is* its own: the stored
+    ``identity`` (graph content, problem, field, stream lineage, rounds)
+    must equal the resuming stage's, or a directory reused for another
+    question would hand back that question's answer.
     """
 
     def __init__(self, directory: PathLike, every: int = 1,
@@ -214,6 +219,7 @@ class CheckpointManager:
         self.dir = Path(directory)
         self.path = self.dir / CHECKPOINT_FILE
         self.every = int(every)
+        self.allow_restart = allow_restart
         self.config_hash = config_hash
         self.resumed_from: Optional[str] = None
         self.state: dict = {"config_hash": config_hash, "engines": {},
@@ -260,11 +266,36 @@ class CheckpointManager:
         return f"s{n}:{label}"
 
     # ------------------------------------------------------------- restore
-    def restored_stage(self, ekey: str, skey: str) -> Optional[dict]:
-        """The checkpointed state of one stage, or None on a fresh run."""
-        if self.resumed_from is None:
-            return None
-        return self.state["engines"].get(ekey, {}).get("stages", {}).get(skey)
+    def open_stage(self, ekey: str, skey: str, identity: dict) -> dict:
+        """The state of stage ``skey``, computed for ``identity``: what a
+        resumed checkpoint holds for it (rounds to restore), else empty.
+
+        A checkpointed stage computed for anything else — another graph,
+        ``k``, seed, ... — raises :class:`~repro.errors.CheckpointCorruptError`
+        naming the first differing field; under ``allow_restart`` the
+        stage restarts from scratch instead.
+        """
+        with self._lock:
+            stages = self.state["engines"][ekey]["stages"]
+            st = stages.get(skey) if self.resumed_from is not None else None
+            if st is not None:
+                stored = st.get("identity") or {}
+                differs = [f for f in identity if stored.get(f) != identity[f]]
+                if not differs:
+                    return st
+                if not self.allow_restart:
+                    raise CheckpointCorruptError(
+                        self.path, "identity",
+                        f"stage {skey!r} was computed for a different "
+                        f"{differs[0]} ({stored.get(differs[0])!r}, this run "
+                        f"has {identity[differs[0]]!r})")
+                _LOG.warning("stage %r of %s was computed for a different %s: "
+                             "restarting it (allow_restart)",
+                             skey, self.path, differs[0])
+            st = stages[skey] = {"identity": identity, "values": [],
+                                 "virtuals": [], "hit": False,
+                                 "complete": False}
+            return st
 
     def restore_into(self, engine) -> None:
         """Reload fault-injector budgets/accounting and the digest log."""
@@ -303,9 +334,7 @@ class CheckpointManager:
         """Record one completed round; persists every ``every`` rounds and
         always at a stage boundary (hit or planned-rounds exhausted)."""
         with self._lock:
-            stages = self.state["engines"][ekey]["stages"]
-            st = stages.setdefault(skey, {"values": [], "virtuals": [],
-                                          "hit": False, "complete": False})
+            st = self.state["engines"][ekey]["stages"][skey]
             st["values"].append(encode_value(value))
             st["virtuals"].append(float(virtual))
             st["hit"] = bool(st["hit"] or hit)

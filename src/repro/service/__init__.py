@@ -9,10 +9,11 @@ that state resident between queries:
   :class:`~repro.core.engine.EngineSession` prepared state;
 * :mod:`repro.service.broker` — :class:`QueryBroker`: admits queries,
   coalesces identical in-flight work, enforces per-tenant quotas,
-  caches results keyed by ``(graph sha, query, seed policy)``;
-* :mod:`repro.service.server` — :class:`DetectionService`: the asyncio
-  event loop, the coordinator sweep, and the HTTP ``/api/*`` routes
-  mounted on :class:`~repro.obs.http.LiveServer`;
+  caches results keyed by ``(graph sha, query, seed policy)``, and runs
+  each admitted query on the thread that asked;
+* :mod:`repro.service.server` — :class:`DetectionService`: the broker's
+  lifecycle, the coordinator sweep (the service's one thread), and the
+  HTTP ``/api/*`` routes mounted on :class:`~repro.obs.http.LiveServer`;
 * :mod:`repro.service.client` — :class:`LocalClient` (in-process) and
   :class:`HttpClient` (remote), one ``query()`` surface for both.
 

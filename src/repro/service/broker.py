@@ -1,9 +1,10 @@
 """Query admission, coalescing, quotas, and the result cache.
 
-The broker is the service's concurrency heart.  Its ``submit`` coroutine
-runs **on the service event loop** (single-threaded state machine — no
-locks needed for broker state) and hands the actual detection work to a
-thread pool, so the loop stays responsive while 2^k iterations grind.
+:meth:`QueryBroker.submit` is a plain blocking call: the thread that
+asks runs the detection.  One lock guards the bookkeeping (cache,
+in-flight map, per-tenant counts, stats, the completed list) and is
+never held while a detection runs; a semaphore of ``workers`` slots
+bounds how many run at once.
 
 Admission pipeline, in order:
 
@@ -12,36 +13,39 @@ Admission pipeline, in order:
    for a pinned seed policy, so a cached payload is exactly what a fresh
    execution would return; cache hits cost no quota.
 2. **coalescing** — an identical query already in flight (same cache
-   key) is joined, not re-run: the later caller awaits the same future
-   and receives the identical payload.  Coalesced joins cost no quota
-   either — the work was already admitted.
+   key) is joined, not re-run: the later caller waits on the leader's
+   future and receives the identical payload (or the leader's error).
+   Coalesced joins cost no quota either — the work was already admitted.
 3. **quota** — each tenant may hold at most ``quota`` in-flight
    executions; the next one is rejected *immediately* with
    :class:`~repro.errors.QuotaExceededError` (backpressure by refusal,
    not by unbounded queueing).
+4. **slot** — the admitted caller waits for one of the ``workers``
+   execution slots (the ``broker.queue`` span) and then executes.
 
-Completed executions land in a drain queue; the coordinator's periodic
-:meth:`QueryBroker.sweep` turns them into ``midas_service_*`` metrics
-and :class:`~repro.obs.store.RunRecord` appends.
+Completed executions land in a list; the coordinator's periodic
+:meth:`QueryBroker.sweep` — off the query path, on the service's one
+thread — turns them into ``midas_service_*`` metrics and
+:class:`~repro.obs.store.RunRecord` appends.
 """
 
 from __future__ import annotations
 
-import asyncio
 import ctypes
 import hashlib
 import json
 import os
+import threading
 import time
-from collections import OrderedDict, deque
-from concurrent.futures import ThreadPoolExecutor
+from collections import OrderedDict
+from concurrent.futures import Future, wait
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.engine import MidasRuntime
-from repro.errors import ConfigurationError, QuotaExceededError
+from repro.errors import ConfigurationError, QuotaExceededError, ServiceError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.qtrace import QueryTrace, TraceContext
 from repro.service.registry import GraphEntry, GraphRegistry
@@ -63,20 +67,20 @@ _MMAP_THRESHOLD, _TRIM_THRESHOLD = 16 << 20, 64 << 20
 def retain_worker_heaps() -> bool:
     """Tell glibc malloc to keep freed heap memory in the process.
 
-    A worker thread allocates from its own malloc arena, which starts
-    empty, so a level step's temporaries (0.1 - 1 MB each) are always the
-    top of it.  With its self-adjusting thresholds glibc hands that top
-    back to the kernel once about twice the largest temporary is free and
-    maps it again for the next step.  Measured on a 2-worker service
-    answering k=6 path / k=5 tree queries: 70-80 k page faults per second
-    and a quarter of the process's CPU time in the kernel, under the
-    address-space lock both workers share — a tenth of the throughput,
-    and half again the run-to-run spread of the same queries on fixed
-    thresholds.  The price is that memory freed after a peak stays
-    resident (up to the trim threshold per arena).  Process-wide and
-    irreversible, hence done by the one long-lived owner of worker
-    threads.  Returns False where there is no glibc ``mallopt`` (musl,
-    macOS, Windows).
+    A querying thread other than the main one allocates from its own
+    malloc arena, which starts empty, so a level step's temporaries
+    (0.1 - 1 MB each) are always the top of it.  With its self-adjusting
+    thresholds glibc hands that top back to the kernel once about twice
+    the largest temporary is free and maps it again for the next step.
+    Measured on a service answering k=6 path / k=5 tree queries from two
+    threads: 70-80 k page faults per second and a quarter of the
+    process's CPU time in the kernel, under the address-space lock both
+    threads share — a tenth of the throughput, and half again the
+    run-to-run spread of the same queries on fixed thresholds.  The
+    price is that memory freed after a peak stays resident (up to the
+    trim threshold per arena).  Process-wide and irreversible, hence done
+    by the one long-lived object those threads query through.  Returns
+    False where there is no glibc ``mallopt`` (musl, macOS, Windows).
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -84,22 +88,6 @@ def retain_worker_heaps() -> bool:
         return False
     return bool(mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
                 and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD))
-
-
-class ExecutionInterrupted(Exception):
-    """Carrier for a ``KeyboardInterrupt``/``SystemExit`` raised inside a
-    query execution.  asyncio's ``Task.__step`` re-raises those two
-    *through* ``run_forever``, which would kill the service loop thread
-    while the submitting thread still waits on its cross-thread future
-    (a permanent hang — the state-transfer callback never runs).
-    Wrapping them in a plain ``Exception`` keeps the loop alive;
-    :meth:`~repro.service.server.DetectionService.query` unwraps and
-    re-raises the original in the calling thread.
-    """
-
-    def __init__(self, original: BaseException) -> None:
-        super().__init__(f"query interrupted by {type(original).__name__}")
-        self.original = original
 
 
 KINDS = ("detect-path", "detect-tree", "scan")
@@ -335,7 +323,7 @@ def canonical_result(payload: dict) -> dict:
 
 def execute_query(spec: QuerySpec, entry: GraphEntry,
                   rt: MidasRuntime) -> Tuple[dict, object]:
-    """Run ``spec`` against ``entry.graph`` on ``rt`` (worker thread).
+    """Run ``spec`` against ``entry.graph`` on ``rt`` (calling thread).
 
     Returns ``(payload, raw_result)`` — the payload's ``"result"`` holds
     only deterministic fields; wall time and backend identity live in
@@ -401,6 +389,10 @@ def execute_query(spec: QuerySpec, entry: GraphEntry,
     return payload, raw
 
 
+def _timed_out(timeout: float) -> ServiceError:
+    return ServiceError(f"query timed out after {timeout}s")
+
+
 @dataclass
 class QueryOutcome:
     """What a client gets back: the JSON-safe payload plus (in-process
@@ -436,11 +428,11 @@ class QueryOutcome:
 
 
 class QueryBroker:
-    """Loop-confined admission/coalescing/quota/cache state machine.
+    """Admission, coalescing, quota and cache around :func:`execute_query`.
 
-    All mutation of broker state happens on the owning event loop (the
-    :class:`~repro.service.server.DetectionService` coordinator thread);
-    detection work itself runs in ``self.pool`` worker threads.
+    Thread-safe: any thread may :meth:`submit`; ``self._lock`` guards
+    every piece of shared state and is released before the detection
+    (or a wait for one) starts.
     """
 
     def __init__(
@@ -470,13 +462,15 @@ class QueryBroker:
         self.tracer = tracer
         self._runtime_config = dict(runtime_config or {})
         retain_worker_heaps()
-        self.pool = ThreadPoolExecutor(
-            max_workers=workers or 4, thread_name_prefix="midas-query"
-        )
+        # at most `workers` detections run at once, each on its caller's thread
+        self._slots = threading.BoundedSemaphore(workers or 4)
+        self._lock = threading.Lock()
+        self._idle = threading.Condition(self._lock)  # no execution in flight
+        self._closed = False
         self._cache: "OrderedDict[str, dict]" = OrderedDict()
-        self._inflight: Dict[str, asyncio.Future] = {}
+        self._inflight: Dict[str, Future] = {}
         self._tenant_inflight: Dict[str, int] = {}
-        self._completed: deque = deque()
+        self._completed: List[dict] = []
         self.stats = {"queries": 0, "cache_hits": 0, "coalesced": 0,
                       "rejected": 0, "errors": 0, "sweeps": 0, "records": 0}
         m = metrics
@@ -569,9 +563,9 @@ class QueryBroker:
 
     def _traced_execute(self, spec: QuerySpec, entry: GraphEntry,
                         rt: MidasRuntime, qt: QueryTrace, submit_t: float):
-        """Executor-thread wrapper decorating the module-level
-        :func:`execute_query` (which tests monkeypatch) with the
-        ``broker.queue`` / ``broker.execute`` spans and making the query's
+        """Decorate the module-level :func:`execute_query` (which tests
+        monkeypatch) with the ``broker.queue`` span — admission to the
+        execution slot — and ``broker.execute``, and make the query's
         trace the span log the engine records into."""
         qt.add_span("broker.queue", submit_t, time.perf_counter(),
                     lane="broker")
@@ -583,10 +577,10 @@ class QueryBroker:
             span.tag(rounds=int(payload.get("timing", {}).get("rounds", 0)))
         return payload, raw
 
-    async def submit(self, spec: QuerySpec, tenant: str = "default",
-                     runtime: Optional[MidasRuntime] = None,
-                     trace=None) -> QueryOutcome:
-        """Admit and run one query (loop coroutine; see class docs).
+    def submit(self, spec: QuerySpec, tenant: str = "default",
+               runtime: Optional[MidasRuntime] = None,
+               trace=None, timeout: Optional[float] = None) -> QueryOutcome:
+        """Admit one query and answer it on the calling thread.
 
         Raises :class:`~repro.errors.UnknownGraphError` for an
         unresolvable graph reference and
@@ -594,18 +588,42 @@ class QueryBroker:
         its in-flight limit.  ``trace`` carries the client's trace
         context (see :meth:`_begin_trace`); every served payload is
         stamped with its own ``trace`` identity when tracing is on.
+
+        ``timeout`` bounds what the caller can be made to wait for — the
+        identical query it joined, or an execution slot — with a
+        :class:`~repro.errors.ServiceError`.  What the wait for the slot
+        left of it becomes the runtime's ``deadline`` (unless it has
+        one), so an overrun comes back as the watchdog's degraded reply,
+        which is never cached.
         """
         entry = self.registry.resolve(spec.graph)
         key = spec.cache_key(entry.sha)
         qt = self._begin_trace(tenant, trace)
         total = qt.span("broker.total", lane="broker", kind=spec.kind)
+        joined = mine = None
+        with self._lock:
+            if self._closed:
+                raise ServiceError("service is closed")
+            with qt.span("broker.cache", lane="broker") as span:
+                cached = self._cache.get(key)
+                span.tag(hit=cached is not None)
+            if cached is not None:
+                self._cache.move_to_end(key)
+                self.stats["cache_hits"] += 1
+            elif self.coalesce and key in self._inflight:
+                joined = self._inflight[key]
+                self.stats["coalesced"] += 1
+            else:
+                with qt.span("broker.quota", lane="broker") as span:
+                    held = self._tenant_inflight.get(tenant, 0)
+                    span.tag(rejected=held >= self.quota)
+                if held >= self.quota:
+                    self.stats["rejected"] += 1
+                else:
+                    self._tenant_inflight[tenant] = held + 1
+                    mine = self._inflight[key] = Future()
 
-        with qt.span("broker.cache", lane="broker") as span:
-            cached = self._cache.get(key)
-            span.tag(hit=cached is not None)
         if cached is not None:
-            self._cache.move_to_end(key)
-            self.stats["cache_hits"] += 1
             self.m_cache_hits.labels(kind=spec.kind).inc()
             self.m_queries.labels(kind=spec.kind, tenant=tenant,
                                   outcome="cached").inc()
@@ -613,15 +631,15 @@ class QueryBroker:
             return QueryOutcome(self._served(cached, tenant, qt,
                                              cache_hit=True))
 
-        existing = self._inflight.get(key) if self.coalesce else None
-        if existing is not None:
-            self.stats["coalesced"] += 1
+        if joined is not None:
             self.m_coalesced.labels(kind=spec.kind).inc()
             self.m_queries.labels(kind=spec.kind, tenant=tenant,
                                   outcome="coalesced").inc()
             try:
                 with qt.span("broker.coalesce", lane="broker"):
-                    payload = await asyncio.shield(existing)
+                    if not wait([joined], timeout=timeout).done:
+                        raise _timed_out(timeout)
+                    payload = joined.result()
             except BaseException as exc:
                 self._finish_trace(
                     qt, total, "error",
@@ -631,77 +649,72 @@ class QueryBroker:
             return QueryOutcome(self._served(payload, tenant, qt,
                                              coalesced=True))
 
-        with qt.span("broker.quota", lane="broker") as span:
-            held = self._tenant_inflight.get(tenant, 0)
-            span.tag(rejected=held >= self.quota)
-        if held >= self.quota:
-            self.stats["rejected"] += 1
+        if mine is None:
             self.m_rejected.labels(tenant=tenant).inc()
             self._finish_trace(qt, total, "quota",
                                error=f"tenant {tenant!r} at quota {self.quota}")
             raise QuotaExceededError(tenant, self.quota)
-        self._tenant_inflight[tenant] = held + 1
-        self.m_inflight.inc()
 
-        loop = asyncio.get_running_loop()
-        fut: asyncio.Future = loop.create_future()
-        self._inflight[key] = fut
-        rt = runtime if runtime is not None else self.make_runtime()
-        if rt.session is None:
-            sess = entry.session_for(rt)
-            if sess.compatible(entry.graph, rt) is None:
-                rt.session = sess
-        t0 = time.perf_counter()
+        self.m_inflight.inc()
         try:
-            payload, raw = await loop.run_in_executor(
-                self.pool, self._traced_execute, spec, entry, rt, qt, t0
-            )
-        except (KeyboardInterrupt, SystemExit) as exc:
-            carrier = ExecutionInterrupted(exc)
-            self._failed(spec, tenant, fut, carrier)
-            self._finish_trace(qt, total, "interrupted", error=str(carrier))
-            raise carrier from exc
-        except Exception as exc:
-            self._failed(spec, tenant, fut, exc)
-            self._finish_trace(qt, total, "error",
-                               error=f"{type(exc).__name__}: {exc}")
+            rt = runtime if runtime is not None else self.make_runtime()
+            if rt.session is None:
+                sess = entry.session_for(rt)
+                if sess.compatible(entry.graph, rt) is None:
+                    rt.session = sess
+            t0 = time.perf_counter()
+            if not self._slots.acquire(timeout=timeout):
+                raise _timed_out(timeout)
+            try:
+                if timeout is not None and rt.deadline is None:
+                    # what the wait for the slot left of it
+                    rt.deadline = max(
+                        timeout - (time.perf_counter() - t0), 1e-6)
+                payload, raw = self._traced_execute(spec, entry, rt, qt, t0)
+            finally:
+                self._slots.release()
+                if runtime is None:  # made here, closed here: a deadline's
+                    rt.close_live()  # watchdog runs a monitor thread
+        except BaseException as exc:
+            # whoever coalesced onto this execution fails with it; an
+            # interrupt (Ctrl-C, SystemExit) is this caller's alone
+            failure = exc if isinstance(exc, Exception) else ServiceError(
+                f"query interrupted by {type(exc).__name__}")
+            mine.set_exception(failure)
+            with self._lock:
+                self.stats["errors"] += 1
+            self.m_queries.labels(kind=spec.kind, tenant=tenant,
+                                  outcome="error").inc()
+            self._finish_trace(
+                qt, total, "error" if failure is exc else "interrupted",
+                error=f"{type(failure).__name__}: {failure}")
             raise
         else:
             wall = time.perf_counter() - t0
-            if not fut.done():
-                fut.set_result(payload)
-            self._remember(key, payload)
-            self.stats["queries"] += 1
+            mine.set_result(payload)
+            with self._lock:
+                self._remember(key, payload)
+                self.stats["queries"] += 1
+                self._completed.append({
+                    "spec": spec, "entry": entry, "tenant": tenant,
+                    "wall": wall, "payload": payload, "mode": rt.mode,
+                    "nranks": rt.n_processors,
+                    "trace_id": qt.trace_id or None,
+                })
             self.m_queries.labels(kind=spec.kind, tenant=tenant,
                                   outcome="ok").inc()
             self.m_latency.labels(kind=spec.kind).observe(wall)
             self._finish_trace(qt, total, "ok", kind=spec.kind,
                                wall_seconds=wall, mode=rt.mode)
-            self._completed.append({
-                "spec": spec, "entry": entry, "tenant": tenant,
-                "wall": wall, "payload": payload, "mode": rt.mode,
-                "nranks": rt.n_processors,
-                "trace_id": qt.trace_id or None,
-            })
             return QueryOutcome(self._served(payload, tenant, qt), raw)
         finally:
-            self._inflight.pop(key, None)
-            left = self._tenant_inflight.get(tenant, 1) - 1
-            if left > 0:
-                self._tenant_inflight[tenant] = left
-            else:
-                self._tenant_inflight.pop(tenant, None)
+            with self._lock:
+                self._inflight.pop(key, None)
+                self._tenant_inflight[tenant] -= 1
+                if not self._tenant_inflight[tenant]:
+                    del self._tenant_inflight[tenant]
+                    self._idle.notify_all()
             self.m_inflight.dec()
-
-    def _failed(self, spec: QuerySpec, tenant: str, fut: asyncio.Future,
-                exc: BaseException) -> None:
-        """Count a failed execution and fail everyone coalesced onto it."""
-        self.stats["errors"] += 1
-        self.m_queries.labels(kind=spec.kind, tenant=tenant,
-                              outcome="error").inc()
-        if not fut.done():
-            fut.set_exception(exc)
-            fut.exception()  # mark retrieved: waiters may be zero
 
     # ------------------------------------------------------------ coordinator
     def _record_from(self, item: dict):
@@ -733,52 +746,56 @@ class QueryBroker:
         """Drain completed executions into metrics + RunStore appends.
 
         Called periodically by the service coordinator (and once more at
-        shutdown so nothing is lost).  Safe to call with an empty queue.
+        shutdown so nothing is lost), from any thread.  Safe to call with
+        nothing completed; the store append happens outside the lock.
         """
-        drained = rounds = 0
-        records = []
-        while self._completed:
-            item = self._completed.popleft()
-            drained += 1
-            rounds += int(item["payload"].get("timing", {}).get("rounds", 0))
-            if self.store is not None:
-                records.append(self._record_from(item))
+        with self._lock:
+            completed, self._completed = self._completed, []
+        rounds = sum(int(item["payload"].get("timing", {}).get("rounds", 0))
+                     for item in completed)
+        records = ([self._record_from(item) for item in completed]
+                   if self.store is not None else [])
+        appended = 0
         if records:
             try:
                 appended = self.store.append_many(records)
             except OSError as exc:  # a full disk must not kill the coordinator
                 _LOG.error("service sweep: RunStore append failed: %s", exc)
-            else:
-                self.stats["records"] += appended
-                self.m_records.inc(appended)
+            self.m_records.inc(appended)
         if rounds:
             self.m_rounds.inc(rounds)
-        self.stats["sweeps"] += 1
+        with self._lock:
+            self.stats["records"] += appended
+            self.stats["sweeps"] += 1
         self.m_sweeps.inc()
         self.m_graphs.set(len(self.registry))
         self.m_sessions.set(self.registry.session_count())
         self.m_cache_entries.set(len(self._cache))
-        return {"drained": drained, "rounds": rounds,
+        return {"drained": len(completed), "rounds": rounds,
                 "records": len(records)}
 
     def describe(self) -> dict:
         """JSON-safe broker stats for ``/status`` and ``/api/service``."""
-        return {
-            "quota": self.quota,
-            "cache_size": self.cache_size,
-            "cache_entries": len(self._cache),
-            "coalesce": self.coalesce,
-            "inflight": dict(self._tenant_inflight),
-            "pending_sweep": len(self._completed),
-            "stats": dict(self.stats),
-        }
+        with self._lock:
+            return {
+                "quota": self.quota,
+                "cache_size": self.cache_size,
+                "cache_entries": len(self._cache),
+                "coalesce": self.coalesce,
+                "inflight": dict(self._tenant_inflight),
+                "pending_sweep": len(self._completed),
+                "stats": dict(self.stats),
+            }
 
     def close(self) -> None:
-        self.pool.shutdown(wait=True)
+        """Admit nothing more and wait for the executions in flight."""
+        with self._idle:
+            self._closed = True
+            while self._tenant_inflight:
+                self._idle.wait()
 
 
 __all__ = [
-    "ExecutionInterrupted",
     "KINDS",
     "QueryBroker",
     "QueryOutcome",

@@ -3,7 +3,8 @@
 :class:`LocalClient` embeds a :class:`~repro.service.server.DetectionService`
 in-process (no sockets, no serialization of the graph) — the CLI's
 default path, so ``repro detect-path`` without ``--server`` goes through
-exactly the same admission pipeline the HTTP server uses.
+exactly the same admission pipeline the HTTP server uses, and the
+detection runs on the calling thread (Ctrl-C lands in it).
 
 :class:`HttpClient` talks to a remote ``repro serve`` endpoint with
 stdlib :mod:`urllib` — no third-party HTTP dependency.  Error mapping

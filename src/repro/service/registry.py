@@ -1,8 +1,8 @@
 """Preloaded-graph registry for the detection service.
 
-Graphs are identified by **content**: :func:`graph_sha` hashes the CSR
-arrays, so the same edge set registered twice (or uploaded by two
-tenants) lands on one entry, one set of cached
+Graphs are identified by **content**:
+:func:`~repro.graph.csr.graph_sha` hashes the CSR arrays, so the same
+edge set registered twice (or uploaded by two tenants) lands on one entry, one set of cached
 :class:`~repro.core.engine.EngineSession` prepared state, and one slice
 of the result cache.  Names are optional conveniences layered on top —
 queries may reference a graph by name, full sha, or unambiguous sha
@@ -11,31 +11,13 @@ prefix.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from typing import Dict, List, Optional
 
 from repro.core.engine import EngineSession, MidasRuntime
 from repro.errors import ConfigurationError, UnknownGraphError
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, graph_sha
 from repro.obs.qtrace import get_flight_recorder
-
-
-def graph_sha(graph: CSRGraph) -> str:
-    """Content identity of a CSR graph: sha256 over ``(n, indptr, indices)``.
-
-    CSR construction canonicalizes edge order (sorted rows, deduped,
-    both orientations), so two graphs built from the same edge set in
-    any order hash identically — the property the service result cache
-    relies on.
-    """
-    h = hashlib.sha256()
-    h.update(str(int(graph.n)).encode())
-    h.update(b"|")
-    h.update(graph.indptr.tobytes())
-    h.update(b"|")
-    h.update(graph.indices.tobytes())
-    return h.hexdigest()
 
 
 class GraphEntry:

@@ -1,14 +1,15 @@
-"""The persistent detection service: event loop, coordinator, HTTP API.
+"""The persistent detection service: broker, coordinator, HTTP API.
 
-:class:`DetectionService` owns one asyncio event loop on a daemon
-thread.  All broker state lives on that loop; callers — in-process
-:class:`~repro.service.client.LocalClient` users and the HTTP handler
-threads alike — bridge into it with ``run_coroutine_threadsafe``, so
-the admission pipeline needs no locks of its own.
+:class:`DetectionService` is a :class:`~repro.service.broker.QueryBroker`
+with a lifecycle.  A query runs on the thread that asks for it —
+an in-process :class:`~repro.service.client.LocalClient` user's thread
+or an HTTP handler's — through the broker's blocking ``submit``; the
+broker's lock makes that safe from any number of threads at once.
 
-A **coordinator** task sweeps the broker every ``sweep_interval``
-seconds, draining completed executions into ``midas_service_*`` metrics
-and (when a store is configured) RunRecord appends.
+The service owns one thread, the **coordinator**: every
+``sweep_interval`` seconds it sweeps the broker, draining completed
+executions into ``midas_service_*`` metrics and (when a store is
+configured) RunRecord appends, off the query path.
 
 :meth:`DetectionService.serve` mounts the API on the same
 :class:`~repro.obs.http.LiveServer` stack the live-run telemetry uses,
@@ -20,17 +21,15 @@ so one port exposes ``/metrics``, ``/status``, ``/healthz`` **and**:
   or an ``er:N[:M[:SEED]]`` generator spec);
 * ``GET /api/service`` — broker + registry + session introspection.
 
-Shutdown (:meth:`close`) is leak-free by construction: cancel the
-coordinator, cancel stragglers, stop the loop, join its thread, drain
-the worker pool, stop the HTTP server, then run one final sweep so
-every completed query is recorded.  ``tests/test_service.py`` asserts
-the thread census is unchanged afterwards.
+Shutdown (:meth:`close`): stop the HTTP server, close the broker — it
+admits nothing more and waits for the executions in flight — stop and
+join the coordinator, then run one final sweep so every completed query
+is recorded.  ``tests/test_service.py`` asserts the thread census is
+unchanged afterwards.
 """
 
 from __future__ import annotations
 
-import asyncio
-import concurrent.futures
 import json
 import threading
 import time
@@ -46,12 +45,7 @@ from repro.errors import (
 from repro.graph.csr import CSRGraph
 from repro.obs.http import LiveServer, RouteHandler
 from repro.obs.metrics import MetricsRegistry
-from repro.service.broker import (
-    ExecutionInterrupted,
-    QueryBroker,
-    QueryOutcome,
-    QuerySpec,
-)
+from repro.service.broker import QueryBroker, QueryOutcome, QuerySpec
 from repro.service.registry import GraphEntry, GraphRegistry
 from repro.util.log import get_logger
 
@@ -71,8 +65,8 @@ class DetectionService:
     """A long-lived, multi-tenant detection endpoint (see module docs).
 
     Use as a context manager — or pair :meth:`start` with :meth:`close`
-    — and the loop thread, worker pool, and HTTP server are all torn
-    down deterministically.
+    — and the coordinator thread and HTTP server are torn down
+    deterministically.
     """
 
     def __init__(
@@ -113,53 +107,31 @@ class DetectionService:
         )
         self.sweep_interval = float(sweep_interval)
         self.host = host
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._ready = threading.Event()
-        self._coordinator_fut = None
+        self._coordinator: Optional[threading.Thread] = None
+        self._stop = threading.Event()
         self._server: Optional[LiveServer] = None
         self._t0: Optional[float] = None
         self._closed = False
 
     # ------------------------------------------------------------ lifecycle
     def start(self) -> "DetectionService":
-        """Spin up the event loop thread + coordinator (idempotent)."""
-        if self._loop is not None:
-            return self
+        """Start the coordinator thread (idempotent)."""
         if self._closed:
             raise ServiceError("service already closed; build a new one")
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._run_loop, name="midas-service-loop", daemon=True
-        )
-        self._thread.start()
-        self._ready.wait(timeout=5.0)
-        self._t0 = time.monotonic()
-        self._coordinator_fut = asyncio.run_coroutine_threadsafe(
-            self._coordinate(), self._loop
-        )
+        if self._coordinator is None:
+            self._t0 = time.monotonic()
+            self._coordinator = threading.Thread(
+                target=self._coordinate, name="midas-service-sweep",
+                daemon=True)
+            self._coordinator.start()
         return self
 
-    def _run_loop(self) -> None:
-        asyncio.set_event_loop(self._loop)
-        self._ready.set()
-        self._loop.run_forever()
-
-    async def _coordinate(self) -> None:
-        while True:
-            await asyncio.sleep(self.sweep_interval)
+    def _coordinate(self) -> None:
+        while not self._stop.wait(self.sweep_interval):
             try:
                 self.broker.sweep()
             except Exception:  # pragma: no cover - defensive
                 _LOG.exception("service coordinator sweep failed")
-
-    async def _drain(self) -> None:
-        """Cancel every loop task but this one and wait them out."""
-        me = asyncio.current_task()
-        tasks = [t for t in asyncio.all_tasks() if t is not me]
-        for t in tasks:
-            t.cancel()
-        await asyncio.gather(*tasks, return_exceptions=True)
 
     def close(self) -> None:
         """Full teardown; idempotent.  See module docs for the order."""
@@ -169,31 +141,11 @@ class DetectionService:
         if self._server is not None:
             self._server.stop()
             self._server = None
-        if self._loop is not None:
-            if self._coordinator_fut is not None:
-                self._coordinator_fut.cancel()
-            loop_alive = (self._thread is not None
-                          and self._thread.is_alive()
-                          and self._loop.is_running())
-            if loop_alive:
-                try:
-                    asyncio.run_coroutine_threadsafe(
-                        self._drain(), self._loop
-                    ).result(timeout=10.0)
-                except Exception:  # pragma: no cover - best-effort drain
-                    _LOG.exception("service drain failed")
-                try:
-                    self._loop.call_soon_threadsafe(self._loop.stop)
-                except RuntimeError:  # loop closed under us
-                    pass
-            if self._thread is not None:
-                self._thread.join(timeout=10.0)
-            if not self._loop.is_running():
-                self._loop.close()
-            self._loop = None
-            self._thread = None
-            self._coordinator_fut = None
         self.broker.close()
+        self._stop.set()
+        if self._coordinator is not None:
+            self._coordinator.join(timeout=10.0)
+            self._coordinator = None
         self.broker.sweep()  # flush the last completed queries to the store
 
     def __enter__(self) -> "DetectionService":
@@ -209,50 +161,23 @@ class DetectionService:
 
     def query(self, query, tenant: str = "default", runtime=None,
               timeout: Optional[float] = None, trace=None) -> QueryOutcome:
-        """Submit one query and block for its outcome (any thread).
+        """Answer one query on the calling thread (any thread).
 
         ``query`` is a :class:`QuerySpec` or a dict for
         :meth:`QuerySpec.from_dict`; ``runtime`` optionally overrides
         the broker's per-execution runtime (the CLI's LocalClient path,
         where ``--mode``/``--n1``/... flags build it); ``trace`` carries
-        the caller's trace context (a ``{"traceparent": ...}`` dict).
+        the caller's trace context (a ``{"traceparent": ...}`` dict);
+        ``timeout`` is :meth:`QueryBroker.submit`'s.
         """
         spec = query if isinstance(query, QuerySpec) else QuerySpec.from_dict(query)
         self.start()
-        fut = asyncio.run_coroutine_threadsafe(
-            self.broker.submit(spec, tenant=tenant, runtime=runtime,
-                               trace=trace),
-            self._loop,
-        )
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            try:
-                # Short poll instead of one long block: if the loop thread
-                # ever dies mid-flight, the future would never resolve.
-                return fut.result(timeout=0.5)
-            except concurrent.futures.TimeoutError:
-                if deadline is not None and time.monotonic() >= deadline:
-                    fut.cancel()
-                    raise ServiceError(
-                        f"query timed out after {timeout}s"
-                    ) from None
-                if self._thread is None or not self._thread.is_alive():
-                    raise ServiceError(
-                        "service loop died while the query was in flight"
-                    ) from None
-            except ExecutionInterrupted as exc:
-                raise exc.original from None
+        return self.broker.submit(spec, tenant=tenant, runtime=runtime,
+                                  trace=trace, timeout=timeout)
 
-    def sweep_now(self, timeout: Optional[float] = 5.0) -> dict:
-        """Force one coordinator sweep from any thread (tests, shutdown)."""
-        self.start()
-
-        async def _one():
-            return self.broker.sweep()
-
-        return asyncio.run_coroutine_threadsafe(
-            _one(), self._loop
-        ).result(timeout=timeout)
+    def sweep_now(self) -> dict:
+        """One coordinator sweep, now, on the calling thread (tests)."""
+        return self.broker.sweep()
 
     def status_snapshot(self) -> dict:
         """The ``/status`` payload: service-level, not per-run."""

@@ -8,16 +8,10 @@ themselves, read the port it prints, and stop it with SIGINT.
 """
 
 import json
-import os
-import re
-import select
 import signal
 import subprocess
-import sys
 import threading
-import time
 import urllib.request
-from pathlib import Path
 
 import pytest
 
@@ -32,43 +26,22 @@ from repro.obs.qtrace import reset_flight_recorder
 from repro.serialization import load_result
 from repro.service import HttpClient, QuerySpec
 from repro.util.rng import RngStream
+from serving import repro_serve
 
 pytestmark = pytest.mark.smoke
-
-SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 @pytest.fixture(scope="module")
 def served():
     """Base URL of a ``repro serve`` subprocess (ER n=800, process mode)."""
-    env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--host", "127.0.0.1",
-         "--port", "0", "--register", "er=er:800:3200:7",
-         "--mode", "process", "--workers", "2", "--run-seconds", "900"],
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env)
-    try:
-        deadline, log = time.monotonic() + 60, []
-        while True:
-            ready, _, _ = select.select([proc.stdout], [], [],
-                                        max(deadline - time.monotonic(), 0))
-            line = proc.stdout.readline() if ready else ""
-            log.append(line)
-            found = re.search(r"serving detection API on (http://\S+)", line)
-            if found:
-                break
-            assert line, "server never came up:\n" + "".join(log)
-        yield found.group(1)
+    with repro_serve("--register", "er=er:800:3200:7",
+                     "--mode", "process", "--workers", "2") as (proc, url):
+        yield url
         proc.send_signal(signal.SIGINT)
         try:
             proc.wait(timeout=60)
         except subprocess.TimeoutExpired:
             pytest.fail("server still running 60s after SIGINT")
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()
-        proc.stdout.close()
 
 
 @pytest.fixture(scope="module")

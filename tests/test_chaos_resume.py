@@ -154,3 +154,39 @@ def test_resume_of_corrupt_checkpoint_exits_2_and_allow_restart_recovers(
         env=_env(), capture_output=True, text=True, timeout=600)
     assert restarted.returncode == 1, restarted.stderr
     assert _final_state(run_dir) == _final_state(workdir / "control")
+
+
+def test_sigint_mid_round_exits_130_within_two_seconds(workdir, edge_list):
+    """Ctrl-C lands in the thread that computes: the run stops mid-round,
+    flushes what it has and exits 130.  k=15 on the witness-free fixture
+    is ~6 s a round, so "within 2 s" cannot be the round finishing (a
+    detection handed to another thread kept computing to the end of the
+    *query* before the process could exit)."""
+    progress = workdir / "sigint-progress.jsonl"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "detect-path",
+         "--edge-list", str(edge_list), "-k", "15", "--eps", str(EPS),
+         "--seed", str(SEED), "--progress-out", str(progress)],
+        env=_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        # a test runner started in the background hands down SIGINT ignored
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+    try:
+        deadline = time.monotonic() + 120
+        while not (progress.exists()
+                   and '"stage_start"' in progress.read_text()):
+            assert proc.poll() is None, proc.stderr.read()
+            assert time.monotonic() < deadline, "the stage never started"
+            time.sleep(0.01)
+        sent = time.monotonic()
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=120)
+        waited = time.monotonic() - sent
+    finally:
+        if proc.poll() is None:  # pragma: no cover - cleanup on test bug
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 130, err
+    assert "flushing partial artifacts" in err
+    assert waited < 2.0, f"exited {waited:.1f}s after SIGINT"
+    assert '"event": "round"' not in progress.read_text(), \
+        "the first round finished"

@@ -356,6 +356,78 @@ class TestKillResumeBitIdentity:
         assert snap["rounds_completed"] == snap["rounds_planned"]
 
 
+# ------------------------------------------- a checkpoint's stage identity
+class TestResumeIdentity:
+    """A checkpoint directory answers only the question it was written
+    for: restored round values are replayed as this run's, so another
+    graph's witness would be a false positive (one-sided error broken)."""
+
+    K, EPS = 6, 0.3
+
+    def _run(self, graph, ckpt_dir, k=K, seed=7, **rt_kw):
+        rt = MidasRuntime(checkpoint_dir=str(ckpt_dir), **rt_kw)
+        return detect_path(graph, k, eps=self.EPS,
+                           rng=RngStream(seed).child("detect"), runtime=rt)
+
+    @pytest.fixture
+    def witnessed(self, tmp_path):
+        """A directory holding a finished run that found a 6-path."""
+        has_path = clique_islands(n_cliques=2, size=8)
+        assert self._run(has_path, tmp_path).found
+        return has_path
+
+    def test_another_graphs_checkpoint_is_refused(self, witnessed, islands,
+                                                  tmp_path):
+        # `islands` (4-cliques) has no 6-path; before the identity check
+        # this resume returned the other graph's values with found=True
+        with pytest.raises(CheckpointCorruptError, match="different graph") \
+                as err:
+            self._run(islands, tmp_path, resume=True)
+        assert err.value.reason == "identity"
+        assert str(tmp_path / CHECKPOINT_FILE) in str(err.value)
+
+    @pytest.mark.parametrize("change, field", [
+        ({"k": 5}, "k"),            # also a different field and levels
+        ({"seed": 8}, "rng"),
+    ])
+    def test_another_k_or_seed_is_refused(self, witnessed, tmp_path, change,
+                                          field):
+        with pytest.raises(CheckpointCorruptError,
+                           match=f"different {field} "):
+            self._run(witnessed, tmp_path, resume=True, **change)
+
+    def test_another_rounds_budget_is_refused(self, witnessed, tmp_path):
+        rt = MidasRuntime(checkpoint_dir=str(tmp_path), resume=True)
+        with pytest.raises(CheckpointCorruptError, match="different rounds"):
+            detect_path(witnessed, self.K, eps=0.01,
+                        rng=RngStream(7).child("detect"), runtime=rt)
+
+    def test_a_checkpoint_without_an_identity_is_refused(self, witnessed,
+                                                         tmp_path):
+        path = tmp_path / CHECKPOINT_FILE
+        state = read_envelope(path)
+        for engine in state["engines"].values():
+            for stage in engine["stages"].values():
+                del stage["identity"]  # what a pre-identity build wrote
+        write_envelope(path, state)
+        with pytest.raises(CheckpointCorruptError, match="identity"):
+            self._run(witnessed, tmp_path, resume=True)
+
+    def test_allow_restart_recomputes_for_this_graph(self, witnessed, islands,
+                                                     tmp_path):
+        fresh = self._run(islands, tmp_path / "fresh")
+        res = self._run(islands, tmp_path, resume=True, allow_restart=True)
+        assert not res.found
+        assert _values(res) == _values(fresh)
+        # ...and the directory now belongs to this question
+        again = self._run(islands, tmp_path, resume=True)
+        assert _values(again) == _values(fresh)
+
+    def test_the_same_question_still_resumes(self, witnessed, tmp_path):
+        res = self._run(witnessed, tmp_path, resume=True)
+        assert res.found and res.details["resumed_from"] == str(tmp_path)
+
+
 # --------------------------------------------------------------- watchdog
 class FakeClock:
     def __init__(self):

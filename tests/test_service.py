@@ -9,7 +9,6 @@ tenants; shutdown leaks no threads.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import platform
 import subprocess
@@ -334,11 +333,11 @@ class TestCacheCoalesceQuota:
         finally:
             svc.close()
 
-    def test_interrupt_inside_execution_leaves_loop_alive(self, monkeypatch):
-        """Regression: a KeyboardInterrupt inside a query must surface in
-        the calling thread *without* killing the service loop (asyncio
-        re-raises bare KI through run_forever, which used to strand the
-        caller on a never-resolving future)."""
+    def test_after_an_interrupted_execution_the_next_query_is_served(
+            self, monkeypatch):
+        """A KeyboardInterrupt inside a query surfaces in the calling
+        thread, where it was raised, and strands nothing: the slot, the
+        tenant's quota and the in-flight entry are all given back."""
         real = broker_mod.execute_query
         calls = {"n": 0}
 
@@ -350,37 +349,303 @@ class TestCacheCoalesceQuota:
 
         monkeypatch.setattr(broker_mod, "execute_query", boom)
         before = _service_threads()
-        svc = DetectionService(metrics=MetricsRegistry())
+        svc = DetectionService(quota=1, workers=1, metrics=MetricsRegistry())
         try:
             svc.register_graph(_graph(), name="g")
             spec = QuerySpec(kind="detect-path", graph="g", k=4, eps=0.3,
                              seed={"seed": 5})
             with pytest.raises(KeyboardInterrupt):
                 svc.query(spec, timeout=30)
-            assert svc._thread.is_alive()  # the loop survived
+            assert svc.broker.describe()["inflight"] == {}
             assert svc.query(spec, timeout=60).payload["ok"]  # still serving
         finally:
             svc.close()
         assert _service_threads() == before
 
-    def test_execution_error_propagates_and_loop_survives(self, monkeypatch):
+    def test_after_a_failed_execution_the_next_query_is_served(
+            self, monkeypatch):
+        real = broker_mod.execute_query
+
         def boom(spec, entry, rt):
-            raise RuntimeError("synthetic failure")
+            if spec.seed == {"seed": 5}:
+                raise RuntimeError("synthetic failure")
+            return real(spec, entry, rt)
 
         monkeypatch.setattr(broker_mod, "execute_query", boom)
-        with DetectionService(metrics=MetricsRegistry()) as svc:
+        with DetectionService(quota=1, workers=1,
+                              metrics=MetricsRegistry()) as svc:
             svc.register_graph(_graph(), name="g")
             with pytest.raises(RuntimeError, match="synthetic"):
                 svc.query(QuerySpec(kind="detect-path", graph="g", k=4,
                                     seed={"seed": 5}), timeout=30)
             assert svc.broker.stats["errors"] == 1
-            assert svc._thread.is_alive()
+            assert svc.query(QuerySpec(kind="detect-path", graph="g", k=4,
+                                       seed={"seed": 6})).payload["ok"]
 
     def test_unknown_graph_rejected(self):
         with DetectionService(metrics=MetricsRegistry()) as svc:
             with pytest.raises(UnknownGraphError):
                 svc.query(QuerySpec(kind="detect-path", graph="ghost", k=3,
                                     seed={"seed": 1}))
+
+
+# ------------------------------------------- caller-thread execution
+
+
+def _cliques(n_cliques=100):
+    """Disjoint 4-cliques: no path on more than 4 vertices, so a k >= 5
+    query runs every amplification round."""
+    from repro.graph.csr import CSRGraph
+
+    return CSRGraph.from_edges(4 * n_cliques, [
+        (4 * c + i, 4 * c + j)
+        for c in range(n_cliques) for i in range(4) for j in range(i + 1, 4)])
+
+
+def _path_spec(seed, **kw):
+    return QuerySpec(kind="detect-path", graph="g", k=4, eps=0.3,
+                     seed={"seed": seed}, **kw)
+
+
+class _Gate:
+    """An ``execute_query`` that parks each execution until released and
+    records how many ran at once."""
+
+    def __init__(self, monkeypatch, fail=None):
+        self.real = broker_mod.execute_query
+        self.fail = fail
+        self.entered = threading.Semaphore(0)
+        self.release = threading.Event()
+        self.lock = threading.Lock()
+        self.running = self.peak = 0
+        monkeypatch.setattr(broker_mod, "execute_query", self)
+
+    def __call__(self, spec, entry, rt):
+        with self.lock:
+            self.running += 1
+            self.peak = max(self.peak, self.running)
+        self.entered.release()
+        try:
+            assert self.release.wait(timeout=30)
+            if self.fail is not None:
+                raise self.fail
+            return self.real(spec, entry, rt)
+        finally:
+            with self.lock:
+                self.running -= 1
+
+
+def _in_thread(fn):
+    """Run ``fn`` on a thread; the returned dict gets its result or error."""
+    box = {}
+
+    def run():
+        try:
+            box["result"] = fn()
+        except BaseException as exc:  # noqa: BLE001 - handed to the asserts
+            box["error"] = exc
+
+    box["thread"] = threading.Thread(target=run)
+    box["thread"].start()
+    return box
+
+
+def _join(box):
+    box["thread"].join(timeout=30)
+    assert not box["thread"].is_alive()
+    return box
+
+
+def _wait_for(predicate, timeout=10.0):
+    give_up = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < give_up
+        time.sleep(0.005)
+
+
+class TestCallerThreadExecution:
+    def test_a_started_service_owns_one_thread(self):
+        before = set(threading.enumerate())
+
+        def added(http=False):
+            """Names of the threads started since, without (``http``) the
+            HTTP server's own: its accept loop and per-request handlers."""
+            return sorted(
+                t.name for t in set(threading.enumerate()) - before
+                if not (http and (t.name.startswith("repro-live-http")
+                                  or "process_request_thread" in t.name)))
+
+        svc = DetectionService(metrics=MetricsRegistry()).start()
+        try:
+            svc.register_graph(_graph(), name="g")
+            assert added() == ["midas-service-sweep"]
+            svc.query(_path_spec(1))
+            LocalClient(svc).query(_path_spec(2))
+            assert added() == ["midas-service-sweep"]
+            svc.serve(0)
+            HttpClient(svc.url).query(_path_spec(3).to_dict())
+            assert added(http=True) == ["midas-service-sweep"]
+        finally:
+            svc.close()
+        _wait_for(lambda: added() == [])  # a handler may still be returning
+
+    def test_the_query_runs_on_the_thread_that_asked(self, monkeypatch):
+        real = broker_mod.execute_query
+        ran_on = []
+
+        def spy(spec, entry, rt):
+            ran_on.append(threading.current_thread())
+            return real(spec, entry, rt)
+
+        monkeypatch.setattr(broker_mod, "execute_query", spy)
+        with DetectionService(metrics=MetricsRegistry()) as svc:
+            svc.register_graph(_graph(), name="g")
+            svc.query(_path_spec(1))
+        assert ran_on == [threading.current_thread()]
+
+    def test_one_worker_slot_serialises_distinct_queries(self, monkeypatch):
+        gate = _Gate(monkeypatch)
+        with DetectionService(workers=1, metrics=MetricsRegistry()) as svc:
+            svc.register_graph(_graph(), name="g")
+            boxes = [_in_thread(lambda s=s: svc.query(_path_spec(s)))
+                     for s in (1, 2, 3)]
+            assert gate.entered.acquire(timeout=10)
+            # all three admitted (quota 8), one executing, two queued
+            _wait_for(lambda: svc.broker.describe()["inflight"]
+                      == {"default": 3})
+            gate.release.set()
+            for box in boxes:
+                assert _join(box)["result"].payload["ok"]
+        assert gate.peak == 1
+
+    @pytest.mark.parametrize("failure, joiner_sees", [
+        (RuntimeError("synthetic failure"), RuntimeError),
+        (KeyboardInterrupt(), ServiceError),  # the interrupt is the leader's
+    ])
+    def test_a_failing_leader_fails_its_joiners(self, monkeypatch, failure,
+                                                joiner_sees):
+        gate = _Gate(monkeypatch, fail=failure)
+        with DetectionService(metrics=MetricsRegistry()) as svc:
+            svc.register_graph(_graph(), name="g")
+            leader = _in_thread(lambda: svc.query(_path_spec(1), tenant="a"))
+            assert gate.entered.acquire(timeout=10)
+            joiners = [_in_thread(lambda: svc.query(_path_spec(1), tenant="b"))
+                       for _ in range(2)]
+            _wait_for(lambda: svc.broker.stats["coalesced"] == 2)
+            gate.release.set()
+            assert type(_join(leader)["error"]) is type(failure)
+            for box in joiners:
+                assert isinstance(_join(box)["error"], joiner_sees)
+            assert svc.broker.stats["errors"] == 1  # one execution failed
+            assert svc.broker.describe()["inflight"] == {}
+            monkeypatch.setattr(broker_mod, "execute_query", gate.real)
+            assert svc.query(_path_spec(1)).payload["ok"]  # nothing cached
+
+    def test_close_waits_for_the_query_in_flight(self, monkeypatch):
+        gate = _Gate(monkeypatch)
+        svc = DetectionService(metrics=MetricsRegistry()).start()
+        svc.register_graph(_graph(), name="g")
+        query = _in_thread(lambda: svc.query(_path_spec(1)))
+        assert gate.entered.acquire(timeout=10)
+        closing = _in_thread(svc.close)
+        _wait_for(lambda: svc.broker._closed)
+        closing["thread"].join(timeout=0.2)
+        assert closing["thread"].is_alive()  # still waiting for the query
+        with pytest.raises(ServiceError, match="closed"):
+            svc.broker.submit(_path_spec(2))  # and admitting nothing new
+        gate.release.set()
+        assert _join(query)["result"].payload["ok"]
+        assert "error" not in _join(closing)
+        assert svc.broker.stats["sweeps"] >= 1
+        assert svc.broker.describe()["pending_sweep"] == 0  # final sweep ran
+
+    def test_timeout_bounds_the_slot_wait_and_a_coalesced_join(
+            self, monkeypatch):
+        gate = _Gate(monkeypatch)
+        with DetectionService(workers=1, metrics=MetricsRegistry()) as svc:
+            svc.register_graph(_graph(), name="g")
+            holder = _in_thread(lambda: svc.query(_path_spec(1)))
+            assert gate.entered.acquire(timeout=10)
+            t0 = time.monotonic()
+            with pytest.raises(ServiceError, match="timed out after 0.1s"):
+                svc.query(_path_spec(1), timeout=0.1)  # joins the holder
+            with pytest.raises(ServiceError, match="timed out after 0.1s"):
+                svc.query(_path_spec(2), timeout=0.1)  # queues behind it
+            assert time.monotonic() - t0 < 5
+            assert svc.broker.describe()["inflight"] == {"default": 1}
+            gate.release.set()
+            assert _join(holder)["result"].payload["ok"]
+
+    def test_timeout_becomes_the_watchdog_deadline(self):
+        """An execution that overruns its caller's timeout comes back as
+        the watchdog's degraded partial answer with its 0.8^rounds bound;
+        that answer is not cached, so the same query asked again with
+        time to spare is computed in full."""
+        before = _service_threads()
+        with DetectionService(metrics=MetricsRegistry()) as svc:
+            svc.register_graph(_cliques(), name="g")
+            spec = QuerySpec(kind="detect-path", graph="g", k=10, eps=1e-6,
+                             seed={"seed": 1})  # 62 rounds, witness-free
+            cut = svc.query(spec, timeout=0.1)
+            degraded = cut.result["details"]["degraded"]
+            assert degraded["reason"] == "deadline"
+            assert cut.result["rounds_run"] == degraded["rounds_completed"] < 62
+            assert degraded["p_failure_bound"] == pytest.approx(
+                0.8 ** cut.result["rounds_run"])
+            assert svc.broker.describe()["cache_entries"] == 0
+            assert _service_threads() == ["midas-service-sweep"]  # no watchdog
+            full = svc.query(spec)
+            assert not full.cache_hit and not full.coalesced
+            assert full.result["rounds_run"] == 62
+            assert "degraded" not in full.result["details"]
+            assert full.result["round_values"][:cut.result["rounds_run"]] == \
+                cut.result["round_values"]
+            assert svc.query(spec).cache_hit
+        assert _service_threads() == before
+
+    def test_many_threads_lose_no_update(self):
+        """More client threads than cores on a short switch interval: every
+        query is accounted for exactly once, identical queries agree, and
+        nothing is left in flight."""
+        n_threads, per_thread = 8, 12
+        outcomes, errors = [], []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with DetectionService(quota=2, workers=3,
+                                  metrics=MetricsRegistry()) as svc:
+                svc.register_graph(_graph(), name="g")
+
+                def client(c):
+                    for i in range(per_thread):
+                        spec = _path_spec((c + i) % 5)
+                        try:
+                            out = svc.query(spec, tenant=f"t{c % 3}")
+                        except QuotaExceededError as exc:
+                            errors.append(exc)
+                        else:
+                            outcomes.append((spec.seed["seed"], out))
+
+                boxes = [_in_thread(lambda c=c: client(c))
+                         for c in range(n_threads)]
+                for box in boxes:
+                    box["thread"].join(timeout=120)
+                    assert not box["thread"].is_alive()
+                    assert "error" not in box
+                stats = svc.broker.describe()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(outcomes) + len(errors) == n_threads * per_thread
+        assert stats["inflight"] == {}
+        counted = stats["stats"]
+        assert counted["rejected"] == len(errors)
+        assert counted["cache_hits"] == sum(o.cache_hit for _, o in outcomes)
+        assert counted["coalesced"] == sum(o.coalesced for _, o in outcomes)
+        assert (counted["queries"] + counted["cache_hits"]
+                + counted["coalesced"]) == len(outcomes)
+        by_seed = {}
+        for seed, out in outcomes:
+            assert by_seed.setdefault(seed, out.result) == out.result
 
 
 # ------------------------------------------------------------ worker heaps
@@ -435,7 +700,7 @@ class TestWorkerHeaps:
         try:
             spec = QuerySpec(kind="detect-path", graph="g", k=5,
                              seed={"seed": 3})
-            out = asyncio.run(broker.submit(spec))
+            out = broker.submit(spec)
         finally:
             broker.close()
         assert out.result == _standalone(spec, _graph())
