@@ -91,7 +91,7 @@ def _add_runtime_args(p: argparse.ArgumentParser) -> None:
                    default="sequential")
     p.add_argument("--workers", type=int, default=None,
                    help="worker count for --mode threaded/process "
-                        "(default: CPU count)")
+                        "(default: the CPUs this process may use)")
     p.add_argument("--kernel", choices=["auto", "table", "logexp", "bitsliced"],
                    default="auto",
                    help="GF(2^l) kernel strategy; auto picks per (m, N2) from "

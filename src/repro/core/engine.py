@@ -37,10 +37,12 @@ boundary**:
       accumulation is commutative and associative, so folding in
       completion order is bit-identical to sequential.
   ``ProcessBackend``
-      On worker processes sharing the graph through
+      On a fleet of worker processes sharing the graph through
       :class:`~repro.core.process_backend.ProcessPhasePool` — the same
-      commutativity argument past the GIL; decodes the wire, merges
-      worker metrics and spans, and turns a dead worker into a typed
+      commutativity argument past the GIL.  One request per worker per
+      round, one record back per window; decodes the records, merges
+      worker metrics and spans, re-runs a round whose worker died once
+      and turns the second death into a typed
       :class:`~repro.errors.WorkerCrashedError`.
   ``SimulatedBackend``
       The real SPMD decomposition on the runtime simulator — its own
@@ -114,7 +116,8 @@ class MidasRuntime:
     results are bit-identical either way.
 
     ``mode="threaded"`` executes each round's independent phase windows
-    concurrently on ``workers`` threads (default: the host's CPU count)
+    concurrently on ``workers`` threads (default: the CPUs this process
+    may use)
     for real wall-clock speedup on multi-core hosts; detection output is
     bit-identical to ``sequential`` (property-tested).
 
@@ -122,12 +125,14 @@ class MidasRuntime:
     *processes* — past the GIL that caps threaded speedup on the
     inter-ufunc glue.  The graph's CSR arrays are published once via
     shared memory, workers rebuild specs from their picklable recipes,
-    and the parent XOR-merges phase values in completion order: the same
+    each takes an equal share of a round's windows in one request, and
+    the parent XOR-merges phase values in completion order: the same
     commutativity argument, the same bit-identical guarantee
     (property-tested).  ``process_start`` selects the multiprocessing
     start method (``None`` = platform default, e.g. ``fork`` on Linux).
-    A worker death (segfault, OOM-kill) surfaces as a typed
-    :class:`~repro.errors.WorkerCrashedError`, never a hang.
+    A worker death (segfault, OOM-kill) costs one re-run of the round
+    on a rebuilt fleet; a second one in the same stage surfaces as a
+    typed :class:`~repro.errors.WorkerCrashedError`, never a hang.
 
     ``kernel`` picks the GF(2^l) kernel strategy: ``"table"``,
     ``"logexp"``, ``"bitsliced"``, or ``"auto"`` — the default — which
@@ -296,8 +301,14 @@ class MidasRuntime:
         return rec if (rec is not None and rec.enabled) else None
 
     def get_workers(self) -> int:
-        """Worker count for the threaded and process backends."""
-        return self.workers if self.workers is not None else (os.cpu_count() or 1)
+        """Worker count for the threaded and process backends: ``workers``,
+        or the CPUs this process may run on — in a container or under
+        ``taskset`` fewer than the host's ``os.cpu_count()``."""
+        if self.workers is not None:
+            return self.workers
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
 
     def resolve_kernel(self, m: int, n2: int, plane: object = None) -> str:
         """The GF kernel strategy for a ``(m, n2)`` evaluation window.
@@ -596,8 +607,9 @@ class ExecutionBackend:
     The whole-graph round loop (:meth:`run_round`) is written here once;
     it knows nothing about telemetry — every finished window goes to the
     engine's phase boundary.  A whole-graph backend supplies only the
-    executor: :meth:`submit` for a pool (the default :meth:`windows`
-    joins and cancels), or :meth:`windows` itself to run inline.
+    executor: :meth:`submit` for a pool of futures (the default
+    :meth:`windows` joins and cancels), or :meth:`windows` itself to run
+    inline or to stream from elsewhere.
     """
 
     name = "?"
@@ -721,7 +733,9 @@ class ProcessBackend(ExecutionBackend):
     phase kernels run in separate interpreters: the graph is shared via
     :class:`~repro.core.process_backend.ProcessPhasePool`'s shared-memory
     segments, specs are rebuilt in workers from their picklable recipes,
-    and only the round fingerprint crosses the boundary per task.
+    and a round is one request per worker — each takes a share of the
+    round's windows and streams back one record per finished window, so
+    this side only receives and folds.
     """
 
     name = "process"
@@ -729,6 +743,7 @@ class ProcessBackend(ExecutionBackend):
     def __init__(self, engine: "DetectionEngine") -> None:
         super().__init__(engine)
         self._pool = None
+        self._crashed_in: Optional[_Stage] = None  # a stage gets one retry
 
     def prepare(self, stage: _Stage) -> None:
         if self._pool is None:
@@ -745,10 +760,11 @@ class ProcessBackend(ExecutionBackend):
         # spec); a hand-built spec without a recipe is refused here
         self._pool.wire_spec(stage.spec)
 
-    def submit(self, stage: _Stage, fp, t: int):
-        return self._pool.submit(
-            self._pool.wire_spec(stage.spec), fp,
-            stage.sched.phase_window(t)[0], stage.sched.n2)
+    def windows(self, stage: _Stage, fp) -> Iterator[tuple]:
+        sched = stage.sched
+        return self._pool.round(
+            self._pool.wire_spec(stage.spec), fp, sched.n2,
+            [sched.phase_window(t)[0] for t in range(sched.n_phases)])
 
     def completed(self, stage: _Stage, t: int, result) -> Window:
         raw, (pid, t0, t1, *build), mdelta = result
@@ -766,20 +782,27 @@ class ProcessBackend(ExecutionBackend):
         return stage.spec.rank_value(raw), t0, t1, lane, pid
 
     def run_round(self, stage: _Stage, fp, ell: int):
-        from concurrent.futures.process import BrokenProcessPool
-
+        """The round, or — when a worker dies under it — the round again
+        on a rebuilt fleet: the fingerprint is the same, so the value is.
+        A second death in the same stage is not retried."""
         try:
             return super().run_round(stage, fp, ell)
-        except BrokenProcessPool as exc:
+        except WorkerCrashedError as exc:
             self.close()
             e = self.engine
             e.flight_dump("worker_crash", round=ell,
                           graph=getattr(e.graph, "name", None))
-            raise WorkerCrashedError(
-                f"a worker process died while evaluating round {ell} of "
-                f"{stage.spec.name!r} (see stderr for the worker's fate); the "
-                "process pool is closed"
-            ) from exc
+            if self._crashed_in is stage:
+                raise WorkerCrashedError(
+                    f"a worker process died while evaluating round {ell} of "
+                    f"{stage.spec.name!r} (see stderr for the worker's fate); the "
+                    "process pool is closed"
+                ) from exc
+            self._crashed_in = stage
+            _LOG.warning("%s; re-running round %d on a new fleet", exc, ell)
+            e.discard_round()
+            self.prepare(stage)
+            return self.run_round(stage, fp, ell)
 
     def close(self) -> None:
         if self._pool is not None:
@@ -1320,6 +1343,11 @@ class DetectionEngine:
             )
         if self.live is not None:
             self.live.phase_done(ell, t)
+
+    def discard_round(self) -> None:
+        """Forget the windows of a round that will not be joined (its
+        backend is about to run it again)."""
+        self._windows = []
 
     def round_joined(self, stage: "_Stage", ell: int, round0: float,
                      round1: float) -> None:

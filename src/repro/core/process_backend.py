@@ -1,11 +1,13 @@
-"""Process-parallel phase execution past the GIL.
+"""Process-parallel phase execution past the GIL: a worker fleet.
 
 The threaded backend proved the execution contract: phase windows are
 independent, their values combine by XOR (commutative and associative),
 so merge order cannot change the result — bit-identical to sequential.
 But numpy kernels only release the GIL inside individual ufuncs; the
 gather/reshape/dispatch glue between them serializes, capping threaded
-speedup.  This module runs the same contract across *processes*:
+speedup.  This module runs the same contract across *processes*, in the
+shape of the paper's Fig 1 — every phase group owns a share of the
+round's windows, one coordinator merges:
 
 * the graph's CSR arrays (and any problem payload arrays, e.g. scan-stat
   weights) are published **once** via ``multiprocessing.shared_memory``
@@ -14,45 +16,64 @@ speedup.  This module runs the same contract across *processes*:
   process boundary, so workers rebuild them from the spec's picklable
   ``recipe`` (:func:`repro.core.problems.spec_from_recipe`) against the
   shared graph, caching per recipe;
-* each phase task ships only the round fingerprint (``k``, ``v``, ``y``
-  — a few KB) and its ``(q_start, n2)`` window, and returns the phase
-  value plus one ``perf_counter``-stamped kernel record (CLOCK_MONOTONIC
-  on Linux, so parent and workers share a timebase for trace lanes).
+* a round is **one request per worker**: the parent copies the round's
+  fingerprint into a segment it reuses from round to round and sends
+  each worker ``(id, spec key, k, v, y, n2, share)`` — ``v``/``y`` as
+  references into that segment, ``share`` an equal slice of the round's
+  ``(t, q_start)`` windows.  The worker streams back one record per
+  finished window, ``(id, t, value, (pid, t0, t1[, tb0, tb1]), mdelta)``
+  (``perf_counter`` is CLOCK_MONOTONIC on Linux, so parent and workers
+  share a timebase for trace lanes), and the parent only receives and
+  folds.  An exception raised in a worker comes back in the value's
+  place and is raised from the round;
+* **records carry their request's id.**  A record whose request was
+  cancelled or superseded is counted and dropped, never folded;
+* **a worker looks at its request channel between two windows.**  A
+  cancel (the bare id) ends the share there, ``None`` or EOF — the
+  parent closed the pool, or died — ends the worker.
 
 The parent owns every shared segment's lifecycle: workers only attach
 (the resource tracker is shared with the parent under every start
-method, so attach-registration is idempotent) and the backend unlinks
-every segment on close.
+method, so attach-registration is idempotent) and the pool unlinks
+every segment on close, after the workers have left.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+import selectors
 import threading
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
 from dataclasses import dataclass
 from multiprocessing import get_context, shared_memory
 from time import perf_counter
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.problems import spec_from_recipe
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, WorkerCrashedError
 from repro.graph.csr import CSRGraph
 
 # multiprocessing's resource tracker takes a process-wide lock whenever a
 # segment is registered or unregistered, and a fork() while another thread
 # holds it leaves the child deadlocked at its first attach.  Pools of
 # concurrent engines (one per in-flight service query) therefore take turns
-# at the two things that touch it: creating or unlinking segments, and the
-# submit that forks the workers.
+# at the two things that touch it: creating or unlinking segments, and
+# starting a fleet.
 _MP_STATE_LOCK = threading.Lock()
+
+# The parent's end of every live worker channel in this process (guarded by
+# _MP_STATE_LOCK).  A forked worker inherits all of them — its own fleet's
+# and those of sibling threads' pools — and closes its copies first thing:
+# a channel only reaches EOF once its last writer is gone, and EOF is how a
+# worker learns that its parent was killed.  Empty in a spawned worker.
+_PARENT_ENDS: set = set()
 
 # environment hook for the crash-regression test: a worker that sees this
 # set dies hard (os._exit skips atexit/finally), exactly like a segfault
-# or OOM-kill would look to the parent pool
+# or OOM-kill would look to the parent
 _CRASH_ENV = "REPRO_TEST_CRASH_WORKER"
 
 
@@ -63,6 +84,7 @@ class ShmArray:
     name: str
     shape: Tuple[int, ...]
     dtype: str
+    offset: int = 0
 
     def nbytes(self) -> int:
         return int(np.prod(self.shape, dtype=np.int64)) * np.dtype(self.dtype).itemsize
@@ -80,55 +102,53 @@ def publish_array(arr: np.ndarray) -> Tuple[ShmArray, shared_memory.SharedMemory
 # --------------------------------------------------------------- worker side
 # Per-worker caches, populated lazily.  Under the default fork start method
 # these start empty in each child; under spawn the module is re-imported.
-_ATTACHED: Dict[str, Tuple[shared_memory.SharedMemory, np.ndarray]] = {}
+_ATTACHED: Dict[str, shared_memory.SharedMemory] = {}
 _WORKER_GRAPH: Optional[CSRGraph] = None
 _SPEC_CACHE: Dict[bytes, Any] = {}
-# Last metrics snapshot shipped back to the parent.  Each task returns
-# the *delta* of the worker's default registry against this baseline and
-# advances it, so increments made inside workers (field builds, kernel
-# calibration, anything instrumented) reach the parent exactly once.
+# Last metrics snapshot shipped back to the parent.  A share's last record
+# carries the *delta* of the worker's default registry against this
+# baseline and advances it, so increments made inside workers (field
+# builds, kernel calibration, anything instrumented) reach the parent
+# exactly once.
 _METRICS_BASE = None
 
 
 def _attach(ref: ShmArray) -> np.ndarray:
-    """Attach to a published segment (cached per worker), return the view."""
-    cached = _ATTACHED.get(ref.name)
-    if cached is not None:
-        return cached[1]
-    # Attaching re-registers the name with the resource tracker.  The
-    # tracker is *shared* with the parent under every start method (the
-    # tracker fd rides along in the spawn preparation data), its cache is
-    # a set, and the parent's unlink unregisters exactly once — so the
-    # phantom-owner double-unlink of bpo-38119 cannot happen here and no
-    # worker-side unregister is needed (one would instead strip the
-    # parent's registration and make its unlink noisy).
-    shm = shared_memory.SharedMemory(name=ref.name)
-    view = np.ndarray(ref.shape, dtype=np.dtype(ref.dtype), buffer=shm.buf)
-    _ATTACHED[ref.name] = (shm, view)
-    return view
+    """A view of a published array (segments stay attached per worker)."""
+    shm = _ATTACHED.get(ref.name)
+    if shm is None:
+        # Attaching re-registers the name with the resource tracker.  The
+        # tracker is *shared* with the parent under every start method (the
+        # tracker fd rides along in the spawn preparation data), its cache is
+        # a set, and the parent's unlink unregisters exactly once — so the
+        # phantom-owner double-unlink of bpo-38119 cannot happen here and no
+        # worker-side unregister is needed (one would instead strip the
+        # parent's registration and make its unlink noisy).
+        shm = _ATTACHED[ref.name] = shared_memory.SharedMemory(name=ref.name)
+    return np.ndarray(ref.shape, dtype=np.dtype(ref.dtype), buffer=shm.buf,
+                      offset=ref.offset)
+
+
+def _materialize(val):
+    return _attach(val) if isinstance(val, ShmArray) else val
 
 
 def _worker_init(n: int, indptr_ref: ShmArray, indices_ref: ShmArray,
                  graph_name: str) -> None:
-    """Pool initializer: attach the CSR graph once per worker."""
-    global _WORKER_GRAPH, _METRICS_BASE
-    from repro.obs.metrics import get_default_registry
+    """Attach the CSR graph, once per worker."""
+    global _WORKER_GRAPH
+    from repro.obs.metrics import reset_default_registry
 
-    # a forked worker inherits the parent's default registry; the parent
-    # has counted that already, so only increments from here on are shipped
-    _METRICS_BASE = get_default_registry().snapshot()
+    # a forked worker inherits the parent's default registry: its counts
+    # (the parent has them already) and its locks, any of which a sibling
+    # thread of the parent may have held at the fork — for ever, here.  The
+    # worker counts into a registry of its own and ships all of it.
+    reset_default_registry()
     indptr = _attach(indptr_ref)
     indices = _attach(indices_ref)
     # CSRGraph keeps already-conforming int64 arrays as-is (no copy), so
     # the worker's graph stays backed by the shared segments
     _WORKER_GRAPH = CSRGraph(n, indptr, indices, name=graph_name)
-
-
-def _materialize(params: Dict[str, Any]) -> Dict[str, Any]:
-    return {
-        key: _attach(val) if isinstance(val, ShmArray) else val
-        for key, val in params.items()
-    }
 
 
 def _spec_for(wired: bytes):
@@ -140,7 +160,9 @@ def _spec_for(wired: bytes):
         kind, params, (m, modulus, kernel) = pickle.loads(wired)
         field = GF2m(m, modulus=modulus, kernel_strategy=kernel)
         spec = spec_from_recipe(
-            _WORKER_GRAPH, (kind, _materialize(dict(params))), field=field
+            _WORKER_GRAPH,
+            (kind, {key: _materialize(val) for key, val in params}),
+            field=field,
         )
         _SPEC_CACHE[wired] = spec
     return spec
@@ -149,7 +171,7 @@ def _spec_for(wired: bytes):
 def _metrics_delta():
     """Diff the worker's default registry against the last-shipped
     baseline; advance the baseline.  Returns None when nothing changed
-    (the common case after warm-up) so the wire stays small."""
+    so the wire stays small."""
     global _METRICS_BASE
     from repro.obs.metrics import get_default_registry, snapshot_delta
 
@@ -159,48 +181,158 @@ def _metrics_delta():
     return delta or None
 
 
-def _phase_task(wired: bytes, k: int, v: np.ndarray, y: np.ndarray,
-                q_start: int, n2: int):
-    """Evaluate one phase window.
+class _Inbox:
+    """A worker's end of its request channel.
 
-    Returns ``(value, stamps, mdelta)``: the raw phase value, the
-    window's one stamped record ``(pid, t0, t1)`` — the
-    ``worker.kernel`` interval where it ran, extended by the
-    ``worker.spec_build`` interval ``(tb0, tb1)`` when the spec had to
-    be rebuilt (anything over a microsecond; a cache hit is not) — and
-    the worker registry's metric delta since the previous task (None
-    when unchanged).  The parent derives the histogram sample, the span
-    in its span log and the recorder lane from that one record; the task
-    wire is the only channel back to it.
+    Requests are served in the order they were sent; what arrives while
+    one is being served waits in ``queued``.
     """
-    if os.environ.get(_CRASH_ENV):
-        os._exit(23)
+
+    def __init__(self, conn) -> None:
+        self.conn = conn
+        self.queued: deque = deque()
+        # registered once: Connection.poll() builds a selector per call,
+        # and this is looked at before every window
+        self._ready = selectors.DefaultSelector()
+        self._ready.register(conn, selectors.EVENT_READ)
+
+    def next(self):
+        """The next request, waiting for one; None or EOFError to leave."""
+        return self.queued.popleft() if self.queued else self.conn.recv()
+
+    def cancelled(self, rid: int) -> bool:
+        """Read whatever the parent has sent since the last look.
+
+        Returns True when request ``rid`` — the one being served — was
+        cancelled.  A cancel for a request still waiting in ``queued``
+        removes it there; one for a request already finished is moot.
+        ``None`` and a closed channel both mean the pool is gone:
+        EOFError, which ends the worker.
+        """
+        cancelled = False
+        while self._ready.select(0):
+            msg = self.conn.recv()
+            if msg is None:
+                raise EOFError
+            if not isinstance(msg, int):
+                self.queued.append(msg)
+            elif msg == rid:
+                cancelled = True
+            else:
+                self.queued = deque(m for m in self.queued if m[0] != msg)
+        return cancelled
+
+
+def _serve(inbox: _Inbox, res, request) -> None:
+    """Evaluate one request's share, one record back per finished window.
+
+    A record is ``(rid, t, value, stamps, mdelta)``: the raw phase value,
+    the window's one stamped interval ``(pid, t0, t1)`` — the
+    ``worker.kernel`` span where it ran, extended on the share's first
+    record by the ``worker.spec_build`` interval ``(tb0, tb1)`` when the
+    spec was not in this worker's cache — and, on the share's last
+    record, the worker registry's metric delta since the one shipped
+    before (None when unchanged; a cancelled share's increments ride
+    with the next).  A delta on every record measured 3–5 % slower on
+    1.4 ms windows: a snapshot, a bigger record and a merge in the
+    parent, all on cores the kernels want.  The parent derives the histogram sample, the span in its span
+    log and the recorder lane from that one record; the record stream is
+    the only channel back to it.
+    """
     from repro.ff.fingerprint import Fingerprint
     from repro.obs.metrics import get_default_registry
 
-    tb0 = perf_counter()
+    rid, wired, k, v, y, n2, share = request
+    if inbox.cancelled(rid):
+        return
+    build = () if wired in _SPEC_CACHE else (perf_counter(),)
     spec = _spec_for(wired)
-    tb1 = perf_counter()
-    fp = Fingerprint(k=k, field=spec.field, v=v, y=y)
-    t0 = perf_counter()
-    value = spec.phase_value(_WORKER_GRAPH, fp, q_start, n2)
-    stamps = (os.getpid(), t0, perf_counter())
-    if tb1 - tb0 > 1e-6:
-        stamps += (tb0, tb1)
-    get_default_registry().counter(
-        "midas_worker_phases_total", "Phase windows evaluated in process workers"
-    ).inc()
-    return value, stamps, _metrics_delta()
+    if build:
+        build += (perf_counter(),)
+    fp = Fingerprint(k=k, field=spec.field, v=_materialize(v), y=_materialize(y))
+    phases = get_default_registry().counter(
+        "midas_worker_phases_total", "Phase windows evaluated in process workers")
+    pid = os.getpid()
+    last = len(share) - 1
+    for i, (t, q_start) in enumerate(share):
+        # between two windows: has the round been cancelled, the pool gone?
+        if i and inbox.cancelled(rid):
+            return
+        if os.environ.get(_CRASH_ENV):
+            os._exit(23)
+        t0 = perf_counter()
+        value = spec.phase_value(_WORKER_GRAPH, fp, q_start, n2)
+        t1 = perf_counter()
+        phases.inc()
+        res.send((rid, t, value, (pid, t0, t1, *build),
+                  _metrics_delta() if i == last else None))
+        build = ()
+
+
+def _worker_main(req, res, graph_args: tuple) -> None:
+    """A fleet worker: serve requests until the channel says to leave."""
+    for conn in _PARENT_ENDS:  # fork only: see _PARENT_ENDS
+        conn.close()
+    try:
+        _worker_init(*graph_args)
+        inbox = _Inbox(req)
+        while True:
+            request = inbox.next()
+            if request is None:
+                return
+            if isinstance(request, int):  # a cancel that came late
+                continue
+            try:
+                _serve(inbox, res, request)
+            except (EOFError, BrokenPipeError):
+                raise
+            except Exception as exc:
+                # the parent raises it in the round's place, as an
+                # executor's future would; this worker serves on
+                res.send((request[0], None, exc, None, None))
+    except (EOFError, BrokenPipeError, KeyboardInterrupt):
+        # the pool was closed, the parent died, or Ctrl-C reached the whole
+        # process group: nobody is left to answer to
+        return
 
 
 # --------------------------------------------------------------- parent side
+@dataclass
+class _Worker:
+    process: Any
+    req: Any  # Connection: requests, cancels and the final None go out
+    res: Any  # Connection: records come in; EOF is the worker's death
+
+
+class _Reply:
+    """What :meth:`ProcessPhasePool.submit` returns: ``result(timeout=)``."""
+
+    def __init__(self, pool: "ProcessPhasePool", rid: int) -> None:
+        self._pool, self._rid = pool, rid
+
+    def result(self, timeout: Optional[float] = None):
+        pool = self._pool
+        while pool._singles[self._rid] is None:
+            # between rounds, so whatever else arrives is a cancelled one's
+            pool.records_discarded += len(pool._receive(timeout))
+        value, stamps, mdelta = pool._singles.pop(self._rid)
+        if isinstance(value, Exception):
+            raise value
+        return value, stamps, mdelta
+
+
 class ProcessPhasePool:
-    """A pool of worker processes sharing one published graph.
+    """A fleet of worker processes sharing one published graph.
 
     ``wire_spec`` converts a :class:`ProblemSpec` into a picklable wire
     descriptor (ndarray payloads are swapped for :class:`ShmArray`
-    references, published on first sight); ``submit`` ships one phase
-    window.  ``close`` tears down the pool and unlinks every segment.
+    references, published on first sight).  :meth:`round` runs one
+    round's windows — one request per worker, records streamed back as
+    windows finish; :meth:`submit` is the one-window form.  ``close``
+    sends the workers home and unlinks every segment.
+
+    One thread drives a pool.  ``requests_sent``, ``fingerprints_sent``
+    and ``records_discarded`` count what crossed the process boundary.
     """
 
     def __init__(self, graph: CSRGraph, workers: int,
@@ -209,6 +341,9 @@ class ProcessPhasePool:
             raise ConfigurationError(f"process pool needs >= 1 worker, got {workers}")
         self.graph = graph
         self.workers = int(workers)
+        self.requests_sent = 0
+        self.fingerprints_sent = 0
+        self.records_discarded = 0
         self._segments = []  # SharedMemory handles we own
         self._published: Dict[int, ShmArray] = {}  # id(arr) -> ref
         self._keepalive = []  # source arrays, so the id() keys stay valid
@@ -216,16 +351,40 @@ class ProcessPhasePool:
         # freed spec's id can never alias a cache entry (scan drivers
         # build one short-lived spec per grid cell)
         self._wire_cache: Dict[int, Tuple[Any, bytes]] = {}
-        indptr_ref = self._publish(graph.indptr)
-        indices_ref = self._publish(graph.indices)
+        self._fp_segment: Optional[shared_memory.SharedMemory] = None
+        self._next_rid = 1
+        # one-window requests in flight: rid -> None, then its record
+        self._singles: Dict[int, Any] = {}
+        self._fleet: List[_Worker] = []
+        self._selector = selectors.DefaultSelector()
+        graph_args = (graph.n, self._publish(graph.indptr),
+                      self._publish(graph.indices), graph.name)
         ctx = get_context(start_method)
-        self._executor = ProcessPoolExecutor(
-            max_workers=self.workers,
-            mp_context=ctx,
-            initializer=_worker_init,
-            initargs=(graph.n, indptr_ref, indices_ref, graph.name),
-        )
+        try:
+            with _MP_STATE_LOCK:  # every fork of this process happens in here
+                for _ in range(self.workers):
+                    self._start_worker(ctx, graph_args)
+        except BaseException:  # no fork, no memory, Ctrl-C: leave nothing
+            self.close()
+            raise
 
+    def _start_worker(self, ctx, graph_args: tuple) -> None:
+        req_r, req_w = ctx.Pipe(duplex=False)
+        res_r, res_w = ctx.Pipe(duplex=False)
+        _PARENT_ENDS.update((req_w, res_r))
+        worker = _Worker(ctx.Process(target=_worker_main, daemon=True,
+                                     args=(req_r, res_w, graph_args)),
+                         req_w, res_r)
+        self._fleet.append(worker)
+        self._selector.register(res_r, selectors.EVENT_READ, worker)
+        try:
+            worker.process.start()
+        finally:
+            # the worker holds the only copy of its ends from here on
+            req_r.close()
+            res_w.close()
+
+    # ------------------------------------------------------------ segments
     def _publish(self, arr: np.ndarray) -> ShmArray:
         ref = self._published.get(id(arr))
         if ref is None:
@@ -235,6 +394,33 @@ class ProcessPhasePool:
             self._published[id(arr)] = ref
             self._keepalive.append(arr)
         return ref
+
+    def _publish_fingerprint(self, fp) -> Tuple[ShmArray, ShmArray]:
+        """Copy the round's ``v`` and ``y`` into the fingerprint segment.
+
+        The segment is reused from round to round — safe because a round
+        only starts once the previous one is complete or cancelled, and a
+        cancelled round's records are never folded.  A fingerprint that
+        does not fit gets a new segment of at least twice the size; the
+        old one stays until ``close`` (a worker may not have looked yet).
+        """
+        v, y = np.ascontiguousarray(fp.v), np.ascontiguousarray(fp.y)
+        y_at = -(-v.nbytes // 8) * 8
+        need = y_at + y.nbytes
+        seg = self._fp_segment
+        if seg is None or seg.size < need:
+            size = max(need, 2 * seg.size if seg is not None else 1)
+            with _MP_STATE_LOCK:
+                seg = shared_memory.SharedMemory(create=True, size=size)
+            self._segments.append(seg)
+            self._fp_segment = seg
+        refs = (ShmArray(seg.name, v.shape, v.dtype.str),
+                ShmArray(seg.name, y.shape, y.dtype.str, offset=y_at))
+        for ref, arr in zip(refs, (v, y)):
+            np.ndarray(arr.shape, dtype=arr.dtype, buffer=seg.buf,
+                       offset=ref.offset)[...] = arr
+        self.fingerprints_sent += 1
+        return refs
 
     def wire_spec(self, spec) -> bytes:
         """Pickle a spec's recipe with ndarray payloads in shared memory."""
@@ -265,19 +451,114 @@ class ProcessPhasePool:
         self._wire_cache[id(spec)] = (spec, wired)
         return wired
 
-    def submit(self, wired: bytes, fp, q_start: int, n2: int):
-        """Submit one phase window; future resolves to
-        ``(value, stamps, mdelta)`` — see :func:`_phase_task`."""
-        with _MP_STATE_LOCK:  # the first submit forks every worker
-            return self._executor.submit(
-                _phase_task, wired, fp.k, fp.v, fp.y, q_start, n2
-            )
+    # ------------------------------------------------------------ protocol
+    def _send(self, worker: _Worker, wired: bytes, k: int, v, y, n2: int,
+              share: Sequence[Tuple[int, int]]) -> int:
+        rid, self._next_rid = self._next_rid, self._next_rid + 1
+        try:
+            worker.req.send((rid, wired, k, v, y, n2, share))
+        except OSError as exc:
+            raise self._dead(worker) from exc
+        self.requests_sent += 1
+        return rid
+
+    def _dead(self, worker: _Worker) -> WorkerCrashedError:
+        worker.process.join()  # EOF on its channel: it is gone, or going
+        return WorkerCrashedError(
+            f"worker process {worker.process.pid} died "
+            f"(exit code {worker.process.exitcode})")
+
+    def _receive(self, timeout: Optional[float] = None) -> List[tuple]:
+        """Block until a worker has something; return the records read.
+
+        Records of one-window requests are filed for their
+        :class:`_Reply`; the rest go to the caller, whose round they
+        belong to — or do not.  A dead worker's channel reads EOF.
+        """
+        ready = self._selector.select(timeout)
+        if not ready:
+            raise TimeoutError(f"no record from any worker in {timeout} s")
+        records = []
+        for key, _events in ready:
+            try:
+                record = key.fileobj.recv()
+            except EOFError:
+                raise self._dead(key.data) from None
+            if record[0] in self._singles:
+                self._singles[record[0]] = record[2:]
+            else:
+                records.append(record)
+        return records
+
+    def round(self, wired: bytes, fp, n2: int,
+              q_starts: Sequence[int]) -> Iterator[tuple]:
+        """Run one round's windows; yield ``(t, (value, stamps, mdelta))``
+        as each finishes, in completion order.
+
+        Window ``t`` starts at iteration ``q_starts[t]``.  The windows go
+        out as one request per worker, equal contiguous shares (windows
+        of one stage cost the same); with fewer windows than workers the
+        rest of the fleet hears nothing.  Closing the generator before it
+        is exhausted cancels the round: each worker stops before its next
+        window and whatever it still sends is discarded by id.  A worker
+        that dies raises :class:`~repro.errors.WorkerCrashedError`.
+        """
+        n = len(q_starts)
+        serving = self._fleet[:min(self.workers, n)]
+        v, y = self._publish_fingerprint(fp)
+        rids = {}
+        pending = n
+        try:
+            for i, worker in enumerate(serving):
+                lo, hi = n * i // len(serving), n * (i + 1) // len(serving)
+                share = [(t, q_starts[t]) for t in range(lo, hi)]
+                rids[self._send(worker, wired, fp.k, v, y, n2, share)] = worker
+            while pending:
+                for rid, t, value, *rest in self._receive():
+                    if rid not in rids:
+                        self.records_discarded += 1
+                    elif isinstance(value, Exception):
+                        raise value
+                    else:
+                        pending -= 1
+                        yield t, (value, *rest)
+        finally:
+            if pending:
+                for rid, worker in rids.items():
+                    self._tell(worker, rid)
+
+    def submit(self, wired: bytes, fp, q_start: int, n2: int) -> _Reply:
+        """Send one window, fingerprint inline, to the next worker in
+        turn; ``result()`` is its ``(value, stamps, mdelta)``."""
+        worker = self._fleet[self._next_rid % self.workers]
+        rid = self._send(worker, wired, fp.k, fp.v, fp.y, n2, [(0, q_start)])
+        self._singles[rid] = None
+        self.fingerprints_sent += 1
+        return _Reply(self, rid)
+
+    @staticmethod
+    def _tell(worker: _Worker, msg) -> None:
+        try:
+            worker.req.send(msg)
+        except OSError:  # it is dead already
+            pass
 
     def close(self) -> None:
-        # join the workers before unlinking: one still in _worker_init
-        # would otherwise attach to a name that is already gone.  Queued
-        # phases are cancelled; only the ones already running finish.
-        self._executor.shutdown(wait=True, cancel_futures=True)
+        # the workers leave before their segments do: one still attaching
+        # would otherwise open a name that is already gone.  A worker in
+        # the middle of a window finishes that window, not its share.
+        for worker in self._fleet:
+            self._tell(worker, None)
+        self._selector.close()
+        with _MP_STATE_LOCK:
+            for worker in self._fleet:
+                worker.req.close()
+                worker.res.close()
+                _PARENT_ENDS.difference_update((worker.req, worker.res))
+        for worker in self._fleet:
+            if worker.process.pid is not None:  # else: its start failed
+                worker.process.join()
+        self._fleet = []
         for shm in self._segments:
             try:
                 shm.close()
@@ -286,9 +567,11 @@ class ProcessPhasePool:
             except FileNotFoundError:  # pragma: no cover - already gone
                 pass
         self._segments = []
+        self._fp_segment = None
         self._published = {}
         self._keepalive = []
         self._wire_cache = {}
+        self._singles = {}
 
 
 __all__ = ["ProcessPhasePool", "ShmArray", "publish_array"]

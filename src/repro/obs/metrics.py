@@ -588,3 +588,15 @@ _DEFAULT_REGISTRY = MetricsRegistry()
 def get_default_registry() -> MetricsRegistry:
     """The process-wide registry instrumented code records into."""
     return _DEFAULT_REGISTRY
+
+
+def reset_default_registry() -> MetricsRegistry:
+    """Replace the process-wide registry with an empty one; returns it.
+
+    For a forked child: a lock of the inherited registry that some other
+    thread of the parent held at the moment of the fork is never released
+    in the child, and the first ``snapshot()`` or ``inc()`` there hangs.
+    """
+    global _DEFAULT_REGISTRY
+    _DEFAULT_REGISTRY = MetricsRegistry()
+    return _DEFAULT_REGISTRY
