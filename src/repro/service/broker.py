@@ -3,8 +3,13 @@
 :meth:`QueryBroker.submit` is a plain blocking call: the thread that
 asks runs the detection.  One lock guards the bookkeeping (cache,
 in-flight map, per-tenant counts, stats, the completed list) and is
-never held while a detection runs; a semaphore of ``workers`` slots
-bounds how many run at once.
+never held while a detection runs.  Detections whose work is in worker
+processes (``mode="process"``) run up to ``workers`` at once; the others
+compute on the thread that asked, under the one interpreter lock, and
+take turns — two of them at once are slower than one after the other
+(every numpy call hands the GIL over: two clients got 50 queries/s
+where one got 75), and how much slower each is depends on what the
+other is running.
 
 Admission pipeline, in order:
 
@@ -20,8 +25,9 @@ Admission pipeline, in order:
    executions; the next one is rejected *immediately* with
    :class:`~repro.errors.QuotaExceededError` (backpressure by refusal,
    not by unbounded queueing).
-4. **slot** — the admitted caller waits for one of the ``workers``
-   execution slots (the ``broker.queue`` span) and then executes.
+4. **slot** — the admitted caller waits for its turn, or in process
+   mode for one of the ``workers`` execution slots (the ``broker.queue``
+   span), and then executes.
 
 Completed executions land in a list; the coordinator's periodic
 :meth:`QueryBroker.sweep` — off the query path, on the service's one
@@ -37,7 +43,7 @@ import json
 import os
 import threading
 import time
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from concurrent.futures import Future, wait
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -393,6 +399,53 @@ def _timed_out(timeout: float) -> ServiceError:
     return ServiceError(f"query timed out after {timeout}s")
 
 
+class _Turns:
+    """One holder at a time, first come first served.
+
+    ``release`` hands the turn to whoever has waited longest rather than
+    leaving it for whoever asks next: with a ``Semaphore`` the thread that
+    just released asks again before the one it woke has the GIL, and a
+    second client of a busy service waited seconds for a 16 ms query.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._taken = False
+        self._waiting: "deque[threading.Lock]" = deque()  # oldest first
+
+    def acquire(self, timeout: Optional[float] = None) -> bool:
+        with self._lock:
+            if not self._taken:
+                self._taken = True
+                return True
+            mine = threading.Lock()
+            mine.acquire()  # release() opens it: the turn is then ours
+            self._waiting.append(mine)
+        try:
+            if mine.acquire(timeout=-1 if timeout is None else max(timeout, 0)):
+                return True
+        except BaseException:  # Ctrl-C while queued: leave no ghost in line
+            if not self._withdraw(mine):
+                self.release()
+            raise
+        return not self._withdraw(mine)
+
+    def _withdraw(self, mine: threading.Lock) -> bool:
+        """Leave the line; False when the turn was handed over meanwhile."""
+        with self._lock:
+            if mine in self._waiting:
+                self._waiting.remove(mine)
+                return True
+            return False
+
+    def release(self) -> None:
+        with self._lock:
+            if self._waiting:
+                self._waiting.popleft().release()
+            else:
+                self._taken = False
+
+
 @dataclass
 class QueryOutcome:
     """What a client gets back: the JSON-safe payload plus (in-process
@@ -462,8 +515,10 @@ class QueryBroker:
         self.tracer = tracer
         self._runtime_config = dict(runtime_config or {})
         retain_worker_heaps()
-        # at most `workers` detections run at once, each on its caller's thread
+        # at most `workers` process-mode detections run at once; one that
+        # computes on its caller's thread waits for the one before it
         self._slots = threading.BoundedSemaphore(workers or 4)
+        self._turn = _Turns()
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)  # no execution in flight
         self._closed = False
@@ -590,8 +645,9 @@ class QueryBroker:
         stamped with its own ``trace`` identity when tracing is on.
 
         ``timeout`` bounds what the caller can be made to wait for — the
-        identical query it joined, or an execution slot — with a
-        :class:`~repro.errors.ServiceError`.  What the wait for the slot
+        identical query it joined, or its turn (process mode: an
+        execution slot) — with a
+        :class:`~repro.errors.ServiceError`.  What that wait
         left of it becomes the runtime's ``deadline`` (unless it has
         one), so an overrun comes back as the watchdog's degraded reply,
         which is never cached.
@@ -663,7 +719,8 @@ class QueryBroker:
                 if sess.compatible(entry.graph, rt) is None:
                     rt.session = sess
             t0 = time.perf_counter()
-            if not self._slots.acquire(timeout=timeout):
+            gate = self._slots if rt.mode == "process" else self._turn
+            if not gate.acquire(timeout=timeout):
                 raise _timed_out(timeout)
             try:
                 if timeout is not None and rt.deadline is None:
@@ -672,7 +729,7 @@ class QueryBroker:
                         timeout - (time.perf_counter() - t0), 1e-6)
                 payload, raw = self._traced_execute(spec, entry, rt, qt, t0)
             finally:
-                self._slots.release()
+                gate.release()
                 if runtime is None:  # made here, closed here: a deadline's
                     rt.close_live()  # watchdog runs a monitor thread
         except BaseException as exc:

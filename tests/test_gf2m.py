@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.errors import FieldError
 from repro.ff.gf2m import GF2m, default_field_for_k, field_degree_for_k
+from repro.ff.poly2 import poly_mulmod
 from repro.util.rng import RngStream
 
 
@@ -23,6 +24,13 @@ def gf256():
 def elements(field, max_value=None):
     hi = (field.order - 1) if max_value is None else max_value
     return st.integers(min_value=0, max_value=hi)
+
+
+def reference_mul(field, a, b):
+    """Broadcast product, one scalar polynomial multiply per element."""
+    a, b = np.broadcast_arrays(a, b)
+    out = [poly_mulmod(int(x), int(y), field.modulus) for x, y in zip(a.flat, b.flat)]
+    return np.array(out, dtype=field.dtype).reshape(a.shape)
 
 
 class TestConstruction:
@@ -81,15 +89,56 @@ class TestAxiomsExhaustiveGF8:
         assert np.all(prod != 0)
 
 
+# what the recurrences hand ``mul``: a coefficient column against a state,
+# a weight column against a (rows, Z, n2) block, scalars, nothing at all,
+# and views that are not contiguous
+OPERAND_SHAPES = {
+    "coeff-x-state": lambda xs: (xs(5, 1), xs(5, 8)),
+    "state-x-coeff": lambda xs: (xs(5, 8), xs(5, 1)),
+    "weight-column": lambda xs: (xs(5, 1, 8), xs(5, 3, 8)),
+    "same-shape": lambda xs: (xs(5, 8), xs(5, 8)),
+    "0-d": lambda xs: (xs(), xs()),
+    "0-d-x-array": lambda xs: (xs(), xs(7)),
+    "empty": lambda xs: (xs(0), xs(0)),
+    "empty-rows": lambda xs: (xs(0, 1), xs(0, 8)),
+    "transposed": lambda xs: (xs(8, 5).T, xs(5, 8)),
+    "strided": lambda xs: (xs(5, 16)[:, ::2], xs(10, 8)[::2]),
+    "column-view": lambda xs: (xs(5, 3, 8)[:, 1][:, None], xs(5, 3, 8)[:, :2]),
+}
+
+
 class TestStrategiesAgree:
-    @pytest.mark.parametrize("m", [2, 4, 6, 8])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 8])
     def test_table_vs_logexp(self, m):
+        """All ``order^2`` products, both kernels, against the polynomial
+        arithmetic they tabulate."""
         ft = GF2m(m, mul_strategy="table")
         fl = GF2m(m, mul_strategy="logexp")
         xs = np.arange(ft.order, dtype=ft.dtype)
-        assert np.array_equal(
-            ft.mul(xs[:, None], xs[None, :]), fl.mul(xs[:, None], xs[None, :])
-        )
+        expected = reference_mul(ft, xs[:, None], xs[None, :])
+        assert np.array_equal(ft.mul(xs[:, None], xs[None, :]), expected)
+        assert np.array_equal(fl.mul(xs[:, None], xs[None, :]), expected)
+
+    @pytest.mark.parametrize("case", sorted(OPERAND_SHAPES))
+    @pytest.mark.parametrize("m,strategy", [(6, "table"), (8, "table"),
+                                            (6, "logexp"), (12, "logexp")])
+    def test_operand_shapes(self, m, strategy, case):
+        f = GF2m(m, mul_strategy=strategy)
+        rng = np.random.default_rng(m)
+
+        def xs(*shape):
+            return rng.integers(0, f.order, size=shape).astype(f.dtype)
+
+        a, b = OPERAND_SHAPES[case](xs)
+        a0, b0 = a.copy(), b.copy()
+        out = f.mul(a, b)
+        assert out.dtype == f.dtype
+        assert out.shape == np.broadcast_shapes(a.shape, b.shape)
+        assert np.array_equal(out, reference_mul(f, a0, b0))
+        assert np.array_equal(f.mul(b, a), out)
+        # the index is built from the operands: a shift in place on a view
+        # would corrupt the caller's state
+        assert np.array_equal(a, a0) and np.array_equal(b, b0)
 
 
 class TestGF256Properties:
@@ -129,6 +178,23 @@ class TestLargeField:
         xs = np.arange(1, f.order, dtype=f.dtype)
         assert np.all(f.mul(xs, f.inv(xs)) == 1)
 
+    @pytest.mark.parametrize("m", [9, 12, 16])
+    def test_logexp_products_sampled(self, m):
+        f = GF2m(m)
+        assert f.mul_strategy == "logexp"
+        rng = np.random.default_rng(m)
+        edge = np.array([0, 1, 2, f.order - 1], dtype=f.dtype)
+        a = np.concatenate([edge, rng.integers(0, f.order, 2000).astype(f.dtype)])
+        b = np.concatenate([edge[::-1], rng.integers(0, f.order, 2000).astype(f.dtype)])
+        assert np.array_equal(f.mul(a, b), reference_mul(f, a, b))
+        assert np.array_equal(f.mul(edge[:, None], edge[None, :]),
+                              reference_mul(f, edge[:, None], edge[None, :]))
+        assert np.array_equal(f.mul_scalar(a, f.order - 1),
+                              reference_mul(f, a, f.dtype(f.order - 1)))
+        nz = a[a != 0]
+        assert np.all(f.mul(nz, f.inv(nz)) == 1)
+        assert np.array_equal(f.pow(a, 3), f.mul(a, f.mul(a, a)))
+
 
 class TestHelpers:
     def test_inv_zero_rejected(self, gf8):
@@ -150,6 +216,43 @@ class TestHelpers:
         assert np.all(gf8.mul_scalar(xs, 0) == 0)
         with pytest.raises(FieldError):
             gf8.mul_scalar(xs, 8)
+
+    @pytest.mark.parametrize("m,strategy", [(3, "table"), (7, "table"),
+                                            (3, "logexp"), (12, "logexp")])
+    @pytest.mark.parametrize("op", [
+        "mul-first", "mul-second", "mul-small-first", "mul-small-second",
+        "mul-0-d", "mul_scalar", "inv", "pow", "div",
+    ])
+    def test_non_element_is_a_field_error(self, m, strategy, op):
+        """A dtype wider than ``m`` bits can hold a non-element: every table
+        kernel names it, for either operand, instead of leaking numpy's
+        ``IndexError`` or reading a neighbouring row of the flat table."""
+        f = GF2m(m, mul_strategy=strategy)
+        good = np.full((4, 6), 3, dtype=f.dtype)
+        bad = good.copy()
+        bad[2, 5] = f.order  # one past the last element, fits the dtype
+        col = good[:, :1]
+        call = {
+            "mul-first": lambda: f.mul(bad, good),
+            "mul-second": lambda: f.mul(good, bad),
+            "mul-small-first": lambda: f.mul(bad[:, 5:], good),
+            "mul-small-second": lambda: f.mul(good, bad[:, 5:]),
+            "mul-0-d": lambda: f.mul(f.dtype(2), f.dtype(f.order)),
+            "mul_scalar": lambda: f.mul_scalar(bad, 3),
+            "inv": lambda: f.inv(bad),
+            "pow": lambda: f.pow(bad, 2),
+            "div": lambda: f.div(col, bad),
+        }[op]
+        with pytest.raises(FieldError, match="not an element"):
+            call()
+
+    def test_full_width_field_has_no_non_elements(self, gf256):
+        # m bits in an m-bit dtype: the top values are elements, not rejects
+        xs = np.arange(256, dtype=np.uint8)
+        assert np.array_equal(gf256.mul(xs, np.uint8(255)), gf256.mul_scalar(xs, 255))
+        f16 = GF2m(16)
+        top = np.array([0xFFFF, 1], dtype=np.uint16)
+        assert f16.mul(top, top[::-1]).tolist() == [0xFFFF, 0xFFFF]
 
     def test_random_nonzero_never_zero(self, gf8):
         draws = gf8.random_nonzero(RngStream(1), size=4096)

@@ -44,7 +44,12 @@ from repro.service import (
     graph_sha,
 )
 from repro.service import broker as broker_mod
-from repro.service.broker import QueryBroker, _detection_result, _scan_result
+from repro.service.broker import (
+    QueryBroker,
+    _Turns,
+    _detection_result,
+    _scan_result,
+)
 from repro.util.rng import RngStream
 
 
@@ -517,6 +522,59 @@ class TestCallerThreadExecution:
             for box in boxes:
                 assert _join(box)["result"].payload["ok"]
         assert gate.peak == 1
+
+    @pytest.mark.parametrize("mode, at_once", [
+        # computing on the callers' threads, two at once are slower than
+        # one after the other: they take turns whatever `workers` says
+        ("sequential", 1),
+        # the work is in worker processes: `workers` executions at once
+        ("process", 2),
+    ])
+    def test_only_process_mode_executes_workers_queries_at_once(
+            self, monkeypatch, mode, at_once):
+        gate = _Gate(monkeypatch)
+        with DetectionService(workers=2, metrics=MetricsRegistry(),
+                              runtime_config={"mode": mode}) as svc:
+            svc.register_graph(_graph(), name="g")
+            boxes = [_in_thread(lambda s=s: svc.query(_path_spec(s)))
+                     for s in (1, 2, 3)]
+            for _ in range(at_once):
+                assert gate.entered.acquire(timeout=10)
+            _wait_for(lambda: svc.broker.describe()["inflight"]
+                      == {"default": 3})
+            assert not gate.entered.acquire(timeout=0.1)  # the rest queue
+            gate.release.set()
+            for box in boxes:
+                assert _join(box)["result"].payload["ok"]
+        assert gate.peak == at_once
+
+    def test_turns_are_first_come_first_served(self):
+        """The turn goes to whoever waited longest, never back to the
+        thread that gave it up while someone is in line (a semaphore lets
+        it: the second client of a busy service then waits seconds)."""
+        turns = _Turns()
+        assert turns.acquire()
+        order, go = [], threading.Event()
+
+        def wait_in_line(name):
+            assert turns.acquire(timeout=30)
+            order.append(name)
+            assert go.wait(timeout=30)
+            turns.release()
+
+        boxes = []
+        for name in "abc":
+            boxes.append(_in_thread(lambda name=name: wait_in_line(name)))
+            _wait_for(lambda: len(turns._waiting) == len(boxes))
+        assert not turns.acquire(timeout=0.05)  # timed out and left the line
+        assert len(turns._waiting) == 3
+        turns.release()
+        assert not turns.acquire(timeout=0)  # handed over, not up for grabs
+        go.set()
+        for box in boxes:
+            assert "error" not in _join(box)
+        assert order == ["a", "b", "c"]
+        assert turns.acquire(timeout=0)  # nobody left: free again
 
     @pytest.mark.parametrize("failure, joiner_sees", [
         (RuntimeError("synthetic failure"), RuntimeError),
