@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Regenerate the paper's figures programmatically and persist results.
 
-Shows the `repro.experiments` API (the same engine behind the pytest
-benches and the `python -m repro figures` CLI) together with result
+Shows the `repro.experiments` API (what the `python -m repro figures` CLI
+prints and `tests/test_experiments.py` asserts) together with result
 serialization: sweep a figure, print its series, and store a modeled
 estimate as versioned JSON for later analysis.
 

@@ -311,10 +311,8 @@ def _flush_interrupted(args, rt, problem: str) -> int:
 
 
 def _default_scenario(args, problem: str) -> str:
-    graph = (getattr(args, "dataset", None) or getattr(args, "edge_list", None)
-             or (f"er{args.er}" if getattr(args, "er", None) else "graph"))
     k = getattr(args, "k", None)
-    return f"{problem}:{graph}" + (f":k{k}" if k is not None else "")
+    return f"{problem}:{_graph_label(args)}" + (f":k{k}" if k is not None else "")
 
 
 def _store_config(args, rt, problem: str) -> dict:

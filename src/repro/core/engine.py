@@ -100,6 +100,9 @@ _LOG = get_logger(__name__)
 _MODES = ("sequential", "simulated", "modeled", "threaded", "process")
 _SANITIZE = ("off", "warn", "strict")
 _KERNELS = ("auto", "table", "logexp", "bitsliced")
+#: every session's partition RNG lineage starts here, so the partition is
+#: a function of ``(graph, n1, partition_method)`` alone
+_PARTITION_SEED = 7777
 #: the null span log: session build steps nobody is watching go here
 _UNPROFILED = WallProfiler(enabled=False)
 
@@ -188,7 +191,6 @@ class MidasRuntime:
     calibration: Optional[KernelCalibration] = None
     measure_compute: bool = False
     trace: bool = False
-    partition_seed: int = 7777
     overlap: bool = False
     recorder: Optional[TraceRecorder] = None
     metrics: Optional[MetricsRegistry] = None
@@ -985,7 +987,7 @@ class EngineSession:
     once built*:
 
     * the vertex partition (deterministic in ``(graph, n1,
-      partition_method, partition_seed)`` — the session's RNG lineage);
+      partition_method)`` — one fixed RNG lineage);
     * the halo views derived from it (simulated mode);
     * GF(2^l) table sets, cached per field degree;
     * the kernel calibration used by the modeled estimates.
@@ -1012,7 +1014,6 @@ class EngineSession:
         *,
         n1: int = 1,
         partition_method: str = "random",
-        partition_seed: int = 7777,
         calibration: Optional[KernelCalibration] = None,
         kernel: str = "auto",
     ) -> None:
@@ -1023,7 +1024,6 @@ class EngineSession:
         self.graph = graph
         self.n1 = n1
         self.partition_method = partition_method
-        self.partition_seed = partition_seed
         self.kernel = kernel
         self._calibration = calibration
         self._partition = None
@@ -1039,7 +1039,6 @@ class EngineSession:
     def for_runtime(cls, graph: CSRGraph, rt: "MidasRuntime") -> "EngineSession":
         """A session matching ``rt``'s decomposition knobs."""
         return cls(graph, n1=rt.n1, partition_method=rt.partition_method,
-                   partition_seed=rt.partition_seed,
                    calibration=rt.calibration, kernel=rt.kernel)
 
     def compatible(self, graph: CSRGraph, rt: "MidasRuntime") -> Optional[str]:
@@ -1047,7 +1046,7 @@ class EngineSession:
         human-readable mismatch."""
         if graph is not self.graph:
             return "session was prepared for a different graph object"
-        for attr in ("n1", "partition_method", "partition_seed", "kernel"):
+        for attr in ("n1", "partition_method", "kernel"):
             if getattr(rt, attr) != getattr(self, attr):
                 return (f"runtime {attr}={getattr(rt, attr)!r} != session "
                         f"{attr}={getattr(self, attr)!r}")
@@ -1069,7 +1068,7 @@ class EngineSession:
                                callsite=self.partition_method):
                     self._partition = make_partition(
                         self.graph, self.n1, self.partition_method,
-                        rng=RngStream(self.partition_seed, name="partition"),
+                        rng=RngStream(_PARTITION_SEED, name="partition"),
                     )
             return self._partition
 
@@ -1119,7 +1118,7 @@ class EngineSession:
             return {
                 "n1": self.n1,
                 "partition_method": self.partition_method,
-                "partition_seed": self.partition_seed,
+                "partition_seed": _PARTITION_SEED,
                 "kernel": self.kernel,
                 "partition_built": self._partition is not None,
                 "views_built": self._views is not None,

@@ -27,8 +27,9 @@ from repro.ff.fingerprint import Fingerprint
 from repro.graph.csr import CSRGraph
 
 
-def check_weights(n: int, weights: np.ndarray, z_max: int) -> np.ndarray:
-    """Validate a node-weight vector; returns it as int64."""
+def check_weights(n: int, weights: np.ndarray, z_max: int = 0) -> np.ndarray:
+    """Validate a node-weight vector (and the weight axis' bound, where the
+    caller has one already); returns it as int64."""
     w = np.asarray(weights, dtype=np.int64)
     if w.shape != (n,):
         raise ConfigurationError(

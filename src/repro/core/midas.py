@@ -39,6 +39,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from repro.core.engine import DetectionEngine, EngineSession, MidasRuntime
+from repro.core.evaluator_wpath import check_weights
 from repro.core.problems import (
     ProblemSpec,
     path_problem,
@@ -71,16 +72,6 @@ def _field_for(engine: DetectionEngine, k: int):
     rt = engine.rt
     strategy = rt.resolve_kernel(field_degree_for_k(k), rt.schedule_for(k).n2)
     return engine.session.field_for_k(k, strategy=strategy, prof=engine.prof)
-
-
-def _node_weights(graph: CSRGraph, weights) -> np.ndarray:
-    """``weights`` as the validated non-negative int64 node-weight vector."""
-    w = np.asarray(weights, dtype=np.int64)
-    if w.shape != (graph.n,):
-        raise ConfigurationError(f"weights must have shape ({graph.n},), got {w.shape}")
-    if np.any(w < 0):
-        raise ConfigurationError("weights must be non-negative")
-    return w
 
 
 def _run_scalar_detection(
@@ -195,7 +186,7 @@ def max_weight_path(
     maximum exceeds it with probability at most ``eps``.
     """
     rt = runtime or MidasRuntime()
-    w = _node_weights(graph, weights)
+    w = check_weights(graph.n, weights)
     if k < 1 or k > graph.n:
         return None
     if z_max is None:
@@ -232,9 +223,7 @@ def detect_scan_cell(
     of the whole grid, and exits on the first hitting round.
     """
     rt = runtime or MidasRuntime()
-    w = np.asarray(weights, dtype=np.int64)
-    if w.shape != (graph.n,):
-        raise ConfigurationError(f"weights must have shape ({graph.n},), got {w.shape}")
+    w = check_weights(graph.n, weights)
     if not (1 <= size <= graph.n) or weight < 0:
         return False
     rounds = rounds_for_epsilon(eps)
@@ -271,7 +260,7 @@ def scan_grid(
     ``1..k``); rows outside it stay undetected in the returned grid.
     """
     rt = runtime or MidasRuntime()
-    w = _node_weights(graph, weights)
+    w = check_weights(graph.n, weights)
     if k < 1 or k > graph.n:
         raise ConfigurationError(f"k must be in [1, {graph.n}], got {k}")
     if z_max is None:

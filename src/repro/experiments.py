@@ -2,9 +2,9 @@
 
 Each function reproduces one experiment family from Section VI and returns
 structured rows (lists of dicts) that callers can print, plot, or assert
-on.  The pytest benchmarks and the ``python -m repro figures`` CLI command
-are thin wrappers over these, so a downstream user can regenerate any
-figure programmatically:
+on.  :data:`FIGURES` is the one producer of every series: ``python -m
+repro figures`` prints it, ``tests/test_experiments.py`` asserts its shape,
+and a downstream user can regenerate any figure programmatically:
 
     from repro.experiments import fig11_series
     rows = fig11_series()          # modeled MIDAS vs FASCIA per k

@@ -36,7 +36,7 @@ array's memory order) run along contiguous words.  The whole DP stays
 plane-resident across levels and only the final ``(m, W)`` reduction is
 unpacked.  The round-trip per-call dispatch (slice, multiply, unslice) is
 also provided for API completeness; it is the *plane-resident* use that
-wins (see ``benchmarks/bench_ablation_bitslice.py``).
+wins (the ledger's ``eval.path_phase_s.bitsliced`` against ``.table``).
 
 Lane packing uses little-endian bit order within bytes and native
 (little-endian) byte order within words — the layout

@@ -11,8 +11,8 @@ factor in pure Python by doing the arithmetic on whole numpy arrays:
   ``where``), or, for ``m <= 8``, one dense ``2^m x 2^m`` product table
   stored flat and read with one gather, ``flat.take((a << m) | b)`` —
   measured fastest for the uint8 fields MIDAS actually uses
-  (``m = 3 + ceil(log2 k) <= 8`` for ``k <= 18``; see the
-  ``bench_ablation_gf_kernels`` benchmark).  Every table read is a ``take``
+  (``m = 3 + ceil(log2 k) <= 8`` for ``k <= 18``; the ledger's
+  ``ff.mul_ns.table`` against ``.logexp``).  Every table read is a ``take``
   with the narrowest index that holds it: numpy serves a two-array advanced
   index at about 6 ns per element, a flat ``take`` at about 1.3.
 

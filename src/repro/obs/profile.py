@@ -32,8 +32,8 @@ what orders the flame stacks — is a walk up the parents.
 The engine profiles every run by default (see
 ``MidasRuntime.get_profiler``): a span costs one ``perf_counter`` pair,
 a lock acquisition or two, and a dict update — nanoseconds against the
-millisecond-scale GF kernels it wraps (bounded by
-``benchmarks/bench_profile_overhead.py``).
+millisecond-scale GF kernels it wraps (the ledger's
+``engine.residual_share.*`` holds it with the engine's other bookkeeping).
 """
 
 from __future__ import annotations

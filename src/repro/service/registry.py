@@ -30,7 +30,7 @@ class GraphEntry:
         self.sha = sha
         self.graph = graph
         self.name = name
-        # (n1, partition_method, partition_seed, kernel) -> EngineSession;
+        # (n1, partition_method, kernel) -> EngineSession;
         # kernel is part of the key because GF2m equality includes the
         # kernel strategy — a session's field cache built for one kernel
         # must not serve a runtime asking for another
@@ -40,7 +40,7 @@ class GraphEntry:
     def session_for(self, rt: MidasRuntime) -> EngineSession:
         """The cached session matching ``rt``'s decomposition knobs
         (created on first use; shared by every later compatible query)."""
-        key = (rt.n1, rt.partition_method, rt.partition_seed, rt.kernel)
+        key = (rt.n1, rt.partition_method, rt.kernel)
         with self._lock:
             sess = self._sessions.get(key)
             if sess is None:

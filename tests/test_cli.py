@@ -60,6 +60,20 @@ class TestDetectPath:
                    "--eps", "0.02"])
         assert rc == 0
 
+    def test_one_edge_list_is_one_scenario_by_any_path(self, tmp_path, capsys):
+        """A run must meet its own baseline: the default RunStore scenario
+        names the file, not the route that was taken to it."""
+        from repro.obs.store import RunStore
+
+        g, _ = plant_path(erdos_renyi(40, m=30, rng=RngStream(3)), 5, rng=RngStream(4))
+        (tmp_path / "sub").mkdir()
+        write_edge_list(g, tmp_path / "g.txt")
+        store = tmp_path / "runs.jsonl"
+        for route in (tmp_path / "g.txt", tmp_path / "sub" / ".." / "g.txt"):
+            main(["detect-path", "--edge-list", str(route), "-k", "5",
+                  "--seed", "5", "--store", str(store)])
+        assert [r.scenario for r in RunStore(store).load()] == ["k-path:g:k5"] * 2
+
     def test_simulated_mode(self, capsys):
         rc = main(["detect-path", "--er", "200", "-k", "4", "--seed", "6",
                    "--mode", "simulated", "-N", "4", "--n1", "2", "--n2", "4"])

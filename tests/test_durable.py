@@ -267,6 +267,15 @@ class TestKillResumeBitIdentity:
             # the resumed run reports the *whole* run's resilience story
             assert res1.details["resilience"] == res0.details["resilience"]
 
+    @pytest.mark.parametrize("every", [1, 4])
+    def test_commit_cadence_never_changes_the_values(self, islands, tmp_path,
+                                                     every):
+        control, _ = self._control(islands)
+        rt = MidasRuntime(checkpoint_dir=str(tmp_path), checkpoint_every=every)
+        res = detect_path(islands, self.K, eps=self.EPS,
+                          rng=RngStream(7).child("detect"), runtime=rt)
+        assert _values(res) == _values(control)
+
     def test_resume_completed_run_recomputes_nothing(self, islands, tmp_path):
         rt1 = MidasRuntime(mode="sequential", checkpoint_dir=str(tmp_path))
         res0 = detect_path(islands, self.K, eps=self.EPS,

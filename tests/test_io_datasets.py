@@ -51,6 +51,10 @@ class TestDatasets:
         assert set(DATASETS) == {"miami", "com-Orkut", "random-1e6", "random-1e7"}
         assert DATASETS["com-Orkut"].paper_edges == 234_300_000
         assert DATASETS["random-1e6"].paper_nodes == 1_000_000
+        # the random family is exactly reproducible: m = n ln n
+        for name in ("random-1e6", "random-1e7"):
+            n = DATASETS[name].paper_nodes
+            assert DATASETS[name].paper_edges == pytest.approx(n * np.log(n), rel=0.02)
 
     def test_load_scaled(self):
         g = load_dataset("random-1e6", scale=0.002, rng=RngStream(2))
@@ -78,6 +82,9 @@ class TestDatasets:
         for r in rows:
             assert r["generated_nodes"] >= 16
             assert r["generated_edges"] > 0
+        # the stand-ins keep the paper's density ordering
+        dens = {r["dataset"]: r["generated_avg_degree"] for r in rows}
+        assert dens["com-Orkut"] > dens["miami"] > dens["random-1e6"]
 
     def test_deterministic_given_seed(self):
         a = load_dataset("miami", scale=0.002, rng=RngStream(5))

@@ -16,7 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.midas import MidasRuntime, detect_path, detect_tree, scan_grid
+from repro.core.midas import (
+    MidasRuntime, detect_path, detect_scan_cell, detect_tree, scan_grid,
+)
 from repro.errors import ConfigurationError
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import erdos_renyi, grid2d, plant_path, plant_tree
@@ -242,6 +244,12 @@ class TestScanGrid:
             scan_grid(g, -np.ones(4, dtype=np.int64), k=2)
         with pytest.raises(ConfigurationError):
             scan_grid(g, np.ones(4, dtype=np.int64), k=0)
+        # the single-cell driver validates the same vector the same way,
+        # whatever cell is asked for
+        for bad in (np.ones(3, dtype=np.int64), -np.ones(4, dtype=np.int64)):
+            for size in (2, 9):
+                with pytest.raises(ConfigurationError):
+                    detect_scan_cell(g, bad, size, 1)
 
 
 class TestTracing:

@@ -3,15 +3,20 @@
 import numpy as np
 import pytest
 
+from repro.core.evaluator_path import path_recurrence
+from repro.core.halo import build_halo_views
+from repro.core.leveldp import phase_program
 from repro.core.midas import detect_path
 from repro.core.model import PartitionStats, PerformanceEstimate, estimate_runtime
 from repro.core.schedule import PhaseSchedule
 from repro.core.witness import extract_witness
 from repro.errors import ConfigurationError, DetectionError
-from repro.graph.generators import erdos_renyi, plant_path
-from repro.graph.partition import random_partition
+from repro.ff.fingerprint import Fingerprint
+from repro.graph.generators import erdos_renyi, grid2d, miami_like, plant_path
+from repro.graph.partition import make_partition, random_partition
 from repro.runtime.cluster import juliet
 from repro.runtime.costmodel import KernelCalibration
+from repro.runtime.scheduler import Simulator
 from repro.util.rng import RngStream
 
 
@@ -125,6 +130,101 @@ class TestEstimateRuntime:
         stats = PartitionStats.random_model(10_000, 140_000, 8)
         with pytest.raises(ConfigurationError):
             estimate_runtime(stats, sched, calib, cm, problem="clique")
+
+    def test_halving_maxdeg_halves_the_bandwidth_term(self, calib):
+        """Theorem 2: MAXDEG is the communication metric.  At a batched N2,
+        where bandwidth dominates latency, half the boundary is half the
+        exchange and the compute term does not move."""
+        k, N, n1 = 8, 256, 16
+        sched = PhaseSchedule(k, N, n1, PhaseSchedule.bs_max(k, N, n1))
+        cm = juliet().cost_model(N)
+        e1, e2 = (
+            estimate_runtime(
+                PartitionStats(n=100_000, m=1_000_000, n1=n1, max_load=6_300,
+                               max_deg=max_deg, n_peers_max=15),
+                sched, calib, cm)
+            for max_deg in (120_000, 60_000)
+        )
+        assert e1.compute_seconds == e2.compute_seconds
+        assert e2.comm_seconds < e1.comm_seconds
+        exchange1 = e1.comm_seconds - e1.reduce_seconds * e1.rounds
+        exchange2 = e2.comm_seconds - e2.reduce_seconds * e2.rounds
+        assert 1.6 < exchange1 / exchange2 < 2.2
+
+    @pytest.mark.parametrize("graph_name", ["miami_like", "grid"])
+    def test_locality_partitioners_do_not_lose_to_random(self, calib, graph_name):
+        """The paper partitions at random; on a spatial graph a partitioner
+        that cuts MAXDEG must not model slower."""
+        g = (grid2d(64, 64) if graph_name == "grid"
+             else miami_like(4000, avg_degree=20, rng=RngStream(1)))
+        k, N, n1 = 8, 256, 16
+        sched = PhaseSchedule(k, N, n1, PhaseSchedule.bs_max(k, N, n1))
+        cm = juliet().cost_model(N)
+        times = {
+            method: estimate_runtime(
+                PartitionStats.from_partition(
+                    make_partition(g, n1, method, rng=RngStream(2))),
+                sched, calib, cm).total_seconds
+            for method in ("random", "bfs", "greedy")
+        }
+        assert times["greedy"] <= times["random"] * 1.02
+        assert times["bfs"] <= times["random"] * 1.05
+
+    def test_paper_k12_scan_of_a_sensor_network_is_cluster_feasible(self, calib):
+        """Fig 13's setting costed on the model: a full k=12 scan (every
+        size j <= 12, binary weights) of an LA-mainline-sized network on
+        N=128 fits in one analysis session."""
+        n, m, N, n1 = 4_000, 6_000, 128, 8
+        total = sum(
+            estimate_runtime(
+                PartitionStats.random_model(n, m, n1),
+                PhaseSchedule(j, N, n1, PhaseSchedule.bs_max(j, N, n1)),
+                calib, juliet().cost_model(N), eps=0.1,
+                problem="scanstat", z_axis=13).total_seconds
+            for j in range(1, 13)
+        )
+        assert total < 3 * 3600
+
+
+class TestModelAgainstSimulator:
+    """The figures extrapolate the closed-form model; the simulator enacts
+    the same decomposition message by message.  Communication is virtual
+    time on both sides, from the same alpha-beta parameters, so the two
+    must agree within a small factor and on the trend that creates the
+    interior-optimal N1.  (Compute is left out: the simulator does not
+    charge it by default.)"""
+
+    K, N2 = 8, 8
+
+    def _phase_comm(self, g, n1, fp, calib):
+        part = random_partition(g, n1, rng=RngStream(3))
+        cm = juliet().cost_model(n1)
+        sim = Simulator(n1, cost_model=cm, measure_compute=False, trace=False)
+        simulated = sim.run(phase_program(
+            build_halo_views(g, part), path_recurrence(self.K), fp, 0,
+            self.N2)).makespan
+        sched = PhaseSchedule(self.K, n1, n1, self.N2)
+        est = estimate_runtime(PartitionStats.from_partition(part), sched,
+                               calib, cm)
+        modeled = est.phase_seconds - (
+            est.compute_seconds / (est.rounds * sched.n_batches))
+        return simulated, modeled
+
+    @pytest.mark.parametrize("n1", [2, 4, 8])
+    def test_phase_comm_agreement(self, calib, n1):
+        g = erdos_renyi(2000, m=14000, rng=RngStream(1))
+        fp = Fingerprint.draw(g.n, self.K, RngStream(2))
+        simulated, modeled = self._phase_comm(g, n1, fp, calib)
+        # per-peer messages and wait times vs a closed form
+        assert 0.2 < simulated / modeled < 6.0
+
+    def test_comm_grows_with_partitioning(self, calib):
+        g = erdos_renyi(2000, m=14000, rng=RngStream(4))
+        fp = Fingerprint.draw(g.n, self.K, RngStream(5))
+        curve = [self._phase_comm(g, n1, fp, calib) for n1 in (2, 4, 8, 16)]
+        for (sim_a, model_a), (sim_b, model_b) in zip(curve, curve[1:]):
+            assert sim_b > 0.8 * sim_a
+            assert model_b > 0.8 * model_a
 
 
 class TestWitnessExtraction:

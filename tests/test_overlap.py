@@ -71,6 +71,39 @@ class TestIrecvWait:
         # the saving is (up to) the full overlap window
         assert t_sync - t_over == pytest.approx(0.05, rel=0.05)
 
+    def test_superstep_saving_matches_closed_form(self):
+        """Both ranks exchange at each of four levels over Juliet's link:
+        a synchronous level costs flight + compute, an overlapped one
+        max(send overhead + compute, flight)."""
+        from repro.runtime.cluster import juliet
+
+        nbytes, compute_s, levels = 50_000_000, 0.004, 4  # ~7 ms in flight
+
+        def sync(ctx):
+            for lvl in range(levels):
+                yield Send(1 - ctx.rank, lvl, None, nbytes=nbytes)
+                yield Recv(1 - ctx.rank, lvl)
+                yield Charge(compute_s)
+
+        def overlapped(ctx):
+            for lvl in range(levels):
+                yield Send(1 - ctx.rank, lvl, None, nbytes=nbytes)
+                req = yield Irecv(1 - ctx.rank, lvl)
+                yield Charge(compute_s)  # the local half, while it flies
+                yield Wait(req)
+
+        cm = juliet().cost_model(2)
+        t_sync, t_over = (
+            Simulator(2, cost_model=cm, measure_compute=False,
+                      trace=False).run(prog).makespan
+            for prog in (sync, overlapped)
+        )
+        flight = cm.pt2pt(0, 1, nbytes)
+        expected = levels * (flight + compute_s - max(
+            cm.send_overhead(0, 1, nbytes) + compute_s, flight))
+        assert t_over < t_sync
+        assert t_sync - t_over == pytest.approx(expected, rel=0.05)
+
     def test_multiple_outstanding_requests(self):
         def prog(ctx):
             if ctx.rank == 0:

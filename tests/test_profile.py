@@ -202,6 +202,18 @@ class TestEngineProfiling:
         assert rounds == pytest.approx(
             ops[("rounds", "round")]["seconds"], rel=0.10)
 
+    @pytest.mark.parametrize("setting", [{"enabled": False},
+                                         {"keep_spans": False}])
+    def test_profiler_setting_never_changes_the_values(self, setting):
+        def values(rt):
+            return [r.value for r in detect_path(
+                _graph(), 6, eps=0.3, rng=3, runtime=rt,
+                early_exit=False).rounds]
+
+        rt = MidasRuntime(metrics=MetricsRegistry())
+        rt.profiler = WallProfiler(**setting)
+        assert values(rt) == values(MidasRuntime(metrics=MetricsRegistry()))
+
     def test_simulated_mode_profiles_simulator_calls(self):
         rt = MidasRuntime(mode="simulated", n_processors=2, n1=2,
                           metrics=MetricsRegistry())

@@ -58,12 +58,17 @@ class TestCongestionStudy:
     def test_detection_finds_incident_cell(self, network):
         study = CongestionStudy(network, n_history=40)
         cur, mu, sig, incident = study.synthesize(incident_len=6, rng=RngStream(3))
-        res = study.detect(cur, mu, sig, k=6, eps=0.05, rng=RngStream(4))
+        res = study.detect(cur, mu, sig, k=6, eps=0.05, rng=RngStream(4),
+                           extract=True)
         assert res.best_score > 0
         # at alpha=0.05 the 6 incident sensors are essentially all flagged;
         # the best cell should be a mostly-significant connected run
         assert res.best_size >= 4
         assert res.best_weight >= 4
+        # ... and the extracted cluster is the injected incident (Fig 13)
+        recovery = CongestionStudy.score_recovery(res.cluster, incident)
+        assert recovery["precision"] >= 0.7
+        assert recovery["true_positives"] >= 3
 
     def test_routine_rush_hour_not_flagged(self, network):
         """The paper's point: downtown congestion that matches history must
@@ -75,7 +80,7 @@ class TestCongestionStudy:
         study2 = CongestionStudy(network, n_history=40, incident_dip=25.0)
         cur2, mu2, sig2, _ = study2.synthesize(incident_len=6, rng=RngStream(5))
         res_alt = study2.detect(cur2, mu2, sig2, k=6, eps=0.05, rng=RngStream(6))
-        assert res_alt.best_score > res_null.best_score
+        assert res_alt.best_score > 2.0 * max(res_null.best_score, 0.5)
 
     def test_custom_statistic(self, network):
         study = CongestionStudy(network, n_history=30)

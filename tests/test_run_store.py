@@ -241,27 +241,6 @@ class TestCli:
             assert counts == sorted(counts)
 
 
-class TestBenchEmission:
-    def test_bench_json_stamped_and_recorded(self, tmp_path, monkeypatch):
-        import sys
-        sys.path.insert(0, "benchmarks")
-        try:
-            import _bench_utils
-        finally:
-            sys.path.pop(0)
-        monkeypatch.setenv("BENCH_JSON_DIR", str(tmp_path))
-        p = _bench_utils.emit_bench_json(
-            "fig X", ["k", "seconds"], [[5, "1.25"], [10, "inf"]])
-        doc = json.loads(p.read_text())
-        assert doc["type"] == "MetricsSnapshot"
-        assert len(doc["git_sha"]) >= 4
-        assert len(doc["config_hash"]) == 12
-        r = RunStore(tmp_path / "bench_runs.jsonl").latest()
-        assert r.scenario == "bench:fig_x"
-        assert r.values == {"5:seconds": 1.25}  # inf filtered
-        assert r.config_hash == doc["config_hash"]
-
-
 class TestCrashSafeAppends:
     def test_concurrent_appends_never_interleave(self, tmp_path):
         import threading
