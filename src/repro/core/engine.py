@@ -82,6 +82,7 @@ from repro.errors import (
     WatchdogExpired,
     WorkerCrashedError,
 )
+from repro.ff.gf2m import field_degree_for_k
 from repro.graph.csr import CSRGraph, graph_sha
 from repro.graph.partition import make_partition
 from repro.obs.metrics import MetricsRegistry, get_default_registry, merge_into
@@ -98,6 +99,12 @@ from repro.util.rng import RngStream
 _LOG = get_logger(__name__)
 
 _MODES = ("sequential", "simulated", "modeled", "threaded", "process")
+#: the modes that evaluate a phase window on the whole graph in one call
+_WHOLE_GRAPH_MODES = ("sequential", "threaded", "process")
+#: the largest plane-resident DP state (one ``(l, n, N2 / 64)`` uint64
+#: block) the default ``N2`` is allowed to build: past it a wider window
+#: only moves the level step out of cache (see :meth:`MidasRuntime.schedule_for`)
+_STATE_BYTES = 768 << 10
 _SANITIZE = ("off", "warn", "strict")
 _KERNELS = ("auto", "table", "logexp", "bitsliced")
 #: every session's partition RNG lineage starts here, so the partition is
@@ -112,8 +119,11 @@ class MidasRuntime:
     """Parallel execution configuration for the MIDAS driver.
 
     ``n2=None`` picks a sensible default: the figures' BSMax
-    (``2^k N1 / N``) in simulated/modeled modes, a 64-wide batch in
-    sequential and threaded modes.  ``overlap=True`` uses the
+    (``2^k N1 / N``) in simulated/modeled modes; in the sequential,
+    threaded and process modes the paper's "keep ``N2 < 1024``" — a
+    window of up to 1024 iterations, narrowed so every worker has one
+    and so the DP state stays in cache (:meth:`schedule_for`).
+    ``overlap=True`` uses the
     communication-overlapping halo exchange (Irecv/Wait with
     local/ghost-split reductions) in simulated runs of all evaluators;
     results are bit-identical either way.
@@ -267,12 +277,29 @@ class MidasRuntime:
                 f"hang_timeout must be > 0, got {self.hang_timeout}"
             )
 
-    def schedule_for(self, k: int) -> PhaseSchedule:
+    def schedule_for(self, k: int, n: int = 0) -> PhaseSchedule:
+        """The ``(k, N, N1, N2)`` schedule of a ``2^k``-iteration round on
+        an ``n``-vertex graph.
+
+        An explicit ``n2`` wins.  Otherwise simulated/modeled modes take
+        BSMax, and the whole-graph modes take ``min(2^k, 1024)`` — every
+        window is bit-identical at any width, and the level step's
+        per-lane cost falls with it — halved, never below one 64-lane
+        word, until each of the mode's workers has a window
+        (``2^k / N2 >= workers``) and the plane-resident state of an
+        ``n``-vertex graph (``8 l n N2 / 64`` bytes) fits
+        :data:`_STATE_BYTES`; ``n = 0`` (size unknown) skips the latter.
+        """
         total = 1 << k
         n2 = self.n2
         if n2 is None:
-            if self.mode in ("sequential", "threaded", "process"):
-                n2 = min(total, 64)
+            if self.mode in _WHOLE_GRAPH_MODES:
+                n2 = min(total, 1024)
+                workers = 1 if self.mode == "sequential" else self.get_workers()
+                word_bytes = 8 * field_degree_for_k(k) * n
+                while n2 > 64 and (total // n2 < workers
+                                   or word_bytes * (n2 // 64) > _STATE_BYTES):
+                    n2 //= 2
             else:
                 n2 = PhaseSchedule.bs_max(k, self.n_processors, self.n1)
         # the divisors of 2^k are exactly the powers of two, so the largest
@@ -327,7 +354,7 @@ class MidasRuntime:
         """
         if self.kernel != "auto":
             return self.kernel
-        plane_resident = self.mode in ("sequential", "threaded", "process")
+        plane_resident = self.mode in _WHOLE_GRAPH_MODES
         return self.get_calibration().choose_kernel(m, n2, plane_resident=plane_resident)
 
     def get_live(self):
@@ -1410,7 +1437,7 @@ class DetectionEngine:
         for single-cell queries).
         """
         rt = self.rt
-        sched = rt.schedule_for(spec.k)
+        sched = rt.schedule_for(spec.k, self.graph.n)
         # the stage is a span too: what this run has to build for it (pool,
         # partition, halo) and its rounds nest inside
         with self.prof.span("engine.stage", lane="engine",

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.leveldp import Recurrence, run_whole_graph, whole_graph_lanes
+from repro.core.leveldp import Recurrence, run_whole_graph
 from repro.errors import ConfigurationError
 from repro.ff.fingerprint import Fingerprint
 from repro.graph.csr import CSRGraph
@@ -32,7 +32,9 @@ def path_recurrence(k: int) -> Recurrence:
     def recurrence(lanes):
         p = lanes.base(0)
         for j in range(1, k):
-            p = lanes.mul(lanes.base(j), (yield p))
+            summed = yield p
+            p = None  # the level below is dead once summed: free it first
+            p = lanes.mul(lanes.base(j), summed)
         return p
 
     return recurrence
@@ -47,7 +49,7 @@ def path_eval_phase(graph: CSRGraph, fp: Fingerprint, q_start: int, n2: int) -> 
     """
     if fp.levels < fp.k:
         raise ConfigurationError(f"fingerprint has {fp.levels} levels; k={fp.k} needed")
-    return run_whole_graph(graph, path_recurrence(fp.k), whole_graph_lanes(fp, q_start, n2))
+    return run_whole_graph(graph, path_recurrence(fp.k), fp, q_start, n2)
 
 
 def path_phase_value(graph: CSRGraph, fp: Fingerprint, q_start: int, n2: int) -> int:

@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.evaluator_wpath import check_weights, weight_seed
-from repro.core.leveldp import Recurrence, run_whole_graph, whole_graph_lanes
+from repro.core.leveldp import Recurrence, run_whole_graph
 from repro.errors import ConfigurationError
 from repro.ff.fingerprint import Fingerprint
 from repro.graph.csr import CSRGraph
@@ -79,7 +79,7 @@ def scanstat_eval_phase(
         )
     w = check_weights(graph.n, weights, z_max)
     return run_whole_graph(
-        graph, scanstat_recurrence(w, fp.k, z_max), whole_graph_lanes(fp, q_start, n2)
+        graph, scanstat_recurrence(w, fp.k, z_max), fp, q_start, n2
     )
 
 

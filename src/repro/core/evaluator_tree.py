@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.leveldp import Recurrence, run_whole_graph, whole_graph_lanes
+from repro.core.leveldp import Recurrence, run_whole_graph
 from repro.errors import ConfigurationError
 from repro.ff.fingerprint import Fingerprint
 from repro.graph.csr import CSRGraph
@@ -68,7 +68,7 @@ def tree_eval_phase(
         )
     if specs is None:
         specs = decompose_template(template)
-    return run_whole_graph(graph, tree_recurrence(specs), whole_graph_lanes(fp, q_start, n2))
+    return run_whole_graph(graph, tree_recurrence(specs), fp, q_start, n2)
 
 
 def tree_phase_value(

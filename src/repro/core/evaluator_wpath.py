@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.leveldp import Lanes, Recurrence, run_whole_graph, whole_graph_lanes
+from repro.core.leveldp import Lanes, Recurrence, run_whole_graph
 from repro.errors import ConfigurationError
 from repro.ff.fingerprint import Fingerprint
 from repro.graph.csr import CSRGraph
@@ -91,7 +91,7 @@ def weighted_path_eval_phase(
         raise ConfigurationError(f"fingerprint has {fp.levels} levels; k={fp.k} needed")
     w = check_weights(graph.n, weights, z_max)
     return run_whole_graph(
-        graph, weighted_path_recurrence(w, fp.k, z_max), whole_graph_lanes(fp, q_start, n2)
+        graph, weighted_path_recurrence(w, fp.k, z_max), fp, q_start, n2
     )
 
 

@@ -8,7 +8,8 @@ neighbour on another processor sends its fresh polynomial value there.  A
 * ``ghost`` — global ids of off-part neighbours of owned vertices;
 * a local CSR over owned rows whose column indices point into the
   concatenated ``[own | ghost]`` local id space — so a DP level is the same
-  two vectorized ops as the sequential kernel, just on local arrays;
+  neighbour sum as the sequential kernel (:meth:`HaloView.jagged`), just
+  on local arrays;
 * ``send_lists[peer]`` — positions (into ``own``) of the vertices whose
   values must go to ``peer`` each level;
 * ``recv_lists[peer]`` — positions (into ``ghost``) where values arriving
@@ -27,7 +28,7 @@ from typing import Dict, List
 import numpy as np
 
 from repro.errors import PartitionError
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, JaggedDiagonals
 from repro.graph.partition import Partition
 
 
@@ -97,6 +98,27 @@ class HaloView:
         split = (indptr_own, indices_own, indptr_ghost, indices_ghost)
         object.__setattr__(self, "_split", split)
         return split
+
+    def jagged(self) -> JaggedDiagonals:
+        """The local CSR laid out for ``neighbour_sum`` over the
+        ``[own | ghost]`` buffer; built on first use and kept."""
+        cached = getattr(self, "_jagged", None)
+        if cached is None:
+            cached = JaggedDiagonals(self.indptr, self.indices)
+            object.__setattr__(self, "_jagged", cached)
+        return cached
+
+    def split_jagged(self):
+        """``(own half, ghost half)`` of :meth:`split_adjacency`, each laid
+        out for ``neighbour_sum`` (over the own rows and over the ghost
+        rows alone); built on first use and kept."""
+        cached = getattr(self, "_split_jagged", None)
+        if cached is None:
+            iptr_own, idx_own, iptr_ghost, idx_ghost = self.split_adjacency()
+            cached = (JaggedDiagonals(iptr_own, idx_own),
+                      JaggedDiagonals(iptr_ghost, idx_ghost))
+            object.__setattr__(self, "_split_jagged", cached)
+        return cached
 
 
 def build_halo_views(graph: CSRGraph, partition: Partition) -> List[HaloView]:

@@ -20,9 +20,11 @@ orthogonal pieces:
   (:mod:`repro.ff.bitsliced`) — that *logical* shape over plane-major
   memory; either way the phase indicator is computed once per window;
 * a **driver** — where the rows live: :func:`run_whole_graph` holds all
-  of them in one process, :func:`phase_program` spreads them over
-  simulated ranks and owns the only halo exchange in the code base
-  (blocking, or overlapped with the own-column half of the sum).
+  of them in one process, in the graph's jagged-diagonal row order for
+  the whole window; :func:`phase_program` spreads them over simulated
+  ranks and owns the only halo exchange in the code base (blocking, or
+  overlapped with the own-column half of the sum).  Both sum through the
+  one :func:`neighbour_sum`.
 
 Adding a problem is writing one recurrence; adding a layout or an
 exchange discipline is one branch here, and every problem gets it.
@@ -37,7 +39,7 @@ import numpy as np
 from repro.core.halo import HaloView
 from repro.errors import ConfigurationError
 from repro.ff.fingerprint import Fingerprint
-from repro.graph.csr import CSRGraph, memory_order, xor_segment_reduce
+from repro.graph.csr import CSRGraph, JaggedDiagonals, memory_order, xor_segment_reduce
 from repro.runtime.comm import AllReduce, Irecv, Recv, Send, Wait
 
 #: ``recurrence(lanes)`` -> generator yielding states to neighbour-sum
@@ -58,8 +60,11 @@ class Lanes:
         self.fp, self.q_start, self.n2 = fp, q_start, n2
         self.rows = None if rows is None else np.asarray(rows, dtype=np.int64)
         self.field = fp.field
-        # {0, 1}, (rows, n2): depends on the window alone, not on the level
-        self.indicator = fp.base_block(q_start, n2, nodes=self.rows)
+
+    def _indicator(self) -> np.ndarray:
+        """{0, 1}, ``(rows, n2)``: depends on the window alone, not on the
+        level, so each layout stores it once, in its own form."""
+        return self.fp.base_block(self.q_start, self.n2, nodes=self.rows)
 
     def take(self, per_vertex: np.ndarray) -> np.ndarray:
         """Restrict a per-vertex array (weights, ...) to this layout's rows."""
@@ -94,6 +99,11 @@ class Lanes:
 class ElementLanes(Lanes):
     """``(rows, [Z+1,] n2)`` field elements, one per iteration."""
 
+    def __init__(self, fp: Fingerprint, q_start: int, n2: int,
+                 rows: Optional[np.ndarray] = None) -> None:
+        super().__init__(fp, q_start, n2, rows)
+        self.indicator = self._indicator()
+
     def base(self, level: int) -> np.ndarray:
         # indicator in {0, 1}: multiply == select; avoids a field multiply
         return (self.indicator * self.coeff(level)).astype(self.field.dtype, copy=False)
@@ -115,7 +125,7 @@ class PlaneLanes(Lanes):
     ``[row_idx, src_z]``).  In memory the plane axis is outermost: every
     state this layout hands out is a transposed view of a contiguous
     ``(m, rows, [Z+1,] W)`` block, so the multiply is ``2m`` unit-stride
-    block ops and :func:`neighbour_sum` gathers and reduces along
+    block ops and :func:`neighbour_sum` gathers and XORs along
     contiguous words.  The ``{0, 1}`` indicator is packed into lane words
     once per phase; each level's base block is one masked AND of them.
     """
@@ -124,14 +134,16 @@ class PlaneLanes(Lanes):
                  rows: Optional[np.ndarray] = None) -> None:
         super().__init__(fp, q_start, n2, rows)
         self.bs = fp.field.bitsliced
-        self.words = self.bs.pack_indicator(self.indicator)
+        self.words = self.bs.pack_indicator(self._indicator())
+        self._ones = None  # the all-lanes word block, built by the first coeff
 
     def base(self, level: int) -> np.ndarray:
         return self.bs.planes_from_words(self.words, self._y(level))
 
     def coeff(self, level: int) -> np.ndarray:
-        return self.bs.planes_from_words(np.full_like(self.words, ~np.uint64(0)),
-                                         self._y(level))
+        if self._ones is None:
+            self._ones = np.full_like(self.words, ~np.uint64(0))
+        return self.bs.planes_from_words(self._ones, self._y(level))
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self.bs.mul(a, b)
@@ -140,8 +152,9 @@ class PlaneLanes(Lanes):
         return self.bs.unslice(self.bs.xor_sum(state, axis=0), self.n2, self.field.dtype)
 
 
-def whole_graph_lanes(fp: Fingerprint, q_start: int, n2: int) -> Lanes:
-    """The layout :func:`run_whole_graph` callers use for ``fp``'s field.
+def whole_graph_lanes(fp: Fingerprint, q_start: int, n2: int,
+                      rows: Optional[np.ndarray] = None) -> Lanes:
+    """The layout :func:`run_whole_graph` uses for ``fp``'s field.
 
     This is the single place a layout is chosen, from the kernel the
     field was resolved to: ``"bitsliced"`` fields stay plane-resident for
@@ -149,20 +162,40 @@ def whole_graph_lanes(fp: Fingerprint, q_start: int, n2: int) -> Lanes:
     element-wise.
     """
     if fp.field.kernel_strategy == "bitsliced":
-        return PlaneLanes(fp, q_start, n2)
-    return ElementLanes(fp, q_start, n2)
+        return PlaneLanes(fp, q_start, n2, rows)
+    return ElementLanes(fp, q_start, n2, rows)
 
 
 # ------------------------------------------------------------------ drivers
-def neighbour_sum(state: np.ndarray, indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Row ``i`` of the result is the XOR of ``state[indices[j]]`` over
-    ``indptr[i] <= j < indptr[i + 1]`` — GF(2^m) summation over a CSR
-    neighbourhood, trailing axes untouched.  Rows are copied (``np.take``,
-    bounds-checked) along the row axis as it lies in memory, so the
-    result keeps the state's memory order."""
+def neighbour_sum(state: np.ndarray, jagged: JaggedDiagonals) -> np.ndarray:
+    """GF(2^m) summation over every row's neighbourhood, trailing axes
+    untouched: row ``p`` of the result is the XOR of the ``state`` rows
+    that ``jagged`` lists for its row ``p`` (CSR row ``jagged.order[p]``).
+
+    One gather-XOR per neighbour slot into a contiguous prefix of the
+    accumulator, then one gather + :func:`xor_segment_reduce` for the
+    jagged tail; the largest temporary is one slot — at most one state —
+    wide.  Rows are copied (``np.take``, bounds-checked) along the row
+    axis as it lies in memory, so the result keeps the state's memory
+    order.
+    """
     order, inverse = memory_order(state)
-    gathered = np.take(state.transpose(order), indices, axis=order.index(0))
-    return xor_segment_reduce(gathered.transpose(inverse), indptr)
+    block, axis = state.transpose(order), order.index(0)
+    lead = (slice(None),) * axis
+    acc = np.zeros(block.shape[:axis] + (len(jagged.order),) + block.shape[axis + 1:],
+                   dtype=state.dtype)
+    for slot in jagged.slots:
+        acc[lead + (slice(len(slot)),)] ^= np.take(block, slot, axis=axis)
+    if len(jagged.tail_indices):
+        tail = np.take(block, jagged.tail_indices, axis=axis).transpose(inverse)
+        acc[lead + (slice(len(jagged.tail_indptr) - 1),)] ^= xor_segment_reduce(
+            tail, jagged.tail_indptr).transpose(order)
+    return acc.transpose(inverse)
+
+
+def _own_order_sum(state: np.ndarray, jagged: JaggedDiagonals) -> np.ndarray:
+    """:func:`neighbour_sum` with the rows back in CSR order."""
+    return np.take(neighbour_sum(state, jagged), jagged.rank, axis=0)
 
 
 def _advance(gen, acc=None):
@@ -173,12 +206,18 @@ def _advance(gen, acc=None):
         return stop.value, True
 
 
-def run_whole_graph(graph: CSRGraph, recurrence: Recurrence, lanes: Lanes,
+def run_whole_graph(graph: CSRGraph, recurrence: Recurrence, fp: Fingerprint,
+                    q_start: int, n2: int,
                     exchanges: Optional[list] = None) -> np.ndarray:
-    """Evaluate ``recurrence`` with every vertex in this process.
+    """Evaluate ``recurrence`` over the window ``[q_start, q_start + n2)``
+    with every vertex in this process.
 
-    Returns the per-iteration values ``([Z+1,] n2)`` in ``field.dtype``;
-    XOR over the last axis is the phase's contribution to the round.
+    The state lives in the graph's jagged-diagonal row order
+    (:meth:`CSRGraph.jagged`) from the first base block to the last
+    multiply — the lanes are built over ``rows=order`` and the final sum
+    over rows does not care — so no level permutes anything.  Returns the
+    per-iteration values ``([Z+1,] n2)`` in ``field.dtype``; XOR over the
+    last axis is the phase's contribution to the round.
 
     ``exchanges``, when given, collects the window's *exchange signature*:
     the ``(row shape, dtype)`` of every state the recurrence asked to have
@@ -188,12 +227,20 @@ def run_whole_graph(graph: CSRGraph, recurrence: Recurrence, lanes: Lanes,
     the same messages on the wire — the guard the simulated backend keys
     its memoised phase timelines by.
     """
+    jagged = graph.jagged()
+    lanes = whole_graph_lanes(fp, q_start, n2, rows=jagged.order)
     gen = recurrence(lanes)
     state, done = _advance(gen)
     while not done:
         if exchanges is not None:
             exchanges.append((state.shape[1:], state.dtype))
-        state, done = _advance(gen, neighbour_sum(state, graph.indptr, graph.indices))
+        summed = neighbour_sum(state, jagged)
+        # neither the summed state nor, a level later, its sum is kept
+        # alive from here: a recurrence that lets go of what it yielded
+        # multiplies with only the operands and the product in memory
+        state = None
+        state, done = _advance(gen, summed)
+        summed = None
     return lanes.finish(state)
 
 
@@ -205,10 +252,12 @@ def phase_program(views: List[HaloView], recurrence: Recurrence, fp: Fingerprint
     asks for a neighbour sum, the rank sends the state's boundary rows to
     each peer as one message batched over the phase's ``n2`` iterations
     (and the weight axis, if any), fills its ghost rows from the peers'
-    messages, and reduces over its local CSR.  With ``overlapped`` the
-    receives are posted nonblocking and the own-column half of the sum
-    (:meth:`HaloView.split_adjacency`) is reduced while the messages fly;
-    GF addition is XOR, so the halves compose exactly.  Exchanges are
+    messages, and sums over its local adjacency (:func:`neighbour_sum`,
+    its few dozen rows put back in ``own`` order by one small ``take``).
+    With ``overlapped`` the receives are posted nonblocking and the
+    own-column half of the sum (:meth:`HaloView.split_jagged`) is taken
+    while the messages fly; GF addition is XOR, so the halves compose
+    exactly.  Exchanges are
     tagged by their ordinal.  The program ends with one XOR all-reduce of
     the per-rank partial values in ``field.dtype``, so every rank returns
     the same value (an ``int`` for a scalar accumulator, a ``(Z+1,)``
@@ -222,10 +271,11 @@ def phase_program(views: List[HaloView], recurrence: Recurrence, fp: Fingerprint
         lanes = ElementLanes(fp, q_start, n2, rows=view.own)
         if overlapped:
             # own columns are read from the state; the buffer holds ghosts alone
-            iptr_own, idx_own, iptr_gh, idx_gh = view.split_adjacency()
+            jag_own, jag_ghost = view.split_jagged()
             n_head = 0
         else:
-            # one own+ghost buffer the local CSR indexes directly
+            # one own+ghost buffer the local adjacency indexes directly
+            jag = view.jagged()
             n_head = view.n_own
         buf = None
         gen = recurrence(lanes)
@@ -245,16 +295,16 @@ def phase_program(views: List[HaloView], recurrence: Recurrence, fp: Fingerprint
                 for peer in view.recv_lists:
                     requests[peer] = yield Irecv(peer, exchange)
                 # overlap window: the own-column half needs no remote data
-                acc = neighbour_sum(state, iptr_own, idx_own)
+                acc = _own_order_sum(state, jag_own)
                 for peer, slots in view.recv_lists.items():
                     buf[slots] = yield Wait(requests[peer])
-                if len(idx_gh):
-                    acc ^= neighbour_sum(buf, iptr_gh, idx_gh)
+                if view.n_ghost:
+                    acc ^= _own_order_sum(buf, jag_ghost)
             else:
                 buf[:n_head] = state
                 for peer, slots in view.recv_lists.items():
                     buf[n_head + slots] = yield Recv(peer, exchange)
-                acc = neighbour_sum(buf, view.indptr, view.indices)
+                acc = _own_order_sum(buf, jag)
             exchange += 1
             state, done = _advance(gen, acc)
         local = np.bitwise_xor.reduce(lanes.finish(state), axis=-1)

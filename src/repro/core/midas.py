@@ -70,7 +70,8 @@ def _field_for(engine: DetectionEngine, k: int):
     from repro.ff.gf2m import field_degree_for_k
 
     rt = engine.rt
-    strategy = rt.resolve_kernel(field_degree_for_k(k), rt.schedule_for(k).n2)
+    strategy = rt.resolve_kernel(field_degree_for_k(k),
+                                 rt.schedule_for(k, engine.graph.n).n2)
     return engine.session.field_for_k(k, strategy=strategy, prof=engine.prof)
 
 

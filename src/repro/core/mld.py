@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.core.leveldp import Recurrence, run_whole_graph, whole_graph_lanes
+from repro.core.leveldp import Recurrence, run_whole_graph
 from repro.core.schedule import rounds_for_epsilon
 from repro.ff.fingerprint import Fingerprint, base_indicator_block
 from repro.ff.gf2m import default_field_for_k
@@ -163,7 +163,7 @@ class MLDCircuit:
 
     def eval_phase(self, graph: CSRGraph, fp: Fingerprint, q_start: int, n2: int) -> np.ndarray:
         """Evaluate per-iteration values over a window: returns ``(n2,)``."""
-        return run_whole_graph(graph, self.recurrence(), whole_graph_lanes(fp, q_start, n2))
+        return run_whole_graph(graph, self.recurrence(), fp, q_start, n2)
 
 
 def detect_multilinear(

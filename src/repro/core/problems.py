@@ -32,7 +32,7 @@ from repro.core.evaluator_path import path_recurrence
 from repro.core.evaluator_scanstat import scanstat_recurrence
 from repro.core.evaluator_tree import tree_recurrence
 from repro.core.evaluator_wpath import check_weights, weighted_path_recurrence
-from repro.core.leveldp import Recurrence, run_whole_graph, whole_graph_lanes
+from repro.core.leveldp import Recurrence, run_whole_graph
 from repro.ff.fingerprint import Fingerprint
 from repro.ff.gf2m import default_field_for_k
 from repro.graph.csr import CSRGraph
@@ -106,8 +106,7 @@ class ProblemSpec:
                     exchanges: Optional[list] = None) -> Value:
         """One phase window's contribution, evaluated on the whole graph
         (``exchanges``: see :func:`~repro.core.leveldp.run_whole_graph`)."""
-        per_lane = run_whole_graph(graph, self.recurrence,
-                                   whole_graph_lanes(fp, q0, n2), exchanges)
+        per_lane = run_whole_graph(graph, self.recurrence, fp, q0, n2, exchanges)
         return self.rank_value(np.bitwise_xor.reduce(per_lane, axis=-1))
 
     def hit(self, value: Value) -> bool:

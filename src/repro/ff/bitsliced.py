@@ -30,9 +30,10 @@ node-major (C-contiguous) planes; the arithmetic (:meth:`mul`,
 :meth:`square`, :meth:`planes_from_words`) accepts any order and returns
 **plane-major** memory — a ``(m, ..., W)`` block seen through a
 transposed view — because that is where every op of the schedule is one
-unit-stride pass over whole planes, and where the evaluators' CSR gather
-and :func:`repro.graph.csr.xor_segment_reduce` (both of which follow an
-array's memory order) run along contiguous words.  The whole DP stays
+unit-stride pass over whole planes, and where the evaluators' neighbour
+sum (:func:`repro.core.leveldp.neighbour_sum`: per neighbour slot a
+``take`` and an in-place XOR, both following an array's memory order)
+runs along contiguous words.  The whole DP stays
 plane-resident across levels and only the final ``(m, W)`` reduction is
 unpacked.  The round-trip per-call dispatch (slice, multiply, unslice) is
 also provided for API completeness; it is the *plane-resident* use that

@@ -51,17 +51,22 @@ def base_indicator_block(v: np.ndarray, q_start: int, n_q: int) -> np.ndarray:
         raise ConfigurationError(f"iteration window must be >= 1 wide, got {n_q}")
     if q_start < 0:
         raise ConfigurationError(f"iteration window must start at >= 0, got {q_start}")
-    # ``v & q`` has no bit above the window's highest iteration index, so the
-    # parity folds at that width (one byte for k <= 8) instead of on
-    # ``(n, n_q)`` 64-bit temporaries
-    dtype = np.min_scalar_type(q_start + n_q - 1)
-    q = np.arange(q_start, q_start + n_q, dtype=np.uint64).astype(dtype)
-    x = np.asarray(v, dtype=np.uint64).astype(dtype)[:, None] & q[None, :]
-    shift = 4 * dtype.itemsize
-    while shift:
+    # ``v & q`` has no bit above the window's highest iteration index, and
+    # parity is XOR-linear: the bytes of ``v & q`` are folded together as
+    # they are formed, so the block is one byte per entry (and one
+    # same-sized temporary) however wide the iteration indices are
+    width = np.min_scalar_type(q_start + n_q - 1).itemsize
+    v = np.asarray(v, dtype=np.uint64)
+    q = np.arange(q_start, q_start + n_q, dtype=np.uint64)
+    x = np.zeros((len(v), n_q), dtype=np.uint8)
+    for shift in range(0, 8 * width, 8):
+        x ^= ((v >> np.uint64(shift)).astype(np.uint8)[:, None]
+              & (q >> np.uint64(shift)).astype(np.uint8)[None, :])
+    for shift in (4, 2, 1):
         x ^= x >> shift
-        shift //= 2
-    return (~x & 1).astype(np.uint8, copy=False)
+    np.invert(x, out=x)
+    x &= 1
+    return x
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,11 @@
 """Graph substrate: storage, generators, partitioning, tree templates.
 
-Everything MIDAS needs from a graph is (a) a CSR adjacency it can gather
-neighbour DP values through, and (b) a partition into ``N_1`` parts with the
+Everything MIDAS needs from a graph is (a) a CSR adjacency it can sum
+neighbour DP values through (slot by slot: :class:`JaggedDiagonals`), and (b) a partition into ``N_1`` parts with the
 load/degree metrics that Theorem 2 of the paper bounds runtime in terms of.
 """
 
-from repro.graph.csr import CSRGraph, xor_segment_reduce
+from repro.graph.csr import CSRGraph, JaggedDiagonals, xor_segment_reduce
 from repro.graph.datasets import DATASETS, DatasetSpec, load_dataset
 from repro.graph.generators import (
     barabasi_albert,
@@ -33,6 +33,7 @@ from repro.graph.templates import TreeTemplate, SubtreeSpec, decompose_template
 
 __all__ = [
     "CSRGraph",
+    "JaggedDiagonals",
     "xor_segment_reduce",
     "DATASETS",
     "DatasetSpec",

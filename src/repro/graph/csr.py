@@ -1,11 +1,13 @@
 """Immutable CSR (compressed sparse row) graph storage.
 
 The DP inner loop of every evaluator is "for each node, XOR-accumulate a
-field product over its neighbours".  With CSR storage that whole step is two
-vectorized operations: a row gather (``np.take`` along the state's row axis)
-followed by :func:`xor_segment_reduce` (a ``bitwise_xor.reduceat`` over 64-bit
-words, with empty-row repair when there is an empty row).  No Python-level
-per-node loop ever runs.
+field product over its neighbours".  The adjacency is stored as CSR and
+*summed* through :class:`JaggedDiagonals` — the same edges re-laid once
+per graph so that the sum is a handful of contiguous gather-XORs
+(``acc[:count_s] ^= take(state, slot_s)``, one per neighbour slot) plus
+one :func:`xor_segment_reduce` over the short jagged tail.  No
+Python-level per-node loop ever runs, and no ``(nnz, ...)`` copy of the
+state is ever made.
 
 Graphs are simple and undirected: both ``(u, v)`` and ``(v, u)`` are stored,
 self-loops and duplicates are dropped at construction.
@@ -41,14 +43,16 @@ def xor_segment_reduce(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     row ``i`` is the XOR of ``values[indptr[i]:indptr[i+1]]`` (zeros for
     empty segments).
 
-    This is GF(2^m) summation over each node's neighbourhood — the single
-    hottest reduction in the library, one ``np.bitwise_xor.reduceat``.
-    XOR cares neither about the word size nor about the axis order, so the
-    pass runs at machine width: a C-contiguous array of narrower elements
-    whose rows are whole 64-bit words is reduced through its uint64 view,
-    and any other array along its row axis *as it lies in memory* (for
-    plane-major bit-planes, along contiguous words).  Empty segments
-    (isolated vertices) need repair, paid only when ``indptr`` has one.
+    This is GF(2^m) summation over CSR segments as one
+    ``np.bitwise_xor.reduceat`` — the reducer of a neighbour sum's jagged
+    tail (:class:`JaggedDiagonals`) and of the scan-statistics baseline
+    grid.  XOR cares neither about the word size nor about the axis
+    order, so the pass runs at machine width: a C-contiguous array of
+    narrower elements whose rows are whole 64-bit words is reduced through
+    its uint64 view, and any other array along its row axis *as it lies in
+    memory* (for plane-major bit-planes, along contiguous words).  Empty
+    segments (isolated vertices) need repair, paid only when ``indptr``
+    has one — a tail never does.
     """
     indptr = np.asarray(indptr, dtype=np.int64)
     n, nnz = len(indptr) - 1, values.shape[0]
@@ -81,6 +85,72 @@ def xor_segment_reduce(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     return out.transpose(inverse)
 
 
+class JaggedDiagonals:
+    """A CSR adjacency re-laid for the neighbour sum (Saad's JDS, over GF(2)).
+
+    Rows are sorted once by descending degree (stably), and *slot* ``s``
+    holds the column of the ``s``-th neighbour of every row that has one —
+    the first ``len(slots[s])`` rows of that order.  A neighbour sum is
+    then ``acc[:len(slot)] ^= take(state, slot)`` per slot: contiguous
+    prefixes, no per-segment reducer, no ``(nnz, ...)`` temporary and no
+    empty-row repair (``leveldp.neighbour_sum``).
+
+    A pure slot walk costs one numpy call per unit of *maximum* degree, so
+    the walk stops at the first slot held by fewer than
+    ``max(n_rows / 8, 128)`` rows — a function of the degree sequence
+    alone — and what lies beyond (the *jagged tail*: ≈ 1–3 % of the
+    entries on Erdős–Rényi, the hubs' excess on a power law, everything on
+    a rank's view of a few dozen rows) stays CSR over the leading
+    ``n_tail`` rows, each of which has at least one tail entry, for one
+    gather + :func:`xor_segment_reduce`.  The call count therefore follows
+    the average degree, never the maximum.
+
+    Attributes
+    ----------
+    order:
+        ``(n_rows,)`` — row ``p`` of a sum is CSR row ``order[p]``.
+    rank:
+        The inverse permutation: ``take(summed, rank)`` restores CSR order.
+    slots:
+        The head, one int64 column array per slot, lengths non-increasing.
+    tail_indptr, tail_indices:
+        CSR of the remaining entries over rows ``[:len(tail_indptr) - 1]``.
+
+    With ``renumber=True`` (square adjacencies only) the columns are
+    renumbered by ``rank`` too, so a state *kept* in ``order`` is summed in
+    place and nothing is ever un-permuted — what the whole-graph driver
+    does for a whole phase window.
+    """
+
+    __slots__ = ("order", "rank", "slots", "tail_indptr", "tail_indices")
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray,
+                 renumber: bool = False) -> None:
+        degrees = np.diff(indptr)
+        n = len(degrees)
+        self.order = np.argsort(-degrees, kind="stable")
+        self.rank = np.empty(n, dtype=np.int64)
+        self.rank[self.order] = np.arange(n)
+        columns = self.rank[indices] if renumber else indices
+        falling = -degrees[self.order]
+        starts = indptr[:-1][self.order]
+        # rows holding a neighbour in slot s: those with degree > s, a prefix
+        max_degree = -int(falling[0]) if n else 0
+        counts = np.searchsorted(falling, -np.arange(max_degree))
+        cut = int(np.searchsorted(-counts, -max(n / 8, 128), side="right"))
+        self.slots = tuple(columns[starts[:c] + s]
+                           for s, c in enumerate(counts[:cut].tolist()))
+        n_tail = int(counts[cut]) if cut < max_degree else 0
+        self.tail_indptr = np.zeros(n_tail + 1, dtype=np.int64)
+        np.cumsum(-falling[:n_tail] - cut, out=self.tail_indptr[1:])
+        # entry j of tail row p sits at starts[p] + cut + (j - tail_indptr[p])
+        first = starts[:n_tail] + cut - self.tail_indptr[:-1]
+        self.tail_indices = columns[
+            np.repeat(first, np.diff(self.tail_indptr))
+            + np.arange(self.tail_indptr[-1])
+        ]
+
+
 class CSRGraph:
     """A simple undirected graph in CSR form.
 
@@ -95,13 +165,14 @@ class CSRGraph:
         ``2m`` for ``m`` undirected edges.
     """
 
-    __slots__ = ("n", "indptr", "indices", "name")
+    __slots__ = ("n", "indptr", "indices", "name", "_jagged")
 
     def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray, name: str = "") -> None:
         self.n = int(n)
         self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
         self.indices = np.ascontiguousarray(indices, dtype=np.int64)
         self.name = name
+        self._jagged = None
         self._validate()
 
     def _validate(self) -> None:
@@ -173,6 +244,14 @@ class CSRGraph:
     def degrees(self) -> np.ndarray:
         """Degree of every vertex, as int64."""
         return np.diff(self.indptr)
+
+    def jagged(self) -> JaggedDiagonals:
+        """The adjacency as renumbered :class:`JaggedDiagonals` — vertex
+        ``order[p]`` is row *and* column ``p`` — built on first use and kept
+        (the graph is immutable)."""
+        if self._jagged is None:
+            self._jagged = JaggedDiagonals(self.indptr, self.indices, renumber=True)
+        return self._jagged
 
     def neighbors(self, i: int) -> np.ndarray:
         """Sorted neighbour ids of vertex ``i`` (a view, do not mutate)."""

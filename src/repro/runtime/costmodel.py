@@ -132,18 +132,19 @@ def _level_step(graph, fp, n2: int):
     """One DP level as the whole-graph drivers run it, as a callable.
 
     The layout is the one :func:`repro.core.leveldp.whole_graph_lanes`
-    picks for ``fp``'s field, the incoming state is one that layout built
-    itself (so it has the layout's memory order), and the step is what a
-    path recurrence does per level: the level's base block, the
-    neighbour sum, the multiply.  The per-phase indicator (and its
-    packing) is outside, amortized over the levels in real runs.
+    picks for ``fp``'s field over the graph's jagged-diagonal row order,
+    the incoming state is one that layout built itself (so it has the
+    layout's memory order), and the step is what a path recurrence does
+    per level: the level's base block, the neighbour sum, the multiply.
+    The per-phase indicator (and its packing) is outside, amortized over
+    the levels in real runs.
     """
     from repro.core.leveldp import neighbour_sum, whole_graph_lanes
 
-    lanes = whole_graph_lanes(fp, 0, n2)
+    jagged = graph.jagged()
+    lanes = whole_graph_lanes(fp, 0, n2, rows=jagged.order)
     prev = lanes.base(0)
-    return lambda: lanes.mul(lanes.base(1),
-                             neighbour_sum(prev, graph.indptr, graph.indices))
+    return lambda: lanes.mul(lanes.base(1), neighbour_sum(prev, jagged))
 
 
 class KernelCalibration:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.halo import build_halo_views
-from repro.core.leveldp import phase_program, run_whole_graph, whole_graph_lanes
+from repro.core.leveldp import phase_program, run_whole_graph
 from repro.graph.partition import Partition, random_partition
 from repro.runtime.scheduler import Simulator
 from repro.util.rng import RngStream
@@ -28,7 +28,7 @@ def phase_value(graph, recurrence, fp, q0, n2, driver="whole-graph", partition=N
     return the same value.
     """
     if driver == "whole-graph":
-        per_lane = run_whole_graph(graph, recurrence, whole_graph_lanes(fp, q0, n2))
+        per_lane = run_whole_graph(graph, recurrence, fp, q0, n2)
         return np.bitwise_xor.reduce(per_lane, axis=-1)
     views = build_halo_views(graph, partition)
     prog = phase_program(views, recurrence, fp, q0, n2,

@@ -24,6 +24,7 @@ import pytest
 from repro.runtime.durable import CHECKPOINT_FILE, read_envelope
 
 K, EPS, SEED = 8, 0.2, 7
+N2 = "64"  # pinned: "mid-round" below means between two of a round's windows
 N_CLIQUES, CLIQUE = 1000, 4  # 4000 nodes, witness-free for k=8
 
 
@@ -52,7 +53,7 @@ def edge_list(workdir):
 def _cmd(edge_list, ckpt_dir, progress=None):
     argv = [sys.executable, "-m", "repro", "detect-path",
             "--edge-list", str(edge_list), "-k", str(K), "--eps", str(EPS),
-            "--seed", str(SEED), "--checkpoint-dir", str(ckpt_dir)]
+            "--seed", str(SEED), "--n2", N2, "--checkpoint-dir", str(ckpt_dir)]
     if progress is not None:
         argv += ["--progress-out", str(progress)]
     return argv
@@ -166,7 +167,7 @@ def test_sigint_mid_round_exits_130_within_two_seconds(workdir, edge_list):
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "detect-path",
          "--edge-list", str(edge_list), "-k", "15", "--eps", str(EPS),
-         "--seed", str(SEED), "--progress-out", str(progress)],
+         "--seed", str(SEED), "--n2", N2, "--progress-out", str(progress)],
         env=_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         # a test runner started in the background hands down SIGINT ignored
         preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))

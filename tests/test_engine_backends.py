@@ -128,6 +128,44 @@ class TestEquivalenceMatrix:
         assert all(o == outs[0] for o in outs[1:])
 
 
+class TestWindowWidthIdentity:
+    """Williams' evaluation does not care how the ``2^k`` points are
+    grouped: every round accumulator of every kind is the same at one lane
+    per window, one word, the engine's default and the whole round — in
+    this process and on the worker fleet."""
+
+    KINDS = {
+        # kind -> (k, call): k = 11 is the size at which the default
+        # (1024 lanes) is none of the explicit widths
+        "detect_path": (11, lambda g, w, rt: detect_path(
+            g, 11, eps=0.5, rng=RngStream(71), runtime=rt, early_exit=False)),
+        "detect_tree": (7, lambda g, w, rt: detect_tree(
+            g, TreeTemplate.binary(7), eps=0.5, rng=RngStream(72), runtime=rt,
+            early_exit=False)),
+        "max_weight_path": (7, lambda g, w, rt: max_weight_path(
+            g, 7, w, eps=0.5, rng=RngStream(73), runtime=rt)),
+        "scan_grid": (4, lambda g, w, rt: scan_grid(
+            g, w, k=4, eps=0.5, rng=RngStream(74), runtime=rt)),
+    }
+
+    @pytest.mark.parametrize("mode", ["sequential", "process"])
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_round_values_do_not_depend_on_n2(self, kind, mode):
+        from repro.sanitize import DigestLog
+
+        k, call = self.KINDS[kind]
+        g = erdos_renyi(36, m=90, rng=RngStream(70, name="g"))
+        w = RngStream(70, name="w").integers(0, 3, size=g.n)
+        rounds = {}
+        for n2 in (1, 64, None, 1 << k):
+            rt = MidasRuntime(mode=mode, n2=n2, digest_log=DigestLog(),
+                              workers=2 if mode == "process" else None)
+            call(g, w, rt)
+            assert rt.digest_log.rounds, (kind, n2)
+            rounds[n2] = rt.digest_log.rounds
+        assert all(r == rounds[1] for r in rounds.values())
+
+
 class TestScanCellHonorsMode:
     """Regression: detect_scan_cell used to ignore runtime.mode entirely
     and always evaluate sequentially — a simulated runtime produced no

@@ -274,9 +274,10 @@ class TestRuntimeConfig:
             MidasRuntime(mode="distributed")
 
     def test_default_n2_sequential(self):
+        # one window per round until the paper's "keep N2 < 1024" caps it
         rt = MidasRuntime()
-        assert rt.schedule_for(8).n2 == 64
-        assert rt.schedule_for(3).n2 == 8
+        for k in (3, 8, 10, 13):
+            assert rt.schedule_for(k).n2 == min(1 << k, 1024)
 
     def test_default_n2_parallel_is_bsmax(self):
         rt = MidasRuntime(n_processors=16, n1=4, mode="modeled")

@@ -166,6 +166,24 @@ class TestBsMaxGrid:
         assert PhaseSchedule.bs_max(30, 3, 1) == pow2_floor((1 << 30) // 3)
 
 
+def whole_graph_n2_reference(k: int, workers: int = 1, n: int = 0) -> int:
+    """The default-``N2`` rule of the whole-graph modes, restated: the
+    widest power of two that is at most 1024 lanes (and ``2^k``), leaves
+    every worker a window, and keeps an ``n``-vertex plane state under
+    the engine's byte budget — but never narrower than one 64-lane word
+    (or the whole round, when that is narrower still)."""
+    from repro.core.engine import _STATE_BYTES
+    from repro.ff.gf2m import field_degree_for_k
+
+    total = 1 << k
+    fits = [
+        n2 for n2 in (1 << e for e in range(k + 1))
+        if n2 <= 1024 and total // n2 >= workers
+        and 8 * field_degree_for_k(k) * n * n2 // 64 <= _STATE_BYTES
+    ]
+    return max(fits + [min(total, 64)])
+
+
 class TestRuntimeScheduleFor:
     def test_default_n2_clamped_to_pow2(self):
         from repro.core.midas import MidasRuntime
@@ -180,13 +198,54 @@ class TestRuntimeScheduleFor:
     def test_grid_against_reference(self):
         from repro.core.midas import MidasRuntime
 
-        for k in (3, 5, 8):
+        for k in (3, 5, 8, 12):
             for n, n1 in ((1, 1), (4, 2), (16, 4), (64, 16)):
                 for mode in ("sequential", "simulated"):
                     s = MidasRuntime(n_processors=n, n1=n1, mode=mode).schedule_for(k)
                     total = 1 << k
                     assert total % s.n2 == 0
                     if mode == "sequential":
-                        assert s.n2 == pow2_floor(min(total, 64))
+                        assert s.n2 == whole_graph_n2_reference(k)
                     else:
                         assert s.n2 == _bs_max_reference(k, n, n1)
+
+    @pytest.mark.parametrize("mode", ["threaded", "process"])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 16, 64])
+    def test_every_worker_gets_a_window(self, mode, workers):
+        from repro.core.midas import MidasRuntime
+
+        rt = MidasRuntime(mode=mode, workers=workers)
+        for k in range(1, 16):
+            s = rt.schedule_for(k)
+            assert s.n2 == whole_graph_n2_reference(k, workers)
+            if (1 << k) >= 64 * workers:
+                assert s.n_phases >= workers, (k, workers, s.describe())
+        # the split is the mode's, not the field's: sequential ignores it
+        assert MidasRuntime(workers=workers).schedule_for(12).n2 == 1024
+
+    @pytest.mark.parametrize("n", [0, 400, 800, 1500, 5000, 40_000, 10**6])
+    def test_state_budget_narrows_wide_windows_on_large_graphs(self, n):
+        from repro.core.engine import _STATE_BYTES
+        from repro.core.midas import MidasRuntime
+        from repro.ff.gf2m import field_degree_for_k
+
+        for k in (6, 10, 14):
+            s = MidasRuntime().schedule_for(k, n)
+            assert s.n2 == whole_graph_n2_reference(k, n=n)
+            state = 8 * field_degree_for_k(k) * n * s.n2 // 64
+            assert s.n2 == min(1 << k, 64) or state <= _STATE_BYTES
+            # an explicit n2 is never second-guessed
+            assert MidasRuntime(n2=1 << k).schedule_for(k, n).n2 == 1 << k
+
+    def test_ledger_sizes_schedule_alike_with_and_without_n(self):
+        """benchmarks/ledger replays ``schedule_for(k)``; the engine asks
+        ``schedule_for(k, graph.n)`` — on the ledger's inputs they agree."""
+        from repro.core.midas import MidasRuntime
+
+        for mode, workers, k, n in (("sequential", None, 10, 800),
+                                    ("process", 2, 11, 400),
+                                    ("process", 4, 11, 400),
+                                    ("sequential", None, 8, 600),
+                                    ("sequential", None, 6, 1500)):
+            rt = MidasRuntime(mode=mode, workers=workers)
+            assert rt.schedule_for(k, n) == rt.schedule_for(k)

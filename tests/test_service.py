@@ -720,9 +720,9 @@ if sys.argv[1] == "retain":
 graph = erdos_renyi(1500, m=6000, rng=RngStream(5))
 faults = []
 
-def worker():  # what a broker worker runs: k=6 path queries, plane lanes
+def worker():  # what a broker worker runs: k=7 path queries, plane lanes
     def query(seed):
-        detect_path(graph, 6, eps=0.2, rng=RngStream(seed), early_exit=False)
+        detect_path(graph, 7, eps=0.2, rng=RngStream(seed), early_exit=False)
     query(0)
     before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
     for seed in range(1, 11):
@@ -772,8 +772,11 @@ class TestWorkerHeaps:
             return int(out.stdout)
 
         kept = faults("retain")
-        # 400 level steps gathering 576 KB each: left alone, glibc 2.36 takes
-        # 23 440 page faults re-mapping the arena top over these ten queries
+        # 480 level steps of two-word windows, each with 170-310 KB of plane
+        # temporaries (k=6, one word, stays under the mmap threshold since
+        # the neighbour sum stopped gathering a 576 KB block): left alone,
+        # glibc 2.36 takes 13 368 page faults re-mapping the arena top over
+        # these ten queries
         assert kept < 500
         assert kept <= faults("default")
 
