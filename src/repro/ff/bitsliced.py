@@ -196,9 +196,12 @@ class BitslicedGF2m:
                 f"{np.shape(pa)} vs {np.shape(pb)}"
             )
         m = self.m
-        tmp = a[0] & b  # the broadcast (m, ..., W) block
-        t = np.zeros((2 * m - 1,) + tmp.shape[1:], dtype=np.uint64)
-        t[:m] = tmp
+        # the broadcast (m, ..., W) block, written straight into t's low planes
+        shape = tuple(x if y == 1 else y for x, y in zip(a.shape, b.shape))
+        t = np.empty((2 * m - 1,) + shape[1:], dtype=np.uint64)
+        np.bitwise_and(a[0], b, out=t[:m])
+        t[m:] = 0
+        tmp = np.empty(shape, dtype=np.uint64)
         for i in range(1, m):
             np.bitwise_and(a[i], b, out=tmp)
             t[i : i + m] ^= tmp

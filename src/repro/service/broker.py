@@ -9,7 +9,8 @@ compute on the thread that asked, under the one interpreter lock, and
 take turns — two of them at once are slower than one after the other
 (every numpy call hands the GIL over: two clients got 50 queries/s
 where one got 75), and how much slower each is depends on what the
-other is running.
+other is running.  The allocator policy is the level-DP core's
+(:func:`repro.core.leveldp.retain_worker_heaps`), not the broker's.
 
 Admission pipeline, in order:
 
@@ -37,7 +38,6 @@ thread — turns them into ``midas_service_*`` metrics and
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
 import json
 import os
@@ -62,39 +62,6 @@ _LOG = get_logger(__name__)
 
 #: the span log of every query of a service that traces nothing
 _UNTRACED = QueryTrace(TraceContext("", ""), enabled=False)
-
-# <malloc.h> parameter numbers, and the fixed thresholds asked for: arrays
-# under 16 MB come from the arena heaps, whose freed top is handed back to
-# the kernel only beyond 64 MB
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_MMAP_THRESHOLD, _TRIM_THRESHOLD = 16 << 20, 64 << 20
-
-
-def retain_worker_heaps() -> bool:
-    """Tell glibc malloc to keep freed heap memory in the process.
-
-    A querying thread other than the main one allocates from its own
-    malloc arena, which starts empty, so a level step's temporaries
-    (0.1 - 1 MB each) are always the top of it.  With its self-adjusting
-    thresholds glibc hands that top back to the kernel once about twice
-    the largest temporary is free and maps it again for the next step.
-    Measured on a service answering k=6 path / k=5 tree queries from two
-    threads: 70-80 k page faults per second and a quarter of the
-    process's CPU time in the kernel, under the address-space lock both
-    threads share — a tenth of the throughput, and half again the
-    run-to-run spread of the same queries on fixed thresholds.  The
-    price is that memory freed after a peak stays resident (up to the
-    trim threshold per arena).  Process-wide and irreversible, hence done
-    by the one long-lived object those threads query through.  Returns
-    False where there is no glibc ``mallopt`` (musl, macOS, Windows).
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):
-        return False
-    return bool(mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
-                and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD))
-
 
 KINDS = ("detect-path", "detect-tree", "scan")
 TEMPLATES = ("path", "star", "binary", "caterpillar")
@@ -514,7 +481,6 @@ class QueryBroker:
         # repro.obs.qtrace.QueryTracer; None: queries record into _UNTRACED
         self.tracer = tracer
         self._runtime_config = dict(runtime_config or {})
-        retain_worker_heaps()
         # at most `workers` process-mode detections run at once; one that
         # computes on its caller's thread waits for the one before it
         self._slots = threading.BoundedSemaphore(workers or 4)
