@@ -1336,8 +1336,9 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--no-coalesce", action="store_true",
                     help="do not join identical in-flight queries")
     sv.add_argument("--pool-workers", type=int, default=None,
-                    help="process-mode detections running at once (default 4); "
-                         "in-thread detections take turns")
+                    help="worker processes answering queries, one query "
+                         "each at a time, in every --mode (default: the "
+                         "CPUs this process may use)")
     sv.add_argument("--sweep-interval", type=float, default=0.05,
                     help="coordinator sweep period in seconds (default 0.05)")
     sv.add_argument("--store", metavar="PATH", default=None,

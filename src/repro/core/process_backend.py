@@ -32,6 +32,14 @@ round's windows, one coordinator merges:
   cancel (the bare id) ends the share there, ``None`` or EOF — the
   parent closed the pool, or died — ends the worker.
 
+The same worker loop serves a second request kind, a **whole call**
+``(id, fn, args)``: the worker runs ``fn(*args, cancelled)`` to the end
+and sends exactly one record back, ``(id, None, value, None, mdelta)``.
+:class:`QueryFleet` is the pool built on it — the detection service's
+``workers`` long-lived processes, each answering whole queries for one
+caller thread at a time; ``cancelled()`` is the call's look at its
+request channel, for the engine to take between two windows.
+
 The parent owns every shared segment's lifecycle: workers only attach
 (the resource tracker is shared with the parent under every start
 method, so attach-registration is idempotent) and the pool unlinks
@@ -40,13 +48,16 @@ every segment on close, after the workers have left.
 
 from __future__ import annotations
 
+import itertools
 import os
 import pickle
 import selectors
+import signal
 import threading
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing import get_context, shared_memory
+from multiprocessing.connection import wait
 from time import perf_counter
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -133,9 +144,19 @@ def _materialize(val):
     return _attach(val) if isinstance(val, ShmArray) else val
 
 
-def _worker_init(n: int, indptr_ref: ShmArray, indices_ref: ShmArray,
-                 graph_name: str) -> None:
-    """Attach the CSR graph, once per worker."""
+def attach_graph(wired: tuple) -> CSRGraph:
+    """The graph a :meth:`ProcessPhasePool.wire_graph` tuple names.
+
+    CSRGraph keeps already-conforming int64 arrays as-is (no copy), so
+    an attached graph stays backed by the shared segments.
+    """
+    n, indptr_ref, indices_ref, name = wired
+    return CSRGraph(n, _attach(indptr_ref), _attach(indices_ref), name=name)
+
+
+def _worker_init(graph_args: Optional[tuple]) -> None:
+    """Attach the pool's graph, once (a :class:`QueryFleet` worker has
+    none: each call names its own)."""
     global _WORKER_GRAPH
     from repro.obs.metrics import reset_default_registry
 
@@ -144,11 +165,8 @@ def _worker_init(n: int, indptr_ref: ShmArray, indices_ref: ShmArray,
     # thread of the parent may have held at the fork — for ever, here.  The
     # worker counts into a registry of its own and ships all of it.
     reset_default_registry()
-    indptr = _attach(indptr_ref)
-    indices = _attach(indices_ref)
-    # CSRGraph keeps already-conforming int64 arrays as-is (no copy), so
-    # the worker's graph stays backed by the shared segments
-    _WORKER_GRAPH = CSRGraph(n, indptr, indices, name=graph_name)
+    if graph_args is not None:
+        _WORKER_GRAPH = attach_graph(graph_args)
 
 
 def _spec_for(wired: bytes):
@@ -269,12 +287,32 @@ def _serve(inbox: _Inbox, res, request) -> None:
         build = ()
 
 
-def _worker_main(req, res, graph_args: tuple) -> None:
+def _serve_call(inbox: _Inbox, res, request) -> None:
+    """Run one whole call, ``fn(*args, cancelled)``, and send its one
+    record, ``(rid, None, value, None, mdelta)``.
+
+    ``cancelled()`` reads the request channel like the share loop does
+    between two windows: True once this call was cancelled (it then
+    winds down and still replies — the parent reads that reply before
+    it hands the worker to anyone else), EOFError once the pool is gone.
+    """
+    rid, fn, args = request
+    if os.environ.get(_CRASH_ENV):
+        os._exit(23)
+    value = fn(*args, lambda: inbox.cancelled(rid))
+    res.send((rid, None, value, None, _metrics_delta()))
+
+
+def _worker_main(req, res, graph_args) -> None:
     """A fleet worker: serve requests until the channel says to leave."""
     for conn in _PARENT_ENDS:  # fork only: see _PARENT_ENDS
         conn.close()
+    # a terminal's Ctrl-C reaches the whole process group; the parent
+    # decides what it stops (a cancel, None, EOF), so the work it is still
+    # waiting for — a served query while the service drains — finishes
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
-        _worker_init(*graph_args)
+        _worker_init(graph_args)
         inbox = _Inbox(req)
         while True:
             request = inbox.next()
@@ -283,7 +321,10 @@ def _worker_main(req, res, graph_args: tuple) -> None:
             if isinstance(request, int):  # a cancel that came late
                 continue
             try:
-                _serve(inbox, res, request)
+                # a round's share (id, spec, k, v, y, n2, windows) or a
+                # whole call (id, fn, args)
+                (_serve if len(request) == 7 else _serve_call)(inbox, res,
+                                                               request)
             except (EOFError, BrokenPipeError):
                 raise
             except Exception as exc:
@@ -291,8 +332,9 @@ def _worker_main(req, res, graph_args: tuple) -> None:
                 # executor's future would; this worker serves on
                 res.send((request[0], None, exc, None, None))
     except (EOFError, BrokenPipeError, KeyboardInterrupt):
-        # the pool was closed, the parent died, or Ctrl-C reached the whole
-        # process group: nobody is left to answer to
+        # the pool was closed, the parent died, or a signal handler the
+        # worker inherited turned SIGTERM into an interrupt: nobody is left
+        # to answer to
         return
 
 
@@ -331,11 +373,15 @@ class ProcessPhasePool:
     windows finish; :meth:`submit` is the one-window form.  ``close``
     sends the workers home and unlinks every segment.
 
-    One thread drives a pool.  ``requests_sent``, ``fingerprints_sent``
-    and ``records_discarded`` count what crossed the process boundary.
+    One thread drives a pool's rounds and windows.  ``requests_sent``,
+    ``fingerprints_sent`` and ``records_discarded`` count what crossed
+    the process boundary for them.  With ``graph=None`` no worker starts
+    here: that is the :class:`QueryFleet` base, whose workers start as
+    calls need them, and whose calls — from any number of threads, each
+    on its own worker — these counters leave out.
     """
 
-    def __init__(self, graph: CSRGraph, workers: int,
+    def __init__(self, graph: Optional[CSRGraph], workers: int,
                  start_method: Optional[str] = None) -> None:
         if workers < 1:
             raise ConfigurationError(f"process pool needs >= 1 worker, got {workers}")
@@ -352,23 +398,26 @@ class ProcessPhasePool:
         # build one short-lived spec per grid cell)
         self._wire_cache: Dict[int, Tuple[Any, bytes]] = {}
         self._fp_segment: Optional[shared_memory.SharedMemory] = None
-        self._next_rid = 1
+        self._rids = itertools.count(1)
         # one-window requests in flight: rid -> None, then its record
         self._singles: Dict[int, Any] = {}
         self._fleet: List[_Worker] = []
         self._selector = selectors.DefaultSelector()
-        graph_args = (graph.n, self._publish(graph.indptr),
-                      self._publish(graph.indices), graph.name)
-        ctx = get_context(start_method)
+        self._ctx = get_context(start_method)
+        if graph is None:  # a QueryFleet: workers start as calls need them
+            return
+        graph_args = self.wire_graph(graph)
         try:
             with _MP_STATE_LOCK:  # every fork of this process happens in here
                 for _ in range(self.workers):
-                    self._start_worker(ctx, graph_args)
+                    self._start_worker(graph_args)
         except BaseException:  # no fork, no memory, Ctrl-C: leave nothing
             self.close()
             raise
 
-    def _start_worker(self, ctx, graph_args: tuple) -> None:
+    def _start_worker(self, graph_args) -> _Worker:
+        """Start one worker (under ``_MP_STATE_LOCK``, like every fork)."""
+        ctx = self._ctx
         req_r, req_w = ctx.Pipe(duplex=False)
         res_r, res_w = ctx.Pipe(duplex=False)
         _PARENT_ENDS.update((req_w, res_r))
@@ -383,17 +432,24 @@ class ProcessPhasePool:
             # the worker holds the only copy of its ends from here on
             req_r.close()
             res_w.close()
+        return worker
 
     # ------------------------------------------------------------ segments
     def _publish(self, arr: np.ndarray) -> ShmArray:
-        ref = self._published.get(id(arr))
-        if ref is None:
-            with _MP_STATE_LOCK:
+        with _MP_STATE_LOCK:  # a QueryFleet's callers publish concurrently
+            ref = self._published.get(id(arr))
+            if ref is None:
                 ref, shm = publish_array(arr)
-            self._segments.append(shm)
-            self._published[id(arr)] = ref
-            self._keepalive.append(arr)
+                self._segments.append(shm)
+                self._published[id(arr)] = ref
+                self._keepalive.append(arr)
         return ref
+
+    def wire_graph(self, graph: CSRGraph) -> tuple:
+        """What a worker attaches ``graph`` from (:func:`attach_graph`):
+        its CSR arrays, published once per graph object."""
+        return (graph.n, self._publish(graph.indptr),
+                self._publish(graph.indices), graph.name)
 
     def _publish_fingerprint(self, fp) -> Tuple[ShmArray, ShmArray]:
         """Copy the round's ``v`` and ``y`` into the fingerprint segment.
@@ -452,14 +508,13 @@ class ProcessPhasePool:
         return wired
 
     # ------------------------------------------------------------ protocol
-    def _send(self, worker: _Worker, wired: bytes, k: int, v, y, n2: int,
-              share: Sequence[Tuple[int, int]]) -> int:
-        rid, self._next_rid = self._next_rid, self._next_rid + 1
+    def _send(self, worker: _Worker, *body) -> int:
+        """Send request ``(id, *body)``; returns the id."""
+        rid = next(self._rids)
         try:
-            worker.req.send((rid, wired, k, v, y, n2, share))
+            worker.req.send((rid, *body))
         except OSError as exc:
             raise self._dead(worker) from exc
-        self.requests_sent += 1
         return rid
 
     def _dead(self, worker: _Worker) -> WorkerCrashedError:
@@ -513,6 +568,7 @@ class ProcessPhasePool:
                 lo, hi = n * i // len(serving), n * (i + 1) // len(serving)
                 share = [(t, q_starts[t]) for t in range(lo, hi)]
                 rids[self._send(worker, wired, fp.k, v, y, n2, share)] = worker
+                self.requests_sent += 1
             while pending:
                 for rid, t, value, *rest in self._receive():
                     if rid not in rids:
@@ -530,8 +586,9 @@ class ProcessPhasePool:
     def submit(self, wired: bytes, fp, q_start: int, n2: int) -> _Reply:
         """Send one window, fingerprint inline, to the next worker in
         turn; ``result()`` is its ``(value, stamps, mdelta)``."""
-        worker = self._fleet[self._next_rid % self.workers]
+        worker = self._fleet[self.requests_sent % self.workers]
         rid = self._send(worker, wired, fp.k, fp.v, fp.y, n2, [(0, q_start)])
+        self.requests_sent += 1
         self._singles[rid] = None
         self.fingerprints_sent += 1
         return _Reply(self, rid)
@@ -574,4 +631,149 @@ class ProcessPhasePool:
         self._singles = {}
 
 
-__all__ = ["ProcessPhasePool", "ShmArray", "publish_array"]
+@dataclass(eq=False)
+class Slot:
+    """One of a :class:`QueryFleet`'s ``workers`` places: what a caller
+    holds while it computes, and the worker that answers its calls
+    (None until a call needs one, or after the last one died)."""
+
+    worker: Optional[_Worker] = None
+
+
+class _Waiter:
+    """A caller in line for a slot; ``lock`` opens when one is handed over."""
+
+    __slots__ = ("lock", "slot")
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.lock.acquire()
+        self.slot: Optional[Slot] = None
+
+
+class QueryFleet(ProcessPhasePool):
+    """``workers`` long-lived worker processes answering whole calls for
+    any number of threads — the detection service's fleet.
+
+    A caller takes a :class:`Slot` (:meth:`acquire`), runs whole calls on
+    its worker (:meth:`call`: the caller's thread sends the request and
+    waits for the one record back) and gives the slot back
+    (:meth:`release`).  The idle slots are the only gate: at most
+    ``workers`` callers hold one, and :meth:`release` hands the slot to
+    whoever has waited longest — left up for grabs, it goes back to the
+    thread that released it, which asks again before the one it woke
+    holds the GIL (a busy service's second client then waits seconds).
+    A slot's worker starts at the first call that needs one, so a caller
+    that only holds the place forks nothing.  Each call names its graph,
+    which reaches the workers through shared memory, published at the
+    first call that names it (:meth:`wire_graph`).
+    """
+
+    def __init__(self, workers: int, start_method: Optional[str] = None) -> None:
+        super().__init__(None, workers, start_method)
+        self._gate = threading.Lock()
+        self._idle: List[Slot] = [Slot() for _ in range(self.workers)]
+        self._waiting: "deque[_Waiter]" = deque()  # oldest first
+
+    def acquire(self, timeout: Optional[float] = None) -> Optional[Slot]:
+        """An idle slot, first come first served; None after ``timeout``."""
+        with self._gate:
+            if self._idle:
+                return self._idle.pop()  # the last released: its worker is warm
+            me = _Waiter()
+            self._waiting.append(me)
+        try:
+            if me.lock.acquire(timeout=-1 if timeout is None else max(timeout, 0)):
+                return me.slot
+        except BaseException:  # Ctrl-C while in line: leave no ghost in it
+            if not self._leave(me):
+                self.release(me.slot)
+            raise
+        return None if self._leave(me) else me.slot
+
+    def _leave(self, me: _Waiter) -> bool:
+        """Step out of line; False when a slot was handed over meanwhile."""
+        with self._gate:
+            if me in self._waiting:
+                self._waiting.remove(me)
+                return True
+            return False
+
+    def release(self, slot: Slot) -> None:
+        with self._gate:
+            if self._waiting:
+                me = self._waiting.popleft()
+                me.slot = slot
+                me.lock.release()
+            else:
+                self._idle.append(slot)
+
+    def call(self, slot: Slot, fn, graph: CSRGraph, args: tuple):
+        """``fn(wired, *args, cancelled)`` run whole on ``slot``'s worker,
+        where :func:`attach_graph` turns ``wired`` into ``graph`` there;
+        returns ``(value, mdelta)``, or raises what ``fn`` raised.
+
+        ``fn`` must be importable by name (it is pickled by reference).
+        When an exception lands in the waiting caller (Ctrl-C), the call
+        is cancelled and its reply read before the exception goes on, so
+        the slot goes back with a quiet pipe — the worker stops between
+        two windows; if that reply cannot be read, the worker is killed.
+        A worker that dies raises :class:`~repro.errors.WorkerCrashedError`.
+        Either way the slot's next call starts a new one.
+        """
+        wired = self.wire_graph(graph)
+        if slot.worker is None:
+            with _MP_STATE_LOCK:
+                slot.worker = self._start_worker(None)
+        worker, rid = slot.worker, None
+        try:
+            rid = self._send(worker, fn, (wired, *args))
+            record = self._reply(worker, rid)
+        except WorkerCrashedError:
+            self._retire(slot)
+            raise
+        except BaseException:
+            if rid is not None:
+                try:
+                    self._tell(worker, rid)
+                    self._reply(worker, rid)
+                except BaseException:
+                    self._retire(slot)
+            raise
+        value, mdelta = record[2], record[4]
+        if isinstance(value, Exception):
+            raise value
+        return value, mdelta
+
+    def _reply(self, worker: _Worker, rid: int) -> tuple:
+        """Read ``worker``'s records up to request ``rid``'s."""
+        while True:
+            wait([worker.res])  # an exception lands here, not mid-record
+            try:
+                record = worker.res.recv()
+            except EOFError:
+                raise self._dead(worker) from None
+            if record[0] == rid:
+                return record
+
+    def pids(self) -> set:
+        """The pids of the fleet's live workers."""
+        with _MP_STATE_LOCK:
+            return {worker.process.pid for worker in self._fleet}
+
+    def _retire(self, slot: Slot) -> None:
+        """Kill ``slot``'s worker — dead, or with a pipe nobody can read —
+        and forget it."""
+        worker, slot.worker = slot.worker, None
+        worker.process.kill()
+        with _MP_STATE_LOCK:
+            self._selector.unregister(worker.res)
+            worker.req.close()
+            worker.res.close()
+            _PARENT_ENDS.difference_update((worker.req, worker.res))
+            self._fleet.remove(worker)
+        worker.process.join()
+
+
+__all__ = ["ProcessPhasePool", "QueryFleet", "ShmArray", "Slot", "attach_graph",
+           "publish_array"]

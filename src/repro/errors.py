@@ -173,7 +173,8 @@ class WatchdogExpired(ReproError, RuntimeError):
     """The wall-clock watchdog tripped: the run exhausted its deadline or
     the simulator heartbeat stalled past ``hang_timeout``.
 
-    ``reason`` is ``"deadline"`` or ``"stall"``.  Deliberately *not* a
+    ``reason`` is ``"deadline"``, ``"stall"`` or ``"cancelled"`` (the
+    caller of a service fleet worker stopped waiting).  Deliberately *not* a
     :class:`FaultInjectedError`: the fault-tolerant phase runner must
     never retry past an expired watchdog — the engine catches this at
     round boundaries, checkpoints, and returns a degraded partial
@@ -186,12 +187,13 @@ class WatchdogExpired(ReproError, RuntimeError):
 
 
 class WorkerCrashedError(ReproError, RuntimeError):
-    """A worker process of the ``mode="process"`` backend died mid-round.
+    """A worker process died under a ``mode="process"`` round or a
+    service query.  Both retry once on a new worker; a second death
+    reaches the caller (and, for a query, every caller coalesced onto it).
 
-    Raised by the parent when the process pool reports a broken worker
-    (segfault, ``os._exit``, OOM-kill) — the round cannot be completed and
-    the pool is unusable, so the backend closes its shared-memory segments
-    and surfaces this typed error instead of hanging on lost futures.
+    Raised by the parent when a worker's record pipe reads EOF (segfault,
+    ``os._exit``, OOM-kill, SIGKILL) — surfaced as this typed error
+    instead of a hang or a raw pipe error.
     Deliberately *not* a :class:`FaultInjectedError`: a real worker crash
     is not a simulated fault and must never be retried away by the
     fault-tolerant phase runner.

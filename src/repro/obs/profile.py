@@ -166,7 +166,9 @@ class WallProfiler:
         self._spans: List[Span] = []
         self._open: Dict[str, Span] = {}
         self._agg: Dict[ProfKey, Stopwatch] = {}
-        self._ids = itertools.count(1)
+        # the pid in the high bits: spans a worker process ships into the
+        # service's trace never collide with the service's own
+        self._ids = itertools.count((self.pid << 32) + 1)
         self._lock = threading.Lock()
         self._tls = threading.local()
         # the thread whose own lane is "main" (first to record on it)

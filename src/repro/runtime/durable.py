@@ -399,12 +399,17 @@ class Watchdog:
     also evaluates the conditions in the background so a hard-hung run
     still gets its ``on_trip`` callback (checkpoint flush) — the raise
     itself always happens at a cooperative point.
+
+    ``cancelled`` is asked by :meth:`check` only, never by the monitor
+    thread: once it returns True the watchdog trips with reason
+    ``"cancelled"`` (a service fleet worker whose caller stopped waiting).
     """
 
     def __init__(self, deadline: Optional[float] = None,
                  hang_timeout: Optional[float] = None,
                  clock: Callable[[], float] = time.monotonic,
-                 poll_interval: Optional[float] = None) -> None:
+                 poll_interval: Optional[float] = None,
+                 cancelled: Optional[Callable[[], bool]] = None) -> None:
         if deadline is not None and deadline <= 0:
             raise ConfigurationError(f"deadline must be > 0, got {deadline}")
         if hang_timeout is not None and hang_timeout <= 0:
@@ -413,6 +418,7 @@ class Watchdog:
         self.hang_timeout = hang_timeout
         self._clock = clock
         self._poll = poll_interval
+        self._cancelled = cancelled
         self._lock = threading.Lock()
         self._started: Optional[float] = None
         self._last_beat: Optional[float] = None
@@ -484,6 +490,8 @@ class Watchdog:
         """Raise :class:`~repro.errors.WatchdogExpired` if expired."""
         with self._lock:
             trip = self._tripped or self._evaluate_locked()
+            if trip is None and self._cancelled is not None and self._cancelled():
+                trip = ("cancelled", "the caller stopped waiting for the run")
             self._tripped = trip
         if trip is not None:
             raise WatchdogExpired(trip[1], reason=trip[0])

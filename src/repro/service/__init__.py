@@ -10,7 +10,8 @@ that state resident between queries:
 * :mod:`repro.service.broker` — :class:`QueryBroker`: admits queries,
   coalesces identical in-flight work, enforces per-tenant quotas,
   caches results keyed by ``(graph sha, query, seed policy)``, and runs
-  each admitted query on the thread that asked;
+  each admitted query whole on one of ``workers`` long-lived worker
+  processes;
 * :mod:`repro.service.server` — :class:`DetectionService`: the broker's
   lifecycle, the coordinator sweep (the service's one thread), and the
   HTTP ``/api/*`` routes mounted on :class:`~repro.obs.http.LiveServer`;

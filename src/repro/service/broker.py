@@ -1,16 +1,28 @@
-"""Query admission, coalescing, quotas, and the result cache.
+"""Query admission, coalescing, quotas, the result cache, and the fleet
+that answers.
 
-:meth:`QueryBroker.submit` is a plain blocking call: the thread that
-asks runs the detection.  One lock guards the bookkeeping (cache,
-in-flight map, per-tenant counts, stats, the completed list) and is
-never held while a detection runs.  Detections whose work is in worker
-processes (``mode="process"``) run up to ``workers`` at once; the others
-compute on the thread that asked, under the one interpreter lock, and
-take turns — two of them at once are slower than one after the other
-(every numpy call hands the GIL over: two clients got 50 queries/s
-where one got 75), and how much slower each is depends on what the
-other is running.  The allocator policy is the level-DP core's
-(:func:`repro.core.leveldp.retain_worker_heaps`), not the broker's.
+:meth:`QueryBroker.submit` is a plain blocking call.  One lock guards
+the bookkeeping (cache, in-flight map, per-tenant counts, stats, the
+completed list) and is never held while a detection runs.  An admitted
+query runs whole on one of ``workers`` long-lived worker processes
+(:class:`~repro.core.process_backend.QueryFleet`; each starts at the
+first query that finds no idle one): the asking thread sends the query
+down that worker's pipe and waits for the reply — the payload, the
+engine's spans for the query's trace, the worker's description of the
+engine session it ran on, and its metric increments.  Each worker keeps
+state of its own: the graphs it attached from shared memory, one engine
+session per graph (fields, partition, jagged order) — which the parent's
+:class:`~repro.service.registry.GraphEntry` lists by worker pid for
+``/api/graphs`` and ``/api/service`` — and its own metrics registry.
+Distinct queries are independent (the paper's Fig 1: private state per
+group, one merge), so ``workers`` of them compute at once in every mode;
+a ``runtime_config`` asking for ``mode="process"`` or ``"threaded"``
+runs sequentially in its worker — the fleet is the parallelism, the bits
+are the same, and the reply's ``runtime.mode`` says ``"sequential"``.  A
+caller-supplied ``runtime`` (the CLI's in-process path, which carries a
+recorder, checkpoint, live bus or fault plan) still computes on the
+asking thread, holding a worker's place while it does; only that path's
+:class:`QueryOutcome` carries the raw result object.
 
 Admission pipeline, in order:
 
@@ -26,9 +38,13 @@ Admission pipeline, in order:
    executions; the next one is rejected *immediately* with
    :class:`~repro.errors.QuotaExceededError` (backpressure by refusal,
    not by unbounded queueing).
-4. **slot** — the admitted caller waits for its turn, or in process
-   mode for one of the ``workers`` execution slots (the ``broker.queue``
-   span), and then executes.
+4. **worker** — the admitted caller waits for an idle worker, first
+   come first served (the ``broker.queue`` span), and the query runs
+   there (``broker.execute``).  A worker that dies under it is replaced
+   and the query sent again, once — a pinned seed makes the retry
+   bit-identical; a second death is a
+   :class:`~repro.errors.WorkerCrashedError` for the leader and every
+   caller coalesced onto it.
 
 Completed executions land in a list; the coordinator's periodic
 :meth:`QueryBroker.sweep` — off the query path, on the service's one
@@ -43,20 +59,29 @@ import json
 import os
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from concurrent.futures import Future, wait
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.engine import MidasRuntime
-from repro.errors import ConfigurationError, QuotaExceededError, ServiceError
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.qtrace import QueryTrace, TraceContext
+from repro.errors import (
+    ConfigurationError,
+    QuotaExceededError,
+    ServiceError,
+    WorkerCrashedError,
+)
+from repro.obs.metrics import MetricsRegistry, merge_into
+from repro.obs.profile import WallProfiler
+from repro.obs.qtrace import QueryTrace, TraceContext, get_flight_recorder
 from repro.service.registry import GraphEntry, GraphRegistry
 from repro.util.log import get_logger
 from repro.util.rng import RngStream
+
+if TYPE_CHECKING:  # imported where a fleet is built, as the engine does
+    from repro.core.process_backend import QueryFleet, Slot
 
 _LOG = get_logger(__name__)
 
@@ -300,12 +325,9 @@ def execute_query(spec: QuerySpec, entry: GraphEntry,
 
     Returns ``(payload, raw_result)`` — the payload's ``"result"`` holds
     only deterministic fields; wall time and backend identity live in
-    separate keys so cached/coalesced replies stay bit-comparable.
-
-    Tracing is decorated around this function by the broker
-    (:meth:`QueryBroker._traced_execute`), so replacing it — the tests
-    monkeypatch slow/failing executors here — keeps the traced pipeline
-    intact.
+    separate keys so cached/coalesced replies stay bit-comparable.  A
+    fleet worker runs it for every broker-built runtime (:func:`dispatch`),
+    the broker's caller for a caller-supplied one.
     """
     from repro.core.midas import detect_path, detect_tree
     from repro.graph.templates import TreeTemplate
@@ -362,61 +384,89 @@ def execute_query(spec: QuerySpec, entry: GraphEntry,
     return payload, raw
 
 
+#: a fleet worker's graphs by content sha, each resolved once and
+#: holding that worker's engine sessions
+_WORKER_ENTRIES: Dict[str, GraphEntry] = {}
+
+
+def _answer(graph, spec: QuerySpec, sha: str, config: dict,
+            trace: Optional[Tuple[str, str]], cancelled) -> tuple:
+    """One whole query in a fleet worker: ``(payload, spans, session)``.
+
+    ``graph`` is what :func:`~repro.core.process_backend.attach_graph`
+    needs the first time this worker sees content ``sha``; ``config`` is
+    the service's ``runtime_config`` (with the caller's deadline);
+    ``trace`` is ``(trace id, broker.execute span id)`` when
+    the service traces, and the engine's spans come back as dicts for the
+    query's trace.  ``session`` describes the engine session the query
+    ran on, with this worker's pid.  The deadline is this worker's
+    watchdog's to enforce, and a cancel from the caller (``cancelled``,
+    looked at between two windows) winds the run down through the same
+    watchdog.
+    """
+    from repro.core.process_backend import attach_graph
+    from repro.runtime.durable import Watchdog
+
+    entry = _WORKER_ENTRIES.get(sha)
+    if entry is None:
+        entry = _WORKER_ENTRIES[sha] = GraphEntry(sha, attach_graph(graph))
+    if config.get("mode") in ("process", "threaded"):
+        # the fleet is the parallelism: never nest a pool in a worker
+        config = dict(config, mode="sequential")
+    rt = MidasRuntime(**config)
+    rt.session = entry.session_for(rt)
+    rt.watchdog = Watchdog(deadline=rt.deadline, hang_timeout=rt.hang_timeout,
+                           cancelled=cancelled)
+    if trace is not None:
+        rt.profiler = WallProfiler()
+        rt.profiler.trace_id, rt.profiler.root_id = trace
+    try:
+        payload, _raw = execute_query(spec, entry, rt)
+    finally:
+        rt.close_live()
+    spans = None if trace is None else [s.to_dict() for s in rt.profiler.spans]
+    return payload, spans, dict(rt.session.describe(), pid=os.getpid())
+
+
+def dispatch(spec: QuerySpec, entry: GraphEntry, fleet: QueryFleet,
+             slot: Slot, config: dict, trace: Optional[Tuple[str, str]]):
+    """Answer ``spec`` whole on ``slot``'s fleet worker: ``(payload,
+    spans, session, metric delta)`` (see :func:`_answer`); the calling
+    thread waits for the reply.
+
+    A worker that dies under the query is replaced and the query sent
+    again — same pinned seed, same answer; a second death raises
+    :class:`~repro.errors.WorkerCrashedError`.  The broker's one call
+    into the fleet (the tests replace it to hold or fail an execution).
+    """
+    args = (spec, entry.sha, config, trace)
+    for attempt in (1, 2):
+        try:
+            reply, mdelta = fleet.call(slot, _answer, entry.graph, args)
+            return (*reply, mdelta)
+        except WorkerCrashedError as exc:
+            if attempt == 2:
+                raise WorkerCrashedError(
+                    f"a fleet worker died under this {spec.kind} query, and "
+                    "its replacement did too (see stderr for their fate)"
+                ) from exc
+            fr = get_flight_recorder()
+            fr.record("worker_crash", query=spec.kind, graph=entry.sha[:12],
+                      trace_id=trace[0] if trace else None)
+            fr.dump("worker_crash")
+            _LOG.warning("%s; sending the query to a new worker", exc)
+
+
 def _timed_out(timeout: float) -> ServiceError:
     return ServiceError(f"query timed out after {timeout}s")
 
 
-class _Turns:
-    """One holder at a time, first come first served.
-
-    ``release`` hands the turn to whoever has waited longest rather than
-    leaving it for whoever asks next: with a ``Semaphore`` the thread that
-    just released asks again before the one it woke has the GIL, and a
-    second client of a busy service waited seconds for a 16 ms query.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._taken = False
-        self._waiting: "deque[threading.Lock]" = deque()  # oldest first
-
-    def acquire(self, timeout: Optional[float] = None) -> bool:
-        with self._lock:
-            if not self._taken:
-                self._taken = True
-                return True
-            mine = threading.Lock()
-            mine.acquire()  # release() opens it: the turn is then ours
-            self._waiting.append(mine)
-        try:
-            if mine.acquire(timeout=-1 if timeout is None else max(timeout, 0)):
-                return True
-        except BaseException:  # Ctrl-C while queued: leave no ghost in line
-            if not self._withdraw(mine):
-                self.release()
-            raise
-        return not self._withdraw(mine)
-
-    def _withdraw(self, mine: threading.Lock) -> bool:
-        """Leave the line; False when the turn was handed over meanwhile."""
-        with self._lock:
-            if mine in self._waiting:
-                self._waiting.remove(mine)
-                return True
-            return False
-
-    def release(self) -> None:
-        with self._lock:
-            if self._waiting:
-                self._waiting.popleft().release()
-            else:
-                self._taken = False
-
-
 @dataclass
 class QueryOutcome:
-    """What a client gets back: the JSON-safe payload plus (in-process
-    only) the raw result object for rich rendering."""
+    """What a client gets back: the JSON-safe payload plus — only for a
+    query computed on a caller-supplied runtime, never for one a fleet
+    worker answered, a cache hit or a coalesced join — the raw result
+    object for rich rendering."""
 
     payload: dict
     raw: object = None
@@ -448,7 +498,9 @@ class QueryOutcome:
 
 
 class QueryBroker:
-    """Admission, coalescing, quota and cache around :func:`execute_query`.
+    """Admission, coalescing, quota and cache in front of a
+    :class:`~repro.core.process_backend.QueryFleet` of ``workers``
+    processes (default: the CPUs this process may use).
 
     Thread-safe: any thread may :meth:`submit`; ``self._lock`` guards
     every piece of shared state and is released before the detection
@@ -481,10 +533,14 @@ class QueryBroker:
         # repro.obs.qtrace.QueryTracer; None: queries record into _UNTRACED
         self.tracer = tracer
         self._runtime_config = dict(runtime_config or {})
-        # at most `workers` process-mode detections run at once; one that
-        # computes on its caller's thread waits for the one before it
-        self._slots = threading.BoundedSemaphore(workers or 4)
-        self._turn = _Turns()
+        from repro.core.process_backend import QueryFleet
+
+        # MidasRuntime refuses workers < 1 and an unknown start method, and
+        # counts the usable CPUs
+        start = self._runtime_config.get("process_start")
+        self._fleet = QueryFleet(
+            MidasRuntime(workers=workers, process_start=start).get_workers(),
+            start_method=start)
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)  # no execution in flight
         self._closed = False
@@ -523,12 +579,6 @@ class QueryBroker:
             "midas_service_records_total", "RunRecords appended by the sweep")
 
     # ----------------------------------------------------------- plumbing
-    def make_runtime(self) -> MidasRuntime:
-        """A fresh runtime per execution: engines cache mutable run state
-        (profiler, live bus, checkpoint manager) on their runtime, so
-        concurrent executions must never share one."""
-        return MidasRuntime(metrics=self.metrics, **self._runtime_config)
-
     def _served(self, payload: dict, tenant: str, qt: QueryTrace, *,
                 cache_hit: bool = False, coalesced: bool = False) -> dict:
         out = dict(payload)
@@ -582,26 +632,51 @@ class QueryBroker:
             self.tracer.finish(qt, outcome=outcome, service_pid=os.getpid(),
                                **extra)
 
-    def _traced_execute(self, spec: QuerySpec, entry: GraphEntry,
-                        rt: MidasRuntime, qt: QueryTrace, submit_t: float):
-        """Decorate the module-level :func:`execute_query` (which tests
-        monkeypatch) with the ``broker.queue`` span — admission to the
-        execution slot — and ``broker.execute``, and make the query's
-        trace the span log the engine records into."""
+    def _traced_execute(self, spec: QuerySpec, entry: GraphEntry, slot: Slot,
+                        runtime: Optional[MidasRuntime], qt: QueryTrace,
+                        submit_t: float, left: Optional[float]):
+        """Answer ``spec`` holding ``slot``: on its fleet worker
+        (:func:`dispatch`), or with a caller-supplied ``runtime`` here.
+
+        Records the ``broker.queue`` span — admission to the worker — and
+        ``broker.execute``, under which the engine's spans land: the
+        worker's spliced in, or this runtime's recorded into the trace
+        directly.  ``left`` is what the wait left of the caller's timeout.
+        """
         qt.add_span("broker.queue", submit_t, time.perf_counter(),
                     lane="broker")
-        if qt.enabled:
-            rt.profiler = qt
+        spans = mdelta = raw = None
         with qt.span("broker.execute", lane="broker", kind=spec.kind,
                      graph=entry.sha[:12], k=spec.k) as span:
-            payload, raw = execute_query(spec, entry, rt)
+            if runtime is None:
+                config = dict(self._runtime_config)
+                if left is not None and config.get("deadline") is None:
+                    config["deadline"] = left
+                trace = (qt.trace_id, span.span.span_id) if qt.enabled else None
+                payload, spans, session, mdelta = dispatch(
+                    spec, entry, self._fleet, slot, config, trace)
+                entry.note_fleet_session(session)
+            else:
+                if runtime.session is None:
+                    sess = entry.session_for(runtime)
+                    if sess.compatible(entry.graph, runtime) is None:
+                        runtime.session = sess
+                if left is not None and runtime.deadline is None:
+                    runtime.deadline = left
+                if qt.enabled:
+                    runtime.profiler = qt
+                payload, raw = execute_query(spec, entry, runtime)
             span.tag(rounds=int(payload.get("timing", {}).get("rounds", 0)))
+        if spans:
+            qt.add_spans(spans)
+        if mdelta:
+            merge_into(self.metrics, mdelta)
         return payload, raw
 
     def submit(self, spec: QuerySpec, tenant: str = "default",
                runtime: Optional[MidasRuntime] = None,
                trace=None, timeout: Optional[float] = None) -> QueryOutcome:
-        """Admit one query and answer it on the calling thread.
+        """Admit one query and answer it; the calling thread waits.
 
         Raises :class:`~repro.errors.UnknownGraphError` for an
         unresolvable graph reference and
@@ -611,12 +686,13 @@ class QueryBroker:
         stamped with its own ``trace`` identity when tracing is on.
 
         ``timeout`` bounds what the caller can be made to wait for — the
-        identical query it joined, or its turn (process mode: an
-        execution slot) — with a
-        :class:`~repro.errors.ServiceError`.  What that wait
-        left of it becomes the runtime's ``deadline`` (unless it has
-        one), so an overrun comes back as the watchdog's degraded reply,
-        which is never cached.
+        identical query it joined, or an idle worker — with a
+        :class:`~repro.errors.ServiceError`.  What that wait left of it
+        becomes the runtime's ``deadline`` (unless it has one), so an
+        overrun comes back as the worker watchdog's degraded reply, which
+        is never cached.  An exception that lands in the waiting caller
+        (Ctrl-C) cancels the query on its worker, which stops between two
+        windows; the worker is idle again once that reply is read.
         """
         entry = self.registry.resolve(spec.graph)
         key = spec.cache_key(entry.sha)
@@ -679,25 +755,17 @@ class QueryBroker:
 
         self.m_inflight.inc()
         try:
-            rt = runtime if runtime is not None else self.make_runtime()
-            if rt.session is None:
-                sess = entry.session_for(rt)
-                if sess.compatible(entry.graph, rt) is None:
-                    rt.session = sess
             t0 = time.perf_counter()
-            gate = self._slots if rt.mode == "process" else self._turn
-            if not gate.acquire(timeout=timeout):
+            slot = self._fleet.acquire(timeout)
+            if slot is None:
                 raise _timed_out(timeout)
             try:
-                if timeout is not None and rt.deadline is None:
-                    # what the wait for the slot left of it
-                    rt.deadline = max(
-                        timeout - (time.perf_counter() - t0), 1e-6)
-                payload, raw = self._traced_execute(spec, entry, rt, qt, t0)
+                left = (None if timeout is None
+                        else max(timeout - (time.perf_counter() - t0), 1e-6))
+                payload, raw = self._traced_execute(spec, entry, slot, runtime,
+                                                    qt, t0, left)
             finally:
-                gate.release()
-                if runtime is None:  # made here, closed here: a deadline's
-                    rt.close_live()  # watchdog runs a monitor thread
+                self._fleet.release(slot)
         except BaseException as exc:
             # whoever coalesced onto this execution fails with it; an
             # interrupt (Ctrl-C, SystemExit) is this caller's alone
@@ -720,15 +788,15 @@ class QueryBroker:
                 self.stats["queries"] += 1
                 self._completed.append({
                     "spec": spec, "entry": entry, "tenant": tenant,
-                    "wall": wall, "payload": payload, "mode": rt.mode,
-                    "nranks": rt.n_processors,
+                    "wall": wall, "payload": payload,
                     "trace_id": qt.trace_id or None,
                 })
             self.m_queries.labels(kind=spec.kind, tenant=tenant,
                                   outcome="ok").inc()
             self.m_latency.labels(kind=spec.kind).observe(wall)
             self._finish_trace(qt, total, "ok", kind=spec.kind,
-                               wall_seconds=wall, mode=rt.mode)
+                               wall_seconds=wall,
+                               mode=payload["runtime"]["mode"])
             return QueryOutcome(self._served(payload, tenant, qt), raw)
         finally:
             with self._lock:
@@ -746,14 +814,15 @@ class QueryBroker:
         spec: QuerySpec = item["spec"]
         entry: GraphEntry = item["entry"]
         timing = item["payload"].get("timing", {})
+        ran_on = item["payload"]["runtime"]
         label = entry.name or entry.sha[:12]
         return RunRecord(
             scenario=f"service:{spec.kind}:{label}:k{spec.k}",
             git_sha=current_git_sha(),
             config_hash=config_fingerprint(spec.canonical(entry.sha)),
             problem=item["payload"].get("result", {}).get("problem", spec.kind),
-            mode=item["mode"],
-            nranks=item["nranks"],
+            mode=ran_on["mode"],
+            nranks=ran_on["n_processors"],
             values={
                 "wall_seconds": float(item["wall"]),
                 "virtual_seconds": float(timing.get("virtual_seconds", 0.0)),
@@ -792,6 +861,7 @@ class QueryBroker:
             self.stats["sweeps"] += 1
         self.m_sweeps.inc()
         self.m_graphs.set(len(self.registry))
+        self.registry.forget_fleet_sessions(self._fleet.pids)
         self.m_sessions.set(self.registry.session_count())
         self.m_cache_entries.set(len(self._cache))
         return {"drained": len(completed), "rounds": rounds,
@@ -811,11 +881,13 @@ class QueryBroker:
             }
 
     def close(self) -> None:
-        """Admit nothing more and wait for the executions in flight."""
+        """Admit nothing more, wait for the executions in flight, and send
+        the fleet's workers home (their segments go with them)."""
         with self._idle:
             self._closed = True
             while self._tenant_inflight:
                 self._idle.wait()
+        self._fleet.close()
 
 
 __all__ = [
@@ -826,5 +898,6 @@ __all__ = [
     "STATISTICS",
     "TEMPLATES",
     "canonical_result",
+    "dispatch",
     "execute_query",
 ]

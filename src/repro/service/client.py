@@ -3,8 +3,9 @@
 :class:`LocalClient` embeds a :class:`~repro.service.server.DetectionService`
 in-process (no sockets, no serialization of the graph) — the CLI's
 default path, so ``repro detect-path`` without ``--server`` goes through
-exactly the same admission pipeline the HTTP server uses, and the
-detection runs on the calling thread (Ctrl-C lands in it).
+exactly the same admission pipeline the HTTP server uses; the CLI hands
+it the runtime its flags built, so the detection runs on the calling
+thread (Ctrl-C lands in it) and no worker process is started.
 
 :class:`HttpClient` talks to a remote ``repro serve`` endpoint with
 stdlib :mod:`urllib` — no third-party HTTP dependency.  Error mapping

@@ -12,7 +12,7 @@ prefix.
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.core.engine import EngineSession, MidasRuntime
 from repro.errors import ConfigurationError, UnknownGraphError
@@ -21,10 +21,13 @@ from repro.obs.qtrace import get_flight_recorder
 
 
 class GraphEntry:
-    """One registered graph: its content sha, optional name, and the
-    per-decomposition :class:`EngineSession` cache."""
+    """One registered graph: its content sha, optional name, the
+    per-decomposition :class:`EngineSession` cache of the queries computed
+    in this process, and what the service's fleet workers last said about
+    the sessions each of them keeps for it."""
 
-    __slots__ = ("sha", "graph", "name", "_sessions", "_lock")
+    __slots__ = ("sha", "graph", "name", "_sessions", "_fleet_sessions",
+                 "_lock")
 
     def __init__(self, sha: str, graph: CSRGraph, name: str = "") -> None:
         self.sha = sha
@@ -35,6 +38,9 @@ class GraphEntry:
         # kernel strategy — a session's field cache built for one kernel
         # must not serve a runtime asking for another
         self._sessions: Dict[tuple, EngineSession] = {}
+        # (worker pid, n1, partition_method, kernel) -> that worker's
+        # EngineSession.describe(), pid included
+        self._fleet_sessions: Dict[tuple, dict] = {}
         self._lock = threading.Lock()
 
     def session_for(self, rt: MidasRuntime) -> EngineSession:
@@ -49,14 +55,33 @@ class GraphEntry:
                 )
             return sess
 
+    def note_fleet_session(self, desc: dict) -> None:
+        """Record a fleet worker's description of its session for this
+        graph (``desc["pid"]`` names the worker)."""
+        key = (desc["pid"], desc["n1"], desc["partition_method"],
+               desc["kernel"])
+        with self._lock:
+            self._fleet_sessions[key] = desc
+
+    def forget_fleet_sessions(self, live: Callable[[], set]) -> None:
+        """Drop the sessions of fleet workers no longer alive.  ``live()``
+        — the live workers' pids — is read under this entry's lock, so a
+        worker whose session was noted before the read is in it."""
+        with self._lock:
+            alive = live()
+            for key in [k for k in self._fleet_sessions if k[0] not in alive]:
+                del self._fleet_sessions[key]
+
     def session_count(self) -> int:
         with self._lock:
-            return len(self._sessions)
+            return len(self._sessions) + len(self._fleet_sessions)
 
     def describe(self) -> dict:
-        """JSON-safe entry summary for ``/api/graphs``."""
+        """JSON-safe entry summary for ``/api/graphs``: this process's
+        sessions, then the fleet workers' (each with its ``pid``)."""
         with self._lock:
             sessions = [s.describe() for s in self._sessions.values()]
+            sessions += self._fleet_sessions.values()
         return {
             "sha": self.sha,
             "name": self.name,
@@ -139,6 +164,11 @@ class GraphRegistry:
 
     def session_count(self) -> int:
         return sum(e.session_count() for e in self.entries())
+
+    def forget_fleet_sessions(self, live: Callable[[], set]) -> None:
+        """:meth:`GraphEntry.forget_fleet_sessions` on every entry."""
+        for entry in self.entries():
+            entry.forget_fleet_sessions(live)
 
     def __len__(self) -> int:
         with self._lock:

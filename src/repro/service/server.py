@@ -1,9 +1,10 @@
 """The persistent detection service: broker, coordinator, HTTP API.
 
 :class:`DetectionService` is a :class:`~repro.service.broker.QueryBroker`
-with a lifecycle.  A query runs on the thread that asks for it —
-an in-process :class:`~repro.service.client.LocalClient` user's thread
-or an HTTP handler's — through the broker's blocking ``submit``; the
+with a lifecycle.  The thread that asks — an in-process
+:class:`~repro.service.client.LocalClient` user's or an HTTP handler's —
+goes through the broker's blocking ``submit``, which runs the query on
+one of ``workers`` fleet worker processes and waits for the reply; the
 broker's lock makes that safe from any number of threads at once.
 
 The service owns one thread, the **coordinator**: every
@@ -22,10 +23,11 @@ so one port exposes ``/metrics``, ``/status``, ``/healthz`` **and**:
 * ``GET /api/service`` — broker + registry + session introspection.
 
 Shutdown (:meth:`close`): stop the HTTP server, close the broker — it
-admits nothing more and waits for the executions in flight — stop and
-join the coordinator, then run one final sweep so every completed query
-is recorded.  ``tests/test_service.py`` asserts the thread census is
-unchanged afterwards.
+admits nothing more, waits for the executions in flight and sends the
+fleet's workers home — stop and join the coordinator, then run one final
+sweep so every completed query is recorded.  ``tests/test_service.py``
+asserts the thread, process and ``/dev/shm`` census is unchanged
+afterwards.
 """
 
 from __future__ import annotations
@@ -65,8 +67,8 @@ class DetectionService:
     """A long-lived, multi-tenant detection endpoint (see module docs).
 
     Use as a context manager — or pair :meth:`start` with :meth:`close`
-    — and the coordinator thread and HTTP server are torn down
-    deterministically.
+    — and the coordinator thread, the HTTP server and the worker fleet
+    are torn down deterministically.
     """
 
     def __init__(
@@ -161,12 +163,13 @@ class DetectionService:
 
     def query(self, query, tenant: str = "default", runtime=None,
               timeout: Optional[float] = None, trace=None) -> QueryOutcome:
-        """Answer one query on the calling thread (any thread).
+        """Answer one query; the calling thread (any thread) waits.
 
         ``query`` is a :class:`QuerySpec` or a dict for
-        :meth:`QuerySpec.from_dict`; ``runtime`` optionally overrides
-        the broker's per-execution runtime (the CLI's LocalClient path,
-        where ``--mode``/``--n1``/... flags build it); ``trace`` carries
+        :meth:`QuerySpec.from_dict`; ``runtime`` optionally replaces
+        the fleet worker's runtime with one that computes on the calling
+        thread (the CLI's LocalClient path, where ``--mode``/``--n1``/...
+        flags build it); ``trace`` carries
         the caller's trace context (a ``{"traceparent": ...}`` dict);
         ``timeout`` is :meth:`QueryBroker.submit`'s.
         """

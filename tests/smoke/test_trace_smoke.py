@@ -3,7 +3,8 @@
 What CI's ``trace-smoke``, ``obs-smoke`` and (for its speedscope/progress
 step) ``live-smoke`` jobs run, as pytest instead of inline heredocs:
 ``PYTHONPATH=src python -m pytest -m smoke tests/smoke/test_trace_smoke.py``.
-The served tests start ``repro serve --port 0`` with process workers
+The served tests start ``repro serve --port 0`` (``--mode process``:
+each query then runs sequentially on one of the service's fleet workers)
 themselves, read the port it prints, and stop it with SIGINT.
 """
 
@@ -84,11 +85,12 @@ def test_concurrent_tenants_every_reply_traced_timelines_splice(served, traced):
         assert doc is not None, f"trace {out.trace_id} not stored"
         names = {s["name"] for s in doc["spans"]}
         assert {"client.request", "broker.total", "broker.execute",
-                "engine.round", "worker.kernel"} <= names, names
+                "engine.round", "engine.kernel"} <= names, names
         pids = {s["pid"] for s in doc["spans"]}
+        # the engine ran whole on a fleet worker: its spans carry that pid
         worker_pids = {s["pid"] for s in doc["spans"]
-                       if s["name"].startswith("worker.")}
-        assert worker_pids and doc["service_pid"] not in worker_pids
+                       if s["name"].startswith("engine.")}
+        assert len(worker_pids) == 1 and doc["service_pid"] not in worker_pids
         w = doc["stage_walls"]
         tiled = sum(v for k, v in w.items() if k != "total")
         assert abs(tiled - w["total"]) <= 0.10 * w["total"], (
@@ -123,7 +125,7 @@ def test_repro_trace_renders_the_timeline_and_a_valid_chrome_trace(
     assert main(["trace", trace_id, "--url", served,
                  "--chrome-out", str(out)]) == 0
     timeline = capsys.readouterr().out
-    assert "worker.kernel" in timeline
+    assert "engine.kernel" in timeline
     assert "stage walls" in timeline
     n = validate_chrome_trace(json.load(open(out)))
     print(f"chrome trace valid: {n} events")

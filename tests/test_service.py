@@ -4,13 +4,18 @@ The acceptance bar from the service design: results through
 :class:`LocalClient` and :class:`HttpClient` are **bit-identical** to a
 standalone engine run for a pinned seed policy (including cached and
 coalesced replies); quotas reject immediately without harming other
-tenants; shutdown leaks no threads.
+tenants; ``workers`` queries compute at once on the worker fleet, in
+every mode; shutdown leaks no thread, process or shared segment.
 """
 
 from __future__ import annotations
 
+import glob
 import json
+import multiprocessing
+import os
 import platform
+import signal
 import sys
 import threading
 import time
@@ -22,15 +27,18 @@ import pytest
 from repro.core import leveldp
 from repro.core.engine import MidasRuntime
 from repro.core.midas import detect_path, detect_tree
+from repro.core.process_backend import QueryFleet
 from repro.errors import (
     ConfigurationError,
     QuotaExceededError,
     ServiceError,
     UnknownGraphError,
+    WorkerCrashedError,
 )
 from repro.graph.generators import erdos_renyi, plant_path
 from repro.graph.templates import TreeTemplate
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.qtrace import get_flight_recorder, reset_flight_recorder
 from repro.obs.store import RunStore
 from repro.scanstat.detect import AnomalyDetector
 from repro.scanstat.statistics import BerkJones
@@ -46,9 +54,9 @@ from repro.service import (
 from repro.service import broker as broker_mod
 from repro.service.broker import (
     QueryBroker,
-    _Turns,
     _detection_result,
     _scan_result,
+    execute_query,
 )
 from repro.util.rng import RngStream
 
@@ -264,15 +272,15 @@ class TestCacheCoalesceQuota:
                 "midas_service_cache_hits_total", kind="detect-path") == 1
 
     def test_coalesced_join_gets_identical_result(self, monkeypatch):
-        real = broker_mod.execute_query
+        real = broker_mod.dispatch
         started, release = threading.Event(), threading.Event()
 
-        def slow(spec, entry, rt):
+        def slow(*args):
             started.set()
             assert release.wait(timeout=30)
-            return real(spec, entry, rt)
+            return real(*args)
 
-        monkeypatch.setattr(broker_mod, "execute_query", slow)
+        monkeypatch.setattr(broker_mod, "dispatch", slow)
         with DetectionService(metrics=MetricsRegistry()) as svc:
             svc.register_graph(_graph(), name="g")
             spec = QuerySpec(kind="detect-path", graph="g", k=4, eps=0.3,
@@ -298,15 +306,15 @@ class TestCacheCoalesceQuota:
             assert out["a"].result == out["b"].result
 
     def test_quota_rejects_immediately_per_tenant(self, monkeypatch):
-        real = broker_mod.execute_query
+        real = broker_mod.dispatch
         started, release = threading.Event(), threading.Event()
 
-        def slow(spec, entry, rt):
+        def slow(*args):
             started.set()
             assert release.wait(timeout=30)
-            return real(spec, entry, rt)
+            return real(*args)
 
-        monkeypatch.setattr(broker_mod, "execute_query", slow)
+        monkeypatch.setattr(broker_mod, "dispatch", slow)
         svc = DetectionService(quota=1, workers=4,
                                metrics=MetricsRegistry())
         try:
@@ -341,18 +349,18 @@ class TestCacheCoalesceQuota:
     def test_after_an_interrupted_execution_the_next_query_is_served(
             self, monkeypatch):
         """A KeyboardInterrupt inside a query surfaces in the calling
-        thread, where it was raised, and strands nothing: the slot, the
+        thread, where it was raised, and strands nothing: the worker, the
         tenant's quota and the in-flight entry are all given back."""
-        real = broker_mod.execute_query
+        real = broker_mod.dispatch
         calls = {"n": 0}
 
-        def boom(spec, entry, rt):
+        def boom(*args):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise KeyboardInterrupt()
-            return real(spec, entry, rt)
+            return real(*args)
 
-        monkeypatch.setattr(broker_mod, "execute_query", boom)
+        monkeypatch.setattr(broker_mod, "dispatch", boom)
         before = _service_threads()
         svc = DetectionService(quota=1, workers=1, metrics=MetricsRegistry())
         try:
@@ -369,14 +377,14 @@ class TestCacheCoalesceQuota:
 
     def test_after_a_failed_execution_the_next_query_is_served(
             self, monkeypatch):
-        real = broker_mod.execute_query
+        real = broker_mod.dispatch
 
-        def boom(spec, entry, rt):
+        def boom(spec, *args):
             if spec.seed == {"seed": 5}:
                 raise RuntimeError("synthetic failure")
-            return real(spec, entry, rt)
+            return real(spec, *args)
 
-        monkeypatch.setattr(broker_mod, "execute_query", boom)
+        monkeypatch.setattr(broker_mod, "dispatch", boom)
         with DetectionService(quota=1, workers=1,
                               metrics=MetricsRegistry()) as svc:
             svc.register_graph(_graph(), name="g")
@@ -394,7 +402,7 @@ class TestCacheCoalesceQuota:
                                     seed={"seed": 1}))
 
 
-# ------------------------------------------- caller-thread execution
+# ------------------------------------------------- execution on the fleet
 
 
 def _cliques(n_cliques=100):
@@ -413,19 +421,19 @@ def _path_spec(seed, **kw):
 
 
 class _Gate:
-    """An ``execute_query`` that parks each execution until released and
-    records how many ran at once."""
+    """A ``dispatch`` that parks each execution, holding its worker, until
+    released, and records how many were held at once."""
 
     def __init__(self, monkeypatch, fail=None):
-        self.real = broker_mod.execute_query
+        self.real = broker_mod.dispatch
         self.fail = fail
         self.entered = threading.Semaphore(0)
         self.release = threading.Event()
         self.lock = threading.Lock()
         self.running = self.peak = 0
-        monkeypatch.setattr(broker_mod, "execute_query", self)
+        monkeypatch.setattr(broker_mod, "dispatch", self)
 
-    def __call__(self, spec, entry, rt):
+    def __call__(self, *args):
         with self.lock:
             self.running += 1
             self.peak = max(self.peak, self.running)
@@ -434,7 +442,7 @@ class _Gate:
             assert self.release.wait(timeout=30)
             if self.fail is not None:
                 raise self.fail
-            return self.real(spec, entry, rt)
+            return self.real(*args)
         finally:
             with self.lock:
                 self.running -= 1
@@ -494,20 +502,6 @@ class TestCallerThreadExecution:
             svc.close()
         _wait_for(lambda: added() == [])  # a handler may still be returning
 
-    def test_the_query_runs_on_the_thread_that_asked(self, monkeypatch):
-        real = broker_mod.execute_query
-        ran_on = []
-
-        def spy(spec, entry, rt):
-            ran_on.append(threading.current_thread())
-            return real(spec, entry, rt)
-
-        monkeypatch.setattr(broker_mod, "execute_query", spy)
-        with DetectionService(metrics=MetricsRegistry()) as svc:
-            svc.register_graph(_graph(), name="g")
-            svc.query(_path_spec(1))
-        assert ran_on == [threading.current_thread()]
-
     def test_one_worker_slot_serialises_distinct_queries(self, monkeypatch):
         gate = _Gate(monkeypatch)
         with DetectionService(workers=1, metrics=MetricsRegistry()) as svc:
@@ -523,58 +517,33 @@ class TestCallerThreadExecution:
                 assert _join(box)["result"].payload["ok"]
         assert gate.peak == 1
 
-    @pytest.mark.parametrize("mode, at_once", [
-        # computing on the callers' threads, two at once are slower than
-        # one after the other: they take turns whatever `workers` says
-        ("sequential", 1),
-        # the work is in worker processes: `workers` executions at once
-        ("process", 2),
-    ])
-    def test_only_process_mode_executes_workers_queries_at_once(
-            self, monkeypatch, mode, at_once):
+    @pytest.mark.parametrize("mode", ["sequential", "simulated", "threaded",
+                                      "process"])
+    def test_workers_run_at_once_in_every_mode(self, monkeypatch, mode):
+        """``workers`` means worker processes whatever the mode: two of
+        three distinct queries hold a worker at once, the third waits for
+        one, and the two ran in two processes other than this one (a
+        process or threaded runtime runs sequentially in its worker)."""
         gate = _Gate(monkeypatch)
         with DetectionService(workers=2, metrics=MetricsRegistry(),
                               runtime_config={"mode": mode}) as svc:
             svc.register_graph(_graph(), name="g")
             boxes = [_in_thread(lambda s=s: svc.query(_path_spec(s)))
                      for s in (1, 2, 3)]
-            for _ in range(at_once):
+            for _ in range(2):
                 assert gate.entered.acquire(timeout=10)
             _wait_for(lambda: svc.broker.describe()["inflight"]
                       == {"default": 3})
-            assert not gate.entered.acquire(timeout=0.1)  # the rest queue
+            assert not gate.entered.acquire(timeout=0.1)  # the third waits
             gate.release.set()
-            for box in boxes:
-                assert _join(box)["result"].payload["ok"]
-        assert gate.peak == at_once
-
-    def test_turns_are_first_come_first_served(self):
-        """The turn goes to whoever waited longest, never back to the
-        thread that gave it up while someone is in line (a semaphore lets
-        it: the second client of a busy service then waits seconds)."""
-        turns = _Turns()
-        assert turns.acquire()
-        order, go = [], threading.Event()
-
-        def wait_in_line(name):
-            assert turns.acquire(timeout=30)
-            order.append(name)
-            assert go.wait(timeout=30)
-            turns.release()
-
-        boxes = []
-        for name in "abc":
-            boxes.append(_in_thread(lambda name=name: wait_in_line(name)))
-            _wait_for(lambda: len(turns._waiting) == len(boxes))
-        assert not turns.acquire(timeout=0.05)  # timed out and left the line
-        assert len(turns._waiting) == 3
-        turns.release()
-        assert not turns.acquire(timeout=0)  # handed over, not up for grabs
-        go.set()
-        for box in boxes:
-            assert "error" not in _join(box)
-        assert order == ["a", "b", "c"]
-        assert turns.acquire(timeout=0)  # nobody left: free again
+            outs = [_join(box)["result"] for box in boxes]
+            pids = {s["pid"] for out in outs
+                    for s in svc.get_trace(out.trace_id)["spans"]
+                    if s["name"] == "engine.round"}
+        assert gate.peak == 2
+        assert len(pids) == 2 and os.getpid() not in pids
+        for out, seed in zip(outs, (1, 2, 3)):
+            assert out.result == _standalone(_path_spec(seed), _graph())
 
     @pytest.mark.parametrize("failure, joiner_sees", [
         (RuntimeError("synthetic failure"), RuntimeError),
@@ -596,7 +565,7 @@ class TestCallerThreadExecution:
                 assert isinstance(_join(box)["error"], joiner_sees)
             assert svc.broker.stats["errors"] == 1  # one execution failed
             assert svc.broker.describe()["inflight"] == {}
-            monkeypatch.setattr(broker_mod, "execute_query", gate.real)
+            monkeypatch.setattr(broker_mod, "dispatch", gate.real)
             assert svc.query(_path_spec(1)).payload["ok"]  # nothing cached
 
     def test_close_waits_for_the_query_in_flight(self, monkeypatch):
@@ -704,6 +673,221 @@ class TestCallerThreadExecution:
         by_seed = {}
         for seed, out in outcomes:
             assert by_seed.setdefault(seed, out.result) == out.result
+
+
+def _census():
+    return (sorted(glob.glob("/dev/shm/psm_*")), sorted(_service_threads()),
+            threading.active_count(), len(multiprocessing.active_children()))
+
+
+def _crashes():
+    return [e for e in get_flight_recorder().events()
+            if e["kind"] == "worker_crash"]
+
+
+class TestFleet:
+    """The fleet's own contract: who answers, what a worker's death or an
+    interrupted caller costs, and what is left after ``close()``."""
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_is_refused(self, workers):
+        with pytest.raises(ConfigurationError, match="workers"):
+            QueryBroker(GraphRegistry(), metrics=MetricsRegistry(),
+                        workers=workers)
+
+    def test_a_released_slot_goes_to_whoever_waited_longest(self):
+        """Never back to the thread that gave it up while someone is in
+        line (left up for grabs, the releasing thread asks again before
+        the one it woke holds the GIL, and a busy service's second client
+        waits seconds); a caller that times out leaves the line."""
+        fleet = QueryFleet(1)
+        try:
+            held = fleet.acquire()
+            order, go = [], threading.Event()
+
+            def wait_in_line(name):
+                slot = fleet.acquire(timeout=30)
+                assert slot is held
+                order.append(name)
+                assert go.wait(timeout=30)
+                fleet.release(slot)
+
+            boxes = []
+            for name in "abc":
+                boxes.append(_in_thread(lambda name=name: wait_in_line(name)))
+                _wait_for(lambda: len(fleet._waiting) == len(boxes))
+            assert fleet.acquire(timeout=0.05) is None  # timed out, left
+            assert len(fleet._waiting) == 3
+            fleet.release(held)
+            assert fleet.acquire(timeout=0) is None  # handed over, not free
+            go.set()
+            for box in boxes:
+                assert "error" not in _join(box)
+            assert order == ["a", "b", "c"]
+            assert fleet.acquire(timeout=0) is held  # nobody left: idle again
+        finally:
+            fleet.close()
+        assert not multiprocessing.active_children()  # holding forks nothing
+
+    def test_default_workers_are_the_cpus_this_process_may_use(self):
+        broker = QueryBroker(GraphRegistry(), metrics=MetricsRegistry())
+        try:
+            assert broker._fleet.workers == MidasRuntime().get_workers()
+        finally:
+            broker.close()
+
+    @pytest.mark.parametrize("mode", ["sequential", "simulated"])
+    def test_served_replies_equal_a_standalone_run(self, mode):
+        g = _graph(seed=4)
+        config = {"mode": mode}
+        if mode == "simulated":
+            config.update(n_processors=4, n1=2)
+        specs = [
+            QuerySpec(kind="detect-path", graph="g", k=4, eps=0.25,
+                      seed={"seed": 41}),
+            QuerySpec(kind="detect-tree", graph="g", k=4, eps=0.25,
+                      seed={"seed": 42}, template="binary"),
+            QuerySpec(kind="scan", graph="g", k=3, eps=0.25, seed={"seed": 43},
+                      weights=tuple(i % 2 for i in range(g.n))),
+        ]
+        with DetectionService(workers=2, metrics=MetricsRegistry(),
+                              runtime_config=config) as svc:
+            entry = svc.register_graph(g, name="g")
+            boxes = [_in_thread(lambda s=s: svc.query(s)) for s in specs]
+            served = [_join(box)["result"] for box in boxes]
+        for spec, out in zip(specs, served):
+            alone, _ = execute_query(spec, entry,
+                                     MidasRuntime(metrics=MetricsRegistry(),
+                                                  **config))
+            assert canonical_result(out.payload) == canonical_result(alone)
+            assert out.payload["runtime"]["mode"] == mode
+
+    def test_close_leaves_no_worker_segment_or_thread(self):
+        before = _census()
+        svc = DetectionService(workers=2, metrics=MetricsRegistry()).start()
+        svc.register_graph(_graph(seed=1), name="one")
+        svc.register_graph(_graph(seed=2), name="two")
+
+        def ask(graph, seed):
+            return svc.query(QuerySpec(kind="detect-path", graph=graph, k=4,
+                                       eps=0.3, seed={"seed": seed}))
+
+        assert ask("one", 1).payload["ok"]  # the first worker starts
+        gate = threading.Barrier(2)
+
+        def ask_two_at_once(seed):
+            gate.wait(timeout=10)
+            return ask("two", seed)
+
+        boxes = [_in_thread(lambda s=s: ask_two_at_once(s)) for s in (2, 3)]
+        for box in boxes:
+            assert _join(box)["result"].payload["ok"]
+        assert len(multiprocessing.active_children()) == 2
+        assert glob.glob("/dev/shm/psm_*")  # the graphs reached them here
+        svc.close()
+        assert _census() == before
+
+    def test_a_workers_session_shows_in_api_service_and_the_gauge(self):
+        """``/api/service`` lists the engine session each worker answered
+        on, under that worker's pid, and the ``midas_service_sessions``
+        gauge counts it; a worker that dies takes its session along."""
+        with DetectionService(workers=1, metrics=MetricsRegistry()) as svc:
+            svc.register_graph(_graph(), name="g")
+            svc.query(_path_spec(1))
+            svc.query(_path_spec(2))
+            (worker,) = multiprocessing.active_children()
+            svc.serve(0)
+            svc.sweep_now()
+            (graph,) = HttpClient(svc.url).service_info()["graphs"]
+            (session,) = graph["sessions"]
+            assert session["pid"] == worker.pid and session["uses"] == 2
+            assert svc.metrics.snapshot().get("midas_service_sessions") == 1
+            os.kill(worker.pid, signal.SIGKILL)
+            worker.join()
+            assert svc.query(_path_spec(3)).payload["ok"]  # on a new worker
+            svc.sweep_now()
+            (session,) = svc.registry.describe()[0]["sessions"]
+            assert session["pid"] != worker.pid and session["uses"] == 1
+            assert svc.metrics.snapshot().get("midas_service_sessions") == 1
+
+    def test_a_worker_killed_mid_query_costs_one_retry(self):
+        g = _cliques(1000)
+        spec = QuerySpec(kind="detect-path", graph="g", k=10, eps=0.05,
+                         seed={"seed": 3})  # 14 witness-free rounds, ~1 s
+        reference = _standalone(spec, g)
+        before = _census()
+        reset_flight_recorder()
+        svc = DetectionService(workers=1, metrics=MetricsRegistry()).start()
+        try:
+            svc.register_graph(g, name="g")
+            box = _in_thread(lambda: svc.query(spec))
+            _wait_for(lambda: multiprocessing.active_children())
+            (victim,) = multiprocessing.active_children()
+            time.sleep(0.3)  # inside its rounds
+            assert box["thread"].is_alive()
+            os.kill(victim.pid, signal.SIGKILL)
+            out = _join(box)["result"]
+            assert out.result == reference  # the retry is bit-identical
+            assert len(_crashes()) == 1
+            assert [p.pid for p in multiprocessing.active_children()] != [
+                victim.pid]
+            assert svc.query(spec).cache_hit
+        finally:
+            svc.close()
+        assert _census() == before
+
+    def test_a_second_death_fails_leader_and_joiners_and_caches_nothing(
+            self, monkeypatch):
+        # every worker forked from here on dies at its first call
+        monkeypatch.setenv("REPRO_TEST_CRASH_WORKER", "1")
+        before = _census()
+        reset_flight_recorder()
+        gate = _Gate(monkeypatch)
+        with DetectionService(workers=1, metrics=MetricsRegistry()) as svc:
+            svc.register_graph(_graph(), name="g")
+            leader = _in_thread(lambda: svc.query(_path_spec(1), tenant="a"))
+            assert gate.entered.acquire(timeout=10)
+            joiners = [_in_thread(lambda: svc.query(_path_spec(1), tenant="b"))
+                       for _ in range(2)]
+            _wait_for(lambda: svc.broker.stats["coalesced"] == 2)
+            gate.release.set()
+            for box in [leader, *joiners]:
+                assert isinstance(_join(box)["error"], WorkerCrashedError)
+            assert len(_crashes()) == 1  # the first death; the second raised
+            assert svc.broker.describe()["cache_entries"] == 0
+            assert svc.broker.describe()["inflight"] == {}
+            monkeypatch.delenv("REPRO_TEST_CRASH_WORKER")
+            out = svc.query(_path_spec(1))  # a new worker, computed afresh
+            assert not out.cache_hit
+            assert out.result == _standalone(_path_spec(1), _graph())
+        assert _census() == before
+
+    def test_an_interrupted_caller_cancels_its_query_between_two_windows(self):
+        """Ctrl-C while the caller waits: the query is cancelled on its
+        worker, which stops at its next window and replies; the worker is
+        idle again and answers the next query."""
+        if threading.current_thread() is not threading.main_thread():
+            pytest.skip("signals reach the main thread only")
+        spec = QuerySpec(kind="detect-path", graph="g", k=10, eps=1e-6,
+                         seed={"seed": 1})  # 62 witness-free rounds, ~4 s
+        with DetectionService(workers=1, metrics=MetricsRegistry()) as svc:
+            svc.register_graph(_cliques(1000), name="g")
+            assert svc.query(_path_spec(1)).payload["ok"]  # the worker is up
+            (worker,) = multiprocessing.active_children()
+            interrupt = threading.Timer(0.3, signal.pthread_kill,
+                                        (threading.get_ident(), signal.SIGINT))
+            t0 = time.monotonic()
+            interrupt.start()
+            with pytest.raises(KeyboardInterrupt):
+                svc.query(spec)
+            stopped = time.monotonic() - t0
+            interrupt.join()
+            assert stopped < 1.5
+            assert svc.broker.describe()["inflight"] == {}
+            out = svc.query(_path_spec(2))
+            assert multiprocessing.active_children() == [worker]
+            assert {s["pid"] for s in svc.get_trace(out.trace_id)["spans"]
+                    if s["name"] == "engine.round"} == {worker.pid}
 
 
 # ------------------------------------------------------------ worker heaps
@@ -817,15 +1001,15 @@ class TestHttpTransport:
             HttpClient("ftp://x")
 
     def test_http_quota_maps_to_429(self, monkeypatch):
-        real = broker_mod.execute_query
+        real = broker_mod.dispatch
         started, release = threading.Event(), threading.Event()
 
-        def slow(spec, entry, rt):
+        def slow(*args):
             started.set()
             assert release.wait(timeout=30)
-            return real(spec, entry, rt)
+            return real(*args)
 
-        monkeypatch.setattr(broker_mod, "execute_query", slow)
+        monkeypatch.setattr(broker_mod, "dispatch", slow)
         svc = DetectionService(quota=1, metrics=MetricsRegistry())
         try:
             svc.register_graph(_graph(), name="g")
