@@ -277,7 +277,8 @@ class MidasRuntime:
                 f"hang_timeout must be > 0, got {self.hang_timeout}"
             )
 
-    def schedule_for(self, k: int, n: int = 0) -> PhaseSchedule:
+    def schedule_for(self, k: int, n: int = 0, field_degree: Optional[int] = None,
+                     payload: int = 1) -> PhaseSchedule:
         """The ``(k, N, N1, N2)`` schedule of a ``2^k``-iteration round on
         an ``n``-vertex graph.
 
@@ -287,8 +288,10 @@ class MidasRuntime:
         per-lane cost falls with it — halved, never below one 64-lane
         word, until each of the mode's workers has a window
         (``2^k / N2 >= workers``) and the plane-resident state of an
-        ``n``-vertex graph (``8 l n N2 / 64`` bytes) fits
-        :data:`_STATE_BYTES`; ``n = 0`` (size unknown) skips the latter.
+        ``n``-vertex graph fits :data:`_STATE_BYTES`: ``8 l n N2 / 64``
+        bytes per weight cell, over ``payload`` cells (a spec's
+        ``payload``), in the field of degree ``l = field_degree``
+        (default: a k-path's).  ``n = 0`` (size unknown) skips the budget.
         """
         total = 1 << k
         n2 = self.n2
@@ -296,7 +299,8 @@ class MidasRuntime:
             if self.mode in _WHOLE_GRAPH_MODES:
                 n2 = min(total, 1024)
                 workers = 1 if self.mode == "sequential" else self.get_workers()
-                word_bytes = 8 * field_degree_for_k(k) * n
+                ell = field_degree_for_k(k) if field_degree is None else field_degree
+                word_bytes = 8 * ell * n * payload
                 while n2 > 64 and (total // n2 < workers
                                    or word_bytes * (n2 // 64) > _STATE_BYTES):
                     n2 //= 2
@@ -1108,29 +1112,29 @@ class EngineSession:
                     self._views = build_halo_views(self.graph, part)
             return self._views
 
-    def field_for_k(self, k: int, strategy: Optional[str] = None,
+    def field_for_k(self, d: int, strategy: Optional[str] = None,
                     prof=_UNPROFILED):
-        """The GF(2^l) table set for iteration exponent ``k``, cached per
-        ``(field degree, kernel strategy)`` (many ``k`` share one degree).
+        """The GF(2^l) table set of a polynomial of degree ``d`` in the
+        ``y``s (``d = k`` for a k-path), cached per
+        ``(field degree, kernel strategy)`` (many ``d`` share one degree).
 
         ``strategy`` is the *resolved* kernel for this use site (from
         :meth:`MidasRuntime.resolve_kernel`); ``None`` falls back to the
         session's ``kernel`` knob taken literally (``"auto"`` builds a
         default-strategy field).
         """
-        from repro.ff.gf2m import default_field_for_k, field_degree_for_k
+        from repro.ff.gf2m import default_field_for_k
 
         if strategy is None:
             strategy = self.kernel
-        deg = field_degree_for_k(k)
-        key = (deg, strategy)
+        key = (field_degree_for_k(d), strategy)
         with self._lock:
             fld = self._fields.get(key)
             if fld is None:
                 kernel = None if strategy == "auto" else strategy
                 with prof.span("engine.field", phase="setup", callsite=strategy):
                     fld = self._fields[key] = default_field_for_k(
-                        k, kernel_strategy=kernel)
+                        d, kernel_strategy=kernel)
             return fld
 
     def get_calibration(self) -> KernelCalibration:
@@ -1437,7 +1441,7 @@ class DetectionEngine:
         for single-cell queries).
         """
         rt = self.rt
-        sched = rt.schedule_for(spec.k, self.graph.n)
+        sched = rt.schedule_for(spec.k, self.graph.n, spec.field.m, spec.payload)
         # the stage is a span too: what this run has to build for it (pool,
         # partition, halo) and its rounds nest inside
         with self.prof.span("engine.stage", lane="engine",

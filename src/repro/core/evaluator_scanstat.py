@@ -38,6 +38,17 @@ from repro.ff.fingerprint import Fingerprint
 from repro.graph.csr import CSRGraph
 
 
+def scan_y_degree(dim: int) -> int:
+    """Degree in the fingerprint's ``y``s of size row ``dim``'s polynomial,
+    which sizes its field (:func:`repro.ff.gf2m.field_degree_for_k`).
+
+    A size-``j`` term has ``j`` base ``y``s and is built by ``j - 1``
+    joins, each multiplying in one join coefficient: ``2j - 1``.  Rows 1
+    and 2 take row 2's degree, as they always took row 2's field.
+    """
+    return 2 * max(dim, 2) - 1
+
+
 def scanstat_recurrence(weights: np.ndarray, dim: int, z_max: int) -> Recurrence:
     """``P(., j, .) = y(j) * sum_{j1 + j2 = j} P(., j1, .) (*) S(j2)`` where
     ``S(j2)`` is the neighbour sum of ``P(., j2, .)`` and ``(*)`` is the

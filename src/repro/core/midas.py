@@ -39,6 +39,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from repro.core.engine import DetectionEngine, EngineSession, MidasRuntime
+from repro.core.evaluator_scanstat import scan_y_degree
 from repro.core.evaluator_wpath import check_weights
 from repro.core.problems import (
     ProblemSpec,
@@ -50,6 +51,7 @@ from repro.core.problems import (
 from repro.core.result import DetectionResult, RoundRecord, ScanGridResult
 from repro.core.schedule import rounds_for_epsilon
 from repro.errors import ConfigurationError
+from repro.ff.gf2m import field_degree_for_k
 from repro.graph.csr import CSRGraph
 from repro.graph.templates import TreeTemplate
 from repro.util.log import get_logger
@@ -58,21 +60,22 @@ from repro.util.rng import as_stream
 _LOG = get_logger(__name__)
 
 
-def _field_for(engine: DetectionEngine, k: int):
-    """The GF(2^l) tables for ``k`` with the kernel the runtime resolves,
-    from the engine's session cache (per ``(degree, strategy)``).
+def _field_for(engine: DetectionEngine, k: int, y_degree: Optional[int] = None):
+    """The GF(2^l) tables of a ``2^k``-iteration stage whose polynomial has
+    degree ``y_degree`` (default ``k``) in the ``y``s, with the kernel the
+    runtime resolves, from the engine's session cache (per
+    ``(degree, strategy)``).
 
     Every driver resolves the same way: the level-DP core keeps any
     problem kind plane-resident once a bit-sliced field is handed to it.
     (``field=None`` would make the problem factory build a
     default-kernel field, losing the resolution.)
     """
-    from repro.ff.gf2m import field_degree_for_k
-
+    d = k if y_degree is None else y_degree
     rt = engine.rt
-    strategy = rt.resolve_kernel(field_degree_for_k(k),
-                                 rt.schedule_for(k, engine.graph.n).n2)
-    return engine.session.field_for_k(k, strategy=strategy, prof=engine.prof)
+    m = field_degree_for_k(d)
+    strategy = rt.resolve_kernel(m, rt.schedule_for(k, engine.graph.n, m).n2)
+    return engine.session.field_for_k(d, strategy=strategy, prof=engine.prof)
 
 
 def _run_scalar_detection(
@@ -231,7 +234,7 @@ def detect_scan_cell(
     rng = as_stream(rng, "scan-cell")
     with DetectionEngine(graph, rt, "scanstat") as engine:
         spec = scanstat_problem(graph, w, size, z_max=weight,
-                                field=_field_for(engine, max(size, 2)))
+                                field=_field_for(engine, size, scan_y_degree(size)))
         out = engine.run_stage(spec, rounds, rng, eps=eps,
                                stop=lambda acc: acc[weight] != 0)
         hit = bool(out.values and out.values[-1][weight] != 0)
@@ -282,7 +285,7 @@ def scan_grid(
         for j in sizes:
             out = engine.run_stage(
                 scanstat_problem(graph, w, j, z_max,
-                                 field=_field_for(engine, max(j, 2))), rounds,
+                                 field=_field_for(engine, j, scan_y_degree(j))), rounds,
                 rng.child(f"size{j}"), eps=eps,
                 key_prefix=f"size{j}/", label=f"size{j}",
                 want_estimate=(rt.mode == "modeled"),

@@ -29,7 +29,7 @@ from typing import Any, Dict, Optional, Union
 import numpy as np
 
 from repro.core.evaluator_path import path_recurrence
-from repro.core.evaluator_scanstat import scanstat_recurrence
+from repro.core.evaluator_scanstat import scan_y_degree, scanstat_recurrence
 from repro.core.evaluator_tree import tree_recurrence
 from repro.core.evaluator_wpath import check_weights, weighted_path_recurrence
 from repro.core.leveldp import Recurrence, run_whole_graph
@@ -56,7 +56,7 @@ class ProblemSpec:
     name: str  # metrics / trace label family ("k-path", "scanstat", ...)
     k: int  # iteration-space exponent: the round covers 2^k iterations
     levels: int  # fingerprint levels to draw per round
-    field: Any  # GF(2^l) arithmetic table set
+    field: Any  # GF(2^l) table set, sized by the polynomial's degree in the y's
     payload: int  # accumulator width: 1 = scalar, else z_max + 1
     recurrence: Recurrence  # the DP, run by either repro.core.leveldp driver
     model_problem: str = "path"  # `problem` arg of estimate_runtime
@@ -123,8 +123,9 @@ def path_problem(graph: CSRGraph, k: int, field: Any = None) -> ProblemSpec:
     ``field`` optionally supplies a prebuilt GF(2^l) table set (an
     :class:`~repro.core.engine.EngineSession` caches one per degree so
     repeated queries skip table construction); the default builds a
-    fresh ``default_field_for_k(k)``.  Either way the tables are
-    identical, so results never depend on who built them.
+    fresh ``default_field_for_k(k)`` — the polynomial has degree ``k`` in
+    the ``y``s, as do the tree and weighted-path ones.  Either way the
+    tables are identical, so results never depend on who built them.
     """
     fld = field if field is not None else default_field_for_k(k)
     return ProblemSpec(
@@ -207,7 +208,7 @@ def scanstat_problem(
     at once (the driver assembles the full grid from one spec per size).
     """
     w = check_weights(graph.n, weights, z_max)
-    fld = field if field is not None else default_field_for_k(max(size, 2))
+    fld = field if field is not None else default_field_for_k(scan_y_degree(size))
     return ProblemSpec(
         name="scanstat",
         k=size,

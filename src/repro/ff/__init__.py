@@ -1,7 +1,10 @@
 """Finite-field arithmetic substrate.
 
 MIDAS evaluates its polynomials over the group algebra
-``GF(2^l)[Z_2^k]`` with ``l = 3 + ceil(log2 k)``.  This subpackage provides:
+``GF(2^l)[Z_2^k]``, with ``l`` the smallest degree that keeps a round's
+success at least 1/5 for the polynomial's degree in the ``y``s
+(:func:`repro.ff.gf2m.field_degree_for_k`; smaller than the paper's
+``3 + ceil(log2 k)`` for every ``k >= 2``).  This subpackage provides:
 
 * :mod:`repro.ff.poly2` — polynomials over GF(2) packed into machine ints,
   with an irreducibility test used to construct field moduli;

@@ -110,7 +110,8 @@ class Fingerprint:
     ) -> "Fingerprint":
         """Draw a fresh fingerprint for ``n`` nodes and degree ``k``.
 
-        ``levels`` defaults to ``k`` (one coefficient per DP level).
+        ``levels`` defaults to ``k`` (one coefficient per DP level), and
+        ``field`` to a k-path's (``default_field_for_k(k)``).
         """
         if n < 1:
             raise ConfigurationError(f"need at least one node, got n={n}")

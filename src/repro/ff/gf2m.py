@@ -11,7 +11,7 @@ factor in pure Python by doing the arithmetic on whole numpy arrays:
   ``where``), or, for ``m <= 8``, one dense ``2^m x 2^m`` product table
   stored flat and read with one gather, ``flat.take((a << m) | b)`` —
   measured fastest for the uint8 fields MIDAS actually uses
-  (``m = 3 + ceil(log2 k) <= 8`` for ``k <= 18``; the ledger's
+  (:func:`field_degree_for_k` gives ``m <= 6`` for ``k <= 19``; the ledger's
   ``ff.mul_ns.table`` against ``.logexp``).  Every table read is a ``take``
   with the narrowest index that holds it: numpy serves a two-array advanced
   index at about 6 ns per element, a flat ``take`` at about 1.3.
@@ -25,7 +25,6 @@ instead of reading a neighbouring table row.
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 import numpy as np
@@ -324,21 +323,42 @@ class GF2m:
         return f"GF2m(m={self.m}, modulus={bin(self.modulus)}, kernel={self.kernel_strategy})"
 
 
-def field_degree_for_k(k: int) -> int:
-    """The paper's field size rule: ``l = 3 + ceil(log2 k)`` (min 3)."""
-    if k < 1:
-        raise FieldError(f"k must be >= 1, got {k}")
-    return 3 + (math.ceil(math.log2(k)) if k > 1 else 0)
+#: a lower bound, for every k, on ``prod_{j=1..k} (1 - 2^-j)``: the chance
+#: that a term's k random vectors of ``Z_2^k`` are linearly independent
+#: (0.2887, in ten-thousandths)
+_FULL_RANK_E4 = 2887
+
+
+def field_degree_for_k(d: int) -> int:
+    """The smallest field degree ``l >= 3`` that keeps a round's success
+    at least 1/5 for a polynomial of degree ``d`` in the fingerprint's ``y``s.
+
+    A witness survives a round when its vectors are independent (probability
+    above 0.2887) and its ``y``-polynomial does not vanish at the drawn
+    nonzero ``y``s (Schwartz–Zippel over ``2^l - 1`` values: miss at most
+    ``d / (2^l - 1)``); docs/THEORY.md §4.  A k-path, k-tree or weighted
+    k-path has ``d = k``, so ``field_degree_for_k(k)`` is a k-path's field;
+    a scan-grid row adds its join coefficients
+    (:func:`repro.core.evaluator_scanstat.scan_y_degree`).
+    """
+    if d < 1:
+        raise FieldError(f"the y-degree must be >= 1, got {d}")
+    ell = 3
+    # 0.2887 * (1 - d / q) >= 1/5 over the q = 2^l - 1 nonzero y, exactly
+    while 5 * _FULL_RANK_E4 * ((1 << ell) - 1 - d) < 10_000 * ((1 << ell) - 1):
+        ell += 1
+    return ell
 
 
 def default_field_for_k(
-    k: int, mul_strategy: str = "auto", kernel_strategy: Optional[str] = None
+    d: int, mul_strategy: str = "auto", kernel_strategy: Optional[str] = None
 ) -> GF2m:
-    """Construct ``GF(2^(3 + ceil(log2 k)))`` as used by Williams' refinement.
+    """``GF(2^field_degree_for_k(d))``: the field of a k-path (``d = k``),
+    or of any kind whose polynomial has degree ``d`` in the ``y``s.
 
-    For every subgraph size the paper evaluates (``k <= 18``) this is at most
-    ``GF(2^8)``, so elements fit in a byte and the dense product table wins
+    For every k-path the paper evaluates (``k <= 18``) this is at most
+    ``GF(2^6)``, so elements fit in a byte and the dense product table wins
     for element-wise calls; plane-resident evaluators may prefer
     ``kernel_strategy="bitsliced"`` (see the kernel calibration).
     """
-    return GF2m(field_degree_for_k(k), mul_strategy=mul_strategy, kernel_strategy=kernel_strategy)
+    return GF2m(field_degree_for_k(d), mul_strategy=mul_strategy, kernel_strategy=kernel_strategy)

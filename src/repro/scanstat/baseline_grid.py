@@ -27,6 +27,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.core.evaluator_scanstat import scan_y_degree
 from repro.core.schedule import rounds_for_epsilon
 from repro.ff.fingerprint import Fingerprint
 from repro.ff.gf2m import default_field_for_k
@@ -154,7 +155,7 @@ def baseline_scan_grid(
     rng = as_stream(rng, "baseline-grid")
     detected = np.zeros((k + 1, zw_max + 1, b_max + 1), dtype=bool)
     for j in range(1, k + 1):
-        fld = default_field_for_k(max(j, 2))
+        fld = default_field_for_k(scan_y_degree(j))
         total = 1 << j
         nn2 = min(n2 or 16, total)
         while total % nn2:

@@ -21,6 +21,7 @@ from repro.errors import (
     ConfigurationError,
     WatchdogExpired,
 )
+from repro.ff.gf2m import GF2m
 from repro.graph.csr import CSRGraph
 from repro.graph.templates import TreeTemplate
 from repro.obs.live import LiveRun, ROUND_FAILURE
@@ -431,6 +432,27 @@ class TestResumeIdentity:
         # ...and the directory now belongs to this question
         again = self._run(islands, tmp_path, resume=True)
         assert _values(again) == _values(fresh)
+
+    def test_a_checkpoint_in_the_papers_field_is_refused(self, tmp_path):
+        """Round values of a k = 10 stage written in the paper's GF(2^7) are
+        another evaluation than this build's GF(2^6): refused by name, and
+        recomputed under ``allow_restart``."""
+        g = clique_islands(n_cliques=2, size=12)
+        fresh = self._run(g, tmp_path / "fresh", k=10)
+        assert fresh.found
+        self._run(g, tmp_path, k=10)
+        path = tmp_path / CHECKPOINT_FILE
+        state = read_envelope(path)
+        for engine in state["engines"].values():
+            for stage in engine["stages"].values():
+                assert stage["identity"]["field_degree"] == 6
+                stage["identity"].update(field_degree=7, field_modulus=GF2m(7).modulus)
+        write_envelope(path, state)
+        with pytest.raises(CheckpointCorruptError, match="different field_degree ") as err:
+            self._run(g, tmp_path, k=10, resume=True)
+        assert err.value.reason == "identity"
+        res = self._run(g, tmp_path, k=10, resume=True, allow_restart=True)
+        assert res.found and _values(res) == _values(fresh)
 
     def test_the_same_question_still_resumes(self, witnessed, tmp_path):
         res = self._run(witnessed, tmp_path, resume=True)

@@ -80,7 +80,7 @@ class TestFingerprint:
 
     def test_default_field_matches_k(self):
         fp = Fingerprint.draw(5, 10, RngStream(2))
-        assert fp.field.m == 7  # 3 + ceil(log2 10)
+        assert fp.field.m == 6  # a 10-path's field: field_degree_for_k(10)
 
     def test_level_base_block_is_masked_coefficient(self):
         fp = Fingerprint.draw(8, 4, RngStream(3))

@@ -1,10 +1,14 @@
 """Field-axiom and kernel tests for vectorized GF(2^m)."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.evaluator_scanstat import scan_y_degree
 from repro.errors import FieldError
 from repro.ff.gf2m import GF2m, default_field_for_k, field_degree_for_k
 from repro.ff.poly2 import poly_mulmod
@@ -33,12 +37,46 @@ def reference_mul(field, a, b):
     return np.array(out, dtype=field.dtype).reshape(a.shape)
 
 
+def _round_success_bound(k: int, d: int, ell: int) -> Fraction:
+    """Williams' per-round success bound for a degree-``d`` polynomial in
+    the ``y``s over ``Z_2^k`` and nonzero ``y`` in GF(2^ell): full rank
+    times the Schwartz–Zippel non-vanishing bound."""
+    full_rank = Fraction(1)
+    for j in range(1, k + 1):
+        full_rank *= 1 - Fraction(1, 2 ** j)
+    return full_rank * (1 - Fraction(d, 2 ** ell - 1))
+
+
 class TestConstruction:
+    def test_one_fifth_bound_holds_and_one_degree_less_breaks_it(self):
+        """``field_degree_for_k(d)`` is the smallest field keeping a round's
+        success >= 1/5 (miss <= 0.8^rounds) for a y-degree ``d``."""
+        for k in range(1, 64):
+            for d in (k, 2 * k - 1):  # a k-path; a scan row's join coefficients
+                ell = field_degree_for_k(d)
+                assert _round_success_bound(k, d, ell) >= Fraction(1, 5), (k, d, ell)
+                # minimal against the rule's k-free full-rank bound, 0.2887
+                if ell > 3:
+                    assert (Fraction(2887, 10000)
+                            * (1 - Fraction(d, 2 ** (ell - 1) - 1))
+                            < Fraction(1, 5)), (k, d, ell)
+
     def test_field_size_rule(self):
-        assert field_degree_for_k(1) == 3
-        assert field_degree_for_k(2) == 4
-        assert field_degree_for_k(10) == 7
-        assert field_degree_for_k(18) == 8
+        for d, paper, ell in [
+            (10, 7, 6),  # kpath_dense
+            (11, 7, 6),  # kpath_wide_proc
+            (8, 6, 5),   # sim_scaling; kinds_elementwise's binary(8) tree
+            (6, 6, 5),   # service_mixed's k-path; kinds_elementwise's weighted path
+            (5, 6, 5),   # service_mixed's k-tree
+            (9, 7, 5),   # scan-grid row 5 (2·5 − 1); a k = 9 path, the tightest
+        ]:
+            assert 3 + math.ceil(math.log2(d)) == paper
+            assert field_degree_for_k(d) == ell, d
+        assert {field_degree_for_k(k) for k in range(10, 20)} == {6}
+        assert (field_degree_for_k(1), field_degree_for_k(20)) == (3, 7)
+        assert [scan_y_degree(j) for j in range(1, 6)] == [3, 3, 5, 7, 9]
+        with pytest.raises(FieldError):
+            field_degree_for_k(0)
 
     def test_default_field_dtype_is_byte_for_paper_range(self):
         for k in (2, 5, 10, 18):

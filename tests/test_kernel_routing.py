@@ -12,6 +12,7 @@ the ``kernel="table"`` run's.
 import pytest
 
 from repro.core.engine import EngineSession, MidasRuntime
+from repro.core.evaluator_scanstat import scan_y_degree
 from repro.core.midas import detect_path, detect_tree, max_weight_path, scan_grid
 from repro.ff.gf2m import field_degree_for_k
 from repro.graph.generators import erdos_renyi, plant_path
@@ -69,14 +70,16 @@ def test_auto_routes_planes_by_mode_and_width_only(driver, mode, k, inputs):
     g, w = inputs
     answer, log, fields, rt = _run(driver, g, w, k, mode, "auto")
 
-    # one stage per call, except the grid: one per size row (field of max(j, 2))
-    stage_ks = [max(j, 2) for j in range(1, k + 1)] if driver == "scan_grid" else [k]
+    # one stage per call, except the grid: one per size row, whose field
+    # counts the row's join coefficients
+    stages = ([(j, scan_y_degree(j)) for j in range(1, k + 1)]
+              if driver == "scan_grid" else [(k, k)])
     expected = {
         "{}/{}".format(
-            field_degree_for_k(kf),
-            "bitsliced" if mode in WHOLE_GRAPH and rt.schedule_for(kf).n2 >= 64
+            field_degree_for_k(d),
+            "bitsliced" if mode in WHOLE_GRAPH and rt.schedule_for(j).n2 >= 64
             else "table")
-        for kf in stage_ks
+        for j, d in stages
     }
     assert set(fields) == expected
     assert any(f.endswith("/bitsliced") for f in fields) == (

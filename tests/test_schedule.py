@@ -237,6 +237,43 @@ class TestRuntimeScheduleFor:
             # an explicit n2 is never second-guessed
             assert MidasRuntime(n2=1 << k).schedule_for(k, n).n2 == 1 << k
 
+    def test_state_budget_counts_the_weight_axis_and_the_kinds_field(self):
+        """A weighted state is ``payload`` plane states; the budget counts
+        them, in the field the kind really uses."""
+        from repro.core.midas import MidasRuntime
+        from repro.ff.gf2m import field_degree_for_k
+
+        rt = MidasRuntime()
+        # max_weight_path k = 9, z_max = 27 on 400 vertices: 28 states of
+        # 8 * 5 * 400 B per word; one word of them is already 438 KiB
+        assert rt.schedule_for(9, 400).n2 == 512
+        assert rt.schedule_for(9, 400, field_degree_for_k(9), payload=28).n2 == 64
+        # the kind's own field degree: a wider field narrows the window
+        assert rt.schedule_for(10, 1500).n2 == 1024 // 2
+        assert rt.schedule_for(10, 1500, field_degree=14).n2 == 1024 // 4
+
+    def test_weighted_path_runs_in_the_narrow_window_with_equal_digests(self):
+        from repro.core.midas import MidasRuntime, max_weight_path
+        from repro.graph.generators import erdos_renyi, plant_path
+        from repro.sanitize import DigestLog
+        from repro.util.rng import RngStream
+
+        g = erdos_renyi(400, 3200, rng=RngStream(1, name="g"))
+        g, _ = plant_path(g, 9, rng=RngStream(2, name="p"))
+        w = RngStream(3, name="w").integers(0, 4, size=g.n)
+
+        def run(n2):
+            log = DigestLog()
+            best = max_weight_path(g, 9, w, eps=0.8, rng=RngStream(4), z_max=27,
+                                   runtime=MidasRuntime(n2=n2, digest_log=log))
+            return best, log
+
+        best, log = run(None)
+        assert len(log.phases) == 512 // 64  # one round of 64-lane windows
+        best64, log64 = run(64)
+        assert best == best64 and log.rounds == log64.rounds
+        assert log.phases == log64.phases
+
     def test_ledger_sizes_schedule_alike_with_and_without_n(self):
         """benchmarks/ledger replays ``schedule_for(k)``; the engine asks
         ``schedule_for(k, graph.n)`` — on the ledger's inputs they agree."""

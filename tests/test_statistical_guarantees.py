@@ -1,10 +1,11 @@
 """Statistical guarantees of the one-sided Monte Carlo detector.
 
-The paper's Koutis/Williams argument gives each detection round a
-success probability of at least ~1/4 on a yes-instance (we test against
-the more conservative p = 0.2), and *zero* false-positive probability on
-a no-instance.  Both sides are checked empirically over 400 seeded
-single-round runs:
+The Koutis/Williams argument gives each detection round a success
+probability of at least 1/5 on a yes-instance — each kind's field is the
+smallest that keeps it there (``repro.ff.gf2m.field_degree_for_k``) —
+and *zero* false-positive probability on a no-instance.  Both sides are
+checked empirically over 400 seeded single-round runs, for every problem
+kind:
 
 * yes side: the hit count must clear the one-in-a-million binomial
   lower bound ``scipy.stats.binom.ppf(1e-6, 400, 0.2)`` (= 44), i.e. the
@@ -26,14 +27,16 @@ import pytest
 from scipy.stats import binom
 
 from _test_oracles import has_k_path
-from repro.core.midas import detect_path
+from repro import exact
+from repro.core.midas import detect_path, detect_tree, max_weight_path, scan_grid
 from repro.core.schedule import rounds_for_epsilon
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import erdos_renyi, plant_path
+from repro.graph.templates import TreeTemplate
 from repro.util.rng import RngStream
 
 N_RUNS = 400
-P_LOWER = 0.2  # conservative per-round success bound (paper: >= 1/4)
+P_LOWER = 0.2  # the contract's per-round success bound
 ALPHA = 1e-6  # chance of a false test failure when p == P_LOWER
 SINGLE_ROUND_EPS = 0.8  # rounds_for_epsilon(0.8) == 1
 
@@ -89,6 +92,83 @@ def test_no_instance_never_reports_found(make_graph, k):
     for i in range(N_RUNS):
         res = detect_path(g, k, eps=SINGLE_ROUND_EPS, rng=RngStream(10_000 + i))
         assert not res.found, f"false positive at seed {10_000 + i}"
+
+
+# ------------------------------------------------------------ every kind
+# Each kind's field is the smallest that keeps a round's success >= 1/5 for
+# its polynomial's degree in the y's (repro.ff.gf2m.field_degree_for_k), so
+# these single-witness instances sit on that bound: a k = 9 path and its
+# weighted variant (y-degree 9 in GF(2^5), the tightest below k = 10), a
+# binary(8) tree (8 in GF(2^5)) and scan row 5 (9 = 5 base y's + 4 join
+# coefficients, in GF(2^5)).  The top weight cell is the one only the
+# witness reaches.
+W9 = np.array([2, 0, 3, 1, 2, 3, 0, 1, 2])
+BINARY8 = TreeTemplate.binary(8)
+
+
+def _bare_path(k: int) -> CSRGraph:
+    return CSRGraph.from_edges(k, [(i, i + 1) for i in range(k - 1)], name=f"path{k}")
+
+
+def _triangles(n: int) -> CSRGraph:
+    """Disjoint triangles: no connected subgraph on more than 3 vertices."""
+    return CSRGraph.from_edges(
+        3 * n, [(3 * t + a, 3 * t + b) for t in range(n) for a, b in ((0, 1), (1, 2), (0, 2))],
+        name=f"triangles{n}")
+
+
+# each run returns (anything reported, the witness's cell reported)
+def _kpath9(g, w, rng):
+    found = detect_path(g, 9, eps=SINGLE_ROUND_EPS, rng=rng).found
+    return found, found
+
+
+def _tree8(g, w, rng):
+    found = detect_tree(g, BINARY8, eps=SINGLE_ROUND_EPS, rng=rng).found
+    return found, found
+
+
+def _wpath9(g, w, rng):
+    best = max_weight_path(g, 9, w, eps=SINGLE_ROUND_EPS, rng=rng)
+    return best is not None, best == int(np.sort(w)[-9:].sum())
+
+
+def _scan5(g, w, rng):
+    row = scan_grid(g, w, 5, eps=SINGLE_ROUND_EPS, rng=rng, sizes=[5]).detected[5]
+    return bool(row.any()), bool(row[-1])  # the last cell is z_max, the top
+
+
+KINDS = {
+    # kind: (run, yes-instance, no-instance), each instance (graph, weights)
+    "k-path-9": (_kpath9, (_bare_path(9), None),
+                 (CSRGraph.from_edges(12, [(0, i) for i in range(1, 12)]), None)),
+    "k-tree-binary8": (_tree8, (CSRGraph.from_edges(8, BINARY8.edges), None),
+                       (_bare_path(20), None)),
+    "weighted-path-9": (_wpath9, (_bare_path(9), W9), (_triangles(4), np.ones(12, int))),
+    "scan-row-5": (_scan5, (_bare_path(5), W9[:5]), (_triangles(4), np.ones(12, int))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_every_kind_clears_the_binomial_bound_at_its_field(kind):
+    run, (g, w), _ = KINDS[kind]
+    threshold = int(binom.ppf(ALPHA, N_RUNS, P_LOWER))
+    hits = sum(run(g, w, RngStream(30_000 + i))[1] for i in range(N_RUNS))
+    assert hits >= threshold, f"{kind}: {hits}/{N_RUNS} single-round hits"
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_every_kind_never_reports_on_a_no_instance(kind):
+    run, _, (g, w) = KINDS[kind]
+    for i in range(N_RUNS):
+        assert not run(g, w, RngStream(40_000 + i))[0], f"{kind}: false positive, run {i}"
+
+
+def test_the_kinds_instances_are_what_they_claim():
+    (p9, _), (b8, _) = KINDS["k-path-9"][1], KINDS["k-tree-binary8"][1]
+    assert has_k_path(p9, 9) and not has_k_path(KINDS["k-path-9"][2][0], 9)
+    assert exact.has_tree(b8, BINARY8) and not exact.has_tree(_bare_path(20), BINARY8)
+    assert not has_k_path(_triangles(4), 4)  # so no 9-path, no connected 5-set
 
 
 def test_multi_round_miss_rate_within_eps():
