@@ -21,10 +21,11 @@ Commands map one-to-one to the library's top-level workflows:
   (preloaded graphs, engine-session reuse, result cache, quotas);
 * ``query`` — send one query to a running ``serve`` endpoint.
 
-The detection commands route through the service client abstraction:
-in-process (:class:`~repro.service.client.LocalClient`) by default,
-or against a remote ``repro serve`` with ``--server URL`` — results
-are bit-identical either way because the query carries the exact RNG
+The detection commands build one service query
+(:class:`~repro.service.broker.QuerySpec`) and run it on the calling
+thread (:func:`~repro.service.broker.execute_query`), or send it to a
+remote ``repro serve`` with ``--server URL`` — results are
+bit-identical either way because the query carries the exact RNG
 lineage the standalone driver would have consumed.
 """
 
@@ -92,10 +93,6 @@ def _add_runtime_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--workers", type=int, default=None,
                    help="worker count for --mode threaded/process "
                         "(default: the CPUs this process may use)")
-    p.add_argument("--kernel", choices=["auto", "table", "logexp", "bitsliced"],
-                   default="auto",
-                   help="GF(2^l) kernel strategy; auto picks per (m, N2) from "
-                        "the kernel calibration (all choices bit-identical)")
     p.add_argument("-N", "--processors", type=int, default=1)
     p.add_argument("--n1", type=int, default=1, help="graph partition count N1")
     p.add_argument("--n2", type=int, default=None, help="iteration batch size N2")
@@ -176,7 +173,6 @@ def _runtime(args):
         max_retries=getattr(args, "max_retries", 5),
         retry_backoff=getattr(args, "retry_backoff", 1e-3),
         workers=getattr(args, "workers", None),
-        kernel=getattr(args, "kernel", "auto"),
         sanitize=getattr(args, "sanitize", "off"),
         live_port=getattr(args, "live_port", None),
         progress_path=getattr(args, "progress_out", None),
@@ -299,7 +295,7 @@ def _flush_interrupted(args, rt, problem: str) -> int:
     _write_obs(args, rt, problem=problem, truncated=True)
     from repro.obs.qtrace import get_flight_recorder
 
-    prof = rt.profiler  # the query's trace, once the broker has attached it
+    prof = rt.profiler  # the run's span log, once the engine has started it
     extra = ({"open_spans": [sp.to_dict() for sp in prof.open_spans()]}
              if prof is not None else None)
     rec = get_flight_recorder()
@@ -402,29 +398,29 @@ def _spec_for(args, kind: str, rng, weights=None) -> dict:
 
 
 def _run_query(args, kind: str, g, rng, rt, weights=None):
-    """Route one detection through the client abstraction.
+    """Run one detection.
 
-    ``rt`` is the locally built runtime (None on the ``--server`` path,
-    where execution configuration lives server-side).  Returns the
-    :class:`~repro.service.broker.QueryOutcome`; in-process outcomes
-    carry the raw result object for rich rendering.
+    ``rt`` is the runtime the flags built: the query runs on this thread
+    (Ctrl-C lands in its round loop) and the driver's own result object
+    comes back.  With ``--server`` ``rt`` is None — execution
+    configuration lives server-side — and the reply's
+    :class:`~repro.service.broker.QueryOutcome` comes back.
     """
     spec = _spec_for(args, kind, rng, weights=weights)
-    tenant = getattr(args, "tenant", "cli") or "cli"
-    if getattr(args, "server", None):
+    if rt is None:
         from repro.service.client import HttpClient
 
         client = HttpClient(args.server)
         spec["graph"] = client.register_graph(g, name=_graph_label(args))
-        return client.query(spec, tenant=tenant)
-    from repro.service.client import LocalClient
+        return client.query(spec, tenant=getattr(args, "tenant", "cli") or "cli")
+    from repro.graph.csr import graph_sha
+    from repro.service.broker import QuerySpec, execute_query
+    from repro.service.registry import GraphEntry
 
-    client = LocalClient()
-    try:
-        spec["graph"] = client.register_graph(g, name=_graph_label(args))
-        return client.query(spec, tenant=tenant, runtime=rt)
-    finally:
-        client.close()
+    spec["graph"] = graph_sha(g)
+    _payload, raw = execute_query(QuerySpec.from_dict(spec),
+                                  GraphEntry(spec["graph"], g), rt)
+    return raw
 
 
 def _report_run(args, rt, problem: str, details: dict, estimate=None):
@@ -476,30 +472,34 @@ def _print_remote_detection(outcome) -> None:
         print(f"trace: {trace_id}  (repro trace {trace_id} --url <service>)")
 
 
-def cmd_detect_path(args) -> int:
-    g, rng = _load_graph(args)
-    print(f"graph: {g}")
+def _detect(args, kind: str, problem: str, g, rng) -> int:
+    """The shared body of ``detect-path`` / ``detect-tree``."""
     rt = None if getattr(args, "server", None) else _runtime(args)
     try:
-        outcome = _run_query(args, "detect-path", g, rng, rt)
+        res = _run_query(args, kind, g, rng, rt)
     except KeyboardInterrupt:
         if rt is None:
             return 130
-        return _flush_interrupted(args, rt, "k-path")
+        return _flush_interrupted(args, rt, problem)
     finally:
         if rt is not None:
             rt.close_live()
-    raw = outcome.raw
-    if raw is not None:
-        print(raw.summary())
-        details, estimate = raw.details, raw.details.get("estimate")
+    if rt is None:
+        _print_remote_detection(res)
+        details, estimate = res.result.get("details") or {}, None
     else:
-        _print_remote_detection(outcome)
-        details, estimate = outcome.result.get("details") or {}, None
-    degraded = _report_run(args, rt, "k-path", details, estimate)
-    if outcome.found:
+        print(res.summary())
+        details, estimate = res.details, res.details.get("estimate")
+    degraded = _report_run(args, rt, problem, details, estimate)
+    if res.found:
         return 0  # a witness is a certificate even from a degraded run
     return 4 if degraded else 1
+
+
+def cmd_detect_path(args) -> int:
+    g, rng = _load_graph(args)
+    print(f"graph: {g}")
+    return _detect(args, "detect-path", "k-path", g, rng)
 
 
 def cmd_detect_tree(args) -> int:
@@ -514,27 +514,7 @@ def cmd_detect_tree(args) -> int:
     }
     tmpl = factories[args.template](args.k)
     print(f"graph: {g}\ntemplate: {tmpl}")
-    rt = None if getattr(args, "server", None) else _runtime(args)
-    try:
-        outcome = _run_query(args, "detect-tree", g, rng, rt)
-    except KeyboardInterrupt:
-        if rt is None:
-            return 130
-        return _flush_interrupted(args, rt, "k-tree")
-    finally:
-        if rt is not None:
-            rt.close_live()
-    raw = outcome.raw
-    if raw is not None:
-        print(raw.summary())
-        details, estimate = raw.details, raw.details.get("estimate")
-    else:
-        _print_remote_detection(outcome)
-        details, estimate = outcome.result.get("details") or {}, None
-    degraded = _report_run(args, rt, "k-tree", details, estimate)
-    if outcome.found:
-        return 0
-    return 4 if degraded else 1
+    return _detect(args, "detect-tree", "k-tree", g, rng)
 
 
 def cmd_scan(args) -> int:
@@ -549,7 +529,7 @@ def cmd_scan(args) -> int:
         print(f"planted hot cluster: {sorted(hot.tolist())}")
     rt = None if getattr(args, "server", None) else _runtime(args)
     try:
-        outcome = _run_query(args, "scan", g, rng, rt, weights=w)
+        res = _run_query(args, "scan", g, rng, rt, weights=w)
     except KeyboardInterrupt:
         if rt is None:
             return 130
@@ -557,15 +537,14 @@ def cmd_scan(args) -> int:
     finally:
         if rt is not None:
             rt.close_live()
-    raw = outcome.raw
-    if raw is not None:
-        print(raw.summary())
-        if raw.cluster is not None:
-            print(f"cluster: {sorted(int(x) for x in raw.cluster)}")
-        details = raw.grid.details
+    if rt is None:
+        _print_remote_detection(res)
+        details = res.result.get("details") or {}
     else:
-        _print_remote_detection(outcome)
-        details = outcome.result.get("details") or {}
+        print(res.summary())
+        if res.cluster is not None:
+            print(f"cluster: {sorted(int(x) for x in res.cluster)}")
+        details = res.grid.details
     degraded = _report_run(args, rt, "scanstat", details)
     return 4 if degraded else 0
 
@@ -1025,7 +1004,7 @@ def cmd_serve(args) -> int:
     runtime_config = {
         "mode": args.mode, "n_processors": args.processors,
         "n1": args.n1, "n2": args.n2, "workers": args.workers,
-        "kernel": args.kernel, "sanitize": args.sanitize,
+        "sanitize": args.sanitize,
     }
     svc = DetectionService(
         quota=args.quota, cache_size=args.cache_size,
@@ -1352,9 +1331,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="execution backend for served queries")
     sv.add_argument("--workers", type=int, default=None,
                     help="workers per execution for --mode threaded/process")
-    sv.add_argument("--kernel", choices=["auto", "table", "logexp", "bitsliced"],
-                    default="auto",
-                    help="GF(2^l) kernel strategy for served queries")
     sv.add_argument("-N", "--processors", type=int, default=1)
     sv.add_argument("--n1", type=int, default=1)
     sv.add_argument("--n2", type=int, default=None)

@@ -106,7 +106,6 @@ _WHOLE_GRAPH_MODES = ("sequential", "threaded", "process")
 #: only moves the level step out of cache (see :meth:`MidasRuntime.schedule_for`)
 _STATE_BYTES = 768 << 10
 _SANITIZE = ("off", "warn", "strict")
-_KERNELS = ("auto", "table", "logexp", "bitsliced")
 #: every session's partition RNG lineage starts here, so the partition is
 #: a function of ``(graph, n1, partition_method)`` alone
 _PARTITION_SEED = 7777
@@ -146,14 +145,6 @@ class MidasRuntime:
     A worker death (segfault, OOM-kill) costs one re-run of the round
     on a rebuilt fleet; a second one in the same stage surfaces as a
     typed :class:`~repro.errors.WorkerCrashedError`, never a hang.
-
-    ``kernel`` picks the GF(2^l) kernel strategy: ``"table"``,
-    ``"logexp"``, ``"bitsliced"``, or ``"auto"`` — the default — which
-    asks the kernel calibration per ``(m, N2)`` window
-    (:meth:`resolve_kernel`), choosing bit-sliced planes for every
-    problem kind on the whole-graph backends at wide batches
-    (``N2 >= 64``) and the dense table otherwise.  All kernels are
-    bit-identical (property-tested); only wall-clock changes.
 
     Observability: attach a :class:`~repro.runtime.tracing.TraceRecorder`
     as ``recorder`` to collect a run-level, schedule-scoped timeline
@@ -208,7 +199,6 @@ class MidasRuntime:
     max_retries: int = 5
     retry_backoff: float = 1e-3
     workers: Optional[int] = None
-    kernel: str = "auto"
     process_start: Optional[str] = None
     sanitize: str = "off"
     digest_log: Optional[object] = None
@@ -246,10 +236,6 @@ class MidasRuntime:
             )
         if self.workers is not None and self.workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {self.workers}")
-        if self.kernel not in _KERNELS:
-            raise ConfigurationError(
-                f"kernel must be one of {_KERNELS}, got {self.kernel!r}"
-            )
         if self.process_start is not None:
             import multiprocessing
 
@@ -344,22 +330,22 @@ class MidasRuntime:
         return os.cpu_count() or 1
 
     def resolve_kernel(self, m: int, n2: int, plane: object = None) -> str:
-        """The GF kernel strategy for a ``(m, n2)`` evaluation window.
+        """The GF kernel strategy for a ``(m, n2)`` evaluation window — the
+        one rule, for every problem kind.
 
-        An explicit ``kernel`` wins unconditionally; ``"auto"`` consults
-        the kernel calibration, which may route to ``"bitsliced"`` in the
-        real-execution modes only: the whole-graph driver keeps the DP
-        state of every problem kind plane-resident there, while
-        simulated/modeled SPMD ranks evaluate element-wise.
+        ``"bitsliced"`` once a full uint64 word of lanes is in flight
+        (``n2 >= 64``) on the whole-graph modes, whose driver keeps the DP
+        state plane-resident; otherwise the dense ``"table"`` when
+        elements fit a byte, else ``"logexp"`` (simulated/modeled SPMD
+        ranks evaluate element-wise).  Every strategy gives the same bits.
 
         ``plane`` is ignored.  It used to mark the k-path call sites; the
         frozen benchmark (``benchmarks/ledger/layers.py``) still passes
         it, so the keyword stays accepted until the ledger is re-anchored.
         """
-        if self.kernel != "auto":
-            return self.kernel
-        plane_resident = self.mode in _WHOLE_GRAPH_MODES
-        return self.get_calibration().choose_kernel(m, n2, plane_resident=plane_resident)
+        if self.mode in _WHOLE_GRAPH_MODES and n2 >= 64:
+            return "bitsliced"
+        return "table" if m <= 8 else "logexp"
 
     def get_live(self):
         """The live telemetry bus, built lazily from ``live`` /
@@ -1046,16 +1032,10 @@ class EngineSession:
         n1: int = 1,
         partition_method: str = "random",
         calibration: Optional[KernelCalibration] = None,
-        kernel: str = "auto",
     ) -> None:
-        if kernel not in _KERNELS:
-            raise ConfigurationError(
-                f"kernel must be one of {_KERNELS}, got {kernel!r}"
-            )
         self.graph = graph
         self.n1 = n1
         self.partition_method = partition_method
-        self.kernel = kernel
         self._calibration = calibration
         self._partition = None
         self._views = None
@@ -1070,14 +1050,14 @@ class EngineSession:
     def for_runtime(cls, graph: CSRGraph, rt: "MidasRuntime") -> "EngineSession":
         """A session matching ``rt``'s decomposition knobs."""
         return cls(graph, n1=rt.n1, partition_method=rt.partition_method,
-                   calibration=rt.calibration, kernel=rt.kernel)
+                   calibration=rt.calibration)
 
     def compatible(self, graph: CSRGraph, rt: "MidasRuntime") -> Optional[str]:
         """``None`` when this session may serve ``(graph, rt)``, else the
         human-readable mismatch."""
         if graph is not self.graph:
             return "session was prepared for a different graph object"
-        for attr in ("n1", "partition_method", "kernel"):
+        for attr in ("n1", "partition_method"):
             if getattr(rt, attr) != getattr(self, attr):
                 return (f"runtime {attr}={getattr(rt, attr)!r} != session "
                         f"{attr}={getattr(self, attr)!r}")
@@ -1112,29 +1092,23 @@ class EngineSession:
                     self._views = build_halo_views(self.graph, part)
             return self._views
 
-    def field_for_k(self, d: int, strategy: Optional[str] = None,
-                    prof=_UNPROFILED):
+    def field_for_k(self, d: int, strategy: str = "auto", prof=_UNPROFILED):
         """The GF(2^l) table set of a polynomial of degree ``d`` in the
         ``y``s (``d = k`` for a k-path), cached per
         ``(field degree, kernel strategy)`` (many ``d`` share one degree).
 
-        ``strategy`` is the *resolved* kernel for this use site (from
-        :meth:`MidasRuntime.resolve_kernel`); ``None`` falls back to the
-        session's ``kernel`` knob taken literally (``"auto"`` builds a
-        default-strategy field).
+        ``strategy`` is the kernel :meth:`MidasRuntime.resolve_kernel`
+        picked for this use site; ``"auto"`` builds GF2m's default field.
         """
         from repro.ff.gf2m import default_field_for_k
 
-        if strategy is None:
-            strategy = self.kernel
         key = (field_degree_for_k(d), strategy)
         with self._lock:
             fld = self._fields.get(key)
             if fld is None:
-                kernel = None if strategy == "auto" else strategy
                 with prof.span("engine.field", phase="setup", callsite=strategy):
                     fld = self._fields[key] = default_field_for_k(
-                        d, kernel_strategy=kernel)
+                        d, kernel_strategy=strategy)
             return fld
 
     def get_calibration(self) -> KernelCalibration:
@@ -1150,7 +1124,6 @@ class EngineSession:
                 "n1": self.n1,
                 "partition_method": self.partition_method,
                 "partition_seed": _PARTITION_SEED,
-                "kernel": self.kernel,
                 "partition_built": self._partition is not None,
                 "views_built": self._views is not None,
                 "fields_cached": sorted(f"{deg}/{strat}" for deg, strat in self._fields),

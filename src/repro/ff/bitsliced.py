@@ -247,7 +247,7 @@ class BitslicedGF2m:
 
     def inv(self, pa: np.ndarray) -> np.ndarray:
         """Plane inverse ``a^(2^m - 2)``; zero lanes are the caller's problem
-        (the element-level dispatcher raises before slicing)."""
+        (they come back 0)."""
         return self.pow(pa, (1 << self.m) - 2)
 
     def mul_scalar(self, pa: np.ndarray, s: int) -> np.ndarray:

@@ -52,13 +52,12 @@ class GF2m:
         ``"logexp"``, or ``"auto"`` (table when possible).
     kernel_strategy:
         Superset of ``mul_strategy`` that also accepts ``"bitsliced"``:
-        element arrays are transposed into ``m`` uint64 bit-planes and
-        multiplied with carry-less AND/XOR schedules
-        (:class:`repro.ff.bitsliced.BitslicedGF2m`).  When given, it takes
-        precedence over ``mul_strategy``; the resolved choice is stored as
-        both attributes (``mul_strategy`` keeps its pre-kernel meaning for
-        back-compat, falling back to ``"logexp"`` tables under
-        ``"bitsliced"`` for scalar calls and the inverse's zero check).
+        the plane-resident evaluators then hold their state as ``m``
+        uint64 bit-planes and multiply them with carry-less AND/XOR
+        schedules (:attr:`bitsliced`).  When given, it takes precedence
+        over ``mul_strategy``; the element-wise operations of a
+        ``"bitsliced"`` field run on the ``"auto"`` tables, with the same
+        values.
 
     Table layout
     ------------
@@ -198,9 +197,6 @@ class GF2m:
             self._bitsliced = BitslicedGF2m(self.m, self.modulus)
         return self._bitsliced
 
-    def _is_bitsliced_array(self, a: np.ndarray) -> bool:
-        return self.kernel_strategy == "bitsliced" and a.ndim >= 1
-
     # ------------------------------------------------------------- operations
     def add(self, a, b):
         """Field addition (XOR); works elementwise on arrays or scalars."""
@@ -212,10 +208,6 @@ class GF2m:
         """Field multiplication, elementwise with broadcasting."""
         a = np.asarray(a, self.dtype)
         b = np.asarray(b, self.dtype)
-        if self._is_bitsliced_array(a) or self._is_bitsliced_array(b):
-            a, b = np.broadcast_arrays(a, b)
-            bs = self.bitsliced
-            return bs.unslice(bs.mul(bs.slice(a), bs.slice(b)), a.shape[-1], self.dtype)
         if self._mul_flat is None:
             return self._exp_ext.take(self._log_of(a) + self._log_of(b))
         if a.size > b.size:
@@ -236,9 +228,6 @@ class GF2m:
         a = np.asarray(a, self.dtype)
         if np.any(a == 0):
             raise FieldError("zero has no multiplicative inverse")
-        if self._is_bitsliced_array(a):
-            bs = self.bitsliced
-            return bs.unslice(bs.inv(bs.slice(a)), a.shape[-1], self.dtype)
         # log a is in [0, q1), and exp_ext[q1] is exp[0]: no modulo needed
         return self._exp_ext.take(self._q1 - self._log_of(a))
 
@@ -253,9 +242,6 @@ class GF2m:
         a = np.asarray(a, self.dtype)
         if e == 0:
             return np.ones_like(a)
-        if self._is_bitsliced_array(a):
-            bs = self.bitsliced
-            return bs.unslice(bs.pow(bs.slice(a), e), a.shape[-1], self.dtype)
         # a^q1 = 1: reduce e first, and widen before the product can wrap
         le = self._log_of(a).astype(np.int64) * (e % self._q1) % self._q1
         return np.where(a == 0, self.dtype(0), self._exp_ext.take(le))
@@ -272,9 +258,6 @@ class GF2m:
         if s == 0:
             return np.zeros_like(np.asarray(a, self.dtype))
         a = np.asarray(a, self.dtype)
-        if self._is_bitsliced_array(a):
-            bs = self.bitsliced
-            return bs.unslice(bs.mul_scalar(bs.slice(a), s), a.shape[-1], self.dtype)
         return self._exp_ext.take(self._log_of(a) + self._log[s])
 
     # ------------------------------------------------------------------ draws
@@ -305,10 +288,9 @@ class GF2m:
     def __eq__(self, other) -> bool:
         # kernel_strategy is part of identity: two fields with the same
         # (m, modulus) but different kernels produce bit-identical values yet
-        # mean differently-shaped hot paths — sessions cache fields by
-        # equality and GraphRegistry reuses sessions by compatibility, so
-        # conflating them would silently hand a bitsliced caller a table
-        # field (or vice versa).
+        # pick differently-shaped hot paths (whole_graph_lanes reads the
+        # strategy), so conflating them would silently hand a bitsliced
+        # caller a table field (or vice versa).
         return (
             isinstance(other, GF2m)
             and other.m == self.m
@@ -358,7 +340,8 @@ def default_field_for_k(
 
     For every k-path the paper evaluates (``k <= 18``) this is at most
     ``GF(2^6)``, so elements fit in a byte and the dense product table wins
-    for element-wise calls; plane-resident evaluators may prefer
-    ``kernel_strategy="bitsliced"`` (see the kernel calibration).
+    for element-wise calls; plane-resident evaluators get
+    ``kernel_strategy="bitsliced"`` (see
+    :meth:`~repro.core.engine.MidasRuntime.resolve_kernel`).
     """
     return GF2m(field_degree_for_k(d), mul_strategy=mul_strategy, kernel_strategy=kernel_strategy)

@@ -159,10 +159,6 @@ class KernelCalibration:
 
     DEFAULT_GRID = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 
-    #: bit-slicing pays per-phase pack/unpack overhead that only amortizes
-    #: once a full uint64 word of lanes is in flight
-    BITSLICE_MIN_N2 = 64
-
     def __init__(self, grid: Sequence[int], c1_seconds: Sequence[float]) -> None:
         if len(grid) != len(c1_seconds) or len(grid) < 1:
             raise ConfigurationError("calibration grid and rates must align and be non-empty")
@@ -178,22 +174,6 @@ class KernelCalibration:
             raise ConfigurationError(f"n2 must be >= 1, got {n2}")
         lg = np.log2(self.grid.astype(np.float64))
         return float(np.interp(math.log2(n2), lg, self.c1_grid))
-
-    def choose_kernel(self, m: int, n2: int, plane_resident: bool = True) -> str:
-        """Pick the GF(2^m) kernel for a ``(m, n2)`` evaluation window.
-
-        ``bitsliced`` once a full lane word is in flight
-        (``n2 >= BITSLICE_MIN_N2``) — and only when the caller can keep
-        the DP state *plane-resident* (``plane_resident=True``): per-call
-        slice/unslice round-trips cost more than the carry-less multiply
-        saves, so round-trip callers must not pick it.  Otherwise the
-        dense ``table`` when elements fit a byte, else ``logexp``.
-        """
-        if n2 < 1:
-            raise ConfigurationError(f"n2 must be >= 1, got {n2}")
-        if plane_resident and n2 >= self.BITSLICE_MIN_N2:
-            return "bitsliced"
-        return "table" if m <= 8 else "logexp"
 
     @staticmethod
     def measure(sample_nodes: int = 4096, avg_degree: int = 16,

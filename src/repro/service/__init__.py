@@ -22,22 +22,32 @@ Determinism contract: a service query with a pinned seed policy returns
 results bit-identical to the standalone driver — including when the
 answer came from the cache or was coalesced onto another tenant's
 in-flight execution.  Property-tested in ``tests/test_service.py``.
+
+The names below are imported from their module on first use, so a
+caller of :func:`repro.service.broker.execute_query` alone (the CLI's
+local run) loads no server, client or worker fleet.
 """
 
-from repro.service.broker import QueryBroker, QueryOutcome, QuerySpec, canonical_result
-from repro.service.client import HttpClient, LocalClient
-from repro.service.registry import GraphEntry, GraphRegistry, graph_sha
-from repro.service.server import DetectionService
+import importlib
 
-__all__ = [
-    "DetectionService",
-    "GraphEntry",
-    "GraphRegistry",
-    "HttpClient",
-    "LocalClient",
-    "QueryBroker",
-    "QueryOutcome",
-    "QuerySpec",
-    "canonical_result",
-    "graph_sha",
-]
+_EXPORTS = {
+    "DetectionService": "server",
+    "GraphEntry": "registry",
+    "GraphRegistry": "registry",
+    "HttpClient": "client",
+    "LocalClient": "client",
+    "QueryBroker": "broker",
+    "QueryOutcome": "broker",
+    "QuerySpec": "broker",
+    "canonical_result": "broker",
+    "graph_sha": "registry",
+}
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+
+
+__all__ = sorted(_EXPORTS)

@@ -18,11 +18,7 @@ Distinct queries are independent (the paper's Fig 1: private state per
 group, one merge), so ``workers`` of them compute at once in every mode;
 a ``runtime_config`` asking for ``mode="process"`` or ``"threaded"``
 runs sequentially in its worker — the fleet is the parallelism, the bits
-are the same, and the reply's ``runtime.mode`` says ``"sequential"``.  A
-caller-supplied ``runtime`` (the CLI's in-process path, which carries a
-recorder, checkpoint, live bus or fault plan) still computes on the
-asking thread, holding a worker's place while it does; only that path's
-:class:`QueryOutcome` carries the raw result object.
+are the same, and the reply's ``runtime.mode`` says ``"sequential"``.
 
 Admission pipeline, in order:
 
@@ -326,8 +322,8 @@ def execute_query(spec: QuerySpec, entry: GraphEntry,
     Returns ``(payload, raw_result)`` — the payload's ``"result"`` holds
     only deterministic fields; wall time and backend identity live in
     separate keys so cached/coalesced replies stay bit-comparable.  A
-    fleet worker runs it for every broker-built runtime (:func:`dispatch`),
-    the broker's caller for a caller-supplied one.
+    fleet worker runs it for every brokered query (:func:`_answer`), the
+    CLI for a local run.
     """
     from repro.core.midas import detect_path, detect_tree
     from repro.graph.templates import TreeTemplate
@@ -463,13 +459,9 @@ def _timed_out(timeout: float) -> ServiceError:
 
 @dataclass
 class QueryOutcome:
-    """What a client gets back: the JSON-safe payload plus — only for a
-    query computed on a caller-supplied runtime, never for one a fleet
-    worker answered, a cache hit or a coalesced join — the raw result
-    object for rich rendering."""
+    """What a client gets back: the JSON-safe payload."""
 
     payload: dict
-    raw: object = None
 
     @property
     def result(self) -> dict:
@@ -633,48 +625,32 @@ class QueryBroker:
                                **extra)
 
     def _traced_execute(self, spec: QuerySpec, entry: GraphEntry, slot: Slot,
-                        runtime: Optional[MidasRuntime], qt: QueryTrace,
-                        submit_t: float, left: Optional[float]):
-        """Answer ``spec`` holding ``slot``: on its fleet worker
-        (:func:`dispatch`), or with a caller-supplied ``runtime`` here.
+                        qt: QueryTrace, submit_t: float, left: Optional[float]):
+        """Answer ``spec`` on ``slot``'s fleet worker (:func:`dispatch`).
 
         Records the ``broker.queue`` span — admission to the worker — and
-        ``broker.execute``, under which the engine's spans land: the
-        worker's spliced in, or this runtime's recorded into the trace
-        directly.  ``left`` is what the wait left of the caller's timeout.
+        ``broker.execute``, under which the worker's engine spans are
+        spliced.  ``left`` is what the wait left of the caller's timeout.
         """
         qt.add_span("broker.queue", submit_t, time.perf_counter(),
                     lane="broker")
-        spans = mdelta = raw = None
         with qt.span("broker.execute", lane="broker", kind=spec.kind,
                      graph=entry.sha[:12], k=spec.k) as span:
-            if runtime is None:
-                config = dict(self._runtime_config)
-                if left is not None and config.get("deadline") is None:
-                    config["deadline"] = left
-                trace = (qt.trace_id, span.span.span_id) if qt.enabled else None
-                payload, spans, session, mdelta = dispatch(
-                    spec, entry, self._fleet, slot, config, trace)
-                entry.note_fleet_session(session)
-            else:
-                if runtime.session is None:
-                    sess = entry.session_for(runtime)
-                    if sess.compatible(entry.graph, runtime) is None:
-                        runtime.session = sess
-                if left is not None and runtime.deadline is None:
-                    runtime.deadline = left
-                if qt.enabled:
-                    runtime.profiler = qt
-                payload, raw = execute_query(spec, entry, runtime)
+            config = dict(self._runtime_config)
+            if left is not None and config.get("deadline") is None:
+                config["deadline"] = left
+            trace = (qt.trace_id, span.span.span_id) if qt.enabled else None
+            payload, spans, session, mdelta = dispatch(
+                spec, entry, self._fleet, slot, config, trace)
+            entry.note_fleet_session(session)
             span.tag(rounds=int(payload.get("timing", {}).get("rounds", 0)))
         if spans:
             qt.add_spans(spans)
         if mdelta:
             merge_into(self.metrics, mdelta)
-        return payload, raw
+        return payload
 
     def submit(self, spec: QuerySpec, tenant: str = "default",
-               runtime: Optional[MidasRuntime] = None,
                trace=None, timeout: Optional[float] = None) -> QueryOutcome:
         """Admit one query and answer it; the calling thread waits.
 
@@ -688,7 +664,8 @@ class QueryBroker:
         ``timeout`` bounds what the caller can be made to wait for — the
         identical query it joined, or an idle worker — with a
         :class:`~repro.errors.ServiceError`.  What that wait left of it
-        becomes the runtime's ``deadline`` (unless it has one), so an
+        becomes the worker runtime's ``deadline`` (unless
+        ``runtime_config`` sets one), so an
         overrun comes back as the worker watchdog's degraded reply, which
         is never cached.  An exception that lands in the waiting caller
         (Ctrl-C) cancels the query on its worker, which stops between two
@@ -762,8 +739,7 @@ class QueryBroker:
             try:
                 left = (None if timeout is None
                         else max(timeout - (time.perf_counter() - t0), 1e-6))
-                payload, raw = self._traced_execute(spec, entry, slot, runtime,
-                                                    qt, t0, left)
+                payload = self._traced_execute(spec, entry, slot, qt, t0, left)
             finally:
                 self._fleet.release(slot)
         except BaseException as exc:
@@ -797,7 +773,7 @@ class QueryBroker:
             self._finish_trace(qt, total, "ok", kind=spec.kind,
                                wall_seconds=wall,
                                mode=payload["runtime"]["mode"])
-            return QueryOutcome(self._served(payload, tenant, qt), raw)
+            return QueryOutcome(self._served(payload, tenant, qt))
         finally:
             with self._lock:
                 self._inflight.pop(key, None)

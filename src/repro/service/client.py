@@ -1,11 +1,9 @@
 """One query surface, two transports.
 
 :class:`LocalClient` embeds a :class:`~repro.service.server.DetectionService`
-in-process (no sockets, no serialization of the graph) — the CLI's
-default path, so ``repro detect-path`` without ``--server`` goes through
-exactly the same admission pipeline the HTTP server uses; the CLI hands
-it the runtime its flags built, so the detection runs on the calling
-thread (Ctrl-C lands in it) and no worker process is started.
+in-process (no sockets, no serialization of the graph) and goes through
+exactly the same admission pipeline and worker fleet the HTTP server
+uses.
 
 :class:`HttpClient` talks to a remote ``repro serve`` endpoint with
 stdlib :mod:`urllib` — no third-party HTTP dependency.  Error mapping
@@ -15,9 +13,8 @@ mirrors the server's status codes back into the typed exceptions
 :class:`~repro.errors.ConfigurationError`), so caller code is transport
 agnostic.
 
-Both return :class:`~repro.service.broker.QueryOutcome`; only the local
-transport carries the raw result object (for rich CLI rendering — the
-deterministic payload is identical either way, property-tested).
+Both return :class:`~repro.service.broker.QueryOutcome`, whose
+deterministic payload is identical either way (property-tested).
 """
 
 from __future__ import annotations
@@ -68,7 +65,7 @@ class LocalClient:
                        name: Optional[str] = None) -> str:
         return self.service.register_graph(graph, name=name).sha
 
-    def query(self, query, tenant: str = "default", runtime=None,
+    def query(self, query, tenant: str = "default",
               timeout: Optional[float] = None) -> QueryOutcome:
         """Submit one query under a per-request client context minted
         here; when the service traces, the measured client span is spliced
@@ -76,7 +73,7 @@ class LocalClient:
         ctx = TraceContext.mint()
         t0 = time.perf_counter()
         outcome = self.service.query(
-            query, tenant=tenant, runtime=runtime, timeout=timeout,
+            query, tenant=tenant, timeout=timeout,
             trace={"traceparent": ctx.to_traceparent()},
         )
         t1 = time.perf_counter()
@@ -191,16 +188,10 @@ class HttpClient:
             er["m"] = int(m)
         return self._post("/api/graphs", {"name": name, "er": er})["sha"]
 
-    def query(self, query, tenant: str = "default", runtime=None,
+    def query(self, query, tenant: str = "default",
               timeout: Optional[float] = None) -> QueryOutcome:
-        """Submit one query; ``runtime`` must be None (the server owns
-        execution configuration) and ``timeout`` overrides the client
-        default for this call."""
-        if runtime is not None:
-            raise ConfigurationError(
-                "HttpClient cannot carry a runtime override; execution "
-                "configuration lives server-side (repro serve flags)"
-            )
+        """Submit one query; ``timeout`` overrides the client default for
+        this call."""
         spec = query if isinstance(query, QuerySpec) else QuerySpec.from_dict(query)
         ctx = TraceContext.mint()
         saved = self.timeout

@@ -21,10 +21,10 @@ from repro.obs.qtrace import get_flight_recorder
 
 
 class GraphEntry:
-    """One registered graph: its content sha, optional name, the
-    per-decomposition :class:`EngineSession` cache of the queries computed
-    in this process, and what the service's fleet workers last said about
-    the sessions each of them keeps for it."""
+    """One registered graph: its content sha, optional name, a
+    per-decomposition :class:`EngineSession` cache (:meth:`session_for`;
+    a fleet worker keeps its own), and what the service's fleet workers
+    last said about the sessions each of them keeps for it."""
 
     __slots__ = ("sha", "graph", "name", "_sessions", "_fleet_sessions",
                  "_lock")
@@ -33,12 +33,9 @@ class GraphEntry:
         self.sha = sha
         self.graph = graph
         self.name = name
-        # (n1, partition_method, kernel) -> EngineSession;
-        # kernel is part of the key because GF2m equality includes the
-        # kernel strategy — a session's field cache built for one kernel
-        # must not serve a runtime asking for another
+        # (n1, partition_method) -> EngineSession
         self._sessions: Dict[tuple, EngineSession] = {}
-        # (worker pid, n1, partition_method, kernel) -> that worker's
+        # (worker pid, n1, partition_method) -> that worker's
         # EngineSession.describe(), pid included
         self._fleet_sessions: Dict[tuple, dict] = {}
         self._lock = threading.Lock()
@@ -46,7 +43,7 @@ class GraphEntry:
     def session_for(self, rt: MidasRuntime) -> EngineSession:
         """The cached session matching ``rt``'s decomposition knobs
         (created on first use; shared by every later compatible query)."""
-        key = (rt.n1, rt.partition_method, rt.kernel)
+        key = (rt.n1, rt.partition_method)
         with self._lock:
             sess = self._sessions.get(key)
             if sess is None:
@@ -58,8 +55,7 @@ class GraphEntry:
     def note_fleet_session(self, desc: dict) -> None:
         """Record a fleet worker's description of its session for this
         graph (``desc["pid"]`` names the worker)."""
-        key = (desc["pid"], desc["n1"], desc["partition_method"],
-               desc["kernel"])
+        key = (desc["pid"], desc["n1"], desc["partition_method"])
         with self._lock:
             self._fleet_sessions[key] = desc
 

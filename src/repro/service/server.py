@@ -1,8 +1,8 @@
 """The persistent detection service: broker, coordinator, HTTP API.
 
 :class:`DetectionService` is a :class:`~repro.service.broker.QueryBroker`
-with a lifecycle.  The thread that asks — an in-process
-:class:`~repro.service.client.LocalClient` user's or an HTTP handler's —
+with a lifecycle.  The thread that asks — a
+:class:`~repro.service.client.LocalClient` caller's or an HTTP handler's —
 goes through the broker's blocking ``submit``, which runs the query on
 one of ``workers`` fleet worker processes and waits for the reply; the
 broker's lock makes that safe from any number of threads at once.
@@ -161,22 +161,19 @@ class DetectionService:
                        name: Optional[str] = None) -> GraphEntry:
         return self.registry.register(graph, name=name)
 
-    def query(self, query, tenant: str = "default", runtime=None,
+    def query(self, query, tenant: str = "default",
               timeout: Optional[float] = None, trace=None) -> QueryOutcome:
         """Answer one query; the calling thread (any thread) waits.
 
         ``query`` is a :class:`QuerySpec` or a dict for
-        :meth:`QuerySpec.from_dict`; ``runtime`` optionally replaces
-        the fleet worker's runtime with one that computes on the calling
-        thread (the CLI's LocalClient path, where ``--mode``/``--n1``/...
-        flags build it); ``trace`` carries
-        the caller's trace context (a ``{"traceparent": ...}`` dict);
-        ``timeout`` is :meth:`QueryBroker.submit`'s.
+        :meth:`QuerySpec.from_dict`; ``trace`` carries the caller's trace
+        context (a ``{"traceparent": ...}`` dict); ``timeout`` is
+        :meth:`QueryBroker.submit`'s.
         """
         spec = query if isinstance(query, QuerySpec) else QuerySpec.from_dict(query)
         self.start()
-        return self.broker.submit(spec, tenant=tenant, runtime=runtime,
-                                  trace=trace, timeout=timeout)
+        return self.broker.submit(spec, tenant=tenant, trace=trace,
+                                  timeout=timeout)
 
     def sweep_now(self) -> dict:
         """One coordinator sweep, now, on the calling thread (tests)."""

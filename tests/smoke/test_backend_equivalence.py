@@ -4,7 +4,7 @@ driver, and honours a deadline.
 CI's ``threaded-smoke`` and ``process-smoke`` jobs run this file with
 ``-k threaded`` / ``-k process``; locally
 ``PYTHONPATH=src python -m pytest -m smoke tests/smoke`` covers every
-whole-graph mode × kernel.  Larger inputs than the tier-1 equivalence
+whole-graph mode × {default N2, 32}.  Larger inputs than the tier-1 equivalence
 matrix (400 vertices, 4 workers), still seconds.
 """
 
@@ -27,8 +27,9 @@ from repro.util.rng import RngStream
 pytestmark = pytest.mark.smoke
 
 MODES = ("sequential", "threaded", "process")
-# "bitsliced" is rebuilt inside each process worker from the wire recipe
-KERNELS = ("auto", "bitsliced")
+# the default N2 puts the k = 5, 6 drivers on a bit-sliced field and 32 on a
+# table one; process workers rebuild either from the wire recipe
+N2S = {"auto": None, "n2=32": 32}
 
 
 def _inputs():
@@ -57,10 +58,10 @@ def sequential_answers():
     return _answers(MidasRuntime())
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("n2", N2S)
 @pytest.mark.parametrize("mode", MODES)
-def test_bit_identical_to_sequential(mode, kernel, sequential_answers):
-    rt = MidasRuntime(mode=mode, workers=4, kernel=kernel)
+def test_bit_identical_to_sequential(mode, n2, sequential_answers):
+    rt = MidasRuntime(mode=mode, workers=4, n2=N2S[n2])
     assert _answers(rt) == sequential_answers
 
 

@@ -55,7 +55,6 @@ def backends():
         MidasRuntime(mode="threaded", workers=3, n2=8),
         MidasRuntime(n_processors=8, n1=4, mode="modeled"),
         MidasRuntime(mode="process", workers=2, n2=8),
-        MidasRuntime(kernel="bitsliced", n2=8),
     ]
 
 
@@ -312,10 +311,6 @@ class TestProcessConfig:
     def test_start_method_validated(self):
         with pytest.raises(ConfigurationError, match="start"):
             MidasRuntime(mode="process", process_start="bogus")
-
-    def test_kernel_validated(self):
-        with pytest.raises(ConfigurationError, match="kernel"):
-            MidasRuntime(kernel="bogus")
 
     def test_fault_plan_rejected_in_process_mode(self):
         with pytest.raises(ConfigurationError, match="simulated"):

@@ -99,18 +99,10 @@ class TestSessionDeterminism:
 
 
 class TestSessionKernelCompat:
-    """GF2m equality includes the kernel strategy, so a session's cached
-    fields must never serve a runtime asking for a different kernel —
-    mixing them would hand a bitsliced-plane evaluator a table field (or
-    vice versa) and silently change which code path produced results."""
-
-    def test_mismatched_kernel_rejected(self):
-        g = _graph()
-        sess = EngineSession(g, kernel="bitsliced")
-        rt = MidasRuntime(kernel="table", session=sess,
-                          metrics=MetricsRegistry())
-        with pytest.raises(ConfigurationError, match="kernel"):
-            DetectionEngine(g, rt, "k-path")
+    """GF2m equality includes the kernel strategy, so a session caches one
+    field per (degree, strategy) — handing a bitsliced-plane evaluator a
+    table field (or vice versa) would silently change which code path
+    produced results."""
 
     def test_field_identity_includes_kernel_strategy(self):
         from repro.ff.gf2m import GF2m
@@ -139,33 +131,6 @@ class TestSessionKernelCompat:
         cached = sess.describe()["fields_cached"]
         deg = f_auto.m
         assert {f"{deg}/auto", f"{deg}/table", f"{deg}/bitsliced"} <= set(cached)
-
-    def test_bitsliced_session_run_bit_identical_to_sessionless(self):
-        g = _graph()
-        sess = EngineSession(g, kernel="bitsliced")
-        for seed in (3, 11):
-            plain = detect_path(
-                g, 5, eps=0.1, rng=seed, early_exit=False,
-                runtime=MidasRuntime(kernel="bitsliced",
-                                     metrics=MetricsRegistry()))
-            with_sess = detect_path(
-                g, 5, eps=0.1, rng=seed, early_exit=False,
-                runtime=MidasRuntime(kernel="bitsliced", session=sess,
-                                     metrics=MetricsRegistry()))
-            assert _values(with_sess) == _values(plain)
-
-    def test_registry_keys_sessions_by_kernel(self):
-        from repro.service.registry import GraphRegistry
-
-        reg = GraphRegistry()
-        entry = reg.register(_graph(), name="g")
-        s_auto = entry.session_for(MidasRuntime(metrics=MetricsRegistry()))
-        s_bits = entry.session_for(
-            MidasRuntime(kernel="bitsliced", metrics=MetricsRegistry()))
-        assert s_auto is not s_bits
-        assert entry.session_count() == 2
-        assert s_bits is entry.session_for(
-            MidasRuntime(kernel="bitsliced", metrics=MetricsRegistry()))
 
 
 class TestConcurrentSessionSharing:

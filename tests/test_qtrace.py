@@ -410,12 +410,11 @@ def _spec(seed=11, k=4):
 class TestEndToEndProcessTrace:
     def test_spliced_timeline_across_process_boundary(self):
         g = _graph(seed=5)
-        svc = DetectionService()
+        svc = DetectionService(runtime_config={"mode": "process", "workers": 2})
         svc.registry.register(g, name="g")
         with svc:
             client = LocalClient(svc)
-            rt = MidasRuntime(mode="process", workers=2)
-            out = client.query(_spec(), tenant="acme", runtime=rt)
+            out = client.query(_spec(), tenant="acme")
             assert out.trace_id
             doc = client.trace(out.trace_id)
 
@@ -423,12 +422,17 @@ class TestEndToEndProcessTrace:
         assert {"client.request", "broker.total", "broker.cache",
                 "broker.quota", "broker.queue", "broker.execute",
                 "engine.stage", "engine.round",
-                "worker.kernel"} <= names
-        # distinct pids: the service process and >=1 worker process
+                "engine.kernel"} <= names
+        # distinct pids: the service process and the fleet worker, whose
+        # engine spans are spliced under broker.execute
         service_pid = doc["service_pid"]
-        worker_pids = {s["pid"] for s in doc["spans"]
-                       if s["name"].startswith("worker.")}
-        assert worker_pids and service_pid not in worker_pids
+        by_id = {s["span_id"]: s for s in doc["spans"]}
+        engine = [s for s in doc["spans"] if s["name"].startswith("engine.")]
+        worker_pids = {s["pid"] for s in engine}
+        assert len(worker_pids) == 1 and service_pid not in worker_pids
+        for s in engine:
+            while s["name"] != "broker.execute":
+                s = by_id[s["parent_id"]]
         # one connected tree: every span's parent resolves
         ids = {s["span_id"] for s in doc["spans"]} | {doc["root_span_id"]}
         assert all(s["parent_id"] in ids for s in doc["spans"]
@@ -445,29 +449,24 @@ class TestEndToEndProcessTrace:
 
         text = render_timeline(doc)
         assert out.trace_id in text
-        assert "worker.kernel" in text and "stage walls" in text
+        assert "engine.kernel" in text and "stage walls" in text
 
     @pytest.mark.parametrize("mode", ["sequential", "threaded", "process"])
     def test_every_mode_trace_explains_itself(self, mode):
-        """One span log per query, whoever runs the windows: every mode's
-        trace carries rounds x phases kernel spans on that mode's lanes,
+        """One span log per query, whatever mode the service is configured
+        with: the fleet worker runs it sequentially, so the trace carries
+        rounds x phases ``engine.kernel`` spans on the worker's main lane,
         and a first query on a fresh session shows what it had to build."""
-        from test_phase_boundary import LANE_PREFIX
-
-        svc = DetectionService()
+        svc = DetectionService(
+            workers=1, runtime_config={"mode": mode, "workers": 2, "n2": 4})
         svc.registry.register(_graph(seed=5), name="g")
         with svc:
             client = LocalClient(svc)
             docs = []
             for seed in (11, 12):  # cold session, then warm
-                rt = MidasRuntime(mode=mode, workers=2, n2=4)
-                out = client.query(_spec(seed=seed), tenant="acme", runtime=rt)
+                out = client.query(_spec(seed=seed), tenant="acme")
+                assert out.payload["runtime"]["mode"] == "sequential"
                 docs.append(client.trace(out.trace_id))
-                # the query's trace *is* the run's profile: the same list
-                assert rt.profiler.trace_id == out.trace_id
-                mine = [s for s in docs[-1]["spans"]
-                        if s["name"] != "client.request"]
-                assert len(rt.profiler.spans()) == len(mine)
         cold, warm = docs
 
         by_id = {s["span_id"]: s for s in cold["spans"]}
@@ -483,29 +482,23 @@ class TestEndToEndProcessTrace:
                           if s["name"] == "engine.stage")["tags"]["rounds_done"]
         assert len(rounds) == rounds_run
         assert len(kernels) == rounds_run * (1 << 4) // 4  # k=4, n2=4
-        assert {s["name"] for s in kernels} == {
-            "worker.kernel" if mode == "process" else "engine.kernel"}
+        assert {s["name"] for s in kernels} == {"engine.kernel"}
         for s in kernels:
-            assert s["lane"].startswith(LANE_PREFIX[mode])
+            assert s["lane"] == "main"
             assert list(ancestors(s))[:3] == ["engine.round", "engine.stage",
                                               "broker.execute"]
-            assert (s["pid"] != cold["service_pid"]) == (mode == "process")
+            assert s["pid"] != cold["service_pid"]
         assert sorted(s["tags"]["q_start"] for s in kernels
                       if by_id[s["parent_id"]] is rounds[0]) == [0, 4, 8, 12]
 
         # what the cold query built, and the warm one found in the session
-        built = {"engine.field"} | ({"engine.pool"} if mode == "process"
-                                    else set())
         names = lambda doc: {s["name"] for s in doc["spans"]}  # noqa: E731
-        assert built <= names(cold)
-        assert "engine.field" not in names(warm)
+        assert "engine.field" in names(cold)
+        assert not {"engine.field", "engine.pool"} & names(warm)
         for s in cold["spans"]:
-            if s["name"] in built:
+            if s["name"] == "engine.field":
                 assert "broker.execute" in ancestors(s)
                 assert s["tags"]["phase"] == "setup"
-        pool = [s for s in cold["spans"] if s["name"] == "engine.pool"]
-        assert all(by_id[s["parent_id"]]["name"] == "engine.stage"
-                   for s in pool)
 
         for doc in docs:
             walls = doc["stage_walls"]
@@ -514,12 +507,12 @@ class TestEndToEndProcessTrace:
             assert validate_chrome_trace(trace_to_chrome(doc)) > 0
 
     def test_simulated_trace_shows_partition_and_halo(self):
-        svc = DetectionService()
+        svc = DetectionService(runtime_config={
+            "mode": "simulated", "n_processors": 2, "n1": 2})
         svc.registry.register(_graph(seed=5), name="g")
         with svc:
             client = LocalClient(svc)
-            rt = MidasRuntime(mode="simulated", n_processors=2, n1=2)
-            out = client.query(_spec(seed=11), tenant="acme", runtime=rt)
+            out = client.query(_spec(seed=11), tenant="acme")
             doc = client.trace(out.trace_id)
         by_id = {s["span_id"]: s for s in doc["spans"]}
         for name in ("engine.partition", "engine.halo"):

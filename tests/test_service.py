@@ -992,9 +992,6 @@ class TestHttpTransport:
                 http.query({"kind": "detect-path", "graph": "ghost", "k": 3})
             with pytest.raises(ConfigurationError):
                 http.query({"kind": "detect-path", "graph": "ghost", "k": 0})
-            with pytest.raises(ConfigurationError):
-                http.query({"kind": "detect-path", "graph": "g", "k": 3},
-                           runtime=MidasRuntime())
             with pytest.raises(ServiceError):
                 HttpClient("http://127.0.0.1:9").status()  # unreachable
         with pytest.raises(ConfigurationError):
