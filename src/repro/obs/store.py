@@ -229,21 +229,36 @@ class RunStore:
     def __init__(self, path: PathLike) -> None:
         self.path = Path(path)
 
+    def _append_locked(self, payload: bytes) -> None:
+        """One ``O_APPEND`` write under an exclusive ``flock``.
+
+        The lock is dropped with ``LOCK_UN`` before the close.  An flock
+        belongs to the open file, not to the descriptor: a worker process
+        forked by another thread while the lock is held shares that open
+        file, and closing this descriptor alone would leave the file
+        locked for as long as the worker lives — and the next append
+        waiting for ever.
+        """
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(str(self.path),
+                     os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+        try:
+            if fcntl is None:
+                os.write(fd, payload)
+                return
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            try:
+                os.write(fd, payload)
+            finally:
+                fcntl.flock(fd, fcntl.LOCK_UN)
+        finally:
+            os.close(fd)
+
     def append(self, record: RunRecord) -> None:
         """Append one record as a single ``O_APPEND`` write under an
         ``fcntl`` lock, so concurrent writers never interleave records
         and a crash mid-append can damage at most the trailing line."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        payload = (json.dumps(record.to_dict()) + "\n").encode("utf-8")
-        fd = os.open(str(self.path),
-                     os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-        try:
-            if fcntl is not None:
-                fcntl.flock(fd, fcntl.LOCK_EX)
-            os.write(fd, payload)
-        finally:
-            # closing the fd releases the flock
-            os.close(fd)
+        self._append_locked((json.dumps(record.to_dict()) + "\n").encode("utf-8"))
 
     def append_many(self, records) -> int:
         """Append a batch of records under one lock/open.
@@ -256,18 +271,9 @@ class RunStore:
         records = list(records)
         if not records:
             return 0
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        payload = "".join(
+        self._append_locked("".join(
             json.dumps(r.to_dict()) + "\n" for r in records
-        ).encode("utf-8")
-        fd = os.open(str(self.path),
-                     os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-        try:
-            if fcntl is not None:
-                fcntl.flock(fd, fcntl.LOCK_EX)
-            os.write(fd, payload)
-        finally:
-            os.close(fd)
+        ).encode("utf-8"))
         return len(records)
 
     def load(self, scenario: Optional[str] = None) -> List[RunRecord]:

@@ -271,6 +271,49 @@ class TestCrashSafeAppends:
         recs = st.load()
         assert len(recs) == 1
 
+    @pytest.mark.parametrize("batch", [False, True], ids=["append", "append_many"])
+    def test_a_process_forked_mid_append_keeps_no_lock(self, tmp_path,
+                                                       monkeypatch, batch):
+        """A fleet worker forked by another thread while an append holds
+        the flock shares the locked open file; the lock must still end
+        with the append (the service's next sweep waited on it for ever)."""
+        import fcntl
+        import multiprocessing
+
+        import repro.obs.store as store_mod
+
+        ctx = multiprocessing.get_context("fork")
+        release_r, release_w = ctx.Pipe(duplex=False)
+        forked = []
+
+        class ForkWhileLocked:
+            LOCK_EX, LOCK_UN = fcntl.LOCK_EX, fcntl.LOCK_UN
+
+            @staticmethod
+            def flock(fd, op):
+                fcntl.flock(fd, op)
+                if op == fcntl.LOCK_EX:
+                    child = ctx.Process(target=release_r.recv, daemon=True)
+                    child.start()
+                    forked.append(child)
+
+        monkeypatch.setattr(store_mod, "fcntl", ForkWhileLocked)
+        st = RunStore(tmp_path / "runs.jsonl")
+        try:
+            if batch:
+                assert st.append_many([rec("s", 1.0), rec("s", 2.0)]) == 2
+            else:
+                st.append(rec("s", 1.0))
+            assert len(forked) == 1 and forked[0].is_alive()
+            with st.path.open("a") as fh:
+                # BlockingIOError while the child's copy still holds it
+                fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        finally:
+            release_w.send(None)
+            for child in forked:
+                child.join(timeout=10)
+        assert len(st.load()) == (2 if batch else 1)
+
 
 class TestProvenanceFlags:
     def test_flags_detected(self):
