@@ -13,17 +13,19 @@ boundary**:
   shared one, or a private one built the same way;
 * :class:`DetectionEngine` — owns the amplification rounds
   (:meth:`~DetectionEngine.run_stage`: seeded RNG-stream derivation,
-  one stamped span per round, checkpoints, early exit) and the one
+  round batches — several rounds side by side in one window when a
+  window covers a round — one stamped span per batch, checkpoints,
+  early exit) and the one
   **phase boundary** :meth:`~DetectionEngine.phase_done`, where every
   finished phase window — whoever ran it — meets the histogram, the
   span log (``rt.get_profiler()``: the run's profile and, for a served
   query, its trace — one list), the digest log, live status, the
   watchdog and the recorder;
 * :class:`ExecutionBackend` — the whole-graph **round loop**
-  (:meth:`~ExecutionBackend.run_round`: fold completed windows into the
-  XOR accumulator, report each to the boundary, cancel what has not
-  started if anything raises), written once; the subclasses say only
-  *how a window gets executed*:
+  (:meth:`~ExecutionBackend.run_round`: fold completed windows into
+  their rounds' XOR accumulators, report each to the boundary, cancel
+  what has not started if anything raises), written once; the
+  subclasses say only *how a window gets executed*:
 
   ``SequentialBackend``
       Inline on the calling thread, one window at a time — no pool, no
@@ -40,9 +42,9 @@ boundary**:
       On a fleet of worker processes sharing the graph through
       :class:`~repro.core.process_backend.ProcessPhasePool` — the same
       commutativity argument past the GIL.  One request per worker per
-      round, one record back per window; decodes the records, merges
-      worker metrics and spans, re-runs a round whose worker died once
-      and turns the second death into a typed
+      round batch, one record back per window; decodes the records,
+      merges worker metrics and spans, re-runs a batch whose worker died
+      once and turns the second death into a typed
       :class:`~repro.errors.WorkerCrashedError`.
   ``SimulatedBackend``
       The real SPMD decomposition on the runtime simulator — its own
@@ -264,9 +266,11 @@ class MidasRuntime:
             )
 
     def schedule_for(self, k: int, n: int = 0, field_degree: Optional[int] = None,
-                     payload: int = 1) -> PhaseSchedule:
+                     payload: int = 1, rounds: Optional[int] = None,
+                     live_states: int = 1) -> PhaseSchedule:
         """The ``(k, N, N1, N2)`` schedule of a ``2^k``-iteration round on
-        an ``n``-vertex graph.
+        an ``n``-vertex graph, and how many of ``rounds`` independent
+        rounds one window carries.
 
         An explicit ``n2`` wins.  Otherwise simulated/modeled modes take
         BSMax, and the whole-graph modes take ``min(2^k, 1024)`` — every
@@ -278,9 +282,19 @@ class MidasRuntime:
         bytes per weight cell, over ``payload`` cells (a spec's
         ``payload``), in the field of degree ``l = field_degree``
         (default: a k-path's).  ``n = 0`` (size unknown) skips the budget.
+
+        ``rounds`` (default: not asked) is how many rounds are left to
+        run.  When a default whole-graph window covers a round
+        (``N2 = 2^k``), it then carries ``R = rounds_per_window`` of them:
+        the largest power of two ``<= rounds`` with ``R 2^k <= 1024``
+        lanes, a window per worker (``R <= rounds / workers``), and the
+        ``live_states`` states of the spec's recurrence within
+        ``3 * _STATE_BYTES``.  Everywhere else — simulated and modeled
+        modes, an explicit ``n2``, a round of several windows — ``R = 1``.
         """
         total = 1 << k
         n2 = self.n2
+        rpw = 1
         if n2 is None:
             if self.mode in _WHOLE_GRAPH_MODES:
                 n2 = min(total, 1024)
@@ -290,12 +304,17 @@ class MidasRuntime:
                 while n2 > 64 and (total // n2 < workers
                                    or word_bytes * (n2 // 64) > _STATE_BYTES):
                     n2 //= 2
+                if rounds is not None and n2 == total:
+                    rpw = pow2_floor(max(1, min(rounds // workers, 1024 // total)))
+                    while rpw > 1 and (live_states * word_bytes * -(-rpw * total // 64)
+                                       > 3 * _STATE_BYTES):
+                        rpw //= 2
             else:
                 n2 = PhaseSchedule.bs_max(k, self.n_processors, self.n1)
         # the divisors of 2^k are exactly the powers of two, so the largest
         # divisor <= n2 is the largest power of two <= n2
         n2 = pow2_floor(max(1, min(n2, total)))
-        return PhaseSchedule(k, self.n_processors, self.n1, n2)
+        return PhaseSchedule(k, self.n_processors, self.n1, n2, rpw)
 
     def get_cluster(self) -> VirtualCluster:
         if self.cluster is not None:
@@ -606,22 +625,42 @@ class StageResult:
         return len(self.values)
 
 
-#: a finished phase window as the round loop consumes it: the value, the
-#: ``perf_counter`` stamps taken where the kernel ran, that lane's name, and
-#: the worker's pid when that was another process
-Window = Tuple[Value, float, float, str, Optional[int]]
+class _Rounds(NamedTuple):
+    """The consecutive rounds one :meth:`ExecutionBackend.run_round` call
+    runs — a *round batch* — and how they split into phase windows."""
+
+    ell: int  # the first round's index
+    fps: list  # one fingerprint per round
+    sched: PhaseSchedule  # rounds_per_window: the rounds a window carries
+
+    def windows(self) -> List[Tuple[range, int]]:
+        """Each window as ``(batch positions of its rounds, phase t)``:
+        ``R`` rounds side by side in one phase window, or — ``R = 1`` —
+        every phase of each round."""
+        rpw = self.sched.rounds_per_window
+        return [(range(r, r + rpw), t) for r in range(0, len(self.fps), rpw)
+                for t in range(self.sched.n_phases)]
 
 
-def _run_window(graph: CSRGraph, stage: _Stage, fp, t: int) -> Window:
-    """Evaluate phase window ``t`` on the calling thread, stamped here."""
+#: a finished phase window as the round loop consumes it: its value in each
+#: of its rounds, the ``perf_counter`` stamps taken where the kernel ran,
+#: that lane's name, and the worker's pid when that was another process
+Window = Tuple[List[Value], float, float, str, Optional[int]]
+
+
+def _run_window(graph: CSRGraph, stage: _Stage, rounds: _Rounds, w: int) -> Window:
+    """Evaluate window ``w`` of a round batch on the calling thread,
+    stamped here."""
+    rs, t = rounds.windows()[w]
     t0 = time.perf_counter()
-    value = stage.spec.phase_value(graph, fp, stage.sched.phase_window(t)[0],
-                                   stage.sched.n2)
-    return value, t0, time.perf_counter(), threading.current_thread().name, None
+    values = stage.spec.phase_values(graph, rounds.fps[rs.start:rs.stop],
+                                     rounds.sched.phase_window(t)[0],
+                                     rounds.sched.n2)
+    return values, t0, time.perf_counter(), threading.current_thread().name, None
 
 
 class ExecutionBackend:
-    """How one amplification round's phase windows get executed.
+    """How a batch of amplification rounds' phase windows get executed.
 
     The whole-graph round loop (:meth:`run_round`) is written here once;
     it knows nothing about telemetry — every finished window goes to the
@@ -639,25 +678,25 @@ class ExecutionBackend:
     def prepare(self, stage: _Stage) -> None:
         """Per-stage setup (partitioning, pools); may be called repeatedly."""
 
-    def submit(self, stage: _Stage, fp, t: int):
-        """A future of window ``t``'s result (pool executors)."""
+    def submit(self, stage: _Stage, rounds: _Rounds, w: int):
+        """A future of window ``w``'s result (pool executors)."""
         raise NotImplementedError
 
-    def completed(self, stage: _Stage, t: int, result) -> Window:
-        """Decode window ``t``'s executor result into a :data:`Window`."""
+    def completed(self, stage: _Stage, w: int, result) -> Window:
+        """Decode window ``w``'s executor result into a :data:`Window`."""
         return result
 
-    def windows(self, stage: _Stage, fp) -> Iterator[tuple]:
-        """Run the round's windows; yield ``(t, result)`` as each finishes.
+    def windows(self, stage: _Stage, rounds: _Rounds) -> Iterator[tuple]:
+        """Run the batch's windows; yield ``(w, result)`` as each finishes.
 
         The windows are independent and the fold is commutative, so
         completion order is as good as schedule order.  When the consumer
         stops early — a watchdog trip, a dead worker, Ctrl-C — the
         windows that have not started are cancelled before the exception
-        propagates, so nothing keeps computing for a discarded round.
+        propagates, so nothing keeps computing for a discarded batch.
         """
-        futures = {self.submit(stage, fp, t): t
-                   for t in range(stage.sched.n_phases)}
+        futures = {self.submit(stage, rounds, w): w
+                   for w in range(len(rounds.windows()))}
         try:
             for fut in as_completed(futures):
                 yield futures[fut], fut.result()
@@ -665,24 +704,30 @@ class ExecutionBackend:
             for fut in futures:
                 fut.cancel()
 
-    def run_round(self, stage: _Stage, fp, ell: int):
-        """Execute round ``ell`` and return ``(value, virtual_seconds)``.
+    def run_round(self, stage: _Stage, rounds: _Rounds):
+        """Execute a batch of rounds; return each round's ``(values,
+        virtual_seconds)`` as two lists.
 
-        The one whole-graph round loop: XOR-fold each finished window and
-        hand it to the phase boundary.  ``closing`` ends the executor's
-        generator on the way out, whatever the reason, which is what
-        cancels the windows that have not started.
+        The one whole-graph round loop: XOR-fold each finished window
+        into its rounds' accumulators and hand it to the phase boundary.
+        ``closing`` ends the executor's generator on the way out, whatever
+        the reason, which is what cancels the windows that have not
+        started.
         """
-        e = self.engine
-        value = stage.spec.acc_init()
+        e, spec = self.engine, stage.spec
+        values = [spec.acc_init() for _ in rounds.fps]
+        windows = rounds.windows()
         round0 = time.perf_counter()
-        with closing(self.windows(stage, fp)) as done:
-            for t, result in done:
-                contrib, t0, t1, lane, pid = self.completed(stage, t, result)
-                value = stage.spec.combine(value, contrib)
-                e.phase_done(stage, ell, t, contrib, t0, t1, lane, pid)
-        e.round_joined(stage, ell, round0, time.perf_counter())
-        return value, 0.0
+        with closing(self.windows(stage, rounds)) as done:
+            for w, result in done:
+                contribs, t0, t1, lane, pid = self.completed(stage, w, result)
+                rs, t = windows[w]
+                for r, contrib in zip(rs, contribs):
+                    values[r] = spec.combine(values[r], contrib)
+                e.phase_done(stage, range(rounds.ell + rs.start, rounds.ell + rs.stop),
+                             t, contribs, t0, t1, lane, pid)
+        e.round_joined(stage, rounds.ell, round0, time.perf_counter())
+        return values, [0.0] * len(values)
 
     def close(self) -> None:
         """Release backend resources (pools)."""
@@ -693,9 +738,9 @@ class SequentialBackend(ExecutionBackend):
 
     name = "sequential"
 
-    def windows(self, stage: _Stage, fp) -> Iterator[tuple]:
-        for t in range(stage.sched.n_phases):
-            yield t, _run_window(self.engine.graph, stage, fp, t)
+    def windows(self, stage: _Stage, rounds: _Rounds) -> Iterator[tuple]:
+        for w in range(len(rounds.windows())):
+            yield w, _run_window(self.engine.graph, stage, rounds, w)
 
 
 class ModeledBackend(SequentialBackend):
@@ -703,18 +748,18 @@ class ModeledBackend(SequentialBackend):
 
     name = "modeled"
 
-    def run_round(self, stage: _Stage, fp, ell: int):
-        value, _ = super().run_round(stage, fp, ell)
+    def run_round(self, stage: _Stage, rounds: _Rounds):
+        values, _ = super().run_round(stage, rounds)
         virtual = (
             stage.estimate.total_seconds / stage.rounds
             if stage.estimate is not None
             else 0.0
         )
-        return value, virtual
+        return values, [virtual] * len(values)
 
 
 class ThreadedBackend(ExecutionBackend):
-    """Run a round's independent phase windows on a thread pool.
+    """Run a round batch's independent phase windows on a thread pool.
 
     The phase kernels are numpy table-lookup pipelines that release the
     GIL, and the round accumulator is an XOR fold — commutative and
@@ -735,8 +780,8 @@ class ThreadedBackend(ExecutionBackend):
                 thread_name_prefix="midas-phase",
             )
 
-    def submit(self, stage: _Stage, fp, t: int):
-        return self._pool.submit(_run_window, self.engine.graph, stage, fp, t)
+    def submit(self, stage: _Stage, rounds: _Rounds, w: int):
+        return self._pool.submit(_run_window, self.engine.graph, stage, rounds, w)
 
     def close(self) -> None:
         if self._pool is not None:
@@ -745,15 +790,15 @@ class ThreadedBackend(ExecutionBackend):
 
 
 class ProcessBackend(ExecutionBackend):
-    """Run a round's phase windows on worker *processes* (past the GIL).
+    """Run a round batch's phase windows on worker *processes* (past the GIL).
 
     Same contract as :class:`ThreadedBackend` — independent windows, XOR
     merge in completion order, bit-identical to sequential — but the
     phase kernels run in separate interpreters: the graph is shared via
     :class:`~repro.core.process_backend.ProcessPhasePool`'s shared-memory
     segments, specs are rebuilt in workers from their picklable recipes,
-    and a round is one request per worker — each takes a share of the
-    round's windows and streams back one record per finished window, so
+    and a batch is one request per worker — each takes a share of the
+    batch's windows and streams back one record per finished window, so
     this side only receives and folds.
     """
 
@@ -779,14 +824,15 @@ class ProcessBackend(ExecutionBackend):
         # spec); a hand-built spec without a recipe is refused here
         self._pool.wire_spec(stage.spec)
 
-    def windows(self, stage: _Stage, fp) -> Iterator[tuple]:
-        sched = stage.sched
-        return self._pool.round(
-            self._pool.wire_spec(stage.spec), fp, sched.n2,
-            [sched.phase_window(t)[0] for t in range(sched.n_phases)])
+    def windows(self, stage: _Stage, rounds: _Rounds) -> Iterator[tuple]:
+        sched = rounds.sched
+        return self._pool.batch(
+            self._pool.wire_spec(stage.spec), rounds.fps, sched.n2,
+            [(sched.phase_window(t)[0], rs.start, rs.stop)
+             for rs, t in rounds.windows()])
 
-    def completed(self, stage: _Stage, t: int, result) -> Window:
-        raw, (pid, t0, t1, *build), mdelta = result
+    def completed(self, stage: _Stage, w: int, result) -> Window:
+        raws, (pid, t0, t1, *build), mdelta = result
         e = self.engine
         if mdelta:
             # increments made inside the worker (field builds, calibration,
@@ -798,14 +844,15 @@ class ProcessBackend(ExecutionBackend):
             # stamps share a timebase, so the span goes in as stamped
             e.prof.add_span("worker.spec_build", *build, pid=pid, lane=lane,
                             phase="setup", callsite=stage.spec.name)
-        return stage.spec.rank_value(raw), t0, t1, lane, pid
+        return [stage.spec.rank_value(raw) for raw in raws], t0, t1, lane, pid
 
-    def run_round(self, stage: _Stage, fp, ell: int):
-        """The round, or — when a worker dies under it — the round again
-        on a rebuilt fleet: the fingerprint is the same, so the value is.
-        A second death in the same stage is not retried."""
+    def run_round(self, stage: _Stage, rounds: _Rounds):
+        """The batch, or — when a worker dies under it — the batch again
+        on a rebuilt fleet: the fingerprints are the same, so the values
+        are.  A second death in the same stage is not retried."""
+        ell = rounds.ell
         try:
-            return super().run_round(stage, fp, ell)
+            return super().run_round(stage, rounds)
         except WorkerCrashedError as exc:
             self.close()
             e = self.engine
@@ -821,7 +868,7 @@ class ProcessBackend(ExecutionBackend):
             _LOG.warning("%s; re-running round %d on a new fleet", exc, ell)
             e.discard_round()
             self.prepare(stage)
-            return self.run_round(stage, fp, ell)
+            return self.run_round(stage, rounds)
 
     def close(self) -> None:
         if self._pool is not None:
@@ -878,7 +925,9 @@ class SimulatedBackend(ExecutionBackend):
             self._views = e.session.ensure_views(e.prof, e.problem)
             self._cost_model = e.rt.get_cluster().cost_model(e.rt.n1)
 
-    def run_round(self, stage: _Stage, fp, ell: int):
+    def run_round(self, stage: _Stage, rounds: _Rounds):
+        # one round a batch: simulated windows carry one round (R = 1)
+        (fp,), ell = rounds.fps, rounds.ell
         e = self.engine
         rt, rec, fc = e.rt, e.rec, e.fc
         spec, sched = stage.spec, stage.sched
@@ -931,7 +980,8 @@ class SimulatedBackend(ExecutionBackend):
                     contrib = enacted
                 value = spec.combine(value, contrib)
                 # a virtual makespan, not a wall interval: no lane
-                e.phase_done(stage, ell, t, contrib, 0.0, tl.makespan, None)
+                e.phase_done(stage, range(ell, ell + 1), t, [contrib], 0.0,
+                             tl.makespan, None)
                 phase_end = extra + tl.makespan
                 if phase_end >= batch_time:
                     slow_local = int(tl.clocks.argmax()) if len(tl.clocks) else 0
@@ -976,7 +1026,7 @@ class SimulatedBackend(ExecutionBackend):
                                           else "round-reduce")))
         e.cursor += red
         e.last_join = (-1, e.cursor)
-        return value, round_virtual
+        return [value], [round_virtual]
 
 
 def _compose_label(stage_label: str, suffix: str) -> str:
@@ -1187,7 +1237,7 @@ class DetectionEngine:
             # empty unless the span log is a served query's trace
             self.live.trace_id = self.prof.trace_id
         self.round_walls: List[float] = []  # wall seconds of each round run
-        self._windows: List[tuple] = []  # (t, t0, t1, lane) awaiting the join
+        self._windows: List[tuple] = []  # (round, t, t0, t1, lane) awaiting the join
         if self.live is not None:
             self.live.run_started(problem, rt.mode,
                                   graph_nodes=graph.n,
@@ -1311,13 +1361,16 @@ class DetectionEngine:
             "open_spans": [s.to_dict() for s in self.prof.open_spans()]})
 
     # ------------------------------------------------------ phase boundary
-    def phase_done(self, stage: "_Stage", ell: int, t: int, value,
+    def phase_done(self, stage: "_Stage", ells: range, t: int, values: list,
                    t0: float, t1: float, lane: Optional[str],
                    pid: Optional[int] = None) -> None:
         """The one phase boundary: every backend reports each finished
         phase window here, on the thread that folds the round
-        accumulator (so no sink needs to be thread-safe for it).
+        accumulators (so no sink needs to be thread-safe for it).
 
+        The window was phase ``t`` of each round in ``ells`` — several
+        rounds side by side when the schedule fuses them, each with its
+        entry in ``values``; a fused round is one phase, ``t = 0``.
         ``t0``/``t1`` were stamped where the window ran: ``perf_counter``
         seconds on thread ``lane`` or worker process ``pid``, or —
         ``lane=None`` — a virtual makespan from the simulator, which has
@@ -1331,21 +1384,22 @@ class DetectionEngine:
                 "engine.kernel" if pid is None else "worker.kernel", t0, t1,
                 pid=pid, lane=lane, phase="rounds", callsite=stage.spec.name,
                 q_start=stage.sched.phase_window(t)[0], n2=stage.sched.n2,
-                k=stage.spec.k)
+                k=stage.spec.k, round=ells.start, rounds=len(ells))
             if self.rec is not None:
-                # the recorder lanes are laid out once the round has joined
-                self._windows.append((t, t0, t1, lane))
+                # the recorder lanes are laid out once the batch has joined
+                self._windows.append((ells.start, t, t0, t1, lane))
         if self.wd is not None:
             self.wd.beat()
             self.wd.check()
-        if self.digests is not None:
-            # keyed by phase index, so completion order is moot
-            self.digests.record_phase(
-                stage.label, ell, t // stage.sched.concurrency, t,
-                self._value_digest(value),
-            )
-        if self.live is not None:
-            self.live.phase_done(ell, t)
+        for ell, value in zip(ells, values):
+            if self.digests is not None:
+                # keyed by phase index, so completion order is moot
+                self.digests.record_phase(
+                    stage.label, ell, t // stage.sched.concurrency, t,
+                    self._value_digest(value),
+                )
+            if self.live is not None:
+                self.live.phase_done(ell, t)
 
     def discard_round(self) -> None:
         """Forget the windows of a round that will not be joined (its
@@ -1354,27 +1408,28 @@ class DetectionEngine:
 
     def round_joined(self, stage: "_Stage", ell: int, round0: float,
                      round1: float) -> None:
-        """The join half of the boundary: lay the round's windows on the
-        recorder — one timeline lane per thread/worker that ran any, wall
-        offsets from the round start preserved — and advance the run-level
-        clock by the round's wall.  When the accumulator join crossed
-        threads, a barrier edge hangs it on the window that finished last.
+        """The join half of the boundary: lay the windows of the round
+        batch that starts at round ``ell`` on the recorder — one timeline
+        lane per thread/worker that ran any, wall offsets from the batch
+        start preserved — and advance the run-level clock by the batch's
+        wall.  When the accumulator join crossed threads, a barrier edge
+        hangs it on the window that finished last.
         """
         if self.rec is None:
             return
         windows, self._windows = self._windows, []
-        lanes = {w: i for i, w in enumerate(sorted({w[3] for w in windows}))}
+        lanes = {w: i for i, w in enumerate(sorted({w[4] for w in windows}))}
 
         def at(stamp: float) -> float:  # clamped: worker clocks are foreign
             return self.cursor + max(stamp - round0, 0.0)
 
-        for t, t0, t1, lane in sorted(windows, key=lambda w: w[1]):
+        for first, t, t0, t1, lane in sorted(windows, key=lambda w: w[2]):
             q0, q1 = stage.sched.phase_window(t)
             self.rec.record(lanes[lane], "compute", at(t0), at(t1),
-                            scope=Scope(round=ell, phase=t, q0=q0, q1=q1,
+                            scope=Scope(round=first, phase=t, q0=q0, q1=q1,
                                         label=stage.label))
         if windows:
-            _, _, t1, lane = max(windows, key=lambda w: w[2])
+            *_, t1, lane = max(windows, key=lambda w: w[3])
             if lane != threading.current_thread().name:
                 self.rec.record_edge("barrier", lanes[lane], at(t1), 0,
                                      at(round1), info=f"r{ell} join")
@@ -1408,10 +1463,16 @@ class DetectionEngine:
 
         ``rng`` is the stage's stream; round ``ell`` draws its fingerprint
         from ``rng.child(f"round{ell}")`` — identical in every mode, so
-        answers never depend on the backend or the ``(N, N1, N2)``
-        decomposition.  ``stop`` is the early-exit predicate on the round
-        accumulator (e.g. *any witness* for detection, *this weight cell*
-        for single-cell queries).
+        answers never depend on the backend, the ``(N, N1, N2)``
+        decomposition or how many rounds share a window.  ``stop`` is the
+        early-exit predicate on the round accumulator (e.g. *any witness*
+        for detection, *this weight cell* for single-cell queries).
+
+        Rounds run in batches (:meth:`_round_batch`): without ``stop``, all
+        the rounds left that fit; with it, 1, 2, 4, ... rounds.  Each round
+        is still reported on its own, in order — its digest, checkpoint,
+        live event and ``stop`` — and a hit drops the batch's later rounds
+        unreported.  A watchdog trip discards the unfinished batch.
         """
         rt = self.rt
         sched = rt.schedule_for(spec.k, self.graph.n, spec.field.m, spec.payload)
@@ -1477,60 +1538,111 @@ class DetectionEngine:
                     if st["hit"] or st["complete"]:
                         return StageResult(values, virtuals, sched, estimate)
 
-            for ell in range(start_round, rounds):
+            ell, grow, hit = start_round, 1, False
+            while ell < rounds and not hit:
                 if self.wd is not None:
                     try:
                         self.wd.check()
                     except WatchdogExpired as exc:
                         self._note_degraded(exc, len(values))
                         break
-                fp = spec.draw_fingerprint(self.graph.n, rng.child(f"round{ell}"))
-                # the round is stamped once: this span is the profile's and
+                # with an early exit, batches grow 1, 2, 4, ... rounds, so a
+                # first-round hit costs one round's window
+                want = rounds - ell if stop is None else min(rounds - ell, grow)
+                grow *= 2
+                batch = self._round_batch(spec, ell, want, rng)
+                # the batch is stamped once: this span is the profile's and
                 # the query trace's, and feeds details["wall"] and the ETA
                 span = self.prof.span("engine.round", phase="rounds",
-                                      callsite=label or self.problem, round=ell)
+                                      callsite=label or self.problem, round=ell,
+                                      rounds=len(batch.fps))
                 try:
                     with span:
-                        value, round_virtual = self.backend.run_round(stage, fp, ell)
+                        done = list(zip(*self.backend.run_round(stage, batch)))
                 except WatchdogExpired as exc:
-                    # the in-flight round's partial work is discarded; a resume
-                    # re-runs it from the same round-scoped stream, bit-identical
+                    # the in-flight batch's partial work is discarded; a resume
+                    # re-runs it from the same round-scoped streams, bit-identical
+                    self.round_walls.append(span.span.duration)
                     self._note_degraded(exc, len(values))
                     break
-                finally:
-                    self.round_walls.append(span.span.duration)
-                self.note_round(stage, ell, value)
-                self.rounds_ctr.inc()
-                self.virtual_total += round_virtual
-                values.append(value)
-                virtuals.append(round_virtual)
-                hit = stop is not None and stop(value)
-                if self.live is not None:
-                    remaining = 0 if hit else rounds - (ell + 1)
-                    mean_virtual = (sum(virtuals) / len(virtuals)) if virtuals else 0.0
-                    stage_walls = self.round_walls[walls0:]
-                    self.live.round_done(
-                        ell, hit, self.virtual_total,
-                        eta_seconds=sum(stage_walls) / len(stage_walls) * remaining,
-                        eta_virtual_seconds=mean_virtual * remaining,
-                    )
-                    if self.fc is not None and self.fc.injector is not None:
-                        self.live.fault_update(
-                            self.fc.phase_failures, self.fc.retries,
-                            sum(self.fc.injected.values()),
-                        )
-                if skey is not None:
-                    self.ckpt.note_round(self.ekey, skey, value, round_virtual,
-                                         hit=hit,
-                                         complete=hit or (ell + 1 == rounds))
-                _LOG.debug("%s k=%d round %d/%d", self.problem, spec.k, ell + 1, rounds)
-                if hit:
-                    _LOG.info("%s k=%d: witness found in round %d",
-                              self.problem, spec.k, ell + 1)
-                    break
+                self._share_wall(span.span.duration, len(done))
+                for value, round_virtual in done:
+                    hit = self._round_done(stage, skey, ell, rounds, rng, value,
+                                           round_virtual, values, virtuals, walls0,
+                                           stop)
+                    ell += 1
+                    if hit:
+                        break
+                if hit and ell < batch.ell + len(done):
+                    # the batch's later rounds were evaluated, never reported
+                    del self.round_walls[-len(done):]
+                    self._share_wall(span.span.duration, ell - batch.ell)
+                    if self.digests is not None:
+                        self.digests.forget_phases(
+                            stage.label, range(ell, batch.ell + len(done)))
             stage_span.tag(rounds_done=len(values),
                            degraded=self.degraded is not None)
             return StageResult(values, virtuals, sched, estimate)
+
+    def _round_batch(self, spec: ProblemSpec, ell: int, want: int,
+                     rng: RngStream) -> _Rounds:
+        """The next round batch: round ``ell`` on, at most ``want`` rounds —
+        ``R`` rounds a window, and on a pool with the default schedule a
+        window per worker.  (An explicit ``n2`` runs a round at a time.)
+
+        The fingerprints come from the streams ``rng.child`` will hand out
+        for these rounds, drawn without spawning them: the stage stream
+        moves on one child per round *reported* (:meth:`_round_done`), so
+        an early exit leaves it where a one-round-at-a-time run would.
+        """
+        rt = self.rt
+        sched = rt.schedule_for(spec.k, self.graph.n, spec.field.m, spec.payload,
+                                rounds=want, live_states=spec.live_states)
+        size = sched.rounds_per_window
+        if rt.mode in ("threaded", "process") and sched.n_phases == 1 and rt.n2 is None:
+            size *= max(1, min(rt.get_workers(), want // size))
+        fps = [spec.draw_fingerprint(self.graph.n, child) for child in
+               rng.children_ahead([f"round{r}" for r in range(ell, ell + size)])]
+        return _Rounds(ell, fps, sched)
+
+    def _share_wall(self, seconds: float, rounds: int) -> None:
+        """A batch's wall is its rounds' walls, shared evenly."""
+        self.round_walls.extend([seconds / rounds] * rounds)
+
+    def _round_done(self, stage: "_Stage", skey, ell: int, rounds: int,
+                    rng: RngStream, value, round_virtual: float, values: list,
+                    virtuals: list, walls0: int, stop) -> bool:
+        """Report round ``ell``: the stage stream, its digest, counters, the
+        live bus and the checkpoint; True when ``stop`` says it hit."""
+        rng.child(f"round{ell}")  # the fingerprint's stream, spawned now
+        self.note_round(stage, ell, value)
+        self.rounds_ctr.inc()
+        self.virtual_total += round_virtual
+        values.append(value)
+        virtuals.append(round_virtual)
+        hit = stop is not None and stop(value)
+        if self.live is not None:
+            remaining = 0 if hit else rounds - (ell + 1)
+            mean_virtual = sum(virtuals) / len(virtuals)
+            stage_walls = self.round_walls[walls0:]
+            self.live.round_done(
+                ell, hit, self.virtual_total,
+                eta_seconds=sum(stage_walls) / len(stage_walls) * remaining,
+                eta_virtual_seconds=mean_virtual * remaining,
+            )
+            if self.fc is not None and self.fc.injector is not None:
+                self.live.fault_update(
+                    self.fc.phase_failures, self.fc.retries,
+                    sum(self.fc.injected.values()),
+                )
+        if skey is not None:
+            self.ckpt.note_round(self.ekey, skey, value, round_virtual,
+                                 hit=hit, complete=hit or (ell + 1 == rounds))
+        _LOG.debug("%s k=%d round %d/%d", self.problem, stage.spec.k, ell + 1, rounds)
+        if hit:
+            _LOG.info("%s k=%d: witness found in round %d",
+                      self.problem, stage.spec.k, ell + 1)
+        return hit
 
     # ------------------------------------------------------------- details
     def fill_details(self, det: dict, estimate=None) -> dict:

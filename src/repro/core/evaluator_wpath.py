@@ -24,7 +24,7 @@ import numpy as np
 from repro.core.leveldp import Lanes, Recurrence, run_whole_graph
 from repro.errors import ConfigurationError
 from repro.ff.fingerprint import Fingerprint
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, memory_order
 
 
 def check_weights(n: int, weights: np.ndarray, z_max: int = 0) -> np.ndarray:
@@ -52,6 +52,22 @@ def weight_seed(lanes: Lanes, w: np.ndarray, z_max: int) -> np.ndarray:
     return out
 
 
+def _gather_rows_z(s: np.ndarray, flat_src: np.ndarray) -> np.ndarray:
+    """``s[i, z]`` for ``flat_src = i (Z+1) + z`` per logical ``(row, z)``
+    cell: one ``take`` over the merged row-weight axis of ``s`` as it lies
+    in memory (rows and weight cells are adjacent there in every layout),
+    so the result keeps ``s``'s memory order — a plane-major state stays
+    plane-major, and the multiply that consumes it runs along contiguous
+    words.  (Fancy indexing ``s[row_idx, src_z]`` would lay the result out
+    row-major whatever ``s`` was.)"""
+    order, inverse = memory_order(s)
+    blk = s.transpose(order)
+    at = order.index(0)
+    merged = blk.reshape(blk.shape[:at] + (-1,) + blk.shape[at + 2:])
+    out = np.take(merged, flat_src, axis=at)
+    return out.reshape(blk.shape).transpose(inverse)
+
+
 def weighted_path_recurrence(weights: np.ndarray, k: int, z_max: int) -> Recurrence:
     """``P(i, j, z) = x_i(j) * neighbour-sum(P(., j-1, .))[i, z - w(i)]``."""
     weights = np.asarray(weights, dtype=np.int64)
@@ -63,10 +79,11 @@ def weighted_path_recurrence(weights: np.ndarray, k: int, z_max: int) -> Recurre
         src_z = np.arange(z_max + 1, dtype=np.int64)[None, :] - w[:, None]
         valid = src_z >= 0
         src_z = np.where(valid, src_z, 0)
-        row_idx = np.arange(len(w), dtype=np.int64)[:, None]
+        flat_src = (np.arange(len(w), dtype=np.int64)[:, None] * (z_max + 1)
+                    + src_z).ravel()
         for j in range(1, k):
             s = yield p
-            shifted = s[row_idx, src_z]
+            shifted = _gather_rows_z(s, flat_src)
             shifted[~valid] = 0
             p = lanes.mul(lanes.base(j)[:, None], shifted)
         return p

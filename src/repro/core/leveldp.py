@@ -14,8 +14,9 @@ orthogonal pieces:
   recurrence never sees a graph, a halo, a message tag or a comm op, and
   treats every axis after the first (rows) and the optional second
   (weight ``z``) as opaque;
-* a **lane layout** — how the ``n2`` iterations of a phase are stored:
-  :class:`ElementLanes` keeps ``(rows, [Z+1,] n2)`` field elements,
+* a **lane layout** — how the ``n2`` iterations of a phase, of one
+  round or of ``R`` rounds side by side, are stored:
+  :class:`ElementLanes` keeps ``(rows, [Z+1,] R n2)`` field elements,
   :class:`PlaneLanes` keeps ``(rows, [Z+1,] m, W)`` uint64 bit-planes
   (:mod:`repro.ff.bitsliced`) — that *logical* shape over plane-major
   memory; either way the phase indicator is computed once per window;
@@ -86,35 +87,58 @@ def retain_worker_heaps() -> bool:
 
 
 # ------------------------------------------------------------- lane layouts
+def _fingerprints(fp) -> tuple:
+    """A window's fingerprints: one per round it carries."""
+    return (fp,) if isinstance(fp, Fingerprint) else tuple(fp)
+
+
 class Lanes:
     """One phase window ``[q_start, q_start + n2)`` over a set of rows.
 
+    ``fp`` is one round's :class:`~repro.ff.fingerprint.Fingerprint`, or a
+    sequence of ``R`` of them: the window then carries ``R`` rounds side
+    by side, round-major — round ``r`` owns lanes ``[r n2, (r+1) n2)``,
+    each round with its own indicator and its own ``y``.  Rounds are
+    independent, so nothing a recurrence does mixes lanes of two rounds.
+
     ``rows`` restricts to a subset of vertex ids (a rank's own vertices);
     ``None`` means the whole graph.  Subclasses fix the storage of the
-    ``n2`` iterations; recurrences only call the methods below.
+    ``R n2`` iterations; recurrences only call the methods below.
     """
 
-    def __init__(self, fp: Fingerprint, q_start: int, n2: int,
+    def __init__(self, fp, q_start: int, n2: int,
                  rows: Optional[np.ndarray] = None) -> None:
-        self.fp, self.q_start, self.n2 = fp, q_start, n2
+        self.fps = _fingerprints(fp)
+        self.fp, self.q_start, self.n2 = self.fps[0], q_start, n2
+        self.rounds = len(self.fps)
+        self.width = self.rounds * n2
         self.rows = None if rows is None else np.asarray(rows, dtype=np.int64)
-        self.field = fp.field
+        self.field = self.fp.field
+        if self.rounds > 1:
+            # (rows, levels, R): every round's coefficients, this layout's rows
+            self._ys = self.take(np.stack([f.y for f in self.fps], axis=-1))
 
     def _indicator(self) -> np.ndarray:
-        """{0, 1}, ``(rows, n2)``: depends on the window alone, not on the
+        """{0, 1}, ``(rows, R n2)``: depends on the window alone, not on the
         level, so each layout stores it once, in its own form."""
-        return self.fp.base_block(self.q_start, self.n2, nodes=self.rows)
+        blocks = [f.base_block(self.q_start, self.n2, nodes=self.rows)
+                  for f in self.fps]
+        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
 
     def take(self, per_vertex: np.ndarray) -> np.ndarray:
         """Restrict a per-vertex array (weights, ...) to this layout's rows."""
         return per_vertex if self.rows is None else per_vertex[self.rows]
 
     def _y(self, level: int) -> np.ndarray:
+        """``y[:, level]`` on this layout's rows: ``(rows,)``, or
+        ``(rows, R)`` when the window carries several rounds."""
         if not (0 <= level < self.fp.levels):
             raise ConfigurationError(
                 f"level {level} out of range for fingerprint with "
                 f"{self.fp.levels} levels"
             )
+        if self.rounds > 1:
+            return self._ys[:, level]
         return self.take(self.fp.y[:, level])
 
     def base(self, level: int) -> np.ndarray:
@@ -131,14 +155,14 @@ class Lanes:
         raise NotImplementedError
 
     def finish(self, state: np.ndarray) -> np.ndarray:
-        """Sum a state over its rows: ``([Z+1,] n2)`` field elements."""
+        """Sum a state over its rows: ``([Z+1,] R n2)`` field elements."""
         raise NotImplementedError
 
 
 class ElementLanes(Lanes):
-    """``(rows, [Z+1,] n2)`` field elements, one per iteration."""
+    """``(rows, [Z+1,] R n2)`` field elements, one per iteration."""
 
-    def __init__(self, fp: Fingerprint, q_start: int, n2: int,
+    def __init__(self, fp, q_start: int, n2: int,
                  rows: Optional[np.ndarray] = None) -> None:
         super().__init__(fp, q_start, n2, rows)
         self.indicator = self._indicator()
@@ -148,7 +172,9 @@ class ElementLanes(Lanes):
         return (self.indicator * self.coeff(level)).astype(self.field.dtype, copy=False)
 
     def coeff(self, level: int) -> np.ndarray:
-        return self._y(level)[:, None]
+        y = self._y(level)
+        # one round: a broadcast column; several: each round's y on its lanes
+        return y[:, None] if self.rounds == 1 else np.repeat(y, self.n2, axis=1)
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self.field.mul(a, b)
@@ -167,42 +193,80 @@ class PlaneLanes(Lanes):
     block ops and :func:`neighbour_sum` gathers and XORs along
     contiguous words.  The ``{0, 1}`` indicator is packed into lane words
     once per phase; each level's base block is one masked AND of them.
+
+    With ``R`` rounds in the window a level's coefficient differs per
+    round.  When a round fills whole words (``n2 >= 64``) each word
+    belongs to one round and takes that round's ``y`` mask; when it does
+    not, a word holds ``64 / n2`` rounds and its mask is the OR of each
+    round's ``y`` mask over that round's lanes.
     """
 
-    def __init__(self, fp: Fingerprint, q_start: int, n2: int,
+    def __init__(self, fp, q_start: int, n2: int,
                  rows: Optional[np.ndarray] = None) -> None:
         super().__init__(fp, q_start, n2, rows)
-        self.bs = fp.field.bitsliced
+        self.bs = self.field.bitsliced
         self.words = self.bs.pack_indicator(self._indicator())
         self._ones = None  # the all-lanes word block, built by the first coeff
+        if self.rounds > 1 and n2 < 64:
+            # a word holds `per_word` rounds, round j of them on these lanes
+            per_word = min(self.rounds, 64 // n2)
+            self._slots = np.array([((1 << n2) - 1) << (j * n2)
+                                    for j in range(per_word)], dtype=np.uint64)
+
+    def _planes(self, words: np.ndarray, level: int) -> np.ndarray:
+        """Planes of ``y[:, level]`` on the lanes set in ``words``."""
+        y = self._y(level)
+        if self.rounds == 1:
+            return self.bs.planes_from_words(words, y)
+        # (m, rows, R): 0 / ~0 per bit of each round's coefficient
+        masks = ((y[None] >> np.arange(self.bs.m, dtype=y.dtype)[:, None, None])
+                 & y.dtype.type(1)).astype(np.uint64)
+        np.negative(masks, out=masks)
+        m, rows, rounds = masks.shape
+        if self.n2 >= 64:
+            # each round owns whole words: its mask on each of them
+            planes = masks[..., None] & words.reshape(rows, rounds, -1)
+        else:
+            # each word holds several rounds: OR their masks over their lanes
+            per_word = len(self._slots)
+            masks = masks.reshape(m, rows, rounds // per_word, per_word)
+            planes = masks[..., 0] & self._slots[0]
+            for j in range(1, per_word):
+                planes |= masks[..., j] & self._slots[j]
+            planes &= words
+        return planes.reshape(m, rows, -1).transpose(1, 0, 2)
 
     def base(self, level: int) -> np.ndarray:
-        return self.bs.planes_from_words(self.words, self._y(level))
+        return self._planes(self.words, level)
 
     def coeff(self, level: int) -> np.ndarray:
         if self._ones is None:
             self._ones = np.full_like(self.words, ~np.uint64(0))
-        return self.bs.planes_from_words(self._ones, self._y(level))
+        return self._planes(self._ones, level)
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self.bs.mul(a, b)
 
     def finish(self, state: np.ndarray) -> np.ndarray:
-        return self.bs.unslice(self.bs.xor_sum(state, axis=0), self.n2, self.field.dtype)
+        return self.bs.unslice(self.bs.xor_sum(state, axis=0), self.width,
+                               self.field.dtype)
 
 
-def whole_graph_lanes(fp: Fingerprint, q_start: int, n2: int,
+def whole_graph_lanes(fp, q_start: int, n2: int,
                       rows: Optional[np.ndarray] = None) -> Lanes:
-    """The layout :func:`run_whole_graph` uses for ``fp``'s field.
+    """The layout :func:`run_whole_graph` uses for a window.
 
-    This is the single place a layout is chosen, from the kernel the
-    field was resolved to: ``"bitsliced"`` fields stay plane-resident for
-    every problem kind, ``"table"`` / ``"logexp"`` fields stay
-    element-wise.
+    This is the single place a layout is chosen: a ``"bitsliced"`` field
+    stays plane-resident for every problem kind once the window has a
+    full word of lanes (``R n2 >= 64``); otherwise — ``"table"`` /
+    ``"logexp"`` fields, or an early-exit stage's first, one-round
+    window — the window is element-wise (a bit-sliced field's element
+    ops run on its tables: the same values).
     """
-    if fp.field.kernel_strategy == "bitsliced":
-        return PlaneLanes(fp, q_start, n2, rows)
-    return ElementLanes(fp, q_start, n2, rows)
+    fps = _fingerprints(fp)
+    if fps[0].field.kernel_strategy == "bitsliced" and len(fps) * n2 >= 64:
+        return PlaneLanes(fps, q_start, n2, rows)
+    return ElementLanes(fps, q_start, n2, rows)
 
 
 # ------------------------------------------------------------------ drivers
@@ -245,18 +309,19 @@ def _advance(gen, acc=None):
         return stop.value, True
 
 
-def run_whole_graph(graph: CSRGraph, recurrence: Recurrence, fp: Fingerprint,
+def run_whole_graph(graph: CSRGraph, recurrence: Recurrence, fp,
                     q_start: int, n2: int,
                     exchanges: Optional[list] = None) -> np.ndarray:
     """Evaluate ``recurrence`` over the window ``[q_start, q_start + n2)``
-    with every vertex in this process.
+    with every vertex in this process — of one round, or of each round
+    of a sequence of fingerprints side by side (see :class:`Lanes`).
 
     The state lives in the graph's jagged-diagonal row order
     (:meth:`CSRGraph.jagged`) from the first base block to the last
     multiply — the lanes are built over ``rows=order`` and the final sum
     over rows does not care — so no level permutes anything.  Returns the
-    per-iteration values ``([Z+1,] n2)`` in ``field.dtype``; XOR over the
-    last axis is the phase's contribution to the round.
+    per-iteration values ``([Z+1,] R n2)`` in ``field.dtype``, round-major;
+    XOR over a round's ``n2`` lanes is the phase's contribution to it.
 
     ``exchanges``, when given, collects the window's *exchange signature*:
     the ``(row shape, dtype)`` of every state the recurrence asked to have

@@ -42,9 +42,13 @@ from repro.core.engine import DetectionEngine, EngineSession, MidasRuntime
 from repro.core.evaluator_scanstat import scan_y_degree
 from repro.core.evaluator_wpath import check_weights
 from repro.core.problems import (
+    PATH_LIVE_STATES,
+    WPATH_LIVE_STATES,
     ProblemSpec,
     path_problem,
+    scan_live_states,
     scanstat_problem,
+    tree_live_states,
     tree_problem,
     weighted_path_problem,
 )
@@ -53,28 +57,35 @@ from repro.core.schedule import rounds_for_epsilon
 from repro.errors import ConfigurationError
 from repro.ff.gf2m import field_degree_for_k
 from repro.graph.csr import CSRGraph
-from repro.graph.templates import TreeTemplate
+from repro.graph.templates import TreeTemplate, decompose_template
 from repro.util.log import get_logger
 from repro.util.rng import as_stream
 
 _LOG = get_logger(__name__)
 
 
-def _field_for(engine: DetectionEngine, k: int, y_degree: Optional[int] = None):
+def _field_for(engine: DetectionEngine, k: int, y_degree: Optional[int] = None,
+               *, payload: int = 1, live_states: int = PATH_LIVE_STATES,
+               rounds: Optional[int] = None):
     """The GF(2^l) tables of a ``2^k``-iteration stage whose polynomial has
     degree ``y_degree`` (default ``k``) in the ``y``s, with the kernel the
-    runtime resolves, from the engine's session cache (per
-    ``(degree, strategy)``).
+    runtime resolves for the stage's widest window, from the engine's
+    session cache (per ``(degree, strategy)``).
 
-    Every driver resolves the same way: the level-DP core keeps any
-    problem kind plane-resident once a bit-sliced field is handed to it.
-    (``field=None`` would make the problem factory build a
-    default-kernel field, losing the resolution.)
+    The window is the one :meth:`DetectionEngine.run_stage` runs for
+    ``rounds`` rounds of a spec with that ``payload`` and ``live_states``:
+    ``R`` fused rounds of ``n2`` lanes.  Every driver resolves the same
+    way: the level-DP core keeps any problem kind plane-resident once a
+    bit-sliced field is handed a full word of lanes.  (``field=None``
+    would make the problem factory build a default-kernel field, losing
+    the resolution.)
     """
     d = k if y_degree is None else y_degree
     rt = engine.rt
     m = field_degree_for_k(d)
-    strategy = rt.resolve_kernel(m, rt.schedule_for(k, engine.graph.n, m).n2)
+    sched = rt.schedule_for(k, engine.graph.n, m, payload, rounds=rounds,
+                            live_states=live_states)
+    strategy = rt.resolve_kernel(m, sched.lanes)
     return engine.session.field_for_k(d, strategy=strategy, prof=engine.prof)
 
 
@@ -87,24 +98,30 @@ def _run_scalar_detection(
     rng,
     rt: MidasRuntime,
     early_exit: bool,
+    live_states: int,
 ) -> DetectionResult:
     """Shared k-path / k-tree wrapper: engine run -> DetectionResult.
 
-    ``make_spec(field)`` builds the problem over a GF(2^l) table set.
+    ``make_spec(field)`` builds the problem over a GF(2^l) table set; its
+    recurrence keeps ``live_states`` states alive.
     """
     if graph.n < 1:
         raise ConfigurationError("graph must have at least one vertex")
     if k > graph.n:
-        # more template vertices than graph vertices: trivially absent
+        # more template vertices than graph vertices: trivially absent.  The
+        # schedule reported is the one a run would have taken (none past
+        # the schedule's k <= 30)
         det = dict(make_spec(None).details, reason="k exceeds |V|")
+        n2 = rt.schedule_for(k, graph.n).n2 if k <= 30 else 0
         return DetectionResult(problem, k, False, [], eps, mode=rt.mode,
-                               n_processors=rt.n_processors, n1=rt.n1, n2=rt.n2 or 0,
+                               n_processors=rt.n_processors, n1=rt.n1, n2=n2,
                                details=det)
     rounds = rounds_for_epsilon(eps)
     rng = as_stream(rng, f"{problem}-detect")
     wall0 = time.perf_counter()
     with DetectionEngine(graph, rt, problem) as engine:
-        spec = make_spec(_field_for(engine, k))
+        spec = make_spec(_field_for(engine, k, live_states=live_states,
+                                    rounds=rounds))
         out = engine.run_stage(
             spec, rounds, rng, eps=eps,
             stop=spec.hit if early_exit else None,
@@ -147,7 +164,7 @@ def detect_path(
     """
     return _run_scalar_detection(
         graph, "k-path", lambda field: path_problem(graph, k, field=field),
-        k, eps, rng, runtime or MidasRuntime(), early_exit
+        k, eps, rng, runtime or MidasRuntime(), early_exit, PATH_LIVE_STATES
     )
 
 
@@ -163,7 +180,8 @@ def detect_tree(
     return _run_scalar_detection(
         graph, "k-tree",
         lambda field: tree_problem(graph, template, field=field),
-        template.k, eps, rng, runtime or MidasRuntime(), early_exit
+        template.k, eps, rng, runtime or MidasRuntime(), early_exit,
+        tree_live_states(decompose_template(template))
     )
 
 
@@ -198,8 +216,9 @@ def max_weight_path(
     rounds = rounds_for_epsilon(eps)
     rng = as_stream(rng, "max-weight-path")
     with DetectionEngine(graph, rt, "weighted-path") as engine:
-        spec = weighted_path_problem(graph, w, k, z_max,
-                                     field=_field_for(engine, k))
+        spec = weighted_path_problem(graph, w, k, z_max, field=_field_for(
+            engine, k, payload=z_max + 1, live_states=WPATH_LIVE_STATES,
+            rounds=rounds))
         out = engine.run_stage(spec, rounds, rng, eps=eps,
                                want_estimate=engine.want_estimate_default())
         hit = np.zeros(z_max + 1, dtype=bool)
@@ -233,8 +252,9 @@ def detect_scan_cell(
     rounds = rounds_for_epsilon(eps)
     rng = as_stream(rng, "scan-cell")
     with DetectionEngine(graph, rt, "scanstat") as engine:
-        spec = scanstat_problem(graph, w, size, z_max=weight,
-                                field=_field_for(engine, size, scan_y_degree(size)))
+        spec = scanstat_problem(graph, w, size, z_max=weight, field=_field_for(
+            engine, size, scan_y_degree(size), payload=weight + 1,
+            live_states=scan_live_states(size), rounds=rounds))
         out = engine.run_stage(spec, rounds, rng, eps=eps,
                                stop=lambda acc: acc[weight] != 0)
         hit = bool(out.values and out.values[-1][weight] != 0)
@@ -281,15 +301,21 @@ def scan_grid(
         raise ConfigurationError(f"sizes must lie in [1, {k}], got {sizes}")
 
     detected = np.zeros((k + 1, z_max + 1), dtype=bool)
+    # the schedule reported is the top row's: the one run, or — no row
+    # asked for — the one size k would run
+    n2 = rt.schedule_for(k, graph.n, field_degree_for_k(scan_y_degree(k)),
+                         z_max + 1).n2
     with DetectionEngine(graph, rt, "scanstat") as engine:
         for j in sizes:
+            field = _field_for(engine, j, scan_y_degree(j), payload=z_max + 1,
+                               live_states=scan_live_states(j), rounds=rounds)
             out = engine.run_stage(
-                scanstat_problem(graph, w, j, z_max,
-                                 field=_field_for(engine, j, scan_y_degree(j))), rounds,
+                scanstat_problem(graph, w, j, z_max, field=field), rounds,
                 rng.child(f"size{j}"), eps=eps,
                 key_prefix=f"size{j}/", label=f"size{j}",
                 want_estimate=(rt.mode == "modeled"),
             )
+            n2 = out.schedule.n2
             for acc in out.values:
                 detected[j] |= acc != 0
         engine.note_result(bool(detected.any()))
@@ -306,7 +332,7 @@ def scan_grid(
         mode=rt.mode,
         n_processors=rt.n_processors,
         n1=rt.n1,
-        n2=rt.n2 or 0,
+        n2=n2,
         virtual_seconds=engine.virtual_total,
         wall_seconds=time.perf_counter() - wall0,
         details=grid_details,

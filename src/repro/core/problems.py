@@ -24,7 +24,7 @@ wrappers that build a spec and post-process the per-round values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -36,10 +36,36 @@ from repro.core.leveldp import Recurrence, run_whole_graph
 from repro.ff.fingerprint import Fingerprint
 from repro.ff.gf2m import default_field_for_k
 from repro.graph.csr import CSRGraph
-from repro.graph.templates import TreeTemplate, decompose_template
+from repro.graph.templates import SubtreeSpec, TreeTemplate, decompose_template
 
 #: a per-phase contribution / per-round accumulator: GF scalar or weight axis
 Value = Union[int, np.ndarray]
+
+#: states a k-path level keeps alive: the level, its neighbour sum, the base
+PATH_LIVE_STATES = 3
+#: a weighted-path level also keeps the shifted sum alive
+WPATH_LIVE_STATES = 4
+
+
+def tree_live_states(specs: Sequence[SubtreeSpec]) -> int:
+    """States the tree recurrence keeps alive at once: the pending subtree
+    values of the decomposition's children-first walk, plus the neighbour
+    sum (or the product) of the composite being built."""
+    live = peak = 0
+    for s in specs:
+        if s.is_leaf:
+            live += 1
+            peak = max(peak, live)
+        else:
+            peak = max(peak, live + 1)
+            live -= 1  # two children become one value
+    return max(peak, 1)
+
+
+def scan_live_states(dim: int) -> int:
+    """Size row ``dim`` keeps every lower row and its neighbour sum, plus
+    the convolution accumulator: ``2 dim - 1``."""
+    return 2 * max(dim, 1) - 1
 
 
 @dataclass
@@ -59,6 +85,9 @@ class ProblemSpec:
     field: Any  # GF(2^l) table set, sized by the polynomial's degree in the y's
     payload: int  # accumulator width: 1 = scalar, else z_max + 1
     recurrence: Recurrence  # the DP, run by either repro.core.leveldp driver
+    # (rows, [Z+1,] lanes) states the recurrence keeps alive at once, besides
+    # a multiply's temporaries: what a fused window's width is budgeted by
+    live_states: int = PATH_LIVE_STATES
     model_problem: str = "path"  # `problem` arg of estimate_runtime
     model_levels: Optional[int] = None  # `levels` arg of estimate_runtime
     model_z_axis: int = 1  # `z_axis` arg of estimate_runtime
@@ -109,6 +138,19 @@ class ProblemSpec:
         per_lane = run_whole_graph(graph, self.recurrence, fp, q0, n2, exchanges)
         return self.rank_value(np.bitwise_xor.reduce(per_lane, axis=-1))
 
+    def phase_values(self, graph: CSRGraph, fps: Sequence[Fingerprint], q0: int,
+                     n2: int) -> List[Value]:
+        """One phase window's contribution to each of ``len(fps)`` rounds:
+        the rounds side by side in one window on the whole graph, each
+        round's value the XOR of its own ``n2`` lanes (one round is
+        :meth:`phase_value`)."""
+        if len(fps) == 1:
+            return [self.phase_value(graph, fps[0], q0, n2)]
+        per_lane = run_whole_graph(graph, self.recurrence, fps, q0, n2)
+        per_round = np.bitwise_xor.reduce(
+            per_lane.reshape(per_lane.shape[:-1] + (len(fps), n2)), axis=-1)
+        return [self.rank_value(per_round[..., r]) for r in range(len(fps))]
+
     def hit(self, value: Value) -> bool:
         """Does this round's accumulator certify a witness?"""
         if self.scalar:
@@ -157,6 +199,7 @@ def tree_problem(graph: CSRGraph, template: TreeTemplate,
         field=fld,
         payload=1,
         recurrence=tree_recurrence(specs),
+        live_states=tree_live_states(specs),
         model_problem="k-tree",
         model_levels=k - 1,
         details={"template": template.name, "n_subtrees": len(specs)},
@@ -189,6 +232,7 @@ def weighted_path_problem(
         field=fld,
         payload=z_max + 1,
         recurrence=weighted_path_recurrence(w, k, z_max),
+        live_states=WPATH_LIVE_STATES,
         model_problem="k-path",
         model_levels=k - 1,
         model_z_axis=z_max + 1,
@@ -216,6 +260,7 @@ def scanstat_problem(
         field=fld,
         payload=z_max + 1,
         recurrence=scanstat_recurrence(w, size, z_max),
+        live_states=scan_live_states(size),
         model_problem="scanstat",
         model_levels=None,
         model_z_axis=z_max + 1,

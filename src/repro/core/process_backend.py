@@ -16,12 +16,15 @@ round's windows, one coordinator merges:
   process boundary, so workers rebuild them from the spec's picklable
   ``recipe`` (:func:`repro.core.problems.spec_from_recipe`) against the
   shared graph, caching per recipe;
-* a round is **one request per worker**: the parent copies the round's
-  fingerprint into a segment it reuses from round to round and sends
-  each worker ``(id, spec key, k, v, y, n2, share)`` — ``v``/``y`` as
-  references into that segment, ``share`` an equal slice of the round's
-  ``(t, q_start)`` windows.  The worker streams back one record per
-  finished window, ``(id, t, value, (pid, t0, t1[, tb0, tb1]), mdelta)``
+* a round batch is **one request per worker**: the parent copies the
+  batch's fingerprints, stacked ``(R, n)`` and ``(R, n, levels)``, into a
+  segment it reuses from batch to batch and sends each worker
+  ``(id, spec key, k, v, y, n2, share)`` — ``v``/``y`` as references into
+  that segment, ``share`` an equal slice of the batch's
+  ``(t, q_start, r0, r1)`` windows, each over the batch's rounds
+  ``[r0, r1)`` side by side.  The worker streams back one record per
+  finished window, ``(id, t, values, (pid, t0, t1[, tb0, tb1]), mdelta)``
+  with one value per round of the window
   (``perf_counter`` is CLOCK_MONOTONIC on Linux, so parent and workers
   share a timebase for trace lanes), and the parent only receives and
   folds.  An exception raised in a worker comes back in the value's
@@ -244,7 +247,8 @@ class _Inbox:
 def _serve(inbox: _Inbox, res, request) -> None:
     """Evaluate one request's share, one record back per finished window.
 
-    A record is ``(rid, t, value, stamps, mdelta)``: the raw phase value,
+    A record is ``(rid, t, values, stamps, mdelta)``: the raw phase value
+    of each round the window carries,
     the window's one stamped interval ``(pid, t0, t1)`` — the
     ``worker.kernel`` span where it ran, extended on the share's first
     record by the ``worker.spec_build`` interval ``(tb0, tb1)`` when the
@@ -267,22 +271,24 @@ def _serve(inbox: _Inbox, res, request) -> None:
     spec = _spec_for(wired)
     if build:
         build += (perf_counter(),)
-    fp = Fingerprint(k=k, field=spec.field, v=_materialize(v), y=_materialize(y))
+    # (R, n) and (R, n, levels): one fingerprint per round of the batch
+    vs, ys = _materialize(v), _materialize(y)
+    fps = [Fingerprint(k=k, field=spec.field, v=vr, y=yr) for vr, yr in zip(vs, ys)]
     phases = get_default_registry().counter(
         "midas_worker_phases_total", "Phase windows evaluated in process workers")
     pid = os.getpid()
     last = len(share) - 1
-    for i, (t, q_start) in enumerate(share):
-        # between two windows: has the round been cancelled, the pool gone?
+    for i, (t, q_start, r0, r1) in enumerate(share):
+        # between two windows: has the batch been cancelled, the pool gone?
         if i and inbox.cancelled(rid):
             return
         if os.environ.get(_CRASH_ENV):
             os._exit(23)
         t0 = perf_counter()
-        value = spec.phase_value(_WORKER_GRAPH, fp, q_start, n2)
+        values = spec.phase_values(_WORKER_GRAPH, fps[r0:r1], q_start, n2)
         t1 = perf_counter()
         phases.inc()
-        res.send((rid, t, value, (pid, t0, t1, *build),
+        res.send((rid, t, values, (pid, t0, t1, *build),
                   _metrics_delta() if i == last else None))
         build = ()
 
@@ -321,7 +327,7 @@ def _worker_main(req, res, graph_args) -> None:
             if isinstance(request, int):  # a cancel that came late
                 continue
             try:
-                # a round's share (id, spec, k, v, y, n2, windows) or a
+                # a batch's share (id, spec, k, v, y, n2, windows) or a
                 # whole call (id, fn, args)
                 (_serve if len(request) == 7 else _serve_call)(inbox, res,
                                                                request)
@@ -357,10 +363,10 @@ class _Reply:
         while pool._singles[self._rid] is None:
             # between rounds, so whatever else arrives is a cancelled one's
             pool.records_discarded += len(pool._receive(timeout))
-        value, stamps, mdelta = pool._singles.pop(self._rid)
-        if isinstance(value, Exception):
-            raise value
-        return value, stamps, mdelta
+        values, stamps, mdelta = pool._singles.pop(self._rid)
+        if isinstance(values, Exception):
+            raise values
+        return values[0], stamps, mdelta
 
 
 class ProcessPhasePool:
@@ -368,9 +374,10 @@ class ProcessPhasePool:
 
     ``wire_spec`` converts a :class:`ProblemSpec` into a picklable wire
     descriptor (ndarray payloads are swapped for :class:`ShmArray`
-    references, published on first sight).  :meth:`round` runs one
-    round's windows — one request per worker, records streamed back as
-    windows finish; :meth:`submit` is the one-window form.  ``close``
+    references, published on first sight).  :meth:`batch` runs a round
+    batch's windows — one request per worker, records streamed back as
+    windows finish; :meth:`round` is its one-round form and
+    :meth:`submit` the one-window form.  ``close``
     sends the workers home and unlinks every segment.
 
     One thread drives a pool's rounds and windows.  ``requests_sent``,
@@ -451,16 +458,18 @@ class ProcessPhasePool:
         return (graph.n, self._publish(graph.indptr),
                 self._publish(graph.indices), graph.name)
 
-    def _publish_fingerprint(self, fp) -> Tuple[ShmArray, ShmArray]:
-        """Copy the round's ``v`` and ``y`` into the fingerprint segment.
+    def _publish_fingerprints(self, fps) -> Tuple[ShmArray, ShmArray]:
+        """Copy a round batch's ``v`` and ``y``, stacked ``(R, n)`` and
+        ``(R, n, levels)``, into the fingerprint segment.
 
-        The segment is reused from round to round — safe because a round
+        The segment is reused from batch to batch — safe because a batch
         only starts once the previous one is complete or cancelled, and a
-        cancelled round's records are never folded.  A fingerprint that
-        does not fit gets a new segment of at least twice the size; the
-        old one stays until ``close`` (a worker may not have looked yet).
+        cancelled batch's records are never folded.  Fingerprints that do
+        not fit get a new segment of at least twice the size; the old one
+        stays until ``close`` (a worker may not have looked yet).
         """
-        v, y = np.ascontiguousarray(fp.v), np.ascontiguousarray(fp.y)
+        v = np.stack([fp.v for fp in fps])
+        y = np.stack([fp.y for fp in fps])
         y_at = -(-v.nbytes // 8) * 8
         need = y_at + y.nbytes
         seg = self._fp_segment
@@ -475,7 +484,7 @@ class ProcessPhasePool:
         for ref, arr in zip(refs, (v, y)):
             np.ndarray(arr.shape, dtype=arr.dtype, buffer=seg.buf,
                        offset=ref.offset)[...] = arr
-        self.fingerprints_sent += 1
+        self.fingerprints_sent += len(fps)
         return refs
 
     def wire_spec(self, spec) -> bytes:
@@ -548,26 +557,38 @@ class ProcessPhasePool:
     def round(self, wired: bytes, fp, n2: int,
               q_starts: Sequence[int]) -> Iterator[tuple]:
         """Run one round's windows; yield ``(t, (value, stamps, mdelta))``
-        as each finishes, in completion order.
+        as each finishes, in completion order — :meth:`batch` of the one
+        round, window ``t`` starting at iteration ``q_starts[t]``."""
+        for t, (values, *rest) in self.batch(wired, [fp], n2,
+                                             [(q, 0, 1) for q in q_starts]):
+            yield t, (values[0], *rest)
 
-        Window ``t`` starts at iteration ``q_starts[t]``.  The windows go
-        out as one request per worker, equal contiguous shares (windows
-        of one stage cost the same); with fewer windows than workers the
-        rest of the fleet hears nothing.  Closing the generator before it
-        is exhausted cancels the round: each worker stops before its next
-        window and whatever it still sends is discarded by id.  A worker
-        that dies raises :class:`~repro.errors.WorkerCrashedError`.
+    def batch(self, wired: bytes, fps: Sequence, n2: int,
+              windows: Sequence[Tuple[int, int, int]]) -> Iterator[tuple]:
+        """Run a round batch's windows; yield ``(w, (values, stamps,
+        mdelta))`` as each finishes, in completion order.
+
+        Window ``w = (q_start, r0, r1)`` evaluates iterations
+        ``[q_start, q_start + n2)`` of the rounds of ``fps[r0:r1]`` side
+        by side, and ``values`` holds one raw value per such round.  The
+        windows go out as one request per worker, equal contiguous shares
+        (windows of one stage cost the same); with fewer windows than
+        workers the rest of the fleet hears nothing.  Closing the
+        generator before it is exhausted cancels the batch: each worker
+        stops before its next window and whatever it still sends is
+        discarded by id.  A worker that dies raises
+        :class:`~repro.errors.WorkerCrashedError`.
         """
-        n = len(q_starts)
+        n = len(windows)
         serving = self._fleet[:min(self.workers, n)]
-        v, y = self._publish_fingerprint(fp)
+        v, y = self._publish_fingerprints(fps)
         rids = {}
         pending = n
         try:
             for i, worker in enumerate(serving):
                 lo, hi = n * i // len(serving), n * (i + 1) // len(serving)
-                share = [(t, q_starts[t]) for t in range(lo, hi)]
-                rids[self._send(worker, wired, fp.k, v, y, n2, share)] = worker
+                share = [(w, *windows[w]) for w in range(lo, hi)]
+                rids[self._send(worker, wired, fps[0].k, v, y, n2, share)] = worker
                 self.requests_sent += 1
             while pending:
                 for rid, t, value, *rest in self._receive():
@@ -584,10 +605,11 @@ class ProcessPhasePool:
                     self._tell(worker, rid)
 
     def submit(self, wired: bytes, fp, q_start: int, n2: int) -> _Reply:
-        """Send one window, fingerprint inline, to the next worker in
-        turn; ``result()`` is its ``(value, stamps, mdelta)``."""
+        """Send one window of one round, fingerprint inline, to the next
+        worker in turn; ``result()`` is its ``(value, stamps, mdelta)``."""
         worker = self._fleet[self.requests_sent % self.workers]
-        rid = self._send(worker, wired, fp.k, fp.v, fp.y, n2, [(0, q_start)])
+        rid = self._send(worker, wired, fp.k, fp.v[None], fp.y[None], n2,
+                         [(0, q_start, 0, 1)])
         self.requests_sent += 1
         self._singles[rid] = None
         self.fingerprints_sent += 1

@@ -11,6 +11,11 @@ organized as:
   ``ceil(log(1/eps) / log(5/4))`` times to amplify the 1/5 per-round
   success probability to ``1 - eps``.
 
+The rounds are independent — each draws its own fingerprint — so when
+one phase covers a whole round (``N2 = 2^k``) a window may carry the
+iterations of ``R = rounds_per_window`` consecutive rounds side by side,
+round-major: round ``r`` of the window owns lanes ``[r 2^k, (r+1) 2^k)``.
+
 :class:`PhaseSchedule` validates a ``(k, N, N1, N2)`` combination eagerly
 and exposes every derived quantity the driver, the performance model, and
 the benchmarks need.
@@ -62,12 +67,16 @@ class PhaseSchedule:
         ``N_1`` — parts in the graph partition (processors per phase).
     n2:
         ``N_2`` — iterations per phase (communication batching factor).
+    rounds_per_window:
+        ``R`` — amplification rounds one window carries (default 1).
+        ``R > 1`` needs ``N2 = 2^k``: a fused round is one phase.
     """
 
     k: int
     n_processors: int
     n1: int
     n2: int
+    rounds_per_window: int = 1
 
     def __post_init__(self) -> None:
         check_positive_int(self.k, "k")
@@ -92,6 +101,12 @@ class PhaseSchedule:
             raise ConfigurationError(
                 f"N2 (={self.n2}) must divide 2^k={self.total_iterations}"
             )
+        check_positive_int(self.rounds_per_window, "rounds_per_window")
+        if self.rounds_per_window > 1 and self.n2 != self.total_iterations:
+            raise ConfigurationError(
+                f"{self.rounds_per_window} rounds per window need N2 = "
+                f"2^k={self.total_iterations}, got N2={self.n2}"
+            )
 
     # ------------------------------------------------------------- derived
     @property
@@ -103,6 +118,11 @@ class PhaseSchedule:
     def n_phases(self) -> int:
         """``2^k / N2`` phases per round."""
         return self.total_iterations // self.n2
+
+    @property
+    def lanes(self) -> int:
+        """Iterations one window evaluates: ``R * N2``."""
+        return self.rounds_per_window * self.n2
 
     @property
     def concurrency(self) -> int:
@@ -140,9 +160,11 @@ class PhaseSchedule:
         return pow2_floor(min(n2, total))
 
     def describe(self) -> str:
+        fused = (f", {self.rounds_per_window} rounds/window"
+                 if self.rounds_per_window > 1 else "")
         return (
             f"PhaseSchedule(k={self.k}: 2^k={self.total_iterations} iterations; "
             f"N={self.n_processors}, N1={self.n1}, N2={self.n2} -> "
             f"{self.n_phases} phases, {self.concurrency} concurrent, "
-            f"{self.n_batches} batches/round)"
+            f"{self.n_batches} batches/round{fused})"
         )

@@ -198,6 +198,13 @@ class BitslicedGF2m:
         m = self.m
         # the broadcast (m, ..., W) block, written straight into t's low planes
         shape = tuple(x if y == 1 else y for x, y in zip(a.shape, b.shape))
+        # an operand broadcast along an inner axis (a weight cell's column
+        # against the whole weight axis) cuts every block op below into
+        # loops as short as the axes past it: lay it out in full, once
+        if a.shape[1:] != shape[1:]:
+            a = np.ascontiguousarray(np.broadcast_to(a, (a.shape[0],) + shape[1:]))
+        if b.shape[1:] != shape[1:]:
+            b = np.ascontiguousarray(np.broadcast_to(b, (b.shape[0],) + shape[1:]))
         t = np.empty((2 * m - 1,) + shape[1:], dtype=np.uint64)
         np.bitwise_and(a[0], b, out=t[:m])
         t[m:] = 0

@@ -65,6 +65,13 @@ class DigestLog:
     def record_round(self, label: str, round_index: int, digest: int) -> None:
         self.rounds[(label, round_index)] = digest
 
+    def forget_phases(self, label: str, rounds: range) -> None:
+        """Drop the phase digests of ``rounds``: an early exit evaluated
+        them in its round batch, but the run ended before them."""
+        for key in [key for key in self.phases
+                    if key[0] == label and key[1] in rounds]:
+            del self.phases[key]
+
     def __len__(self) -> int:
         return len(self.phases) + len(self.rounds)
 

@@ -65,6 +65,18 @@ class RngStream:
         """
         return RngStream(self._seq.spawn(1)[0], name=f"{self.name}/{label}")
 
+    def children_ahead(self, labels: List[str]) -> List["RngStream"]:
+        """The streams the next ``len(labels)`` :meth:`child` calls will
+        return, labeled alike, without spawning them: they come from a
+        copy of the spawn lineage, so this stream's position — and with
+        it :meth:`state` — is unchanged."""
+        seq = self._seq
+        ahead = np.random.SeedSequence(
+            seq.entropy, spawn_key=seq.spawn_key, pool_size=seq.pool_size,
+            n_children_spawned=seq.n_children_spawned)
+        return [RngStream(child, name=f"{self.name}/{label}")
+                for child, label in zip(ahead.spawn(len(labels)), labels)]
+
     # -- serializable lineage ----------------------------------------------
     def state(self) -> dict:
         """The JSON-safe spawn lineage of this stream.

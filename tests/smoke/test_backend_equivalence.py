@@ -4,7 +4,8 @@ driver, and honours a deadline.
 CI's ``threaded-smoke`` and ``process-smoke`` jobs run this file with
 ``-k threaded`` / ``-k process``; locally
 ``PYTHONPATH=src python -m pytest -m smoke tests/smoke`` covers every
-whole-graph mode × {default N2, 32}.  Larger inputs than the tier-1 equivalence
+whole-graph mode × {default N2, 32}, and small-k drivers whose default
+windows carry several rounds.  Larger inputs than the tier-1 equivalence
 matrix (400 vertices, 4 workers), still seconds.
 """
 
@@ -63,6 +64,35 @@ def sequential_answers():
 def test_bit_identical_to_sequential(mode, n2, sequential_answers):
     rt = MidasRuntime(mode=mode, workers=4, n2=N2S[n2])
     assert _answers(rt) == sequential_answers
+
+
+def _small_k_answers(rt: MidasRuntime) -> dict:
+    """k <= 5 drivers, early exit on and off: on the default schedule a
+    window carries several rounds, and on a pool each worker gets a share
+    of them — stacked fingerprints cross the process boundary."""
+    g, w = _inputs()
+    return {
+        (k, early_exit): [r.value for r in detect_path(
+            g, k, eps=0.2, rng=RngStream(10 + k), runtime=rt,
+            early_exit=early_exit).rounds]
+        for k in (4, 5) for early_exit in (True, False)
+    } | {
+        "tree": [r.value for r in detect_tree(
+            g, TreeTemplate.binary(5), eps=0.2, rng=RngStream(2), runtime=rt,
+            early_exit=False).rounds],
+        "grid": scan_grid(g, w, k=3, eps=0.2, rng=RngStream(4),
+                          runtime=rt).detected.tolist(),
+    }
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_fused_small_k_rounds_bit_identical(mode):
+    rt = MidasRuntime(mode=mode, workers=4)
+    fused = _small_k_answers(rt)
+    # N2 = 8 < 2^k: one round a window, one round at a time
+    assert fused == _small_k_answers(MidasRuntime(n2=8))
+    assert any(s.tags.get("rounds", 1) > 1 for s in rt.profiler.spans
+               if s.name.endswith(".kernel"))
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -1,8 +1,9 @@
-"""The process backend's worker fleet: one request per worker per round.
+"""The process backend's worker fleet: one request per worker per round batch.
 
-``ProcessPhasePool.round`` sends each worker one request — the spec key,
-the round's fingerprint by reference, its share of the windows — and the
-workers stream one record per finished window back.  What the protocol
+``ProcessPhasePool.batch`` sends each worker one request — the spec key,
+the batch's fingerprints by reference, its share of the windows — and the
+workers stream one record per finished window back (``round`` is the
+one-round form).  What the protocol
 has to guarantee is pinned here: the same bits as the sequential fold for
 every problem kind, worker count and start method; the same per-window
 telemetry as before the fleet; ``min(workers, n_phases)`` requests a
@@ -177,6 +178,46 @@ def test_a_round_is_one_request_per_worker_and_one_fingerprint(workers, n2,
             assert pool.fingerprints_sent == ell + 1
     finally:
         pool.close()
+
+
+@pytest.mark.parametrize("early_exit, batches", [(False, [8]), (True, [1, 2, 4, 1])])
+def test_a_small_k_run_sends_every_worker_a_window(monkeypatch, early_exit, batches):
+    """k = 6 on the default schedule: one 64-lane window covers a round,
+    so a batch of rounds goes out as one request per worker, each window
+    carrying its share of the rounds side by side — not one worker taking
+    every window while the other idles."""
+    islands = _islands(6, 4)  # witness-free for k = 6: every round runs
+    sent = []
+    real = ProcessPhasePool._send
+
+    def counting(self, worker, *body):
+        sent.append(worker.process.pid)
+        return real(self, worker, *body)
+
+    monkeypatch.setattr(ProcessPhasePool, "_send", counting)
+    rt = MidasRuntime(mode="process", workers=2, digest_log=DigestLog())
+    res = detect_path(islands, 6, eps=0.2, rng=RngStream(8), runtime=rt,
+                      early_exit=early_exit)
+    reference = detect_path(islands, 6, eps=0.2, rng=RngStream(8),
+                            early_exit=early_exit)
+    assert [r.value for r in res.rounds] == [r.value for r in reference.rounds]
+    assert res.rounds_run == 8
+    assert [s.tags["rounds"] for s in rt.profiler.spans
+            if s.name == "engine.round"] == batches
+    assert len(sent) == sum(min(2, b) for b in batches)
+    kernels = [s for s in rt.profiler.spans if s.name == "worker.kernel"]
+    assert len({s.pid for s in kernels}) == 2
+    assert sum(s.tags["rounds"] for s in kernels) == 8
+    # a fused round is one phase: one digest each, as with one round a window
+    assert sorted(rt.digest_log.phases) == [("", ell, 0, 0) for ell in range(8)]
+
+
+def _islands(n_cliques: int, size: int):
+    from repro.graph.csr import CSRGraph
+
+    return CSRGraph.from_edges(n_cliques * size, [
+        (size * c + i, size * c + j) for c in range(n_cliques)
+        for i in range(size) for j in range(i + 1, size)])
 
 
 def test_submit_is_a_one_window_request():

@@ -934,7 +934,10 @@ class TestWorkerHeaps:
 class TestSweepRecords:
     def test_sweep_appends_service_run_records(self, tmp_path):
         store_path = tmp_path / "runs.jsonl"
-        with DetectionService(metrics=MetricsRegistry(),
+        # the coordinator must not sweep between the queries and sweep_now:
+        # at the default 50 ms interval it did, now and then, and the one
+        # sweep counted below found fewer than three records
+        with DetectionService(metrics=MetricsRegistry(), sweep_interval=3600.0,
                               store_path=str(store_path)) as svc:
             svc.register_graph(_graph(), name="g")
             for seed in (1, 2, 3):
