@@ -7,12 +7,13 @@
   the one halo exchange, two lane layouts (field elements / bit-planes)
   and the two drivers (whole graph, simulated ranks) that run any
   recurrence;
-* :mod:`repro.core.evaluator_path` / ``evaluator_tree`` /
-  ``evaluator_wpath`` / ``evaluator_scanstat`` — one recurrence each
-  (Algorithms 3, 4, the weighted-path variant, 5) plus its validated
-  whole-graph entry point;
-* :mod:`repro.core.problems` — each application as a :class:`ProblemSpec`
-  (data, not a bespoke driver);
+* :mod:`repro.core.mld` — the one problem abstraction: each application
+  (Algorithms 3, 4, the weighted-path variant, 5) is an
+  :class:`MLDCircuit` builder, and one interpreter turns any circuit
+  into a level-DP recurrence;
+* :mod:`repro.core.problems` — :func:`~repro.core.problems.compile`: a
+  circuit as the :class:`ProblemSpec` the engine runs (data, not a
+  bespoke driver);
 * :mod:`repro.core.engine` — the unified detection engine: one
   round → batch → phase loop with pluggable execution backends
   (``sequential``, ``simulated``, ``modeled``, ``threaded``,
@@ -51,13 +52,7 @@ from repro.core.midas import (
     sequential_detect_path,
 )
 from repro.core.model import PerformanceEstimate, estimate_runtime
-from repro.core.problems import (
-    ProblemSpec,
-    path_problem,
-    scanstat_problem,
-    tree_problem,
-    weighted_path_problem,
-)
+from repro.core.problems import ProblemSpec, compile
 from repro.core.result import DetectionResult, ScanGridResult
 from repro.core.schedule import PhaseSchedule
 from repro.core.witness import extract_witness
@@ -71,10 +66,7 @@ __all__ = [
     "ThreadedBackend",
     "ProcessBackend",
     "ProblemSpec",
-    "path_problem",
-    "tree_problem",
-    "weighted_path_problem",
-    "scanstat_problem",
+    "compile",
     "HaloView",
     "build_halo_views",
     "phase_program",

@@ -53,9 +53,12 @@ boundary**:
       accounting — reporting to the same phase boundary.  A stage's
       communication is enacted once; later windows reuse its timeline.
 
-Every driver in :mod:`repro.core.midas` is a thin wrapper over this
-engine, so every feature — overlap, fault tolerance, metrics, tracing,
-new backends — lands here exactly once and applies to all problems.
+Every problem reaches this engine the same way — an
+:class:`~repro.core.mld.MLDCircuit`, compiled into a
+:class:`~repro.core.problems.ProblemSpec`, run by the one driver entry
+in :mod:`repro.core.midas` — so every feature (overlap, fault
+tolerance, metrics, tracing, new backends) lands here exactly once and
+applies to all problems.
 """
 
 from __future__ import annotations
@@ -138,7 +141,7 @@ class MidasRuntime:
     ``mode="process"`` runs the same phase windows on ``workers``
     *processes* — past the GIL that caps threaded speedup on the
     inter-ufunc glue.  The graph's CSR arrays are published once via
-    shared memory, workers rebuild specs from their picklable recipes,
+    shared memory, workers rebuild specs from their picklable circuits,
     each takes an equal share of a round's windows in one request, and
     the parent XOR-merges phase values in completion order: the same
     commutativity argument, the same bit-identical guarantee
@@ -796,10 +799,10 @@ class ProcessBackend(ExecutionBackend):
     merge in completion order, bit-identical to sequential — but the
     phase kernels run in separate interpreters: the graph is shared via
     :class:`~repro.core.process_backend.ProcessPhasePool`'s shared-memory
-    segments, specs are rebuilt in workers from their picklable recipes,
-    and a batch is one request per worker — each takes a share of the
-    batch's windows and streams back one record per finished window, so
-    this side only receives and folds.
+    segments, specs are compiled in workers from their picklable
+    circuits, and a batch is one request per worker — each takes a share
+    of the batch's windows and streams back one record per finished
+    window, so this side only receives and folds.
     """
 
     name = "process"
@@ -820,8 +823,8 @@ class ProcessBackend(ExecutionBackend):
                     self.engine.rt.get_workers(),
                     start_method=self.engine.rt.process_start,
                 )
-        # publishes the spec's payload once (the pool caches the wire per
-        # spec); a hand-built spec without a recipe is refused here
+        # publishes the circuit's weights once (the pool caches the wire per
+        # spec); a hand-built spec without a circuit is refused here
         self._pool.wire_spec(stage.spec)
 
     def windows(self, stage: _Stage, rounds: _Rounds) -> Iterator[tuple]:
@@ -1457,7 +1460,6 @@ class DetectionEngine:
         stop: Optional[Callable[[Value], bool]] = None,
         key_prefix: str = "",
         label: str = "",
-        want_estimate: bool = False,
     ) -> StageResult:
         """Run ``rounds`` amplification rounds of ``spec``.
 
@@ -1473,6 +1475,11 @@ class DetectionEngine:
         is still reported on its own, in order — its digest, checkpoint,
         live event and ``stop`` — and a hit drops the batch's later rounds
         unreported.  A watchdog trip discards the unfinished batch.
+
+        The stage carries a Theorem-2 estimate (``StageResult.estimate``)
+        in modeled mode, where it is the virtual clock, and in simulated
+        mode with a recorder attached, where the RunReport sets it against
+        the simulated timeline.
         """
         rt = self.rt
         sched = rt.schedule_for(spec.k, self.graph.n, spec.field.m, spec.payload)
@@ -1485,15 +1492,15 @@ class DetectionEngine:
                 "midas_phase_seconds", "Per-phase time (virtual makespan or wall)"
             ).labels(problem=self.problem, mode=rt.mode, k=spec.k, n1=rt.n1, n2=sched.n2)
             estimate = None
-            if want_estimate:
+            if rt.mode == "modeled" or (rt.mode == "simulated" and self.rec is not None):
                 self.partition = self.session.ensure_partition(self.prof)
                 stats = PartitionStats.from_partition(self.partition)
                 cluster = rt.get_cluster()
                 estimate = estimate_runtime(
                     stats, sched, rt.get_calibration(),
                     cluster.cost_model(min(rt.n_processors, cluster.total_cores)),
-                    eps=eps, problem=spec.model_problem, levels=spec.model_levels,
-                    z_axis=spec.model_z_axis,
+                    eps=eps, problem="scanstat" if spec.convolves else "path",
+                    levels=spec.exchanges, z_axis=spec.payload,
                 )
             stage = _Stage(spec, sched, rounds, key_prefix, label, phase_hist, estimate)
             # the stage key is consumed unconditionally (creation order), so a
@@ -1675,13 +1682,6 @@ class DetectionEngine:
         if self.ckpt is not None and self.ckpt.resumed_from:
             det["resumed_from"] = self.ckpt.resumed_from
         return det
-
-    def want_estimate_default(self) -> bool:
-        """The scalar drivers' estimate policy: modeled always, simulated
-        when a recorder is attached (the RunReport wants model-vs-actual)."""
-        return self.rt.mode == "modeled" or (
-            self.rt.mode == "simulated" and self.rec is not None
-        )
 
 
 __all__ = [

@@ -1,19 +1,21 @@
 """The level-DP core: the one place a MIDAS DP step is written.
 
-Every MIDAS polynomial (Algorithms 3, 4, 5 and the generic
-:class:`~repro.core.mld.MLDCircuit`) is evaluated by the same step —
-sum a state over each vertex's neighbours, multiply by field values —
-repeated a handful of times.  This module factors that into three
-orthogonal pieces:
+Every MIDAS polynomial (an :class:`~repro.core.mld.MLDCircuit`: the
+k-path, k-tree, weighted k-path and scan rows of Algorithms 3 - 5) is
+evaluated by the same step — sum a state over each vertex's neighbours,
+multiply by field values — repeated a handful of times.  This module
+factors that into three orthogonal pieces:
 
-* a **recurrence** — one generator function per problem.  It is handed a
-  *lane layout*, asks it for level base blocks / coefficients /
-  multiplies, and ``yield``\\ s a state array whenever it needs that state
-  summed over neighbours; the ``yield`` evaluates to the neighbour sum,
-  aligned with the same rows.  It ``return``\\ s the final state.  A
-  recurrence never sees a graph, a halo, a message tag or a comm op, and
-  treats every axis after the first (rows) and the optional second
-  (weight ``z``) as opaque;
+* a **recurrence** — one generator function per problem
+  (:meth:`MLDCircuit.recurrence` interprets any circuit as one).  It is
+  handed a *lane layout*, asks it for level base blocks / coefficients /
+  multiplies — and, on a weight axis, for the seed, shift and
+  convolution written here once — and ``yield``\\ s a state array
+  whenever it needs that state summed over neighbours; the ``yield``
+  evaluates to the neighbour sum, aligned with the same rows.  It
+  ``return``\\ s the final state.  A recurrence never sees a graph, a
+  halo, a message tag or a comm op, and treats every axis after the
+  first (rows) and the optional second (weight ``z``) as opaque;
 * a **lane layout** — how the ``n2`` iterations of a phase, of one
   round or of ``R`` rounds side by side, are stored:
   :class:`ElementLanes` keeps ``(rows, [Z+1,] R n2)`` field elements,
@@ -27,7 +29,7 @@ orthogonal pieces:
   overlapped with the own-column half of the sum).  Both sum through the
   one :func:`neighbour_sum`.
 
-Adding a problem is writing one recurrence; adding a layout or an
+Adding a problem is building one circuit; adding a layout or an
 exchange discipline is one branch here, and every problem gets it.
 
 The allocator policy is here too: a process's first :func:`run_whole_graph`
@@ -269,6 +271,61 @@ def whole_graph_lanes(fp, q_start: int, n2: int,
     return ElementLanes(fps, q_start, n2, rows)
 
 
+# -------------------------------------------------------------- weight axis
+# States of a weighted recurrence carry a weight axis ``z = 0 .. z_max``
+# right after the rows: ``(rows, Z+1, ...)`` in either layout's logical shape.
+def weight_seed(lanes: Lanes, w: np.ndarray, z_max: int, level: int) -> np.ndarray:
+    """Each row's variable at ``level`` in weight cell ``z = w(i)`` (rows
+    heavier than ``z_max`` stay zero)."""
+    base = lanes.base(level)
+    out = np.zeros((len(w), z_max + 1) + base.shape[1:], dtype=base.dtype)
+    ok = np.nonzero(w <= z_max)[0]
+    out[ok, w[ok]] = base[ok]
+    return out
+
+
+def row_shift(w: np.ndarray, z_max: int) -> tuple:
+    """``(flat_src, invalid)`` of the per-row weight shift :func:`shift_rows`
+    applies: the source cell ``i (Z+1) + z - w(i)`` of every ``(i, z)``,
+    and where ``z < w(i)`` leaves nothing to take.  Built once a window."""
+    src_z = np.arange(z_max + 1, dtype=np.int64)[None, :] - w[:, None]
+    invalid = src_z < 0
+    flat_src = (np.arange(len(w), dtype=np.int64)[:, None] * (z_max + 1)
+                + np.where(invalid, 0, src_z)).ravel()
+    return flat_src, invalid
+
+
+def shift_rows(state: np.ndarray, shift: tuple) -> np.ndarray:
+    """``out[i, z] = state[i, z - w(i)]`` (0 below ``w(i)``), by
+    :func:`row_shift`'s index: one ``take`` over the merged row-weight
+    axis of ``state`` as it lies in memory (rows and weight cells are
+    adjacent there in every layout), so the result keeps ``state``'s
+    memory order — a plane-major state stays plane-major, and the
+    multiply that consumes it runs along contiguous words.  (Fancy
+    indexing ``state[row_idx, src_z]`` would lay the result out row-major
+    whatever ``state`` was.)"""
+    flat_src, invalid = shift
+    order, inverse = memory_order(state)
+    blk = state.transpose(order)
+    at = order.index(0)
+    merged = blk.reshape(blk.shape[:at] + (-1,) + blk.shape[at + 2:])
+    out = np.take(merged, flat_src, axis=at).reshape(blk.shape).transpose(inverse)
+    out[invalid] = 0
+    return out
+
+
+def z_convolve(lanes: Lanes, pairs: list, z_max: int) -> np.ndarray:
+    """``sum over (a, b) in pairs of a (*) b``, convolved along the weight
+    axis one column of ``a`` at a time (an all-zero column costs nothing)."""
+    acc = np.zeros_like(pairs[0][0])
+    for a, b in pairs:
+        for z1 in range(z_max + 1):
+            col = a[:, z1]
+            if col.any():
+                acc[:, z1:] ^= lanes.mul(col[:, None], b[:, : z_max + 1 - z1])
+    return acc
+
+
 # ------------------------------------------------------------------ drivers
 def neighbour_sum(state: np.ndarray, jagged: JaggedDiagonals) -> np.ndarray:
     """GF(2^m) summation over every row's neighbourhood, trailing axes
@@ -431,6 +488,10 @@ __all__ = [
     "neighbour_sum",
     "phase_program",
     "retain_worker_heaps",
+    "row_shift",
     "run_whole_graph",
+    "shift_rows",
+    "weight_seed",
     "whole_graph_lanes",
+    "z_convolve",
 ]

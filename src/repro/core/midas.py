@@ -10,21 +10,21 @@ One entry point per application:
 * :func:`scan_grid` — which (size ``j <= k``, weight ``z``) connected
   subgraphs exist? (feeds :mod:`repro.scanstat.detect`)
 
-Each builds a :class:`~repro.core.problems.ProblemSpec` and hands it to
-the :class:`~repro.core.engine.DetectionEngine`, which owns the
-round → batch → phase loop once for all problems; execution modes
+Each validates its inputs, builds the application's
+:class:`~repro.core.mld.MLDCircuit` and runs it through :func:`_detect`,
+the one engine entry (as does :func:`repro.core.mld.detect_multilinear`),
+onto the :class:`~repro.core.engine.DetectionEngine`: it owns the round →
+batch → phase loop once for all problems, with the execution modes
 (``sequential`` / ``simulated`` / ``modeled`` / ``threaded`` /
-``process``) are pluggable backends of the engine — see
-:mod:`repro.core.engine` for the mode semantics and
-:class:`MidasRuntime` knobs.  Because every driver
-routes through the same engine, all of them honor ``overlap``,
-``fault_plan``, ``recorder``, and ``metrics`` uniformly — as well as
+``process``) as its backends — see :mod:`repro.core.engine` for the
+modes and :class:`MidasRuntime` knobs.  So every driver honors
+``overlap``, ``fault_plan``, ``recorder`` and ``metrics`` uniformly, and
 durability: ``MidasRuntime(checkpoint_dir=...)`` commits a
-crash-consistent checkpoint at every round boundary and
-``resume=True`` restores it bit-identically, while ``deadline`` /
-``hang_timeout`` arm a watchdog that degrades the run to a partial
-result (annotated with the live ``0.8^rounds`` miss bound) instead of
-overrunning — see :mod:`repro.runtime.durable`.
+crash-consistent checkpoint at every round boundary and ``resume=True``
+restores it bit-identically, while ``deadline`` / ``hang_timeout`` arm a
+watchdog that degrades the run to a partial result (annotated with the
+live ``0.8^rounds`` miss bound) instead of overrunning — see
+:mod:`repro.runtime.durable`.
 
 Randomness is *round-scoped*: all modes draw identical fingerprints from
 the caller's stream, so answers never depend on ``(N, N1, N2)``, the
@@ -34,118 +34,78 @@ backend, or (for the threaded and process backends) completion order.
 from __future__ import annotations
 
 import time
-from typing import Callable, List, Optional
+from typing import Optional
 
 import numpy as np
 
-from repro.core.engine import DetectionEngine, EngineSession, MidasRuntime
-from repro.core.evaluator_scanstat import scan_y_degree
-from repro.core.evaluator_wpath import check_weights
-from repro.core.problems import (
-    PATH_LIVE_STATES,
-    WPATH_LIVE_STATES,
-    ProblemSpec,
-    path_problem,
-    scan_live_states,
-    scanstat_problem,
-    tree_live_states,
-    tree_problem,
-    weighted_path_problem,
-)
+from repro.core.engine import DetectionEngine, EngineSession, MidasRuntime, StageResult
+from repro.core.mld import MLDCircuit
+from repro.core.problems import compile
 from repro.core.result import DetectionResult, RoundRecord, ScanGridResult
 from repro.core.schedule import rounds_for_epsilon
 from repro.errors import ConfigurationError
 from repro.ff.gf2m import field_degree_for_k
 from repro.graph.csr import CSRGraph
-from repro.graph.templates import TreeTemplate, decompose_template
-from repro.util.log import get_logger
+from repro.graph.templates import TreeTemplate
 from repro.util.rng import as_stream
+from repro.util.validation import check_weights
 
-_LOG = get_logger(__name__)
 
+def _detect(engine: DetectionEngine, circuit: MLDCircuit, eps: float, rng, *,
+            early_exit: bool = False, stop=None, label: str = "") -> StageResult:
+    """The ``rounds_for_epsilon(eps)`` amplification rounds of ``circuit``
+    on ``engine``, drawn from ``rng``: every driver's one way onto the
+    engine.  ``stop`` ends the stage at the first round it accepts
+    (``early_exit``: any witness); ``label`` names a stage of a
+    multi-stage run.
 
-def _field_for(engine: DetectionEngine, k: int, y_degree: Optional[int] = None,
-               *, payload: int = 1, live_states: int = PATH_LIVE_STATES,
-               rounds: Optional[int] = None):
-    """The GF(2^l) tables of a ``2^k``-iteration stage whose polynomial has
-    degree ``y_degree`` (default ``k``) in the ``y``s, with the kernel the
-    runtime resolves for the stage's widest window, from the engine's
-    session cache (per ``(degree, strategy)``).
-
-    The window is the one :meth:`DetectionEngine.run_stage` runs for
-    ``rounds`` rounds of a spec with that ``payload`` and ``live_states``:
-    ``R`` fused rounds of ``n2`` lanes.  Every driver resolves the same
-    way: the level-DP core keeps any problem kind plane-resident once a
-    bit-sliced field is handed a full word of lanes.  (``field=None``
-    would make the problem factory build a default-kernel field, losing
-    the resolution.)
+    The circuit is compiled over the session's cached GF(2^l) tables
+    (per ``(degree, strategy)``), with the kernel the runtime resolves
+    for the stage's widest window — ``R`` fused rounds of ``n2`` lanes:
+    the level-DP core keeps any circuit plane-resident once a bit-sliced
+    field is handed a full word of lanes.
     """
-    d = k if y_degree is None else y_degree
-    rt = engine.rt
-    m = field_degree_for_k(d)
-    sched = rt.schedule_for(k, engine.graph.n, m, payload, rounds=rounds,
-                            live_states=live_states)
-    strategy = rt.resolve_kernel(m, sched.lanes)
-    return engine.session.field_for_k(d, strategy=strategy, prof=engine.prof)
+    rt, rounds = engine.rt, rounds_for_epsilon(eps)
+    m = field_degree_for_k(circuit.y_degree)
+    sched = rt.schedule_for(circuit.k, engine.graph.n, m, circuit.payload,
+                            rounds=rounds, live_states=circuit.live_states)
+    field = engine.session.field_for_k(
+        circuit.y_degree, strategy=rt.resolve_kernel(m, sched.lanes), prof=engine.prof)
+    spec = compile(circuit, field)
+    if early_exit:
+        stop = spec.hit
+    return engine.run_stage(spec, rounds, rng, eps=eps, stop=stop, label=label,
+                            key_prefix=f"{label}/" if label else "")
 
 
-def _run_scalar_detection(
-    graph: CSRGraph,
-    problem: str,
-    make_spec: Callable[[object], ProblemSpec],
-    k: int,
-    eps: float,
-    rng,
-    rt: MidasRuntime,
-    early_exit: bool,
-    live_states: int,
-) -> DetectionResult:
-    """Shared k-path / k-tree wrapper: engine run -> DetectionResult.
-
-    ``make_spec(field)`` builds the problem over a GF(2^l) table set; its
-    recurrence keeps ``live_states`` states alive.
-    """
+def _decide(graph: CSRGraph, circuit: MLDCircuit, eps: float, rng,
+            rt: MidasRuntime, early_exit: bool, **details) -> DetectionResult:
+    """k-path / k-tree: one stage, its rounds as a DetectionResult."""
     if graph.n < 1:
         raise ConfigurationError("graph must have at least one vertex")
+    k = circuit.k
     if k > graph.n:
         # more template vertices than graph vertices: trivially absent.  The
         # schedule reported is the one a run would have taken (none past
         # the schedule's k <= 30)
-        det = dict(make_spec(None).details, reason="k exceeds |V|")
         n2 = rt.schedule_for(k, graph.n).n2 if k <= 30 else 0
-        return DetectionResult(problem, k, False, [], eps, mode=rt.mode,
+        return DetectionResult(circuit.name, k, False, [], eps, mode=rt.mode,
                                n_processors=rt.n_processors, n1=rt.n1, n2=n2,
-                               details=det)
-    rounds = rounds_for_epsilon(eps)
-    rng = as_stream(rng, f"{problem}-detect")
+                               details=dict(details, reason="k exceeds |V|"))
     wall0 = time.perf_counter()
-    with DetectionEngine(graph, rt, problem) as engine:
-        spec = make_spec(_field_for(engine, k, live_states=live_states,
-                                    rounds=rounds))
-        out = engine.run_stage(
-            spec, rounds, rng, eps=eps,
-            stop=spec.hit if early_exit else None,
-            want_estimate=engine.want_estimate_default(),
-        )
-        records: List[RoundRecord] = [
-            RoundRecord(i, v, rv)
-            for i, (v, rv) in enumerate(zip(out.values, out.virtuals))
-        ]
-        det = engine.fill_details(dict(spec.details), estimate=out.estimate)
-        engine.note_result(any(r.hit for r in records))
+    with DetectionEngine(graph, rt, circuit.name) as engine:
+        out = _detect(engine, circuit, eps, as_stream(rng, f"{circuit.name}-detect"),
+                      early_exit=early_exit)
+        records = [RoundRecord(i, v, rv)
+                   for i, (v, rv) in enumerate(zip(out.values, out.virtuals))]
+        found = any(r.hit for r in records)
+        engine.note_result(found)
+        details = engine.fill_details(details, estimate=out.estimate)
     return DetectionResult(
-        problem=problem,
-        k=k,
-        found=any(r.hit for r in records),
-        rounds=records,
-        eps=eps,
-        mode=rt.mode,
-        n_processors=rt.n_processors,
-        n1=rt.n1,
-        n2=out.schedule.n2,
+        problem=circuit.name, k=k, found=found, rounds=records, eps=eps,
+        mode=rt.mode, n_processors=rt.n_processors, n1=rt.n1, n2=out.schedule.n2,
         virtual_seconds=engine.virtual_total,
-        wall_seconds=time.perf_counter() - wall0,
-        details=det,
+        wall_seconds=time.perf_counter() - wall0, details=details,
     )
 
 
@@ -162,10 +122,8 @@ def detect_path(
     One-sided Monte Carlo: "yes" answers are certificates; "no" answers are
     wrong with probability at most ``eps``.
     """
-    return _run_scalar_detection(
-        graph, "k-path", lambda field: path_problem(graph, k, field=field),
-        k, eps, rng, runtime or MidasRuntime(), early_exit, PATH_LIVE_STATES
-    )
+    return _decide(graph, MLDCircuit.k_path(k), eps, rng,
+                   runtime or MidasRuntime(), early_exit)
 
 
 def detect_tree(
@@ -177,12 +135,9 @@ def detect_tree(
     early_exit: bool = True,
 ) -> DetectionResult:
     """Decide whether the template tree has a non-induced embedding."""
-    return _run_scalar_detection(
-        graph, "k-tree",
-        lambda field: tree_problem(graph, template, field=field),
-        template.k, eps, rng, runtime or MidasRuntime(), early_exit,
-        tree_live_states(decompose_template(template))
-    )
+    circuit = MLDCircuit.k_tree(template)  # a slot per decomposition subtree
+    return _decide(graph, circuit, eps, rng, runtime or MidasRuntime(), early_exit,
+                   template=template.name, n_subtrees=circuit.n_slots)
 
 
 def sequential_detect_path(graph: CSRGraph, k: int, eps: float = 0.2, rng=None) -> bool:
@@ -199,13 +154,17 @@ def max_weight_path(
     runtime: Optional[MidasRuntime] = None,
     z_max: Optional[int] = None,
 ) -> Optional[int]:
-    """Maximum total node weight of any simple k-path (Problem 1 variant).
+    """Maximum total node weight of any simple k-path of weight at most
+    ``z_max`` (Problem 1 variant; default: the ``k`` largest weights'
+    sum, which bounds every k-path).
 
     ``weights`` are non-negative integers (use
     :func:`repro.scanstat.weights.round_weights` for real weights).
-    Returns ``None`` when no k-path is detected at all.  One-sided per
-    weight cell: a returned value is certified achievable; the true
-    maximum exceeds it with probability at most ``eps``.
+    Returns ``None`` when no k-path of weight ``<= z_max`` is detected —
+    with an explicit ``z_max`` below every path's weight, also when
+    k-paths exist.  One-sided per weight cell: a returned value is
+    certified achievable; the true maximum exceeds it with probability at
+    most ``eps``.
     """
     rt = runtime or MidasRuntime()
     w = check_weights(graph.n, weights)
@@ -213,14 +172,9 @@ def max_weight_path(
         return None
     if z_max is None:
         z_max = int(np.sort(w)[-k:].sum())
-    rounds = rounds_for_epsilon(eps)
-    rng = as_stream(rng, "max-weight-path")
     with DetectionEngine(graph, rt, "weighted-path") as engine:
-        spec = weighted_path_problem(graph, w, k, z_max, field=_field_for(
-            engine, k, payload=z_max + 1, live_states=WPATH_LIVE_STATES,
-            rounds=rounds))
-        out = engine.run_stage(spec, rounds, rng, eps=eps,
-                               want_estimate=engine.want_estimate_default())
+        out = _detect(engine, MLDCircuit.weighted_path(w, k, z_max), eps,
+                      as_stream(rng, "max-weight-path"))
         hit = np.zeros(z_max + 1, dtype=bool)
         for acc in out.values:
             hit |= acc != 0
@@ -249,14 +203,9 @@ def detect_scan_cell(
     w = check_weights(graph.n, weights)
     if not (1 <= size <= graph.n) or weight < 0:
         return False
-    rounds = rounds_for_epsilon(eps)
-    rng = as_stream(rng, "scan-cell")
     with DetectionEngine(graph, rt, "scanstat") as engine:
-        spec = scanstat_problem(graph, w, size, z_max=weight, field=_field_for(
-            engine, size, scan_y_degree(size), payload=weight + 1,
-            live_states=scan_live_states(size), rounds=rounds))
-        out = engine.run_stage(spec, rounds, rng, eps=eps,
-                               stop=lambda acc: acc[weight] != 0)
+        out = _detect(engine, MLDCircuit.scan_row(w, size, weight), eps,
+                      as_stream(rng, "scan-cell"), stop=lambda acc: acc[weight] != 0)
         hit = bool(out.values and out.values[-1][weight] != 0)
         engine.note_result(hit)
     return hit
@@ -276,9 +225,9 @@ def scan_grid(
 
     ``weights`` are non-negative integers (round real weights first with
     :mod:`repro.scanstat.weights`).  Size row ``j`` is decided by its own
-    ``2^j``-iteration evaluation (see the note in
-    :mod:`repro.core.evaluator_scanstat`): the total work is dominated by
-    the ``j = k`` row, matching the paper's ``2^k`` complexity.
+    ``2^j``-iteration circuit (:meth:`MLDCircuit.scan_row`): the total
+    work is dominated by the ``j = k`` row, matching the paper's ``2^k``
+    complexity.
 
     ``sizes`` optionally restricts which size rows are evaluated (default
     ``1..k``); rows outside it stay undetected in the returned grid.
@@ -288,9 +237,7 @@ def scan_grid(
     if k < 1 or k > graph.n:
         raise ConfigurationError(f"k must be in [1, {graph.n}], got {k}")
     if z_max is None:
-        top = np.sort(w)[-k:]
-        z_max = int(top.sum())
-    rounds = rounds_for_epsilon(eps)
+        z_max = int(np.sort(w)[-k:].sum())
     rng = as_stream(rng, "scan-grid")
     wall0 = time.perf_counter()
 
@@ -303,18 +250,12 @@ def scan_grid(
     detected = np.zeros((k + 1, z_max + 1), dtype=bool)
     # the schedule reported is the top row's: the one run, or — no row
     # asked for — the one size k would run
-    n2 = rt.schedule_for(k, graph.n, field_degree_for_k(scan_y_degree(k)),
-                         z_max + 1).n2
+    top = MLDCircuit.scan_row(w, k, z_max)
+    n2 = rt.schedule_for(k, graph.n, field_degree_for_k(top.y_degree), top.payload).n2
     with DetectionEngine(graph, rt, "scanstat") as engine:
         for j in sizes:
-            field = _field_for(engine, j, scan_y_degree(j), payload=z_max + 1,
-                               live_states=scan_live_states(j), rounds=rounds)
-            out = engine.run_stage(
-                scanstat_problem(graph, w, j, z_max, field=field), rounds,
-                rng.child(f"size{j}"), eps=eps,
-                key_prefix=f"size{j}/", label=f"size{j}",
-                want_estimate=(rt.mode == "modeled"),
-            )
+            out = _detect(engine, MLDCircuit.scan_row(w, j, z_max), eps,
+                          rng.child(f"size{j}"), label=f"size{j}")
             n2 = out.schedule.n2
             for acc in out.values:
                 detected[j] |= acc != 0
@@ -324,18 +265,10 @@ def scan_grid(
         grid_details.pop("max_load", None)
         grid_details.pop("max_deg", None)
     return ScanGridResult(
-        k=k,
-        z_max=z_max,
-        detected=detected,
-        rounds_run=rounds,
-        eps=eps,
-        mode=rt.mode,
-        n_processors=rt.n_processors,
-        n1=rt.n1,
-        n2=n2,
+        k=k, z_max=z_max, detected=detected, rounds_run=rounds_for_epsilon(eps),
+        eps=eps, mode=rt.mode, n_processors=rt.n_processors, n1=rt.n1, n2=n2,
         virtual_seconds=engine.virtual_total,
-        wall_seconds=time.perf_counter() - wall0,
-        details=grid_details,
+        wall_seconds=time.perf_counter() - wall0, details=grid_details,
     )
 
 

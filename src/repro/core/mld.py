@@ -1,66 +1,66 @@
-"""The k-MLD problem as a first-class abstraction (paper Problem 3).
+"""The k-MLD problem as the one problem abstraction (paper Problem 3).
 
-Two deliverables live here:
+The paper asks one question: does a polynomial that is defined
+recursively — never unrolled — have a degree-``k`` multilinear term?
+k-path, k-tree, the weighted k-path and each scan-statistics row are
+instances, and each is one :class:`MLDCircuit` builder here; a new kind
+is one more.  :meth:`MLDCircuit.recurrence` is the one interpreter — any
+circuit becomes the :mod:`repro.core.leveldp` recurrence every driver
+and backend runs — and the circuit derives what the engine needs to
+know about it: the degree in the fingerprint's ``y``s that sizes its
+field, its accumulator width, its live-state budget and its neighbour
+sums per iteration.  :func:`repro.core.problems.compile` turns it into
+the engine's :class:`~repro.core.problems.ProblemSpec`, and
+:func:`detect_multilinear` decides any circuit on the engine.
 
-* :class:`MLDCircuit` — a generic recursively-defined polynomial: callers
-  supply the DP structure (how level values are combined from neighbour
-  sums), and :func:`detect_multilinear` evaluates it over the matrix
-  representation without the caller touching fields or fingerprints.  The
-  k-path and k-tree reductions are provided as constructors; new
-  reductions (other subgraph families) plug in the same way.
-* :func:`algorithm1_reference` — the paper's **Algorithm 1 verbatim**:
-  evaluate over the *integers* with ``P(i,1) = 1 + (-1)^{v_i^T t_bin}``,
-  accumulate ``P mod 2^{k+1}``, answer "yes" iff nonzero.  This is the
-  Koutis formulation the paper presents before the Williams ``GF(2^l)``
-  refinement that the production evaluators implement.  It is exponential
-  in memory-free but slow (big-int coefficients are avoided by reducing
-  mod ``2^{k+1}`` throughout), and exists as an executable specification:
-  the test-suite cross-checks the production detector against it.
-
-Note the known gap in the verbatim algorithm (also present in the paper's
-pseudocode): over the integers mod ``2^{k+1}``, distinct multilinear terms
-can pairwise cancel — most plainly, an undirected path and its reverse
-contribute identically, making ``P ≡ 0 (mod 2^{k+1})`` even when paths
-exist.  :func:`algorithm1_reference` therefore accepts ``directed=True``
-(count each walk orientation from a fixed endpoint order) for testing the
-positive direction, and the production path is the fingerprinted
-``GF(2^l)`` version.  This is exactly the deviation DESIGN.md documents.
+:func:`algorithm1_reference` is the paper's Algorithm 1 verbatim, the
+executable specification the test-suite holds the detector to.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.leveldp import Recurrence, row_shift, shift_rows, weight_seed, z_convolve
 from repro.errors import ConfigurationError
-from repro.core.leveldp import Recurrence, run_whole_graph
-from repro.core.schedule import rounds_for_epsilon
-from repro.ff.fingerprint import Fingerprint, base_indicator_block
-from repro.ff.gf2m import default_field_for_k
+from repro.ff.fingerprint import base_indicator_block
 from repro.graph.csr import CSRGraph
 from repro.graph.templates import TreeTemplate, decompose_template
 from repro.util.rng import as_stream
+from repro.util.validation import check_divides, check_weights
 
 
 @dataclass(frozen=True)
 class CircuitStep:
-    """One DP step of an :class:`MLDCircuit`.
+    """One DP step of an :class:`MLDCircuit`: slot ``target`` becomes
 
-    ``target`` is the slot written; ``operand`` the slot whose values are
-    gathered over neighbours and summed; ``factor`` the slot multiplied
-    with the neighbour sum (the paper's ``P(i, j') * sum_u P(u, j'')``
-    shape).  ``variable_level`` is the fingerprint level whose ``x_i``
-    base value multiplies into the result, or ``None`` if no fresh
-    variable enters at this step (tree steps introduce variables only at
-    leaves).
+        ``x(variable_level) * y(coeff_level) * slot[factor] * source``
+
+    The source is the neighbour sum of slot ``operand`` (the paper's
+    ``P(i, j') * sum_u P(u, j'')`` shape) — with ``shift``, moved along
+    the weight axis by each row's own weight, ``out[i, z] = sum[i, z -
+    w(i)]`` — or, with ``conv``, the sum over pairs ``(a, b)`` of the
+    z-convolutions of ``slot[a]`` and ``slot[b]``.  ``x(level)`` is the
+    evaluated variable: ``y[i, level]`` on the lanes whose phase indicator
+    is set, so a fresh variable enters; ``y(level)`` is a join
+    coefficient on every lane.  ``None`` leaves a factor out.
     """
 
     target: int
     factor: Optional[int]
-    operand: int
+    operand: Optional[int]
     variable_level: Optional[int]
+    shift: bool = False
+    conv: Tuple[Tuple[int, int], ...] = ()
+    coeff_level: Optional[int] = None
+
+    def reads(self) -> tuple:
+        """The slots this step reads, in the order it reads them."""
+        pairs = tuple(s for pair in self.conv for s in pair)
+        return tuple(s for s in (self.operand, *pairs, self.factor) if s is not None)
 
 
 @dataclass(frozen=True)
@@ -68,8 +68,18 @@ class MLDCircuit:
     """A recursively defined polynomial of multilinear degree ``k``.
 
     ``leaves[slot] = level`` seeds slot ``slot`` with the variable at
-    fingerprint level ``level``; ``steps`` then run in order; ``output``
-    names the slot whose vertex-sum is the polynomial value.
+    fingerprint level ``level``; ``steps`` then run in order, each leaf
+    seeded once the steps writing lower slots have run (builders number
+    slots in evaluation order); ``output`` names the slot whose
+    vertex-sum is the polynomial value.  ``levels`` is how many
+    fingerprint levels a round draws.
+
+    A *weighted* circuit carries one non-negative integer ``weights``
+    entry per vertex: every state then has a weight axis ``z = 0 ..
+    z_max`` after the rows, a leaf is seeded at ``z = w(i)``, two slots
+    multiply only as z-convolutions (``conv``), and the value is a vector
+    over ``z``.
+    ``min_y_degree`` floors :attr:`y_degree`, the field's sizing degree.
     """
 
     k: int
@@ -79,6 +89,9 @@ class MLDCircuit:
     output: int
     levels: int
     name: str = "circuit"
+    weights: Optional[np.ndarray] = field(default=None, compare=False)
+    z_max: int = 0
+    min_y_degree: int = 1
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -88,82 +101,261 @@ class MLDCircuit:
         for slot, level in self.leaves:
             if not (0 <= slot < self.n_slots) or not (0 <= level < self.levels):
                 raise ConfigurationError(f"bad leaf ({slot}, {level})")
+        weighted = self.weights is not None
         for s in self.steps:
-            for ref in (s.target, s.operand):
+            for ref in (s.target, *s.reads()):
                 if not (0 <= ref < self.n_slots):
                     raise ConfigurationError(f"slot {ref} out of range")
-            if s.factor is not None and not (0 <= s.factor < self.n_slots):
-                raise ConfigurationError(f"slot {s.factor} out of range")
-            if s.variable_level is not None and not (0 <= s.variable_level < self.levels):
-                raise ConfigurationError(f"level {s.variable_level} out of range")
-        written = {slot for slot, _level in self.leaves}
-        for s in self.steps:
-            for ref in (s.operand, s.factor):
-                if ref is not None and ref not in written:
-                    raise ConfigurationError(
-                        f"step writing slot {s.target} reads slot {ref} before it is set"
-                    )
-            written.add(s.target)
+            for level in (s.variable_level, s.coeff_level):
+                if level is not None and not (0 <= level < self.levels):
+                    raise ConfigurationError(f"level {level} out of range")
+            if (s.operand is None) == (not s.conv):
+                raise ConfigurationError(
+                    f"step writing slot {s.target} needs one source: operand or conv")
+            if (s.shift or s.conv) and not weighted:
+                raise ConfigurationError(
+                    f"step writing slot {s.target} shifts or convolves weights, "
+                    "but the circuit has none")
+            if weighted and s.factor is not None:
+                raise ConfigurationError(
+                    f"step writing slot {s.target}: weighted slots multiply by conv")
+        written = set()
+        for op in self._program():
+            if isinstance(op, CircuitStep):
+                for ref in op.reads():
+                    if ref not in written:
+                        raise ConfigurationError(
+                            f"step writing slot {op.target} reads slot {ref} "
+                            "before it is set")
+            written.add(op[0] if isinstance(op, tuple) else op.target)
         if self.output not in written:
             raise ConfigurationError("output slot never written")
+        if self.z_max < 0:
+            raise ConfigurationError(f"z_max must be >= 0, got {self.z_max}")
 
     # ------------------------------------------------------------ builders
     @staticmethod
     def k_path(k: int) -> "MLDCircuit":
-        """The k-path reduction (Section III-D): levels = path positions."""
-        leaves = [(0, 0)]
-        steps = [
-            CircuitStep(target=j, factor=None, operand=j - 1, variable_level=j)
-            for j in range(1, k)
-        ]
-        return MLDCircuit(
-            k=k, n_slots=k, leaves=leaves, steps=steps, output=k - 1,
-            levels=k, name=f"k_path({k})",
-        )
+        """Simple k-vertex paths (paper Algorithm 3, Section III-D):
+
+            ``P(i, 1) = x_i``  and  ``P(i, j) = x_i * sum_{u in NBR(i)} P(u, j-1)``
+
+        where ``x_i`` evaluates, at iteration ``q`` and DP level ``j``, to
+        ``y[i, j] * [ <v_i, q> even ]`` (see :mod:`repro.ff.fingerprint`):
+        levels are path positions.
+        """
+        steps = [CircuitStep(j, None, j - 1, j) for j in range(1, k)]
+        return MLDCircuit(k=k, n_slots=k, leaves=[(0, 0)], steps=steps,
+                          output=k - 1, levels=k, name="k-path")
 
     @staticmethod
     def k_tree(template: TreeTemplate) -> "MLDCircuit":
-        """The k-tree reduction (Section V-A) from a template decomposition."""
-        specs = decompose_template(template)
-        leaves = []
-        steps = []
-        for s in specs:
-            if s.is_leaf:
-                leaves.append((s.sid, s.root))
-            else:
-                steps.append(
-                    CircuitStep(
-                        target=s.sid, factor=s.child_same, operand=s.child_branch,
-                        variable_level=None,
-                    )
-                )
-        return MLDCircuit(
-            k=template.k, n_slots=len(specs), leaves=leaves, steps=steps,
-            output=specs[-1].sid, levels=template.k, name=f"k_tree({template.name})",
-        )
+        """Non-induced embeddings of a tree template (paper Algorithm 4,
+        Section V-A), following the decomposition of
+        :func:`repro.graph.templates.decompose_template` (paper Fig 2):
 
-    # ----------------------------------------------------------- evaluation
+        * single-node subtree rooted at template node ``a``:
+          ``P(i, {a}) = x_i`` — one fingerprint level per *template node*,
+          so distinct homomorphisms carry distinct monomials;
+        * composite subtree ``H'`` with children ``H'_1`` (same root) and
+          ``H'_2`` (rooted at the detached neighbour):
+          ``P(i, H') = P(i, H'_1) * sum_{u in NBR(i)} P(u, H'_2)``.
+
+        Slots are the subtree ids, children first, and the decomposition
+        gives every non-root subtree exactly one consumer: a child is
+        released the moment it is used, keeping peak memory at ``O(k)``
+        states.  The k-path is the special case of a path template.
+        """
+        specs = decompose_template(template)
+        leaves = [(s.sid, s.root) for s in specs if s.is_leaf]
+        steps = [CircuitStep(s.sid, s.child_same, s.child_branch, None)
+                 for s in specs if not s.is_leaf]
+        return MLDCircuit(k=template.k, n_slots=len(specs), leaves=leaves,
+                          steps=steps, output=specs[-1].sid, levels=template.k,
+                          name="k-tree")
+
+    @staticmethod
+    def weighted_path(weights, k: int, z_max: int) -> "MLDCircuit":
+        """Weight-resolved k-paths (Problem 1's max-weight variant).
+
+        Section II-A1 lists "finding a maximum weight embedding in a
+        weighted version of the graph" as a variant the approach extends
+        to, and Problem 3 asks for "the maximum weight of any multilinear
+        term".  With non-negative integer node weights this is the k-path
+        analogue of Algorithm 5's weight axis:
+
+            ``P(i, 1, z) = x_i`` for ``z = w(i)``, else 0
+            ``P(i, j, z) = x_i * sum_u P(u, j-1, z - w(i))``
+
+        Summed over the ``2^k`` iterations, cell ``z`` is nonzero iff a
+        simple k-path of total node weight exactly ``z`` exists.  The
+        per-row shift is one gather along the weight axis of the
+        neighbour sum; on simulated ranks each level's halo message
+        carries the whole weight axis.
+        """
+        w = check_weights(None, weights, z_max)
+        steps = [CircuitStep(j, None, j - 1, j, shift=True) for j in range(1, k)]
+        return MLDCircuit(k=k, n_slots=k, leaves=[(0, 0)], steps=steps,
+                          output=k - 1, levels=k, name="weighted-path",
+                          weights=w, z_max=z_max)
+
+    @staticmethod
+    def scan_row(weights, dim: int, z_max: int) -> "MLDCircuit":
+        """Size row ``dim`` of the scan-statistics grid (paper Algorithm 5):
+        connected subgraphs by *size* ``j`` and integer *weight* ``z``,
+
+            ``P(i, 1, z) = x_i`` for ``z = w(i)``, else 0
+            ``P(i, j, z) = y(j) * sum_{j'} sum_{z'} P(i, j', z') S(j - j', z - z')``
+
+        with ``S(j'')`` the neighbour sum of ``P(., j'', .)`` —
+        multiplication distributes over the neighbour sum, so each size
+        is one z-convolution per split ``j' + j'' = j``, vectorized over
+        nodes, weight and the iteration batch.  Slot ``2 (j-1)`` holds
+        ``P(j)``, slot ``2 (j-1) + 1`` its neighbour sum.  On simulated
+        ranks each size's halo message carries the whole weight axis —
+        the ``W(V)`` factor in Lemma 3's communication bound.
+
+        Two deliberate deviations from the raw pseudocode (DESIGN.md):
+
+        * the random join coefficient ``y(j)`` multiplies each size-``j``
+          combination — without it, the two build orders of a single edge
+          ``{a, b}`` produce identical monomials and cancel in
+          characteristic 2.  A size-``j`` term therefore has degree
+          ``2j - 1`` in the ``y``s: ``j`` base ``y``s and ``j - 1`` joins;
+        * only row ``dim`` is returned, matching the paper's ``return
+          sum_q sum_i P(i,q,k,z)``: rows ``j < dim`` always sum to zero
+          over ``2^dim`` iterations (a rank-``j`` term survives
+          ``2^{dim-j}`` iterations — an even count).  The grid takes one
+          circuit per size, so the total work is dominated by the top
+          row, matching the paper's ``2^k`` complexity.
+        """
+        w = check_weights(None, weights, z_max)
+        steps = []
+        for j in range(2, dim + 1):
+            steps.append(CircuitStep(2 * j - 3, None, 2 * j - 4, None))
+            steps.append(CircuitStep(
+                2 * j - 2, None, None, None, coeff_level=j,
+                conv=tuple((2 * j1 - 2, 2 * (j - j1) - 1) for j1 in range(1, j))))
+        return MLDCircuit(k=dim, n_slots=2 * dim - 1, leaves=[(0, 0)], steps=steps,
+                          output=2 * dim - 2, levels=dim + 1, name="scanstat",
+                          weights=w, z_max=z_max,
+                          min_y_degree=3)  # row 1 has always run in row 2's field
+
+    # ------------------------------------------------------ derived facts
+    def _program(self) -> list:
+        """Leaves and steps in evaluation order: each leaf ``(slot, level)``
+        just before the first step writing a higher slot."""
+        leaves = sorted(self.leaves)
+        program, i = [], 0
+        for s in self.steps:
+            while i < len(leaves) and leaves[i][0] < s.target:
+                program.append(leaves[i])
+                i += 1
+            program.append(s)
+        return program + leaves[i:]
+
+    def _releases(self, program: list) -> list:
+        """Per program entry, the slots it reads for the last time (the
+        output is never released)."""
+        last = {}
+        for at, op in enumerate(program):
+            if isinstance(op, CircuitStep):
+                last.update((slot, at) for slot in op.reads())
+        last.pop(self.output, None)
+        dying = [set() for _ in program]
+        for slot, at in last.items():
+            dying[at].add(slot)
+        return dying
+
+    @property
+    def payload(self) -> int:
+        """Accumulator width: the weight axis, or 1 for a scalar value."""
+        return 1 if self.weights is None else self.z_max + 1
+
+    @property
+    def y_degree(self) -> int:
+        """Degree of the output in the fingerprint's ``y``s, which sizes
+        the field (:func:`repro.ff.gf2m.field_degree_for_k`): a leaf is
+        one ``y``; a step adds its factor's, its variable's and its join
+        coefficient's to its source's (a convolution: its largest pair)."""
+        deg = {}
+        for op in self._program():
+            if isinstance(op, tuple):
+                deg[op[0]] = 1
+                continue
+            d = (max(deg[a] + deg[b] for a, b in op.conv) if op.conv
+                 else deg[op.operand])
+            if op.factor is not None:
+                d += deg[op.factor]
+            deg[op.target] = (d + (op.variable_level is not None)
+                              + (op.coeff_level is not None))
+        return max(deg[self.output], self.min_y_degree)
+
+    @property
+    def live_states(self) -> int:
+        """The most ``(rows, [Z+1,] lanes)`` states the recurrence keeps
+        alive at once, besides a multiply's temporaries — what a fused
+        window's width is budgeted by: a step holds the slots live when it
+        starts, its neighbour sum or accumulator, and the blocks it builds
+        on top — a variable's base block, the shifted sum."""
+        program = self._program()
+        dying = self._releases(program)
+        live = peak = 0
+        for at, op in enumerate(program):
+            if isinstance(op, tuple):
+                live += 1
+                peak = max(peak, live)
+                continue
+            peak = max(peak, live + 1 + (op.variable_level is not None) + op.shift)
+            live += 1 - len(dying[at])
+        return max(peak, 1)
+
+    # ---------------------------------------------------------- evaluation
     def recurrence(self) -> Recurrence:
         """The circuit as a :mod:`repro.core.leveldp` recurrence: one
-        neighbour sum per step (run it on simulated ranks with
-        :func:`~repro.core.leveldp.phase_program`)."""
+        ``yield`` per neighbour sum, each slot released after its last
+        read (a summed slot as it is yielded), so the drivers' memory
+        stays what the steps need."""
+        program = self._program()
+        dying = self._releases(program)
+        z_max, weighted = self.z_max, self.weights is not None
+        shifts = any(s.shift for s in self.steps)
 
         def recurrence(lanes):
-            slots = {slot: lanes.base(level) for slot, level in self.leaves}
-            for s in self.steps:
-                acc = yield slots[s.operand]
-                if s.factor is not None:
-                    acc = lanes.mul(slots[s.factor], acc)
-                if s.variable_level is not None:
-                    acc = lanes.mul(lanes.base(s.variable_level), acc)
-                slots[s.target] = acc
+            def col(block):  # a per-row block against a weight-axis state
+                return block[:, None] if weighted else block
+
+            if weighted:
+                w = lanes.take(np.asarray(self.weights))
+                shift = row_shift(w, z_max) if shifts else None
+            slots = {}
+            for at, op in enumerate(program):
+                if isinstance(op, tuple):
+                    slot, level = op
+                    slots[slot] = (weight_seed(lanes, w, z_max, level) if weighted
+                                   else lanes.base(level))
+                    continue
+                if op.conv:
+                    acc = z_convolve(lanes, [(slots[a], slots[b]) for a, b in op.conv],
+                                     z_max)
+                else:
+                    free = op.operand in dying[at] and op.factor != op.operand
+                    acc = yield (slots.pop(op.operand) if free else slots[op.operand])
+                    if op.shift:
+                        acc = shift_rows(acc, shift)
+                if op.factor is not None:
+                    acc = lanes.mul(slots[op.factor], acc)
+                if op.variable_level is not None:
+                    acc = lanes.mul(col(lanes.base(op.variable_level)), acc)
+                if op.coeff_level is not None:
+                    acc = lanes.mul(col(lanes.coeff(op.coeff_level)), acc)
+                for slot in dying[at]:
+                    slots.pop(slot, None)
+                slots[op.target] = acc
+                acc = None  # the slot may be released at its next yield
             return slots[self.output]
 
         return recurrence
-
-    def eval_phase(self, graph: CSRGraph, fp: Fingerprint, q_start: int, n2: int) -> np.ndarray:
-        """Evaluate per-iteration values over a window: returns ``(n2,)``."""
-        return run_whole_graph(graph, self.recurrence(), fp, q_start, n2)
 
 
 def detect_multilinear(
@@ -176,32 +368,20 @@ def detect_multilinear(
 ) -> bool:
     """Decide whether ``circuit`` has a degree-``k`` multilinear term.
 
-    One-sided Monte Carlo with failure probability at most ``eps``; the
-    generic-driver analogue of :func:`repro.core.midas.detect_path`.
+    One-sided Monte Carlo with failure probability at most ``eps``, run
+    by the detection engine like every driver of
+    :mod:`repro.core.midas` (sequential mode; ``n2`` pins the phase
+    window and must divide ``2^k``).
     """
-    rng = as_stream(rng, "mld")
-    k = circuit.k
-    total = 1 << k
-    if n2 is None:
-        n2 = min(total, 64)
-    if total % n2:
-        raise ConfigurationError(f"n2 (={n2}) must divide 2^k (={total})")
-    field = default_field_for_k(k)
-    rounds = rounds_for_epsilon(eps)
-    hit = False
-    for ell in range(rounds):
-        fp = Fingerprint.draw(graph.n, k, rng.child(f"round{ell}"),
-                              levels=circuit.levels, field=field)
-        value = 0
-        for t in range(total // n2):
-            value ^= int(np.bitwise_xor.reduce(
-                circuit.eval_phase(graph, fp, t * n2, n2)
-            ))
-        if value:
-            hit = True
-            if early_exit:
-                break
-    return hit
+    # imported here: the engine (through problems) and the drivers import this module
+    from repro.core.engine import DetectionEngine, MidasRuntime
+    from repro.core.midas import _detect
+
+    if n2 is not None:
+        check_divides(n2, 1 << circuit.k, "n2", "2^k")
+    with DetectionEngine(graph, MidasRuntime(n2=n2), circuit.name) as engine:
+        out = _detect(engine, circuit, eps, as_stream(rng, "mld"), early_exit=early_exit)
+    return any(np.any(value) for value in out.values)
 
 
 def algorithm1_reference(
@@ -214,12 +394,20 @@ def algorithm1_reference(
 
     One round: draw ``v_i`` uniformly in ``Z_2^k``; for each iteration
     ``t`` evaluate the k-path DP with ``P(i, 1) = 1 + (-1)^{v_i^T t_bin}``
-    (values in {0, 2}); return ``sum_t sum_i P(i, t, k) mod 2^(k+1)``.
+    (values in {0, 2}); return ``sum_t sum_i P(i, t, k) mod 2^(k+1)``,
+    "yes" iff nonzero.  This is the Koutis formulation the paper presents
+    before the Williams ``GF(2^l)`` refinement the circuits are evaluated
+    in; big-int coefficients are avoided by reducing mod ``2^{k+1}``
+    throughout, and it exists as an executable specification: the
+    test-suite cross-checks the production detector against it.
 
-    ``directed_from`` restricts the final sum to walks *ending* at one
-    vertex — useful in tests because, as the module docstring explains,
-    the undirected total is identically 0 mod ``2^(k+1)`` whenever every
-    path pairs with its reverse.
+    It has a known gap, also present in the paper's pseudocode: over the
+    integers mod ``2^{k+1}`` distinct multilinear terms can pairwise
+    cancel — most plainly, an undirected path and its reverse contribute
+    identically, making ``P ≡ 0 (mod 2^{k+1})`` even when paths exist
+    (the deviation DESIGN.md documents, and why production evaluates in
+    ``GF(2^l)``).  ``directed_from`` therefore restricts the final sum to
+    walks *ending* at one vertex, for testing the positive direction.
     """
     rng = as_stream(rng, "alg1")
     if not (1 <= k <= 20):

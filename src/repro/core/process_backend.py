@@ -13,9 +13,9 @@ round's windows, one coordinator merges:
   weights) are published **once** via ``multiprocessing.shared_memory``
   — workers attach zero-copy, nothing is pickled per phase;
 * problem specs hold closures (the recurrence) and cannot cross a
-  process boundary, so workers rebuild them from the spec's picklable
-  ``recipe`` (:func:`repro.core.problems.spec_from_recipe`) against the
-  shared graph, caching per recipe;
+  process boundary, so workers compile them from the spec's picklable
+  :class:`~repro.core.mld.MLDCircuit` (:func:`repro.core.problems.compile`),
+  its weights in shared memory, caching per wire descriptor;
 * a round batch is **one request per worker**: the parent copies the
   batch's fingerprints, stacked ``(R, n)`` and ``(R, n, levels)``, into a
   segment it reuses from batch to batch and sends each worker
@@ -58,7 +58,7 @@ import selectors
 import signal
 import threading
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from multiprocessing import get_context, shared_memory
 from multiprocessing.connection import wait
 from time import perf_counter
@@ -66,7 +66,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.problems import spec_from_recipe
+from repro.core.problems import compile
 from repro.errors import ConfigurationError, WorkerCrashedError
 from repro.graph.csr import CSRGraph
 
@@ -173,19 +173,16 @@ def _worker_init(graph_args: Optional[tuple]) -> None:
 
 
 def _spec_for(wired: bytes):
-    """Rebuild (and cache) the problem spec for a pickled wire descriptor."""
+    """Compile (and cache) the problem spec of a pickled wire descriptor."""
     spec = _SPEC_CACHE.get(wired)
     if spec is None:
         from repro.ff.gf2m import GF2m
 
-        kind, params, (m, modulus, kernel) = pickle.loads(wired)
-        field = GF2m(m, modulus=modulus, kernel_strategy=kernel)
-        spec = spec_from_recipe(
-            _WORKER_GRAPH,
-            (kind, {key: _materialize(val) for key, val in params}),
-            field=field,
-        )
-        _SPEC_CACHE[wired] = spec
+        circuit, (m, modulus, kernel) = pickle.loads(wired)
+        if circuit.weights is not None:
+            circuit = replace(circuit, weights=_materialize(circuit.weights))
+        spec = _SPEC_CACHE[wired] = compile(
+            circuit, GF2m(m, modulus=modulus, kernel_strategy=kernel))
     return spec
 
 
@@ -373,8 +370,8 @@ class ProcessPhasePool:
     """A fleet of worker processes sharing one published graph.
 
     ``wire_spec`` converts a :class:`ProblemSpec` into a picklable wire
-    descriptor (ndarray payloads are swapped for :class:`ShmArray`
-    references, published on first sight).  :meth:`batch` runs a round
+    descriptor (its circuit's weights are swapped for a :class:`ShmArray`
+    reference, published on first sight).  :meth:`batch` runs a round
     batch's windows — one request per worker, records streamed back as
     windows finish; :meth:`round` is its one-round form and
     :meth:`submit` the one-window form.  ``close``
@@ -488,31 +485,24 @@ class ProcessPhasePool:
         return refs
 
     def wire_spec(self, spec) -> bytes:
-        """Pickle a spec's recipe with ndarray payloads in shared memory."""
+        """Pickle a spec's circuit and field, the circuit's weights in
+        shared memory."""
         cached = self._wire_cache.get(id(spec))
         if cached is not None:
             return cached[1]
-        if spec.recipe is None:
+        circuit = spec.circuit
+        if circuit is None:
             raise ConfigurationError(
-                f"problem {spec.name!r} carries no recipe; hand-built specs "
-                "cannot run on mode='process' (closures do not cross process "
-                "boundaries) — use the factory constructors in repro.core.problems"
+                f"problem {spec.name!r} carries no circuit; a hand-built spec "
+                "cannot run on mode='process' (its recurrence is a closure, "
+                "which does not cross a process boundary) — compile an "
+                "MLDCircuit with repro.core.problems.compile"
             )
-        kind, params = spec.recipe
-        wire_params = tuple(
-            sorted(
-                (
-                    key,
-                    self._publish(val) if isinstance(val, np.ndarray) else val,
-                )
-                for key, val in params.items()
-            )
-        )
+        if circuit.weights is not None:
+            circuit = replace(circuit, weights=self._publish(circuit.weights))
         f = spec.field
-        wired = pickle.dumps(
-            (kind, wire_params, (f.m, f.modulus, f.kernel_strategy)),
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
+        wired = pickle.dumps((circuit, (f.m, f.modulus, f.kernel_strategy)),
+                             protocol=pickle.HIGHEST_PROTOCOL)
         self._wire_cache[id(spec)] = (spec, wired)
         return wired
 

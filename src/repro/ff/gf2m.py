@@ -320,8 +320,8 @@ def field_degree_for_k(d: int) -> int:
     nonzero ``y``s (Schwartz–Zippel over ``2^l - 1`` values: miss at most
     ``d / (2^l - 1)``); docs/THEORY.md §4.  A k-path, k-tree or weighted
     k-path has ``d = k``, so ``field_degree_for_k(k)`` is a k-path's field;
-    a scan-grid row adds its join coefficients
-    (:func:`repro.core.evaluator_scanstat.scan_y_degree`).
+    a scan-grid row adds its join coefficients.  Every kind's ``d`` is
+    derived from its circuit (:attr:`repro.core.mld.MLDCircuit.y_degree`).
     """
     if d < 1:
         raise FieldError(f"the y-degree must be >= 1, got {d}")

@@ -27,7 +27,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.core.evaluator_scanstat import scan_y_degree
+from repro.core.mld import MLDCircuit
 from repro.core.schedule import rounds_for_epsilon
 from repro.ff.fingerprint import Fingerprint
 from repro.ff.gf2m import default_field_for_k
@@ -155,7 +155,8 @@ def baseline_scan_grid(
     rng = as_stream(rng, "baseline-grid")
     detected = np.zeros((k + 1, zw_max + 1, b_max + 1), dtype=bool)
     for j in range(1, k + 1):
-        fld = default_field_for_k(scan_y_degree(j))
+        # the one-axis row's y's: one per base variable and join coefficient
+        fld = default_field_for_k(MLDCircuit.scan_row(w, j, zw_max).y_degree)
         total = 1 << j
         nn2 = min(n2 or 16, total)
         while total % nn2:

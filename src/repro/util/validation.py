@@ -7,6 +7,8 @@ of a cryptic numpy broadcast error three layers down.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 
 
@@ -58,3 +60,19 @@ def check_divides(a: int, b: int, name_a: str, name_b: str) -> None:
             f"{name_a} (={a}) must divide {name_b} (={b}); "
             f"the MIDAS schedule assumes integral phase/batch counts"
         )
+
+
+def check_weights(n, weights, z_max: int = 0) -> np.ndarray:
+    """Require one non-negative integer weight per vertex of an
+    ``n``-vertex graph (``n=None``: a vector of any length) and a weight
+    axis bound ``z_max >= 0``; return the weights as int64."""
+    w = np.asarray(weights, dtype=np.int64)
+    if w.ndim != 1 or (n is not None and w.shape != (n,)):
+        raise ConfigurationError(
+            f"weights must be one integer per vertex ({n}), got shape {w.shape}"
+        )
+    if np.any(w < 0):
+        raise ConfigurationError("weights must be non-negative integers")
+    if z_max < 0:
+        raise ConfigurationError(f"z_max must be >= 0, got {z_max}")
+    return w

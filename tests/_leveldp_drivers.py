@@ -13,11 +13,23 @@ import numpy as np
 
 from repro.core.halo import build_halo_views
 from repro.core.leveldp import phase_program, run_whole_graph
+from repro.core.mld import CircuitStep, MLDCircuit
+from repro.core.problems import compile
 from repro.graph.partition import Partition, random_partition
 from repro.runtime.scheduler import Simulator
 from repro.util.rng import RngStream
 
 DRIVERS = ("whole-graph", "spmd", "spmd-overlapped")
+
+#: a 5-node spider — centre ``c`` (level 0) with legs ``c-a-b``, ``c-d``,
+#: ``c-e`` (levels 1, 2, 3, 4) — stated step by step, not by a builder
+SPIDER = MLDCircuit(
+    k=5, n_slots=9, leaves=[(0, 2), (1, 1), (3, 0), (5, 3), (7, 4)], steps=[
+        CircuitStep(2, 1, 0, None),  # a, b below it
+        CircuitStep(4, 3, 2, None),  # c, the leg a-b below it
+        CircuitStep(6, 4, 5, None),  # ... and d
+        CircuitStep(8, 6, 7, None),  # ... and e
+    ], output=8, levels=5, name="spider")
 
 
 def phase_value(graph, recurrence, fp, q0, n2, driver="whole-graph", partition=None):
@@ -37,6 +49,12 @@ def phase_value(graph, recurrence, fp, q0, n2, driver="whole-graph", partition=N
     for r in results[1:]:
         assert np.array_equal(r, results[0])
     return results[0]
+
+
+def circuit_value(graph, circuit, fp, q0, n2):
+    """``circuit``'s phase contribution on the whole graph, in accumulator
+    form: an ``int``, or a ``(Z+1,)`` weight axis."""
+    return compile(circuit, fp.field).phase_value(graph, fp, q0, n2)
 
 
 def assert_drivers_agree(graph, recurrence, fp, q0, n2, partition, expected=None):

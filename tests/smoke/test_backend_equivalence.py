@@ -29,7 +29,7 @@ pytestmark = pytest.mark.smoke
 
 MODES = ("sequential", "threaded", "process")
 # the default N2 puts the k = 5, 6 drivers on a bit-sliced field and 32 on a
-# table one; process workers rebuild either from the wire recipe
+# table one; process workers rebuild either from the wired circuit
 N2S = {"auto": None, "n2=32": 32}
 
 

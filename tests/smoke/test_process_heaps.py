@@ -14,7 +14,8 @@ import platform
 
 import pytest
 
-from repro.core.problems import path_problem
+from repro.core.mld import MLDCircuit
+from repro.core.problems import compile
 from repro.core.process_backend import ProcessPhasePool
 from repro.ff.gf2m import default_field_for_k
 from repro.graph.generators import erdos_renyi
@@ -35,7 +36,7 @@ def _minor_faults(pid: int) -> int:
 def test_fresh_worker_keeps_its_heap(start):
     k, n2 = 11, 1024
     graph = erdos_renyi(400, m=1600, rng=RngStream(5))
-    spec = path_problem(graph, k, field=default_field_for_k(k, kernel_strategy="bitsliced"))
+    spec = compile(MLDCircuit.k_path(k), default_field_for_k(k, kernel_strategy="bitsliced"))
     pool = ProcessPhasePool(graph, 2, start_method=start)
     try:
         wired = pool.wire_spec(spec)

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core.evaluator_path import path_phase_value, path_recurrence
+from repro.core.evaluator_path import path_phase_value
 from repro.core.halo import build_halo_views
 from repro.core.leveldp import phase_program
 from repro.core.midas import MidasRuntime, detect_path, detect_tree, scan_grid
+from repro.core.mld import MLDCircuit
 from repro.ff.fingerprint import Fingerprint
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import erdos_renyi
@@ -28,7 +29,7 @@ class TestEmptyRank:
         fp = Fingerprint.draw(g.n, 4, RngStream(1))
         expected = path_phase_value(g, fp, 0, 4)
         res = Simulator(3, trace=False).run(
-            phase_program(views, path_recurrence(4), fp, 0, 4)
+            phase_program(views, MLDCircuit.k_path(4).recurrence(), fp, 0, 4)
         )
         assert all(r == expected for r in res.results)
 

@@ -22,7 +22,8 @@ from repro.core.midas import (
     max_weight_path,
     scan_grid,
 )
-from repro.core.problems import path_problem
+from repro.core.mld import MLDCircuit
+from repro.core.problems import compile
 from repro.errors import ConfigurationError, WorkerCrashedError
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import erdos_renyi, plant_path
@@ -222,14 +223,15 @@ class TestFaultEquivalence:
 
 _CLOSE_EARLY_SCRIPT = """
 import os
-from repro.core.problems import path_problem
+from repro.core.mld import MLDCircuit
+from repro.core.problems import compile
 from repro.core.process_backend import ProcessPhasePool
 from repro.graph.generators import erdos_renyi
 from repro.util.rng import RngStream
 
 def main():
     g = erdos_renyi(60, m=150, rng=RngStream(1))
-    spec = path_problem(g, 5)
+    spec = compile(MLDCircuit.k_path(5))
     fp = spec.draw_fingerprint(g.n, RngStream(2))
     for _ in range(3):
         pool = ProcessPhasePool(g, 4, start_method="spawn")
@@ -322,10 +324,10 @@ class TestProcessConfig:
         from repro.core.process_backend import ProcessPhasePool
 
         g = erdos_renyi(12, 24, rng=RngStream(61, name="g"))
-        spec = dataclasses.replace(path_problem(g, 3), recipe=None)
+        spec = dataclasses.replace(compile(MLDCircuit.k_path(3)), circuit=None)
         pool = ProcessPhasePool(g, workers=1)
         try:
-            with pytest.raises(ConfigurationError, match="recipe"):
+            with pytest.raises(ConfigurationError, match="carries no circuit"):
                 pool.wire_spec(spec)
         finally:
             pool.close()

@@ -20,20 +20,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _leveldp_drivers import assert_drivers_agree
-from repro.core.evaluator_path import path_eval_phase, path_phase_value, path_recurrence
-from repro.core.evaluator_scanstat import (
-    scanstat_eval_phase,
-    scanstat_phase_value,
-    scanstat_recurrence,
-)
-from repro.core.evaluator_tree import tree_eval_phase, tree_phase_value, tree_recurrence
+from _leveldp_drivers import assert_drivers_agree, circuit_value
+from repro.core.evaluator_path import path_eval_phase, path_phase_value
+from repro.core.evaluator_scanstat import scanstat_eval_phase
+from repro.core.evaluator_tree import tree_eval_phase
+from repro.core.mld import MLDCircuit
 from repro.errors import ConfigurationError
 from repro.ff.fingerprint import Fingerprint
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import erdos_renyi, grid2d
 from repro.graph.partition import random_partition
-from repro.graph.templates import TreeTemplate, decompose_template
+from repro.graph.templates import TreeTemplate
 from repro.util.rng import RngStream
 
 
@@ -98,7 +95,7 @@ class TestPathEvaluator:
         k = 4
         fp = Fingerprint.draw(g.n, k, RngStream(seed + 1))
         p = random_partition(g, n_parts, rng=RngStream(seed + 2))
-        assert_drivers_agree(g, path_recurrence(k), fp, 0, n2, p,
+        assert_drivers_agree(g, MLDCircuit.k_path(k).recurrence(), fp, 0, n2, p,
                              expected=path_phase_value(g, fp, 0, n2))
 
 
@@ -111,7 +108,7 @@ class TestTreeEvaluator:
         tmpl = TreeTemplate.path(k)
         for seed in range(6):
             fp = Fingerprint.draw(graph.n, k, RngStream(seed))
-            tv = tree_phase_value(graph, tmpl, fp, 0, 1 << k)
+            tv = circuit_value(graph, MLDCircuit.k_tree(tmpl), fp, 0, 1 << k)
             pv = path_phase_value(graph, fp, 0, 1 << k)
             # same fingerprint levels are consumed in reversed template
             # order, so values need not be equal -- but zero/nonzero must
@@ -124,7 +121,8 @@ class TestTreeEvaluator:
         g = CSRGraph.from_edges(6, [(0, i) for i in range(1, 6)])
         tmpl = TreeTemplate.star(6)
         hits = sum(
-            tree_phase_value(g, tmpl, Fingerprint.draw(6, 6, RngStream(s)), 0, 64) != 0
+            circuit_value(g, MLDCircuit.k_tree(tmpl),
+                          Fingerprint.draw(6, 6, RngStream(s)), 0, 64) != 0
             for s in range(40)
         )
         assert hits >= 8  # the embedding exists; success rate >= 1/5
@@ -135,15 +133,15 @@ class TestTreeEvaluator:
         tmpl = TreeTemplate.star(5)
         for seed in range(12):
             fp = Fingerprint.draw(g.n, 5, RngStream(seed))
-            assert tree_phase_value(g, tmpl, fp, 0, 32) == 0
+            assert circuit_value(g, MLDCircuit.k_tree(tmpl), fp, 0, 32) == 0
 
     def test_batching_associative(self, graph):
         tmpl = TreeTemplate.binary(5)
         fp = Fingerprint.draw(graph.n, 5, RngStream(9))
-        full = tree_phase_value(graph, tmpl, fp, 0, 32)
+        full = circuit_value(graph, MLDCircuit.k_tree(tmpl), fp, 0, 32)
         acc = 0
         for t in range(8):
-            acc ^= tree_phase_value(graph, tmpl, fp, t * 4, 4)
+            acc ^= circuit_value(graph, MLDCircuit.k_tree(tmpl), fp, t * 4, 4)
         assert acc == full
 
     def test_mismatched_k_rejected(self, graph):
@@ -161,8 +159,8 @@ class TestTreeEvaluator:
         tmpl = TreeTemplate.binary(5)
         fp = Fingerprint.draw(g.n, 5, RngStream(seed + 1))
         p = random_partition(g, n_parts, rng=RngStream(seed + 2))
-        assert_drivers_agree(g, tree_recurrence(decompose_template(tmpl)), fp, 0, 8, p,
-                             expected=tree_phase_value(g, tmpl, fp, 0, 8))
+        assert_drivers_agree(g, MLDCircuit.k_tree(tmpl).recurrence(), fp, 0, 8, p,
+                             expected=circuit_value(g, MLDCircuit.k_tree(tmpl), fp, 0, 8))
 
 
 class TestScanStatEvaluator:
@@ -180,7 +178,7 @@ class TestScanStatEvaluator:
         hit_z = set()
         for s in range(20):
             fp = Fingerprint.draw(6, 1, RngStream(s), levels=2)
-            vals = scanstat_phase_value(g, w, fp, z_max=6, q_start=0, n2=2)
+            vals = circuit_value(g, MLDCircuit.scan_row(w, fp.k, 6), fp, 0, 2)
             hit_z |= set(np.nonzero(vals)[0].tolist())
         assert hit_z <= {0, 2, 5}
         assert {0, 2, 5} <= hit_z  # 20 tries at >= 1/5 each
@@ -191,7 +189,7 @@ class TestScanStatEvaluator:
         w = np.array([1, 2, 4, 4], dtype=np.int64)
         for s in range(15):
             fp = Fingerprint.draw(4, 2, RngStream(s), levels=3)
-            vals = scanstat_phase_value(g, w, fp, z_max=9, q_start=0, n2=4)
+            vals = circuit_value(g, MLDCircuit.scan_row(w, fp.k, 9), fp, 0, 4)
             assert vals[9] == 0  # 4+... wait: 1+2=3, 4+4=8; 9 impossible
             assert vals[3] == 0 or True  # 3 is realizable (0-1)
 
@@ -199,7 +197,7 @@ class TestScanStatEvaluator:
         g = CSRGraph.from_edges(2, [(0, 1)])
         w = np.array([100, 1], dtype=np.int64)
         fp = Fingerprint.draw(2, 1, RngStream(1), levels=2)
-        vals = scanstat_phase_value(g, w, fp, z_max=5, q_start=0, n2=2)
+        vals = circuit_value(g, MLDCircuit.scan_row(w, fp.k, 5), fp, 0, 2)
         # node 0's weight exceeds z_max; only node 1 (z=1) can appear
         assert np.nonzero(vals)[0].tolist() in ([], [1])
 
@@ -226,5 +224,6 @@ class TestScanStatEvaluator:
         dim, z_max = 3, 6
         fp = Fingerprint.draw(g.n, dim, RngStream(seed + 1), levels=dim + 1)
         p = random_partition(g, n_parts, rng=RngStream(seed + 2))
-        assert_drivers_agree(g, scanstat_recurrence(w, dim, z_max), fp, 0, 4, p,
-                             expected=scanstat_phase_value(g, w, fp, z_max, 0, 4))
+        circuit = MLDCircuit.scan_row(w, dim, z_max)
+        assert_drivers_agree(g, circuit.recurrence(), fp, 0, 4, p,
+                             expected=circuit_value(g, circuit, fp, 0, 4))

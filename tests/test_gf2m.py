@@ -8,11 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.evaluator_scanstat import scan_y_degree
+from repro.core.mld import MLDCircuit
 from repro.errors import FieldError
 from repro.ff.gf2m import GF2m, default_field_for_k, field_degree_for_k
 from repro.ff.poly2 import poly_mulmod
 from repro.util.rng import RngStream
+
+
+def scan_y_degree(dim: int) -> int:
+    """The y-degree scan row ``dim``'s circuit sizes its field by."""
+    return MLDCircuit.scan_row(np.zeros(1, dtype=np.int64), dim, 0).y_degree
 
 
 @pytest.fixture(scope="module")

@@ -13,8 +13,8 @@ phase digest.
 import pytest
 
 from repro.core.engine import EngineSession, MidasRuntime
-from repro.core.evaluator_scanstat import scan_y_degree
 from repro.core.midas import detect_path, detect_tree, max_weight_path, scan_grid
+from repro.core.mld import MLDCircuit
 from repro.ff.gf2m import field_degree_for_k
 from repro.graph.generators import erdos_renyi, plant_path
 from repro.graph.templates import TreeTemplate
@@ -83,7 +83,7 @@ def test_auto_routes_planes_by_mode_and_width_only(driver, mode, n2, inputs,
 
     # one stage per call, except the grid: one per size row, whose field
     # counts the row's join coefficients
-    stages = ([(j, scan_y_degree(j)) for j in range(1, K + 1)]
+    stages = ([(j, MLDCircuit.scan_row(w, j, 0).y_degree) for j in range(1, K + 1)]
               if driver == "scan_grid" else [(K, K)])
     expected = {
         "{}/{}".format(

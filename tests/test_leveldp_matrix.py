@@ -2,10 +2,10 @@
 
 {problem kind} x {driver} x {GF kernel} x {rank layout}: every cell must
 produce the *same phase value* as the whole-graph, dense-table reference.
-The kinds are the four shipped recurrences plus the generic
-:class:`MLDCircuit` interpreter; the rank layouts include one rank, a
+The kinds are the four :class:`MLDCircuit` builders plus two circuits
+stated step by step (``circuit/``); the rank layouts include one rank, a
 rank that owns no vertex, and a graph with isolated vertices.  Because
-the drivers know nothing about problem kinds and the recurrences know
+the drivers know nothing about problem kinds and the circuits know
 nothing about graphs or ranks, a new kind is one more entry in ``CASES``.
 """
 
@@ -17,18 +17,21 @@ from hypothesis import strategies as st
 from repro import exact
 from _leveldp_drivers import (
     DRIVERS,
+    SPIDER,
     assert_drivers_agree,
     partition_with_empty_rank,
     phase_value,
 )
-from repro.core.evaluator_path import path_recurrence
-from repro.core.evaluator_scanstat import scanstat_recurrence
-from repro.core.evaluator_tree import tree_recurrence
-from repro.core.evaluator_wpath import weighted_path_recurrence
+from _reference_recurrences import (
+    path_recurrence,
+    scanstat_recurrence,
+    tree_recurrence,
+    weighted_path_recurrence,
+)
 from repro.core.halo import build_halo_views
 from repro.core.leveldp import phase_program
-from repro.core.mld import MLDCircuit
-from repro.core.problems import scanstat_problem, weighted_path_problem
+from repro.core.mld import CircuitStep, MLDCircuit
+from repro.core.problems import compile
 from repro.ff.fingerprint import Fingerprint
 from repro.ff.gf2m import GF2m
 from repro.graph.csr import CSRGraph
@@ -53,19 +56,24 @@ WEIGHTS = RngStream(4).integers(0, 3, size=GRAPH.n)
 
 
 def _tree(template):
-    return tree_recurrence(decompose_template(template)), template.k, template.k
+    return MLDCircuit.k_tree(template).recurrence(), template.k, template.k
 
 
 # name -> (recurrence, k, fingerprint levels)
 CASES = {
-    "k-path": (path_recurrence(4), 4, 4),
+    "k-path": (MLDCircuit.k_path(4).recurrence(), 4, 4),
     "k-tree/path": _tree(TreeTemplate.path(4)),
     "k-tree/star": _tree(TreeTemplate.star(4)),
     "k-tree/binary": _tree(TreeTemplate.binary(5)),
-    "weighted-path": (weighted_path_recurrence(WEIGHTS, 3, Z_MAX), 3, 3),
-    "scan-stat": (scanstat_recurrence(WEIGHTS, 3, Z_MAX), 3, 4),
-    "circuit/k-path": (MLDCircuit.k_path(4).recurrence(), 4, 4),
-    "circuit/k-tree": (MLDCircuit.k_tree(TreeTemplate.caterpillar(5)).recurrence(), 5, 5),
+    "weighted-path": (MLDCircuit.weighted_path(WEIGHTS, 3, Z_MAX).recurrence(), 3, 3),
+    "scan-stat": (MLDCircuit.scan_row(WEIGHTS, 3, Z_MAX).recurrence(), 3, 4),
+    # circuits stated step by step: a path whose levels run backwards, and
+    # a 5-node spider — leaves, sums and products in orders no builder emits
+    "circuit/k-path": (MLDCircuit(
+        k=4, n_slots=4, leaves=[(0, 3)], output=3, levels=4,
+        steps=[CircuitStep(j, None, j - 1, 3 - j) for j in range(1, 4)]).recurrence(),
+        4, 4),
+    "circuit/k-tree": (SPIDER.recurrence(), 5, 5),
 }
 
 # ranks -> partition of GRAPH; the 4-rank layout leaves rank 2 empty
@@ -110,15 +118,24 @@ def test_phase_values_identical(case, kernel, driver, ranks):
 
 
 def test_circuits_equal_the_specialised_recurrences():
-    """The generic interpreter defines the same polynomials, bit for bit."""
-    fp = _fingerprint(4, 4, "table")
+    """The circuits define the same polynomials, bit for bit, as the
+    hand-written recurrences they replaced."""
     tmpl = TreeTemplate.caterpillar(5)
-    fp5 = _fingerprint(5, 5, "table")
-    for q0, n2 in WINDOWS:
-        assert phase_value(GRAPH, CASES["circuit/k-path"][0], fp, q0, n2) == phase_value(
-            GRAPH, CASES["k-path"][0], fp, q0, n2)
-        assert phase_value(GRAPH, CASES["circuit/k-tree"][0], fp5, q0, n2) == phase_value(
-            GRAPH, _tree(tmpl)[0], fp5, q0, n2)
+    pairs = [
+        (MLDCircuit.k_path(4), path_recurrence(4), 4, 4),
+        (MLDCircuit.k_tree(tmpl), tree_recurrence(tmpl), 5, 5),
+        (MLDCircuit.weighted_path(WEIGHTS, 3, Z_MAX),
+         weighted_path_recurrence(WEIGHTS, 3, Z_MAX), 3, 3),
+        (MLDCircuit.scan_row(WEIGHTS, 3, Z_MAX),
+         scanstat_recurrence(WEIGHTS, 3, Z_MAX), 3, 4),
+    ]
+    for kernel in KERNELS:
+        for circuit, reference, k, levels in pairs:
+            fp = _fingerprint(k, levels, kernel)
+            for q0, n2 in WINDOWS:
+                assert np.array_equal(
+                    phase_value(GRAPH, circuit.recurrence(), fp, q0, n2),
+                    phase_value(GRAPH, reference, fp, q0, n2))
 
 
 @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=7),
@@ -127,7 +144,7 @@ def test_circuits_equal_the_specialised_recurrences():
 def test_random_template(seed, k, kernel):
     """Random tree templates: all drivers agree, and on a table field."""
     tmpl = TreeTemplate.random(k, rng=RngStream(seed))
-    recurrence = tree_recurrence(decompose_template(tmpl))
+    recurrence = MLDCircuit.k_tree(tmpl).recurrence()
     ref = phase_value(GRAPH, recurrence, _fingerprint(k, k, "table"), 0, 8)
     assert_drivers_agree(GRAPH, recurrence, _fingerprint(k, k, kernel), 0, 8,
                          PARTITIONS[3], expected=ref)
@@ -136,7 +153,7 @@ def test_random_template(seed, k, kernel):
 @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=12))
 @settings(max_examples=200, deadline=None)
 def test_every_subtree_has_exactly_one_consumer(seed, k):
-    """The fact :func:`tree_recurrence` relies on to free children on use."""
+    """The fact the k-tree circuit relies on to free children on use."""
     specs = decompose_template(TreeTemplate.random(k, rng=RngStream(seed)))
     consumers = [c for s in specs if not s.is_leaf for c in (s.child_same, s.child_branch)]
     assert sorted(consumers) == [s.sid for s in specs[:-1]]
@@ -161,13 +178,14 @@ def test_oracle_path_and_tree(kernel):
     """One-sided: a round value is nonzero only if the structure exists
     (exactly), and some round finds every structure that does (whp)."""
     for k in (3, 5, 6, 7):
-        hit = any(_round_value(path_recurrence(k), k, k, kernel, s) for s in ROUNDS)
+        hit = any(_round_value(MLDCircuit.k_path(k).recurrence(), k, k, kernel, s)
+                  for s in ROUNDS)
         assert hit == exact.has_path(SMALL, k)
     templates = (TreeTemplate.star(4), TreeTemplate.star(6), TreeTemplate.binary(5),
                  TreeTemplate.caterpillar(6))
     assert {exact.has_tree(SMALL, t) for t in templates} == {True, False}
     for tmpl in templates:
-        rec = tree_recurrence(decompose_template(tmpl))
+        rec = MLDCircuit.k_tree(tmpl).recurrence()
         hit = any(_round_value(rec, tmpl.k, tmpl.k, kernel, s) for s in ROUNDS)
         assert hit == exact.has_tree(SMALL, tmpl)
 
@@ -178,23 +196,26 @@ def test_oracle_weight_axis(kernel):
     rounds is exactly the set of realizable weights."""
     k, z_max = 4, 8
     cells = np.zeros(z_max + 1, dtype=bool)
+    rec = MLDCircuit.weighted_path(SMALL_W, k, z_max).recurrence()
     for s in ROUNDS:
-        cells |= _round_value(weighted_path_recurrence(SMALL_W, k, z_max), k, k, kernel, s) != 0
+        cells |= _round_value(rec, k, k, kernel, s) != 0
     assert int(np.nonzero(cells)[0].max()) == exact.max_weight_path(SMALL, k, SMALL_W)
     cells[:] = False
+    rec = MLDCircuit.scan_row(SMALL_W, 3, z_max).recurrence()
     for s in ROUNDS:
-        cells |= _round_value(scanstat_recurrence(SMALL_W, 3, z_max), 3, 4, kernel, s) != 0
+        cells |= _round_value(rec, 3, 4, kernel, s) != 0
     truth = {z for size, z in exact.scan_cells(SMALL, SMALL_W, 3) if size == 3}
     assert set(np.nonzero(cells)[0].tolist()) == truth
 
 
 # ------------------------------------------------------- all-reduce width
 @pytest.mark.parametrize("driver", DRIVERS[1:])
-@pytest.mark.parametrize("make", [weighted_path_problem, scanstat_problem])
+@pytest.mark.parametrize("make", [MLDCircuit.weighted_path, MLDCircuit.scan_row],
+                         ids=["weighted_path_problem", "scanstat_problem"])
 def test_weight_axis_allreduce_keeps_wide_field_elements(make, driver):
     """GF(2^10) elements need 16 bits: the weight-axis all-reduce must not
     truncate them to a byte (it did, on simulated ranks only)."""
-    spec = make(GRAPH, WEIGHTS, 3, Z_MAX, field=GF2m(10))
+    spec = compile(make(WEIGHTS, 3, Z_MAX), GF2m(10))
     fp = spec.draw_fingerprint(GRAPH.n, RngStream(8))
     expected = spec.phase_value(GRAPH, fp, 0, 8)
     assert expected.max() > 255  # else the test cannot see a truncation

@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.midas import (
-    MidasRuntime, detect_path, detect_scan_cell, detect_tree, scan_grid,
+    MidasRuntime, detect_path, detect_scan_cell, detect_tree, max_weight_path,
+    scan_grid,
 )
 from repro.errors import ConfigurationError
 from repro.graph.csr import CSRGraph
@@ -59,6 +60,10 @@ class TestDetectPathCorrectness:
         res = detect_path(g, 10, rng=RngStream(0))
         assert not res.found
         assert res.details.get("reason") == "k exceeds |V|"
+
+    def test_k_below_one_is_a_configuration_error_naming_k(self):
+        with pytest.raises(ConfigurationError, match="k must be >= 1, got 0"):
+            detect_path(grid2d(2, 2), 0)
 
     def test_k1_any_vertex(self):
         g = CSRGraph.from_edges(3, [])
@@ -266,6 +271,55 @@ class TestTracing:
         rt = MidasRuntime(n_processors=2, n1=2, n2=4, mode="simulated")
         res = detect_path(g, 3, eps=0.3, rng=RngStream(47), runtime=rt)
         assert "trace_comm_seconds" not in res.details
+
+
+class TestEstimatePolicy:
+    """One policy for every driver, owned by the engine: a Theorem-2
+    estimate in modeled mode (it is the virtual clock) and in simulated
+    mode with a recorder attached."""
+
+    G = erdos_renyi(30, m=60, rng=RngStream(7))
+    W = np.ones(30, dtype=np.int64)
+
+    def _virtual(self, run, **kw):
+        from unittest import mock
+
+        from repro.core.engine import DetectionEngine
+
+        totals = []
+        enter = DetectionEngine.__exit__
+
+        def spy(engine, *exc):
+            totals.append(engine.virtual_total)
+            return enter(engine, *exc)
+
+        with mock.patch.object(DetectionEngine, "__exit__", spy):
+            run(MidasRuntime(mode="modeled", **kw))
+        return totals[-1]
+
+    def test_a_modeled_scan_cell_charges_virtual_time(self):
+        cell = self._virtual(lambda rt: detect_scan_cell(
+            self.G, self.W, 3, 3, eps=0.5, rng=RngStream(8), runtime=rt))
+        grid = self._virtual(lambda rt: scan_grid(
+            self.G, self.W, 3, eps=0.5, rng=RngStream(8), runtime=rt, sizes=[3]))
+        assert cell > 0 and grid > 0
+
+    def test_every_modeled_driver_charges_virtual_time(self):
+        for run in (
+            lambda rt: detect_path(self.G, 4, rng=RngStream(9), runtime=rt),
+            lambda rt: detect_tree(self.G, TreeTemplate.star(4), rng=RngStream(9),
+                                   runtime=rt),
+            lambda rt: max_weight_path(self.G, 4, self.W, rng=RngStream(9), runtime=rt),
+        ):
+            assert self._virtual(run) > 0
+
+
+class TestMaxWeightPathBound:
+    def test_z_max_below_every_path_weight_finds_nothing(self):
+        """k-paths exist, but none weighs <= z_max: the answer is None."""
+        g = CSRGraph.from_edges(6, [(i, i + 1) for i in range(5)])
+        assert max_weight_path(g, 4, np.ones(6, dtype=np.int64), z_max=2,
+                               rng=RngStream(10)) is None
 
 
 class TestRuntimeConfig:

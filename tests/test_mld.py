@@ -1,10 +1,16 @@
-"""Tests for the generic k-MLD circuit and the verbatim Algorithm 1."""
+"""Tests for the k-MLD circuit — the one problem abstraction — and the
+verbatim Algorithm 1."""
 
 import numpy as np
 import pytest
 
-from repro.core.evaluator_path import path_eval_phase
-from repro.core.evaluator_tree import tree_eval_phase
+from _reference_recurrences import (
+    path_recurrence,
+    scanstat_recurrence,
+    tree_recurrence,
+    weighted_path_recurrence,
+)
+from repro.core.leveldp import ElementLanes, PlaneLanes, run_whole_graph
 from repro.core.mld import (
     CircuitStep,
     MLDCircuit,
@@ -13,6 +19,7 @@ from repro.core.mld import (
 )
 from repro.errors import ConfigurationError
 from repro.ff.fingerprint import Fingerprint
+from repro.ff.gf2m import default_field_for_k
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import erdos_renyi, plant_path, plant_tree
 from repro.graph.templates import TreeTemplate
@@ -60,8 +67,8 @@ class TestCircuitMatchesSpecializedEvaluators:
         c = MLDCircuit.k_path(k)
         for seed in range(5):
             fp = Fingerprint.draw(g.n, k, RngStream(seed))
-            a = c.eval_phase(g, fp, 0, 8)
-            b = path_eval_phase(g, fp, 0, 8)
+            a = run_whole_graph(g, c.recurrence(), fp, 0, 8)
+            b = run_whole_graph(g, path_recurrence(k), fp, 0, 8)
             assert np.array_equal(a, b)
 
     def test_tree_circuit_bit_identical(self):
@@ -70,8 +77,8 @@ class TestCircuitMatchesSpecializedEvaluators:
         c = MLDCircuit.k_tree(tmpl)
         for seed in range(5):
             fp = Fingerprint.draw(g.n, 6, RngStream(seed + 10))
-            a = c.eval_phase(g, fp, 0, 16)
-            b = tree_eval_phase(g, tmpl, fp, 0, 16)
+            a = run_whole_graph(g, c.recurrence(), fp, 0, 16)
+            b = run_whole_graph(g, tree_recurrence(tmpl), fp, 0, 16)
             assert np.array_equal(a, b)
 
 
@@ -85,7 +92,7 @@ class TestCircuitSPMD:
         k = 4
         c = MLDCircuit.k_path(k)
         fp = Fingerprint.draw(g.n, k, RngStream(31))
-        expected = np.bitwise_xor.reduce(c.eval_phase(g, fp, 0, 8))
+        expected = np.bitwise_xor.reduce(run_whole_graph(g, c.recurrence(), fp, 0, 8))
         p = random_partition(g, n_parts, rng=RngStream(32))
         assert_drivers_agree(g, c.recurrence(), fp, 0, 8, p, expected=expected)
 
@@ -97,7 +104,7 @@ class TestCircuitSPMD:
         tmpl = TreeTemplate.star(4)
         c = MLDCircuit.k_tree(tmpl)
         fp = Fingerprint.draw(g.n, 4, RngStream(34))
-        expected = np.bitwise_xor.reduce(c.eval_phase(g, fp, 0, 4))
+        expected = np.bitwise_xor.reduce(run_whole_graph(g, c.recurrence(), fp, 0, 4))
         p = random_partition(g, 3, rng=RngStream(35))
         assert_drivers_agree(g, c.recurrence(), fp, 0, 4, p, expected=expected)
 
@@ -159,3 +166,93 @@ class TestAlgorithm1Reference:
             algorithm1_reference(g, 0)
         with pytest.raises(ConfigurationError):
             algorithm1_reference(g, 25)
+
+
+class _Recording:
+    """A lane layout that writes down every operation asked of it."""
+
+    def __init__(self, lanes, log):
+        self._lanes, self._log = lanes, log
+
+    def __getattr__(self, name):
+        op = getattr(self._lanes, name)
+
+        def call(*args):
+            self._log.append((name, *[np.shape(a) if isinstance(a, np.ndarray) else a
+                                      for a in args]))
+            return op(*args)
+
+        return call
+
+
+def _transcript(recurrence, lanes):
+    """Drive ``recurrence`` with a stand-in neighbour sum (each row XOR the
+    one before it); returns every lane op and yielded state, in order, and
+    the result."""
+    log, states = [], []
+    gen = recurrence(_Recording(lanes, log))
+    acc = None
+    try:
+        while True:
+            state = gen.send(acc)
+            log.append(("yield", state.shape))
+            states.append(state.copy())
+            acc = state ^ np.roll(state, 1, axis=0)
+    except StopIteration as stop:
+        return log, states, stop.value
+
+
+class TestInterpreterMatchesTheReplacedRecurrences:
+    """Every builder's circuit issues the lane operations the hand-written
+    recurrence of its kind issued and yields the same states in the same
+    order — so values, halo messages and virtual clocks cannot move."""
+
+    W = RngStream(40).integers(0, 3, size=14)
+
+    @pytest.mark.parametrize("layout", ["elements", "planes"])
+    @pytest.mark.parametrize("kind", ["k-path", "k-tree", "weighted-path", "scan-row"])
+    def test_same_ops_same_yields(self, kind, layout):
+        circuit, reference = {
+            "k-path": (MLDCircuit.k_path(5), path_recurrence(5)),
+            "k-tree": (MLDCircuit.k_tree(TreeTemplate.binary(6)),
+                       tree_recurrence(TreeTemplate.binary(6))),
+            "weighted-path": (MLDCircuit.weighted_path(self.W, 4, 5),
+                              weighted_path_recurrence(self.W, 4, 5)),
+            "scan-row": (MLDCircuit.scan_row(self.W, 4, 5),
+                         scanstat_recurrence(self.W, 4, 5)),
+        }[kind]
+        planes = layout == "planes"
+        field = default_field_for_k(circuit.y_degree,
+                                    kernel_strategy="bitsliced" if planes else None)
+        fp = Fingerprint.draw(len(self.W), circuit.k, RngStream(41),
+                              levels=circuit.levels, field=field)
+        lanes = (PlaneLanes if planes else ElementLanes)(fp, 8, 64)
+        got_log, got_states, got = _transcript(circuit.recurrence(), lanes)
+        ref_log, ref_states, ref = _transcript(reference, lanes)
+        assert got_log == ref_log
+        assert len(got_states) == len(ref_states) == circuit.k - 1
+        for a, b in zip(got_states, ref_states):
+            assert np.array_equal(a, b)
+        assert np.array_equal(got, ref)
+
+
+class TestCircuitOnEveryBackend:
+    def test_a_stated_circuit_runs_identically_on_every_backend(self):
+        """A circuit no builder makes (``SPIDER``) compiles and runs on the
+        sequential, threaded, process and simulated backends alike."""
+        from _leveldp_drivers import SPIDER
+        from repro.core.engine import DetectionEngine, MidasRuntime
+        from repro.core.problems import compile
+        from repro.obs.metrics import MetricsRegistry
+
+        g = erdos_renyi(30, m=60, rng=RngStream(42))
+        values = {}
+        for mode, extra in [("sequential", {}), ("threaded", {"workers": 2}),
+                            ("process", {"workers": 2}),
+                            ("simulated", {"n_processors": 4, "n1": 4})]:
+            rt = MidasRuntime(mode=mode, metrics=MetricsRegistry(), **extra)
+            with DetectionEngine(g, rt, SPIDER.name) as engine:
+                out = engine.run_stage(compile(SPIDER), 3, RngStream(43))
+            values[mode] = out.values
+        assert any(values["sequential"])  # ER(30, 60) has 5-node spiders
+        assert all(v == values["sequential"] for v in values.values()), values

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core.evaluator_path import path_recurrence
 from repro.core.halo import build_halo_views
 from repro.core.leveldp import phase_program
 from repro.core.midas import detect_path
+from repro.core.mld import MLDCircuit
 from repro.core.model import PartitionStats, PerformanceEstimate, estimate_runtime
 from repro.core.schedule import PhaseSchedule
 from repro.core.witness import extract_witness
@@ -201,7 +201,7 @@ class TestModelAgainstSimulator:
         cm = juliet().cost_model(n1)
         sim = Simulator(n1, cost_model=cm, measure_compute=False, trace=False)
         simulated = sim.run(phase_program(
-            build_halo_views(g, part), path_recurrence(self.K), fp, 0,
+            build_halo_views(g, part), MLDCircuit.k_path(self.K).recurrence(), fp, 0,
             self.N2)).makespan
         sched = PhaseSchedule(self.K, n1, n1, self.N2)
         est = estimate_runtime(PartitionStats.from_partition(part), sched,

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _leveldp_drivers import phase_value
-from repro.core.evaluator_path import path_phase_value, path_recurrence
+from _leveldp_drivers import circuit_value, phase_value
+from repro.core.evaluator_path import path_phase_value
 from repro.core.halo import build_halo_views
 from repro.core.leveldp import phase_program
+from repro.core.mld import MLDCircuit
 from repro.errors import DeadlockError
 from repro.ff.fingerprint import Fingerprint
 from repro.graph.csr import xor_segment_reduce
@@ -186,7 +187,8 @@ class TestOverlappedEvaluator:
         k = 4
         fp = Fingerprint.draw(g.n, k, RngStream(seed + 1))
         p = random_partition(g, n_parts, rng=RngStream(seed + 2))
-        got = phase_value(g, path_recurrence(k), fp, 0, n2, "spmd-overlapped", p)
+        got = phase_value(g, MLDCircuit.k_path(k).recurrence(), fp, 0, n2,
+                          "spmd-overlapped", p)
         assert got == path_phase_value(g, fp, 0, n2)
 
     @given(
@@ -195,16 +197,15 @@ class TestOverlappedEvaluator:
     )
     @settings(max_examples=12, deadline=None)
     def test_tree_overlapped_bit_identical(self, seed, n_parts):
-        from repro.core.evaluator_tree import tree_phase_value, tree_recurrence
-        from repro.graph.templates import TreeTemplate, decompose_template
+        from repro.graph.templates import TreeTemplate
 
         g = erdos_renyi(20, m=45, rng=RngStream(seed))
         tmpl = TreeTemplate.binary(5)
         fp = Fingerprint.draw(g.n, 5, RngStream(seed + 1))
         p = random_partition(g, n_parts, rng=RngStream(seed + 2))
-        got = phase_value(g, tree_recurrence(decompose_template(tmpl)), fp, 0, 8,
-                          "spmd-overlapped", p)
-        assert got == tree_phase_value(g, tmpl, fp, 0, 8)
+        circuit = MLDCircuit.k_tree(tmpl)
+        got = phase_value(g, circuit.recurrence(), fp, 0, 8, "spmd-overlapped", p)
+        assert got == circuit_value(g, circuit, fp, 0, 8)
 
     @given(
         st.integers(min_value=0, max_value=10**6),
@@ -212,19 +213,14 @@ class TestOverlappedEvaluator:
     )
     @settings(max_examples=10, deadline=None)
     def test_scanstat_overlapped_bit_identical(self, seed, n_parts):
-        from repro.core.evaluator_scanstat import (
-            scanstat_phase_value,
-            scanstat_recurrence,
-        )
-
         g = erdos_renyi(15, m=30, rng=RngStream(seed))
         w = RngStream(seed + 5).integers(0, 3, size=g.n)
         dim, z_max = 3, 6
         fp = Fingerprint.draw(g.n, dim, RngStream(seed + 1), levels=dim + 1)
         p = random_partition(g, n_parts, rng=RngStream(seed + 2))
-        got = phase_value(g, scanstat_recurrence(w, dim, z_max), fp, 0, 4,
-                          "spmd-overlapped", p)
-        assert np.array_equal(got, scanstat_phase_value(g, w, fp, z_max, 0, 4))
+        circuit = MLDCircuit.scan_row(w, dim, z_max)
+        got = phase_value(g, circuit.recurrence(), fp, 0, 4, "spmd-overlapped", p)
+        assert np.array_equal(got, circuit_value(g, circuit, fp, 0, 4))
 
     def test_scan_grid_overlap_flag(self):
         from repro.core.midas import MidasRuntime, scan_grid
@@ -272,7 +268,7 @@ class TestOverlappedEvaluator:
         fp = Fingerprint.draw(g.n, 5, RngStream(11))
         p = random_partition(g, 4, rng=RngStream(12))
         views = build_halo_views(g, p)
-        rec = path_recurrence(5)
+        rec = MLDCircuit.k_path(5).recurrence()
         a = Simulator(4, trace=False).run(phase_program(views, rec, fp, 0, 8))
         b = Simulator(4, trace=False).run(
             phase_program(views, rec, fp, 0, 8, overlapped=True)

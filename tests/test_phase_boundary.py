@@ -151,9 +151,10 @@ def test_every_mode_leaves_the_same_phase_effects(mode, driver, reference):
 
 # ------------------------------------------------------------- deadlines
 def _one_window_seconds(graph, k: int, n2: int) -> float:
-    from repro.core.problems import path_problem
+    from repro.core.mld import MLDCircuit
+    from repro.core.problems import compile
 
-    spec = path_problem(graph, k)
+    spec = compile(MLDCircuit.k_path(k))
     fp = spec.draw_fingerprint(graph.n, RngStream(5))
     spec.phase_value(graph, fp, 0, n2)  # warm caches
     t0 = time.perf_counter()

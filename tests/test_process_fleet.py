@@ -34,12 +34,8 @@ from repro.core.midas import (
     max_weight_path,
     scan_grid,
 )
-from repro.core.problems import (
-    path_problem,
-    scanstat_problem,
-    tree_problem,
-    weighted_path_problem,
-)
+from repro.core.mld import MLDCircuit
+from repro.core.problems import compile
 from repro.core.process_backend import ProcessPhasePool
 from repro.errors import ConfigurationError
 from repro.graph.generators import erdos_renyi
@@ -54,10 +50,10 @@ W = RngStream(82, name="w").integers(0, 3, size=G.n)
 
 def _specs():
     return {
-        "k-path": path_problem(G, 5),
-        "k-tree": tree_problem(G, TreeTemplate.binary(5)),
-        "weighted-path": weighted_path_problem(G, W, 4, z_max=8),
-        "scanstat": scanstat_problem(G, W, 3, z_max=6),
+        "k-path": compile(MLDCircuit.k_path(5)),
+        "k-tree": compile(MLDCircuit.k_tree(TreeTemplate.binary(5))),
+        "weighted-path": compile(MLDCircuit.weighted_path(W, 4, 8)),
+        "scanstat": compile(MLDCircuit.scan_row(W, 3, 6)),
     }
 
 
@@ -166,7 +162,7 @@ def test_per_window_telemetry_is_what_it_was_before_the_fleet():
 @pytest.mark.parametrize("workers,n2,requests", [(2, 4, 2), (3, 16, 2), (3, 32, 1)])
 def test_a_round_is_one_request_per_worker_and_one_fingerprint(workers, n2,
                                                                requests):
-    spec = path_problem(G, 5)  # 32 iterations: 8, 2, 1 windows
+    spec = compile(MLDCircuit.k_path(5))  # 32 iterations: 8, 2, 1 windows
     pool = ProcessPhasePool(G, workers)
     try:
         for ell in range(3):
@@ -222,7 +218,7 @@ def _islands(n_cliques: int, size: int):
 
 def test_submit_is_a_one_window_request():
     """The surface the frozen ledger calls: submit(...).result(timeout=)."""
-    spec = path_problem(G, 5)
+    spec = compile(MLDCircuit.k_path(5))
     fp = spec.draw_fingerprint(G.n, RngStream(87))
     pool = ProcessPhasePool(G, 2)
     try:
@@ -243,7 +239,7 @@ def test_submit_is_a_one_window_request():
 # ------------------------------------------------- (d), (e) cancel and stale
 def _slow_inputs():
     g = erdos_renyi(1500, 9000, rng=RngStream(1, name="g"))
-    spec = path_problem(g, 10)
+    spec = compile(MLDCircuit.k_path(10))
     fp = spec.draw_fingerprint(g.n, RngStream(5))
     spec.phase_value(g, fp, 0, 16)  # warm caches
     t0 = time.perf_counter()
@@ -331,7 +327,7 @@ def test_an_exception_in_a_worker_is_raised_where_the_round_was_asked(monkeypatc
         raise ConfigurationError("not in this worker")
 
     # forked workers inherit the patched module
-    monkeypatch.setattr("repro.core.process_backend.spec_from_recipe", refuse)
+    monkeypatch.setattr("repro.core.process_backend.compile", refuse)
     before = _census()
     rt = MidasRuntime(mode="process", workers=2, n2=8, process_start="fork")
     with pytest.raises(ConfigurationError, match="not in this worker"):
@@ -345,7 +341,7 @@ def test_a_forked_worker_never_waits_on_a_metrics_lock_held_at_the_fork():
     locked in the child.  The worker's first snapshot of the inherited
     registry used to hang there (seen as a rare deadlock of concurrent
     process-mode queries); it counts into a registry of its own."""
-    spec = path_problem(G, 5)
+    spec = compile(MLDCircuit.k_path(5))
     fp = spec.draw_fingerprint(G.n, RngStream(88))
     with get_default_registry()._lock:
         pool = ProcessPhasePool(G, 1, start_method="fork")

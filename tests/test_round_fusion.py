@@ -17,15 +17,10 @@ import numpy as np
 import pytest
 
 from repro.core.engine import DetectionEngine, MidasRuntime
-from repro.core.evaluator_scanstat import scan_y_degree
 from repro.core.leveldp import ElementLanes, PlaneLanes, whole_graph_lanes
 from repro.core.midas import detect_path, detect_tree, scan_grid
-from repro.core.problems import (
-    path_problem,
-    scanstat_problem,
-    tree_problem,
-    weighted_path_problem,
-)
+from repro.core.mld import MLDCircuit
+from repro.core.problems import compile
 from repro.core.schedule import PhaseSchedule
 from repro.errors import ConfigurationError
 from repro.ff.gf2m import default_field_for_k
@@ -105,12 +100,16 @@ def test_a_fused_schedule_covers_whole_rounds():
 
 
 # ----------------------------------------------------------------- layouts
+def _spec(circuit, field_for):
+    return compile(circuit, field_for(circuit.y_degree))
+
+
 def _specs(field_for):
     return {
-        "path": path_problem(G, 6, field=field_for(6)),
-        "tree": tree_problem(G, TreeTemplate.binary(5), field=field_for(5)),
-        "wpath": weighted_path_problem(G, W, 4, z_max=8, field=field_for(4)),
-        "scan": scanstat_problem(G, W, 3, z_max=6, field=field_for(scan_y_degree(3))),
+        "path": _spec(MLDCircuit.k_path(6), field_for),
+        "tree": _spec(MLDCircuit.k_tree(TreeTemplate.binary(5)), field_for),
+        "wpath": _spec(MLDCircuit.weighted_path(W, 4, 8), field_for),
+        "scan": _spec(MLDCircuit.scan_row(W, 3, 6), field_for),
     }
 
 
@@ -132,12 +131,12 @@ def test_a_fused_window_is_each_rounds_window(kernel, rounds):
 
 def test_the_layout_follows_the_window_width():
     fld = default_field_for_k(5, kernel_strategy="bitsliced")
-    fps = [path_problem(G, 5, field=fld).draw_fingerprint(G.n, RngStream(r))
+    fps = [compile(MLDCircuit.k_path(5), fld).draw_fingerprint(G.n, RngStream(r))
            for r in range(2)]
     assert isinstance(whole_graph_lanes(fps[0], 0, 32), ElementLanes)
     assert isinstance(whole_graph_lanes(fps, 0, 32), PlaneLanes)
     table = default_field_for_k(5)
-    fp = path_problem(G, 5, field=table).draw_fingerprint(G.n, RngStream(0))
+    fp = compile(MLDCircuit.k_path(5), table).draw_fingerprint(G.n, RngStream(0))
     assert isinstance(whole_graph_lanes([fp, fp], 0, 32), ElementLanes)
 
 
@@ -152,13 +151,13 @@ def test_live_states_are_what_the_recurrences_keep():
     def bitsliced(d):
         return default_field_for_k(d, kernel_strategy="bitsliced")
 
-    specs = [
-        path_problem(g, 6, field=bitsliced(6)),
-        tree_problem(g, TreeTemplate.binary(5), field=bitsliced(5)),
-        tree_problem(g, TreeTemplate.star(6), field=bitsliced(6)),
-        weighted_path_problem(g, w, 6, z_max=6, field=bitsliced(6)),
-        scanstat_problem(g, w, 5, z_max=5, field=bitsliced(scan_y_degree(5))),
-    ]
+    specs = [_spec(circuit, bitsliced) for circuit in (
+        MLDCircuit.k_path(6),
+        MLDCircuit.k_tree(TreeTemplate.binary(5)),
+        MLDCircuit.k_tree(TreeTemplate.star(6)),
+        MLDCircuit.weighted_path(w, 6, 6),
+        MLDCircuit.scan_row(w, 5, 5),
+    )]
     for spec in specs:
         rounds, n2 = 4, 1 << spec.k
         fps = [spec.draw_fingerprint(g.n, RngStream(96 + r)) for r in range(rounds)]

@@ -108,19 +108,17 @@ class TestMaxWeightPath:
 class TestWeightedPathParallel:
     @pytest.mark.parametrize("n_parts", [1, 2, 4])
     def test_spmd_program_bit_identical(self, n_parts):
-        from _leveldp_drivers import assert_drivers_agree
-        from repro.core.evaluator_wpath import (
-            weighted_path_phase_value,
-            weighted_path_recurrence,
-        )
+        from _leveldp_drivers import assert_drivers_agree, circuit_value
+        from repro.core.mld import MLDCircuit
         from repro.graph.partition import random_partition
 
         g = erdos_renyi(18, m=35, rng=RngStream(70))
         w = RngStream(71).integers(0, 4, size=g.n)
         fp = Fingerprint.draw(g.n, 4, RngStream(72))
         p = random_partition(g, n_parts, rng=RngStream(73))
-        assert_drivers_agree(g, weighted_path_recurrence(w, 4, 8), fp, 0, 4, p,
-                             expected=weighted_path_phase_value(g, w, fp, 8, 0, 4))
+        circuit = MLDCircuit.weighted_path(w, 4, 8)
+        assert_drivers_agree(g, circuit.recurrence(), fp, 0, 4, p,
+                             expected=circuit_value(g, circuit, fp, 0, 4))
 
     def test_simulated_mode_matches_sequential(self):
         from repro.core.midas import MidasRuntime
