@@ -39,10 +39,11 @@ boundary**:
       accumulation is commutative and associative, so folding in
       completion order is bit-identical to sequential.
   ``ProcessBackend``
-      On a fleet of worker processes sharing the graph through
-      :class:`~repro.core.process_backend.ProcessPhasePool` — the same
-      commutativity argument past the GIL.  One request per worker per
-      round batch, one record back per window; decodes the records,
+      On the interpreter's warm fleet of worker processes
+      (:func:`~repro.core.process_backend.fleet`), the graph shared
+      through shared memory — the same commutativity argument past the
+      GIL.  One request per worker per round batch (a whole stage, when
+      it fits), one record back per window; decodes the records,
       merges worker metrics and spans, re-runs a batch whose worker died
       once and turns the second death into a typed
       :class:`~repro.errors.WorkerCrashedError`.
@@ -797,42 +798,53 @@ class ProcessBackend(ExecutionBackend):
 
     Same contract as :class:`ThreadedBackend` — independent windows, XOR
     merge in completion order, bit-identical to sequential — but the
-    phase kernels run in separate interpreters: the graph is shared via
-    :class:`~repro.core.process_backend.ProcessPhasePool`'s shared-memory
-    segments, specs are compiled in workers from their picklable
-    circuits, and a batch is one request per worker — each takes a share
-    of the batch's windows and streams back one record per finished
-    window, so this side only receives and folds.
+    phase kernels run in separate interpreters: the interpreter's warm
+    fleet (:func:`~repro.core.process_backend.fleet`), which this call
+    borrows a batch at a time.  The call publishes the graph and its
+    circuits' weights in shared memory (and unlinks them on close), specs
+    are compiled in workers from their picklable circuits, and a batch is
+    one request per worker — each takes a share of the batch's windows
+    and streams back one record per finished window, so this side only
+    receives and folds.
     """
 
     name = "process"
 
     def __init__(self, engine: "DetectionEngine") -> None:
         super().__init__(engine)
-        self._pool = None
+        self._shared = None  # the SharedArrays this call published
+        self._graph = None  # the graph's wire
+        self._pool = None  # the fleet the last batch ran on, once one has
         self._crashed_in: Optional[_Stage] = None  # a stage gets one retry
 
-    def prepare(self, stage: _Stage) -> None:
-        if self._pool is None:
-            from repro.core.process_backend import ProcessPhasePool
+    def _fleet_key(self) -> tuple:
+        return self.engine.rt.get_workers(), self.engine.rt.process_start
 
+    def prepare(self, stage: _Stage) -> None:
+        from repro.core.process_backend import SharedArrays, fleet
+
+        if self._shared is None:
+            # the call's publication, and the fleet's start when it is not
+            # warm: setup, not the first batch's wall
             with self.engine.prof.span("engine.pool", phase="setup",
                                        callsite="process"):
-                self._pool = ProcessPhasePool(
-                    self.engine.graph,
-                    self.engine.rt.get_workers(),
-                    start_method=self.engine.rt.process_start,
-                )
-        # publishes the circuit's weights once (the pool caches the wire per
+                fleet(*self._fleet_key())
+                self._shared = SharedArrays()
+                self._graph = self._shared.wire_graph(self.engine.graph)
+        # publishes the circuit's weights once (the wire is cached per
         # spec); a hand-built spec without a circuit is refused here
-        self._pool.wire_spec(stage.spec)
+        self._shared.wire_spec(stage.spec)
 
     def windows(self, stage: _Stage, rounds: _Rounds) -> Iterator[tuple]:
+        from repro.core.process_backend import driving
+
         sched = rounds.sched
-        return self._pool.batch(
-            self._pool.wire_spec(stage.spec), rounds.fps, sched.n2,
-            [(sched.phase_window(t)[0], rs.start, rs.stop)
-             for rs, t in rounds.windows()])
+        with driving(*self._fleet_key()) as pool:
+            self._pool = pool  # the fleet a dead worker closes
+            yield from pool.batch(
+                self._graph, self._shared.wire_spec(stage.spec), rounds.fps,
+                sched.n2, [(sched.phase_window(t)[0], rs.start, rs.stop)
+                           for rs, t in rounds.windows()])
 
     def completed(self, stage: _Stage, w: int, result) -> Window:
         raws, (pid, t0, t1, *build), mdelta = result
@@ -853,11 +865,13 @@ class ProcessBackend(ExecutionBackend):
         """The batch, or — when a worker dies under it — the batch again
         on a rebuilt fleet: the fingerprints are the same, so the values
         are.  A second death in the same stage is not retried."""
+        from repro.core.process_backend import close_fleet, fleet
+
         ell = rounds.ell
         try:
             return super().run_round(stage, rounds)
         except WorkerCrashedError as exc:
-            self.close()
+            close_fleet(self._pool)
             e = self.engine
             e.flight_dump("worker_crash", round=ell,
                           graph=getattr(e.graph, "name", None))
@@ -870,13 +884,15 @@ class ProcessBackend(ExecutionBackend):
             self._crashed_in = stage
             _LOG.warning("%s; re-running round %d on a new fleet", exc, ell)
             e.discard_round()
-            self.prepare(stage)
+            with e.prof.span("engine.pool", phase="setup", callsite="process"):
+                fleet(*self._fleet_key())
             return self.run_round(stage, rounds)
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
+        """Unlink what this call published; the fleet stays warm."""
+        if self._shared is not None:
+            self._shared.close()
+            self._shared = None
 
 
 class _Timeline(NamedTuple):
@@ -1470,8 +1486,9 @@ class DetectionEngine:
         early-exit predicate on the round accumulator (e.g. *any witness*
         for detection, *this weight cell* for single-cell queries).
 
-        Rounds run in batches (:meth:`_round_batch`): without ``stop``, all
-        the rounds left that fit; with it, 1, 2, 4, ... rounds.  Each round
+        Rounds run in batches of at most all the rounds left without
+        ``stop``, and of at most 1, 2, 4, ... rounds with it; how many a
+        batch takes is :meth:`_round_batch`'s rule.  Each round
         is still reported on its own, in order — its digest, checkpoint,
         live event and ``stop`` — and a hit drops the batch's later rounds
         unreported.  A watchdog trip discards the unfinished batch.
@@ -1557,7 +1574,7 @@ class DetectionEngine:
                 # first-round hit costs one round's window
                 want = rounds - ell if stop is None else min(rounds - ell, grow)
                 grow *= 2
-                batch = self._round_batch(spec, ell, want, rng)
+                batch = self._round_batch(spec, ell, want, rng, stop is not None)
                 # the batch is stamped once: this span is the profile's and
                 # the query trace's, and feeds details["wall"] and the ETA
                 span = self.prof.span("engine.round", phase="rounds",
@@ -1592,10 +1609,17 @@ class DetectionEngine:
             return StageResult(values, virtuals, sched, estimate)
 
     def _round_batch(self, spec: ProblemSpec, ell: int, want: int,
-                     rng: RngStream) -> _Rounds:
-        """The next round batch: round ``ell`` on, at most ``want`` rounds —
-        ``R`` rounds a window, and on a pool with the default schedule a
-        window per worker.  (An explicit ``n2`` runs a round at a time.)
+                     rng: RngStream, early_exit: bool) -> _Rounds:
+        """The next round batch: round ``ell`` on, at most ``want`` rounds.
+
+        A window carries ``R`` rounds (:meth:`MidasRuntime.schedule_for`),
+        and a batch is one window's rounds — except on a pool with the
+        default schedule: when a window covers a round, a window per
+        worker; when a round spans several windows and there is no early
+        exit, all ``want`` rounds, or as many as keep the batch's stacked
+        fingerprints within ``3 * _STATE_BYTES`` (the budget a fused
+        window's states keep).  So an early exit over several windows a
+        round, and an explicit ``n2``, run a round at a time.
 
         The fingerprints come from the streams ``rng.child`` will hand out
         for these rounds, drawn without spawning them: the stage stream
@@ -1603,12 +1627,17 @@ class DetectionEngine:
         an early exit leaves it where a one-round-at-a-time run would.
         """
         rt = self.rt
-        sched = rt.schedule_for(spec.k, self.graph.n, spec.field.m, spec.payload,
+        n = self.graph.n
+        sched = rt.schedule_for(spec.k, n, spec.field.m, spec.payload,
                                 rounds=want, live_states=spec.live_states)
         size = sched.rounds_per_window
-        if rt.mode in ("threaded", "process") and sched.n_phases == 1 and rt.n2 is None:
-            size *= max(1, min(rt.get_workers(), want // size))
-        fps = [spec.draw_fingerprint(self.graph.n, child) for child in
+        if rt.mode in ("threaded", "process") and rt.n2 is None:
+            if sched.n_phases == 1:
+                size *= max(1, min(rt.get_workers(), want // size))
+            elif not early_exit:
+                fp_bytes = n * (8 + spec.levels * np.dtype(spec.field.dtype).itemsize)
+                size = max(1, min(want, 3 * _STATE_BYTES // max(1, fp_bytes)))
+        fps = [spec.draw_fingerprint(n, child) for child in
                rng.children_ahead([f"round{r}" for r in range(ell, ell + size)])]
         return _Rounds(ell, fps, sched)
 

@@ -10,16 +10,18 @@ shape of the paper's Fig 1 — every phase group owns a share of the
 round's windows, one coordinator merges:
 
 * the graph's CSR arrays (and any problem payload arrays, e.g. scan-stat
-  weights) are published **once** via ``multiprocessing.shared_memory``
-  — workers attach zero-copy, nothing is pickled per phase;
+  weights) are published **once** per call via
+  ``multiprocessing.shared_memory`` (:class:`SharedArrays`) — workers
+  attach zero-copy, nothing is pickled per phase;
 * problem specs hold closures (the recurrence) and cannot cross a
   process boundary, so workers compile them from the spec's picklable
   :class:`~repro.core.mld.MLDCircuit` (:func:`repro.core.problems.compile`),
-  its weights in shared memory, caching per wire descriptor;
+  its weights in shared memory, caching a few per wire descriptor;
 * a round batch is **one request per worker**: the parent copies the
   batch's fingerprints, stacked ``(R, n)`` and ``(R, n, levels)``, into a
   segment it reuses from batch to batch and sends each worker
-  ``(id, spec key, k, v, y, n2, share)`` — ``v``/``y`` as references into
+  ``(id, graph, spec key, k, v, y, n2, share)`` — ``graph`` the wire of
+  the graph to run on, ``v``/``y`` references into
   that segment, ``share`` an equal slice of the batch's
   ``(t, q_start, r0, r1)`` windows, each over the batch's rounds
   ``[r0, r1)`` side by side.  The worker streams back one record per
@@ -43,23 +45,39 @@ and sends exactly one record back, ``(id, None, value, None, mdelta)``.
 caller thread at a time; ``cancelled()`` is the call's look at its
 request channel, for the engine to take between two windows.
 
+Every ``mode="process"`` engine in an interpreter borrows one warm
+fleet (:func:`fleet`): started by the first call, kept between calls,
+rebuilt when the worker count or start method changes or a worker dies,
+closed by :func:`close_fleet` and at interpreter exit, forgotten by a
+forked child.  One thread drives it at a time (:func:`driving`, a
+batch's hold).  Workers are bound to no graph: each keeps the one the
+last request named attached, and closes its attachments to segments the
+current request does not name, so a warm worker maps no more segments
+than one request names.
+
 The parent owns every shared segment's lifecycle: workers only attach
 (the resource tracker is shared with the parent under every start
-method, so attach-registration is idempotent) and the pool unlinks
-every segment on close, after the workers have left.
+method, so attach-registration is idempotent).  What a call published —
+its graph, its circuits' weights — it unlinks when it closes; the fleet
+owns only its fingerprint segment, unlinked with the fleet after the
+workers have left.
 """
 
 from __future__ import annotations
 
+import atexit
 import itertools
 import os
 import pickle
 import selectors
 import signal
 import threading
-from collections import deque
+from collections import OrderedDict, deque
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from multiprocessing import get_context, shared_memory
+from multiprocessing import (get_context, parent_process, resource_tracker,
+                             shared_memory)
+from multiprocessing import util as mp_util
 from multiprocessing.connection import wait
 from time import perf_counter
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -79,10 +97,11 @@ from repro.graph.csr import CSRGraph
 _MP_STATE_LOCK = threading.Lock()
 
 # The parent's end of every live worker channel in this process (guarded by
-# _MP_STATE_LOCK).  A forked worker inherits all of them — its own fleet's
-# and those of sibling threads' pools — and closes its copies first thing:
-# a channel only reaches EOF once its last writer is gone, and EOF is how a
-# worker learns that its parent was killed.  Empty in a spawned worker.
+# _MP_STATE_LOCK).  A forked child inherits all of them — its own fleet's
+# and those of every other pool — and closes its copies at the fork
+# (_forget_parent): a channel only reaches EOF once its last writer is
+# gone, and EOF is how a worker learns that its parent was killed.  Empty
+# in a spawned worker.
 _PARENT_ENDS: set = set()
 
 # environment hook for the crash-regression test: a worker that sees this
@@ -113,12 +132,28 @@ def publish_array(arr: np.ndarray) -> Tuple[ShmArray, shared_memory.SharedMemory
     return ShmArray(shm.name, tuple(arr.shape), arr.dtype.str), shm
 
 
+def _unlink(shm: shared_memory.SharedMemory) -> None:
+    """Close and unlink a segment this process created."""
+    try:
+        shm.close()
+        with _MP_STATE_LOCK:
+            shm.unlink()
+    except FileNotFoundError:  # pragma: no cover - already gone
+        pass
+
+
 # --------------------------------------------------------------- worker side
 # Per-worker caches, populated lazily.  Under the default fork start method
 # these start empty in each child; under spawn the module is re-imported.
 _ATTACHED: Dict[str, shared_memory.SharedMemory] = {}
-_WORKER_GRAPH: Optional[CSRGraph] = None
-_SPEC_CACHE: Dict[bytes, Any] = {}
+# the graph the last batch request named: (its wire, the attached graph)
+_GRAPH: Tuple[Optional[tuple], Optional[CSRGraph]] = (None, None)
+# wire descriptor -> (compiled spec, the segments it views), least recently
+# used first.  A weighted kind's wire names a segment its call publishes,
+# so each of its calls is a new entry; a k-path's wire is the same bytes
+# from call to call.
+_SPEC_CACHE: "OrderedDict[bytes, Tuple[Any, Tuple[str, ...]]]" = OrderedDict()
+_SPEC_CACHE_SIZE = 8
 # Last metrics snapshot shipped back to the parent.  A share's last record
 # carries the *delta* of the worker's default registry against this
 # baseline and advances it, so increments made inside workers (field
@@ -157,33 +192,53 @@ def attach_graph(wired: tuple) -> CSRGraph:
     return CSRGraph(n, _attach(indptr_ref), _attach(indices_ref), name=name)
 
 
-def _worker_init(graph_args: Optional[tuple]) -> None:
-    """Attach the pool's graph, once (a :class:`QueryFleet` worker has
-    none: each call names its own)."""
-    global _WORKER_GRAPH
-    from repro.obs.metrics import reset_default_registry
-
-    # a forked worker inherits the parent's default registry: its counts
-    # (the parent has them already) and its locks, any of which a sibling
-    # thread of the parent may have held at the fork — for ever, here.  The
-    # worker counts into a registry of its own and ships all of it.
-    reset_default_registry()
-    if graph_args is not None:
-        _WORKER_GRAPH = attach_graph(graph_args)
+def _graph_for(wired: tuple) -> CSRGraph:
+    """The graph a batch request names: the one attached for the last
+    request, or — a different wire — a new attachment in its place."""
+    global _GRAPH
+    if _GRAPH[0] != wired:
+        _GRAPH = (wired, attach_graph(wired))
+    return _GRAPH[1]
 
 
 def _spec_for(wired: bytes):
-    """Compile (and cache) the problem spec of a pickled wire descriptor."""
-    spec = _SPEC_CACHE.get(wired)
-    if spec is None:
-        from repro.ff.gf2m import GF2m
+    """Compile (and cache) the problem spec of a pickled wire descriptor;
+    returns ``(spec, the names of the segments it views)``."""
+    hit = _SPEC_CACHE.get(wired)
+    if hit is not None:
+        _SPEC_CACHE.move_to_end(wired)
+        return hit
+    from repro.ff.gf2m import GF2m
 
-        circuit, (m, modulus, kernel) = pickle.loads(wired)
-        if circuit.weights is not None:
-            circuit = replace(circuit, weights=_materialize(circuit.weights))
-        spec = _SPEC_CACHE[wired] = compile(
-            circuit, GF2m(m, modulus=modulus, kernel_strategy=kernel))
-    return spec
+    circuit, (m, modulus, kernel) = pickle.loads(wired)
+    held: Tuple[str, ...] = ()
+    if isinstance(circuit.weights, ShmArray):
+        held = (circuit.weights.name,)
+        circuit = replace(circuit, weights=_attach(circuit.weights))
+    hit = _SPEC_CACHE[wired] = (
+        compile(circuit, GF2m(m, modulus=modulus, kernel_strategy=kernel)), held)
+    if len(_SPEC_CACHE) > _SPEC_CACHE_SIZE:
+        _SPEC_CACHE.popitem(last=False)
+    return hit
+
+
+def _detach_all_but(names: set) -> None:
+    """Close this worker's attachments to segments outside ``names`` —
+    their owners have moved on, and may have unlinked them — after
+    dropping the cached specs that view one.
+
+    A segment still viewed from somewhere (a cycle the collector has not
+    reached yet) stays attached until a later request finds it free.
+    """
+    for wired in [w for w, (_spec, held) in _SPEC_CACHE.items()
+                  if not names.issuperset(held)]:
+        del _SPEC_CACHE[wired]
+    for name in [name for name in _ATTACHED if name not in names]:
+        try:
+            _ATTACHED[name].close()
+        except BufferError:  # a view of it is still alive
+            continue
+        del _ATTACHED[name]
 
 
 def _metrics_delta():
@@ -261,13 +316,16 @@ def _serve(inbox: _Inbox, res, request) -> None:
     from repro.ff.fingerprint import Fingerprint
     from repro.obs.metrics import get_default_registry
 
-    rid, wired, k, v, y, n2, share = request
+    rid, graph_wire, wired, k, v, y, n2, share = request
     if inbox.cancelled(rid):
         return
     build = () if wired in _SPEC_CACHE else (perf_counter(),)
-    spec = _spec_for(wired)
+    spec, held = _spec_for(wired)
     if build:
         build += (perf_counter(),)
+    graph = _graph_for(graph_wire)
+    _detach_all_but({ref.name for ref in (graph_wire[1], graph_wire[2], v, y)
+                     if isinstance(ref, ShmArray)}.union(held))
     # (R, n) and (R, n, levels): one fingerprint per round of the batch
     vs, ys = _materialize(v), _materialize(y)
     fps = [Fingerprint(k=k, field=spec.field, v=vr, y=yr) for vr, yr in zip(vs, ys)]
@@ -282,7 +340,7 @@ def _serve(inbox: _Inbox, res, request) -> None:
         if os.environ.get(_CRASH_ENV):
             os._exit(23)
         t0 = perf_counter()
-        values = spec.phase_values(_WORKER_GRAPH, fps[r0:r1], q_start, n2)
+        values = spec.phase_values(graph, fps[r0:r1], q_start, n2)
         t1 = perf_counter()
         phases.inc()
         res.send((rid, t, values, (pid, t0, t1, *build),
@@ -306,16 +364,20 @@ def _serve_call(inbox: _Inbox, res, request) -> None:
     res.send((rid, None, value, None, _metrics_delta()))
 
 
-def _worker_main(req, res, graph_args) -> None:
+def _worker_main(req, res) -> None:
     """A fleet worker: serve requests until the channel says to leave."""
-    for conn in _PARENT_ENDS:  # fork only: see _PARENT_ENDS
-        conn.close()
+    from repro.obs.metrics import reset_default_registry
+
     # a terminal's Ctrl-C reaches the whole process group; the parent
     # decides what it stops (a cancel, None, EOF), so the work it is still
     # waiting for — a served query while the service drains — finishes
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # a forked worker inherits the parent's default registry: its counts
+    # (the parent has them already) and its locks, any of which a sibling
+    # thread of the parent may have held at the fork — for ever, here.  The
+    # worker counts into a registry of its own and ships all of it.
+    reset_default_registry()
     try:
-        _worker_init(graph_args)
         inbox = _Inbox(req)
         while True:
             request = inbox.next()
@@ -324,9 +386,9 @@ def _worker_main(req, res, graph_args) -> None:
             if isinstance(request, int):  # a cancel that came late
                 continue
             try:
-                # a batch's share (id, spec, k, v, y, n2, windows) or a
-                # whole call (id, fn, args)
-                (_serve if len(request) == 7 else _serve_call)(inbox, res,
+                # a batch's share (id, graph, spec, k, v, y, n2, windows)
+                # or a whole call (id, fn, args)
+                (_serve if len(request) == 8 else _serve_call)(inbox, res,
                                                                request)
             except (EOFError, BrokenPipeError):
                 raise
@@ -366,79 +428,24 @@ class _Reply:
         return values[0], stamps, mdelta
 
 
-class ProcessPhasePool:
-    """A fleet of worker processes sharing one published graph.
+class SharedArrays:
+    """Arrays one owner published in shared memory; :meth:`close` unlinks
+    them together.
 
-    ``wire_spec`` converts a :class:`ProblemSpec` into a picklable wire
-    descriptor (its circuit's weights are swapped for a :class:`ShmArray`
-    reference, published on first sight).  :meth:`batch` runs a round
-    batch's windows — one request per worker, records streamed back as
-    windows finish; :meth:`round` is its one-round form and
-    :meth:`submit` the one-window form.  ``close``
-    sends the workers home and unlinks every segment.
-
-    One thread drives a pool's rounds and windows.  ``requests_sent``,
-    ``fingerprints_sent`` and ``records_discarded`` count what crossed
-    the process boundary for them.  With ``graph=None`` no worker starts
-    here: that is the :class:`QueryFleet` base, whose workers start as
-    calls need them, and whose calls — from any number of threads, each
-    on its own worker — these counters leave out.
+    A ``mode="process"`` engine holds one for its call (the graph, its
+    circuits' weights); a :class:`ProcessPhasePool` is one for what it
+    publishes itself.
     """
 
-    def __init__(self, graph: Optional[CSRGraph], workers: int,
-                 start_method: Optional[str] = None) -> None:
-        if workers < 1:
-            raise ConfigurationError(f"process pool needs >= 1 worker, got {workers}")
-        self.graph = graph
-        self.workers = int(workers)
-        self.requests_sent = 0
-        self.fingerprints_sent = 0
-        self.records_discarded = 0
-        self._segments = []  # SharedMemory handles we own
+    def __init__(self) -> None:
+        self._segments: List[shared_memory.SharedMemory] = []  # handles we own
         self._published: Dict[int, ShmArray] = {}  # id(arr) -> ref
         self._keepalive = []  # source arrays, so the id() keys stay valid
         # id(spec) -> (spec, wire descriptor); the spec is pinned so a
         # freed spec's id can never alias a cache entry (scan drivers
         # build one short-lived spec per grid cell)
         self._wire_cache: Dict[int, Tuple[Any, bytes]] = {}
-        self._fp_segment: Optional[shared_memory.SharedMemory] = None
-        self._rids = itertools.count(1)
-        # one-window requests in flight: rid -> None, then its record
-        self._singles: Dict[int, Any] = {}
-        self._fleet: List[_Worker] = []
-        self._selector = selectors.DefaultSelector()
-        self._ctx = get_context(start_method)
-        if graph is None:  # a QueryFleet: workers start as calls need them
-            return
-        graph_args = self.wire_graph(graph)
-        try:
-            with _MP_STATE_LOCK:  # every fork of this process happens in here
-                for _ in range(self.workers):
-                    self._start_worker(graph_args)
-        except BaseException:  # no fork, no memory, Ctrl-C: leave nothing
-            self.close()
-            raise
 
-    def _start_worker(self, graph_args) -> _Worker:
-        """Start one worker (under ``_MP_STATE_LOCK``, like every fork)."""
-        ctx = self._ctx
-        req_r, req_w = ctx.Pipe(duplex=False)
-        res_r, res_w = ctx.Pipe(duplex=False)
-        _PARENT_ENDS.update((req_w, res_r))
-        worker = _Worker(ctx.Process(target=_worker_main, daemon=True,
-                                     args=(req_r, res_w, graph_args)),
-                         req_w, res_r)
-        self._fleet.append(worker)
-        self._selector.register(res_r, selectors.EVENT_READ, worker)
-        try:
-            worker.process.start()
-        finally:
-            # the worker holds the only copy of its ends from here on
-            req_r.close()
-            res_w.close()
-        return worker
-
-    # ------------------------------------------------------------ segments
     def _publish(self, arr: np.ndarray) -> ShmArray:
         with _MP_STATE_LOCK:  # a QueryFleet's callers publish concurrently
             ref = self._published.get(id(arr))
@@ -454,35 +461,6 @@ class ProcessPhasePool:
         its CSR arrays, published once per graph object."""
         return (graph.n, self._publish(graph.indptr),
                 self._publish(graph.indices), graph.name)
-
-    def _publish_fingerprints(self, fps) -> Tuple[ShmArray, ShmArray]:
-        """Copy a round batch's ``v`` and ``y``, stacked ``(R, n)`` and
-        ``(R, n, levels)``, into the fingerprint segment.
-
-        The segment is reused from batch to batch — safe because a batch
-        only starts once the previous one is complete or cancelled, and a
-        cancelled batch's records are never folded.  Fingerprints that do
-        not fit get a new segment of at least twice the size; the old one
-        stays until ``close`` (a worker may not have looked yet).
-        """
-        v = np.stack([fp.v for fp in fps])
-        y = np.stack([fp.y for fp in fps])
-        y_at = -(-v.nbytes // 8) * 8
-        need = y_at + y.nbytes
-        seg = self._fp_segment
-        if seg is None or seg.size < need:
-            size = max(need, 2 * seg.size if seg is not None else 1)
-            with _MP_STATE_LOCK:
-                seg = shared_memory.SharedMemory(create=True, size=size)
-            self._segments.append(seg)
-            self._fp_segment = seg
-        refs = (ShmArray(seg.name, v.shape, v.dtype.str),
-                ShmArray(seg.name, y.shape, y.dtype.str, offset=y_at))
-        for ref, arr in zip(refs, (v, y)):
-            np.ndarray(arr.shape, dtype=arr.dtype, buffer=seg.buf,
-                       offset=ref.offset)[...] = arr
-        self.fingerprints_sent += len(fps)
-        return refs
 
     def wire_spec(self, spec) -> bytes:
         """Pickle a spec's circuit and field, the circuit's weights in
@@ -505,6 +483,128 @@ class ProcessPhasePool:
                              protocol=pickle.HIGHEST_PROTOCOL)
         self._wire_cache[id(spec)] = (spec, wired)
         return wired
+
+    def close(self) -> None:
+        """Unlink every segment published here."""
+        for shm in self._segments:
+            _unlink(shm)
+        self._segments = []
+        self._published = {}
+        self._keepalive = []
+        self._wire_cache = {}
+
+
+class ProcessPhasePool(SharedArrays):
+    """A fleet of worker processes, each bound to no graph.
+
+    ``wire_graph`` / ``wire_spec`` publish (in segments the pool owns) and
+    return what a request names.  :meth:`batch` runs a round batch's
+    windows on a graph's wire — one request per worker, records streamed
+    back as windows finish; :meth:`round` is its one-round form and
+    :meth:`submit` the one-window form, both on the pool's own ``graph``.
+    ``close`` sends the workers home and unlinks every segment the pool
+    owns.  The workers start in the constructor.
+
+    One thread drives a pool's rounds and windows.  ``requests_sent``,
+    ``fingerprints_sent`` and ``records_discarded`` count what crossed
+    the process boundary for them.  The :class:`QueryFleet` subclass
+    starts its workers as calls need them, and its calls — from any
+    number of threads, each on its own worker — these counters leave out.
+    """
+
+    _starts_lazily = False
+
+    def __init__(self, graph: Optional[CSRGraph], workers: int,
+                 start_method: Optional[str] = None) -> None:
+        if workers < 1:
+            raise ConfigurationError(f"process pool needs >= 1 worker, got {workers}")
+        super().__init__()
+        self.graph = graph
+        self.workers = int(workers)
+        self.requests_sent = 0
+        self.fingerprints_sent = 0
+        self.records_discarded = 0
+        self._fp_segment: Optional[shared_memory.SharedMemory] = None
+        self._rids = itertools.count(1)
+        # one-window requests in flight: rid -> None, then its record
+        self._singles: Dict[int, Any] = {}
+        self._fleet: List[_Worker] = []
+        self._selector = selectors.DefaultSelector()
+        self._ctx = get_context(start_method)
+        self.key = (self.workers, self._ctx.get_start_method())
+        # held by the thread driving a batch (driving()); close() waits for it
+        self._driving = threading.Lock()
+        self.closed = False
+        self._graph_wire = None
+        if self._starts_lazily:
+            return
+        try:
+            if graph is not None:
+                self._graph_wire = self.wire_graph(graph)
+            with _MP_STATE_LOCK:  # every fork of this process happens in here
+                for _ in range(self.workers):
+                    self._start_worker()
+        except BaseException:  # no fork, no memory, Ctrl-C: leave nothing
+            self.close()
+            raise
+
+    def _start_worker(self) -> _Worker:
+        """Start one worker (under ``_MP_STATE_LOCK``, like every fork)."""
+        # the worker must share this process's resource tracker (a fork
+        # inherits its pipe, a spawn is handed it): started after the
+        # worker, the tracker would be one of the worker's own, whose
+        # registrations nobody unregisters
+        resource_tracker.ensure_running()
+        ctx = self._ctx
+        req_r, req_w = ctx.Pipe(duplex=False)
+        res_r, res_w = ctx.Pipe(duplex=False)
+        _PARENT_ENDS.update((req_w, res_r))
+        worker = _Worker(ctx.Process(target=_worker_main, daemon=True,
+                                     args=(req_r, res_w)),
+                         req_w, res_r)
+        self._fleet.append(worker)
+        self._selector.register(res_r, selectors.EVENT_READ, worker)
+        try:
+            worker.process.start()
+        finally:
+            # the worker holds the only copy of its ends from here on
+            req_r.close()
+            res_w.close()
+        return worker
+
+    # ------------------------------------------------------------ segments
+    def _publish_fingerprints(self, fps) -> Tuple[ShmArray, ShmArray]:
+        """Copy a round batch's ``v`` and ``y``, stacked ``(R, n)`` and
+        ``(R, n, levels)``, into the fingerprint segment.
+
+        The segment is reused from batch to batch — safe because a batch
+        only starts once the previous one is complete or cancelled, and a
+        cancelled batch's records are never folded.  Fingerprints that do
+        not fit get a new segment of at least twice the size, and the old
+        one is unlinked: a cancelled share that had not attached it yet
+        fails by a stale id, and is discarded like any other of its records.
+        """
+        v = np.stack([fp.v for fp in fps])
+        y = np.stack([fp.y for fp in fps])
+        y_at = -(-v.nbytes // 8) * 8
+        need = y_at + y.nbytes
+        seg = self._fp_segment
+        if seg is None or seg.size < need:
+            size = max(need, 2 * seg.size if seg is not None else 1)
+            with _MP_STATE_LOCK:
+                grown = shared_memory.SharedMemory(create=True, size=size)
+            self._segments.append(grown)
+            if seg is not None:
+                self._segments.remove(seg)
+                _unlink(seg)
+            self._fp_segment = seg = grown
+        refs = (ShmArray(seg.name, v.shape, v.dtype.str),
+                ShmArray(seg.name, y.shape, y.dtype.str, offset=y_at))
+        for ref, arr in zip(refs, (v, y)):
+            np.ndarray(arr.shape, dtype=arr.dtype, buffer=seg.buf,
+                       offset=ref.offset)[...] = arr
+        self.fingerprints_sent += len(fps)
+        return refs
 
     # ------------------------------------------------------------ protocol
     def _send(self, worker: _Worker, *body) -> int:
@@ -546,17 +646,19 @@ class ProcessPhasePool:
 
     def round(self, wired: bytes, fp, n2: int,
               q_starts: Sequence[int]) -> Iterator[tuple]:
-        """Run one round's windows; yield ``(t, (value, stamps, mdelta))``
-        as each finishes, in completion order — :meth:`batch` of the one
-        round, window ``t`` starting at iteration ``q_starts[t]``."""
-        for t, (values, *rest) in self.batch(wired, [fp], n2,
+        """Run one round's windows on the pool's graph; yield ``(t,
+        (value, stamps, mdelta))`` as each finishes, in completion order —
+        :meth:`batch` of the one round, window ``t`` starting at iteration
+        ``q_starts[t]``."""
+        for t, (values, *rest) in self.batch(self._graph_wire, wired, [fp], n2,
                                              [(q, 0, 1) for q in q_starts]):
             yield t, (values[0], *rest)
 
-    def batch(self, wired: bytes, fps: Sequence, n2: int,
+    def batch(self, graph: tuple, wired: bytes, fps: Sequence, n2: int,
               windows: Sequence[Tuple[int, int, int]]) -> Iterator[tuple]:
-        """Run a round batch's windows; yield ``(w, (values, stamps,
-        mdelta))`` as each finishes, in completion order.
+        """Run a round batch's windows on the graph of wire ``graph``
+        (:meth:`wire_graph`); yield ``(w, (values, stamps, mdelta))`` as
+        each finishes, in completion order.
 
         Window ``w = (q_start, r0, r1)`` evaluates iterations
         ``[q_start, q_start + n2)`` of the rounds of ``fps[r0:r1]`` side
@@ -578,7 +680,8 @@ class ProcessPhasePool:
             for i, worker in enumerate(serving):
                 lo, hi = n * i // len(serving), n * (i + 1) // len(serving)
                 share = [(w, *windows[w]) for w in range(lo, hi)]
-                rids[self._send(worker, wired, fps[0].k, v, y, n2, share)] = worker
+                rids[self._send(worker, graph, wired, fps[0].k, v, y, n2,
+                                share)] = worker
                 self.requests_sent += 1
             while pending:
                 for rid, t, value, *rest in self._receive():
@@ -595,11 +698,12 @@ class ProcessPhasePool:
                     self._tell(worker, rid)
 
     def submit(self, wired: bytes, fp, q_start: int, n2: int) -> _Reply:
-        """Send one window of one round, fingerprint inline, to the next
-        worker in turn; ``result()`` is its ``(value, stamps, mdelta)``."""
+        """Send one window of one round on the pool's graph, fingerprint
+        inline, to the next worker in turn; ``result()`` is its
+        ``(value, stamps, mdelta)``."""
         worker = self._fleet[self.requests_sent % self.workers]
-        rid = self._send(worker, wired, fp.k, fp.v[None], fp.y[None], n2,
-                         [(0, q_start, 0, 1)])
+        rid = self._send(worker, self._graph_wire, wired, fp.k, fp.v[None],
+                         fp.y[None], n2, [(0, q_start, 0, 1)])
         self.requests_sent += 1
         self._singles[rid] = None
         self.fingerprints_sent += 1
@@ -616,31 +720,103 @@ class ProcessPhasePool:
         # the workers leave before their segments do: one still attaching
         # would otherwise open a name that is already gone.  A worker in
         # the middle of a window finishes that window, not its share.
-        for worker in self._fleet:
-            self._tell(worker, None)
-        self._selector.close()
-        with _MP_STATE_LOCK:
+        with self._driving:
+            self.closed = True
             for worker in self._fleet:
-                worker.req.close()
-                worker.res.close()
-                _PARENT_ENDS.difference_update((worker.req, worker.res))
-        for worker in self._fleet:
-            if worker.process.pid is not None:  # else: its start failed
-                worker.process.join()
-        self._fleet = []
-        for shm in self._segments:
-            try:
-                shm.close()
-                with _MP_STATE_LOCK:
-                    shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-        self._segments = []
-        self._fp_segment = None
-        self._published = {}
-        self._keepalive = []
-        self._wire_cache = {}
-        self._singles = {}
+                self._tell(worker, None)
+            self._selector.close()
+            with _MP_STATE_LOCK:
+                for worker in self._fleet:
+                    worker.req.close()
+                    worker.res.close()
+                    _PARENT_ENDS.difference_update((worker.req, worker.res))
+            for worker in self._fleet:
+                if worker.process.pid is not None:  # else: its start failed
+                    worker.process.join()
+            self._fleet = []
+            super().close()
+            self._fp_segment = None
+            self._singles = {}
+
+
+# ------------------------------------------------------- the warm fleet
+# The interpreter's one fleet for mode="process" engines, and its key
+# (workers, start method).  Guarded by _FLEET_LOCK.
+_FLEET: Optional[ProcessPhasePool] = None
+_FLEET_LOCK = threading.Lock()
+
+
+def fleet(workers: int, start_method: Optional[str] = None) -> ProcessPhasePool:
+    """The interpreter's warm fleet of ``workers`` processes started by
+    ``start_method``, starting it on first use.
+
+    A different key closes the fleet there was (after the batch driving
+    it, if any) and starts a new one.
+    """
+    global _FLEET
+    key = (int(workers), get_context(start_method).get_start_method())
+    with _FLEET_LOCK:
+        if _FLEET is not None and (_FLEET.closed or _FLEET.key != key):
+            _FLEET.close()
+            _FLEET = None
+        if _FLEET is None:
+            _FLEET = ProcessPhasePool(None, workers, start_method)
+            if parent_process() is not None:
+                # a multiprocessing child leaves through os._exit, past
+                # atexit, but runs its finalizers first
+                mp_util.Finalize(None, close_fleet, exitpriority=0)
+        return _FLEET
+
+
+@contextmanager
+def driving(workers: int, start_method: Optional[str] = None
+            ) -> Iterator[ProcessPhasePool]:
+    """The warm fleet (:func:`fleet`), held by this thread for one batch:
+    one thread drives the fleet at a time, and a fleet closed by another
+    thread in the meantime is replaced."""
+    while True:
+        pool = fleet(workers, start_method)
+        pool._driving.acquire()
+        if not pool.closed:
+            break
+        pool._driving.release()
+    try:
+        yield pool
+    finally:
+        pool._driving.release()
+
+
+def close_fleet(pool: Optional[ProcessPhasePool] = None) -> None:
+    """Close the warm fleet: its workers leave, its segment is unlinked.
+
+    With ``pool``, only if that is still the fleet (a worker of it died,
+    and another thread may have rebuilt it already).  Also runs at
+    interpreter exit.
+    """
+    global _FLEET
+    with _FLEET_LOCK:
+        if _FLEET is None or (pool is not None and pool is not _FLEET):
+            return
+        closing, _FLEET = _FLEET, None
+        closing.close()
+
+
+def _forget_parent() -> None:
+    """In a forked child: the parent's fleet and channels are the
+    parent's.  Close the inherited channel ends (EOF must mean the
+    parent is gone), forget the fleet, and renew the locks, which a
+    parent thread may have held at the fork."""
+    global _FLEET, _FLEET_LOCK, _MP_STATE_LOCK
+    for conn in _PARENT_ENDS:
+        conn.close()
+    _PARENT_ENDS.clear()
+    _FLEET = None
+    _FLEET_LOCK = threading.Lock()
+    _MP_STATE_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_parent)
+atexit.register(close_fleet)
 
 
 @dataclass(eq=False)
@@ -680,6 +856,8 @@ class QueryFleet(ProcessPhasePool):
     which reaches the workers through shared memory, published at the
     first call that names it (:meth:`wire_graph`).
     """
+
+    _starts_lazily = True
 
     def __init__(self, workers: int, start_method: Optional[str] = None) -> None:
         super().__init__(None, workers, start_method)
@@ -736,7 +914,7 @@ class QueryFleet(ProcessPhasePool):
         wired = self.wire_graph(graph)
         if slot.worker is None:
             with _MP_STATE_LOCK:
-                slot.worker = self._start_worker(None)
+                slot.worker = self._start_worker()
         worker, rid = slot.worker, None
         try:
             rid = self._send(worker, fn, (wired, *args))
@@ -787,5 +965,5 @@ class QueryFleet(ProcessPhasePool):
         worker.process.join()
 
 
-__all__ = ["ProcessPhasePool", "QueryFleet", "ShmArray", "Slot", "attach_graph",
-           "publish_array"]
+__all__ = ["ProcessPhasePool", "QueryFleet", "SharedArrays", "ShmArray", "Slot",
+           "attach_graph", "close_fleet", "driving", "fleet", "publish_array"]

@@ -11,6 +11,7 @@ rate eps.
 from __future__ import annotations
 
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +19,21 @@ import pytest
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import erdos_renyi, grid2d
 from repro.util.rng import RngStream
+
+
+@pytest.fixture(autouse=True)
+def _no_warm_fleet():
+    """Every test starts without the interpreter's warm process fleet.
+
+    ``mode="process"`` keeps one fleet alive between calls
+    (``repro.core.process_backend.fleet``); a test that counts child
+    processes or ``/dev/shm`` segments must not see one a previous test
+    left warm.
+    """
+    yield
+    backend = sys.modules.get("repro.core.process_backend")
+    if backend is not None:
+        backend.close_fleet()
 
 
 @pytest.fixture

@@ -17,6 +17,7 @@ import threading
 import pytest
 
 from repro.core.midas import MidasRuntime, detect_path
+from repro.core.process_backend import close_fleet
 from repro.errors import WorkerCrashedError
 from repro.graph.generators import erdos_renyi
 from repro.obs.live import LiveRun
@@ -29,6 +30,7 @@ pytestmark = pytest.mark.smoke
 
 
 def _census():
+    close_fleet()  # the warm fleet outlives a call; the census is without it
     return (sorted(glob.glob("/dev/shm/psm_*")), threading.active_count(),
             len(multiprocessing.active_children()))
 

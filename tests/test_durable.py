@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core.midas import MidasRuntime, detect_path, detect_tree, scan_grid
+from repro.core.process_backend import close_fleet
 from repro.errors import (
     CheckpointCorruptError,
     ConfigurationError,
@@ -239,7 +240,9 @@ class TestKillResumeBitIdentity:
                                rng=RngStream(7).child("detect"), runtime=rt2)
             self._assert_identical(res0, res1, rt0, rt2)
             assert res1.details["resumed_from"] == str(ckpt_dir)
-        # neither the killed nor the resumed runs leave a pool segment behind
+        # neither the killed nor the resumed runs leave a pool segment
+        # behind, once the warm fleet (its fingerprint segment) is closed
+        close_fleet()
         assert not glob.glob("/dev/shm/psm_*")
 
     def test_resume_restores_fault_state(self, islands, tmp_path):

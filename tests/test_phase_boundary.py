@@ -17,6 +17,7 @@ import time
 import pytest
 
 from repro.core.midas import MidasRuntime, detect_path, scan_grid
+from repro.core.process_backend import close_fleet
 from repro.core.schedule import rounds_for_epsilon
 from repro.graph.generators import erdos_renyi
 from repro.obs.live import LiveRun
@@ -187,4 +188,5 @@ def test_deadline_cancels_windows_that_have_not_started(mode):
     assert elapsed < 2 * deadline + 10 * window + 0.5, (elapsed, deadline, window)
     assert not [t.name for t in threading.enumerate()
                 if t.name.startswith("midas-phase")]
+    close_fleet()  # the warm fleet's fingerprint segment outlives the call
     assert not glob.glob("/dev/shm/psm_*")

@@ -36,7 +36,7 @@ from repro.core.midas import (
 )
 from repro.core.mld import MLDCircuit
 from repro.core.problems import compile
-from repro.core.process_backend import ProcessPhasePool
+from repro.core.process_backend import ProcessPhasePool, close_fleet
 from repro.errors import ConfigurationError
 from repro.graph.generators import erdos_renyi
 from repro.graph.templates import TreeTemplate
@@ -84,6 +84,7 @@ def _same(a, b) -> bool:
 
 
 def _census():
+    close_fleet()  # the warm fleet outlives a call; the census is without it
     return (sorted(glob.glob("/dev/shm/psm_*")), threading.active_count(),
             len(multiprocessing.active_children()))
 
@@ -466,3 +467,94 @@ def test_a_sigkilled_parent_leaves_no_worker_and_no_segment(tmp_path):
             pass
         proc.stdout.close()
         proc.stderr.close()
+
+
+_IDLE_VICTIM_SCRIPT = """
+import multiprocessing, time
+from repro.core.midas import MidasRuntime, detect_path
+from repro.graph.generators import erdos_renyi
+from repro.util.rng import RngStream
+
+def main():
+    g = erdos_renyi(300, 1200, rng=RngStream(1, name="g"))
+    detect_path(g, 8, eps=0.3, rng=RngStream(2), early_exit=False,
+                runtime=MidasRuntime(mode="process", workers=2))
+    # between calls: the warm fleet is idle, waiting for the next request
+    pids = [p.pid for p in multiprocessing.active_children()]
+    print("workers", *pids, flush=True)
+    time.sleep(600)
+
+if __name__ == "__main__":
+    main()
+"""
+
+
+@pytest.mark.slow
+def test_a_parent_sigkilled_between_calls_leaves_no_idle_worker_and_no_segment(
+        tmp_path):
+    """The warm fleet outlives a call.  Its workers, idle on their request
+    channels, read EOF when the parent dies, and the resource tracker
+    unlinks the fleet's fingerprint segment after them."""
+    if not os.path.isdir("/proc/self"):
+        pytest.skip("needs /proc")
+    before = sorted(glob.glob("/dev/shm/psm_*"))
+    script = tmp_path / "idle_victim.py"
+    script.write_text(_IDLE_VICTIM_SCRIPT)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.Popen([sys.executable, str(script)], env=env, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            start_new_session=True)
+    try:
+        words = proc.stdout.readline().split()
+        assert words[:1] == ["workers"] and len(words) == 3, proc.stderr.read()
+        workers = [int(w) for w in words[1:]]
+        assert all(_alive(pid) for pid in workers)
+        assert sorted(glob.glob("/dev/shm/psm_*")) != before
+        proc.kill()
+        proc.wait(timeout=30)
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline:
+            if (not any(_alive(pid) for pid in workers)
+                    and sorted(glob.glob("/dev/shm/psm_*")) == before):
+                break
+            time.sleep(0.05)
+        assert not [pid for pid in workers if _alive(pid)]
+        assert sorted(glob.glob("/dev/shm/psm_*")) == before
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.stdout.close()
+        proc.stderr.close()
+
+
+_EXIT_SCRIPT = """
+import multiprocessing
+from repro.core.midas import MidasRuntime, detect_path
+from repro.graph.generators import erdos_renyi
+from repro.util.rng import RngStream
+
+g = erdos_renyi(300, 1200, rng=RngStream(1, name="g"))
+detect_path(g, 8, eps=0.3, rng=RngStream(2), early_exit=False,
+            runtime=MidasRuntime(mode="process", workers=2))
+print("workers", *[p.pid for p in multiprocessing.active_children()])
+# no close_fleet(): the interpreter's exit closes the warm fleet
+"""
+
+
+def test_an_interpreter_leaving_with_a_warm_process_fleet_leaves_nothing(tmp_path):
+    before = sorted(glob.glob("/dev/shm/psm_*"))
+    script = tmp_path / "leave.py"
+    script.write_text(_EXIT_SCRIPT)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, str(script)], env=env, text=True,
+                         capture_output=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    words = out.stdout.split()
+    assert words[0] == "workers" and len(words) == 3
+    # the resource tracker warns about any segment still registered at exit
+    assert "leaked" not in out.stderr and "Traceback" not in out.stderr, out.stderr
+    assert not [pid for pid in map(int, words[1:]) if _alive(pid)]
+    assert sorted(glob.glob("/dev/shm/psm_*")) == before
+
