@@ -290,9 +290,10 @@ class MidasRuntime:
         ``rounds`` (default: not asked) is how many rounds are left to
         run.  When a default whole-graph window covers a round
         (``N2 = 2^k``), it then carries ``R = rounds_per_window`` of them:
-        the largest power of two ``<= rounds`` with ``R 2^k <= 1024``
-        lanes, a window per worker (``R <= rounds / workers``), and the
-        ``live_states`` states of the spec's recurrence within
+        as many as leave a window per worker (``R <= rounds / workers``)
+        within ``R 2^k <= 1024`` lanes — any count, so a stage's rounds
+        take as few windows as the cap allows — halved until the
+        ``live_states`` states of the spec's recurrence fit
         ``3 * _STATE_BYTES``.  Everywhere else — simulated and modeled
         modes, an explicit ``n2``, a round of several windows — ``R = 1``.
         """
@@ -309,7 +310,7 @@ class MidasRuntime:
                                    or word_bytes * (n2 // 64) > _STATE_BYTES):
                     n2 //= 2
                 if rounds is not None and n2 == total:
-                    rpw = pow2_floor(max(1, min(rounds // workers, 1024 // total)))
+                    rpw = max(1, min(rounds // workers, 1024 // total))
                     while rpw > 1 and (live_states * word_bytes * -(-rpw * total // 64)
                                        > 3 * _STATE_BYTES):
                         rpw //= 2
@@ -1343,17 +1344,17 @@ class DetectionEngine:
             self.wd.beat()
             self.wd.check()
 
-    def _note_degraded(self, exc: WatchdogExpired, rounds_done: int) -> None:
+    def _note_degraded(self, exc: WatchdogExpired, spec: ProblemSpec,
+                       rounds_done: int) -> None:
         """Convert a watchdog trip into degraded-run state: remember the
-        reason plus the live ``0.8^rounds`` miss bound and force a
-        checkpoint so the partial work is durable and resumable."""
-        from repro.obs.live import ROUND_FAILURE  # lazy: optional layer
-
+        reason plus the stage's ``(1 - p)^rounds`` miss bound (``p``: its
+        :attr:`~repro.core.problems.ProblemSpec.round_success`) and force
+        a checkpoint so the partial work is durable and resumable."""
         self.degraded = {
             "reason": exc.reason,
             "detail": str(exc),
             "rounds_completed": int(rounds_done),
-            "p_failure_bound": float(ROUND_FAILURE ** rounds_done),
+            "p_failure_bound": float((1 - spec.round_success) ** rounds_done),
         }
         _LOG.warning(
             "watchdog tripped (%s) — degrading after %d completed round(s); "
@@ -1517,7 +1518,7 @@ class DetectionEngine:
                     stats, sched, rt.get_calibration(),
                     cluster.cost_model(min(rt.n_processors, cluster.total_cores)),
                     eps=eps, problem="scanstat" if spec.convolves else "path",
-                    levels=spec.exchanges, z_axis=spec.payload,
+                    levels=spec.exchanges, z_axis=spec.payload, rounds=rounds,
                 )
             stage = _Stage(spec, sched, rounds, key_prefix, label, phase_hist, estimate)
             # the stage key is consumed unconditionally (creation order), so a
@@ -1529,7 +1530,7 @@ class DetectionEngine:
             self.backend.prepare(stage)
             if self.live is not None:
                 self.live.stage_started(label or self.problem, spec.k, rounds,
-                                        sched.n_phases, eps=eps)
+                                        sched.n_phases, spec.round_success, eps=eps)
             walls0 = len(self.round_walls)  # the ETA averages this stage's rounds
 
             values: List[Value] = []
@@ -1568,7 +1569,7 @@ class DetectionEngine:
                     try:
                         self.wd.check()
                     except WatchdogExpired as exc:
-                        self._note_degraded(exc, len(values))
+                        self._note_degraded(exc, spec, len(values))
                         break
                 # with an early exit, batches grow 1, 2, 4, ... rounds, so a
                 # first-round hit costs one round's window
@@ -1587,7 +1588,7 @@ class DetectionEngine:
                     # the in-flight batch's partial work is discarded; a resume
                     # re-runs it from the same round-scoped streams, bit-identical
                     self.round_walls.append(span.span.duration)
-                    self._note_degraded(exc, len(values))
+                    self._note_degraded(exc, spec, len(values))
                     break
                 self._share_wall(span.span.duration, len(done))
                 for value, round_virtual in done:

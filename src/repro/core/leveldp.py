@@ -200,7 +200,8 @@ class PlaneLanes(Lanes):
     round.  When a round fills whole words (``n2 >= 64``) each word
     belongs to one round and takes that round's ``y`` mask; when it does
     not, a word holds ``64 / n2`` rounds and its mask is the OR of each
-    round's ``y`` mask over that round's lanes.
+    round's ``y`` mask over that round's lanes (the last word's lanes past
+    ``R n2`` stay zero).
     """
 
     def __init__(self, fp, q_start: int, n2: int,
@@ -229,9 +230,13 @@ class PlaneLanes(Lanes):
             # each round owns whole words: its mask on each of them
             planes = masks[..., None] & words.reshape(rows, rounds, -1)
         else:
-            # each word holds several rounds: OR their masks over their lanes
+            # each word holds several rounds: OR their masks over their
+            # lanes; a ragged last word's missing rounds get zero masks
             per_word = len(self._slots)
-            masks = masks.reshape(m, rows, rounds // per_word, per_word)
+            if rounds % per_word:
+                masks = np.concatenate([masks, np.zeros(
+                    (m, rows, per_word - rounds % per_word), np.uint64)], axis=2)
+            masks = masks.reshape(m, rows, -1, per_word)
             planes = masks[..., 0] & self._slots[0]
             for j in range(1, per_word):
                 planes |= masks[..., j] & self._slots[j]

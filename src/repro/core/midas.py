@@ -23,7 +23,7 @@ durability: ``MidasRuntime(checkpoint_dir=...)`` commits a
 crash-consistent checkpoint at every round boundary and ``resume=True``
 restores it bit-identically, while ``deadline`` / ``hang_timeout`` arm a
 watchdog that degrades the run to a partial result (annotated with the
-live ``0.8^rounds`` miss bound) instead of overrunning — see
+stage's ``(1 - p)^rounds`` miss bound) instead of overrunning — see
 :mod:`repro.runtime.durable`.
 
 Randomness is *round-scoped*: all modes draw identical fingerprints from
@@ -42,22 +42,34 @@ from repro.core.engine import DetectionEngine, EngineSession, MidasRuntime, Stag
 from repro.core.mld import MLDCircuit
 from repro.core.problems import compile
 from repro.core.result import DetectionResult, RoundRecord, ScanGridResult
-from repro.core.schedule import rounds_for_epsilon
+from repro.core.schedule import rounds_for_bound
 from repro.errors import ConfigurationError
-from repro.ff.gf2m import field_degree_for_k
+from repro.ff.gf2m import field_degree_for_k, round_success_bound
 from repro.graph.csr import CSRGraph
 from repro.graph.templates import TreeTemplate
 from repro.util.rng import as_stream
 from repro.util.validation import check_weights
 
 
+def stage_rounds(circuit: MLDCircuit, eps: float) -> int:
+    """The amplification rounds a stage of ``circuit`` runs at ``eps``:
+    the fewest that miss a witness with probability at most ``eps`` under
+    the circuit's exact per-round bound in its field
+    (:func:`~repro.core.schedule.rounds_for_bound` of
+    :func:`~repro.ff.gf2m.round_success_bound` for its ``k`` and
+    ``y``-degree) — never more than ``rounds_for_epsilon(eps)``."""
+    d = circuit.y_degree
+    return rounds_for_bound(eps, round_success_bound(circuit.k, field_degree_for_k(d), d))
+
+
 def _detect(engine: DetectionEngine, circuit: MLDCircuit, eps: float, rng, *,
             early_exit: bool = False, stop=None, label: str = "") -> StageResult:
-    """The ``rounds_for_epsilon(eps)`` amplification rounds of ``circuit``
-    on ``engine``, drawn from ``rng``: every driver's one way onto the
+    """The :func:`stage_rounds` amplification rounds of ``circuit`` on
+    ``engine``, drawn from ``rng``: every driver's one way onto the
     engine.  ``stop`` ends the stage at the first round it accepts
     (``early_exit``: any witness); ``label`` names a stage of a
-    multi-stage run.
+    multi-stage run.  The rounds are the first of the kind-free
+    ``rounds_for_epsilon(eps)``: the same stream, cut shorter.
 
     The circuit is compiled over the session's cached GF(2^l) tables
     (per ``(degree, strategy)``), with the kernel the runtime resolves
@@ -65,12 +77,12 @@ def _detect(engine: DetectionEngine, circuit: MLDCircuit, eps: float, rng, *,
     the level-DP core keeps any circuit plane-resident once a bit-sliced
     field is handed a full word of lanes.
     """
-    rt, rounds = engine.rt, rounds_for_epsilon(eps)
-    m = field_degree_for_k(circuit.y_degree)
+    rt, d, rounds = engine.rt, circuit.y_degree, stage_rounds(circuit, eps)
+    m = field_degree_for_k(d)
     sched = rt.schedule_for(circuit.k, engine.graph.n, m, circuit.payload,
                             rounds=rounds, live_states=circuit.live_states)
     field = engine.session.field_for_k(
-        circuit.y_degree, strategy=rt.resolve_kernel(m, sched.lanes), prof=engine.prof)
+        d, strategy=rt.resolve_kernel(m, sched.lanes), prof=engine.prof)
     spec = compile(circuit, field)
     if early_exit:
         stop = spec.hit
@@ -248,6 +260,7 @@ def scan_grid(
         raise ConfigurationError(f"sizes must lie in [1, {k}], got {sizes}")
 
     detected = np.zeros((k + 1, z_max + 1), dtype=bool)
+    rounds_run = 0  # rows run their own counts: the most any row ran
     # the schedule reported is the top row's: the one run, or — no row
     # asked for — the one size k would run
     top = MLDCircuit.scan_row(w, k, z_max)
@@ -257,6 +270,7 @@ def scan_grid(
             out = _detect(engine, MLDCircuit.scan_row(w, j, z_max), eps,
                           rng.child(f"size{j}"), label=f"size{j}")
             n2 = out.schedule.n2
+            rounds_run = max(rounds_run, len(out.values))
             for acc in out.values:
                 detected[j] |= acc != 0
         engine.note_result(bool(detected.any()))
@@ -265,7 +279,7 @@ def scan_grid(
         grid_details.pop("max_load", None)
         grid_details.pop("max_deg", None)
     return ScanGridResult(
-        k=k, z_max=z_max, detected=detected, rounds_run=rounds_for_epsilon(eps),
+        k=k, z_max=z_max, detected=detected, rounds_run=rounds_run,
         eps=eps, mode=rt.mode, n_processors=rt.n_processors, n1=rt.n1, n2=n2,
         virtual_seconds=engine.virtual_total,
         wall_seconds=time.perf_counter() - wall0, details=grid_details,
@@ -278,6 +292,7 @@ __all__ = [
     "detect_path",
     "detect_tree",
     "sequential_detect_path",
+    "stage_rounds",
     "max_weight_path",
     "detect_scan_cell",
     "scan_grid",

@@ -170,6 +170,7 @@ def estimate_runtime(
     z_axis: int = 1,
     elem_bytes: int = 1,
     overlap: bool = False,
+    rounds: Optional[int] = None,
 ) -> PerformanceEstimate:
     """Model the virtual runtime of one full MIDAS detection.
 
@@ -183,6 +184,10 @@ def estimate_runtime(
     ``compute + comm`` — the flight time hides behind the own-column
     reduction (and vice versa).  In the returned estimate the hidden part
     is removed from the communication share.
+
+    ``rounds`` is the round count the run takes; by default the paper's
+    ``rounds_for_epsilon(eps)``, a round that succeeds with 1/5 (what the
+    paper-figure series model).
     """
     if schedule.n1 != stats.n1:
         raise ConfigurationError(
@@ -213,7 +218,8 @@ def estimate_runtime(
         comm_phase = max(0.0, phase_seconds - compute_phase)
     else:
         phase_seconds = compute_phase + comm_phase
-    rounds = rounds_for_epsilon(eps)
+    if rounds is None:
+        rounds = rounds_for_epsilon(eps)
 
     # --- final reduce (across all N processors, once per round) ------------
     reduce_seconds = cost_model.collective(

@@ -18,6 +18,7 @@ which the process backend ships to its workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Any, List, Optional, Sequence, Union
 
 import numpy as np
@@ -25,7 +26,7 @@ import numpy as np
 from repro.core.leveldp import Recurrence, run_whole_graph
 from repro.core.mld import MLDCircuit
 from repro.ff.fingerprint import Fingerprint
-from repro.ff.gf2m import default_field_for_k
+from repro.ff.gf2m import default_field_for_k, round_success_bound
 from repro.graph.csr import CSRGraph
 
 #: a per-phase contribution / per-round accumulator: GF scalar or weight axis
@@ -68,6 +69,14 @@ class ProblemSpec:
         # z_max = 0 (all-zero weights) has a length-1 vector accumulator,
         # not a GF scalar
         return self.payload == 1 and not self.vector
+
+    @property
+    def round_success(self) -> Fraction:
+        """The exact lower bound on a round's success in this spec's field
+        (:func:`~repro.ff.gf2m.round_success_bound`), for its circuit's
+        ``y``-degree (a hand-built spec: a k-path's, ``k``)."""
+        d = self.circuit.y_degree if self.circuit is not None else self.k
+        return round_success_bound(self.k, self.field.m, d)
 
     @property
     def reduce_nbytes(self) -> int:

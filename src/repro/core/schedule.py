@@ -7,9 +7,12 @@ organized as:
   into single messages (the message-coalescing idea of Section IV);
 * **batch** — ``N / N_1`` phases executed simultaneously, each on its own
   group of ``N_1`` processors;
-* **round** — all ``2^k`` iterations once; repeated
-  ``ceil(log(1/eps) / log(5/4))`` times to amplify the 1/5 per-round
-  success probability to ``1 - eps``.
+* **round** — all ``2^k`` iterations once; repeated until a witness is
+  missed with probability at most ``eps``: the fewest ``r`` with
+  ``(1 - p)^r <= eps`` for the kind's exact per-round success bound
+  ``p`` (:func:`rounds_for_bound`), never more than the kind-free
+  ``ceil(log(1/eps) / log(5/4))`` of a round that succeeds with 1/5
+  (:func:`rounds_for_epsilon`).
 
 The rounds are independent — each draws its own fingerprint — so when
 one phase covers a whole round (``N2 = 2^k``) a window may carry the
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator, List, Tuple
 
 from repro.errors import ConfigurationError
@@ -44,13 +48,36 @@ def pow2_floor(n: int) -> int:
 
 
 def rounds_for_epsilon(eps: float) -> int:
-    """Number of amplification rounds: ``ceil(log(1/eps) / log(5/4))``.
+    """The kind-free round count: ``ceil(log(1/eps) / log(5/4))``.
 
-    Each round succeeds with probability >= 1/5 when a witness exists, so
-    after L rounds the failure probability is at most (4/5)^L <= eps.
+    Every kind's round succeeds with probability above 1/5 in its field
+    (:func:`repro.ff.gf2m.field_degree_for_k`), so this bounds every
+    kind's own count, :func:`rounds_for_bound`, from above.
     """
     eps = check_probability(eps, "eps")
     return max(1, math.ceil(math.log(1.0 / eps) / math.log(5.0 / 4.0)))
+
+
+def rounds_for_bound(eps: float, p: Fraction) -> int:
+    """The fewest amplification rounds ``r`` with ``(1 - p)^r <= eps``,
+    for a round that succeeds with probability at least ``p``
+    (:func:`repro.ff.gf2m.round_success_bound`).
+
+    A float ``ceil(log)`` guesses ``r``; exact rationals settle it, so a
+    run of ``r`` rounds misses with probability at most ``eps``.
+    """
+    eps = check_probability(eps, "eps")
+    miss, target = 1 - Fraction(p), Fraction(eps)
+    if not 0 <= miss < 1:
+        raise ConfigurationError(f"a round's success bound must be in (0, 1], got {p}")
+    if miss == 0:
+        return 1
+    r = max(1, math.ceil(math.log(eps) / math.log(miss)))
+    while miss ** r > target:
+        r += 1
+    while r > 1 and miss ** (r - 1) <= target:
+        r -= 1
+    return r
 
 
 @dataclass(frozen=True)

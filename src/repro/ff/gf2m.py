@@ -25,6 +25,8 @@ instead of reading a neighbouring table row.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -322,6 +324,8 @@ def field_degree_for_k(d: int) -> int:
     k-path has ``d = k``, so ``field_degree_for_k(k)`` is a k-path's field;
     a scan-grid row adds its join coefficients.  Every kind's ``d`` is
     derived from its circuit (:attr:`repro.core.mld.MLDCircuit.y_degree`).
+    The round count then follows from the exact bound in that field,
+    :func:`round_success_bound`, not from 1/5.
     """
     if d < 1:
         raise FieldError(f"the y-degree must be >= 1, got {d}")
@@ -330,6 +334,27 @@ def field_degree_for_k(d: int) -> int:
     while 5 * _FULL_RANK_E4 * ((1 << ell) - 1 - d) < 10_000 * ((1 << ell) - 1):
         ell += 1
     return ell
+
+
+@lru_cache(maxsize=None)
+def round_success_bound(k: int, ell: int, d: int) -> Fraction:
+    """The exact lower bound on one round's success for a kind with ``k``
+    variables per witness and ``y``-degree ``d``, in ``GF(2^ell)``:
+    ``prod_{j=1..k} (1 - 2^-j) * (1 - d / (2^ell - 1))``.
+
+    The first factor is the chance that a witness's ``k`` vectors are
+    independent (Williams, arXiv:0807.3026), the second that its
+    ``y``-polynomial does not vanish at the drawn nonzero ``y``s
+    (Schwartz–Zippel); docs/THEORY.md §4.  At
+    ``ell = field_degree_for_k(d)`` it is above 1/5 for every ``k``.
+    """
+    q = (1 << ell) - 1
+    if k < 1 or not 1 <= d < q:
+        raise FieldError(f"no round bound for k={k}, d={d} in GF(2^{ell})")
+    full_rank = Fraction(1)
+    for j in range(1, k + 1):
+        full_rank *= Fraction((1 << j) - 1, 1 << j)
+    return full_rank * Fraction(q - d, q)
 
 
 def default_field_for_k(

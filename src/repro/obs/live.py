@@ -31,15 +31,13 @@ from __future__ import annotations
 import json
 import threading
 import time
+from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
 
 from repro.util.log import get_logger
 
 _LOG = get_logger(__name__)
-
-#: per-round success probability of the multilinear detection sieve
-ROUND_FAILURE = 0.8  # = 4/5; see repro.core.schedule.rounds_for_epsilon
 
 _TERMINAL = ("done", "failed", "interrupted", "degraded")
 
@@ -69,6 +67,7 @@ class RunStatus:
         self.target_eps: Optional[float] = None
         self.stage_rounds_planned = 0
         self.stage_rounds_completed = 0
+        self.stage_round_miss = Fraction(1)  # 1 - the stage's round bound
         self.rounds_planned = 0
         self.rounds_completed = 0
         self.phases_per_round = 0
@@ -91,8 +90,9 @@ class RunStatus:
     @property
     def p_failure_bound(self) -> float:
         """Upper bound on a miss after the current stage's completed
-        rounds: ``(4/5)^rounds`` (1.0 before any round finishes)."""
-        return ROUND_FAILURE ** self.stage_rounds_completed
+        rounds: ``(1 - p)^rounds`` for the stage's per-round success
+        bound ``p`` (1.0 before any round finishes)."""
+        return float(self.stage_round_miss ** self.stage_rounds_completed)
 
     def snapshot(self) -> dict:
         """A consistent plain-dict copy (what ``/status`` serves)."""
@@ -278,7 +278,11 @@ class LiveRun:
                    graph=dict(s.graph), run=s.runs)
 
     def stage_started(self, stage: str, k: int, rounds: int,
-                      phases_per_round: int, eps: Optional[float] = None) -> None:
+                      phases_per_round: int, round_success,
+                      eps: Optional[float] = None) -> None:
+        """A stage of ``rounds`` rounds begins; each succeeds with
+        probability at least ``round_success``
+        (:attr:`repro.core.problems.ProblemSpec.round_success`)."""
         s = self.status
         with s._lock:
             s.stage = stage
@@ -286,6 +290,7 @@ class LiveRun:
             s.target_eps = eps
             s.stage_rounds_planned = int(rounds)
             s.stage_rounds_completed = 0
+            s.stage_round_miss = 1 - Fraction(round_success)
             s.rounds_planned += int(rounds)
             s.phases_per_round = int(phases_per_round)
             s.phases_completed = 0
@@ -380,4 +385,4 @@ class LiveRun:
                    status=self.status.snapshot())
 
 
-__all__ = ["LiveRun", "ProgressStream", "RunStatus", "ROUND_FAILURE"]
+__all__ = ["LiveRun", "ProgressStream", "RunStatus"]

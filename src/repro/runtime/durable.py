@@ -24,7 +24,7 @@ them:
   heartbeat (``hang_timeout``) into a typed
   :class:`~repro.errors.WatchdogExpired`, which the engine converts
   into a checkpointed, *degraded* partial result annotated with the
-  live ``0.8^rounds`` failure bound instead of a silent death.
+  stage's live ``(1 - p)^rounds`` failure bound instead of a silent death.
 
 Corrupt checkpoints (truncation, bit flips, wrong version) are rejected
 with :class:`~repro.errors.CheckpointCorruptError` naming the file and

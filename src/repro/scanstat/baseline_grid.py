@@ -28,9 +28,9 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.core.mld import MLDCircuit
-from repro.core.schedule import rounds_for_epsilon
+from repro.core.schedule import rounds_for_bound
 from repro.ff.fingerprint import Fingerprint
-from repro.ff.gf2m import default_field_for_k
+from repro.ff.gf2m import default_field_for_k, round_success_bound
 from repro.graph.csr import CSRGraph, xor_segment_reduce
 from repro.util.rng import as_stream
 
@@ -151,12 +151,16 @@ def baseline_scan_grid(
         zw_max = int(np.sort(w)[-k:].sum())
     if b_max is None:
         b_max = int(np.sort(b)[-k:].sum())
-    rounds = rounds_for_epsilon(eps)
     rng = as_stream(rng, "baseline-grid")
     detected = np.zeros((k + 1, zw_max + 1, b_max + 1), dtype=bool)
+    rounds_run = 0
     for j in range(1, k + 1):
-        # the one-axis row's y's: one per base variable and join coefficient
-        fld = default_field_for_k(MLDCircuit.scan_row(w, j, zw_max).y_degree)
+        # the one-axis row's y's: one per base variable and join coefficient;
+        # they size the row's field and, with it, bound its rounds
+        d = MLDCircuit.scan_row(w, j, zw_max).y_degree
+        fld = default_field_for_k(d)
+        rounds = rounds_for_bound(eps, round_success_bound(j, fld.m, d))
+        rounds_run = max(rounds_run, rounds)
         total = 1 << j
         nn2 = min(n2 or 16, total)
         while total % nn2:
@@ -174,5 +178,5 @@ def baseline_scan_grid(
             detected[j] |= acc != 0
     return BaselineGridResult(
         k=k, zw_max=zw_max, zb_max=b_max, detected=detected,
-        rounds_run=rounds, eps=eps,
+        rounds_run=rounds_run, eps=eps,
     )

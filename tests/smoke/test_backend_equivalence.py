@@ -87,7 +87,9 @@ def _small_k_answers(rt: MidasRuntime) -> dict:
 
 @pytest.mark.parametrize("mode", MODES)
 def test_fused_small_k_rounds_bit_identical(mode):
-    rt = MidasRuntime(mode=mode, workers=4)
+    # two workers: the 6-7 rounds a stage runs fuse 3 to a window (on
+    # four workers each would take a one-round window)
+    rt = MidasRuntime(mode=mode, workers=2)
     fused = _small_k_answers(rt)
     # N2 = 8 < 2^k: one round a window, one round at a time
     assert fused == _small_k_answers(MidasRuntime(n2=8))

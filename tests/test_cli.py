@@ -6,9 +6,15 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.ff.gf2m import field_degree_for_k, round_success_bound
 from repro.graph.generators import erdos_renyi, plant_path
 from repro.graph.io import write_edge_list
 from repro.util.rng import RngStream
+
+
+def path_bound(k):
+    """A k-path stage's per-round success bound."""
+    return round_success_bound(k, field_degree_for_k(k), k)
 
 
 class TestParser:
@@ -199,7 +205,7 @@ class TestWatch:
 
         live = LiveRun(progress_path=path)
         live.run_started("k-path", "threaded", graph_nodes=50, graph_edges=80)
-        live.stage_started("k-path", 4, 2, 3)
+        live.stage_started("k-path", 4, 2, 3, path_bound(4))
         live.round_done(0, False, 0.0)
         live.round_done(1, True, 0.0)
         live.note_result(True)
@@ -226,7 +232,7 @@ class TestWatch:
         srv = LiveServer(lambda: {"state": "done", "problem": "k-path",
                                   "mode": "sequential",
                                   "rounds_completed": 7, "rounds_planned": 7,
-                                  "p_failure_bound": 0.8 ** 7,
+                                  "p_failure_bound": float((1 - path_bound(10)) ** 7),
                                   "found": True})
         srv.start(0)
         try:
@@ -375,7 +381,7 @@ class TestWatchStallTimeout:
         path = tmp_path / "progress.jsonl"
         live = LiveRun(progress_path=path)
         live.run_started("k-path", "sequential")
-        live.stage_started("k-path", 4, 3, 2)
+        live.stage_started("k-path", 4, 3, 2, path_bound(4))
         live.round_done(0, False, 0.0)  # never ends: the run "hung" here
         live.close()
         old = _time.time() - 60.0

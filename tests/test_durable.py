@@ -15,17 +15,25 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core.midas import MidasRuntime, detect_path, detect_tree, scan_grid
+from repro.core.midas import (
+    MidasRuntime,
+    detect_path,
+    detect_tree,
+    scan_grid,
+    stage_rounds,
+)
+from repro.core.mld import MLDCircuit
 from repro.core.process_backend import close_fleet
+from repro.core.schedule import rounds_for_epsilon
 from repro.errors import (
     CheckpointCorruptError,
     ConfigurationError,
     WatchdogExpired,
 )
-from repro.ff.gf2m import GF2m
+from repro.ff.gf2m import GF2m, field_degree_for_k, round_success_bound
 from repro.graph.csr import CSRGraph
 from repro.graph.templates import TreeTemplate
-from repro.obs.live import LiveRun, ROUND_FAILURE
+from repro.obs.live import LiveRun
 from repro.runtime.durable import (
     CHECKPOINT_FILE,
     CheckpointManager,
@@ -457,6 +465,30 @@ class TestResumeIdentity:
         res = self._run(g, tmp_path, k=10, resume=True, allow_restart=True)
         assert res.found and _values(res) == _values(fresh)
 
+    def test_a_checkpoint_under_the_kind_free_round_count_is_refused(self, islands,
+                                                                    tmp_path):
+        """A stage checkpointed when every kind ran ``rounds_for_epsilon``
+        rounds (6 at eps = 0.3) was planned for another count than a 6-path
+        runs now (5): refused by name, and recomputed under
+        ``allow_restart``."""
+        fresh = self._run(islands, tmp_path / "fresh")
+        assert fresh.rounds_run == stage_rounds(MLDCircuit.k_path(self.K), self.EPS) == 5
+        self._run(islands, tmp_path)
+        path = tmp_path / CHECKPOINT_FILE
+        state = read_envelope(path)
+        for engine in state["engines"].values():
+            for stage in engine["stages"].values():
+                assert stage["identity"]["rounds"] == 5
+                stage["identity"]["rounds"] = rounds_for_epsilon(self.EPS)
+        write_envelope(path, state)
+        with pytest.raises(CheckpointCorruptError, match="different rounds ") as err:
+            self._run(islands, tmp_path, resume=True)
+        assert err.value.reason == "identity"
+        res = self._run(islands, tmp_path, resume=True, allow_restart=True)
+        assert not res.found and _values(res) == _values(fresh)
+        # ...and the directory now holds the stage under this build's count
+        assert _values(self._run(islands, tmp_path, resume=True)) == _values(fresh)
+
     def test_the_same_question_still_resumes(self, witnessed, tmp_path):
         res = self._run(witnessed, tmp_path, resume=True)
         assert res.found and res.details["resumed_from"] == str(tmp_path)
@@ -540,8 +572,8 @@ class TestWatchdogDegraded:
         rt.close_live()
         d = res.details["degraded"]
         assert d["reason"] == "deadline"
-        assert d["p_failure_bound"] == pytest.approx(
-            ROUND_FAILURE ** d["rounds_completed"])
+        p = round_success_bound(5, field_degree_for_k(5), 5)  # the 5-path's
+        assert d["p_failure_bound"] == float((1 - p) ** d["rounds_completed"])
         assert len(res.rounds) == d["rounds_completed"]
         assert live.status.snapshot()["state"] == "degraded"
         # the trip flushed a checkpoint for a later resume

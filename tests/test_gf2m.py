@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.core.mld import MLDCircuit
 from repro.errors import FieldError
-from repro.ff.gf2m import GF2m, default_field_for_k, field_degree_for_k
+from repro.ff.gf2m import GF2m, default_field_for_k, field_degree_for_k, round_success_bound
 from repro.ff.poly2 import poly_mulmod
 from repro.util.rng import RngStream
 
@@ -65,6 +65,21 @@ class TestConstruction:
                     assert (Fraction(2887, 10000)
                             * (1 - Fraction(d, 2 ** (ell - 1) - 1))
                             < Fraction(1, 5)), (k, d, ell)
+
+    def test_round_success_bound_is_the_exact_product(self):
+        """The bound the round count comes from: exactly the product above
+        at every (k, d) and its field, above 1/5 there, and no bound where
+        the y-polynomial may vanish identically (``d >= 2^l - 1``)."""
+        for k in range(1, 31):
+            for d in (k, 2 * k - 1):
+                ell = field_degree_for_k(d)
+                p = round_success_bound(k, ell, d)
+                assert isinstance(p, Fraction)
+                assert p == _round_success_bound(k, d, ell) > Fraction(1, 5), (k, d)
+        assert round_success_bound(1, 4, 3) == Fraction(2, 5)  # scan row 1
+        for k, ell, d in [(3, 3, 7), (3, 3, 8), (0, 5, 1), (3, 5, 0)]:
+            with pytest.raises(FieldError):
+                round_success_bound(k, ell, d)
 
     def test_field_size_rule(self):
         for d, paper, ell in [

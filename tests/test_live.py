@@ -13,11 +13,17 @@ import urllib.request
 import pytest
 
 from repro.core.midas import MidasRuntime, detect_path
+from repro.ff.gf2m import field_degree_for_k, round_success_bound
 from repro.graph.generators import erdos_renyi, plant_path
 from repro.obs.http import PROMETHEUS_CONTENT_TYPE, LiveServer
-from repro.obs.live import ROUND_FAILURE, LiveRun, RunStatus
+from repro.obs.live import LiveRun, RunStatus
 from repro.obs.metrics import MetricsRegistry
 from repro.util.rng import RngStream
+
+
+def path_bound(k):
+    """A k-path stage's per-round success bound."""
+    return round_success_bound(k, field_degree_for_k(k), k)
 
 
 def _graph(n=200, m=600, k=5):
@@ -44,11 +50,11 @@ class TestRunStatus:
     def test_p_failure_bound_follows_amplification(self):
         live = LiveRun()
         live.run_started("k-path", "sequential")
-        live.stage_started("k-path", 5, 10, 4)
+        live.stage_started("k-path", 5, 10, 4, path_bound(5))
         for ell in range(3):
             live.round_done(ell, False, 0.0)
         assert live.status.snapshot()["p_failure_bound"] == \
-            pytest.approx(ROUND_FAILURE ** 3)
+            float((1 - path_bound(5)) ** 3)
 
     def test_snapshot_is_json_serializable(self):
         live = LiveRun()
@@ -62,7 +68,7 @@ class TestLiveRunEvents:
         live = LiveRun()
         live.subscribe(events.append)
         live.run_started("k-path", "sequential", 100, 300)
-        live.stage_started("k-path", 5, 3, 4)
+        live.stage_started("k-path", 5, 3, 4, path_bound(5))
         for ell in range(3):
             live.phase_done(ell, 0)
             live.round_done(ell, False, float(ell))
@@ -78,7 +84,7 @@ class TestLiveRunEvents:
     def test_early_exit_forfeits_remaining_rounds(self):
         live = LiveRun()
         live.run_started("k-path", "sequential")
-        live.stage_started("k-path", 5, 10, 1)
+        live.stage_started("k-path", 5, 10, 1, path_bound(5))
         live.round_done(0, True, 0.0)
         s = live.status.snapshot()
         assert s["rounds_planned"] == 1
@@ -89,7 +95,7 @@ class TestLiveRunEvents:
         live = LiveRun()
         live.run_started("scanstat", "sequential")
         for stage in ("size1", "size2"):
-            live.stage_started(stage, 3, 2, 1)
+            live.stage_started(stage, 3, 2, 1, path_bound(3))
             for ell in range(2):
                 live.round_done(ell, False, 0.0)
         s = live.status.snapshot()
@@ -110,13 +116,13 @@ class TestLiveRunEvents:
         live = LiveRun()
         live.subscribe(events.append)
         live.run_started("k-path", "sequential")
-        live.stage_started("k-path", 5, 6, 4)
+        live.stage_started("k-path", 5, 6, 4, path_bound(5))
         live.rounds_restored(4, 2.5)
         snap = live.status.snapshot()
         assert snap["rounds_completed"] == 4
         assert snap["stage_rounds_completed"] == 4
         assert snap["virtual_seconds"] == 2.5
-        assert snap["p_failure_bound"] == pytest.approx(0.8 ** 4)
+        assert snap["p_failure_bound"] == float((1 - path_bound(5)) ** 4)
         restores = [e for e in events if e["event"] == "restore"]
         assert restores == [pytest.approx(
             {"t": restores[0]["t"], "event": "restore",
@@ -139,7 +145,7 @@ class TestLiveRunEvents:
         path = tmp_path / "progress.jsonl"
         live = LiveRun(progress_path=path)
         live.run_started("k-path", "sequential")
-        live.stage_started("k-path", 4, 2, 1)
+        live.stage_started("k-path", 4, 2, 1, path_bound(4))
         live.round_done(0, False, 0.0)
         live.run_ended("done")
         live.close()
@@ -159,7 +165,7 @@ class TestLiveRunEvents:
         reg = MetricsRegistry()
         live = LiveRun(metrics=reg)
         live.run_started("k-path", "sequential")
-        live.stage_started("k-path", 5, 4, 1)
+        live.stage_started("k-path", 5, 4, 1, path_bound(5))
         live.round_done(0, False, 0.0)
         assert reg.get("midas_live_rounds_completed").value == 1.0
         assert reg.get("midas_live_running").value == 1.0
@@ -177,7 +183,10 @@ class TestEngineIntegration:
                           early_exit=False)
         s = live.status.snapshot()
         assert s["state"] == "done"
-        assert s["rounds_completed"] == s["rounds_planned"] > 0
+        assert s["rounds_completed"] == s["rounds_planned"] == res.rounds_run > 0
+        assert s["p_failure_bound"] == float((1 - path_bound(5)) ** res.rounds_run)
+        assert s["p_failure_bound"] <= 0.1 < float((1 - path_bound(5))
+                                                   ** (res.rounds_run - 1))
         assert s["found"] == res.found
         kinds = {e["event"] for e in events}
         assert {"run_start", "stage_start", "phase", "round",

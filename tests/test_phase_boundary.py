@@ -16,9 +16,9 @@ import time
 
 import pytest
 
-from repro.core.midas import MidasRuntime, detect_path, scan_grid
+from repro.core.midas import MidasRuntime, detect_path, scan_grid, stage_rounds
+from repro.core.mld import MLDCircuit
 from repro.core.process_backend import close_fleet
-from repro.core.schedule import rounds_for_epsilon
 from repro.graph.generators import erdos_renyi
 from repro.obs.live import LiveRun
 from repro.obs.metrics import MetricsRegistry, get_default_registry
@@ -41,21 +41,21 @@ WALL = ("sequential", "threaded", "process", "modeled")
 LANE_PREFIX = {"sequential": "main", "modeled": "main",
                "threaded": "midas-phase", "process": "worker-"}
 EPS = 0.4
-ROUNDS = rounds_for_epsilon(EPS)
 G = erdos_renyi(16, 36, rng=RngStream(51, name="g"))
 W = RngStream(53, name="w").integers(0, 3, size=G.n)
 
-# driver -> (call, {stage label: (k, phases per round)})
+# driver -> (call, {stage label: (k, phases per round, rounds)})
 DRIVERS = {
     "detect_path": (
         lambda rt: detect_path(G, 4, eps=EPS, rng=RngStream(52), runtime=rt,
                                early_exit=False),
-        {"": (4, 4)},
+        {"": (4, 4, stage_rounds(MLDCircuit.k_path(4), EPS))},
     ),
     "scan_grid": (
         lambda rt: scan_grid(G, W, k=3, eps=EPS, rng=RngStream(54), runtime=rt,
                              sizes=[2, 3]),
-        {"size2": (2, 1), "size3": (3, 2)},
+        {f"size{j}": (j, n, stage_rounds(MLDCircuit.scan_row(W, j, 0), EPS))
+         for j, n in ((2, 1), (3, 2))},
     ),
 }
 
@@ -102,24 +102,25 @@ def reference():
 @pytest.mark.parametrize("mode", list(MODES))
 def test_every_mode_leaves_the_same_phase_effects(mode, driver, reference):
     stages = DRIVERS[driver][1]
-    windows = ROUNDS * sum(n for _k, n in stages.values())
+    windows = sum(n * r for _k, n, r in stages.values())
+    rounds = sum(r for _k, _n, r in stages.values())
     got = _observe(driver, mode)
     ref = reference[driver]
 
     # one histogram sample per window, per stage
     problem = {"detect_path": "k-path", "scan_grid": "scanstat"}[driver]
-    assert got["hist"] == {(problem, k, min(4, 1 << k)): ROUNDS * n
-                           for k, n in stages.values()}
+    assert got["hist"] == {(problem, k, min(4, 1 << k)): r * n
+                           for k, n, r in stages.values()}
     # digests: every (stage, round, batch, phase) once, equal across modes
     assert len(got["phases"]) == windows
     assert got["phases"] == ref["phases"] and got["rounds"] == ref["rounds"]
-    assert len(got["rounds"]) == ROUNDS * len(stages)
+    assert len(got["rounds"]) == rounds
     # live: one phase event per window
     assert got["live"] == windows
     # profile: one row entry per window, one per round
     per_window = "simulate" if mode == "simulated" else "kernel"
     assert got["ops"][per_window] == windows
-    assert got["ops"]["round"] == ROUNDS * len(stages)
+    assert got["ops"]["round"] == rounds
 
     if mode not in WALL:
         return
@@ -133,8 +134,8 @@ def test_every_mode_leaves_the_same_phase_effects(mode, driver, reference):
 
     computes = [ev for ev in rec.events if ev.kind == "compute"]
     assert len(computes) == windows and {ev.kind for ev in rec.events} == {"compute"}
-    for label, (k, n) in stages.items():
-        for ell in range(ROUNDS):
+    for label, (k, n, r) in stages.items():
+        for ell in range(r):
             tiles = sorted((ev.scope.q0, ev.scope.q1) for ev in computes
                            if ev.scope.label == label and ev.scope.round == ell)
             # every phase window of the round appears exactly once
@@ -146,13 +147,12 @@ def test_every_mode_leaves_the_same_phase_effects(mode, driver, reference):
         assert {ev.rank for ev in computes} == {0} and not rec.edges
     else:
         # the accumulator join crosses threads once per round
-        assert len(barriers) == len(rec.edges) == ROUNDS * len(stages)
+        assert len(barriers) == len(rec.edges) == rounds
         assert all(e.t_src <= e.t_dst for e in barriers)
 
 
 # ------------------------------------------------------------- deadlines
 def _one_window_seconds(graph, k: int, n2: int) -> float:
-    from repro.core.mld import MLDCircuit
     from repro.core.problems import compile
 
     spec = compile(MLDCircuit.k_path(k))

@@ -18,16 +18,23 @@ import pytest
 
 from repro.core.engine import DetectionEngine, MidasRuntime
 from repro.core.leveldp import ElementLanes, PlaneLanes, whole_graph_lanes
-from repro.core.midas import detect_path, detect_tree, scan_grid
+from repro.core.midas import (
+    detect_path,
+    detect_tree,
+    max_weight_path,
+    scan_grid,
+    stage_rounds,
+)
 from repro.core.mld import MLDCircuit
 from repro.core.problems import compile
-from repro.core.schedule import PhaseSchedule
+from repro.core.schedule import PhaseSchedule, rounds_for_epsilon
 from repro.errors import ConfigurationError
 from repro.ff.gf2m import default_field_for_k
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import erdos_renyi
 from repro.graph.templates import TreeTemplate
 from repro.runtime.durable import Watchdog
+from repro.scanstat.baseline_grid import baseline_scan_grid
 from repro.util.rng import RngStream
 # the golden's sparse graph: a k = 5 path stage with seed 54 and four
 # rounds misses round 0 and hits in round 1
@@ -41,8 +48,8 @@ W = RngStream(92, name="w").integers(0, 3, size=G.n)
 @pytest.mark.parametrize("k, rounds, rpw", [
     (6, 8, 8),  # 512 lanes
     (5, 8, 8),  # 256 lanes
-    (6, 11, 8),  # the largest power of two <= the rounds left
-    (6, 3, 2),
+    (6, 11, 11),  # every round left: any count, not only a power of two
+    (6, 3, 3),
     (8, 8, 4),  # the 1024-lane cap
     (10, 8, 1),  # a round fills the cap already
     (11, 8, 1),  # a round is several windows
@@ -99,6 +106,67 @@ def test_a_fused_schedule_covers_whole_rounds():
         PhaseSchedule(6, 1, 1, 64, 0)
 
 
+# ------------------------------------------------------------- the count
+#: kind -> call(runtime) at eps = 0.2, every round run
+PREFIX_DRIVERS = {
+    "path": lambda rt: detect_path(G, 6, eps=0.2, rng=RngStream(61), runtime=rt,
+                                   early_exit=False),
+    "tree": lambda rt: detect_tree(G, TreeTemplate.binary(5), eps=0.2,
+                                   rng=RngStream(62), runtime=rt, early_exit=False),
+    "wpath": lambda rt: max_weight_path(G, 4, W, eps=0.2, rng=RngStream(63),
+                                        runtime=rt),
+    "scan": lambda rt: scan_grid(G, W, 3, eps=0.2, rng=RngStream(64), runtime=rt),
+}
+
+
+@pytest.mark.parametrize("mode", ["sequential", "process"])
+@pytest.mark.parametrize("kind", sorted(PREFIX_DRIVERS))
+def test_each_stage_runs_the_first_rounds_of_the_kind_free_count(monkeypatch,
+                                                                 kind, mode):
+    """Every stage a driver runs is its circuit's ``stage_rounds``, and its
+    values are the first of what ``run_stage`` answers for the same spec
+    and stream at the kind-free ``rounds_for_epsilon(eps)``: the shorter
+    count cuts the same run short, nothing else."""
+    rt = MidasRuntime(mode=mode, workers=2)
+    stages, real = [], DetectionEngine.run_stage
+
+    def spy(self, spec, rounds, rng, **kw):
+        stream = RngStream.from_state(rng.state())
+        out = real(self, spec, rounds, rng, **kw)
+        stages.append((spec, rounds, stream, kw, out.values))
+        return out
+
+    monkeypatch.setattr(DetectionEngine, "run_stage", spy)
+    PREFIX_DRIVERS[kind](rt)
+    monkeypatch.undo()
+    assert stages
+    for spec, rounds, stream, kw, values in stages:
+        assert rounds == len(values) == stage_rounds(spec.circuit, 0.2)
+        assert rounds < rounds_for_epsilon(0.2) == 8
+        with DetectionEngine(G, MidasRuntime(mode=mode, workers=2), spec.name) as engine:
+            full = engine.run_stage(spec, rounds_for_epsilon(0.2), stream, **kw)
+        assert len(full.values) == 8
+        assert all(np.array_equal(a, b) for a, b in zip(values, full.values[:rounds]))
+
+
+def test_secondary_drivers_count_the_rounds_that_run():
+    """The Theorem-2 estimate charges a stage's own rounds (the modeled
+    clock is that estimate), and a grid reports the most any row ran."""
+    rt = MidasRuntime(mode="modeled", n_processors=4, n1=2)
+    res = detect_path(G, 10, eps=0.2, rng=RngStream(65), runtime=rt, early_exit=False)
+    est = res.details["estimate"]
+    assert res.rounds_run == est.rounds == stage_rounds(MLDCircuit.k_path(10), 0.2) == 6
+    assert res.virtual_seconds == pytest.approx(est.total_seconds)
+
+    rows = {j: stage_rounds(MLDCircuit.scan_row(W, j, 0), 0.2) for j in (1, 2, 3)}
+    assert rows == {1: 4, 2: 5, 3: 6}
+    assert scan_grid(G, W, 3, eps=0.2, rng=RngStream(66)).rounds_run == 6
+    assert scan_grid(G, W, 3, eps=0.2, rng=RngStream(66), sizes=[1, 2]).rounds_run == 5
+    assert scan_grid(G, W, 3, eps=0.2, rng=RngStream(66), sizes=[]).rounds_run == 0
+    assert baseline_scan_grid(G, W, np.ones(G.n, dtype=np.int64), 3, b_max=2,
+                              eps=0.2, rng=RngStream(67)).rounds_run == 6
+
+
 # ----------------------------------------------------------------- layouts
 def _spec(circuit, field_for):
     return compile(circuit, field_for(circuit.y_degree))
@@ -127,6 +195,22 @@ def test_a_fused_window_is_each_rounds_window(kernel, rounds):
         assert len(fused) == rounds
         for fp, value in zip(fps, fused):
             assert np.array_equal(value, spec.phase_value(G, fp, 0, n2)), name
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize("rounds", [3, 5, 6, 7])
+def test_a_ragged_last_word_is_each_rounds_window(k, rounds):
+    """A round count that does not fill whole words (``R 2^k`` lanes, a
+    ``64 / 2^k``-round word): the last word's missing rounds are zero
+    lanes, and every round's value is its one-round window's."""
+    spec = _spec(MLDCircuit.k_path(k),
+                 lambda d: default_field_for_k(d, kernel_strategy="bitsliced"))
+    n2 = 1 << k
+    fps = [spec.draw_fingerprint(G.n, RngStream(97 + r)) for r in range(rounds)]
+    layout = PlaneLanes if rounds * n2 >= 64 else ElementLanes
+    assert isinstance(whole_graph_lanes(fps, 0, n2), layout)
+    fused = spec.phase_values(G, fps, 0, n2)
+    assert fused == [spec.phase_value(G, fp, 0, n2) for fp in fps]
 
 
 def test_the_layout_follows_the_window_width():
@@ -214,21 +298,22 @@ class _Clock:
 
 @pytest.mark.parametrize("resume_knobs", [
     dict(mode="process", workers=2),
-    dict(n2=32),  # 2^(k-1): two windows a round, one round at a time
+    dict(n2=64),  # 2^(k-1): two windows a round, one round at a time
 ], ids=["process-workers=2", "n2=2^(k-1)"])
 def test_a_checkpoint_resumes_under_another_fusion_factor(tmp_path, monkeypatch,
                                                          resume_knobs):
-    """11 rounds of a witness-free k = 6 path: a sequential run fuses the
-    first eight into one window and is cut by its deadline there; the
-    resume runs the last three under another ``R`` and answers exactly
-    like the uninterrupted run.  The stage identity names neither N2 nor
-    R, so the checkpoint is accepted."""
+    """10 rounds of a witness-free k = 7 path: a sequential run fuses the
+    first eight into one window (the 1024-lane cap) and is cut by its
+    deadline there; the resume runs the last two under another ``R`` —
+    a one-round window per worker, or one round over two windows — and
+    answers exactly like the uninterrupted run.  The stage identity names
+    neither N2 nor R, so the checkpoint is accepted."""
     def run(rt):
-        return detect_path(ISLANDS, 6, eps=0.1, rng=RngStream(7), runtime=rt,
+        return detect_path(ISLANDS, 7, eps=0.1, rng=RngStream(7), runtime=rt,
                            early_exit=False)
 
     control = run(MidasRuntime())
-    assert control.rounds_run == 11 and not control.found
+    assert control.rounds_run == 10 and not control.found
 
     clock = _Clock(after=1)
     real = DetectionEngine.note_round
@@ -275,15 +360,15 @@ def test_a_small_query_is_one_kernel_span_tagged_with_its_rounds():
     res = detect_path(G, 6, eps=0.2, rng=RngStream(4), runtime=rt, early_exit=False)
     kernels = [s for s in rt.profiler.spans if s.name == "engine.kernel"]
     batches = [s for s in rt.profiler.spans if s.name == "engine.round"]
-    assert res.rounds_run == 8 and len(kernels) == 1 and len(batches) == 1
-    assert kernels[0].tags["round"] == 0 and kernels[0].tags["rounds"] == 8
-    assert batches[0].tags["rounds"] == 8
-    assert res.details["wall"]["rounds"] == 8
+    assert res.rounds_run == 6 and len(kernels) == 1 and len(batches) == 1
+    assert kernels[0].tags["round"] == 0 and kernels[0].tags["rounds"] == 6
+    assert batches[0].tags["rounds"] == 6
+    assert res.details["wall"]["rounds"] == 6
 
 
 def test_early_exit_batches_grow_one_two_four():
     rt = MidasRuntime()
     res = detect_path(ISLANDS, 6, eps=0.1, rng=RngStream(7), runtime=rt)
-    assert res.rounds_run == 11
+    assert res.rounds_run == 9
     assert [s.tags["rounds"] for s in rt.profiler.spans
-            if s.name == "engine.round"] == [1, 2, 4, 4]
+            if s.name == "engine.round"] == [1, 2, 4, 2]

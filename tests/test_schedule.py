@@ -4,8 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.schedule import PhaseSchedule, pow2_floor, rounds_for_epsilon
+from fractions import Fraction
+
+from repro.core.schedule import (
+    PhaseSchedule,
+    pow2_floor,
+    rounds_for_bound,
+    rounds_for_epsilon,
+)
 from repro.errors import ConfigurationError
+from repro.ff.gf2m import field_degree_for_k, round_success_bound
 
 
 class TestRounds:
@@ -26,6 +34,42 @@ class TestRounds:
             rounds_for_epsilon(0.0)
         with pytest.raises(ConfigurationError):
             rounds_for_epsilon(1.5)
+
+
+class TestRoundsForBound:
+    def test_the_fewest_rounds_that_meet_eps_exactly(self):
+        """``r`` is the smallest count with ``(1 - p)^r <= eps``, checked in
+        exact rationals, and never more than the kind-free 1/5 count."""
+        for k in range(1, 31):
+            for d in (k, 2 * k - 1):  # a k-path; a scan row's join coefficients
+                p = round_success_bound(k, field_degree_for_k(d), d)
+                for eps in (0.5, 0.2, 0.01, 1e-6):
+                    r = rounds_for_bound(eps, p)
+                    miss = 1 - p
+                    assert miss ** r <= Fraction(eps) < miss ** (r - 1), (k, d, eps)
+                    assert r <= rounds_for_epsilon(eps), (k, d, eps)
+
+    def test_ledger_stages(self):
+        """The counts of the benchmark's stages at eps = 0.2: a 10- and an
+        11-path at l = 6, a 6-path, a 5-tree and an 8-path or -tree at
+        l = 5, scan rows 1-5."""
+        def rounds(k, d=None):
+            d = k if d is None else d
+            return rounds_for_bound(0.2, round_success_bound(k, field_degree_for_k(d), d))
+
+        assert [rounds(10), rounds(11), rounds(6), rounds(5), rounds(8)] == [6, 6, 6, 6, 7]
+        assert [rounds(j, max(3, 2 * j - 1)) for j in range(1, 6)] == [4, 5, 6, 6, 7]
+
+    def test_edge_cases(self):
+        assert rounds_for_bound(0.2, 1) == 1  # a round that cannot miss
+        assert rounds_for_bound(0.5, Fraction(1, 2)) == 1  # (1/2)^1 <= 1/2 exactly
+        assert rounds_for_bound(0.25, Fraction(1, 2)) == 2
+        assert rounds_for_bound(0.2, Fraction(1, 5)) == 8 == rounds_for_epsilon(0.2)
+        for p in (0, -1, Fraction(3, 2)):
+            with pytest.raises(ConfigurationError):
+                rounds_for_bound(0.2, p)
+        with pytest.raises(ConfigurationError):
+            rounds_for_bound(0.0, Fraction(1, 4))
 
 
 class TestScheduleValidation:

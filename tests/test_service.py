@@ -35,6 +35,7 @@ from repro.errors import (
     UnknownGraphError,
     WorkerCrashedError,
 )
+from repro.ff.gf2m import field_degree_for_k, round_success_bound
 from repro.graph.generators import erdos_renyi, plant_path
 from repro.graph.templates import TreeTemplate
 from repro.obs.metrics import MetricsRegistry
@@ -605,25 +606,26 @@ class TestCallerThreadExecution:
 
     def test_timeout_becomes_the_watchdog_deadline(self):
         """An execution that overruns its caller's timeout comes back as
-        the watchdog's degraded partial answer with its 0.8^rounds bound;
-        that answer is not cached, so the same query asked again with
-        time to spare is computed in full."""
+        the watchdog's degraded partial answer with its stage's
+        ``(1 - p)^rounds`` bound; that answer is not cached, so the same
+        query asked again with time to spare is computed in full."""
         before = _service_threads()
         with DetectionService(metrics=MetricsRegistry()) as svc:
             svc.register_graph(_cliques(), name="g")
             spec = QuerySpec(kind="detect-path", graph="g", k=10, eps=1e-6,
-                             seed={"seed": 1})  # 62 rounds, witness-free
+                             seed={"seed": 1})  # 50 rounds, witness-free
             cut = svc.query(spec, timeout=0.1)
             degraded = cut.result["details"]["degraded"]
             assert degraded["reason"] == "deadline"
-            assert cut.result["rounds_run"] == degraded["rounds_completed"] < 62
-            assert degraded["p_failure_bound"] == pytest.approx(
-                0.8 ** cut.result["rounds_run"])
+            assert cut.result["rounds_run"] == degraded["rounds_completed"] < 50
+            p = round_success_bound(10, field_degree_for_k(10), 10)
+            assert degraded["p_failure_bound"] == float(
+                (1 - p) ** cut.result["rounds_run"])
             assert svc.broker.describe()["cache_entries"] == 0
             assert _service_threads() == ["midas-service-sweep"]  # no watchdog
             full = svc.query(spec)
             assert not full.cache_hit and not full.coalesced
-            assert full.result["rounds_run"] == 62
+            assert full.result["rounds_run"] == 50
             assert "degraded" not in full.result["details"]
             assert full.result["round_values"][:cut.result["rounds_run"]] == \
                 cut.result["round_values"]

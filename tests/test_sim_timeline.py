@@ -21,8 +21,9 @@ import pytest
 from _leveldp_drivers import partition_with_empty_rank
 from _sim_observe import DRIVERS, EPS, GRAPH, identity, observe
 from repro.core.engine import DetectionEngine, EngineSession, MidasRuntime
+from repro.core.midas import stage_rounds
+from repro.core.mld import MLDCircuit
 from repro.core.problems import ProblemSpec
-from repro.core.schedule import rounds_for_epsilon
 from repro.errors import ReplayMismatchError
 from repro.ff.gf2m import default_field_for_k
 from repro.obs.analyze import extract_critical_path
@@ -32,7 +33,7 @@ from repro.runtime.scheduler import Simulator
 from repro.runtime.tracing import TraceSummary
 from repro.util.rng import RngStream
 
-ROUNDS = rounds_for_epsilon(EPS)
+ROUNDS = stage_rounds(MLDCircuit.k_path(5), EPS)  # detect_path's
 
 
 def _shape(n1: int, **extra) -> dict:

@@ -1,23 +1,25 @@
 """Statistical guarantees of the one-sided Monte Carlo detector.
 
 The Koutis/Williams argument gives each detection round a success
-probability of at least 1/5 on a yes-instance — each kind's field is the
-smallest that keeps it there (``repro.ff.gf2m.field_degree_for_k``) —
-and *zero* false-positive probability on a no-instance.  Both sides are
-checked empirically over 400 seeded single-round runs, for every problem
-kind:
+probability of at least ``p = round_success_bound(k, l, d)`` on a
+yes-instance — its witness's vectors independent, its ``y``-polynomial
+nonvanishing (``repro.ff.gf2m.round_success_bound``), above 1/5 in each
+kind's field — and *zero* false-positive probability on a no-instance.
+Each stage runs the rounds that bound needs for ``eps``
+(``repro.core.midas.stage_rounds``).  Both sides are checked
+empirically over 400 seeded single-round runs, for every problem kind:
 
 * yes side: the hit count must clear the one-in-a-million binomial
-  lower bound ``scipy.stats.binom.ppf(1e-6, 400, 0.2)`` (= 44), i.e. the
-  test only fails with probability ~1e-6 if the true per-round success
-  rate really is >= 0.2 — flakiness is engineered out by choosing the
-  bound, not by retrying;
+  lower bound ``scipy.stats.binom.ppf(1e-6, 400, p)`` for the kind's own
+  ``p`` (44 at 1/5), i.e. the test only fails with probability ~1e-6 if
+  the true per-round success rate really is >= ``p`` — flakiness is
+  engineered out by choosing the bound, not by retrying;
 * no side: positives are certificates, so 400 runs on graphs with no
   k-path must produce exactly zero "found" answers.
 
-``eps = 0.8`` makes :func:`repro.core.schedule.rounds_for_epsilon`
-schedule exactly one round, so each run is one independent Bernoulli
-trial of the per-round detector.
+``eps = 0.8`` schedules exactly one round for every kind (each clears
+``p >= 0.2``), so each run is one independent Bernoulli trial of the
+per-round detector.
 """
 
 from __future__ import annotations
@@ -28,17 +30,35 @@ from scipy.stats import binom
 
 from _test_oracles import has_k_path
 from repro import exact
-from repro.core.midas import detect_path, detect_tree, max_weight_path, scan_grid
+from repro.core.midas import (
+    detect_path,
+    detect_tree,
+    max_weight_path,
+    scan_grid,
+    stage_rounds,
+)
+from repro.core.mld import MLDCircuit
 from repro.core.schedule import rounds_for_epsilon
+from repro.ff.gf2m import field_degree_for_k, round_success_bound
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import erdos_renyi, plant_path
 from repro.graph.templates import TreeTemplate
 from repro.util.rng import RngStream
 
 N_RUNS = 400
-P_LOWER = 0.2  # the contract's per-round success bound
-ALPHA = 1e-6  # chance of a false test failure when p == P_LOWER
-SINGLE_ROUND_EPS = 0.8  # rounds_for_epsilon(0.8) == 1
+ALPHA = 1e-6  # chance of a false test failure when p is the kind's bound
+SINGLE_ROUND_EPS = 0.8  # one round for every kind
+
+
+def bound(circuit: MLDCircuit) -> float:
+    """The circuit's exact per-round success bound in its field."""
+    d = circuit.y_degree
+    return float(round_success_bound(circuit.k, field_degree_for_k(d), d))
+
+
+def threshold(circuit: MLDCircuit) -> int:
+    """The ALPHA-quantile of N_RUNS single rounds at the circuit's bound."""
+    return int(binom.ppf(ALPHA, N_RUNS, bound(circuit)))
 
 
 def single_round_hits(graph: CSRGraph, k: int, n_runs: int = N_RUNS) -> int:
@@ -52,18 +72,22 @@ def single_round_hits(graph: CSRGraph, k: int, n_runs: int = N_RUNS) -> int:
 
 def test_eps_choice_gives_exactly_one_round():
     assert rounds_for_epsilon(SINGLE_ROUND_EPS) == 1
+    for circuit in CIRCUITS.values():
+        assert stage_rounds(circuit, SINGLE_ROUND_EPS) == 1, circuit.name
 
 
 def test_single_round_detection_rate_clears_binomial_bound():
     base = erdos_renyi(24, m=40, rng=RngStream(90))
     g, _ = plant_path(base, 5, rng=RngStream(91))
     assert has_k_path(g, 5)
-    threshold = int(binom.ppf(ALPHA, N_RUNS, P_LOWER))
-    assert threshold == 44  # pin the bound so a scipy change is visible
+    # pin the bounds so a scipy change is visible: 44 at 1/5, and the
+    # 5-path's own, p = 0.2499 in GF(2^5)
+    assert int(binom.ppf(ALPHA, N_RUNS, 0.2)) == 44
+    assert threshold(MLDCircuit.k_path(5)) == 61
     hits = single_round_hits(g, 5)
-    assert hits >= threshold, (
+    assert hits >= threshold(MLDCircuit.k_path(5)), (
         f"{hits}/{N_RUNS} single-round detections — below the "
-        f"p>={P_LOWER} binomial {ALPHA:g}-quantile ({threshold})"
+        f"p>={bound(MLDCircuit.k_path(5)):.4f} binomial {ALPHA:g}-quantile"
     )
 
 
@@ -71,8 +95,7 @@ def test_detection_rate_on_dense_yes_instance():
     # many disjoint k-paths push the per-round rate well above the bound
     g = erdos_renyi(30, m=90, rng=RngStream(92))
     assert has_k_path(g, 4)
-    threshold = int(binom.ppf(ALPHA, N_RUNS, P_LOWER))
-    assert single_round_hits(g, 4) >= threshold
+    assert single_round_hits(g, 4) >= threshold(MLDCircuit.k_path(4))
 
 
 @pytest.mark.parametrize(
@@ -138,6 +161,13 @@ def _scan5(g, w, rng):
     return bool(row.any()), bool(row[-1])  # the last cell is z_max, the top
 
 
+#: kind -> its circuit, whose exact bound its single-round rate must clear
+CIRCUITS = {
+    "k-path-9": MLDCircuit.k_path(9),
+    "k-tree-binary8": MLDCircuit.k_tree(BINARY8),
+    "weighted-path-9": MLDCircuit.weighted_path(W9, 9, int(W9.sum())),
+    "scan-row-5": MLDCircuit.scan_row(W9[:5], 5, int(W9[:5].sum())),
+}
 KINDS = {
     # kind: (run, yes-instance, no-instance), each instance (graph, weights)
     "k-path-9": (_kpath9, (_bare_path(9), None),
@@ -151,10 +181,12 @@ KINDS = {
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_every_kind_clears_the_binomial_bound_at_its_field(kind):
+    """A tighter gate than 1/5: each kind's exact ``p`` in its field."""
     run, (g, w), _ = KINDS[kind]
-    threshold = int(binom.ppf(ALPHA, N_RUNS, P_LOWER))
+    need = threshold(CIRCUITS[kind])
+    assert need > int(binom.ppf(ALPHA, N_RUNS, 0.2))
     hits = sum(run(g, w, RngStream(30_000 + i))[1] for i in range(N_RUNS))
-    assert hits >= threshold, f"{kind}: {hits}/{N_RUNS} single-round hits"
+    assert hits >= need, f"{kind}: {hits}/{N_RUNS} single-round hits, need {need}"
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
@@ -172,15 +204,15 @@ def test_the_kinds_instances_are_what_they_claim():
 
 
 def test_multi_round_miss_rate_within_eps():
-    """With eps = 0.2 (4 rounds at p >= 0.2 per round) the miss rate over
-    100 runs stays under the binomial upper bound for miss prob 0.8^4."""
+    """With eps = 0.2 a 5-path runs r = 6 rounds (p = 0.2499 each); the miss
+    rate over 100 runs stays under the binomial upper bound for a miss
+    probability of (1 - p)^r, with the r the missed runs ran."""
     base = erdos_renyi(24, m=40, rng=RngStream(93))
     g, _ = plant_path(base, 5, rng=RngStream(94))
-    n = 100
-    misses = sum(
-        not detect_path(g, 5, eps=0.2, rng=RngStream(20_000 + i)).found
-        for i in range(n)
-    )
-    p_miss = (1 - P_LOWER) ** rounds_for_epsilon(0.2)
-    bound = int(binom.ppf(1 - ALPHA, n, p_miss))
-    assert misses <= bound
+    n, circuit = 100, MLDCircuit.k_path(5)
+    r = stage_rounds(circuit, 0.2)
+    runs = [detect_path(g, 5, eps=0.2, rng=RngStream(20_000 + i)) for i in range(n)]
+    missed = [res for res in runs if not res.found]
+    assert all(res.rounds_run == r for res in missed)
+    p_miss = (1 - bound(circuit)) ** r
+    assert len(missed) <= int(binom.ppf(1 - ALPHA, n, p_miss))
