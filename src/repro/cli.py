@@ -503,16 +503,10 @@ def cmd_detect_path(args) -> int:
 
 
 def cmd_detect_tree(args) -> int:
-    from repro.graph.templates import TreeTemplate
+    from repro.service.broker import TEMPLATES
 
     g, rng = _load_graph(args)
-    factories = {
-        "path": TreeTemplate.path,
-        "star": TreeTemplate.star,
-        "binary": TreeTemplate.binary,
-        "caterpillar": TreeTemplate.caterpillar,
-    }
-    tmpl = factories[args.template](args.k)
+    tmpl = TEMPLATES[args.template](args.k)
     print(f"graph: {g}\ntemplate: {tmpl}")
     return _detect(args, "detect-tree", "k-tree", g, rng)
 
@@ -1003,7 +997,7 @@ def cmd_serve(args) -> int:
 
     runtime_config = {
         "mode": args.mode, "n_processors": args.processors,
-        "n1": args.n1, "n2": args.n2, "workers": args.workers,
+        "n1": args.n1, "n2": args.n2,
         "sanitize": args.sanitize,
     }
     svc = DetectionService(
@@ -1329,8 +1323,6 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--mode", choices=["sequential", "simulated", "modeled",
                                        "threaded", "process"], default="sequential",
                     help="execution backend for served queries")
-    sv.add_argument("--workers", type=int, default=None,
-                    help="workers per execution for --mode threaded/process")
     sv.add_argument("-N", "--processors", type=int, default=1)
     sv.add_argument("--n1", type=int, default=1)
     sv.add_argument("--n2", type=int, default=None)

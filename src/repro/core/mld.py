@@ -79,7 +79,13 @@ class MLDCircuit:
     z_max`` after the rows, a leaf is seeded at ``z = w(i)``, two slots
     multiply only as z-convolutions (``conv``), and the value is a vector
     over ``z``.
-    ``min_y_degree`` floors :attr:`y_degree`, the field's sizing degree.
+
+    Validation walks the program once and derives what the engine needs:
+    :attr:`y_degree`, the output's degree in the fingerprint's ``y``s,
+    which sizes the field (:func:`repro.ff.gf2m.field_degree_for_k`;
+    ``min_y_degree`` floors it), and :attr:`live_states`, the most ``(rows,
+    [Z+1,] lanes)`` states the recurrence keeps alive at once, besides a
+    multiply's temporaries — what a fused window's width is budgeted by.
     """
 
     k: int
@@ -93,11 +99,20 @@ class MLDCircuit:
     z_max: int = 0
     min_y_degree: int = 1
 
+    # derived by the validation walk: leaves and steps in evaluation
+    # order, and per entry the slots it reads for the last time
+    _program: tuple = field(init=False, repr=False, compare=False)
+    _releases: tuple = field(init=False, repr=False, compare=False)
+    y_degree: int = field(init=False, repr=False, compare=False)
+    live_states: int = field(init=False, repr=False, compare=False)
+
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ConfigurationError(f"k must be >= 1, got {self.k}")
         if not (0 <= self.output < self.n_slots):
             raise ConfigurationError("output slot out of range")
+        if self.z_max < 0:
+            raise ConfigurationError(f"z_max must be >= 0, got {self.z_max}")
         for slot, level in self.leaves:
             if not (0 <= slot < self.n_slots) or not (0 <= level < self.levels):
                 raise ConfigurationError(f"bad leaf ({slot}, {level})")
@@ -119,19 +134,56 @@ class MLDCircuit:
             if weighted and s.factor is not None:
                 raise ConfigurationError(
                     f"step writing slot {s.target}: weighted slots multiply by conv")
-        written = set()
-        for op in self._program():
-            if isinstance(op, CircuitStep):
-                for ref in op.reads():
-                    if ref not in written:
-                        raise ConfigurationError(
-                            f"step writing slot {op.target} reads slot {ref} "
-                            "before it is set")
-            written.add(op[0] if isinstance(op, tuple) else op.target)
-        if self.output not in written:
+        # the program: each leaf just before the first step writing a higher slot
+        leaves, program = sorted(self.leaves), []
+        for s in self.steps:
+            while leaves and leaves[0][0] < s.target:
+                program.append(leaves.pop(0))
+            program.append(s)
+        program += leaves
+        # one walk: every read follows a write; y-degrees (a leaf is one
+        # ``y``; a step adds its factor's, its variable's and its join
+        # coefficient's to its source's, a convolution's largest pair);
+        # each slot's last read
+        deg, last = {}, {}
+        for at, op in enumerate(program):
+            if isinstance(op, tuple):
+                deg[op[0]] = 1
+                continue
+            for ref in op.reads():
+                if ref not in deg:
+                    raise ConfigurationError(
+                        f"step writing slot {op.target} reads slot {ref} "
+                        "before it is set")
+                last[ref] = at
+            d = (max(deg[a] + deg[b] for a, b in op.conv) if op.conv
+                 else deg[op.operand])
+            if op.factor is not None:
+                d += deg[op.factor]
+            deg[op.target] = (d + (op.variable_level is not None)
+                              + (op.coeff_level is not None))
+        if self.output not in deg:
             raise ConfigurationError("output slot never written")
-        if self.z_max < 0:
-            raise ConfigurationError(f"z_max must be >= 0, got {self.z_max}")
+        last.pop(self.output, None)  # the output is never released
+        dying = [set() for _ in program]
+        for slot, at in last.items():
+            dying[at].add(slot)
+        # the most states alive at once, besides a multiply's temporaries: a
+        # step holds the slots live when it starts, its neighbour sum or
+        # accumulator, and the blocks it builds on top — a variable's base
+        # block, the shifted sum
+        live = peak = 0
+        for at, op in enumerate(program):
+            if isinstance(op, tuple):
+                live += 1
+                peak = max(peak, live)
+                continue
+            peak = max(peak, live + 1 + (op.variable_level is not None) + op.shift)
+            live += 1 - len(dying[at])
+        for name, value in (("_program", tuple(program)), ("_releases", tuple(dying)),
+                            ("y_degree", max(deg[self.output], self.min_y_degree)),
+                            ("live_states", max(peak, 1))):
+            object.__setattr__(self, name, value)
 
     # ------------------------------------------------------------ builders
     @staticmethod
@@ -242,73 +294,10 @@ class MLDCircuit:
                           min_y_degree=3)  # row 1 has always run in row 2's field
 
     # ------------------------------------------------------ derived facts
-    def _program(self) -> list:
-        """Leaves and steps in evaluation order: each leaf ``(slot, level)``
-        just before the first step writing a higher slot."""
-        leaves = sorted(self.leaves)
-        program, i = [], 0
-        for s in self.steps:
-            while i < len(leaves) and leaves[i][0] < s.target:
-                program.append(leaves[i])
-                i += 1
-            program.append(s)
-        return program + leaves[i:]
-
-    def _releases(self, program: list) -> list:
-        """Per program entry, the slots it reads for the last time (the
-        output is never released)."""
-        last = {}
-        for at, op in enumerate(program):
-            if isinstance(op, CircuitStep):
-                last.update((slot, at) for slot in op.reads())
-        last.pop(self.output, None)
-        dying = [set() for _ in program]
-        for slot, at in last.items():
-            dying[at].add(slot)
-        return dying
-
     @property
     def payload(self) -> int:
         """Accumulator width: the weight axis, or 1 for a scalar value."""
         return 1 if self.weights is None else self.z_max + 1
-
-    @property
-    def y_degree(self) -> int:
-        """Degree of the output in the fingerprint's ``y``s, which sizes
-        the field (:func:`repro.ff.gf2m.field_degree_for_k`): a leaf is
-        one ``y``; a step adds its factor's, its variable's and its join
-        coefficient's to its source's (a convolution: its largest pair)."""
-        deg = {}
-        for op in self._program():
-            if isinstance(op, tuple):
-                deg[op[0]] = 1
-                continue
-            d = (max(deg[a] + deg[b] for a, b in op.conv) if op.conv
-                 else deg[op.operand])
-            if op.factor is not None:
-                d += deg[op.factor]
-            deg[op.target] = (d + (op.variable_level is not None)
-                              + (op.coeff_level is not None))
-        return max(deg[self.output], self.min_y_degree)
-
-    @property
-    def live_states(self) -> int:
-        """The most ``(rows, [Z+1,] lanes)`` states the recurrence keeps
-        alive at once, besides a multiply's temporaries — what a fused
-        window's width is budgeted by: a step holds the slots live when it
-        starts, its neighbour sum or accumulator, and the blocks it builds
-        on top — a variable's base block, the shifted sum."""
-        program = self._program()
-        dying = self._releases(program)
-        live = peak = 0
-        for at, op in enumerate(program):
-            if isinstance(op, tuple):
-                live += 1
-                peak = max(peak, live)
-                continue
-            peak = max(peak, live + 1 + (op.variable_level is not None) + op.shift)
-            live += 1 - len(dying[at])
-        return max(peak, 1)
 
     # ---------------------------------------------------------- evaluation
     def recurrence(self) -> Recurrence:
@@ -316,8 +305,7 @@ class MLDCircuit:
         ``yield`` per neighbour sum, each slot released after its last
         read (a summed slot as it is yielded), so the drivers' memory
         stays what the steps need."""
-        program = self._program()
-        dying = self._releases(program)
+        program, dying = self._program, self._releases
         z_max, weighted = self.z_max, self.weights is not None
         shifts = any(s.shift for s in self.steps)
 

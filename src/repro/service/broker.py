@@ -72,6 +72,7 @@ from repro.errors import (
 from repro.obs.metrics import MetricsRegistry, merge_into
 from repro.obs.profile import WallProfiler
 from repro.obs.qtrace import QueryTrace, TraceContext, get_flight_recorder
+from repro.graph.templates import TreeTemplate
 from repro.service.registry import GraphEntry, GraphRegistry
 from repro.util.log import get_logger
 from repro.util.rng import RngStream
@@ -85,7 +86,9 @@ _LOG = get_logger(__name__)
 _UNTRACED = QueryTrace(TraceContext("", ""), enabled=False)
 
 KINDS = ("detect-path", "detect-tree", "scan")
-TEMPLATES = ("path", "star", "binary", "caterpillar")
+#: the tree templates a ``detect-tree`` query may name: name -> factory of k
+TEMPLATES = {"path": TreeTemplate.path, "star": TreeTemplate.star,
+             "binary": TreeTemplate.binary, "caterpillar": TreeTemplate.caterpillar}
 STATISTICS = ("berk-jones", "higher-criticism", "elevated-mean")
 
 
@@ -154,7 +157,7 @@ class QuerySpec:
             raise ConfigurationError(f"eps must be in (0, 1), got {self.eps}")
         if self.kind == "detect-tree" and self.template not in TEMPLATES:
             raise ConfigurationError(
-                f"template must be one of {TEMPLATES}, got {self.template!r}"
+                f"template must be one of {tuple(TEMPLATES)}, got {self.template!r}"
             )
         if self.kind == "scan" and self.statistic not in STATISTICS:
             raise ConfigurationError(
@@ -326,7 +329,6 @@ def execute_query(spec: QuerySpec, entry: GraphEntry,
     CLI for a local run.
     """
     from repro.core.midas import detect_path, detect_tree
-    from repro.graph.templates import TreeTemplate
     from repro.scanstat.detect import AnomalyDetector
     from repro.scanstat.statistics import BerkJones, ElevatedMean, HigherCriticism
 
@@ -339,10 +341,7 @@ def execute_query(spec: QuerySpec, entry: GraphEntry,
         result = _detection_result(raw)
         rounds, virtual = raw.rounds_run, raw.virtual_seconds
     elif spec.kind == "detect-tree":
-        factories = {"path": TreeTemplate.path, "star": TreeTemplate.star,
-                     "binary": TreeTemplate.binary,
-                     "caterpillar": TreeTemplate.caterpillar}
-        tmpl = factories[spec.template](spec.k)
+        tmpl = TEMPLATES[spec.template](spec.k)
         raw = detect_tree(graph, tmpl, eps=spec.eps, rng=rng,
                           runtime=rt, early_exit=spec.early_exit)
         result = _detection_result(raw)

@@ -36,7 +36,7 @@ pytestmark = pytest.mark.smoke
 def served():
     """Base URL of a ``repro serve`` subprocess (ER n=800, process mode)."""
     with repro_serve("--register", "er=er:800:3200:7",
-                     "--mode", "process", "--workers", "2") as (proc, url):
+                     "--mode", "process") as (proc, url):
         yield url
         proc.send_signal(signal.SIGINT)
         try:

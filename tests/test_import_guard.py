@@ -1,9 +1,13 @@
-"""No module of the package imports the ``repro.core.evaluator_*`` shims.
+"""No module of the package imports the ``repro.core.evaluator_*`` shims,
+and the level DP stays written once.
 
 Every problem kind is an :class:`~repro.core.mld.MLDCircuit` builder; the
 four ``evaluator_*`` modules only keep ``benchmarks/ledger/layers.py``
 running until the ledger is re-anchored (ROADMAP item 1), so nothing in
-``src/repro`` may come to depend on them.
+``src/repro`` may come to depend on them.  Nor may a module outside
+:mod:`repro.core.leveldp` sum neighbours itself (``xor_segment_reduce``)
+or draw its own fingerprints (``Fingerprint.draw``): a second level DP
+would need both.
 """
 
 from __future__ import annotations
@@ -15,6 +19,11 @@ import repro
 
 PACKAGE = Path(repro.__file__).parent
 SHIM = "repro.core.evaluator_"
+#: name -> the package modules that may use it
+OWNERS = {
+    "xor_segment_reduce": {"graph/csr.py", "graph/__init__.py", "core/leveldp.py"},
+    "Fingerprint.draw": {"core/problems.py", "runtime/costmodel.py"},
+}
 
 
 def _imports(path: Path):
@@ -41,3 +50,40 @@ def test_the_guard_sees_an_import(tmp_path):
                      "import repro.core.evaluator_tree\n")
     assert sorted(n for n in _imports(probe) if n.startswith(SHIM)) == [
         "repro.core.evaluator_path", "repro.core.evaluator_tree"]
+
+
+def _uses(path: Path):
+    """The :data:`OWNERS` names ``path`` references: ``xor_segment_reduce``
+    by any name, import or attribute, ``Fingerprint.draw`` by a call."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "xor_segment_reduce":
+            yield node.id
+        elif isinstance(node, ast.Attribute) and node.attr == "xor_segment_reduce":
+            yield node.attr
+        elif isinstance(node, ast.alias) and node.name == "xor_segment_reduce":
+            yield node.name
+        elif (isinstance(node, ast.Call)
+              and ast.unparse(node.func).split(".")[-2:] == ["Fingerprint", "draw"]):
+            yield "Fingerprint.draw"
+
+
+def test_the_level_dp_is_written_once():
+    offenders = sorted(
+        f"{rel}: {name}"
+        for path in PACKAGE.rglob("*.py")
+        for rel in [path.relative_to(PACKAGE).as_posix()]
+        for name in set(_uses(path)) if rel not in OWNERS[name])
+    assert not offenders, offenders
+
+
+def test_the_guard_sees_a_level_dp(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from repro.graph.csr import xor_segment_reduce\n"
+                     "import repro.graph.csr as csr\n"
+                     "from repro.ff import fingerprint\n"
+                     "s = csr.xor_segment_reduce(a, b)\n"
+                     "fp = Fingerprint.draw(n, k, rng)\n"
+                     "fp = fingerprint.Fingerprint.draw(n, k, rng)\n")
+    assert sorted(_uses(probe)) == ["Fingerprint.draw", "Fingerprint.draw",
+                                    "xor_segment_reduce", "xor_segment_reduce"]
