@@ -197,7 +197,7 @@ def _runtime(args):
     live = rt.get_live()
     if live is not None and live.port is not None:
         print(f"live telemetry: http://127.0.0.1:{live.port} "
-              f"(/metrics /status /healthz)")
+              f"(/metrics /status /healthz)", flush=True)
     return rt
 
 

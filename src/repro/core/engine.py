@@ -449,9 +449,8 @@ class MidasRuntime:
 
 def _reduce_cost(rt: MidasRuntime, nbytes: int) -> float:
     cluster = rt.get_cluster()
-    return cluster.cost_model(min(rt.n_processors, cluster.total_cores)).collective(
-        "allreduce", rt.n_processors, nbytes
-    )
+    cost_model = cluster.cost_model(min(rt.n_processors, cluster.total_cores))
+    return cost_model.allreduce_cost(rt.n_processors, nbytes)
 
 
 class _FaultContext:

@@ -222,9 +222,7 @@ def estimate_runtime(
         rounds = rounds_for_epsilon(eps)
 
     # --- final reduce (across all N processors, once per round) ------------
-    reduce_seconds = cost_model.collective(
-        "allreduce", schedule.n_processors, 8 * z_axis
-    )
+    reduce_seconds = cost_model.allreduce_cost(schedule.n_processors, 8 * z_axis)
 
     round_seconds = schedule.n_batches * phase_seconds + reduce_seconds
     total = rounds * round_seconds

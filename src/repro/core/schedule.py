@@ -35,6 +35,10 @@ from repro.errors import ConfigurationError
 from repro.util.validation import check_positive_int, check_probability
 
 
+#: the largest ``k`` a schedule (and so any query) accepts: ``2^k`` iterations
+MAX_K = 30
+
+
 def pow2_floor(n: int) -> int:
     """The largest power of two ``<= n`` (``n >= 1``).
 
@@ -110,8 +114,10 @@ class PhaseSchedule:
         check_positive_int(self.n_processors, "n_processors")
         check_positive_int(self.n1, "n1")
         check_positive_int(self.n2, "n2")
-        if self.k > 30:
-            raise ConfigurationError(f"k={self.k} implies 2^{self.k} iterations; k <= 30 supported")
+        if self.k > MAX_K:
+            raise ConfigurationError(
+                f"k={self.k} implies 2^{self.k} iterations; k <= {MAX_K} supported"
+            )
         if self.n1 > self.n_processors:
             raise ConfigurationError(
                 f"N1 (={self.n1}) cannot exceed N (={self.n_processors})"

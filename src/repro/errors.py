@@ -70,23 +70,6 @@ class RankFailedError(FaultInjectedError):
         self.lost_messages = tuple(lost_messages)
 
 
-class TimeoutExpired(FaultInjectedError):
-    """A ``Recv(timeout=...)`` expired before a matching message arrived.
-
-    Delivered *into* the waiting rank program (via ``generator.throw``) so
-    programs can catch it and take a recovery path; uncaught, it aborts the
-    simulated run.  ``rank`` is the waiting rank, ``src``/``tag`` the
-    receive it was blocked on, ``deadline`` the virtual time at expiry.
-    """
-
-    def __init__(self, message: str, rank=None, src=None, tag=None, deadline=None):
-        super().__init__(message)
-        self.rank = rank
-        self.src = src
-        self.tag = tag
-        self.deadline = deadline
-
-
 class SendFailedError(FaultInjectedError):
     """A transient injected failure of a ``Send``; retrying may succeed.
 

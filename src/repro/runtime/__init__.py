@@ -22,18 +22,7 @@ subpackage substitutes an in-process simulator:
   degrades gracefully instead of dying silently.
 """
 
-from repro.runtime.comm import (
-    AllReduce,
-    Barrier,
-    Bcast,
-    Charge,
-    Gather,
-    Irecv,
-    Recv,
-    Reduce,
-    Send,
-    Wait,
-)
+from repro.runtime.comm import AllReduce, Charge, Irecv, Recv, Send, Wait
 from repro.runtime.cluster import VirtualCluster, juliet, shadowfax, laptop
 from repro.runtime.costmodel import CostModel, KernelCalibration, MachineSpec
 from repro.runtime.durable import (
@@ -56,13 +45,9 @@ from repro.runtime.tracing import Scope, TraceEvent, TraceRecorder, TraceSummary
 
 __all__ = [
     "AllReduce",
-    "Barrier",
-    "Bcast",
     "Charge",
-    "Gather",
     "Irecv",
     "Recv",
-    "Reduce",
     "Send",
     "Wait",
     "CheckpointManager",

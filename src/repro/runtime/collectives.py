@@ -1,15 +1,15 @@
 """Algorithmic collectives implemented as rank-program fragments.
 
-The :class:`~repro.runtime.scheduler.Simulator`'s built-in collectives
-(:class:`~repro.runtime.comm.AllReduce` etc.) are *magic*: they combine
-values centrally and charge a closed-form log-tree cost.  The generators
-here implement the same collectives **out of point-to-point messages**, the
-way an MPI library does, so that
+The :class:`~repro.runtime.scheduler.Simulator`'s built-in
+:class:`~repro.runtime.comm.AllReduce` is *magic*: it combines values
+centrally and charges a closed-form log-tree cost.  The generators here
+implement the same all-reduce **out of point-to-point messages**, the way
+an MPI library does, so that
 
-* the simulator's collective cost model can be validated against an
-  actual message-level execution (tests assert the magic cost is within a
-  small factor of the ring/recursive-doubling makespans), and
-* experiments can study collective-algorithm choice (ring vs recursive
+* the simulator's all-reduce cost can be validated against an actual
+  message-level execution (tests assert the magic cost is within a small
+  factor of the ring/recursive-doubling makespans), and
+* experiments can study all-reduce algorithm choice (ring vs recursive
   doubling) under the same cost model MIDAS runs on.
 
 All fragments are used with ``yield from`` inside a rank program::
@@ -28,11 +28,6 @@ from typing import Any
 from repro.errors import ConfigurationError
 from repro.runtime.comm import Recv, Send, resolve_reducer
 from repro.runtime.scheduler import RankContext
-
-
-def _combine(reducer, a, b):
-    out = reducer(a, b)
-    return out
 
 
 def ring_allreduce(ctx: RankContext, value: Any, op="xor", tag="ring-ar"):
@@ -58,7 +53,7 @@ def ring_allreduce(ctx: RankContext, value: Any, op="xor", tag="ring-ar"):
     for step in range(p - 1):
         yield Send(nxt, (tag, step), travelling)
         travelling = yield Recv(prv, (tag, step))
-        acc = _combine(reducer, acc, travelling)
+        acc = reducer(acc, travelling)
     return acc
 
 
@@ -84,81 +79,7 @@ def recursive_doubling_allreduce(ctx: RankContext, value: Any, op="xor", tag="rd
         peer = ctx.rank ^ dist
         yield Send(peer, (tag, step), acc)
         other = yield Recv(peer, (tag, step))
-        acc = _combine(reducer, acc, other)
+        acc = reducer(acc, other)
         dist <<= 1
         step += 1
     return acc
-
-
-def binomial_bcast(ctx: RankContext, value: Any, root: int = 0, tag="bin-bc"):
-    """Broadcast via a binomial tree: ``ceil(log2 P)`` rounds.
-
-    Rank ids are rotated so any root works; each holder doubles the set of
-    informed ranks per round.
-    """
-    p = ctx.nranks
-    if not (0 <= root < p):
-        raise ConfigurationError(f"root {root} out of range")
-    if ctx.tracer is not None:
-        ctx.annotate("binomial-bcast")
-    vrank = (ctx.rank - root) % p
-    have = vrank == 0
-    data = value if have else None
-    dist = 1
-    while dist < p:
-        # ranks [0, dist) are informed; each sends to its +dist partner,
-        # doubling the informed set per round
-        if have and vrank < dist and vrank + dist < p:
-            dest = (vrank + dist + root) % p
-            yield Send(dest, (tag, dist), data)
-        elif not have and dist <= vrank < 2 * dist:
-            src = (vrank - dist + root) % p
-            data = yield Recv(src, (tag, dist))
-            have = True
-        dist <<= 1
-    return data
-
-
-def ring_allgather(ctx: RankContext, value: Any, tag="ring-ag"):
-    """All-gather via a ring: after ``P - 1`` shifts every rank holds the
-    rank-ordered list of all values.
-
-    The building block of the bandwidth-optimal allreduce family; returned
-    list index ``r`` is rank ``r``'s contribution.
-    """
-    p = ctx.nranks
-    out = [None] * p
-    out[ctx.rank] = value
-    if p == 1:
-        return out
-    if ctx.tracer is not None:
-        ctx.annotate("ring-allgather")
-    nxt = (ctx.rank + 1) % p
-    prv = (ctx.rank - 1) % p
-    travelling = (ctx.rank, value)
-    for step in range(p - 1):
-        yield Send(nxt, (tag, step), travelling)
-        travelling = yield Recv(prv, (tag, step))
-        src, val = travelling
-        out[src] = val
-    return out
-
-
-def gather_to_root(ctx: RankContext, value: Any, root: int = 0, tag="lin-ga"):
-    """Linear gather: everyone sends to root; root returns the rank-ordered
-    list, others return None.  The simplest (and latency-worst) gather —
-    the baseline the tree-based magic collective is compared against."""
-    p = ctx.nranks
-    if not (0 <= root < p):
-        raise ConfigurationError(f"root {root} out of range")
-    if ctx.tracer is not None:
-        ctx.annotate("linear-gather")
-    if ctx.rank == root:
-        out = [None] * p
-        out[root] = value
-        for r in range(p):
-            if r != root:
-                out[r] = yield Recv(r, (tag, r))
-        return out
-    yield Send(root, (tag, ctx.rank), value)
-    return None

@@ -2,8 +2,10 @@
 
 A *rank program* is a generator: between yields it runs real (numpy)
 computation; each yield hands the scheduler one of the ops below.  This is
-the buffer-discipline subset of MPI the MIDAS algorithms need — eager
-point-to-point sends plus the collectives of Algorithm 2 (barrier, reduce).
+the buffer-discipline subset of MPI that paper Algorithm 2's rank program
+(:func:`repro.core.leveldp.phase_program`) speaks — eager point-to-point
+sends and (nonblocking) receives for the halo exchange, and one XOR
+all-reduce per round — plus :class:`Charge` for modeled compute.
 
 Payload sizes are accounted explicitly: ``nbytes=None`` lets the op infer
 the size from numpy arrays (``arr.nbytes``), matching the guide's advice to
@@ -12,7 +14,7 @@ communicate buffers, not pickles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Optional, Union
 
 import numpy as np
@@ -50,7 +52,6 @@ class Send(Op):
     tag: Hashable
     payload: Any
     nbytes: Optional[int] = None
-    copy: bool = True
 
     def wire_bytes(self) -> int:
         return self.nbytes if self.nbytes is not None else payload_nbytes(self.payload)
@@ -58,18 +59,10 @@ class Send(Op):
 
 @dataclass
 class Recv(Op):
-    """Blocking receive of a message with matching (src, tag).
-
-    ``timeout`` (virtual seconds, ``None`` = wait forever) lets a program
-    detect message loss instead of deadlocking: when no matching message
-    can arrive by ``clock + timeout``, the scheduler raises
-    :class:`~repro.errors.TimeoutExpired` *into* the program at this
-    yield point — catch it to take a recovery path.
-    """
+    """Blocking receive of a message with matching (src, tag)."""
 
     src: int
     tag: Hashable
-    timeout: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -98,20 +91,9 @@ class Irecv(Op):
 
 @dataclass
 class Wait(Op):
-    """Complete a posted :class:`Irecv`; blocks until the message arrives.
-
-    ``timeout`` behaves exactly like :class:`Recv`'s: virtual seconds
-    after which :class:`~repro.errors.TimeoutExpired` is thrown into the
-    program instead of waiting forever.
-    """
+    """Complete a posted :class:`Irecv`; blocks until the message arrives."""
 
     request: RecvRequest
-    timeout: Optional[float] = None
-
-
-@dataclass
-class Barrier(Op):
-    """Synchronize all ranks (MPIBARRIER in Algorithms 2-5)."""
 
 
 @dataclass
@@ -124,43 +106,6 @@ class AllReduce(Op):
 
     value: Any
     op: ReduceOp = "xor"
-    nbytes: Optional[int] = None
-
-    def wire_bytes(self) -> int:
-        return self.nbytes if self.nbytes is not None else payload_nbytes(self.value)
-
-
-@dataclass
-class Reduce(Op):
-    """Combine a value across all ranks onto ``root`` (others get None)."""
-
-    value: Any
-    op: ReduceOp = "xor"
-    root: int = 0
-    nbytes: Optional[int] = None
-
-    def wire_bytes(self) -> int:
-        return self.nbytes if self.nbytes is not None else payload_nbytes(self.value)
-
-
-@dataclass
-class Bcast(Op):
-    """Broadcast ``value`` from ``root`` to everyone (value ignored elsewhere)."""
-
-    value: Any = None
-    root: int = 0
-    nbytes: Optional[int] = None
-
-    def wire_bytes(self) -> int:
-        return self.nbytes if self.nbytes is not None else payload_nbytes(self.value)
-
-
-@dataclass
-class Gather(Op):
-    """Gather one value per rank to ``root`` (list in rank order; None elsewhere)."""
-
-    value: Any
-    root: int = 0
     nbytes: Optional[int] = None
 
     def wire_bytes(self) -> int:

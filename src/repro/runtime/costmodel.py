@@ -117,15 +117,12 @@ class CostModel:
         """Sender-side occupancy of an eager send (injection cost)."""
         return self.send_cost(src, dst, nbytes)[1]
 
-    def collective(self, kind: str, nranks: int, nbytes: int) -> float:
-        """Seconds for a tree-based collective over ``nranks`` ranks."""
+    def allreduce_cost(self, nranks: int, nbytes: int) -> float:
+        """Seconds for a tree all-reduce of ``nbytes`` over ``nranks``
+        ranks: ``ceil(log2 P)`` alpha–beta steps."""
         if nranks <= 1:
             return 0.0
-        steps = math.ceil(math.log2(nranks))
-        per = self.spec.alpha + nbytes * self.spec.beta
-        if kind == "barrier":
-            per = self.spec.alpha
-        return steps * per
+        return math.ceil(math.log2(nranks)) * (self.spec.alpha + nbytes * self.spec.beta)
 
 
 def _level_step(graph, fp, n2: int):

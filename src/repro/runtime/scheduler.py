@@ -4,8 +4,9 @@ Runs ``N`` *rank programs* — generator functions over a :class:`RankContext`
 — with real message delivery and virtual clocks:
 
 * scheduling is deterministic round-robin: each rank runs until it blocks
-  (on a ``Recv`` with no matching message, or on a collective), so a given
-  program produces the same transcript on every run;
+  (on a ``Recv``/``Wait`` with no matching message, or in the
+  ``AllReduce``), so a given program produces the same transcript on
+  every run;
 * compute segments (the Python/numpy work between two yields) are measured
   with ``perf_counter`` and charged to the rank's virtual clock scaled by
   the machine's ``c_scale`` (programs can instead/additionally yield
@@ -13,16 +14,14 @@ Runs ``N`` *rank programs* — generator functions over a :class:`RankContext`
 * communication advances clocks per the :class:`~repro.runtime.costmodel.
   CostModel`: eager sends cost the sender an injection overhead and arrive
   at ``sender_clock + alpha + bytes*beta``; receives wait for the arrival
-  timestamp; collectives synchronize everyone to the max clock plus a
+  timestamp; an all-reduce synchronizes everyone to the max clock plus a
   log-tree cost.
 
 Fault semantics (see :mod:`repro.runtime.faults`): a seeded injector can
 crash ranks at op/time boundaries, drop/duplicate/delay messages, fail
 ``Send`` ops transiently, and slow stragglers.  Crashed ranks stop
-executing; anything waiting on them raises a typed
-:class:`~repro.errors.RankFailedError` rather than hanging, and
-``Recv(timeout=...)`` turns silent message loss into a catchable
-:class:`~repro.errors.TimeoutExpired` thrown into the program.
+executing; anything waiting on them — or on a dropped message — raises a
+typed :class:`~repro.errors.RankFailedError` rather than hanging.
 
 Deadlocks (all live ranks blocked with nothing in flight, and no fault to
 blame) raise :class:`~repro.errors.DeadlockError` with a per-rank
@@ -45,19 +44,13 @@ from repro.errors import (
     RankFailedError,
     RuntimeSimulationError,
     SendFailedError,
-    TimeoutExpired,
 )
 from repro.runtime.comm import (
     AllReduce,
-    Barrier,
-    Bcast,
     Charge,
-    Gather,
     Irecv,
-    Op,
     Recv,
     RecvRequest,
-    Reduce,
     Send,
     Wait,
     resolve_reducer,
@@ -119,7 +112,6 @@ class _RankState:
         "crashed",
         "result",
         "blocked_recv",
-        "recv_deadline",
         "pending_collective",
         "collective_idx",
         "resume_value",
@@ -137,8 +129,7 @@ class _RankState:
         self.crashed = False
         self.result: Any = None
         self.blocked_recv: Optional[Recv] = None
-        self.recv_deadline: Optional[float] = None
-        self.pending_collective: Optional[Op] = None
+        self.pending_collective: Optional[AllReduce] = None
         self.collective_idx = 0
         self.resume_value: Any = None
         self.resume_exception: Optional[BaseException] = None
@@ -174,9 +165,6 @@ class Simulator:
     measure_compute:
         Charge measured wall time (scaled by ``c_scale``) for compute
         segments.  Disable for fully modeled timing via ``Charge`` ops.
-    copy_payloads:
-        Deep-copy message payloads on send (numpy arrays are copied).  The
-        safe default; engines that never mutate buffers can turn it off.
     trace:
         Record a timeline (on by default; cheap).
     faults:
@@ -195,7 +183,6 @@ class Simulator:
         nranks: int,
         cost_model: Optional[CostModel] = None,
         measure_compute: bool = True,
-        copy_payloads: bool = True,
         trace: bool = True,
         faults=None,
         sanitizer=None,
@@ -206,7 +193,6 @@ class Simulator:
         self.nranks = nranks
         self.cost = cost_model if cost_model is not None else CostModel(LAPTOP_NODE)
         self.measure_compute = measure_compute
-        self.copy_payloads = copy_payloads
         self.trace = TraceRecorder(enabled=trace)
         self.faults: Optional[RunInjector] = as_run_injector(faults)
         self.sanitizer = sanitizer
@@ -248,15 +234,7 @@ class Simulator:
                 progressed = True
             unfinished = sum(1 for st in states if not st.finished)
             if not progressed and unfinished > 0:
-                runnable = [
-                    st
-                    for st in states
-                    if not st.finished
-                    and st.blocked_recv is None
-                    and st.pending_collective is None
-                ]
-                if not runnable and not self._fire_earliest_timeout(states):
-                    self._raise_stalled(states)
+                self._raise_stalled(states)
 
         if self.sanitizer is not None:
             fired = self.faults is not None and self.faults.any_fired
@@ -295,7 +273,6 @@ class Simulator:
         st.crashed = True
         st.finished = True
         st.blocked_recv = None
-        st.recv_deadline = None
         st.pending_collective = None
         st.gen.close()
         self.trace.record(st.rank, "fault", st.clock, st.clock, info="crash")
@@ -342,28 +319,18 @@ class Simulator:
                 st.resume_value = RecvRequest(op.src, op.tag)
                 continue
             if isinstance(op, Wait):
-                as_recv = Recv(op.request.src, op.request.tag, timeout=op.timeout)
-                if self._try_recv(st, as_recv):
-                    continue
-                self._block_on_recv(st, as_recv)
-                return
+                op = Recv(op.request.src, op.request.tag)
             if isinstance(op, Recv):
                 if self._try_recv(st, op):
                     continue
-                self._block_on_recv(st, op)
+                st.blocked_recv = op
                 return
-            if isinstance(op, (Barrier, AllReduce, Reduce, Bcast, Gather)):
+            if isinstance(op, AllReduce):
                 st.pending_collective = op
                 return
             raise RuntimeSimulationError(
                 f"rank {st.rank} yielded {op!r}, which is not a communication op"
             )
-
-    def _block_on_recv(self, st: _RankState, op: Recv) -> None:
-        st.blocked_recv = op
-        st.recv_deadline = (
-            st.clock + op.timeout if op.timeout is not None else None
-        )
 
     def _charge_compute(self, st: _RankState, wall: float, c_scale: float) -> None:
         if self.measure_compute and wall > 0:
@@ -390,11 +357,7 @@ class Simulator:
                 return
         nbytes = op.wire_bytes()
         payload = op.payload
-        if self.copy_payloads and op.copy:
-            if isinstance(payload, np.ndarray):
-                payload = payload.copy()
-            else:
-                payload = _copy.deepcopy(payload)
+        payload = payload.copy() if isinstance(payload, np.ndarray) else _copy.deepcopy(payload)
         flight, occupancy = self.cost.send_cost(st.rank, op.dst, nbytes)
         t = st.clock
         arrive = t + flight
@@ -427,27 +390,13 @@ class Simulator:
             if br.src == st.rank and br.tag == op.tag:
                 if self._try_recv(dst, br):
                     dst.blocked_recv = None
-                    dst.recv_deadline = None
 
     def _try_recv(self, st: _RankState, op: Recv) -> bool:
-        """Resolve a receive now: deliver, or schedule a timeout throw.
-
-        Returns True when the rank can resume (with a payload *or* with a
-        pending :class:`TimeoutExpired`), False when it must stay blocked.
-        """
+        """Deliver the first matching message; False when none is queued."""
         q = st.inbox.get((op.src, op.tag))
         if not q:
             return False
-        msg = q[0]
-        deadline = st.recv_deadline
-        if deadline is None and op.timeout is not None:
-            deadline = st.clock + op.timeout
-        if deadline is not None and msg.arrive > deadline:
-            # the message exists but lands after the deadline: time out at
-            # the deadline (deterministic — arrival times are modeled)
-            self._expire_recv(st, op, deadline)
-            return True
-        q.popleft()
+        msg = q.popleft()
         if self.sanitizer is not None and msg.san is not None:
             self.sanitizer.on_deliver(st.rank, msg.san)
         t = st.clock
@@ -464,43 +413,6 @@ class Simulator:
         if self.trace.enabled:
             self.trace.record(st.rank, "recv", st.clock, st.clock, info=f"<-{op.src}")
         st.resume_value = msg.payload
-        st.recv_deadline = None
-        return True
-
-    def _expire_recv(self, st: _RankState, op: Recv, deadline: float) -> None:
-        """Advance to ``deadline`` and arrange a TimeoutExpired throw."""
-        if deadline > st.clock:
-            if self.trace.enabled:
-                self.trace.record(st.rank, "wait", st.clock, deadline,
-                                  info=f"<-{op.src} (timeout)")
-            st.clock = deadline
-        self.trace.record(st.rank, "fault", st.clock, st.clock,
-                          info=f"timeout<-{op.src}")
-        st.resume_exception = TimeoutExpired(
-            f"rank {st.rank}: Recv(src={op.src}, tag={op.tag!r}) timed out "
-            f"at t={deadline:.6g}",
-            rank=st.rank, src=op.src, tag=op.tag, deadline=deadline,
-        )
-        st.recv_deadline = None
-
-    def _fire_earliest_timeout(self, states: List[_RankState]) -> bool:
-        """At a stall, expire the earliest timed-out Recv (if any).
-
-        Virtual time only advances through modeled events, so a blocked
-        ``Recv(timeout=...)`` whose message will never come expires when
-        the simulation can make no other progress — the deterministic
-        analogue of "the timeout fires while everyone else idles".
-        """
-        timed = [
-            st for st in states
-            if st.blocked_recv is not None and st.recv_deadline is not None
-        ]
-        if not timed:
-            return False
-        st = min(timed, key=lambda s: (s.recv_deadline, s.rank))
-        op = st.blocked_recv
-        st.blocked_recv = None
-        self._expire_recv(st, op, max(st.recv_deadline, st.clock))
         return True
 
     def _try_complete_collective(self, states: List[_RankState]) -> bool:
@@ -513,8 +425,7 @@ class Simulator:
                 crashed = [st.rank for st in states if st.crashed]
                 if crashed:
                     raise RankFailedError(
-                        f"collective {type(pend[0].pending_collective).__name__} "
-                        f"involves crashed rank(s) {crashed}:\n"
+                        f"collective AllReduce involves crashed rank(s) {crashed}:\n"
                         + self._diagnose(states),
                         ranks=crashed,
                     )
@@ -528,66 +439,16 @@ class Simulator:
                 self._raise_deadlock(states)
             return False
         ops = [st.pending_collective for st in states]
-        idx0 = states[0].collective_idx
-        if any(st.collective_idx != idx0 for st in states):
-            raise RuntimeSimulationError(
-                "ranks disagree on collective call count: "
-                + ", ".join(f"rank {st.rank}: {st.collective_idx}" for st in states)
-            )
-        kind = type(ops[0])
-        if any(type(o) is not kind for o in ops):
-            raise RuntimeSimulationError(
-                f"mismatched collective types at call #{idx0}: "
-                f"{sorted({type(o).__name__ for o in ops})}"
-            )
         t_sync = max(st.clock for st in states)
-        nbytes = max((o.wire_bytes() for o in ops if hasattr(o, "wire_bytes")), default=0)
-
-        if kind is Barrier:
-            results = [None] * self.nranks
-            cost = self.cost.collective("barrier", self.nranks, 0)
-        elif kind is AllReduce or kind is Reduce:
-            reducer = resolve_reducer(ops[0].op)
-            acc = ops[0].value
-            for o in ops[1:]:
-                acc = reducer(acc, o.value)
-            if kind is AllReduce:
-                results = [
-                    acc.copy() if isinstance(acc, np.ndarray) else acc
-                    for _ in range(self.nranks)
-                ]
-                cost = self.cost.collective("allreduce", self.nranks, nbytes)
-            else:
-                root = ops[0].root
-                if any(o.root != root for o in ops):
-                    raise RuntimeSimulationError("mismatched reduce roots")
-                results = [acc if r == root else None for r in range(self.nranks)]
-                cost = self.cost.collective("reduce", self.nranks, nbytes)
-        elif kind is Bcast:
-            root = ops[0].root
-            if any(o.root != root for o in ops):
-                raise RuntimeSimulationError("mismatched bcast roots")
-            val = ops[root].value
-            results = [
-                val.copy() if isinstance(val, np.ndarray) else _copy.deepcopy(val)
-                for _ in range(self.nranks)
-            ]
-            cost = self.cost.collective("bcast", self.nranks, nbytes)
-        elif kind is Gather:
-            root = ops[0].root
-            if any(o.root != root for o in ops):
-                raise RuntimeSimulationError("mismatched gather roots")
-            # copy like Bcast/AllReduce: the root must not alias (and so be
-            # able to mutate) the senders' live buffers
-            gathered = [
-                o.value.copy() if isinstance(o.value, np.ndarray)
-                else _copy.deepcopy(o.value)
-                for o in ops
-            ]
-            results = [gathered if r == root else None for r in range(self.nranks)]
-            cost = self.cost.collective("gather", self.nranks, nbytes)
-        else:  # pragma: no cover - unreachable
-            raise RuntimeSimulationError(f"unhandled collective {kind}")
+        nbytes = max(o.wire_bytes() for o in ops)
+        reducer = resolve_reducer(ops[0].op)
+        acc = ops[0].value
+        for o in ops[1:]:
+            acc = reducer(acc, o.value)
+        # every rank gets its own copy: no rank may alias another's result
+        results = [acc.copy() if isinstance(acc, np.ndarray) else _copy.deepcopy(acc)
+                   for _ in states]
+        cost = self.cost.allreduce_cost(self.nranks, nbytes)
 
         if self.trace.enabled:
             # the join is bound by the latest-entering rank (ties -> lowest)
@@ -598,13 +459,13 @@ class Simulator:
             for st in states:
                 self.trace.record_edge(
                     "collective", latest, t_sync, st.rank, t_sync + cost,
-                    info=kind.__name__,
+                    info="AllReduce",
                 )
         for st, res in zip(states, results):
             if self.trace.enabled:
                 self.trace.record(
                     st.rank, "collective", st.clock, t_sync + cost,
-                    info=kind.__name__, nbytes=nbytes,
+                    info="AllReduce", nbytes=nbytes,
                 )
             st.clock = t_sync + cost
             st.resume_value = res
@@ -624,10 +485,8 @@ class Simulator:
             elif st.blocked_recv is not None:
                 status = (f"blocked on Recv(src={st.blocked_recv.src}, "
                           f"tag={st.blocked_recv.tag!r})")
-                if st.recv_deadline is not None:
-                    status += f" [timeout at t={st.recv_deadline:.6g}]"
             elif st.pending_collective is not None:
-                status = f"waiting in {type(st.pending_collective).__name__}"
+                status = "waiting in AllReduce"
             else:
                 status = "runnable(?)"
             depth = sum(len(q) for q in st.inbox.values())

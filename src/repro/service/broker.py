@@ -63,6 +63,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.engine import MidasRuntime
+from repro.core.schedule import MAX_K
 from repro.errors import (
     ConfigurationError,
     QuotaExceededError,
@@ -151,8 +152,8 @@ class QuerySpec:
             )
         if not isinstance(self.graph, str) or not self.graph:
             raise ConfigurationError("query must name a registered graph")
-        if not (1 <= int(self.k) <= 64):
-            raise ConfigurationError(f"k must be in [1, 64], got {self.k}")
+        if not (1 <= int(self.k) <= MAX_K):
+            raise ConfigurationError(f"k must be in [1, {MAX_K}], got {self.k}")
         if not (0.0 < float(self.eps) < 1.0):
             raise ConfigurationError(f"eps must be in (0, 1), got {self.eps}")
         if self.kind == "detect-tree" and self.template not in TEMPLATES:

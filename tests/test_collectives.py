@@ -6,13 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.runtime.collectives import (
-    binomial_bcast,
-    gather_to_root,
-    recursive_doubling_allreduce,
-    ring_allgather,
-    ring_allreduce,
-)
+from repro.runtime.collectives import recursive_doubling_allreduce, ring_allreduce
 from repro.runtime.comm import AllReduce
 from repro.runtime.costmodel import CostModel, LAPTOP_NODE
 from repro.runtime.scheduler import Simulator
@@ -93,38 +87,6 @@ class TestRecursiveDoubling:
         assert t_rd < t_ring
 
 
-class TestBinomialBcast:
-    @pytest.mark.parametrize("p,root", [(1, 0), (2, 1), (5, 2), (8, 0), (8, 7)])
-    def test_all_receive(self, p, root):
-        def prog(ctx):
-            v = "payload" if ctx.rank == root else None
-            out = yield from binomial_bcast(ctx, v, root=root)
-            return out
-
-        res = run(p, prog)
-        assert res.results == ["payload"] * p
-
-    def test_bad_root(self):
-        def prog(ctx):
-            out = yield from binomial_bcast(ctx, 1, root=9)
-            return out
-
-        with pytest.raises(ConfigurationError):
-            run(2, prog)
-
-
-class TestRingAllgather:
-    @pytest.mark.parametrize("p", [1, 2, 3, 6])
-    def test_rank_ordered(self, p):
-        def prog(ctx):
-            out = yield from ring_allgather(ctx, f"v{ctx.rank}")
-            return out
-
-        res = run(p, prog)
-        expected = [f"v{r}" for r in range(p)]
-        assert all(r == expected for r in res.results)
-
-
 class TestPropertyFuzz:
     @given(
         st.integers(min_value=1, max_value=8),
@@ -165,17 +127,6 @@ class TestPropertyFuzz:
             return out
 
         assert run(p, ring_prog).results == run(p, rd_prog).results
-
-
-class TestGather:
-    def test_rank_order(self):
-        def prog(ctx):
-            out = yield from gather_to_root(ctx, ctx.rank * 11, root=1)
-            return out
-
-        res = run(4, prog)
-        assert res.results[1] == [0, 11, 22, 33]
-        assert res.results[0] is None
 
 
 class TestMagicCollectiveCostValidation:

@@ -41,10 +41,10 @@ class TestCostModel:
 
     def test_collective_log_scaling(self):
         cm = CostModel(LAPTOP_NODE)
-        t4 = cm.collective("allreduce", 4, 100)
-        t64 = cm.collective("allreduce", 64, 100)
+        t4 = cm.allreduce_cost(4, 100)
+        t64 = cm.allreduce_cost(64, 100)
         assert t64 == pytest.approx(3 * t4)  # log2 64 / log2 4
-        assert cm.collective("barrier", 1, 0) == 0.0
+        assert cm.allreduce_cost(1, 0) == 0.0
 
 
 class TestKernelCalibration:

@@ -11,9 +11,8 @@ from repro.errors import (
     FaultInjectedError,
     RankFailedError,
     SendFailedError,
-    TimeoutExpired,
 )
-from repro.runtime.comm import AllReduce, Barrier, Charge, Recv, Send
+from repro.runtime.comm import AllReduce, Charge, Recv, Send
 from repro.runtime.faults import (
     FaultInjector,
     FaultPlan,
@@ -126,7 +125,7 @@ class TestCrashInjection:
     def test_crash_at_virtual_time(self):
         def prog(ctx):
             yield Charge(1e-3)
-            yield Barrier()
+            yield AllReduce(1, op="sum")
             return "ok"
 
         plan = FaultPlan([crash(rank=0, at_time=5e-4)], seed=0)
@@ -175,27 +174,6 @@ class TestDropInjection:
         with pytest.raises(RankFailedError) as ei:
             Simulator(2, trace=False, faults=plan).run(_ring_prog)
         assert (0, 1, "ring") in ei.value.lost_messages
-
-    def test_drop_with_timeout_is_catchable(self):
-        """Recv(timeout=...) turns the silent loss into a program-level
-        TimeoutExpired the rank can recover from."""
-
-        def prog(ctx):
-            if ctx.rank == 0:
-                yield Send(1, "m", 42)
-                return None
-            try:
-                got = yield Recv(0, "m", timeout=1e-3)
-            except TimeoutExpired as exc:
-                assert exc.rank == 1 and exc.src == 0
-                got = -1
-            return got
-
-        plan = FaultPlan([drop(src=0, dst=1)], seed=0)
-        res = Simulator(2, trace=False, faults=plan).run(prog)
-        assert res.results[1] == -1
-        # and the timeout deadline advanced the receiver's clock
-        assert res.clocks[1] >= 1e-3
 
     def test_duplicate_delivers_twice(self):
         def prog(ctx):
@@ -247,13 +225,13 @@ class TestStragglerInjection:
     def test_straggler_scales_charged_compute(self):
         def prog(ctx):
             yield Charge(1e-3)
-            yield Barrier()
+            yield AllReduce(0, op="sum")
             return None
 
         plan = FaultPlan([straggler(rank=1, factor=4.0)], seed=0)
         res = Simulator(2, trace=False, measure_compute=False,
                         faults=plan).run(prog)
-        # the barrier syncs both ranks to the straggler's clock
+        # the all-reduce syncs both ranks to the straggler's clock
         assert res.makespan == pytest.approx(4e-3, rel=0.2)
 
 
@@ -294,37 +272,3 @@ class TestDeterminism:
         res = Simulator(2, trace=False, faults=inj.for_run("a1")).run(_ring_prog)
         assert res.crashed_ranks == ()
         assert inj.exhausted()
-
-
-class TestRecvTimeout:
-    def test_timeout_without_faults(self):
-        """Recv(timeout) works on a perfect machine too — no sender at all."""
-
-        def prog(ctx):
-            note = "done"
-            if ctx.rank == 1:
-                try:
-                    yield Recv(0, "never", timeout=2e-3)
-                except TimeoutExpired as exc:
-                    note = ("timeout", exc.deadline)
-            yield Barrier()
-            return note
-
-        # rank 1 recovers from the timeout and joins the barrier
-        res = Simulator(2, trace=False).run(prog)
-        assert res.results[1][0] == "timeout"
-        assert res.results[0] == "done"
-
-    def test_late_message_times_out_deterministically(self):
-        def prog(ctx):
-            if ctx.rank == 0:
-                yield Charge(1.0)  # message leaves after the deadline
-                yield Send(1, "m", 5)
-                return None
-            try:
-                return (yield Recv(0, "m", timeout=1e-3))
-            except TimeoutExpired:
-                return "late"
-
-        res = Simulator(2, trace=False, measure_compute=False).run(prog)
-        assert res.results[1] == "late"

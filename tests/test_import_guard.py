@@ -7,7 +7,8 @@ running until the ledger is re-anchored (ROADMAP item 1), so nothing in
 ``src/repro`` may come to depend on them.  Nor may a module outside
 :mod:`repro.core.leveldp` sum neighbours itself (``xor_segment_reduce``)
 or draw its own fingerprints (``Fingerprint.draw``): a second level DP
-would need both.
+would need both.  Nor may the simulator grow an op its one rank program,
+:func:`~repro.core.leveldp.phase_program`, never yields.
 """
 
 from __future__ import annotations
@@ -16,6 +17,15 @@ import ast
 from pathlib import Path
 
 import repro
+from repro.core.halo import build_halo_views
+from repro.core.leveldp import phase_program
+from repro.core.mld import MLDCircuit
+from repro.ff.fingerprint import Fingerprint
+from repro.graph.generators import erdos_renyi
+from repro.graph.partition import random_partition
+from repro.runtime import comm
+from repro.runtime.scheduler import Simulator
+from repro.util.rng import RngStream
 
 PACKAGE = Path(repro.__file__).parent
 SHIM = "repro.core.evaluator_"
@@ -75,6 +85,38 @@ def test_the_level_dp_is_written_once():
         for rel in [path.relative_to(PACKAGE).as_posix()]
         for name in set(_uses(path)) if rel not in OWNERS[name])
     assert not offenders, offenders
+
+
+def _spoken_ops(overlapped: bool):
+    """The op classes :func:`phase_program` yields on four simulated ranks."""
+    g = erdos_renyi(40, m=100, rng=RngStream(10))
+    fp = Fingerprint.draw(g.n, 4, RngStream(11))
+    views = build_halo_views(g, random_partition(g, 4, rng=RngStream(12)))
+    program = phase_program(views, MLDCircuit.k_path(4).recurrence(), fp, 0, 8,
+                            overlapped=overlapped)
+    spoken = set()
+
+    def recording(ctx):
+        gen, value = program(ctx), None
+        while True:
+            try:
+                op = gen.send(value)
+            except StopIteration as stop:
+                return stop.value
+            spoken.add(type(op))
+            value = yield op
+
+    Simulator(4, trace=False).run(recording)
+    return spoken
+
+
+def test_the_simulator_speaks_only_the_rank_programs_ops():
+    """Every op class is one the rank program yields, blocking or
+    overlapped, or :class:`~repro.runtime.comm.Charge`, its modeled
+    compute charge."""
+    ops = {cls for cls in vars(comm).values()
+           if isinstance(cls, type) and issubclass(cls, comm.Op) and cls is not comm.Op}
+    assert ops == _spoken_ops(False) | _spoken_ops(True) | {comm.Charge}
 
 
 def test_the_guard_sees_a_level_dp(tmp_path):

@@ -4,26 +4,18 @@ faults are never misreported as program bugs."""
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 import pytest
 
 from repro.core.engine import MidasRuntime
 from repro.core.midas import detect_path
-from repro.errors import ConfigurationError, SanitizerError
+from repro.errors import ConfigurationError, RankFailedError, SanitizerError
 from repro.graph.generators import erdos_renyi
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import RunReport
-from repro.runtime.comm import (
-    AllReduce,
-    Barrier,
-    Bcast,
-    Gather,
-    Irecv,
-    Recv,
-    Reduce,
-    Send,
-    Wait,
-)
+from repro.runtime.comm import AllReduce, Irecv, Recv, Send, Wait
 from repro.runtime.faults import FaultPlan, FaultSpec
 from repro.runtime.scheduler import Simulator
 from repro.sanitize import CommSanitizer, SanitizerReport
@@ -53,7 +45,7 @@ class TestCleanPrograms:
             elif ctx.rank == 1:
                 v = yield Recv(0, "x")
                 assert (v == np.arange(5)).all()
-            yield Barrier()
+            yield AllReduce(0, op="sum")
             total = yield AllReduce(ctx.rank, op="sum")
             assert total == 1
 
@@ -66,10 +58,10 @@ class TestCleanPrograms:
         def prog(ctx):
             if ctx.rank == 0:
                 yield Send(1, 5, 42)
-                yield Barrier()
+                yield AllReduce(0, op="sum")
             else:
                 req = yield Irecv(0, 5)
-                yield Barrier()
+                yield AllReduce(0, op="sum")
                 v = yield Wait(req)
                 assert v == 42
 
@@ -146,7 +138,7 @@ class TestViolations:
         def prog(ctx):
             if ctx.rank == 1:
                 yield Irecv(0, 999)
-            yield Barrier()
+            yield AllReduce(0, op="sum")
 
         with pytest.raises(SanitizerError) as ei:
             run_strict(prog)
@@ -158,7 +150,7 @@ class TestViolations:
         def prog(ctx):
             if ctx.rank == 0:
                 yield Send(1, 777, 7)
-            yield Barrier()
+            yield AllReduce(0, op="sum")
 
         with pytest.raises(SanitizerError) as ei:
             run_strict(prog)
@@ -167,15 +159,15 @@ class TestViolations:
         assert ei.value.tag == 777
 
     def test_collective_type_divergence(self):
+        """One rank reduces a scalar, the other an array."""
+
         def prog(ctx):
-            if ctx.rank == 0:
-                yield Barrier()
-            else:
-                yield AllReduce(1, op="sum")
+            yield AllReduce(1 if ctx.rank == 0 else np.ones(1, np.uint64), op="xor")
 
         with pytest.raises(SanitizerError) as ei:
             run_strict(prog)
         assert ei.value.kind == "collective-divergence"
+        assert "scalar" in str(ei.value) and "ndarray" in str(ei.value)
 
     def test_collective_reducer_divergence(self):
         def prog(ctx):
@@ -185,14 +177,6 @@ class TestViolations:
             run_strict(prog)
         assert ei.value.kind == "collective-divergence"
         assert "sum" in str(ei.value) and "xor" in str(ei.value)
-
-    def test_collective_root_divergence(self):
-        def prog(ctx):
-            yield Bcast(5 if ctx.rank == 0 else None, root=ctx.rank % 2)
-
-        with pytest.raises(SanitizerError) as ei:
-            run_strict(prog)
-        assert ei.value.kind == "collective-divergence"
 
     def test_collective_shape_divergence(self):
         def prog(ctx):
@@ -207,7 +191,7 @@ class TestViolations:
         def prog(ctx):
             if ctx.rank == 0:
                 return
-            yield Barrier()
+            yield AllReduce(0, op="sum")
 
         with pytest.raises(SanitizerError) as ei:
             run_strict(prog)
@@ -220,9 +204,9 @@ class TestViolations:
             if ctx.rank == 0:
                 yield Send(1, "m", buf)
                 buf[3] = 99  # mutate before the receiver runs
-                yield Barrier()
+                yield AllReduce(0, op="sum")
             else:
-                yield Barrier()
+                yield AllReduce(0, op="sum")
                 yield Recv(0, "m")
 
         with pytest.raises(SanitizerError) as ei:
@@ -236,9 +220,9 @@ class TestViolations:
             if ctx.rank == 0:
                 yield Send(1, "m", buf)
                 buf[0][0] = 5
-                yield Barrier()
+                yield AllReduce(0, op="sum")
             else:
-                yield Barrier()
+                yield AllReduce(0, op="sum")
                 yield Recv(0, "m")
 
         with pytest.raises(SanitizerError) as ei:
@@ -246,26 +230,20 @@ class TestViolations:
         assert ei.value.kind == "send-buffer-mutation"
 
     def test_reduce_reducer_divergence(self):
+        """Callable reducers diverge by name, like the built-in ones."""
+
         def prog(ctx):
-            yield Reduce(1, root=0, op="sum" if ctx.rank == 0 else "max")
+            yield AllReduce(1, op=operator.add if ctx.rank == 0 else max)
 
         with pytest.raises(SanitizerError) as ei:
             run_strict(prog)
         assert ei.value.kind == "collective-divergence"
+        assert "callable:add" in str(ei.value) and "callable:max" in str(ei.value)
 
     def test_reduce_matching_is_clean(self):
         def prog(ctx):
-            total = yield Reduce(ctx.rank + 1, root=0, op="sum")
-            if ctx.rank == 0:
-                assert total == 3
-
-        assert run_strict(prog).clean
-
-    def test_gather_roots_must_agree_but_values_may_differ(self):
-        def prog(ctx):
-            out = yield Gather(np.arange(ctx.rank + 1), root=0)
-            if ctx.rank == 0:
-                assert len(out) == 2
+            total = yield AllReduce(ctx.rank + 1, op="sum")
+            assert total == 3
 
         assert run_strict(prog).clean
 
@@ -277,7 +255,7 @@ class TestWarnMode:
             yield Send(ctx.rank, "a", 1)  # self-send on every rank
             if ctx.rank == 0:
                 yield Send(1, "b", 2)  # never received
-            yield Barrier()
+            yield AllReduce(0, op="sum")
 
         rep = run_warn(prog)
         counts = rep.counts()
@@ -315,7 +293,7 @@ class TestWarnMode:
 
     def test_clean_report_text(self):
         def prog(ctx):
-            yield Barrier()
+            yield AllReduce(0, op="sum")
 
         rep = run_warn(prog)
         assert "clean" in rep.text()
@@ -341,13 +319,15 @@ class TestFaultInterplay:
             if ctx.rank == 0:
                 yield Send(1, "t", 5)
             elif ctx.rank == 1:
-                try:
-                    yield Recv(0, "t", timeout=5.0)
-                except Exception:
-                    pass
-            yield Barrier()
+                yield Recv(0, "t")
+            yield AllReduce(0, op="sum")
 
-        assert run_strict(prog, faults=plan).clean
+        # the lost message stalls the run: a fault, not a program bug
+        san = CommSanitizer("strict")
+        with pytest.raises(RankFailedError) as ei:
+            Simulator(2, faults=plan, sanitizer=san).run(prog)
+        assert (0, 1, "t") in ei.value.lost_messages
+        assert san.report.clean
 
     def test_injected_duplicate_not_unmatched(self):
         plan = FaultPlan(
@@ -359,7 +339,7 @@ class TestFaultInterplay:
                 yield Send(1, "t", 5)
             elif ctx.rank == 1:
                 yield Recv(0, "t")
-            yield Barrier()
+            yield AllReduce(0, op="sum")
 
         assert run_strict(prog, faults=plan).clean
 

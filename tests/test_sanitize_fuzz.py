@@ -17,22 +17,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DeadlockError, RuntimeSimulationError, SanitizerError
-from repro.runtime.comm import (
-    AllReduce,
-    Barrier,
-    Bcast,
-    Gather,
-    Irecv,
-    Recv,
-    Send,
-    Wait,
-)
+from repro.runtime.comm import AllReduce, Irecv, Recv, Send, Wait
 from repro.runtime.faults import FaultPlan, FaultSpec
 from repro.runtime.scheduler import Simulator
 from repro.sanitize import CommSanitizer, SanitizerReport
 from repro.sanitize.comm import VIOLATION_KINDS
 
-COLLECTIVES = ("barrier", "allreduce", "bcast", "gather")
+#: the reducers a generated ``AllReduce`` may use
+REDUCERS = ("sum", "max", "xor")
 
 
 # ------------------------------------------------------ program generator
@@ -51,7 +43,7 @@ def spmd_programs(draw):
     for i in range(n_events):
         kind = draw(st.sampled_from(["p2p", "async", "collective"]))
         if kind == "collective":
-            events.append(("collective", draw(st.sampled_from(COLLECTIVES))))
+            events.append(("collective", draw(st.sampled_from(REDUCERS))))
         else:
             src = draw(st.integers(0, nranks - 1))
             dst = (src + draw(st.integers(1, nranks - 1))) % nranks
@@ -101,15 +93,7 @@ def make_program(scripts):
             elif name == "mutrecv":
                 yield Recv(op[1], "mut")
             elif name == "coll":
-                c = op[1]
-                if c == "barrier":
-                    yield Barrier()
-                elif c == "allreduce":
-                    yield AllReduce(ctx.rank + 1, op="sum")
-                elif c == "bcast":
-                    yield Bcast(11 if ctx.rank == 0 else None, root=0)
-                else:
-                    yield Gather(ctx.rank, root=0)
+                yield AllReduce(ctx.rank + 1, op=op[1])
         for req in pending:
             yield Wait(req)
 
@@ -129,13 +113,13 @@ def inject(scripts, kind, a, b):
         scripts[b].append(("dwait", a, "viol"))
     elif kind == "collective-divergence":
         for r in range(len(scripts)):
-            scripts[r].append(("coll", "barrier" if r == a else "allreduce"))
+            scripts[r].append(("coll", "max" if r == a else "sum"))
     elif kind == "send-buffer-mutation":
-        # a sends + mutates before the global barrier; b receives after it,
-        # so the mutation is guaranteed to precede delivery
+        # a sends + mutates before a global all-reduce; b receives after
+        # it, so the mutation is guaranteed to precede delivery
         scripts[a].append(("mutsend", b))
         for r in range(len(scripts)):
-            scripts[r].append(("coll", "barrier"))
+            scripts[r].append(("coll", "sum"))
         scripts[b].append(("mutrecv", a))
     else:  # pragma: no cover - exhaustiveness guard
         raise AssertionError(kind)
@@ -208,8 +192,7 @@ def test_warn_mode_counts_exactly_one_class(program, kind, a_raw, off):
         )
     except (DeadlockError, RuntimeSimulationError):
         # warn mode records the violation but lets the program run on; a
-        # double wait then blocks forever and diverged collectives trip
-        # the simulator's own type check — either way the report stands
+        # double wait then blocks forever — the report stands
         pass
     counts = rep.counts()
     assert counts.get(kind, 0) >= 1

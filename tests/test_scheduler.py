@@ -6,12 +6,8 @@ import pytest
 from repro.errors import DeadlockError, RuntimeSimulationError
 from repro.runtime.comm import (
     AllReduce,
-    Barrier,
-    Bcast,
     Charge,
-    Gather,
     Recv,
-    Reduce,
     Send,
     payload_nbytes,
     resolve_reducer,
@@ -66,9 +62,9 @@ class TestPointToPoint:
             if ctx.rank == 0:
                 yield Send(1, "x", buf)
                 buf[0] = 99  # mutate after send: receiver must not see it
-                yield Barrier()
+                yield AllReduce(0, op="sum")
                 return None
-            yield Barrier()
+            yield AllReduce(0, op="sum")
             got = yield Recv(0, "x")
             return int(got[0])
 
@@ -101,31 +97,6 @@ class TestCollectives:
         res = Simulator(4, trace=False).run(prog)
         assert all(r == (10, 3, 1 ^ 2 ^ 3 ^ 4) for r in res.results)
 
-    def test_reduce_root_only(self):
-        def prog(ctx):
-            v = yield Reduce(ctx.rank, op="sum", root=2)
-            return v
-
-        res = Simulator(4, trace=False).run(prog)
-        assert res.results == [None, None, 6, None]
-
-    def test_bcast(self):
-        def prog(ctx):
-            v = yield Bcast(value=("hi" if ctx.rank == 1 else None), root=1)
-            return v
-
-        res = Simulator(3, trace=False).run(prog)
-        assert res.results == ["hi"] * 3
-
-    def test_gather(self):
-        def prog(ctx):
-            v = yield Gather(ctx.rank * 10, root=0)
-            return v
-
-        res = Simulator(3, trace=False).run(prog)
-        assert res.results[0] == [0, 10, 20]
-        assert res.results[1] is None
-
     def test_allreduce_arrays_xor(self):
         def prog(ctx):
             v = np.full(3, 1 << ctx.rank, dtype=np.uint8)
@@ -133,16 +104,6 @@ class TestCollectives:
 
         res = Simulator(3, trace=False).run(prog)
         assert all(np.all(r == 7) for r in res.results)
-
-    def test_mismatched_collectives_rejected(self):
-        def prog(ctx):
-            if ctx.rank == 0:
-                yield Barrier()
-            else:
-                yield AllReduce(1, op="sum")
-
-        with pytest.raises(RuntimeSimulationError):
-            Simulator(2, trace=False).run(prog)
 
     def test_custom_reducer(self):
         def prog(ctx):
@@ -164,7 +125,7 @@ class TestDeadlocks:
         def prog(ctx):
             if ctx.rank == 0:
                 return None
-            yield Barrier()
+            yield AllReduce(1, op="sum")
 
         with pytest.raises(DeadlockError):
             Simulator(2, trace=False).run(prog)
@@ -197,11 +158,11 @@ class TestVirtualTime:
     def test_collective_synchronizes_clocks(self):
         def prog(ctx):
             yield Charge(float(ctx.rank))  # rank r is r seconds "busy"
-            yield Barrier()
+            yield AllReduce(0, op="sum")
             return None
 
         res = Simulator(4, measure_compute=False, trace=False).run(prog)
-        # all clocks equal after a barrier, at least the max charge
+        # all clocks equal after an all-reduce, at least the max charge
         assert np.allclose(res.clocks, res.clocks[0])
         assert res.clocks[0] >= 3.0
 
@@ -223,7 +184,7 @@ class TestVirtualTime:
     def test_trace_summary(self):
         def prog(ctx):
             yield Charge(0.5)
-            yield Barrier()
+            yield AllReduce(0, op="sum")
             return None
 
         sim = Simulator(2, measure_compute=False, trace=True)

@@ -4,15 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import DeadlockError, RuntimeSimulationError
-from repro.runtime.comm import (
-    AllReduce,
-    Barrier,
-    Bcast,
-    Gather,
-    Recv,
-    Reduce,
-    Send,
-)
+from repro.runtime.comm import AllReduce, Recv, Send
 from repro.runtime.scheduler import Simulator
 
 
@@ -21,7 +13,7 @@ class TestExceptionPropagation:
         def prog(ctx):
             if ctx.rank == 2:
                 raise ValueError("kernel exploded")
-            yield Barrier()
+            yield AllReduce(0, op="sum")
 
         with pytest.raises(ValueError, match="kernel exploded") as ei:
             Simulator(4, trace=False).run(prog)
@@ -45,7 +37,7 @@ class TestExceptionPropagation:
         def prog(ctx):
             if ctx.rank == 0:
                 raise KeyError()
-            yield Barrier()
+            yield AllReduce(0, op="sum")
 
         with pytest.raises(KeyError) as ei:
             Simulator(2, trace=False).run(prog)
@@ -58,7 +50,7 @@ class TestExceptionPropagation:
         def prog(ctx):
             if ctx.rank == 1:
                 raise KeyError(3)
-            yield Barrier()
+            yield AllReduce(0, op="sum")
 
         with pytest.raises(KeyError) as ei:
             Simulator(2, trace=False).run(prog)
@@ -67,11 +59,11 @@ class TestExceptionPropagation:
 
 
 class TestPartialFailures:
-    def test_one_rank_early_return_deadlocks_barrier(self):
+    def test_one_rank_early_return_deadlocks_allreduce(self):
         def prog(ctx):
             if ctx.rank == 0:
                 return "bailed"
-            yield Barrier()
+            yield AllReduce(1, op="sum")
             return "synced"
 
         with pytest.raises(DeadlockError):
@@ -91,53 +83,16 @@ class TestPartialFailures:
 
 
 class TestCollectiveMisuse:
-    def test_mismatched_collective_types(self):
-        def prog(ctx):
-            if ctx.rank == 0:
-                yield Barrier()
-            else:
-                yield AllReduce(np.uint64(1), op="xor", nbytes=8)
-            return None
-
-        with pytest.raises(RuntimeSimulationError, match="mismatched collective types"):
-            Simulator(2, trace=False).run(prog)
-
-    def test_mismatched_reduce_roots(self):
-        def prog(ctx):
-            yield Reduce(np.uint64(ctx.rank), op="sum", root=ctx.rank)
-            return None
-
-        with pytest.raises(RuntimeSimulationError, match="mismatched reduce roots"):
-            Simulator(2, trace=False).run(prog)
-
-    def test_mismatched_bcast_roots(self):
-        def prog(ctx):
-            yield Bcast(ctx.rank, root=ctx.rank % 2)
-            return None
-
-        with pytest.raises(RuntimeSimulationError, match="mismatched bcast roots"):
-            Simulator(2, trace=False).run(prog)
-
-    def test_mismatched_gather_roots(self):
-        def prog(ctx):
-            yield Gather(ctx.rank, root=ctx.rank)
-            return None
-
-        with pytest.raises(RuntimeSimulationError, match="mismatched gather roots"):
-            Simulator(2, trace=False).run(prog)
-
     def test_mismatched_call_counts(self):
         def prog(ctx):
-            yield Barrier()
+            yield AllReduce(1, op="sum")
             if ctx.rank == 0:
-                yield Barrier()  # extra collective on one rank only
-            yield Barrier()
+                yield AllReduce(1, op="sum")  # extra collective on one rank only
+            yield AllReduce(1, op="sum")
             return None
 
-        with pytest.raises(
-            RuntimeSimulationError,
-            match=r"(disagree on collective call count|deadlock)",
-        ):
+        # rank 0's third call waits on a rank that has exited
+        with pytest.raises(DeadlockError, match="deadlock"):
             Simulator(2, trace=False).run(prog)
 
     def test_invalid_destination_rank(self):
@@ -166,38 +121,50 @@ class TestCollectiveMisuse:
             Simulator(3, trace=False).run(prog)
 
 
-class TestGatherAliasing:
-    def test_root_receives_copies_not_aliases(self):
-        """Gather must copy payloads: mutating the root's gathered arrays
-        (or the senders' buffers afterwards) must not affect the other."""
+class TestAllReduceAliasing:
+    def test_ranks_receive_copies_not_aliases(self):
+        """Every rank gets its own copy of the result: a rank that
+        scribbles on it (or on its input buffer) changes no peer's."""
 
         def prog(ctx):
-            buf = np.full(4, ctx.rank, dtype=np.int64)
-            gathered = yield Gather(buf, root=0)
-            buf[:] = -1  # sender trashes its buffer after the collective
-            if ctx.rank == 0:
-                return [g.copy() for g in gathered]
-            return None
+            buf = np.full(4, 1 << ctx.rank, dtype=np.int64)
+            total = yield AllReduce(buf, op="xor")
+            buf[:] = -1  # trash the input after the collective
+            total += ctx.rank  # and scribble on the result ...
+            yield AllReduce(0, op="sum")  # ... before any peer returns
+            return total
 
         res = Simulator(3, trace=False).run(prog)
-        for r, arr in enumerate(res.results[0]):
-            assert np.array_equal(arr, np.full(4, r)), "root saw sender mutation"
+        for r, arr in enumerate(res.results):
+            assert np.array_equal(arr, np.full(4, 7 + r)), "ranks share a result"
 
-    def test_root_mutation_does_not_leak_to_sender(self):
+    def test_result_mutation_does_not_leak_to_an_input(self):
         probe = {}
 
         def prog(ctx):
             buf = np.zeros(2, dtype=np.int64)
             probe[ctx.rank] = buf
-            gathered = yield Gather(buf, root=0)
-            if ctx.rank == 0:
-                for g in gathered:
-                    g += 99  # root scribbles on what it received
-            yield Barrier()
+            # a reducer that hands back its first operand: rank 0's buffer
+            total = yield AllReduce(buf, op=lambda a, b: a)
+            total += 99  # every rank scribbles on what it received
+            yield AllReduce(0, op="sum")
             return None
 
         Simulator(2, trace=False).run(prog)
-        assert np.array_equal(probe[1], np.zeros(2)), "root mutated sender buffer"
+        assert np.array_equal(probe[0], np.zeros(2)), "result aliased an input"
+
+    def test_non_array_results_are_copies_too(self):
+        """A callable reducer's list result is copied per rank like an
+        array: one rank appending to it changes no peer's."""
+
+        def prog(ctx):
+            merged = yield AllReduce([ctx.rank], op=lambda a, b: a + b)
+            merged.append(ctx.rank)
+            yield AllReduce(0, op="sum")
+            return merged
+
+        res = Simulator(3, trace=False).run(prog)
+        assert res.results == [[0, 1, 2, r] for r in range(3)]
 
 
 class TestDeadlockDiagnosis:

@@ -28,6 +28,7 @@ from repro.core import leveldp
 from repro.core.engine import MidasRuntime
 from repro.core.midas import detect_path, detect_tree
 from repro.core.process_backend import QueryFleet
+from repro.core.schedule import MAX_K
 from repro.errors import (
     ConfigurationError,
     QuotaExceededError,
@@ -1001,6 +1002,17 @@ class TestHttpTransport:
                 HttpClient("http://127.0.0.1:9").status()  # unreachable
         with pytest.raises(ConfigurationError):
             HttpClient("ftp://x")
+
+    def test_k_beyond_the_schedule_refused_at_admission(self):
+        """A k no schedule runs is a 400 before any quota, queue or fork."""
+        with DetectionService(metrics=MetricsRegistry()) as svc:
+            http = HttpClient(f"http://127.0.0.1:{svc.serve(0)}")
+            http.register_er(40, m=80, seed=3, name="er")
+            for k in (MAX_K + 1, 64):
+                with pytest.raises(ConfigurationError, match=f"k must be in \\[1, {MAX_K}\\]"):
+                    http.query({"kind": "detect-path", "graph": "er", "k": k})
+            assert svc.broker.stats["errors"] == 0
+            assert svc.broker._fleet.pids() == set()
 
     def test_http_quota_maps_to_429(self, monkeypatch):
         real = broker_mod.dispatch

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DeadlockError
-from repro.runtime.comm import AllReduce, Barrier, Recv, Send
+from repro.runtime.comm import AllReduce, Recv, Send
 from repro.runtime.scheduler import Simulator
 
 
@@ -46,7 +46,7 @@ class TestMatchedScripts:
             for i, (src, dst, payload) in enumerate(msgs):
                 if dst == ctx.rank:
                     got[i] = yield Recv(src, ("m", i))
-            yield Barrier()
+            yield AllReduce(0, op="sum")
             return got
 
         res = Simulator(nranks, trace=False).run(prog)
