@@ -912,24 +912,26 @@ def _watch_file(args) -> int:
         return 1
     deadline = _time.monotonic() + args.timeout if args.timeout else None
     ended = False
+    pending = ""  # a last line whose newline is not written yet
     with path.open() as fh:
         while True:
-            line = fh.readline()
-            if line:
+            line = pending + fh.readline()
+            if line.endswith("\n"):
+                pending = ""
                 line = line.strip()
                 if not line:
                     continue
                 try:
                     evt = _json.loads(line)
                 except ValueError:
-                    continue  # a partially flushed last line
+                    continue  # a malformed line
                 out = _render_event(evt)
                 if out:
                     print(out)
                 if evt.get("event") == "run_end":
                     ended = True
                 continue
-            # at EOF
+            pending = line  # at EOF, or at the written part of the last line
             if ended:
                 return 0
             stall = getattr(args, "stall_timeout", None)

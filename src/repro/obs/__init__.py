@@ -11,7 +11,7 @@ Three complementary views of one MIDAS run:
   bytes-on-the-wire counter track);
 * :mod:`repro.obs.report` — :class:`RunReport` joins the trace, a
   metrics snapshot, and the Theorem-2 model prediction into a single
-  artifact with text and JSON renderers;
+  artifact; its ``text()`` is the one text renderer, analysis included;
 * :mod:`repro.obs.analyze` — critical-path extraction over the
   happens-before edges the scheduler records, makespan blame, slack,
   load-imbalance and communication-matrix analytics;
@@ -35,6 +35,10 @@ Three complementary views of one MIDAS run:
   process workers on one monotonic timebase, per-tenant SLO histograms
   with exemplar trace ids, and a crash flight recorder
   (``repro trace <id>``).
+
+The Chrome export, the report and the analysis read the compute / comm
+/ idle split of a recording from
+:func:`repro.runtime.tracing.split_timeline`, its one owner.
 
 CLI: ``python -m repro detect-path ... --trace-out run.json
 --metrics-out metrics.json --report-out report.json`` and

@@ -26,8 +26,11 @@ record what happened; this module explains it:
   injected :class:`~repro.runtime.faults.FaultPlan` so deliberately
   slowed ranks are not blamed on the program.
 
-The result, :class:`RunAnalysis`, renders as text and serializes to the
-``analysis`` section of :class:`~repro.obs.report.RunReport`.
+The per-rank split, the per-phase rows and the overall imbalance are
+read from :func:`repro.runtime.tracing.split_timeline`, which owns the
+compute/comm/idle split.  The result, :class:`RunAnalysis`, serializes
+to the ``analysis`` section of :class:`~repro.obs.report.RunReport`,
+whose :meth:`~repro.obs.report.RunReport.text` renders it.
 """
 
 from __future__ import annotations
@@ -40,22 +43,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.runtime.tracing import DepEdge, TraceEvent, TraceSummary
+from repro.runtime.tracing import DepEdge, Scope, TraceEvent, TraceSummary, split_timeline
 
 #: relative tolerance for "these virtual timestamps coincide"
 _REL_EPS = 1e-9
 
 _PEER_RE = re.compile(r"^->(\d+)$")
-
-#: event kinds mapped to the compute/comm/idle split (matches TraceSummary)
-_COMPONENT = {
-    "compute": "compute",
-    "charge": "compute",
-    "send": "comm",
-    "recv": "comm",
-    "collective": "comm",
-    "wait": "idle",
-}
 
 
 @dataclass(frozen=True)
@@ -153,13 +146,6 @@ class CriticalPath:
             "segments": [s.to_dict() for s in self.segments[:max_segments]],
             "blame": self.blame(),
         }
-
-
-def _scope_fields(e: TraceEvent) -> Tuple[Optional[int], Optional[int], str]:
-    s = e.scope
-    if s is None:
-        return None, None, ""
-    return s.round, s.phase, s.label
 
 
 def extract_critical_path(
@@ -287,10 +273,10 @@ def extract_critical_path(
             continue
         e = event_at(rank, t)
         if e is not None:
-            rnd, ph, lab = _scope_fields(e)
+            sc = e.scope or Scope()
             segments.append(PathSegment(
-                rank=rank, kind=e.kind, t_start=e.t_start, t_end=t,
-                via="event", round=rnd, phase=ph, label=lab, info=e.info,
+                rank=rank, kind=e.kind, t_start=e.t_start, t_end=t, via="event",
+                round=sc.round, phase=sc.phase, label=sc.label, info=e.info,
             ))
             t = e.t_start
             continue
@@ -379,37 +365,6 @@ def communication_matrix(events: Sequence[TraceEvent], nranks: int) -> dict:
     return {"messages": msgs.tolist(), "bytes": byts.tolist()}
 
 
-def _phase_imbalance(events: Sequence[TraceEvent]) -> List[dict]:
-    """Per-(round, phase) busy-time imbalance ``t_max / t_avg``."""
-    busy: Dict[Tuple, Dict[int, float]] = defaultdict(lambda: defaultdict(float))
-    for e in events:
-        s = e.scope
-        if s is None or (s.round is None and s.phase is None):
-            continue
-        if _COMPONENT.get(e.kind) not in ("compute", "comm") or e.rank < 0:
-            continue
-        key = (s.round if s.round is not None else -1,
-               s.phase if s.phase is not None else -1)
-        busy[key][e.rank] += e.duration
-    rows = []
-    for key in sorted(busy):
-        per_rank = busy[key]
-        vals = list(per_rank.values())
-        t_max = max(vals)
-        t_avg = sum(vals) / len(vals)
-        worst = max(per_rank.items(), key=lambda rv: (rv[1], -rv[0]))[0]
-        rows.append({
-            "round": key[0],
-            "phase": key[1],
-            "t_max": t_max,
-            "t_avg": t_avg,
-            "ratio": t_max / t_avg if t_avg > 0 else 1.0,
-            "worst_rank": worst,
-            "nranks_active": len(per_rank),
-        })
-    return rows
-
-
 def _stragglers(
     summary: TraceSummary,
     events: Sequence[TraceEvent],
@@ -479,69 +434,8 @@ class RunAnalysis:
     stragglers: List[dict]
 
     def to_dict(self, max_segments: int = 200) -> dict:
-        return {
-            "nranks": self.nranks,
-            "makespan": self.makespan,
-            "critical_path": self.critical_path.to_dict(max_segments),
-            "slack": self.slack,
-            "per_rank": self.per_rank,
-            "phase_imbalance": self.phase_imbalance,
-            "imbalance_ratio": self.imbalance_ratio,
-            "comm_matrix": self.comm_matrix,
-            "stragglers": self.stragglers,
-        }
-
-    def text(self, max_blame: int = 6) -> str:
-        cp = self.critical_path
-        lines = [
-            f"critical path: {cp.length:.6f}s over {len(cp.segments)} segment(s) "
-            f"({cp.coverage:.1%} of makespan {cp.makespan:.6f}s)"
-        ]
-        blame = cp.blame()
-        if blame:
-            lines.append("  makespan blame (rank, phase, kind):")
-            for b in blame[:max_blame]:
-                where = f"rank {b['rank']}" if b["rank"] is not None else "?"
-                ph = f" phase {b['phase']}" if b["phase"] is not None else ""
-                lines.append(
-                    f"    {where}{ph} {b['kind']}: {b['seconds']:.6f}s "
-                    f"({b['fraction']:.1%})"
-                )
-        if self.slack.get("count"):
-            s = self.slack
-            lines.append(
-                f"  off-path slack: {s['count']} event(s), median "
-                f"{s['p50']:.6f}s, p90 {s['p90']:.6f}s, max {s['max']:.6f}s"
-            )
-        lines.append(f"load imbalance (busy t_max/t_avg): "
-                     f"{self.imbalance_ratio:.2f} overall")
-        worst = sorted(self.phase_imbalance, key=lambda p: -p["ratio"])[:3]
-        for p in worst:
-            lines.append(
-                f"  round {p['round']} phase {p['phase']}: ratio "
-                f"{p['ratio']:.2f} (worst rank {p['worst_rank']})"
-            )
-        msgs = np.asarray(self.comm_matrix["messages"])
-        if msgs.sum() > 0:
-            byts = np.asarray(self.comm_matrix["bytes"])
-            hot = np.unravel_index(int(byts.argmax()), byts.shape)
-            lines.append(
-                f"communication: {int(msgs.sum())} message(s), "
-                f"{int(byts.sum())} bytes; hottest pair "
-                f"{hot[0]}->{hot[1]} ({int(byts[hot])} bytes, "
-                f"{int(msgs[hot])} msgs)"
-            )
-        if self.stragglers:
-            for srow in self.stragglers[:4]:
-                tag = " [injected fault]" if srow["injected"] else ""
-                lines.append(
-                    f"straggler: rank {srow['rank']} busy "
-                    f"{srow['busy_seconds']:.6f}s "
-                    f"({srow['ratio_to_median']:.2f}x median){tag}"
-                )
-        else:
-            lines.append("stragglers: none (no rank above 1.5x median busy)")
-        return "\n".join(lines)
+        return {**vars(self),
+                "critical_path": self.critical_path.to_dict(max_segments)}
 
 
 def analyze_run(
@@ -555,7 +449,7 @@ def analyze_run(
     events = list(events)
     if nranks is None:
         nranks = max((e.rank + 1 for e in events if e.rank >= 0), default=1)
-    summary = TraceSummary.from_events(events, nranks)
+    summary, phases = split_timeline(events, nranks)
     path = extract_critical_path(events, edges)
     busy = summary.compute + summary.comm
     avg = float(busy.mean()) if nranks else 0.0
@@ -576,7 +470,7 @@ def analyze_run(
         critical_path=path,
         slack=slack_histogram(events, path),
         per_rank=per_rank,
-        phase_imbalance=_phase_imbalance(events),
+        phase_imbalance=[p.imbalance() for p in phases if p.busy],
         imbalance_ratio=float(busy.max() / avg) if avg > 0 else 1.0,
         comm_matrix=communication_matrix(events, nranks),
         stragglers=_stragglers(summary, events, fault_plan, n1),

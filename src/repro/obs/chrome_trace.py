@@ -14,7 +14,9 @@ timeline loadable in ``chrome://tracing`` or https://ui.perfetto.dev:
   events charged to rank ``-1``, e.g. the round-final reduce);
 * duration (``ph: "X"``) events named after their structured
   :class:`~repro.runtime.tracing.Scope`, with the schedule coordinates
-  in ``args`` so Perfetto's query engine can slice by round/phase;
+  in ``args`` so Perfetto's query engine can slice by round/phase, and
+  their cost component (:data:`~repro.runtime.tracing.COMPONENT`:
+  compute, comm, idle; ``fault`` markers their own) as category;
 * a cumulative ``comm bytes`` counter track (``ph: "C"``) fed by the
   wire-byte accounting of :mod:`repro.runtime.comm`, one series per
   sending rank.
@@ -32,21 +34,9 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError
 from repro.obs.profile import Span
-from repro.runtime.tracing import TraceEvent
+from repro.runtime.tracing import COMPONENT, TraceEvent
 
 PathLike = Union[str, Path]
-
-#: event kinds -> trace_event category (used for colouring/filtering)
-_CATEGORIES = {
-    "compute": "compute",
-    "charge": "compute",
-    "send": "comm",
-    "recv": "comm",
-    "collective": "comm",
-    "wait": "idle",
-    "fault": "fault",
-}
-
 
 def _event_name(e: TraceEvent) -> str:
     if e.scope is not None:
@@ -120,7 +110,7 @@ def to_chrome_trace(
         if e.nbytes:
             args["nbytes"] = e.nbytes
         timed.append(_complete(pid, _tid(e.rank, nranks), _event_name(e),
-                               _CATEGORIES.get(e.kind, e.kind), e.t_start,
+                               COMPONENT.get(e.kind, e.kind), e.t_start,
                                max(0.0, e.duration), args))
         if e.kind == "send" and e.nbytes:
             key = _tid(e.rank, nranks)

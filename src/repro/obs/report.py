@@ -13,76 +13,25 @@ which ranks, and is it compute or communication?*  It is built from
 
 and renders as text (:meth:`text`) or versioned JSON (through
 :func:`repro.serialization.dump_result` / ``load_result``).
+
+The per-rank summary and the per-(round, phase) rows are
+:func:`repro.runtime.tracing.split_timeline`'s, which owns the
+compute/comm/idle split.  :meth:`text` is also the one renderer of an
+:func:`~repro.obs.analyze.analyze_run` section.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.model import PerformanceEstimate
 from repro.errors import ConfigurationError
 from repro.obs.metrics import MetricsSnapshot
-from repro.runtime.tracing import TraceEvent, TraceSummary
+from repro.runtime.tracing import TraceEvent, TraceSummary, split_timeline
 from repro.util.timing import format_seconds
-
-
-def _phase_key(e: TraceEvent):
-    s = e.scope
-    if s is None or (s.round is None and s.phase is None):
-        return None
-    return (s.round if s.round is not None else -1,
-            s.phase if s.phase is not None else -1)
-
-
-def _phase_table(events: Sequence[TraceEvent]) -> List[dict]:
-    """Aggregate scoped events into per-(round, phase) rows."""
-    rows: Dict[tuple, dict] = {}
-    for e in events:
-        key = _phase_key(e)
-        if key is None:
-            continue
-        row = rows.get(key)
-        if row is None:
-            s = e.scope
-            row = rows[key] = {
-                "round": key[0], "phase": key[1],
-                "batch": s.batch, "q0": s.q0, "q1": s.q1,
-                "t0": e.t_start, "t1": e.t_end,
-                "compute": 0.0, "comm": 0.0, "idle": 0.0, "bytes": 0,
-                "by_rank": defaultdict(lambda: {"compute": 0.0, "comm": 0.0,
-                                                "idle": 0.0}),
-            }
-        row["t0"] = min(row["t0"], e.t_start)
-        row["t1"] = max(row["t1"], e.t_end)
-        if e.kind in ("compute", "charge"):
-            comp = "compute"
-        elif e.kind in ("send", "recv", "collective"):
-            comp = "comm"
-        elif e.kind == "wait":
-            comp = "idle"
-        else:
-            continue
-        row[comp] += e.duration
-        if e.rank >= 0:
-            row["by_rank"][e.rank][comp] += e.duration
-        if e.kind == "send" and e.nbytes:
-            row["bytes"] += e.nbytes
-    out = []
-    for key in sorted(rows):
-        row = rows[key]
-        row["span"] = row["t1"] - row["t0"]
-        by_rank = {int(r): v for r, v in row["by_rank"].items()}
-        row["by_rank"] = by_rank
-        busiest = max(by_rank.items(),
-                      key=lambda rv: rv[1]["compute"] + rv[1]["comm"],
-                      default=(None, None))
-        row["worst_rank"] = busiest[0]
-        out.append(row)
-    return out
 
 
 @dataclass
@@ -127,18 +76,20 @@ class RunReport:
         the critical-path / imbalance section here (``fault_plan`` and
         ``n1`` feed its straggler cross-referencing).
         """
+        events = list(events)
         if analysis is None and edges is not None:
             from repro.obs.analyze import analyze_run  # local: avoid cycle
 
             analysis = analyze_run(
                 events, edges, nranks=nranks, fault_plan=fault_plan, n1=n1
             ).to_dict()
+        summary, phases = split_timeline(events, nranks)
         return RunReport(
             problem=problem,
             mode=mode,
             nranks=nranks,
-            summary=TraceSummary.from_events(list(events), nranks),
-            phases=_phase_table(events),
+            summary=summary,
+            phases=[p.to_dict() for p in phases],
             metrics=metrics,
             estimate=estimate,
             meta=dict(meta or {}),
@@ -157,25 +108,14 @@ class RunReport:
         i.e. exactly where the run diverges from Theorem 2.  Empty when
         no estimate is attached.
         """
-        if self.estimate is None:
-            return []
-        model_phase = self.estimate.phase_seconds
-        rows = []
-        for p in self.phases:
-            if model_phase <= 0 or p["span"] <= tolerance * model_phase:
-                continue
-            dominant = "compute" if p["compute"] >= p["comm"] else "comm"
-            rows.append({
-                "round": p["round"],
-                "phase": p["phase"],
-                "measured_seconds": p["span"],
-                "model_seconds": model_phase,
-                "ratio": p["span"] / model_phase,
-                "dominant": dominant,
-                "worst_rank": p["worst_rank"],
-            })
-        rows.sort(key=lambda r: r["ratio"], reverse=True)
-        return rows
+        model = self.estimate.phase_seconds if self.estimate is not None else 0.0
+        rows = [{"round": p["round"], "phase": p["phase"],
+                 "measured_seconds": p["span"], "model_seconds": model,
+                 "ratio": p["span"] / model,
+                 "dominant": "compute" if p["compute"] >= p["comm"] else "comm",
+                 "worst_rank": p["worst_rank"]}
+                for p in self.phases if model > 0 and p["span"] > tolerance * model]
+        return sorted(rows, key=lambda r: r["ratio"], reverse=True)
 
     # ------------------------------------------------------------ renderers
     def text(self, max_phases: int = 12) -> str:
@@ -261,6 +201,20 @@ class RunReport:
                 f"  imbalance (busy t_max/t_avg): "
                 f"{a.get('imbalance_ratio', 1.0):.2f}"
             )
+            worst = sorted(a.get("phase_imbalance", []), key=lambda p: -p["ratio"])
+            if worst:
+                lines.append("  worst phases: " + ", ".join(
+                    f"round {p['round']} phase {p['phase']} {p['ratio']:.2f}x "
+                    f"(rank {p['worst_rank']})" for p in worst[:3]))
+            msgs = np.asarray(a.get("comm_matrix", {}).get("messages", []))
+            if msgs.sum() > 0:
+                byts = np.asarray(a["comm_matrix"]["bytes"])
+                hot = np.unravel_index(int(byts.argmax()), byts.shape)
+                lines.append(
+                    f"  communication: {int(msgs.sum())} message(s), "
+                    f"{int(byts.sum())} bytes; hottest pair {hot[0]}->{hot[1]} "
+                    f"({int(byts[hot])} bytes, {int(msgs[hot])} msgs)"
+                )
             sl = a.get("slack", {})
             if sl.get("count"):
                 lines.append(
@@ -313,27 +267,16 @@ class RunReport:
     def to_dict(self) -> dict:
         from repro.serialization import SCHEMA_VERSION, result_to_dict
 
-        s = self.summary
-        phases = []
-        for p in self.phases:
-            q = dict(p)
-            q["by_rank"] = {str(r): v for r, v in p["by_rank"].items()}
-            phases.append(q)
+        phases = [{**p, "by_rank": {str(r): v for r, v in p["by_rank"].items()}}
+                  for p in self.phases]
         return {
             "type": "RunReport",
             "schema_version": SCHEMA_VERSION,
             "problem": self.problem,
             "mode": self.mode,
             "nranks": self.nranks,
-            "summary": {
-                "nranks": s.nranks,
-                "compute": s.compute.tolist(),
-                "comm": s.comm.tolist(),
-                "idle": s.idle.tolist(),
-                "makespan": s.makespan,
-                "bytes_sent": s.bytes_sent.tolist(),
-                "other": s.other,
-            },
+            "summary": {k: v.tolist() if isinstance(v, np.ndarray) else v
+                        for k, v in vars(self.summary).items()},
             "phases": phases,
             "metrics": self.metrics.to_dict() if self.metrics is not None else None,
             "estimate": (result_to_dict(self.estimate)
@@ -353,20 +296,12 @@ class RunReport:
             raise ConfigurationError("not a serialized RunReport")
         s = data["summary"]
         summary = TraceSummary(
-            nranks=s["nranks"],
-            compute=np.asarray(s["compute"], dtype=np.float64),
-            comm=np.asarray(s["comm"], dtype=np.float64),
-            idle=np.asarray(s["idle"], dtype=np.float64),
-            makespan=s["makespan"],
-            bytes_sent=(np.asarray(s["bytes_sent"], dtype=np.int64)
-                        if s.get("bytes_sent") else None),
-            other=s.get("other", 0.0),
-        )
-        phases = []
-        for p in data.get("phases", []):
-            q = dict(p)
-            q["by_rank"] = {int(r): v for r, v in p.get("by_rank", {}).items()}
-            phases.append(q)
+            s["nranks"], *(np.asarray(s[c], dtype=np.float64)
+                           for c in ("compute", "comm", "idle")),
+            s["makespan"], np.asarray(s.get("bytes_sent") or [0] * s["nranks"],
+                                      dtype=np.int64), s.get("other", 0.0))
+        phases = [{**p, "by_rank": {int(r): v for r, v in p.get("by_rank", {}).items()}}
+                  for p in data.get("phases", [])]
         metrics = (MetricsSnapshot.from_dict(data["metrics"])
                    if data.get("metrics") else None)
         estimate = (result_from_dict(data["estimate"])

@@ -241,23 +241,41 @@ class RunStore:
         """
         self.path.parent.mkdir(parents=True, exist_ok=True)
         fd = os.open(str(self.path),
-                     os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+                     os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
         try:
-            if fcntl is None:
-                os.write(fd, payload)
-                return
-            fcntl.flock(fd, fcntl.LOCK_EX)
+            if fcntl is not None:
+                fcntl.flock(fd, fcntl.LOCK_EX)
             try:
+                self._cut_torn_tail(fd)
                 os.write(fd, payload)
             finally:
-                fcntl.flock(fd, fcntl.LOCK_UN)
+                if fcntl is not None:
+                    fcntl.flock(fd, fcntl.LOCK_UN)
         finally:
             os.close(fd)
+
+    def _cut_torn_tail(self, fd: int) -> None:
+        """Cut a record a killed append left without its newline back to
+        the last complete line: the next record would land on it."""
+        size = end = os.lseek(fd, 0, os.SEEK_END)
+        while end > 0:
+            start = max(0, end - 4096)
+            os.lseek(fd, start, os.SEEK_SET)
+            cut = os.read(fd, end - start).rfind(b"\n")
+            if cut >= 0:
+                end = start + cut + 1
+                break
+            end = start
+        if end < size:
+            _LOG.warning("%s: cutting a truncated trailing record "
+                         "(interrupted append?) of %d bytes", self.path, size - end)
+            os.ftruncate(fd, end)
 
     def append(self, record: RunRecord) -> None:
         """Append one record as a single ``O_APPEND`` write under an
         ``fcntl`` lock, so concurrent writers never interleave records
-        and a crash mid-append can damage at most the trailing line."""
+        and a crash mid-append can damage at most the trailing line,
+        which the next append cuts."""
         self._append_locked((json.dumps(record.to_dict()) + "\n").encode("utf-8"))
 
     def append_many(self, records) -> int:

@@ -1,9 +1,14 @@
-"""Timeline recording for simulated runs.
+"""Timeline recording for simulated runs, and its one cost split.
 
 Every scheduler event (compute segment, send, recv wait, collective) is
-appended as a :class:`TraceEvent`; :class:`TraceSummary` aggregates them
-into the per-rank compute/communication/idle split that the paper's
-discussion of compute-vs-communication balance refers to.
+appended as a :class:`TraceEvent`.  :data:`COMPONENT` decides which
+component of Theorem 2's split each event kind is charged to — compute
+(``MAXLOAD``), communication (``MAXDEG``) or idle — and
+:func:`split_timeline` is the one pass that sums a recording by it: per
+rank (:class:`TraceSummary`) and per ``(round, phase)``
+(:class:`PhaseCost`).  :class:`repro.obs.report.RunReport`,
+:func:`repro.obs.analyze.analyze_run` and the Chrome export all read
+that split; none classifies events itself.
 
 Events carry a structured :class:`Scope` — the (round, batch, phase,
 iteration-window) coordinates of the MIDAS schedule plus a free-form
@@ -16,7 +21,7 @@ on which ranks, compute or comm?".
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,9 +61,6 @@ class Scope:
                 f"{self.label} {other.label}" if self.label else other.label
             )
         return replace(self, **updates) if updates else self
-
-    def with_label(self, label: str) -> "Scope":
-        return replace(self, label=label)
 
     def describe(self) -> str:
         """Compact human form, e.g. ``r0 b1 p3 [q64:96] level2``."""
@@ -191,7 +193,7 @@ class TraceRecorder:
             label = self._rank_labels.get(rank)
             if label:
                 scope = Scope(label=label) if scope is None else (
-                    scope if scope.label else scope.with_label(label)
+                    scope if scope.label else replace(scope, label=label)
                 )
             self.events.append(TraceEvent(rank, kind, t_start, t_end, info, nbytes, scope))
 
@@ -264,6 +266,95 @@ class TraceRecorder:
         return TraceSummary.from_events(self.events, nranks)
 
 
+#: event kind -> the component of the cost split it is charged to; other
+#: kinds (``fault`` markers) are charged to none
+COMPONENT = {"compute": "compute", "charge": "compute", "send": "comm",
+             "recv": "comm", "collective": "comm", "wait": "idle"}
+
+
+class PhaseCost:
+    """The cost split of one ``(round, phase)`` scope, ``-1`` standing for
+    a coordinate the scope leaves out (the round-final reduce's phase).
+
+    ``total`` sums every rank, the coordinator included; ``by_rank``
+    splits each rank ``>= 0`` with a compute, comm or idle event there,
+    in order of first appearance; ``busy`` sums, in event order, the
+    compute + comm seconds of each rank with a compute or comm event.
+    """
+
+    def __init__(self, key: Tuple[int, int], first: TraceEvent) -> None:
+        self.round, self.phase = key
+        self.scope, self.t0, self.t1 = first.scope, first.t_start, first.t_end
+        self.total = dict.fromkeys(("compute", "comm", "idle"), 0.0)
+        self.bytes = 0
+        self.by_rank: Dict[int, Dict[str, float]] = {}
+        self.busy: Dict[int, float] = {}
+
+    def add(self, e: TraceEvent, comp: Optional[str], duration: float) -> None:
+        self.t0, self.t1 = min(self.t0, e.t_start), max(self.t1, e.t_end)
+        if comp is None:
+            return
+        self.total[comp] += duration
+        if e.rank >= 0:
+            self.by_rank.setdefault(int(e.rank), dict.fromkeys(self.total, 0.0))[comp] += duration
+            if comp != "idle":
+                self.busy[e.rank] = self.busy.get(e.rank, 0.0) + duration
+        if e.kind == "send" and e.nbytes:
+            self.bytes += e.nbytes
+
+    def to_dict(self) -> dict:
+        """The ``RunReport.phases`` row.  Its ``worst_rank`` has the most
+        compute + comm, the first to appear winning a tie."""
+        worst = max(self.by_rank, default=None,
+                    key=lambda r: self.by_rank[r]["compute"] + self.by_rank[r]["comm"])
+        s = self.scope
+        return {"round": self.round, "phase": self.phase, "batch": s.batch,
+                "q0": s.q0, "q1": s.q1, "t0": self.t0, "t1": self.t1,
+                **self.total, "bytes": self.bytes, "by_rank": self.by_rank,
+                "span": self.t1 - self.t0, "worst_rank": worst}
+
+    def imbalance(self) -> dict:
+        """The analysis row: ``t_max / t_avg`` over ``busy``.  Its
+        ``worst_rank`` is the lowest rank at ``t_max``."""
+        t_max = max(self.busy.values())
+        t_avg = sum(self.busy.values()) / len(self.busy)
+        return {"round": self.round, "phase": self.phase, "t_max": t_max,
+                "t_avg": t_avg, "ratio": t_max / t_avg if t_avg > 0 else 1.0,
+                "worst_rank": max(self.busy, key=lambda r: (self.busy[r], -r)),
+                "nranks_active": len(self.busy)}
+
+
+def split_timeline(events: Sequence[TraceEvent], nranks: int,
+                   by_phase: bool = True) -> Tuple["TraceSummary", List[PhaseCost]]:
+    """Split a recording by :data:`COMPONENT` in one pass: per rank in
+    ``[0, nranks)`` and, with ``by_phase``, per ``(round, phase)`` scope
+    (sorted; an event with neither coordinate belongs to no row)."""
+    per_rank = {comp: [0.0] * nranks for comp in ("compute", "comm", "idle")}
+    sent = [0] * nranks
+    other = makespan = 0.0
+    rows: Dict[Tuple[int, int], PhaseCost] = {}
+    for e in events:
+        duration = e.t_end - e.t_start
+        makespan = max(makespan, e.t_end)
+        comp = COMPONENT.get(e.kind)
+        if 0 <= e.rank < nranks:
+            if comp is not None:
+                per_rank[comp][e.rank] += duration
+            if e.nbytes and e.kind == "send":
+                sent[e.rank] += e.nbytes
+        else:
+            other += duration
+        s = e.scope
+        if by_phase and s is not None and (s.round is not None or s.phase is not None):
+            key = (-1 if s.round is None else s.round, -1 if s.phase is None else s.phase)
+            if key not in rows:
+                rows[key] = PhaseCost(key, e)
+            rows[key].add(e, comp, duration)
+    summary = TraceSummary(nranks, *(np.array(v, dtype=np.float64) for v in per_rank.values()),
+                           makespan, np.array(sent, dtype=np.int64), other)
+    return summary, [rows[key] for key in sorted(rows)]
+
+
 @dataclass
 class TraceSummary:
     """Aggregate per-rank time split and overall makespan.
@@ -278,35 +369,12 @@ class TraceSummary:
     comm: np.ndarray
     idle: np.ndarray
     makespan: float
-    bytes_sent: np.ndarray = None  # per-rank wire bytes (send events)
+    bytes_sent: np.ndarray  # per-rank wire bytes (send events)
     other: float = 0.0  # busy seconds on out-of-range ranks
-
-    def __post_init__(self) -> None:
-        if self.bytes_sent is None:
-            self.bytes_sent = np.zeros(self.nranks, dtype=np.int64)
 
     @staticmethod
     def from_events(events: List[TraceEvent], nranks: int) -> "TraceSummary":
-        compute = np.zeros(nranks)
-        comm = np.zeros(nranks)
-        idle = np.zeros(nranks)
-        bytes_sent = np.zeros(nranks, dtype=np.int64)
-        other = 0.0
-        makespan = 0.0
-        for e in events:
-            makespan = max(makespan, e.t_end)
-            if e.rank < 0 or e.rank >= nranks:
-                other += e.duration
-                continue
-            if e.kind in ("compute", "charge"):
-                compute[e.rank] += e.duration
-            elif e.kind in ("send", "recv", "collective"):
-                comm[e.rank] += e.duration
-            elif e.kind == "wait":
-                idle[e.rank] += e.duration
-            if e.nbytes and e.kind == "send":
-                bytes_sent[e.rank] += e.nbytes
-        return TraceSummary(nranks, compute, comm, idle, makespan, bytes_sent, other)
+        return split_timeline(events, nranks, by_phase=False)[0]
 
     @property
     def total_compute(self) -> float:

@@ -104,6 +104,11 @@ class ElevatedMean(ScanStatistic):
     baseline_per_node: float = 1.0
     name = "elevated-mean"
 
+    def __post_init__(self) -> None:
+        if not self.baseline_per_node > 0:
+            raise ConfigurationError(
+                f"baseline_per_node must be > 0, got {self.baseline_per_node}")
+
     def score(self, weight: float, size: int) -> float:
         w = float(weight)
         b = size * self.baseline_per_node

@@ -160,10 +160,33 @@ class QuerySpec:
             raise ConfigurationError(
                 f"template must be one of {tuple(TEMPLATES)}, got {self.template!r}"
             )
-        if self.kind == "scan" and self.statistic not in STATISTICS:
+        if self.kind == "scan":
+            if self.statistic not in STATISTICS:
+                raise ConfigurationError(
+                    f"statistic must be one of {STATISTICS}, got {self.statistic!r}"
+                )
+            self.scan_statistic()  # refuses an alpha the statistic cannot take
+
+    def scan_statistic(self):
+        """The statistic a scan query scores with: ``alpha`` is its level,
+        or elevated-mean's per-node baseline."""
+        from repro.scanstat.statistics import BerkJones, ElevatedMean, HigherCriticism
+
+        if self.statistic == "elevated-mean":
+            return ElevatedMean(baseline_per_node=self.alpha)
+        cls = BerkJones if self.statistic == "berk-jones" else HigherCriticism
+        return cls(alpha=self.alpha)
+
+    def check_fits(self, n: int) -> None:
+        """Refuse what only the resolved graph of ``n`` vertices rules out:
+        a scan larger than it, or scan weights of another length."""
+        if self.kind != "scan":
+            return
+        if self.k > n:
+            raise ConfigurationError(f"k must be in [1, {n}] on this graph, got {self.k}")
+        if self.weights is not None and len(self.weights) != n:
             raise ConfigurationError(
-                f"statistic must be one of {STATISTICS}, got {self.statistic!r}"
-            )
+                f"weights must have length n={n}, got {len(self.weights)}")
 
     @classmethod
     def from_dict(cls, d: Any) -> "QuerySpec":
@@ -331,7 +354,6 @@ def execute_query(spec: QuerySpec, entry: GraphEntry,
     """
     from repro.core.midas import detect_path, detect_tree
     from repro.scanstat.detect import AnomalyDetector
-    from repro.scanstat.statistics import BerkJones, ElevatedMean, HigherCriticism
 
     graph = entry.graph
     rng = spec.seed_stream()
@@ -349,20 +371,8 @@ def execute_query(spec: QuerySpec, entry: GraphEntry,
         result["template"] = spec.template
         rounds, virtual = raw.rounds_run, raw.virtual_seconds
     else:  # scan
-        stats = {
-            "berk-jones": lambda: BerkJones(alpha=spec.alpha),
-            "higher-criticism": lambda: HigherCriticism(alpha=spec.alpha),
-            "elevated-mean": lambda: ElevatedMean(baseline_per_node=spec.alpha),
-        }
-        if spec.weights is None:
-            w = np.zeros(graph.n, dtype=np.int64)
-        else:
-            w = np.asarray(spec.weights, dtype=np.int64)
-            if w.shape != (graph.n,):
-                raise ConfigurationError(
-                    f"weights must have length n={graph.n}, got {len(w)}"
-                )
-        det = AnomalyDetector(graph, stats[spec.statistic](), k=spec.k,
+        w = np.zeros(graph.n, dtype=np.int64) if spec.weights is None else spec.weights
+        det = AnomalyDetector(graph, spec.scan_statistic(), k=spec.k,
                               runtime=rt, eps=spec.eps)
         raw = det.detect(w, rng=rng, extract=spec.extract)
         result = _scan_result(raw, spec)
@@ -672,6 +682,7 @@ class QueryBroker:
         windows; the worker is idle again once that reply is read.
         """
         entry = self.registry.resolve(spec.graph)
+        spec.check_fits(entry.graph.n)
         key = spec.cache_key(entry.sha)
         qt = self._begin_trace(tenant, trace)
         total = qt.span("broker.total", lane="broker", kind=spec.kind)

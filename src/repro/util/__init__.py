@@ -1,14 +1,6 @@
 """Shared low-level utilities: bit operations, RNG fan-out, timing, checks."""
 
-from repro.util.bitops import (
-    bit_length,
-    gray_code,
-    iter_bits,
-    pack_bits,
-    parity_u64,
-    popcount_u64,
-    unpack_bits,
-)
+from repro.util.bitops import parity_u64
 from repro.util.rng import RngStream, spawn_rngs
 from repro.util.timing import Stopwatch, format_seconds
 from repro.util.validation import (
@@ -19,13 +11,7 @@ from repro.util.validation import (
 )
 
 __all__ = [
-    "bit_length",
-    "gray_code",
-    "iter_bits",
-    "pack_bits",
     "parity_u64",
-    "popcount_u64",
-    "unpack_bits",
     "RngStream",
     "spawn_rngs",
     "Stopwatch",

@@ -1,42 +1,16 @@
-"""Vectorized bit-level primitives.
+"""Vectorized parity of 64-bit values.
 
 The multilinear-detection inner loop evaluates, for every (node ``i``,
 iteration ``q``) pair, the parity of ``v_i AND q`` where ``v_i`` is the node's
 random vector in ``Z_2^k`` packed into a 64-bit integer and ``q`` is the
 iteration index (a diagonal element of the group-algebra matrix
-representation).  Computing these parities for a whole ``N_2``-wide batch of
-iterations at once is the first of the two vectorization axes that make the
-pure-Python reproduction feasible, so the primitives here are written for
-numpy arrays first and scalars second.
+representation).  :func:`parity_u64` computes it elementwise for a whole
+batch of iterations at once; the fingerprint tests use it as their oracle.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List
-
 import numpy as np
-
-_M1 = np.uint64(0x5555555555555555)
-_M2 = np.uint64(0x3333333333333333)
-_M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-_H01 = np.uint64(0x0101010101010101)
-
-
-def popcount_u64(x: "np.ndarray | int") -> "np.ndarray | int":
-    """Population count of 64-bit values, elementwise.
-
-    Classic SWAR (SIMD-within-a-register) bit counting; works on scalars and
-    arrays of any shape.  Values are treated as unsigned 64-bit.
-    """
-    v = np.asarray(x, dtype=np.uint64)
-    with np.errstate(over="ignore"):  # SWAR wraparound is intentional
-        v = v - ((v >> np.uint64(1)) & _M1)
-        v = (v & _M2) + ((v >> np.uint64(2)) & _M2)
-        v = (v + (v >> np.uint64(4))) & _M4
-        out = (v * _H01) >> np.uint64(56)
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return int(out)
-    return out.astype(np.uint8)
 
 
 def parity_u64(x: "np.ndarray | int") -> "np.ndarray | int":
@@ -56,44 +30,3 @@ def parity_u64(x: "np.ndarray | int") -> "np.ndarray | int":
         return int(out)
     return out.astype(np.uint8)
 
-
-def bit_length(x: int) -> int:
-    """Number of bits needed to represent non-negative integer ``x``."""
-    if x < 0:
-        raise ValueError(f"bit_length requires a non-negative integer, got {x}")
-    return int(x).bit_length()
-
-
-def gray_code(i: int) -> int:
-    """The ``i``-th reflected Gray code value (``i XOR (i >> 1)``).
-
-    Iterating the group-algebra diagonal in Gray-code order flips exactly one
-    bit of ``q`` per step, which some incremental evaluation strategies
-    exploit; exposed here for the ablation benchmarks.
-    """
-    if i < 0:
-        raise ValueError(f"gray_code requires a non-negative index, got {i}")
-    return i ^ (i >> 1)
-
-
-def iter_bits(x: int, width: int) -> Iterator[int]:
-    """Yield the ``width`` low bits of ``x``, least-significant first."""
-    if width < 0:
-        raise ValueError(f"width must be non-negative, got {width}")
-    for j in range(width):
-        yield (x >> j) & 1
-
-
-def unpack_bits(x: int, width: int) -> List[int]:
-    """The ``width`` low bits of ``x`` as a list, least-significant first."""
-    return list(iter_bits(x, width))
-
-
-def pack_bits(bits) -> int:
-    """Inverse of :func:`unpack_bits`: pack an iterable of 0/1 into an int."""
-    out = 0
-    for j, b in enumerate(bits):
-        if b not in (0, 1):
-            raise ValueError(f"bits must be 0 or 1, got {b!r} at position {j}")
-        out |= int(b) << j
-    return out

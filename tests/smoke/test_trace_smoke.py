@@ -9,6 +9,7 @@ themselves, read the port it prints, and stop it with SIGINT.
 """
 
 import json
+import re
 import signal
 import subprocess
 import threading
@@ -173,7 +174,18 @@ def test_traced_simulated_detection_writes_a_valid_trace(tmp_path, capsys):
     rendered = load_result(report).text()
     capsys.readouterr()
     assert main(["report", report]) == 0
-    assert capsys.readouterr().out.strip() == rendered.strip()
+    out = capsys.readouterr().out
+    assert out.strip() == rendered.strip()
+    # the analysis section, rendered by RunReport.text alone
+    analysis = out[out.index("\nanalysis:\n"):]
+    assert re.search(r"^  critical path: .* \(100\.0% of makespan\)$", analysis, re.M)
+    assert re.search(r"^  imbalance \(busy t_max/t_avg\): \d+\.\d\d$", analysis, re.M)
+    assert re.search(r"^  worst phases: round 0 phase 0 ", analysis, re.M)
+    hot = re.search(r"^  communication: \d+ message\(s\), \d+ bytes; "
+                    r"hottest pair (\d+)->(\d+) \(\d+ bytes, \d+ msgs\)$", analysis, re.M)
+    assert hot, analysis
+    src, dst = int(hot.group(1)), int(hot.group(2))
+    assert src != dst and src // 4 == dst // 4  # messages stay in a group of N1 = 4
 
 
 def test_progress_stream_replays_and_the_speedscope_profile_validates(

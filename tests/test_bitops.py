@@ -1,38 +1,12 @@
 """Unit and property tests for repro.util.bitops."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.util.bitops import (
-    bit_length,
-    gray_code,
-    iter_bits,
-    pack_bits,
-    parity_u64,
-    popcount_u64,
-    unpack_bits,
-)
+from repro.util.bitops import parity_u64
 
 U64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
-
-
-class TestPopcount:
-    def test_scalar_values(self):
-        assert popcount_u64(0) == 0
-        assert popcount_u64(1) == 1
-        assert popcount_u64(0xFF) == 8
-        assert popcount_u64((1 << 64) - 1) == 64
-
-    def test_array(self):
-        arr = np.array([0, 3, 7, 255, 2**63], dtype=np.uint64)
-        assert popcount_u64(arr).tolist() == [0, 2, 3, 8, 1]
-
-    @given(U64)
-    @settings(max_examples=80)
-    def test_matches_python_bitcount(self, x):
-        assert popcount_u64(x) == bin(x).count("1")
 
 
 class TestParity:
@@ -51,7 +25,7 @@ class TestParity:
     @given(U64)
     @settings(max_examples=80)
     def test_matches_popcount_mod2(self, x):
-        assert parity_u64(x) == bin(x).count("1") % 2
+        assert parity_u64(x) == x.bit_count() % 2
 
     @given(U64, U64)
     @settings(max_examples=50)
@@ -64,46 +38,3 @@ class TestParity:
         parity_u64(arr)
         assert arr.tolist() == [5, 6]
 
-
-class TestBitLength:
-    def test_values(self):
-        assert bit_length(0) == 0
-        assert bit_length(1) == 1
-        assert bit_length(255) == 8
-        assert bit_length(256) == 9
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            bit_length(-1)
-
-
-class TestGrayCode:
-    def test_first_values(self):
-        assert [gray_code(i) for i in range(8)] == [0, 1, 3, 2, 6, 7, 5, 4]
-
-    @given(st.integers(min_value=0, max_value=10**6))
-    @settings(max_examples=50)
-    def test_adjacent_codes_differ_by_one_bit(self, i):
-        diff = gray_code(i) ^ gray_code(i + 1)
-        assert diff != 0 and (diff & (diff - 1)) == 0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            gray_code(-3)
-
-
-class TestPackUnpack:
-    @given(st.integers(min_value=0, max_value=(1 << 20) - 1))
-    @settings(max_examples=60)
-    def test_roundtrip(self, x):
-        assert pack_bits(unpack_bits(x, 20)) == x
-
-    def test_iter_bits_lsb_first(self):
-        assert list(iter_bits(0b1101, 4)) == [1, 0, 1, 1]
-
-    def test_pack_rejects_non_bits(self):
-        with pytest.raises(ValueError):
-            pack_bits([0, 1, 2])
-
-    def test_unpack_width_truncates(self):
-        assert unpack_bits(0b111, 2) == [1, 1]

@@ -222,6 +222,28 @@ class TestWatch:
         assert "HIT" in out
         assert "run ended: done" in out
 
+    def test_watch_follow_joins_an_event_split_across_two_writes(
+            self, tmp_path, capsys, monkeypatch):
+        import time
+
+        path = tmp_path / "progress.jsonl"
+        self._write_stream(path)
+        *head, end = path.read_text().splitlines(keepends=True)
+        assert '"run_end"' in end
+        path.write_text("".join(head) + end[:len(end) // 2])
+        real_sleep, rest = time.sleep, [end[len(end) // 2:]]
+
+        def sleep(seconds):  # the writer flushes the rest during a poll
+            if rest:
+                with path.open("a") as fh:
+                    fh.write(rest.pop())
+            real_sleep(seconds)
+
+        monkeypatch.setattr(time, "sleep", sleep)
+        assert main(["watch", str(path), "--follow", "--interval", "0.01",
+                     "--timeout", "2"]) == 0
+        assert "run ended: done" in capsys.readouterr().out
+
     def test_watch_missing_file(self, tmp_path, capsys):
         assert main(["watch", str(tmp_path / "nope.jsonl")]) == 1
         assert "no such progress stream" in capsys.readouterr().err

@@ -20,7 +20,7 @@ from repro.obs.report import RunReport
 from repro.runtime.comm import AllReduce, Charge, Recv, Send
 from repro.runtime.faults import FaultPlan, FaultSpec
 from repro.runtime.scheduler import Simulator
-from repro.runtime.tracing import DepEdge, TraceRecorder
+from repro.runtime.tracing import DepEdge, Scope, TraceRecorder
 from repro.util.rng import RngStream
 
 from test_sanitize_fuzz import build_scripts, make_program, spmd_programs
@@ -164,13 +164,22 @@ class TestAnalytics:
 
     def test_analyze_run_sections(self):
         res, trace = self._ring_trace(4)
-        an = analyze_run(trace.events, trace.edges, nranks=4)
+        rec = TraceRecorder()  # the ring as round 0, phase 0 of a run
+        rec.extend(trace.events, scope=Scope(round=0, phase=0), edges=trace.edges)
+        an = analyze_run(rec.events, rec.edges, nranks=4)
         d = an.to_dict()
         assert d["makespan"] == pytest.approx(res.makespan)
         assert d["critical_path"]["coverage"] == pytest.approx(1.0)
         assert len(d["per_rank"]) == 4
         assert d["imbalance_ratio"] >= 1.0
-        assert "analysis:" in an.text() or an.text()  # renders non-empty
+        assert [(p["round"], p["phase"], p["worst_rank"], p["nranks_active"])
+                for p in d["phase_imbalance"]] == [(0, 0, 3, 4)]
+        text = RunReport.build(rec.events, 4, analysis=d).text()
+        assert "critical path:" in text and "imbalance (busy t_max/t_avg)" in text
+        assert "worst phases: round 0 phase 0 " in text and "(rank 3)" in text
+        # four equal token messages: the hottest pair is the first one
+        assert "communication: 4 message(s)" in text
+        assert "hottest pair 0->1" in text
 
     def test_straggler_cross_references_fault_plan(self):
         plan = FaultPlan(

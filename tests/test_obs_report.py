@@ -59,6 +59,22 @@ class TestBuild:
         assert (p2["round"], p2["phase"]) == (0, 1)
         assert p2["worst_rank"] == 1
 
+    def test_worst_rank_and_active_ranks_keep_their_two_rules(self):
+        """The report row's worst rank is the first to appear among those
+        tied on compute + comm and counts a rank that only waited; the
+        analysis row's is the lowest tied rank and does not."""
+        from repro.obs.analyze import analyze_run
+
+        s = Scope(round=0, phase=0)
+        events = [TraceEvent(2, "compute", 0.0, 1.0, scope=s),
+                  TraceEvent(1, "compute", 0.0, 1.0, scope=s),
+                  TraceEvent(0, "wait", 0.0, 1.0, scope=s)]
+        row = RunReport.build(events, nranks=3).phases[0]
+        assert (row["worst_rank"], list(row["by_rank"])) == (2, [2, 1, 0])
+        imb = analyze_run(events, nranks=3).phase_imbalance[0]
+        assert (imb["worst_rank"], imb["nranks_active"]) == (1, 2)
+        assert imb["t_avg"] == pytest.approx(1.0)
+
     def test_summary_covers_unscoped_and_coordinator(self):
         rep = RunReport.build(_scoped_events(), nranks=2)
         assert rep.summary.other == pytest.approx(0.1)  # the rank -1 reduce

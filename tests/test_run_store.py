@@ -271,6 +271,19 @@ class TestCrashSafeAppends:
         recs = st.load()
         assert len(recs) == 1
 
+    def test_appends_after_a_torn_tail_are_all_kept(self, tmp_path):
+        """The next append cuts the torn record, so it is not swallowed as
+        the "truncated trailing record" and the one after it cannot turn
+        the file into a mid-file parse error."""
+        st = RunStore(tmp_path / "runs.jsonl")
+        st.append(rec("a", 1.0))
+        with st.path.open("a") as fh:
+            fh.write('{"type": "RunRec')  # killed mid-append
+        st.append(rec("b", 2.0))
+        st.append_many([rec("c", 3.0)])
+        assert [r.scenario for r in st.load()] == ["a", "b", "c"]
+        assert st.path.read_text().count("\n") == 3
+
     @pytest.mark.parametrize("batch", [False, True], ids=["append", "append_many"])
     def test_a_process_forked_mid_append_keeps_no_lock(self, tmp_path,
                                                        monkeypatch, batch):

@@ -1014,6 +1014,25 @@ class TestHttpTransport:
             assert svc.broker.stats["errors"] == 0
             assert svc.broker._fleet.pids() == set()
 
+    @pytest.mark.parametrize("query, match", [
+        ({"statistic": "berk-jones", "alpha": 1.5}, "alpha must be in \\(0, 1\\)"),
+        ({"statistic": "higher-criticism", "alpha": 0.0}, "alpha must be in \\(0, 1\\)"),
+        ({"statistic": "elevated-mean", "alpha": 0.0}, "baseline_per_node must be > 0"),
+        ({"weights": [1] * 11}, "weights must have length n=12"),
+        ({"k": 13}, "k must be in \\[1, 12\\] on this graph"),
+    ], ids=["berk-jones-alpha", "higher-criticism-alpha", "elevated-mean-baseline",
+            "weights-length", "k-above-n"])
+    def test_scan_that_can_only_fail_refused_at_admission(self, query, match):
+        """A scan query no worker can answer (or one that would score
+        every graph 0.0) is a 400 before any quota, queue or fork."""
+        with DetectionService(metrics=MetricsRegistry()) as svc:
+            http = HttpClient(f"http://127.0.0.1:{svc.serve(0)}")
+            http.register_er(12, m=20, seed=3, name="er")
+            with pytest.raises(ConfigurationError, match=match):
+                http.query({"kind": "scan", "graph": "er", "k": 3, **query})
+            assert svc.broker.stats["errors"] == 0
+            assert svc.broker._fleet.pids() == set()
+
     def test_http_quota_maps_to_429(self, monkeypatch):
         real = broker_mod.dispatch
         started, release = threading.Event(), threading.Event()

@@ -142,6 +142,11 @@ class TestEBPAndElevatedMean:
         assert em.score(9, 4) == pytest.approx((9 - 4) / 2.0)
         assert em.score(3, 4) == 0.0
 
+    @pytest.mark.parametrize("baseline", [0.0, -1.0, float("nan")])
+    def test_elevated_mean_refuses_a_baseline_it_would_score_zero(self, baseline):
+        with pytest.raises(ConfigurationError, match="baseline_per_node"):
+            ElevatedMean(baseline_per_node=baseline)
+
     def test_names(self):
         assert BerkJones().name == "berk-jones"
         assert ElevatedMean().name == "elevated-mean"
