@@ -292,8 +292,9 @@ class MidasRuntime:
         (``N2 = 2^k``), it then carries ``R = rounds_per_window`` of them:
         as many as leave a window per worker (``R <= rounds / workers``)
         within ``R 2^k <= 1024`` lanes — any count, so a stage's rounds
-        take as few windows as the cap allows — halved until the
-        ``live_states`` states of the spec's recurrence fit
+        take as few windows as the cap allows — and the largest such
+        count whose ``live_states`` states of the spec's recurrence,
+        ``live_states * 8 l n payload * ceil(R 2^k / 64)`` bytes, fit
         ``3 * _STATE_BYTES``.  Everywhere else — simulated and modeled
         modes, an explicit ``n2``, a round of several windows — ``R = 1``.
         """
@@ -313,7 +314,7 @@ class MidasRuntime:
                     rpw = max(1, min(rounds // workers, 1024 // total))
                     while rpw > 1 and (live_states * word_bytes * -(-rpw * total // 64)
                                        > 3 * _STATE_BYTES):
-                        rpw //= 2
+                        rpw -= 1
             else:
                 n2 = PhaseSchedule.bs_max(k, self.n_processors, self.n1)
         # the divisors of 2^k are exactly the powers of two, so the largest

@@ -21,7 +21,8 @@ factors that into three orthogonal pieces:
   :class:`ElementLanes` keeps ``(rows, [Z+1,] R n2)`` field elements,
   :class:`PlaneLanes` keeps ``(rows, [Z+1,] m, W)`` uint64 bit-planes
   (:mod:`repro.ff.bitsliced`) — that *logical* shape over plane-major
-  memory; either way the phase indicator is computed once per window;
+  memory, weight cells outside the rows; either way the phase indicator
+  is computed once per window;
 * a **driver** — where the rows live: :func:`run_whole_graph` holds all
   of them in one process, in the graph's jagged-diagonal row order for
   the whole window; :func:`phase_program` spreads them over simulated
@@ -47,8 +48,9 @@ import numpy as np
 from repro.core.halo import HaloView
 from repro.errors import ConfigurationError
 from repro.ff.fingerprint import Fingerprint
-from repro.graph.csr import CSRGraph, JaggedDiagonals, memory_order, xor_segment_reduce
+from repro.graph.csr import CSRGraph, JaggedDiagonals, xor_segment_reduce
 from repro.runtime.comm import AllReduce, Irecv, Recv, Send, Wait
+from repro.util.layout import memory_order
 
 #: ``recurrence(lanes)`` -> generator yielding states to neighbour-sum
 Recurrence = Callable[["Lanes"], Generator[np.ndarray, np.ndarray, np.ndarray]]
@@ -108,6 +110,11 @@ class Lanes:
     ``R n2`` iterations; recurrences only call the methods below.
     """
 
+    #: the memory order of a weight-axis state's logical axes, outermost
+    #: first: one layout per lane kind, fixed where the state is built
+    #: (:func:`weight_seed`, :func:`z_convolve`) and kept by every op after
+    weight_order: tuple = ()
+
     def __init__(self, fp, q_start: int, n2: int,
                  rows: Optional[np.ndarray] = None) -> None:
         self.fps = _fingerprints(fp)
@@ -162,7 +169,10 @@ class Lanes:
 
 
 class ElementLanes(Lanes):
-    """``(rows, [Z+1,] R n2)`` field elements, one per iteration."""
+    """``(rows, [Z+1,] R n2)`` field elements, one per iteration, in that
+    memory order."""
+
+    weight_order = (0, 1, 2)
 
     def __init__(self, fp, q_start: int, n2: int,
                  rows: Optional[np.ndarray] = None) -> None:
@@ -189,12 +199,16 @@ class PlaneLanes(Lanes):
     """``(rows, [Z+1,] m, W)`` uint64 bit-planes, 64 iterations per word.
 
     That is the *logical* shape — what recurrences index (``[:, z]``,
-    ``[row_idx, src_z]``).  In memory the plane axis is outermost: every
-    state this layout hands out is a transposed view of a contiguous
-    ``(m, rows, [Z+1,] W)`` block, so the multiply is ``2m`` unit-stride
-    block ops and :func:`neighbour_sum` gathers and XORs along
-    contiguous words.  The ``{0, 1}`` indicator is packed into lane words
-    once per phase; each level's base block is one masked AND of them.
+    ``[row_idx, src_z]``).  In memory the plane axis is outermost: a state
+    without a weight axis is a transposed view of a contiguous ``(m, rows,
+    W)`` block, and a weight-axis state is *weight-cell-major*, a view of
+    a contiguous ``(m, Z+1, rows, W)`` block (:attr:`weight_order`).  So
+    the multiply is ``2m`` unit-stride block ops over ``rows x W`` words
+    or more, a weight cell's column ``[:, z]`` is one contiguous run per
+    plane, and a per-row coefficient or a column broadcast along ``z``
+    costs no copy (:meth:`BitslicedGF2m.mul`).  The ``{0, 1}`` indicator
+    is packed into lane words once per phase; each level's base block is
+    one masked AND of them.
 
     With ``R`` rounds in the window a level's coefficient differs per
     round.  When a round fills whole words (``n2 >= 64``) each word
@@ -203,6 +217,8 @@ class PlaneLanes(Lanes):
     round's ``y`` mask over that round's lanes (the last word's lanes past
     ``R n2`` stay zero).
     """
+
+    weight_order = (2, 1, 0, 3)
 
     def __init__(self, fp, q_start: int, n2: int,
                  rows: Optional[np.ndarray] = None) -> None:
@@ -255,6 +271,11 @@ class PlaneLanes(Lanes):
         return self.bs.mul(a, b)
 
     def finish(self, state: np.ndarray) -> np.ndarray:
+        order, _ = memory_order(state)
+        if order.index(0) > 1:
+            # a weight-cell-major state: summed over rows W words at a time,
+            # the reduce costs ~4x a copy with the rows outermost
+            state = _relaid(state, _rows_outer(order))
         return self.bs.unslice(self.bs.xor_sum(state, axis=0), self.width,
                                self.field.dtype)
 
@@ -278,43 +299,61 @@ def whole_graph_lanes(fp, q_start: int, n2: int,
 
 # -------------------------------------------------------------- weight axis
 # States of a weighted recurrence carry a weight axis ``z = 0 .. z_max``
-# right after the rows: ``(rows, Z+1, ...)`` in either layout's logical shape.
+# right after the rows: ``(rows, Z+1, ...)`` in either layout's logical
+# shape, over the layout's memory order (:attr:`Lanes.weight_order`).
+def _weight_zeros(lanes: Lanes, shape: tuple, dtype) -> np.ndarray:
+    """A zero weight-axis state of logical ``shape`` in ``lanes``' layout."""
+    order = lanes.weight_order
+    return np.zeros([shape[ax] for ax in order], dtype).transpose(np.argsort(order))
+
+
 def weight_seed(lanes: Lanes, w: np.ndarray, z_max: int, level: int) -> np.ndarray:
     """Each row's variable at ``level`` in weight cell ``z = w(i)`` (rows
-    heavier than ``z_max`` stay zero)."""
+    heavier than ``z_max`` stay zero), laid out as ``lanes`` keeps a
+    weight-axis state: weight-cell-major ``(m, Z+1, rows, W)`` memory on
+    planes, ``(rows, Z+1, R n2)`` on elements."""
     base = lanes.base(level)
-    out = np.zeros((len(w), z_max + 1) + base.shape[1:], dtype=base.dtype)
+    out = _weight_zeros(lanes, (len(w), z_max + 1) + base.shape[1:], base.dtype)
     ok = np.nonzero(w <= z_max)[0]
     out[ok, w[ok]] = base[ok]
     return out
 
 
 def row_shift(w: np.ndarray, z_max: int) -> tuple:
-    """``(flat_src, invalid)`` of the per-row weight shift :func:`shift_rows`
-    applies: the source cell ``i (Z+1) + z - w(i)`` of every ``(i, z)``,
-    and where ``z < w(i)`` leaves nothing to take.  Built once a window."""
+    """``(rows_major, z_major, invalid)`` of the per-row weight shift
+    :func:`shift_rows` applies: the source cell of every ``(i, z)`` in the
+    merged row-weight axis, indexed ``i (Z+1) + z - w(i)`` when rows are
+    outer and ``(z - w(i)) rows + i`` (in ``(z, i)`` order) when weight
+    cells are, and where ``z < w(i)`` leaves nothing to take.  Built once
+    a window."""
+    rows = np.arange(len(w), dtype=np.int64)[:, None]
     src_z = np.arange(z_max + 1, dtype=np.int64)[None, :] - w[:, None]
     invalid = src_z < 0
-    flat_src = (np.arange(len(w), dtype=np.int64)[:, None] * (z_max + 1)
-                + np.where(invalid, 0, src_z)).ravel()
-    return flat_src, invalid
+    src_z = np.where(invalid, 0, src_z)
+    return ((rows * (z_max + 1) + src_z).ravel(), (src_z * len(w) + rows).T.ravel(),
+            invalid)
 
 
 def shift_rows(state: np.ndarray, shift: tuple) -> np.ndarray:
     """``out[i, z] = state[i, z - w(i)]`` (0 below ``w(i)``), by
     :func:`row_shift`'s index: one ``take`` over the merged row-weight
-    axis of ``state`` as it lies in memory (rows and weight cells are
-    adjacent there in every layout), so the result keeps ``state``'s
-    memory order — a plane-major state stays plane-major, and the
-    multiply that consumes it runs along contiguous words.  (Fancy
-    indexing ``state[row_idx, src_z]`` would lay the result out row-major
-    whatever ``state`` was.)"""
-    flat_src, invalid = shift
-    order, inverse = memory_order(state)
+    axis of ``state`` as it lies in memory — ``(z, rows)`` on a
+    weight-cell-major plane state, ``(rows, z)`` on elements — so the
+    result keeps ``state``'s memory order and the multiply that consumes
+    it runs along contiguous words.  (Fancy indexing ``state[row_idx,
+    src_z]`` would lay the result out row-major whatever ``state`` was.)"""
+    rows_major, z_major, invalid = shift
+    order, _ = memory_order(state)
+    outer, inner = (1, 0) if order.index(1) < order.index(0) else (0, 1)
+    # the pair is adjacent in memory; a size-1 axis may sit anywhere, so
+    # put the inner one right inside the outer one
+    order.remove(inner)
+    at = order.index(outer)
+    order.insert(at + 1, inner)
     blk = state.transpose(order)
-    at = order.index(0)
     merged = blk.reshape(blk.shape[:at] + (-1,) + blk.shape[at + 2:])
-    out = np.take(merged, flat_src, axis=at).reshape(blk.shape).transpose(inverse)
+    flat_src = z_major if outer == 1 else rows_major
+    out = np.take(merged, flat_src, axis=at).reshape(blk.shape).transpose(np.argsort(order))
     out[invalid] = 0
     return out
 
@@ -322,7 +361,7 @@ def shift_rows(state: np.ndarray, shift: tuple) -> np.ndarray:
 def z_convolve(lanes: Lanes, pairs: list, z_max: int) -> np.ndarray:
     """``sum over (a, b) in pairs of a (*) b``, convolved along the weight
     axis one column of ``a`` at a time (an all-zero column costs nothing)."""
-    acc = np.zeros_like(pairs[0][0])
+    acc = _weight_zeros(lanes, pairs[0][0].shape, pairs[0][0].dtype)
     for a, b in pairs:
         for z1 in range(z_max + 1):
             col = a[:, z1]
@@ -341,10 +380,17 @@ def neighbour_sum(state: np.ndarray, jagged: JaggedDiagonals) -> np.ndarray:
     accumulator, then one gather + :func:`xor_segment_reduce` for the
     jagged tail; the largest temporary is one slot — at most one state —
     wide.  Rows are copied (``np.take``, bounds-checked) along the row
-    axis as it lies in memory, so the result keeps the state's memory
-    order.
+    axis as it lies in memory, and the result keeps the state's memory
+    order.  A state whose rows lie deeper than just inside the outermost
+    axis — weight-cell-major planes ``(m, Z+1, rows, W)``, rows of ``W``
+    words — is summed on one copy with the rows outermost, ``(rows, m,
+    Z+1, W)``, and the sum laid back out as the state: on the state
+    itself a slot's ``take`` moves ``W`` words a chunk and, at ``W = 3``,
+    costs about twice as much as on the copy.
     """
     order, inverse = memory_order(state)
+    if order.index(0) > 1:
+        return _relaid(neighbour_sum(_relaid(state, _rows_outer(order)), jagged), order)
     block, axis = state.transpose(order), order.index(0)
     lead = (slice(None),) * axis
     acc = np.zeros(block.shape[:axis] + (len(jagged.order),) + block.shape[axis + 1:],
@@ -356,6 +402,25 @@ def neighbour_sum(state: np.ndarray, jagged: JaggedDiagonals) -> np.ndarray:
         acc[lead + (slice(len(jagged.tail_indptr) - 1),)] ^= xor_segment_reduce(
             tail, jagged.tail_indptr).transpose(order)
     return acc.transpose(inverse)
+
+
+def _rows_outer(order: list) -> list:
+    """``order`` with the row axis moved outermost."""
+    return [0] + [ax for ax in order if ax]
+
+
+def _relaid(a: np.ndarray, order: list) -> np.ndarray:
+    """A copy of ``a`` laid out in memory in axis order ``order``, outermost
+    first; an innermost axis that is contiguous on both sides moves as one
+    item a row (a transposing copy of 24-byte rows runs ~1.5x faster so)."""
+    src = a.transpose(order)
+    out = np.empty(src.shape, a.dtype)
+    if src.shape[-1] and src.strides[-1] == a.itemsize:
+        row = np.dtype((np.void, a.itemsize * src.shape[-1]))
+        out.view(row)[...] = src.view(row)
+    else:
+        out[...] = src
+    return out.transpose(np.argsort(order))
 
 
 def _own_order_sum(state: np.ndarray, jagged: JaggedDiagonals) -> np.ndarray:

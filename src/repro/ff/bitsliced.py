@@ -29,11 +29,13 @@ element arrays.  The *memory* order is free.  :meth:`slice` returns
 node-major (C-contiguous) planes; the arithmetic (:meth:`mul`,
 :meth:`square`, :meth:`planes_from_words`) accepts any order and returns
 **plane-major** memory — a ``(m, ..., W)`` block seen through a
-transposed view — because that is where every op of the schedule is one
-unit-stride pass over whole planes, and where the evaluators' neighbour
-sum (:func:`repro.core.leveldp.neighbour_sum`: per neighbour slot a
-``take`` and an in-place XOR, both following an array's memory order)
-runs along contiguous words.  The whole DP stays
+transposed view, its other axes in the order of the full-shape operand
+(a weighted state's ``(m, Z+1, rows, W)`` stays so) — because that is
+where every op of the schedule is one unit-stride pass over whole
+planes, and where the evaluators' neighbour sum
+(:func:`repro.core.leveldp.neighbour_sum`: per neighbour slot a ``take``
+and an in-place XOR, both following an array's memory order) runs along
+contiguous words.  The whole DP stays
 plane-resident across levels and only the final ``(m, W)`` reduction is
 unpacked.  The round-trip per-call dispatch (slice, multiply, unslice) is
 also provided for API completeness; it is the *plane-resident* use that
@@ -55,6 +57,7 @@ import numpy as np
 
 from repro.errors import FieldError
 from repro.ff.poly2 import poly_mulmod
+from repro.util.layout import memory_order
 
 _MAX_M = 16
 
@@ -186,6 +189,12 @@ class BitslicedGF2m:
         ``m`` block ANDs (plane ``i`` of ``pa`` against every plane of
         ``pb``) and ``m`` block XORs into ``2m - 1`` partial planes, then
         the chunked reduction.  Leading axes broadcast.
+
+        The product lies in memory as the operand of full (broadcast)
+        shape does, plane axis first: every block op runs in that order,
+        and an operand broadcast along axes that are outer in it (a
+        weight cell's column, or a per-row coefficient, against a
+        weight-cell-major state) is read as it is, its broadcast free.
         """
         a, b = _plane_first(pa), _plane_first(pb)
         if a.ndim != b.ndim or any(
@@ -196,15 +205,13 @@ class BitslicedGF2m:
                 f"{np.shape(pa)} vs {np.shape(pb)}"
             )
         m = self.m
-        # the broadcast (m, ..., W) block, written straight into t's low planes
         shape = tuple(x if y == 1 else y for x, y in zip(a.shape, b.shape))
-        # an operand broadcast along an inner axis (a weight cell's column
-        # against the whole weight axis) cuts every block op below into
-        # loops as short as the axes past it: lay it out in full, once
-        if a.shape[1:] != shape[1:]:
-            a = np.ascontiguousarray(np.broadcast_to(a, (a.shape[0],) + shape[1:]))
-        if b.shape[1:] != shape[1:]:
-            b = np.ascontiguousarray(np.broadcast_to(b, (b.shape[0],) + shape[1:]))
+        full = b if b.shape[1:] == shape[1:] else a
+        rest, back = memory_order(full[0])
+        order = [0] + [ax + 1 for ax in rest]
+        a, b = a.transpose(order), b.transpose(order)
+        shape = tuple(shape[ax] for ax in order)
+        # the broadcast (m, ..., W) block, written straight into t's low planes
         t = np.empty((2 * m - 1,) + shape[1:], dtype=np.uint64)
         np.bitwise_and(a[0], b, out=t[:m])
         t[m:] = 0
@@ -212,7 +219,7 @@ class BitslicedGF2m:
         for i in range(1, m):
             np.bitwise_and(a[i], b, out=tmp)
             t[i : i + m] ^= tmp
-        return self._reduce(t)
+        return self._reduce(t.transpose([0] + [ax + 1 for ax in back]))
 
     def square(self, pa: np.ndarray) -> np.ndarray:
         """Plane squaring: ``(sum a_i x^i)^2 = sum a_i x^{2i}`` in char 2."""

@@ -16,23 +16,12 @@ self-loops and duplicates are dropped at construction.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, List, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
 from repro.errors import GraphError
-
-
-def memory_order(a: np.ndarray) -> Tuple[List[int], List[int]]:
-    """Axes of ``a`` by descending stride, and the inverse permutation.
-
-    ``a.transpose(order)`` is the block as it lies in memory (C-contiguous
-    when ``a`` is a transposed view of a contiguous array, e.g. plane-major
-    bit-planes seen as ``(rows, m, W)``); ``.transpose(inverse)`` of a
-    result computed on that block restores the logical axes.
-    """
-    order = sorted(range(a.ndim), key=lambda ax: -a.strides[ax])
-    return order, sorted(range(a.ndim), key=order.__getitem__)
+from repro.util.layout import memory_order
 
 
 def xor_segment_reduce(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.csr import memory_order
+from repro.util.layout import memory_order
 from repro.graph.templates import decompose_template
 
 

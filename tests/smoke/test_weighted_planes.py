@@ -1,0 +1,76 @@
+"""The scan grid's plane windows must beat its table windows.
+
+A weight-axis state on bit-planes is weight-cell-major (a contiguous
+``(m, Z+1, rows, W)`` block): a weight cell's column is one run per
+plane and a column broadcast along ``z`` multiplies without a copy.
+With the weight axis inside the rows instead, the same windows took
+0.87-0.98x the table kernel's time on planes.  This times the scan rows
+that reach planes on the benchmark's ``scan_grid`` input — row 4 with 6
+fused rounds of 16 lanes, row 5 with 2 of 32 — on both layouts, and asks
+the planes for at most 0.8x the table's median (0.40-0.5x measured on a
+2-vCPU host) and for the same values.  CI's ``perf-gate`` job runs this
+file (``pytest -m smoke tests/smoke/test_weighted_planes.py``).
+"""
+
+import statistics
+import time
+
+import numpy as np
+import pytest
+
+from repro.core.leveldp import ElementLanes, PlaneLanes, _advance, neighbour_sum
+from repro.core.mld import MLDCircuit
+from repro.core.problems import compile
+from repro.ff.gf2m import default_field_for_k
+from repro.graph.generators import erdos_renyi
+from repro.util.rng import RngStream
+
+pytestmark = pytest.mark.smoke
+
+Z_MAX = 5
+#: (scan row, fused rounds, lanes a round)
+WINDOWS = ((4, 6, 16), (5, 2, 32))
+
+
+def _windows(g, w, lanes_cls, strategy):
+    """Each window's lanes, built before the clock starts."""
+    jagged = g.jagged()
+    out = []
+    for dim, rounds, n2 in WINDOWS:
+        circuit = MLDCircuit.scan_row(w, dim, Z_MAX)
+        spec = compile(circuit, default_field_for_k(circuit.y_degree,
+                                                    kernel_strategy=strategy))
+        fps = [spec.draw_fingerprint(g.n, RngStream(50 + r)) for r in range(rounds)]
+        out.append((circuit.recurrence(), lanes_cls(fps, 0, n2, rows=jagged.order)))
+    return jagged, out
+
+
+def _run(jagged, windows):
+    values = []
+    for recurrence, lanes in windows:
+        gen = recurrence(lanes)
+        state, done = _advance(gen)
+        while not done:
+            state, done = _advance(gen, neighbour_sum(state, jagged))
+        values.append(lanes.finish(state))
+    return values
+
+
+def test_the_scan_rows_run_faster_on_planes_than_on_tables():
+    g = erdos_renyi(600, rng=RngStream(1, name="g"))
+    w = RngStream(2, name="w").integers(0, 2, size=g.n)
+    layouts = {"planes": _windows(g, w, PlaneLanes, "bitsliced"),
+               "table": _windows(g, w, ElementLanes, "table")}
+    times = {name: [] for name in layouts}
+    values = {}
+    for _ in range(9):  # interleaved, so host drift hits both alike
+        for name, (jagged, windows) in layouts.items():
+            t0 = time.perf_counter()
+            values[name] = _run(jagged, windows)
+            times[name].append(time.perf_counter() - t0)
+    for planes, table in zip(values["planes"], values["table"]):
+        assert np.array_equal(planes, table)
+    planes, table = (statistics.median(times[name]) for name in ("planes", "table"))
+    print(f"scan rows 4 + 5 on ER(600), Z = {Z_MAX}: planes {planes * 1e3:.1f} ms, "
+          f"table {table * 1e3:.1f} ms, ratio {planes / table:.2f}")
+    assert planes <= 0.8 * table

@@ -258,6 +258,30 @@ class TestPlaneArithmeticLayouts:
         assert np.array_equal(elems(wide), oracle.mul(a[:, None, :], c))
         assert np.array_equal(elems(bs.mul(pc, pa[:, None])), oracle.mul(c, a[:, None, :]))
 
+    @pytest.mark.parametrize("z", [1, 4])
+    @pytest.mark.parametrize("m,modulus", [(1, 0b11), (5, GF2m(5).modulus),
+                                           (9, GF2m(9).modulus)])
+    def test_a_weight_cell_major_product_stays_weight_cell_major(self, m, modulus, z):
+        """A ``(m, Z, rows, W)`` state times a weight cell's column (and a
+        per-row coefficient) broadcast along ``z``: the product lies as the
+        state does, and equals the element-wise product."""
+        oracle, bits = field_pair(m, modulus)
+        bs = bits.bitsliced
+        rng = np.random.default_rng(m * 10 + z)
+        rows, n2 = 7, 130
+        c = rng.integers(0, oracle.order, size=(rows, z, n2)).astype(oracle.dtype)
+        # logical (rows, Z, m, W) over a contiguous (m, Z, rows, W) block
+        z_outer = (2, 1, 0, 3)  # its own inverse
+        state = np.ascontiguousarray(bs.slice(c).transpose(z_outer)).transpose(z_outer)
+        column = state[:, z - 1]
+        coeff = bs.slice(c[:, 0])  # node-major (rows, m, W): another memory order
+        for a, elements in ((column, c[:, z - 1]), (coeff, c[:, 0])):
+            for prod in (bs.mul(a[:, None], state), bs.mul(state, a[:, None])):
+                assert prod.shape == state.shape
+                assert prod.transpose(z_outer).flags.c_contiguous
+                assert np.array_equal(bs.unslice(prod, n2, oracle.dtype),
+                                      oracle.mul(elements[:, None, :], c))
+
     def test_chunked_fold_is_exercised(self):
         # highest tap 6 (as in x^7 + x^6 + 1): the six high planes fold one
         # at a time; the default x^7 + x + 1 folds them all at once

@@ -176,6 +176,8 @@ class _Recording:
 
     def __getattr__(self, name):
         op = getattr(self._lanes, name)
+        if not callable(op):  # a layout fact (``weight_order``), not an operation
+            return op
 
         def call(*args):
             self._log.append((name, *[np.shape(a) if isinstance(a, np.ndarray) else a

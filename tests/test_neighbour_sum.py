@@ -52,29 +52,31 @@ GRAPHS = {
     "barabasi-albert": lambda: barabasi_albert(500, 6, rng=RngStream(5)),
 }
 
-#: every state shape a recurrence yields: ``(trailing shape, dtype, plane-major)``
+#: every state shape a recurrence yields: ``(trailing shape, dtype, memory
+#: order of the logical axes, outermost first; None: C order)``
 STATES = {
-    "elements-u8": ((24,), np.uint8, False),
-    "elements-u16": ((5,), np.uint16, False),
-    "planes": ((5, 3), np.uint64, True),
-    "weights-elements": ((4, 16), np.uint8, False),
-    "weights-planes": ((3, 5, 2), np.uint64, True),
+    "elements-u8": ((24,), np.uint8, None),
+    "elements-u16": ((5,), np.uint16, None),
+    "planes": ((5, 3), np.uint64, (1, 0, 2)),
+    "weights-elements": ((4, 16), np.uint8, None),
+    # logical (rows, Z, m, W) over (m, rows, Z, W), and weight-cell-major
+    # over (m, Z, rows, W) as PlaneLanes builds a weight-axis state
+    "weights-planes": ((3, 5, 2), np.uint64, (2, 0, 1, 3)),
+    "weights-planes-z-outer": ((3, 5, 2), np.uint64, (2, 1, 0, 3)),
 }
 
 
 def make_state(rng, rows, kind):
-    """A random state with ``rows`` rows; plane-major kinds are transposed
-    views of a ``(m, rows, ..., W)`` block, as ``PlaneLanes`` builds them."""
-    trailing, dtype, plane_major = STATES[kind]
+    """A random state with ``rows`` rows; a plane kind is a transposed view
+    of a contiguous block, its axes in the kind's memory order."""
+    trailing, dtype, order = STATES[kind]
     shape = (rows,) + trailing
     hi = int(np.iinfo(dtype).max)
-    if not plane_major:
+    if order is None:
         return rng.integers(0, hi, size=shape, endpoint=True, dtype=dtype)
-    # logical (rows, [Z,] m, W) over memory (m, rows, [Z,] W)
-    m_axis = len(shape) - 2
-    memory = (shape[m_axis],) + shape[:m_axis] + shape[m_axis + 1:]
-    block = rng.integers(0, hi, size=memory, endpoint=True, dtype=dtype)
-    return np.moveaxis(block, 0, m_axis)
+    block = rng.integers(0, hi, size=[shape[ax] for ax in order], endpoint=True,
+                         dtype=dtype)
+    return block.transpose(np.argsort(order))
 
 
 class TestLayout:

@@ -13,10 +13,17 @@ workloads (full and quick sizes).  The model entry is what reached
 :func:`repro.core.model.estimate_runtime`: the DP levels it charged, the
 weight axis and whether it applied the z-convolution factor.
 
-One entry moves on purpose: scan row 1 has no convolution step, and the
-derived flag says so, where the factory's per-kind model label charged
-row 1 a convolution it never does (a modeled scan grid's row 1, two
-iterations, costs ``Z+1`` times less).
+Two entries move on purpose:
+
+* scan row 1 has no convolution step, and the derived flag says so,
+  where the factory's per-kind model label charged row 1 a convolution
+  it never does (a modeled scan grid's row 1, two iterations, costs
+  ``Z+1`` times less);
+* ``ledger/kinds/wpath`` fuses 3 rounds a window, not 2, sequentially
+  and on two threads:
+  ``schedule_for`` takes the largest round count whose live states fit
+  the budget, where it used to halve the count until they did (4 -> 2,
+  skipping 3).
 """
 
 from __future__ import annotations
@@ -137,6 +144,12 @@ def test_compiled_spec_matches_the_stated_one(golden, name, kind, n, p):
     expected = golden[name]
     if kind == "scan" and p["k"] == 1:
         assert expected["model"][2] is True
-        # the one deliberate move, see above
+        # the first deliberate move, see above
         expected = dict(expected, model=[*expected["model"][:2], False])
+    if name == "ledger/kinds/wpath":
+        # the second: the largest fused count that fits, not a halved one
+        moved = {label: [64, 3]
+                 for label in ("sequential/R4", "sequential/R8", "threaded2/R8")}
+        assert all(expected["schedule"][label] == [64, 2] for label in moved)
+        expected = dict(expected, schedule={**expected["schedule"], **moved})
     assert observe(kind, n, p) == expected

@@ -296,6 +296,34 @@ class TestRuntimeScheduleFor:
         assert rt.schedule_for(10, 1500).n2 == 1024 // 2
         assert rt.schedule_for(10, 1500, field_degree=14).n2 == 1024 // 4
 
+    def test_fused_rounds_are_the_largest_count_that_fits(self):
+        """``R`` is the largest count up to the cap (rounds left, ``1024 /
+        2^k`` lanes) whose ``live_states`` states of ``words(R)`` lane
+        words fit ``3 * _STATE_BYTES`` — not the cap halved until they do."""
+        from repro.core.engine import _STATE_BYTES
+        from repro.core.midas import MidasRuntime
+
+        rt = MidasRuntime()
+        # scan row 5 of the ledger's grid (n = 600, l = 5, Z+1 = 6, 9 live
+        # states), 7 rounds left: 2 rounds fill one word and fit, 3 do not
+        s = rt.schedule_for(5, 600, 5, payload=6, rounds=7, live_states=9)
+        assert (s.n2, s.rounds_per_window) == (32, 2)
+        for k in (2, 4, 5, 6):
+            for n, ell, payload, live in ((100, 4, 1, 1), (600, 5, 6, 9),
+                                          (600, 5, 7, 4), (1500, 6, 1, 5)):
+                for rounds in range(1, 10):
+                    s = rt.schedule_for(k, n, ell, payload, rounds=rounds,
+                                        live_states=live)
+                    if s.n2 < 1 << k:
+                        assert s.rounds_per_window == 1
+                        continue
+                    word_bytes = 8 * ell * n * payload
+                    fits = [r for r in range(1, min(rounds, 1024 >> k) + 1)
+                            if live * word_bytes * -(-r * (1 << k) // 64)
+                            <= 3 * _STATE_BYTES]
+                    assert s.rounds_per_window == max(fits, default=1), (
+                        k, n, ell, payload, live, rounds)
+
     def test_weighted_path_runs_in_the_narrow_window_with_equal_digests(self):
         from repro.core.midas import MidasRuntime, max_weight_path
         from repro.graph.generators import erdos_renyi, plant_path
