@@ -76,7 +76,7 @@ import numpy as np
 
 from repro.core.model import PartitionStats, PerformanceEstimate, estimate_runtime
 from repro.core.halo import build_halo_views
-from repro.core.leveldp import phase_program
+from repro.core.leveldp import exchange_signature, phase_program
 from repro.core.problems import ProblemSpec, Value
 from repro.core.schedule import PhaseSchedule, pow2_floor, rounds_for_epsilon
 from repro.errors import (
@@ -354,21 +354,33 @@ class MidasRuntime:
             return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
 
+    def run_lanes(self, sched: PhaseSchedule, n: int = 0,
+                  field_degree: Optional[int] = None, payload: int = 1) -> int:
+        """The lanes one whole-graph level-DP run of a stage on ``sched``
+        carries: its window, ``R N2`` — but in simulated mode the run that
+        values a round's windows (:class:`SimulatedBackend`), as wide as
+        the stage's sequential window, so it holds no more state than a
+        sequential run."""
+        if self.mode != "simulated":
+            return sched.lanes
+        return MidasRuntime(n2=self.n2).schedule_for(sched.k, n, field_degree,
+                                                     payload).n2
+
     def resolve_kernel(self, m: int, n2: int, plane: object = None) -> str:
-        """The GF kernel strategy for a ``(m, n2)`` evaluation window — the
-        one rule, for every problem kind.
+        """The GF kernel strategy for a whole-graph run of ``n2`` lanes
+        (:meth:`run_lanes`) — the one rule, for every problem kind.
 
         ``"bitsliced"`` once a full uint64 word of lanes is in flight
-        (``n2 >= 64``) on the whole-graph modes, whose driver keeps the DP
-        state plane-resident; otherwise the dense ``"table"`` when
-        elements fit a byte, else ``"logexp"`` (simulated/modeled SPMD
-        ranks evaluate element-wise).  Every strategy gives the same bits.
+        (``n2 >= 64``) in any mode but modeled: the whole-graph driver then
+        keeps the DP state plane-resident; otherwise the dense ``"table"`` when
+        elements fit a byte, else ``"logexp"`` (SPMD ranks evaluate
+        element-wise, on the tables).  Every strategy gives the same bits.
 
         ``plane`` is ignored.  It used to mark the k-path call sites; the
         frozen benchmark (``benchmarks/ledger/layers.py``) still passes
         it, so the keyword stays accepted until the ledger is re-anchored.
         """
-        if self.mode in _WHOLE_GRAPH_MODES and n2 >= 64:
+        if self.mode != "modeled" and n2 >= 64:
             return "bitsliced"
         return "table" if m <= 8 else "logexp"
 
@@ -920,11 +932,12 @@ class SimulatedBackend(ExecutionBackend):
     message sizes, so with modeled compute a window's virtual timeline
     depends on its exchange shapes alone, never on the data.  Each stage
     therefore *enacts* one window per exchange signature — in practice
-    its first — on the coroutine simulator and checks the enacted value
-    against the whole-graph evaluation of the same window; every later
-    window takes its value from the whole-graph level-DP core and its
-    makespan, clocks, trace splice and byte counts from the stored
-    :class:`_Timeline`.  A fault plan, a sanitizer or measured compute
+    its first — on the coroutine simulator.  A round's windows are
+    valued by whole-graph level-DP runs as wide as a sequential window
+    (:meth:`ProblemSpec.window_values`); the enacted value is checked
+    against its window's, and every later window takes its value from
+    them and its makespan, clocks, trace splice and byte counts from the
+    stored :class:`_Timeline`.  A fault plan, a sanitizer or measured compute
     make timelines window-specific: then every window is enacted.
     """
 
@@ -954,6 +967,12 @@ class SimulatedBackend(ExecutionBackend):
         want_trace = rt.trace or rec is not None
         value = spec.acc_init()
         round_virtual = 0.0
+        if self._reuse:
+            # every window's whole-graph value, plane-resident on a
+            # bit-sliced field: a reused window's value, an enacted one's check
+            with e.prof.span("engine.values", phase="rounds", callsite=fc.problem):
+                whole = spec.window_values(e.graph, fp, sched.n2, rt.run_lanes(
+                    sched, e.graph.n, spec.field.m, spec.payload))
         for bi, batch in enumerate(sched.batches()):
             if rec is not None and e.last_join is not None:
                 # phase barrier: every rank of this batch starts when the
@@ -968,11 +987,10 @@ class SimulatedBackend(ExecutionBackend):
                 q0, q1 = sched.phase_window(t)
                 tl, extra, failed = None, 0.0, ()
                 if self._reuse:
-                    # the whole-graph value, and with it the signature that
-                    # says whether this window's messages were enacted before
-                    t0, exchanges = time.perf_counter(), []
-                    contrib = spec.phase_value(e.graph, fp, q0, sched.n2, exchanges)
-                    signature = tuple(exchanges)
+                    # the signature says whether this window's messages
+                    # were enacted before
+                    t0, contrib = time.perf_counter(), whole[t]
+                    signature = exchange_signature(spec.recurrence, fp, q0, sched.n2)
                     tl = stage.timelines.get(signature)
                 if tl is not None:
                     e.prof.add_span("engine.simulate", t0, time.perf_counter(),

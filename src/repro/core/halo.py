@@ -17,7 +17,7 @@ neighbour on another processor sends its fresh polynomial value there.  A
 
 Both sides order a given peer's list by global vertex id, so a received
 buffer scatters with one fancy-indexed assignment and the exchange is
-deterministic.  All views are built in one pass over the edge list.
+deterministic.  All views are built together from whole-graph arrays.
 """
 
 from __future__ import annotations
@@ -122,7 +122,9 @@ class HaloView:
 
 
 def build_halo_views(graph: CSRGraph, partition: Partition) -> List[HaloView]:
-    """Build every rank's :class:`HaloView` in one pass over the edges."""
+    """Build every rank's :class:`HaloView` from whole-graph arrays: one
+    sort of the (receiver, vertex) halo pairs and one stable regrouping
+    per side, then each rank's and each peer's slice of them."""
     # imported here, not at module top: repro.obs must stay import-light
     # from the hot core modules (see obs.metrics module docs)
     import time
@@ -132,77 +134,68 @@ def build_halo_views(graph: CSRGraph, partition: Partition) -> List[HaloView]:
     if partition.graph is not graph and partition.graph.n != graph.n:
         raise PartitionError("partition does not match graph")
     t0 = time.perf_counter()
-    p = partition.n_parts
+    p, n = partition.n_parts, graph.n
     owner = partition.owner
     e = graph.edges()
     ou = owner[e[:, 0]]
     ov = owner[e[:, 1]]
     cut = ou != ov
 
-    # (vertex, dst_rank) pairs: each endpoint of a cut edge must be sent to
-    # the other endpoint's owner.
-    send_v = np.concatenate([e[cut, 0], e[cut, 1]])
-    send_to = np.concatenate([ov[cut], ou[cut]])
-    if len(send_v):
-        key = send_v * p + send_to
-        uniq = np.unique(key)
-        send_v = uniq // p
-        send_to = uniq % p
+    # (dst_rank, vertex) pairs, unique and sorted: each endpoint of a cut
+    # edge must be sent to the other endpoint's owner, and a rank's pairs
+    # are its ghosts in order
+    pairs = np.sort(np.concatenate([ov[cut], ou[cut]]).astype(np.int64) * n
+                    + np.concatenate([e[cut, 0], e[cut, 1]]))
+    pairs = pairs[np.diff(pairs, prepend=-1) != 0]
+    send_to, send_v = pairs // n, pairs % n
+    send_from = owner[send_v]
+    ghost_start = np.concatenate([[0], np.cumsum(np.bincount(send_to, minlength=p))])
+
+    # vertices by (owner, id): each rank's own rows, and their positions
+    order = np.argsort(owner, kind="stable")
+    n_own = np.bincount(owner, minlength=p)
+    own_start = np.concatenate([[0], np.cumsum(n_own)])
+    own_pos = np.empty(n, dtype=np.int64)
+    own_pos[order] = np.arange(n) - own_start[owner[order]]
+
+    # every rank's local CSR back to back, its neighbour lists gathered by
+    # one index: a column is an own position, or n_own + a ghost position
+    deg = np.diff(graph.indptr)[order]
+    ptr = np.concatenate([[0], np.cumsum(deg)])
+    cols = graph.indices[np.repeat(graph.indptr[order] - ptr[:-1], deg)
+                         + np.arange(ptr[-1])]
+    rank = np.repeat(owner[order], deg)
+    foreign, key = owner[cols] != rank, rank * n + cols
+    at = np.searchsorted(pairs, key)
+    if np.any(pairs.take(at[foreign], mode="clip") != key[foreign]):  # pragma: no cover
+        raise PartitionError("halo construction missed a neighbour (internal error)")
+    local_cols = np.where(foreign, n_own[rank] - ghost_start[rank] + at, own_pos[cols])
+
+    def lists(rank, peer, values):
+        """``[{peer: values}]`` a rank, peers ascending, each list in the
+        pairs' (vertex) order."""
+        by = np.argsort(rank * p + peer, kind="stable")
+        key, values = (rank * p + peer)[by], values[by]
+        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        ends = np.append(starts[1:], len(key))
+        out = [{} for _ in range(p)]
+        for k, a, b in zip(key[starts].tolist(), starts.tolist(), ends.tolist()):
+            out[k // p][k % p] = values[a:b]
+        return out
+
+    # send lists: positions into own, ordered by global id (matching the
+    # receiver's sorted ghost layout); recv lists: where each peer's
+    # buffer lands in the ghost array
+    send_lists = lists(send_from, send_to, own_pos[send_v])
+    recv_lists = lists(send_to, send_from, np.arange(len(pairs)) - ghost_start[send_to])
     views: List[HaloView] = []
     for r in range(p):
-        own = partition.part_nodes(r)
-        pos_of_global = -np.ones(graph.n, dtype=np.int64)
-        pos_of_global[own] = np.arange(len(own))
-
-        # ghosts of r: vertices sent *to* r
-        mask_in = send_to == r
-        ghost = np.sort(send_v[mask_in])
-        ghost_pos = {}
-        if len(ghost):
-            pos_of_global[ghost] = len(own) + np.arange(len(ghost))
-
-        # local CSR over own rows
-        deg = graph.indptr[own + 1] - graph.indptr[own]
-        indptr = np.zeros(len(own) + 1, dtype=np.int64)
-        np.cumsum(deg, out=indptr[1:])
-        cols = np.empty(indptr[-1], dtype=np.int64)
-        for li, g in enumerate(own):
-            cols[indptr[li] : indptr[li + 1]] = graph.indices[
-                graph.indptr[g] : graph.indptr[g + 1]
-            ]
-        local_cols = pos_of_global[cols]
-        if np.any(local_cols < 0):  # pragma: no cover - invariant
-            raise PartitionError("halo construction missed a neighbour (internal error)")
-
-        # send lists: my vertices that must go to each peer, ordered by
-        # global id (matching the receiver's sorted ghost layout)
-        mask_out = (owner[send_v] == r) if len(send_v) else np.zeros(0, dtype=bool)
-        sv = send_v[mask_out]
-        st = send_to[mask_out]
-        send_lists: Dict[int, np.ndarray] = {}
-        for peer in np.unique(st):
-            vs = np.sort(sv[st == peer])
-            send_lists[int(peer)] = pos_of_global[vs]  # positions into own
-
-        # recv lists: where each peer's (sorted) buffer lands in my ghost array
-        recv_lists: Dict[int, np.ndarray] = {}
-        gv = send_v[mask_in]
-        gfrom = owner[gv] if len(gv) else np.zeros(0, dtype=np.int64)
-        for peer in np.unique(gfrom):
-            vs = np.sort(gv[gfrom == peer])
-            recv_lists[int(peer)] = pos_of_global[vs] - len(own)  # positions into ghost
-
-        views.append(
-            HaloView(
-                rank=r,
-                own=own,
-                ghost=ghost,
-                indptr=indptr,
-                indices=local_cols,
-                send_lists=send_lists,
-                recv_lists=recv_lists,
-            )
-        )
+        lo, hi = own_start[r], own_start[r + 1]
+        views.append(HaloView(
+            rank=r, own=order[lo:hi], ghost=send_v[ghost_start[r]:ghost_start[r + 1]],
+            indptr=ptr[lo:hi + 1] - ptr[lo], indices=local_cols[ptr[lo]:ptr[hi]],
+            send_lists=send_lists[r], recv_lists=recv_lists[r],
+        ))
 
     reg = get_default_registry()
     reg.counter("midas_halo_builds_total", "Halo-view constructions").inc()
@@ -214,5 +207,5 @@ def build_halo_views(graph: CSRGraph, partition: Partition) -> List[HaloView]:
     ).labels(n1=p).set(sum(v.n_ghost for v in views))
     reg.gauge(
         "midas_halo_boundary_nodes", "Distinct boundary vertices (last build)"
-    ).labels(n1=p).set(int(len(np.unique(send_v))) if len(send_v) else 0)
+    ).labels(n1=p).set(int(np.count_nonzero(np.bincount(send_v, minlength=n))))
     return views

@@ -437,8 +437,7 @@ def _advance(gen, acc=None):
 
 
 def run_whole_graph(graph: CSRGraph, recurrence: Recurrence, fp,
-                    q_start: int, n2: int,
-                    exchanges: Optional[list] = None) -> np.ndarray:
+                    q_start: int, n2: int) -> np.ndarray:
     """Evaluate ``recurrence`` over the window ``[q_start, q_start + n2)``
     with every vertex in this process — of one round, or of each round
     of a sequence of fingerprints side by side (see :class:`Lanes`).
@@ -450,14 +449,6 @@ def run_whole_graph(graph: CSRGraph, recurrence: Recurrence, fp,
     per-iteration values ``([Z+1,] R n2)`` in ``field.dtype``, round-major;
     XOR over a round's ``n2`` lanes is the phase's contribution to it.
 
-    ``exchanges``, when given, collects the window's *exchange signature*:
-    the ``(row shape, dtype)`` of every state the recurrence asked to have
-    neighbour-summed.  Under :func:`phase_program` each of those is one
-    halo exchange whose message sizes are the partition's boundary lists
-    times that row, so two windows of one stage with equal signatures put
-    the same messages on the wire — the guard the simulated backend keys
-    its memoised phase timelines by.
-
     The first call in a process applies :func:`retain_worker_heaps`.
     """
     global _heaps_retained
@@ -468,8 +459,6 @@ def run_whole_graph(graph: CSRGraph, recurrence: Recurrence, fp,
     gen = recurrence(lanes)
     state, done = _advance(gen)
     while not done:
-        if exchanges is not None:
-            exchanges.append((state.shape[1:], state.dtype))
         summed = neighbour_sum(state, jagged)
         # neither the summed state nor, a level later, its sum is kept
         # alive from here: a recurrence that lets go of what it yielded
@@ -478,6 +467,25 @@ def run_whole_graph(graph: CSRGraph, recurrence: Recurrence, fp,
         state, done = _advance(gen, summed)
         summed = None
     return lanes.finish(state)
+
+
+def exchange_signature(recurrence: Recurrence, fp: Fingerprint, q_start: int,
+                       n2: int) -> tuple:
+    """The window's *exchange signature*: the ``(row shape, dtype)`` of
+    every state ``recurrence`` asks to have neighbour-summed, as
+    :func:`phase_program`'s ranks hold it — taken by driving the
+    recurrence on zero rows of :class:`ElementLanes`, so it costs no DP.
+    Each of those states is one halo exchange whose message sizes are the
+    partition's boundary lists times that row, so two windows of one
+    stage with equal signatures put the same messages on the wire — the
+    guard the simulated backend keys its memoised phase timelines by."""
+    gen = recurrence(ElementLanes(fp, q_start, n2, rows=np.zeros(0, np.int64)))
+    signature = []
+    state, done = _advance(gen)
+    while not done:
+        signature.append((state.shape[1:], state.dtype))
+        state, done = _advance(gen, np.zeros_like(state))
+    return tuple(signature)
 
 
 def phase_program(views: List[HaloView], recurrence: Recurrence, fp: Fingerprint,
@@ -555,6 +563,7 @@ __all__ = [
     "Lanes",
     "PlaneLanes",
     "Recurrence",
+    "exchange_signature",
     "neighbour_sum",
     "phase_program",
     "retain_worker_heaps",

@@ -73,16 +73,17 @@ def _detect(engine: DetectionEngine, circuit: MLDCircuit, eps: float, rng, *,
 
     The circuit is compiled over the session's cached GF(2^l) tables
     (per ``(degree, strategy)``), with the kernel the runtime resolves
-    for the stage's widest window — ``R`` fused rounds of ``n2`` lanes:
+    for the stage's widest whole-graph run (``MidasRuntime.run_lanes``):
     the level-DP core keeps any circuit plane-resident once a bit-sliced
     field is handed a full word of lanes.
     """
     rt, d, rounds = engine.rt, circuit.y_degree, stage_rounds(circuit, eps)
-    m = field_degree_for_k(d)
-    sched = rt.schedule_for(circuit.k, engine.graph.n, m, circuit.payload,
+    m, n = field_degree_for_k(d), engine.graph.n
+    sched = rt.schedule_for(circuit.k, n, m, circuit.payload,
                             rounds=rounds, live_states=circuit.live_states)
+    lanes = rt.run_lanes(sched, n, m, circuit.payload)
     field = engine.session.field_for_k(
-        d, strategy=rt.resolve_kernel(m, sched.lanes), prof=engine.prof)
+        d, strategy=rt.resolve_kernel(m, lanes), prof=engine.prof)
     spec = compile(circuit, field)
     if early_exit:
         stop = spec.hit

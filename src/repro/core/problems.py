@@ -101,12 +101,27 @@ class ProblemSpec:
             return int(raw)
         return np.asarray(raw, dtype=self.field.dtype)
 
-    def phase_value(self, graph: CSRGraph, fp: Fingerprint, q0: int, n2: int,
-                    exchanges: Optional[list] = None) -> Value:
-        """One phase window's contribution, evaluated on the whole graph
-        (``exchanges``: see :func:`~repro.core.leveldp.run_whole_graph`)."""
-        per_lane = run_whole_graph(graph, self.recurrence, fp, q0, n2, exchanges)
+    def phase_value(self, graph: CSRGraph, fp: Fingerprint, q0: int, n2: int) -> Value:
+        """One phase window's contribution, evaluated on the whole graph."""
+        per_lane = run_whole_graph(graph, self.recurrence, fp, q0, n2)
         return self.rank_value(np.bitwise_xor.reduce(per_lane, axis=-1))
+
+    def window_values(self, graph: CSRGraph, fp: Fingerprint, n2: int,
+                      width: int) -> List[Value]:
+        """Every ``n2``-lane phase window's contribution to one round, in
+        phase order, from whole-graph runs of ``width`` lanes each (both
+        powers of two, at most ``2^k``): a run spans ``width / n2``
+        windows, or a window ``n2 / width`` runs."""
+        group = min(width, n2)  # lanes that one run gives one window
+        parts = []
+        for q in range(0, 1 << self.k, width):
+            per_lane = run_whole_graph(graph, self.recurrence, fp, q, width)
+            parts.append(np.bitwise_xor.reduce(
+                per_lane.reshape(per_lane.shape[:-1] + (-1, group)), axis=-1))
+        per_group = np.concatenate(parts, axis=-1)
+        per_window = np.bitwise_xor.reduce(
+            per_group.reshape(per_group.shape[:-1] + (-1, n2 // group)), axis=-1)
+        return [self.rank_value(per_window[..., t]) for t in range(per_window.shape[-1])]
 
     def phase_values(self, graph: CSRGraph, fps: Sequence[Fingerprint], q0: int,
                      n2: int) -> List[Value]:

@@ -1,16 +1,19 @@
 """Simulated-mode smoke at the paper's scale: Fig 9-10 run to N = 1152.
 
 A stage's communication is enacted once and reused for every later phase
-window, so a paper-sized machine is seconds of wall time; CI's
-``perf-gate`` job runs this file (``pytest -m smoke
-tests/smoke/test_sim_scale.py``).  The N = 64 case keeps the shortcut
-honest against a run that enacts every window (``sanitize="warn"``).
+window, whose values come from one whole-graph run a round, so a
+paper-sized machine is seconds of wall time; CI's ``perf-gate`` job runs
+this file (``pytest -m smoke tests/smoke/test_sim_scale.py``).  The
+N = 64 cases keep the shortcut honest against a run that enacts every
+window (``sanitize="warn"``) and pin its whole-graph run count.
 """
 
 import time
+from unittest import mock
 
 import pytest
 
+from repro.core import problems
 from repro.core.midas import MidasRuntime, detect_path
 from repro.graph.generators import erdos_renyi
 from repro.util.rng import RngStream
@@ -45,3 +48,17 @@ def test_memoised_virtual_seconds_equal_the_fully_enacted_twin():
         (r.value, r.virtual_seconds) for r in full.rounds]
     # every window enacted: an 8-path's 7 rounds at eps 0.2, 4 windows each
     assert full.details["sanitizer"]["runs"] == 7 * 4
+
+
+def test_a_memoised_stage_makes_one_whole_graph_run_a_round():
+    g = erdos_renyi(800, m=3200, rng=RngStream(3, name="g"))
+    with mock.patch.object(problems, "run_whole_graph",
+                           wraps=problems.run_whole_graph) as runs:
+        memo = _detect(g, 8, n_processors=64, n1=16)
+    # an 8-path's 7 rounds at eps 0.2, each of its 4 windows of 64 lanes
+    # valued by one 256-lane run (the sequential window), not one run each
+    assert runs.call_count == memo.rounds_run == 7
+    assert {call.args[-1] for call in runs.call_args_list} == {256}
+    full = _detect(g, 8, n_processors=64, n1=16, sanitize="warn")
+    assert memo.virtual_seconds == full.virtual_seconds
+    assert [r.value for r in memo.rounds] == [r.value for r in full.rounds]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _leveldp_drivers import partition_with_empty_rank
 from repro.core.halo import build_halo_views
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import erdos_renyi, grid2d
@@ -105,3 +106,59 @@ class TestHaloExchangeSemantics:
             for peer, slots in v.recv_lists.items():
                 ghost_vals[slots] = outboxes[(peer, v.rank)]
             assert np.array_equal(ghost_vals, state[v.ghost])
+
+
+# ------------------------------------------- the per-rank/peer construction
+def _looped_views(graph, partition):
+    """The views built one rank and one peer at a time — the construction
+    the array version replaced, kept as its reference."""
+    p, owner = partition.n_parts, partition.owner
+    e = graph.edges()
+    ou, ov = owner[e[:, 0]], owner[e[:, 1]]
+    cut = ou != ov
+    send_v = np.concatenate([e[cut, 0], e[cut, 1]])
+    send_to = np.concatenate([ov[cut], ou[cut]])
+    if len(send_v):
+        uniq = np.unique(send_v * p + send_to)
+        send_v, send_to = uniq // p, uniq % p
+    views = []
+    for r in range(p):
+        own = partition.part_nodes(r)
+        pos = -np.ones(graph.n, dtype=np.int64)
+        pos[own] = np.arange(len(own))
+        ghost = np.sort(send_v[send_to == r])
+        pos[ghost] = len(own) + np.arange(len(ghost))
+        deg = graph.indptr[own + 1] - graph.indptr[own]
+        indptr = np.zeros(len(own) + 1, dtype=np.int64)
+        np.cumsum(deg, out=indptr[1:])
+        cols = np.empty(indptr[-1], dtype=np.int64)
+        for li, g_id in enumerate(own):
+            cols[indptr[li]:indptr[li + 1]] = graph.indices[
+                graph.indptr[g_id]:graph.indptr[g_id + 1]]
+        mine = owner[send_v] == r
+        sv, st_ = send_v[mine], send_to[mine]
+        send = {int(q): pos[np.sort(sv[st_ == q])] for q in np.unique(st_)}
+        gv = send_v[send_to == r]
+        gfrom = owner[gv]
+        recv = {int(q): pos[np.sort(gv[gfrom == q])] - len(own) for q in np.unique(gfrom)}
+        views.append((own, ghost, indptr, pos[cols], send, recv))
+    return views
+
+
+@pytest.mark.parametrize("empty_rank", [None, 0, 3, 5])
+def test_views_equal_the_looped_construction_array_for_array(empty_rank):
+    g = erdos_renyi(120, m=300, rng=RngStream(11))
+    p = (random_partition(g, 6, rng=RngStream(12)) if empty_rank is None
+         else partition_with_empty_rank(g, 6, empty_rank, seed=13))
+    for v, (own, ghost, indptr, indices, send, recv) in zip(
+            build_halo_views(g, p), _looped_views(g, p), strict=True):
+        for got, want in ((v.own, own), (v.ghost, ghost), (v.indptr, indptr),
+                          (v.indices, indices)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        for got, want in ((v.send_lists, send), (v.recv_lists, recv)):
+            assert list(got) == list(want)  # the same peers, in the same order
+            for peer in want:
+                assert got[peer].dtype == want[peer].dtype
+                assert np.array_equal(got[peer], want[peer])
+    if empty_rank is not None:
+        assert build_halo_views(g, p)[empty_rank].n_own == 0

@@ -1,13 +1,15 @@
 """Kernel routing: the phase window picks the GF kernel, for every driver.
 
 ``MidasRuntime.resolve_kernel`` is the one rule, the same for k-path,
-k-tree, weighted path and every scan-grid row: ``bitsliced`` on the
-whole-graph backends once a full lane word is in flight (``n2 >= 64``),
-the dense table otherwise, and never on simulated/modeled ranks, which
-evaluate element-wise.  Whatever it picks, every round value and round
-digest equals the sequential ``n2 = 32`` run's (element layout) — round
-values do not depend on N2 — and at ``n2 = 32`` so does every window's
-phase digest.
+k-tree, weighted path and every scan-grid row: ``bitsliced`` once a full
+lane word is in flight in a whole-graph run — a window on the
+whole-graph backends, the run a simulated round's reused windows take
+their values from (as wide as the sequential window) — and the dense
+table otherwise, and always on modeled mode.  Simulated and modeled
+ranks evaluate element-wise on the field's tables either way.  Whatever
+it picks, every round value and round digest equals the sequential
+``n2 = 32`` run's (element layout) — round values do not depend on N2 —
+and at ``n2 = 32`` so does every window's phase digest.
 """
 
 import pytest
@@ -15,6 +17,7 @@ import pytest
 from repro.core.engine import EngineSession, MidasRuntime
 from repro.core.midas import detect_path, detect_tree, max_weight_path, scan_grid
 from repro.core.mld import MLDCircuit
+from repro.core.schedule import PhaseSchedule
 from repro.ff.gf2m import field_degree_for_k
 from repro.graph.generators import erdos_renyi, plant_path
 from repro.graph.templates import TreeTemplate
@@ -23,6 +26,7 @@ from repro.util.rng import RngStream
 
 WHOLE_GRAPH = ("sequential", "threaded", "process")
 MODES = WHOLE_GRAPH + ("simulated", "modeled")
+PLANES = WHOLE_GRAPH + ("simulated",)  # the modes with a plane-resident run
 EPS = 0.7  # two rounds
 K = 6  # 64 iterations a round: one window at n2 = 64, two at n2 = 32
 
@@ -88,13 +92,13 @@ def test_auto_routes_planes_by_mode_and_width_only(driver, mode, n2, inputs,
     expected = {
         "{}/{}".format(
             field_degree_for_k(d),
-            "bitsliced" if mode in WHOLE_GRAPH and rt.schedule_for(j).n2 >= 64
+            "bitsliced" if mode in PLANES and rt.schedule_for(j).n2 >= 64
             else "table")
         for j, d in stages
     }
     assert set(fields) == expected
     assert any(f.endswith("/bitsliced") for f in fields) == (
-        mode in WHOLE_GRAPH and n2 == 64)
+        mode in PLANES and n2 == 64)
 
     ref_answer, ref_log = reference[driver]
     assert answer == ref_answer
@@ -103,3 +107,17 @@ def test_auto_routes_planes_by_mode_and_width_only(driver, mode, n2, inputs,
         # SPMD modes key a window by (batch, phase) where a whole-graph
         # mode keys it by phase alone: the digests are the same windows'
         assert sorted(log.phases.values()) == sorted(ref_log.phases.values())
+
+
+def test_a_simulated_round_runs_as_wide_as_the_sequential_window():
+    """Default ``n2``: a simulated k = 8 stage on 64 ranks in groups of 16
+    has 64-lane windows, and its reused windows are valued by one 256-lane
+    plane run a round — a sequential run's window; modeled mode stays on
+    tables."""
+    sched = PhaseSchedule(8, 64, 16, 64)
+    sim = MidasRuntime(mode="simulated", n_processors=64, n1=16)
+    lanes = sim.run_lanes(sched, 800, 5)
+    assert lanes == MidasRuntime().schedule_for(8, 800, 5).n2 == 256
+    assert sim.resolve_kernel(5, lanes) == "bitsliced"
+    modeled = MidasRuntime(mode="modeled", n_processors=64, n1=16)
+    assert modeled.resolve_kernel(5, modeled.run_lanes(sched, 800, 5)) == "table"

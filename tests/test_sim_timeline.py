@@ -2,8 +2,8 @@
 
 ``SimulatedBackend`` enacts a stage's communication once — the first
 window of each exchange signature runs on the coroutine simulator, later
-windows take their value from the whole-graph level DP and everything
-else from the stored timeline.  ``sanitize="warn"`` still enacts every
+windows take their value from the round's whole-graph level-DP run and
+everything else from the stored timeline.  ``sanitize="warn"`` still enacts every
 window, so it is the reference: a memoised run must equal its fully
 enacted twin in everything a simulated run reports.  The rest pins *when*
 windows are enacted (``Simulator.run`` calls), the signature guard, and
@@ -19,11 +19,13 @@ import numpy as np
 import pytest
 
 from _leveldp_drivers import partition_with_empty_rank
-from _sim_observe import DRIVERS, EPS, GRAPH, identity, observe
+from _sim_observe import DRIVERS, EPS, GRAPH, WEIGHTS, identity, observe
+from repro.core import engine as engine_module
+from repro.core import leveldp
 from repro.core.engine import DetectionEngine, EngineSession, MidasRuntime
 from repro.core.midas import stage_rounds
 from repro.core.mld import MLDCircuit
-from repro.core.problems import ProblemSpec
+from repro.core.problems import ProblemSpec, compile
 from repro.errors import ReplayMismatchError
 from repro.ff.gf2m import default_field_for_k
 from repro.obs.analyze import extract_critical_path
@@ -192,19 +194,70 @@ def test_a_window_with_another_exchange_signature_is_re_enacted(sim_runs):
     assert narrow.virtuals[0] < memo.virtuals[0]
 
 
+@pytest.mark.parametrize("driver", ["detect_path", "detect_tree", "max_weight_path",
+                                    "scan_grid"])
+def test_the_probed_signature_is_what_the_ranks_send(driver, monkeypatch):
+    """In every enacted window (all of them, sanitized), exchange ``i``'s
+    payloads have the ``(row shape, dtype)`` that ``exchange_signature``
+    probed for the window as its entry ``i``."""
+    windows = []  # (probe, {exchange: {(row shape, dtype) sent}})
+    program, send = engine_module.phase_program, leveldp.Send
+
+    def probed_program(views, recurrence, fp, q0, n2, **kw):
+        windows.append((leveldp.exchange_signature(recurrence, fp, q0, n2), {}))
+        return program(views, recurrence, fp, q0, n2, **kw)
+
+    def spied_send(dst, tag, payload):
+        windows[-1][1].setdefault(tag, set()).add((payload.shape[1:], payload.dtype))
+        return send(dst, tag, payload)
+
+    monkeypatch.setattr(engine_module, "phase_program", probed_program)
+    monkeypatch.setattr(leveldp, "Send", spied_send)
+    seen = observe(driver, trace=False, **_shape(3, sanitize="warn"))
+    assert len(windows) == _windows(seen)
+    for probe, sent in windows:  # scan row 1, a lone vertex, sends nothing
+        assert sorted(sent) == list(range(len(probe)))
+        for exchange, payloads in sent.items():
+            assert payloads == {probe[exchange]}
+    assert max(len(probe) for probe, _ in windows) >= 2
+
+
 # ------------------------------------------------- value check on enactment
+@pytest.mark.parametrize("kind", ["path", "weighted"])
+@pytest.mark.parametrize("n2", [2, 8, 32])
+@pytest.mark.parametrize("width", [4, 8, 32])
+def test_window_values_are_each_windows_phase_value(kind, n2, width):
+    """A run spanning several windows, one window per run, and a window
+    spanning several runs all give each window its own value."""
+    circuit = (MLDCircuit.k_path(5) if kind == "path"
+               else MLDCircuit.weighted_path(WEIGHTS, 5, 4))
+    spec = compile(circuit, default_field_for_k(circuit.y_degree,
+                                                kernel_strategy="bitsliced"))
+    fp = spec.draw_fingerprint(GRAPH.n, RngStream(43))
+    got = spec.window_values(GRAPH, fp, n2, width)
+    want = [spec.phase_value(GRAPH, fp, q0, n2) for q0 in range(0, 1 << spec.k, n2)]
+    assert len(got) == len(want) == (1 << spec.k) // n2
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w) and type(g) is type(w)
+
+
+
 @pytest.mark.parametrize("bad_call,where", [(1, (0, 0, 0)), (3, (0, 2, 2))])
 def test_corrupted_whole_graph_value_is_caught_where_it_is_enacted(
         bad_call, where, monkeypatch):
-    real = ProblemSpec.phase_value
+    real = ProblemSpec.window_values
     calls = {"n": 0}
 
     def crooked(self, *args, **kw):
+        # round 0's whole-graph values, the bad_call-th (from 1, in phase
+        # order) off by one bit
         calls["n"] += 1
-        v = real(self, *args, **kw)
-        return v ^ 1 if calls["n"] == bad_call else v
+        values = real(self, *args, **kw)
+        if calls["n"] == 1:
+            values[bad_call - 1] ^= 1
+        return values
 
-    monkeypatch.setattr(ProblemSpec, "phase_value", crooked)
+    monkeypatch.setattr(ProblemSpec, "window_values", crooked)
     with pytest.raises(ReplayMismatchError) as ei:
         _run_spec(_spec(_wide_after(4)), n_processors=3, n1=3, n2=2)
     err = ei.value
