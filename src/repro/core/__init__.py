@@ -4,9 +4,9 @@
 * :mod:`repro.core.halo` — per-rank partitioned graph views with the
   boundary send/recv lists that Algorithm 3's message pattern needs;
 * :mod:`repro.core.leveldp` — the level-DP core: the one neighbour sum,
-  the one halo exchange, two lane layouts (field elements / bit-planes)
-  and the two drivers (whole graph, simulated ranks) that run any
-  recurrence;
+  the one halo exchange, and the two drivers that run any recurrence,
+  each in its own lane layout (whole graph: bit-planes; simulated ranks:
+  field elements);
 * :mod:`repro.core.mld` — the one problem abstraction: each application
   (Algorithms 3, 4, the weighted-path variant, 5) is an
   :class:`MLDCircuit` builder, and one interpreter turns any circuit
@@ -35,7 +35,7 @@ from repro.core.engine import (
     ThreadedBackend,
 )
 from repro.core.halo import HaloView, build_halo_views
-from repro.core.leveldp import phase_program, run_whole_graph, whole_graph_lanes
+from repro.core.leveldp import phase_program, run_whole_graph
 from repro.core.mld import (
     CircuitStep,
     MLDCircuit,
@@ -71,7 +71,6 @@ __all__ = [
     "build_halo_views",
     "phase_program",
     "run_whole_graph",
-    "whole_graph_lanes",
     "CircuitStep",
     "MLDCircuit",
     "algorithm1_reference",

@@ -354,32 +354,12 @@ class MidasRuntime:
             return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
 
-    def run_lanes(self, sched: PhaseSchedule, n: int = 0,
-                  field_degree: Optional[int] = None, payload: int = 1) -> int:
-        """The lanes one whole-graph level-DP run of a stage on ``sched``
-        carries: its window, ``R N2`` — but in simulated mode the run that
-        values a round's windows (:class:`SimulatedBackend`), as wide as
-        the stage's sequential window, so it holds no more state than a
-        sequential run."""
-        if self.mode != "simulated":
-            return sched.lanes
-        return MidasRuntime(n2=self.n2).schedule_for(sched.k, n, field_degree,
-                                                     payload).n2
-
     def resolve_kernel(self, m: int, n2: int, plane: object = None) -> str:
-        """The GF kernel strategy for a whole-graph run of ``n2`` lanes
-        (:meth:`run_lanes`) — the one rule, for every problem kind.
-
-        ``"bitsliced"`` once a full uint64 word of lanes is in flight
-        (``n2 >= 64``) in any mode but modeled: the whole-graph driver then
-        keeps the DP state plane-resident; otherwise the dense ``"table"`` when
-        elements fit a byte, else ``"logexp"`` (SPMD ranks evaluate
-        element-wise, on the tables).  Every strategy gives the same bits.
-
-        ``plane`` is ignored.  It used to mark the k-path call sites; the
-        frozen benchmark (``benchmarks/ledger/layers.py``) still passes
-        it, so the keyword stays accepted until the ledger is re-anchored.
-        """
+        """A GF kernel name for a field of degree ``m`` behind ``n2``-lane
+        windows, kept only for ``benchmarks/ledger/layers.py``; it goes
+        with ROADMAP item 1.  No run reads it: every whole-graph run is
+        plane-resident and every rank element-wise, whatever the field's
+        kernel (:mod:`repro.core.leveldp`).  ``plane`` is ignored."""
         if self.mode != "modeled" and n2 >= 64:
             return "bitsliced"
         return "table" if m <= 8 else "logexp"
@@ -778,7 +758,7 @@ class ModeledBackend(SequentialBackend):
 class ThreadedBackend(ExecutionBackend):
     """Run a round batch's independent phase windows on a thread pool.
 
-    The phase kernels are numpy table-lookup pipelines that release the
+    The phase kernels are numpy bit-plane pipelines that release the
     GIL, and the round accumulator is an XOR fold — commutative and
     associative — so accumulating in completion order is bit-identical
     to the sequential order while phases execute in parallel.
@@ -958,6 +938,13 @@ class SimulatedBackend(ExecutionBackend):
             self._views = e.session.ensure_views(e.prof, e.problem)
             self._cost_model = e.rt.get_cluster().cost_model(e.rt.n1)
 
+    def _run_lanes(self, spec) -> int:
+        """The lanes of a whole-graph run that values a round's windows:
+        the stage's sequential window (an explicit ``n2`` wins, as
+        there), so the run holds no more state than a sequential one."""
+        return MidasRuntime(n2=self.engine.rt.n2).schedule_for(
+            spec.k, self.engine.graph.n, spec.field.m, spec.payload).n2
+
     def run_round(self, stage: _Stage, rounds: _Rounds):
         # one round a batch: simulated windows carry one round (R = 1)
         (fp,), ell = rounds.fps, rounds.ell
@@ -968,11 +955,10 @@ class SimulatedBackend(ExecutionBackend):
         value = spec.acc_init()
         round_virtual = 0.0
         if self._reuse:
-            # every window's whole-graph value, plane-resident on a
-            # bit-sliced field: a reused window's value, an enacted one's check
+            # every window's whole-graph value: a reused window's value,
+            # an enacted one's check
             with e.prof.span("engine.values", phase="rounds", callsite=fc.problem):
-                whole = spec.window_values(e.graph, fp, sched.n2, rt.run_lanes(
-                    sched, e.graph.n, spec.field.m, spec.payload))
+                whole = spec.window_values(e.graph, fp, sched.n2, self._run_lanes(spec))
         for bi, batch in enumerate(sched.batches()):
             if rec is not None and e.last_join is not None:
                 # phase barrier: every rank of this batch starts when the
@@ -1127,10 +1113,7 @@ class EngineSession:
         self._calibration = calibration
         self._partition = None
         self._views = None
-        # (field degree, kernel strategy) -> GF2m tables: fields with
-        # different kernels are distinct objects (GF2m equality includes
-        # the strategy), so they must not share a cache slot
-        self._fields: Dict[tuple, object] = {}
+        self._fields: Dict[int, object] = {}  # field degree -> GF2m tables
         self._lock = threading.Lock()
         self.uses = 0  # engines ever attached (for /api/service stats)
 
@@ -1180,23 +1163,18 @@ class EngineSession:
                     self._views = build_halo_views(self.graph, part)
             return self._views
 
-    def field_for_k(self, d: int, strategy: str = "auto", prof=_UNPROFILED):
+    def field_for_k(self, d: int, prof=_UNPROFILED):
         """The GF(2^l) table set of a polynomial of degree ``d`` in the
-        ``y``s (``d = k`` for a k-path), cached per
-        ``(field degree, kernel strategy)`` (many ``d`` share one degree).
-
-        ``strategy`` is the kernel :meth:`MidasRuntime.resolve_kernel`
-        picked for this use site; ``"auto"`` builds GF2m's default field.
-        """
+        ``y``s (``d = k`` for a k-path), cached per field degree (many
+        ``d`` share one)."""
         from repro.ff.gf2m import default_field_for_k
 
-        key = (field_degree_for_k(d), strategy)
+        deg = field_degree_for_k(d)
         with self._lock:
-            fld = self._fields.get(key)
+            fld = self._fields.get(deg)
             if fld is None:
-                with prof.span("engine.field", phase="setup", callsite=strategy):
-                    fld = self._fields[key] = default_field_for_k(
-                        d, kernel_strategy=strategy)
+                with prof.span("engine.field", phase="setup", callsite=f"GF(2^{deg})"):
+                    fld = self._fields[deg] = default_field_for_k(d)
             return fld
 
     def get_calibration(self) -> KernelCalibration:
@@ -1214,7 +1192,7 @@ class EngineSession:
                 "partition_seed": _PARTITION_SEED,
                 "partition_built": self._partition is not None,
                 "views_built": self._views is not None,
-                "fields_cached": sorted(f"{deg}/{strat}" for deg, strat in self._fields),
+                "fields_cached": sorted(self._fields),
                 "uses": self.uses,
             }
 

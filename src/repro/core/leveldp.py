@@ -23,12 +23,13 @@ factors that into three orthogonal pieces:
   (:mod:`repro.ff.bitsliced`) — that *logical* shape over plane-major
   memory, weight cells outside the rows; either way the phase indicator
   is computed once per window;
-* a **driver** — where the rows live: :func:`run_whole_graph` holds all
-  of them in one process, in the graph's jagged-diagonal row order for
-  the whole window; :func:`phase_program` spreads them over simulated
-  ranks and owns the only halo exchange in the code base (blocking, or
-  overlapped with the own-column half of the sum).  Both sum through the
-  one :func:`neighbour_sum`.
+* a **driver** — where the rows live, and so which layout they take:
+  :func:`run_whole_graph` holds all of them in one process on bit-planes,
+  in the graph's jagged-diagonal row order for the whole window, at any
+  width and in any field; :func:`phase_program` spreads them over
+  simulated ranks, element-wise, and owns the only halo exchange in the
+  code base (blocking, or overlapped with the own-column half of the
+  sum).  Both sum through the one :func:`neighbour_sum`.
 
 Adding a problem is building one circuit; adding a layout or an
 exchange discipline is one branch here, and every problem gets it.
@@ -170,7 +171,9 @@ class Lanes:
 
 class ElementLanes(Lanes):
     """``(rows, [Z+1,] R n2)`` field elements, one per iteration, in that
-    memory order."""
+    memory order: the layout of a simulated rank (:func:`phase_program`)
+    and of what models one (:func:`exchange_signature`, the kernel
+    calibration)."""
 
     weight_order = (0, 1, 2)
 
@@ -208,7 +211,9 @@ class PlaneLanes(Lanes):
     plane, and a per-row coefficient or a column broadcast along ``z``
     costs no copy (:meth:`BitslicedGF2m.mul`).  The ``{0, 1}`` indicator
     is packed into lane words once per phase; each level's base block is
-    one masked AND of them.
+    one masked AND of them.  A window of fewer than 64 lanes is one
+    partial word: the lanes past it are zero in the packed indicator, so
+    every state is zero there, and :meth:`finish` drops them.
 
     With ``R`` rounds in the window a level's coefficient differs per
     round.  When a round fills whole words (``n2 >= 64``) each word
@@ -278,23 +283,6 @@ class PlaneLanes(Lanes):
             state = _relaid(state, _rows_outer(order))
         return self.bs.unslice(self.bs.xor_sum(state, axis=0), self.width,
                                self.field.dtype)
-
-
-def whole_graph_lanes(fp, q_start: int, n2: int,
-                      rows: Optional[np.ndarray] = None) -> Lanes:
-    """The layout :func:`run_whole_graph` uses for a window.
-
-    This is the single place a layout is chosen: a ``"bitsliced"`` field
-    stays plane-resident for every problem kind once the window has a
-    full word of lanes (``R n2 >= 64``); otherwise — ``"table"`` /
-    ``"logexp"`` fields, or an early-exit stage's first, one-round
-    window — the window is element-wise (a bit-sliced field's element
-    ops run on its tables: the same values).
-    """
-    fps = _fingerprints(fp)
-    if fps[0].field.kernel_strategy == "bitsliced" and len(fps) * n2 >= 64:
-        return PlaneLanes(fps, q_start, n2, rows)
-    return ElementLanes(fps, q_start, n2, rows)
 
 
 # -------------------------------------------------------------- weight axis
@@ -442,7 +430,8 @@ def run_whole_graph(graph: CSRGraph, recurrence: Recurrence, fp,
     with every vertex in this process — of one round, or of each round
     of a sequence of fingerprints side by side (see :class:`Lanes`).
 
-    The state lives in the graph's jagged-diagonal row order
+    The state is :class:`PlaneLanes` bit-planes whatever the field and the
+    width, and lives in the graph's jagged-diagonal row order
     (:meth:`CSRGraph.jagged`) from the first base block to the last
     multiply — the lanes are built over ``rows=order`` and the final sum
     over rows does not care — so no level permutes anything.  Returns the
@@ -455,7 +444,7 @@ def run_whole_graph(graph: CSRGraph, recurrence: Recurrence, fp,
     if _heaps_retained is None:
         _heaps_retained = retain_worker_heaps()
     jagged = graph.jagged()
-    lanes = whole_graph_lanes(fp, q_start, n2, rows=jagged.order)
+    lanes = PlaneLanes(fp, q_start, n2, rows=jagged.order)
     gen = recurrence(lanes)
     state, done = _advance(gen)
     while not done:
@@ -571,6 +560,5 @@ __all__ = [
     "run_whole_graph",
     "shift_rows",
     "weight_seed",
-    "whole_graph_lanes",
     "z_convolve",
 ]

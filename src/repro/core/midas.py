@@ -42,7 +42,7 @@ from repro.core.engine import DetectionEngine, EngineSession, MidasRuntime, Stag
 from repro.core.mld import MLDCircuit
 from repro.core.problems import compile
 from repro.core.result import DetectionResult, RoundRecord, ScanGridResult
-from repro.core.schedule import rounds_for_bound
+from repro.core.schedule import MAX_K, rounds_for_bound
 from repro.errors import ConfigurationError
 from repro.ff.gf2m import field_degree_for_k, round_success_bound
 from repro.graph.csr import CSRGraph
@@ -71,20 +71,13 @@ def _detect(engine: DetectionEngine, circuit: MLDCircuit, eps: float, rng, *,
     multi-stage run.  The rounds are the first of the kind-free
     ``rounds_for_epsilon(eps)``: the same stream, cut shorter.
 
-    The circuit is compiled over the session's cached GF(2^l) tables
-    (per ``(degree, strategy)``), with the kernel the runtime resolves
-    for the stage's widest whole-graph run (``MidasRuntime.run_lanes``):
-    the level-DP core keeps any circuit plane-resident once a bit-sliced
-    field is handed a full word of lanes.
+    The circuit is compiled over the session's cached GF(2^l) tables,
+    one set per field degree; which layout a run takes is the level-DP
+    driver's (:mod:`repro.core.leveldp`), not the field's.
     """
-    rt, d, rounds = engine.rt, circuit.y_degree, stage_rounds(circuit, eps)
-    m, n = field_degree_for_k(d), engine.graph.n
-    sched = rt.schedule_for(circuit.k, n, m, circuit.payload,
-                            rounds=rounds, live_states=circuit.live_states)
-    lanes = rt.run_lanes(sched, n, m, circuit.payload)
-    field = engine.session.field_for_k(
-        d, strategy=rt.resolve_kernel(m, lanes), prof=engine.prof)
-    spec = compile(circuit, field)
+    rounds = stage_rounds(circuit, eps)
+    spec = compile(circuit, engine.session.field_for_k(circuit.y_degree,
+                                                        prof=engine.prof))
     if early_exit:
         stop = spec.hit
     return engine.run_stage(spec, rounds, rng, eps=eps, stop=stop, label=label,
@@ -100,8 +93,8 @@ def _decide(graph: CSRGraph, circuit: MLDCircuit, eps: float, rng,
     if k > graph.n:
         # more template vertices than graph vertices: trivially absent.  The
         # schedule reported is the one a run would have taken (none past
-        # the schedule's k <= 30)
-        n2 = rt.schedule_for(k, graph.n).n2 if k <= 30 else 0
+        # the schedule's limit)
+        n2 = rt.schedule_for(k, graph.n).n2 if k <= MAX_K else 0
         return DetectionResult(circuit.name, k, False, [], eps, mode=rt.mode,
                                n_processors=rt.n_processors, n1=rt.n1, n2=n2,
                                details=dict(details, reason="k exceeds |V|"))

@@ -147,8 +147,8 @@ def compile(circuit: MLDCircuit, field: Any = None) -> ProblemSpec:
     """The engine's spec of ``circuit``, every parameter derived from it.
 
     ``field`` optionally supplies a prebuilt GF(2^l) table set (an
-    :class:`~repro.core.engine.EngineSession` caches one per degree and
-    kernel, so repeated queries skip table construction); the default
+    :class:`~repro.core.engine.EngineSession` caches one per degree, so
+    repeated queries skip table construction); the default
     builds ``default_field_for_k(circuit.y_degree)``.  Either way the
     tables are identical, so results never depend on who built them.
     """

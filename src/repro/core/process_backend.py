@@ -210,13 +210,13 @@ def _spec_for(wired: bytes):
         return hit
     from repro.ff.gf2m import GF2m
 
-    circuit, (m, modulus, kernel) = pickle.loads(wired)
+    circuit, (m, modulus) = pickle.loads(wired)
     held: Tuple[str, ...] = ()
     if isinstance(circuit.weights, ShmArray):
         held = (circuit.weights.name,)
         circuit = replace(circuit, weights=_attach(circuit.weights))
     hit = _SPEC_CACHE[wired] = (
-        compile(circuit, GF2m(m, modulus=modulus, kernel_strategy=kernel)), held)
+        compile(circuit, GF2m(m, modulus=modulus)), held)
     if len(_SPEC_CACHE) > _SPEC_CACHE_SIZE:
         _SPEC_CACHE.popitem(last=False)
     return hit
@@ -479,7 +479,7 @@ class SharedArrays:
         if circuit.weights is not None:
             circuit = replace(circuit, weights=self._publish(circuit.weights))
         f = spec.field
-        wired = pickle.dumps((circuit, (f.m, f.modulus, f.kernel_strategy)),
+        wired = pickle.dumps((circuit, (f.m, f.modulus)),
                              protocol=pickle.HIGHEST_PROTOCOL)
         self._wire_cache[id(spec)] = (spec, wired)
         return wired

@@ -53,13 +53,14 @@ class GF2m:
         ``"table"`` (dense product table, only for ``m <= 8``),
         ``"logexp"``, or ``"auto"`` (table when possible).
     kernel_strategy:
-        Superset of ``mul_strategy`` that also accepts ``"bitsliced"``:
-        the plane-resident evaluators then hold their state as ``m``
-        uint64 bit-planes and multiply them with carry-less AND/XOR
-        schedules (:attr:`bitsliced`).  When given, it takes precedence
-        over ``mul_strategy``; the element-wise operations of a
-        ``"bitsliced"`` field run on the ``"auto"`` tables, with the same
-        values.
+        Superset of ``mul_strategy`` that also accepts ``"bitsliced"``.
+        When given, it takes precedence over ``mul_strategy``; the
+        element-wise operations of a ``"bitsliced"`` field run on the
+        ``"auto"`` tables, with the same values.  It names the field and
+        labels its build metric; it chooses no layout.  Every field has
+        the plane kernel (:attr:`bitsliced`: ``m`` uint64 bit-planes
+        multiplied by carry-less AND/XOR schedules), which every
+        whole-graph run uses.
 
     Table layout
     ------------
@@ -189,8 +190,8 @@ class GF2m:
     def bitsliced(self):
         """The plane-wise kernel substrate for this ``(m, modulus)`` pair.
 
-        Built lazily: fields resolved to the table/logexp kernels never pay
-        for it, and the plane-resident evaluators fetch it through here so
+        Built lazily: a field only simulated ranks use never pays for it,
+        and the plane-resident whole-graph runs fetch it through here so
         the scalar-column cache is shared per field instance.
         """
         if self._bitsliced is None:
@@ -289,10 +290,10 @@ class GF2m:
 
     def __eq__(self, other) -> bool:
         # kernel_strategy is part of identity: two fields with the same
-        # (m, modulus) but different kernels produce bit-identical values yet
-        # pick differently-shaped hot paths (whole_graph_lanes reads the
-        # strategy), so conflating them would silently hand a bitsliced
-        # caller a table field (or vice versa).
+        # (m, modulus) but different kernels give bit-identical values, yet
+        # build different tables and count under different metric labels.
+        # No lane layout reads it: whole-graph runs are bit-planes and
+        # ranks element-wise in any field (repro.core.leveldp).
         return (
             isinstance(other, GF2m)
             and other.m == self.m
@@ -365,8 +366,8 @@ def default_field_for_k(
 
     For every k-path the paper evaluates (``k <= 18``) this is at most
     ``GF(2^6)``, so elements fit in a byte and the dense product table wins
-    for element-wise calls; plane-resident evaluators get
-    ``kernel_strategy="bitsliced"`` (see
-    :meth:`~repro.core.engine.MidasRuntime.resolve_kernel`).
+    for element-wise calls.  Whole-graph runs are plane-resident on any
+    field (:func:`~repro.core.leveldp.run_whole_graph` multiplies through
+    :attr:`GF2m.bitsliced`), so the engine never asks for a kernel.
     """
     return GF2m(field_degree_for_k(d), mul_strategy=mul_strategy, kernel_strategy=kernel_strategy)

@@ -9,10 +9,13 @@ whole-graph value" is asserted in one place for every problem kind.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
+from repro.core import leveldp
 from repro.core.halo import build_halo_views
-from repro.core.leveldp import phase_program, run_whole_graph
+from repro.core.leveldp import ElementLanes, neighbour_sum, phase_program, run_whole_graph
 from repro.core.mld import CircuitStep, MLDCircuit
 from repro.core.problems import compile
 from repro.graph.partition import Partition, random_partition
@@ -49,6 +52,49 @@ def phase_value(graph, recurrence, fp, q0, n2, driver="whole-graph", partition=N
     for r in results[1:]:
         assert np.array_equal(r, results[0])
     return results[0]
+
+
+def element_lanes(graph, recurrence, fp, q0, n2):
+    """:func:`run_whole_graph`'s per-iteration values, driven on
+    :class:`ElementLanes` (the ranks' layout, on the field's tables)
+    where :func:`run_whole_graph` runs bit-planes: the reference the
+    planes are held to."""
+    jagged = graph.jagged()
+    lanes = ElementLanes(fp, q0, n2, rows=jagged.order)
+    gen = recurrence(lanes)
+    try:
+        state = next(gen)
+        while True:
+            state = gen.send(neighbour_sum(state, jagged))
+    except StopIteration as stop:
+        return lanes.finish(stop.value)
+
+
+def element_value(graph, recurrence, fp, q0, n2):
+    """:func:`element_lanes` folded over the window, as :func:`phase_value`
+    folds the whole-graph driver's."""
+    return np.bitwise_xor.reduce(element_lanes(graph, recurrence, fp, q0, n2), axis=-1)
+
+
+def log_whole_graph_layouts(monkeypatch, log):
+    """From here on, append the lane layout and lane count of every
+    :func:`run_whole_graph` to the file ``log`` — in this process and in
+    every worker it forks afterwards — and return a reader of the
+    ``(layout name, lanes)`` pairs logged so far."""
+    for cls in (leveldp.ElementLanes, leveldp.PlaneLanes):
+        def finish(self, state, _finish=cls.finish):
+            if sys._getframe(1).f_code is leveldp.run_whole_graph.__code__:
+                with open(log, "a") as fh:
+                    fh.write(f"{type(self).__name__} {self.width}\n")
+            return _finish(self, state)
+        monkeypatch.setattr(cls, "finish", finish)
+
+    def read():
+        if not log.exists():
+            return []
+        return [(name, int(lanes)) for name, lanes in
+                (line.split() for line in log.read_text().splitlines())]
+    return read
 
 
 def circuit_value(graph, circuit, fp, q0, n2):

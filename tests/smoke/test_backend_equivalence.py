@@ -1,8 +1,8 @@
 """Backend smoke: every whole-graph mode answers like sequential, on every
 driver, and honours a deadline.
 
-CI's ``threaded-smoke`` and ``process-smoke`` jobs run this file with
-``-k threaded`` / ``-k process``; locally
+CI's ``backend-smoke`` job runs this file with ``-k "threaded or
+process"``; locally
 ``PYTHONPATH=src python -m pytest -m smoke tests/smoke`` covers every
 whole-graph mode × {default N2, 32}, and small-k drivers whose default
 windows carry several rounds.  Larger inputs than the tier-1 equivalence
@@ -28,8 +28,9 @@ from repro.util.rng import RngStream
 pytestmark = pytest.mark.smoke
 
 MODES = ("sequential", "threaded", "process")
-# the default N2 puts the k = 5, 6 drivers on a bit-sliced field and 32 on a
-# table one; process workers rebuild either from the wired circuit
+# whole-graph windows are bit-planes at either width: 64 lanes or more at
+# the default N2, one partial word at 32; process workers rebuild the
+# field from the wired circuit's (m, modulus)
 N2S = {"auto": None, "n2=32": 32}
 
 

@@ -8,7 +8,7 @@ count or start method rebuilds the fleet; a forked child starts a fleet
 of its own; a warm worker's shared-memory mappings stay bounded however
 many calls it serves; and a default-schedule stage of several windows a
 round is one request per worker, not one per worker per round.  CI's
-``process-smoke`` job selects this file with ``-k process``.
+``backend-smoke`` job selects this file with ``-k "threaded or process"``.
 """
 
 import glob

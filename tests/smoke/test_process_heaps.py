@@ -6,8 +6,9 @@ spawned or forkserver-started one begins with the self-adjusting
 defaults, under which a 16-word k-path window hands its heap top back to
 the kernel and faults it in again every round.  Its first whole-graph
 window fixes them (``core.leveldp.retain_worker_heaps``).  CI's
-``process-smoke`` job selects this file (``pytest -m smoke tests/smoke
--k process``); ``tests/test_heap_policy.py`` bounds the forked fleet.
+``backend-smoke`` job selects this file (``pytest -m smoke tests/smoke
+-k "threaded or process"``); ``tests/test_heap_policy.py`` bounds the
+forked fleet.
 """
 
 import platform

@@ -1,7 +1,8 @@
 """Process-backend smoke: what a dead worker costs.
 
-CI's ``process-smoke`` job selects this file together with the process
-rows of ``test_backend_equivalence.py`` (``pytest -m smoke -k process``).
+CI's ``backend-smoke`` job selects this file together with the process
+rows of ``test_backend_equivalence.py`` (``pytest -m smoke -k "threaded
+or process"``).
 One dead worker costs one re-run of the round on a rebuilt fleet — same
 fingerprint, same bits; a second death in the same stage is the typed
 error, not a hang and not a raw pipe error.  Either way nothing is left

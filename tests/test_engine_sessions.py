@@ -99,10 +99,9 @@ class TestSessionDeterminism:
 
 
 class TestSessionKernelCompat:
-    """GF2m equality includes the kernel strategy, so a session caches one
-    field per (degree, strategy) — handing a bitsliced-plane evaluator a
-    table field (or vice versa) would silently change which code path
-    produced results."""
+    """GF2m equality includes the kernel strategy, but no lane layout reads
+    it (whole-graph runs are bit-planes, ranks element-wise, in any
+    field), so a session caches one field per degree."""
 
     def test_field_identity_includes_kernel_strategy(self):
         from repro.ff.gf2m import GF2m
@@ -114,23 +113,20 @@ class TestSessionKernelCompat:
         assert table != bits
         assert hash(table) != hash(bits)
 
-    def test_session_caches_fields_per_strategy(self):
+    def test_session_caches_one_field_per_degree(self):
+        from repro.ff.gf2m import default_field_for_k, field_degree_for_k
+
         g = _graph()
         sess = EngineSession(g)
-        f_auto = sess.field_for_k(5)
-        f_table = sess.field_for_k(5, strategy="table")
-        f_bits = sess.field_for_k(5, strategy="bitsliced")
-        assert f_table is sess.field_for_k(5, strategy="table")
-        assert f_bits is sess.field_for_k(5, strategy="bitsliced")
-        assert f_bits != f_table
-        assert f_bits.kernel_strategy == "bitsliced"
-        # "auto" resolves to table here (m <= 8), so the auto and table
-        # entries hold equal fields — but the cache keys by the strategy
-        # *requested*, so all three keys appear
-        assert f_auto == f_table
-        cached = sess.describe()["fields_cached"]
-        deg = f_auto.m
-        assert {f"{deg}/auto", f"{deg}/table", f"{deg}/bitsliced"} <= set(cached)
+        f5 = sess.field_for_k(5)
+        assert f5 is sess.field_for_k(5)
+        # every y-degree of one field degree shares its tables
+        same = [d for d in range(1, 40) if field_degree_for_k(d) == f5.m]
+        assert all(sess.field_for_k(d) is f5 for d in same)
+        assert f5 == default_field_for_k(5)
+        f20 = sess.field_for_k(20)
+        assert f20.m > f5.m
+        assert sess.describe()["fields_cached"] == [f5.m, f20.m]
 
 
 class TestConcurrentSessionSharing:

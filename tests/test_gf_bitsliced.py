@@ -1,9 +1,9 @@
 """Differential kernel-fuzz suite: bitsliced vs table vs logexp.
 
 The three GF(2^m) kernel strategies must be *element-wise equal* on every
-operation for every legal ``(m, modulus, shape)`` — the engine picks one
-per phase window (``MidasRuntime.resolve_kernel``), so a single divergent
-lane would silently change detection results.  The bit-sliced side runs
+operation for every legal ``(m, modulus, shape)`` — whole-graph runs
+multiply on bit-planes and simulated ranks on the tables, so a single
+divergent lane would silently change detection results.  The bit-sliced side runs
 on its substrate: slice the operands, run the plane op, unslice.  Hypothesis
 drives random fields (including non-default irreducible moduli), random
 array shapes (odd lane counts straddling the uint64 word boundary), and
@@ -12,7 +12,7 @@ the documented edge lanes: all-zeros, all-ones (identity), and the
 
 The table strategy (``m <= 8``) is the oracle where it exists; logexp is
 the oracle above.  The plane-resident path evaluator gets its own
-differential test against the element-wise evaluator.
+differential test against the same recurrence driven element-wise.
 """
 
 import numpy as np
@@ -302,7 +302,9 @@ class TestPlaneResidentEvaluator:
            k=st.integers(min_value=2, max_value=6))
     @settings(**COMMON)
     def test_path_phase_bitsliced_matches_elementwise(self, seed, n2, k):
+        from _leveldp_drivers import element_lanes
         from repro.core.evaluator_path import path_eval_phase
+        from repro.core.mld import MLDCircuit
         from repro.ff.fingerprint import Fingerprint
         from repro.graph.generators import erdos_renyi
         from repro.util.rng import RngStream
@@ -313,5 +315,6 @@ class TestPlaneResidentEvaluator:
         fpt = Fingerprint.draw(g.n, k, rng, field=ft)
         fpb = Fingerprint(k=k, field=fb, v=fpt.v, y=fpt.y.copy())
         assert np.array_equal(
-            path_eval_phase(g, fpt, 0, n2), path_eval_phase(g, fpb, 0, n2)
+            element_lanes(g, MLDCircuit.k_path(k).recurrence(), fpt, 0, n2),
+            path_eval_phase(g, fpb, 0, n2)
         )

@@ -1,7 +1,9 @@
 """One equivalence matrix for the level-DP core.
 
 {problem kind} x {driver} x {GF kernel} x {rank layout}: every cell must
-produce the *same phase value* as the whole-graph, dense-table reference.
+produce the *same phase value* as the whole-graph reference driven
+element-wise on dense tables (:func:`element_value`) — the whole-graph
+driver itself runs bit-planes in every field, the ranks field elements.
 The kinds are the four :class:`MLDCircuit` builders plus two circuits
 stated step by step (``circuit/``); the rank layouts include one rank, a
 rank that owns no vertex, and a graph with isolated vertices.  Because
@@ -19,6 +21,7 @@ from _leveldp_drivers import (
     DRIVERS,
     SPIDER,
     assert_drivers_agree,
+    element_value,
     partition_with_empty_rank,
     phase_value,
 )
@@ -83,9 +86,10 @@ PARTITIONS = {
     4: partition_with_empty_rank(GRAPH, 4, empty_rank=2, seed=6),
 }
 
-# one window with padding lanes in its last plane word, one spanning two
-# words, neither starting at iteration 0
-WINDOWS = ((8, 8), (64, 72))
+# sub-word windows of 1, 8 and 32 lanes (one plane word, mostly padding),
+# and one spanning two words with padding in the last; none starting at
+# iteration 0
+WINDOWS = ((5, 1), (8, 8), (32, 32), (64, 72))
 
 
 def _fingerprint(k, levels, kernel):
@@ -109,7 +113,7 @@ LAYOUTS = [(DRIVERS[0], 1)] + [(d, r) for d in DRIVERS[1:] for r in sorted(PARTI
 def test_phase_values_identical(case, kernel, driver, ranks):
     recurrence, k, levels = CASES[case]
     for q0, n2 in WINDOWS:
-        ref = phase_value(GRAPH, recurrence, _fingerprint(k, levels, "table"), q0, n2)
+        ref = element_value(GRAPH, recurrence, _fingerprint(k, levels, "table"), q0, n2)
         fp = _fingerprint(k, levels, kernel)
         got = phase_value(GRAPH, recurrence, fp, q0, n2, driver, PARTITIONS[ranks])
         if np.ndim(got):
@@ -142,10 +146,11 @@ def test_circuits_equal_the_specialised_recurrences():
        st.sampled_from(KERNELS))
 @settings(max_examples=25, deadline=None)
 def test_random_template(seed, k, kernel):
-    """Random tree templates: all drivers agree, and on a table field."""
+    """Random tree templates: all drivers agree with the element-wise
+    reference on a table field."""
     tmpl = TreeTemplate.random(k, rng=RngStream(seed))
     recurrence = MLDCircuit.k_tree(tmpl).recurrence()
-    ref = phase_value(GRAPH, recurrence, _fingerprint(k, k, "table"), 0, 8)
+    ref = element_value(GRAPH, recurrence, _fingerprint(k, k, "table"), 0, 8)
     assert_drivers_agree(GRAPH, recurrence, _fingerprint(k, k, kernel), 0, 8,
                          PARTITIONS[3], expected=ref)
 

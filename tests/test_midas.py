@@ -20,6 +20,7 @@ from repro.core.midas import (
     MidasRuntime, detect_path, detect_scan_cell, detect_tree, max_weight_path,
     scan_grid,
 )
+from repro.core.schedule import MAX_K
 from repro.errors import ConfigurationError
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import erdos_renyi, grid2d, plant_path, plant_tree
@@ -60,6 +61,17 @@ class TestDetectPathCorrectness:
         res = detect_path(g, 10, rng=RngStream(0))
         assert not res.found
         assert res.details.get("reason") == "k exceeds |V|"
+
+    def test_k_past_the_schedule_limit_reports_no_schedule(self):
+        """k = MAX_K + 1 > n is trivially absent, with no window reported
+        (none exists past the limit); at k = MAX_K > n the window reported
+        is the one a run would take."""
+        g = grid2d(2, 2)
+        past = detect_path(g, MAX_K + 1, rng=RngStream(0))
+        assert not past.found and past.n2 == 0
+        assert past.details.get("reason") == "k exceeds |V|"
+        at = detect_path(g, MAX_K, rng=RngStream(0))
+        assert at.n2 == MidasRuntime().schedule_for(MAX_K, g.n).n2 > 0
 
     def test_k_below_one_is_a_configuration_error_naming_k(self):
         with pytest.raises(ConfigurationError, match="k must be >= 1, got 0"):

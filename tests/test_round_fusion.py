@@ -5,7 +5,8 @@ phase covers a whole round, ``MidasRuntime.schedule_for(..., rounds=)``
 lets a window carry ``R = rounds_per_window`` of them side by side.  What
 that must not change is pinned in ``test_round_identity.py`` (the
 answers, round values and digests of the code before it).  Here: the
-rule that picks ``R``; every lane layout folding to the one-round values;
+rule that picks ``R``; a fused plane window folding to the one-round and
+the element-wise values, at every width;
 the live-state counts the rule budgets with, measured; the stage stream
 left where a one-round-at-a-time run leaves it; a checkpoint resumed
 under a different ``R``; the reported schedules; and the spans.
@@ -17,7 +18,6 @@ import numpy as np
 import pytest
 
 from repro.core.engine import DetectionEngine, MidasRuntime
-from repro.core.leveldp import ElementLanes, PlaneLanes, whole_graph_lanes
 from repro.core.midas import (
     detect_path,
     detect_tree,
@@ -36,6 +36,9 @@ from repro.graph.templates import TreeTemplate
 from repro.runtime.durable import Watchdog
 from repro.scanstat.baseline_grid import baseline_scan_grid
 from repro.util.rng import RngStream
+
+from _leveldp_drivers import element_value, log_whole_graph_layouts
+
 # the golden's sparse graph: a k = 5 path stage with seed 54 and four
 # rounds misses round 0 and hits in round 1
 from test_round_identity import GRAPH as SPARSE
@@ -185,8 +188,9 @@ def _specs(field_for):
 @pytest.mark.parametrize("rounds", [2, 4, 16])
 def test_a_fused_window_is_each_rounds_window(kernel, rounds):
     """Round-major lanes, per-lane ``y``, per-round XOR: every round's
-    value is its one-round window's — element-wise, on whole words per
-    round, and with several rounds in one word."""
+    value is its one-round window's and the element-wise reference's —
+    on whole words per round, and with several rounds in one word, on
+    either kernel's field."""
     specs = _specs(lambda d: default_field_for_k(d, kernel_strategy=kernel))
     for name, spec in specs.items():
         n2 = 1 << spec.k
@@ -195,33 +199,38 @@ def test_a_fused_window_is_each_rounds_window(kernel, rounds):
         assert len(fused) == rounds
         for fp, value in zip(fps, fused):
             assert np.array_equal(value, spec.phase_value(G, fp, 0, n2)), name
+            assert np.array_equal(value, element_value(G, spec.recurrence, fp, 0, n2)), name
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 @pytest.mark.parametrize("rounds", [3, 5, 6, 7])
-def test_a_ragged_last_word_is_each_rounds_window(k, rounds):
+def test_a_ragged_last_word_is_each_rounds_window(k, rounds, monkeypatch, tmp_path):
     """A round count that does not fill whole words (``R 2^k`` lanes, a
     ``64 / 2^k``-round word): the last word's missing rounds are zero
-    lanes, and every round's value is its one-round window's."""
-    spec = _spec(MLDCircuit.k_path(k),
-                 lambda d: default_field_for_k(d, kernel_strategy="bitsliced"))
+    lanes, and every round's value is its one-round window's — in one
+    plane run, whether or not ``R 2^k`` reaches a word."""
+    spec = _spec(MLDCircuit.k_path(k), default_field_for_k)
     n2 = 1 << k
     fps = [spec.draw_fingerprint(G.n, RngStream(97 + r)) for r in range(rounds)]
-    layout = PlaneLanes if rounds * n2 >= 64 else ElementLanes
-    assert isinstance(whole_graph_lanes(fps, 0, n2), layout)
+    layouts = log_whole_graph_layouts(monkeypatch, tmp_path / "layouts")
     fused = spec.phase_values(G, fps, 0, n2)
+    assert layouts() == [("PlaneLanes", rounds * n2)]
     assert fused == [spec.phase_value(G, fp, 0, n2) for fp in fps]
 
 
-def test_the_layout_follows_the_window_width():
-    fld = default_field_for_k(5, kernel_strategy="bitsliced")
-    fps = [compile(MLDCircuit.k_path(5), fld).draw_fingerprint(G.n, RngStream(r))
-           for r in range(2)]
-    assert isinstance(whole_graph_lanes(fps[0], 0, 32), ElementLanes)
-    assert isinstance(whole_graph_lanes(fps, 0, 32), PlaneLanes)
-    table = default_field_for_k(5)
-    fp = compile(MLDCircuit.k_path(5), table).draw_fingerprint(G.n, RngStream(0))
-    assert isinstance(whole_graph_lanes([fp, fp], 0, 32), ElementLanes)
+def test_the_layout_is_planes_at_every_width(monkeypatch, tmp_path):
+    """Whatever the field's kernel and however few lanes — one, a
+    one-round 32-lane window, two rounds in one word — a whole-graph run
+    is bit-planes."""
+    layouts = log_whole_graph_layouts(monkeypatch, tmp_path / "layouts")
+    for kernel in ("table", "logexp", "bitsliced"):
+        spec = _spec(MLDCircuit.k_path(5),
+                     lambda d: default_field_for_k(d, kernel_strategy=kernel))
+        fps = [spec.draw_fingerprint(G.n, RngStream(r)) for r in range(2)]
+        spec.phase_values(G, fps[:1], 7, 1)
+        spec.phase_values(G, fps[:1], 0, 32)
+        spec.phase_values(G, fps, 0, 32)
+    assert layouts() == [("PlaneLanes", 1), ("PlaneLanes", 32), ("PlaneLanes", 64)] * 3
 
 
 def test_live_states_are_what_the_recurrences_keep():
