@@ -39,8 +39,10 @@ import numpy as np
 
 
 def _add_graph_args(p: argparse.ArgumentParser) -> None:
+    from repro.graph.datasets import DATASETS
+
     src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--dataset", choices=["miami", "com-Orkut", "random-1e6", "random-1e7"],
+    src.add_argument("--dataset", choices=list(DATASETS),
                      help="generate a Table II stand-in")
     src.add_argument("--edge-list", metavar="PATH", help="read a whitespace edge list")
     src.add_argument("--er", metavar="N", type=int,
@@ -86,16 +88,36 @@ def _add_client_args(p: argparse.ArgumentParser) -> None:
                         "(default 'cli')")
 
 
-def _add_runtime_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mode", choices=["sequential", "simulated", "modeled",
-                                      "threaded", "process"],
-                   default="sequential")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker count for --mode threaded/process "
-                        "(default: the CPUs this process may use)")
+def _add_mode_args(p: argparse.ArgumentParser) -> None:
+    """The execution configuration every command that runs detections
+    takes, ``repro serve`` included: the modes are the engine's backends,
+    the sanitize levels the sanitizer's."""
+    from repro.core.engine import BACKENDS, MidasRuntime
+    from repro.sanitize.comm import SANITIZE_MODES
+
+    p.add_argument("--mode", choices=list(BACKENDS), default=MidasRuntime.mode,
+                   help="execution backend")
     p.add_argument("-N", "--processors", type=int, default=1)
     p.add_argument("--n1", type=int, default=1, help="graph partition count N1")
     p.add_argument("--n2", type=int, default=None, help="iteration batch size N2")
+    p.add_argument("--sanitize", choices=SANITIZE_MODES,
+                   default=MidasRuntime.sanitize,
+                   help="runtime comm sanitizer: strict raises on the first "
+                        "violation, warn accumulates a report (default off)")
+
+
+def _modes_with(rule: str) -> str:
+    """The modes whose backend has ``rule`` set, for help texts."""
+    from repro.core.engine import BACKENDS
+
+    return ", ".join(mode for mode, b in BACKENDS.items() if getattr(b, rule))
+
+
+def _add_runtime_args(p: argparse.ArgumentParser) -> None:
+    _add_mode_args(p)
+    p.add_argument("--workers", type=int, default=None,
+                   help=f"worker count for --mode {_modes_with('pooled')} "
+                        "(default: the CPUs this process may use)")
     p.add_argument("--eps", type=float, default=0.1, help="failure probability bound")
     p.add_argument("--trace-out", metavar="PATH", default=None,
                    help="write the run timeline as Chrome trace_event JSON "
@@ -117,16 +139,12 @@ def _add_runtime_args(p: argparse.ArgumentParser) -> None:
                    help="fault-injection plan: a JSON file path or an inline "
                         'JSON object, e.g. \'{"seed": 7, "faults": '
                         '[{"kind": "crash", "rank": 1, "after_ops": 5}]}\' '
-                        "(simulated mode only)")
+                        f"(--mode {_modes_with('ranks')} only)")
     p.add_argument("--max-retries", type=int, default=5,
                    help="per-phase-window retry budget under faults (default 5)")
     p.add_argument("--retry-backoff", type=float, default=1e-3,
                    help="base virtual-seconds backoff before a retry; doubles "
                         "per attempt (default 1e-3)")
-    p.add_argument("--sanitize", choices=["off", "warn", "strict"],
-                   default="off",
-                   help="runtime comm sanitizer: strict raises on the first "
-                        "violation, warn accumulates a report (default off)")
     p.add_argument("--live-port", type=int, default=None, metavar="PORT",
                    help="serve /metrics, /status and /healthz over HTTP "
                         "while the run executes (0 = ephemeral port; watch "
@@ -222,7 +240,7 @@ def _write_obs(args, rt, problem: str = "", estimate=None, resilience=None,
     for out in (args.trace_out, args.metrics_out, args.report_out):
         if out:
             Path(out).parent.mkdir(parents=True, exist_ok=True)
-    nranks = max(1, rt.n_processors) if rt.mode == "simulated" else 1
+    nranks = max(1, rt.n_processors) if rt.backend.ranks else 1
     snap = rt.get_metrics().snapshot()
     if args.trace_out:
         from repro.obs.chrome_trace import dump_chrome_trace
@@ -376,17 +394,12 @@ def cmd_datasets(args) -> int:
     return 0
 
 
-def _spec_for(args, kind: str, rng, weights=None) -> dict:
-    """The service QuerySpec dict for one CLI detection invocation.
-
-    The seed policy pins the exact RNG lineage the standalone driver
-    would have consumed (``rng.child("detect")`` / ``rng.child("scan")``
-    of the CLI root stream), so a service-routed query — local, remote,
-    cached, or coalesced — is bit-identical to the pre-service CLI.
-    """
-    child = rng.child("scan" if kind == "scan" else "detect")
-    spec = {"kind": kind, "graph": "", "k": args.k, "eps": args.eps,
-            "seed": child.state()}
+def _spec_for(args, kind: str, seed: dict, graph: str = "",
+              weights=None) -> dict:
+    """The service QuerySpec dict of one CLI query under seed policy
+    ``seed``."""
+    spec = {"kind": kind, "graph": graph, "k": args.k, "eps": args.eps,
+            "seed": seed}
     if kind == "detect-tree":
         spec["template"] = args.template
     if kind == "scan":
@@ -406,7 +419,11 @@ def _run_query(args, kind: str, g, rng, rt, weights=None):
     configuration lives server-side — and the reply's
     :class:`~repro.service.broker.QueryOutcome` comes back.
     """
-    spec = _spec_for(args, kind, rng, weights=weights)
+    # the seed policy pins the exact RNG lineage the standalone driver
+    # would have consumed, so a service-routed query — local, remote,
+    # cached or coalesced — is bit-identical to it
+    seed = rng.child("scan" if kind == "scan" else "detect").state()
+    spec = _spec_for(args, kind, seed, weights=weights)
     if rt is None:
         from repro.service.client import HttpClient
 
@@ -472,11 +489,16 @@ def _print_remote_detection(outcome) -> None:
         print(f"trace: {trace_id}  (repro trace {trace_id} --url <service>)")
 
 
-def _detect(args, kind: str, problem: str, g, rng) -> int:
-    """The shared body of ``detect-path`` / ``detect-tree``."""
+def _detect(args, kind: str, problem: str, g, rng, weights=None) -> int:
+    """The shared body of ``detect-path``, ``detect-tree`` and ``scan``:
+    run the query, flush on Ctrl-C, render the answer and report it.
+
+    A detection exits 0 with a witness — a certificate even from a
+    degraded run — and 1 without; a scan exits 0.  A degraded run
+    without a witness exits 4."""
     rt = None if getattr(args, "server", None) else _runtime(args)
     try:
-        res = _run_query(args, kind, g, rng, rt)
+        res = _run_query(args, kind, g, rng, rt, weights=weights)
     except KeyboardInterrupt:
         if rt is None:
             return 130
@@ -484,16 +506,22 @@ def _detect(args, kind: str, problem: str, g, rng) -> int:
     finally:
         if rt is not None:
             rt.close_live()
+    scan = kind == "scan"
     if rt is None:
         _print_remote_detection(res)
         details, estimate = res.result.get("details") or {}, None
+    elif scan:
+        print(res.summary())
+        if res.cluster is not None:
+            print(f"cluster: {sorted(int(x) for x in res.cluster)}")
+        details, estimate = res.grid.details, None
     else:
         print(res.summary())
         details, estimate = res.details, res.details.get("estimate")
     degraded = _report_run(args, rt, problem, details, estimate)
-    if res.found:
-        return 0  # a witness is a certificate even from a degraded run
-    return 4 if degraded else 1
+    if not scan and res.found:
+        return 0
+    return 4 if degraded else (0 if scan else 1)
 
 
 def cmd_detect_path(args) -> int:
@@ -521,26 +549,7 @@ def cmd_scan(args) -> int:
         hot = plant_cluster(g, args.plant, rng=rng.child("plant"))
         w[hot] = 1
         print(f"planted hot cluster: {sorted(hot.tolist())}")
-    rt = None if getattr(args, "server", None) else _runtime(args)
-    try:
-        res = _run_query(args, "scan", g, rng, rt, weights=w)
-    except KeyboardInterrupt:
-        if rt is None:
-            return 130
-        return _flush_interrupted(args, rt, "scanstat")
-    finally:
-        if rt is not None:
-            rt.close_live()
-    if rt is None:
-        _print_remote_detection(res)
-        details = res.result.get("details") or {}
-    else:
-        print(res.summary())
-        if res.cluster is not None:
-            print(f"cluster: {sorted(int(x) for x in res.cluster)}")
-        details = res.grid.details
-    degraded = _report_run(args, rt, "scanstat", details)
-    return 4 if degraded else 0
+    return _detect(args, "scan", "scanstat", g, rng, weights=w)
 
 
 def cmd_calibrate(args) -> int:
@@ -1055,13 +1064,7 @@ def cmd_query(args) -> int:
     from repro.errors import ConfigurationError, QuotaExceededError, ServiceError
     from repro.service.client import HttpClient
 
-    spec = {"kind": args.kind, "graph": args.graph, "k": args.k,
-            "eps": args.eps, "seed": {"seed": args.seed}}
-    if args.kind == "detect-tree":
-        spec["template"] = args.template
-    if args.kind == "scan":
-        spec.update(statistic=args.statistic, alpha=args.alpha,
-                    extract=bool(args.extract))
+    spec = _spec_for(args, args.kind, {"seed": args.seed}, graph=args.graph)
     client = HttpClient(args.url)
     try:
         outcome = client.query(spec, tenant=args.tenant)
@@ -1144,6 +1147,10 @@ def cmd_figures(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.core.engine import BACKENDS, MidasRuntime
+    from repro.graph.datasets import DATASETS
+    from repro.service.broker import KINDS, STATISTICS, TEMPLATES
+
     p = argparse.ArgumentParser(
         prog="repro",
         description="MIDAS: multilinear detection at scale (IPDPS 2018 reproduction)",
@@ -1168,8 +1175,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_runtime_args(dt)
     _add_client_args(dt)
     dt.add_argument("-k", type=int, required=True)
-    dt.add_argument("--template", choices=["path", "star", "binary", "caterpillar"],
-                    default="binary")
+    dt.add_argument("--template", choices=list(TEMPLATES), default="binary")
     dt.set_defaults(fn=cmd_detect_tree)
 
     sc = sub.add_parser("scan", help="scan-statistics anomaly detection")
@@ -1177,8 +1183,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_runtime_args(sc)
     _add_client_args(sc)
     sc.add_argument("-k", type=int, required=True)
-    sc.add_argument("--statistic", choices=["berk-jones", "higher-criticism",
-                                            "elevated-mean"], default="berk-jones")
+    sc.add_argument("--statistic", choices=STATISTICS, default="berk-jones")
     sc.add_argument("--alpha", type=float, default=0.05)
     sc.add_argument("--plant", type=int, default=0,
                     help="plant a hot connected cluster of this size")
@@ -1193,8 +1198,7 @@ def build_parser() -> argparse.ArgumentParser:
     ca.set_defaults(fn=cmd_calibrate)
 
     mo = sub.add_parser("model", help="evaluate the Theorem-2 performance model")
-    mo.add_argument("--dataset", choices=["miami", "com-Orkut", "random-1e6",
-                                          "random-1e7"], default="random-1e6")
+    mo.add_argument("--dataset", choices=list(DATASETS), default="random-1e6")
     mo.add_argument("-k", type=int, default=10)
     mo.add_argument("-N", "--processors", type=int, default=512)
     mo.add_argument("--n1", type=int, default=32)
@@ -1212,10 +1216,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_args(vf)
     _add_runtime_args(vf)
     vf.add_argument("-k", type=int, required=True)
-    vf.add_argument("--reference-mode",
-                    choices=["sequential", "threaded", "simulated", "modeled",
-                             "process"],
-                    default="sequential",
+    vf.add_argument("--reference-mode", choices=list(BACKENDS),
+                    default=MidasRuntime.mode,
                     help="backend the replay check compares against")
     vf.set_defaults(fn=cmd_verify)
 
@@ -1322,14 +1324,7 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--run-seconds", type=float, default=None,
                     help="exit cleanly after this long (smoke tests; "
                          "default: serve until Ctrl-C)")
-    sv.add_argument("--mode", choices=["sequential", "simulated", "modeled",
-                                       "threaded", "process"], default="sequential",
-                    help="execution backend for served queries")
-    sv.add_argument("-N", "--processors", type=int, default=1)
-    sv.add_argument("--n1", type=int, default=1)
-    sv.add_argument("--n2", type=int, default=None)
-    sv.add_argument("--sanitize", choices=["off", "warn", "strict"],
-                    default="off")
+    _add_mode_args(sv)
     sv.add_argument("--no-tracing", action="store_true",
                     help="disable per-query distributed tracing and "
                          "per-tenant SLO metrics")
@@ -1343,8 +1338,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="send one detection query to a running `repro serve` endpoint",
     )
     qu.add_argument("url", help="service base URL, e.g. http://127.0.0.1:8641")
-    qu.add_argument("--kind", choices=["detect-path", "detect-tree", "scan"],
-                    default="detect-path")
+    qu.add_argument("--kind", choices=KINDS, default="detect-path")
     qu.add_argument("--graph", required=True,
                     help="registered graph name, sha, or sha prefix")
     qu.add_argument("-k", type=int, required=True)
@@ -1352,11 +1346,8 @@ def build_parser() -> argparse.ArgumentParser:
     qu.add_argument("--seed", type=int, default=0,
                     help="pinned seed policy: the same seed always returns "
                          "a bit-identical result (and hits the cache)")
-    qu.add_argument("--template", choices=["path", "star", "binary",
-                                           "caterpillar"], default="binary")
-    qu.add_argument("--statistic", choices=["berk-jones", "higher-criticism",
-                                            "elevated-mean"],
-                    default="berk-jones")
+    qu.add_argument("--template", choices=list(TEMPLATES), default="binary")
+    qu.add_argument("--statistic", choices=STATISTICS, default="berk-jones")
     qu.add_argument("--alpha", type=float, default=0.05)
     qu.add_argument("--extract", action="store_true")
     qu.add_argument("--tenant", default="cli")

@@ -24,35 +24,12 @@ boundary**:
 * :class:`ExecutionBackend` — the whole-graph **round loop**
   (:meth:`~ExecutionBackend.run_round`: fold completed windows into
   their rounds' XOR accumulators, report each to the boundary, cancel
-  what has not started if anything raises), written once; the
-  subclasses say only *how a window gets executed*:
-
-  ``SequentialBackend``
-      Inline on the calling thread, one window at a time — no pool, no
-      future.
-  ``ModeledBackend``
-      The same, plus the analytic Theorem-2 model for virtual time
-      (cluster-scale sweeps).
-  ``ThreadedBackend``
-      On a :class:`~concurrent.futures.ThreadPoolExecutor`.  The GF(2^l)
-      kernels are numpy pipelines that release the GIL, and XOR
-      accumulation is commutative and associative, so folding in
-      completion order is bit-identical to sequential.
-  ``ProcessBackend``
-      On the interpreter's warm fleet of worker processes
-      (:func:`~repro.core.process_backend.fleet`), the graph shared
-      through shared memory — the same commutativity argument past the
-      GIL.  One request per worker per round batch (a whole stage, when
-      it fits), one record back per window; decodes the records,
-      merges worker metrics and spans, re-runs a batch whose worker died
-      once and turns the second death into a typed
-      :class:`~repro.errors.WorkerCrashedError`.
-  ``SimulatedBackend``
-      The real SPMD decomposition on the runtime simulator — its own
-      round → batch → phase loop with halo messages, XOR all-reduces,
-      checkpoint/retry under fault injection and virtual-time
-      accounting — reporting to the same phase boundary.  A stage's
-      communication is enacted once; later windows reuse its timeline.
+  what has not started if anything raises), written once.  Each mode
+  is one subclass (:data:`BACKENDS`), which says only *how a window
+  gets executed* — inline, on a thread pool, on the warm process fleet,
+  on the SPMD simulator — and declares the mode's rules as class
+  attributes (``pooled``, ``virtual``, ``ranks``) that every other
+  module reads instead of naming modes.
 
 Every problem reaches this engine the same way — an
 :class:`~repro.core.mld.MLDCircuit`, compiled into a
@@ -99,24 +76,66 @@ from repro.runtime.durable import decode_value
 from repro.runtime.faults import FaultInjector, FaultPlan, backoff_jitter
 from repro.runtime.scheduler import Simulator
 from repro.runtime.tracing import Scope, TraceRecorder
+from repro.sanitize.comm import SANITIZE_MODES
 from repro.util.log import get_logger
 from repro.util.rng import RngStream
 
 _LOG = get_logger(__name__)
 
-_MODES = ("sequential", "simulated", "modeled", "threaded", "process")
-#: the modes that evaluate a phase window on the whole graph in one call
-_WHOLE_GRAPH_MODES = ("sequential", "threaded", "process")
 #: the largest plane-resident DP state (one ``(l, n, N2 / 64)`` uint64
 #: block) the default ``N2`` is allowed to build: past it a wider window
-#: only moves the level step out of cache (see :meth:`MidasRuntime.schedule_for`)
+#: only moves the level step out of cache (see :func:`whole_graph_window`)
 _STATE_BYTES = 768 << 10
-_SANITIZE = ("off", "warn", "strict")
 #: every session's partition RNG lineage starts here, so the partition is
 #: a function of ``(graph, n1, partition_method)`` alone
 _PARTITION_SEED = 7777
 #: the null span log: session build steps nobody is watching go here
 _UNPROFILED = WallProfiler(enabled=False)
+
+
+def whole_graph_window(k: int, n: int = 0, field_degree: Optional[int] = None,
+                       payload: int = 1, *, n2: Optional[int] = None,
+                       workers: int = 1, rounds: Optional[int] = None,
+                       live_states: int = 1) -> Tuple[int, int]:
+    """The window ``(N2, R)`` of a whole-graph run of a ``2^k``-iteration
+    round on an ``n``-vertex graph: its lanes, and how many of ``rounds``
+    independent rounds it carries side by side.
+
+    An explicit ``n2`` wins, as the largest power of two ``<= min(n2,
+    2^k)`` (the divisors of ``2^k``), with ``R = 1``.  Otherwise ``N2``
+    starts at ``min(2^k, 1024)`` — every window is bit-identical at any
+    width, and the level step's per-lane cost falls with it — and is
+    halved, never below one 64-lane word, until each of ``workers`` has
+    a window (``2^k / N2 >= workers``) and the plane-resident state of
+    the graph fits :data:`_STATE_BYTES`: ``8 l n N2 / 64`` bytes per
+    weight cell, over ``payload`` cells (a spec's ``payload``), in the
+    field of degree ``l = field_degree`` (default: a k-path's).  ``n =
+    0`` (size unknown) skips the budget.
+
+    ``rounds`` (default: not asked) is how many rounds are left to run.
+    When the window covers a round (``N2 = 2^k``), it then carries ``R``
+    of them: as many as leave a window per worker (``R <= rounds /
+    workers``) within ``R 2^k <= 1024`` lanes — any count, so a stage's
+    rounds take as few windows as the cap allows — and the largest such
+    count whose ``live_states`` states of the spec's recurrence,
+    ``live_states * 8 l n payload * ceil(R 2^k / 64)`` bytes, fit ``3 *
+    _STATE_BYTES``.  A round of several windows has ``R = 1``.
+    """
+    total = 1 << k
+    if n2 is not None:
+        return pow2_floor(max(1, min(n2, total))), 1
+    n2, rpw = min(total, 1024), 1
+    ell = field_degree_for_k(k) if field_degree is None else field_degree
+    word_bytes = 8 * ell * n * payload
+    while n2 > 64 and (total // n2 < workers
+                       or word_bytes * (n2 // 64) > _STATE_BYTES):
+        n2 //= 2
+    if rounds is not None and n2 == total:
+        rpw = max(1, min(rounds // workers, 1024 // total))
+        while rpw > 1 and (live_states * word_bytes * -(-rpw * total // 64)
+                           > 3 * _STATE_BYTES):
+            rpw -= 1
+    return n2, rpw
 
 
 @dataclass
@@ -133,24 +152,13 @@ class MidasRuntime:
     local/ghost-split reductions) in simulated runs of all evaluators;
     results are bit-identical either way.
 
-    ``mode="threaded"`` executes each round's independent phase windows
-    concurrently on ``workers`` threads (default: the CPUs this process
-    may use)
-    for real wall-clock speedup on multi-core hosts; detection output is
+    ``mode`` names a backend in :data:`BACKENDS`: its class says how a
+    window runs and which rules the mode follows.  A ``pooled`` mode runs
+    a round's independent windows on ``workers`` threads or processes
+    (default: the CPUs this process may use; ``process_start`` is the
+    process fleet's multiprocessing start method, ``None`` = the
+    platform default); XOR accumulation is commutative, so the answer is
     bit-identical to ``sequential`` (property-tested).
-
-    ``mode="process"`` runs the same phase windows on ``workers``
-    *processes* — past the GIL that caps threaded speedup on the
-    inter-ufunc glue.  The graph's CSR arrays are published once via
-    shared memory, workers rebuild specs from their picklable circuits,
-    each takes an equal share of a round's windows in one request, and
-    the parent XOR-merges phase values in completion order: the same
-    commutativity argument, the same bit-identical guarantee
-    (property-tested).  ``process_start`` selects the multiprocessing
-    start method (``None`` = platform default, e.g. ``fork`` on Linux).
-    A worker death (segfault, OOM-kill) costs one re-run of the round
-    on a rebuilt fleet; a second one in the same stage surfaces as a
-    typed :class:`~repro.errors.WorkerCrashedError`, never a hang.
 
     Observability: attach a :class:`~repro.runtime.tracing.TraceRecorder`
     as ``recorder`` to collect a run-level, schedule-scoped timeline
@@ -223,16 +231,18 @@ class MidasRuntime:
     session: Optional["EngineSession"] = None
 
     def __post_init__(self) -> None:
-        if self.mode not in _MODES:
-            raise ConfigurationError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.sanitize not in _SANITIZE:
+        if self.mode not in BACKENDS:
             raise ConfigurationError(
-                f"sanitize must be one of {_SANITIZE}, got {self.sanitize!r}"
+                f"mode must be one of {tuple(BACKENDS)}, got {self.mode!r}")
+        if self.sanitize not in SANITIZE_MODES:
+            raise ConfigurationError(
+                f"sanitize must be one of {SANITIZE_MODES}, got {self.sanitize!r}"
             )
-        if self.fault_plan is not None and self.mode != "simulated":
+        if self.fault_plan is not None and not self.backend.ranks:
+            ranked = tuple(mode for mode, b in BACKENDS.items() if b.ranks)
             raise ConfigurationError(
-                f"fault_plan requires mode='simulated' (faults are injected into "
-                f"the runtime simulator), got mode={self.mode!r}"
+                f"fault_plan requires a mode with ranks {ranked} (faults are "
+                f"injected into the runtime simulator), got mode={self.mode!r}"
             )
         if self.max_retries < 0:
             raise ConfigurationError(f"max_retries must be >= 0, got {self.max_retries}")
@@ -269,6 +279,12 @@ class MidasRuntime:
                 f"hang_timeout must be > 0, got {self.hang_timeout}"
             )
 
+    @property
+    def backend(self) -> Type["ExecutionBackend"]:
+        """The mode's backend class: its ``pooled``, ``virtual`` and
+        ``ranks`` attributes are the mode's rules (:class:`ExecutionBackend`)."""
+        return BACKENDS[self.mode]
+
     def schedule_for(self, k: int, n: int = 0, field_degree: Optional[int] = None,
                      payload: int = 1, rounds: Optional[int] = None,
                      live_states: int = 1) -> PhaseSchedule:
@@ -276,50 +292,18 @@ class MidasRuntime:
         an ``n``-vertex graph, and how many of ``rounds`` independent
         rounds one window carries.
 
-        An explicit ``n2`` wins.  Otherwise simulated/modeled modes take
-        BSMax, and the whole-graph modes take ``min(2^k, 1024)`` — every
-        window is bit-identical at any width, and the level step's
-        per-lane cost falls with it — halved, never below one 64-lane
-        word, until each of the mode's workers has a window
-        (``2^k / N2 >= workers``) and the plane-resident state of an
-        ``n``-vertex graph fits :data:`_STATE_BYTES`: ``8 l n N2 / 64``
-        bytes per weight cell, over ``payload`` cells (a spec's
-        ``payload``), in the field of degree ``l = field_degree``
-        (default: a k-path's).  ``n = 0`` (size unknown) skips the budget.
-
-        ``rounds`` (default: not asked) is how many rounds are left to
-        run.  When a default whole-graph window covers a round
-        (``N2 = 2^k``), it then carries ``R = rounds_per_window`` of them:
-        as many as leave a window per worker (``R <= rounds / workers``)
-        within ``R 2^k <= 1024`` lanes — any count, so a stage's rounds
-        take as few windows as the cap allows — and the largest such
-        count whose ``live_states`` states of the spec's recurrence,
-        ``live_states * 8 l n payload * ceil(R 2^k / 64)`` bytes, fit
-        ``3 * _STATE_BYTES``.  Everywhere else — simulated and modeled
-        modes, an explicit ``n2``, a round of several windows — ``R = 1``.
+        A ``virtual`` mode without an explicit ``n2`` takes BSMax
+        (``2^k N1 / N``) and ``R = 1``; every other schedule is
+        :func:`whole_graph_window`'s, over the mode's workers (one unless
+        it is ``pooled``).
         """
-        total = 1 << k
-        n2 = self.n2
-        rpw = 1
-        if n2 is None:
-            if self.mode in _WHOLE_GRAPH_MODES:
-                n2 = min(total, 1024)
-                workers = 1 if self.mode == "sequential" else self.get_workers()
-                ell = field_degree_for_k(k) if field_degree is None else field_degree
-                word_bytes = 8 * ell * n * payload
-                while n2 > 64 and (total // n2 < workers
-                                   or word_bytes * (n2 // 64) > _STATE_BYTES):
-                    n2 //= 2
-                if rounds is not None and n2 == total:
-                    rpw = max(1, min(rounds // workers, 1024 // total))
-                    while rpw > 1 and (live_states * word_bytes * -(-rpw * total // 64)
-                                       > 3 * _STATE_BYTES):
-                        rpw -= 1
-            else:
-                n2 = PhaseSchedule.bs_max(k, self.n_processors, self.n1)
-        # the divisors of 2^k are exactly the powers of two, so the largest
-        # divisor <= n2 is the largest power of two <= n2
-        n2 = pow2_floor(max(1, min(n2, total)))
+        if self.n2 is None and self.backend.virtual:
+            n2, rpw = PhaseSchedule.bs_max(k, self.n_processors, self.n1), 1
+        else:
+            n2, rpw = whole_graph_window(
+                k, n, field_degree, payload, n2=self.n2,
+                workers=self.get_workers() if self.backend.pooled else 1,
+                rounds=rounds, live_states=live_states)
         return PhaseSchedule(k, self.n_processors, self.n1, n2, rpw)
 
     def get_cluster(self) -> VirtualCluster:
@@ -360,7 +344,7 @@ class MidasRuntime:
         with ROADMAP item 1.  No run reads it: every whole-graph run is
         plane-resident and every rank element-wise, whatever the field's
         kernel (:mod:`repro.core.leveldp`).  ``plane`` is ignored."""
-        if self.mode != "modeled" and n2 >= 64:
+        if n2 >= 64:
             return "bitsliced"
         return "table" if m <= 8 else "logexp"
 
@@ -668,6 +652,14 @@ class ExecutionBackend:
     """
 
     name = "?"
+    #: the mode's rules, which whatever depends on the mode reads instead
+    #: of its name.  ``pooled``: windows run on ``workers`` — the
+    #: window rule leaves each a window, a round batch fills the pool, and
+    #: a service's fleet worker runs the query sequentially.  ``virtual``:
+    #: BSMax windows and virtual seconds.  ``ranks``: ``N`` simulated
+    #: ranks — fault plans, the comm sanitizer, a report ``N`` ranks wide
+    #: and the ``trace_*`` details.
+    pooled = virtual = ranks = False
 
     def __init__(self, engine: "DetectionEngine") -> None:
         self.engine = engine
@@ -744,6 +736,7 @@ class ModeledBackend(SequentialBackend):
     """Sequential evaluation; virtual time from the Theorem-2 model."""
 
     name = "modeled"
+    virtual = True
 
     def run_round(self, stage: _Stage, rounds: _Rounds):
         values, _ = super().run_round(stage, rounds)
@@ -765,6 +758,7 @@ class ThreadedBackend(ExecutionBackend):
     """
 
     name = "threaded"
+    pooled = True
 
     def __init__(self, engine: "DetectionEngine") -> None:
         super().__init__(engine)
@@ -789,7 +783,7 @@ class ThreadedBackend(ExecutionBackend):
 class ProcessBackend(ExecutionBackend):
     """Run a round batch's phase windows on worker *processes* (past the GIL).
 
-    Same contract as :class:`ThreadedBackend` — independent windows, XOR
+    Same contract as a thread pool — independent windows, XOR
     merge in completion order, bit-identical to sequential — but the
     phase kernels run in separate interpreters: the interpreter's warm
     fleet (:func:`~repro.core.process_backend.fleet`), which this call
@@ -802,6 +796,7 @@ class ProcessBackend(ExecutionBackend):
     """
 
     name = "process"
+    pooled = True
 
     def __init__(self, engine: "DetectionEngine") -> None:
         super().__init__(engine)
@@ -922,6 +917,8 @@ class SimulatedBackend(ExecutionBackend):
     """
 
     name = "simulated"
+    virtual = True
+    ranks = True
 
     def __init__(self, engine: "DetectionEngine") -> None:
         super().__init__(engine)
@@ -942,8 +939,8 @@ class SimulatedBackend(ExecutionBackend):
         """The lanes of a whole-graph run that values a round's windows:
         the stage's sequential window (an explicit ``n2`` wins, as
         there), so the run holds no more state than a sequential one."""
-        return MidasRuntime(n2=self.engine.rt.n2).schedule_for(
-            spec.k, self.engine.graph.n, spec.field.m, spec.payload).n2
+        return whole_graph_window(spec.k, self.engine.graph.n, spec.field.m,
+                                  spec.payload, n2=self.engine.rt.n2)[0]
 
     def run_round(self, stage: _Stage, rounds: _Rounds):
         # one round a batch: simulated windows carry one round (R = 1)
@@ -1057,7 +1054,8 @@ def _compose_label(stage_label: str, suffix: str) -> str:
     return f"{stage_label} {suffix}" if stage_label else suffix
 
 
-_BACKENDS: Dict[str, Type[ExecutionBackend]] = {
+#: the one list of modes: each mode's name and its backend
+BACKENDS: Dict[str, Type[ExecutionBackend]] = {
     "sequential": SequentialBackend,
     "simulated": SimulatedBackend,
     "modeled": ModeledBackend,
@@ -1220,9 +1218,8 @@ class DetectionEngine:
         self.problem = problem
         self.rec = rt.get_recorder()
         self.reg = rt.get_metrics()
-        self.fc = (
-            _FaultContext(rt, self.reg, problem) if rt.mode == "simulated" else None
-        )
+        ranks = rt.backend.ranks
+        self.fc = _FaultContext(rt, self.reg, problem) if ranks else None
         self.san = None
         self.san_report = None
         self._san_synced = False
@@ -1235,11 +1232,11 @@ class DetectionEngine:
             self._value_digest = value_digest
             if rt.sanitize != "off":
                 self.san_report = SanitizerReport()
-                if rt.mode == "simulated":
-                    # comm checking only has a substrate in simulated mode;
-                    # other modes still get the report/metrics plumbing
+                if ranks:
+                    # comm checking only has a substrate in a mode with
+                    # ranks; other modes still get the report/metrics plumbing
                     self.san = CommSanitizer(rt.sanitize, self.san_report)
-        self.backend = _BACKENDS[rt.mode](self)  # rt.mode is validated
+        self.backend = rt.backend(self)
         self.session = (rt.session if rt.session is not None
                         else EngineSession.for_runtime(graph, rt))
         mismatch = self.session.compatible(graph, rt)
@@ -1506,7 +1503,10 @@ class DetectionEngine:
                 "midas_phase_seconds", "Per-phase time (virtual makespan or wall)"
             ).labels(problem=self.problem, mode=rt.mode, k=spec.k, n1=rt.n1, n2=sched.n2)
             estimate = None
-            if rt.mode == "modeled" or (rt.mode == "simulated" and self.rec is not None):
+            backend = self.backend
+            # the model is the clock of a virtual mode without ranks; with
+            # ranks it is set against their recorded timeline
+            if backend.virtual and (not backend.ranks or self.rec is not None):
                 self.partition = self.session.ensure_partition(self.prof)
                 stats = PartitionStats.from_partition(self.partition)
                 cluster = rt.get_cluster()
@@ -1628,7 +1628,7 @@ class DetectionEngine:
         sched = rt.schedule_for(spec.k, n, spec.field.m, spec.payload,
                                 rounds=want, live_states=spec.live_states)
         size = sched.rounds_per_window
-        if rt.mode in ("threaded", "process") and rt.n2 is None:
+        if self.backend.pooled and rt.n2 is None:
             if sched.n_phases == 1:
                 size *= max(1, min(rt.get_workers(), want // size))
             elif not early_exit:
@@ -1693,7 +1693,7 @@ class DetectionEngine:
             })
         if estimate is not None:
             det.setdefault("estimate", estimate)
-        if self.rt.mode == "simulated" and self.rt.trace:
+        if self.backend.ranks and self.rt.trace:
             busy = self.trace_compute + self.trace_comm
             det.setdefault("trace_compute_seconds", self.trace_compute)
             det.setdefault("trace_comm_seconds", self.trace_comm)
@@ -1711,6 +1711,7 @@ class DetectionEngine:
 
 
 __all__ = [
+    "BACKENDS",
     "MidasRuntime",
     "DetectionEngine",
     "EngineSession",
@@ -1722,4 +1723,5 @@ __all__ = [
     "ProcessBackend",
     "StageResult",
     "rounds_for_epsilon",
+    "whole_graph_window",
 ]

@@ -49,18 +49,16 @@ class GF2m:
     modulus:
         Packed irreducible polynomial of degree ``m`` (see
         :mod:`repro.ff.poly2`).  Defaults to a known primitive polynomial.
-    mul_strategy:
-        ``"table"`` (dense product table, only for ``m <= 8``),
-        ``"logexp"``, or ``"auto"`` (table when possible).
     kernel_strategy:
-        Superset of ``mul_strategy`` that also accepts ``"bitsliced"``.
-        When given, it takes precedence over ``mul_strategy``; the
-        element-wise operations of a ``"bitsliced"`` field run on the
-        ``"auto"`` tables, with the same values.  It names the field and
-        labels its build metric; it chooses no layout.  Every field has
-        the plane kernel (:attr:`bitsliced`: ``m`` uint64 bit-planes
-        multiplied by carry-less AND/XOR schedules), which every
-        whole-graph run uses.
+        ``"table"`` (dense product table, only for ``m <= 8``),
+        ``"logexp"``, ``"auto"`` (table when possible; ``None`` too) or
+        ``"bitsliced"``, whose element-wise operations run on the
+        ``"auto"`` tables, with the same values.  The element kernel
+        built is :attr:`mul_strategy` (``"table"`` or ``"logexp"``).  The
+        strategy names the field and labels its build metric; it
+        chooses no layout.  Every field has the plane kernel
+        (:attr:`bitsliced`: ``m`` uint64 bit-planes multiplied by
+        carry-less AND/XOR schedules), which every whole-graph run uses.
 
     Table layout
     ------------
@@ -76,7 +74,6 @@ class GF2m:
         self,
         m: int,
         modulus: Optional[int] = None,
-        mul_strategy: str = "auto",
         kernel_strategy: Optional[str] = None,
     ) -> None:
         if not (1 <= m <= _MAX_M):
@@ -89,14 +86,11 @@ class GF2m:
             raise FieldError(
                 f"modulus {bin(self.modulus)} is not an irreducible polynomial of degree {m}"
             )
-        if kernel_strategy is not None:
-            if kernel_strategy not in ("auto", "table", "logexp", "bitsliced"):
-                raise FieldError(f"unknown kernel_strategy {kernel_strategy!r}")
-            mul_strategy = "auto" if kernel_strategy == "bitsliced" else kernel_strategy
-        if mul_strategy not in ("auto", "table", "logexp"):
-            raise FieldError(f"unknown mul_strategy {mul_strategy!r}")
-        use_table = mul_strategy == "table" or (mul_strategy == "auto" and m <= _TABLE_MAX_M)
-        if mul_strategy == "table" and m > _TABLE_MAX_M:
+        if kernel_strategy not in (None, "auto", "table", "logexp", "bitsliced"):
+            raise FieldError(f"unknown kernel_strategy {kernel_strategy!r}")
+        use_table = kernel_strategy == "table" or (
+            kernel_strategy != "logexp" and m <= _TABLE_MAX_M)
+        if kernel_strategy == "table" and m > _TABLE_MAX_M:
             raise FieldError(f"dense table strategy needs m <= {_TABLE_MAX_M}, got m={m}")
 
         # lazy import: the field is a leaf dependency of nearly everything,
@@ -358,9 +352,7 @@ def round_success_bound(k: int, ell: int, d: int) -> Fraction:
     return full_rank * Fraction(q - d, q)
 
 
-def default_field_for_k(
-    d: int, mul_strategy: str = "auto", kernel_strategy: Optional[str] = None
-) -> GF2m:
+def default_field_for_k(d: int, kernel_strategy: Optional[str] = None) -> GF2m:
     """``GF(2^field_degree_for_k(d))``: the field of a k-path (``d = k``),
     or of any kind whose polynomial has degree ``d`` in the ``y``s.
 
@@ -370,4 +362,4 @@ def default_field_for_k(
     field (:func:`~repro.core.leveldp.run_whole_graph` multiplies through
     :attr:`GF2m.bitsliced`), so the engine never asks for a kernel.
     """
-    return GF2m(field_degree_for_k(d), mul_strategy=mul_strategy, kernel_strategy=kernel_strategy)
+    return GF2m(field_degree_for_k(d), kernel_strategy=kernel_strategy)

@@ -60,7 +60,7 @@ _TRACEPARENT_VERSION = "00"
 
 # Pipeline stages with per-tenant SLO histograms.  "total" is the
 # end-to-end broker latency; the rest decompose it.
-SLO_STAGES = ("total", "cache", "coalesce", "quota", "queue", "execute")
+SLO_STAGES = ("total", "cache", "coalesce", "quota", "queue", "execute", "reply")
 
 
 def _hex(nbytes: int) -> str:

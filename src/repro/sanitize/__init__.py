@@ -36,7 +36,6 @@ from repro.sanitize.comm import (
     payload_digest,
 )
 from repro.sanitize.replay import (
-    REPLAY_MODES,
     DigestLog,
     ReplayDivergence,
     ReplayReport,
@@ -49,7 +48,6 @@ __all__ = [
     "CertificationReport",
     "CommSanitizer",
     "DigestLog",
-    "REPLAY_MODES",
     "ReplayDivergence",
     "ReplayReport",
     "ResultCertifier",

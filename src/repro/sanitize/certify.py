@@ -40,6 +40,7 @@ from repro import exact
 from repro.errors import CertificationError, ConfigurationError
 from repro.graph.csr import CSRGraph
 from repro.graph.templates import TreeTemplate
+from repro.sanitize.comm import is_strict
 
 #: exhaustive checks refuse witnesses larger than this (they are k-sized)
 _MAX_WITNESS = 16
@@ -307,10 +308,7 @@ class ResultCertifier:
 
     def __init__(self, graph: CSRGraph, mode: str = "strict",
                  report: Optional[CertificationReport] = None) -> None:
-        if mode not in ("warn", "strict"):
-            raise ConfigurationError(
-                f"certifier mode must be 'warn' or 'strict', got {mode!r}"
-            )
+        self.strict = is_strict(mode, "certifier")
         self.graph = graph
         self.mode = mode
         self.report = report if report is not None else CertificationReport()
@@ -320,7 +318,7 @@ class ResultCertifier:
             out = fn(self.graph, *args, **kwargs)
         except CertificationError as exc:
             self.report.failures.append(f"{label}: {exc}")
-            if self.mode == "strict":
+            if self.strict:
                 raise
             return None
         self.report.passed.append(label)

@@ -57,7 +57,19 @@ VIOLATION_KINDS = (
     "send-buffer-mutation",
 )
 
+#: the sanitize levels, weakest first: ``off``, ``warn`` (report every
+#: violation) and ``strict`` (raise at the first) — the one list
 SANITIZE_MODES = ("off", "warn", "strict")
+
+
+def is_strict(mode: str, checker: str) -> bool:
+    """Whether a ``checker`` at level ``mode`` raises at the first finding
+    (``strict``) or reports them all (``warn``); ``off`` is refused."""
+    _off, warn, strict = SANITIZE_MODES
+    if mode not in (warn, strict):
+        raise ConfigurationError(
+            f"{checker} mode must be {warn!r} or {strict!r}, got {mode!r}")
+    return mode == strict
 
 
 def payload_digest(payload: Any) -> Optional[int]:
@@ -204,10 +216,7 @@ class CommSanitizer:
 
     def __init__(self, mode: str = "strict",
                  report: Optional[SanitizerReport] = None) -> None:
-        if mode not in ("warn", "strict"):
-            raise ConfigurationError(
-                f"sanitizer mode must be 'warn' or 'strict', got {mode!r}"
-            )
+        self.strict = is_strict(mode, "sanitizer")
         self.mode = mode
         self.report = report if report is not None else SanitizerReport()
         self._requests: Dict[int, Dict[Tuple[int, Hashable], int]] = {}
@@ -220,7 +229,7 @@ class CommSanitizer:
                  detail: str = "") -> None:
         v = Violation(kind, rank, op, tag, detail)
         self.report.violations.append(v)
-        if self.mode == "strict":
+        if self.strict:
             raise SanitizerError(v.message(), kind=kind, rank=rank, op=op,
                                  tag=tag)
 
@@ -356,5 +365,6 @@ __all__ = [
     "Violation",
     "VIOLATION_KINDS",
     "SANITIZE_MODES",
+    "is_strict",
     "payload_digest",
 ]

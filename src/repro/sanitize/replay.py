@@ -1,10 +1,10 @@
 """Deterministic-replay verification for the detection engine.
 
-PR 3's engine claims every backend is *bit-identical*: randomness is
-round-scoped, XOR accumulation is order-free, so sequential, threaded,
-simulated, and modeled runs of the same seed agree exactly.  That claim
-is property-tested, but nothing made it a checkable *runtime* property
-of a particular run.  This module does:
+The engine claims every backend is *bit-identical*: randomness is
+round-scoped and XOR accumulation is order-free, so the runs of one seed
+agree exactly in every mode.  That claim is property-tested, but nothing
+made it a checkable *runtime* property of a particular run.  This module
+does:
 
 * :class:`DigestLog` — a sink the engine fills with CRC digests of every
   per-phase contribution (keyed ``(stage label, round, batch, phase)``)
@@ -31,9 +31,6 @@ from typing import Any, Callable, Dict, Optional, Tuple
 import numpy as np
 
 from repro.errors import ReplayMismatchError
-
-#: backends verify_replay accepts (modeled == sequential values + a model)
-REPLAY_MODES = ("sequential", "threaded", "simulated", "modeled")
 
 
 def value_digest(value: Any) -> int:
@@ -185,20 +182,16 @@ def verify_replay(
     runs draw from the same integer ``seed``, so their round fingerprints
     are identical and every digest must match.
 
-    The reference run drops the primary's fault plan and recorder (the
-    reference is a clean machine) but keeps ``(N, N1)`` and the resolved
-    ``n2``, so the schedules align.  Returns a :class:`ReplayReport`;
-    with ``strict`` a divergence raises
-    :class:`~repro.errors.ReplayMismatchError` locating the first
-    divergent (round, batch, phase).
+    Every mode is a reference: the reference runtime is the primary's
+    with ``mode=reference_mode``, which its construction validates.  It
+    drops the primary's fault plan and recorder (the reference is a
+    clean machine) but keeps ``(N, N1)`` and the resolved ``n2``, so the
+    schedules align.  Returns a :class:`ReplayReport`; with ``strict`` a
+    divergence raises :class:`~repro.errors.ReplayMismatchError` locating
+    the first divergent (round, batch, phase).
     """
     from repro.core.engine import MidasRuntime
-    from repro.errors import ConfigurationError
 
-    if reference_mode not in REPLAY_MODES:
-        raise ConfigurationError(
-            f"reference_mode must be one of {REPLAY_MODES}, got {reference_mode!r}"
-        )
     rt = runtime if runtime is not None else MidasRuntime()
     # pin the schedule: an explicit n2 resolves identically in every mode
     n2 = rt.n2 if rt.n2 is not None else 64
@@ -228,7 +221,6 @@ __all__ = [
     "DigestLog",
     "ReplayDivergence",
     "ReplayReport",
-    "REPLAY_MODES",
     "diff_digest_logs",
     "value_digest",
     "verify_replay",

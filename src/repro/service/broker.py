@@ -16,9 +16,10 @@ session per graph (fields, partition, jagged order) — which the parent's
 ``/api/graphs`` and ``/api/service`` — and its own metrics registry.
 Distinct queries are independent (the paper's Fig 1: private state per
 group, one merge), so ``workers`` of them compute at once in every mode;
-a ``runtime_config`` asking for ``mode="process"`` or ``"threaded"``
-runs sequentially in its worker — the fleet is the parallelism, the bits
-are the same, and the reply's ``runtime.mode`` says ``"sequential"``.
+a ``runtime_config`` asking for a ``pooled`` mode (one whose backend
+runs windows on a pool) runs sequentially in its worker — the fleet is
+the parallelism, the bits are the same, and the reply's
+``runtime.mode`` says ``"sequential"``.
 
 Admission pipeline, in order:
 
@@ -36,7 +37,9 @@ Admission pipeline, in order:
    not by unbounded queueing).
 4. **worker** — the admitted caller waits for an idle worker, first
    come first served (the ``broker.queue`` span), and the query runs
-   there (``broker.execute``).  A worker that dies under it is replaced
+   there (``broker.execute``); splicing the reply's spans and metrics,
+   freeing the worker and caching are ``broker.reply``.  A worker that
+   dies under it is replaced
    and the query sent again, once — a pinned seed makes the retry
    bit-identical; a second death is a
    :class:`~repro.errors.WorkerCrashedError` for the leader and every
@@ -62,7 +65,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.engine import MidasRuntime
+from repro.core.engine import MidasRuntime, SequentialBackend
 from repro.core.schedule import MAX_K
 from repro.errors import (
     ConfigurationError,
@@ -416,10 +419,10 @@ def _answer(graph, spec: QuerySpec, sha: str, config: dict,
     entry = _WORKER_ENTRIES.get(sha)
     if entry is None:
         entry = _WORKER_ENTRIES[sha] = GraphEntry(sha, attach_graph(graph))
-    if config.get("mode") in ("process", "threaded"):
-        # the fleet is the parallelism: never nest a pool in a worker
-        config = dict(config, mode="sequential")
     rt = MidasRuntime(**config)
+    if rt.backend.pooled:
+        # the fleet is the parallelism: never nest a pool in a worker
+        rt.mode = SequentialBackend.name
     rt.session = entry.session_for(rt)
     rt.watchdog = Watchdog(deadline=rt.deadline, hang_timeout=rt.hang_timeout,
                            cancelled=cancelled)
@@ -636,11 +639,12 @@ class QueryBroker:
 
     def _traced_execute(self, spec: QuerySpec, entry: GraphEntry, slot: Slot,
                         qt: QueryTrace, submit_t: float, left: Optional[float]):
-        """Answer ``spec`` on ``slot``'s fleet worker (:func:`dispatch`).
+        """Answer ``spec`` on ``slot``'s fleet worker (:func:`dispatch`):
+        ``(payload, the worker's spans, its metric delta)``.
 
         Records the ``broker.queue`` span — admission to the worker — and
-        ``broker.execute``, under which the worker's engine spans are
-        spliced.  ``left`` is what the wait left of the caller's timeout.
+        ``broker.execute``, the span the worker's engine spans hang
+        under.  ``left`` is what the wait left of the caller's timeout.
         """
         qt.add_span("broker.queue", submit_t, time.perf_counter(),
                     lane="broker")
@@ -654,11 +658,7 @@ class QueryBroker:
                 spec, entry, self._fleet, slot, config, trace)
             entry.note_fleet_session(session)
             span.tag(rounds=int(payload.get("timing", {}).get("rounds", 0)))
-        if spans:
-            qt.add_spans(spans)
-        if mdelta:
-            merge_into(self.metrics, mdelta)
-        return payload
+        return payload, spans, mdelta
 
     def submit(self, spec: QuerySpec, tenant: str = "default",
                trace=None, timeout: Optional[float] = None) -> QueryOutcome:
@@ -687,12 +687,13 @@ class QueryBroker:
         qt = self._begin_trace(tenant, trace)
         total = qt.span("broker.total", lane="broker", kind=spec.kind)
         joined = mine = None
+        # the wait for the lock is the cache lookup's
+        lookup = qt.span("broker.cache", lane="broker")
         with self._lock:
             if self._closed:
                 raise ServiceError("service is closed")
-            with qt.span("broker.cache", lane="broker") as span:
-                cached = self._cache.get(key)
-                span.tag(hit=cached is not None)
+            cached = self._cache.get(key)
+            lookup.tag(hit=cached is not None).finish()
             if cached is not None:
                 self._cache.move_to_end(key)
                 self.stats["cache_hits"] += 1
@@ -742,6 +743,7 @@ class QueryBroker:
             raise QuotaExceededError(tenant, self.quota)
 
         self.m_inflight.inc()
+        reply = None  # from the worker's reply to the caller's
         try:
             t0 = time.perf_counter()
             slot = self._fleet.acquire(timeout)
@@ -750,9 +752,15 @@ class QueryBroker:
             try:
                 left = (None if timeout is None
                         else max(timeout - (time.perf_counter() - t0), 1e-6))
-                payload = self._traced_execute(spec, entry, slot, qt, t0, left)
+                payload, spans, mdelta = self._traced_execute(
+                    spec, entry, slot, qt, t0, left)
+                reply = qt.span("broker.reply", lane="broker")
             finally:
                 self._fleet.release(slot)
+            if spans:
+                qt.add_spans(spans)
+            if mdelta:
+                merge_into(self.metrics, mdelta)
         except BaseException as exc:
             # whoever coalesced onto this execution fails with it; an
             # interrupt (Ctrl-C, SystemExit) is this caller's alone
@@ -763,6 +771,8 @@ class QueryBroker:
                 self.stats["errors"] += 1
             self.m_queries.labels(kind=spec.kind, tenant=tenant,
                                   outcome="error").inc()
+            if reply is not None:
+                reply.finish(error=True)
             self._finish_trace(
                 qt, total, "error" if failure is exc else "interrupted",
                 error=f"{type(failure).__name__}: {failure}")
@@ -781,6 +791,7 @@ class QueryBroker:
             self.m_queries.labels(kind=spec.kind, tenant=tenant,
                                   outcome="ok").inc()
             self.m_latency.labels(kind=spec.kind).observe(wall)
+            reply.finish()
             self._finish_trace(qt, total, "ok", kind=spec.kind,
                                wall_seconds=wall,
                                mode=payload["runtime"]["mode"])

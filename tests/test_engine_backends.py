@@ -9,11 +9,16 @@ regression that :func:`detect_scan_cell` actually honors
 ``runtime.mode`` (it used to silently run sequentially).
 """
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro
+from repro.core.engine import BACKENDS
 from repro.core.midas import (
     MidasRuntime,
     detect_path,
@@ -387,3 +392,44 @@ class TestThreadedConfig:
         a = detect_path(g, 4, eps=0.3, rng=RngStream(42), runtime=rt)
         b = detect_path(g, 4, eps=0.3, rng=RngStream(42), runtime=rt)
         assert _round_values(a) == _round_values(b)
+
+
+class TestModeRules:
+    """A mode is its backend: the registry is the one list of modes and
+    each backend's class attributes are its mode's rules."""
+
+    def test_each_mode_declares_its_rules(self):
+        def having(rule):
+            return {mode for mode, b in BACKENDS.items() if getattr(b, rule)}
+
+        assert {mode: b.name for mode, b in BACKENDS.items()} == {
+            mode: mode for mode in BACKENDS}
+        assert having("pooled") == {"threaded", "process"}
+        assert having("virtual") == {"modeled", "simulated"}
+        assert having("ranks") == {"simulated"}
+        for mode in BACKENDS:
+            assert MidasRuntime(mode=mode).backend is BACKENDS[mode]
+
+    #: a mode compared with a string literal or a tuple of them, either
+    #: way round, or a config's ``.get("mode")`` compared with anything
+    _MODE_LITERAL = re.compile(
+        r"""mode\s*(?:==|!=)\s*[rbuf]?["']"""
+        r"""|["']\s*(?:==|!=)\s*[\w.]*mode\b"""
+        r"""|mode\s+(?:not\s+)?in\s*[(\[{]\s*[rbuf]?["']"""
+        r"""|\.get\(\s*["']mode["']\s*\)\s*(?:==|!=|(?:not\s+)?in\b)""")
+
+    def test_no_module_compares_a_mode_with_a_literal(self):
+        """Whatever depends on the mode reads its backend's rules (or the
+        sanitize levels' one tuple); no module spells a mode out in a
+        comparison, so adding or deleting a mode edits one class."""
+        src = Path(repro.__file__).parent
+        hits = [f"{p.relative_to(src)}:{i}: {line.strip()}"
+                for p in sorted(src.rglob("*.py"))
+                for i, line in enumerate(p.read_text().splitlines(), 1)
+                if self._MODE_LITERAL.search(line)]
+        assert hits == []
+        # the pattern does catch what it is for
+        for line in ('if rt.mode == "simulated":', "if 'modeled' != mode:",
+                     'if mode not in ("warn", "strict"):',
+                     'if config.get("mode") in POOLED:'):
+            assert self._MODE_LITERAL.search(line), line

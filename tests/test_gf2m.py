@@ -114,11 +114,11 @@ class TestConstruction:
 
     def test_table_strategy_limited(self):
         with pytest.raises(FieldError):
-            GF2m(9, mul_strategy="table")
+            GF2m(9, kernel_strategy="table")
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(FieldError):
-            GF2m(4, mul_strategy="nonsense")
+            GF2m(4, kernel_strategy="nonsense")
 
 
 class TestAxiomsExhaustiveGF8:
@@ -170,8 +170,8 @@ class TestStrategiesAgree:
     def test_table_vs_logexp(self, m):
         """All ``order^2`` products, both kernels, against the polynomial
         arithmetic they tabulate."""
-        ft = GF2m(m, mul_strategy="table")
-        fl = GF2m(m, mul_strategy="logexp")
+        ft = GF2m(m, kernel_strategy="table")
+        fl = GF2m(m, kernel_strategy="logexp")
         xs = np.arange(ft.order, dtype=ft.dtype)
         expected = reference_mul(ft, xs[:, None], xs[None, :])
         assert np.array_equal(ft.mul(xs[:, None], xs[None, :]), expected)
@@ -181,7 +181,7 @@ class TestStrategiesAgree:
     @pytest.mark.parametrize("m,strategy", [(6, "table"), (8, "table"),
                                             (6, "logexp"), (12, "logexp")])
     def test_operand_shapes(self, m, strategy, case):
-        f = GF2m(m, mul_strategy=strategy)
+        f = GF2m(m, kernel_strategy=strategy)
         rng = np.random.default_rng(m)
 
         def xs(*shape):
@@ -285,7 +285,7 @@ class TestHelpers:
         """A dtype wider than ``m`` bits can hold a non-element: every table
         kernel names it, for either operand, instead of leaking numpy's
         ``IndexError`` or reading a neighbouring row of the flat table."""
-        f = GF2m(m, mul_strategy=strategy)
+        f = GF2m(m, kernel_strategy=strategy)
         good = np.full((4, 6), 3, dtype=f.dtype)
         bad = good.copy()
         bad[2, 5] = f.order  # one past the last element, fits the dtype

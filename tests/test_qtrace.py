@@ -451,6 +451,28 @@ class TestEndToEndProcessTrace:
         assert out.trace_id in text
         assert "engine.kernel" in text and "stage walls" in text
 
+    def test_the_reply_tail_is_a_stage(self, monkeypatch):
+        """What the broker does after the worker's reply — splicing its
+        spans, merging its metrics, releasing the slot, caching — is the
+        ``broker.reply`` stage, so a slow tail still tiles the total."""
+        import repro.service.broker as broker
+
+        def slow_merge(*args, **kwargs):
+            time.sleep(0.02)
+            return merge_into(*args, **kwargs)
+
+        monkeypatch.setattr(broker, "merge_into", slow_merge)
+        svc = DetectionService(workers=1)
+        svc.registry.register(_graph(seed=5), name="g")
+        with svc:
+            client = LocalClient(svc)
+            out = client.query(_spec(seed=11), tenant="acme")
+            doc = client.trace(out.trace_id)
+        walls = doc["stage_walls"]
+        tiled = sum(v for k, v in walls.items() if k != "total")
+        assert abs(tiled - walls["total"]) <= 0.10 * walls["total"], walls
+        assert walls["reply"] >= 0.02
+
     @pytest.mark.parametrize("mode", ["sequential", "threaded", "process"])
     def test_every_mode_trace_explains_itself(self, mode):
         """One span log per query, whatever mode the service is configured

@@ -11,7 +11,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.engine import MidasRuntime
+from repro.cli import main
+from repro.core.engine import BACKENDS, MidasRuntime
 from repro.core.midas import (
     detect_path,
     detect_scan_cell,
@@ -25,7 +26,6 @@ from repro.graph.generators import erdos_renyi
 from repro.graph.templates import TreeTemplate
 from repro.sanitize import DigestLog, verify_replay
 from repro.sanitize.replay import (
-    REPLAY_MODES,
     ReplayDivergence,
     diff_digest_logs,
     value_digest,
@@ -212,5 +212,22 @@ def test_divergence_message_format():
     assert "phase 5" in msg
 
 
-def test_replay_modes_constant():
-    assert set(MODES) <= set(REPLAY_MODES)
+def test_every_mode_is_a_reference(graph):
+    """The reference runtime's construction is the one mode check: every
+    registered mode is a reference, process included, and no other."""
+    assert "process" in BACKENDS
+    rt = MidasRuntime(n_processors=4, n1=2, workers=2)
+    for mode in BACKENDS:
+        report = verify_replay(detect_path, graph, 4, runtime=rt,
+                               reference_mode=mode, seed=5, eps=0.5)
+        assert report.ok and report.reference_mode == mode
+    with pytest.raises(ConfigurationError, match="mode must be one of"):
+        verify_replay(detect_path, graph, 4, runtime=rt, reference_mode="mpi")
+
+
+def test_cli_verify_against_process(capsys):
+    assert main(["verify", "--er", "60", "-k", "4", "--reference-mode",
+                 "process", "--workers", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "replay sequential vs process: " in out
+    assert "identical" in out and "verify: OK" in out
