@@ -36,9 +36,7 @@ def main() -> None:
     print(f"incident z-scores: mean {z[incident].mean():.1f} "
           f"(rest of network: {np.delete(z, incident).mean():+.2f})")
 
-    # the paper runs k=12 on its cluster; the pure-Python DP at k=8 keeps
-    # this walkthrough interactive while exercising the identical pipeline
-    result = study.detect(current, mu, sigma, k=8, alpha=0.05, eps=0.2,
+    result = study.detect(current, mu, sigma, k=12, alpha=0.05, eps=0.2,
                           rng=rng.child("detect"), extract=True)
     print(f"\n{result.summary()}")
     print(f"sensors flagged individually: {result.details['n_flagged_sensors']}")

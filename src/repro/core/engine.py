@@ -108,9 +108,11 @@ def whole_graph_window(k: int, n: int = 0, field_degree: Optional[int] = None,
     halved, never below one 64-lane word, until each of ``workers`` has
     a window (``2^k / N2 >= workers``) and the plane-resident state of
     the graph fits :data:`_STATE_BYTES`: ``8 l n N2 / 64`` bytes per
-    weight cell, over ``payload`` cells (a spec's ``payload``), in the
-    field of degree ``l = field_degree`` (default: a k-path's).  ``n =
-    0`` (size unknown) skips the budget.
+    weight cell, over ``payload`` cells (a spec's
+    :attr:`~repro.core.problems.ProblemSpec.schedule_payload`: its weight
+    cells, or its evaluation points where they are more), in the field of
+    degree ``l = field_degree`` (default: a k-path's).  ``n = 0`` (size
+    unknown) skips the budget.
 
     ``rounds`` (default: not asked) is how many rounds are left to run.
     When the window covers a round (``N2 = 2^k``), it then carries ``R``
@@ -940,7 +942,7 @@ class SimulatedBackend(ExecutionBackend):
         the stage's sequential window (an explicit ``n2`` wins, as
         there), so the run holds no more state than a sequential one."""
         return whole_graph_window(spec.k, self.engine.graph.n, spec.field.m,
-                                  spec.payload, n2=self.engine.rt.n2)[0]
+                                  spec.schedule_payload, n2=self.engine.rt.n2)[0]
 
     def run_round(self, stage: _Stage, rounds: _Rounds):
         # one round a batch: simulated windows carry one round (R = 1)
@@ -973,7 +975,8 @@ class SimulatedBackend(ExecutionBackend):
                     # the signature says whether this window's messages
                     # were enacted before
                     t0, contrib = time.perf_counter(), whole[t]
-                    signature = exchange_signature(spec.recurrence, fp, q0, sched.n2)
+                    signature = exchange_signature(spec.recurrence, fp, q0, sched.n2,
+                                                   spec.points)
                     tl = stage.timelines.get(signature)
                 if tl is not None:
                     e.prof.add_span("engine.simulate", t0, time.perf_counter(),
@@ -983,7 +986,8 @@ class SimulatedBackend(ExecutionBackend):
                 else:
                     key = f"{stage.key_prefix}r{ell}/b{bi}/p{t}"
                     prog = phase_program(self._views, spec.recurrence, fp, q0,
-                                         sched.n2, overlapped=rt.overlap)
+                                         sched.n2, overlapped=rt.overlap,
+                                         points=spec.points)
                     res, sim, extra, failed = _run_phase_resilient(
                         rt, fc, prog, key, self._cost_model, want_trace, e.prof,
                         sanitizer=e.san, heartbeat=e._hb,
@@ -1493,7 +1497,7 @@ class DetectionEngine:
         the simulated timeline.
         """
         rt = self.rt
-        sched = rt.schedule_for(spec.k, self.graph.n, spec.field.m, spec.payload)
+        sched = rt.schedule_for(spec.k, self.graph.n, spec.field.m, spec.schedule_payload)
         # the stage is a span too: what this run has to build for it (pool,
         # partition, halo) and its rounds nest inside
         with self.prof.span("engine.stage", lane="engine",
@@ -1625,7 +1629,7 @@ class DetectionEngine:
         """
         rt = self.rt
         n = self.graph.n
-        sched = rt.schedule_for(spec.k, n, spec.field.m, spec.payload,
+        sched = rt.schedule_for(spec.k, n, spec.field.m, spec.schedule_payload,
                                 rounds=want, live_states=spec.live_states)
         size = sched.rounds_per_window
         if self.backend.pooled and rt.n2 is None:

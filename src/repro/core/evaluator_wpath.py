@@ -4,8 +4,8 @@ weighted k-path is :meth:`MLDCircuit.weighted_path`."""
 
 import numpy as np
 
-from repro.core.leveldp import run_whole_graph
 from repro.core.mld import MLDCircuit
+from repro.core.problems import compile
 from repro.util.validation import check_weights
 
 
@@ -13,4 +13,4 @@ def weighted_path_eval_phase(graph, weights, fp, z_max: int, q_start: int,
                              n2: int) -> np.ndarray:
     """Per-weight, per-iteration values: ``(z_max + 1, n2)``."""
     circuit = MLDCircuit.weighted_path(check_weights(graph.n, weights, z_max), fp.k, z_max)
-    return run_whole_graph(graph, circuit.recurrence(), fp, q_start, n2)
+    return compile(circuit, fp.field).lane_cells(graph, fp, q_start, n2)

@@ -258,7 +258,8 @@ def scan_grid(
     # the schedule reported is the top row's: the one run, or — no row
     # asked for — the one size k would run
     top = MLDCircuit.scan_row(w, k, z_max)
-    n2 = rt.schedule_for(k, graph.n, field_degree_for_k(top.y_degree), top.payload).n2
+    n2 = rt.schedule_for(k, graph.n, field_degree_for_k(top.y_degree),
+                         top.schedule_payload).n2
     with DetectionEngine(graph, rt, "scanstat") as engine:
         for j in sizes:
             out = _detect(engine, MLDCircuit.scan_row(w, j, z_max), eps,

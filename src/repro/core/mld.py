@@ -24,7 +24,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.leveldp import Recurrence, row_shift, shift_rows, weight_seed, z_convolve
+from repro.core.leveldp import PointBlocks, Recurrence
 from repro.errors import ConfigurationError
 from repro.ff.fingerprint import base_indicator_block
 from repro.graph.csr import CSRGraph
@@ -40,26 +40,25 @@ class CircuitStep:
         ``x(variable_level) * y(coeff_level) * slot[factor] * source``
 
     The source is the neighbour sum of slot ``operand`` (the paper's
-    ``P(i, j') * sum_u P(u, j'')`` shape) — with ``shift``, moved along
-    the weight axis by each row's own weight, ``out[i, z] = sum[i, z -
-    w(i)]`` — or, with ``conv``, the sum over pairs ``(a, b)`` of the
-    z-convolutions of ``slot[a]`` and ``slot[b]``.  ``x(level)`` is the
+    ``P(i, j') * sum_u P(u, j'')`` shape) or, with ``products``, the sum
+    over pairs ``(a, b)`` of ``slot[a] * slot[b]``.  ``x(level)`` is the
     evaluated variable: ``y[i, level]`` on the lanes whose phase indicator
-    is set, so a fresh variable enters; ``y(level)`` is a join
-    coefficient on every lane.  ``None`` leaves a factor out.
+    is set, so a fresh variable enters (in a weighted circuit it also
+    carries its row's weight, :class:`~repro.core.leveldp.PointBlocks`);
+    ``y(level)`` is a join coefficient on every lane.  ``None`` leaves a
+    factor out.
     """
 
     target: int
     factor: Optional[int]
     operand: Optional[int]
     variable_level: Optional[int]
-    shift: bool = False
-    conv: Tuple[Tuple[int, int], ...] = ()
+    products: Tuple[Tuple[int, int], ...] = ()
     coeff_level: Optional[int] = None
 
     def reads(self) -> tuple:
         """The slots this step reads, in the order it reads them."""
-        pairs = tuple(s for pair in self.conv for s in pair)
+        pairs = tuple(s for pair in self.products for s in pair)
         return tuple(s for s in (self.operand, *pairs, self.factor) if s is not None)
 
 
@@ -75,17 +74,20 @@ class MLDCircuit:
     fingerprint levels a round draws.
 
     A *weighted* circuit carries one non-negative integer ``weights``
-    entry per vertex: every state then has a weight axis ``z = 0 ..
-    z_max`` after the rows, a leaf is seeded at ``z = w(i)``, two slots
-    multiply only as z-convolutions (``conv``), and the value is a vector
-    over ``z``.
+    entry per vertex: each variable of row ``i`` is multiplied by a formal
+    ``z^{w(i)}``, and the value is the vector of its ``z``-coefficients
+    ``0 .. z_max``.  The circuit itself is unweighted: ``z`` is evaluated
+    at :meth:`points`, one lane block each, so every product stays a
+    pointwise one.
 
     Validation walks the program once and derives what the engine needs:
     :attr:`y_degree`, the output's degree in the fingerprint's ``y``s,
     which sizes the field (:func:`repro.ff.gf2m.field_degree_for_k`;
     ``min_y_degree`` floors it), and :attr:`live_states`, the most ``(rows,
-    [Z+1,] lanes)`` states the recurrence keeps alive at once, besides a
-    multiply's temporaries — what a fused window's width is budgeted by.
+    lanes)`` states the recurrence keeps alive at once, besides a
+    multiply's temporaries — what a fused window's width is budgeted by,
+    and :attr:`needs_edges`: every term of the output has a neighbour sum
+    as a factor, so a vertex without neighbours adds nothing to the value.
     """
 
     k: int
@@ -105,6 +107,7 @@ class MLDCircuit:
     _releases: tuple = field(init=False, repr=False, compare=False)
     y_degree: int = field(init=False, repr=False, compare=False)
     live_states: int = field(init=False, repr=False, compare=False)
+    needs_edges: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -116,7 +119,6 @@ class MLDCircuit:
         for slot, level in self.leaves:
             if not (0 <= slot < self.n_slots) or not (0 <= level < self.levels):
                 raise ConfigurationError(f"bad leaf ({slot}, {level})")
-        weighted = self.weights is not None
         for s in self.steps:
             for ref in (s.target, *s.reads()):
                 if not (0 <= ref < self.n_slots):
@@ -124,16 +126,9 @@ class MLDCircuit:
             for level in (s.variable_level, s.coeff_level):
                 if level is not None and not (0 <= level < self.levels):
                     raise ConfigurationError(f"level {level} out of range")
-            if (s.operand is None) == (not s.conv):
+            if (s.operand is None) == (not s.products):
                 raise ConfigurationError(
-                    f"step writing slot {s.target} needs one source: operand or conv")
-            if (s.shift or s.conv) and not weighted:
-                raise ConfigurationError(
-                    f"step writing slot {s.target} shifts or convolves weights, "
-                    "but the circuit has none")
-            if weighted and s.factor is not None:
-                raise ConfigurationError(
-                    f"step writing slot {s.target}: weighted slots multiply by conv")
+                    f"step writing slot {s.target} needs one source: operand or products")
         # the program: each leaf just before the first step writing a higher slot
         leaves, program = sorted(self.leaves), []
         for s in self.steps:
@@ -143,12 +138,13 @@ class MLDCircuit:
         program += leaves
         # one walk: every read follows a write; y-degrees (a leaf is one
         # ``y``; a step adds its factor's, its variable's and its join
-        # coefficient's to its source's, a convolution's largest pair);
-        # each slot's last read
-        deg, last = {}, {}
+        # coefficient's to its source's, a sum of products' largest pair);
+        # whether every term of a slot has a neighbour sum as a factor; each
+        # slot's last read
+        deg, summed, last = {}, {}, {}
         for at, op in enumerate(program):
             if isinstance(op, tuple):
-                deg[op[0]] = 1
+                deg[op[0]], summed[op[0]] = 1, False
                 continue
             for ref in op.reads():
                 if ref not in deg:
@@ -156,12 +152,15 @@ class MLDCircuit:
                         f"step writing slot {op.target} reads slot {ref} "
                         "before it is set")
                 last[ref] = at
-            d = (max(deg[a] + deg[b] for a, b in op.conv) if op.conv
+            d = (max(deg[a] + deg[b] for a, b in op.products) if op.products
                  else deg[op.operand])
             if op.factor is not None:
                 d += deg[op.factor]
             deg[op.target] = (d + (op.variable_level is not None)
                               + (op.coeff_level is not None))
+            summed[op.target] = (
+                (all(summed[a] or summed[b] for a, b in op.products) if op.products
+                 else True) or (op.factor is not None and summed[op.factor]))
         if self.output not in deg:
             raise ConfigurationError("output slot never written")
         last.pop(self.output, None)  # the output is never released
@@ -170,19 +169,20 @@ class MLDCircuit:
             dying[at].add(slot)
         # the most states alive at once, besides a multiply's temporaries: a
         # step holds the slots live when it starts, its neighbour sum or
-        # accumulator, and the blocks it builds on top — a variable's base
-        # block, the shifted sum
+        # accumulator, and the block it builds on top — a variable's base
+        # block
         live = peak = 0
         for at, op in enumerate(program):
             if isinstance(op, tuple):
                 live += 1
                 peak = max(peak, live)
                 continue
-            peak = max(peak, live + 1 + (op.variable_level is not None) + op.shift)
+            peak = max(peak, live + 1 + (op.variable_level is not None))
             live += 1 - len(dying[at])
         for name, value in (("_program", tuple(program)), ("_releases", tuple(dying)),
                             ("y_degree", max(deg[self.output], self.min_y_degree)),
-                            ("live_states", max(peak, 1))):
+                            ("live_states", max(peak, 1)),
+                            ("needs_edges", summed[self.output])):
             object.__setattr__(self, name, value)
 
     # ------------------------------------------------------------ builders
@@ -234,19 +234,19 @@ class MLDCircuit:
         weighted version of the graph" as a variant the approach extends
         to, and Problem 3 asks for "the maximum weight of any multilinear
         term".  With non-negative integer node weights this is the k-path
-        analogue of Algorithm 5's weight axis:
+        analogue of Algorithm 5's weight axis, with each variable carrying
+        ``z^{w(i)}``:
 
-            ``P(i, 1, z) = x_i`` for ``z = w(i)``, else 0
-            ``P(i, j, z) = x_i * sum_u P(u, j-1, z - w(i))``
+            ``P(i, 1) = x_i z^{w(i)}``
+            ``P(i, j) = x_i z^{w(i)} * sum_u P(u, j-1)``
 
-        Summed over the ``2^k`` iterations, cell ``z`` is nonzero iff a
-        simple k-path of total node weight exactly ``z`` exists.  The
-        per-row shift is one gather along the weight axis of the
-        neighbour sum; on simulated ranks each level's halo message
-        carries the whole weight axis.
+        Summed over the ``2^k`` iterations, the coefficient of ``z^c`` is
+        nonzero iff a simple k-path of total node weight exactly ``c``
+        exists.  It is the k-path circuit: the weight enters through the
+        variables alone.
         """
         w = check_weights(None, weights, z_max)
-        steps = [CircuitStep(j, None, j - 1, j, shift=True) for j in range(1, k)]
+        steps = [CircuitStep(j, None, j - 1, j) for j in range(1, k)]
         return MLDCircuit(k=k, n_slots=k, leaves=[(0, 0)], steps=steps,
                           output=k - 1, levels=k, name="weighted-path",
                           weights=w, z_max=z_max)
@@ -256,16 +256,18 @@ class MLDCircuit:
         """Size row ``dim`` of the scan-statistics grid (paper Algorithm 5):
         connected subgraphs by *size* ``j`` and integer *weight* ``z``,
 
-            ``P(i, 1, z) = x_i`` for ``z = w(i)``, else 0
-            ``P(i, j, z) = y(j) * sum_{j'} sum_{z'} P(i, j', z') S(j - j', z - z')``
+            ``P(i, 1) = x_i z^{w(i)}``
+            ``P(i, j) = y(j) * sum_{j'} P(i, j') S(j - j')``
 
-        with ``S(j'')`` the neighbour sum of ``P(., j'', .)`` —
-        multiplication distributes over the neighbour sum, so each size
-        is one z-convolution per split ``j' + j'' = j``, vectorized over
-        nodes, weight and the iteration batch.  Slot ``2 (j-1)`` holds
-        ``P(j)``, slot ``2 (j-1) + 1`` its neighbour sum.  On simulated
-        ranks each size's halo message carries the whole weight axis —
-        the ``W(V)`` factor in Lemma 3's communication bound.
+        with ``S(j'')`` the neighbour sum of ``P(., j'')`` — multiplication
+        distributes over the neighbour sum, so each size is one product
+        per split ``j' + j'' = j``, vectorized over nodes, the evaluation
+        points of ``z`` and the iteration batch (the paper's
+        ``sum_{z'} P(i, j', z') S(j - j', z - z')`` is the product of two
+        polynomials in ``z``).  Slot ``2 (j-1)`` holds ``P(j)``, slot
+        ``2 (j-1) + 1`` its neighbour sum.  On simulated ranks each size's
+        halo message is charged as the whole weight axis — the ``W(V)``
+        factor in Lemma 3's communication bound.
 
         Two deliberate deviations from the raw pseudocode (DESIGN.md):
 
@@ -287,7 +289,7 @@ class MLDCircuit:
             steps.append(CircuitStep(2 * j - 3, None, 2 * j - 4, None))
             steps.append(CircuitStep(
                 2 * j - 2, None, None, None, coeff_level=j,
-                conv=tuple((2 * j1 - 2, 2 * (j - j1) - 1) for j1 in range(1, j))))
+                products=tuple((2 * j1 - 2, 2 * (j - j1) - 1) for j1 in range(1, j))))
         return MLDCircuit(k=dim, n_slots=2 * dim - 1, leaves=[(0, 0)], steps=steps,
                           output=2 * dim - 2, levels=dim + 1, name="scanstat",
                           weights=w, z_max=z_max,
@@ -299,44 +301,58 @@ class MLDCircuit:
         """Accumulator width: the weight axis, or 1 for a scalar value."""
         return 1 if self.weights is None else self.z_max + 1
 
+    @property
+    def weight_degree(self) -> int:
+        """``D``: the largest weight a term of ``k`` vertices none heavier
+        than ``z_max`` can carry — the sum of the ``k`` largest such
+        weights (0 unweighted).  A round's value has degree ``<= D`` in
+        ``z``; docs/THEORY.md, "The weight axis as evaluation points"."""
+        if self.weights is None:
+            return 0
+        light = np.sort(self.weights[self.weights <= self.z_max])
+        return int(light[-self.k:].sum()) if len(light) else 0
+
+    @property
+    def schedule_payload(self) -> int:
+        """What a window's state is budgeted by, in ``n2``-lane rows: the
+        weight cells, or the ``D + 1`` evaluation points where an explicit
+        ``z_max`` below ``D`` makes them more."""
+        return max(self.payload, self.weight_degree + 1)
+
+    def points(self, field) -> Optional[PointBlocks]:
+        """The ``D + 1`` evaluation points of a weighted circuit's ``z``
+        over ``field`` (``None`` for an unweighted circuit)."""
+        if self.weights is None:
+            return None
+        return PointBlocks(field, self.weights, self.z_max, self.weight_degree)
+
     # ---------------------------------------------------------- evaluation
     def recurrence(self) -> Recurrence:
         """The circuit as a :mod:`repro.core.leveldp` recurrence: one
         ``yield`` per neighbour sum, each slot released after its last
         read (a summed slot as it is yielded), so the drivers' memory
-        stays what the steps need."""
+        stays what the steps need.  Weighted or not, it is the same
+        recurrence: the weights live in the lanes' variables."""
         program, dying = self._program, self._releases
-        z_max, weighted = self.z_max, self.weights is not None
-        shifts = any(s.shift for s in self.steps)
 
         def recurrence(lanes):
-            def col(block):  # a per-row block against a weight-axis state
-                return block[:, None] if weighted else block
-
-            if weighted:
-                w = lanes.take(np.asarray(self.weights))
-                shift = row_shift(w, z_max) if shifts else None
             slots = {}
             for at, op in enumerate(program):
                 if isinstance(op, tuple):
                     slot, level = op
-                    slots[slot] = (weight_seed(lanes, w, z_max, level) if weighted
-                                   else lanes.base(level))
+                    slots[slot] = lanes.base(level)
                     continue
-                if op.conv:
-                    acc = z_convolve(lanes, [(slots[a], slots[b]) for a, b in op.conv],
-                                     z_max)
+                if op.products:
+                    acc = lanes.mul_sum([(slots[a], slots[b]) for a, b in op.products])
                 else:
                     free = op.operand in dying[at] and op.factor != op.operand
                     acc = yield (slots.pop(op.operand) if free else slots[op.operand])
-                    if op.shift:
-                        acc = shift_rows(acc, shift)
                 if op.factor is not None:
                     acc = lanes.mul(slots[op.factor], acc)
                 if op.variable_level is not None:
-                    acc = lanes.mul(col(lanes.base(op.variable_level)), acc)
+                    acc = lanes.mul(lanes.base(op.variable_level), acc)
                 if op.coeff_level is not None:
-                    acc = lanes.mul(col(lanes.coeff(op.coeff_level)), acc)
+                    acc = lanes.mul(lanes.coeff(op.coeff_level), acc)
                 for slot in dying[at]:
                     slots.pop(slot, None)
                 slots[op.target] = acc

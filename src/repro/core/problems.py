@@ -11,8 +11,16 @@ runs on any backend: everything that differs between applications, as
 data derived from the circuit — ``k``, the fingerprint's ``levels`` and
 ``field``, the accumulator (a GF(2^l) scalar, or a weight-axis vector
 XORed elementwise), the recurrence both :mod:`repro.core.leveldp`
-drivers run, the Theorem-2 model's parameters, and the circuit itself,
-which the process backend ships to its workers.
+drivers run, a weighted kind's evaluation points, the Theorem-2 model's
+parameters, and the circuit itself, which the process backend ships to
+its workers.
+
+A weighted kind's windows run at ``P`` points of its ``z``
+(:class:`~repro.core.leveldp.PointBlocks`); the spec interpolates each
+window's point values into weight cells where it forms the window's
+value (:meth:`ProblemSpec.phase_values`, :meth:`ProblemSpec.window_values`;
+a simulated rank does it before its all-reduce), so the engine's
+accumulators, digests and checkpoints only ever see cells.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from typing import Any, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.leveldp import Recurrence, run_whole_graph
+from repro.core.leveldp import PointBlocks, Recurrence, run_whole_graph
 from repro.core.mld import MLDCircuit
 from repro.ff.fingerprint import Fingerprint
 from repro.ff.gf2m import default_field_for_k, round_success_bound
@@ -50,10 +58,9 @@ class ProblemSpec:
     field: Any  # GF(2^l) table set, sized by the polynomial's degree in the y's
     payload: int  # accumulator width: 1 = scalar, else z_max + 1
     recurrence: Recurrence  # the DP, run by either repro.core.leveldp driver
-    # (rows, [Z+1,] lanes) states the recurrence keeps alive at once, besides
-    # a multiply's temporaries: what a fused window's width is budgeted by
+    # (rows, lanes) states the recurrence keeps alive at once, besides a
+    # multiply's temporaries: what a fused window's width is budgeted by
     live_states: int = 1
-    vector: bool = False  # accumulator is a weight axis even when payload == 1
     # the Theorem-2 model's DP levels — neighbour sums per iteration (None:
     # k - 1) — and whether it charges the scan rows' z-convolution
     exchanges: Optional[int] = None
@@ -61,14 +68,15 @@ class ProblemSpec:
     # what mode="process" workers rebuild the spec from: the recurrence is a
     # closure and cannot cross a process boundary (None: hand-built spec)
     circuit: Optional[MLDCircuit] = None
+    # a weighted kind's lane blocks: the points its z is evaluated at
+    points: Optional[PointBlocks] = None
 
     # ------------------------------------------------------------ semantics
     @property
     def scalar(self) -> bool:
-        # `payload == 1` alone is wrong: a weight-axis problem with
-        # z_max = 0 (all-zero weights) has a length-1 vector accumulator,
-        # not a GF scalar
-        return self.payload == 1 and not self.vector
+        # `payload == 1` alone is wrong: a weighted problem with z_max = 0
+        # has a length-1 vector accumulator, not a GF scalar
+        return self.points is None
 
     @property
     def round_success(self) -> Fraction:
@@ -77,6 +85,18 @@ class ProblemSpec:
         ``y``-degree (a hand-built spec: a k-path's, ``k``)."""
         d = self.circuit.y_degree if self.circuit is not None else self.k
         return round_success_bound(self.k, self.field.m, d)
+
+    @property
+    def schedule_payload(self) -> int:
+        """What a window's state is budgeted by
+        (:attr:`MLDCircuit.schedule_payload`; a hand-built spec: ``payload``)."""
+        return self.payload if self.circuit is None else self.circuit.schedule_payload
+
+    @property
+    def linked_only(self) -> bool:
+        """Whole-graph runs may leave out rows without a neighbour
+        (:attr:`MLDCircuit.needs_edges`; a hand-built spec: never)."""
+        return self.circuit is not None and self.circuit.needs_edges
 
     @property
     def reduce_nbytes(self) -> int:
@@ -101,10 +121,31 @@ class ProblemSpec:
             return int(raw)
         return np.asarray(raw, dtype=self.field.dtype)
 
+    def _values(self, per_point: np.ndarray) -> List[Value]:
+        """``(P, G)`` per-point values of ``G`` windows or rounds, each in
+        accumulator form: interpolated into weight cells at points."""
+        if self.points is not None:
+            return [self.rank_value(v) for v in self.points.cells(per_point.T)]
+        return [self.rank_value(v) for v in per_point[0]]
+
+    def _run(self, graph: CSRGraph, fp, q0: int, n2: int, groups: int) -> np.ndarray:
+        """A whole-graph run of ``n2`` lanes a block, XORed into ``groups``
+        equal groups of each block's lanes: ``(P, blocks / P * groups)``."""
+        per_lane = run_whole_graph(graph, self.recurrence, fp, q0, n2, points=self.points,
+                                   linked_only=self.linked_only)
+        count = 1 if self.points is None else self.points.count
+        return np.bitwise_xor.reduce(per_lane.reshape(count, -1, n2 // groups), axis=-1)
+
+    def lane_cells(self, graph: CSRGraph, fp: Fingerprint, q0: int, n2: int) -> np.ndarray:
+        """A weighted kind's per-iteration weight cells, ``(z_max + 1, n2)``:
+        each lane's point values interpolated on their own."""
+        per_lane = run_whole_graph(graph, self.recurrence, fp, q0, n2, points=self.points,
+                                   linked_only=self.linked_only)
+        return self.points.cells(per_lane.reshape(self.points.count, n2).T).T
+
     def phase_value(self, graph: CSRGraph, fp: Fingerprint, q0: int, n2: int) -> Value:
         """One phase window's contribution, evaluated on the whole graph."""
-        per_lane = run_whole_graph(graph, self.recurrence, fp, q0, n2)
-        return self.rank_value(np.bitwise_xor.reduce(per_lane, axis=-1))
+        return self._values(self._run(graph, fp, q0, n2, 1))[0]
 
     def window_values(self, graph: CSRGraph, fp: Fingerprint, n2: int,
                       width: int) -> List[Value]:
@@ -113,15 +154,12 @@ class ProblemSpec:
         powers of two, at most ``2^k``): a run spans ``width / n2``
         windows, or a window ``n2 / width`` runs."""
         group = min(width, n2)  # lanes that one run gives one window
-        parts = []
-        for q in range(0, 1 << self.k, width):
-            per_lane = run_whole_graph(graph, self.recurrence, fp, q, width)
-            parts.append(np.bitwise_xor.reduce(
-                per_lane.reshape(per_lane.shape[:-1] + (-1, group)), axis=-1))
-        per_group = np.concatenate(parts, axis=-1)
+        per_group = np.concatenate(
+            [self._run(graph, fp, q, width, width // group)
+             for q in range(0, 1 << self.k, width)], axis=-1)
         per_window = np.bitwise_xor.reduce(
-            per_group.reshape(per_group.shape[:-1] + (-1, n2 // group)), axis=-1)
-        return [self.rank_value(per_window[..., t]) for t in range(per_window.shape[-1])]
+            per_group.reshape(len(per_group), -1, n2 // group), axis=-1)
+        return self._values(per_window)
 
     def phase_values(self, graph: CSRGraph, fps: Sequence[Fingerprint], q0: int,
                      n2: int) -> List[Value]:
@@ -131,10 +169,7 @@ class ProblemSpec:
         :meth:`phase_value`)."""
         if len(fps) == 1:
             return [self.phase_value(graph, fps[0], q0, n2)]
-        per_lane = run_whole_graph(graph, self.recurrence, fps, q0, n2)
-        per_round = np.bitwise_xor.reduce(
-            per_lane.reshape(per_lane.shape[:-1] + (len(fps), n2)), axis=-1)
-        return [self.rank_value(per_round[..., r]) for r in range(len(fps))]
+        return self._values(self._run(graph, fps, q0, n2, 1))
 
     def hit(self, value: Value) -> bool:
         """Does this round's accumulator certify a witness?"""
@@ -157,10 +192,11 @@ def compile(circuit: MLDCircuit, field: Any = None) -> ProblemSpec:
     return ProblemSpec(
         name=circuit.name, k=circuit.k, levels=circuit.levels, field=field,
         payload=circuit.payload, recurrence=circuit.recurrence(),
-        live_states=circuit.live_states, vector=circuit.weights is not None,
+        live_states=circuit.live_states,
         # every neighbour sum is one halo exchange, and one DP level to the model
         exchanges=sum(s.operand is not None for s in circuit.steps),
-        convolves=any(s.conv for s in circuit.steps), circuit=circuit,
+        convolves=any(s.products for s in circuit.steps), circuit=circuit,
+        points=circuit.points(field),
     )
 
 

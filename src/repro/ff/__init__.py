@@ -10,8 +10,9 @@ success at least 1/5 for the polynomial's degree in the ``y``s
   with an irreducibility test used to construct field moduli;
 * :mod:`repro.ff.gf2m` — vectorized ``GF(2^m)`` arithmetic (numpy log/antilog
   and dense multiplication tables);
-* :mod:`repro.ff.group_algebra` — a dense reference implementation of the
-  group algebra, used as a correctness oracle for small ``k``;
+* :mod:`repro.ff.points` — the evaluation points of a weighted kind's
+  ``z``, their interpolation back to weight cells, and the extension field
+  (with the subfield embedding) that holds more points than ``GF(2^l)``;
 * :mod:`repro.ff.fingerprint` — the random assignments (vectors ``v_i`` in
   ``Z_2^k`` and coefficients ``y`` in ``GF(2^l)``) that turn structure
   detection into polynomial identity testing.
@@ -20,7 +21,6 @@ success at least 1/5 for the polynomial's degree in the ``y``s
 from repro.ff.bitsliced import BitslicedGF2m
 from repro.ff.gf2m import GF2m, default_field_for_k
 from repro.ff.fingerprint import Fingerprint, base_indicator_block
-from repro.ff.group_algebra import GroupAlgebra, GroupAlgebraElement
 from repro.ff.poly2 import (
     find_irreducible,
     is_irreducible,
@@ -37,8 +37,6 @@ __all__ = [
     "default_field_for_k",
     "Fingerprint",
     "base_indicator_block",
-    "GroupAlgebra",
-    "GroupAlgebraElement",
     "find_irreducible",
     "is_irreducible",
     "poly_degree",

@@ -24,13 +24,13 @@ where the table kernel pays one gather *per lane*.
 
 **Logical shape vs memory order.**  Every plane array has the *logical*
 shape ``(..., m, W)`` with ``W = ceil(n2 / 64)``: the leading axes stay
-the node (and weight) axes, so callers index rows exactly as they index
+the node (and any other) axes, so callers index rows exactly as they index
 element arrays.  The *memory* order is free.  :meth:`slice` returns
 node-major (C-contiguous) planes; the arithmetic (:meth:`mul`,
 :meth:`square`, :meth:`planes_from_words`) accepts any order and returns
 **plane-major** memory — a ``(m, ..., W)`` block seen through a
 transposed view, its other axes in the order of the full-shape operand
-(a weighted state's ``(m, Z+1, rows, W)`` stays so) — because that is
+(an ``(m, Z, rows, W)`` block stays so) — because that is
 where every op of the schedule is one unit-stride pass over whole
 planes, and where the evaluators' neighbour sum
 (:func:`repro.core.leveldp.neighbour_sum`: per neighbour slot a ``take``
@@ -193,8 +193,8 @@ class BitslicedGF2m:
         The product lies in memory as the operand of full (broadcast)
         shape does, plane axis first: every block op runs in that order,
         and an operand broadcast along axes that are outer in it (a
-        weight cell's column, or a per-row coefficient, against a
-        weight-cell-major state) is read as it is, its broadcast free.
+        per-row coefficient against an ``(m, Z, rows, W)`` block) is read
+        as it is, its broadcast free.
         """
         a, b = _plane_first(pa), _plane_first(pb)
         if a.ndim != b.ndim or any(
@@ -220,6 +220,27 @@ class BitslicedGF2m:
             np.bitwise_and(a[i], b, out=tmp)
             t[i : i + m] ^= tmp
         return self._reduce(t.transpose([0] + [ax + 1 for ax in back]))
+
+    def mul_sum(self, pairs) -> np.ndarray:
+        """``sum(pa * pb for pa, pb in pairs)`` over planes of one shape.
+
+        Every product's ``2m - 1`` partial planes are XORed into one block
+        and reduced once — the reduction is linear — so a sum of ``p``
+        products costs ``p`` schoolbook multiplies and one reduction.
+        Returns plane-major planes.
+        """
+        m, shape = self.m, _plane_first(pairs[0][1]).shape
+        t = np.zeros((2 * m - 1,) + shape[1:], dtype=np.uint64)
+        tmp = np.empty(shape, dtype=np.uint64)
+        for pa, pb in pairs:
+            a, b = _plane_first(pa), _plane_first(pb)
+            if a.shape != shape or b.shape != shape:
+                raise FieldError(f"mul_sum needs planes of one shape, got "
+                                 f"{np.shape(pa)} vs {np.shape(pb)}")
+            for i in range(m):
+                np.bitwise_and(a[i], b, out=tmp)
+                t[i : i + m] ^= tmp
+        return self._reduce(t)
 
     def square(self, pa: np.ndarray) -> np.ndarray:
         """Plane squaring: ``(sum a_i x^i)^2 = sum a_i x^{2i}`` in char 2."""

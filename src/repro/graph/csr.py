@@ -111,12 +111,13 @@ class JaggedDiagonals:
     does for a whole phase window.
     """
 
-    __slots__ = ("order", "rank", "slots", "tail_indptr", "tail_indices")
+    __slots__ = ("order", "rank", "slots", "tail_indptr", "tail_indices", "_linked")
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray,
                  renumber: bool = False) -> None:
         degrees = np.diff(indptr)
         n = len(degrees)
+        self._linked = None
         self.order = np.argsort(-degrees, kind="stable")
         self.rank = np.empty(n, dtype=np.int64)
         self.rank[self.order] = np.arange(n)
@@ -138,6 +139,19 @@ class JaggedDiagonals:
             np.repeat(first, np.diff(self.tail_indptr))
             + np.arange(self.tail_indptr[-1])
         ]
+
+    def linked(self) -> "JaggedDiagonals":
+        """The same sum over the rows with at least one neighbour alone — a
+        prefix of :attr:`order`, so slots, tail and columns are unchanged
+        (a renumbered column is a row with a neighbour).  Built once."""
+        if self._linked is None:
+            n_linked = len(self.slots[0]) if self.slots else len(self.tail_indptr) - 1
+            linked = object.__new__(JaggedDiagonals)
+            for name in ("rank", "slots", "tail_indptr", "tail_indices"):
+                setattr(linked, name, getattr(self, name))
+            linked.order, linked._linked = self.order[:n_linked], linked
+            self._linked = linked
+        return self._linked
 
 
 class CSRGraph:

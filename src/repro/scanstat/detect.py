@@ -29,6 +29,7 @@ from repro.core.result import ScanGridResult
 from repro.graph.csr import CSRGraph
 from repro.scanstat.statistics import ScanStatistic
 from repro.util.rng import as_stream
+from repro.util.validation import integral_weights
 
 
 @dataclass
@@ -87,7 +88,7 @@ def extract_cluster(
     from repro.core.witness import extract_witness
 
     rng = as_stream(rng, "cluster-extract")
-    w = np.asarray(weights, dtype=np.int64)
+    w = integral_weights(weights)
     query_rng = rng.child("queries")
 
     def feasible(masked: CSRGraph) -> bool:
@@ -140,7 +141,7 @@ class AnomalyDetector:
         saving since row ``j`` costs ``2^j``.
         """
         rng = as_stream(rng, "anomaly")
-        w = np.asarray(weights, dtype=np.int64)
+        w = integral_weights(weights)
         t0 = time.perf_counter()
         grid = scan_grid(
             self.graph, w, self.k, eps=self.eps, rng=rng.child("grid"),
@@ -177,7 +178,7 @@ class AnomalyDetector:
         one (add-one smoothed).
         """
         rng = as_stream(rng, "significance")
-        w = np.asarray(weights, dtype=np.int64)
+        w = integral_weights(weights)
         hits = 0
         for i in range(n_null):
             perm = rng.permutation(w)

@@ -80,6 +80,7 @@ from repro.graph.templates import TreeTemplate
 from repro.service.registry import GraphEntry, GraphRegistry
 from repro.util.log import get_logger
 from repro.util.rng import RngStream
+from repro.util.validation import check_weights
 
 if TYPE_CHECKING:  # imported where a fleet is built, as the engine does
     from repro.core.process_backend import QueryFleet, Slot
@@ -206,14 +207,10 @@ class QuerySpec:
             raise ConfigurationError(f"query missing field(s): {sorted(missing)}")
         weights = d.get("weights")
         if weights is not None:
-            try:
-                weights = tuple(int(x) for x in weights)
-            except (TypeError, ValueError) as exc:
+            if not isinstance(weights, (list, tuple)):
                 raise ConfigurationError(
-                    f"weights must be a list of ints: {exc}"
-                ) from exc
-            if any(w < 0 for w in weights):
-                raise ConfigurationError("weights must be non-negative")
+                    f"weights must be a list of ints, got {type(weights).__name__}")
+            weights = tuple(int(x) for x in check_weights(None, weights))
         try:
             return cls(
                 kind=str(d["kind"]),

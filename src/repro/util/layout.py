@@ -1,9 +1,8 @@
 """The memory order of a strided array: which axis lies outermost.
 
-The level DP keeps one state in several memory orders over one logical
-shape (bit-planes plane-major, a weight axis outside the rows); a pass
-that copies or gathers along an axis transposes to this order first so
-it runs along contiguous memory.
+A state can lie in memory in another order than its logical shape
+(bit-planes plane-major); a pass that copies or gathers along an axis
+transposes to this order first so it runs along contiguous memory.
 """
 
 from __future__ import annotations
@@ -23,8 +22,7 @@ def memory_order(a: np.ndarray) -> Tuple[List[int], List[int]]:
 
     In such a view two strides tie only where a size-1 axis lies right
     inside another axis, so on a tie a size-1 axis goes inner: every axis
-    lands where the block was built with it (a ``Z+1 = 1`` weight axis of
-    a weight-cell-major state stays between the planes and the rows).
+    lands where the block was built with it.
     """
     order = sorted(range(a.ndim), key=lambda ax: (-a.strides[ax], a.shape[ax] == 1))
     return order, sorted(range(a.ndim), key=order.__getitem__)

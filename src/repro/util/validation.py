@@ -62,11 +62,34 @@ def check_divides(a: int, b: int, name_a: str, name_b: str) -> None:
         )
 
 
+def integral_weights(weights) -> np.ndarray:
+    """``weights`` as int64, refusing any that is not an integer: a
+    fractional, NaN or infinite value raises instead of being truncated
+    (0.9 would silently become 0).  Integral floats and bools pass."""
+    raw = np.asarray(weights)
+    if raw.dtype.kind in "fcO":
+        try:
+            real = raw.astype(np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"weights must be integers: {exc}") from None
+        if not np.all(np.isfinite(real)) or np.any(real != np.floor(real)):
+            bad = real[~np.isfinite(real) | (real != np.floor(real))]
+            raise ConfigurationError(
+                f"weights must be integers, got {float(bad[0])}; round real weights "
+                "first (repro.scanstat.weights.round_weights)")
+        raw = real
+    try:
+        return raw.astype(np.int64)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"weights must be integers: {exc}") from None
+
+
 def check_weights(n, weights, z_max: int = 0) -> np.ndarray:
     """Require one non-negative integer weight per vertex of an
-    ``n``-vertex graph (``n=None``: a vector of any length) and a weight
-    axis bound ``z_max >= 0``; return the weights as int64."""
-    w = np.asarray(weights, dtype=np.int64)
+    ``n``-vertex graph (``n=None``: a vector of any length; see
+    :func:`integral_weights`) and a weight axis bound ``z_max >= 0``;
+    return the weights as int64."""
+    w = integral_weights(weights)
     if w.ndim != 1 or (n is not None and w.shape != (n,)):
         raise ConfigurationError(
             f"weights must be one integer per vertex ({n}), got shape {w.shape}"

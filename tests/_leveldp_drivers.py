@@ -35,32 +35,41 @@ SPIDER = MLDCircuit(
     ], output=8, levels=5, name="spider")
 
 
-def phase_value(graph, recurrence, fp, q0, n2, driver="whole-graph", partition=None):
-    """The phase contribution of ``recurrence`` under ``driver``.
+def fold(per_lane, n2, points=None):
+    """Per-iteration values folded over the window: a scalar, or — at
+    ``points`` — each point's XOR interpolated into ``(Z+1,)`` cells."""
+    if points is None:
+        return np.bitwise_xor.reduce(per_lane, axis=-1)
+    return points.cells(np.bitwise_xor.reduce(per_lane.reshape(points.count, n2), axis=-1))
+
+
+def phase_value(graph, recurrence, fp, q0, n2, driver="whole-graph", partition=None,
+                points=None):
+    """The phase contribution of ``recurrence`` under ``driver``, with a
+    weighted circuit's ``points``.
 
     Scalar problems give an integer, weight-axis problems a ``(Z+1,)``
     array in ``fp.field.dtype``.  For the SPMD drivers every rank must
     return the same value.
     """
     if driver == "whole-graph":
-        per_lane = run_whole_graph(graph, recurrence, fp, q0, n2)
-        return np.bitwise_xor.reduce(per_lane, axis=-1)
+        return fold(run_whole_graph(graph, recurrence, fp, q0, n2, points), n2, points)
     views = build_halo_views(graph, partition)
     prog = phase_program(views, recurrence, fp, q0, n2,
-                         overlapped=(driver == "spmd-overlapped"))
+                         overlapped=(driver == "spmd-overlapped"), points=points)
     results = Simulator(partition.n_parts, trace=False).run(prog).results
     for r in results[1:]:
         assert np.array_equal(r, results[0])
     return results[0]
 
 
-def element_lanes(graph, recurrence, fp, q0, n2):
+def element_lanes(graph, recurrence, fp, q0, n2, points=None):
     """:func:`run_whole_graph`'s per-iteration values, driven on
     :class:`ElementLanes` (the ranks' layout, on the field's tables)
     where :func:`run_whole_graph` runs bit-planes: the reference the
     planes are held to."""
     jagged = graph.jagged()
-    lanes = ElementLanes(fp, q0, n2, rows=jagged.order)
+    lanes = ElementLanes(fp, q0, n2, rows=jagged.order, points=points)
     gen = recurrence(lanes)
     try:
         state = next(gen)
@@ -70,14 +79,15 @@ def element_lanes(graph, recurrence, fp, q0, n2):
         return lanes.finish(stop.value)
 
 
-def element_value(graph, recurrence, fp, q0, n2):
+def element_value(graph, recurrence, fp, q0, n2, points=None):
     """:func:`element_lanes` folded over the window, as :func:`phase_value`
     folds the whole-graph driver's."""
-    return np.bitwise_xor.reduce(element_lanes(graph, recurrence, fp, q0, n2), axis=-1)
+    return fold(element_lanes(graph, recurrence, fp, q0, n2, points), n2, points)
 
 
 def log_whole_graph_layouts(monkeypatch, log):
-    """From here on, append the lane layout and lane count of every
+    """From here on, append the lane layout and iteration count (``R n2``,
+    each evaluated at every point of a weighted kind) of every
     :func:`run_whole_graph` to the file ``log`` — in this process and in
     every worker it forks afterwards — and return a reader of the
     ``(layout name, lanes)`` pairs logged so far."""
@@ -85,7 +95,7 @@ def log_whole_graph_layouts(monkeypatch, log):
         def finish(self, state, _finish=cls.finish):
             if sys._getframe(1).f_code is leveldp.run_whole_graph.__code__:
                 with open(log, "a") as fh:
-                    fh.write(f"{type(self).__name__} {self.width}\n")
+                    fh.write(f"{type(self).__name__} {self.rounds * self.n2}\n")
             return _finish(self, state)
         monkeypatch.setattr(cls, "finish", finish)
 
@@ -103,13 +113,14 @@ def circuit_value(graph, circuit, fp, q0, n2):
     return compile(circuit, fp.field).phase_value(graph, fp, q0, n2)
 
 
-def assert_drivers_agree(graph, recurrence, fp, q0, n2, partition, expected=None):
+def assert_drivers_agree(graph, recurrence, fp, q0, n2, partition, expected=None,
+                         points=None):
     """Every driver returns ``expected`` (default: the whole-graph value);
     weight axes keep the field's dtype."""
     if expected is None:
-        expected = phase_value(graph, recurrence, fp, q0, n2)
+        expected = phase_value(graph, recurrence, fp, q0, n2, points=points)
     for driver in DRIVERS:
-        got = phase_value(graph, recurrence, fp, q0, n2, driver, partition)
+        got = phase_value(graph, recurrence, fp, q0, n2, driver, partition, points)
         if np.ndim(got):
             assert got.dtype == fp.field.dtype, driver
         assert np.array_equal(got, expected), driver

@@ -1,19 +1,20 @@
-"""The four hand-written recurrences the circuit builders replaced, kept
-as test oracles (import-name-safe module).
+"""Test oracles for the circuit builders (import-name-safe module).
 
-Each is the per-kind closure the k-path, k-tree, weighted k-path and
-scan-row evaluators ran before every kind became an
-:class:`~repro.core.mld.MLDCircuit`.  ``test_mld.py`` checks that the
-circuit interpreter issues the same lane operations and yields the
-same states, in the same order, as these; ``test_leveldp_matrix.py``
-that it computes the same values.
+The k-path and k-tree recurrences are the per-kind closures their
+evaluators ran before every kind became an
+:class:`~repro.core.mld.MLDCircuit`: ``test_mld.py`` checks that the
+circuit interpreter issues the same lane operations and yields the same
+states, in the same order, as these.  The weighted k-path and the scan
+row are the paper's weight-axis DPs (truncated convolutions along ``z``
+on the field's tables), which the circuits — evaluated at points of
+``z`` — must match value for value (``test_weight_oracle.py``,
+``test_leveldp_matrix.py``, ``test_mld.py``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.util.layout import memory_order
 from repro.graph.templates import decompose_template
 
 
@@ -45,60 +46,71 @@ def tree_recurrence(template):
     return recurrence
 
 
-def _weight_seed(lanes, w, z_max):
-    base = lanes.base(0)
-    out = np.zeros((len(w), z_max + 1) + base.shape[1:], dtype=base.dtype)
-    ok = np.nonzero(w <= z_max)[0]
-    out[ok, w[ok]] = base[ok]
+# ------------------------------------------- weight-axis oracles
+# The weighted path and the scan row as the paper states them: states of
+# shape (rows, Z+1, lanes) over the field's tables, every product a
+# truncated convolution along the weight axis.  Self-contained on purpose:
+# no lane layout, no neighbour-sum helper, nothing the production code
+# shares, so a fault there cannot hide here.
+
+
+def _seed(fp, weights, z_max, indicator):
+    """Row i's variable at level 0 in weight cell w(i) (rows heavier than
+    ``z_max`` stay zero)."""
+    n, n2 = indicator.shape
+    out = np.zeros((n, z_max + 1, n2), dtype=fp.field.dtype)
+    for i in np.flatnonzero(weights <= z_max):
+        out[i, weights[i]] = indicator[i] * fp.y[i, 0]
     return out
 
 
-def _gather_rows_z(s, flat_src):
-    order, inverse = memory_order(s)
-    blk = s.transpose(order)
-    at = order.index(0)
-    merged = blk.reshape(blk.shape[:at] + (-1,) + blk.shape[at + 2:])
-    out = np.take(merged, flat_src, axis=at)
-    return out.reshape(blk.shape).transpose(inverse)
+def _neighbour_sum(graph, state):
+    rows = np.repeat(np.arange(graph.n), np.diff(graph.indptr))
+    out = np.zeros_like(state)
+    np.bitwise_xor.at(out, rows, state[graph.indices])
+    return out
 
 
-def weighted_path_recurrence(weights, k, z_max):
+def _convolve(field, a, b):
+    """``out[:, z] = sum_{z1 + z2 = z} a[:, z1] b[:, z2]``, cut at ``Z``."""
+    out = np.zeros_like(a)
+    cells = a.shape[1]
+    for z1 in range(cells):
+        for z2 in range(cells - z1):
+            out[:, z1 + z2] ^= field.mul(a[:, z1], b[:, z2])
+    return out
+
+
+def weighted_path_cells(graph, weights, fp, z_max, q0, n2):
+    """Per-iteration weight cells ``(Z+1, n2)`` of the weighted k-path:
+    ``P(i, j, z) = x_i * sum_u P(u, j-1, z - w(i))``."""
     weights = np.asarray(weights, dtype=np.int64)
-
-    def recurrence(lanes):
-        w = lanes.take(weights)
-        p = _weight_seed(lanes, w, z_max)
-        src_z = np.arange(z_max + 1, dtype=np.int64)[None, :] - w[:, None]
-        valid = src_z >= 0
-        src_z = np.where(valid, src_z, 0)
-        flat_src = (np.arange(len(w), dtype=np.int64)[:, None] * (z_max + 1)
-                    + src_z).ravel()
-        for j in range(1, k):
-            s = yield p
-            shifted = _gather_rows_z(s, flat_src)
-            shifted[~valid] = 0
-            p = lanes.mul(lanes.base(j)[:, None], shifted)
-        return p
-
-    return recurrence
+    field, ind = fp.field, fp.base_block(q0, n2)
+    p = _seed(fp, weights, z_max, ind)
+    for j in range(1, fp.k):
+        s = _neighbour_sum(graph, p)
+        shifted = np.zeros_like(s)
+        for z in range(z_max + 1):
+            src = z - weights
+            ok = src >= 0
+            shifted[ok, z] = s[ok, src[ok]]
+        x = (ind * fp.y[:, j][:, None]).astype(field.dtype)
+        p = field.mul(x[:, None, :], shifted)
+    return np.bitwise_xor.reduce(p, axis=0)
 
 
-def scanstat_recurrence(weights, dim, z_max):
+def scan_row_cells(graph, weights, fp, dim, z_max, q0, n2):
+    """Per-iteration weight cells ``(Z+1, n2)`` of scan row ``dim``:
+    ``P(i, j) = y(j) sum_{j'} P(i, j') (*) S(j - j')``, ``(*)`` the
+    truncated convolution and ``S`` the neighbour sum."""
     weights = np.asarray(weights, dtype=np.int64)
-
-    def recurrence(lanes):
-        p = {1: _weight_seed(lanes, lanes.take(weights), z_max)}
-        s = {}
-        for j in range(2, dim + 1):
-            s[j - 1] = yield p[j - 1]
-            acc = np.zeros_like(p[1])
-            for j1 in range(1, j):
-                a, b = p[j1], s[j - j1]
-                for z1 in range(z_max + 1):
-                    col = a[:, z1]
-                    if col.any():
-                        acc[:, z1:] ^= lanes.mul(col[:, None], b[:, : z_max + 1 - z1])
-            p[j] = lanes.mul(lanes.coeff(j)[:, None], acc)
-        return p[dim]
-
-    return recurrence
+    field = fp.field
+    p = {1: _seed(fp, weights, z_max, fp.base_block(q0, n2))}
+    s = {}
+    for j in range(2, dim + 1):
+        s[j - 1] = _neighbour_sum(graph, p[j - 1])
+        acc = np.zeros_like(p[1])
+        for j1 in range(1, j):
+            acc ^= _convolve(field, p[j1], s[j - j1])
+        p[j] = field.mul(fp.y[:, j][:, None, None], acc)
+    return np.bitwise_xor.reduce(p[dim], axis=0)

@@ -1,15 +1,15 @@
 """The scan grid's plane windows must beat its table windows.
 
-A weight-axis state on bit-planes is weight-cell-major (a contiguous
-``(m, Z+1, rows, W)`` block): a weight cell's column is one run per
-plane and a column broadcast along ``z`` multiplies without a copy.
-With the weight axis inside the rows instead, the same windows took
-0.87-0.98x the table kernel's time on planes.  This times the scan rows
-that reach planes on the benchmark's ``scan_grid`` input — row 4 with 6
-fused rounds of 16 lanes, row 5 with 2 of 32 — on both layouts, and asks
-the planes for at most 0.8x the table's median (0.40-0.5x measured on a
-2-vCPU host) and for the same values.  CI's ``perf-gate`` job runs this
-file (``pytest -m smoke tests/smoke/test_weighted_planes.py``).
+A scan row is its unweighted circuit evaluated at ``P = D + 1`` points of
+its weight variable ``z``: the points are lane blocks beside the fused
+rounds, several to a plane word when a round is narrower than one, so a
+row's states are ``(rows, P R n2)`` lanes and every product is pointwise.
+This times the scan rows that reach planes on the benchmark's
+``scan_grid`` input — row 4 with 6 fused rounds of 16 lanes at 5 points,
+row 5 with 2 of 32 at 6 — on both layouts, and asks the planes for at
+most 0.8x the table's median and for the same values.  CI's
+``perf-gate`` job runs this file
+(``pytest -m smoke tests/smoke/test_weighted_planes.py``).
 """
 
 import statistics
@@ -41,7 +41,8 @@ def _windows(g, w, lanes_cls, strategy):
         spec = compile(circuit, default_field_for_k(circuit.y_degree,
                                                     kernel_strategy=strategy))
         fps = [spec.draw_fingerprint(g.n, RngStream(50 + r)) for r in range(rounds)]
-        out.append((circuit.recurrence(), lanes_cls(fps, 0, n2, rows=jagged.order)))
+        out.append((circuit.recurrence(), lanes_cls(fps, 0, n2, rows=jagged.order,
+                                                    points=spec.points)))
     return jagged, out
 
 

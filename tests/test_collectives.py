@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.runtime.collectives import recursive_doubling_allreduce, ring_allreduce
+from _collectives import recursive_doubling_allreduce, ring_allreduce
 from repro.runtime.comm import AllReduce
 from repro.runtime.costmodel import CostModel, LAPTOP_NODE
 from repro.runtime.scheduler import Simulator

@@ -226,4 +226,5 @@ class TestScanStatEvaluator:
         p = random_partition(g, n_parts, rng=RngStream(seed + 2))
         circuit = MLDCircuit.scan_row(w, dim, z_max)
         assert_drivers_agree(g, circuit.recurrence(), fp, 0, 4, p,
-                             expected=circuit_value(g, circuit, fp, 0, 4))
+                             expected=circuit_value(g, circuit, fp, 0, 4),
+                             points=circuit.points(fp.field))

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.errors import FieldError
 from repro.ff.fingerprint import base_indicator_block
 from repro.ff.gf2m import GF2m
-from repro.ff.group_algebra import GroupAlgebra
+from _group_algebra import GroupAlgebra
 
 
 @pytest.fixture(scope="module")

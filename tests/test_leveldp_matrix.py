@@ -27,9 +27,9 @@ from _leveldp_drivers import (
 )
 from _reference_recurrences import (
     path_recurrence,
-    scanstat_recurrence,
+    scan_row_cells,
     tree_recurrence,
-    weighted_path_recurrence,
+    weighted_path_cells,
 )
 from repro.core.halo import build_halo_views
 from repro.core.leveldp import phase_program
@@ -59,24 +59,23 @@ WEIGHTS = RngStream(4).integers(0, 3, size=GRAPH.n)
 
 
 def _tree(template):
-    return MLDCircuit.k_tree(template).recurrence(), template.k, template.k
+    return MLDCircuit.k_tree(template), template.k, template.k
 
 
-# name -> (recurrence, k, fingerprint levels)
+# name -> (circuit, k, fingerprint levels)
 CASES = {
-    "k-path": (MLDCircuit.k_path(4).recurrence(), 4, 4),
+    "k-path": (MLDCircuit.k_path(4), 4, 4),
     "k-tree/path": _tree(TreeTemplate.path(4)),
     "k-tree/star": _tree(TreeTemplate.star(4)),
     "k-tree/binary": _tree(TreeTemplate.binary(5)),
-    "weighted-path": (MLDCircuit.weighted_path(WEIGHTS, 3, Z_MAX).recurrence(), 3, 3),
-    "scan-stat": (MLDCircuit.scan_row(WEIGHTS, 3, Z_MAX).recurrence(), 3, 4),
+    "weighted-path": (MLDCircuit.weighted_path(WEIGHTS, 3, Z_MAX), 3, 3),
+    "scan-stat": (MLDCircuit.scan_row(WEIGHTS, 3, Z_MAX), 3, 4),
     # circuits stated step by step: a path whose levels run backwards, and
     # a 5-node spider — leaves, sums and products in orders no builder emits
     "circuit/k-path": (MLDCircuit(
         k=4, n_slots=4, leaves=[(0, 3)], output=3, levels=4,
-        steps=[CircuitStep(j, None, j - 1, 3 - j) for j in range(1, 4)]).recurrence(),
-        4, 4),
-    "circuit/k-tree": (SPIDER.recurrence(), 5, 5),
+        steps=[CircuitStep(j, None, j - 1, 3 - j) for j in range(1, 4)]), 4, 4),
+    "circuit/k-tree": (SPIDER, 5, 5),
 }
 
 # ranks -> partition of GRAPH; the 4-rank layout leaves rank 2 empty
@@ -111,11 +110,14 @@ LAYOUTS = [(DRIVERS[0], 1)] + [(d, r) for d in DRIVERS[1:] for r in sorted(PARTI
 @pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_phase_values_identical(case, kernel, driver, ranks):
-    recurrence, k, levels = CASES[case]
+    circuit, k, levels = CASES[case]
+    recurrence = circuit.recurrence()
     for q0, n2 in WINDOWS:
-        ref = element_value(GRAPH, recurrence, _fingerprint(k, levels, "table"), q0, n2)
+        table = _fingerprint(k, levels, "table")
+        ref = element_value(GRAPH, recurrence, table, q0, n2, circuit.points(table.field))
         fp = _fingerprint(k, levels, kernel)
-        got = phase_value(GRAPH, recurrence, fp, q0, n2, driver, PARTITIONS[ranks])
+        got = phase_value(GRAPH, recurrence, fp, q0, n2, driver, PARTITIONS[ranks],
+                          circuit.points(fp.field))
         if np.ndim(got):
             assert got.dtype == fp.field.dtype
         assert np.array_equal(got, ref)
@@ -123,15 +125,19 @@ def test_phase_values_identical(case, kernel, driver, ranks):
 
 def test_circuits_equal_the_specialised_recurrences():
     """The circuits define the same polynomials, bit for bit, as the
-    hand-written recurrences they replaced."""
+    hand-written recurrences they replaced — and, for the weighted kinds,
+    as the paper's weight-axis DPs: every window here is exact
+    (``k w_max = 6 <= D = 6``), so its cells are the oracle's."""
     tmpl = TreeTemplate.caterpillar(5)
     pairs = [
         (MLDCircuit.k_path(4), path_recurrence(4), 4, 4),
         (MLDCircuit.k_tree(tmpl), tree_recurrence(tmpl), 5, 5),
-        (MLDCircuit.weighted_path(WEIGHTS, 3, Z_MAX),
-         weighted_path_recurrence(WEIGHTS, 3, Z_MAX), 3, 3),
-        (MLDCircuit.scan_row(WEIGHTS, 3, Z_MAX),
-         scanstat_recurrence(WEIGHTS, 3, Z_MAX), 3, 4),
+    ]
+    weighted = [
+        (MLDCircuit.weighted_path(WEIGHTS, 3, Z_MAX), 3,
+         lambda fp, q0, n2: weighted_path_cells(GRAPH, WEIGHTS, fp, Z_MAX, q0, n2)),
+        (MLDCircuit.scan_row(WEIGHTS, 3, Z_MAX), 4,
+         lambda fp, q0, n2: scan_row_cells(GRAPH, WEIGHTS, fp, 3, Z_MAX, q0, n2)),
     ]
     for kernel in KERNELS:
         for circuit, reference, k, levels in pairs:
@@ -140,6 +146,13 @@ def test_circuits_equal_the_specialised_recurrences():
                 assert np.array_equal(
                     phase_value(GRAPH, circuit.recurrence(), fp, q0, n2),
                     phase_value(GRAPH, reference, fp, q0, n2))
+        for circuit, levels, oracle in weighted:
+            assert circuit.k * WEIGHTS.max() <= circuit.weight_degree
+            fp = _fingerprint(circuit.k, levels, kernel)
+            spec = compile(circuit, fp.field)
+            for q0, n2 in WINDOWS:
+                assert np.array_equal(spec.phase_value(GRAPH, fp, q0, n2),
+                                      np.bitwise_xor.reduce(oracle(fp, q0, n2), axis=-1))
 
 
 @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=7),
@@ -166,11 +179,12 @@ def test_every_subtree_has_exactly_one_consumer(seed, k):
 
 
 # ------------------------------------------------- brute-force oracles
-def _round_value(recurrence, k, levels, kernel, seed):
+def _round_value(circuit, k, levels, kernel, seed):
     """The full-round accumulator (all 2^k iterations), whole-graph driver."""
     field = GF2m(6, kernel_strategy=kernel)
     fp = Fingerprint.draw(SMALL.n, k, RngStream(seed), levels=levels, field=field)
-    return phase_value(SMALL, recurrence, fp, 0, 1 << k)
+    return phase_value(SMALL, circuit.recurrence(), fp, 0, 1 << k,
+                       points=circuit.points(field))
 
 
 SMALL = erdos_renyi(11, m=9, rng=RngStream(12))  # has 6-paths, no 7-path
@@ -183,15 +197,15 @@ def test_oracle_path_and_tree(kernel):
     """One-sided: a round value is nonzero only if the structure exists
     (exactly), and some round finds every structure that does (whp)."""
     for k in (3, 5, 6, 7):
-        hit = any(_round_value(MLDCircuit.k_path(k).recurrence(), k, k, kernel, s)
+        hit = any(_round_value(MLDCircuit.k_path(k), k, k, kernel, s)
                   for s in ROUNDS)
         assert hit == exact.has_path(SMALL, k)
     templates = (TreeTemplate.star(4), TreeTemplate.star(6), TreeTemplate.binary(5),
                  TreeTemplate.caterpillar(6))
     assert {exact.has_tree(SMALL, t) for t in templates} == {True, False}
     for tmpl in templates:
-        rec = MLDCircuit.k_tree(tmpl).recurrence()
-        hit = any(_round_value(rec, tmpl.k, tmpl.k, kernel, s) for s in ROUNDS)
+        circuit = MLDCircuit.k_tree(tmpl)
+        hit = any(_round_value(circuit, tmpl.k, tmpl.k, kernel, s) for s in ROUNDS)
         assert hit == exact.has_tree(SMALL, tmpl)
 
 
@@ -201,14 +215,14 @@ def test_oracle_weight_axis(kernel):
     rounds is exactly the set of realizable weights."""
     k, z_max = 4, 8
     cells = np.zeros(z_max + 1, dtype=bool)
-    rec = MLDCircuit.weighted_path(SMALL_W, k, z_max).recurrence()
+    circuit = MLDCircuit.weighted_path(SMALL_W, k, z_max)
     for s in ROUNDS:
-        cells |= _round_value(rec, k, k, kernel, s) != 0
+        cells |= _round_value(circuit, k, k, kernel, s) != 0
     assert int(np.nonzero(cells)[0].max()) == exact.max_weight_path(SMALL, k, SMALL_W)
     cells[:] = False
-    rec = MLDCircuit.scan_row(SMALL_W, 3, z_max).recurrence()
+    circuit = MLDCircuit.scan_row(SMALL_W, 3, z_max)
     for s in ROUNDS:
-        cells |= _round_value(rec, 3, 4, kernel, s) != 0
+        cells |= _round_value(circuit, 3, 4, kernel, s) != 0
     truth = {z for size, z in exact.scan_cells(SMALL, SMALL_W, 3) if size == 3}
     assert set(np.nonzero(cells)[0].tolist()) == truth
 
@@ -224,7 +238,8 @@ def test_weight_axis_allreduce_keeps_wide_field_elements(make, driver):
     fp = spec.draw_fingerprint(GRAPH.n, RngStream(8))
     expected = spec.phase_value(GRAPH, fp, 0, 8)
     assert expected.max() > 255  # else the test cannot see a truncation
-    got = phase_value(GRAPH, spec.recurrence, fp, 0, 8, driver, PARTITIONS[4])
+    got = phase_value(GRAPH, spec.recurrence, fp, 0, 8, driver, PARTITIONS[4],
+                      spec.points)
     assert got.dtype == fp.field.dtype
     assert np.array_equal(got, expected)
 
@@ -235,10 +250,12 @@ def test_weight_axis_allreduce_keeps_wide_field_elements(make, driver):
 def test_allreduce_wire_bytes_for_byte_fields(case, nbytes):
     """Fields of degree <= 8: one 8-byte word for a scalar accumulator,
     one byte per weight cell for a weight axis."""
-    recurrence, k, levels = CASES[case]
+    circuit, k, levels = CASES[case]
     views = build_halo_views(GRAPH, PARTITIONS[3])
     sim = Simulator(3, trace=True)
-    sim.run(phase_program(views, recurrence, _fingerprint(k, levels, "table"), 0, 8))
+    fp = _fingerprint(k, levels, "table")
+    sim.run(phase_program(views, circuit.recurrence(), fp, 0, 8,
+                          points=circuit.points(fp.field)))
     collectives = [e for e in sim.trace.events if e.kind == "collective"]
     assert len(collectives) == 3  # one all-reduce, seen by each rank
     assert {e.nbytes for e in collectives} == {nbytes}

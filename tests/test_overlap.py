@@ -219,7 +219,8 @@ class TestOverlappedEvaluator:
         fp = Fingerprint.draw(g.n, dim, RngStream(seed + 1), levels=dim + 1)
         p = random_partition(g, n_parts, rng=RngStream(seed + 2))
         circuit = MLDCircuit.scan_row(w, dim, z_max)
-        got = phase_value(g, circuit.recurrence(), fp, 0, 4, "spmd-overlapped", p)
+        got = phase_value(g, circuit.recurrence(), fp, 0, 4, "spmd-overlapped", p,
+                          circuit.points(fp.field))
         assert np.array_equal(got, circuit_value(g, circuit, fp, 0, 4))
 
     def test_scan_grid_overlap_flag(self):

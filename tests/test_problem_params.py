@@ -13,7 +13,7 @@ workloads (full and quick sizes).  The model entry is what reached
 :func:`repro.core.model.estimate_runtime`: the DP levels it charged, the
 weight axis and whether it applied the z-convolution factor.
 
-Two entries move on purpose:
+Three entries move on purpose:
 
 * scan row 1 has no convolution step, and the derived flag says so,
   where the factory's per-kind model label charged row 1 a convolution
@@ -23,7 +23,11 @@ Two entries move on purpose:
   and on two threads:
   ``schedule_for`` takes the largest round count whose live states fit
   the budget, where it used to halve the count until they did (4 -> 2,
-  skipping 3).
+  skipping 3);
+* every weighted path keeps 3 states alive, not 4: its level step no
+  longer builds a shifted copy of the neighbour sum (the weight rides in
+  the variables, evaluated at points), so ``ledger/kinds/wpath`` fuses
+  4 rounds where it fused 3.
 """
 
 from __future__ import annotations
@@ -125,7 +129,7 @@ def observe(kind: str, n: int, p: dict) -> dict:
             label: [s.n2, s.rounds_per_window]
             for label, (kw, rounds) in RUNTIMES.items()
             for s in [MidasRuntime(**kw).schedule_for(
-                spec.k, n, spec.field.m, spec.payload, rounds=rounds,
+                spec.k, n, spec.field.m, spec.schedule_payload, rounds=rounds,
                 live_states=spec.live_states)]},
     }
 
@@ -152,4 +156,13 @@ def test_compiled_spec_matches_the_stated_one(golden, name, kind, n, p):
                  for label in ("sequential/R4", "sequential/R8", "threaded2/R8")}
         assert all(expected["schedule"][label] == [64, 2] for label in moved)
         expected = dict(expected, schedule={**expected["schedule"], **moved})
+    if kind == "wpath":
+        # the third: no shifted neighbour sum, one live state fewer, and on
+        # the ledger's weighted path one fused round more
+        assert expected["live_states"] == 4
+        expected = dict(expected, live_states=3)
+        if name == "ledger/kinds/wpath":
+            expected = dict(expected, schedule={**expected["schedule"], **{
+                label: [64, 4]
+                for label in ("sequential/R4", "sequential/R8", "threaded2/R8")}})
     assert observe(kind, n, p) == expected

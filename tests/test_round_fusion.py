@@ -199,7 +199,8 @@ def test_a_fused_window_is_each_rounds_window(kernel, rounds):
         assert len(fused) == rounds
         for fp, value in zip(fps, fused):
             assert np.array_equal(value, spec.phase_value(G, fp, 0, n2)), name
-            assert np.array_equal(value, element_value(G, spec.recurrence, fp, 0, n2)), name
+            assert np.array_equal(value, element_value(G, spec.recurrence, fp, 0, n2,
+                                                       spec.points)), name
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])

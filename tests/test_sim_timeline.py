@@ -204,12 +204,13 @@ def test_the_probed_signature_is_what_the_ranks_send(driver, monkeypatch):
     program, send = engine_module.phase_program, leveldp.Send
 
     def probed_program(views, recurrence, fp, q0, n2, **kw):
-        windows.append((leveldp.exchange_signature(recurrence, fp, q0, n2), {}))
+        windows.append((leveldp.exchange_signature(recurrence, fp, q0, n2,
+                                                   kw.get("points")), {}))
         return program(views, recurrence, fp, q0, n2, **kw)
 
-    def spied_send(dst, tag, payload):
+    def spied_send(dst, tag, payload, nbytes=None):
         windows[-1][1].setdefault(tag, set()).add((payload.shape[1:], payload.dtype))
-        return send(dst, tag, payload)
+        return send(dst, tag, payload, nbytes)
 
     monkeypatch.setattr(engine_module, "phase_program", probed_program)
     monkeypatch.setattr(leveldp, "Send", spied_send)

@@ -118,7 +118,8 @@ class TestWeightedPathParallel:
         p = random_partition(g, n_parts, rng=RngStream(73))
         circuit = MLDCircuit.weighted_path(w, 4, 8)
         assert_drivers_agree(g, circuit.recurrence(), fp, 0, 4, p,
-                             expected=circuit_value(g, circuit, fp, 0, 4))
+                             expected=circuit_value(g, circuit, fp, 0, 4),
+                             points=circuit.points(fp.field))
 
     def test_simulated_mode_matches_sequential(self):
         from repro.core.midas import MidasRuntime
