@@ -150,9 +150,9 @@ class MidasRuntime:
     window of up to 1024 iterations, narrowed so every worker has one
     and so the DP state stays in cache (:meth:`schedule_for`).
     ``overlap=True`` uses the
-    communication-overlapping halo exchange (Irecv/Wait with
-    local/ghost-split reductions) in simulated runs of all evaluators;
-    results are bit-identical either way.
+    communication-overlapping halo exchange (the own-column half of the
+    sum between a level's ``Exchange`` and its ``Collect``) in simulated
+    runs of all evaluators; results are bit-identical either way.
 
     ``mode`` names a backend in :data:`BACKENDS`: its class says how a
     window runs and which rules the mode follows.  A ``pooled`` mode runs
@@ -184,7 +184,8 @@ class MidasRuntime:
 
     Sanitization: ``sanitize="warn"`` or ``"strict"`` attaches a
     :class:`~repro.sanitize.CommSanitizer` to every simulated run (comm
-    discipline checked on every yielded op; strict raises a typed
+    discipline checked on every yielded op — unmatched messages and
+    diverging all-reduces; strict raises a typed
     :class:`~repro.errors.SanitizerError` at the first violation, warn
     accumulates a report) and stamps a ``sanitizer`` section into result
     details / the RunReport plus ``sanitizer_*`` metric families.

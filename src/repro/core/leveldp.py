@@ -50,7 +50,7 @@ from repro.errors import ConfigurationError
 from repro.ff.fingerprint import Fingerprint
 from repro.ff.points import evaluation_points
 from repro.graph.csr import CSRGraph, JaggedDiagonals, xor_segment_reduce
-from repro.runtime.comm import AllReduce, Irecv, Recv, Send, Wait
+from repro.runtime.comm import AllReduce, Collect, Exchange
 from repro.util.layout import memory_order
 
 #: ``recurrence(lanes)`` -> generator yielding states to neighbour-sum
@@ -443,18 +443,20 @@ def phase_program(views: List[HaloView], recurrence: Recurrence, fp: Fingerprint
     """SPMD rank program evaluating ``recurrence`` on ``len(views)`` ranks.
 
     Each rank holds its own rows element-wise.  Whenever the recurrence
-    asks for a neighbour sum, the rank sends the state's boundary rows to
+    asks for a neighbour sum, the rank posts one halo exchange
+    (:class:`~repro.runtime.comm.Exchange`: the state's boundary rows to
     each peer as one message batched over the phase's ``n2`` iterations
-    (and the evaluation points, if any), fills its ghost rows from the peers'
-    messages, and sums over its local adjacency (:func:`neighbour_sum`,
-    its few dozen rows put back in ``own`` order by one small ``take``).
-    With ``overlapped`` the receives are posted nonblocking and the
-    own-column half of the sum (:meth:`HaloView.split_jagged`) is taken
-    while the messages fly; GF addition is XOR, so the halves compose
-    exactly.  Exchanges are
-    tagged by their ordinal.  The program ends with one XOR all-reduce of
-    the per-rank partial values, so every rank returns the same value (an
-    ``int`` for a scalar accumulator) — bit-identical to
+    and the evaluation points, if any), collects the peers' rows into its
+    ghost rows (:class:`~repro.runtime.comm.Collect`) and sums over its
+    local adjacency (:func:`neighbour_sum`, its few dozen rows put back in
+    ``own`` order by one small ``take``).  The two forms differ only in
+    what they compute between the two yields: the blocking one copies its
+    own rows into the own+ghost buffer; the ``overlapped`` one takes the
+    own-column half of the sum (:meth:`HaloView.split_jagged`) while the
+    messages fly and adds the ghost-column half after — GF addition is
+    XOR, so the halves compose exactly.  The program ends with one XOR
+    all-reduce of the per-rank partial values, so every rank returns the
+    same value (an ``int`` for a scalar accumulator) — bit-identical to
     :func:`run_whole_graph` folded over its last axis.  With ``points`` a
     rank interpolates its partial values into the ``(z_max + 1,)`` weight
     cells before the all-reduce (interpolation is linear), and a halo
@@ -470,6 +472,7 @@ def phase_program(views: List[HaloView], recurrence: Recurrence, fp: Fingerprint
     def program(ctx):
         view = views[ctx.rank]
         lanes = ElementLanes(fp, q_start, n2, rows=view.own, points=points)
+        recv_from = tuple(view.recv_lists)
         if overlapped:
             # own columns are read from the state; the buffer holds ghosts alone
             jag_own, jag_ghost = view.split_jagged()
@@ -489,24 +492,20 @@ def phase_program(views: List[HaloView], recurrence: Recurrence, fp: Fingerprint
                 # every ghost row belongs to one peer's list, so the buffer
                 # is fully rewritten each exchange and can be reused
                 buf = np.zeros((n_head + view.n_ghost,) + state.shape[1:], state.dtype)
-            for peer, idxs in view.send_lists.items():
-                yield Send(peer, exchange, state[idxs],
-                           None if row_bytes is None else len(idxs) * row_bytes)
+            yield Exchange({peer: state[idxs] for peer, idxs in view.send_lists.items()},
+                           recv_from, row_bytes)
             if overlapped:
-                requests = {}
-                for peer in view.recv_lists:
-                    requests[peer] = yield Irecv(peer, exchange)
                 # overlap window: the own-column half needs no remote data
                 acc = _own_order_sum(state, jag_own)
-                for peer, slots in view.recv_lists.items():
-                    buf[slots] = yield Wait(requests[peer])
-                if view.n_ghost:
-                    acc ^= _own_order_sum(buf, jag_ghost)
             else:
                 buf[:n_head] = state
-                for peer, slots in view.recv_lists.items():
-                    buf[n_head + slots] = yield Recv(peer, exchange)
+            ghosts = yield Collect()
+            for slots, rows in zip(view.recv_lists.values(), ghosts):
+                buf[n_head + slots] = rows
+            if not overlapped:
                 acc = _own_order_sum(buf, jag)
+            elif view.n_ghost:
+                acc ^= _own_order_sum(buf, jag_ghost)
             exchange += 1
             state, done = _advance(gen, acc)
         per_lane = lanes.finish(state)
@@ -515,7 +514,7 @@ def phase_program(views: List[HaloView], recurrence: Recurrence, fp: Fingerprint
         else:
             local = points.cells(np.bitwise_xor.reduce(
                 per_lane.reshape(points.count, n2), axis=-1))
-        total = yield AllReduce(local, op="xor")
+        total = yield AllReduce(local)
         return total if np.ndim(total) else int(total)
 
     return program

@@ -179,8 +179,8 @@ def estimate_runtime(
     compute also carries the z-convolution factor ``z_axis * (j-1)/2``,
     folded in through an average multiplier.
 
-    ``overlap=True`` models the Irecv/Wait exchange of the overlapped
-    evaluators: per level the cost is ``max(compute, comm)`` instead of
+    ``overlap=True`` models the overlapped exchange (the own-column half
+    of the sum between ``Exchange`` and ``Collect``): per level the cost is ``max(compute, comm)`` instead of
     ``compute + comm`` — the flight time hides behind the own-column
     reduction (and vice versa).  In the returned estimate the hidden part
     is removed from the communication share.

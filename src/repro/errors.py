@@ -71,10 +71,11 @@ class RankFailedError(FaultInjectedError):
 
 
 class SendFailedError(FaultInjectedError):
-    """A transient injected failure of a ``Send``; retrying may succeed.
+    """A transient injected failure of one message; retrying may succeed.
 
-    Delivered into the sending rank program at the yield point of the
-    failed ``Send`` so it can catch and re-issue the operation.
+    Delivered into the sending rank program at its ``Exchange`` yield,
+    after the earlier messages went (``tag`` is the exchange ordinal), so
+    it can catch and post the exchange again.
     """
 
     def __init__(self, message: str, rank=None, dst=None, tag=None):

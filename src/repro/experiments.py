@@ -253,7 +253,7 @@ def overlap_series(
     n1_sweep: Sequence[int] = (2, 8, 32, 128, 512),
     calibration: Optional[KernelCalibration] = None,
 ) -> List[Row]:
-    """Irecv/Wait overlap headroom vs N1 (the overlap ablation, as API).
+    """Exchange/Collect overlap headroom vs N1 (the overlap ablation, as API).
 
     Per row: modeled runtimes of the synchronous and overlapped exchanges
     at BS1, and the fractional saving — negligible in the compute-bound

@@ -4,9 +4,10 @@ The paper runs MIDAS as a C/MPI program on two Haswell clusters.  This
 subpackage substitutes an in-process simulator:
 
 * :mod:`repro.runtime.scheduler` executes ``N`` *rank programs* (Python
-  generators yielding communication ops) with deterministic round-robin
-  scheduling, real message delivery, and per-rank virtual clocks —
-  detection results are produced by actually running the SPMD decomposition.
+  generators yielding ``Exchange``/``Collect``, ``AllReduce`` and
+  ``Charge``) with deterministic round-robin scheduling, real message
+  delivery, and per-rank virtual clocks — detection results are produced
+  by actually running the SPMD decomposition.
 * :mod:`repro.runtime.costmodel` supplies alpha–beta communication costs and
   *measured* compute rates (calibrated from the real vectorized kernels), so
   virtual time reproduces the shape of the paper's scaling curves.
@@ -22,7 +23,7 @@ subpackage substitutes an in-process simulator:
   degrades gracefully instead of dying silently.
 """
 
-from repro.runtime.comm import AllReduce, Charge, Irecv, Recv, Send, Wait
+from repro.runtime.comm import AllReduce, Charge, Collect, Exchange
 from repro.runtime.cluster import VirtualCluster, juliet, shadowfax, laptop
 from repro.runtime.costmodel import CostModel, KernelCalibration, MachineSpec
 from repro.runtime.durable import (
@@ -46,10 +47,8 @@ from repro.runtime.tracing import Scope, TraceEvent, TraceRecorder, TraceSummary
 __all__ = [
     "AllReduce",
     "Charge",
-    "Irecv",
-    "Recv",
-    "Send",
-    "Wait",
+    "Collect",
+    "Exchange",
     "CheckpointManager",
     "Watchdog",
     "load_run_config",

@@ -109,14 +109,6 @@ class CostModel:
             a, b = spec.alpha, spec.beta
         return a + nbytes * b, a + 0.25 * nbytes * b
 
-    def pt2pt(self, src: int, dst: int, nbytes: int) -> float:
-        """Seconds for one point-to-point message of ``nbytes``."""
-        return self.send_cost(src, dst, nbytes)[0]
-
-    def send_overhead(self, src: int, dst: int, nbytes: int) -> float:
-        """Sender-side occupancy of an eager send (injection cost)."""
-        return self.send_cost(src, dst, nbytes)[1]
-
     def allreduce_cost(self, nranks: int, nbytes: int) -> float:
         """Seconds for a tree all-reduce of ``nbytes`` over ``nranks``
         ranks: ``ceil(log2 P)`` alpha–beta steps."""

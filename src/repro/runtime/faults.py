@@ -15,16 +15,17 @@ Fault kinds
 -----------
 
 ``crash``
-    Kill a rank at a virtual time or after its n-th yielded op.  Dead
-    ranks stop executing; collectives and receives involving them raise
-    :class:`~repro.errors.RankFailedError` instead of hanging.
+    Kill a rank at a virtual time or after its n-th message, all-reduce
+    or charge.  Dead ranks stop executing; collectives and receives
+    involving them raise :class:`~repro.errors.RankFailedError` instead of
+    hanging.
 ``drop`` / ``duplicate`` / ``delay``
     Per-message delivery faults on matching ``(src, dst, tag)`` edges,
     fired with probability ``p`` from the injector's seeded stream.
 ``send_fail``
-    Transient injection failure: the sending program receives a
-    :class:`~repro.errors.SendFailedError` at the yield point and may
-    retry the ``Send``.
+    Transient failure of one message: the sender receives a
+    :class:`~repro.errors.SendFailedError` at its ``Exchange`` yield, after
+    the earlier messages went, and may post the exchange again.
 ``straggler``
     Degrade a rank's (or a whole node's) compute rate by ``factor`` —
     the per-node ``c_scale`` degradation of a thermally throttled or
@@ -63,7 +64,7 @@ class FaultSpec:
     """One fault in a plan.  Fields are interpreted per ``kind``:
 
     * ``crash``: ``rank`` (required), ``at_time`` (virtual seconds) or
-      ``after_ops`` (op count; default 0 = before the first op).
+      ``after_ops`` (messages, all-reduces and charges; default 0).
     * ``drop``/``duplicate``/``delay``/``send_fail``: ``src``/``dst``/
       ``tag`` select matching messages (``None`` = any), ``p`` the
       per-message firing probability, ``delay`` the extra seconds for
@@ -150,7 +151,7 @@ class FaultSpec:
 # Convenience constructors — the names the tests and docs use.
 def crash(rank: int, at_time: Optional[float] = None,
           after_ops: Optional[int] = None, max_events: Optional[int] = 1) -> FaultSpec:
-    """Kill ``rank`` at a virtual time or after its n-th yielded op.
+    """Kill ``rank`` at a virtual time or after its n-th op.
 
     Defaults to ``max_events=1``: the crash fires once across the
     injector's lifetime, so a driver retry of the affected phase runs

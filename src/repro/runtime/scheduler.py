@@ -4,7 +4,7 @@ Runs ``N`` *rank programs* — generator functions over a :class:`RankContext`
 — with real message delivery and virtual clocks:
 
 * scheduling is deterministic round-robin: each rank runs until it blocks
-  (on a ``Recv``/``Wait`` with no matching message, or in the
+  (in a ``Collect`` whose next message has not been sent, or in the
   ``AllReduce``), so a given program produces the same transcript on
   every run;
 * compute segments (the Python/numpy work between two yields) are measured
@@ -12,16 +12,18 @@ Runs ``N`` *rank programs* — generator functions over a :class:`RankContext`
   the machine's ``c_scale`` (programs can instead/additionally yield
   :class:`~repro.runtime.comm.Charge` for fully modeled segments);
 * communication advances clocks per the :class:`~repro.runtime.costmodel.
-  CostModel`: eager sends cost the sender an injection overhead and arrive
-  at ``sender_clock + alpha + bytes*beta``; receives wait for the arrival
-  timestamp; an all-reduce synchronizes everyone to the max clock plus a
-  log-tree cost.
+  CostModel`: an ``Exchange`` sends each of its messages eagerly, costing
+  the sender an injection overhead, and each arrives at ``sender_clock +
+  alpha + bytes*beta``; its ``Collect`` waits for the arrival timestamps
+  in ``recv_from`` order; an all-reduce synchronizes everyone to the max
+  clock plus a log-tree cost.
 
 Fault semantics (see :mod:`repro.runtime.faults`): a seeded injector can
-crash ranks at op/time boundaries, drop/duplicate/delay messages, fail
-``Send`` ops transiently, and slow stragglers.  Crashed ranks stop
-executing; anything waiting on them — or on a dropped message — raises a
-typed :class:`~repro.errors.RankFailedError` rather than hanging.
+crash ranks at op/time boundaries (between two messages, too), drop/
+duplicate/delay messages, fail sends transiently, and slow stragglers.
+Crashed ranks stop executing; anything waiting on them — or on a dropped
+message — raises a typed :class:`~repro.errors.RankFailedError` rather
+than hanging.
 
 Deadlocks (all live ranks blocked with nothing in flight, and no fault to
 blame) raise :class:`~repro.errors.DeadlockError` with a per-rank
@@ -32,10 +34,12 @@ instead of hanging the test-suite.
 from __future__ import annotations
 
 import copy as _copy
+import functools
+import operator
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, Hashable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
@@ -45,16 +49,7 @@ from repro.errors import (
     RuntimeSimulationError,
     SendFailedError,
 )
-from repro.runtime.comm import (
-    AllReduce,
-    Charge,
-    Irecv,
-    Recv,
-    RecvRequest,
-    Send,
-    Wait,
-    resolve_reducer,
-)
+from repro.runtime.comm import AllReduce, Charge, Collect, Exchange
 from repro.runtime.costmodel import CostModel, LAPTOP_NODE
 from repro.runtime.faults import RunInjector, as_run_injector
 from repro.runtime.tracing import TraceRecorder, TraceSummary
@@ -84,9 +79,8 @@ class RankContext:
 class _Message:
     payload: Any
     arrive: float
-    san: Any = None  # sanitizer send-record, when a sanitizer is attached
-    sender: int = -1
-    t_send: float = 0.0  # sender's clock at send start (dependency origin)
+    sender: int
+    t_send: float  # sender's clock at send start (dependency origin)
 
 
 def _annotate_rank(exc: BaseException, rank: int) -> None:
@@ -104,22 +98,9 @@ def _annotate_rank(exc: BaseException, rank: int) -> None:
 
 
 class _RankState:
-    __slots__ = (
-        "rank",
-        "gen",
-        "clock",
-        "finished",
-        "crashed",
-        "result",
-        "blocked_recv",
-        "pending_collective",
-        "collective_idx",
-        "resume_value",
-        "resume_exception",
-        "ops_done",
-        "c_factor",
-        "inbox",
-    )
+    __slots__ = ("rank", "gen", "clock", "finished", "crashed", "result",
+                 "exchanges", "posted", "collecting", "rows", "pending_collective",
+                 "collective_idx", "resume", "ops_done", "c_factor", "inbox")
 
     def __init__(self, rank: int, gen: Generator) -> None:
         self.rank = rank
@@ -128,14 +109,26 @@ class _RankState:
         self.finished = False
         self.crashed = False
         self.result: Any = None
-        self.blocked_recv: Optional[Recv] = None
+        self.exchanges = 0  # ordinal of the next Exchange: its messages' tag
+        self.posted: deque = deque()  # (tag, recv_from) awaiting a Collect
+        # (tag, recv_from) of the Collect in progress, and its rows so far
+        self.collecting: Optional[Tuple[int, Tuple[int, ...]]] = None
+        self.rows: List[Any] = []
         self.pending_collective: Optional[AllReduce] = None
         self.collective_idx = 0
-        self.resume_value: Any = None
-        self.resume_exception: Optional[BaseException] = None
+        self.resume: Tuple[Callable, Any] = (gen.send, None)  # or (gen.throw, exc)
         self.ops_done = 0
         self.c_factor = 1.0
-        self.inbox: Dict[Tuple[int, Hashable], deque] = {}
+        self.inbox: Dict[Tuple[int, int], List[_Message]] = {}  # copies of one message
+
+    def awaited(self) -> Tuple[int, int]:
+        """``(src, tag)`` of the message the current ``Collect`` needs next."""
+        tag, peers = self.collecting
+        return peers[len(self.rows)], tag
+
+    def blocked(self) -> bool:
+        """In a ``Collect`` whose next message has not been sent yet."""
+        return self.collecting is not None and self.awaited() not in self.inbox
 
 
 @dataclass
@@ -209,7 +202,7 @@ class Simulator:
         ]
         self._states = states
         if self.sanitizer is not None:
-            self.sanitizer.begin_run(self.nranks)
+            self.sanitizer.begin_run()
         c_scale = self.cost.spec.c_scale
         if self.faults is not None:
             rank_node = self.cost.rank_node
@@ -225,7 +218,7 @@ class Simulator:
                 self.heartbeat()
             progressed = False
             for st in states:
-                if st.finished or st.blocked_recv is not None or st.pending_collective is not None:
+                if st.finished or st.pending_collective is not None or st.blocked():
                     continue
                 progressed = True
                 self._run_until_blocked(st, states, c_scale)
@@ -270,10 +263,8 @@ class Simulator:
         )
         if not due or not inj.consume_crash(st.rank):
             return False
-        st.crashed = True
-        st.finished = True
-        st.blocked_recv = None
-        st.pending_collective = None
+        st.crashed = st.finished = True
+        st.collecting = st.pending_collective = None
         st.gen.close()
         self.trace.record(st.rank, "fault", st.clock, st.clock, info="crash")
         return True
@@ -282,16 +273,16 @@ class Simulator:
         while True:
             if self._check_crash(st):
                 return
-            resume = st.resume_value
-            exc_in = st.resume_exception
-            st.resume_value = None
-            st.resume_exception = None
+            if st.collecting is not None:
+                # a Collect resumed once its awaited message arrived
+                if not self._collect(st):
+                    return
+                continue
+            resume, arg = st.resume
+            st.resume = (st.gen.send, None)
             t0 = time.perf_counter()
             try:
-                if exc_in is not None:
-                    op = st.gen.throw(exc_in)
-                else:
-                    op = st.gen.send(resume)
+                op = resume(arg)
             except StopIteration as stop:
                 self._charge_compute(st, time.perf_counter() - t0, c_scale)
                 st.finished = True
@@ -302,30 +293,28 @@ class Simulator:
                 _annotate_rank(exc, st.rank)
                 raise
             self._charge_compute(st, time.perf_counter() - t0, c_scale)
-            st.ops_done += 1
             if self.sanitizer is not None:
                 self.sanitizer.on_op(st.rank, op, st.collective_idx)
 
+            if isinstance(op, Exchange):
+                self._exchange(st, states, op)
+                continue
+            if isinstance(op, Collect):
+                if not st.posted:
+                    raise RuntimeSimulationError(
+                        f"rank {st.rank} yielded Collect() with no Exchange posted")
+                st.collecting = st.posted.popleft()
+                if not self._collect(st):
+                    return
+                continue
             if isinstance(op, Charge):
+                st.ops_done += 1
                 t = st.clock
                 st.clock += max(0.0, op.seconds) * st.c_factor
                 self.trace.record(st.rank, "charge", t, st.clock)
                 continue
-            if isinstance(op, Send):
-                self._do_send(st, states, op)
-                continue
-            if isinstance(op, Irecv):
-                # posting is free; the matching message is claimed at Wait
-                st.resume_value = RecvRequest(op.src, op.tag)
-                continue
-            if isinstance(op, Wait):
-                op = Recv(op.request.src, op.request.tag)
-            if isinstance(op, Recv):
-                if self._try_recv(st, op):
-                    continue
-                st.blocked_recv = op
-                return
             if isinstance(op, AllReduce):
+                st.ops_done += 1
                 st.pending_collective = op
                 return
             raise RuntimeSimulationError(
@@ -338,113 +327,103 @@ class Simulator:
             st.clock += wall * c_scale * st.c_factor
             self.trace.record(st.rank, "compute", t, st.clock)
 
-    def _do_send(self, st: _RankState, states: List[_RankState], op: Send) -> None:
-        if not (0 <= op.dst < self.nranks):
-            raise RuntimeSimulationError(f"rank {st.rank} sent to invalid rank {op.dst}")
+    def _exchange(self, st: _RankState, states: List[_RankState], op: Exchange) -> None:
+        """Send every message of ``op`` and post it for a ``Collect``."""
+        for peer in (*op.sends, *op.recv_from):
+            if peer == st.rank or not 0 <= peer < self.nranks:
+                raise RuntimeSimulationError(f"rank {st.rank} exchanged with invalid "
+                                             f"rank {peer} of {self.nranks}")
+        tag = st.exchanges
+        for i, (dst, rows) in enumerate(op.sends.items()):
+            # one op per message: a due crash fires between two of them
+            if i and self._check_crash(st):
+                return
+            st.ops_done += 1
+            if not self._send(st, states, dst, tag, rows, op.wire_bytes(rows)):
+                return
+        st.exchanges += 1
+        st.posted.append((tag, tuple(op.recv_from)))
+
+    def _send(self, st: _RankState, states: List[_RankState], dst: int, tag: int,
+              rows: Any, nbytes: int) -> bool:
+        """One message of an exchange; False on an injected send failure."""
         verdict = None
         if self.faults is not None:
-            verdict = self.faults.on_send(st.rank, op.dst, op.tag)
+            verdict = self.faults.on_send(st.rank, dst, tag)
             if verdict.fail:
-                # transient injection failure: thrown at this yield point,
-                # before any clock charge, so the program can just retry
+                # transient injection failure: thrown at the Exchange yield,
+                # after the earlier messages went and before any clock
+                # charge for this one, so the program can just retry
                 self.trace.record(st.rank, "fault", st.clock, st.clock,
-                                  info=f"send-fail->{op.dst}")
-                st.resume_exception = SendFailedError(
+                                  info=f"send-fail->{dst}")
+                st.resume = (st.gen.throw, SendFailedError(
                     f"injected transient send failure "
-                    f"(rank {st.rank} -> {op.dst}, tag {op.tag!r})",
-                    rank=st.rank, dst=op.dst, tag=op.tag,
-                )
-                return
-        nbytes = op.wire_bytes()
-        payload = op.payload
-        payload = payload.copy() if isinstance(payload, np.ndarray) else _copy.deepcopy(payload)
-        flight, occupancy = self.cost.send_cost(st.rank, op.dst, nbytes)
+                    f"(rank {st.rank} -> {dst}, tag {tag!r})",
+                    rank=st.rank, dst=dst, tag=tag,
+                ))
+                return False
+        payload = rows.copy() if isinstance(rows, np.ndarray) else _copy.deepcopy(rows)
+        flight, occupancy = self.cost.send_cost(st.rank, dst, nbytes)
         t = st.clock
         arrive = t + flight
         st.clock += occupancy
         if self.trace.enabled:
-            self.trace.record(st.rank, "send", t, st.clock, info=f"->{op.dst}",
+            self.trace.record(st.rank, "send", t, st.clock, info=f"->{dst}",
                               nbytes=nbytes)
         if verdict is not None and not verdict.deliver:
             self.trace.record(st.rank, "fault", st.clock, st.clock,
-                              info=f"drop->{op.dst}")
-            return
+                              info=f"drop->{dst}")
+            return True
         copies = 1 if verdict is None else verdict.copies
         if verdict is not None and verdict.extra_delay > 0:
             arrive += verdict.extra_delay
             self.trace.record(st.rank, "fault", st.clock, st.clock,
-                              info=f"delay->{op.dst}")
-        if verdict is not None and copies > 1:
+                              info=f"delay->{dst}")
+        if copies > 1:
             self.trace.record(st.rank, "fault", st.clock, st.clock,
-                              info=f"duplicate->{op.dst}")
-        dst = states[op.dst]
-        q = dst.inbox.setdefault((st.rank, op.tag), deque())
-        rec = None
-        if self.sanitizer is not None:
-            rec = self.sanitizer.on_send(st.rank, op, copies)
-        for _ in range(copies):
-            q.append(_Message(payload, arrive, san=rec, sender=st.rank, t_send=t))
-        # wake the receiver if it was blocked on exactly this message
-        if dst.blocked_recv is not None:
-            br = dst.blocked_recv
-            if br.src == st.rank and br.tag == op.tag:
-                if self._try_recv(dst, br):
-                    dst.blocked_recv = None
+                              info=f"duplicate->{dst}")
+        states[dst].inbox.setdefault((st.rank, tag), []).extend(
+            [_Message(payload, arrive, st.rank, t)] * copies)
+        return True
 
-    def _try_recv(self, st: _RankState, op: Recv) -> bool:
-        """Deliver the first matching message; False when none is queued."""
-        q = st.inbox.get((op.src, op.tag))
-        if not q:
-            return False
-        msg = q.popleft()
-        if self.sanitizer is not None and msg.san is not None:
-            self.sanitizer.on_deliver(st.rank, msg.san)
-        t = st.clock
-        if msg.arrive > st.clock:
+    def _collect(self, st: _RankState) -> bool:
+        """Receive the current ``Collect``'s messages in ``recv_from`` order,
+        discarding each one's duplicate copies with its queue; False when
+        the rank blocks (or crashes) before the last."""
+        peers = st.collecting[1]
+        while len(st.rows) < len(peers):
+            src, tag = key = st.awaited()
+            if key not in st.inbox:
+                return False
+            msg = st.inbox.pop(key)[0]
+            if msg.arrive > st.clock:
+                if self.trace.enabled:
+                    self.trace.record(st.rank, "wait", st.clock, msg.arrive, info=f"<-{src}")
+                    # the arrival bound this rank: a critical-path dependency
+                    # from the sender's clock at send start to the arrival
+                    self.trace.record_edge(
+                        "message", msg.sender, msg.t_send, st.rank, msg.arrive,
+                        info=f"tag={tag!r}",
+                    )
+                st.clock = msg.arrive
             if self.trace.enabled:
-                self.trace.record(st.rank, "wait", t, msg.arrive, info=f"<-{op.src}")
-                # the arrival bound this rank: a critical-path dependency
-                # from the sender's clock at send start to the arrival
-                self.trace.record_edge(
-                    "message", msg.sender, msg.t_send, st.rank, msg.arrive,
-                    info=f"tag={op.tag!r}",
-                )
-            st.clock = msg.arrive
-        if self.trace.enabled:
-            self.trace.record(st.rank, "recv", st.clock, st.clock, info=f"<-{op.src}")
-        st.resume_value = msg.payload
+                self.trace.record(st.rank, "recv", st.clock, st.clock, info=f"<-{src}")
+            st.rows.append(msg.payload)
+            st.ops_done += 1
+            # one op per message: a due crash fires between two of them
+            if len(st.rows) < len(peers) and self._check_crash(st):
+                return False
+        st.resume = (st.gen.send, st.rows)
+        st.collecting, st.rows = None, []
         return True
 
     def _try_complete_collective(self, states: List[_RankState]) -> bool:
-        pend = [st for st in states if st.pending_collective is not None]
-        if len(pend) != self.nranks:
-            if pend and all(st.finished or st.pending_collective is not None for st in states):
-                # some ranks exited while others wait in a collective: the
-                # collective can never complete — a typed failure when a
-                # crash is to blame, a deadlock when ranks exited normally
-                crashed = [st.rank for st in states if st.crashed]
-                if crashed:
-                    raise RankFailedError(
-                        f"collective AllReduce involves crashed rank(s) {crashed}:\n"
-                        + self._diagnose(states),
-                        ranks=crashed,
-                    )
-                if self.sanitizer is not None:
-                    waiting = [st.rank for st in pend]
-                    exited = [st.rank for st in states
-                              if st.finished and not st.crashed]
-                    self.sanitizer.on_collective_abandoned(
-                        waiting, exited, pend[0].pending_collective
-                    )
-                self._raise_deadlock(states)
+        if any(st.pending_collective is None for st in states):
             return False
         ops = [st.pending_collective for st in states]
         t_sync = max(st.clock for st in states)
         nbytes = max(o.wire_bytes() for o in ops)
-        reducer = resolve_reducer(ops[0].op)
-        acc = ops[0].value
-        for o in ops[1:]:
-            acc = reducer(acc, o.value)
+        acc = functools.reduce(operator.xor, (o.value for o in ops))
         # every rank gets its own copy: no rank may alias another's result
         results = [acc.copy() if isinstance(acc, np.ndarray) else _copy.deepcopy(acc)
                    for _ in states]
@@ -468,7 +447,7 @@ class Simulator:
                     info="AllReduce", nbytes=nbytes,
                 )
             st.clock = t_sync + cost
-            st.resume_value = res
+            st.resume = (st.gen.send, res)
             st.pending_collective = None
             st.collective_idx += 1
         return True
@@ -482,16 +461,15 @@ class Simulator:
                 status = f"CRASHED at t={st.clock:.6g}"
             elif st.finished:
                 status = "finished"
-            elif st.blocked_recv is not None:
-                status = (f"blocked on Recv(src={st.blocked_recv.src}, "
-                          f"tag={st.blocked_recv.tag!r})")
+            elif st.collecting is not None:
+                status = "blocked in Collect(src={}, exchange={})".format(*st.awaited())
             elif st.pending_collective is not None:
                 status = "waiting in AllReduce"
             else:
                 status = "runnable(?)"
             depth = sum(len(q) for q in st.inbox.values())
             lines.append(f"  rank {st.rank}: {status}  (inbox: {depth} undelivered)")
-            for (src, tag), q in sorted(st.inbox.items(), key=lambda kv: str(kv[0])):
+            for (src, tag), q in sorted(st.inbox.items()):
                 for msg in q:
                     lines.append(
                         f"    in flight: {src}->{st.rank} tag={tag!r} "
@@ -517,8 +495,9 @@ class Simulator:
                 "simulated run stalled after injected message drops:\n" + diagnosis,
                 lost_messages=self.faults.dropped,
             )
+        waiting = [st.rank for st in states if st.pending_collective is not None]
+        exited = [st.rank for st in states if st.finished]
+        if self.sanitizer is not None and waiting and len(waiting) + len(exited) == len(states):
+            # ranks exited while the others wait in an all-reduce
+            self.sanitizer.on_collective_abandoned(waiting, exited)
         raise DeadlockError("simulated SPMD program deadlocked:\n" + diagnosis)
-
-    def _raise_deadlock(self, states: List[_RankState]) -> None:
-        raise DeadlockError("simulated SPMD program deadlocked:\n"
-                            + self._diagnose(states))

@@ -4,8 +4,7 @@ Three independent correctness layers over the detection stack:
 
 * :mod:`repro.sanitize.comm` — :class:`CommSanitizer`, a runtime checker
   the SPMD simulator consults on every yielded op (collective
-  divergence, unmatched sends, leaked requests, double waits,
-  self-sends, send-buffer mutation);
+  divergence, unmatched sends);
 * :mod:`repro.sanitize.replay` — :func:`verify_replay`, deterministic
   cross-backend replay with per-(round, batch, phase) digest diffing;
 * :mod:`repro.sanitize.certify` — :class:`ResultCertifier`, independent
@@ -33,7 +32,6 @@ from repro.sanitize.comm import (
     CommSanitizer,
     SanitizerReport,
     Violation,
-    payload_digest,
 )
 from repro.sanitize.replay import (
     DigestLog,
@@ -63,7 +61,6 @@ __all__ = [
     "certify_scan_score",
     "certify_tree_witness",
     "diff_digest_logs",
-    "payload_digest",
     "value_digest",
     "verify_replay",
 ]

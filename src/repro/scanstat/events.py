@@ -46,10 +46,10 @@ def pvalues_from_counts(
     counts: np.ndarray, baselines: np.ndarray, rate: float = 1.0
 ) -> np.ndarray:
     """Upper-tail Poisson p-values ``P[Poisson(rate b) >= c]`` per node."""
-    from scipy.stats import poisson
+    from scipy.special import pdtrc
 
     c = np.asarray(counts, dtype=np.int64)
     b = np.asarray(baselines, dtype=np.float64)
     lam = np.maximum(rate * b, 1e-12)
-    # sf(c-1) = P[X >= c]
-    return poisson.sf(c - 1, lam)
+    # P[X >= c] = P[X > c - 1], and P[X >= 0] = 1
+    return np.where(c > 0, pdtrc(c - 1, lam), 1.0)

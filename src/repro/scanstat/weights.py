@@ -30,14 +30,14 @@ def normal_lower_pvalues(x: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> np
     sensor is the normal CDF of its current reading under its historical
     mean and standard deviation (small p-value = anomalously *low* speed).
     """
-    from scipy.stats import norm
+    from scipy.special import ndtr
 
     x = np.asarray(x, dtype=np.float64)
     mu = np.asarray(mu, dtype=np.float64)
     sigma = np.asarray(sigma, dtype=np.float64)
     if np.any(sigma <= 0):
         raise ConfigurationError("sigma must be positive everywhere")
-    return norm.cdf((x - mu) / sigma)
+    return ndtr((x - mu) / sigma)
 
 
 def binary_weights_from_pvalues(pvalues: np.ndarray, alpha: float = 0.05) -> np.ndarray:

@@ -1,10 +1,10 @@
-"""Algorithmic collectives implemented as rank-program fragments.
+"""Algorithmic XOR all-reduces written as rank-program fragments.
 
 The :class:`~repro.runtime.scheduler.Simulator`'s built-in
 :class:`~repro.runtime.comm.AllReduce` is *magic*: it combines values
 centrally and charges a closed-form log-tree cost.  The generators here
-implement the same all-reduce **out of point-to-point messages**, the way
-an MPI library does, so that
+implement the same all-reduce **out of exchanges**, the way an MPI
+library builds it from messages, so that
 
 * the simulator's all-reduce cost can be validated against an actual
   message-level execution (tests assert the magic cost is within a small
@@ -15,7 +15,7 @@ an MPI library does, so that
 All fragments are used with ``yield from`` inside a rank program::
 
     def program(ctx):
-        total = yield from ring_allreduce(ctx, my_value, op="xor")
+        total = yield from ring_allreduce(ctx, my_value)
         ...
 
 Values may be numpy arrays (combined elementwise) or scalars.
@@ -26,18 +26,17 @@ from __future__ import annotations
 from typing import Any
 
 from repro.errors import ConfigurationError
-from repro.runtime.comm import Recv, Send, resolve_reducer
+from repro.runtime.comm import Collect, Exchange
 from repro.runtime.scheduler import RankContext
 
 
-def ring_allreduce(ctx: RankContext, value: Any, op="xor", tag="ring-ar"):
+def ring_allreduce(ctx: RankContext, value: Any):
     """All-reduce via a ring: ``P - 1`` shifts of the running partial.
 
     Bandwidth-optimal for large payloads in real MPI (with chunking); here
     the whole value travels each hop, giving the classic
     ``(P-1) * (alpha + n beta)`` ring cost.
     """
-    reducer = resolve_reducer(op)
     p = ctx.nranks
     if p == 1:
         return value
@@ -50,14 +49,14 @@ def ring_allreduce(ctx: RankContext, value: Any, op="xor", tag="ring-ar"):
     # value has visited every rank exactly once and been folded in.
     acc = value
     travelling = value
-    for step in range(p - 1):
-        yield Send(nxt, (tag, step), travelling)
-        travelling = yield Recv(prv, (tag, step))
-        acc = reducer(acc, travelling)
+    for _ in range(p - 1):
+        yield Exchange({nxt: travelling}, (prv,))
+        (travelling,) = yield Collect()
+        acc = acc ^ travelling
     return acc
 
 
-def recursive_doubling_allreduce(ctx: RankContext, value: Any, op="xor", tag="rd-ar"):
+def recursive_doubling_allreduce(ctx: RankContext, value: Any):
     """All-reduce via recursive doubling: ``log2 P`` exchange rounds.
 
     Requires a power-of-two communicator (the classic formulation);
@@ -69,17 +68,14 @@ def recursive_doubling_allreduce(ctx: RankContext, value: Any, op="xor", tag="rd
         raise ConfigurationError(
             f"recursive doubling needs a power-of-two rank count, got {p}"
         )
-    reducer = resolve_reducer(op)
     if ctx.tracer is not None:
         ctx.annotate("rd-allreduce")
     acc = value
-    step = 0
     dist = 1
     while dist < p:
         peer = ctx.rank ^ dist
-        yield Send(peer, (tag, step), acc)
-        other = yield Recv(peer, (tag, step))
-        acc = reducer(acc, other)
+        yield Exchange({peer: acc}, (peer,))
+        (other,) = yield Collect()
+        acc = acc ^ other
         dist <<= 1
-        step += 1
     return acc

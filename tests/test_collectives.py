@@ -1,4 +1,7 @@
-"""Tests for algorithmic collectives and their cost-model validation."""
+"""Tests for algorithmic XOR all-reduces and their cost-model validation."""
+
+import functools
+import operator
 
 import numpy as np
 import pytest
@@ -19,17 +22,18 @@ def run(nranks, program, **kw):
 class TestRingAllreduce:
     @pytest.mark.parametrize("p", [1, 2, 3, 5, 8])
     def test_sum(self, p):
+        """The GF(2^m) sum of scalars: XOR."""
         def prog(ctx):
-            out = yield from ring_allreduce(ctx, ctx.rank + 1, op="sum")
+            out = yield from ring_allreduce(ctx, ctx.rank + 1)
             return out
 
         res = run(p, prog)
-        assert res.results == [p * (p + 1) // 2] * p
+        assert res.results == [functools.reduce(operator.xor, range(1, p + 1))] * p
 
     def test_xor_arrays(self):
         def prog(ctx):
             v = np.full(4, 1 << ctx.rank, dtype=np.uint8)
-            out = yield from ring_allreduce(ctx, v, op="xor")
+            out = yield from ring_allreduce(ctx, v)
             return out
 
         res = run(4, prog)
@@ -38,9 +42,7 @@ class TestRingAllreduce:
     def test_cost_scales_with_ranks(self):
         def make(p):
             def prog(ctx):
-                out = yield from ring_allreduce(
-                    ctx, np.zeros(1000, dtype=np.uint8), op="xor"
-                )
+                out = yield from ring_allreduce(ctx, np.zeros(1000, dtype=np.uint8))
                 return out
 
             return prog
@@ -52,17 +54,18 @@ class TestRingAllreduce:
 
 class TestRecursiveDoubling:
     @pytest.mark.parametrize("p", [1, 2, 4, 8, 16])
-    def test_max(self, p):
+    def test_one_hot_sum(self, p):
+        """Every rank's bit reaches every rank exactly once."""
         def prog(ctx):
-            out = yield from recursive_doubling_allreduce(ctx, ctx.rank, op="max")
+            out = yield from recursive_doubling_allreduce(ctx, 1 << ctx.rank)
             return out
 
         res = run(p, prog)
-        assert res.results == [p - 1] * p
+        assert res.results == [(1 << p) - 1] * p
 
     def test_non_power_of_two_rejected(self):
         def prog(ctx):
-            out = yield from recursive_doubling_allreduce(ctx, 1, op="sum")
+            out = yield from recursive_doubling_allreduce(ctx, 1)
             return out
 
         with pytest.raises(ConfigurationError):
@@ -74,11 +77,11 @@ class TestRecursiveDoubling:
         payload = np.zeros(8, dtype=np.uint8)
 
         def ring_prog(ctx):
-            out = yield from ring_allreduce(ctx, payload, op="xor")
+            out = yield from ring_allreduce(ctx, payload)
             return out
 
         def rd_prog(ctx):
-            out = yield from recursive_doubling_allreduce(ctx, payload, op="xor")
+            out = yield from recursive_doubling_allreduce(ctx, payload)
             return out
 
         p = 16
@@ -91,22 +94,17 @@ class TestPropertyFuzz:
     @given(
         st.integers(min_value=1, max_value=8),
         st.lists(st.integers(min_value=0, max_value=255), min_size=1, max_size=8),
-        st.sampled_from(["sum", "max", "xor"]),
     )
     @settings(max_examples=25, deadline=None)
-    def test_ring_matches_direct_reduction(self, p, payload, op):
+    def test_ring_matches_direct_reduction(self, p, payload):
         arrs = [np.array(payload, dtype=np.int64) * (r + 1) for r in range(p)]
 
         def prog(ctx):
-            out = yield from ring_allreduce(ctx, arrs[ctx.rank], op=op)
+            out = yield from ring_allreduce(ctx, arrs[ctx.rank])
             return out
 
         res = run(p, prog)
-        import functools
-
-        from repro.runtime.comm import resolve_reducer
-
-        direct = functools.reduce(resolve_reducer(op), arrs)
+        direct = functools.reduce(np.bitwise_xor, arrs)
         for r in res.results:
             assert np.array_equal(r, direct)
 
@@ -119,11 +117,11 @@ class TestPropertyFuzz:
         vals = [(seed + r * 17) % 1009 for r in range(p)]
 
         def ring_prog(ctx):
-            out = yield from ring_allreduce(ctx, vals[ctx.rank], op="sum")
+            out = yield from ring_allreduce(ctx, vals[ctx.rank])
             return out
 
         def rd_prog(ctx):
-            out = yield from recursive_doubling_allreduce(ctx, vals[ctx.rank], op="sum")
+            out = yield from recursive_doubling_allreduce(ctx, vals[ctx.rank])
             return out
 
         assert run(p, ring_prog).results == run(p, rd_prog).results
@@ -138,15 +136,15 @@ class TestMagicCollectiveCostValidation:
         p = 8
 
         def magic(ctx):
-            out = yield AllReduce(payload, op="xor")
+            out = yield AllReduce(payload)
             return out
 
         def ring_prog(ctx):
-            out = yield from ring_allreduce(ctx, payload, op="xor")
+            out = yield from ring_allreduce(ctx, payload)
             return out
 
         def rd_prog(ctx):
-            out = yield from recursive_doubling_allreduce(ctx, payload, op="xor")
+            out = yield from recursive_doubling_allreduce(ctx, payload)
             return out
 
         t_magic = run(p, magic).makespan

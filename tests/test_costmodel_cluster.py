@@ -29,15 +29,15 @@ class TestMachineSpec:
 class TestCostModel:
     def test_pt2pt_linear_in_bytes(self):
         cm = CostModel(LAPTOP_NODE)
-        t1 = cm.pt2pt(0, 1, 1000)
-        t2 = cm.pt2pt(0, 1, 2000)
+        t1 = cm.send_cost(0, 1, 1000)[0]
+        t2 = cm.send_cost(0, 1, 2000)[0]
         assert t2 > t1
         assert t2 - t1 == pytest.approx(1000 * LAPTOP_NODE.beta)
 
     def test_intra_node_cheaper(self):
         placement = np.array([0, 0, 1, 1])
         cm = CostModel(JULIET_NODE, rank_node=placement)
-        assert cm.pt2pt(0, 1, 10**6) < cm.pt2pt(0, 2, 10**6)
+        assert cm.send_cost(0, 1, 10**6)[0] < cm.send_cost(0, 2, 10**6)[0]
 
     def test_collective_log_scaling(self):
         cm = CostModel(LAPTOP_NODE)
@@ -115,4 +115,4 @@ class TestVirtualCluster:
     def test_cost_model_uses_placement(self):
         j = juliet(2)
         cm = j.cost_model(72)
-        assert cm.pt2pt(0, 1, 10**6) < cm.pt2pt(0, 40, 10**6)
+        assert cm.send_cost(0, 1, 10**6)[0] < cm.send_cost(0, 40, 10**6)[0]

@@ -17,7 +17,7 @@ from repro.obs.analyze import (
     slack_histogram,
 )
 from repro.obs.report import RunReport
-from repro.runtime.comm import AllReduce, Charge, Recv, Send
+from repro.runtime.comm import AllReduce, Charge, Collect, Exchange
 from repro.runtime.faults import FaultPlan, FaultSpec
 from repro.runtime.scheduler import Simulator
 from repro.runtime.tracing import DepEdge, Scope, TraceRecorder
@@ -41,9 +41,10 @@ class TestHandBuiltChains:
         def prog(ctx):
             if ctx.rank == 0:
                 yield Charge(1e-3)
-                yield Send(1, "x", 7)
+                yield Exchange({1: 7})
             else:
-                yield Recv(0, "x")
+                yield Exchange(recv_from=(0,))
+                yield Collect()
                 yield Charge(2e-3)
 
         res, trace = run_traced(2, prog)
@@ -69,7 +70,7 @@ class TestHandBuiltChains:
 
         def prog(ctx):
             yield Charge(1e-3 * (ctx.rank + 1))
-            yield AllReduce(ctx.rank, op="sum")
+            yield AllReduce(ctx.rank)
 
         res, trace = run_traced(3, prog)
         path = extract_critical_path(trace.events, trace.edges)
@@ -136,8 +137,8 @@ class TestAnalytics:
         def prog(ctx):
             nxt = (ctx.rank + 1) % ctx.nranks
             prv = (ctx.rank - 1) % ctx.nranks
-            yield Send(nxt, "tok", np.arange(64))
-            got = yield Recv(prv, "tok")
+            yield Exchange({nxt: np.arange(64)}, (prv,))
+            (got,) = yield Collect()
             yield Charge(1e-4 * (1 + ctx.rank))
             return got
 

@@ -12,7 +12,13 @@ from repro.errors import (
     RankFailedError,
     SendFailedError,
 )
-from repro.runtime.comm import AllReduce, Charge, Recv, Send
+from repro.core.halo import build_halo_views
+from repro.core.leveldp import phase_program
+from repro.core.mld import MLDCircuit
+from repro.ff.fingerprint import Fingerprint
+from repro.graph.generators import erdos_renyi
+from repro.graph.partition import random_partition
+from repro.runtime.comm import AllReduce, Charge, Collect, Exchange
 from repro.runtime.faults import (
     FaultInjector,
     FaultPlan,
@@ -26,6 +32,7 @@ from repro.runtime.faults import (
     straggler,
 )
 from repro.runtime.scheduler import Simulator
+from repro.util.rng import RngStream
 
 
 # --------------------------------------------------------------------- specs
@@ -108,9 +115,9 @@ class TestFaultPlan:
 def _ring_prog(ctx):
     nxt = (ctx.rank + 1) % ctx.nranks
     prv = (ctx.rank - 1) % ctx.nranks
-    yield Send(nxt, "ring", ctx.rank)
-    got = yield Recv(prv, "ring")
-    total = yield AllReduce(np.uint64(got), op="sum", nbytes=8)
+    yield Exchange({nxt: ctx.rank}, (prv,))
+    (got,) = yield Collect()
+    total = yield AllReduce(np.uint64(got))
     return int(total)
 
 
@@ -125,7 +132,7 @@ class TestCrashInjection:
     def test_crash_at_virtual_time(self):
         def prog(ctx):
             yield Charge(1e-3)
-            yield AllReduce(1, op="sum")
+            yield AllReduce(1)
             return "ok"
 
         plan = FaultPlan([crash(rank=0, at_time=5e-4)], seed=0)
@@ -168,32 +175,70 @@ class TestCrashInjection:
         assert any(e.info == "crash" and e.rank == 1 for e in faults)
 
 
+def _phase_ops(rank, faults=None):
+    """Rank ``rank``'s send, recv and collective events in one blocking
+    ``phase_program`` run on four ranks (the run may fail: its trace
+    stands)."""
+    g = erdos_renyi(40, m=100, rng=RngStream(10))
+    fp = Fingerprint.draw(g.n, 4, RngStream(11))
+    views = build_halo_views(g, random_partition(g, 4, rng=RngStream(12)))
+    sim = Simulator(4, measure_compute=False, faults=faults)
+    try:
+        sim.run(phase_program(views, MLDCircuit.k_path(4).recurrence(), fp, 0, 8))
+    except RankFailedError:
+        pass
+    return [e.kind for e in sim.trace.events if e.rank == rank
+            and e.kind in ("send", "recv", "collective", "fault")]
+
+
+@pytest.mark.parametrize("rank", range(4))
+def test_after_ops_counts_each_message_and_collective(rank):
+    """``crash(after_ops=n)`` fires after exactly ``n`` of the rank's
+    sends, receives and all-reduces, between two messages of one
+    exchange as readily as between two exchanges."""
+    total = len(_phase_ops(rank))
+    assert total > 4
+    for n in range(total):
+        kinds = _phase_ops(rank, FaultPlan([crash(rank=rank, after_ops=n)], seed=0))
+        assert kinds == _phase_ops(rank)[:n] + ["fault"], n
+
+
 class TestDropInjection:
     def test_drop_without_timeout_raises_rank_failed(self):
-        plan = FaultPlan([drop(src=0, dst=1, tag="ring")], seed=0)
+        plan = FaultPlan([drop(src=0, dst=1, tag=0)], seed=0)
         with pytest.raises(RankFailedError) as ei:
             Simulator(2, trace=False, faults=plan).run(_ring_prog)
-        assert (0, 1, "ring") in ei.value.lost_messages
+        assert (0, 1, 0) in ei.value.lost_messages
 
     def test_duplicate_delivers_twice(self):
+        """Both copies land; the exchange's Collect takes one and discards
+        the other, so the next exchange gets its own message."""
         def prog(ctx):
             if ctx.rank == 0:
-                yield Send(1, "m", 7)
+                yield Exchange({1: 7})
+                yield Exchange({1: 8})
                 return None
-            a = yield Recv(0, "m")
-            b = yield Recv(0, "m")  # satisfied by the duplicate
-            return (a, b)
+            got = []
+            for _ in range(2):
+                yield Exchange(recv_from=(0,))
+                got += yield Collect()
+            return got
 
-        plan = FaultPlan([duplicate(src=0, dst=1)], seed=0)
-        res = Simulator(2, trace=False, faults=plan).run(prog)
-        assert res.results[1] == (7, 7)
+        plan = FaultPlan([duplicate(src=0, dst=1, tag=0)], seed=0)
+        inj = FaultInjector(plan).for_run("dup")
+        sim = Simulator(2, trace=False, faults=inj)
+        res = sim.run(prog)
+        assert inj.counts == {"duplicate": 1}
+        assert res.results[1] == [7, 8]
+        assert sim._states[1].inbox == {}
 
     def test_delay_slows_arrival(self):
         def prog(ctx):
             if ctx.rank == 0:
-                yield Send(1, "m", 1)
+                yield Exchange({1: 1})
                 return None
-            return (yield Recv(0, "m"))
+            yield Exchange(recv_from=(0,))
+            return (yield Collect())
 
         base = Simulator(2, trace=False, measure_compute=False).run(prog)
         plan = FaultPlan([delay(5e-3, src=0, dst=1)], seed=0)
@@ -205,27 +250,34 @@ class TestDropInjection:
 
 class TestSendFailInjection:
     def test_send_failure_thrown_and_retryable(self):
+        """The failure reaches the rank at its Exchange yield after the
+        earlier messages went; re-posting the exchange sends them again,
+        and each receiver's Collect discards the second copy."""
         def prog(ctx):
             if ctx.rank == 0:
                 for _ in range(3):
                     try:
-                        yield Send(1, "m", "payload")
+                        yield Exchange({2: "early", 1: "payload"})
                         break
                     except SendFailedError as exc:
-                        assert exc.rank == 0 and exc.dst == 1
+                        assert exc.rank == 0 and exc.dst == 1 and exc.tag == 0
                 return None
-            return (yield Recv(0, "m"))
+            yield Exchange(recv_from=(0,))
+            (got,) = yield Collect()
+            return got
 
         plan = FaultPlan([send_fail(src=0, dst=1, max_events=1)], seed=0)
-        res = Simulator(2, trace=False, faults=plan).run(prog)
-        assert res.results[1] == "payload"
+        sim = Simulator(3, trace=False, faults=plan)
+        res = sim.run(prog)
+        assert res.results[1:] == ["payload", "early"]
+        assert all(not st.inbox for st in sim._states)
 
 
 class TestStragglerInjection:
     def test_straggler_scales_charged_compute(self):
         def prog(ctx):
             yield Charge(1e-3)
-            yield AllReduce(0, op="sum")
+            yield AllReduce(0)
             return None
 
         plan = FaultPlan([straggler(rank=1, factor=4.0)], seed=0)

@@ -1,4 +1,5 @@
-"""Tests for nonblocking receives and the communication-overlap evaluator."""
+"""Tests for posted exchanges (MPI's Irecv/Wait pattern as Exchange and
+Collect) and the communication-overlap evaluator."""
 
 import numpy as np
 import pytest
@@ -15,20 +16,23 @@ from repro.ff.fingerprint import Fingerprint
 from repro.graph.csr import xor_segment_reduce
 from repro.graph.generators import erdos_renyi
 from repro.graph.partition import random_partition
-from repro.runtime.comm import Charge, Irecv, Recv, RecvRequest, Send, Wait
+from repro.runtime.comm import Charge, Collect, Exchange
 from repro.runtime.scheduler import Simulator
 from repro.util.rng import RngStream
 
 
 class TestIrecvWait:
+    """A posted :class:`Exchange` is an ``Irecv``; its :class:`Collect`
+    the ``Wait``."""
+
     def test_basic_roundtrip(self):
         def prog(ctx):
             if ctx.rank == 0:
-                yield Send(1, "x", 42)
+                yield Exchange({1: 42})
                 return None
-            req = yield Irecv(0, "x")
-            assert isinstance(req, RecvRequest)
-            val = yield Wait(req)
+            posted = yield Exchange(recv_from=(0,))
+            assert posted is None  # posting returns nothing; Collect does
+            (val,) = yield Collect()
             return val
 
         res = Simulator(2, trace=False).run(prog)
@@ -37,32 +41,35 @@ class TestIrecvWait:
     def test_compute_between_post_and_wait(self):
         def prog(ctx):
             if ctx.rank == 0:
-                yield Send(1, "x", "payload")
+                yield Exchange({1: "payload"})
                 return None
-            req = yield Irecv(0, "x")
+            yield Exchange(recv_from=(0,))
             yield Charge(0.5)  # overlap window
-            return (yield Wait(req))
+            return (yield Collect())
 
         res = Simulator(2, measure_compute=False, trace=False).run(prog)
-        assert res.results[1] == "payload"
+        assert res.results[1] == ["payload"]
 
     def test_overlap_hides_latency(self):
-        """charge-then-wait must beat wait-then-charge for a slow message."""
+        """charge-then-collect must beat collect-then-charge for a slow
+        message."""
+        slow = np.zeros(1)  # one row charged 10^9 bytes
 
         def overlapped(ctx):
             if ctx.rank == 0:
-                yield Send(1, "x", None, nbytes=10**9)  # slow message
+                yield Exchange({1: slow}, row_bytes=10**9)
                 return None
-            req = yield Irecv(0, "x")
+            yield Exchange(recv_from=(0,))
             yield Charge(0.05)
-            yield Wait(req)
+            yield Collect()
             return None
 
         def synchronous(ctx):
             if ctx.rank == 0:
-                yield Send(1, "x", None, nbytes=10**9)
+                yield Exchange({1: slow}, row_bytes=10**9)
                 return None
-            yield Recv(0, "x")
+            yield Exchange(recv_from=(0,))
+            yield Collect()
             yield Charge(0.05)
             return None
 
@@ -79,19 +86,19 @@ class TestIrecvWait:
         from repro.runtime.cluster import juliet
 
         nbytes, compute_s, levels = 50_000_000, 0.004, 4  # ~7 ms in flight
+        row = np.zeros(1)
 
         def sync(ctx):
-            for lvl in range(levels):
-                yield Send(1 - ctx.rank, lvl, None, nbytes=nbytes)
-                yield Recv(1 - ctx.rank, lvl)
+            for _ in range(levels):
+                yield Exchange({1 - ctx.rank: row}, (1 - ctx.rank,), nbytes)
+                yield Collect()
                 yield Charge(compute_s)
 
         def overlapped(ctx):
-            for lvl in range(levels):
-                yield Send(1 - ctx.rank, lvl, None, nbytes=nbytes)
-                req = yield Irecv(1 - ctx.rank, lvl)
+            for _ in range(levels):
+                yield Exchange({1 - ctx.rank: row}, (1 - ctx.rank,), nbytes)
                 yield Charge(compute_s)  # the local half, while it flies
-                yield Wait(req)
+                yield Collect()
 
         cm = juliet().cost_model(2)
         t_sync, t_over = (
@@ -99,42 +106,45 @@ class TestIrecvWait:
                       trace=False).run(prog).makespan
             for prog in (sync, overlapped)
         )
-        flight = cm.pt2pt(0, 1, nbytes)
+        flight = cm.send_cost(0, 1, nbytes)[0]
         expected = levels * (flight + compute_s - max(
-            cm.send_overhead(0, 1, nbytes) + compute_s, flight))
+            cm.send_cost(0, 1, nbytes)[1] + compute_s, flight))
         assert t_over < t_sync
         assert t_sync - t_over == pytest.approx(expected, rel=0.05)
 
     def test_multiple_outstanding_requests(self):
+        """Four exchanges posted before the first Collect complete in
+        post order."""
         def prog(ctx):
             if ctx.rank == 0:
                 for i in range(4):
-                    yield Send(1, ("m", i), i * 7)
+                    yield Exchange({1: i * 7})
                 return None
-            reqs = []
-            for i in range(4):
-                reqs.append((yield Irecv(0, ("m", i))))
+            for _ in range(4):
+                yield Exchange(recv_from=(0,))
             yield Charge(0.01)
             vals = []
-            for r in reversed(reqs):  # complete out of post order
-                vals.append((yield Wait(r)))
+            for _ in range(4):
+                vals += yield Collect()
             return vals
 
         res = Simulator(2, measure_compute=False, trace=False).run(prog)
-        assert res.results[1] == [21, 14, 7, 0]
+        assert res.results[1] == [0, 7, 14, 21]
 
     def test_irecv_then_plain_recv_same_tag_fifo(self):
-        """A posted request and a plain Recv on the same (src, tag) drain
-        the FIFO in completion order — two messages, two consumers."""
+        """A posted exchange and a blocking one from the same peer take
+        its two messages in order — two messages, two consumers."""
 
         def prog(ctx):
             if ctx.rank == 0:
-                yield Send(1, "q", "first")
-                yield Send(1, "q", "second")
+                yield Exchange({1: "first"})
+                yield Exchange({1: "second"})
                 return None
-            req = yield Irecv(0, "q")
-            a = yield Wait(req)
-            b = yield Recv(0, "q")
+            yield Exchange(recv_from=(0,))
+            yield Charge(0.01)
+            (a,) = yield Collect()
+            yield Exchange(recv_from=(0,))
+            (b,) = yield Collect()
             return (a, b)
 
         res = Simulator(2, trace=False).run(prog)
@@ -142,8 +152,8 @@ class TestIrecvWait:
 
     def test_unmatched_wait_deadlocks(self):
         def prog(ctx):
-            req = yield Irecv((ctx.rank + 1) % ctx.nranks, "never")
-            yield Wait(req)
+            yield Exchange(recv_from=((ctx.rank + 1) % ctx.nranks,))
+            yield Collect()
 
         with pytest.raises(DeadlockError):
             Simulator(2, trace=False).run(prog)

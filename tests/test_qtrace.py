@@ -587,14 +587,16 @@ class TestEndToEndProcessTrace:
         if kind == "watchdog_trip":
             rt = MidasRuntime(deadline=1e-9)
         else:
-            from repro.runtime.comm import Send
+            import numpy as np
 
-            def self_sending(*_args, **_kw):
+            from repro.runtime.comm import AllReduce
+
+            def diverging(*_args, **_kw):
                 def program(ctx):
-                    yield Send(ctx.rank, "t", 1)
+                    yield AllReduce(np.zeros(ctx.rank + 1, np.int64))
                 return program
 
-            monkeypatch.setattr("repro.core.engine.phase_program", self_sending)
+            monkeypatch.setattr("repro.core.engine.phase_program", diverging)
             rt = MidasRuntime(mode="simulated", n_processors=2, n1=2,
                               sanitize="strict")
         with rt.get_profiler().span("caller.request", lane="caller"):

@@ -1,12 +1,12 @@
 """Property-based fuzzing of the communication sanitizer.
 
 Random small SPMD programs are generated in two flavours: *well-formed*
-(every send received, every request waited, collectives agree — built by
-construction from a global event order, so they are also deadlock-free)
-and *seeded* with exactly one violation of a chosen class.  The
-sanitizer must flag exactly the injected class and must never flag a
-well-formed program — including when a fault plan is injecting
-duplicates and delays underneath it.
+(every message received, every exchange collected, collectives agree —
+built by construction from a global event order, so they are also
+deadlock-free) and *seeded* with exactly one violation of a chosen
+class.  The sanitizer must flag exactly the injected class and must
+never flag a well-formed program — including when a fault plan is
+injecting duplicates and delays underneath it.
 """
 
 from __future__ import annotations
@@ -17,14 +17,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DeadlockError, RuntimeSimulationError, SanitizerError
-from repro.runtime.comm import AllReduce, Irecv, Recv, Send, Wait
+from repro.runtime.comm import AllReduce, Collect, Exchange
 from repro.runtime.faults import FaultPlan, FaultSpec
 from repro.runtime.scheduler import Simulator
 from repro.sanitize import CommSanitizer, SanitizerReport
 from repro.sanitize.comm import VIOLATION_KINDS
-
-#: the reducers a generated ``AllReduce`` may use
-REDUCERS = ("sum", "max", "xor")
 
 
 # ------------------------------------------------------ program generator
@@ -32,10 +29,12 @@ REDUCERS = ("sum", "max", "xor")
 def spmd_programs(draw):
     """A (nranks, events) pair describing a well-formed SPMD program.
 
-    Events are globally ordered; every rank replays its slice of that
-    order, which makes the program deadlock-free by construction (each
-    blocking receive's send is issued at an earlier-or-equal global
-    position).
+    Events are globally ordered and every rank takes part in each, so
+    exchange ordinals agree across ranks and each ``Collect``'s messages
+    were sent at an earlier-or-equal global position: the program is
+    deadlock-free by construction.  A ``p2p`` event collects at once
+    (with every exchange still outstanding); an ``async`` one leaves its
+    exchange posted for a later event or the final drain.
     """
     nranks = draw(st.integers(2, 4))
     n_events = draw(st.integers(1, 8))
@@ -43,7 +42,7 @@ def spmd_programs(draw):
     for i in range(n_events):
         kind = draw(st.sampled_from(["p2p", "async", "collective"]))
         if kind == "collective":
-            events.append(("collective", draw(st.sampled_from(REDUCERS))))
+            events.append(("collective",))
         else:
             src = draw(st.integers(0, nranks - 1))
             dst = (src + draw(st.integers(1, nranks - 1))) % nranks
@@ -52,75 +51,62 @@ def spmd_programs(draw):
     return nranks, events
 
 
+def _exchange(scripts, src, dst, payload, listed=True, collect=True):
+    """One exchange on every rank: ``src`` sends ``payload`` to ``dst``,
+    which lists ``src`` unless not ``listed``; ``collect=None`` leaves it
+    posted for good."""
+    for r, script in enumerate(scripts):
+        sends = {dst: payload} if r == src else {}
+        recv_from = (src,) if r == dst and listed else ()
+        script.append(("exchange", sends, recv_from, collect))
+
+
 def build_scripts(nranks, events):
     """Per-rank op scripts from the global event order (drain not added)."""
     scripts = [[] for _ in range(nranks)]
-    for i, ev in enumerate(events):
+    for ev in events:
         if ev[0] == "collective":
-            for r in range(nranks):
-                scripts[r].append(("coll", ev[1]))
+            for script in scripts:
+                script.append(("coll", "scalar"))
         else:
             kind, src, dst, arr = ev
-            tag = f"t{i}"
-            scripts[src].append(("send", dst, tag, arr))
-            scripts[dst].append(("recv" if kind == "p2p" else "irecv",
-                                 src, tag))
+            _exchange(scripts, src, dst, np.arange(4) if arr else 7,
+                      collect=kind == "p2p")
     return scripts
 
 
 def make_program(scripts):
     def prog(ctx):
-        pending = []
+        pending = 0
         for op in scripts[ctx.rank]:
-            name = op[0]
-            if name == "send":
-                payload = np.arange(4) if op[3] else 7
-                yield Send(op[1], op[2], payload)
-            elif name == "recv":
-                yield Recv(op[1], op[2])
-            elif name == "irecv":
-                pending.append((yield Irecv(op[1], op[2])))
-            elif name == "leak":
-                yield Irecv(op[1], op[2])  # deliberately never waited
-            elif name == "dwait":
-                req = yield Irecv(op[1], op[2])
-                yield Wait(req)
-                yield Wait(req)
-            elif name == "mutsend":
-                buf = np.arange(4)
-                yield Send(op[1], "mut", buf)
-                buf[0] = 99
-            elif name == "mutrecv":
-                yield Recv(op[1], "mut")
-            elif name == "coll":
-                yield AllReduce(ctx.rank + 1, op=op[1])
-        for req in pending:
-            yield Wait(req)
+            if op[0] == "coll":
+                yield AllReduce(ctx.rank + 1 if op[1] == "scalar"
+                                else np.zeros(2, np.int64))
+                continue
+            _, sends, recv_from, collect = op
+            yield Exchange(sends, recv_from)
+            if collect is None:
+                continue  # deliberately never collected
+            pending += 1
+            if collect:
+                for _ in range(pending):
+                    yield Collect()
+                pending = 0
+        for _ in range(pending):
+            yield Collect()
 
     return prog
 
 
-def inject(scripts, kind, a, b):
+def inject(scripts, kind, a, b, variant):
     """Seed exactly one violation of ``kind`` into well-formed scripts."""
-    if kind == "self-send":
-        scripts[a].append(("send", a, "viol", False))
-    elif kind == "unmatched-send":
-        scripts[a].append(("send", b, "viol", False))
-    elif kind == "leaked-request":
-        scripts[b].append(("leak", a, "viol"))
-    elif kind == "double-wait":
-        scripts[a].append(("send", b, "viol", False))
-        scripts[b].append(("dwait", a, "viol"))
+    if kind == "unmatched-send":
+        # b leaves a out of its recv_from, or never collects the exchange
+        _exchange(scripts, a, b, 7, listed=bool(variant),
+                  collect=None if variant else True)
     elif kind == "collective-divergence":
-        for r in range(len(scripts)):
-            scripts[r].append(("coll", "max" if r == a else "sum"))
-    elif kind == "send-buffer-mutation":
-        # a sends + mutates before a global all-reduce; b receives after
-        # it, so the mutation is guaranteed to precede delivery
-        scripts[a].append(("mutsend", b))
-        for r in range(len(scripts)):
-            scripts[r].append(("coll", "sum"))
-        scripts[b].append(("mutrecv", a))
+        for r, script in enumerate(scripts):
+            script.append(("coll", "array" if r == a else "scalar"))
     else:  # pragma: no cover - exhaustiveness guard
         raise AssertionError(kind)
 
@@ -167,7 +153,7 @@ def test_seeded_violation_flagged_as_exactly_its_class(program, kind,
     a = a_raw % nranks
     b = (a + off % (nranks - 1) + 1) % nranks if nranks > 1 else a
     scripts = build_scripts(nranks, events)
-    inject(scripts, kind, a, b)
+    inject(scripts, kind, a, b, off % 2)
     with pytest.raises(SanitizerError) as ei:
         Simulator(nranks, sanitizer=CommSanitizer("strict")).run(
             make_program(scripts)
@@ -184,22 +170,17 @@ def test_warn_mode_counts_exactly_one_class(program, kind, a_raw, off):
     a = a_raw % nranks
     b = (a + off % (nranks - 1) + 1) % nranks if nranks > 1 else a
     scripts = build_scripts(nranks, events)
-    inject(scripts, kind, a, b)
+    inject(scripts, kind, a, b, off % 2)
     rep = SanitizerReport()
     try:
         Simulator(nranks, sanitizer=CommSanitizer("warn", rep)).run(
             make_program(scripts)
         )
-    except (DeadlockError, RuntimeSimulationError):
-        # warn mode records the violation but lets the program run on; a
-        # double wait then blocks forever — the report stands
-        pass
+    except (DeadlockError, RuntimeSimulationError):  # pragma: no cover
+        pytest.fail("a seeded violation must not stall the program")
     counts = rep.counts()
     assert counts.get(kind, 0) >= 1
-    # a self-sent message necessarily also sits unreceived in the inbox;
-    # every other injection must produce no collateral findings
-    allowed = {kind} | ({"unmatched-send"} if kind == "self-send" else set())
-    assert set(counts) <= allowed
+    assert set(counts) == {kind}  # no collateral findings
 
 
 @FUZZ

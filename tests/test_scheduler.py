@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import DeadlockError, RuntimeSimulationError
-from repro.runtime.comm import (
-    AllReduce,
-    Charge,
-    Recv,
-    Send,
-    payload_nbytes,
-    resolve_reducer,
-)
+from repro.runtime.comm import AllReduce, Charge, Collect, Exchange
 from repro.runtime.costmodel import CostModel, LAPTOP_NODE
 from repro.runtime.scheduler import Simulator
 
@@ -21,51 +14,59 @@ class TestPointToPoint:
         def ring(ctx):
             nxt = (ctx.rank + 1) % ctx.nranks
             prv = (ctx.rank - 1) % ctx.nranks
-            yield Send(nxt, "tok", ctx.rank)
-            got = yield Recv(prv, "tok")
+            yield Exchange({nxt: ctx.rank}, (prv,))
+            (got,) = yield Collect()
             return got
 
         res = Simulator(6, trace=False).run(ring)
         assert res.results == [(r - 1) % 6 for r in range(6)]
 
     def test_message_ordering_fifo(self):
+        """Exchange ``i`` on the sender meets exchange ``i`` on the receiver."""
         def prog(ctx):
             if ctx.rank == 0:
                 for i in range(5):
-                    yield Send(1, "seq", i)
+                    yield Exchange({1: i})
                 return None
+            for _ in range(5):
+                yield Exchange(recv_from=(0,))
             got = []
             for _ in range(5):
-                got.append((yield Recv(0, "seq")))
+                got += yield Collect()
             return got
 
         res = Simulator(2, trace=False).run(prog)
         assert res.results[1] == [0, 1, 2, 3, 4]
 
     def test_tags_do_not_mix(self):
+        """A later exchange's message never completes an earlier one, even
+        when it arrives first."""
         def prog(ctx):
             if ctx.rank == 0:
-                yield Send(1, "a", "A")
-                yield Send(1, "b", "B")
+                yield Exchange({1: ["A"]}, row_bytes=10**8)  # one slow row
+                yield Exchange({1: ["B"]})
                 return None
-            b = yield Recv(0, "b")
-            a = yield Recv(0, "a")
+            yield Exchange(recv_from=(0,))
+            yield Exchange(recv_from=(0,))
+            (a,) = yield Collect()
+            (b,) = yield Collect()
             return (a, b)
 
         res = Simulator(2, trace=False).run(prog)
-        assert res.results[1] == ("A", "B")
+        assert res.results[1] == (["A"], ["B"])
 
     def test_payloads_copied_by_default(self):
         buf = np.array([1, 2, 3], dtype=np.int64)
 
         def prog(ctx):
             if ctx.rank == 0:
-                yield Send(1, "x", buf)
+                yield Exchange({1: buf})
                 buf[0] = 99  # mutate after send: receiver must not see it
-                yield AllReduce(0, op="sum")
+                yield AllReduce(0)
                 return None
-            yield AllReduce(0, op="sum")
-            got = yield Recv(0, "x")
+            yield Exchange(recv_from=(0,))
+            yield AllReduce(0)
+            (got,) = yield Collect()
             return int(got[0])
 
         res = Simulator(2, trace=False).run(prog)
@@ -73,7 +74,7 @@ class TestPointToPoint:
 
     def test_invalid_destination(self):
         def prog(ctx):
-            yield Send(99, "x", 1)
+            yield Exchange({99: 1})
 
         with pytest.raises(RuntimeSimulationError):
             Simulator(2, trace=False).run(prog)
@@ -89,43 +90,36 @@ class TestPointToPoint:
 class TestCollectives:
     def test_allreduce_ops(self):
         def prog(ctx):
-            s = yield AllReduce(ctx.rank + 1, op="sum")
-            m = yield AllReduce(ctx.rank, op="max")
-            x = yield AllReduce(ctx.rank + 1, op="xor")
-            return (s, m, x)
+            x = yield AllReduce(ctx.rank + 1)
+            y = yield AllReduce(np.uint64(1) << np.uint64(ctx.rank))
+            return (x, int(y))
 
         res = Simulator(4, trace=False).run(prog)
-        assert all(r == (10, 3, 1 ^ 2 ^ 3 ^ 4) for r in res.results)
+        assert all(r == (1 ^ 2 ^ 3 ^ 4, 0b1111) for r in res.results)
 
     def test_allreduce_arrays_xor(self):
         def prog(ctx):
             v = np.full(3, 1 << ctx.rank, dtype=np.uint8)
-            return (yield AllReduce(v, op="xor"))
+            return (yield AllReduce(v))
 
         res = Simulator(3, trace=False).run(prog)
         assert all(np.all(r == 7) for r in res.results)
-
-    def test_custom_reducer(self):
-        def prog(ctx):
-            return (yield AllReduce([ctx.rank], op=lambda a, b: a + b))
-
-        res = Simulator(3, trace=False).run(prog)
-        assert res.results[0] == [0, 1, 2]
 
 
 class TestDeadlocks:
     def test_recv_never_sent(self):
         def prog(ctx):
-            yield Recv((ctx.rank + 1) % ctx.nranks, "ghost")
+            yield Exchange(recv_from=((ctx.rank + 1) % ctx.nranks,))
+            yield Collect()
 
-        with pytest.raises(DeadlockError, match="blocked on Recv"):
+        with pytest.raises(DeadlockError, match="blocked in Collect"):
             Simulator(2, trace=False).run(prog)
 
     def test_partial_collective(self):
         def prog(ctx):
             if ctx.rank == 0:
                 return None
-            yield AllReduce(1, op="sum")
+            yield AllReduce(1)
 
         with pytest.raises(DeadlockError):
             Simulator(2, trace=False).run(prog)
@@ -144,9 +138,10 @@ class TestVirtualTime:
         def make(nbytes):
             def prog(ctx):
                 if ctx.rank == 0:
-                    yield Send(1, "x", None, nbytes=nbytes)
+                    yield Exchange({1: np.zeros(1)}, row_bytes=nbytes)
                 else:
-                    yield Recv(0, "x")
+                    yield Exchange(recv_from=(0,))
+                    yield Collect()
                 return None
 
             return prog
@@ -158,7 +153,7 @@ class TestVirtualTime:
     def test_collective_synchronizes_clocks(self):
         def prog(ctx):
             yield Charge(float(ctx.rank))  # rank r is r seconds "busy"
-            yield AllReduce(0, op="sum")
+            yield AllReduce(0)
             return None
 
         res = Simulator(4, measure_compute=False, trace=False).run(prog)
@@ -168,14 +163,9 @@ class TestVirtualTime:
 
     def test_determinism_of_results(self):
         def prog(ctx):
-            vals = []
-            for peer in range(ctx.nranks):
-                if peer != ctx.rank:
-                    yield Send(peer, ("v", ctx.rank), ctx.rank * 100)
-            for peer in range(ctx.nranks):
-                if peer != ctx.rank:
-                    vals.append((yield Recv(peer, ("v", peer))))
-            return tuple(vals)
+            peers = [p for p in range(ctx.nranks) if p != ctx.rank]
+            yield Exchange({p: ctx.rank * 100 for p in peers}, tuple(peers))
+            return tuple((yield Collect()))
 
         a = Simulator(4, trace=False).run(prog).results
         b = Simulator(4, trace=False).run(prog).results
@@ -184,7 +174,7 @@ class TestVirtualTime:
     def test_trace_summary(self):
         def prog(ctx):
             yield Charge(0.5)
-            yield AllReduce(0, op="sum")
+            yield AllReduce(0)
             return None
 
         sim = Simulator(2, measure_compute=False, trace=True)
@@ -196,17 +186,15 @@ class TestVirtualTime:
 
 class TestCommHelpers:
     def test_payload_nbytes(self):
-        assert payload_nbytes(None) == 0
-        assert payload_nbytes(np.zeros(10, dtype=np.uint8)) == 10
-        assert payload_nbytes(b"abcd") == 4
-        assert payload_nbytes(3) == 8
-        assert payload_nbytes([np.zeros(4, np.uint8), 1]) == 12
-        assert payload_nbytes({"k": 2}) > 0
-        assert payload_nbytes(object()) == 64
-
-    def test_resolve_reducer_unknown(self):
-        with pytest.raises(ValueError):
-            resolve_reducer("median")
+        """A message is charged its rows' bytes, or ``row_bytes`` a row; an
+        all-reduce its array's bytes, or one 8-byte word for a scalar."""
+        rows = np.zeros((4, 3), dtype=np.uint8)
+        assert Exchange({1: rows}).wire_bytes(rows) == 12
+        assert Exchange({1: rows}, row_bytes=100).wire_bytes(rows) == 400
+        assert Exchange().wire_bytes(3) == 8
+        assert AllReduce(np.zeros(10, dtype=np.uint8)).wire_bytes() == 10
+        assert AllReduce(np.uint8(3)).wire_bytes() == 8
+        assert AllReduce(3).wire_bytes() == 8
 
     def test_zero_ranks_rejected(self):
         with pytest.raises(RuntimeSimulationError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import DeadlockError, RuntimeSimulationError
-from repro.runtime.comm import AllReduce, Recv, Send
+from repro.runtime.comm import AllReduce, Collect, Exchange
 from repro.runtime.scheduler import Simulator
 
 
@@ -13,7 +13,7 @@ class TestExceptionPropagation:
         def prog(ctx):
             if ctx.rank == 2:
                 raise ValueError("kernel exploded")
-            yield AllReduce(0, op="sum")
+            yield AllReduce(0)
 
         with pytest.raises(ValueError, match="kernel exploded") as ei:
             Simulator(4, trace=False).run(prog)
@@ -23,8 +23,9 @@ class TestExceptionPropagation:
 
     def test_exception_mid_communication(self):
         def prog(ctx):
-            yield Send((ctx.rank + 1) % ctx.nranks, "x", ctx.rank)
-            got = yield Recv((ctx.rank - 1) % ctx.nranks, "x")
+            yield Exchange({(ctx.rank + 1) % ctx.nranks: ctx.rank},
+                           ((ctx.rank - 1) % ctx.nranks,))
+            (got,) = yield Collect()
             if ctx.rank == 1:
                 raise RuntimeError(f"bad value {got}")
             return got
@@ -37,7 +38,7 @@ class TestExceptionPropagation:
         def prog(ctx):
             if ctx.rank == 0:
                 raise KeyError()
-            yield AllReduce(0, op="sum")
+            yield AllReduce(0)
 
         with pytest.raises(KeyError) as ei:
             Simulator(2, trace=False).run(prog)
@@ -50,7 +51,7 @@ class TestExceptionPropagation:
         def prog(ctx):
             if ctx.rank == 1:
                 raise KeyError(3)
-            yield AllReduce(0, op="sum")
+            yield AllReduce(0)
 
         with pytest.raises(KeyError) as ei:
             Simulator(2, trace=False).run(prog)
@@ -63,7 +64,7 @@ class TestPartialFailures:
         def prog(ctx):
             if ctx.rank == 0:
                 return "bailed"
-            yield AllReduce(1, op="sum")
+            yield AllReduce(1)
             return "synced"
 
         with pytest.raises(DeadlockError):
@@ -72,10 +73,12 @@ class TestPartialFailures:
     def test_mismatched_message_counts_deadlock(self):
         def prog(ctx):
             if ctx.rank == 0:
-                yield Send(1, "a", 1)
+                yield Exchange({1: 1})
                 return None
-            yield Recv(0, "a")
-            yield Recv(0, "a")  # second message never comes
+            yield Exchange(recv_from=(0,))
+            yield Exchange(recv_from=(0,))  # its message never comes
+            yield Collect()
+            yield Collect()
             return None
 
         with pytest.raises(DeadlockError):
@@ -85,10 +88,10 @@ class TestPartialFailures:
 class TestCollectiveMisuse:
     def test_mismatched_call_counts(self):
         def prog(ctx):
-            yield AllReduce(1, op="sum")
+            yield AllReduce(1)
             if ctx.rank == 0:
-                yield AllReduce(1, op="sum")  # extra collective on one rank only
-            yield AllReduce(1, op="sum")
+                yield AllReduce(1)  # extra collective on one rank only
+            yield AllReduce(1)
             return None
 
         # rank 0's third call waits on a rank that has exited
@@ -97,7 +100,7 @@ class TestCollectiveMisuse:
 
     def test_invalid_destination_rank(self):
         def prog(ctx):
-            yield Send(ctx.nranks + 3, "x", 1)
+            yield Exchange({ctx.nranks + 3: 1})
             return None
 
         with pytest.raises(RuntimeSimulationError, match="invalid rank"):
@@ -114,7 +117,7 @@ class TestCollectiveMisuse:
         def prog(ctx):
             if ctx.rank == 2:
                 return "left early"
-            yield AllReduce(np.uint64(ctx.rank), op="xor", nbytes=8)
+            yield AllReduce(np.uint64(ctx.rank))
             return "reduced"
 
         with pytest.raises(DeadlockError):
@@ -128,10 +131,10 @@ class TestAllReduceAliasing:
 
         def prog(ctx):
             buf = np.full(4, 1 << ctx.rank, dtype=np.int64)
-            total = yield AllReduce(buf, op="xor")
+            total = yield AllReduce(buf)
             buf[:] = -1  # trash the input after the collective
             total += ctx.rank  # and scribble on the result ...
-            yield AllReduce(0, op="sum")  # ... before any peer returns
+            yield AllReduce(0)  # ... before any peer returns
             return total
 
         res = Simulator(3, trace=False).run(prog)
@@ -139,53 +142,44 @@ class TestAllReduceAliasing:
             assert np.array_equal(arr, np.full(4, 7 + r)), "ranks share a result"
 
     def test_result_mutation_does_not_leak_to_an_input(self):
+        """On one rank the sum is the rank's own buffer: it still gets a
+        copy."""
         probe = {}
 
         def prog(ctx):
             buf = np.zeros(2, dtype=np.int64)
             probe[ctx.rank] = buf
-            # a reducer that hands back its first operand: rank 0's buffer
-            total = yield AllReduce(buf, op=lambda a, b: a)
-            total += 99  # every rank scribbles on what it received
-            yield AllReduce(0, op="sum")
+            total = yield AllReduce(buf)
+            total += 99  # the rank scribbles on what it received
             return None
 
-        Simulator(2, trace=False).run(prog)
+        Simulator(1, trace=False).run(prog)
         assert np.array_equal(probe[0], np.zeros(2)), "result aliased an input"
-
-    def test_non_array_results_are_copies_too(self):
-        """A callable reducer's list result is copied per rank like an
-        array: one rank appending to it changes no peer's."""
-
-        def prog(ctx):
-            merged = yield AllReduce([ctx.rank], op=lambda a, b: a + b)
-            merged.append(ctx.rank)
-            yield AllReduce(0, op="sum")
-            return merged
-
-        res = Simulator(3, trace=False).run(prog)
-        assert res.results == [[0, 1, 2, r] for r in range(3)]
 
 
 class TestDeadlockDiagnosis:
     def test_diagnosis_lists_inbox_and_in_flight(self):
         def prog(ctx):
             if ctx.rank == 0:
-                yield Send(1, "a", 1)
-                yield Send(1, "b", 2)
-                yield Recv(1, "never")
+                yield Exchange({1: 1}, (1,))
+                yield Exchange({1: 2})
+                yield Collect()
             else:
-                yield Recv(0, "a")
-                yield Recv(0, "wrong-tag")
+                yield Exchange(recv_from=(0,))
+                yield Collect()
+                yield Exchange()  # leaves exchange 1's message unread
+                yield Collect()
+                yield Exchange(recv_from=(0,))
+                yield Collect()
             return None
 
         with pytest.raises(DeadlockError) as ei:
             Simulator(2, trace=False).run(prog)
         msg = str(ei.value)
-        assert "rank 0: blocked on Recv(src=1, tag='never')" in msg
-        assert "rank 1: blocked on Recv(src=0, tag='wrong-tag')" in msg
+        assert "rank 0: blocked in Collect(src=1, exchange=0)" in msg
+        assert "rank 1: blocked in Collect(src=0, exchange=2)" in msg
         assert "inbox: 1 undelivered" in msg
-        assert "in flight: 0->1 tag='b'" in msg
+        assert "in flight: 0->1 tag=1" in msg
 
 
 class TestStress:
@@ -193,14 +187,9 @@ class TestStress:
         """Dense exchange on 16 ranks: every pair swaps a payload."""
 
         def prog(ctx):
-            for peer in range(ctx.nranks):
-                if peer != ctx.rank:
-                    yield Send(peer, ("a2a", ctx.rank), ctx.rank * 1000 + peer)
-            got = {}
-            for peer in range(ctx.nranks):
-                if peer != ctx.rank:
-                    got[peer] = yield Recv(peer, ("a2a", peer))
-            return got
+            peers = tuple(p for p in range(ctx.nranks) if p != ctx.rank)
+            yield Exchange({p: ctx.rank * 1000 + p for p in peers}, peers)
+            return dict(zip(peers, (yield Collect())))
 
         res = Simulator(16, trace=False).run(prog)
         for r, got in enumerate(res.results):
@@ -214,9 +203,9 @@ class TestStress:
             acc = np.uint64(ctx.rank)
             nxt = (ctx.rank + 1) % ctx.nranks
             prv = (ctx.rank - 1) % ctx.nranks
-            for step in range(50):
-                yield Send(nxt, ("chain", step), acc)
-                incoming = yield Recv(prv, ("chain", step))
+            for _ in range(50):
+                yield Exchange({nxt: acc}, (prv,))
+                (incoming,) = yield Collect()
                 acc = np.uint64((int(acc) + int(incoming)) % 1_000_003)
             return int(acc)
 

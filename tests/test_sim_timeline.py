@@ -30,6 +30,7 @@ from repro.errors import ReplayMismatchError
 from repro.ff.gf2m import default_field_for_k
 from repro.obs.analyze import extract_critical_path
 from repro.obs.metrics import MetricsRegistry
+from repro.runtime.comm import Exchange
 from repro.runtime.faults import FaultPlan, FaultSpec
 from repro.runtime.scheduler import Simulator
 from repro.runtime.tracing import TraceSummary
@@ -201,19 +202,30 @@ def test_the_probed_signature_is_what_the_ranks_send(driver, monkeypatch):
     payloads have the ``(row shape, dtype)`` that ``exchange_signature``
     probed for the window as its entry ``i``."""
     windows = []  # (probe, {exchange: {(row shape, dtype) sent}})
-    program, send = engine_module.phase_program, leveldp.Send
+    program = engine_module.phase_program
 
     def probed_program(views, recurrence, fp, q0, n2, **kw):
+        sent = {}
         windows.append((leveldp.exchange_signature(recurrence, fp, q0, n2,
-                                                   kw.get("points")), {}))
-        return program(views, recurrence, fp, q0, n2, **kw)
+                                                   kw.get("points")), sent))
+        inner = program(views, recurrence, fp, q0, n2, **kw)
 
-    def spied_send(dst, tag, payload, nbytes=None):
-        windows[-1][1].setdefault(tag, set()).add((payload.shape[1:], payload.dtype))
-        return send(dst, tag, payload, nbytes)
+        def spied(ctx):  # records each rank's i-th Exchange under i
+            gen, value, posted = inner(ctx), None, 0
+            while True:
+                try:
+                    op = gen.send(value)
+                except StopIteration as stop:
+                    return stop.value
+                if isinstance(op, Exchange):
+                    for rows in op.sends.values():
+                        sent.setdefault(posted, set()).add((rows.shape[1:], rows.dtype))
+                    posted += 1
+                value = yield op
+
+        return spied
 
     monkeypatch.setattr(engine_module, "phase_program", probed_program)
-    monkeypatch.setattr(leveldp, "Send", spied_send)
     seen = observe(driver, trace=False, **_shape(3, sanitize="warn"))
     assert len(windows) == _windows(seen)
     for probe, sent in windows:  # scan row 1, a lone vertex, sends nothing

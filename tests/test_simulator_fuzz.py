@@ -1,7 +1,8 @@
 """Property fuzzing of the SPMD simulator.
 
-Generates random but *matched* communication scripts (every send has a
-receive) and checks the simulator delivers everything correctly and
+Generates random but *matched* communication scripts (every message has a
+receiver that lists its sender; every rank takes part in every exchange,
+so exchange ordinals agree) and checks the simulator delivers everything correctly and
 deterministically; unmatched scripts must deadlock, never hang.
 """
 
@@ -11,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DeadlockError
-from repro.runtime.comm import AllReduce, Recv, Send
+from repro.runtime.comm import AllReduce, Collect, Exchange
 from repro.runtime.scheduler import Simulator
 
 
@@ -30,6 +31,12 @@ def matched_script(draw):
     return nranks, msgs
 
 
+def _exchange(rank, src, dst, payload):
+    """``rank``'s part of one message's exchange."""
+    return Exchange({dst: payload} if rank == src else {},
+                    (src,) if rank == dst else ())
+
+
 class TestMatchedScripts:
     @given(matched_script())
     @settings(max_examples=40, deadline=None,
@@ -38,15 +45,15 @@ class TestMatchedScripts:
         nranks, msgs = script
 
         def prog(ctx):
-            # send everything I am the source of, tagged by message index
-            for i, (src, dst, payload) in enumerate(msgs):
-                if src == ctx.rank:
-                    yield Send(dst, ("m", i), payload)
+            # one exchange per message, on every rank: its ordinal is the index
+            for src, dst, payload in msgs:
+                yield _exchange(ctx.rank, src, dst, payload)
             got = {}
             for i, (src, dst, payload) in enumerate(msgs):
+                rows = yield Collect()
                 if dst == ctx.rank:
-                    got[i] = yield Recv(src, ("m", i))
-            yield AllReduce(0, op="sum")
+                    (got[i],) = rows
+            yield AllReduce(0)
             return got
 
         res = Simulator(nranks, trace=False).run(prog)
@@ -61,13 +68,11 @@ class TestMatchedScripts:
 
         def prog(ctx):
             total = 0
-            for i, (src, dst, payload) in enumerate(msgs):
-                if src == ctx.rank:
-                    yield Send(dst, ("m", i), payload)
-            for i, (src, dst, payload) in enumerate(msgs):
-                if dst == ctx.rank:
-                    total += (yield Recv(src, ("m", i)))
-            out = yield AllReduce(total, op="sum")
+            for src, dst, payload in msgs:
+                yield _exchange(ctx.rank, src, dst, payload)
+            for _ in msgs:
+                total += sum((yield Collect()))
+            out = yield AllReduce(total)
             return out
 
         a = Simulator(nranks, trace=False).run(prog).results
@@ -84,7 +89,8 @@ class TestUnmatchedScripts:
 
         def prog(ctx):
             if ctx.rank == extra_rank:
-                yield Recv((ctx.rank + 1) % ctx.nranks, "never-sent")
+                yield Exchange(recv_from=((ctx.rank + 1) % ctx.nranks,))
+                yield Collect()
             return None
 
         with pytest.raises(DeadlockError):

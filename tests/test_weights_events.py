@@ -1,5 +1,10 @@
 """Tests for weight calibration and synthetic event generation."""
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -104,3 +109,41 @@ class TestEventGeneration:
         assert (p < 0.05).mean() < 0.08
         # an outrageous count gets a tiny p-value
         assert pvalues_from_counts(np.array([60]), np.array([10.0]))[0] < 1e-10
+
+
+class TestPvaluesFromScipySpecial:
+    """The p-values come from ``scipy.special`` kernels; ``scipy.stats``
+    gives the same floats but costs a second more to import."""
+
+    def test_normal_matches_scipy_stats_at_extreme_z(self):
+        from scipy.stats import norm
+
+        z = np.concatenate([np.linspace(-40.0, 40.0, 20001),
+                            [-1e300, -0.0, 0.0, 1e300]])
+        p = normal_lower_pvalues(z, np.zeros_like(z), np.ones_like(z))
+        assert np.array_equal(p, norm.cdf(z))
+
+    def test_poisson_matches_scipy_stats_including_zero_counts(self):
+        from scipy.stats import poisson
+
+        lam = np.repeat([1e-12, 0.5, 3.0, 20.0, 400.0], 60)
+        c = np.tile(np.arange(60) * 7, 5)  # c = 0 in every rate's block
+        p = pvalues_from_counts(c, lam)
+        assert np.array_equal(p, poisson.sf(c - 1, np.maximum(lam, 1e-12)))
+        assert np.all(p[c == 0] == 1.0)
+
+    def test_scoring_pvalues_imports_no_scipy_stats(self):
+        probe = (
+            "import json, sys\n"
+            "import numpy as np\n"
+            "from repro.scanstat.events import pvalues_from_counts\n"
+            "from repro.scanstat.weights import normal_lower_pvalues\n"
+            "pvalues_from_counts(np.array([0, 3]), np.array([1.0, 2.0]))\n"
+            "normal_lower_pvalues(np.zeros(2), np.ones(2), np.ones(2))\n"
+            "print(json.dumps('scipy.stats' in sys.modules))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.strip().splitlines()[-1]) is False
