@@ -1,0 +1,156 @@
+"""Interleaved per-op A/B of two revisions on one ledger workload.
+
+    python3 benchmarks/ab_ops.py --base HEAD~1 [--head HEAD] [--workload W]
+    python3 benchmarks/ab_ops.py --aa --quick          # the base against itself
+
+Both revisions are checked out with ``git worktree`` at paths of equal
+length, and each gets one long-lived worker process that imports that
+tree's ``repro`` and its ``benchmarks/ledger/workloads.py`` (read-only)
+and runs the workload's ops one at a time on request, every op through
+``Workload.checked_op``, so each answer's digest is verified.  The
+coordinator asks the two workers for op ``i`` in turn, alternating which
+tree goes first, so host drift hits both sides alike; every ``--ops`` ops
+it respawns the pair, because a process pair carries a bias of its own
+(allocation, hash seeds, placement): the pair, not the op, is the unit
+of replication.
+
+It prints each pair's median per-op ratio head/base, then the median of
+the pair medians and their spread (min..max).  A move counts only
+outside the spread an ``--aa`` run shows on the same host.  Exit status
+1 when an op fails or its digest is not the first op's.
+"""
+
+from __future__ import annotations
+
+import argparse
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: the worker: import the tree's workload, then one timed op per request
+WORKER = r"""
+import sys, time
+tree, name, seed, quick = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4] == "1"
+sys.path[:0] = [tree + "/src", tree + "/benchmarks/ledger"]
+import repro, workloads
+from spans import NullRecorder
+assert repro.__file__.startswith(tree), repro.__file__
+w = workloads.WORKLOADS[name](seed, quick=quick)
+w.setup()
+rec = NullRecorder()
+w.checked_op(0, rec)  # warm: imports, fields, session
+print("ready", flush=True)
+for line in sys.stdin:
+    i = int(line)
+    t0 = time.perf_counter()
+    try:
+        w.checked_op(i, rec)
+    except Exception as exc:
+        print("error", type(exc).__name__, str(exc).replace("\n", " "), flush=True)
+        continue
+    print(time.perf_counter() - t0, flush=True)
+w.close()
+"""
+
+
+class Worker:
+    """One tree's long-lived op server."""
+
+    def __init__(self, tree: Path, args) -> None:
+        self.proc = subprocess.Popen(
+            [sys.executable, "-c", WORKER, str(tree), args.workload, str(args.seed),
+             "1" if args.quick else "0"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, cwd=tree)
+        self._expect("ready")
+
+    def _expect(self, what: str) -> str:
+        line = self.proc.stdout.readline()
+        if not line.startswith(what):
+            raise RuntimeError(f"worker said {line!r}, expected {what!r}")
+        return line
+
+    def op(self, i: int) -> float:
+        self.proc.stdin.write(f"{i}\n")
+        self.proc.stdin.flush()
+        line = self.proc.stdout.readline()
+        if line.startswith("error") or not line:
+            raise RuntimeError(f"op {i} failed: {line.strip() or 'worker died'}")
+        return float(line)
+
+    def close(self) -> None:
+        self.proc.stdin.close()
+        self.proc.wait(timeout=60)
+
+
+def checkout(rev: str, path: Path) -> None:
+    subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
+                    str(path), rev], check=True)
+
+
+def pair(trees, args, first_op: int) -> list:
+    """One worker pair, ``args.ops`` ops each: the per-op ratios head/base."""
+    workers = [Worker(tree, args) for tree in trees]
+    try:
+        ratios = []
+        for i in range(first_op, first_op + args.ops):
+            order = (0, 1) if i % 2 == 0 else (1, 0)
+            secs = {side: workers[side].op(i) for side in order}
+            ratios.append(secs[1] / secs[0])
+        return ratios
+    finally:
+        for w in workers:
+            w.close()
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--base", default="HEAD", help="the reference revision")
+    ap.add_argument("--head", default="HEAD", help="the revision measured against it")
+    ap.add_argument("--aa", action="store_true", help="run the base against itself")
+    ap.add_argument("--workload", default="sim_scaling")
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--quick", action="store_true", help="the ledger's smoke sizes")
+    ap.add_argument("--ops", type=int, default=None,
+                    help="ops a pair runs before both workers are respawned "
+                         "(default 100; 20 with --quick)")
+    ap.add_argument("--pairs", type=int, default=None,
+                    help="worker pairs (default 5; 2 with --quick)")
+    args = ap.parse_args(argv)
+    args.ops = args.ops or (20 if args.quick else 100)
+    args.pairs = args.pairs or (2 if args.quick else 5)
+    head = args.base if args.aa else args.head
+
+    with tempfile.TemporaryDirectory(prefix="ab_ops-") as tmp:
+        # equal-length paths: a checkout's path reaches some of what it runs
+        trees = [Path(tmp) / "a" / "tree", Path(tmp) / "b" / "tree"]
+        try:
+            for rev, tree in zip((args.base, head), trees):
+                checkout(rev, tree)
+            medians = []
+            for p in range(args.pairs):
+                t0 = time.perf_counter()
+                ratios = pair(trees, args, p * args.ops)
+                medians.append(statistics.median(ratios))
+                print(f"pair {p}: {len(ratios)} ops, median head/base "
+                      f"{medians[-1]:.4f} ({time.perf_counter() - t0:.0f} s)", flush=True)
+        except RuntimeError as exc:
+            print(f"ab_ops: {exc}", file=sys.stderr)
+            return 1
+        finally:
+            for tree in trees:
+                subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
+                                str(tree)], capture_output=True)
+            subprocess.run(["git", "-C", str(ROOT), "worktree", "prune"], capture_output=True)
+    label = f"{args.base} vs itself" if args.aa else f"{args.base} -> {head}"
+    print(f"{args.workload} {label}: median of {len(medians)} pair medians "
+          f"{statistics.median(medians):.4f}, spread {min(medians):.4f}..{max(medians):.4f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

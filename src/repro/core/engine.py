@@ -591,7 +591,9 @@ class _Stage:
     label: str  # trace-scope label ("", "size3", ...)
     phase_hist: object  # midas_phase_seconds histogram, pre-labeled
     estimate: Optional[PerformanceEstimate] = None
-    # simulated mode: exchange signature -> the _Timeline enacted for it
+    # simulated mode: window start -> its exchange signature, and exchange
+    # signature -> the _Timeline enacted for it
+    signatures: dict = field(default_factory=dict)
     timelines: dict = field(default_factory=dict)
 
 
@@ -910,13 +912,20 @@ class SimulatedBackend(ExecutionBackend):
     message sizes, so with modeled compute a window's virtual timeline
     depends on its exchange shapes alone, never on the data.  Each stage
     therefore *enacts* one window per exchange signature — in practice
-    its first — on the coroutine simulator.  A round's windows are
-    valued by whole-graph level-DP runs as wide as a sequential window
-    (:meth:`ProblemSpec.window_values`); the enacted value is checked
-    against its window's, and every later window takes its value from
-    them and its makespan, clocks, trace splice and byte counts from the
-    stored :class:`_Timeline`.  A fault plan, a sanitizer or measured compute
-    make timelines window-specific: then every window is enacted.
+    its first — on the coroutine simulator; the signature is probed once
+    per window start (:func:`exchange_signature` depends on the window,
+    never on a round's draws).  A round batch's windows are valued by the
+    whole-graph level-DP runs a sequential detection of the same rounds
+    makes (:meth:`ProblemSpec.window_values`): without an early exit and
+    with the default ``n2`` a batch is the rounds one sequential window
+    fuses (:meth:`DetectionEngine._round_batch`), so a k = 8 stage of
+    seven rounds on 800 vertices is two runs (1024 and 768 lanes), not
+    seven.  The rounds are then walked in order: the enacted value is
+    checked against its window's, and every later window takes its value
+    from them and its makespan, clocks, trace splice and byte counts from
+    the stored :class:`_Timeline`.  A fault plan, a sanitizer or measured compute
+    make timelines window-specific: then every window is enacted, one
+    round a batch.
     """
 
     name = "simulated"
@@ -928,8 +937,9 @@ class SimulatedBackend(ExecutionBackend):
         self._views = None
         self._cost_model = None
         rt = engine.rt
-        self._reuse = (rt.fault_plan is None and rt.sanitize == "off"
-                       and not rt.measure_compute)
+        #: windows are valued by whole-graph runs and timelines reused
+        self.reuse = (rt.fault_plan is None and rt.sanitize == "off"
+                      and not rt.measure_compute)
 
     def prepare(self, stage: _Stage) -> None:
         e = self.engine
@@ -939,26 +949,40 @@ class SimulatedBackend(ExecutionBackend):
             self._cost_model = e.rt.get_cluster().cost_model(e.rt.n1)
 
     def _run_lanes(self, spec) -> int:
-        """The lanes of a whole-graph run that values a round's windows:
-        the stage's sequential window (an explicit ``n2`` wins, as
-        there), so the run holds no more state than a sequential one."""
+        """The lanes a round takes in a whole-graph run that values its
+        windows: the stage's sequential window (an explicit ``n2`` wins, as
+        there), so the runs hold no more state than a sequential one's."""
         return whole_graph_window(spec.k, self.engine.graph.n, spec.field.m,
                                   spec.schedule_payload, n2=self.engine.rt.n2)[0]
 
     def run_round(self, stage: _Stage, rounds: _Rounds):
-        # one round a batch: simulated windows carry one round (R = 1)
-        (fp,), ell = rounds.fps, rounds.ell
+        """The batch's rounds in order, each by :meth:`_round`; with reuse,
+        every window of every round valued first by one
+        :meth:`ProblemSpec.window_values` call."""
+        e, spec = self.engine, stage.spec
+        whole = None
+        if self.reuse:
+            # every window's whole-graph value: a reused window's value,
+            # an enacted one's check
+            with e.prof.span("engine.values", phase="rounds", callsite=e.fc.problem):
+                whole = spec.window_values(e.graph, rounds.fps, stage.sched.n2,
+                                           self._run_lanes(spec))
+        n_phases = stage.sched.n_phases
+        done = [self._round(stage, rounds.ell + i, fp,
+                            None if whole is None else whole[i * n_phases:])
+                for i, fp in enumerate(rounds.fps)]
+        return [value for value, _ in done], [virtual for _, virtual in done]
+
+    def _round(self, stage: _Stage, ell: int, fp, whole) -> Tuple[Value, float]:
+        """Round ``ell``'s ``(value, virtual seconds)``: its windows in
+        batch and phase order, ``whole[t]`` window ``t``'s whole-graph
+        value (``None``: every window enacted)."""
         e = self.engine
         rt, rec, fc = e.rt, e.rec, e.fc
         spec, sched = stage.spec, stage.sched
         want_trace = rt.trace or rec is not None
         value = spec.acc_init()
         round_virtual = 0.0
-        if self._reuse:
-            # every window's whole-graph value: a reused window's value,
-            # an enacted one's check
-            with e.prof.span("engine.values", phase="rounds", callsite=fc.problem):
-                whole = spec.window_values(e.graph, fp, sched.n2, self._run_lanes(spec))
         for bi, batch in enumerate(sched.batches()):
             if rec is not None and e.last_join is not None:
                 # phase barrier: every rank of this batch starts when the
@@ -972,12 +996,14 @@ class SimulatedBackend(ExecutionBackend):
             for gi, t in enumerate(batch):
                 q0, q1 = sched.phase_window(t)
                 tl, extra, failed = None, 0.0, ()
-                if self._reuse:
+                if whole is not None:
                     # the signature says whether this window's messages
                     # were enacted before
                     t0, contrib = time.perf_counter(), whole[t]
-                    signature = exchange_signature(spec.recurrence, fp, q0, sched.n2,
-                                                   spec.points)
+                    signature = stage.signatures.get(q0)
+                    if signature is None:
+                        signature = stage.signatures[q0] = exchange_signature(
+                            spec.recurrence, fp, q0, sched.n2, spec.points)
                     tl = stage.timelines.get(signature)
                 if tl is not None:
                     e.prof.add_span("engine.simulate", t0, time.perf_counter(),
@@ -996,7 +1022,7 @@ class SimulatedBackend(ExecutionBackend):
                     tl = _Timeline(res.makespan, res.clocks, res.summary,
                                    sim.trace.events, sim.trace.edges)
                     enacted = spec.rank_value(res.results[0])
-                    if self._reuse:
+                    if whole is not None:
                         if not np.array_equal(enacted, contrib):
                             raise ReplayMismatchError(
                                 f"simulated phase {key} evaluates to {enacted!r} "
@@ -1052,7 +1078,7 @@ class SimulatedBackend(ExecutionBackend):
                                           else "round-reduce")))
         e.cursor += red
         e.last_join = (-1, e.cursor)
-        return [value], [round_virtual]
+        return value, round_virtual
 
 
 def _compose_label(stage_label: str, suffix: str) -> str:
@@ -1309,6 +1335,10 @@ class DetectionEngine:
 
     def close(self) -> None:
         self.backend.close()
+        # the backend points back at the engine: left standing, the cycle
+        # (and the session, halo views and tables it holds) waits for a full
+        # garbage collection, which numpy memory never counts towards
+        self.backend.engine = None
         self._sync_sanitizer_metrics()
 
     def _sync_sanitizer_metrics(self) -> None:
@@ -1615,13 +1645,18 @@ class DetectionEngine:
         """The next round batch: round ``ell`` on, at most ``want`` rounds.
 
         A window carries ``R`` rounds (:meth:`MidasRuntime.schedule_for`),
-        and a batch is one window's rounds — except on a pool with the
-        default schedule: when a window covers a round, a window per
-        worker; when a round spans several windows and there is no early
-        exit, all ``want`` rounds, or as many as keep the batch's stacked
-        fingerprints within ``3 * _STATE_BYTES`` (the budget a fused
-        window's states keep).  So an early exit over several windows a
-        round, and an explicit ``n2``, run a round at a time.
+        and a batch is one window's rounds — except with the default
+        schedule and no early exit in two places.  On a pool: when a
+        window covers a round, a window per worker; when a round spans
+        several windows, all ``want`` rounds, or as many as keep the
+        batch's stacked fingerprints within ``3 * _STATE_BYTES`` (the
+        budget a fused window's states keep).  On the simulator with
+        timeline reuse (:class:`SimulatedBackend`): the rounds a
+        sequential window would fuse, so the whole-graph runs that value
+        the batch's windows are a sequential detection's.  So an early
+        exit (over several windows a round, on a pool), an explicit ``n2``,
+        and a simulated stage that enacts every window run a round at a
+        time.
 
         The fingerprints come from the streams ``rng.child`` will hand out
         for these rounds, drawn without spawning them: the stage stream
@@ -1639,6 +1674,10 @@ class DetectionEngine:
             elif not early_exit:
                 fp_bytes = n * (8 + spec.levels * np.dtype(spec.field.dtype).itemsize)
                 size = max(1, min(want, 3 * _STATE_BYTES // max(1, fp_bytes)))
+        elif (isinstance(self.backend, SimulatedBackend) and self.backend.reuse
+              and rt.n2 is None and not early_exit):
+            size = whole_graph_window(spec.k, n, spec.field.m, spec.schedule_payload,
+                                      rounds=want, live_states=spec.live_states)[1]
         fps = [spec.draw_fingerprint(n, child) for child in
                rng.children_ahead([f"round{r}" for r in range(ell, ell + size)])]
         return _Rounds(ell, fps, sched)

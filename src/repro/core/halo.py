@@ -13,7 +13,10 @@ neighbour on another processor sends its fresh polynomial value there.  A
 * ``send_lists[peer]`` — positions (into ``own``) of the vertices whose
   values must go to ``peer`` each level;
 * ``recv_lists[peer]`` — positions (into ``ghost``) where values arriving
-  from ``peer`` land.
+  from ``peer`` land;
+* both kinds of list concatenated in peer order (:meth:`HaloView.flat_lists`),
+  so an exchange is one gather of every outgoing row and one scatter of
+  every arriving one.
 
 Both sides order a given peer's list by global vertex id, so a received
 buffer scatters with one fancy-indexed assignment and the exchange is
@@ -106,6 +109,21 @@ class HaloView:
         if cached is None:
             cached = JaggedDiagonals(self.indptr, self.indices)
             object.__setattr__(self, "_jagged", cached)
+        return cached
+
+    def flat_lists(self):
+        """``(send, slices, recv)``: the send lists concatenated in peer
+        order (one gather takes every outgoing row) with each peer's slice
+        of them, and the receive lists concatenated in peer order (one
+        scatter lands every ghost row); built on first use and kept."""
+        cached = getattr(self, "_flat", None)
+        if cached is None:
+            empty = np.zeros(0, np.int64)
+            ends = np.cumsum([len(v) for v in self.send_lists.values()]).tolist()
+            cached = (np.concatenate([empty, *self.send_lists.values()]),
+                      [slice(a, b) for a, b in zip([0] + ends, ends)],
+                      np.concatenate([empty, *self.recv_lists.values()]))
+            object.__setattr__(self, "_flat", cached)
         return cached
 
     def split_jagged(self):

@@ -426,7 +426,11 @@ def exchange_signature(recurrence: Recurrence, fp: Fingerprint, q_start: int,
     Each of those states is one halo exchange whose message sizes are the
     partition's boundary lists times that row, so two windows of one
     stage with equal signatures put the same messages on the wire — the
-    guard the simulated backend keys its memoised phase timelines by."""
+    guard the simulated backend keys its memoised phase timelines by.
+    The signature may depend on the window (``q_start``: a recurrence may
+    widen a state from some iteration on) but not on ``fp``'s draws, only
+    on its shape, so the backend probes it once per window start of a
+    stage."""
     gen = recurrence(ElementLanes(fp, q_start, n2, rows=np.zeros(0, np.int64),
                                   points=points))
     signature = []
@@ -446,8 +450,12 @@ def phase_program(views: List[HaloView], recurrence: Recurrence, fp: Fingerprint
     asks for a neighbour sum, the rank posts one halo exchange
     (:class:`~repro.runtime.comm.Exchange`: the state's boundary rows to
     each peer as one message batched over the phase's ``n2`` iterations
-    and the evaluation points, if any), collects the peers' rows into its
-    ghost rows (:class:`~repro.runtime.comm.Collect`) and sums over its
+    and the evaluation points, if any — one gather of every outgoing row
+    over the view's flat send list, each message its peer's slice),
+    collects the peers' rows into its ghost rows
+    (:class:`~repro.runtime.comm.Collect`; one scatter of the
+    concatenated messages over the flat receive list,
+    :meth:`HaloView.flat_lists`) and sums over its
     local adjacency (:func:`neighbour_sum`, its few dozen rows put back in
     ``own`` order by one small ``take``).  The two forms differ only in
     what they compute between the two yields: the blocking one copies its
@@ -472,7 +480,8 @@ def phase_program(views: List[HaloView], recurrence: Recurrence, fp: Fingerprint
     def program(ctx):
         view = views[ctx.rank]
         lanes = ElementLanes(fp, q_start, n2, rows=view.own, points=points)
-        recv_from = tuple(view.recv_lists)
+        peers, recv_from = tuple(view.send_lists), tuple(view.recv_lists)
+        send_rows, send_slices, recv_rows = view.flat_lists()
         if overlapped:
             # own columns are read from the state; the buffer holds ghosts alone
             jag_own, jag_ghost = view.split_jagged()
@@ -481,6 +490,7 @@ def phase_program(views: List[HaloView], recurrence: Recurrence, fp: Fingerprint
             # one own+ghost buffer the local adjacency indexes directly
             jag = view.jagged()
             n_head = view.n_own
+        ghost_at = n_head + recv_rows
         buf = None
         gen = recurrence(lanes)
         state, done = _advance(gen)
@@ -492,7 +502,9 @@ def phase_program(views: List[HaloView], recurrence: Recurrence, fp: Fingerprint
                 # every ghost row belongs to one peer's list, so the buffer
                 # is fully rewritten each exchange and can be reused
                 buf = np.zeros((n_head + view.n_ghost,) + state.shape[1:], state.dtype)
-            yield Exchange({peer: state[idxs] for peer, idxs in view.send_lists.items()},
+            # one gather of every outgoing row; a peer's message is its slice
+            out = state.take(send_rows, axis=0)
+            yield Exchange(dict(zip(peers, [out[s] for s in send_slices])),
                            recv_from, row_bytes)
             if overlapped:
                 # overlap window: the own-column half needs no remote data
@@ -500,8 +512,9 @@ def phase_program(views: List[HaloView], recurrence: Recurrence, fp: Fingerprint
             else:
                 buf[:n_head] = state
             ghosts = yield Collect()
-            for slots, rows in zip(view.recv_lists.values(), ghosts):
-                buf[n_head + slots] = rows
+            if recv_from:
+                # one scatter of every ghost row, the peers' messages in order
+                buf[ghost_at] = np.concatenate(ghosts)
             if not overlapped:
                 acc = _own_order_sum(buf, jag)
             elif view.n_ghost:

@@ -147,19 +147,23 @@ class ProblemSpec:
         """One phase window's contribution, evaluated on the whole graph."""
         return self._values(self._run(graph, fp, q0, n2, 1))[0]
 
-    def window_values(self, graph: CSRGraph, fp: Fingerprint, n2: int,
-                      width: int) -> List[Value]:
+    def window_values(self, graph: CSRGraph, fp, n2: int, width: int) -> List[Value]:
         """Every ``n2``-lane phase window's contribution to one round, in
-        phase order, from whole-graph runs of ``width`` lanes each (both
-        powers of two, at most ``2^k``): a run spans ``width / n2``
-        windows, or a window ``n2 / width`` runs."""
+        phase order — or, for a sequence of ``R`` fingerprints, to each of
+        ``R`` rounds, round-major — from whole-graph runs of ``width``
+        lanes a round (both powers of two, at most ``2^k``): the rounds
+        side by side in each run, as a sequential window fuses them
+        (:func:`~repro.core.engine.whole_graph_window`).  A run spans
+        ``width / n2`` windows, or a window ``n2 / width`` runs."""
         group = min(width, n2)  # lanes that one run gives one window
-        per_group = np.concatenate(
-            [self._run(graph, fp, q, width, width // group)
-             for q in range(0, 1 << self.k, width)], axis=-1)
+        # (P, R, groups) of each run, its groups in phase order
+        runs = [self._run(graph, fp, q, width, width // group)
+                for q in range(0, 1 << self.k, width)]
+        per_group = np.concatenate([run.reshape(len(run), -1, width // group)
+                                    for run in runs], axis=-1)
         per_window = np.bitwise_xor.reduce(
-            per_group.reshape(len(per_group), -1, n2 // group), axis=-1)
-        return self._values(per_window)
+            per_group.reshape(per_group.shape[:2] + (-1, n2 // group)), axis=-1)
+        return self._values(per_window.reshape(len(per_window), -1))
 
     def phase_values(self, graph: CSRGraph, fps: Sequence[Fingerprint], q0: int,
                      n2: int) -> List[Value]:

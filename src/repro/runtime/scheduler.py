@@ -328,92 +328,90 @@ class Simulator:
             self.trace.record(st.rank, "compute", t, st.clock)
 
     def _exchange(self, st: _RankState, states: List[_RankState], op: Exchange) -> None:
-        """Send every message of ``op`` and post it for a ``Collect``."""
+        """Send every message of ``op`` and post it for a ``Collect``: one
+        loop over the messages, each copied, charged, traced and (under a
+        fault plan) crashed before, failed, dropped, delayed or duplicated
+        in it."""
         for peer in (*op.sends, *op.recv_from):
             if peer == st.rank or not 0 <= peer < self.nranks:
                 raise RuntimeSimulationError(f"rank {st.rank} exchanged with invalid "
                                              f"rank {peer} of {self.nranks}")
+        faults, trace, send_cost = self.faults, self.trace, self.cost.send_cost
         tag = st.exchanges
         for i, (dst, rows) in enumerate(op.sends.items()):
             # one op per message: a due crash fires between two of them
-            if i and self._check_crash(st):
+            if i and faults is not None and self._check_crash(st):
                 return
             st.ops_done += 1
-            if not self._send(st, states, dst, tag, rows, op.wire_bytes(rows)):
-                return
-        st.exchanges += 1
-        st.posted.append((tag, tuple(op.recv_from)))
-
-    def _send(self, st: _RankState, states: List[_RankState], dst: int, tag: int,
-              rows: Any, nbytes: int) -> bool:
-        """One message of an exchange; False on an injected send failure."""
-        verdict = None
-        if self.faults is not None:
-            verdict = self.faults.on_send(st.rank, dst, tag)
-            if verdict.fail:
+            verdict = None if faults is None else faults.on_send(st.rank, dst, tag)
+            if verdict is not None and verdict.fail:
                 # transient injection failure: thrown at the Exchange yield,
                 # after the earlier messages went and before any clock
                 # charge for this one, so the program can just retry
-                self.trace.record(st.rank, "fault", st.clock, st.clock,
-                                  info=f"send-fail->{dst}")
+                trace.record(st.rank, "fault", st.clock, st.clock, info=f"send-fail->{dst}")
                 st.resume = (st.gen.throw, SendFailedError(
                     f"injected transient send failure "
                     f"(rank {st.rank} -> {dst}, tag {tag!r})",
                     rank=st.rank, dst=dst, tag=tag,
                 ))
-                return False
-        payload = rows.copy() if isinstance(rows, np.ndarray) else _copy.deepcopy(rows)
-        flight, occupancy = self.cost.send_cost(st.rank, dst, nbytes)
-        t = st.clock
-        arrive = t + flight
-        st.clock += occupancy
-        if self.trace.enabled:
-            self.trace.record(st.rank, "send", t, st.clock, info=f"->{dst}",
-                              nbytes=nbytes)
-        if verdict is not None and not verdict.deliver:
-            self.trace.record(st.rank, "fault", st.clock, st.clock,
-                              info=f"drop->{dst}")
-            return True
-        copies = 1 if verdict is None else verdict.copies
-        if verdict is not None and verdict.extra_delay > 0:
-            arrive += verdict.extra_delay
-            self.trace.record(st.rank, "fault", st.clock, st.clock,
-                              info=f"delay->{dst}")
-        if copies > 1:
-            self.trace.record(st.rank, "fault", st.clock, st.clock,
-                              info=f"duplicate->{dst}")
-        states[dst].inbox.setdefault((st.rank, tag), []).extend(
-            [_Message(payload, arrive, st.rank, t)] * copies)
-        return True
+                return
+            payload = rows.copy() if isinstance(rows, np.ndarray) else _copy.deepcopy(rows)
+            nbytes = op.wire_bytes(rows)
+            flight, occupancy = send_cost(st.rank, dst, nbytes)
+            t = st.clock
+            arrive = t + flight
+            st.clock += occupancy
+            if trace.enabled:
+                trace.record(st.rank, "send", t, st.clock, info=f"->{dst}", nbytes=nbytes)
+            copies = 1
+            if verdict is not None:
+                if not verdict.deliver:
+                    trace.record(st.rank, "fault", st.clock, st.clock, info=f"drop->{dst}")
+                    continue
+                copies = verdict.copies
+                if verdict.extra_delay > 0:
+                    arrive += verdict.extra_delay
+                    trace.record(st.rank, "fault", st.clock, st.clock, info=f"delay->{dst}")
+                if copies > 1:
+                    trace.record(st.rank, "fault", st.clock, st.clock,
+                                 info=f"duplicate->{dst}")
+            states[dst].inbox.setdefault((st.rank, tag), []).extend(
+                [_Message(payload, arrive, st.rank, t)] * copies)
+        st.exchanges += 1
+        st.posted.append((tag, tuple(op.recv_from)))
 
     def _collect(self, st: _RankState) -> bool:
         """Receive the current ``Collect``'s messages in ``recv_from`` order,
-        discarding each one's duplicate copies with its queue; False when
-        the rank blocks (or crashes) before the last."""
-        peers = st.collecting[1]
-        while len(st.rows) < len(peers):
-            src, tag = key = st.awaited()
-            if key not in st.inbox:
+        discarding each one's duplicate copies with its queue: one loop,
+        each message waited for, traced and (under a fault plan) crashed
+        after; False when the rank blocks (or crashes) before the last."""
+        tag, peers = st.collecting
+        rows, inbox, trace = st.rows, st.inbox, self.trace
+        faults = self.faults
+        while len(rows) < len(peers):
+            src = peers[len(rows)]
+            queue = inbox.pop((src, tag), None)
+            if queue is None:
                 return False
-            msg = st.inbox.pop(key)[0]
+            msg = queue[0]
             if msg.arrive > st.clock:
-                if self.trace.enabled:
-                    self.trace.record(st.rank, "wait", st.clock, msg.arrive, info=f"<-{src}")
+                if trace.enabled:
+                    trace.record(st.rank, "wait", st.clock, msg.arrive, info=f"<-{src}")
                     # the arrival bound this rank: a critical-path dependency
                     # from the sender's clock at send start to the arrival
-                    self.trace.record_edge(
+                    trace.record_edge(
                         "message", msg.sender, msg.t_send, st.rank, msg.arrive,
                         info=f"tag={tag!r}",
                     )
                 st.clock = msg.arrive
-            if self.trace.enabled:
-                self.trace.record(st.rank, "recv", st.clock, st.clock, info=f"<-{src}")
-            st.rows.append(msg.payload)
+            if trace.enabled:
+                trace.record(st.rank, "recv", st.clock, st.clock, info=f"<-{src}")
+            rows.append(msg.payload)
             st.ops_done += 1
             # one op per message: a due crash fires between two of them
-            if len(st.rows) < len(peers) and self._check_crash(st):
+            if faults is not None and len(rows) < len(peers) and self._check_crash(st):
                 return False
-        st.resume = (st.gen.send, st.rows)
+        st.resume = (st.gen.send, rows)
         st.collecting, st.rows = None, []
         return True
 

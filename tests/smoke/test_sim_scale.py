@@ -1,19 +1,20 @@
 """Simulated-mode smoke at the paper's scale: Fig 9-10 run to N = 1152.
 
 A stage's communication is enacted once and reused for every later phase
-window, whose values come from one whole-graph run a round, so a
-paper-sized machine is seconds of wall time; CI's ``perf-gate`` job runs
-this file (``pytest -m smoke tests/smoke/test_sim_scale.py``).  The
-N = 64 cases keep the shortcut honest against a run that enacts every
-window (``sanitize="warn"``) and pin its whole-graph run count.
+window, whose values come from the whole-graph runs a sequential
+detection of the same rounds makes (several rounds side by side in one
+run), so a paper-sized machine is seconds of wall time; CI's
+``perf-gate`` job runs this file (``pytest -m smoke
+tests/smoke/test_sim_scale.py``).  The N = 64 cases keep the shortcut
+honest against a run that enacts every window (``sanitize="warn"``) and
+pin its whole-graph runs to the sequential call's.
 """
 
 import time
-from unittest import mock
 
 import pytest
 
-from repro.core import problems
+from _leveldp_drivers import log_whole_graph_layouts
 from repro.core.midas import MidasRuntime, detect_path
 from repro.graph.generators import erdos_renyi
 from repro.util.rng import RngStream
@@ -50,15 +51,19 @@ def test_memoised_virtual_seconds_equal_the_fully_enacted_twin():
     assert full.details["sanitizer"]["runs"] == 7 * 4
 
 
-def test_a_memoised_stage_makes_one_whole_graph_run_a_round():
+def test_a_memoised_stage_makes_the_sequential_whole_graph_runs(monkeypatch, tmp_path):
     g = erdos_renyi(800, m=3200, rng=RngStream(3, name="g"))
-    with mock.patch.object(problems, "run_whole_graph",
-                           wraps=problems.run_whole_graph) as runs:
-        memo = _detect(g, 8, n_processors=64, n1=16)
-    # an 8-path's 7 rounds at eps 0.2, each of its 4 windows of 64 lanes
-    # valued by one 256-lane run (the sequential window), not one run each
-    assert runs.call_count == memo.rounds_run == 7
-    assert {call.args[-1] for call in runs.call_args_list} == {256}
+    layouts = log_whole_graph_layouts(monkeypatch, tmp_path / "layouts")
+    memo = _detect(g, 8, n_processors=64, n1=16)
+    sim_runs = layouts()
+    (tmp_path / "layouts").unlink()
+    seq = detect_path(g, 8, eps=0.2, rng=RngStream(2), early_exit=False,
+                      runtime=MidasRuntime())
+    # an 8-path's 7 rounds at eps 0.2: the 4 windows of 64 lanes of every
+    # round are valued by a sequential detection's runs, one window fusing
+    # 4 rounds of 256 lanes, the next the other 3 — not a run a round
+    assert sim_runs == layouts() == [("PlaneLanes", 1024), ("PlaneLanes", 768)]
+    assert [r.value for r in memo.rounds] == [r.value for r in seq.rounds]
     full = _detect(g, 8, n_processors=64, n1=16, sanitize="warn")
     assert memo.virtual_seconds == full.virtual_seconds
     assert [r.value for r in memo.rounds] == [r.value for r in full.rounds]

@@ -9,7 +9,9 @@ regression that :func:`detect_scan_cell` actually honors
 ``runtime.mode`` (it used to silently run sequentially).
 """
 
+import gc
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.core.engine import BACKENDS
+from repro.core.engine import BACKENDS, DetectionEngine
 from repro.core.midas import (
     MidasRuntime,
     detect_path,
@@ -433,3 +435,30 @@ class TestModeRules:
                      'if mode not in ("warn", "strict"):',
                      'if config.get("mode") in POOLED:'):
             assert self._MODE_LITERAL.search(line), line
+
+
+@pytest.mark.parametrize("mode", ["sequential", "simulated"])
+def test_a_closed_engine_is_freed_without_the_cycle_collector(mode, monkeypatch):
+    """A finished driver call leaves no reference cycle through its engine
+    (the engine and its backend point at each other until it closes), so
+    the engine, its session, halo views and tables go when the call
+    returns — not at a full garbage collection, which numpy memory never
+    counts towards: a simulated ledger op's resident set grew about 60 KB
+    an op with the cycle standing."""
+    engines = []
+    real_init = DetectionEngine.__init__
+
+    def spy(self, *args, **kw):
+        real_init(self, *args, **kw)
+        engines.append(weakref.ref(self))
+
+    monkeypatch.setattr(DetectionEngine, "__init__", spy)
+    g = erdos_renyi(60, 150, rng=RngStream(3, name="g"))
+    shape = dict(n_processors=8, n1=4) if mode == "simulated" else {}
+    gc.disable()
+    try:
+        detect_path(g, 5, eps=0.5, rng=RngStream(4), early_exit=False,
+                    runtime=MidasRuntime(mode=mode, metrics=MetricsRegistry(), **shape))
+        assert len(engines) == 1 and engines[0]() is None
+    finally:
+        gc.enable()

@@ -4,8 +4,8 @@ The level-DP driver picks the layout, not the field or the engine:
 :func:`~repro.core.leveldp.run_whole_graph` builds ``PlaneLanes`` at any
 width — a window on the whole-graph backends (sequential, threaded, the
 process fleet's workers), modeled mode's windows, and the runs a
-simulated round's reused windows take their values from (as wide as the
-sequential window) — while simulated ranks stay element-wise.  The same
+simulated stage's reused windows take their values from (the sequential
+call's) — while simulated ranks stay element-wise.  The same
 for k-path, k-tree, weighted path and every scan-grid row.  Whatever the
 mode, every round value and round digest equals the sequential
 ``n2 = 32`` run's — round values do not depend on N2 — and at
@@ -101,18 +101,24 @@ def test_auto_routes_planes_by_mode_and_width_only(driver, mode, n2, inputs,
         assert sorted(log.phases.values()) == sorted(ref_log.phases.values())
 
 
-def test_a_simulated_round_runs_as_wide_as_the_sequential_window(monkeypatch, tmp_path):
+def test_a_simulated_stage_makes_the_sequential_whole_graph_runs(monkeypatch, tmp_path):
     """Default ``n2``: a simulated k = 8 stage on 64 ranks in groups of 16
-    has 64-lane windows, and its reused windows are valued by one 256-lane
-    plane run a round — a sequential run's window; modeled mode runs its
-    64-lane windows on planes one at a time."""
+    has 64-lane windows, and its reused windows are valued by the plane
+    runs the same call makes in sequential mode — its two rounds side by
+    side in one 512-lane run; modeled mode runs its 64-lane windows on
+    planes one at a time."""
     g = erdos_renyi(200, 800, rng=RngStream(8, name="g"))
     assert MidasRuntime().schedule_for(8, g.n).n2 == 256
     layouts = log_whole_graph_layouts(monkeypatch, tmp_path / "layouts")
     sim = detect_path(g, 8, eps=0.7, rng=RngStream(9), early_exit=False,
                       runtime=MidasRuntime(mode="simulated", n_processors=64, n1=16))
     assert sim.n2 == 64
-    assert layouts() == [("PlaneLanes", 256)] * len(sim.rounds)
+    sim_runs = layouts()
+    (tmp_path / "layouts").unlink()
+    seq = detect_path(g, 8, eps=0.7, rng=RngStream(9), early_exit=False,
+                      runtime=MidasRuntime())
+    assert sim_runs == layouts() == [("PlaneLanes", 512)]
+    assert [r.value for r in seq.rounds] == [r.value for r in sim.rounds]
     (tmp_path / "layouts").unlink()
     modeled = detect_path(g, 8, eps=0.7, rng=RngStream(9), early_exit=False,
                           runtime=MidasRuntime(mode="modeled", n_processors=64, n1=16))
