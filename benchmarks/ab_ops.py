@@ -15,8 +15,10 @@ it respawns the pair, because a process pair carries a bias of its own
 of replication.
 
 It prints each pair's median per-op ratio head/base, then the median of
-the pair medians and their spread (min..max).  A move counts only
-outside the spread an ``--aa`` run shows on the same host.  Exit status
+the pair medians, their spread (min..max) and how many pairs the head
+won (a pair median below 1).  A move counts only outside the spread an
+``--aa`` run shows on the same host, and a speed claim wants at least 9
+of the default 10 pairs won.  Exit status
 1 when an op fails or its digest is not the first op's.
 """
 
@@ -119,10 +121,10 @@ def main(argv=None) -> int:
                     help="ops a pair runs before both workers are respawned "
                          "(default 100; 20 with --quick)")
     ap.add_argument("--pairs", type=int, default=None,
-                    help="worker pairs (default 5; 2 with --quick)")
+                    help="worker pairs (default 10; 2 with --quick)")
     args = ap.parse_args(argv)
     args.ops = args.ops or (20 if args.quick else 100)
-    args.pairs = args.pairs or (2 if args.quick else 5)
+    args.pairs = args.pairs or (2 if args.quick else 10)
     head = args.base if args.aa else args.head
 
     with tempfile.TemporaryDirectory(prefix="ab_ops-") as tmp:
@@ -148,7 +150,8 @@ def main(argv=None) -> int:
             subprocess.run(["git", "-C", str(ROOT), "worktree", "prune"], capture_output=True)
     label = f"{args.base} vs itself" if args.aa else f"{args.base} -> {head}"
     print(f"{args.workload} {label}: median of {len(medians)} pair medians "
-          f"{statistics.median(medians):.4f}, spread {min(medians):.4f}..{max(medians):.4f}")
+          f"{statistics.median(medians):.4f}, spread {min(medians):.4f}..{max(medians):.4f}; "
+          f"head faster in {sum(m < 1 for m in medians)}/{len(medians)} pairs")
     return 0
 
 

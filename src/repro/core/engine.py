@@ -344,9 +344,10 @@ class MidasRuntime:
     def resolve_kernel(self, m: int, n2: int, plane: object = None) -> str:
         """A GF kernel name for a field of degree ``m`` behind ``n2``-lane
         windows, kept only for ``benchmarks/ledger/layers.py``; it goes
-        with ROADMAP item 1.  No run reads it: every whole-graph run is
-        plane-resident and every rank element-wise, whatever the field's
-        kernel (:mod:`repro.core.leveldp`).  ``plane`` is ignored."""
+        with ROADMAP item 1.  No run reads it: every level step — a
+        whole-graph run, a simulated rank, the exchange probe, the kernel
+        calibration — runs on the one plane layout, whatever the field's
+        kernel (:class:`repro.core.leveldp.Lanes`).  ``plane`` is ignored."""
         if n2 >= 64:
             return "bitsliced"
         return "table" if m <= 8 else "logexp"

@@ -8,29 +8,31 @@ factors that into three orthogonal pieces:
 
 * a **recurrence** — one generator function per problem
   (:meth:`MLDCircuit.recurrence` interprets any circuit as one).  It is
-  handed a *lane layout*, asks it for level base blocks / coefficients /
-  multiplies, and ``yield``\\ s a state array whenever it needs that
+  handed the lanes, asks them for level base blocks, per-row scalings
+  and multiplies, and ``yield``\\ s a state array whenever it needs that
   state summed over neighbours; the ``yield`` evaluates to the neighbour
   sum, aligned with the same rows.  It ``return``\\ s the final state.
   A recurrence never sees a graph, a halo, a message tag, a comm op or a
   weight, and treats every axis after the first (rows) as opaque;
-* a **lane layout** — how the ``n2`` iterations of a phase, of one
-  round or of ``R`` rounds side by side, each at ``P`` evaluation points
-  of a weighted kind's ``z`` (:class:`PointBlocks`), are stored:
-  :class:`ElementLanes` keeps ``(rows, P R n2)`` field elements,
-  :class:`PlaneLanes` keeps ``(rows, m, W)`` uint64 bit-planes
-  (:mod:`repro.ff.bitsliced`) — that *logical* shape over plane-major
-  memory; either way the phase indicator is computed once per window;
-* a **driver** — where the rows live, and so which layout they take:
-  :func:`run_whole_graph` holds all of them in one process on bit-planes,
-  in the graph's jagged-diagonal row order for the whole window, at any
-  width and in any field; :func:`phase_program` spreads them over
-  simulated ranks, element-wise, and owns the only halo exchange in the
-  code base (blocking, or overlapped with the own-column half of the
-  sum).  Both sum through the one :func:`neighbour_sum`.
+* the **lanes** (:class:`Lanes`) — the one layout of the ``n2``
+  iterations of a phase, of one round or of ``R`` rounds side by side,
+  each at ``P`` evaluation points of a weighted kind's ``z``
+  (:class:`PointBlocks`): ``(rows, m, W)`` uint64 bit-planes
+  (:mod:`repro.ff.bitsliced`), that *logical* shape over plane-major
+  memory, the phase indicator packed once per window.  A level's
+  multiply by each row's ``y`` is a GF(2)-linear map in a narrow window
+  and the schoolbook multiply in a wide one — a width rule inside the
+  class, not a choice anyone makes;
+* a **driver** — where the rows live:
+  :func:`run_whole_graph` holds all of them in one process, in the
+  graph's jagged-diagonal row order for the whole window, at any width
+  and in any field; :func:`phase_program` spreads them over simulated
+  ranks and owns the only halo exchange in the code base (blocking, or
+  overlapped with the own-column half of the sum).  Both sum through the
+  one :func:`neighbour_sum`.
 
-Adding a problem is building one circuit; adding a layout or an
-exchange discipline is one branch here, and every problem gets it.
+Adding a problem is building one circuit; adding an exchange discipline
+is one branch here, and every problem gets it.
 
 The allocator policy is here too: a process's first :func:`run_whole_graph`
 window fixes glibc's malloc thresholds (:func:`retain_worker_heaps`) for
@@ -125,8 +127,21 @@ class PointBlocks:
         return self.points.coefficients(values, self.z_max + 1)
 
 
+@lru_cache(maxsize=None)
+def _spread_bytes(n2: int) -> np.ndarray:
+    """``(256, n2)`` uint8: row ``v`` is the ``8 n2`` little-endian lane
+    bits of 8 consecutive ``n2``-lane blocks, block ``j``'s lanes set iff
+    bit ``j`` of ``v`` is."""
+    bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
+    return np.packbits(np.repeat(bits, n2, axis=1).astype(np.uint8), axis=1,
+                       bitorder="little")
+
+
 class Lanes:
-    """One phase window ``[q_start, q_start + n2)`` over a set of rows.
+    """One phase window ``[q_start, q_start + n2)`` over ``rows`` (vertex
+    ids: a rank's own, the graph's jagged-diagonal order; ``None``: the
+    whole graph) as ``(rows, m, W)`` uint64 bit-planes, 64 iterations a
+    word (:mod:`repro.ff.bitsliced`) — the one lane layout.
 
     ``fp`` is one round's :class:`~repro.ff.fingerprint.Fingerprint`, or a
     sequence of ``R`` of them: the window then carries ``R`` rounds side
@@ -137,10 +152,22 @@ class Lanes:
     ``p R + r`` holding round ``r`` at point ``p``.  Blocks are
     independent, so nothing a recurrence does mixes lanes of two of them.
 
-    ``rows`` restricts to a subset of vertex ids (a rank's own vertices);
-    ``None`` means the whole graph.  Subclasses fix the storage of the
-    ``P R n2`` iterations; recurrences only call the methods below.
+    ``(rows, m, W)`` is the *logical* shape — what recurrences index; the
+    memory order is the arithmetic's (plane-major from the schoolbook,
+    row-major from the one-word map, :meth:`scale`).  The ``{0, 1}``
+    indicator is packed into lane words once per window; each level's base
+    block is one masked AND of them.  Lanes past ``P R n2`` in the last
+    word are zero in the packed indicator, so every state is zero there,
+    and :meth:`finish` drops them.  A level's coefficient differs per block: a block filling
+    whole words (``n2`` a multiple of 64) takes its ``y`` mask on each of
+    them; blocks sharing words have each plane's bits packed 8 blocks a
+    byte and spread to their lanes by one table read (:func:`_spread_bytes`).
     """
+
+    #: the largest ``(rows, m, m)`` uint64 mask block :meth:`scale` builds
+    #: for the linear map, in bytes: one-word windows past it (about 450
+    #: rows at m = 6, 64 at m = 16) take the schoolbook, which wins there
+    MAP_BYTES = 128 << 10
 
     def __init__(self, fp, q_start: int, n2: int,
                  rows: Optional[np.ndarray] = None,
@@ -158,10 +185,15 @@ class Lanes:
             self._ys = self.take(np.stack([f.y for f in self.fps], axis=-1))
         if points is not None:
             self._powers = self.take(points.powers)  # (rows, P)
+        self.bs = self.field.bitsliced
+        self.words = self.bs.pack_indicator(self._indicator())
+        self._ones = None  # the all-lanes word block, built on first use
+        m, (rows, w) = self.bs.m, self.words.shape
+        self._map = self.blocks == w == 1 and 8 * rows * m * m <= self.MAP_BYTES
 
     def _indicator(self) -> np.ndarray:
         """{0, 1}, ``(rows, P R n2)``: depends on the window alone, not on the
-        level, so each layout stores it once, in its own form."""
+        level, so it is packed once."""
         blocks = [f.base_block(self.q_start, self.n2, nodes=self.rows)
                   for f in self.fps]
         ind = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
@@ -190,104 +222,6 @@ class Lanes:
         else:
             y = np.broadcast_to(y, (rows, self.points.count, self.rounds))
         return y.reshape(rows, self.blocks) if self.blocks > 1 else y.reshape(rows)
-
-    def base(self, level: int) -> np.ndarray:
-        """The evaluated variable ``x_i`` at ``level``: ``y[i, level]``
-        (times ``p^{w(i)}`` at point ``p``) on the lanes where the phase
-        indicator is set, 0 elsewhere."""
-        raise NotImplementedError
-
-    def coeff(self, level: int) -> np.ndarray:
-        """``y[i, level]`` on every lane (broadcastable against a state)."""
-        raise NotImplementedError
-
-    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Field product, broadcasting over the row axis."""
-        raise NotImplementedError
-
-    def mul_sum(self, pairs: list) -> np.ndarray:
-        """``sum of a * b`` over ``pairs`` of states of one shape."""
-        raise NotImplementedError
-
-    def finish(self, state: np.ndarray) -> np.ndarray:
-        """Sum a state over its rows: ``(P R n2,)`` field elements."""
-        raise NotImplementedError
-
-
-class ElementLanes(Lanes):
-    """``(rows, P R n2)`` field elements, one per iteration: the layout of
-    a simulated rank (:func:`phase_program`) and of what models one
-    (:func:`exchange_signature`, the kernel calibration)."""
-
-    def __init__(self, fp, q_start: int, n2: int,
-                 rows: Optional[np.ndarray] = None,
-                 points: Optional[PointBlocks] = None) -> None:
-        super().__init__(fp, q_start, n2, rows, points)
-        self.indicator = self._indicator()
-
-    def _lanes(self, y: np.ndarray) -> np.ndarray:
-        # one block: a broadcast column; several: each block's y on its lanes
-        return y[:, None] if self.blocks == 1 else np.repeat(y, self.n2, axis=1)
-
-    def base(self, level: int) -> np.ndarray:
-        # indicator in {0, 1}: multiply == select; avoids a field multiply
-        return (self.indicator * self._lanes(self._y(level, variable=True))).astype(
-            self.field.dtype, copy=False)
-
-    def coeff(self, level: int) -> np.ndarray:
-        return self._lanes(self._y(level))
-
-    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self.field.mul(a, b)
-
-    def mul_sum(self, pairs: list) -> np.ndarray:
-        acc = self.field.mul(*pairs[0])
-        for a, b in pairs[1:]:
-            acc ^= self.field.mul(a, b)
-        return acc
-
-    def finish(self, state: np.ndarray) -> np.ndarray:
-        return self.field.xor_sum(state, axis=0)
-
-
-@lru_cache(maxsize=None)
-def _spread_bytes(n2: int) -> np.ndarray:
-    """``(256, n2)`` uint8: row ``v`` is the ``8 n2`` little-endian lane
-    bits of 8 consecutive ``n2``-lane blocks, block ``j``'s lanes set iff
-    bit ``j`` of ``v`` is."""
-    bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
-    return np.packbits(np.repeat(bits, n2, axis=1).astype(np.uint8), axis=1,
-                       bitorder="little")
-
-
-class PlaneLanes(Lanes):
-    """``(rows, m, W)`` uint64 bit-planes, 64 iterations per word.
-
-    That is the *logical* shape — what recurrences index.  In memory the
-    plane axis is outermost: a state is a transposed view of a contiguous
-    ``(m, rows, W)`` block, so the multiply is ``2m`` unit-stride block
-    ops over ``rows x W`` words (:meth:`BitslicedGF2m.mul`).  The ``{0,
-    1}`` indicator is packed into lane words once per phase; each level's
-    base block is one masked AND of them.  A window of fewer than 64 lanes
-    is one partial word: the lanes past it are zero in the packed
-    indicator, so every state is zero there, and :meth:`finish` drops them.
-
-    With several blocks (rounds, points) in the window a level's
-    coefficient differs per block.  When a block fills whole words (``n2``
-    a multiple of 64) each word belongs to one block and takes that
-    block's ``y`` mask; otherwise blocks share words, and each plane's
-    bits are packed 8 blocks a byte and spread to their lanes by one table
-    read (:func:`_spread_bytes`).  The last word's lanes past ``P R n2``
-    stay zero.
-    """
-
-    def __init__(self, fp, q_start: int, n2: int,
-                 rows: Optional[np.ndarray] = None,
-                 points: Optional[PointBlocks] = None) -> None:
-        super().__init__(fp, q_start, n2, rows, points)
-        self.bs = self.field.bitsliced
-        self.words = self.bs.pack_indicator(self._indicator())
-        self._ones = None  # the all-lanes word block, built by the first coeff
 
     def _planes(self, words: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Planes of the per-row, per-block ``y`` on the lanes set in ``words``."""
@@ -319,20 +253,35 @@ class PlaneLanes(Lanes):
         return planes.reshape(m, rows, words.shape[-1]).transpose(1, 0, 2)
 
     def base(self, level: int) -> np.ndarray:
+        """The evaluated variable ``x_i`` at ``level``: ``y[i, level]``
+        (times ``p^{w(i)}`` at point ``p``) on the lanes where the phase
+        indicator is set, 0 elsewhere."""
         return self._planes(self.words, self._y(level, variable=True))
 
-    def coeff(self, level: int) -> np.ndarray:
-        if self._ones is None:
+    def scale(self, level: int, acc: np.ndarray, variable: bool = False) -> np.ndarray:
+        """``acc`` times the ``variable`` ``x_i`` at ``level`` (:meth:`base`),
+        or the join coefficient ``y[i, level]`` on every lane: the linear
+        map :meth:`~repro.ff.bitsliced.BitslicedGF2m.mul_rows` in a
+        one-block, one-word window whose masks fit :attr:`MAP_BYTES` (a
+        rank's few dozen rows, a graph of a few hundred), else the
+        schoolbook multiply."""
+        y = self._y(level, variable)
+        if self._map:
+            return self.bs.mul_rows(y, acc, self.words if variable else None)
+        if not variable and self._ones is None:
             self._ones = np.full_like(self.words, ~np.uint64(0))
-        return self._planes(self._ones, self._y(level))
+        return self.bs.mul(self._planes(self.words if variable else self._ones, y), acc)
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Field product, broadcasting over the row axis."""
         return self.bs.mul(a, b)
 
     def mul_sum(self, pairs: list) -> np.ndarray:
+        """``sum of a * b`` over ``pairs`` of states of one shape."""
         return self.bs.mul_sum(pairs)
 
     def finish(self, state: np.ndarray) -> np.ndarray:
+        """Sum a state over its rows: ``(P R n2,)`` field elements."""
         return self.bs.unslice(self.bs.xor_sum(state, axis=0), self.width,
                                self.field.dtype)
 
@@ -385,7 +334,7 @@ def run_whole_graph(graph: CSRGraph, recurrence: Recurrence, fp,
     of a sequence of fingerprints side by side, and at each of
     ``points``' evaluation points (see :class:`Lanes`).
 
-    The state is :class:`PlaneLanes` bit-planes whatever the field and the
+    The state is :class:`Lanes` bit-planes whatever the field and the
     width, and lives in the graph's jagged-diagonal row order
     (:meth:`CSRGraph.jagged`) from the first base block to the last
     multiply — the lanes are built over ``rows=order`` and the final sum
@@ -403,7 +352,7 @@ def run_whole_graph(graph: CSRGraph, recurrence: Recurrence, fp,
     if _heaps_retained is None:
         _heaps_retained = retain_worker_heaps()
     jagged = graph.jagged().linked() if linked_only else graph.jagged()
-    lanes = PlaneLanes(fp, q_start, n2, rows=jagged.order, points=points)
+    lanes = Lanes(fp, q_start, n2, rows=jagged.order, points=points)
     gen = recurrence(lanes)
     state, done = _advance(gen)
     while not done:
@@ -422,17 +371,16 @@ def exchange_signature(recurrence: Recurrence, fp: Fingerprint, q_start: int,
     """The window's *exchange signature*: the ``(row shape, dtype)`` of
     every state ``recurrence`` asks to have neighbour-summed, as
     :func:`phase_program`'s ranks hold it — taken by driving the
-    recurrence on zero rows of :class:`ElementLanes`, so it costs no DP.
-    Each of those states is one halo exchange whose message sizes are the
-    partition's boundary lists times that row, so two windows of one
-    stage with equal signatures put the same messages on the wire — the
-    guard the simulated backend keys its memoised phase timelines by.
-    The signature may depend on the window (``q_start``: a recurrence may
-    widen a state from some iteration on) but not on ``fp``'s draws, only
-    on its shape, so the backend probes it once per window start of a
-    stage."""
-    gen = recurrence(ElementLanes(fp, q_start, n2, rows=np.zeros(0, np.int64),
-                                  points=points))
+    recurrence on zero rows of :class:`Lanes`, so it costs no DP.
+    Each of those states is one halo exchange whose messages are the
+    partition's boundary lists, so two windows of one stage with equal
+    signatures put the same messages on the wire — the guard the
+    simulated backend keys its memoised phase timelines by.  The
+    signature may depend on the window (``q_start``: a recurrence may
+    exchange one more state from some iteration on) but not on ``fp``'s
+    draws, only on its shape, so the backend probes it once per window
+    start of a stage."""
+    gen = recurrence(Lanes(fp, q_start, n2, rows=np.zeros(0, np.int64), points=points))
     signature = []
     state, done = _advance(gen)
     while not done:
@@ -446,7 +394,8 @@ def phase_program(views: List[HaloView], recurrence: Recurrence, fp: Fingerprint
                   points: Optional[PointBlocks] = None):
     """SPMD rank program evaluating ``recurrence`` on ``len(views)`` ranks.
 
-    Each rank holds its own rows element-wise.  Whenever the recurrence
+    Each rank holds its own rows on :class:`Lanes` bit-planes, as a
+    whole-graph run does.  Whenever the recurrence
     asks for a neighbour sum, the rank posts one halo exchange
     (:class:`~repro.runtime.comm.Exchange`: the state's boundary rows to
     each peer as one message batched over the phase's ``n2`` iterations
@@ -467,19 +416,20 @@ def phase_program(views: List[HaloView], recurrence: Recurrence, fp: Fingerprint
     same value (an ``int`` for a scalar accumulator) — bit-identical to
     :func:`run_whole_graph` folded over its last axis.  With ``points`` a
     rank interpolates its partial values into the ``(z_max + 1,)`` weight
-    cells before the all-reduce (interpolation is linear), and a halo
-    message is charged as the paper's weight-axis row, ``z_max + 1``
-    cells of ``n2`` base-field elements a row, whatever ``P`` is.  Every
+    cells before the all-reduce (interpolation is linear).  A halo
+    message is charged as the paper's element rows, whatever the planes
+    weigh: ``n2`` base-field elements a row, times the ``z_max + 1``
+    weight cells with ``points``, whatever ``P`` is.  Every
     state a recurrence yields must have one shape: the ghost buffer is
     allocated at the first exchange.
     """
-    # wire bytes of one message row: the state's own, or the paper's row
-    row_bytes = (None if points is None
-                 else (points.z_max + 1) * n2 * np.dtype(fp.field.dtype).itemsize)
+    # wire bytes of one message row: the paper's row of field elements
+    cells = 1 if points is None else points.z_max + 1
+    row_bytes = cells * n2 * np.dtype(fp.field.dtype).itemsize
 
     def program(ctx):
         view = views[ctx.rank]
-        lanes = ElementLanes(fp, q_start, n2, rows=view.own, points=points)
+        lanes = Lanes(fp, q_start, n2, rows=view.own, points=points)
         peers, recv_from = tuple(view.send_lists), tuple(view.recv_lists)
         send_rows, send_slices, recv_rows = view.flat_lists()
         if overlapped:
@@ -534,9 +484,7 @@ def phase_program(views: List[HaloView], recurrence: Recurrence, fp: Fingerprint
 
 
 __all__ = [
-    "ElementLanes",
     "Lanes",
-    "PlaneLanes",
     "PointBlocks",
     "Recurrence",
     "exchange_signature",

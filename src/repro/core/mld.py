@@ -350,9 +350,9 @@ class MLDCircuit:
                 if op.factor is not None:
                     acc = lanes.mul(slots[op.factor], acc)
                 if op.variable_level is not None:
-                    acc = lanes.mul(lanes.base(op.variable_level), acc)
+                    acc = lanes.scale(op.variable_level, acc, variable=True)
                 if op.coeff_level is not None:
-                    acc = lanes.mul(lanes.coeff(op.coeff_level), acc)
+                    acc = lanes.scale(op.coeff_level, acc)
                 for slot in dying[at]:
                     slots.pop(slot, None)
                 slots[op.target] = acc

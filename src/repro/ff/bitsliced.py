@@ -14,9 +14,11 @@ layout
   the other operand at once) — followed by a block reduction derived from
   the modulus (``x^m = modulus mod x^m``): the high planes fold down in
   chunks of ``m - max(tap)`` planes, one XOR per tap per chunk;
-* scalar multiplication is a GF(2)-linear map: at most ``m`` XORs per
-  output plane, with the column masks ``s * x^i mod modulus`` precomputed
-  per scalar.
+* multiplication by a fixed element is a GF(2)-linear map: output plane
+  ``b`` is the XOR of the input planes ``j`` with bit ``b`` set in ``s *
+  x^j mod modulus``, the ``m x m`` masks read from a per-field table —
+  for one scalar (:meth:`BitslicedGF2m.mul_scalar`) or for each row its
+  own (:meth:`BitslicedGF2m.mul_rows`).
 
 This is the trick the paper's C kernels (and Williams' original 2^k
 algorithm) lean on: ~``m^2`` word ops cover 64 iteration lanes at once,
@@ -26,16 +28,15 @@ where the table kernel pays one gather *per lane*.
 shape ``(..., m, W)`` with ``W = ceil(n2 / 64)``: the leading axes stay
 the node (and any other) axes, so callers index rows exactly as they index
 element arrays.  The *memory* order is free.  :meth:`slice` returns
-node-major (C-contiguous) planes; the arithmetic (:meth:`mul`,
-:meth:`square`, :meth:`planes_from_words`) accepts any order and returns
-**plane-major** memory — a ``(m, ..., W)`` block seen through a
-transposed view, its other axes in the order of the full-shape operand
-(an ``(m, Z, rows, W)`` block stays so) — because that is
-where every op of the schedule is one unit-stride pass over whole
-planes, and where the evaluators' neighbour sum
-(:func:`repro.core.leveldp.neighbour_sum`: per neighbour slot a ``take``
-and an in-place XOR, both following an array's memory order) runs along
-contiguous words.  The whole DP stays
+node-major (C-contiguous) planes, and so does :meth:`mul_rows`, made for
+one-word windows; :meth:`mul` and :meth:`planes_from_words` accept any
+order and return **plane-major** memory — a ``(m, ..., W)`` block seen
+through a transposed view, its other axes in the order of the full-shape
+operand (an ``(m, Z, rows, W)`` block stays so) — where every op of the
+schedule is one unit-stride pass over whole planes, and where the
+evaluators' neighbour sum (:func:`repro.core.leveldp.neighbour_sum`: per
+neighbour slot a ``take`` and an in-place XOR, both following an array's
+memory order) runs along contiguous words.  The whole DP stays
 plane-resident across levels and only the final ``(m, W)`` reduction is
 unpacked.  The round-trip per-call dispatch (slice, multiply, unslice) is
 also provided for API completeness; it is the *plane-resident* use that
@@ -51,12 +52,11 @@ is masked out by ``unslice(..., n2)``.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.errors import FieldError
-from repro.ff.poly2 import poly_mulmod
 from repro.util.layout import memory_order
 
 _MAX_M = 16
@@ -90,7 +90,8 @@ class BitslicedGF2m:
 
     All plane arguments have logical shape ``(..., m, W)`` uint64, in any
     memory order (see the module docs).  The substrate is stateless apart
-    from the reduction taps and a per-scalar column cache, so one instance
+    from the reduction taps and the linear-map tables (built on first
+    use, the same every time), so one instance
     may be shared by any number of threads.
     """
 
@@ -104,7 +105,7 @@ class BitslicedGF2m:
         # which lies within m - max(tap) planes of d, so that many fold at once
         self._taps = tuple(s for s in range(self.m) if (self.modulus >> s) & 1)
         self._fold = self.m - max(self._taps, default=0)
-        self._scalar_cols: Dict[int, Tuple[int, ...]] = {}
+        self._maps: Optional[Tuple[np.ndarray, ...]] = None
 
     # ------------------------------------------------------------- layout
     def words(self, n2: int) -> int:
@@ -128,12 +129,10 @@ class BitslicedGF2m:
     def unslice(self, planes: np.ndarray, n2: int, dtype=np.uint8) -> np.ndarray:
         """Transpose ``(..., m, W)`` planes back to ``(..., n2)`` elements."""
         planes = np.ascontiguousarray(planes, dtype=np.uint64)
-        out = np.zeros(planes.shape[:-2] + (n2,), dtype=dtype)
-        for b in range(self.m):
-            row = np.ascontiguousarray(planes[..., b, :]).view(np.uint8)
-            bits = np.unpackbits(row, axis=-1, count=n2, bitorder="little")
-            out |= bits.astype(dtype) << dtype(b)
-        return out
+        bits = np.unpackbits(planes.view(np.uint8), axis=-1, count=n2,
+                             bitorder="little").astype(dtype)  # (..., m, n2)
+        bits <<= np.arange(self.m, dtype=dtype)[:, None]
+        return np.bitwise_or.reduce(bits, axis=-2)
 
     def pack_indicator(self, indicator: np.ndarray) -> np.ndarray:
         """Pack a ``(n, n2)`` {0, 1} indicator into ``(n, W)`` lane words.
@@ -158,10 +157,6 @@ class BitslicedGF2m:
         bits = (np.asarray(y)[None, :] >> np.arange(self.m)[:, None]) & 1
         mask = -bits.astype(np.uint64)  # 0 -> 0, 1 -> ~0
         return _plane_back(mask[:, :, None] & iw)
-
-    def indicator_planes(self, indicator: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """One-shot :meth:`pack_indicator` + :meth:`planes_from_words`."""
-        return self.planes_from_words(self.pack_indicator(indicator), y)
 
     # --------------------------------------------------------- arithmetic
     def add(self, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
@@ -242,75 +237,64 @@ class BitslicedGF2m:
                 t[i : i + m] ^= tmp
         return self._reduce(t)
 
-    def square(self, pa: np.ndarray) -> np.ndarray:
-        """Plane squaring: ``(sum a_i x^i)^2 = sum a_i x^{2i}`` in char 2."""
-        a = _plane_first(pa)
-        t = np.zeros((2 * self.m - 1,) + a.shape[1:], dtype=np.uint64)
-        t[::2] = a
-        return self._reduce(t)
+    def _row_maps(self) -> tuple:
+        """One table per byte of a scalar ``y``: ``(256, m, m)`` 0/~0 words
+        (fewer rows above ``m``), entry ``[v, b, j]`` set iff bit ``b`` of
+        ``(v << 8t) * x^j`` is.  The map is linear in ``y``, so past ``m =
+        8`` its matrix is the XOR of two tables' rows, not one of ``2^m``."""
+        if self._maps is None:
+            m, maps = self.m, []
+            for shift in range(0, m, 8):
+                col = np.arange(1 << min(8, m - shift), dtype=np.int64) << shift
+                cols = []
+                for _ in range(m):  # column j is v * x^j mod the modulus
+                    cols.append(col)
+                    col = col << 1
+                    col = np.where((col >> m) & 1, col ^ self.modulus, col)
+                bits = (np.stack(cols, axis=-1)[:, None, :] >> np.arange(m)[:, None]) & 1
+                maps.append(np.negative(bits.astype(np.uint64)))
+            self._maps = tuple(maps)
+        return self._maps
 
-    def pow(self, pa: np.ndarray, e: int) -> np.ndarray:
-        """Plane power ``a^e`` (``e >= 0``), square-and-multiply.
+    def _masks(self, y: np.ndarray) -> np.ndarray:
+        """``(len(y), m, m)``: each scalar's matrix, from :meth:`_row_maps`."""
+        maps = self._row_maps()
+        masks = maps[0].take(y & 0xFF if len(maps) > 1 else y, axis=0)
+        for t, table in enumerate(maps[1:], 1):
+            masks ^= table.take((y >> (8 * t)) & 0xFF, axis=0)
+        return masks
 
-        Matches the table kernel's convention exactly: ``a^0 = 1`` for
-        every element including 0; for ``e > 0`` with ``e mod (2^m - 1)
-        == 0``, zero lanes stay 0 and nonzero lanes become 1.
+    def mul_rows(self, y: np.ndarray, pb: np.ndarray, words=None) -> np.ndarray:
+        """Row ``i`` of planes ``pb`` (logical ``(rows, m, W)``) times the
+        scalar ``y[i]``, ANDed with the ``(rows, W)`` lane ``words`` if
+        given: :meth:`mul` of :meth:`planes_from_words` and ``pb``, lane
+        for lane.  Multiplying by a fixed element is GF(2)-linear, so this
+        is one gather of each row's ``m x m`` masks, one broadcast AND and
+        one XOR-reduce.  The temporary is ``m`` states wide, so it pays
+        only in a small one-word window (:class:`~repro.core.leveldp.Lanes`
+        keeps its masks within ``Lanes.MAP_BYTES``); past that the
+        schoolbook :meth:`mul` wins.  Returns row-major planes, which a
+        one-word neighbour sum gathers fastest.
         """
-        if e < 0:
-            raise FieldError(f"exponent must be non-negative, got {e}")
-        pa = np.asarray(pa, dtype=np.uint64)
-        if e == 0:
-            out = np.zeros_like(pa)
-            out[..., 0, :] = np.uint64(0xFFFFFFFFFFFFFFFF)
-            return out
-        q1 = (1 << self.m) - 1
-        er = e % q1
-        if er == 0:
-            nonzero = np.bitwise_or.reduce(pa, axis=-2)
-            out = np.zeros_like(pa)
-            out[..., 0, :] = nonzero
-            return out
-        result = None
-        base = pa
-        while er:
-            if er & 1:
-                result = base.copy() if result is None else self.mul(result, base)
-            er >>= 1
-            if er:
-                base = self.square(base)
-        return result
-
-    def inv(self, pa: np.ndarray) -> np.ndarray:
-        """Plane inverse ``a^(2^m - 2)``; zero lanes are the caller's problem
-        (they come back 0)."""
-        return self.pow(pa, (1 << self.m) - 2)
+        masks = self._masks(y)[..., None]  # (rows, m, m, 1) against (rows, 1, m, W)
+        pb = np.asarray(pb, dtype=np.uint64)[:, None]
+        prod = np.bitwise_and(masks, pb, out=masks if pb.shape[-1] == 1 else None)
+        out = np.bitwise_xor.reduce(prod, axis=2)
+        if words is not None:
+            out &= words[:, None]
+        return out
 
     def mul_scalar(self, pa: np.ndarray, s: int) -> np.ndarray:
-        """Multiply planes by the scalar ``s``: a GF(2)-linear map.
-
-        Output plane ``b`` is the XOR of input planes ``i`` with bit ``b``
-        set in ``s * x^i mod modulus`` — at most ``m`` XORs per plane,
-        with the columns cached per scalar.
-        """
+        """Multiply planes by the scalar ``s``, the same linear map for every
+        row: output plane ``b`` is the XOR of the input planes ``j`` whose
+        mask ``[b, j]`` is set — at most ``m`` XORs per plane."""
         s = int(s)
         if not (0 <= s < (1 << self.m)):
             raise FieldError(f"scalar {s} is not an element of GF(2^{self.m})")
         pa = np.asarray(pa, dtype=np.uint64)
-        if s == 0:
-            return np.zeros_like(pa)
-        cols = self._scalar_cols.get(s)
-        if cols is None:
-            cols = self._scalar_cols[s] = tuple(
-                poly_mulmod(s, 1 << i, self.modulus) for i in range(self.m)
-            )
         out = np.zeros_like(pa)
-        for i, ci in enumerate(cols):
-            if not ci:
-                continue
-            ai = pa[..., i, :]
-            for b in range(self.m):
-                if (ci >> b) & 1:
-                    out[..., b, :] ^= ai
+        for b, j in zip(*np.nonzero(self._masks(np.array([s]))[0])):
+            out[..., b, :] ^= pa[..., j, :]
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

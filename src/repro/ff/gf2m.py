@@ -58,7 +58,7 @@ class GF2m:
         strategy names the field and labels its build metric; it
         chooses no layout.  Every field has the plane kernel
         (:attr:`bitsliced`: ``m`` uint64 bit-planes multiplied by
-        carry-less AND/XOR schedules), which every whole-graph run uses.
+        carry-less AND/XOR schedules), which every level step uses.
 
     Table layout
     ------------
@@ -184,9 +184,10 @@ class GF2m:
     def bitsliced(self):
         """The plane-wise kernel substrate for this ``(m, modulus)`` pair.
 
-        Built lazily: a field only simulated ranks use never pays for it,
-        and the plane-resident whole-graph runs fetch it through here so
-        the scalar-column cache is shared per field instance.
+        Built lazily, once per field instance: every level step — a
+        whole-graph run's, a simulated rank's, the exchange probe's, the
+        calibration's — fetches it through here, so they share its
+        per-field state, the linear map's mask tables.
         """
         if self._bitsliced is None:
             from repro.ff.bitsliced import BitslicedGF2m
@@ -286,8 +287,8 @@ class GF2m:
         # kernel_strategy is part of identity: two fields with the same
         # (m, modulus) but different kernels give bit-identical values, yet
         # build different tables and count under different metric labels.
-        # No lane layout reads it: whole-graph runs are bit-planes and
-        # ranks element-wise in any field (repro.core.leveldp).
+        # The lanes never read it: every level step is bit-planes in any
+        # field (repro.core.leveldp).
         return (
             isinstance(other, GF2m)
             and other.m == self.m
@@ -358,8 +359,8 @@ def default_field_for_k(d: int, kernel_strategy: Optional[str] = None) -> GF2m:
 
     For every k-path the paper evaluates (``k <= 18``) this is at most
     ``GF(2^6)``, so elements fit in a byte and the dense product table wins
-    for element-wise calls.  Whole-graph runs are plane-resident on any
-    field (:func:`~repro.core.leveldp.run_whole_graph` multiplies through
+    for element-wise calls.  Level steps are plane-resident on any field
+    (:class:`~repro.core.leveldp.Lanes` multiplies through
     :attr:`GF2m.bitsliced`), so the engine never asks for a kernel.
     """
     return GF2m(field_degree_for_k(d), kernel_strategy=kernel_strategy)

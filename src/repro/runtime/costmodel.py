@@ -120,20 +120,20 @@ class CostModel:
 def _level_step(graph, fp, n2: int):
     """One DP level as a simulated rank runs it, as a callable.
 
-    The layout is the ranks' :class:`~repro.core.leveldp.ElementLanes`
-    (the calibration prices a rank's compute), over the graph's
-    jagged-diagonal row order; the incoming state is one that layout
-    built itself, and the step is what a path recurrence does per level:
-    the level's base block, the neighbour sum, the multiply.  The
+    The layout is the one every driver runs, :class:`~repro.core.leveldp.Lanes`
+    bit-planes, over the graph's jagged-diagonal row order; the incoming
+    state is one those lanes built themselves, and the step is what a path
+    recurrence does per level: the neighbour sum, then the level's
+    variable scaling it (:meth:`~repro.core.leveldp.Lanes.scale`).  The
     per-phase indicator is outside, amortized over the levels in real
     runs.
     """
-    from repro.core.leveldp import ElementLanes, neighbour_sum
+    from repro.core.leveldp import Lanes, neighbour_sum
 
     jagged = graph.jagged()
-    lanes = ElementLanes(fp, 0, n2, rows=jagged.order)
+    lanes = Lanes(fp, 0, n2, rows=jagged.order)
     prev = lanes.base(0)
-    return lambda: lanes.mul(lanes.base(1), neighbour_sum(prev, jagged))
+    return lambda: lanes.scale(1, neighbour_sum(prev, jagged), variable=True)
 
 
 class KernelCalibration:
@@ -171,7 +171,8 @@ class KernelCalibration:
         """Time one path-DP level at each N2 on a synthetic sample.
 
         The level is the :mod:`repro.core.leveldp` step every evaluator
-        runs (:func:`_level_step`) on the element layout.
+        and every simulated rank runs (:func:`_level_step`), on the one
+        plane layout.
         """
         from repro.ff.fingerprint import Fingerprint
         from repro.ff.gf2m import default_field_for_k

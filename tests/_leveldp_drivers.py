@@ -13,9 +13,8 @@ import sys
 
 import numpy as np
 
-from repro.core import leveldp
 from repro.core.halo import build_halo_views
-from repro.core.leveldp import ElementLanes, neighbour_sum, phase_program, run_whole_graph
+from repro.core.leveldp import Lanes, neighbour_sum, phase_program, run_whole_graph
 from repro.core.mld import CircuitStep, MLDCircuit
 from repro.core.problems import compile
 from repro.graph.partition import Partition, random_partition
@@ -63,11 +62,45 @@ def phase_value(graph, recurrence, fp, q0, n2, driver="whole-graph", partition=N
     return results[0]
 
 
+class ElementLanes(Lanes):
+    """The element-wise reference the planes are held to: the lanes'
+    window, rows, blocks and ``y``, each state ``(rows, P R n2)`` field
+    elements, one per iteration, every product on the field's tables."""
+
+    def __init__(self, fp, q_start, n2, rows=None, points=None):
+        super().__init__(fp, q_start, n2, rows, points)
+        self.indicator = self._indicator()
+
+    def _lanes(self, y):
+        # one block: a broadcast column; several: each block's y on its lanes
+        return y[:, None] if self.blocks == 1 else np.repeat(y, self.n2, axis=1)
+
+    def base(self, level):
+        # indicator in {0, 1}: multiply == select; avoids a field multiply
+        return (self.indicator * self._lanes(self._y(level, variable=True))).astype(
+            self.field.dtype, copy=False)
+
+    def scale(self, level, acc, variable=False):
+        factor = self.base(level) if variable else self._lanes(self._y(level))
+        return self.field.mul(factor, acc)
+
+    def mul(self, a, b):
+        return self.field.mul(a, b)
+
+    def mul_sum(self, pairs):
+        acc = self.field.mul(*pairs[0])
+        for a, b in pairs[1:]:
+            acc ^= self.field.mul(a, b)
+        return acc
+
+    def finish(self, state):
+        return self.field.xor_sum(state, axis=0)
+
+
 def element_lanes(graph, recurrence, fp, q0, n2, points=None):
     """:func:`run_whole_graph`'s per-iteration values, driven on
-    :class:`ElementLanes` (the ranks' layout, on the field's tables)
-    where :func:`run_whole_graph` runs bit-planes: the reference the
-    planes are held to."""
+    :class:`ElementLanes` where :func:`run_whole_graph` runs bit-planes:
+    the reference the planes are held to."""
     jagged = graph.jagged()
     lanes = ElementLanes(fp, q0, n2, rows=jagged.order, points=points)
     gen = recurrence(lanes)
@@ -85,25 +118,31 @@ def element_value(graph, recurrence, fp, q0, n2, points=None):
     return fold(element_lanes(graph, recurrence, fp, q0, n2, points), n2, points)
 
 
-def log_whole_graph_layouts(monkeypatch, log):
-    """From here on, append the lane layout and iteration count (``R n2``,
-    each evaluated at every point of a weighted kind) of every
-    :func:`run_whole_graph` to the file ``log`` — in this process and in
-    every worker it forks afterwards — and return a reader of the
-    ``(layout name, lanes)`` pairs logged so far."""
-    for cls in (leveldp.ElementLanes, leveldp.PlaneLanes):
-        def finish(self, state, _finish=cls.finish):
-            if sys._getframe(1).f_code is leveldp.run_whole_graph.__code__:
-                with open(log, "a") as fh:
-                    fh.write(f"{type(self).__name__} {self.rounds * self.n2}\n")
-            return _finish(self, state)
-        monkeypatch.setattr(cls, "finish", finish)
+def log_layouts(monkeypatch, log):
+    """From here on, append the driver, lane class and iteration count
+    (``R n2``, each evaluated at every point of a weighted kind) of every
+    :class:`Lanes` built to the file ``log`` — in this process and in every
+    worker it forks afterwards — and return a reader of the ``(class name,
+    lanes)`` pairs one driver built so far.  A driver is the function that
+    built the lanes: ``run_whole_graph``, ``program`` (a simulated rank of
+    :func:`phase_program`), ``exchange_signature`` or ``_level_step`` (the
+    kernel calibration)."""
+    init = Lanes.__init__
 
-    def read():
+    def logged(self, *args, **kw):
+        init(self, *args, **kw)
+        with open(log, "a") as fh:
+            fh.write(f"{sys._getframe(1).f_code.co_name} {type(self).__name__} "
+                     f"{self.rounds * self.n2}\n")
+
+    monkeypatch.setattr(Lanes, "__init__", logged)
+
+    def read(driver="run_whole_graph"):
         if not log.exists():
             return []
-        return [(name, int(lanes)) for name, lanes in
-                (line.split() for line in log.read_text().splitlines())]
+        return [(name, int(lanes)) for built_by, name, lanes in
+                (line.split() for line in log.read_text().splitlines())
+                if built_by == driver]
     return read
 
 

@@ -24,7 +24,7 @@ def path_recurrence(k):
         for j in range(1, k):
             summed = yield p
             p = None
-            p = lanes.mul(lanes.base(j), summed)
+            p = lanes.scale(j, summed, variable=True)
         return p
 
     return recurrence

@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from _leveldp_drivers import log_whole_graph_layouts
+from _leveldp_drivers import log_layouts
 from repro.core.midas import MidasRuntime, detect_path
 from repro.graph.generators import erdos_renyi
 from repro.util.rng import RngStream
@@ -53,7 +53,7 @@ def test_memoised_virtual_seconds_equal_the_fully_enacted_twin():
 
 def test_a_memoised_stage_makes_the_sequential_whole_graph_runs(monkeypatch, tmp_path):
     g = erdos_renyi(800, m=3200, rng=RngStream(3, name="g"))
-    layouts = log_whole_graph_layouts(monkeypatch, tmp_path / "layouts")
+    layouts = log_layouts(monkeypatch, tmp_path / "layouts")
     memo = _detect(g, 8, n_processors=64, n1=16)
     sim_runs = layouts()
     (tmp_path / "layouts").unlink()
@@ -62,7 +62,7 @@ def test_a_memoised_stage_makes_the_sequential_whole_graph_runs(monkeypatch, tmp
     # an 8-path's 7 rounds at eps 0.2: the 4 windows of 64 lanes of every
     # round are valued by a sequential detection's runs, one window fusing
     # 4 rounds of 256 lanes, the next the other 3 — not a run a round
-    assert sim_runs == layouts() == [("PlaneLanes", 1024), ("PlaneLanes", 768)]
+    assert sim_runs == layouts() == [("Lanes", 1024), ("Lanes", 768)]
     assert [r.value for r in memo.rounds] == [r.value for r in seq.rounds]
     full = _detect(g, 8, n_processors=64, n1=16, sanitize="warn")
     assert memo.virtual_seconds == full.virtual_seconds

@@ -18,7 +18,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.leveldp import ElementLanes, PlaneLanes, _advance, neighbour_sum
+from _leveldp_drivers import ElementLanes
+from repro.core.leveldp import Lanes, _advance, neighbour_sum
 from repro.core.mld import MLDCircuit
 from repro.core.problems import compile
 from repro.ff.gf2m import default_field_for_k
@@ -60,7 +61,7 @@ def _run(jagged, windows):
 def test_the_scan_rows_run_faster_on_planes_than_on_tables():
     g = erdos_renyi(600, rng=RngStream(1, name="g"))
     w = RngStream(2, name="w").integers(0, 2, size=g.n)
-    layouts = {"planes": _windows(g, w, PlaneLanes, "bitsliced"),
+    layouts = {"planes": _windows(g, w, Lanes, "bitsliced"),
                "table": _windows(g, w, ElementLanes, "table")}
     times = {name: [] for name in layouts}
     values = {}

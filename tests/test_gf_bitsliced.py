@@ -1,8 +1,8 @@
 """Differential kernel-fuzz suite: bitsliced vs table vs logexp.
 
 The three GF(2^m) kernel strategies must be *element-wise equal* on every
-operation for every legal ``(m, modulus, shape)`` — whole-graph runs
-multiply on bit-planes and simulated ranks on the tables, so a single
+operation for every legal ``(m, modulus, shape)`` — every level step
+multiplies on bit-planes and the tables are the oracle, so a single
 divergent lane would silently change detection results.  The bit-sliced side runs
 on its substrate: slice the operands, run the plane op, unslice.  Hypothesis
 drives random fields (including non-default irreducible moduli), random
@@ -107,26 +107,6 @@ class TestDifferentialKernels:
         assert np.array_equal(oracle.xor_sum(a, axis=0),
                               on_planes(bits, "xor_sum", a, 0))
 
-    @given(data=field_and_arrays(),
-           e=st.one_of(st.integers(min_value=0, max_value=9),
-                       st.sampled_from([63, 255, 510, 65535, 131070])))
-    @settings(**COMMON)
-    def test_pow_agrees(self, data, e):
-        # the sampled exponents hit e % (2^m - 1) == 0 for every m in
-        # range — the zero-stays-zero / nonzero-becomes-one special case
-        oracle, bits, a, _ = data
-        assert np.array_equal(oracle.pow(a, e), on_planes(bits, "pow", a, e))
-
-    @given(data=field_and_arrays())
-    @settings(**COMMON)
-    def test_inv_agrees(self, data):
-        oracle, bits, a, _ = data
-        nz = np.where(a == 0, oracle.dtype(1), a)
-        assert np.array_equal(oracle.inv(nz), on_planes(bits, "inv", nz))
-        if np.any(a == 0):
-            with pytest.raises(FieldError):
-                bits.inv(a)
-
     @given(data=field_and_arrays(), s_seed=st.integers(min_value=0, max_value=2**16))
     @settings(**COMMON)
     def test_mul_scalar_agrees(self, data, s_seed):
@@ -138,9 +118,10 @@ class TestDifferentialKernels:
     @given(data=field_and_arrays())
     @settings(**COMMON)
     def test_div_agrees(self, data):
+        """Division on planes is the multiply by the tables' inverse."""
         oracle, bits, a, b = data
         bnz = np.where(b == 0, oracle.dtype(1), b)
-        inv_b = on_planes(bits, "inv", bnz)
+        inv_b = oracle.inv(bnz)
         assert np.array_equal(oracle.div(a, bnz), on_planes(bits, "mul", a, inv_b))
 
 
@@ -219,7 +200,7 @@ FIELDS = sorted(
 
 
 class TestPlaneArithmeticLayouts:
-    """``mul`` / ``square`` / ``mul_scalar`` / ``pow`` on planes equal the
+    """``mul`` / ``mul_scalar`` on planes equal the
     element-wise oracle for every degree, for moduli that exercise the
     one-chunk, many-chunk and no-tap reductions, whatever the memory order
     of the operands, and for operands that broadcast along a weight axis."""
@@ -247,11 +228,8 @@ class TestPlaneArithmeticLayouts:
         assert np.array_equal(elems(bs.mul(pa, pb)), oracle.mul(a, b))
         # one operand in each memory order
         assert np.array_equal(elems(bs.mul(pa, bs.slice(b))), oracle.mul(a, b))
-        assert np.array_equal(elems(bs.square(pa)), oracle.mul(a, a))
         for s in (0, 1, oracle.order - 1, 0x53 % oracle.order):
             assert np.array_equal(elems(bs.mul_scalar(pa, s)), oracle.mul_scalar(a, s))
-        for e in (0, 1, 2, 5, oracle.order - 1, oracle.order + 1):
-            assert np.array_equal(elems(bs.pow(pa, e)), oracle.pow(a, e))
         # (rows, 1, m, W) x (rows, Z, m, W): the weight-axis recurrences
         wide = bs.mul(pa[:, None], pc)
         assert wide.shape == (rows, z, m, bs.words(n2))
@@ -294,6 +272,37 @@ class TestPlaneArithmeticLayouts:
         bs = BitslicedGF2m(4, 0b10011)
         with pytest.raises(FieldError, match="shapes"):
             bs.mul(np.zeros((2, 3, 4, 1), np.uint64), np.zeros((4, 1), np.uint64))
+
+
+class TestPerRowLinearMap:
+    """``mul_rows``: each row's ``y`` as an ``m x m`` GF(2)-linear map (two
+    byte tables XORed past ``m = 8``) equals the schoolbook multiply by
+    that ``y``'s planes — on the indicator's lanes (a variable) or on
+    every lane (a join coefficient) — and the tables' product, lane for
+    lane, whatever the memory order of the state."""
+
+    @pytest.mark.parametrize("form", ["variable", "coefficient"])
+    @pytest.mark.parametrize("words", [1, 2])
+    @pytest.mark.parametrize("m", range(3, 17))
+    def test_the_map_is_the_schoolbook_product(self, m, words, form):
+        oracle, bits = field_pair(m, GF2m(m).modulus)
+        bs = bits.bitsliced
+        rng = np.random.default_rng(m * 10 + words)
+        rows, n2 = 9, 64 * words - 3  # the last word partly padding
+        y = rng.integers(0, oracle.order, size=rows).astype(oracle.dtype)
+        y[:3] = (0, 1, oracle.order - 1)
+        a = rng.integers(0, oracle.order, size=(rows, n2)).astype(oracle.dtype)
+        ind = rng.integers(0, 2, size=(rows, n2)).astype(np.uint8)
+        if form == "coefficient":
+            ind[:] = 1
+        lanes = bs.pack_indicator(ind)
+        expected = oracle.mul((ind * y[:, None]).astype(oracle.dtype), a)
+        school = bs.mul(bs.planes_from_words(lanes, y), bs.slice(a))
+        assert np.array_equal(bs.unslice(school, n2, oracle.dtype), expected)
+        for pa in (bs.slice(a), plane_major(bs.slice(a))):
+            got = bs.mul_rows(y, pa, lanes if form == "variable" else None)
+            assert got.shape == (rows, m, words)
+            assert np.array_equal(bs.unslice(got, n2, oracle.dtype), expected)
 
 
 class TestPlaneResidentEvaluator:

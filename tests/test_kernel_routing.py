@@ -1,30 +1,36 @@
-"""Lane layouts: every whole-graph run is bit-planes, for every driver.
+"""Lane layouts: every level step is bit-planes, for every driver.
 
-The level-DP driver picks the layout, not the field or the engine:
-:func:`~repro.core.leveldp.run_whole_graph` builds ``PlaneLanes`` at any
-width — a window on the whole-graph backends (sequential, threaded, the
-process fleet's workers), modeled mode's windows, and the runs a
-simulated stage's reused windows take their values from (the sequential
-call's) — while simulated ranks stay element-wise.  The same
-for k-path, k-tree, weighted path and every scan-grid row.  Whatever the
-mode, every round value and round digest equals the sequential
-``n2 = 32`` run's — round values do not depend on N2 — and at
+Nothing picks a layout: ``src`` has one lane class,
+:class:`~repro.core.leveldp.Lanes`, and every level step builds it — a
+whole-graph run at any width (a window on the whole-graph backends, the
+process fleet's workers, modeled mode's windows, and the runs a
+simulated stage's reused windows take their values from), a simulated
+rank, the exchange-signature probe and the kernel calibration's step.
+The same for k-path, k-tree, weighted path and every scan-grid row.
+Whatever the mode, every round value and round digest equals the
+sequential ``n2 = 32`` run's — round values do not depend on N2 — and at
 ``n2 = 32`` so does every window's phase digest.
 """
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
+from repro.core import leveldp
 from repro.core.engine import EngineSession, MidasRuntime
 from repro.core.midas import detect_path, detect_tree, max_weight_path, scan_grid
+from repro.core.mld import MLDCircuit
+from repro.ff.fingerprint import Fingerprint
+from repro.ff.gf2m import default_field_for_k
 from repro.graph.generators import erdos_renyi, plant_path
 from repro.graph.templates import TreeTemplate
+from repro.runtime.costmodel import KernelCalibration
 from repro.sanitize import DigestLog
 from repro.util.rng import RngStream
 
-from _leveldp_drivers import log_whole_graph_layouts
+from _leveldp_drivers import element_lanes, log_layouts
 
 WHOLE_GRAPH = ("sequential", "threaded", "process")
 MODES = WHOLE_GRAPH + ("simulated", "modeled")
@@ -79,15 +85,15 @@ def reference(inputs):
 @pytest.mark.parametrize("driver", sorted(DRIVERS))
 def test_auto_routes_planes_by_mode_and_width_only(driver, mode, n2, inputs,
                                                    reference, monkeypatch, tmp_path):
-    """Every whole-graph run of every mode is ``PlaneLanes``, ``n2`` lanes
+    """Every whole-graph run of every mode is :class:`Lanes`, ``n2`` lanes
     wide (a scan-grid row of ``2^j < n2`` iterations: ``2^j``); the
     answers and digests are the sequential ``n2 = 32`` run's."""
     g, w = inputs
-    layouts = log_whole_graph_layouts(monkeypatch, tmp_path / "layouts")
+    layouts = log_layouts(monkeypatch, tmp_path / "layouts")
     answer, log = _run(driver, g, w, mode, n2)
 
     runs = layouts()
-    assert runs and {name for name, _ in runs} == {"PlaneLanes"}
+    assert runs and {name for name, _ in runs} == {"Lanes"}
     sizes = range(1, K + 1) if driver == "scan_grid" else (K,)
     assert {lanes for _, lanes in runs} <= {min(n2, 1 << j) for j in sizes}
     assert max(lanes for _, lanes in runs) == n2
@@ -109,7 +115,7 @@ def test_a_simulated_stage_makes_the_sequential_whole_graph_runs(monkeypatch, tm
     planes one at a time."""
     g = erdos_renyi(200, 800, rng=RngStream(8, name="g"))
     assert MidasRuntime().schedule_for(8, g.n).n2 == 256
-    layouts = log_whole_graph_layouts(monkeypatch, tmp_path / "layouts")
+    layouts = log_layouts(monkeypatch, tmp_path / "layouts")
     sim = detect_path(g, 8, eps=0.7, rng=RngStream(9), early_exit=False,
                       runtime=MidasRuntime(mode="simulated", n_processors=64, n1=16))
     assert sim.n2 == 64
@@ -117,13 +123,67 @@ def test_a_simulated_stage_makes_the_sequential_whole_graph_runs(monkeypatch, tm
     (tmp_path / "layouts").unlink()
     seq = detect_path(g, 8, eps=0.7, rng=RngStream(9), early_exit=False,
                       runtime=MidasRuntime())
-    assert sim_runs == layouts() == [("PlaneLanes", 512)]
+    assert sim_runs == layouts() == [("Lanes", 512)]
     assert [r.value for r in seq.rounds] == [r.value for r in sim.rounds]
     (tmp_path / "layouts").unlink()
     modeled = detect_path(g, 8, eps=0.7, rng=RngStream(9), early_exit=False,
                           runtime=MidasRuntime(mode="modeled", n_processors=64, n1=16))
-    assert layouts() == [("PlaneLanes", 64)] * (4 * len(modeled.rounds))
+    assert layouts() == [("Lanes", 64)] * (4 * len(modeled.rounds))
     assert [r.value for r in modeled.rounds] == [r.value for r in sim.rounds]
+
+
+def test_ranks_the_exchange_probe_and_the_calibration_build_the_planes(monkeypatch,
+                                                                      tmp_path):
+    """Every rank of an enacted window, the exchange probe and the
+    calibration's level step build :class:`Lanes`, and what a rank sends
+    is plane rows: ``(m, W)`` uint64."""
+    g = erdos_renyi(60, 150, rng=RngStream(10, name="g"))
+    layouts = log_layouts(monkeypatch, tmp_path / "layouts")
+    sent = []
+    exchange = leveldp.Exchange
+
+    def spy(sends, recv_from, row_bytes=None):
+        sent.extend((rows.shape[1:], rows.dtype) for rows in sends.values())
+        return exchange(sends, recv_from, row_bytes)
+
+    monkeypatch.setattr(leveldp, "Exchange", spy)
+    detect_path(g, 5, eps=EPS, rng=RngStream(11), early_exit=False, runtime=MidasRuntime(
+        mode="simulated", n_processors=4, n1=2, n2=8))
+    ranks = layouts("program")
+    assert ranks and set(ranks) == {("Lanes", 8)}
+    assert len(ranks) % 2 == 0  # each enacted window: its group's two ranks
+    assert set(layouts("exchange_signature")) == {("Lanes", 8)}
+    m = default_field_for_k(5).m
+    assert sent and set(sent) == {((m, 1), np.dtype(np.uint64))}
+    KernelCalibration.measure(sample_nodes=64, avg_degree=4, grid=(1, 64), k=5,
+                              min_time=0.001)
+    assert layouts("_level_step") == [("Lanes", 1), ("Lanes", 64)]
+    assert not hasattr(leveldp, "ElementLanes")
+
+
+def test_the_linear_map_runs_only_while_its_masks_fit(monkeypatch):
+    """A one-word, one-block window multiplies by the linear map while its
+    ``(rows, m, m)`` masks fit ``Lanes.MAP_BYTES`` and by the schoolbook
+    past it — the map's temporary is ``m`` states wide — and both sides
+    give the element reference's values."""
+    field = default_field_for_k(K)
+    most = leveldp.Lanes.MAP_BYTES // (8 * field.m ** 2)
+    mapped = []
+    mul_rows = type(field.bitsliced).mul_rows
+
+    def spy(self, y, *args):
+        mapped.append(len(y))
+        return mul_rows(self, y, *args)
+
+    monkeypatch.setattr(type(field.bitsliced), "mul_rows", spy)
+    circuit = MLDCircuit.k_path(K)
+    for n, maps in ((most, True), (most + 1, False)):
+        g = erdos_renyi(n, 4 * n, rng=RngStream(12, name="g"))
+        fp = Fingerprint.draw(g.n, K, RngStream(13), field=field)
+        mapped.clear()
+        got = leveldp.run_whole_graph(g, circuit.recurrence(), fp, 0, 64)
+        assert set(mapped) == ({n} if maps else set())
+        assert np.array_equal(got, element_lanes(g, circuit.recurrence(), fp, 0, 64))
 
 
 def test_the_core_picks_no_kernel():

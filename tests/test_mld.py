@@ -4,14 +4,14 @@ verbatim Algorithm 1."""
 import numpy as np
 import pytest
 
-from _leveldp_drivers import element_lanes
+from _leveldp_drivers import ElementLanes, element_lanes
 from _reference_recurrences import (
     path_recurrence,
     scan_row_cells,
     tree_recurrence,
     weighted_path_cells,
 )
-from repro.core.leveldp import ElementLanes, PlaneLanes, run_whole_graph
+from repro.core.leveldp import Lanes, run_whole_graph
 from repro.core.problems import compile
 from repro.core.mld import (
     CircuitStep,
@@ -179,10 +179,10 @@ class _Recording:
     def __getattr__(self, name):
         op = getattr(self._lanes, name)
 
-        def call(*args):
+        def call(*args, **kw):
             self._log.append((name, *[np.shape(a) if isinstance(a, np.ndarray) else a
-                                      for a in args]))
-            return op(*args)
+                                      for a in args], *sorted(kw.items())))
+            return op(*args, **kw)
 
         return call
 
@@ -226,7 +226,7 @@ class TestInterpreterMatchesTheReplacedRecurrences:
                                     kernel_strategy="bitsliced" if planes else None)
         fp = Fingerprint.draw(len(self.W), circuit.k, RngStream(41),
                               levels=circuit.levels, field=field)
-        lanes = (PlaneLanes if planes else ElementLanes)(fp, 8, 64)
+        lanes = (Lanes if planes else ElementLanes)(fp, 8, 64)
         got_log, got_states, got = _transcript(circuit.recurrence(), lanes)
         ref_log, ref_states, ref = _transcript(reference, lanes)
         assert got_log == ref_log

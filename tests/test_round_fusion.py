@@ -37,7 +37,7 @@ from repro.runtime.durable import Watchdog
 from repro.scanstat.baseline_grid import baseline_scan_grid
 from repro.util.rng import RngStream
 
-from _leveldp_drivers import element_value, log_whole_graph_layouts
+from _leveldp_drivers import element_value, log_layouts
 
 # the golden's sparse graph: a k = 5 path stage with seed 54 and four
 # rounds misses round 0 and hits in round 1
@@ -213,9 +213,9 @@ def test_a_ragged_last_word_is_each_rounds_window(k, rounds, monkeypatch, tmp_pa
     spec = _spec(MLDCircuit.k_path(k), default_field_for_k)
     n2 = 1 << k
     fps = [spec.draw_fingerprint(G.n, RngStream(97 + r)) for r in range(rounds)]
-    layouts = log_whole_graph_layouts(monkeypatch, tmp_path / "layouts")
+    layouts = log_layouts(monkeypatch, tmp_path / "layouts")
     fused = spec.phase_values(G, fps, 0, n2)
-    assert layouts() == [("PlaneLanes", rounds * n2)]
+    assert layouts() == [("Lanes", rounds * n2)]
     assert fused == [spec.phase_value(G, fp, 0, n2) for fp in fps]
 
 
@@ -223,7 +223,7 @@ def test_the_layout_is_planes_at_every_width(monkeypatch, tmp_path):
     """Whatever the field's kernel and however few lanes — one, a
     one-round 32-lane window, two rounds in one word — a whole-graph run
     is bit-planes."""
-    layouts = log_whole_graph_layouts(monkeypatch, tmp_path / "layouts")
+    layouts = log_layouts(monkeypatch, tmp_path / "layouts")
     for kernel in ("table", "logexp", "bitsliced"):
         spec = _spec(MLDCircuit.k_path(5),
                      lambda d: default_field_for_k(d, kernel_strategy=kernel))
@@ -231,7 +231,7 @@ def test_the_layout_is_planes_at_every_width(monkeypatch, tmp_path):
         spec.phase_values(G, fps[:1], 7, 1)
         spec.phase_values(G, fps[:1], 0, 32)
         spec.phase_values(G, fps, 0, 32)
-    assert layouts() == [("PlaneLanes", 1), ("PlaneLanes", 32), ("PlaneLanes", 64)] * 3
+    assert layouts() == [("Lanes", 1), ("Lanes", 32), ("Lanes", 64)] * 3
 
 
 def test_live_states_are_what_the_recurrences_keep():

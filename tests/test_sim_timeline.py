@@ -156,17 +156,18 @@ def test_stored_timeline_is_plain_data(monkeypatch):
 
 
 # ----------------------------------------------------------- signature guard
-def _wide_after(q_wide: int):
-    """A 3-level path recurrence whose first exchange travels as uint32
-    from iteration ``q_wide`` on: same values, four times the bytes."""
+def _extra_exchange_after(q_extra: int):
+    """A 3-level path recurrence that, from iteration ``q_extra`` on, has
+    its first state neighbour-summed twice, the second sum unused: same
+    values, one more exchange."""
 
     def recurrence(lanes):
         state = lanes.base(0)
-        if lanes.q_start >= q_wide:
-            state = state.astype(np.uint32)
-        acc = (yield state).astype(lanes.field.dtype)
-        acc = yield lanes.mul(lanes.base(1), acc)
-        return lanes.mul(lanes.base(2), acc)
+        acc = yield state
+        if lanes.q_start >= q_extra:
+            yield state
+        acc = yield lanes.scale(1, acc, variable=True)
+        return lanes.scale(2, acc, variable=True)
 
     return recurrence
 
@@ -184,15 +185,16 @@ def _spec(recurrence) -> ProblemSpec:
 
 def test_a_window_with_another_exchange_signature_is_re_enacted(sim_runs):
     shape = dict(n_processors=3, n1=3, n2=2)  # 4 windows per round, one at a time
-    memo = _run_spec(_spec(_wide_after(4)), **shape)
+    memo = _run_spec(_spec(_extra_exchange_after(4)), **shape)
     assert len(sim_runs) == 2  # windows 0 and 2 of round 0; round 1 reuses both
-    full = _run_spec(_spec(_wide_after(4)), sanitize="warn", **shape)
+    full = _run_spec(_spec(_extra_exchange_after(4)), sanitize="warn", **shape)
     assert len(sim_runs) == 2 + 2 * 4
     assert memo.values == full.values and memo.virtuals == full.virtuals
-    # the wide windows really cost more: one timeline would have been wrong
-    narrow = _run_spec(_spec(_wide_after(8)), **shape)
-    assert narrow.values == memo.values
-    assert narrow.virtuals[0] < memo.virtuals[0]
+    # the windows with the extra exchange really cost more: one timeline
+    # would have been wrong
+    fewer = _run_spec(_spec(_extra_exchange_after(8)), **shape)
+    assert fewer.values == memo.values
+    assert fewer.virtuals[0] < memo.virtuals[0]
 
 
 @pytest.mark.parametrize("driver", ["detect_path", "detect_tree", "max_weight_path",
@@ -272,7 +274,7 @@ def test_corrupted_whole_graph_value_is_caught_where_it_is_enacted(
 
     monkeypatch.setattr(ProblemSpec, "window_values", crooked)
     with pytest.raises(ReplayMismatchError) as ei:
-        _run_spec(_spec(_wide_after(4)), n_processors=3, n1=3, n2=2)
+        _run_spec(_spec(_extra_exchange_after(4)), n_processors=3, n1=3, n2=2)
     err = ei.value
     assert (err.round_index, err.batch, err.phase) == where
     assert f"r{where[0]}/b{where[1]}/p{where[2]}" in str(err)

@@ -3,7 +3,7 @@
 A weighted recurrence (the weighted k-path, every scan row) is its
 unweighted circuit evaluated at ``P`` points of ``z``: the window's lanes
 are ``P R`` blocks of ``n2`` (point-major, then round), each variable
-carrying ``p^{w(i)}`` on its point's blocks.  ``PlaneLanes`` packs the
+carrying ``p^{w(i)}`` on its point's blocks.  ``Lanes`` packs the
 blocks into lane words — several to a word when ``n2 < 64``, with each
 block's coefficient mask ORed over its own lanes — and these tests hold
 it to ``ElementLanes`` value for value, whatever the fused round count,
@@ -14,7 +14,8 @@ the window width (a ragged last word included) and the number of points
 import numpy as np
 import pytest
 
-from repro.core.leveldp import ElementLanes, PlaneLanes, _advance, neighbour_sum
+from _leveldp_drivers import ElementLanes
+from repro.core.leveldp import Lanes, _advance, neighbour_sum
 from repro.core.mld import MLDCircuit
 from repro.core.problems import compile
 from repro.ff.gf2m import default_field_for_k
@@ -61,7 +62,7 @@ def test_planes_equal_the_table_kernel(dim, n2, rounds, z_max):
     """Scan row 5 at ``R = 3``, ``n2 = 32``, ``z_max = 5`` is 6 points of
     3 rounds: 576 lanes, the last word half padding."""
     circuit = _circuit(dim, z_max)
-    planes, lanes = _window(circuit, PlaneLanes, "bitsliced", rounds, n2)
+    planes, lanes = _window(circuit, Lanes, "bitsliced", rounds, n2)
     table, _ = _window(circuit, ElementLanes, "table", rounds, n2)
     points = circuit.weight_degree + 1
     assert lanes.blocks == points * rounds
@@ -75,10 +76,10 @@ def test_zero_weights_are_one_point_and_the_unweighted_circuit(dim):
     circuit's, value for value."""
     zeros = np.zeros(G.n, dtype=np.int64)
     circuit = _circuit(dim, 2, zeros)
-    planes, lanes = _window(circuit, PlaneLanes, "bitsliced", 2, 16)
+    planes, lanes = _window(circuit, Lanes, "bitsliced", 2, 16)
     assert lanes.blocks == 2 and lanes.points.count == 1
     plain = MLDCircuit(k=circuit.k, n_slots=circuit.n_slots, leaves=circuit.leaves,
                        steps=circuit.steps, output=circuit.output,
                        levels=circuit.levels, min_y_degree=circuit.min_y_degree)
-    unweighted, _ = _window(plain, PlaneLanes, "bitsliced", 2, 16)
+    unweighted, _ = _window(plain, Lanes, "bitsliced", 2, 16)
     assert np.array_equal(planes, unweighted)
