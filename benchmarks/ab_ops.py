@@ -2,6 +2,7 @@
 
     python3 benchmarks/ab_ops.py --base HEAD~1 [--head HEAD] [--workload W]
     python3 benchmarks/ab_ops.py --aa --quick          # the base against itself
+    python3 benchmarks/ab_ops.py --base HEAD~1 --setup # set-up, not ops
 
 Both revisions are checked out with ``git worktree`` at paths of equal
 length, and each gets one long-lived worker process that imports that
@@ -12,9 +13,19 @@ coordinator asks the two workers for op ``i`` in turn, alternating which
 tree goes first, so host drift hits both sides alike; every ``--ops`` ops
 it respawns the pair, because a process pair carries a bias of its own
 (allocation, hash seeds, placement): the pair, not the op, is the unit
-of replication.
+of replication.  Which tree's worker is spawned first alternates by pair
+too, so neither side always starts on a quieter host.
 
-It prints each pair's median per-op ratio head/base, then the median of
+``--setup`` times set-up instead: each pair spawns one fresh worker per
+tree, one after the other, and takes the wall from spawn to ``ready`` —
+interpreter start, imports, the workload's inputs, its ``setup()`` and
+the warm op, what the ledger's ``setup_s`` counts — plus the worker's own
+split of it into those four parts.  Run it with the ledger's environment
+(``PYTHONDONTWRITEBYTECODE=1`` when the ledger runs so) to see what the
+ledger sees.
+
+It prints each pair's median per-op ratio head/base (``--setup``: the
+pair's set-up ratio head/base and each side's split), then the median of
 the pair medians, their spread (min..max) and how many pairs the head
 won (a pair median below 1).  A move counts only outside the spread an
 ``--aa`` run shows on the same host, and a speed claim wants at least 9
@@ -34,19 +45,26 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-#: the worker: import the tree's workload, then one timed op per request
+#: the worker: import the tree's workload, then one timed op per request;
+#: its ``ready`` line carries the seconds its imports, inputs, setup() and
+#: warm op took
 WORKER = r"""
 import sys, time
+t = [time.perf_counter()]
 tree, name, seed, quick = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4] == "1"
 sys.path[:0] = [tree + "/src", tree + "/benchmarks/ledger"]
 import repro, workloads
 from spans import NullRecorder
 assert repro.__file__.startswith(tree), repro.__file__
+t.append(time.perf_counter())
 w = workloads.WORKLOADS[name](seed, quick=quick)
+t.append(time.perf_counter())
 w.setup()
+t.append(time.perf_counter())
 rec = NullRecorder()
 w.checked_op(0, rec)  # warm: imports, fields, session
-print("ready", flush=True)
+t.append(time.perf_counter())
+print("ready", *(b - a for a, b in zip(t, t[1:])), flush=True)
 for line in sys.stdin:
     i = int(line)
     t0 = time.perf_counter()
@@ -60,15 +78,23 @@ w.close()
 """
 
 
+#: the parts of a worker's set-up, in the order its ``ready`` line gives them
+SPLIT = ("imports", "inputs", "setup", "warm_op")
+
+
 class Worker:
-    """One tree's long-lived op server."""
+    """One tree's long-lived op server; ``setup_s`` is its wall from spawn
+    to ``ready`` and ``split`` the worker's own :data:`SPLIT` of it."""
 
     def __init__(self, tree: Path, args) -> None:
+        t0 = time.perf_counter()
         self.proc = subprocess.Popen(
             [sys.executable, "-c", WORKER, str(tree), args.workload, str(args.seed),
              "1" if args.quick else "0"],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, cwd=tree)
-        self._expect("ready")
+        ready = self._expect("ready").split()
+        self.setup_s = time.perf_counter() - t0
+        self.split = dict(zip(SPLIT, map(float, ready[1:])))
 
     def _expect(self, what: str) -> str:
         line = self.proc.stdout.readline()
@@ -94,12 +120,27 @@ def checkout(rev: str, path: Path) -> None:
                     str(path), rev], check=True)
 
 
-def pair(trees, args, first_op: int) -> list:
-    """One worker pair, ``args.ops`` ops each: the per-op ratios head/base."""
-    workers = [Worker(tree, args) for tree in trees]
+def spawn(trees, args, p: int) -> list:
+    """Pair ``p``'s two workers, ``[base, head]``: the base's spawned first
+    in an even pair, the head's in an odd one."""
+    order = (0, 1) if p % 2 == 0 else (1, 0)
+    workers = {}
+    try:
+        for side in order:
+            workers[side] = Worker(trees[side], args)
+    except BaseException:
+        for w in workers.values():
+            w.close()
+        raise
+    return [workers[0], workers[1]]
+
+
+def pair(trees, args, p: int) -> list:
+    """Pair ``p``, ``args.ops`` ops each: the per-op ratios head/base."""
+    workers = spawn(trees, args, p)
     try:
         ratios = []
-        for i in range(first_op, first_op + args.ops):
+        for i in range(p * args.ops, (p + 1) * args.ops):
             order = (0, 1) if i % 2 == 0 else (1, 0)
             secs = {side: workers[side].op(i) for side in order}
             ratios.append(secs[1] / secs[0])
@@ -107,6 +148,18 @@ def pair(trees, args, first_op: int) -> list:
     finally:
         for w in workers:
             w.close()
+
+
+def setup_pair(trees, args, p: int) -> float:
+    """Pair ``p`` of ``--setup``: the set-up ratio head/base, each side's
+    wall and split printed."""
+    workers = spawn(trees, args, p)
+    for w in workers:
+        w.close()
+    for side, w in zip(("base", "head"), workers):
+        split = " ".join(f"{k} {v:.3f}" for k, v in w.split.items())
+        print(f"  {side}: set-up {w.setup_s:.3f} s ({split})", flush=True)
+    return workers[1].setup_s / workers[0].setup_s
 
 
 def main(argv=None) -> int:
@@ -122,6 +175,8 @@ def main(argv=None) -> int:
                          "(default 100; 20 with --quick)")
     ap.add_argument("--pairs", type=int, default=None,
                     help="worker pairs (default 10; 2 with --quick)")
+    ap.add_argument("--setup", action="store_true",
+                    help="time each side's set-up, spawn to ready, not its ops")
     args = ap.parse_args(argv)
     args.ops = args.ops or (20 if args.quick else 100)
     args.pairs = args.pairs or (2 if args.quick else 10)
@@ -136,7 +191,11 @@ def main(argv=None) -> int:
             medians = []
             for p in range(args.pairs):
                 t0 = time.perf_counter()
-                ratios = pair(trees, args, p * args.ops)
+                if args.setup:
+                    medians.append(setup_pair(trees, args, p))
+                    print(f"pair {p}: set-up head/base {medians[-1]:.4f}", flush=True)
+                    continue
+                ratios = pair(trees, args, p)
                 medians.append(statistics.median(ratios))
                 print(f"pair {p}: {len(ratios)} ops, median head/base "
                       f"{medians[-1]:.4f} ({time.perf_counter() - t0:.0f} s)", flush=True)
@@ -149,6 +208,8 @@ def main(argv=None) -> int:
                                 str(tree)], capture_output=True)
             subprocess.run(["git", "-C", str(ROOT), "worktree", "prune"], capture_output=True)
     label = f"{args.base} vs itself" if args.aa else f"{args.base} -> {head}"
+    if args.setup:
+        label += ", set-up"
     print(f"{args.workload} {label}: median of {len(medians)} pair medians "
           f"{statistics.median(medians):.4f}, spread {min(medians):.4f}..{max(medians):.4f}; "
           f"head faster in {sum(m < 1 for m in medians)}/{len(medians)} pairs")

@@ -17,138 +17,40 @@ See README.md for the architecture tour and DESIGN.md / EXPERIMENTS.md for
 the paper-experiment mapping.
 """
 
-from repro.core.midas import (
-    MidasRuntime,
-    detect_path,
-    detect_scan_cell,
-    detect_tree,
-    max_weight_path,
-    scan_grid,
-    sequential_detect_path,
-)
-from repro.core.model import PartitionStats, PerformanceEstimate, estimate_runtime
-from repro.core.result import DetectionResult, ScanGridResult
-from repro.core.schedule import PhaseSchedule, rounds_for_epsilon
-from repro.core.witness import extract_witness
-from repro.graph.csr import CSRGraph
-from repro.graph.datasets import DATASETS, load_dataset
-from repro.graph.generators import (
-    barabasi_albert,
-    erdos_renyi,
-    grid2d,
-    miami_like,
-    orkut_like,
-    plant_cluster,
-    plant_path,
-    plant_tree,
-    watts_strogatz,
-)
-from repro.graph.partition import Partition, make_partition
-from repro.graph.templates import TreeTemplate
-from repro.obs import (
-    LiveRun,
-    LiveServer,
-    MetricsRegistry,
-    RunRecord,
-    RunReport,
-    RunStatus,
-    RunStore,
-    WallProfiler,
-    analyze_run,
-    compare_runs,
-    compare_to_baseline,
-    extract_critical_path,
-    get_default_registry,
-)
-from repro.runtime.cluster import VirtualCluster, juliet, laptop, shadowfax
-from repro.runtime.costmodel import KernelCalibration
-from repro.runtime.tracing import Scope, TraceRecorder
-from repro.sanitize import (
-    CertificationReport,
-    CommSanitizer,
-    DigestLog,
-    ReplayReport,
-    ResultCertifier,
-    SanitizerReport,
-    verify_replay,
-)
-from repro.scanstat.detect import AnomalyDetector, AnomalyResult
-from repro.scanstat.statistics import (
-    BerkJones,
-    ElevatedMean,
-    ExpectationBasedPoisson,
-    HigherCriticism,
-    Kulldorff,
-)
-from repro.util.rng import RngStream
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "MidasRuntime",
-    "detect_path",
-    "detect_scan_cell",
-    "detect_tree",
-    "max_weight_path",
-    "scan_grid",
-    "sequential_detect_path",
-    "PartitionStats",
-    "PerformanceEstimate",
-    "estimate_runtime",
-    "DetectionResult",
-    "ScanGridResult",
-    "PhaseSchedule",
-    "rounds_for_epsilon",
-    "extract_witness",
-    "CSRGraph",
-    "DATASETS",
-    "load_dataset",
-    "barabasi_albert",
-    "erdos_renyi",
-    "grid2d",
-    "miami_like",
-    "orkut_like",
-    "plant_cluster",
-    "plant_path",
-    "plant_tree",
-    "watts_strogatz",
-    "Partition",
-    "make_partition",
-    "TreeTemplate",
-    "VirtualCluster",
-    "juliet",
-    "laptop",
-    "shadowfax",
-    "KernelCalibration",
-    "LiveRun",
-    "LiveServer",
-    "MetricsRegistry",
-    "RunRecord",
-    "RunReport",
-    "RunStatus",
-    "RunStore",
-    "WallProfiler",
-    "analyze_run",
-    "compare_runs",
-    "compare_to_baseline",
-    "extract_critical_path",
-    "get_default_registry",
-    "Scope",
-    "TraceRecorder",
-    "CertificationReport",
-    "CommSanitizer",
-    "DigestLog",
-    "ReplayReport",
-    "ResultCertifier",
-    "SanitizerReport",
-    "verify_replay",
-    "AnomalyDetector",
-    "AnomalyResult",
-    "BerkJones",
-    "ElevatedMean",
-    "ExpectationBasedPoisson",
-    "HigherCriticism",
-    "Kulldorff",
-    "RngStream",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "core.midas": ("MidasRuntime", "detect_path", "detect_scan_cell", "detect_tree",
+                   "max_weight_path", "scan_grid", "sequential_detect_path"),
+    "core.model": ("PartitionStats", "PerformanceEstimate", "estimate_runtime"),
+    "core.result": ("DetectionResult", "ScanGridResult"),
+    "core.schedule": ("PhaseSchedule", "rounds_for_epsilon"),
+    "core.witness": ("extract_witness",),
+    "graph.csr": ("CSRGraph",),
+    "graph.datasets": ("DATASETS", "load_dataset"),
+    "graph.generators": ("barabasi_albert", "erdos_renyi", "grid2d", "miami_like",
+                         "orkut_like", "plant_cluster", "plant_path", "plant_tree",
+                         "watts_strogatz"),
+    "graph.partition": ("Partition", "make_partition"),
+    "graph.templates": ("TreeTemplate",),
+    "runtime.cluster": ("VirtualCluster", "juliet", "laptop", "shadowfax"),
+    "runtime.costmodel": ("KernelCalibration",),
+    "obs.live": ("LiveRun", "RunStatus"),
+    "obs.http": ("LiveServer",),
+    "obs.metrics": ("MetricsRegistry", "get_default_registry"),
+    "obs.store": ("RunRecord", "RunStore", "compare_runs", "compare_to_baseline"),
+    "obs.report": ("RunReport",),
+    "obs.profile": ("WallProfiler",),
+    "obs.analyze": ("analyze_run", "extract_critical_path"),
+    "runtime.tracing": ("Scope", "TraceRecorder"),
+    "sanitize.certify": ("CertificationReport", "ResultCertifier"),
+    "sanitize.comm": ("CommSanitizer", "SanitizerReport"),
+    "sanitize.replay": ("DigestLog", "ReplayReport", "verify_replay"),
+    "scanstat.detect": ("AnomalyDetector", "AnomalyResult"),
+    "scanstat.statistics": ("BerkJones", "ElevatedMean", "ExpectationBasedPoisson",
+                            "HigherCriticism", "Kulldorff"),
+    "util.rng": ("RngStream",),
+})
+__all__ += ["__version__"]

@@ -1,18 +1,9 @@
 """Application case studies built on the library (paper Section VI-F +
 the bio-surveillance motivation of Section I)."""
 
-from repro.apps.epidemics import OutbreakReport, OutbreakStudy, SurveillanceRegion
-from repro.apps.roadnet import (
-    CongestionStudy,
-    HighwayNetwork,
-    build_highway_network,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "OutbreakReport",
-    "OutbreakStudy",
-    "SurveillanceRegion",
-    "CongestionStudy",
-    "HighwayNetwork",
-    "build_highway_network",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "epidemics": ("OutbreakReport", "OutbreakStudy", "SurveillanceRegion"),
+    "roadnet": ("CongestionStudy", "HighwayNetwork", "build_highway_network"),
+})

@@ -9,19 +9,11 @@
   for the prior scan-statistics implementation [19].
 """
 
-from repro.baselines.colorcoding import (
-    color_coding_count,
-    color_coding_detect,
-    colorful_count_one_coloring,
-)
-from repro.baselines.fascia import FasciaModel, FasciaRunResult
-from repro.baselines.giraph_model import GiraphModel
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "color_coding_count",
-    "color_coding_detect",
-    "colorful_count_one_coloring",
-    "FasciaModel",
-    "FasciaRunResult",
-    "GiraphModel",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "colorcoding": ("color_coding_count", "color_coding_detect",
+                    "colorful_count_one_coloring"),
+    "fascia": ("FasciaModel", "FasciaRunResult"),
+    "giraph_model": ("GiraphModel",),
+})

@@ -35,8 +35,6 @@ import argparse
 import sys
 from typing import List, Optional
 
-import numpy as np
-
 
 def _add_graph_args(p: argparse.ArgumentParser) -> None:
     from repro.graph.datasets import DATASETS
@@ -540,6 +538,8 @@ def cmd_detect_tree(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    import numpy as np
+
     from repro.graph.generators import plant_cluster
 
     g, rng = _load_graph(args)

@@ -25,67 +25,20 @@
 * :mod:`repro.core.witness` — witness extraction by deletion peeling.
 """
 
-from repro.core.engine import (
-    DetectionEngine,
-    ExecutionBackend,
-    ModeledBackend,
-    ProcessBackend,
-    SequentialBackend,
-    SimulatedBackend,
-    ThreadedBackend,
-)
-from repro.core.halo import HaloView, build_halo_views
-from repro.core.leveldp import phase_program, run_whole_graph
-from repro.core.mld import (
-    CircuitStep,
-    MLDCircuit,
-    algorithm1_reference,
-    detect_multilinear,
-)
-from repro.core.midas import (
-    MidasRuntime,
-    detect_path,
-    detect_scan_cell,
-    detect_tree,
-    max_weight_path,
-    scan_grid,
-    sequential_detect_path,
-)
-from repro.core.model import PerformanceEstimate, estimate_runtime
-from repro.core.problems import ProblemSpec, compile
-from repro.core.result import DetectionResult, ScanGridResult
-from repro.core.schedule import PhaseSchedule
-from repro.core.witness import extract_witness
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DetectionEngine",
-    "ExecutionBackend",
-    "SequentialBackend",
-    "SimulatedBackend",
-    "ModeledBackend",
-    "ThreadedBackend",
-    "ProcessBackend",
-    "ProblemSpec",
-    "compile",
-    "HaloView",
-    "build_halo_views",
-    "phase_program",
-    "run_whole_graph",
-    "CircuitStep",
-    "MLDCircuit",
-    "algorithm1_reference",
-    "detect_multilinear",
-    "MidasRuntime",
-    "detect_path",
-    "detect_scan_cell",
-    "detect_tree",
-    "max_weight_path",
-    "scan_grid",
-    "sequential_detect_path",
-    "PerformanceEstimate",
-    "estimate_runtime",
-    "DetectionResult",
-    "ScanGridResult",
-    "PhaseSchedule",
-    "extract_witness",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "engine": ("DetectionEngine", "ExecutionBackend", "SequentialBackend",
+               "SimulatedBackend", "ModeledBackend", "ThreadedBackend",
+               "ProcessBackend"),
+    "problems": ("ProblemSpec", "compile"),
+    "halo": ("HaloView", "build_halo_views"),
+    "leveldp": ("phase_program", "run_whole_graph"),
+    "mld": ("CircuitStep", "MLDCircuit", "algorithm1_reference", "detect_multilinear"),
+    "midas": ("MidasRuntime", "detect_path", "detect_scan_cell", "detect_tree",
+              "max_weight_path", "scan_grid", "sequential_detect_path"),
+    "model": ("PerformanceEstimate", "estimate_runtime"),
+    "result": ("DetectionResult", "ScanGridResult"),
+    "schedule": ("PhaseSchedule",),
+    "witness": ("extract_witness",),
+})

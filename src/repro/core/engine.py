@@ -47,11 +47,11 @@ import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from contextlib import closing
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple, Type
+from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List, NamedTuple, Optional,
+                    Tuple, Type)
 
 import numpy as np
 
-from repro.core.model import PartitionStats, PerformanceEstimate, estimate_runtime
 from repro.core.halo import build_halo_views
 from repro.core.leveldp import exchange_signature, phase_program
 from repro.core.problems import ProblemSpec, Value
@@ -72,13 +72,14 @@ from repro.obs.metrics import MetricsRegistry, get_default_registry, merge_into
 from repro.obs.profile import WallProfiler
 from repro.runtime.cluster import VirtualCluster, laptop
 from repro.runtime.costmodel import KernelCalibration
-from repro.runtime.durable import decode_value
-from repro.runtime.faults import FaultInjector, FaultPlan, backoff_jitter
-from repro.runtime.scheduler import Simulator
-from repro.runtime.tracing import Scope, TraceRecorder
-from repro.sanitize.comm import SANITIZE_MODES
 from repro.util.log import get_logger
 from repro.util.rng import RngStream
+
+if TYPE_CHECKING:
+    # optional layers, each imported where its feature is built
+    from repro.core.model import PerformanceEstimate
+    from repro.runtime.faults import FaultPlan
+    from repro.runtime.tracing import TraceRecorder
 
 _LOG = get_logger(__name__)
 
@@ -237,10 +238,13 @@ class MidasRuntime:
         if self.mode not in BACKENDS:
             raise ConfigurationError(
                 f"mode must be one of {tuple(BACKENDS)}, got {self.mode!r}")
-        if self.sanitize not in SANITIZE_MODES:
-            raise ConfigurationError(
-                f"sanitize must be one of {SANITIZE_MODES}, got {self.sanitize!r}"
-            )
+        if self.sanitize != "off":
+            from repro.sanitize.comm import SANITIZE_MODES
+
+            if self.sanitize not in SANITIZE_MODES:
+                raise ConfigurationError(
+                    f"sanitize must be one of {SANITIZE_MODES}, got {self.sanitize!r}"
+                )
         if self.fault_plan is not None and not self.backend.ranks:
             ranked = tuple(mode for mode, b in BACKENDS.items() if b.ranks)
             raise ConfigurationError(
@@ -445,7 +449,11 @@ class _FaultContext:
 
     def __init__(self, rt: MidasRuntime, reg: MetricsRegistry, problem: str) -> None:
         self.problem = problem
-        self.injector = FaultInjector(rt.fault_plan) if rt.fault_plan else None
+        self.injector = None
+        if rt.fault_plan:
+            from repro.runtime.faults import FaultInjector
+
+            self.injector = FaultInjector(rt.fault_plan)
         self.max_retries = rt.max_retries
         self.backoff0 = rt.retry_backoff
         self.injected_ctr = reg.counter(
@@ -512,6 +520,8 @@ def _run_phase_resilient(rt: MidasRuntime, fc: _FaultContext, prog, key: str,
     run-level timeline and ``failed_events`` the (shifted-from-zero)
     trace events of failed attempts for splicing.
     """
+    from repro.runtime.scheduler import Simulator
+
     attempt = 0
     extra = 0.0
     failed_events = []
@@ -564,6 +574,8 @@ def _run_phase_resilient(rt: MidasRuntime, fc: _FaultContext, prog, key: str,
             raise err
         backoff = fc.backoff0 * (2.0 ** attempt)
         if fc.injector is not None:
+            from repro.runtime.faults import backoff_jitter
+
             # seeded jitter in [0, 1): co-scheduled retries across ranks /
             # processes desynchronize, yet the draw is keyed by (plan seed,
             # phase key, attempt) so every re-execution of this plan — and
@@ -978,6 +990,8 @@ class SimulatedBackend(ExecutionBackend):
         """Round ``ell``'s ``(value, virtual seconds)``: its windows in
         batch and phase order, ``whole[t]`` window ``t``'s whole-graph
         value (``None``: every window enacted)."""
+        from repro.runtime.tracing import Scope  # loaded with the simulator
+
         e = self.engine
         rt, rec, fc = e.rt, e.rec, e.fc
         spec, sched = stage.spec, stage.sched
@@ -1466,6 +1480,8 @@ class DetectionEngine:
         """
         if self.rec is None:
             return
+        from repro.runtime.tracing import Scope  # loaded with the recorder
+
         windows, self._windows = self._windows, []
         lanes = {w: i for i, w in enumerate(sorted({w[4] for w in windows}))}
 
@@ -1543,6 +1559,8 @@ class DetectionEngine:
             # the model is the clock of a virtual mode without ranks; with
             # ranks it is set against their recorded timeline
             if backend.virtual and (not backend.ranks or self.rec is not None):
+                from repro.core.model import PartitionStats, estimate_runtime
+
                 self.partition = self.session.ensure_partition(self.prof)
                 stats = PartitionStats.from_partition(self.partition)
                 cluster = rt.get_cluster()
@@ -1579,6 +1597,8 @@ class DetectionEngine:
                     "rng": rng.state(), "rounds": rounds,
                 })
                 if st["values"]:
+                    from repro.runtime.durable import decode_value
+
                     values = [decode_value(v, spec) for v in st["values"]]
                     virtuals = [float(x) for x in st["virtuals"]]
                     # children are spawn-order-derived: re-requesting the

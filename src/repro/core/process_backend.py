@@ -84,6 +84,8 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+# the level-DP hot path (problems -> leveldp, mld, gf2m -> bitsliced, csr),
+# imported before any fork: no worker compiles a module in its first window
 from repro.core.problems import compile
 from repro.errors import ConfigurationError, WorkerCrashedError
 from repro.graph.csr import CSRGraph

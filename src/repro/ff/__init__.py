@@ -18,30 +18,12 @@ success at least 1/5 for the polynomial's degree in the ``y``s
   detection into polynomial identity testing.
 """
 
-from repro.ff.bitsliced import BitslicedGF2m
-from repro.ff.gf2m import GF2m, default_field_for_k
-from repro.ff.fingerprint import Fingerprint, base_indicator_block
-from repro.ff.poly2 import (
-    find_irreducible,
-    is_irreducible,
-    poly_degree,
-    poly_divmod,
-    poly_gcd,
-    poly_mod,
-    poly_mul,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BitslicedGF2m",
-    "GF2m",
-    "default_field_for_k",
-    "Fingerprint",
-    "base_indicator_block",
-    "find_irreducible",
-    "is_irreducible",
-    "poly_degree",
-    "poly_divmod",
-    "poly_gcd",
-    "poly_mod",
-    "poly_mul",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "bitsliced": ("BitslicedGF2m",),
+    "gf2m": ("GF2m", "default_field_for_k"),
+    "fingerprint": ("Fingerprint", "base_indicator_block"),
+    "poly2": ("find_irreducible", "is_irreducible", "poly_degree", "poly_divmod",
+              "poly_gcd", "poly_mod", "poly_mul"),
+})

@@ -32,6 +32,7 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import FieldError
+from repro.ff.bitsliced import BitslicedGF2m
 from repro.ff.poly2 import find_irreducible, is_irreducible, poly_degree, poly_mulmod
 from repro.util.rng import RngStream
 
@@ -190,8 +191,6 @@ class GF2m:
         per-field state, the linear map's mask tables.
         """
         if self._bitsliced is None:
-            from repro.ff.bitsliced import BitslicedGF2m
-
             self._bitsliced = BitslicedGF2m(self.m, self.modulus)
         return self._bitsliced
 

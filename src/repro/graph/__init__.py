@@ -5,58 +5,15 @@ neighbour DP values through (slot by slot: :class:`JaggedDiagonals`), and (b) a 
 load/degree metrics that Theorem 2 of the paper bounds runtime in terms of.
 """
 
-from repro.graph.csr import CSRGraph, JaggedDiagonals, xor_segment_reduce
-from repro.graph.datasets import DATASETS, DatasetSpec, load_dataset
-from repro.graph.generators import (
-    barabasi_albert,
-    chung_lu,
-    erdos_renyi,
-    grid2d,
-    miami_like,
-    orkut_like,
-    plant_clique,
-    plant_cluster,
-    plant_path,
-    plant_tree,
-    random_tree_graph,
-    watts_strogatz,
-)
-from repro.graph.partition import (
-    Partition,
-    bfs_partition,
-    block_partition,
-    greedy_partition,
-    random_partition,
-    make_partition,
-)
-from repro.graph.templates import TreeTemplate, SubtreeSpec, decompose_template
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CSRGraph",
-    "JaggedDiagonals",
-    "xor_segment_reduce",
-    "DATASETS",
-    "DatasetSpec",
-    "load_dataset",
-    "barabasi_albert",
-    "chung_lu",
-    "erdos_renyi",
-    "grid2d",
-    "miami_like",
-    "orkut_like",
-    "plant_clique",
-    "plant_cluster",
-    "plant_path",
-    "plant_tree",
-    "random_tree_graph",
-    "watts_strogatz",
-    "Partition",
-    "bfs_partition",
-    "block_partition",
-    "greedy_partition",
-    "random_partition",
-    "make_partition",
-    "TreeTemplate",
-    "SubtreeSpec",
-    "decompose_template",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "csr": ("CSRGraph", "JaggedDiagonals", "xor_segment_reduce"),
+    "datasets": ("DATASETS", "DatasetSpec", "load_dataset"),
+    "generators": ("barabasi_albert", "chung_lu", "erdos_renyi", "grid2d",
+                   "miami_like", "orkut_like", "plant_clique", "plant_cluster",
+                   "plant_path", "plant_tree", "random_tree_graph", "watts_strogatz"),
+    "partition": ("Partition", "bfs_partition", "block_partition", "greedy_partition",
+                  "random_partition", "make_partition"),
+    "templates": ("TreeTemplate", "SubtreeSpec", "decompose_template"),
+})

@@ -45,98 +45,21 @@ CLI: ``python -m repro detect-path ... --trace-out run.json
 ``python -m repro report report.json``.
 """
 
-from repro.obs.analyze import (
-    CriticalPath,
-    PathSegment,
-    RunAnalysis,
-    analyze_run,
-    communication_matrix,
-    extract_critical_path,
-    slack_histogram,
-)
-from repro.obs.chrome_trace import (
-    dump_chrome_trace,
-    to_chrome_trace,
-    trace_to_chrome,
-    validate_chrome_trace,
-)
-from repro.obs.http import LiveServer
-from repro.obs.live import LiveRun, ProgressStream, RunStatus
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricFamily,
-    MetricsRegistry,
-    MetricsSnapshot,
-    get_default_registry,
-    log_buckets,
-)
-from repro.obs.profile import (
-    Span,
-    WallProfiler,
-    validate_speedscope,
-)
-from repro.obs.qtrace import (
-    FlightRecorder,
-    QueryTrace,
-    QueryTracer,
-    TraceContext,
-    get_flight_recorder,
-    render_timeline,
-    reset_flight_recorder,
-)
-from repro.obs.report import RunReport
-from repro.obs.store import (
-    RunComparison,
-    RunRecord,
-    RunStore,
-    compare_runs,
-    compare_to_baseline,
-    config_fingerprint,
-    current_git_sha,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Counter",
-    "CriticalPath",
-    "FlightRecorder",
-    "Gauge",
-    "Histogram",
-    "LiveRun",
-    "LiveServer",
-    "MetricFamily",
-    "MetricsRegistry",
-    "MetricsSnapshot",
-    "PathSegment",
-    "ProgressStream",
-    "QueryTrace",
-    "QueryTracer",
-    "RunAnalysis",
-    "RunComparison",
-    "RunRecord",
-    "RunReport",
-    "RunStatus",
-    "RunStore",
-    "Span",
-    "TraceContext",
-    "WallProfiler",
-    "analyze_run",
-    "communication_matrix",
-    "compare_runs",
-    "compare_to_baseline",
-    "config_fingerprint",
-    "current_git_sha",
-    "dump_chrome_trace",
-    "extract_critical_path",
-    "get_default_registry",
-    "get_flight_recorder",
-    "log_buckets",
-    "render_timeline",
-    "reset_flight_recorder",
-    "slack_histogram",
-    "to_chrome_trace",
-    "trace_to_chrome",
-    "validate_chrome_trace",
-    "validate_speedscope",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "analyze": ("CriticalPath", "PathSegment", "RunAnalysis", "analyze_run",
+                "communication_matrix", "extract_critical_path", "slack_histogram"),
+    "chrome_trace": ("dump_chrome_trace", "to_chrome_trace", "trace_to_chrome",
+                     "validate_chrome_trace"),
+    "http": ("LiveServer",),
+    "live": ("LiveRun", "ProgressStream", "RunStatus"),
+    "metrics": ("Counter", "Gauge", "Histogram", "MetricFamily", "MetricsRegistry",
+                "MetricsSnapshot", "get_default_registry", "log_buckets"),
+    "profile": ("Span", "WallProfiler", "validate_speedscope"),
+    "qtrace": ("FlightRecorder", "QueryTrace", "QueryTracer", "TraceContext",
+               "get_flight_recorder", "render_timeline", "reset_flight_recorder"),
+    "report": ("RunReport",),
+    "store": ("RunComparison", "RunRecord", "RunStore", "compare_runs",
+              "compare_to_baseline", "config_fingerprint", "current_git_sha"),
+})

@@ -132,8 +132,9 @@ class _OpenSpan:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.finish(error=exc is not None)
 
-    def finish(self, *, error: bool = False) -> Span:
-        self.span.t_end = time.perf_counter()
+    def finish(self, *, error: bool = False, at: Optional[float] = None) -> Span:
+        """Stamp the end — ``at``, or now — and record the span."""
+        self.span.t_end = time.perf_counter() if at is None else at
         if error:
             self.span.tags.setdefault("error", True)
         self._log._close(self.span)

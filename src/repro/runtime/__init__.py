@@ -23,55 +23,16 @@ subpackage substitutes an in-process simulator:
   degrades gracefully instead of dying silently.
 """
 
-from repro.runtime.comm import AllReduce, Charge, Collect, Exchange
-from repro.runtime.cluster import VirtualCluster, juliet, shadowfax, laptop
-from repro.runtime.costmodel import CostModel, KernelCalibration, MachineSpec
-from repro.runtime.durable import (
-    CheckpointManager,
-    Watchdog,
-    load_run_config,
-    read_envelope,
-    write_envelope,
-    write_run_config,
-)
-from repro.runtime.faults import (
-    FaultInjector,
-    FaultPlan,
-    FaultSpec,
-    backoff_jitter,
-    load_fault_plan,
-)
-from repro.runtime.scheduler import RankContext, SimResult, Simulator
-from repro.runtime.tracing import Scope, TraceEvent, TraceRecorder, TraceSummary
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AllReduce",
-    "Charge",
-    "Collect",
-    "Exchange",
-    "CheckpointManager",
-    "Watchdog",
-    "load_run_config",
-    "read_envelope",
-    "write_envelope",
-    "write_run_config",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultSpec",
-    "backoff_jitter",
-    "load_fault_plan",
-    "VirtualCluster",
-    "juliet",
-    "shadowfax",
-    "laptop",
-    "CostModel",
-    "KernelCalibration",
-    "MachineSpec",
-    "RankContext",
-    "SimResult",
-    "Simulator",
-    "Scope",
-    "TraceEvent",
-    "TraceRecorder",
-    "TraceSummary",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "comm": ("AllReduce", "Charge", "Collect", "Exchange"),
+    "durable": ("CheckpointManager", "Watchdog", "load_run_config", "read_envelope",
+                "write_envelope", "write_run_config"),
+    "faults": ("FaultInjector", "FaultPlan", "FaultSpec", "backoff_jitter",
+               "load_fault_plan"),
+    "cluster": ("VirtualCluster", "juliet", "shadowfax", "laptop"),
+    "costmodel": ("CostModel", "KernelCalibration", "MachineSpec"),
+    "scheduler": ("RankContext", "SimResult", "Simulator"),
+    "tracing": ("Scope", "TraceEvent", "TraceRecorder", "TraceSummary"),
+})

@@ -15,52 +15,14 @@ Enable the comm sanitizer uniformly via ``MidasRuntime(sanitize="warn")``
 or ``"strict"``, or per-simulator via ``Simulator(sanitizer=...)``.
 """
 
-from repro.sanitize.certify import (
-    CertificationReport,
-    ResultCertifier,
-    certify_cluster,
-    certify_max_weight,
-    certify_ordered_path,
-    certify_path_witness,
-    certify_scan_grid,
-    certify_scan_score,
-    certify_tree_witness,
-)
-from repro.sanitize.comm import (
-    SANITIZE_MODES,
-    VIOLATION_KINDS,
-    CommSanitizer,
-    SanitizerReport,
-    Violation,
-)
-from repro.sanitize.replay import (
-    DigestLog,
-    ReplayDivergence,
-    ReplayReport,
-    diff_digest_logs,
-    value_digest,
-    verify_replay,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CertificationReport",
-    "CommSanitizer",
-    "DigestLog",
-    "ReplayDivergence",
-    "ReplayReport",
-    "ResultCertifier",
-    "SANITIZE_MODES",
-    "SanitizerReport",
-    "VIOLATION_KINDS",
-    "Violation",
-    "certify_cluster",
-    "certify_max_weight",
-    "certify_ordered_path",
-    "certify_path_witness",
-    "certify_scan_grid",
-    "certify_scan_score",
-    "certify_tree_witness",
-    "diff_digest_logs",
-    "value_digest",
-    "verify_replay",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "certify": ("CertificationReport", "ResultCertifier", "certify_cluster",
+                "certify_max_weight", "certify_ordered_path", "certify_path_witness",
+                "certify_scan_grid", "certify_scan_score", "certify_tree_witness"),
+    "comm": ("SANITIZE_MODES", "VIOLATION_KINDS", "CommSanitizer", "SanitizerReport",
+             "Violation"),
+    "replay": ("DigestLog", "ReplayDivergence", "ReplayReport", "diff_digest_logs",
+               "value_digest", "verify_replay"),
+})

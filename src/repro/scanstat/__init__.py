@@ -8,45 +8,13 @@ optionally extract the anomalous cluster
 (:class:`repro.scanstat.detect.AnomalyDetector`).
 """
 
-from repro.scanstat.baseline_grid import BaselineGridResult, baseline_scan_grid
-from repro.scanstat.detect import AnomalyDetector, AnomalyResult, extract_cluster
-from repro.scanstat.events import (
-    inject_poisson_counts,
-    null_poisson_counts,
-    pvalues_from_counts,
-)
-from repro.scanstat.statistics import (
-    BerkJones,
-    ElevatedMean,
-    ExpectationBasedPoisson,
-    HigherCriticism,
-    Kulldorff,
-    KulldorffTwoAxis,
-    ScanStatistic,
-)
-from repro.scanstat.weights import (
-    binary_weights_from_pvalues,
-    normal_lower_pvalues,
-    round_weights,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BaselineGridResult",
-    "baseline_scan_grid",
-    "AnomalyDetector",
-    "AnomalyResult",
-    "extract_cluster",
-    "inject_poisson_counts",
-    "null_poisson_counts",
-    "pvalues_from_counts",
-    "BerkJones",
-    "ElevatedMean",
-    "ExpectationBasedPoisson",
-    "HigherCriticism",
-    "Kulldorff",
-    "KulldorffTwoAxis",
-    "ScanStatistic",
-    "binary_weights_from_pvalues",
-    "normal_lower_pvalues",
-    "round_weights",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "baseline_grid": ("BaselineGridResult", "baseline_scan_grid"),
+    "detect": ("AnomalyDetector", "AnomalyResult", "extract_cluster"),
+    "events": ("inject_poisson_counts", "null_poisson_counts", "pvalues_from_counts"),
+    "statistics": ("BerkJones", "ElevatedMean", "ExpectationBasedPoisson",
+                   "HigherCriticism", "Kulldorff", "KulldorffTwoAxis", "ScanStatistic"),
+    "weights": ("binary_weights_from_pvalues", "normal_lower_pvalues", "round_weights"),
+})

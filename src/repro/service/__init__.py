@@ -28,26 +28,11 @@ caller of :func:`repro.service.broker.execute_query` alone (the CLI's
 local run) loads no server, client or worker fleet.
 """
 
-import importlib
+from repro._lazy import lazy_exports
 
-_EXPORTS = {
-    "DetectionService": "server",
-    "GraphEntry": "registry",
-    "GraphRegistry": "registry",
-    "HttpClient": "client",
-    "LocalClient": "client",
-    "QueryBroker": "broker",
-    "QueryOutcome": "broker",
-    "QuerySpec": "broker",
-    "canonical_result": "broker",
-    "graph_sha": "registry",
-}
-
-
-def __getattr__(name: str):
-    if name not in _EXPORTS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
-
-
-__all__ = sorted(_EXPORTS)
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "server": ("DetectionService",),
+    "registry": ("GraphEntry", "GraphRegistry", "graph_sha"),
+    "client": ("HttpClient", "LocalClient"),
+    "broker": ("QueryBroker", "QueryOutcome", "QuerySpec", "canonical_result"),
+})

@@ -38,10 +38,12 @@ Admission pipeline, in order:
 4. **worker** — the admitted caller waits for an idle worker, first
    come first served (the ``broker.queue`` span), and the query runs
    there (``broker.execute``); splicing the reply's spans and metrics,
-   freeing the worker and caching are ``broker.reply``.  A worker that
-   dies under it is replaced
-   and the query sent again, once — a pinned seed makes the retry
-   bit-identical; a second death is a
+   freeing the worker and caching are ``broker.reply``.  Each stage
+   starts where the one before it ended, so the code between two stages
+   (a lock release, a thread switch) is the later stage's, and the total
+   ends where the last one did: the stages tile ``broker.total``.  A
+   worker that dies under it is replaced and the query sent again, once
+   — a pinned seed makes the retry bit-identical; a second death is a
    :class:`~repro.errors.WorkerCrashedError` for the leader and every
    caller coalesced onto it.
 
@@ -54,6 +56,7 @@ thread — turns them into ``midas_service_*`` metrics and
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import os
 import threading
@@ -463,6 +466,13 @@ def dispatch(spec: QuerySpec, entry: GraphEntry, fleet: QueryFleet,
             _LOG.warning("%s; sending the query to a new worker", exc)
 
 
+def _starting(span, stamp: float):
+    """``span``, opened just now, moved back to start at ``stamp``: where
+    the stage before it ended."""
+    span.span.t_start = stamp
+    return span
+
+
 def _timed_out(timeout: float) -> ServiceError:
     return ServiceError(f"query timed out after {timeout}s")
 
@@ -537,6 +547,11 @@ class QueryBroker:
         self._runtime_config = dict(runtime_config or {})
         from repro.core.process_backend import QueryFleet
 
+        # what a worker runs for every query (_answer, execute_query),
+        # imported before the workers fork: none compiles a module in a query
+        for module in ("repro.core.midas", "repro.runtime.durable",
+                       "repro.scanstat.detect"):
+            importlib.import_module(module)
         # MidasRuntime refuses workers < 1 and an unknown start method, and
         # counts the usable CPUs
         start = self._runtime_config.get("process_start")
@@ -626,27 +641,30 @@ class QueryBroker:
         return self.tracer.begin(ctx or TraceContext.mint(), tenant=tenant)
 
     def _finish_trace(self, qt: QueryTrace, total, outcome: str,
-                      **extra) -> None:
-        """Close the request's ``broker.total`` span and hand the trace to
-        the tracer's store and SLO accounting."""
-        total.finish(error=outcome in ("error", "interrupted"))
+                      end: Optional[float] = None, **extra) -> None:
+        """Close the request's ``broker.total`` span — at ``end``, where its
+        last stage ended, or now — and hand the trace to the tracer's
+        store and SLO accounting."""
+        total.finish(error=outcome in ("error", "interrupted"), at=end)
         if self.tracer is not None:
             self.tracer.finish(qt, outcome=outcome, service_pid=os.getpid(),
                                **extra)
 
     def _traced_execute(self, spec: QuerySpec, entry: GraphEntry, slot: Slot,
-                        qt: QueryTrace, submit_t: float, left: Optional[float]):
+                        qt: QueryTrace, admitted: float, left: Optional[float]):
         """Answer ``spec`` on ``slot``'s fleet worker (:func:`dispatch`):
-        ``(payload, the worker's spans, its metric delta)``.
+        ``(payload, the worker's spans, its metric delta, the stamp the
+        execution ended at)``.
 
-        Records the ``broker.queue`` span — admission to the worker — and
-        ``broker.execute``, the span the worker's engine spans hang
-        under.  ``left`` is what the wait left of the caller's timeout.
+        Records the ``broker.queue`` span — from ``admitted``, the end of
+        admission, to the worker — and ``broker.execute``, the span the
+        worker's engine spans hang under.  ``left`` is what the wait left
+        of the caller's timeout.
         """
-        qt.add_span("broker.queue", submit_t, time.perf_counter(),
-                    lane="broker")
-        with qt.span("broker.execute", lane="broker", kind=spec.kind,
-                     graph=entry.sha[:12], k=spec.k) as span:
+        queued = time.perf_counter()
+        qt.add_span("broker.queue", admitted, queued, lane="broker")
+        with _starting(qt.span("broker.execute", lane="broker", kind=spec.kind,
+                               graph=entry.sha[:12], k=spec.k), queued) as span:
             config = dict(self._runtime_config)
             if left is not None and config.get("deadline") is None:
                 config["deadline"] = left
@@ -655,7 +673,7 @@ class QueryBroker:
                 spec, entry, self._fleet, slot, config, trace)
             entry.note_fleet_session(session)
             span.tag(rounds=int(payload.get("timing", {}).get("rounds", 0)))
-        return payload, spans, mdelta
+        return payload, spans, mdelta, span.span.t_end
 
     def submit(self, spec: QuerySpec, tenant: str = "default",
                trace=None, timeout: Optional[float] = None) -> QueryOutcome:
@@ -685,12 +703,12 @@ class QueryBroker:
         total = qt.span("broker.total", lane="broker", kind=spec.kind)
         joined = mine = None
         # the wait for the lock is the cache lookup's
-        lookup = qt.span("broker.cache", lane="broker")
+        lookup = _starting(qt.span("broker.cache", lane="broker"), total.span.t_start)
         with self._lock:
             if self._closed:
                 raise ServiceError("service is closed")
             cached = self._cache.get(key)
-            lookup.tag(hit=cached is not None).finish()
+            edge = lookup.tag(hit=cached is not None).finish().t_end
             if cached is not None:
                 self._cache.move_to_end(key)
                 self.stats["cache_hits"] += 1
@@ -698,9 +716,10 @@ class QueryBroker:
                 joined = self._inflight[key]
                 self.stats["coalesced"] += 1
             else:
-                with qt.span("broker.quota", lane="broker") as span:
+                with _starting(qt.span("broker.quota", lane="broker"), edge) as span:
                     held = self._tenant_inflight.get(tenant, 0)
                     span.tag(rejected=held >= self.quota)
+                edge = span.span.t_end
                 if held >= self.quota:
                     self.stats["rejected"] += 1
                 else:
@@ -720,7 +739,8 @@ class QueryBroker:
             self.m_queries.labels(kind=spec.kind, tenant=tenant,
                                   outcome="coalesced").inc()
             try:
-                with qt.span("broker.coalesce", lane="broker"):
+                with _starting(qt.span("broker.coalesce", lane="broker"),
+                               edge) as joining:
                     if not wait([joined], timeout=timeout).done:
                         raise _timed_out(timeout)
                     payload = joined.result()
@@ -729,7 +749,8 @@ class QueryBroker:
                     qt, total, "error",
                     error=f"coalesced execution failed: {exc}")
                 raise
-            self._finish_trace(qt, total, "coalesced", kind=spec.kind)
+            self._finish_trace(qt, total, "coalesced", joining.span.t_end,
+                               kind=spec.kind)
             return QueryOutcome(self._served(payload, tenant, qt,
                                              coalesced=True))
 
@@ -749,9 +770,9 @@ class QueryBroker:
             try:
                 left = (None if timeout is None
                         else max(timeout - (time.perf_counter() - t0), 1e-6))
-                payload, spans, mdelta = self._traced_execute(
-                    spec, entry, slot, qt, t0, left)
-                reply = qt.span("broker.reply", lane="broker")
+                payload, spans, mdelta, edge = self._traced_execute(
+                    spec, entry, slot, qt, edge, left)
+                reply = _starting(qt.span("broker.reply", lane="broker"), edge)
             finally:
                 self._fleet.release(slot)
             if spans:
@@ -788,9 +809,8 @@ class QueryBroker:
             self.m_queries.labels(kind=spec.kind, tenant=tenant,
                                   outcome="ok").inc()
             self.m_latency.labels(kind=spec.kind).observe(wall)
-            reply.finish()
-            self._finish_trace(qt, total, "ok", kind=spec.kind,
-                               wall_seconds=wall,
+            self._finish_trace(qt, total, "ok", reply.finish().t_end,
+                               kind=spec.kind, wall_seconds=wall,
                                mode=payload["runtime"]["mode"])
             return QueryOutcome(self._served(payload, tenant, qt))
         finally:

@@ -22,8 +22,6 @@ from __future__ import annotations
 import json
 import os
 import time
-import urllib.error
-import urllib.request
 from typing import Optional
 
 from repro.errors import (
@@ -124,30 +122,29 @@ class HttpClient:
         self.timeout = timeout
 
     # ------------------------------------------------------------- plumbing
-    def _post(self, path: str, payload: dict) -> dict:
-        req = urllib.request.Request(
-            self.base_url + path,
-            data=json.dumps(payload).encode(),
-            headers={"Content-Type": "application/json"},
-            method="POST",
-        )
+    def _request(self, path: str, payload: Optional[dict] = None) -> bytes:
+        """The reply body of a GET, or of a JSON POST of ``payload``.
+        :mod:`urllib` is imported here, so a process that never makes a
+        request never loads it."""
+        import urllib.error
+        import urllib.request
+
+        data = None if payload is None else json.dumps(payload).encode()
+        req = urllib.request.Request(self.base_url + path, data=data,
+                                     headers={"Content-Type": "application/json"})
         try:
             with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                return json.load(resp)
-        except urllib.error.HTTPError as exc:
-            self._raise_mapped(exc)
-        except (urllib.error.URLError, OSError) as exc:
-            raise ServiceError(f"cannot reach {self.base_url}: {exc}") from exc
-
-    def _get(self, path: str):
-        try:
-            with urllib.request.urlopen(self.base_url + path,
-                                        timeout=self.timeout) as resp:
                 return resp.read()
         except urllib.error.HTTPError as exc:
             self._raise_mapped(exc)
         except (urllib.error.URLError, OSError) as exc:
             raise ServiceError(f"cannot reach {self.base_url}: {exc}") from exc
+
+    def _post(self, path: str, payload: dict) -> dict:
+        return json.loads(self._request(path, payload))
+
+    def _get(self, path: str):
+        return self._request(path)
 
     @staticmethod
     def _raise_mapped(exc: "urllib.error.HTTPError"):

@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 import threading
 import time
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.errors import (
     ConfigurationError,
@@ -45,11 +45,13 @@ from repro.errors import (
     UnknownGraphError,
 )
 from repro.graph.csr import CSRGraph
-from repro.obs.http import LiveServer, RouteHandler
 from repro.obs.metrics import MetricsRegistry
 from repro.service.broker import QueryBroker, QueryOutcome, QuerySpec
 from repro.service.registry import GraphEntry, GraphRegistry
 from repro.util.log import get_logger
+
+if TYPE_CHECKING:
+    from repro.obs.http import LiveServer, RouteHandler
 
 _LOG = get_logger(__name__)
 
@@ -214,6 +216,8 @@ class DetectionService:
         """Mount the API over HTTP; returns the bound port (0 = ephemeral)."""
         self.start()
         if self._server is None:
+            from repro.obs.http import LiveServer  # the HTTP layer, at use
+
             self._server = LiveServer(
                 self.status_snapshot, registry=self.metrics,
                 host=host or self.host, routes=self.routes(),

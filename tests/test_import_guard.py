@@ -9,12 +9,25 @@ running until the ledger is re-anchored (ROADMAP item 1), so nothing in
 or draw its own fingerprints (``Fingerprint.draw``): a second level DP
 would need both.  Nor may the simulator grow an op its one rank program,
 :func:`~repro.core.leveldp.phase_program`, never yields.
+
+And an import pays only for what a run executes: the packages export
+their names lazily (:mod:`repro._lazy`), and the optional layers — the
+HTTP exporter and client, the sanitizer, fault injection, checkpoints,
+the simulator, the analytic model and the obs views — are imported where
+a run builds their feature, never by importing an entry point.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
+import os
+import statistics
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import repro
 from repro.core.halo import build_halo_views
@@ -129,3 +142,147 @@ def test_the_guard_sees_a_level_dp(tmp_path):
                      "fp = fingerprint.Fingerprint.draw(n, k, rng)\n")
     assert sorted(_uses(probe)) == ["Fingerprint.draw", "Fingerprint.draw",
                                     "xor_segment_reduce", "xor_segment_reduce"]
+
+
+#: the modules an entry-point import must not load (a trailing dot: the
+#: package's modules)
+OPTIONAL_LAYERS = (
+    "http.server", "urllib.request", "repro.sanitize", "repro.sanitize.",
+    "repro.runtime.faults", "repro.runtime.durable", "repro.runtime.scheduler",
+    "repro.core.model", "repro.obs.http", "repro.obs.live", "repro.obs.analyze",
+    "repro.obs.report", "repro.obs.store", "repro.obs.chrome_trace",
+)
+
+_IMPORT_PROBE = """
+import sys, time
+t0 = time.perf_counter()
+import {module}
+took = time.perf_counter() - t0
+print(took)
+print(" ".join(sorted(sys.modules)))
+"""
+
+
+def _import_in_fresh_process(module: str):
+    """``(seconds, loaded module names)`` of importing ``module`` in a new
+    interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE.format(module=module)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    took, loaded = proc.stdout.splitlines()
+    return float(took), loaded.split()
+
+
+@pytest.mark.parametrize("module", ["repro", "repro.cli", "repro.core.midas",
+                                    "repro.service.broker"])
+def test_an_entry_point_loads_no_optional_layer(module):
+    _, loaded = _import_in_fresh_process(module)
+    offenders = [m for m in loaded
+                 if any(m == layer or (layer.endswith(".") and m.startswith(layer))
+                        for layer in OPTIONAL_LAYERS)]
+    assert not offenders, offenders
+    if module == "repro":
+        assert [m for m in loaded if m.startswith("repro")] == ["repro", "repro._lazy"]
+
+
+def test_the_cli_imports_within_its_budget():
+    """``import repro.cli``, the start-up every CLI command pays before
+    its own imports, takes at most 0.20 s: the median of five fresh
+    interpreters."""
+    took = statistics.median(_import_in_fresh_process("repro.cli")[0] for _ in range(5))
+    assert took <= 0.20, f"import repro.cli took {took:.3f} s"
+
+
+#: the audit hook a probe installs: every module a forked child of the
+#: probe imports is appended to the file ``sys.argv[1]``
+_AUDIT = """
+import os, sys
+parent, log = os.getpid(), sys.argv[1]
+
+def hook(event, args):
+    if event == "import" and os.getpid() != parent:
+        with open(log, "a") as fh:
+            fh.write(f"{args[0]}\\n")
+"""
+
+#: a round on a forked ProcessPhasePool, and served queries of every kind
+#: on a forked service worker
+_WORKER_PROBES = {
+    "phase_pool": """
+from repro.core.mld import MLDCircuit
+from repro.core.problems import compile
+from repro.core.process_backend import ProcessPhasePool
+from repro.graph.generators import erdos_renyi
+from repro.util.rng import RngStream
+
+sys.addaudithook(hook)
+g = erdos_renyi(200, 800, rng=RngStream(1))
+spec = compile(MLDCircuit.k_path(6))
+pool = ProcessPhasePool(g, 2, "fork")
+try:
+    for _ in pool.round(pool.wire_spec(spec), spec.draw_fingerprint(g.n, RngStream(2)),
+                        16, list(range(0, 64, 16))):
+        pass
+finally:
+    pool.close()
+""",
+    "service": """
+from repro.graph.generators import erdos_renyi
+from repro.service import DetectionService, LocalClient, QuerySpec
+from repro.util.rng import RngStream
+
+sys.addaudithook(hook)
+g = erdos_renyi(200, 800, rng=RngStream(1))
+with DetectionService(workers=1, runtime_config={"process_start": "fork"}) as svc:
+    svc.registry.register(g, name="g")
+    client = LocalClient(svc)
+    for kind, extra in (("detect-path", {}), ("detect-tree", {"template": "star"}),
+                        ("scan", {"weights": [1] * g.n})):
+        client.query(QuerySpec(kind=kind, graph="g", k=4, seed={"seed": 1}, **extra))
+""",
+}
+
+
+@pytest.mark.parametrize("probe", sorted(_WORKER_PROBES))
+def test_a_forked_worker_imports_no_module_of_the_package(probe, tmp_path):
+    """What a fleet worker runs is imported before it forks — the level-DP
+    hot path by the fleet module, a served query's modules by the broker —
+    so no worker compiles one inside a window or a query (where it would
+    count against that window's or query's wall)."""
+    log = tmp_path / "imports.txt"
+    log.touch()
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    code = _AUDIT + _WORKER_PROBES[probe]
+    proc = subprocess.run([sys.executable, "-c", code, str(log)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert [m for m in log.read_text().split() if m.startswith("repro")] == []
+
+
+#: every package with a lazy export table
+PACKAGES = ["repro", *(f"repro.{name}" for name in (
+    "core", "obs", "runtime", "sanitize", "graph", "scanstat", "ff", "util", "apps",
+    "baselines", "service"))]
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_every_export_resolves(package):
+    """Each ``__all__`` name resolves by attribute, by ``import *`` and is
+    in ``dir``; an unknown name is an :class:`AttributeError`."""
+    pkg = importlib.import_module(package)
+    listed = set(dir(pkg))
+    namespace: dict = {}
+    exec(f"from {package} import *", namespace)
+    for name in pkg.__all__:
+        assert name in listed, name
+        assert namespace[name] is getattr(pkg, name), name
+    with pytest.raises(AttributeError, match="no_such_export"):
+        getattr(pkg, "no_such_export")
+
+
+def test_the_quick_taste_imports_unchanged():
+    from repro import RngStream, detect_path, erdos_renyi
+
+    g = erdos_renyi(40, m=80, rng=RngStream(1))
+    assert detect_path(g, k=3, eps=0.2, rng=RngStream(2)).found
