@@ -90,8 +90,7 @@ def _add_mode_args(p: argparse.ArgumentParser) -> None:
     """The execution configuration every command that runs detections
     takes, ``repro serve`` included: the modes are the engine's backends,
     the sanitize levels the sanitizer's."""
-    from repro.core.engine import BACKENDS, MidasRuntime
-    from repro.sanitize.comm import SANITIZE_MODES
+    from repro.core.engine import BACKENDS, SANITIZE_MODES, MidasRuntime
 
     p.add_argument("--mode", choices=list(BACKENDS), default=MidasRuntime.mode,
                    help="execution backend")

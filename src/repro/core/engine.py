@@ -92,6 +92,10 @@ _STATE_BYTES = 768 << 10
 _PARTITION_SEED = 7777
 #: the null span log: session build steps nobody is watching go here
 _UNPROFILED = WallProfiler(enabled=False)
+#: the comm sanitizer's levels (``MidasRuntime.sanitize``), weakest first:
+#: ``off``, ``warn`` (report every violation) and ``strict`` (raise at the
+#: first) — the one list
+SANITIZE_MODES = ("off", "warn", "strict")
 
 
 def whole_graph_window(k: int, n: int = 0, field_degree: Optional[int] = None,
@@ -238,13 +242,9 @@ class MidasRuntime:
         if self.mode not in BACKENDS:
             raise ConfigurationError(
                 f"mode must be one of {tuple(BACKENDS)}, got {self.mode!r}")
-        if self.sanitize != "off":
-            from repro.sanitize.comm import SANITIZE_MODES
-
-            if self.sanitize not in SANITIZE_MODES:
-                raise ConfigurationError(
-                    f"sanitize must be one of {SANITIZE_MODES}, got {self.sanitize!r}"
-                )
+        if self.sanitize not in SANITIZE_MODES:
+            raise ConfigurationError(
+                f"sanitize must be one of {SANITIZE_MODES}, got {self.sanitize!r}")
         if self.fault_plan is not None and not self.backend.ranks:
             ranked = tuple(mode for mode, b in BACKENDS.items() if b.ranks)
             raise ConfigurationError(
@@ -595,13 +595,11 @@ def _run_phase_resilient(rt: MidasRuntime, fc: _FaultContext, prog, key: str,
 
 @dataclass
 class _Stage:
-    """One (spec, schedule) evaluation inside a run — e.g. one grid size."""
+    """One (spec, schedule) evaluation inside a run."""
 
     spec: ProblemSpec
     sched: PhaseSchedule
     rounds: int
-    key_prefix: str  # fault-injection key namespace ("", "size3/", ...)
-    label: str  # trace-scope label ("", "size3", ...)
     phase_hist: object  # midas_phase_seconds histogram, pre-labeled
     estimate: Optional[PerformanceEstimate] = None
     # simulated mode: window start -> its exchange signature, and exchange
@@ -1026,7 +1024,7 @@ class SimulatedBackend(ExecutionBackend):
                     if e._hb is not None:
                         e._hb()  # one simulator heartbeat per reused window
                 else:
-                    key = f"{stage.key_prefix}r{ell}/b{bi}/p{t}"
+                    key = f"r{ell}/b{bi}/p{t}"
                     prog = phase_program(self._views, spec.recurrence, fp, q0,
                                          sched.n2, overlapped=rt.overlap,
                                          points=spec.points)
@@ -1062,10 +1060,9 @@ class SimulatedBackend(ExecutionBackend):
                     # failed attempts at their own offsets, then the one
                     # that succeeded
                     attempts = [
-                        (shift, _compose_label(stage.label, f"failed-attempt{a}"),
-                         events, edges)
+                        (shift, f"failed-attempt{a}", events, edges)
                         for shift, a, events, edges in failed
-                    ] + [(extra, stage.label, tl.events, tl.edges)]
+                    ] + [(extra, "", tl.events, tl.edges)]
                     for shift, label, events, edges in attempts:
                         rec.extend(
                             events, t_shift=e.cursor + shift,
@@ -1088,16 +1085,10 @@ class SimulatedBackend(ExecutionBackend):
                                 -1, e.cursor + red, info="round-reduce")
             rec.record(-1, "collective", e.cursor, e.cursor + red,
                        info="round-reduce", nbytes=spec.reduce_nbytes,
-                       scope=Scope(round=ell,
-                                   label=(f"{stage.label} reduce" if stage.label
-                                          else "round-reduce")))
+                       scope=Scope(round=ell, label="round-reduce"))
         e.cursor += red
         e.last_join = (-1, e.cursor)
         return value, round_virtual
-
-
-def _compose_label(stage_label: str, suffix: str) -> str:
-    return f"{stage_label} {suffix}" if stage_label else suffix
 
 
 #: the one list of modes: each mode's name and its backend
@@ -1458,7 +1449,7 @@ class DetectionEngine:
             if self.digests is not None:
                 # keyed by phase index, so completion order is moot
                 self.digests.record_phase(
-                    stage.label, ell, t // stage.sched.concurrency, t,
+                    "", ell, t // stage.sched.concurrency, t,
                     self._value_digest(value),
                 )
             if self.live is not None:
@@ -1491,8 +1482,7 @@ class DetectionEngine:
         for first, t, t0, t1, lane in sorted(windows, key=lambda w: w[2]):
             q0, q1 = stage.sched.phase_window(t)
             self.rec.record(lanes[lane], "compute", at(t0), at(t1),
-                            scope=Scope(round=first, phase=t, q0=q0, q1=q1,
-                                        label=stage.label))
+                            scope=Scope(round=first, phase=t, q0=q0, q1=q1))
         if windows:
             *_, t1, lane = max(windows, key=lambda w: w[3])
             if lane != threading.current_thread().name:
@@ -1508,7 +1498,7 @@ class DetectionEngine:
     def note_round(self, stage: "_Stage", ell: int, value) -> None:
         """Record one round accumulator's digest (no-op without a log)."""
         if self.digests is not None:
-            self.digests.record_round(stage.label, ell,
+            self.digests.record_round("", ell,
                                       self._value_digest(value))
 
     # ------------------------------------------------------------ main loop
@@ -1520,8 +1510,6 @@ class DetectionEngine:
         *,
         eps: float = 0.2,
         stop: Optional[Callable[[Value], bool]] = None,
-        key_prefix: str = "",
-        label: str = "",
     ) -> StageResult:
         """Run ``rounds`` amplification rounds of ``spec``.
 
@@ -1549,7 +1537,7 @@ class DetectionEngine:
         # the stage is a span too: what this run has to build for it (pool,
         # partition, halo) and its rounds nest inside
         with self.prof.span("engine.stage", lane="engine",
-                            label=label or self.problem, k=spec.k,
+                            label=self.problem, k=spec.k,
                             mode=rt.mode, rounds=rounds) as stage_span:
             phase_hist = self.reg.histogram(
                 "midas_phase_seconds", "Per-phase time (virtual makespan or wall)"
@@ -1570,16 +1558,18 @@ class DetectionEngine:
                     eps=eps, problem="scanstat" if spec.convolves else "path",
                     levels=spec.exchanges, z_axis=spec.payload, rounds=rounds,
                 )
-            stage = _Stage(spec, sched, rounds, key_prefix, label, phase_hist, estimate)
+            stage = _Stage(spec, sched, rounds, phase_hist, estimate)
             # the stage key is consumed unconditionally (creation order), so a
-            # resumed process walks the same key sequence as the killed one
-            skey = self.ckpt.stage_key(self.ekey, label) if self.ckpt is not None else None
+            # resumed process walks the same key sequence as the killed one.
+            # Stages are told apart by that order alone: the label the stage
+            # key and the digests still carry is empty
+            skey = self.ckpt.stage_key(self.ekey, "") if self.ckpt is not None else None
             if self.degraded is not None:
                 # a previous stage tripped the watchdog: start no new work
                 return StageResult([], [], sched, estimate)
             self.backend.prepare(stage)
             if self.live is not None:
-                self.live.stage_started(label or self.problem, spec.k, rounds,
+                self.live.stage_started(self.problem, spec.k, rounds,
                                         sched.n_phases, spec.round_success, eps=eps)
             walls0 = len(self.round_walls)  # the ETA averages this stage's rounds
 
@@ -1631,7 +1621,7 @@ class DetectionEngine:
                 # the batch is stamped once: this span is the profile's and
                 # the query trace's, and feeds details["wall"] and the ETA
                 span = self.prof.span("engine.round", phase="rounds",
-                                      callsite=label or self.problem, round=ell,
+                                      callsite=self.problem, round=ell,
                                       rounds=len(batch.fps))
                 try:
                     with span:
@@ -1656,7 +1646,7 @@ class DetectionEngine:
                     self._share_wall(span.span.duration, ell - batch.ell)
                     if self.digests is not None:
                         self.digests.forget_phases(
-                            stage.label, range(ell, batch.ell + len(done)))
+                            "", range(ell, batch.ell + len(done)))
             stage_span.tag(rounds_done=len(values),
                            degraded=self.degraded is not None)
             return StageResult(values, virtuals, sched, estimate)

@@ -9,7 +9,7 @@ from repro.core.mld import MLDCircuit
 
 def path_eval_phase(graph, fp, q_start: int, n2: int) -> np.ndarray:
     """Per-iteration k-path values over ``[q_start, q_start + n2)``."""
-    return run_whole_graph(graph, MLDCircuit.k_path(fp.k).recurrence(), fp, q_start, n2)
+    return run_whole_graph(graph, MLDCircuit.k_path(fp.k).recurrence(), fp, q_start, n2)[0]
 
 
 def path_phase_value(graph, fp, q_start: int, n2: int) -> int:

@@ -11,4 +11,4 @@ def tree_eval_phase(graph, template, fp, q_start: int, n2: int,
                     specs=None) -> np.ndarray:
     """Per-iteration k-tree values (``specs``, a decomposition, is unused)."""
     circuit = MLDCircuit.k_tree(template)
-    return run_whole_graph(graph, circuit.recurrence(), fp, q_start, n2)
+    return run_whole_graph(graph, circuit.recurrence(), fp, q_start, n2)[0]

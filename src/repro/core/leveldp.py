@@ -11,7 +11,8 @@ factors that into three orthogonal pieces:
   handed the lanes, asks them for level base blocks, per-row scalings
   and multiplies, and ``yield``\\ s a state array whenever it needs that
   state summed over neighbours; the ``yield`` evaluates to the neighbour
-  sum, aligned with the same rows.  It ``return``\\ s the final state.
+  sum, aligned with the same rows.  It ``return``\\ s its outputs, each
+  final state with its vertex-variable count (:attr:`MLDCircuit.variables`).
   A recurrence never sees a graph, a halo, a message tag, a comm op or a
   weight, and treats every axis after the first (rows) as opaque;
 * the **lanes** (:class:`Lanes`) — the one layout of the ``n2``
@@ -56,7 +57,7 @@ from repro.runtime.comm import AllReduce, Collect, Exchange
 from repro.util.layout import memory_order
 
 #: ``recurrence(lanes)`` -> generator yielding states to neighbour-sum
-Recurrence = Callable[["Lanes"], Generator[np.ndarray, np.ndarray, np.ndarray]]
+Recurrence = Callable[["Lanes"], Generator[np.ndarray, np.ndarray, list]]
 
 # <malloc.h> parameter numbers, and the fixed thresholds asked for: arrays
 # under 16 MB come from the heap, whose freed top is handed back to the
@@ -127,6 +128,17 @@ class PointBlocks:
         return self.points.coefficients(values, self.z_max + 1)
 
 
+def fold_values(per_point: np.ndarray, points: Optional[PointBlocks]) -> list:
+    """``(G, outputs, P)`` point values of ``G`` windows or rounds -> their
+    values, the one reduce of every driver: each output's weight cells
+    (its one value unweighted), output-major; a lone scalar as an ``int``."""
+    if points is not None:
+        per_point = points.cells(per_point)
+    elif per_point.shape[1] == 1:
+        return [int(v) for v in per_point.ravel()]
+    return list(per_point.reshape(len(per_point), -1))
+
+
 @lru_cache(maxsize=None)
 def _spread_bytes(n2: int) -> np.ndarray:
     """``(256, n2)`` uint8: row ``v`` is the ``8 n2`` little-endian lane
@@ -158,7 +170,8 @@ class Lanes:
     indicator is packed into lane words once per window; each level's base
     block is one masked AND of them.  Lanes past ``P R n2`` in the last
     word are zero in the packed indicator, so every state is zero there,
-    and :meth:`finish` drops them.  A level's coefficient differs per block: a block filling
+    and :meth:`finish` drops them, as it drops each output's lanes past
+    its own ``2^j`` iterations.  A level's coefficient differs per block: a block filling
     whole words (``n2`` a multiple of 64) takes its ``y`` mask on each of
     them; blocks sharing words have each plane's bits packed 8 blocks a
     byte and spread to their lanes by one table read (:func:`_spread_bytes`).
@@ -280,10 +293,26 @@ class Lanes:
         """``sum of a * b`` over ``pairs`` of states of one shape."""
         return self.bs.mul_sum(pairs)
 
-    def finish(self, state: np.ndarray) -> np.ndarray:
-        """Sum a state over its rows: ``(P R n2,)`` field elements."""
-        return self.bs.unslice(self.bs.xor_sum(state, axis=0), self.width,
-                               self.field.dtype)
+    def drop(self, variables: int) -> np.ndarray:
+        """``(n2,)`` bool: the window's iterations with a bit set in
+        ``j .. k-1`` (``j = variables``) — in a run, those from ``2^j`` on."""
+        high = (1 << self.fp.k) - (1 << variables)
+        return (np.arange(self.q_start, self.q_start + self.n2) & high) != 0
+
+    def finish(self, outputs: list) -> np.ndarray:
+        """Sum each ``(state, variables)`` output over its rows: ``(outputs,
+        P R n2)`` field elements.  An output of ``j`` variables is a
+        ``j``-dimensional run on the iterations below ``2^j`` alone, which
+        read only the low ``j`` bits of each ``v_i``: its other lanes
+        (:meth:`drop`) are zero, and a window past ``2^j`` sums nothing."""
+        values = np.zeros((len(outputs), self.width), self.field.dtype)
+        for value, (state, variables) in zip(values, outputs):
+            drop = self.drop(variables)
+            if not drop.all():
+                value[:] = self.bs.unslice(self.bs.xor_sum(state, axis=0), self.width,
+                                           self.field.dtype)
+                value.reshape(self.blocks, self.n2)[:, drop] = 0
+        return values
 
 
 # ------------------------------------------------------------------ drivers
@@ -341,10 +370,10 @@ def run_whole_graph(graph: CSRGraph, recurrence: Recurrence, fp,
     over rows does not care — so no level permutes anything.  With
     ``linked_only`` (a recurrence whose every output term has a neighbour
     sum as a factor) the rows without a neighbour, which add nothing, are
-    left out (:meth:`JaggedDiagonals.linked`).  Returns the
-    per-iteration values ``(P R n2,)`` in the lanes' field, block-major;
-    XOR over a block's ``n2`` lanes is the phase's contribution to its
-    round at its point.
+    left out (:meth:`JaggedDiagonals.linked`).  Returns each output's
+    per-iteration values ``(outputs, P R n2)`` in the lanes' field,
+    block-major (:meth:`Lanes.finish`); XOR over a block's ``n2`` lanes is
+    the phase's contribution to its round at its point.
 
     The first call in a process applies :func:`retain_worker_heaps`.
     """
@@ -413,10 +442,11 @@ def phase_program(views: List[HaloView], recurrence: Recurrence, fp: Fingerprint
     messages fly and adds the ghost-column half after — GF addition is
     XOR, so the halves compose exactly.  The program ends with one XOR
     all-reduce of the per-rank partial values, so every rank returns the
-    same value (an ``int`` for a scalar accumulator) — bit-identical to
-    :func:`run_whole_graph` folded over its last axis.  With ``points`` a
-    rank interpolates its partial values into the ``(z_max + 1,)`` weight
-    cells before the all-reduce (interpolation is linear).  A halo
+    same value (:func:`fold_values`: an ``int`` for a lone scalar
+    output) — bit-identical to :func:`run_whole_graph` folded over its
+    last axis.  With ``points`` a rank interpolates its partial values
+    into each output's ``z_max + 1`` weight cells before the all-reduce
+    (interpolation is linear).  A halo
     message is charged as the paper's element rows, whatever the planes
     weigh: ``n2`` base-field elements a row, times the ``z_max + 1``
     weight cells with ``points``, whatever ``P`` is.  Every
@@ -472,13 +502,9 @@ def phase_program(views: List[HaloView], recurrence: Recurrence, fp: Fingerprint
             exchange += 1
             state, done = _advance(gen, acc)
         per_lane = lanes.finish(state)
-        if points is None:
-            local = np.bitwise_xor.reduce(per_lane, axis=-1)
-        else:
-            local = points.cells(np.bitwise_xor.reduce(
-                per_lane.reshape(points.count, n2), axis=-1))
-        total = yield AllReduce(local)
-        return total if np.ndim(total) else int(total)
+        per_point = np.bitwise_xor.reduce(per_lane.reshape(1, len(per_lane), -1, n2),
+                                          axis=-1)
+        return (yield AllReduce(fold_values(per_point, points)[0]))
 
     return program
 
@@ -488,6 +514,7 @@ __all__ = [
     "PointBlocks",
     "Recurrence",
     "exchange_signature",
+    "fold_values",
     "neighbour_sum",
     "phase_program",
     "retain_worker_heaps",

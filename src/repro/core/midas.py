@@ -34,6 +34,7 @@ backend, or (for the threaded and process backends) completion order.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -63,13 +64,12 @@ def stage_rounds(circuit: MLDCircuit, eps: float) -> int:
 
 
 def _detect(engine: DetectionEngine, circuit: MLDCircuit, eps: float, rng, *,
-            early_exit: bool = False, stop=None, label: str = "") -> StageResult:
+            early_exit: bool = False, stop=None) -> StageResult:
     """The :func:`stage_rounds` amplification rounds of ``circuit`` on
     ``engine``, drawn from ``rng``: every driver's one way onto the
     engine.  ``stop`` ends the stage at the first round it accepts
-    (``early_exit``: any witness); ``label`` names a stage of a
-    multi-stage run.  The rounds are the first of the kind-free
-    ``rounds_for_epsilon(eps)``: the same stream, cut shorter.
+    (``early_exit``: any witness).  The rounds are the first of the
+    kind-free ``rounds_for_epsilon(eps)``: the same stream, cut shorter.
 
     The circuit is compiled over the session's cached GF(2^l) tables,
     one set per field degree; which layout a run takes is the level-DP
@@ -80,8 +80,7 @@ def _detect(engine: DetectionEngine, circuit: MLDCircuit, eps: float, rng, *,
                                                         prof=engine.prof))
     if early_exit:
         stop = spec.hit
-    return engine.run_stage(spec, rounds, rng, eps=eps, stop=stop, label=label,
-                            key_prefix=f"{label}/" if label else "")
+    return engine.run_stage(spec, rounds, rng, eps=eps, stop=stop)
 
 
 def _decide(graph: CSRGraph, circuit: MLDCircuit, eps: float, rng,
@@ -203,14 +202,19 @@ def detect_scan_cell(
 
     This is the cheap single-cell query used by cluster extraction — it
     runs only the ``dim = size`` evaluation (``2^size`` iterations) instead
-    of the whole grid, and exits on the first hitting round.
+    of the whole grid, and exits on the first hitting round.  Its circuit
+    is the grid's with row ``size`` its only output, so (for ``size >= 2``)
+    a whole-graph run leaves out the vertices without neighbours
+    (:attr:`MLDCircuit.needs_edges`) — most of a graph that extraction has
+    peeled.
     """
     rt = runtime or MidasRuntime()
     w = check_weights(graph.n, weights)
     if not (1 <= size <= graph.n) or weight < 0:
         return False
+    grid = MLDCircuit.scan_row(w, size, weight)
     with DetectionEngine(graph, rt, "scanstat") as engine:
-        out = _detect(engine, MLDCircuit.scan_row(w, size, weight), eps,
+        out = _detect(engine, replace(grid, outputs=grid.outputs[-1:]), eps,
                       as_stream(rng, "scan-cell"), stop=lambda acc: acc[weight] != 0)
         hit = bool(out.values and out.values[-1][weight] != 0)
         engine.note_result(hit)
@@ -225,18 +229,15 @@ def scan_grid(
     rng=None,
     runtime: Optional[MidasRuntime] = None,
     z_max: Optional[int] = None,
-    sizes=None,
 ) -> ScanGridResult:
     """Detect all (size ``j <= k``, weight ``z``) connected subgraphs.
 
     ``weights`` are non-negative integers (round real weights first with
-    :mod:`repro.scanstat.weights`).  Size row ``j`` is decided by its own
-    ``2^j``-iteration circuit (:meth:`MLDCircuit.scan_row`): the total
-    work is dominated by the ``j = k`` row, matching the paper's ``2^k``
-    complexity.
-
-    ``sizes`` optionally restricts which size rows are evaluated (default
-    ``1..k``); rows outside it stay undetected in the returned grid.
+    :mod:`repro.scanstat.weights`).  One stage of
+    :meth:`MLDCircuit.scan_row`'s ``2^k`` iterations decides every row —
+    the paper's ``2^k`` complexity: row ``j`` is the size-``j`` output over
+    the first ``2^j`` iterations, in row ``k``'s field and at row ``k``'s
+    rounds, whose per-round bound is the lowest of any row there.
     """
     rt = runtime or MidasRuntime()
     w = check_weights(graph.n, weights)
@@ -244,39 +245,19 @@ def scan_grid(
         raise ConfigurationError(f"k must be in [1, {graph.n}], got {k}")
     if z_max is None:
         z_max = int(np.sort(w)[-k:].sum())
-    rng = as_stream(rng, "scan-grid")
     wall0 = time.perf_counter()
-
-    if sizes is None:
-        sizes = range(1, k + 1)
-    sizes = sorted({int(j) for j in sizes})
-    if sizes and (sizes[0] < 1 or sizes[-1] > k):
-        raise ConfigurationError(f"sizes must lie in [1, {k}], got {sizes}")
-
     detected = np.zeros((k + 1, z_max + 1), dtype=bool)
-    rounds_run = 0  # rows run their own counts: the most any row ran
-    # the schedule reported is the top row's: the one run, or — no row
-    # asked for — the one size k would run
-    top = MLDCircuit.scan_row(w, k, z_max)
-    n2 = rt.schedule_for(k, graph.n, field_degree_for_k(top.y_degree),
-                         top.schedule_payload).n2
     with DetectionEngine(graph, rt, "scanstat") as engine:
-        for j in sizes:
-            out = _detect(engine, MLDCircuit.scan_row(w, j, z_max), eps,
-                          rng.child(f"size{j}"), label=f"size{j}")
-            n2 = out.schedule.n2
-            rounds_run = max(rounds_run, len(out.values))
-            for acc in out.values:
-                detected[j] |= acc != 0
+        out = _detect(engine, MLDCircuit.scan_row(w, k, z_max), eps,
+                      as_stream(rng, "scan-grid"))
+        for acc in out.values:
+            detected[1:] |= acc.reshape(k, z_max + 1) != 0
         engine.note_result(bool(detected.any()))
         grid_details = engine.fill_details({"weights_total": int(w.sum())})
-        # the grid result keeps only run-wide keys, not per-size partition stats
-        grid_details.pop("max_load", None)
-        grid_details.pop("max_deg", None)
     return ScanGridResult(
-        k=k, z_max=z_max, detected=detected, rounds_run=rounds_run,
-        eps=eps, mode=rt.mode, n_processors=rt.n_processors, n1=rt.n1, n2=n2,
-        virtual_seconds=engine.virtual_total,
+        k=k, z_max=z_max, detected=detected, rounds_run=out.rounds_run,
+        eps=eps, mode=rt.mode, n_processors=rt.n_processors, n1=rt.n1,
+        n2=out.schedule.n2, virtual_seconds=engine.virtual_total,
         wall_seconds=time.perf_counter() - wall0, details=grid_details,
     )
 

@@ -2,7 +2,7 @@
 
 The paper asks one question: does a polynomial that is defined
 recursively — never unrolled — have a degree-``k`` multilinear term?
-k-path, k-tree, the weighted k-path and each scan-statistics row are
+k-path, k-tree, the weighted k-path and the scan-statistics grid are
 instances, and each is one :class:`MLDCircuit` builder here; a new kind
 is one more.  :meth:`MLDCircuit.recurrence` is the one interpreter — any
 circuit becomes the :mod:`repro.core.leveldp` recurrence every driver
@@ -19,7 +19,7 @@ executable specification the test-suite holds the detector to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -69,9 +69,9 @@ class MLDCircuit:
     ``leaves[slot] = level`` seeds slot ``slot`` with the variable at
     fingerprint level ``level``; ``steps`` then run in order, each leaf
     seeded once the steps writing lower slots have run (builders number
-    slots in evaluation order); ``output`` names the slot whose
-    vertex-sum is the polynomial value.  ``levels`` is how many
-    fingerprint levels a round draws.
+    slots in evaluation order); ``outputs`` names the slots whose
+    vertex-sums are the polynomial's values (a scan grid's: one per size).
+    ``levels`` is how many fingerprint levels a round draws.
 
     A *weighted* circuit carries one non-negative integer ``weights``
     entry per vertex: each variable of row ``i`` is multiplied by a formal
@@ -81,38 +81,40 @@ class MLDCircuit:
     pointwise one.
 
     Validation walks the program once and derives what the engine needs:
-    :attr:`y_degree`, the output's degree in the fingerprint's ``y``s,
-    which sizes the field (:func:`repro.ff.gf2m.field_degree_for_k`;
-    ``min_y_degree`` floors it), and :attr:`live_states`, the most ``(rows,
-    lanes)`` states the recurrence keeps alive at once, besides a
-    multiply's temporaries — what a fused window's width is budgeted by,
-    and :attr:`needs_edges`: every term of the output has a neighbour sum
-    as a factor, so a vertex without neighbours adds nothing to the value.
+    :attr:`y_degree`, the outputs' largest degree in the fingerprint's
+    ``y``s, which sizes the field (:func:`repro.ff.gf2m.field_degree_for_k`);
+    :attr:`variables`, each output's vertex-variable count ``j <= k`` (it
+    is a ``j``-dimensional run on its first ``2^j`` iterations alone);
+    :attr:`live_states`, the most ``(rows, lanes)`` states the recurrence
+    keeps alive at once, besides a multiply's temporaries — what a fused
+    window's width is budgeted by; and :attr:`needs_edges`: every output
+    term has a neighbour sum as a factor, so a vertex without neighbours
+    adds nothing to the values.
     """
 
     k: int
     n_slots: int
     leaves: Sequence[tuple]
     steps: Sequence[CircuitStep]
-    output: int
+    outputs: Tuple[int, ...]
     levels: int
     name: str = "circuit"
     weights: Optional[np.ndarray] = field(default=None, compare=False)
     z_max: int = 0
-    min_y_degree: int = 1
 
     # derived by the validation walk: leaves and steps in evaluation
     # order, and per entry the slots it reads for the last time
     _program: tuple = field(init=False, repr=False, compare=False)
     _releases: tuple = field(init=False, repr=False, compare=False)
     y_degree: int = field(init=False, repr=False, compare=False)
+    variables: tuple = field(init=False, repr=False, compare=False)
     live_states: int = field(init=False, repr=False, compare=False)
     needs_edges: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ConfigurationError(f"k must be >= 1, got {self.k}")
-        if not (0 <= self.output < self.n_slots):
+        if not self.outputs or not all(0 <= o < self.n_slots for o in self.outputs):
             raise ConfigurationError("output slot out of range")
         if self.z_max < 0:
             raise ConfigurationError(f"z_max must be >= 0, got {self.z_max}")
@@ -136,15 +138,14 @@ class MLDCircuit:
                 program.append(leaves.pop(0))
             program.append(s)
         program += leaves
-        # one walk: every read follows a write; y-degrees (a leaf is one
-        # ``y``; a step adds its factor's, its variable's and its join
-        # coefficient's to its source's, a sum of products' largest pair);
-        # whether every term of a slot has a neighbour sum as a factor; each
-        # slot's last read
-        deg, summed, last = {}, {}, {}
+        # one walk: every read follows a write; y-degrees and variable counts
+        # (a leaf: one each; a step: its source's — a sum of products' largest
+        # pair's — plus its factor's, its variable and its join's y); whether
+        # every term of a slot has a neighbour-sum factor; each slot's last read
+        deg, nvars, summed, last = {}, {}, {}, {}
         for at, op in enumerate(program):
             if isinstance(op, tuple):
-                deg[op[0]], summed[op[0]] = 1, False
+                deg[op[0]], nvars[op[0]], summed[op[0]] = 1, 1, False
                 continue
             for ref in op.reads():
                 if ref not in deg:
@@ -152,18 +153,19 @@ class MLDCircuit:
                         f"step writing slot {op.target} reads slot {ref} "
                         "before it is set")
                 last[ref] = at
-            d = (max(deg[a] + deg[b] for a, b in op.products) if op.products
-                 else deg[op.operand])
-            if op.factor is not None:
-                d += deg[op.factor]
-            deg[op.target] = (d + (op.variable_level is not None)
-                              + (op.coeff_level is not None))
+            sources = op.products or ((op.operand,),)
+            for table, join in ((deg, op.coeff_level is not None), (nvars, False)):
+                table[op.target] = (max(sum(table[s] for s in src) for src in sources)
+                                    + (0 if op.factor is None else table[op.factor])
+                                    + (op.variable_level is not None) + join)
             summed[op.target] = (
                 (all(summed[a] or summed[b] for a, b in op.products) if op.products
                  else True) or (op.factor is not None and summed[op.factor]))
-        if self.output not in deg:
-            raise ConfigurationError("output slot never written")
-        last.pop(self.output, None)  # the output is never released
+        for o in self.outputs:
+            if not 1 <= nvars.get(o, 0) <= self.k:
+                raise ConfigurationError(
+                    f"output slot {o} never written, or of more than k variables")
+            last.pop(o, None)  # an output is never released
         dying = [set() for _ in program]
         for slot, at in last.items():
             dying[at].add(slot)
@@ -180,9 +182,10 @@ class MLDCircuit:
             peak = max(peak, live + 1 + (op.variable_level is not None))
             live += 1 - len(dying[at])
         for name, value in (("_program", tuple(program)), ("_releases", tuple(dying)),
-                            ("y_degree", max(deg[self.output], self.min_y_degree)),
+                            ("y_degree", max(deg[o] for o in self.outputs)),
+                            ("variables", tuple(nvars[o] for o in self.outputs)),
                             ("live_states", max(peak, 1)),
-                            ("needs_edges", summed[self.output])):
+                            ("needs_edges", all(summed[o] for o in self.outputs))):
             object.__setattr__(self, name, value)
 
     # ------------------------------------------------------------ builders
@@ -198,7 +201,7 @@ class MLDCircuit:
         """
         steps = [CircuitStep(j, None, j - 1, j) for j in range(1, k)]
         return MLDCircuit(k=k, n_slots=k, leaves=[(0, 0)], steps=steps,
-                          output=k - 1, levels=k, name="k-path")
+                          outputs=(k - 1,), levels=k, name="k-path")
 
     @staticmethod
     def k_tree(template: TreeTemplate) -> "MLDCircuit":
@@ -223,7 +226,7 @@ class MLDCircuit:
         steps = [CircuitStep(s.sid, s.child_same, s.child_branch, None)
                  for s in specs if not s.is_leaf]
         return MLDCircuit(k=template.k, n_slots=len(specs), leaves=leaves,
-                          steps=steps, output=specs[-1].sid, levels=template.k,
+                          steps=steps, outputs=(specs[-1].sid,), levels=template.k,
                           name="k-tree")
 
     @staticmethod
@@ -245,15 +248,12 @@ class MLDCircuit:
         exists.  It is the k-path circuit: the weight enters through the
         variables alone.
         """
-        w = check_weights(None, weights, z_max)
-        steps = [CircuitStep(j, None, j - 1, j) for j in range(1, k)]
-        return MLDCircuit(k=k, n_slots=k, leaves=[(0, 0)], steps=steps,
-                          output=k - 1, levels=k, name="weighted-path",
-                          weights=w, z_max=z_max)
+        return replace(MLDCircuit.k_path(k), name="weighted-path",
+                       weights=check_weights(None, weights, z_max), z_max=z_max)
 
     @staticmethod
     def scan_row(weights, dim: int, z_max: int) -> "MLDCircuit":
-        """Size row ``dim`` of the scan-statistics grid (paper Algorithm 5):
+        """The scan-statistics grid's rows ``1 .. dim`` (paper Algorithm 5):
         connected subgraphs by *size* ``j`` and integer *weight* ``z``,
 
             ``P(i, 1) = x_i z^{w(i)}``
@@ -264,10 +264,10 @@ class MLDCircuit:
         per split ``j' + j'' = j``, vectorized over nodes, the evaluation
         points of ``z`` and the iteration batch (the paper's
         ``sum_{z'} P(i, j', z') S(j - j', z - z')`` is the product of two
-        polynomials in ``z``).  Slot ``2 (j-1)`` holds ``P(j)``, slot
-        ``2 (j-1) + 1`` its neighbour sum.  On simulated ranks each size's
-        halo message is charged as the whole weight axis — the ``W(V)``
-        factor in Lemma 3's communication bound.
+        polynomials in ``z``).  Slot ``2 (j-1)`` holds ``P(j)``, row ``j``'s
+        output, and slot ``2 (j-1) + 1`` its neighbour sum.  On simulated
+        ranks each size's halo message is charged as the whole weight axis
+        — the ``W(V)`` factor in Lemma 3's communication bound.
 
         Two deliberate deviations from the raw pseudocode (DESIGN.md):
 
@@ -276,14 +276,13 @@ class MLDCircuit:
           ``{a, b}`` produce identical monomials and cancel in
           characteristic 2.  A size-``j`` term therefore has degree
           ``2j - 1`` in the ``y``s: ``j`` base ``y``s and ``j - 1`` joins;
-        * only row ``dim`` is returned, matching the paper's ``return
-          sum_q sum_i P(i,q,k,z)``: rows ``j < dim`` always sum to zero
-          over ``2^dim`` iterations (a rank-``j`` term survives
-          ``2^{dim-j}`` iterations — an even count).  The grid takes one
-          circuit per size, so the total work is dominated by the top
-          row, matching the paper's ``2^k`` complexity.
+        * every size ``j`` is an output, not row ``dim`` alone.  Over all
+          ``2^dim`` iterations a size-``j < dim`` slot sums to zero (a
+          rank-``j`` term survives ``2^{dim-j}``, an even count), but its
+          first ``2^j`` read only the low ``j`` bits of each ``v_i``: row
+          ``j``'s own run, the lanes :meth:`~repro.core.leveldp.Lanes.finish`
+          keeps.  One run decides the grid (docs/THEORY.md §5).
         """
-        w = check_weights(None, weights, z_max)
         steps = []
         for j in range(2, dim + 1):
             steps.append(CircuitStep(2 * j - 3, None, 2 * j - 4, None))
@@ -291,9 +290,9 @@ class MLDCircuit:
                 2 * j - 2, None, None, None, coeff_level=j,
                 products=tuple((2 * j1 - 2, 2 * (j - j1) - 1) for j1 in range(1, j))))
         return MLDCircuit(k=dim, n_slots=2 * dim - 1, leaves=[(0, 0)], steps=steps,
-                          output=2 * dim - 2, levels=dim + 1, name="scanstat",
-                          weights=w, z_max=z_max,
-                          min_y_degree=3)  # row 1 has always run in row 2's field
+                          outputs=tuple(range(0, 2 * dim - 1, 2)), levels=dim + 1,
+                          name="scanstat", weights=check_weights(None, weights, z_max),
+                          z_max=z_max)
 
     # ------------------------------------------------------ derived facts
     @property
@@ -331,8 +330,8 @@ class MLDCircuit:
         """The circuit as a :mod:`repro.core.leveldp` recurrence: one
         ``yield`` per neighbour sum, each slot released after its last
         read (a summed slot as it is yielded), so the drivers' memory
-        stays what the steps need.  Weighted or not, it is the same
-        recurrence: the weights live in the lanes' variables."""
+        stays what the steps need; it returns each output's state with its
+        :attr:`variables`.  The weights live in the lanes' variables."""
         program, dying = self._program, self._releases
 
         def recurrence(lanes):
@@ -357,7 +356,7 @@ class MLDCircuit:
                     slots.pop(slot, None)
                 slots[op.target] = acc
                 acc = None  # the slot may be released at its next yield
-            return slots[self.output]
+            return [(slots[o], j) for o, j in zip(self.outputs, self.variables)]
 
         return recurrence
 

@@ -20,7 +20,9 @@ A weighted kind's windows run at ``P`` points of its ``z``
 window's point values into weight cells where it forms the window's
 value (:meth:`ProblemSpec.phase_values`, :meth:`ProblemSpec.window_values`;
 a simulated rank does it before its all-reduce), so the engine's
-accumulators, digests and checkpoints only ever see cells.
+accumulators, digests and checkpoints only ever see cells.  A circuit of
+several outputs — the scan grid, one per size — has them side by side in
+one value, output-major (:func:`~repro.core.leveldp.fold_values`).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Any, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.leveldp import PointBlocks, Recurrence, run_whole_graph
+from repro.core.leveldp import PointBlocks, Recurrence, fold_values, run_whole_graph
 from repro.core.mld import MLDCircuit
 from repro.ff.fingerprint import Fingerprint
 from repro.ff.gf2m import default_field_for_k, round_success_bound
@@ -45,18 +47,19 @@ Value = Union[int, np.ndarray]
 class ProblemSpec:
     """One MIDAS application, expressed as data for the detection engine.
 
-    ``payload == 1`` means the accumulator is a scalar GF(2^l) value
-    (plain detection); ``payload == z_max + 1`` means it is a weight-axis
-    vector and all combination is elementwise XOR.  Both are commutative
-    and associative, which is what lets the threaded backend accumulate
-    phase results in completion order yet stay bit-identical.
+    ``payload == 1`` with one output means the accumulator is a scalar
+    GF(2^l) value (plain detection); otherwise it is a vector of each
+    output's ``payload`` cells (``z_max + 1`` on a weight axis) and all
+    combination is elementwise XOR.  Both are commutative and associative,
+    which is what lets the threaded backend accumulate phase results in
+    completion order yet stay bit-identical.
     """
 
     name: str  # metrics / trace / checkpoint label ("k-path", "scanstat", ...)
     k: int  # iteration-space exponent: the round covers 2^k iterations
     levels: int  # fingerprint levels to draw per round
     field: Any  # GF(2^l) table set, sized by the polynomial's degree in the y's
-    payload: int  # accumulator width: 1 = scalar, else z_max + 1
+    payload: int  # an output's accumulator width: 1 = scalar, else z_max + 1
     recurrence: Recurrence  # the DP, run by either repro.core.leveldp driver
     # (rows, lanes) states the recurrence keeps alive at once, besides a
     # multiply's temporaries: what a fused window's width is budgeted by
@@ -73,10 +76,16 @@ class ProblemSpec:
 
     # ------------------------------------------------------------ semantics
     @property
+    def outputs(self) -> int:
+        """The circuit's outputs, each its own ``payload`` cells of a value
+        (a hand-built spec: one)."""
+        return 1 if self.circuit is None else len(self.circuit.outputs)
+
+    @property
     def scalar(self) -> bool:
         # `payload == 1` alone is wrong: a weighted problem with z_max = 0
         # has a length-1 vector accumulator, not a GF scalar
-        return self.points is None
+        return self.points is None and self.outputs == 1
 
     @property
     def round_success(self) -> Fraction:
@@ -101,7 +110,7 @@ class ProblemSpec:
     @property
     def reduce_nbytes(self) -> int:
         """Wire bytes of the per-round XOR all-reduce."""
-        return 8 * self.payload
+        return 8 * self.outputs * self.payload
 
     def draw_fingerprint(self, n: int, rng) -> Fingerprint:
         return Fingerprint.draw(n, self.k, rng, levels=self.levels, field=self.field)
@@ -109,7 +118,7 @@ class ProblemSpec:
     def acc_init(self) -> Value:
         if self.scalar:
             return 0
-        return np.zeros(self.payload, dtype=self.field.dtype)
+        return np.zeros(self.outputs * self.payload, dtype=self.field.dtype)
 
     def combine(self, acc: Value, contribution: Value) -> Value:
         """XOR-fold one phase contribution into the round accumulator."""
@@ -122,26 +131,27 @@ class ProblemSpec:
         return np.asarray(raw, dtype=self.field.dtype)
 
     def _values(self, per_point: np.ndarray) -> List[Value]:
-        """``(P, G)`` per-point values of ``G`` windows or rounds, each in
-        accumulator form: interpolated into weight cells at points."""
-        if self.points is not None:
-            return [self.rank_value(v) for v in self.points.cells(per_point.T)]
-        return [self.rank_value(v) for v in per_point[0]]
+        """``(outputs P, G)`` per-point values of ``G`` windows or rounds,
+        each in accumulator form (:func:`~repro.core.leveldp.fold_values`)."""
+        per_point = per_point.reshape(self.outputs, -1, per_point.shape[-1])
+        return [self.rank_value(v)
+                for v in fold_values(per_point.transpose(2, 0, 1), self.points)]
 
     def _run(self, graph: CSRGraph, fp, q0: int, n2: int, groups: int) -> np.ndarray:
         """A whole-graph run of ``n2`` lanes a block, XORed into ``groups``
-        equal groups of each block's lanes: ``(P, blocks / P * groups)``."""
+        equal groups of each block's lanes: ``(outputs P, blocks / P * groups)``."""
         per_lane = run_whole_graph(graph, self.recurrence, fp, q0, n2, points=self.points,
                                    linked_only=self.linked_only)
-        count = 1 if self.points is None else self.points.count
+        count = self.outputs * (1 if self.points is None else self.points.count)
         return np.bitwise_xor.reduce(per_lane.reshape(count, -1, n2 // groups), axis=-1)
 
     def lane_cells(self, graph: CSRGraph, fp: Fingerprint, q0: int, n2: int) -> np.ndarray:
-        """A weighted kind's per-iteration weight cells, ``(z_max + 1, n2)``:
-        each lane's point values interpolated on their own."""
+        """A weighted kind's per-iteration weight cells of its last output
+        (a scan grid's top row), ``(z_max + 1, n2)``: each lane's point
+        values interpolated on their own."""
         per_lane = run_whole_graph(graph, self.recurrence, fp, q0, n2, points=self.points,
                                    linked_only=self.linked_only)
-        return self.points.cells(per_lane.reshape(self.points.count, n2).T).T
+        return self.points.cells(per_lane[-1].reshape(self.points.count, n2).T).T
 
     def phase_value(self, graph: CSRGraph, fp: Fingerprint, q0: int, n2: int) -> Value:
         """One phase window's contribution, evaluated on the whole graph."""

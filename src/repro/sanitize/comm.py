@@ -34,14 +34,11 @@ from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.engine import SANITIZE_MODES
 from repro.errors import ConfigurationError, SanitizerError
 
 #: the violation classes the sanitizer can report
 VIOLATION_KINDS = ("unmatched-send", "collective-divergence")
-
-#: the sanitize levels, weakest first: ``off``, ``warn`` (report every
-#: violation) and ``strict`` (raise at the first) — the one list
-SANITIZE_MODES = ("off", "warn", "strict")
 
 
 def is_strict(mode: str, checker: str) -> bool:

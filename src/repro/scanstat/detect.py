@@ -132,20 +132,14 @@ class AnomalyDetector:
         rng=None,
         extract: bool = False,
         z_max: Optional[int] = None,
-        sizes=None,
     ) -> AnomalyResult:
-        """Find the highest-scoring connected subgraph of size <= k.
-
-        ``sizes`` optionally restricts the candidate subgraph sizes (e.g.
-        ``range(6, 13)`` when tiny clusters are uninteresting) — a large
-        saving since row ``j`` costs ``2^j``.
-        """
+        """Find the highest-scoring connected subgraph of size <= k."""
         rng = as_stream(rng, "anomaly")
         w = integral_weights(weights)
         t0 = time.perf_counter()
         grid = scan_grid(
             self.graph, w, self.k, eps=self.eps, rng=rng.child("grid"),
-            runtime=self.runtime, z_max=z_max, sizes=sizes,
+            runtime=self.runtime, z_max=z_max,
         )
         best_score, best_j, best_z = grid.best_cell(self.statistic.score)
         cluster = None

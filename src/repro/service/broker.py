@@ -356,7 +356,6 @@ def execute_query(spec: QuerySpec, entry: GraphEntry,
     CLI for a local run.
     """
     from repro.core.midas import detect_path, detect_tree
-    from repro.scanstat.detect import AnomalyDetector
 
     graph = entry.graph
     rng = spec.seed_stream()
@@ -374,6 +373,8 @@ def execute_query(spec: QuerySpec, entry: GraphEntry,
         result["template"] = spec.template
         rounds, virtual = raw.rounds_run, raw.virtual_seconds
     else:  # scan
+        from repro.scanstat.detect import AnomalyDetector
+
         w = np.zeros(graph.n, dtype=np.int64) if spec.weights is None else spec.weights
         det = AnomalyDetector(graph, spec.scan_statistic(), k=spec.k,
                               runtime=rt, eps=spec.eps)

@@ -14,7 +14,8 @@ import sys
 import numpy as np
 
 from repro.core.halo import build_halo_views
-from repro.core.leveldp import Lanes, neighbour_sum, phase_program, run_whole_graph
+from repro.core.leveldp import (Lanes, fold_values, neighbour_sum, phase_program,
+                                 run_whole_graph)
 from repro.core.mld import CircuitStep, MLDCircuit
 from repro.core.problems import compile
 from repro.graph.partition import Partition, random_partition
@@ -31,15 +32,15 @@ SPIDER = MLDCircuit(
         CircuitStep(4, 3, 2, None),  # c, the leg a-b below it
         CircuitStep(6, 4, 5, None),  # ... and d
         CircuitStep(8, 6, 7, None),  # ... and e
-    ], output=8, levels=5, name="spider")
+    ], outputs=(8,), levels=5, name="spider")
 
 
 def fold(per_lane, n2, points=None):
-    """Per-iteration values folded over the window: a scalar, or — at
-    ``points`` — each point's XOR interpolated into ``(Z+1,)`` cells."""
-    if points is None:
-        return np.bitwise_xor.reduce(per_lane, axis=-1)
-    return points.cells(np.bitwise_xor.reduce(per_lane.reshape(points.count, n2), axis=-1))
+    """Each output's per-iteration values folded over the window, as a
+    simulated rank folds its own: a scalar, or — at ``points`` — each
+    point's XOR interpolated into ``(Z+1,)`` cells, output-major."""
+    per_point = np.bitwise_xor.reduce(per_lane.reshape(1, len(per_lane), -1, n2), axis=-1)
+    return fold_values(per_point, points)[0]
 
 
 def phase_value(graph, recurrence, fp, q0, n2, driver="whole-graph", partition=None,
@@ -93,8 +94,11 @@ class ElementLanes(Lanes):
             acc ^= self.field.mul(a, b)
         return acc
 
-    def finish(self, state):
-        return self.field.xor_sum(state, axis=0)
+    def finish(self, outputs):
+        values = np.stack([self.field.xor_sum(state, axis=0) for state, _ in outputs])
+        for value, (_, variables) in zip(values, outputs):
+            value.reshape(self.blocks, self.n2)[:, self.drop(variables)] = 0
+        return values
 
 
 def element_lanes(graph, recurrence, fp, q0, n2, points=None):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.ff.fingerprint import Fingerprint
 from repro.graph.templates import decompose_template
 
 
@@ -25,7 +26,7 @@ def path_recurrence(k):
             summed = yield p
             p = None
             p = lanes.scale(j, summed, variable=True)
-        return p
+        return [(p, k)]
 
     return recurrence
 
@@ -41,7 +42,7 @@ def tree_recurrence(template):
             else:
                 acc = yield values.pop(s.child_branch)
                 values[s.sid] = lanes.mul(values.pop(s.child_same), acc)
-        return values[specs[-1].sid]
+        return [(values[specs[-1].sid], template.k)]
 
     return recurrence
 
@@ -114,3 +115,19 @@ def scan_row_cells(graph, weights, fp, dim, z_max, q0, n2):
             acc ^= _convolve(field, p[j1], s[j - j1])
         p[j] = field.mul(fp.y[:, j][:, None, None], acc)
     return np.bitwise_xor.reduce(p[dim], axis=0)
+
+
+def scan_grid_cells(graph, weights, fp, z_max, q0, n2):
+    """Per-iteration weight cells ``(k, Z+1, n2)`` of every row of a scan
+    run of ``k = fp.k`` dimensions, each row on its own: row ``j`` is the
+    dimension-``j`` row's cells (:func:`scan_row_cells`, the vectors ``v``
+    cut to ``j`` bits) on the window's iterations below ``2^j``, and zero
+    from ``2^j`` on."""
+    rows = np.zeros((fp.k, z_max + 1, n2), dtype=fp.field.dtype)
+    for j in range(1, fp.k + 1):
+        keep = min(n2, (1 << j) - q0)
+        if keep > 0:
+            cut = Fingerprint(k=j, field=fp.field, v=fp.v & np.uint64((1 << j) - 1),
+                              y=fp.y)
+            rows[j - 1, :, :keep] = scan_row_cells(graph, weights, cut, j, z_max, q0, keep)
+    return rows

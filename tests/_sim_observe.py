@@ -35,7 +35,7 @@ from repro.util.rng import RngStream
 GRAPH = erdos_renyi(72, m=180, rng=RngStream(181, name="g"))
 WEIGHTS = RngStream(182, name="w").integers(0, 3, size=GRAPH.n).astype(np.int64)
 STAR = TreeTemplate(4, [(0, 1), (0, 2), (0, 3)])
-EPS = 0.5  # 3 rounds a stage (2 on scan rows 1 and 2)
+EPS = 0.5  # 3 rounds a stage
 
 #: driver name -> call(runtime) on GRAPH; fixed seeds, no early exit where
 #: the driver has the switch, so every run does the same work

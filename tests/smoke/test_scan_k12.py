@@ -5,9 +5,11 @@ binary weights, the scan grid at k = 12 and the cluster extraction —
 sequentially, under a wall bound of 50 s.  Scan rows evaluate their
 weight variable at points (docs/THEORY.md, "The weight axis as
 evaluation points"); with the weight axis convolved instead the same
-pipeline took 51.9 s on a 2-vCPU host and fails the bound, and it takes
-18-22 s with points on the same kind of host.  CI's ``perf-gate`` job
-runs this file (``pytest -m smoke tests/smoke/test_scan_k12.py -s``).
+pipeline took 51.9 s on a 2-vCPU host and fails the bound, and it took
+17.7-20.4 s with points on the same kind of host while each grid row
+was its own stage.  With the grid one run (docs/THEORY.md §5) it takes
+14.1-15.9 s there.  CI's ``perf-gate`` job runs this file
+(``pytest -m smoke tests/smoke/test_scan_k12.py -s``).
 """
 
 import time

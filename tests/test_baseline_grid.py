@@ -161,10 +161,14 @@ def test_grid_matches_golden(golden, case):
         git archive b77ec27 src | tar -x -C /tmp/parent
         PYTHONPATH=/tmp/parent/src python tests/test_baseline_grid.py --regen
 
-    so it pins that folding the two axes into one mixed-radix weight on
+    so it pinned that folding the two axes into one mixed-radix weight on
     :func:`repro.core.midas.scan_grid` changes no cell and no round count.
-    Each entry stores the grid's shape, its cells as packed bits (hex) and
-    ``rounds_run``.
+    It was regenerated (``PYTHONPATH=src python tests/test_baseline_grid.py
+    --regen``) when the scan grid became one run in its top row's field
+    (docs/THEORY.md §5): ``rounds_run`` is the top row's count, and the
+    cells a round finds moved (82 gained, 54 lost over the 32 grids,
+    every one inside ``brute_cells``).  Each entry stores the grid's
+    shape, its cells as packed bits (hex) and ``rounds_run``.
     """
     assert _golden_run(case) == golden[_golden_name(*case)]
 

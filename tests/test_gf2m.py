@@ -94,7 +94,8 @@ class TestConstruction:
             assert field_degree_for_k(d) == ell, d
         assert {field_degree_for_k(k) for k in range(10, 20)} == {6}
         assert (field_degree_for_k(1), field_degree_for_k(20)) == (3, 7)
-        assert [scan_y_degree(j) for j in range(1, 6)] == [3, 3, 5, 7, 9]
+        # 2 dim - 1: the grid runs in its top row's field, a lone row in its own
+        assert [scan_y_degree(j) for j in range(1, 6)] == [1, 3, 5, 7, 9]
         with pytest.raises(FieldError):
             field_degree_for_k(0)
 

@@ -324,6 +324,6 @@ class TestPlaneResidentEvaluator:
         fpt = Fingerprint.draw(g.n, k, rng, field=ft)
         fpb = Fingerprint(k=k, field=fb, v=fpt.v, y=fpt.y.copy())
         assert np.array_equal(
-            element_lanes(g, MLDCircuit.k_path(k).recurrence(), fpt, 0, n2),
+            element_lanes(g, MLDCircuit.k_path(k).recurrence(), fpt, 0, n2)[0],
             path_eval_phase(g, fpb, 0, n2)
         )

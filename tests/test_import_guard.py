@@ -186,6 +186,26 @@ def test_an_entry_point_loads_no_optional_layer(module):
         assert [m for m in loaded if m.startswith("repro")] == ["repro", "repro._lazy"]
 
 
+def test_a_local_detect_path_loads_neither_the_sanitizer_nor_the_scan_layer():
+    """A plain ``repro detect-path`` runs no sanitizer and no scan: its
+    ``--sanitize`` choices are the engine's, and the broker imports the
+    scan detector in the scan branch alone."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    code = ("import sys\n"
+            "from repro.cli import main\n"
+            "rc = main(['detect-path', '--er', '200', '-k', '4', '--seed', '3'])\n"
+            "print(rc)\n"
+            "print(' '.join(sorted(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    *_, rc, loaded = proc.stdout.splitlines()
+    assert rc == "0"  # the ER graph has 4-paths: the run did run
+    loaded = set(loaded.split())
+    assert "repro.core.midas" in loaded
+    assert not loaded & {"repro.sanitize.comm", "repro.scanstat.detect"}
+
+
 def test_the_cli_imports_within_its_budget():
     """``import repro.cli``, the start-up every CLI command pays before
     its own imports, takes at most 0.20 s: the median of five fresh

@@ -73,7 +73,7 @@ CASES = {
     # circuits stated step by step: a path whose levels run backwards, and
     # a 5-node spider — leaves, sums and products in orders no builder emits
     "circuit/k-path": (MLDCircuit(
-        k=4, n_slots=4, leaves=[(0, 3)], output=3, levels=4,
+        k=4, n_slots=4, leaves=[(0, 3)], outputs=(3,), levels=4,
         steps=[CircuitStep(j, None, j - 1, 3 - j) for j in range(1, 4)]), 4, 4),
     "circuit/k-tree": (SPIDER, 5, 5),
 }
@@ -151,8 +151,9 @@ def test_circuits_equal_the_specialised_recurrences():
             fp = _fingerprint(circuit.k, levels, kernel)
             spec = compile(circuit, fp.field)
             for q0, n2 in WINDOWS:
-                assert np.array_equal(spec.phase_value(GRAPH, fp, q0, n2),
-                                      np.bitwise_xor.reduce(oracle(fp, q0, n2), axis=-1))
+                # the last output's cells: the scan's row 3
+                top = spec.phase_value(GRAPH, fp, q0, n2).reshape(len(circuit.outputs), -1)[-1]
+                assert np.array_equal(top, np.bitwise_xor.reduce(oracle(fp, q0, n2), axis=-1))
 
 
 @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=7),
@@ -212,19 +213,21 @@ def test_oracle_path_and_tree(kernel):
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_oracle_weight_axis(kernel):
     """Weight-resolved kinds: the set of nonzero weight cells over the
-    rounds is exactly the set of realizable weights."""
+    rounds is exactly the set of realizable weights — for the scan, the
+    (size, weight) cells of every row of one run."""
     k, z_max = 4, 8
     cells = np.zeros(z_max + 1, dtype=bool)
     circuit = MLDCircuit.weighted_path(SMALL_W, k, z_max)
     for s in ROUNDS:
         cells |= _round_value(circuit, k, k, kernel, s) != 0
     assert int(np.nonzero(cells)[0].max()) == exact.max_weight_path(SMALL, k, SMALL_W)
-    cells[:] = False
+    grid = np.zeros((3, z_max + 1), dtype=bool)
     circuit = MLDCircuit.scan_row(SMALL_W, 3, z_max)
     for s in ROUNDS:
-        cells |= _round_value(circuit, 3, 4, kernel, s) != 0
-    truth = {z for size, z in exact.scan_cells(SMALL, SMALL_W, 3) if size == 3}
-    assert set(np.nonzero(cells)[0].tolist()) == truth
+        grid |= (_round_value(circuit, 3, 4, kernel, s) != 0).reshape(3, -1)
+    truth = exact.scan_cells(SMALL, SMALL_W, 3)
+    assert max(z for _, z in truth) <= z_max  # every true cell is on the grid
+    assert {(int(j) + 1, int(z)) for j, z in zip(*np.nonzero(grid))} == truth
 
 
 # ------------------------------------------------------- all-reduce width
@@ -249,7 +252,8 @@ def test_weight_axis_allreduce_keeps_wide_field_elements(make, driver):
                                           ("scan-stat", Z_MAX + 1)])
 def test_allreduce_wire_bytes_for_byte_fields(case, nbytes):
     """Fields of degree <= 8: one 8-byte word for a scalar accumulator,
-    one byte per weight cell for a weight axis."""
+    one byte per weight cell for a weight axis — of each output (the scan
+    row's three sizes)."""
     circuit, k, levels = CASES[case]
     views = build_halo_views(GRAPH, PARTITIONS[3])
     sim = Simulator(3, trace=True)
@@ -258,4 +262,4 @@ def test_allreduce_wire_bytes_for_byte_fields(case, nbytes):
                           points=circuit.points(fp.field)))
     collectives = [e for e in sim.trace.events if e.kind == "collective"]
     assert len(collectives) == 3  # one all-reduce, seen by each rank
-    assert {e.nbytes for e in collectives} == {nbytes}
+    assert {e.nbytes for e in collectives} == {nbytes * len(circuit.outputs)}

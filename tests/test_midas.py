@@ -217,7 +217,7 @@ class TestModesAgree:
                                            metrics=MetricsRegistry()))
         assert np.array_equal(a.detected, b.detected)
         assert a.virtual_seconds == pytest.approx(b.virtual_seconds)
-        assert any(e.scope is not None and e.scope.label.startswith("size")
+        assert any(e.scope is not None and e.scope.phase is not None
                    for e in rec.events)
 
 
@@ -313,7 +313,7 @@ class TestEstimatePolicy:
         cell = self._virtual(lambda rt: detect_scan_cell(
             self.G, self.W, 3, 3, eps=0.5, rng=RngStream(8), runtime=rt))
         grid = self._virtual(lambda rt: scan_grid(
-            self.G, self.W, 3, eps=0.5, rng=RngStream(8), runtime=rt, sizes=[3]))
+            self.G, self.W, 3, eps=0.5, rng=RngStream(8), runtime=rt))
         assert cell > 0 and grid > 0
 
     def test_every_modeled_driver_charges_virtual_time(self):

@@ -31,7 +31,7 @@ from repro.util.rng import RngStream
 class TestCircuitConstruction:
     def test_path_circuit_shape(self):
         c = MLDCircuit.k_path(5)
-        assert c.k == 5 and c.n_slots == 5 and c.output == 4
+        assert c.k == 5 and c.n_slots == 5 and c.outputs == (4,)
         assert len(c.steps) == 4
         assert c.leaves == [(0, 0)]
 
@@ -45,21 +45,25 @@ class TestCircuitConstruction:
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            MLDCircuit(k=0, n_slots=1, leaves=[(0, 0)], steps=[], output=0, levels=1)
+            MLDCircuit(k=0, n_slots=1, leaves=[(0, 0)], steps=[], outputs=(0,), levels=1)
         with pytest.raises(ConfigurationError):
-            MLDCircuit(k=2, n_slots=1, leaves=[(5, 0)], steps=[], output=0, levels=2)
+            MLDCircuit(k=2, n_slots=1, leaves=[(5, 0)], steps=[], outputs=(0,), levels=2)
         with pytest.raises(ConfigurationError):
-            MLDCircuit(k=2, n_slots=2, leaves=[(0, 0)], output=5, levels=2,
+            MLDCircuit(k=2, n_slots=2, leaves=[(0, 0)], outputs=(5,), levels=2,
                        steps=[CircuitStep(1, None, 0, 1)])
         with pytest.raises(ConfigurationError):
-            MLDCircuit(k=2, n_slots=2, leaves=[(0, 0)], output=1, levels=2,
+            MLDCircuit(k=2, n_slots=2, leaves=[(0, 0)], outputs=(1,), levels=2,
                        steps=[CircuitStep(1, None, 9, 1)])
         # read-before-write and a never-written output are construction errors
         with pytest.raises(ConfigurationError, match="before it is set"):
-            MLDCircuit(k=2, n_slots=3, leaves=[(0, 0)], output=2, levels=2,
+            MLDCircuit(k=2, n_slots=3, leaves=[(0, 0)], outputs=(2,), levels=2,
                        steps=[CircuitStep(2, 1, 0, 1)])
         with pytest.raises(ConfigurationError, match="never written"):
-            MLDCircuit(k=2, n_slots=2, leaves=[(0, 0)], output=1, levels=2, steps=[])
+            MLDCircuit(k=2, n_slots=2, leaves=[(0, 0)], outputs=(1,), levels=2, steps=[])
+        # an output of more vertex variables than the run has dimensions
+        with pytest.raises(ConfigurationError, match="more than k"):
+            MLDCircuit(k=1, n_slots=2, leaves=[(0, 0)], outputs=(0, 1), levels=2,
+                       steps=[CircuitStep(1, None, 0, 1)])
 
 
 class TestCircuitMatchesSpecializedEvaluators:
@@ -94,7 +98,7 @@ class TestCircuitSPMD:
         k = 4
         c = MLDCircuit.k_path(k)
         fp = Fingerprint.draw(g.n, k, RngStream(31))
-        expected = np.bitwise_xor.reduce(run_whole_graph(g, c.recurrence(), fp, 0, 8))
+        expected = np.bitwise_xor.reduce(run_whole_graph(g, c.recurrence(), fp, 0, 8)[0])
         p = random_partition(g, n_parts, rng=RngStream(32))
         assert_drivers_agree(g, c.recurrence(), fp, 0, 8, p, expected=expected)
 
@@ -106,7 +110,7 @@ class TestCircuitSPMD:
         tmpl = TreeTemplate.star(4)
         c = MLDCircuit.k_tree(tmpl)
         fp = Fingerprint.draw(g.n, 4, RngStream(34))
-        expected = np.bitwise_xor.reduce(run_whole_graph(g, c.recurrence(), fp, 0, 4))
+        expected = np.bitwise_xor.reduce(run_whole_graph(g, c.recurrence(), fp, 0, 4)[0])
         p = random_partition(g, 3, rng=RngStream(35))
         assert_drivers_agree(g, c.recurrence(), fp, 0, 4, p, expected=expected)
 
@@ -233,7 +237,10 @@ class TestInterpreterMatchesTheReplacedRecurrences:
         assert len(got_states) == len(ref_states) == circuit.k - 1
         for a, b in zip(got_states, ref_states):
             assert np.array_equal(a, b)
-        assert np.array_equal(got, ref)
+        # one output each, of k variables
+        ((got_state, got_vars),), ((ref_state, ref_vars),) = got, ref
+        assert got_vars == ref_vars == circuit.k
+        assert np.array_equal(got_state, ref_state)
 
 
     @pytest.mark.parametrize("layout", ["elements", "planes"])
@@ -257,7 +264,8 @@ class TestInterpreterMatchesTheReplacedRecurrences:
                 per_lane = run_whole_graph(g, spec.recurrence, fp, q0, n2, spec.points)
             else:
                 per_lane = element_lanes(g, spec.recurrence, fp, q0, n2, spec.points)
-            got = spec.points.cells(per_lane.reshape(spec.points.count, n2).T).T
+            # the last output: the weighted path's one, the scan's row 4
+            got = spec.points.cells(per_lane[-1].reshape(spec.points.count, n2).T).T
             assert np.array_equal(got, oracle(fp, q0, n2))
 
 

@@ -52,10 +52,8 @@ DRIVERS = {
         {"": (4, 4, stage_rounds(MLDCircuit.k_path(4), EPS))},
     ),
     "scan_grid": (
-        lambda rt: scan_grid(G, W, k=3, eps=EPS, rng=RngStream(54), runtime=rt,
-                             sizes=[2, 3]),
-        {f"size{j}": (j, n, stage_rounds(MLDCircuit.scan_row(W, j, 0), EPS))
-         for j, n in ((2, 1), (3, 2))},
+        lambda rt: scan_grid(G, W, k=3, eps=EPS, rng=RngStream(54), runtime=rt),
+        {"": (3, 2, stage_rounds(MLDCircuit.scan_row(W, 3, 0), EPS))},
     ),
 }
 

@@ -27,9 +27,9 @@ from repro.core.midas import (
 )
 from repro.core.mld import MLDCircuit
 from repro.core.problems import compile
-from repro.core.schedule import PhaseSchedule, rounds_for_epsilon
+from repro.core.schedule import PhaseSchedule, rounds_for_bound, rounds_for_epsilon
 from repro.errors import ConfigurationError
-from repro.ff.gf2m import default_field_for_k
+from repro.ff.gf2m import default_field_for_k, round_success_bound
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import erdos_renyi
 from repro.graph.templates import TreeTemplate
@@ -154,18 +154,20 @@ def test_each_stage_runs_the_first_rounds_of_the_kind_free_count(monkeypatch,
 
 def test_secondary_drivers_count_the_rounds_that_run():
     """The Theorem-2 estimate charges a stage's own rounds (the modeled
-    clock is that estimate), and a grid reports the most any row ran."""
+    clock is that estimate), and a grid runs its top row's rounds, which
+    in the top row's field are as many as any row's bound needs."""
     rt = MidasRuntime(mode="modeled", n_processors=4, n1=2)
     res = detect_path(G, 10, eps=0.2, rng=RngStream(65), runtime=rt, early_exit=False)
     est = res.details["estimate"]
     assert res.rounds_run == est.rounds == stage_rounds(MLDCircuit.k_path(10), 0.2) == 6
     assert res.virtual_seconds == pytest.approx(est.total_seconds)
 
-    rows = {j: stage_rounds(MLDCircuit.scan_row(W, j, 0), 0.2) for j in (1, 2, 3)}
-    assert rows == {1: 4, 2: 5, 3: 6}
+    top = MLDCircuit.scan_row(W, 3, 0)
+    m = default_field_for_k(top.y_degree).m
+    rows = {j: rounds_for_bound(0.2, round_success_bound(j, m, 2 * j - 1))
+            for j in (1, 2, 3)}
+    assert rows == {1: 3, 2: 4, 3: 6} and stage_rounds(top, 0.2) == 6
     assert scan_grid(G, W, 3, eps=0.2, rng=RngStream(66)).rounds_run == 6
-    assert scan_grid(G, W, 3, eps=0.2, rng=RngStream(66), sizes=[1, 2]).rounds_run == 5
-    assert scan_grid(G, W, 3, eps=0.2, rng=RngStream(66), sizes=[]).rounds_run == 0
     assert baseline_scan_grid(G, W, np.ones(G.n, dtype=np.int64), 3, b_max=2,
                               eps=0.2, rng=RngStream(67)).rounds_run == 6
 
@@ -350,13 +352,10 @@ def test_a_checkpoint_resumes_under_another_fusion_factor(tmp_path, monkeypatch,
 
 # ---------------------------------------------------- schedules and spans
 def test_every_result_reports_the_schedule_it_ran():
-    """A default-schedule scan grid reports the N2 of the top row it ran
-    (of row k when it ran none), like detect_path reports its own, and
-    so does a trivially absent query."""
+    """A default-schedule scan grid reports the N2 of its one run, like
+    detect_path reports its own, and so does a trivially absent query."""
     grid = scan_grid(G, W, 4, eps=0.5, rng=RngStream(1))
     assert grid.n2 == MidasRuntime().schedule_for(4, G.n).n2 == 16
-    assert scan_grid(G, W, 4, eps=0.5, rng=RngStream(1), sizes=[2, 3]).n2 == 8
-    assert scan_grid(G, W, 4, eps=0.5, rng=RngStream(1), sizes=[]).n2 == 16
     assert detect_path(G, 6, eps=0.5, rng=RngStream(1)).n2 == 64
     tiny = erdos_renyi(5, m=4, rng=RngStream(2))
     assert detect_path(tiny, 6, rng=RngStream(3)).n2 == 64

@@ -108,9 +108,8 @@ def test_fault_free_enacts_once_per_stage(sim_runs):
     assert _windows(seen) == ROUNDS * 8 and len(sim_runs) == 1
     del sim_runs[:]
     seen = observe("scan_grid", trace=False, **_shape(3))
-    # one stage per grid size, each with its own message sizes
-    assert [s["label"] for s in seen["stages"]] == ["size1", "size2", "size3"]
-    assert len(sim_runs) == 3 < _windows(seen)
+    # the grid is one stage, every size in its one run
+    assert len(seen["stages"]) == 1 and len(sim_runs) == 1 < _windows(seen)
 
 
 QUIET_PLAN = FaultPlan(specs=(FaultSpec(kind="delay", src=0, dst=1, delay=1e-6,
@@ -167,7 +166,7 @@ def _extra_exchange_after(q_extra: int):
         if lanes.q_start >= q_extra:
             yield state
         acc = yield lanes.scale(1, acc, variable=True)
-        return lanes.scale(2, acc, variable=True)
+        return [(lanes.scale(2, acc, variable=True), 3)]
 
     return recurrence
 

@@ -50,15 +50,19 @@ ALPHA = 1e-6  # chance of a false test failure when p is the kind's bound
 SINGLE_ROUND_EPS = 0.8  # one round for every kind
 
 
-def bound(circuit: MLDCircuit) -> float:
-    """The circuit's exact per-round success bound in its field."""
+def bound(circuit: MLDCircuit, row: int = 0) -> float:
+    """The circuit's exact per-round success bound in its field — or, for
+    a scan grid's prefix ``row``, that row's (``row`` variables, y-degree
+    ``2 row - 1``) in the grid's field."""
     d = circuit.y_degree
+    if row:
+        return float(round_success_bound(row, field_degree_for_k(d), 2 * row - 1))
     return float(round_success_bound(circuit.k, field_degree_for_k(d), d))
 
 
-def threshold(circuit: MLDCircuit) -> int:
+def threshold(circuit: MLDCircuit, row: int = 0) -> int:
     """The ALPHA-quantile of N_RUNS single rounds at the circuit's bound."""
-    return int(binom.ppf(ALPHA, N_RUNS, bound(circuit)))
+    return int(binom.ppf(ALPHA, N_RUNS, bound(circuit, row)))
 
 
 def single_round_hits(graph: CSRGraph, k: int, n_runs: int = N_RUNS) -> int:
@@ -124,9 +128,13 @@ def test_no_instance_never_reports_found(make_graph, k):
 # weighted variant (y-degree 9 in GF(2^5), the tightest below k = 10), a
 # binary(8) tree (8 in GF(2^5)) and scan row 5 (9 = 5 base y's + 4 join
 # coefficients, in GF(2^5)).  The top weight cell is the one only the
-# witness reaches.
+# witness reaches.  Row 3 of a k = 5 grid is its run's first 8 iterations,
+# in row 5's field: its bound is a 3-vertex term's of y-degree 5 there.
 W9 = np.array([2, 0, 3, 1, 2, 3, 0, 1, 2])
 BINARY8 = TreeTemplate.binary(8)
+# a 3-path of weight 5 beside two isolated vertices: its one connected 3-set
+# is the path, alone in cell (3, 5)
+W3, W3_TOP = np.array([2, 0, 3, 0, 0]), 5
 
 
 def _bare_path(k: int) -> CSRGraph:
@@ -157,8 +165,14 @@ def _wpath9(g, w, rng):
 
 
 def _scan5(g, w, rng):
-    row = scan_grid(g, w, 5, eps=SINGLE_ROUND_EPS, rng=rng, sizes=[5]).detected[5]
+    row = scan_grid(g, w, 5, eps=SINGLE_ROUND_EPS, rng=rng).detected[5]
     return bool(row.any()), bool(row[-1])  # the last cell is z_max, the top
+
+
+def _scan5_row3(g, w, rng):
+    row = scan_grid(g, w, 5, eps=SINGLE_ROUND_EPS, rng=rng).detected[3]
+    return bool(row.any()), bool(row[W3_TOP])
+
 
 
 #: kind -> its circuit, whose exact bound its single-round rate must clear
@@ -167,7 +181,10 @@ CIRCUITS = {
     "k-tree-binary8": MLDCircuit.k_tree(BINARY8),
     "weighted-path-9": MLDCircuit.weighted_path(W9, 9, int(W9.sum())),
     "scan-row-5": MLDCircuit.scan_row(W9[:5], 5, int(W9[:5].sum())),
+    "scan-row-3-of-5": MLDCircuit.scan_row(W3, 5, int(W3.sum())),
 }
+#: kind -> the prefix row of a grid whose bound it is held to
+ROWS = {"scan-row-3-of-5": 3}
 KINDS = {
     # kind: (run, yes-instance, no-instance), each instance (graph, weights)
     "k-path-9": (_kpath9, (_bare_path(9), None),
@@ -176,6 +193,9 @@ KINDS = {
                        (_bare_path(20), None)),
     "weighted-path-9": (_wpath9, (_bare_path(9), W9), (_triangles(4), np.ones(12, int))),
     "scan-row-5": (_scan5, (_bare_path(5), W9[:5]), (_triangles(4), np.ones(12, int))),
+    "scan-row-3-of-5": (_scan5_row3, (CSRGraph.from_edges(5, [(0, 1), (1, 2)]), W3),
+                        (CSRGraph.from_edges(6, [(0, 1), (2, 3), (4, 5)]),
+                         np.ones(6, int))),
 }
 
 
@@ -183,7 +203,7 @@ KINDS = {
 def test_every_kind_clears_the_binomial_bound_at_its_field(kind):
     """A tighter gate than 1/5: each kind's exact ``p`` in its field."""
     run, (g, w), _ = KINDS[kind]
-    need = threshold(CIRCUITS[kind])
+    need = threshold(CIRCUITS[kind], ROWS.get(kind, 0))
     assert need > int(binom.ppf(ALPHA, N_RUNS, 0.2))
     hits = sum(run(g, w, RngStream(30_000 + i))[1] for i in range(N_RUNS))
     assert hits >= need, f"{kind}: {hits}/{N_RUNS} single-round hits, need {need}"
@@ -201,6 +221,9 @@ def test_the_kinds_instances_are_what_they_claim():
     assert has_k_path(p9, 9) and not has_k_path(KINDS["k-path-9"][2][0], 9)
     assert exact.has_tree(b8, BINARY8) and not exact.has_tree(_bare_path(20), BINARY8)
     assert not has_k_path(_triangles(4), 4)  # so no 9-path, no connected 5-set
+    (g3, w3), (none3, ones) = KINDS["scan-row-3-of-5"][1:]
+    assert {z for j, z in exact.scan_cells(g3, w3, 5) if j == 3} == {W3_TOP}
+    assert not {j for j, _ in exact.scan_cells(none3, ones, 5)} & {3, 4, 5}
 
 
 def test_multi_round_miss_rate_within_eps():

@@ -1,7 +1,8 @@
 """Weighted kinds at evaluation points against the paper's weight-axis DP.
 
-A weighted k-path or scan row runs as its unweighted circuit at ``P = D + 1``
-points of ``z`` and interpolates.  Here 210 random cases (ER graphs of at
+A weighted k-path or scan grid runs as its unweighted circuit at ``P = D + 1``
+points of ``z`` and interpolates; the scan grid's every row is held to
+its own dimension's oracle.  Here 210 random cases (ER graphs of at
 most 30 vertices, weights in ``[0, 6]``, rows heavier than ``z_max``,
 ``z_max`` below, at and above ``D``, all-zero weights for ``P = 1``, and
 point counts beyond ``2^l`` that evaluate in an extension field) are held
@@ -18,7 +19,7 @@ to ``tests/_reference_recurrences.py``'s truncated-convolution DPs:
 import numpy as np
 import pytest
 
-from _reference_recurrences import scan_row_cells, weighted_path_cells
+from _reference_recurrences import scan_grid_cells, weighted_path_cells
 from repro.core.engine import DetectionEngine, MidasRuntime
 from repro.core.mld import MLDCircuit
 from repro.core.problems import compile
@@ -56,10 +57,15 @@ def _circuit(w, kind, k, z_max):
 
 
 def _oracle(g, w, kind, k, z_max, fp, q0, n2):
-    """Per-iteration cells ``(z_max + 1, n2)``."""
+    """Per-iteration cells ``(outputs, z_max + 1, n2)``."""
     if kind == "wpath":
-        return weighted_path_cells(g, w, fp, z_max, q0, n2)
-    return scan_row_cells(g, w, fp, k, z_max, q0, n2)
+        return weighted_path_cells(g, w, fp, z_max, q0, n2)[None]
+    return scan_grid_cells(g, w, fp, z_max, q0, n2)
+
+
+def _fold(cells):
+    """A window's value: each output's cells XORed over the window."""
+    return np.bitwise_xor.reduce(cells, axis=-1).ravel()
 
 
 def _fingerprints(spec, n, seed):
@@ -104,8 +110,7 @@ def test_round_values_are_the_oracles(mode):
                                     rounds=ROUNDS, live_states=spec.live_states)
             assert fused.rounds_per_window == ROUNDS
         for fp, value in zip(_fingerprints(spec, g.n, 3000 + i), out.values):
-            want = np.bitwise_xor.reduce(
-                _oracle(g, w, kind, k, z_max, fp, 0, 1 << k), axis=-1)
+            want = _fold(_oracle(g, w, kind, k, z_max, fp, 0, 1 << k))
             assert value.dtype == want.dtype
             assert np.array_equal(value, want), (i, mode)
 
@@ -126,11 +131,10 @@ def test_exact_windows_are_the_oracles():
             want = _oracle(g, w, kind, k, z_max, fp, 0, 1 << k)
             got = spec.window_values(g, fp, n2, min(2 * n2, 1 << k))
             for t, value in enumerate(got):
-                assert np.array_equal(value, np.bitwise_xor.reduce(
-                    want[:, t * n2:(t + 1) * n2], axis=-1)), (i, t)
+                assert np.array_equal(value, _fold(want[..., t * n2:(t + 1) * n2])), (i, t)
         fused = spec.phase_values(g, fps, 0, 1 << k)
         for fp, value in zip(fps, fused):
-            assert np.array_equal(value, np.bitwise_xor.reduce(
-                _oracle(g, w, kind, k, z_max, fp, 0, 1 << k), axis=-1)), i
+            want = _fold(_oracle(g, w, kind, k, z_max, fp, 0, 1 << k))
+            assert np.array_equal(value, want), i
         checked += 1
     assert checked >= 50

@@ -66,7 +66,7 @@ def test_planes_equal_the_table_kernel(dim, n2, rounds, z_max):
     table, _ = _window(circuit, ElementLanes, "table", rounds, n2)
     points = circuit.weight_degree + 1
     assert lanes.blocks == points * rounds
-    assert planes.shape == table.shape == (points * rounds * n2,)
+    assert planes.shape == table.shape == (len(circuit.outputs), points * rounds * n2)
     assert np.array_equal(planes, table)
 
 
@@ -79,7 +79,7 @@ def test_zero_weights_are_one_point_and_the_unweighted_circuit(dim):
     planes, lanes = _window(circuit, Lanes, "bitsliced", 2, 16)
     assert lanes.blocks == 2 and lanes.points.count == 1
     plain = MLDCircuit(k=circuit.k, n_slots=circuit.n_slots, leaves=circuit.leaves,
-                       steps=circuit.steps, output=circuit.output,
-                       levels=circuit.levels, min_y_degree=circuit.min_y_degree)
+                       steps=circuit.steps, outputs=circuit.outputs,
+                       levels=circuit.levels)
     unweighted, _ = _window(plain, Lanes, "bitsliced", 2, 16)
     assert np.array_equal(planes, unweighted)

@@ -163,16 +163,11 @@ class TestDetectScanCell:
         assert not detect_scan_cell(g, w, 2, -1)
 
 
-class TestScanGridSizesFilter:
-    def test_restricted_sizes_only(self):
+class TestScanGridOneRun:
+    def test_every_row_from_one_run(self):
+        """Unit weights: row ``j`` of the one run holds weight ``j`` alone."""
         g = grid2d(3, 3)
         w = np.ones(9, dtype=np.int64)
-        res = scan_grid(g, w, k=3, eps=0.05, rng=RngStream(50), sizes=[2])
-        assert not res.detected[1].any()
-        assert not res.detected[3].any()
-        assert res.detected[2, 2]
-
-    def test_invalid_sizes_rejected(self):
-        g = grid2d(2, 2)
-        with pytest.raises(ConfigurationError):
-            scan_grid(g, np.ones(4, dtype=np.int64), k=2, sizes=[3])
+        res = scan_grid(g, w, k=3, eps=0.05, rng=RngStream(50))
+        assert res.detected.tolist() == [[j == z > 0 for z in range(4)]
+                                         for j in range(4)]
