@@ -27,7 +27,11 @@ ledger sees.
 It prints each pair's median per-op ratio head/base (``--setup``: the
 pair's set-up ratio head/base and each side's split), then the median of
 the pair medians, their spread (min..max) and how many pairs the head
-won (a pair median below 1).  A move counts only outside the spread an
+won (a pair median below 1).  Beside each pair it prints the host-speed
+probe of ``benchmarks/ledger/host.py`` — fixed work no change to the
+program alters — as each worker ran it once ready: the head/base ratio of
+the two probes, which reads 1 unless the worker processes themselves
+differ in speed, and their mean host factor (1.0: the reference VM).  A move counts only outside the spread an
 ``--aa`` run shows on the same host, and a speed claim wants at least 9
 of the default 10 pairs won.  Exit status
 1 when an op fails or its digest is not the first op's.
@@ -66,6 +70,13 @@ w.checked_op(0, rec)  # warm: imports, fields, session
 t.append(time.perf_counter())
 print("ready", *(b - a for a, b in zip(t, t[1:])), flush=True)
 for line in sys.stdin:
+    if line == "probe\n":  # the host probe, fixed work in this process
+        from host import HostSpeed
+        probe = HostSpeed()
+        probe.sample()
+        print(probe.factor, flush=True)
+        del probe
+        continue
     i = int(line)
     t0 = time.perf_counter()
     try:
@@ -102,7 +113,8 @@ class Worker:
             raise RuntimeError(f"worker said {line!r}, expected {what!r}")
         return line
 
-    def op(self, i: int) -> float:
+    def op(self, i) -> float:
+        """Op ``i``'s seconds, or — ``i = "probe"`` — the host probe's factor."""
         self.proc.stdin.write(f"{i}\n")
         self.proc.stdin.flush()
         line = self.proc.stdout.readline()
@@ -135,31 +147,44 @@ def spawn(trees, args, p: int) -> list:
     return [workers[0], workers[1]]
 
 
-def pair(trees, args, p: int) -> list:
-    """Pair ``p``, ``args.ops`` ops each: the per-op ratios head/base."""
+def probe(workers, p: int) -> tuple:
+    """The pair's host probes, the side that went first alternating: their
+    ratio head/base and the geometric mean of the two host factors."""
+    order = (0, 1) if p % 2 == 0 else (1, 0)
+    factor = {side: workers[side].op("probe") for side in order}
+    return factor[1] / factor[0], (factor[0] * factor[1]) ** 0.5
+
+
+def pair(trees, args, p: int) -> tuple:
+    """Pair ``p``, ``args.ops`` ops each: the per-op ratios head/base, and
+    the pair's :func:`probe`."""
     workers = spawn(trees, args, p)
     try:
+        probes = probe(workers, p)
         ratios = []
         for i in range(p * args.ops, (p + 1) * args.ops):
             order = (0, 1) if i % 2 == 0 else (1, 0)
             secs = {side: workers[side].op(i) for side in order}
             ratios.append(secs[1] / secs[0])
-        return ratios
+        return ratios, probes
     finally:
         for w in workers:
             w.close()
 
 
-def setup_pair(trees, args, p: int) -> float:
+def setup_pair(trees, args, p: int) -> tuple:
     """Pair ``p`` of ``--setup``: the set-up ratio head/base, each side's
-    wall and split printed."""
+    wall and split printed, and the pair's :func:`probe`, taken after."""
     workers = spawn(trees, args, p)
-    for w in workers:
-        w.close()
+    try:
+        probes = probe(workers, p)
+    finally:
+        for w in workers:
+            w.close()
     for side, w in zip(("base", "head"), workers):
         split = " ".join(f"{k} {v:.3f}" for k, v in w.split.items())
         print(f"  {side}: set-up {w.setup_s:.3f} s ({split})", flush=True)
-    return workers[1].setup_s / workers[0].setup_s
+    return workers[1].setup_s / workers[0].setup_s, probes
 
 
 def main(argv=None) -> int:
@@ -188,17 +213,21 @@ def main(argv=None) -> int:
         try:
             for rev, tree in zip((args.base, head), trees):
                 checkout(rev, tree)
-            medians = []
+            medians, probes = [], []
             for p in range(args.pairs):
                 t0 = time.perf_counter()
                 if args.setup:
-                    medians.append(setup_pair(trees, args, p))
-                    print(f"pair {p}: set-up head/base {medians[-1]:.4f}", flush=True)
-                    continue
-                ratios = pair(trees, args, p)
-                medians.append(statistics.median(ratios))
-                print(f"pair {p}: {len(ratios)} ops, median head/base "
-                      f"{medians[-1]:.4f} ({time.perf_counter() - t0:.0f} s)", flush=True)
+                    ratio, probed = setup_pair(trees, args, p)
+                    what = "set-up head/base"
+                else:
+                    ratios, probed = pair(trees, args, p)
+                    ratio = statistics.median(ratios)
+                    what = f"{len(ratios)} ops, median head/base"
+                medians.append(ratio)
+                probes.append(probed)
+                print(f"pair {p}: {what} {ratio:.4f}; probe head/base {probed[0]:.4f}, "
+                      f"host x{probed[1]:.3f} ({time.perf_counter() - t0:.0f} s)",
+                      flush=True)
         except RuntimeError as exc:
             print(f"ab_ops: {exc}", file=sys.stderr)
             return 1
@@ -207,6 +236,10 @@ def main(argv=None) -> int:
                 subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
                                 str(tree)], capture_output=True)
             subprocess.run(["git", "-C", str(ROOT), "worktree", "prune"], capture_output=True)
+    ratios, factors = zip(*probes)
+    print(f"host probe: head/base median {statistics.median(ratios):.4f}, spread "
+          f"{min(ratios):.4f}..{max(ratios):.4f}; host x{statistics.median(factors):.3f} "
+          f"(x{min(factors):.3f}..x{max(factors):.3f})")
     label = f"{args.base} vs itself" if args.aa else f"{args.base} -> {head}"
     if args.setup:
         label += ", set-up"

@@ -46,7 +46,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from contextlib import closing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List, NamedTuple, Optional,
                     Tuple, Type)
 
@@ -594,21 +594,6 @@ def _run_phase_resilient(rt: MidasRuntime, fc: _FaultContext, prog, key: str,
 
 
 @dataclass
-class _Stage:
-    """One (spec, schedule) evaluation inside a run."""
-
-    spec: ProblemSpec
-    sched: PhaseSchedule
-    rounds: int
-    phase_hist: object  # midas_phase_seconds histogram, pre-labeled
-    estimate: Optional[PerformanceEstimate] = None
-    # simulated mode: window start -> its exchange signature, and exchange
-    # signature -> the _Timeline enacted for it
-    signatures: dict = field(default_factory=dict)
-    timelines: dict = field(default_factory=dict)
-
-
-@dataclass
 class StageResult:
     """Per-round accumulator values of one engine stage."""
 
@@ -645,14 +630,13 @@ class _Rounds(NamedTuple):
 Window = Tuple[List[Value], float, float, str, Optional[int]]
 
 
-def _run_window(graph: CSRGraph, stage: _Stage, rounds: _Rounds, w: int) -> Window:
-    """Evaluate window ``w`` of a round batch on the calling thread,
-    stamped here."""
+def _run_window(e: "DetectionEngine", rounds: _Rounds, w: int) -> Window:
+    """Evaluate window ``w`` of a round batch of ``e``'s stage on the
+    calling thread, stamped here."""
     rs, t = rounds.windows()[w]
     t0 = time.perf_counter()
-    values = stage.spec.phase_values(graph, rounds.fps[rs.start:rs.stop],
-                                     rounds.sched.phase_window(t)[0],
-                                     rounds.sched.n2)
+    values = e.spec.phase_values(e.graph, rounds.fps[rs.start:rs.stop],
+                                 rounds.sched.phase_window(t)[0], rounds.sched.n2)
     return values, t0, time.perf_counter(), threading.current_thread().name, None
 
 
@@ -680,18 +664,18 @@ class ExecutionBackend:
     def __init__(self, engine: "DetectionEngine") -> None:
         self.engine = engine
 
-    def prepare(self, stage: _Stage) -> None:
-        """Per-stage setup (partitioning, pools); may be called repeatedly."""
+    def prepare(self) -> None:
+        """The run's setup (partitioning, pools), once before its rounds."""
 
-    def submit(self, stage: _Stage, rounds: _Rounds, w: int):
+    def submit(self, rounds: _Rounds, w: int):
         """A future of window ``w``'s result (pool executors)."""
         raise NotImplementedError
 
-    def completed(self, stage: _Stage, w: int, result) -> Window:
+    def completed(self, w: int, result) -> Window:
         """Decode window ``w``'s executor result into a :data:`Window`."""
         return result
 
-    def windows(self, stage: _Stage, rounds: _Rounds) -> Iterator[tuple]:
+    def windows(self, rounds: _Rounds) -> Iterator[tuple]:
         """Run the batch's windows; yield ``(w, result)`` as each finishes.
 
         The windows are independent and the fold is commutative, so
@@ -700,7 +684,7 @@ class ExecutionBackend:
         windows that have not started are cancelled before the exception
         propagates, so nothing keeps computing for a discarded batch.
         """
-        futures = {self.submit(stage, rounds, w): w
+        futures = {self.submit(rounds, w): w
                    for w in range(len(rounds.windows()))}
         try:
             for fut in as_completed(futures):
@@ -709,7 +693,7 @@ class ExecutionBackend:
             for fut in futures:
                 fut.cancel()
 
-    def run_round(self, stage: _Stage, rounds: _Rounds):
+    def run_round(self, rounds: _Rounds):
         """Execute a batch of rounds; return each round's ``(values,
         virtual_seconds)`` as two lists.
 
@@ -719,19 +703,20 @@ class ExecutionBackend:
         the reason, which is what cancels the windows that have not
         started.
         """
-        e, spec = self.engine, stage.spec
+        e = self.engine
+        spec = e.spec
         values = [spec.acc_init() for _ in rounds.fps]
         windows = rounds.windows()
         round0 = time.perf_counter()
-        with closing(self.windows(stage, rounds)) as done:
+        with closing(self.windows(rounds)) as done:
             for w, result in done:
-                contribs, t0, t1, lane, pid = self.completed(stage, w, result)
+                contribs, t0, t1, lane, pid = self.completed(w, result)
                 rs, t = windows[w]
                 for r, contrib in zip(rs, contribs):
                     values[r] = spec.combine(values[r], contrib)
-                e.phase_done(stage, range(rounds.ell + rs.start, rounds.ell + rs.stop),
+                e.phase_done(range(rounds.ell + rs.start, rounds.ell + rs.stop),
                              t, contribs, t0, t1, lane, pid)
-        e.round_joined(stage, rounds.ell, round0, time.perf_counter())
+        e.round_joined(rounds.ell, round0, time.perf_counter())
         return values, [0.0] * len(values)
 
     def close(self) -> None:
@@ -743,9 +728,9 @@ class SequentialBackend(ExecutionBackend):
 
     name = "sequential"
 
-    def windows(self, stage: _Stage, rounds: _Rounds) -> Iterator[tuple]:
+    def windows(self, rounds: _Rounds) -> Iterator[tuple]:
         for w in range(len(rounds.windows())):
-            yield w, _run_window(self.engine.graph, stage, rounds, w)
+            yield w, _run_window(self.engine, rounds, w)
 
 
 class ModeledBackend(SequentialBackend):
@@ -754,13 +739,10 @@ class ModeledBackend(SequentialBackend):
     name = "modeled"
     virtual = True
 
-    def run_round(self, stage: _Stage, rounds: _Rounds):
-        values, _ = super().run_round(stage, rounds)
-        virtual = (
-            stage.estimate.total_seconds / stage.rounds
-            if stage.estimate is not None
-            else 0.0
-        )
+    def run_round(self, rounds: _Rounds):
+        values, _ = super().run_round(rounds)
+        # the estimate is a modeled stage's clock: run_stage always makes one
+        virtual = self.engine.estimate.total_seconds / self.engine.rounds
         return values, [virtual] * len(values)
 
 
@@ -780,19 +762,22 @@ class ThreadedBackend(ExecutionBackend):
         super().__init__(engine)
         self._pool: Optional[ThreadPoolExecutor] = None
 
-    def prepare(self, stage: _Stage) -> None:
-        if self._pool is None:
+    def prepare(self) -> None:
+        # setup, not the first batch's wall (as the process fleet's start)
+        with self.engine.prof.span("engine.pool", phase="setup", callsite="threaded"):
             self._pool = ThreadPoolExecutor(
                 max_workers=self.engine.rt.get_workers(),
                 thread_name_prefix="midas-phase",
             )
 
-    def submit(self, stage: _Stage, rounds: _Rounds, w: int):
-        return self._pool.submit(_run_window, self.engine.graph, stage, rounds, w)
+    def submit(self, rounds: _Rounds, w: int):
+        return self._pool.submit(_run_window, self.engine, rounds, w)
 
     def close(self) -> None:
         if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
+            # joining the threads can take milliseconds of wall on a busy host
+            with self.engine.prof.span("engine.pool", phase="teardown", callsite="threaded"):
+                self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
 
 
@@ -819,38 +804,36 @@ class ProcessBackend(ExecutionBackend):
         self._shared = None  # the SharedArrays this call published
         self._graph = None  # the graph's wire
         self._pool = None  # the fleet the last batch ran on, once one has
-        self._crashed_in: Optional[_Stage] = None  # a stage gets one retry
+        self._crashed = False  # a run gets one retry
 
     def _fleet_key(self) -> tuple:
         return self.engine.rt.get_workers(), self.engine.rt.process_start
 
-    def prepare(self, stage: _Stage) -> None:
+    def prepare(self) -> None:
         from repro.core.process_backend import SharedArrays, fleet
 
-        if self._shared is None:
-            # the call's publication, and the fleet's start when it is not
-            # warm: setup, not the first batch's wall
-            with self.engine.prof.span("engine.pool", phase="setup",
-                                       callsite="process"):
-                fleet(*self._fleet_key())
-                self._shared = SharedArrays()
-                self._graph = self._shared.wire_graph(self.engine.graph)
+        # the call's publication, and the fleet's start when it is not
+        # warm: setup, not the first batch's wall
+        with self.engine.prof.span("engine.pool", phase="setup", callsite="process"):
+            fleet(*self._fleet_key())
+            self._shared = SharedArrays()
+            self._graph = self._shared.wire_graph(self.engine.graph)
         # publishes the circuit's weights once (the wire is cached per
         # spec); a hand-built spec without a circuit is refused here
-        self._shared.wire_spec(stage.spec)
+        self._shared.wire_spec(self.engine.spec)
 
-    def windows(self, stage: _Stage, rounds: _Rounds) -> Iterator[tuple]:
+    def windows(self, rounds: _Rounds) -> Iterator[tuple]:
         from repro.core.process_backend import driving
 
         sched = rounds.sched
         with driving(*self._fleet_key()) as pool:
             self._pool = pool  # the fleet a dead worker closes
             yield from pool.batch(
-                self._graph, self._shared.wire_spec(stage.spec), rounds.fps,
+                self._graph, self._shared.wire_spec(self.engine.spec), rounds.fps,
                 sched.n2, [(sched.phase_window(t)[0], rs.start, rs.stop)
                            for rs, t in rounds.windows()])
 
-    def completed(self, stage: _Stage, w: int, result) -> Window:
+    def completed(self, w: int, result) -> Window:
         raws, (pid, t0, t1, *build), mdelta = result
         e = self.engine
         if mdelta:
@@ -862,35 +845,35 @@ class ProcessBackend(ExecutionBackend):
             # perf_counter is CLOCK_MONOTONIC on Linux: worker and parent
             # stamps share a timebase, so the span goes in as stamped
             e.prof.add_span("worker.spec_build", *build, pid=pid, lane=lane,
-                            phase="setup", callsite=stage.spec.name)
-        return [stage.spec.rank_value(raw) for raw in raws], t0, t1, lane, pid
+                            phase="setup", callsite=e.spec.name)
+        return [e.spec.rank_value(raw) for raw in raws], t0, t1, lane, pid
 
-    def run_round(self, stage: _Stage, rounds: _Rounds):
+    def run_round(self, rounds: _Rounds):
         """The batch, or — when a worker dies under it — the batch again
         on a rebuilt fleet: the fingerprints are the same, so the values
-        are.  A second death in the same stage is not retried."""
+        are.  A second death in the same run is not retried."""
         from repro.core.process_backend import close_fleet, fleet
 
         ell = rounds.ell
         try:
-            return super().run_round(stage, rounds)
+            return super().run_round(rounds)
         except WorkerCrashedError as exc:
             close_fleet(self._pool)
             e = self.engine
             e.flight_dump("worker_crash", round=ell,
                           graph=getattr(e.graph, "name", None))
-            if self._crashed_in is stage:
+            if self._crashed:
                 raise WorkerCrashedError(
                     f"a worker process died while evaluating round {ell} of "
-                    f"{stage.spec.name!r} (see stderr for the worker's fate); the "
+                    f"{e.spec.name!r} (see stderr for the worker's fate); the "
                     "process pool is closed"
                 ) from exc
-            self._crashed_in = stage
+            self._crashed = True
             _LOG.warning("%s; re-running round %d on a new fleet", exc, ell)
             e.discard_round()
             with e.prof.span("engine.pool", phase="setup", callsite="process"):
                 fleet(*self._fleet_key())
-            return self.run_round(stage, rounds)
+            return self.run_round(rounds)
 
     def close(self) -> None:
         """Unlink what this call published; the fleet stays warm."""
@@ -904,7 +887,7 @@ class _Timeline(NamedTuple):
 
     Plain data on purpose: the :class:`~repro.runtime.scheduler.Simulator`,
     its rank generators and ``SimResult.results`` reference each other in
-    cycles, and a stage keeps its timelines until it ends.
+    cycles, and the backend keeps its timelines until the run ends.
     """
 
     makespan: float
@@ -945,19 +928,20 @@ class SimulatedBackend(ExecutionBackend):
 
     def __init__(self, engine: "DetectionEngine") -> None:
         super().__init__(engine)
-        self._views = None
-        self._cost_model = None
         rt = engine.rt
         #: windows are valued by whole-graph runs and timelines reused
         self.reuse = (rt.fault_plan is None and rt.sanitize == "off"
                       and not rt.measure_compute)
+        #: window start -> its exchange signature, and exchange signature
+        #: -> the :class:`_Timeline` enacted for it
+        self.signatures: dict = {}
+        self.timelines: dict = {}
 
-    def prepare(self, stage: _Stage) -> None:
+    def prepare(self) -> None:
         e = self.engine
-        if self._views is None:
-            e.partition = e.session.ensure_partition(e.prof)
-            self._views = e.session.ensure_views(e.prof, e.problem)
-            self._cost_model = e.rt.get_cluster().cost_model(e.rt.n1)
+        e.partition = e.session.ensure_partition(e.prof)
+        self._views = e.session.ensure_views(e.prof, e.problem)
+        self._cost_model = e.rt.get_cluster().cost_model(e.rt.n1)
 
     def _run_lanes(self, spec) -> int:
         """The lanes a round takes in a whole-graph run that values its
@@ -966,25 +950,25 @@ class SimulatedBackend(ExecutionBackend):
         return whole_graph_window(spec.k, self.engine.graph.n, spec.field.m,
                                   spec.schedule_payload, n2=self.engine.rt.n2)[0]
 
-    def run_round(self, stage: _Stage, rounds: _Rounds):
+    def run_round(self, rounds: _Rounds):
         """The batch's rounds in order, each by :meth:`_round`; with reuse,
         every window of every round valued first by one
         :meth:`ProblemSpec.window_values` call."""
-        e, spec = self.engine, stage.spec
+        e = self.engine
         whole = None
         if self.reuse:
             # every window's whole-graph value: a reused window's value,
             # an enacted one's check
             with e.prof.span("engine.values", phase="rounds", callsite=e.fc.problem):
-                whole = spec.window_values(e.graph, rounds.fps, stage.sched.n2,
-                                           self._run_lanes(spec))
-        n_phases = stage.sched.n_phases
-        done = [self._round(stage, rounds.ell + i, fp,
+                whole = e.spec.window_values(e.graph, rounds.fps, e.sched.n2,
+                                             self._run_lanes(e.spec))
+        n_phases = e.sched.n_phases
+        done = [self._round(rounds.ell + i, fp,
                             None if whole is None else whole[i * n_phases:])
                 for i, fp in enumerate(rounds.fps)]
         return [value for value, _ in done], [virtual for _, virtual in done]
 
-    def _round(self, stage: _Stage, ell: int, fp, whole) -> Tuple[Value, float]:
+    def _round(self, ell: int, fp, whole) -> Tuple[Value, float]:
         """Round ``ell``'s ``(value, virtual seconds)``: its windows in
         batch and phase order, ``whole[t]`` window ``t``'s whole-graph
         value (``None``: every window enacted)."""
@@ -992,7 +976,7 @@ class SimulatedBackend(ExecutionBackend):
 
         e = self.engine
         rt, rec, fc = e.rt, e.rec, e.fc
-        spec, sched = stage.spec, stage.sched
+        spec, sched = e.spec, e.sched
         want_trace = rt.trace or rec is not None
         value = spec.acc_init()
         round_virtual = 0.0
@@ -1013,11 +997,11 @@ class SimulatedBackend(ExecutionBackend):
                     # the signature says whether this window's messages
                     # were enacted before
                     t0, contrib = time.perf_counter(), whole[t]
-                    signature = stage.signatures.get(q0)
+                    signature = self.signatures.get(q0)
                     if signature is None:
-                        signature = stage.signatures[q0] = exchange_signature(
+                        signature = self.signatures[q0] = exchange_signature(
                             spec.recurrence, fp, q0, sched.n2, spec.points)
-                    tl = stage.timelines.get(signature)
+                    tl = self.timelines.get(signature)
                 if tl is not None:
                     e.prof.add_span("engine.simulate", t0, time.perf_counter(),
                                     phase="rounds", callsite=fc.problem)
@@ -1041,12 +1025,11 @@ class SimulatedBackend(ExecutionBackend):
                                 f"simulated phase {key} evaluates to {enacted!r} "
                                 f"but the whole-graph level DP gives {contrib!r} "
                                 "for the same window", ell, bi, t)
-                        stage.timelines[signature] = tl
+                        self.timelines[signature] = tl
                     contrib = enacted
                 value = spec.combine(value, contrib)
                 # a virtual makespan, not a wall interval: no lane
-                e.phase_done(stage, range(ell, ell + 1), t, [contrib], 0.0,
-                             tl.makespan, None)
+                e.phase_done(range(ell, ell + 1), t, [contrib], 0.0, tl.makespan, None)
                 phase_end = extra + tl.makespan
                 if phase_end >= batch_time:
                     slow_local = int(tl.clocks.argmax()) if len(tl.clocks) else 0
@@ -1241,9 +1224,9 @@ class DetectionEngine:
     trace events are spliced onto, the shared metric families, and (in
     simulated mode) the fault-tolerance context.  :meth:`run_stage`
     executes the amplification rounds of one
-    :class:`~repro.core.problems.ProblemSpec`; multi-stage drivers (the
-    scan grid's one-spec-per-size loop) call it repeatedly and all stages
-    share the same run-level accounting.
+    :class:`~repro.core.problems.ProblemSpec` — once: an engine runs one
+    stage, and the stage's spec, schedule, rounds, estimate and phase
+    histogram are the engine's attributes from then on.
 
     Use as a context manager so backend resources (the thread or
     process pool) are released deterministically.
@@ -1281,6 +1264,10 @@ class DetectionEngine:
             raise ConfigurationError(f"engine session mismatch: {mismatch}")
         self.session.attach()
         self.partition = None  # set once this run has asked the session for it
+        # the stage's spec, schedule, Theorem-2 estimate, pre-labeled
+        # midas_phase_seconds histogram and rounds: set once, by run_stage
+        self.spec = self.sched = self.estimate = self.phase_hist = None
+        self.rounds = 0
         self.prof = rt.get_profiler()
         self.live = rt.get_live()
         if self.live is not None:
@@ -1298,7 +1285,7 @@ class DetectionEngine:
         if self.ckpt is not None:
             self.ekey = self.ckpt.attach_engine(self)
             self.ckpt.restore_into(self)
-            self.graph_sha = graph_sha(graph)  # in every stage's identity
+            self.graph_sha = graph_sha(graph)  # in the stage's identity
         self.wd = rt.get_watchdog()
         if self.wd is not None:
             # on a hard hang the monitor thread still flushes a checkpoint;
@@ -1378,8 +1365,7 @@ class DetectionEngine:
             self.wd.beat()
             self.wd.check()
 
-    def _note_degraded(self, exc: WatchdogExpired, spec: ProblemSpec,
-                       rounds_done: int) -> None:
+    def _note_degraded(self, exc: WatchdogExpired, rounds_done: int) -> None:
         """Convert a watchdog trip into degraded-run state: remember the
         reason plus the stage's ``(1 - p)^rounds`` miss bound (``p``: its
         :attr:`~repro.core.problems.ProblemSpec.round_success`) and force
@@ -1388,7 +1374,7 @@ class DetectionEngine:
             "reason": exc.reason,
             "detail": str(exc),
             "rounds_completed": int(rounds_done),
-            "p_failure_bound": float((1 - spec.round_success) ** rounds_done),
+            "p_failure_bound": float((1 - self.spec.round_success) ** rounds_done),
         }
         _LOG.warning(
             "watchdog tripped (%s) — degrading after %d completed round(s); "
@@ -1415,9 +1401,8 @@ class DetectionEngine:
             "open_spans": [s.to_dict() for s in self.prof.open_spans()]})
 
     # ------------------------------------------------------ phase boundary
-    def phase_done(self, stage: "_Stage", ells: range, t: int, values: list,
-                   t0: float, t1: float, lane: Optional[str],
-                   pid: Optional[int] = None) -> None:
+    def phase_done(self, ells: range, t: int, values: list, t0: float, t1: float,
+                   lane: Optional[str], pid: Optional[int] = None) -> None:
         """The one phase boundary: every backend reports each finished
         phase window here, on the thread that folds the round
         accumulators (so no sink needs to be thread-safe for it).
@@ -1432,13 +1417,14 @@ class DetectionEngine:
         watchdog is checked here, so a trip surfaces between two windows
         of any backend.
         """
-        stage.phase_hist.observe(t1 - t0)
+        sched = self.sched
+        self.phase_hist.observe(t1 - t0)
         if lane is not None:
             self.prof.add_span(
                 "engine.kernel" if pid is None else "worker.kernel", t0, t1,
-                pid=pid, lane=lane, phase="rounds", callsite=stage.spec.name,
-                q_start=stage.sched.phase_window(t)[0], n2=stage.sched.n2,
-                k=stage.spec.k, round=ells.start, rounds=len(ells))
+                pid=pid, lane=lane, phase="rounds", callsite=self.spec.name,
+                q_start=sched.phase_window(t)[0], n2=sched.n2,
+                k=self.spec.k, round=ells.start, rounds=len(ells))
             if self.rec is not None:
                 # the recorder lanes are laid out once the batch has joined
                 self._windows.append((ells.start, t, t0, t1, lane))
@@ -1448,10 +1434,8 @@ class DetectionEngine:
         for ell, value in zip(ells, values):
             if self.digests is not None:
                 # keyed by phase index, so completion order is moot
-                self.digests.record_phase(
-                    "", ell, t // stage.sched.concurrency, t,
-                    self._value_digest(value),
-                )
+                self.digests.record_phase(ell, t // sched.concurrency, t,
+                                          self._value_digest(value))
             if self.live is not None:
                 self.live.phase_done(ell, t)
 
@@ -1460,8 +1444,7 @@ class DetectionEngine:
         backend is about to run it again)."""
         self._windows = []
 
-    def round_joined(self, stage: "_Stage", ell: int, round0: float,
-                     round1: float) -> None:
+    def round_joined(self, ell: int, round0: float, round1: float) -> None:
         """The join half of the boundary: lay the windows of the round
         batch that starts at round ``ell`` on the recorder — one timeline
         lane per thread/worker that ran any, wall offsets from the batch
@@ -1480,7 +1463,7 @@ class DetectionEngine:
             return self.cursor + max(stamp - round0, 0.0)
 
         for first, t, t0, t1, lane in sorted(windows, key=lambda w: w[2]):
-            q0, q1 = stage.sched.phase_window(t)
+            q0, q1 = self.sched.phase_window(t)
             self.rec.record(lanes[lane], "compute", at(t0), at(t1),
                             scope=Scope(round=first, phase=t, q0=q0, q1=q1))
         if windows:
@@ -1490,16 +1473,10 @@ class DetectionEngine:
                                      at(round1), info=f"r{ell} join")
         self.cursor += round1 - round0
 
-    def note_result(self, found: bool) -> None:
-        """Publish the detection's final answer to the live bus."""
-        if self.live is not None:
-            self.live.note_result(found)
-
-    def note_round(self, stage: "_Stage", ell: int, value) -> None:
+    def note_round(self, ell: int, value) -> None:
         """Record one round accumulator's digest (no-op without a log)."""
         if self.digests is not None:
-            self.digests.record_round("", ell,
-                                      self._value_digest(value))
+            self.digests.record_round(ell, self._value_digest(value))
 
     # ------------------------------------------------------------ main loop
     def run_stage(
@@ -1511,7 +1488,8 @@ class DetectionEngine:
         eps: float = 0.2,
         stop: Optional[Callable[[Value], bool]] = None,
     ) -> StageResult:
-        """Run ``rounds`` amplification rounds of ``spec``.
+        """Run ``rounds`` amplification rounds of ``spec``: the engine's
+        one stage (a second call raises :class:`ConfigurationError`).
 
         ``rng`` is the stage's stream; round ``ell`` draws its fingerprint
         from ``rng.child(f"round{ell}")`` — identical in every mode, so
@@ -1525,24 +1503,31 @@ class DetectionEngine:
         batch takes is :meth:`_round_batch`'s rule.  Each round
         is still reported on its own, in order — its digest, checkpoint,
         live event and ``stop`` — and a hit drops the batch's later rounds
-        unreported.  A watchdog trip discards the unfinished batch.
+        unreported.  A watchdog trip discards the unfinished batch.  The
+        live bus gets the stage's answer: whether any reported round
+        satisfies ``stop`` (without one, :meth:`ProblemSpec.hit`).
 
         The stage carries a Theorem-2 estimate (``StageResult.estimate``)
         in modeled mode, where it is the virtual clock, and in simulated
         mode with a recorder attached, where the RunReport sets it against
         the simulated timeline.
         """
+        if self.spec is not None:
+            raise ConfigurationError(
+                f"this engine already ran its stage ({self.spec.name!r}): "
+                "an engine runs one stage")
         rt = self.rt
-        sched = rt.schedule_for(spec.k, self.graph.n, spec.field.m, spec.schedule_payload)
+        self.spec, self.rounds = spec, rounds
+        self.sched = sched = rt.schedule_for(spec.k, self.graph.n, spec.field.m,
+                                             spec.schedule_payload)
         # the stage is a span too: what this run has to build for it (pool,
         # partition, halo) and its rounds nest inside
         with self.prof.span("engine.stage", lane="engine",
                             label=self.problem, k=spec.k,
                             mode=rt.mode, rounds=rounds) as stage_span:
-            phase_hist = self.reg.histogram(
+            self.phase_hist = self.reg.histogram(
                 "midas_phase_seconds", "Per-phase time (virtual makespan or wall)"
             ).labels(problem=self.problem, mode=rt.mode, k=spec.k, n1=rt.n1, n2=sched.n2)
-            estimate = None
             backend = self.backend
             # the model is the clock of a virtual mode without ranks; with
             # ranks it is set against their recorded timeline
@@ -1552,34 +1537,23 @@ class DetectionEngine:
                 self.partition = self.session.ensure_partition(self.prof)
                 stats = PartitionStats.from_partition(self.partition)
                 cluster = rt.get_cluster()
-                estimate = estimate_runtime(
+                self.estimate = estimate_runtime(
                     stats, sched, rt.get_calibration(),
                     cluster.cost_model(min(rt.n_processors, cluster.total_cores)),
                     eps=eps, problem="scanstat" if spec.convolves else "path",
                     levels=spec.exchanges, z_axis=spec.payload, rounds=rounds,
                 )
-            stage = _Stage(spec, sched, rounds, phase_hist, estimate)
-            # the stage key is consumed unconditionally (creation order), so a
-            # resumed process walks the same key sequence as the killed one.
-            # Stages are told apart by that order alone: the label the stage
-            # key and the digests still carry is empty
-            skey = self.ckpt.stage_key(self.ekey, "") if self.ckpt is not None else None
-            if self.degraded is not None:
-                # a previous stage tripped the watchdog: start no new work
-                return StageResult([], [], sched, estimate)
-            self.backend.prepare(stage)
+            backend.prepare()
             if self.live is not None:
                 self.live.stage_started(self.problem, spec.k, rounds,
                                         sched.n_phases, spec.round_success, eps=eps)
-            walls0 = len(self.round_walls)  # the ETA averages this stage's rounds
 
-            values: List[Value] = []
-            virtuals: List[float] = []
-            start_round = 0
-            if skey is not None:
+            values, virtuals = [], []  # each reported round's value and virtual time
+            ell, grow, hit = 0, 1, False
+            if self.ckpt is not None:
                 # restored rounds must be this question's: same graph,
                 # polynomial, field and randomness, or a false positive
-                st = self.ckpt.open_stage(self.ekey, skey, {
+                st = self.ckpt.open_stage(self.ekey, {
                     "graph": self.graph_sha, "problem": spec.name,
                     "k": spec.k, "levels": spec.levels,
                     "field_degree": spec.field.m,
@@ -1597,27 +1571,25 @@ class DetectionEngine:
                     for ell in range(len(values)):
                         rng.child(f"round{ell}")
                     self.virtual_total += sum(virtuals)
-                    start_round = len(values)
+                    ell = len(values)
                     if self.live is not None:
-                        self.live.rounds_restored(start_round, self.virtual_total)
-                    _LOG.info("%s: restored %d checkpointed round(s)",
-                              self.problem, start_round)
-                    if st["hit"] or st["complete"]:
-                        return StageResult(values, virtuals, sched, estimate)
+                        self.live.rounds_restored(ell, self.virtual_total)
+                    _LOG.info("%s: restored %d checkpointed round(s)", self.problem, ell)
+                    # a finished stage runs no more rounds
+                    hit = st["hit"] or st["complete"]
 
-            ell, grow, hit = start_round, 1, False
             while ell < rounds and not hit:
                 if self.wd is not None:
                     try:
                         self.wd.check()
                     except WatchdogExpired as exc:
-                        self._note_degraded(exc, spec, len(values))
+                        self._note_degraded(exc, len(values))
                         break
                 # with an early exit, batches grow 1, 2, 4, ... rounds, so a
                 # first-round hit costs one round's window
                 want = rounds - ell if stop is None else min(rounds - ell, grow)
                 grow *= 2
-                batch = self._round_batch(spec, ell, want, rng, stop is not None)
+                batch = self._round_batch(ell, want, rng, stop is not None)
                 # the batch is stamped once: this span is the profile's and
                 # the query trace's, and feeds details["wall"] and the ETA
                 span = self.prof.span("engine.round", phase="rounds",
@@ -1625,18 +1597,17 @@ class DetectionEngine:
                                       rounds=len(batch.fps))
                 try:
                     with span:
-                        done = list(zip(*self.backend.run_round(stage, batch)))
+                        done = list(zip(*backend.run_round(batch)))
                 except WatchdogExpired as exc:
                     # the in-flight batch's partial work is discarded; a resume
                     # re-runs it from the same round-scoped streams, bit-identical
                     self.round_walls.append(span.span.duration)
-                    self._note_degraded(exc, spec, len(values))
+                    self._note_degraded(exc, len(values))
                     break
                 self._share_wall(span.span.duration, len(done))
                 for value, round_virtual in done:
-                    hit = self._round_done(stage, skey, ell, rounds, rng, value,
-                                           round_virtual, values, virtuals, walls0,
-                                           stop)
+                    hit = self._round_done(ell, rng, value, round_virtual, values,
+                                           virtuals, stop)
                     ell += 1
                     if hit:
                         break
@@ -1645,14 +1616,15 @@ class DetectionEngine:
                     del self.round_walls[-len(done):]
                     self._share_wall(span.span.duration, ell - batch.ell)
                     if self.digests is not None:
-                        self.digests.forget_phases(
-                            "", range(ell, batch.ell + len(done)))
+                        self.digests.forget_phases(range(ell, batch.ell + len(done)))
             stage_span.tag(rounds_done=len(values),
                            degraded=self.degraded is not None)
-            return StageResult(values, virtuals, sched, estimate)
+        if self.live is not None:
+            self.live.note_result(any(map(stop or spec.hit, values)))
+        return StageResult(values, virtuals, sched, self.estimate)
 
-    def _round_batch(self, spec: ProblemSpec, ell: int, want: int,
-                     rng: RngStream, early_exit: bool) -> _Rounds:
+    def _round_batch(self, ell: int, want: int, rng: RngStream,
+                     early_exit: bool) -> _Rounds:
         """The next round batch: round ``ell`` on, at most ``want`` rounds.
 
         A window carries ``R`` rounds (:meth:`MidasRuntime.schedule_for`),
@@ -1674,7 +1646,7 @@ class DetectionEngine:
         moves on one child per round *reported* (:meth:`_round_done`), so
         an early exit leaves it where a one-round-at-a-time run would.
         """
-        rt = self.rt
+        rt, spec = self.rt, self.spec
         n = self.graph.n
         sched = rt.schedule_for(spec.k, n, spec.field.m, spec.schedule_payload,
                                 rounds=want, live_states=spec.live_states)
@@ -1697,13 +1669,13 @@ class DetectionEngine:
         """A batch's wall is its rounds' walls, shared evenly."""
         self.round_walls.extend([seconds / rounds] * rounds)
 
-    def _round_done(self, stage: "_Stage", skey, ell: int, rounds: int,
-                    rng: RngStream, value, round_virtual: float, values: list,
-                    virtuals: list, walls0: int, stop) -> bool:
+    def _round_done(self, ell: int, rng: RngStream, value, round_virtual: float,
+                    values: list, virtuals: list, stop) -> bool:
         """Report round ``ell``: the stage stream, its digest, counters, the
         live bus and the checkpoint; True when ``stop`` says it hit."""
+        rounds = self.rounds
         rng.child(f"round{ell}")  # the fingerprint's stream, spawned now
-        self.note_round(stage, ell, value)
+        self.note_round(ell, value)
         self.rounds_ctr.inc()
         self.virtual_total += round_virtual
         values.append(value)
@@ -1712,10 +1684,9 @@ class DetectionEngine:
         if self.live is not None:
             remaining = 0 if hit else rounds - (ell + 1)
             mean_virtual = sum(virtuals) / len(virtuals)
-            stage_walls = self.round_walls[walls0:]
             self.live.round_done(
                 ell, hit, self.virtual_total,
-                eta_seconds=sum(stage_walls) / len(stage_walls) * remaining,
+                eta_seconds=sum(self.round_walls) / len(self.round_walls) * remaining,
                 eta_virtual_seconds=mean_virtual * remaining,
             )
             if self.fc is not None and self.fc.injector is not None:
@@ -1723,13 +1694,13 @@ class DetectionEngine:
                     self.fc.phase_failures, self.fc.retries,
                     sum(self.fc.injected.values()),
                 )
-        if skey is not None:
-            self.ckpt.note_round(self.ekey, skey, value, round_virtual,
-                                 hit=hit, complete=hit or (ell + 1 == rounds))
-        _LOG.debug("%s k=%d round %d/%d", self.problem, stage.spec.k, ell + 1, rounds)
+        if self.ckpt is not None:
+            self.ckpt.note_round(self.ekey, value, round_virtual, hit=hit,
+                                 complete=hit or (ell + 1 == rounds))
+        _LOG.debug("%s k=%d round %d/%d", self.problem, self.spec.k, ell + 1, rounds)
         if hit:
             _LOG.info("%s k=%d: witness found in round %d",
-                      self.problem, stage.spec.k, ell + 1)
+                      self.problem, self.spec.k, ell + 1)
         return hit
 
     # ------------------------------------------------------------- details

@@ -11,13 +11,13 @@ One entry point per application:
   subgraphs exist? (feeds :mod:`repro.scanstat.detect`)
 
 Each validates its inputs, builds the application's
-:class:`~repro.core.mld.MLDCircuit` and runs it through :func:`_detect`,
-the one engine entry (as does :func:`repro.core.mld.detect_multilinear`),
-onto the :class:`~repro.core.engine.DetectionEngine`: it owns the round →
-batch → phase loop once for all problems, with the execution modes
-(``sequential`` / ``simulated`` / ``modeled`` / ``threaded`` /
-``process``) as its backends — see :mod:`repro.core.engine` for the
-modes and :class:`MidasRuntime` knobs.  So every driver honors
+:class:`~repro.core.mld.MLDCircuit`, opens one
+:class:`~repro.core.engine.DetectionEngine` and runs the circuit as its
+one stage through :func:`_detect`, the one engine entry (as does
+:func:`repro.core.mld.detect_multilinear`).  The engine owns the round →
+batch → phase loop once for all problems — and publishes the stage's
+answer to the live bus — with the execution modes as its backends (see
+:mod:`repro.core.engine` and :class:`MidasRuntime`).  So every driver honors
 ``overlap``, ``fault_plan``, ``recorder`` and ``metrics`` uniformly, and
 durability: ``MidasRuntime(checkpoint_dir=...)`` commits a
 crash-consistent checkpoint at every round boundary and ``resume=True``
@@ -103,11 +103,9 @@ def _decide(graph: CSRGraph, circuit: MLDCircuit, eps: float, rng,
                       early_exit=early_exit)
         records = [RoundRecord(i, v, rv)
                    for i, (v, rv) in enumerate(zip(out.values, out.virtuals))]
-        found = any(r.hit for r in records)
-        engine.note_result(found)
         details = engine.fill_details(details, estimate=out.estimate)
     return DetectionResult(
-        problem=circuit.name, k=k, found=found, rounds=records, eps=eps,
+        problem=circuit.name, k=k, found=any(r.hit for r in records), rounds=records, eps=eps,
         mode=rt.mode, n_processors=rt.n_processors, n1=rt.n1, n2=out.schedule.n2,
         virtual_seconds=engine.virtual_total,
         wall_seconds=time.perf_counter() - wall0, details=details,
@@ -183,7 +181,6 @@ def max_weight_path(
         hit = np.zeros(z_max + 1, dtype=bool)
         for acc in out.values:
             hit |= acc != 0
-        engine.note_result(bool(hit.any()))
     zs = np.nonzero(hit)[0]
     return int(zs.max()) if len(zs) else None
 
@@ -216,9 +213,7 @@ def detect_scan_cell(
     with DetectionEngine(graph, rt, "scanstat") as engine:
         out = _detect(engine, replace(grid, outputs=grid.outputs[-1:]), eps,
                       as_stream(rng, "scan-cell"), stop=lambda acc: acc[weight] != 0)
-        hit = bool(out.values and out.values[-1][weight] != 0)
-        engine.note_result(hit)
-    return hit
+    return bool(out.values and out.values[-1][weight] != 0)
 
 
 def scan_grid(
@@ -252,7 +247,6 @@ def scan_grid(
                       as_stream(rng, "scan-grid"))
         for acc in out.values:
             detected[1:] |= acc.reshape(k, z_max + 1) != 0
-        engine.note_result(bool(detected.any()))
         grid_details = engine.fill_details({"weights_total": int(w.sum())})
     return ScanGridResult(
         k=k, z_max=z_max, detected=detected, rounds_run=out.rounds_run,

@@ -11,7 +11,7 @@ them:
   (+ directory ``fsync``), so a kill at any instant leaves either the
   previous or the new checkpoint intact, never a torn one;
 * a :class:`CheckpointManager` — the engine's round-boundary sink: it
-  accumulates per-stage accumulator values and virtual times, the
+  accumulates each engine's round values and virtual times, the
   fault-injector budget state, the replay digest log, and the live
   RunStatus snapshot, and persists them every ``checkpoint_every``
   rounds.  On resume it hands the state back so the engine restores
@@ -25,6 +25,19 @@ them:
   :class:`~repro.errors.WatchdogExpired`, which the engine converts
   into a checkpointed, *degraded* partial result annotated with the
   stage's live ``(1 - p)^rounds`` failure bound instead of a silent death.
+
+The checkpoint holds one entry per engine — an engine runs one stage —
+beside the run's digest log and live status (format v2: a v1 file, with
+its rounds under ``stages`` and a label in each digest row, is refused)::
+
+    {"config_hash": "...",
+     "engines": {"e0:k-path": {
+         "identity": {...what the stage was computed for...},
+         "values": [...], "virtuals": [...], "hit": false, "complete": false,
+         "fault": {"remaining": [[idx, n|null], ...],
+                   "counts": {...}, "accounting": {...}}}},
+     "digests": {"phases": [[r, b, p, crc], ...], "rounds": [[r, crc], ...]},
+     "status": {...last live RunStatus snapshot...}}
 
 Corrupt checkpoints (truncation, bit flips, wrong version) are rejected
 with :class:`~repro.errors.CheckpointCorruptError` naming the file and
@@ -51,7 +64,7 @@ _LOG = get_logger(__name__)
 
 #: envelope magic + format version; bump on incompatible payload changes
 CHECKPOINT_MAGIC = "MIDAS-CKPT"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 #: file names inside a checkpoint directory
 CHECKPOINT_FILE = "checkpoint.ckpt"
@@ -187,25 +200,14 @@ def load_run_config(directory: PathLike) -> dict:
 
 # ------------------------------------------------------------- checkpoint
 class CheckpointManager:
-    """Round-boundary durable state for every engine sharing a runtime.
+    """Round-boundary durable state for every engine sharing a runtime
+    (the layout is the module docstring's).
 
-    State layout (all JSON)::
-
-        {"config_hash": "...",
-         "engines": {"e0:k-path": {
-             "fault": {"remaining": [[idx, n|null], ...],
-                       "counts": {...}, "accounting": {...}},
-             "stages": {"s0:": {"identity": {...what it was computed for...},
-                                "values": [...], "virtuals": [...],
-                                "hit": false, "complete": false}}}},
-         "digests": {"phases": [[label, r, b, p, crc], ...],
-                     "rounds": [[label, r, crc], ...]},
-         "status": {...last live RunStatus snapshot...}}
-
-    Engines and stages key by *creation order* plus label; drivers
-    construct them deterministically, so a resumed process consumes the
-    same keys in the same order and every stage finds its own state —
-    and :meth:`open_stage` checks that it *is* its own: the stored
+    Engines key by *creation order* plus problem (``e{n}:{problem}``:
+    scan extraction opens many in one process); drivers construct them
+    deterministically, so a resumed process consumes the same keys in the
+    same order and every engine finds its own state — and
+    :meth:`open_stage` checks that it *is* its own: the stored
     ``identity`` (graph content, problem, field, stream lineage, rounds)
     must equal the resuming stage's, or a directory reused for another
     question would hand back that question's answer.
@@ -225,7 +227,6 @@ class CheckpointManager:
         self.state: dict = {"config_hash": config_hash, "engines": {},
                             "digests": None, "status": None}
         self._engines: Dict[str, Any] = {}  # ekey -> live engine (save sources)
-        self._stage_seq: Dict[str, int] = {}
         self._digests_restored = False
         self._rounds_since_save = 0
         self._lock = threading.Lock()
@@ -255,20 +256,14 @@ class CheckpointManager:
         with self._lock:
             key = f"e{len(self._engines)}:{engine.problem}"
             self._engines[key] = engine
-            self.state["engines"].setdefault(key, {"fault": None, "stages": {}})
+            self.state["engines"].setdefault(key, {"fault": None})
         return key
 
-    def stage_key(self, ekey: str, label: str) -> str:
-        """The next stage key for ``ekey`` (per-engine creation order)."""
-        with self._lock:
-            n = self._stage_seq.get(ekey, 0)
-            self._stage_seq[ekey] = n + 1
-        return f"s{n}:{label}"
-
     # ------------------------------------------------------------- restore
-    def open_stage(self, ekey: str, skey: str, identity: dict) -> dict:
-        """The state of stage ``skey``, computed for ``identity``: what a
-        resumed checkpoint holds for it (rounds to restore), else empty.
+    def open_stage(self, ekey: str, identity: dict) -> dict:
+        """Engine ``ekey``'s state, computed for ``identity``: what a
+        resumed checkpoint holds for its stage (rounds to restore), else
+        empty.
 
         A checkpointed stage computed for anything else — another graph,
         ``k``, seed, ... — raises :class:`~repro.errors.CheckpointCorruptError`
@@ -276,9 +271,8 @@ class CheckpointManager:
         stage restarts from scratch instead.
         """
         with self._lock:
-            stages = self.state["engines"][ekey]["stages"]
-            st = stages.get(skey) if self.resumed_from is not None else None
-            if st is not None:
+            st = self.state["engines"][ekey]
+            if self.resumed_from is not None and "values" in st:
                 stored = st.get("identity") or {}
                 differs = [f for f in identity if stored.get(f) != identity[f]]
                 if not differs:
@@ -286,15 +280,14 @@ class CheckpointManager:
                 if not self.allow_restart:
                     raise CheckpointCorruptError(
                         self.path, "identity",
-                        f"stage {skey!r} was computed for a different "
+                        f"engine {ekey!r} was computed for a different "
                         f"{differs[0]} ({stored.get(differs[0])!r}, this run "
                         f"has {identity[differs[0]]!r})")
-                _LOG.warning("stage %r of %s was computed for a different %s: "
+                _LOG.warning("engine %r of %s was computed for a different %s: "
                              "restarting it (allow_restart)",
-                             skey, self.path, differs[0])
-            st = stages[skey] = {"identity": identity, "values": [],
-                                 "virtuals": [], "hit": False,
-                                 "complete": False}
+                             ekey, self.path, differs[0])
+            st.update(identity=identity, values=[], virtuals=[], hit=False,
+                      complete=False)
             return st
 
     def restore_into(self, engine) -> None:
@@ -323,18 +316,19 @@ class CheckpointManager:
         dg = self.state.get("digests")
         if dg and engine.digests is not None and not self._digests_restored:
             self._digests_restored = True
-            for label, r, b, p, crc in dg.get("phases", []):
-                engine.digests.record_phase(label, int(r), int(b), int(p), int(crc))
-            for label, r, crc in dg.get("rounds", []):
-                engine.digests.record_round(label, int(r), int(crc))
+            for r, b, p, crc in dg.get("phases", []):
+                engine.digests.record_phase(int(r), int(b), int(p), int(crc))
+            for r, crc in dg.get("rounds", []):
+                engine.digests.record_round(int(r), int(crc))
 
     # ---------------------------------------------------------------- save
-    def note_round(self, ekey: str, skey: str, value, virtual: float,
-                   hit: bool, complete: bool) -> None:
-        """Record one completed round; persists every ``every`` rounds and
-        always at a stage boundary (hit or planned-rounds exhausted)."""
+    def note_round(self, ekey: str, value, virtual: float, hit: bool,
+                   complete: bool) -> None:
+        """Record one completed round of engine ``ekey``; persists every
+        ``every`` rounds and always at the stage's end (hit or planned
+        rounds exhausted)."""
         with self._lock:
-            st = self.state["engines"][ekey]["stages"][skey]
+            st = self.state["engines"][ekey]
             st["values"].append(encode_value(value))
             st["virtuals"].append(float(virtual))
             st["hit"] = bool(st["hit"] or hit)
@@ -369,14 +363,10 @@ class CheckpointManager:
                 digests = getattr(engine, "digests", None)
                 if digests is not None:
                     self.state["digests"] = {
-                        "phases": [
-                            [label, r, b, p, crc]
-                            for (label, r, b, p), crc in sorted(digests.phases.items())
-                        ],
-                        "rounds": [
-                            [label, r, crc]
-                            for (label, r), crc in sorted(digests.rounds.items())
-                        ],
+                        "phases": [[*key, crc]
+                                   for key, crc in sorted(digests.phases.items())],
+                        "rounds": [[*key, crc]
+                                   for key, crc in sorted(digests.rounds.items())],
                     }
                 live = getattr(engine, "live", None)
                 if live is not None:

@@ -7,8 +7,8 @@ made it a checkable *runtime* property of a particular run.  This module
 does:
 
 * :class:`DigestLog` — a sink the engine fills with CRC digests of every
-  per-phase contribution (keyed ``(stage label, round, batch, phase)``)
-  and every per-round accumulator, when attached via
+  per-phase contribution (keyed ``(round, batch, phase)``) and every
+  per-round accumulator (keyed ``(round,)``), when attached via
   ``MidasRuntime.digest_log``;
 * :func:`verify_replay` — run a driver once under the caller's runtime
   and once on a *reference* backend with the same seed and a pinned
@@ -47,26 +47,26 @@ def value_digest(value: Any) -> int:
 
 
 class DigestLog:
-    """Per-phase and per-round digests of one engine execution."""
+    """Per-phase and per-round digests of one engine execution (an
+    engine runs one stage, so a round index names its round)."""
 
     def __init__(self) -> None:
-        # (label, round, batch, phase) -> digest of the phase contribution
-        self.phases: Dict[Tuple[str, int, int, int], int] = {}
-        # (label, round) -> digest of the round accumulator
-        self.rounds: Dict[Tuple[str, int], int] = {}
+        # (round, batch, phase) -> digest of the phase contribution
+        self.phases: Dict[Tuple[int, int, int], int] = {}
+        # (round,) -> digest of the round accumulator
+        self.rounds: Dict[Tuple[int], int] = {}
 
-    def record_phase(self, label: str, round_index: int, batch: int,
-                     phase: int, digest: int) -> None:
-        self.phases[(label, round_index, batch, phase)] = digest
+    def record_phase(self, round_index: int, batch: int, phase: int,
+                     digest: int) -> None:
+        self.phases[(round_index, batch, phase)] = digest
 
-    def record_round(self, label: str, round_index: int, digest: int) -> None:
-        self.rounds[(label, round_index)] = digest
+    def record_round(self, round_index: int, digest: int) -> None:
+        self.rounds[(round_index,)] = digest
 
-    def forget_phases(self, label: str, rounds: range) -> None:
+    def forget_phases(self, rounds: range) -> None:
         """Drop the phase digests of ``rounds``: an early exit evaluated
         them in its round batch, but the run ended before them."""
-        for key in [key for key in self.phases
-                    if key[0] == label and key[1] in rounds]:
+        for key in [key for key in self.phases if key[0] in rounds]:
             del self.phases[key]
 
     def __len__(self) -> int:
@@ -84,7 +84,6 @@ class ReplayDivergence:
     """
 
     what: str
-    label: str
     round_index: int
     batch: Optional[int]
     primary: Optional[int]
@@ -95,8 +94,6 @@ class ReplayDivergence:
         where = f"round {self.round_index}"
         if self.what == "phase":
             where += f", batch {self.batch}, phase {self.phase}"
-        if self.label:
-            where = f"stage {self.label!r}, " + where
         def fmt(d):
             return "missing" if d is None else f"{d:#010x}"
         return (f"replay diverged at {where} ({self.what} digest): "
@@ -140,9 +137,9 @@ def diff_digest_logs(primary: DigestLog,
                      reference: DigestLog) -> Optional[ReplayDivergence]:
     """First divergent coordinate between two logs, or ``None``.
 
-    Phase digests are compared first, in (label, round, batch, phase)
-    order, so a single corrupted phase is pinpointed rather than blamed
-    on the round accumulator it poisons.  A key present in only one log
+    Phase digests are compared first, in (round, batch, phase) order, so
+    a single corrupted phase is pinpointed rather than blamed on the
+    round accumulator it poisons.  A key present in only one log
     (early exit at different rounds, mismatched schedules) counts as a
     divergence at that key.
     """
@@ -150,15 +147,13 @@ def diff_digest_logs(primary: DigestLog,
         a = primary.phases.get(key)
         b = reference.phases.get(key)
         if a != b:
-            label, ell, batch, phase = key
-            return ReplayDivergence("phase", label, ell, batch, a, b,
-                                    phase=phase)
+            ell, batch, phase = key
+            return ReplayDivergence("phase", ell, batch, a, b, phase=phase)
     for key in sorted(set(primary.rounds) | set(reference.rounds)):
         a = primary.rounds.get(key)
         b = reference.rounds.get(key)
         if a != b:
-            label, ell = key
-            return ReplayDivergence("round", label, ell, None, a, b)
+            return ReplayDivergence("round", key[0], None, a, b)
     return None
 
 

@@ -1,8 +1,8 @@
 """Run one driver in ``mode="simulated"`` and write down everything the
-simulated cluster said: per-round values and virtual seconds, every
-DigestLog entry, the comm-bytes counter and — when tracing — the
-recorder's send counts/bytes, event and edge counts and the summed
-compute/comm split.
+simulated cluster said: its one stage's ``n2``, per-round values and
+virtual seconds, every DigestLog entry, the comm-bytes counter and —
+when tracing — the recorder's send counts/bytes, event and edge counts
+and the summed compute/comm split.
 
 Shared by ``test_sim_identity.py`` (the golden file) and
 ``test_sim_timeline.py`` (memoised vs fully enacted); imports only names
@@ -66,23 +66,23 @@ def observe(driver: str, *, trace: bool, **shape) -> dict:
     rec = TraceRecorder() if trace else None
     rt = MidasRuntime(mode="simulated", metrics=MetricsRegistry(),
                       digest_log=DigestLog(), recorder=rec, trace=trace, **shape)
-    stages, engines = [], []
+    stage, engines = {}, []
     run_stage = DetectionEngine.run_stage
 
     def spy(self, spec, rounds, rng, **kw):
         out = run_stage(self, spec, rounds, rng, **kw)
+        assert not stage, "a run is one stage"
         engines.append(self)
-        stages.append({"label": kw.get("label", ""), "n2": out.schedule.n2,
-                       "values": [_plain(v) for v in out.values],
-                       "virtuals": list(out.virtuals)})
+        stage.update(n2=out.schedule.n2, values=[_plain(v) for v in out.values],
+                     virtuals=list(out.virtuals))
         return out
 
     with mock.patch.object(DetectionEngine, "run_stage", spy):
         DRIVERS[driver](rt)
-    engine = engines[-1]
+    (engine,) = engines
     comm = rt.metrics.get("midas_comm_bytes_total")
     seen = {
-        "stages": stages,
+        **stage,
         "virtual_total": engine.virtual_total,
         "phase_digests": sorted([*key, d] for key, d in rt.digest_log.phases.items()),
         "round_digests": sorted([*key, d] for key, d in rt.digest_log.rounds.items()),

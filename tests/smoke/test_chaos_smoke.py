@@ -1,7 +1,7 @@
 """Chaos smoke: a seeded crash + drop + straggler plan recovers to the
 fault-free answer, deterministically.
 
-CI's ``chaos-smoke`` job runs ``pytest -m smoke tests/smoke -k chaos``.
+CI's ``chaos`` job runs ``pytest -m smoke tests/smoke -k chaos``.
 A simulated 8-rank run (N1 = 4) of ``detect_path`` under the plan must
 give the fault-free run's round values, and two runs under the same plan
 the same virtual time and the same resilience accounting: one crash

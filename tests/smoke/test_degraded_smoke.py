@@ -1,6 +1,6 @@
 """Degraded-run smoke: a watchdog trip exits 4 with a flushed partial result.
 
-CI's ``chaos-resume`` job runs ``pytest -m smoke
+CI's ``chaos`` job runs ``pytest -m smoke
 tests/smoke/test_degraded_smoke.py``.  A CLI detection whose deadline
 trips at once must say ``DEGRADED (deadline)`` with its miss-probability
 bound, leave a valid, resumable checkpoint, and end its progress stream

@@ -83,7 +83,7 @@ def _wait_for_committed_round(ckpt_dir, proc, timeout=120.0):
             return False  # finished before we could strike
         if path.exists():
             state = read_envelope(path)
-            if any(e["stages"] for e in state["engines"].values()):
+            if any(e.get("values") for e in state["engines"].values()):
                 return True
         time.sleep(0.01)
     raise TimeoutError("subprocess never committed a round")

@@ -11,6 +11,7 @@ of damaged checkpoints, and the watchdog tests pin graceful degradation
 import glob
 import json
 import threading
+import zlib
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from repro.graph.templates import TreeTemplate
 from repro.obs.live import LiveRun
 from repro.runtime.durable import (
     CHECKPOINT_FILE,
+    CHECKPOINT_VERSION,
     CheckpointManager,
     Watchdog,
     load_run_config,
@@ -136,7 +138,7 @@ class TestEnvelope:
         path = tmp_path / "state.ckpt"
         write_envelope(path, {"key": 1})
         raw = path.read_bytes()
-        path.write_bytes(raw.replace(b" v1 ", b" v9 ", 1))
+        path.write_bytes(raw.replace(f" v{CHECKPOINT_VERSION} ".encode(), b" v9 ", 1))
         with pytest.raises(CheckpointCorruptError) as ei:
             read_envelope(path)
         assert ei.value.reason == "version"
@@ -192,6 +194,41 @@ class TestCheckpointManager:
         CheckpointManager(tmp_path, config_hash="aaa").save()
         with pytest.raises(ConfigurationError, match="different"):
             CheckpointManager(tmp_path, resume=True, config_hash="bbb")
+
+    #: the v1 checkpoint of a 3-round k = 5 path detection on two 4-vertex
+    #: paths (eps = 0.5, seed 7, a digest log attached), as a v1 build
+    #: wrote it: its rounds a level down under ``stages``, a stage label in
+    #: every digest row
+    V1_PAYLOAD = {
+        "config_hash": "",
+        "digests": {"phases": [["", r, 0, 0, 3971697493] for r in range(3)],
+                    "rounds": [["", r, 3971697493] for r in range(3)]},
+        "engines": {"e0:k-path": {"fault": None, "stages": {"s0:": {
+            "complete": True, "hit": False,
+            "identity": {
+                "field_degree": 5, "field_modulus": 37,
+                "graph": "99ed2aaf6c4c71b813265a77dd7244c7"
+                         "a557fb945e43c2713526c198f609ab9b",
+                "k": 5, "levels": 5, "problem": "k-path",
+                "rng": {"entropy": 7, "n_children_spawned": 0, "spawn_key": []},
+                "rounds": 3},
+            "values": [0, 0, 0], "virtuals": [0.0, 0.0, 0.0]}}}},
+        "status": None,
+    }
+
+    def test_a_v1_checkpoint_is_refused_by_its_version(self, tmp_path):
+        body = json.dumps(self.V1_PAYLOAD, sort_keys=True).encode()
+        assert f"{zlib.crc32(body):08x}" == "78a1b63c"  # the file v1 wrote
+        (tmp_path / CHECKPOINT_FILE).write_bytes(
+            b"MIDAS-CKPT v1 crc=78a1b63c len=%d\n" % len(body) + body)
+        with pytest.raises(CheckpointCorruptError) as ei:
+            CheckpointManager(tmp_path, resume=True)
+        assert ei.value.reason == "version"
+        g = CSRGraph.from_edges(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)])
+        rt = MidasRuntime(checkpoint_dir=str(tmp_path), resume=True)
+        with pytest.raises(CheckpointCorruptError, match="v1") as ei:
+            detect_path(g, 5, eps=0.5, rng=RngStream(7), runtime=rt)
+        assert ei.value.reason == "version"
 
     def test_resume_without_checkpoint_is_fresh(self, tmp_path):
         mgr = CheckpointManager(tmp_path, resume=True)
@@ -324,7 +361,7 @@ class TestKillResumeBitIdentity:
         assert res1.found and _values(res1) == _values(res0)
 
     def test_multi_stage_scan_resume(self, islands, tmp_path):
-        # scan_grid runs one stage per size: stage keys must line up
+        # scan_grid runs every size in one stage: its rounds resume as one
         weights = np.zeros(islands.n, dtype=np.int64)
         weights[:4] = 1
         res0 = scan_grid(islands, weights, k=4, eps=0.5,
@@ -428,8 +465,7 @@ class TestResumeIdentity:
         path = tmp_path / CHECKPOINT_FILE
         state = read_envelope(path)
         for engine in state["engines"].values():
-            for stage in engine["stages"].values():
-                del stage["identity"]  # what a pre-identity build wrote
+            del engine["identity"]  # what a pre-identity build wrote
         write_envelope(path, state)
         with pytest.raises(CheckpointCorruptError, match="identity"):
             self._run(witnessed, tmp_path, resume=True)
@@ -455,9 +491,8 @@ class TestResumeIdentity:
         path = tmp_path / CHECKPOINT_FILE
         state = read_envelope(path)
         for engine in state["engines"].values():
-            for stage in engine["stages"].values():
-                assert stage["identity"]["field_degree"] == 6
-                stage["identity"].update(field_degree=7, field_modulus=GF2m(7).modulus)
+            assert engine["identity"]["field_degree"] == 6
+            engine["identity"].update(field_degree=7, field_modulus=GF2m(7).modulus)
         write_envelope(path, state)
         with pytest.raises(CheckpointCorruptError, match="different field_degree ") as err:
             self._run(g, tmp_path, k=10, resume=True)
@@ -477,9 +512,8 @@ class TestResumeIdentity:
         path = tmp_path / CHECKPOINT_FILE
         state = read_envelope(path)
         for engine in state["engines"].values():
-            for stage in engine["stages"].values():
-                assert stage["identity"]["rounds"] == 5
-                stage["identity"]["rounds"] = rounds_for_epsilon(self.EPS)
+            assert engine["identity"]["rounds"] == 5
+            engine["identity"]["rounds"] = rounds_for_epsilon(self.EPS)
         write_envelope(path, state)
         with pytest.raises(CheckpointCorruptError, match="different rounds ") as err:
             self._run(islands, tmp_path, resume=True)

@@ -462,3 +462,20 @@ def test_a_closed_engine_is_freed_without_the_cycle_collector(mode, monkeypatch)
         assert len(engines) == 1 and engines[0]() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("mode", ["sequential", "simulated"])
+def test_an_engine_runs_one_stage(mode):
+    """``run_stage`` is an engine's one stage: a second call on the same
+    engine is refused before it runs a round or touches the first one's
+    schedule."""
+    g = erdos_renyi(40, 100, rng=RngStream(5, name="g"))
+    shape = dict(n_processors=4, n1=2) if mode == "simulated" else {}
+    rt = MidasRuntime(mode=mode, metrics=MetricsRegistry(), **shape)
+    spec = compile(MLDCircuit.k_path(4))
+    with DetectionEngine(g, rt, spec.name) as engine:
+        first = engine.run_stage(spec, 2, RngStream(6))
+        sched = engine.sched
+        with pytest.raises(ConfigurationError, match="one stage"):
+            engine.run_stage(spec, 2, RngStream(6))
+        assert engine.sched is sched and engine.rounds == first.rounds_run == 2

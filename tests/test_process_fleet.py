@@ -208,7 +208,7 @@ def test_a_small_k_run_sends_every_worker_a_window(monkeypatch, early_exit, batc
     assert len({s.pid for s in kernels}) == 2
     assert sum(s.tags["rounds"] for s in kernels) == 6
     # a fused round is one phase: one digest each, as with one round a window
-    assert sorted(rt.digest_log.phases) == [("", ell, 0, 0) for ell in range(6)]
+    assert sorted(rt.digest_log.phases) == [(ell, 0, 0) for ell in range(6)]
 
 
 def _islands(n_cliques: int, size: int):

@@ -145,33 +145,33 @@ def test_noncommutative_accumulator_localized_to_round(graph, monkeypatch):
 class TestDigestLog:
     def test_record_and_len(self):
         log = DigestLog()
-        log.record_phase("s", 0, 0, 0, 111)
-        log.record_round("s", 0, 222)
+        log.record_phase(0, 0, 0, 111)
+        log.record_round(0, 222)
         assert len(log) == 2
-        assert log.phases[("s", 0, 0, 0)] == 111
-        assert log.rounds[("s", 0)] == 222
+        assert log.phases[(0, 0, 0)] == 111
+        assert log.rounds[(0,)] == 222
 
     def test_diff_identical_logs(self):
         a, b = DigestLog(), DigestLog()
         for log in (a, b):
-            log.record_phase("s", 0, 0, 0, 1)
-            log.record_round("s", 0, 2)
+            log.record_phase(0, 0, 0, 1)
+            log.record_round(0, 2)
         assert diff_digest_logs(a, b) is None
 
     def test_diff_prefers_earliest_phase(self):
         a, b = DigestLog(), DigestLog()
         for log in (a, b):
-            log.record_phase("s", 0, 0, 0, 1)
-        a.record_phase("s", 0, 0, 1, 10)
-        b.record_phase("s", 0, 0, 1, 20)
-        a.record_phase("s", 1, 0, 0, 30)
-        b.record_phase("s", 1, 0, 0, 40)
+            log.record_phase(0, 0, 0, 1)
+        a.record_phase(0, 0, 1, 10)
+        b.record_phase(0, 0, 1, 20)
+        a.record_phase(1, 0, 0, 30)
+        b.record_phase(1, 0, 0, 40)
         d = diff_digest_logs(a, b)
         assert (d.what, d.round_index, d.batch, d.phase) == ("phase", 0, 0, 1)
 
     def test_diff_missing_key_is_divergence(self):
         a, b = DigestLog(), DigestLog()
-        a.record_phase("s", 0, 0, 0, 1)
+        a.record_phase(0, 0, 0, 1)
         d = diff_digest_logs(a, b)
         assert d.what == "phase"
         assert d.reference is None
@@ -179,10 +179,10 @@ class TestDigestLog:
 
     def test_diff_round_only(self):
         a, b = DigestLog(), DigestLog()
-        a.record_phase("s", 0, 0, 0, 1)
-        b.record_phase("s", 0, 0, 0, 1)
-        a.record_round("s", 0, 5)
-        b.record_round("s", 0, 6)
+        a.record_phase(0, 0, 0, 1)
+        b.record_phase(0, 0, 0, 1)
+        a.record_round(0, 5)
+        b.record_round(0, 6)
         d = diff_digest_logs(a, b)
         assert d.what == "round"
         assert d.phase is None
@@ -204,9 +204,9 @@ class TestValueDigest:
 
 
 def test_divergence_message_format():
-    d = ReplayDivergence("phase", "k-path", 2, 1, 0xAB, 0xCD, phase=5)
+    d = ReplayDivergence("phase", 2, 1, 0xAB, 0xCD, phase=5)
     msg = d.message()
-    assert "stage 'k-path'" in msg
+    assert msg.startswith("replay diverged at round 2, ")
     assert "round 2" in msg
     assert "batch 1" in msg
     assert "phase 5" in msg

@@ -330,9 +330,9 @@ def test_a_checkpoint_resumes_under_another_fusion_factor(tmp_path, monkeypatch,
     clock = _Clock(after=1)
     real = DetectionEngine.note_round
 
-    def counting(self, stage, ell, value):
+    def counting(self, ell, value):
         clock.rounds += 1
-        return real(self, stage, ell, value)
+        return real(self, ell, value)
 
     monkeypatch.setattr(DetectionEngine, "note_round", counting)
     rt = MidasRuntime(checkpoint_dir=str(tmp_path),

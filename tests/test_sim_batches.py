@@ -30,29 +30,28 @@ def _spans(seen_or_rt, name: str) -> list:
 
 
 def _rounds(seen: dict) -> int:
-    return sum(len(stage["values"]) for stage in seen["stages"])
+    return len(seen["values"])
 
 
 @pytest.mark.parametrize("driver", ["max_weight_path", "scan_grid"])
 def test_fused_batches_equal_one_round_a_batch(driver, monkeypatch):
-    """The weighted path (evaluation points) and the scan grid (a stage a
-    size): fused batches and one round a batch agree in round values,
+    """The weighted path (evaluation points) and the scan grid (every
+    size in one stage): fused batches and one round a batch agree in round values,
     per-round virtual seconds, phase and round digests, and traced send,
     event and edge counts."""
     fused = observe(driver, trace=True, **SHAPE)
     real = DetectionEngine._round_batch
     monkeypatch.setattr(DetectionEngine, "_round_batch",
-                        lambda self, spec, ell, want, *rest: real(self, spec, ell, 1, *rest))
+                        lambda self, ell, want, *rest: real(self, ell, 1, *rest))
     single = observe(driver, trace=True, **SHAPE)
 
     assert identity(fused) == identity(single)
     assert fused["_rec"].events == single["_rec"].events
     assert fused["_rec"].edges == single["_rec"].edges
     rounds = _rounds(fused)
-    # every stage's rounds fit one sequential window: one batch, one valuing
-    assert len(_spans(fused, "engine.values")) == len(fused["stages"]) < rounds
-    assert [sp.tags["rounds"] for sp in _spans(fused, "engine.round")] == [
-        len(stage["values"]) for stage in fused["stages"]]
+    # the stage's rounds fit one sequential window: one batch, one valuing
+    assert len(_spans(fused, "engine.values")) == 1 < rounds
+    assert [sp.tags["rounds"] for sp in _spans(fused, "engine.round")] == [rounds]
     assert len(_spans(single, "engine.values")) == rounds
     assert {sp.tags["rounds"] for sp in _spans(single, "engine.round")} == {1}
 

@@ -78,8 +78,7 @@ def test_memoised_run_equals_fully_enacted_run(driver, overlap, n1, trace, sim_r
     # round values, phase and round digests, virtual seconds per round and
     # in total, comm bytes; traced: send counts/bytes, event and edge counts
     assert identity(memo) == identity(full)
-    stages = memo["stages"]
-    assert n_memo == len(stages) < n_full
+    assert n_memo == 1 < n_full  # the stage's one enacted window
     assert n_full == len(memo["phase_digests"])  # one per window
     if n1 == 4:
         assert memo["_rt"].session.ensure_partition().part_nodes(2).size == 0
@@ -109,7 +108,7 @@ def test_fault_free_enacts_once_per_stage(sim_runs):
     del sim_runs[:]
     seen = observe("scan_grid", trace=False, **_shape(3))
     # the grid is one stage, every size in its one run
-    assert len(seen["stages"]) == 1 and len(sim_runs) == 1 < _windows(seen)
+    assert len(sim_runs) == 1 < _windows(seen)
 
 
 QUIET_PLAN = FaultPlan(specs=(FaultSpec(kind="delay", src=0, dst=1, delay=1e-6,
@@ -131,17 +130,17 @@ def test_faults_sanitizer_and_measured_compute_enact_every_window(forcing, sim_r
 def test_stored_timeline_is_plain_data(monkeypatch):
     """Nothing reachable from a stored timeline is a Simulator, a rank
     generator or a rank's result: those keep each other alive in cycles."""
-    stages = {}
+    backends = {}
     real = DetectionEngine.phase_done
 
-    def spy(self, stage, *args, **kw):
-        stages[id(stage)] = stage
-        return real(self, stage, *args, **kw)
+    def spy(self, *args, **kw):
+        backends[id(self.backend)] = self.backend
+        return real(self, *args, **kw)
 
     monkeypatch.setattr(DetectionEngine, "phase_done", spy)
     observe("max_weight_path", trace=True, **_shape(3))
-    (stage,) = stages.values()
-    (timeline,) = stage.timelines.values()
+    (backend,) = backends.values()
+    (timeline,) = backend.timelines.values()
     assert len(timeline.events) > 0 and len(timeline.edges) > 0
     seen, todo = set(), [timeline]
     while todo:
