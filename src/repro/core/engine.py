@@ -46,6 +46,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from contextlib import closing
+from copy import copy
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List, NamedTuple, Optional,
                     Tuple, Type)
@@ -407,6 +408,7 @@ class MidasRuntime:
             self.checkpoint = CheckpointManager(
                 self.checkpoint_dir, every=self.checkpoint_every,
                 resume=self.resume, allow_restart=self.allow_restart,
+                digests=self.digest_log,
             )
         return self.checkpoint
 
@@ -446,6 +448,10 @@ class _FaultContext:
     ``injector`` is ``None`` when no plan is attached — the phase runner
     then degenerates to a single plain attempt with zero overhead.
     """
+
+    #: the resilience totals a checkpoint carries (its "accounting")
+    _TOTALS = ("injected", "phase_failures", "retries", "work_lost",
+               "backoff_seconds", "work_recomputed")
 
     def __init__(self, rt: MidasRuntime, reg: MetricsRegistry, problem: str) -> None:
         self.problem = problem
@@ -489,6 +495,23 @@ class _FaultContext:
         for kind, n in counts.items():
             self.injected_ctr.labels(kind=kind, problem=self.problem).inc(n)
             self.injected[kind] = self.injected.get(kind, 0) + n
+
+    def state(self) -> Optional[dict]:
+        """What a checkpoint stores of this context after a round: the
+        injector's budgets and the resilience totals (``None`` without a
+        fault plan)."""
+        if self.injector is None:
+            return None
+        return {**self.injector.state(), "accounting": {
+            name: copy(getattr(self, name)) for name in self._TOTALS}}
+
+    def restore(self, state: Optional[dict]) -> None:
+        """Continue from :meth:`state`'s output (a resumed stage's)."""
+        if state is None or self.injector is None:
+            return
+        self.injector.restore(state)
+        for name in self._TOTALS:
+            setattr(self, name, copy(state["accounting"][name]))
 
     def resilience(self, virtual_total: float) -> dict:
         """The RunReport resilience section (see module docs)."""
@@ -1281,11 +1304,7 @@ class DetectionEngine:
                                   graph_edges=graph.num_edges)
         self.degraded: Optional[dict] = None
         self.ckpt = rt.get_checkpoint()
-        self.ekey = None
-        if self.ckpt is not None:
-            self.ekey = self.ckpt.attach_engine(self)
-            self.ckpt.restore_into(self)
-            self.graph_sha = graph_sha(graph)  # in the stage's identity
+        self.ekey = None  # the stage's checkpoint key, once run_stage opens it
         self.wd = rt.get_watchdog()
         if self.wd is not None:
             # on a hard hang the monitor thread still flushes a checkpoint;
@@ -1553,13 +1572,15 @@ class DetectionEngine:
             if self.ckpt is not None:
                 # restored rounds must be this question's: same graph,
                 # polynomial, field and randomness, or a false positive
-                st = self.ckpt.open_stage(self.ekey, {
-                    "graph": self.graph_sha, "problem": spec.name,
+                self.ekey, st = self.ckpt.open_stage(self.problem, {
+                    "graph": graph_sha(self.graph), "problem": spec.name,
                     "k": spec.k, "levels": spec.levels,
                     "field_degree": spec.field.m,
                     "field_modulus": spec.field.modulus,
                     "rng": rng.state(), "rounds": rounds,
                 })
+                if self.fc is not None:
+                    self.fc.restore(st["fault"])
                 if st["values"]:
                     from repro.runtime.durable import decode_value
 
@@ -1661,8 +1682,11 @@ class DetectionEngine:
               and rt.n2 is None and not early_exit):
             size = whole_graph_window(spec.k, n, spec.field.m, spec.schedule_payload,
                                       rounds=want, live_states=spec.live_states)[1]
-        fps = [spec.draw_fingerprint(n, child) for child in
-               rng.children_ahead([f"round{r}" for r in range(ell, ell + size)])]
+        # a span and phase of their own, outside engine.round: details["wall"],
+        # the ETA and the rounds phase time the batch's windows, not its draws
+        with self.prof.span("engine.draw", phase="draw", callsite=self.problem):
+            fps = [spec.draw_fingerprint(n, child) for child in
+                   rng.children_ahead([f"round{r}" for r in range(ell, ell + size)])]
         return _Rounds(ell, fps, sched)
 
     def _share_wall(self, seconds: float, rounds: int) -> None:
@@ -1696,7 +1720,8 @@ class DetectionEngine:
                 )
         if self.ckpt is not None:
             self.ckpt.note_round(self.ekey, value, round_virtual, hit=hit,
-                                 complete=hit or (ell + 1 == rounds))
+                                 complete=hit or (ell + 1 == rounds),
+                                 fault=self.fc.state() if self.fc is not None else None)
         _LOG.debug("%s k=%d round %d/%d", self.problem, self.spec.k, ell + 1, rounds)
         if hit:
             _LOG.info("%s k=%d: witness found in round %d",

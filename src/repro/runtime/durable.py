@@ -10,12 +10,12 @@ them:
   JSON payload, committed via write-to-temp + ``fsync`` + atomic rename
   (+ directory ``fsync``), so a kill at any instant leaves either the
   previous or the new checkpoint intact, never a torn one;
-* a :class:`CheckpointManager` — the engine's round-boundary sink: it
-  accumulates each engine's round values and virtual times, the
-  fault-injector budget state, the replay digest log, and the live
-  RunStatus snapshot, and persists them every ``checkpoint_every``
-  rounds.  On resume it hands the state back so the engine restores
-  accumulators, re-advances the round-scoped RNG stream (children are
+* a :class:`CheckpointManager` — the engine's round-boundary sink: a
+  store of per-stage records (round values and virtual times, the
+  stage's identity and its fault state) beside the run's replay digest
+  log, persisted every ``checkpoint_every`` rounds.  On resume it hands
+  a stage its record back so the engine restores accumulators,
+  re-advances the round-scoped RNG stream (children are
   spawn-order-derived, so re-requesting ``round0..roundN`` reproduces
   the stream position exactly), and continues — **bit-identical** to an
   uninterrupted run;
@@ -26,18 +26,25 @@ them:
   into a checkpointed, *degraded* partial result annotated with the
   stage's live ``(1 - p)^rounds`` failure bound instead of a silent death.
 
-The checkpoint holds one entry per engine — an engine runs one stage —
-beside the run's digest log and live status (format v2: a v1 file, with
-its rounds under ``stages`` and a label in each digest row, is refused)::
+The checkpoint holds one record per stage, keyed ``e{n}:{problem}`` in
+the order the run opens them (an engine runs one stage), beside the
+run's digest log (format v2: a v1 file, with its rounds under
+``stages`` and a label in each digest row, is refused)::
 
-    {"config_hash": "...",
-     "engines": {"e0:k-path": {
+    {"engines": {"e0:k-path": {
          "identity": {...what the stage was computed for...},
          "values": [...], "virtuals": [...], "hit": false, "complete": false,
          "fault": {"remaining": [[idx, n|null], ...],
                    "counts": {...}, "accounting": {...}}}},
-     "digests": {"phases": [[r, b, p, crc], ...], "rounds": [[r, crc], ...]},
-     "status": {...last live RunStatus snapshot...}}
+     "digests": {"phases": [[r, b, p, crc], ...], "rounds": [[r, crc], ...]}}
+
+This module stores ``fault`` and ``digests`` without reading them: the
+fault format is ``_FaultContext.state()`` in :mod:`repro.core.engine`
+(its budgets ``FaultInjector.state()`` in :mod:`repro.runtime.faults`),
+the digest rows ``DigestLog.rows()`` in :mod:`repro.sanitize.replay`.  A
+v2 file of an older build holds two more top-level keys, a
+configuration hash and a live-status snapshot, which nothing read: a
+resume drops them.
 
 Corrupt checkpoints (truncation, bit flips, wrong version) are rejected
 with :class:`~repro.errors.CheckpointCorruptError` naming the file and
@@ -53,7 +60,7 @@ import threading
 import time
 import zlib
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -200,34 +207,36 @@ def load_run_config(directory: PathLike) -> dict:
 
 # ------------------------------------------------------------- checkpoint
 class CheckpointManager:
-    """Round-boundary durable state for every engine sharing a runtime
-    (the layout is the module docstring's).
+    """Round-boundary durable state: one record per stage beside the
+    run's digest log (the layout is the module docstring's).
 
-    Engines key by *creation order* plus problem (``e{n}:{problem}``:
-    scan extraction opens many in one process); drivers construct them
-    deterministically, so a resumed process consumes the same keys in the
-    same order and every engine finds its own state — and
-    :meth:`open_stage` checks that it *is* its own: the stored
-    ``identity`` (graph content, problem, field, stream lineage, rounds)
-    must equal the resuming stage's, or a directory reused for another
-    question would hand back that question's answer.
+    The engine calls it in two places: :meth:`open_stage` when its stage
+    starts and :meth:`note_round` after each reported round; a flush
+    (:meth:`save`) writes what was last noted.  Stages key by *creation
+    order* plus problem (``e{n}:{problem}``: scan extraction runs many in
+    one process); drivers open them deterministically, so a resumed
+    process consumes the same keys in the same order, and
+    :meth:`open_stage` checks that each stored record *is* its stage's.
+    ``digests`` is the run's :class:`~repro.sanitize.replay.DigestLog`,
+    if any.
     """
 
     def __init__(self, directory: PathLike, every: int = 1,
                  resume: bool = False, allow_restart: bool = False,
-                 config_hash: str = "") -> None:
+                 digests=None) -> None:
         if every < 1:
             raise ConfigurationError(f"checkpoint_every must be >= 1, got {every}")
         self.dir = Path(directory)
         self.path = self.dir / CHECKPOINT_FILE
         self.every = int(every)
         self.allow_restart = allow_restart
-        self.config_hash = config_hash
+        self.digests = digests
         self.resumed_from: Optional[str] = None
-        self.state: dict = {"config_hash": config_hash, "engines": {},
-                            "digests": None, "status": None}
-        self._engines: Dict[str, Any] = {}  # ekey -> live engine (save sources)
-        self._digests_restored = False
+        self.state: dict = {"engines": {}, "digests": None}
+        # the stored digest rows until the first stage opens: its question's
+        # if it resumes, another's if it restarts
+        self._stored_digests = None
+        self._opened = 0
         self._rounds_since_save = 0
         self._lock = threading.Lock()
         if resume and self.path.exists():
@@ -239,139 +248,73 @@ class CheckpointManager:
                 _LOG.warning("discarding corrupt checkpoint %s (allow_restart)",
                              self.path)
             else:
-                stored = payload.get("config_hash", "")
-                if config_hash and stored and stored != config_hash:
-                    raise ConfigurationError(
-                        f"{self.path}: checkpoint was written by a different "
-                        f"configuration (hash {stored} != {config_hash})"
-                    )
-                payload.setdefault("engines", {})
-                self.state = payload
+                # an older v2 file's other top-level keys are dropped
+                self.state = {"engines": payload.get("engines", {}),
+                              "digests": payload.get("digests")}
+                self._stored_digests = self.state["digests"]
                 self.resumed_from = str(self.dir)
                 _LOG.info("resuming from checkpoint %s", self.path)
 
-    # -------------------------------------------------------- registration
-    def attach_engine(self, engine) -> str:
-        """Register an engine (creation order) and return its state key."""
-        with self._lock:
-            key = f"e{len(self._engines)}:{engine.problem}"
-            self._engines[key] = engine
-            self.state["engines"].setdefault(key, {"fault": None})
-        return key
-
-    # ------------------------------------------------------------- restore
-    def open_stage(self, ekey: str, identity: dict) -> dict:
-        """Engine ``ekey``'s state, computed for ``identity``: what a
-        resumed checkpoint holds for its stage (rounds to restore), else
-        empty.
+    def open_stage(self, problem: str, identity: dict) -> Tuple[str, dict]:
+        """Open the run's next stage, computed for ``identity``: its key and
+        its record — what a resumed checkpoint holds for it (the rounds and
+        the fault state to restore), else a fresh one.
 
         A checkpointed stage computed for anything else — another graph,
         ``k``, seed, ... — raises :class:`~repro.errors.CheckpointCorruptError`
         naming the first differing field; under ``allow_restart`` the
-        stage restarts from scratch instead.
+        stage restarts from scratch, fault state and digest log included.
         """
         with self._lock:
-            st = self.state["engines"][ekey]
-            if self.resumed_from is not None and "values" in st:
-                stored = st.get("identity") or {}
-                differs = [f for f in identity if stored.get(f) != identity[f]]
+            ekey = f"e{self._opened}:{problem}"
+            self._opened += 1
+            stored, self._stored_digests = self._stored_digests, None
+            st = self.state["engines"].get(ekey, {})
+            if "values" in st:
+                kept = st.get("identity") or {}
+                differs = [f for f in identity if kept.get(f) != identity[f]]
                 if not differs:
-                    return st
+                    if stored and self.digests is not None:
+                        self.digests.load(stored)
+                    return ekey, st
                 if not self.allow_restart:
                     raise CheckpointCorruptError(
                         self.path, "identity",
                         f"engine {ekey!r} was computed for a different "
-                        f"{differs[0]} ({stored.get(differs[0])!r}, this run "
+                        f"{differs[0]} ({kept.get(differs[0])!r}, this run "
                         f"has {identity[differs[0]]!r})")
                 _LOG.warning("engine %r of %s was computed for a different %s: "
                              "restarting it (allow_restart)",
                              ekey, self.path, differs[0])
-            st.update(identity=identity, values=[], virtuals=[], hit=False,
-                      complete=False)
-            return st
+            if stored:
+                self.state["digests"] = None
+            st = self.state["engines"][ekey] = {
+                "identity": identity, "values": [], "virtuals": [],
+                "hit": False, "complete": False, "fault": None}
+            return ekey, st
 
-    def restore_into(self, engine) -> None:
-        """Reload fault-injector budgets/accounting and the digest log."""
-        if self.resumed_from is None:
-            return
-        est = self.state["engines"].get(engine.ekey, {})
-        fs = est.get("fault")
-        fc = engine.fc
-        if fs and fc is not None and fc.injector is not None:
-            fc.injector._remaining = {
-                int(i): (None if r is None else int(r))
-                for i, r in fs.get("remaining", [])
-            }
-            fc.injector.total_counts = {
-                str(k): int(v) for k, v in fs.get("counts", {}).items()
-            }
-            acct = fs.get("accounting", {})
-            fc.phase_failures = int(acct.get("phase_failures", 0))
-            fc.retries = int(acct.get("retries", 0))
-            fc.work_lost = float(acct.get("work_lost", 0.0))
-            fc.backoff_seconds = float(acct.get("backoff_seconds", 0.0))
-            fc.work_recomputed = float(acct.get("work_recomputed", 0.0))
-            fc.injected = {str(k): int(v)
-                           for k, v in acct.get("injected", {}).items()}
-        dg = self.state.get("digests")
-        if dg and engine.digests is not None and not self._digests_restored:
-            self._digests_restored = True
-            for r, b, p, crc in dg.get("phases", []):
-                engine.digests.record_phase(int(r), int(b), int(p), int(crc))
-            for r, crc in dg.get("rounds", []):
-                engine.digests.record_round(int(r), int(crc))
-
-    # ---------------------------------------------------------------- save
     def note_round(self, ekey: str, value, virtual: float, hit: bool,
-                   complete: bool) -> None:
-        """Record one completed round of engine ``ekey``; persists every
-        ``every`` rounds and always at the stage's end (hit or planned
-        rounds exhausted)."""
+                   complete: bool, fault: Optional[dict] = None) -> None:
+        """Record one completed round of stage ``ekey`` and its engine's
+        fault state after it; persists every ``every`` rounds and always
+        at the stage's end (hit or planned rounds exhausted)."""
         with self._lock:
             st = self.state["engines"][ekey]
             st["values"].append(encode_value(value))
             st["virtuals"].append(float(virtual))
             st["hit"] = bool(st["hit"] or hit)
             st["complete"] = bool(complete)
+            st["fault"] = fault
             self._rounds_since_save += 1
             due = complete or self._rounds_since_save >= self.every
         if due:
             self.save()
 
-    def save(self, force: bool = True) -> None:
-        """Snapshot volatile sources (fault budgets, digests, live status)
-        into the state and commit it atomically."""
+    def save(self) -> None:
+        """Commit the noted records and the digest log atomically."""
         with self._lock:
-            for ekey, engine in self._engines.items():
-                fc = getattr(engine, "fc", None)
-                if fc is not None and fc.injector is not None:
-                    self.state["engines"][ekey]["fault"] = {
-                        "remaining": [
-                            [i, rem] for i, rem in sorted(
-                                fc.injector._remaining.items())
-                        ],
-                        "counts": dict(fc.injector.total_counts),
-                        "accounting": {
-                            "phase_failures": fc.phase_failures,
-                            "retries": fc.retries,
-                            "work_lost": fc.work_lost,
-                            "backoff_seconds": fc.backoff_seconds,
-                            "work_recomputed": fc.work_recomputed,
-                            "injected": dict(fc.injected),
-                        },
-                    }
-                digests = getattr(engine, "digests", None)
-                if digests is not None:
-                    self.state["digests"] = {
-                        "phases": [[*key, crc]
-                                   for key, crc in sorted(digests.phases.items())],
-                        "rounds": [[*key, crc]
-                                   for key, crc in sorted(digests.rounds.items())],
-                    }
-                live = getattr(engine, "live", None)
-                if live is not None:
-                    self.state["status"] = live.status.snapshot()
-            self.state["config_hash"] = self.config_hash
+            if self.digests is not None and self._stored_digests is None:
+                self.state["digests"] = self.digests.rows()
             write_envelope(self.path, self.state)
             self._rounds_since_save = 0
 

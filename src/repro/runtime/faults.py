@@ -418,6 +418,16 @@ class FaultInjector:
         """True when every bounded spec has spent its budget."""
         return all(rem == 0 for rem in self._remaining.values() if rem is not None)
 
+    def state(self) -> dict:
+        """The budgets left and the faults fired, as a checkpoint stores them."""
+        return {"remaining": [[i, rem] for i, rem in sorted(self._remaining.items())],
+                "counts": dict(self.total_counts)}
+
+    def restore(self, state: dict) -> None:
+        """Continue from :meth:`state`'s output (a resumed stage's)."""
+        self._remaining = dict(state["remaining"])
+        self.total_counts = dict(state["counts"])
+
 
 def as_run_injector(
     faults: Union[FaultPlan, FaultInjector, RunInjector, None], key: str = "run"

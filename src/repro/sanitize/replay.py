@@ -69,6 +69,19 @@ class DigestLog:
         for key in [key for key in self.phases if key[0] in rounds]:
             del self.phases[key]
 
+    def rows(self) -> dict:
+        """The log as a checkpoint stores it: sorted ``[r, b, p, crc]``
+        phase rows and ``[r, crc]`` round rows."""
+        return {"phases": [[*key, crc] for key, crc in sorted(self.phases.items())],
+                "rounds": [[*key, crc] for key, crc in sorted(self.rounds.items())]}
+
+    def load(self, rows: dict) -> None:
+        """Record :meth:`rows`' output (a resumed run's digests)."""
+        for r, b, p, crc in rows["phases"]:
+            self.record_phase(r, b, p, crc)
+        for r, crc in rows["rounds"]:
+            self.record_round(r, crc)
+
     def __len__(self) -> int:
         return len(self.phases) + len(self.rounds)
 

@@ -1,6 +1,6 @@
 """Live telemetry smoke: a threaded detection is scraped while it runs.
 
-What CI's ``live-smoke`` job runs:
+What a step of CI's ``telemetry`` job runs:
 ``PYTHONPATH=src python -m pytest -m smoke tests/smoke/test_live_smoke.py``.
 The run binds ``--live-port 0``; the test reads the port from the
 ``live telemetry:`` line it prints, scrapes ``/metrics`` and ``/status``

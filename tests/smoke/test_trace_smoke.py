@@ -1,7 +1,8 @@
 """Span-log smoke: the artifacts of a real run validate, end to end.
 
-What CI's ``trace-smoke``, ``obs-smoke`` and (for its speedscope/progress
-step) ``live-smoke`` jobs run, as pytest instead of inline heredocs:
+What three steps of CI's ``telemetry`` job run (the traced detection, the
+speedscope/progress step and the served queries), as pytest instead of
+inline heredocs:
 ``PYTHONPATH=src python -m pytest -m smoke tests/smoke/test_trace_smoke.py``.
 The served tests start ``repro serve --port 0`` (``--mode process``:
 each query then runs sequentially on one of the service's fleet workers)

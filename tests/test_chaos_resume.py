@@ -5,8 +5,7 @@ boundary deterministically; this file covers the part they cannot — a
 genuine ``kill -9`` of a separate OS process, with the checkpoint state
 recovered purely from disk by ``repro resume``.  The final checkpoint
 of the killed-then-resumed run must match an uninterrupted control run
-exactly (accumulator values, virtual seconds, replay digests) once the
-wall-clock-dependent ``status`` snapshot is dropped.
+exactly (accumulator values, virtual seconds, replay digests).
 
 Set ``CHAOS_ARTIFACTS`` to a directory to keep the run directories (the
 CI job uploads them on failure).
@@ -67,9 +66,7 @@ def _env():
 
 
 def _final_state(ckpt_dir):
-    payload = read_envelope(Path(ckpt_dir) / CHECKPOINT_FILE)
-    payload.pop("status", None)  # wall-clock timestamps differ by design
-    return payload
+    return read_envelope(Path(ckpt_dir) / CHECKPOINT_FILE)
 
 
 def _wait_for_committed_round(ckpt_dir, proc, timeout=120.0):

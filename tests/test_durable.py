@@ -90,6 +90,13 @@ def _kill_after(ckpt, n_rounds):
     ckpt.note_round = poisoned
 
 
+def _crash_drop_plan():
+    """``test_resume_restores_fault_state``'s plan: budgets that a run
+    spends, so a resume must carry them over."""
+    return FaultPlan([crash(rank=1, after_ops=40, max_events=2),
+                      drop(src=0, dst=1, p=0.05, max_events=2)], seed=11)
+
+
 def _values(res):
     return [r.value for r in res.rounds]
 
@@ -190,11 +197,6 @@ class TestCheckpointManager:
         mgr = CheckpointManager(tmp_path, resume=True, allow_restart=True)
         assert mgr.resumed_from is None  # fresh start, not a resume
 
-    def test_config_hash_mismatch_rejected(self, tmp_path):
-        CheckpointManager(tmp_path, config_hash="aaa").save()
-        with pytest.raises(ConfigurationError, match="different"):
-            CheckpointManager(tmp_path, resume=True, config_hash="bbb")
-
     #: the v1 checkpoint of a 3-round k = 5 path detection on two 4-vertex
     #: paths (eps = 0.5, seed 7, a digest log attached), as a v1 build
     #: wrote it: its rounds a level down under ``stages``, a stage label in
@@ -229,6 +231,74 @@ class TestCheckpointManager:
         with pytest.raises(CheckpointCorruptError, match="v1") as ei:
             detect_path(g, 5, eps=0.5, rng=RngStream(7), runtime=rt)
         assert ei.value.reason == "version"
+
+    #: the v2 checkpoint an older build wrote for
+    #: ``test_resume_restores_fault_state``'s run (a 3-round k = 5 path
+    #: detection on ``islands``, simulated on 4 ranks, eps = 0.5, seed 7, a
+    #: digest log and a live bus attached), killed after its first round:
+    #: one drop fired, and beside the fault entry and the digests the
+    #: configuration hash and live status that this build no longer writes
+    V2_PAYLOAD = {
+        "config_hash": "",
+        "digests": {"phases": [[0, 0, 0, 4150627774], [0, 0, 1, 4150627774]],
+                    "rounds": [[0, 3971697493]]},
+        "engines": {"e0:k-path": {
+            "complete": False,
+            "fault": {"accounting": {"backoff_seconds": 0.0014905045062676883,
+                                     "injected": {"drop": 1},
+                                     "phase_failures": 1, "retries": 1,
+                                     "work_lost": 2.0251999999999997e-06,
+                                     "work_recomputed": 9.0808e-06},
+                      "counts": {"drop": 1},
+                      "remaining": [[0, 2], [1, 1]]},
+            "hit": False,
+            "identity": {
+                "field_degree": 5, "field_modulus": 37,
+                "graph": "a8912633cdc008611149582fb2066a22"
+                         "57520237a8f34b97e910f752da1da449",
+                "k": 5, "levels": 5, "problem": "k-path",
+                "rng": {"entropy": 7, "n_children_spawned": 0, "spawn_key": [0]},
+                "rounds": 3},
+            "values": [0], "virtuals": [0.001511618506267688]}},
+        "status": {
+            "error": "", "eta_seconds": 0.0050750159862218425,
+            "eta_virtual_seconds": 0.003023237012535376,
+            "faults": {"injected": 1, "phase_failures": 1, "retries": 1},
+            "found": None, "graph": {"edges": 36, "nodes": 24},
+            "heartbeat_age_seconds": 2.3365020751953125e-05, "k": 5,
+            "last_heartbeat": 1792442277.4393315, "mode": "simulated",
+            "p_failure_bound": 0.75006103515625, "phases_completed": 0,
+            "phases_per_round": 2, "problem": "k-path", "rounds_completed": 1,
+            "rounds_planned": 3, "runs": 1, "stage": "k-path",
+            "stage_rounds_completed": 1, "stage_rounds_planned": 3,
+            "started_at": 1792442277.4353702, "state": "running",
+            "target_eps": 0.5, "virtual_seconds": 0.001511618506267688,
+            "wall_seconds": 0.003984689712524414, "witness_found": None},
+    }
+
+    def test_an_older_v2_checkpoint_resumes_bit_identically(self, islands,
+                                                            tmp_path):
+        body = json.dumps(self.V2_PAYLOAD, sort_keys=True).encode()
+        assert f"{zlib.crc32(body):08x}" == "93997f0a"  # the file it wrote
+        (tmp_path / CHECKPOINT_FILE).write_bytes(
+            b"MIDAS-CKPT v2 crc=93997f0a len=%d\n" % len(body) + body)
+        rt_kw = dict(mode="simulated", n_processors=4, n1=2,
+                     fault_plan=_crash_drop_plan())
+        log0, log1 = DigestLog(), DigestLog()
+        res0 = detect_path(islands, 5, eps=0.5, rng=RngStream(7).child("detect"),
+                           runtime=MidasRuntime(digest_log=log0, **rt_kw))
+        rt = MidasRuntime(digest_log=log1, checkpoint_dir=str(tmp_path),
+                          resume=True, **rt_kw)
+        res1 = detect_path(islands, 5, eps=0.5, rng=RngStream(7).child("detect"),
+                           runtime=rt)
+        assert res1.details["resumed_from"] == str(tmp_path)
+        assert _values(res1) == _values(res0)
+        assert _virtuals(res1) == _virtuals(res0)
+        assert res1.details["resilience"] == res0.details["resilience"]
+        assert (log1.phases, log1.rounds) == (log0.phases, log0.rounds)
+        # the file is rewritten with what this build reads
+        assert set(read_envelope(tmp_path / CHECKPOINT_FILE)) == {"engines",
+                                                                  "digests"}
 
     def test_resume_without_checkpoint_is_fresh(self, tmp_path):
         mgr = CheckpointManager(tmp_path, resume=True)
@@ -522,6 +592,33 @@ class TestResumeIdentity:
         assert not res.found and _values(res) == _values(fresh)
         # ...and the directory now holds the stage under this build's count
         assert _values(self._run(islands, tmp_path, resume=True)) == _values(fresh)
+
+    def test_a_restart_forgets_the_other_questions_digests(self, islands,
+                                                           tmp_path):
+        """The digests stored beside a k = 6 stage are that question's: a
+        k = 5 stage restarted over it logs what a fresh k = 5 run logs."""
+        self._run(islands, tmp_path, digest_log=DigestLog(), n2=16)
+        fresh, log = DigestLog(), DigestLog()
+        self._run(islands, tmp_path / "fresh", k=5, seed=8, digest_log=fresh,
+                  n2=16)
+        self._run(islands, tmp_path, k=5, seed=8, resume=True,
+                  allow_restart=True, digest_log=log, n2=16)
+        assert (log.phases, log.rounds) == (fresh.phases, fresh.rounds)
+        # ...and the directory's log is now this question's
+        assert read_envelope(tmp_path / CHECKPOINT_FILE)["digests"] == fresh.rows()
+
+    def test_a_restart_forgets_the_other_questions_fault_budgets(self, islands,
+                                                                 tmp_path):
+        """A k = 5 stage restarted over a k = 6 one spends its own fault
+        budgets, not what the k = 6 run left of them."""
+        rt_kw = dict(mode="simulated", n_processors=4, n1=2,
+                     fault_plan=_crash_drop_plan())
+        self._run(islands, tmp_path, **rt_kw)
+        fresh = self._run(islands, tmp_path / "fresh", k=5, seed=8, **rt_kw)
+        assert fresh.details["resilience"]["retries"] > 0
+        res = self._run(islands, tmp_path, k=5, seed=8, resume=True,
+                        allow_restart=True, **rt_kw)
+        assert res.details["resilience"] == fresh.details["resilience"]
 
     def test_the_same_question_still_resumes(self, witnessed, tmp_path):
         res = self._run(witnessed, tmp_path, resume=True)
