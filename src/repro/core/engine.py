@@ -1290,6 +1290,7 @@ class DetectionEngine:
         # the stage's spec, schedule, Theorem-2 estimate, pre-labeled
         # midas_phase_seconds histogram and rounds: set once, by run_stage
         self.spec = self.sched = self.estimate = self.phase_hist = None
+        self._finish = None  # the engine.finish span, open from the stage's end
         self.rounds = 0
         self.prof = rt.get_profiler()
         self.live = rt.get_live()
@@ -1343,15 +1344,18 @@ class DetectionEngine:
             self.live.run_ended(state, error=error)
         if exc_type is not None and issubclass(exc_type, SanitizerError):
             self.flight_dump("sanitizer_error", detail=str(exc))
-        self.close()
+        self.close(error=exc_type is not None)
 
-    def close(self) -> None:
+    def close(self, error: bool = False) -> None:
         self.backend.close()
         # the backend points back at the engine: left standing, the cycle
         # (and the session, halo views and tables it holds) waits for a full
         # garbage collection, which numpy memory never counts towards
         self.backend.engine = None
         self._sync_sanitizer_metrics()
+        if self._finish is not None:
+            self._finish.finish(error=error)
+            self._finish = None
 
     def _sync_sanitizer_metrics(self) -> None:
         """Publish the sanitizer report into ``sanitizer_*`` metric families
@@ -1626,12 +1630,15 @@ class DetectionEngine:
                     self._note_degraded(exc, len(values))
                     break
                 self._share_wall(span.span.duration, len(done))
-                for value, round_virtual in done:
-                    hit = self._round_done(ell, rng, value, round_virtual, values,
-                                           virtuals, stop)
-                    ell += 1
-                    if hit:
-                        break
+                # reporting the batch's rounds is a span and phase of its own
+                with self.prof.span("engine.report", phase="report",
+                                    callsite=self.problem, rounds=len(done)):
+                    for value, round_virtual in done:
+                        hit = self._round_done(ell, rng, value, round_virtual, values,
+                                               virtuals, stop)
+                        ell += 1
+                        if hit:
+                            break
                 if hit and ell < batch.ell + len(done):
                     # the batch's later rounds were evaluated, never reported
                     del self.round_walls[-len(done):]
@@ -1642,6 +1649,10 @@ class DetectionEngine:
                            degraded=self.degraded is not None)
         if self.live is not None:
             self.live.note_result(any(map(stop or spec.hit, values)))
+        # the run's tail — the driver's fill_details and result, the
+        # backend's close — is a span and phase of its own, closed on exit
+        self._finish = self.prof.span("engine.finish", phase="finish",
+                                      callsite=self.problem)
         return StageResult(values, virtuals, sched, self.estimate)
 
     def _round_batch(self, ell: int, want: int, rng: RngStream,

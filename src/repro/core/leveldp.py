@@ -19,11 +19,12 @@ factors that into three orthogonal pieces:
   iterations of a phase, of one round or of ``R`` rounds side by side,
   each at ``P`` evaluation points of a weighted kind's ``z``
   (:class:`PointBlocks`): ``(rows, m, W)`` uint64 bit-planes
-  (:mod:`repro.ff.bitsliced`), that *logical* shape over plane-major
-  memory, the phase indicator packed once per window.  A level's
-  multiply by each row's ``y`` is a GF(2)-linear map in a narrow window
-  and the schoolbook multiply in a wide one — a width rule inside the
-  class, not a choice anyone makes;
+  (:mod:`repro.ff.bitsliced`), the phase indicator packed once per
+  window.  A level's multiply by each row's ``y`` is one pass of the
+  compiled level step (:mod:`repro.ff.native`), which builds no planes
+  of ``y``, where it is built; where it is not, a GF(2)-linear map in a
+  narrow window and the numpy schoolbook in a wide one — rules inside
+  the class, not a choice anyone makes;
 * a **driver** — where the rows live:
   :func:`run_whole_graph` holds all of them in one process, in the
   graph's jagged-diagonal row order for the whole window, at any width
@@ -50,6 +51,7 @@ import numpy as np
 
 from repro.core.halo import HaloView
 from repro.errors import ConfigurationError
+from repro.ff import native
 from repro.ff.fingerprint import Fingerprint
 from repro.ff.points import evaluation_points
 from repro.graph.csr import CSRGraph, JaggedDiagonals, xor_segment_reduce
@@ -165,8 +167,9 @@ class Lanes:
     independent, so nothing a recurrence does mixes lanes of two of them.
 
     ``(rows, m, W)`` is the *logical* shape — what recurrences index; the
-    memory order is the arithmetic's (plane-major from the schoolbook,
-    row-major from the one-word map, :meth:`scale`).  The ``{0, 1}``
+    memory order is the arithmetic's (row-major from the compiled level
+    step and the numpy one-word map, plane-major from the numpy
+    schoolbook).  The ``{0, 1}``
     indicator is packed into lane words once per window; each level's base
     block is one masked AND of them.  Lanes past ``P R n2`` in the last
     word are zero in the packed indicator, so every state is zero there,
@@ -177,9 +180,10 @@ class Lanes:
     byte and spread to their lanes by one table read (:func:`_spread_bytes`).
     """
 
-    #: the largest ``(rows, m, m)`` uint64 mask block :meth:`scale` builds
-    #: for the linear map, in bytes: one-word windows past it (about 450
-    #: rows at m = 6, 64 at m = 16) take the schoolbook, which wins there
+    #: the largest ``(rows, m, m)`` uint64 mask block the numpy
+    #: :meth:`scale` builds for the linear map, in bytes: one-word windows
+    #: past it (about 450 rows at m = 6, 64 at m = 16) take the
+    #: schoolbook, which wins there
     MAP_BYTES = 128 << 10
 
     def __init__(self, fp, q_start: int, n2: int,
@@ -265,20 +269,36 @@ class Lanes:
             planes = np.ascontiguousarray(lanes[..., :nbytes]).view(np.uint64) & words
         return planes.reshape(m, rows, words.shape[-1]).transpose(1, 0, 2)
 
+    def _compiled(self, y: np.ndarray, words: Optional[np.ndarray],
+                  acc: Optional[np.ndarray]) -> Optional[np.ndarray]:
+        """:func:`repro.ff.native.scale` into a new row-major state, or
+        ``None`` where the numpy reference runs."""
+        if native.LIB is None:
+            return None
+        out = np.empty((len(y), self.bs.m, self.words.shape[1]), dtype=np.uint64)
+        native.scale(self.bs.m, self.bs.modulus, y, self.n2, words, acc, out)
+        return out
+
     def base(self, level: int) -> np.ndarray:
         """The evaluated variable ``x_i`` at ``level``: ``y[i, level]``
         (times ``p^{w(i)}`` at point ``p``) on the lanes where the phase
         indicator is set, 0 elsewhere."""
-        return self._planes(self.words, self._y(level, variable=True))
+        y = self._y(level, variable=True)
+        out = self._compiled(y, self.words, None)
+        return self._planes(self.words, y) if out is None else out
 
     def scale(self, level: int, acc: np.ndarray, variable: bool = False) -> np.ndarray:
         """``acc`` times the ``variable`` ``x_i`` at ``level`` (:meth:`base`),
-        or the join coefficient ``y[i, level]`` on every lane: the linear
-        map :meth:`~repro.ff.bitsliced.BitslicedGF2m.mul_rows` in a
+        or the join coefficient ``y[i, level]`` on every lane: the compiled
+        scaling, which builds no planes of ``y``.  On the numpy path, the
+        linear map :meth:`~repro.ff.bitsliced.BitslicedGF2m.mul_rows` in a
         one-block, one-word window whose masks fit :attr:`MAP_BYTES` (a
         rank's few dozen rows, a graph of a few hundred), else the
-        schoolbook multiply."""
+        schoolbook multiply by the planes of ``y``."""
         y = self._y(level, variable)
+        out = self._compiled(y, self.words if variable else None, acc)
+        if out is not None:
+            return out
         if self._map:
             return self.bs.mul_rows(y, acc, self.words if variable else None)
         if not variable and self._ones is None:
@@ -321,18 +341,28 @@ def neighbour_sum(state: np.ndarray, jagged: JaggedDiagonals) -> np.ndarray:
     untouched: row ``p`` of the result is the XOR of the ``state`` rows
     that ``jagged`` lists for its row ``p`` (CSR row ``jagged.order[p]``).
 
-    One gather-XOR per neighbour slot into a contiguous prefix of the
-    accumulator, then one gather + :func:`xor_segment_reduce` for the
-    jagged tail; the largest temporary is one slot — at most one state —
-    wide.  Rows are copied (``np.take``, bounds-checked) along the row
-    axis as it lies in memory, and the result keeps the state's memory
-    order.
+    The result keeps the state's memory order.  Compiled
+    (:func:`repro.ff.native.gather_xor`): one pass over ``jagged``'s CSR,
+    each row's neighbours XORed into it, for ``(rows, m, W)`` planes.
+    The numpy reference, for those where no kernel is built and for any
+    other state: one gather-XOR per neighbour slot into a contiguous
+    prefix of the accumulator, then one gather + :func:`xor_segment_reduce`
+    for the jagged tail; the largest temporary is one slot — at most one
+    state — wide.  Rows are copied (``np.take``, bounds-checked) along the
+    row axis as it lies in memory.
     """
     order, inverse = memory_order(state)
     block, axis = state.transpose(order), order.index(0)
+    shape = block.shape[:axis] + (len(jagged.order),) + block.shape[axis + 1:]
+    if native.LIB is not None:
+        if len(state) < jagged.n_columns:
+            raise IndexError(f"a state of {len(state)} rows for a sum over "
+                             f"{jagged.n_columns} columns")
+        acc = np.empty(shape, dtype=state.dtype).transpose(inverse)
+        if native.gather_xor(state, jagged.indptr, jagged.indices, acc):
+            return acc
     lead = (slice(None),) * axis
-    acc = np.zeros(block.shape[:axis] + (len(jagged.order),) + block.shape[axis + 1:],
-                   dtype=state.dtype)
+    acc = np.zeros(shape, dtype=state.dtype)
     for slot in jagged.slots:
         acc[lead + (slice(len(slot)),)] ^= np.take(block, slot, axis=axis)
     if len(jagged.tail_indices):

@@ -84,8 +84,9 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-# the level-DP hot path (problems -> leveldp, mld, gf2m -> bitsliced, csr),
-# imported before any fork: no worker compiles a module in its first window
+# the level-DP hot path (problems -> leveldp, mld, gf2m -> bitsliced, csr,
+# and the compiled kernel ff.native loads), imported before any fork: no
+# worker compiles a module, or the kernel, in its first window
 from repro.core.problems import compile
 from repro.errors import ConfigurationError, WorkerCrashedError
 from repro.graph.csr import CSRGraph

@@ -17,20 +17,29 @@ layout
 * multiplication by a fixed element is a GF(2)-linear map: output plane
   ``b`` is the XOR of the input planes ``j`` with bit ``b`` set in ``s *
   x^j mod modulus``, the ``m x m`` masks read from a per-field table —
-  for one scalar (:meth:`BitslicedGF2m.mul_scalar`) or for each row its
-  own (:meth:`BitslicedGF2m.mul_rows`).
+  for one scalar (:meth:`BitslicedGF2m.mul_scalar`) or, on the numpy
+  path, for each row its own (:meth:`BitslicedGF2m.mul_rows`).
 
 This is the trick the paper's C kernels (and Williams' original 2^k
 algorithm) lean on: ~``m^2`` word ops cover 64 iteration lanes at once,
 where the table kernel pays one gather *per lane*.
+
+**Compiled and reference.**  Where :mod:`repro.ff.native` is built,
+:meth:`~BitslicedGF2m.mul` and :meth:`~BitslicedGF2m.mul_sum` of
+``(rows, m, W)`` planes run its C loop — per 8-word tile the schoolbook's
+partial planes of every product and one fused reduction — and return
+row-major (C-contiguous) planes.  The numpy schedule below is the
+reference that loop equals bit for bit, and what runs for planes of other
+ranks and where no kernel is built.
 
 **Logical shape vs memory order.**  Every plane array has the *logical*
 shape ``(..., m, W)`` with ``W = ceil(n2 / 64)``: the leading axes stay
 the node (and any other) axes, so callers index rows exactly as they index
 element arrays.  The *memory* order is free.  :meth:`slice` returns
 node-major (C-contiguous) planes, and so does :meth:`mul_rows`, made for
-one-word windows; :meth:`mul` and :meth:`planes_from_words` accept any
-order and return **plane-major** memory — a ``(m, ..., W)`` block seen
+one-word windows; the numpy :meth:`mul` and :meth:`planes_from_words`
+accept any order and return **plane-major** memory — a ``(m, ..., W)``
+block seen
 through a transposed view, its other axes in the order of the full-shape
 operand (an ``(m, Z, rows, W)`` block stays so) — where every op of the
 schedule is one unit-stride pass over whole planes, and where the
@@ -57,6 +66,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.errors import FieldError
+from repro.ff import native
 from repro.util.layout import memory_order
 
 _MAX_M = 16
@@ -178,6 +188,16 @@ class BitslicedGF2m:
             hi = lo
         return _plane_back(t[:m])
 
+    def _compiled(self, pairs, shape: tuple):
+        """The compiled sum of products (:mod:`repro.ff.native`) as a new
+        row-major ``(rows, m, W)`` state, or ``None`` where the numpy
+        schedule below runs: no kernel built, or planes of another rank."""
+        if native.LIB is None or len(shape) != 3:
+            return None
+        out = np.empty(shape, dtype=np.uint64)
+        native.mul_sum(self.m, self.modulus, pairs, out)
+        return out
+
     def mul(self, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
         """Carry-less schoolbook multiply + reduction, plane-wise.
 
@@ -201,6 +221,9 @@ class BitslicedGF2m:
             )
         m = self.m
         shape = tuple(x if y == 1 else y for x, y in zip(a.shape, b.shape))
+        out = self._compiled([(pa, pb)], shape[1:-1] + (m, shape[-1]))
+        if out is not None:
+            return out
         full = b if b.shape[1:] == shape[1:] else a
         rest, back = memory_order(full[0])
         order = [0] + [ax + 1 for ax in rest]
@@ -222,16 +245,20 @@ class BitslicedGF2m:
         Every product's ``2m - 1`` partial planes are XORed into one block
         and reduced once — the reduction is linear — so a sum of ``p``
         products costs ``p`` schoolbook multiplies and one reduction.
-        Returns plane-major planes.
+        Returns plane-major planes (row-major ones from the compiled loop).
         """
-        m, shape = self.m, _plane_first(pairs[0][1]).shape
-        t = np.zeros((2 * m - 1,) + shape[1:], dtype=np.uint64)
-        tmp = np.empty(shape, dtype=np.uint64)
+        m, shape = self.m, np.shape(pairs[0][1])
         for pa, pb in pairs:
-            a, b = _plane_first(pa), _plane_first(pb)
-            if a.shape != shape or b.shape != shape:
+            if np.shape(pa) != shape or np.shape(pb) != shape:
                 raise FieldError(f"mul_sum needs planes of one shape, got "
                                  f"{np.shape(pa)} vs {np.shape(pb)}")
+        out = self._compiled(pairs, shape)
+        if out is not None:
+            return out
+        tmp = np.empty(_plane_first(pairs[0][1]).shape, dtype=np.uint64)
+        t = np.zeros((2 * m - 1,) + tmp.shape[1:], dtype=np.uint64)
+        for pa, pb in pairs:
+            a, b = _plane_first(pa), _plane_first(pb)
             for i in range(m):
                 np.bitwise_and(a[i], b, out=tmp)
                 t[i : i + m] ^= tmp

@@ -104,6 +104,11 @@ class JaggedDiagonals:
         The head, one int64 column array per slot, lengths non-increasing.
     tail_indptr, tail_indices:
         CSR of the remaining entries over rows ``[:len(tail_indptr) - 1]``.
+    indptr, indices, n_columns:
+        The whole adjacency as CSR in this row order (row ``p`` is CSR row
+        ``order[p]``), read in one pass by the compiled gather-XOR
+        (:func:`repro.ff.native.gather_xor`), and one more than its
+        largest column: a state needs that many rows.
 
     With ``renumber=True`` (square adjacencies only) the columns are
     renumbered by ``rank`` too, so a state *kept* in ``order`` is summed in
@@ -111,7 +116,8 @@ class JaggedDiagonals:
     does for a whole phase window.
     """
 
-    __slots__ = ("order", "rank", "slots", "tail_indptr", "tail_indices", "_linked")
+    __slots__ = ("order", "rank", "slots", "tail_indptr", "tail_indices", "indptr",
+                 "indices", "n_columns", "_linked")
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray,
                  renumber: bool = False) -> None:
@@ -139,6 +145,11 @@ class JaggedDiagonals:
             np.repeat(first, np.diff(self.tail_indptr))
             + np.arange(self.tail_indptr[-1])
         ]
+        self.indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(-falling, out=self.indptr[1:])
+        self.indices = columns[np.repeat(starts - self.indptr[:-1], -falling)
+                               + np.arange(self.indptr[-1])].astype(np.int64, copy=False)
+        self.n_columns = int(columns.max()) + 1 if len(columns) else 0
 
     def linked(self) -> "JaggedDiagonals":
         """The same sum over the rows with at least one neighbour alone — a
@@ -147,9 +158,11 @@ class JaggedDiagonals:
         if self._linked is None:
             n_linked = len(self.slots[0]) if self.slots else len(self.tail_indptr) - 1
             linked = object.__new__(JaggedDiagonals)
-            for name in ("rank", "slots", "tail_indptr", "tail_indices"):
+            for name in ("rank", "slots", "tail_indptr", "tail_indices", "indices",
+                         "n_columns"):
                 setattr(linked, name, getattr(self, name))
             linked.order, linked._linked = self.order[:n_linked], linked
+            linked.indptr = self.indptr[:n_linked + 1]
             self._linked = linked
         return self._linked
 

@@ -2,8 +2,10 @@
 
 Ranks run on the same :class:`~repro.core.leveldp.Lanes` bit-planes as a
 whole-graph run.  A rank's few dozen rows x 64 lanes would not amortise
-the schoolbook multiply's fixed cost, so there a level's per-row multiply
-is a linear map (:meth:`~repro.ff.bitsliced.BitslicedGF2m.mul_rows`).
+the numpy schoolbook multiply's fixed cost, so there, without a
+compiled kernel, a level's per-row multiply is a linear map
+(:meth:`~repro.ff.bitsliced.BitslicedGF2m.mul_rows`); the compiled level
+step (:mod:`repro.ff.native`) pays one call per sum and per scaling.
 This times the rank-sized k-path windows of the
 benchmark's ``sim_scaling`` shape — ER(800), k = 8, one group of 16 ranks
 of about 50 rows, 64 lanes — each rank's compute as

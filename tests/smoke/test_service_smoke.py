@@ -31,9 +31,11 @@ from serving import SRC, repro_serve
 pytestmark = pytest.mark.smoke
 
 ENV = dict(os.environ, PYTHONPATH=SRC)
-# k=10 on the witness-free fixture keeps a query in flight for seconds:
-# long enough to watch four of them, join one and bounce three more
-K, EPS = 10, 0.05
+# k=12 on the witness-free fixture keeps a query in flight for seconds
+# (about 2 s with the compiled level step; k=10 ran 0.5 s, less than the
+# CLI client's start): long enough to watch four of them, join one and
+# bounce three more
+K, EPS = 12, 0.05
 
 
 class Served:

@@ -279,12 +279,18 @@ class TestPerRowLinearMap:
     byte tables XORed past ``m = 8``) equals the schoolbook multiply by
     that ``y``'s planes — on the indicator's lanes (a variable) or on
     every lane (a join coefficient) — and the tables' product, lane for
-    lane, whatever the memory order of the state."""
+    lane, whatever the memory order of the state; so does the compiled
+    scaling (:func:`repro.ff.native.scale`), which builds no planes of
+    ``y``, where it is built."""
 
     @pytest.mark.parametrize("form", ["variable", "coefficient"])
     @pytest.mark.parametrize("words", [1, 2])
     @pytest.mark.parametrize("m", range(3, 17))
-    def test_the_map_is_the_schoolbook_product(self, m, words, form):
+    def test_the_map_is_the_schoolbook_product(self, m, words, form, monkeypatch):
+        from repro.ff import native
+
+        lib = native.LIB
+        monkeypatch.setattr(native, "LIB", None)  # the schoolbook is numpy's
         oracle, bits = field_pair(m, GF2m(m).modulus)
         bs = bits.bitsliced
         rng = np.random.default_rng(m * 10 + words)
@@ -303,6 +309,11 @@ class TestPerRowLinearMap:
             got = bs.mul_rows(y, pa, lanes if form == "variable" else None)
             assert got.shape == (rows, m, words)
             assert np.array_equal(bs.unslice(got, n2, oracle.dtype), expected)
+            if lib is not None:
+                monkeypatch.setattr(native, "LIB", lib)
+                native.scale(m, bs.modulus, y, n2, lanes if form == "variable" else None,
+                             pa, got)
+                assert np.array_equal(bs.unslice(got, n2, oracle.dtype), expected)
 
 
 class TestPlaneResidentEvaluator:

@@ -165,7 +165,9 @@ def test_the_linear_map_runs_only_while_its_masks_fit(monkeypatch):
     """A one-word, one-block window multiplies by the linear map while its
     ``(rows, m, m)`` masks fit ``Lanes.MAP_BYTES`` and by the schoolbook
     past it — the map's temporary is ``m`` states wide — and both sides
-    give the element reference's values."""
+    give the element reference's values.  The map is the numpy path's; the
+    compiled level step scales every window in one call."""
+    monkeypatch.setattr(leveldp.native, "LIB", None)
     field = default_field_for_k(K)
     most = leveldp.Lanes.MAP_BYTES // (8 * field.m ** 2)
     mapped = []

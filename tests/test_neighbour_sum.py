@@ -5,9 +5,13 @@ neighbourhoods — whole graphs, rank views and the calibration all go
 through it — so it is checked here against the naive loop for every graph
 shape that bends the layout (isolated vertices, no edges, a star, a power
 law), every state shape the recurrences hand it, and a halo view's three
-adjacencies.  The layout's call count and the window's peak memory are
-deterministic and bounded here too, so neither the per-max-degree walk
-nor the ``(nnz, ...)`` gather can come back unnoticed.
+adjacencies — on whichever path runs (the compiled gather-XOR of
+``repro.ff.native`` where it is built, for bit-planes).  The numpy
+reference's slot walk is pinned here too, on that path explicitly
+(``numpy_walk``): its call count follows the average degree, and both
+its halves run.  The window's peak memory is bounded on the path that
+runs, so neither the per-max-degree walk nor the ``(nnz, ...)`` gather can
+come back unnoticed.
 """
 
 import tracemalloc
@@ -20,6 +24,7 @@ from hypothesis import strategies as st
 from repro.core.evaluator_path import path_eval_phase
 from repro.core.halo import build_halo_views
 from repro.core.leveldp import neighbour_sum
+from repro.ff import native
 from repro.ff.fingerprint import Fingerprint
 from repro.ff.gf2m import default_field_for_k
 from repro.graph.csr import CSRGraph, JaggedDiagonals
@@ -79,6 +84,14 @@ def make_state(rng, rows, kind):
     return block.transpose(np.argsort(order))
 
 
+@pytest.fixture
+def numpy_walk(monkeypatch):
+    """The numpy reference runs: the slot walk and jagged tail these tests
+    pin, which the compiled gather-XOR does not use."""
+    monkeypatch.setattr(native, "LIB", None)
+
+
+@pytest.mark.usefixtures("numpy_walk")
 class TestLayout:
     @pytest.mark.parametrize("name", sorted(GRAPHS))
     def test_rows_by_falling_degree_and_every_entry_once(self, name):
@@ -160,6 +173,7 @@ class TestAgainstTheNaiveLoop:
         got = neighbour_sum(state, jd)
         assert np.array_equal(got, naive_sum(state, indptr, indices)[jd.order])
 
+    @pytest.mark.usefixtures("numpy_walk")
     def test_the_walk_and_the_tail_both_ran(self):
         """The grid above is only a test of both halves if some layouts
         have a head and some a tail."""
@@ -199,7 +213,9 @@ def test_a_wide_window_stays_within_a_few_states_of_memory():
     the sum's largest temporary is one slot, and the recurrence frees a
     level once it is summed, so the peak is the multiply's operands and
     partial planes — not the ``average degree x state`` gathered block
-    (16 states here) the reduceat pair needed."""
+    (16 states here) the reduceat pair needed.  Where the kernel is built
+    the window runs compiled: its sums and products each allocate the
+    one state they return."""
     k, n2 = 10, 1024
     g, _ = plant_path(erdos_renyi(800, m=6400, rng=RngStream(11)), k, rng=RngStream(12))
     field = default_field_for_k(k, kernel_strategy="bitsliced")
