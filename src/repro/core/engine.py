@@ -54,7 +54,7 @@ from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List, NamedTuple, O
 import numpy as np
 
 from repro.core.halo import build_halo_views
-from repro.core.leveldp import exchange_signature, phase_program
+from repro.core.leveldp import phase_program
 from repro.core.problems import ProblemSpec, Value
 from repro.core.schedule import PhaseSchedule, pow2_floor, rounds_for_epsilon
 from repro.errors import (
@@ -841,8 +841,7 @@ class ProcessBackend(ExecutionBackend):
             fleet(*self._fleet_key())
             self._shared = SharedArrays()
             self._graph = self._shared.wire_graph(self.engine.graph)
-        # publishes the circuit's weights once (the wire is cached per
-        # spec); a hand-built spec without a circuit is refused here
+        # publishes the circuit's weights once (the wire is cached per spec)
         self._shared.wire_spec(self.engine.spec)
 
     def windows(self, rounds: _Rounds) -> Iterator[tuple]:
@@ -910,7 +909,7 @@ class _Timeline(NamedTuple):
 
     Plain data on purpose: the :class:`~repro.runtime.scheduler.Simulator`,
     its rank generators and ``SimResult.results`` reference each other in
-    cycles, and the backend keeps its timelines until the run ends.
+    cycles, and the backend keeps its timeline until the stage ends.
     """
 
     makespan: float
@@ -926,12 +925,11 @@ class SimulatedBackend(ExecutionBackend):
     """The real SPMD decomposition on the runtime simulator.
 
     Every phase of a stage runs the same partition, message pattern and
-    message sizes, so with modeled compute a window's virtual timeline
-    depends on its exchange shapes alone, never on the data.  Each stage
-    therefore *enacts* one window per exchange signature — in practice
-    its first — on the coroutine simulator; the signature is probed once
-    per window start (:func:`exchange_signature` depends on the window,
-    never on a round's draws).  A round batch's windows are valued by the
+    message sizes — a compiled circuit's recurrence never reads the
+    window — so with modeled compute every window of a stage has one
+    virtual timeline, whatever the data.  Each stage therefore *enacts*
+    its first window on the coroutine simulator and keeps its
+    :class:`_Timeline`.  A round batch's windows are valued by the
     whole-graph level-DP runs a sequential detection of the same rounds
     makes (:meth:`ProblemSpec.window_values`): without an early exit and
     with the default ``n2`` a batch is the rounds one sequential window
@@ -940,7 +938,7 @@ class SimulatedBackend(ExecutionBackend):
     seven.  The rounds are then walked in order: the enacted value is
     checked against its window's, and every later window takes its value
     from them and its makespan, clocks, trace splice and byte counts from
-    the stored :class:`_Timeline`.  A fault plan, a sanitizer or measured compute
+    the stored timeline.  A fault plan, a sanitizer or measured compute
     make timelines window-specific: then every window is enacted, one
     round a batch.
     """
@@ -955,10 +953,8 @@ class SimulatedBackend(ExecutionBackend):
         #: windows are valued by whole-graph runs and timelines reused
         self.reuse = (rt.fault_plan is None and rt.sanitize == "off"
                       and not rt.measure_compute)
-        #: window start -> its exchange signature, and exchange signature
-        #: -> the :class:`_Timeline` enacted for it
-        self.signatures: dict = {}
-        self.timelines: dict = {}
+        #: the stage's enacted window, which every later window reuses
+        self.timeline: Optional[_Timeline] = None
 
     def prepare(self) -> None:
         e = self.engine
@@ -1017,14 +1013,7 @@ class SimulatedBackend(ExecutionBackend):
                 q0, q1 = sched.phase_window(t)
                 tl, extra, failed = None, 0.0, ()
                 if whole is not None:
-                    # the signature says whether this window's messages
-                    # were enacted before
-                    t0, contrib = time.perf_counter(), whole[t]
-                    signature = self.signatures.get(q0)
-                    if signature is None:
-                        signature = self.signatures[q0] = exchange_signature(
-                            spec.recurrence, fp, q0, sched.n2, spec.points)
-                    tl = self.timelines.get(signature)
+                    t0, contrib, tl = time.perf_counter(), whole[t], self.timeline
                 if tl is not None:
                     e.prof.add_span("engine.simulate", t0, time.perf_counter(),
                                     phase="rounds", callsite=fc.problem)
@@ -1048,7 +1037,7 @@ class SimulatedBackend(ExecutionBackend):
                                 f"simulated phase {key} evaluates to {enacted!r} "
                                 f"but the whole-graph level DP gives {contrib!r} "
                                 "for the same window", ell, bi, t)
-                        self.timelines[signature] = tl
+                        self.timeline = tl
                     contrib = enacted
                 value = spec.combine(value, contrib)
                 # a virtual makespan, not a wall interval: no lane

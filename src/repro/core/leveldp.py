@@ -341,26 +341,26 @@ def neighbour_sum(state: np.ndarray, jagged: JaggedDiagonals) -> np.ndarray:
     untouched: row ``p`` of the result is the XOR of the ``state`` rows
     that ``jagged`` lists for its row ``p`` (CSR row ``jagged.order[p]``).
 
-    The result keeps the state's memory order.  Compiled
-    (:func:`repro.ff.native.gather_xor`): one pass over ``jagged``'s CSR,
-    each row's neighbours XORed into it, for ``(rows, m, W)`` planes.
-    The numpy reference, for those where no kernel is built and for any
-    other state: one gather-XOR per neighbour slot into a contiguous
-    prefix of the accumulator, then one gather + :func:`xor_segment_reduce`
-    for the jagged tail; the largest temporary is one slot — at most one
-    state — wide.  Rows are copied (``np.take``, bounds-checked) along the
-    row axis as it lies in memory.
+    Compiled (:func:`repro.ff.native.gather_xor`), for a state whose rows
+    are whole words: one pass over ``jagged``'s CSR, each row's neighbours
+    XORed into a C-contiguous result.  The numpy reference, where no
+    kernel is built and for any other state: one gather-XOR per neighbour
+    slot into a contiguous prefix of the accumulator, then one gather +
+    :func:`xor_segment_reduce` for the jagged tail; the largest temporary
+    is one slot — at most one state — wide.  Rows are copied
+    (``np.take``, bounds-checked) along the row axis as it lies in memory,
+    and the result keeps the state's memory order.
     """
-    order, inverse = memory_order(state)
-    block, axis = state.transpose(order), order.index(0)
-    shape = block.shape[:axis] + (len(jagged.order),) + block.shape[axis + 1:]
     if native.LIB is not None:
         if len(state) < jagged.n_columns:
             raise IndexError(f"a state of {len(state)} rows for a sum over "
                              f"{jagged.n_columns} columns")
-        acc = np.empty(shape, dtype=state.dtype).transpose(inverse)
+        acc = np.empty((len(jagged.order),) + state.shape[1:], dtype=state.dtype)
         if native.gather_xor(state, jagged.indptr, jagged.indices, acc):
             return acc
+    order, inverse = memory_order(state)
+    block, axis = state.transpose(order), order.index(0)
+    shape = block.shape[:axis] + (len(jagged.order),) + block.shape[axis + 1:]
     lead = (slice(None),) * axis
     acc = np.zeros(shape, dtype=state.dtype)
     for slot in jagged.slots:
@@ -423,29 +423,6 @@ def run_whole_graph(graph: CSRGraph, recurrence: Recurrence, fp,
         state, done = _advance(gen, summed)
         summed = None
     return lanes.finish(state)
-
-
-def exchange_signature(recurrence: Recurrence, fp: Fingerprint, q_start: int,
-                       n2: int, points: Optional[PointBlocks] = None) -> tuple:
-    """The window's *exchange signature*: the ``(row shape, dtype)`` of
-    every state ``recurrence`` asks to have neighbour-summed, as
-    :func:`phase_program`'s ranks hold it — taken by driving the
-    recurrence on zero rows of :class:`Lanes`, so it costs no DP.
-    Each of those states is one halo exchange whose messages are the
-    partition's boundary lists, so two windows of one stage with equal
-    signatures put the same messages on the wire — the guard the
-    simulated backend keys its memoised phase timelines by.  The
-    signature may depend on the window (``q_start``: a recurrence may
-    exchange one more state from some iteration on) but not on ``fp``'s
-    draws, only on its shape, so the backend probes it once per window
-    start of a stage."""
-    gen = recurrence(Lanes(fp, q_start, n2, rows=np.zeros(0, np.int64), points=points))
-    signature = []
-    state, done = _advance(gen)
-    while not done:
-        signature.append((state.shape[1:], state.dtype))
-        state, done = _advance(gen, np.zeros_like(state))
-    return tuple(signature)
 
 
 def phase_program(views: List[HaloView], recurrence: Recurrence, fp: Fingerprint,
@@ -543,7 +520,6 @@ __all__ = [
     "Lanes",
     "PointBlocks",
     "Recurrence",
-    "exchange_signature",
     "fold_values",
     "neighbour_sum",
     "phase_program",

@@ -61,6 +61,9 @@ class ProblemSpec:
     field: Any  # GF(2^l) table set, sized by the polynomial's degree in the y's
     payload: int  # an output's accumulator width: 1 = scalar, else z_max + 1
     recurrence: Recurrence  # the DP, run by either repro.core.leveldp driver
+    # what the spec is compiled from, and what mode="process" workers rebuild
+    # it from: the recurrence is a closure and cannot cross a process boundary
+    circuit: MLDCircuit
     # (rows, lanes) states the recurrence keeps alive at once, besides a
     # multiply's temporaries: what a fused window's width is budgeted by
     live_states: int = 1
@@ -68,18 +71,14 @@ class ProblemSpec:
     # k - 1) — and whether it charges the scan rows' z-convolution
     exchanges: Optional[int] = None
     convolves: bool = False
-    # what mode="process" workers rebuild the spec from: the recurrence is a
-    # closure and cannot cross a process boundary (None: hand-built spec)
-    circuit: Optional[MLDCircuit] = None
     # a weighted kind's lane blocks: the points its z is evaluated at
     points: Optional[PointBlocks] = None
 
     # ------------------------------------------------------------ semantics
     @property
     def outputs(self) -> int:
-        """The circuit's outputs, each its own ``payload`` cells of a value
-        (a hand-built spec: one)."""
-        return 1 if self.circuit is None else len(self.circuit.outputs)
+        """The circuit's outputs, each its own ``payload`` cells of a value."""
+        return len(self.circuit.outputs)
 
     @property
     def scalar(self) -> bool:
@@ -91,21 +90,20 @@ class ProblemSpec:
     def round_success(self) -> Fraction:
         """The exact lower bound on a round's success in this spec's field
         (:func:`~repro.ff.gf2m.round_success_bound`), for its circuit's
-        ``y``-degree (a hand-built spec: a k-path's, ``k``)."""
-        d = self.circuit.y_degree if self.circuit is not None else self.k
-        return round_success_bound(self.k, self.field.m, d)
+        ``y``-degree."""
+        return round_success_bound(self.k, self.field.m, self.circuit.y_degree)
 
     @property
     def schedule_payload(self) -> int:
         """What a window's state is budgeted by
-        (:attr:`MLDCircuit.schedule_payload`; a hand-built spec: ``payload``)."""
-        return self.payload if self.circuit is None else self.circuit.schedule_payload
+        (:attr:`MLDCircuit.schedule_payload`)."""
+        return self.circuit.schedule_payload
 
     @property
     def linked_only(self) -> bool:
         """Whole-graph runs may leave out rows without a neighbour
-        (:attr:`MLDCircuit.needs_edges`; a hand-built spec: never)."""
-        return self.circuit is not None and self.circuit.needs_edges
+        (:attr:`MLDCircuit.needs_edges`)."""
+        return self.circuit.needs_edges
 
     @property
     def reduce_nbytes(self) -> int:
@@ -205,12 +203,11 @@ def compile(circuit: MLDCircuit, field: Any = None) -> ProblemSpec:
         field = default_field_for_k(circuit.y_degree)
     return ProblemSpec(
         name=circuit.name, k=circuit.k, levels=circuit.levels, field=field,
-        payload=circuit.payload, recurrence=circuit.recurrence(),
+        payload=circuit.payload, recurrence=circuit.recurrence(), circuit=circuit,
         live_states=circuit.live_states,
         # every neighbour sum is one halo exchange, and one DP level to the model
         exchanges=sum(s.operand is not None for s in circuit.steps),
-        convolves=any(s.products for s in circuit.steps), circuit=circuit,
-        points=circuit.points(field),
+        convolves=any(s.products for s in circuit.steps), points=circuit.points(field),
     )
 
 

@@ -472,13 +472,6 @@ class SharedArrays:
         if cached is not None:
             return cached[1]
         circuit = spec.circuit
-        if circuit is None:
-            raise ConfigurationError(
-                f"problem {spec.name!r} carries no circuit; a hand-built spec "
-                "cannot run on mode='process' (its recurrence is a closure, "
-                "which does not cross a process boundary) — compile an "
-                "MLDCircuit with repro.core.problems.compile"
-            )
         if circuit.weights is not None:
             circuit = replace(circuit, weights=self._publish(circuit.weights))
         f = spec.field

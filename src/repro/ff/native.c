@@ -4,11 +4,11 @@
  * numpy code in repro/ff/bitsliced.py and repro/core/leveldp.py is the
  * reference these loops equal bit for bit.
  *
- * A state is logical (rows, m, W) uint64 bit-planes: plane b of row r,
- * word w, lies at base[r * rs + b * ps + w] -- any row and plane stride
- * (in words, 0 to broadcast), unit word stride.  No function allocates,
- * keeps a pointer or starts a thread.  Plain -O3 for every target: an
- * AVX2 clone (target_clones) measured no faster and doubled the build.
+ * A state is a C-contiguous (rows, m, W) uint64 array of bit-planes:
+ * plane b of row r, word w, lies at base[(r * m + b) * W + w].  No
+ * function allocates, keeps a pointer or starts a thread.  -O3 for every
+ * target (an AVX2 clone, target_clones, measured no faster and doubled the
+ * build), loops aligned to 32 bytes: see FLAGS in native.py.
  */
 #include <stdint.h>
 #include <string.h>
@@ -24,27 +24,18 @@ typedef int64_t idx;
 #define OUT_OF_LINE
 #endif
 
-/* Row p of dst is the XOR of the src rows indices[indptr[p] .. indptr[p+1]). */
-void repro_gather_xor(idx n_rows, const idx *indptr, const idx *indices,
-                      const word *src, idx src_rs, idx src_ps,
-                      word *dst, idx dst_rs, idx dst_ps, int m, idx W)
+/* Row p of dst is the XOR of the src rows indices[indptr[p] .. indptr[p+1]),
+ * every row `words` words long. */
+void repro_gather_xor(idx n, const idx *indptr, const idx *indices,
+                      const word *src, word *dst, idx words)
 {
-    if (src_ps == W && dst_ps == W) { /* whole rows contiguous: one run */
-        W *= m;
-        m = 1;
-    }
-    for (idx p = 0; p < n_rows; p++) {
-        word *d = dst + p * dst_rs;
-        for (int b = 0; b < m; b++)
-            memset(d + b * dst_ps, 0, (size_t)W * sizeof(word));
+    for (idx p = 0; p < n; p++) {
+        word *restrict d = dst + p * words;
+        memset(d, 0, (size_t)words * sizeof(word));
         for (idx e = indptr[p]; e < indptr[p + 1]; e++) {
-            const word *s = src + indices[e] * src_rs;
-            for (int b = 0; b < m; b++) {
-                word *restrict db = d + b * dst_ps;
-                const word *restrict sb = s + b * src_ps;
-                for (idx w = 0; w < W; w++)
-                    db[w] ^= sb[w];
-            }
+            const word *restrict s = src + indices[e] * words;
+            for (idx w = 0; w < words; w++)
+                d[w] ^= s[w];
         }
     }
 }
@@ -54,29 +45,24 @@ void repro_gather_xor(idx n_rows, const idx *indptr, const idx *indices,
  * Its loops have a fixed trip count, which the compiler vectorises. */
 #define L 8
 
-typedef struct {
-    const word *base;
-    idx rs, ps, W;
-} planes;
-
 /* A tile that spans rows, or the last one: lane by lane (out of line, so
  * the compiler builds it once, not at every call). */
-static OUT_OF_LINE void load_lanes(word t[][L], const planes *p, int m, idx q0,
-                                   idx n)
+static OUT_OF_LINE void load_lanes(word t[][L], const word *p, int m, idx W,
+                                   idx q0, idx n)
 {
-    idx r = q0 / p->W, w = q0 % p->W;
+    idx r = q0 / W, w = q0 % W;
     for (idx c = 0; c < L; c++, w++) {
-        if (w == p->W) {
+        if (w == W) {
             w = 0;
             r++;
         }
         for (int i = 0; i < m; i++)
-            t[i][c] = c < n ? p->base[r * p->rs + i * p->ps + w] : 0;
+            t[i][c] = c < n ? p[(r * m + i) * W + w] : 0;
     }
 }
 
-static OUT_OF_LINE void store_lanes(word *out, idx rs, idx ps, idx W, word t[][L],
-                                    int m, idx q0, idx n)
+static OUT_OF_LINE void store_lanes(word *out, int m, idx W, word t[][L], idx q0,
+                                    idx n)
 {
     idx r = q0 / W, w = q0 % W;
     for (idx c = 0; c < n; c++, w++) {
@@ -85,32 +71,31 @@ static OUT_OF_LINE void store_lanes(word *out, idx rs, idx ps, idx W, word t[][L
             r++;
         }
         for (int i = 0; i < m; i++)
-            out[r * rs + i * ps + w] = t[i][c];
+            out[(r * m + i) * W + w] = t[i][c];
     }
 }
 
 /* Planes m of tile q0 .. q0 + n of p into t (zero past n). */
-static inline void load(word t[][L], const planes *p, int m, idx q0, idx n)
-{
-    idx r = q0 / p->W, w = q0 % p->W;
-    if (n < L || w + L > p->W) {
-        load_lanes(t, p, m, q0, n);
-        return;
-    }
-    for (int i = 0; i < m; i++)
-        memcpy(t[i], p->base + r * p->rs + i * p->ps + w, sizeof t[i]);
-}
-
-static inline void store(word *out, idx rs, idx ps, idx W, word t[][L], int m,
-                         idx q0, idx n)
+static inline void load(word t[][L], const word *p, int m, idx W, idx q0, idx n)
 {
     idx r = q0 / W, w = q0 % W;
     if (n < L || w + L > W) {
-        store_lanes(out, rs, ps, W, t, m, q0, n);
+        load_lanes(t, p, m, W, q0, n);
         return;
     }
     for (int i = 0; i < m; i++)
-        memcpy(out + r * rs + i * ps + w, t[i], sizeof t[i]);
+        memcpy(t[i], p + (r * m + i) * W + w, sizeof t[i]);
+}
+
+static inline void store(word *out, int m, idx W, word t[][L], idx q0, idx n)
+{
+    idx r = q0 / W, w = q0 % W;
+    if (n < L || w + L > W) {
+        store_lanes(out, m, W, t, q0, n);
+        return;
+    }
+    for (int i = 0; i < m; i++)
+        memcpy(out + (r * m + i) * W + w, t[i], sizeof t[i]);
 }
 
 /* t (2m - 1 partial planes) ^= a * b, the carry-less schoolbook. */
@@ -132,44 +117,36 @@ static inline void reduce(word t[][L], int m, uint32_t modulus)
                     t[d - m + s][c] ^= t[d][c];
 }
 
-/* out = sum over the pairs of a[p] * b[p], each pair (rows, m, W) planes
- * with strides {rs, ps} in a_st[2p..] / b_st[2p..]: per tile the
- * schoolbook's 2m - 1 partial planes of every product, then one
+/* out = sum over the pairs of a[p] * b[p], every state (rows, m, W): per
+ * tile the schoolbook's 2m - 1 partial planes of every product, then one
  * reduction. */
 void repro_mul_sum(int m, uint32_t modulus, idx rows, idx W, int npairs,
-                   const word *const *a, const idx *a_st,
-                   const word *const *b, const idx *b_st,
-                   word *out, idx o_rs, idx o_ps)
+                   const word *const *a, const word *const *b, word *out)
 {
     word t[2 * MAX_M - 1][L], ta[MAX_M][L], tb[MAX_M][L];
     for (idx q0 = 0; q0 < rows * W; q0 += L) {
         idx n = rows * W - q0 < L ? rows * W - q0 : L;
         memset(t, 0, sizeof t);
         for (int p = 0; p < npairs; p++) {
-            planes pa = {a[p], a_st[2 * p], a_st[2 * p + 1], W};
-            planes pb = {b[p], b_st[2 * p], b_st[2 * p + 1], W};
-            load(ta, &pa, m, q0, n);
-            load(tb, &pb, m, q0, n);
+            load(ta, a[p], m, W, q0, n);
+            load(tb, b[p], m, W, q0, n);
             schoolbook(t, ta, tb, m);
         }
         reduce(t, m, modulus);
-        store(out, o_rs, o_ps, W, t, m, q0, n);
+        store(out, m, W, t, q0, n);
     }
 }
 
 /* Row r of acc times y[r * blocks + k] on the lanes of block k --
  * [k n2, (k + 1) n2), or every lane of the row when blocks == 1 -- ANDed
- * with the row's lane words if given, 0 on lanes no block holds: the
- * schoolbook against the planes of those values, built a tile at a time.
- * With acc NULL the result is those planes (acc is 1). */
+ * with the row's lane words (rows, W) if given, 0 on lanes no block holds:
+ * the schoolbook against the planes of those values, built a tile at a
+ * time.  With acc NULL the result is those planes (acc is 1). */
 void repro_scale(int m, uint32_t modulus, idx rows, idx W,
                  const uint32_t *y, idx blocks, idx n2,
-                 const word *lanes, idx l_rs,
-                 const word *acc, idx a_rs, idx a_ps,
-                 word *out, idx o_rs, idx o_ps)
+                 const word *lanes, const word *acc, word *out)
 {
     word t[2 * MAX_M - 1][L], ta[MAX_M][L], tb[MAX_M][L];
-    planes pb = {acc, a_rs, a_ps, W};
     for (idx q0 = 0; q0 < rows * W; q0 += L) {
         idx n = rows * W - q0 < L ? rows * W - q0 : L;
         idx r = q0 / W, w = q0 % W;
@@ -182,7 +159,7 @@ void repro_scale(int m, uint32_t modulus, idx rows, idx W,
                 ta[i][c] = 0;
             if (c >= n)
                 continue;
-            word keep = lanes ? lanes[r * l_rs + w] : ~(word)0;
+            word keep = lanes ? lanes[r * W + w] : ~(word)0;
             const uint32_t *yr = y + r * blocks;
             if (blocks == 1) {
                 for (int i = 0; i < m; i++)
@@ -202,13 +179,13 @@ void repro_scale(int m, uint32_t modulus, idx rows, idx W,
             }
         }
         if (acc == NULL) {
-            store(out, o_rs, o_ps, W, ta, m, q0, n);
+            store(out, m, W, ta, q0, n);
             continue;
         }
         memset(t, 0, sizeof t);
-        load(tb, &pb, m, q0, n);
+        load(tb, acc, m, W, q0, n);
         schoolbook(t, ta, tb, m);
         reduce(t, m, modulus);
-        store(out, o_rs, o_ps, W, t, m, q0, n);
+        store(out, m, W, t, q0, n);
     }
 }

@@ -8,7 +8,9 @@ of products (:func:`mul_sum`, under :meth:`BitslicedGF2m.mul` /
 (:func:`scale`, under :meth:`repro.core.leveldp.Lanes.scale`).  The numpy
 code those methods hold is the reference the loops equal bit for bit, and
 what runs where nothing could be built: :data:`LIB` is ``None`` then.
-Nothing else chooses between the two.
+Nothing else chooses between the two.  The loops read C-contiguous
+``(rows, m, W)`` states, as the compiled step makes them; an operand
+broadcast or strided otherwise is copied once to that layout.
 
 The library is built at this module's import, on the first import on a
 host: ``$CC`` (else ``cc``) compiles ``native.c`` into a private cache
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 import os
 import platform
 import shlex
@@ -39,17 +42,19 @@ from typing import Optional
 import numpy as np
 
 SOURCE = Path(__file__).with_name("native.c")
-FLAGS = ("-O3", "-std=c99", "-shared", "-fPIC")
+# -falign-loops=32: the gather's inner loop is 28 bytes, and wherever the
+# link put it across a 32-byte boundary it read 1.3-1.5x slower (Xeon,
+# gcc 12, kpath_dense's 800 rows x 96 words) whatever its C spelling
+FLAGS = ("-O3", "-falign-loops=32", "-std=c99", "-shared", "-fPIC")
 _BUILD_TIMEOUT_S = 120
 
 _WORD = 8  # bytes of a uint64 lane word
 _MAX_M = 16  # native.c's MAX_M: the partial planes live on its stack
 _ptr, _i64, _int, _u32 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_int, ctypes.c_uint32
 _SIGNATURES = {
-    "repro_gather_xor": (_i64, _ptr, _ptr, _ptr, _i64, _i64, _ptr, _i64, _i64, _int, _i64),
-    "repro_mul_sum": (_int, _u32, _i64, _i64, _int, _ptr, _ptr, _ptr, _ptr, _ptr, _i64, _i64),
-    "repro_scale": (_int, _u32, _i64, _i64, _ptr, _i64, _i64, _ptr, _i64, _ptr, _i64, _i64,
-                    _ptr, _i64, _i64),
+    "repro_gather_xor": (_i64, _ptr, _ptr, _ptr, _ptr, _i64),
+    "repro_mul_sum": (_int, _u32, _i64, _i64, _int, _ptr, _ptr, _ptr),
+    "repro_scale": (_int, _u32, _i64, _i64, _ptr, _i64, _i64, _ptr, _ptr, _ptr),
 }
 
 
@@ -157,33 +162,23 @@ def load() -> Optional[ctypes.CDLL]:
 LIB: Optional[ctypes.CDLL] = load()
 
 
-def _strides(a: np.ndarray) -> Optional[tuple]:
-    """``(row, plane)`` strides in words of logical ``(rows, m, W)`` uint64
-    planes with unit word stride; ``None`` for any other array."""
-    if a.dtype != np.uint64 or a.ndim != 3:
-        return None
-    if a.size == 0:  # numpy gives an empty array any strides; none is read
-        return 0, 0
-    rs, ps, ws = a.strides
-    if a.shape[2] > 1 and ws != _WORD or rs % _WORD or ps % _WORD:
-        return None
-    return rs // _WORD, ps // _WORD
-
-
 def gather_xor(state: np.ndarray, indptr: np.ndarray, indices: np.ndarray,
                out: np.ndarray) -> bool:
     """``out[p] = XOR of state[indices[indptr[p]:indptr[p + 1]]]`` for every
-    row of ``out``; False (nothing written) if an array is not laid out as
-    the kernel reads it.  ``indptr`` / ``indices`` are contiguous int64, and
-    every index is below ``len(state)``: the caller checks."""
-    src, dst = _strides(state), _strides(out)
-    if src is None or dst is None or state.shape[1:] != out.shape[1:]:
+    row of ``out`` (C-contiguous, ``state``'s row shape and dtype); False
+    (nothing written) where a row of ``state`` is not whole words.
+    ``indptr`` / ``indices`` are contiguous int64, and every index is below
+    ``len(state)``: the caller checks."""
+    row_bytes = state.itemsize * math.prod(state.shape[1:])
+    if row_bytes % _WORD:
         return False
-    if len(indptr) != len(out) + 1:
-        raise ValueError(f"indptr has {len(indptr)} entries for {len(out)} rows")
+    if (out.shape[1:] != state.shape[1:] or out.dtype != state.dtype
+            or not out.flags.c_contiguous or len(indptr) != len(out) + 1):
+        raise ValueError(f"out {out.dtype} {out.shape} and {len(indptr)} indptr "
+                         f"entries for a {state.dtype} {state.shape} state")
+    state = np.ascontiguousarray(state)  # held: the kernel reads it after _address
     LIB.repro_gather_xor(len(out), _address(indptr), _address(indices),
-                         _address(state), *src, _address(out), *dst,
-                         out.shape[1], out.shape[2])
+                         _address(state), _address(out), row_bytes // _WORD)
     return True
 
 
@@ -204,28 +199,23 @@ def _field_planes(m: int, out: np.ndarray) -> None:
                          f"not {out.dtype} {out.shape}")
 
 
-def _readable(x: np.ndarray, shape: tuple) -> np.ndarray:
-    """``x`` broadcast to ``shape`` as the kernel reads it: a view where its
-    words are contiguous (rows and planes broadcast free), else a copy."""
-    if getattr(x, "shape", None) != shape or _strides(x) is None:
-        x = np.broadcast_to(np.asarray(x, dtype=np.uint64), shape)
-    return x if _strides(x) is not None else np.ascontiguousarray(x)
+def _contiguous(x: np.ndarray, shape: tuple) -> np.ndarray:
+    """``x`` as C-contiguous uint64 planes of ``shape``: itself, or — where it
+    is broadcast or strided — one copy."""
+    if getattr(x, "shape", None) == shape and x.dtype == np.uint64 \
+            and x.flags.c_contiguous:
+        return x
+    return np.ascontiguousarray(np.broadcast_to(np.asarray(x, np.uint64), shape))
 
 
 def mul_sum(m: int, modulus: int, pairs, out: np.ndarray) -> None:
     """``out = sum of a * b`` over ``pairs`` of planes that broadcast to
     ``out``'s ``(rows, m, W)`` (C-contiguous)."""
     _field_planes(m, out)
-    operands = [_readable(x, out.shape) for pair in pairs for x in pair]
-    strides = [_strides(x) for x in operands]
-    n = len(operands) // 2
-    ptrs = [(ctypes.c_void_p * n)(*[_address(x) for x in operands[side::2]])
-            for side in (0, 1)]
-    st = np.array(strides, dtype=np.int64).reshape(n, 2, 2)
-    a_st, b_st = np.ascontiguousarray(st[:, 0]), np.ascontiguousarray(st[:, 1])
-    LIB.repro_mul_sum(m, modulus, out.shape[0], out.shape[2], n, ptrs[0],
-                      _address(a_st), ptrs[1], _address(b_st), _address(out),
-                      *_strides(out))
+    operands = [_contiguous(x, out.shape) for pair in pairs for x in pair]
+    n = len(pairs)
+    a, b = ((ctypes.c_void_p * n)(*map(_address, operands[side::2])) for side in (0, 1))
+    LIB.repro_mul_sum(m, modulus, out.shape[0], out.shape[2], n, a, b, _address(out))
 
 
 def scale(m: int, modulus: int, y: np.ndarray, n2: int,
@@ -239,7 +229,7 @@ def scale(m: int, modulus: int, y: np.ndarray, n2: int,
     _field_planes(m, out)
     rows, _, w = out.shape
     if acc is not None:
-        acc = _readable(acc, out.shape)
+        acc = _contiguous(acc, out.shape)
     y = np.ascontiguousarray(y, dtype=np.uint32)
     blocks = 1 if y.ndim == 1 else y.shape[1]
     if y.shape[0] != rows or words is not None and words.shape != (rows, w):
@@ -247,10 +237,8 @@ def scale(m: int, modulus: int, y: np.ndarray, n2: int,
     if words is not None:
         words = np.ascontiguousarray(words, dtype=np.uint64)
     LIB.repro_scale(m, modulus, rows, w, _address(y), blocks, n2,
-                    None if words is None else _address(words), w,
-                    None if acc is None else _address(acc),
-                    *((0, 0) if acc is None else _strides(acc)),
-                    _address(out), *_strides(out))
+                    None if words is None else _address(words),
+                    None if acc is None else _address(acc), _address(out))
 
 
 __all__ = ["FLAGS", "LIB", "SOURCE", "cache_dir", "gather_xor", "intact", "load",

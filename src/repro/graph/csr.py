@@ -45,13 +45,13 @@ def xor_segment_reduce(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     """
     indptr = np.asarray(indptr, dtype=np.int64)
     n, nnz = len(indptr) - 1, values.shape[0]
-    nonempty = indptr[:-1] < indptr[1:]
-    if nnz == 0 or not nonempty.any():
-        return np.zeros((n,) + values.shape[1:], dtype=values.dtype)
     if indptr[-1] != nnz:
         raise GraphError(
             f"indptr[-1] (={indptr[-1]}) must equal len(values) (={nnz})"
         )
+    nonempty = indptr[:-1] < indptr[1:]
+    if not nonempty.any():
+        return np.zeros((n,) + values.shape[1:], dtype=values.dtype)
     # reduceat over non-empty starts only: consecutive non-empty starts
     # are exactly the segment boundaries (empty segments in between do
     # not advance indptr), so each reduction covers one segment.

@@ -129,8 +129,7 @@ def log_layouts(monkeypatch, log):
     worker it forks afterwards — and return a reader of the ``(class name,
     lanes)`` pairs one driver built so far.  A driver is the function that
     built the lanes: ``run_whole_graph``, ``program`` (a simulated rank of
-    :func:`phase_program`), ``exchange_signature`` or ``_level_step`` (the
-    kernel calibration)."""
+    :func:`phase_program`) or ``_level_step`` (the kernel calibration)."""
     init = Lanes.__init__
 
     def logged(self, *args, **kw):

@@ -138,8 +138,18 @@ class TestXorSegmentReduce:
         assert not out.any()
 
     def test_no_segments(self):
-        out = xor_segment_reduce(np.zeros((4, 2), dtype=np.uint8), np.array([0]))
+        out = xor_segment_reduce(np.zeros((0, 2), dtype=np.uint8), np.array([0]))
         assert out.shape == (0, 2)
+
+    @pytest.mark.parametrize("nnz,indptr", [
+        (0, [0, 2]),  # no values, a segment of two
+        (2, [0, 0]),  # values, every segment empty
+        (1, [0, 2]),  # fewer values than the segments span
+        (4, [0]),  # values, no segment
+    ])
+    def test_indptr_and_values_must_agree(self, nnz, indptr):
+        with pytest.raises(GraphError, match="must equal len"):
+            xor_segment_reduce(np.zeros((nnz, 3), dtype=np.uint8), np.array(indptr))
 
     @given(st.data())
     @settings(max_examples=50)

@@ -325,20 +325,6 @@ class TestProcessConfig:
         with pytest.raises(ConfigurationError, match="simulated"):
             MidasRuntime(mode="process", fault_plan=FaultPlan([drop()]))
 
-    def test_recipeless_spec_rejected(self):
-        import dataclasses
-
-        from repro.core.process_backend import ProcessPhasePool
-
-        g = erdos_renyi(12, 24, rng=RngStream(61, name="g"))
-        spec = dataclasses.replace(compile(MLDCircuit.k_path(3)), circuit=None)
-        pool = ProcessPhasePool(g, workers=1)
-        try:
-            with pytest.raises(ConfigurationError, match="carries no circuit"):
-                pool.wire_spec(spec)
-        finally:
-            pool.close()
-
     def test_close_right_after_first_result_is_clean(self, tmp_path):
         """close() while some spawned workers are still in their
         initializer: the segments must outlive every worker's attach —

@@ -132,11 +132,10 @@ def test_a_simulated_stage_makes_the_sequential_whole_graph_runs(monkeypatch, tm
     assert [r.value for r in modeled.rounds] == [r.value for r in sim.rounds]
 
 
-def test_ranks_the_exchange_probe_and_the_calibration_build_the_planes(monkeypatch,
-                                                                      tmp_path):
-    """Every rank of an enacted window, the exchange probe and the
-    calibration's level step build :class:`Lanes`, and what a rank sends
-    is plane rows: ``(m, W)`` uint64."""
+def test_ranks_and_the_calibration_build_the_planes(monkeypatch, tmp_path):
+    """Every rank of an enacted window and the calibration's level step
+    build :class:`Lanes`, and what a rank sends is plane rows: ``(m, W)``
+    uint64."""
     g = erdos_renyi(60, 150, rng=RngStream(10, name="g"))
     layouts = log_layouts(monkeypatch, tmp_path / "layouts")
     sent = []
@@ -152,7 +151,6 @@ def test_ranks_the_exchange_probe_and_the_calibration_build_the_planes(monkeypat
     ranks = layouts("program")
     assert ranks and set(ranks) == {("Lanes", 8)}
     assert len(ranks) % 2 == 0  # each enacted window: its group's two ranks
-    assert set(layouts("exchange_signature")) == {("Lanes", 8)}
     m = default_field_for_k(5).m
     assert sent and set(sent) == {((m, 1), np.dtype(np.uint64))}
     KernelCalibration.measure(sample_nodes=64, avg_degree=4, grid=(1, 64), k=5,

@@ -8,8 +8,10 @@ C when a compiler could build them; the numpy code of
 Every case here computes both and compares the bits: random CSRs with
 isolated rows, a ``linked()`` prefix and a halo view's three adjacencies;
 lane widths of 1 to 52 words in both memory orders; every field degree
-on the moduli ``GF2m`` uses, broadcast and non-contiguous operands; the
-scaling of one block or several, with and without the lane words.
+on the moduli ``GF2m`` uses, broadcast and non-contiguous operands (the
+kernels read C-contiguous states; a wrapper copies such an operand once);
+the scaling of one block or several, with and without the lane words.
+What the drivers themselves pass is never copied.
 
 The second half is the loader: a host with a C compiler must load the
 kernel (so a broken build cannot fall back unseen), a torn library is
@@ -92,7 +94,7 @@ def test_a_host_with_a_compiler_loads_the_kernel(tmp_path):
 @settings(max_examples=60, deadline=None)
 def test_the_gather_is_the_slot_walk(n, n_cols, max_degree, w, m, order, linked, seed):
     """Any CSR (isolated rows, repeats, rectangular), its ``linked()``
-    prefix too, in both memory orders; the result keeps the state's."""
+    prefix too, in both memory orders; the result is C-contiguous."""
     rng = np.random.default_rng(seed)
     lens = rng.integers(0, max_degree + 1, size=n)
     lens[rng.random(n) < 0.2] = 0
@@ -103,8 +105,7 @@ def test_the_gather_is_the_slot_walk(n, n_cols, max_degree, w, m, order, linked,
     state = planes(rng, n_cols, m, w, order)
     got = neighbour_sum(state, jd)
     same(got, reference(neighbour_sum, state, jd))
-    outer = got if order == "row_major" else got.transpose(1, 0, 2)
-    assert outer.flags.c_contiguous  # the state's memory order
+    assert got.flags.c_contiguous
 
 
 @needs_kernel
@@ -177,6 +178,49 @@ def test_the_fused_scaling_is_the_planes_product(m, rows, n2, rounds, level, var
     acc = planes(np.random.default_rng(seed), rows, m, w, "plane_major")
     same(lanes.base(level), reference(lanes.base, level))
     same(lanes.scale(level, acc, variable), reference(lanes.scale, level, acc, variable))
+
+
+# ------------------------------------------------------ what the drivers pass
+def _copied(x, shape=None, dtype=np.uint64) -> bool:
+    """Whether a wrapper would copy ``x`` before the kernel reads it."""
+    return x is not None and not (x.flags.c_contiguous and x.dtype == dtype
+                                  and (shape is None or x.shape == shape))
+
+
+@needs_kernel
+@pytest.mark.parametrize("mode", ["sequential", "simulated"])
+@pytest.mark.parametrize("driver", ["detect_path", "detect_tree", "max_weight_path",
+                                    "scan_grid"])
+def test_no_kernel_call_copies_an_operand(driver, mode, monkeypatch):
+    """Every state the drivers hand the compiled step is already C-contiguous
+    ``(rows, m, W)`` uint64 of the result's shape: a layout change that
+    would make a wrapper copy fails here, not as a silent slowdown."""
+    from _sim_observe import DRIVERS
+
+    from repro.core.engine import MidasRuntime
+
+    copies, calls = [], {}
+
+    def spy(name, operands):
+        real = getattr(native, name)
+
+        def wrapped(*args):
+            calls[name] = calls.get(name, 0) + 1
+            copies.extend(name for copied in operands(*args) if copied)
+            return real(*args)
+
+        monkeypatch.setattr(native, name, wrapped)
+
+    spy("gather_xor", lambda state, indptr, indices, out: [
+        _copied(state, dtype=state.dtype)])
+    spy("mul_sum", lambda m, modulus, pairs, out: [
+        _copied(x, out.shape) for pair in pairs for x in pair])
+    spy("scale", lambda m, modulus, y, n2, words, acc, out: [
+        _copied(words), _copied(acc, out.shape)])
+    shape = {} if mode == "sequential" else dict(n_processors=6, n1=3, overlap=True)
+    DRIVERS[driver](MidasRuntime(mode=mode, **shape))
+    assert copies == []
+    assert calls.get("gather_xor") and calls.get("scale")
 
 
 # ----------------------------------------------------------------- loader

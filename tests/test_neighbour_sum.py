@@ -150,8 +150,12 @@ class TestAgainstTheNaiveLoop:
         assert got.dtype == state.dtype and got.shape == state.shape
         assert np.array_equal(got, expected[plain.order])
         assert np.array_equal(np.take(got, plain.rank, axis=0), expected)
-        # the result keeps the state's memory order
-        assert got.strides == state.strides or g.n == 0
+        # the numpy reference keeps the state's memory order; the compiled
+        # gather, for rows of whole words, returns C-contiguous rows
+        if native.LIB is not None and state.itemsize * np.prod(state.shape[1:]) % 8 == 0:
+            assert got.flags.c_contiguous
+        else:
+            assert got.strides == state.strides or g.n == 0
         # renumbered: a state kept in the layout's order is summed in place
         jd = g.jagged()
         assert np.array_equal(neighbour_sum(state[jd.order], jd), expected[jd.order])

@@ -1,13 +1,13 @@
 """One enacted window per stage, and nobody can tell.
 
-``SimulatedBackend`` enacts a stage's communication once — the first
-window of each exchange signature runs on the coroutine simulator, later
-windows take their value from the round's whole-graph level-DP run and
-everything else from the stored timeline.  ``sanitize="warn"`` still enacts every
-window, so it is the reference: a memoised run must equal its fully
-enacted twin in everything a simulated run reports.  The rest pins *when*
-windows are enacted (``Simulator.run`` calls), the signature guard, and
-the value check on the enacted window.
+``SimulatedBackend`` enacts a stage's communication once — its first
+window runs on the coroutine simulator, later windows take their value
+from the round's whole-graph level-DP run and everything else from the
+stored timeline.  ``sanitize="warn"`` still enacts every window, so it is
+the reference: a memoised run must equal its fully enacted twin in
+everything a simulated run reports.  The rest pins *when* windows are
+enacted (``Simulator.run`` calls), that every window of a stage sends the
+same rows, and the value check on the enacted window.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import pytest
 from _leveldp_drivers import partition_with_empty_rank
 from _sim_observe import DRIVERS, EPS, GRAPH, WEIGHTS, identity, observe
 from repro.core import engine as engine_module
-from repro.core import leveldp
 from repro.core.engine import DetectionEngine, EngineSession, MidasRuntime
 from repro.core.midas import stage_rounds
 from repro.core.mld import MLDCircuit
@@ -140,7 +139,7 @@ def test_stored_timeline_is_plain_data(monkeypatch):
     monkeypatch.setattr(DetectionEngine, "phase_done", spy)
     observe("max_weight_path", trace=True, **_shape(3))
     (backend,) = backends.values()
-    (timeline,) = backend.timelines.values()
+    timeline = backend.timeline
     assert len(timeline.events) > 0 and len(timeline.edges) > 0
     seen, todo = set(), [timeline]
     while todo:
@@ -153,61 +152,20 @@ def test_stored_timeline_is_plain_data(monkeypatch):
     assert len(seen) > len(timeline.events)  # the walk went through the lists
 
 
-# ----------------------------------------------------------- signature guard
-def _extra_exchange_after(q_extra: int):
-    """A 3-level path recurrence that, from iteration ``q_extra`` on, has
-    its first state neighbour-summed twice, the second sum unused: same
-    values, one more exchange."""
-
-    def recurrence(lanes):
-        state = lanes.base(0)
-        acc = yield state
-        if lanes.q_start >= q_extra:
-            yield state
-        acc = yield lanes.scale(1, acc, variable=True)
-        return [(lanes.scale(2, acc, variable=True), 3)]
-
-    return recurrence
-
-
-def _run_spec(spec, **shape):
-    rt = MidasRuntime(mode="simulated", metrics=MetricsRegistry(), **shape)
-    with DetectionEngine(GRAPH, rt, spec.name) as engine:
-        return engine.run_stage(spec, 2, RngStream(41))
-
-
-def _spec(recurrence) -> ProblemSpec:
-    return ProblemSpec(name="shifty", k=3, levels=3, field=default_field_for_k(3),
-                       payload=1, recurrence=recurrence)
-
-
-def test_a_window_with_another_exchange_signature_is_re_enacted(sim_runs):
-    shape = dict(n_processors=3, n1=3, n2=2)  # 4 windows per round, one at a time
-    memo = _run_spec(_spec(_extra_exchange_after(4)), **shape)
-    assert len(sim_runs) == 2  # windows 0 and 2 of round 0; round 1 reuses both
-    full = _run_spec(_spec(_extra_exchange_after(4)), sanitize="warn", **shape)
-    assert len(sim_runs) == 2 + 2 * 4
-    assert memo.values == full.values and memo.virtuals == full.virtuals
-    # the windows with the extra exchange really cost more: one timeline
-    # would have been wrong
-    fewer = _run_spec(_spec(_extra_exchange_after(8)), **shape)
-    assert fewer.values == memo.values
-    assert fewer.virtuals[0] < memo.virtuals[0]
-
-
+# ------------------------------------------------ one exchange pattern a stage
 @pytest.mark.parametrize("driver", ["detect_path", "detect_tree", "max_weight_path",
                                     "scan_grid"])
-def test_the_probed_signature_is_what_the_ranks_send(driver, monkeypatch):
+def test_every_window_of_a_stage_sends_the_same_rows(driver, monkeypatch):
     """In every enacted window (all of them, sanitized), exchange ``i``'s
-    payloads have the ``(row shape, dtype)`` that ``exchange_signature``
-    probed for the window as its entry ``i``."""
-    windows = []  # (probe, {exchange: {(row shape, dtype) sent}})
+    payloads have one ``(row shape, dtype)``, the same in every window of
+    the stage: what lets the backend enact one window and reuse its
+    timeline."""
+    windows = []  # per window: [{(row shape, dtype) sent}, one per exchange]
     program = engine_module.phase_program
 
-    def probed_program(views, recurrence, fp, q0, n2, **kw):
-        sent = {}
-        windows.append((leveldp.exchange_signature(recurrence, fp, q0, n2,
-                                                   kw.get("points")), sent))
+    def spied_program(views, recurrence, fp, q0, n2, **kw):
+        sent = []
+        windows.append(sent)
         inner = program(views, recurrence, fp, q0, n2, **kw)
 
         def spied(ctx):  # records each rank's i-th Exchange under i
@@ -218,21 +176,21 @@ def test_the_probed_signature_is_what_the_ranks_send(driver, monkeypatch):
                 except StopIteration as stop:
                     return stop.value
                 if isinstance(op, Exchange):
-                    for rows in op.sends.values():
-                        sent.setdefault(posted, set()).add((rows.shape[1:], rows.dtype))
+                    if posted == len(sent):
+                        sent.append(set())
+                    sent[posted].update((rows.shape[1:], rows.dtype)
+                                        for rows in op.sends.values())
                     posted += 1
                 value = yield op
 
         return spied
 
-    monkeypatch.setattr(engine_module, "phase_program", probed_program)
+    monkeypatch.setattr(engine_module, "phase_program", spied_program)
     seen = observe(driver, trace=False, **_shape(3, sanitize="warn"))
-    assert len(windows) == _windows(seen)
-    for probe, sent in windows:  # scan row 1, a lone vertex, sends nothing
-        assert sorted(sent) == list(range(len(probe)))
-        for exchange, payloads in sent.items():
-            assert payloads == {probe[exchange]}
-    assert max(len(probe) for probe, _ in windows) >= 2
+    assert len(windows) == _windows(seen) > 1
+    first = windows[0]
+    assert len(first) >= 2 and all(len(payloads) == 1 for payloads in first)
+    assert all(sent == first for sent in windows)
 
 
 # ------------------------------------------------- value check on enactment
@@ -254,10 +212,17 @@ def test_window_values_are_each_windows_phase_value(kind, n2, width):
         assert np.array_equal(g, w) and type(g) is type(w)
 
 
+def _run_spec(spec, **shape):
+    rt = MidasRuntime(mode="simulated", metrics=MetricsRegistry(), **shape)
+    with DetectionEngine(GRAPH, rt, spec.name) as engine:
+        return engine.run_stage(spec, 2, RngStream(41))
 
-@pytest.mark.parametrize("bad_call,where", [(1, (0, 0, 0)), (3, (0, 2, 2))])
+
+@pytest.mark.parametrize("bad_call,where", [(1, (0, 0, 0))])
 def test_corrupted_whole_graph_value_is_caught_where_it_is_enacted(
         bad_call, where, monkeypatch):
+    """The stage's one enacted window is checked against its whole-graph
+    value: a wrong bit there stops the run, naming the window."""
     real = ProblemSpec.window_values
     calls = {"n": 0}
 
@@ -272,7 +237,7 @@ def test_corrupted_whole_graph_value_is_caught_where_it_is_enacted(
 
     monkeypatch.setattr(ProblemSpec, "window_values", crooked)
     with pytest.raises(ReplayMismatchError) as ei:
-        _run_spec(_spec(_extra_exchange_after(4)), n_processors=3, n1=3, n2=2)
+        _run_spec(compile(MLDCircuit.k_path(3)), n_processors=3, n1=3, n2=2)
     err = ei.value
     assert (err.round_index, err.batch, err.phase) == where
     assert f"r{where[0]}/b{where[1]}/p{where[2]}" in str(err)
