@@ -17,12 +17,12 @@ host: ``$CC`` (else ``cc``) compiles ``native.c`` into a private cache
 directory — ``$XDG_CACHE_HOME/repro``, else ``~/.cache/repro``, else
 ``<tmp>/repro-<uid>``, mode 0700, refused if another user owns it or
 others may write to it — under a name keyed by the sha256 of the source,
-the flags and the machine, and carrying the sha256 of the library
-itself, checked at every load: a torn or corrupt file is rebuilt.  A build
-writes a temporary name and renames it into place, so processes building
-at once never load a partial file.  Every later import loads the cached
-file (well under a millisecond).  No thread is started and no compiler
-outlives its build (a timeout kills it).
+the compiler command, the flags and the machine, and carrying the sha256
+of the library itself, checked at every load: a torn or corrupt file is
+rebuilt.  A build writes a temporary name and renames it into place, so
+processes building at once never load a partial file.  Every later import
+loads the cached file (well under a millisecond).  No thread is started
+and no compiler outlives its build (a timeout kills it).
 """
 
 from __future__ import annotations
@@ -42,10 +42,10 @@ from typing import Optional
 import numpy as np
 
 SOURCE = Path(__file__).with_name("native.c")
-# -falign-loops=32: the gather's inner loop is 28 bytes, and wherever the
-# link put it across a 32-byte boundary it read 1.3-1.5x slower (Xeon,
-# gcc 12, kpath_dense's 800 rows x 96 words) whatever its C spelling
-FLAGS = ("-O3", "-falign-loops=32", "-std=c99", "-shared", "-fPIC")
+# no loop-alignment flag: with the gather's inner loop the 58-byte tile,
+# -falign-loops=32 bought nothing (kpath_dense 0.997x without it,
+# 0.986-1.003 over 10 ab_ops.py pairs; Xeon, gcc 12)
+FLAGS = ("-O3", "-std=c99", "-shared", "-fPIC")
 _BUILD_TIMEOUT_S = 120
 
 _WORD = 8  # bytes of a uint64 lane word
@@ -81,9 +81,18 @@ def _private(directory: Path) -> bool:
             and not st.st_mode & (stat.S_IWGRP | stat.S_IWOTH))
 
 
+def _compiler() -> list:
+    """``$CC`` split into its words, else ``cc``."""
+    return shlex.split(os.environ.get("CC") or "cc")
+
+
 def _key(source: bytes) -> str:
+    """The cache name of ``source`` built by this compiler, flags and machine:
+    a library built by another compiler (or a sanitizing ``$CC``) is another
+    file."""
     h = hashlib.sha256(source)
     h.update(" ".join(FLAGS).encode())
+    h.update("\0".join(_compiler()).encode())
     h.update(platform.machine().encode())
     return h.hexdigest()[:16]
 
@@ -121,8 +130,7 @@ def _build(directory: Path, key: str) -> Optional[Path]:
         return None
     os.close(fd)
     try:
-        cc = shlex.split(os.environ.get("CC") or "cc")
-        done = subprocess.run([*cc, *FLAGS, "-o", tmp, str(SOURCE)],
+        done = subprocess.run([*_compiler(), *FLAGS, "-o", tmp, str(SOURCE)],
                               stdin=subprocess.DEVNULL, capture_output=True,
                               timeout=_BUILD_TIMEOUT_S)
         if done.returncode != 0:

@@ -311,7 +311,8 @@ class Simulator:
                 st.ops_done += 1
                 t = st.clock
                 st.clock += max(0.0, op.seconds) * st.c_factor
-                self.trace.record(st.rank, "charge", t, st.clock)
+                if self.trace.enabled:
+                    self.trace.record(st.rank, "charge", t, st.clock)
                 continue
             if isinstance(op, AllReduce):
                 st.ops_done += 1
@@ -325,7 +326,8 @@ class Simulator:
         if self.measure_compute and wall > 0:
             t = st.clock
             st.clock += wall * c_scale * st.c_factor
-            self.trace.record(st.rank, "compute", t, st.clock)
+            if self.trace.enabled:
+                self.trace.record(st.rank, "compute", t, st.clock)
 
     def _exchange(self, st: _RankState, states: List[_RankState], op: Exchange) -> None:
         """Send every message of ``op`` and post it for a ``Collect``: one

@@ -10,15 +10,17 @@ isolated rows, a ``linked()`` prefix and a halo view's three adjacencies;
 lane widths of 1 to 52 words in both memory orders; every field degree
 on the moduli ``GF2m`` uses, broadcast and non-contiguous operands (the
 kernels read C-contiguous states; a wrapper copies such an operand once);
-the scaling of one block or several, with and without the lane words.
+the scaling of one block or several, with and without the lane words, on
+both of its compiled paths (one value over fewer than 8 words, or over 8
+or more: the row-constant map), and the gather's tiles with every tail.
 What the drivers themselves pass is never copied.
 
 The second half is the loader: a host with a C compiler must load the
 kernel (so a broken build cannot fall back unseen), a torn library is
-rebuilt, a failing compiler leaves the numpy path with the same digests,
-two builders racing both load a whole file, a cache directory others
-may write to or another user owns is not loaded from, and no compiler
-process outlives any of it.
+rebuilt, the cache key names the compiler, a failing compiler leaves the
+numpy path with the same digests, two builders racing both load a whole
+file, a cache directory others may write to or another user owns is not
+loaded from, and no compiler process outlives any of it.
 """
 
 import os
@@ -124,6 +126,26 @@ def test_a_halo_view_and_both_halves(w):
 
 
 @needs_kernel
+@pytest.mark.parametrize("words", range(8, 24))
+def test_the_tiled_gather_on_every_tail(words):
+    """Rows of whole 8-word tiles and a tail of 0 .. 7 words, against the
+    slot walk; with every row isolated each row is stored as zeros, whatever
+    the output held."""
+    rng = np.random.default_rng(words)
+    state = rng.integers(0, 2**64, size=(50, 1, words), dtype=np.uint64)
+    lens = rng.integers(0, 12, size=60)
+    lens[::5] = 0
+    indptr = np.concatenate([[0], np.cumsum(lens)]).astype(np.int64)
+    jd = JaggedDiagonals(indptr, rng.integers(0, 50, size=int(indptr[-1])))
+    same(neighbour_sum(state, jd), reference(neighbour_sum, state, jd))
+    isolated = JaggedDiagonals(np.zeros(61, np.int64), np.zeros(0, np.int64))
+    same(neighbour_sum(state, isolated), reference(neighbour_sum, state, isolated))
+    out = np.full((60, 1, words), ~np.uint64(0))
+    assert native.gather_xor(state, isolated.indptr, isolated.indices, out)
+    assert not out.any()
+
+
+@needs_kernel
 def test_a_state_too_short_for_the_columns_is_refused():
     jd = JaggedDiagonals(np.array([0, 1], np.int64), np.array([5], np.int64))
     with pytest.raises(IndexError):
@@ -160,7 +182,8 @@ def test_mul_and_mul_sum_on_every_degree(m, modulus):
 
 # ------------------------------------------------------------------ scale
 @needs_kernel
-@given(m=st.integers(1, 16), rows=st.integers(0, 40), n2=st.sampled_from([1, 8, 24, 64, 128]),
+@given(m=st.integers(1, 16), rows=st.integers(0, 40),
+       n2=st.sampled_from([1, 8, 24, 64, 128, 448, 512, 576, 1024]),
        rounds=st.integers(1, 3), level=st.integers(0, 2), variable=st.booleans(),
        seed=st.integers(0, 2**31 - 1))
 @settings(max_examples=60, deadline=None)
@@ -178,6 +201,28 @@ def test_the_fused_scaling_is_the_planes_product(m, rows, n2, rounds, level, var
     acc = planes(np.random.default_rng(seed), rows, m, w, "plane_major")
     same(lanes.base(level), reference(lanes.base, level))
     same(lanes.scale(level, acc, variable), reference(lanes.scale, level, acc, variable))
+
+
+# (n2, rounds): one value's lanes cover 7 words (the schoolbook), then 8 or
+# more (the row-constant map) -- one block or several of whole words, the
+# row's width a multiple of 8 words or not
+MAP_SHAPES = [(448, 1), (512, 1), (576, 1), (1024, 1), (512, 2), (576, 3), (640, 2)]
+
+
+@needs_kernel
+@pytest.mark.parametrize("n2,rounds", MAP_SHAPES, ids=[f"{n}x{r}" for n, r in MAP_SHAPES])
+@pytest.mark.parametrize("m", range(1, 17))
+def test_the_row_constant_map_is_the_planes_product(m, n2, rounds):
+    """``Lanes.scale`` where one ``y`` covers 8 words or more of a row, on
+    every field degree, with the variable's lane words and on every lane."""
+    field = GF2m(m, kernel_strategy="bitsliced")
+    rng = RngStream(m * 31 + n2 + rounds)
+    fps = [Fingerprint.draw(40, 3, rng.child(f"r{r}"), field=field) for r in range(rounds)]
+    lanes = Lanes(fps if rounds > 1 else fps[0], 0, n2, rows=np.arange(1, 38))
+    assert lanes.words.shape[1] * 64 >= rounds * n2
+    acc = planes(np.random.default_rng(m + n2), 37, m, lanes.words.shape[1], "row_major")
+    for level, variable in ((0, True), (1, False), (2, True)):
+        same(lanes.scale(level, acc, variable), reference(lanes.scale, level, acc, variable))
 
 
 # ------------------------------------------------------ what the drivers pass
@@ -305,6 +350,22 @@ def test_two_builders_at_once_both_load_a_whole_file(tmp_path, census):
     libs = _libraries(tmp_path)
     assert libs and all(p.name.startswith("native-") for p in libs)  # no temporary left
     assert all(native.intact(p) for p in libs)
+
+
+def test_the_cache_key_names_the_compiler(monkeypatch):
+    """A library another compiler built, or a sanitizing ``$CC``, is another
+    file; an unset or empty ``CC`` is ``cc``, and ``CC`` is read as words."""
+    def key(cc):
+        if cc is None:
+            monkeypatch.delenv("CC", raising=False)
+        else:
+            monkeypatch.setenv("CC", cc)
+        return native._key(b"int repro_probe;")
+
+    assert key(None) == key("") == key("cc")
+    assert key("gcc  -O2") == key("gcc -O2")
+    compilers = ["cc", "gcc", "clang", "gcc-12", "gcc -fsanitize=address,undefined"]
+    assert len({key(cc) for cc in compilers}) == len(compilers)
 
 
 @pytest.mark.parametrize("hostile", ["world_writable", "another_owner"])

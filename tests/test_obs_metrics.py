@@ -252,41 +252,15 @@ class TestDisabledOverhead:
         return run
 
     def test_disabled_instrumentation_under_five_percent(self, monkeypatch):
-        """Bound the disabled-path cost against a real evaluation phase.
+        """A disabled recorder costs nothing because nothing calls it.
 
-        A default simulated run never calls a disabled recorder (the engine
-        holds none, the scheduler guards its calls); measured compute
-        charges each rank's compute through it.  The calls one such window
-        makes, at the measured cost of a disabled ``record``, must stay
-        below 5% of one measured ``path_eval_phase`` on a mid-sized graph.
+        A default simulated run never calls it (the engine holds none, the
+        scheduler guards its calls), and neither does one under measured
+        compute: each rank's measured compute and each ``Charge`` moves the
+        rank's clock and records only where the recorder is enabled.
         """
-        from repro.core.evaluator_path import path_eval_phase
-        from repro.ff.fingerprint import Fingerprint
-        from repro.graph.generators import erdos_renyi
-        from repro.util.rng import RngStream
-        from repro.util.timing import time_call
-
-        g = erdos_renyi(2000, 12000, rng=RngStream(0))
-        fp = Fingerprint.draw(g.n, 6, RngStream(1))
-        phase = min(
-            time_call(lambda: path_eval_phase(g, fp, 0, 64), min_time=0.05)
-            for _ in range(3)
-        )
-
-        rec = TraceRecorder(enabled=False)
-
-        def burst():
-            for _ in range(100):
-                rec.record(0, "compute", 0.0, 1.0)
-
-        per_call = min(time_call(burst, min_time=0.02) for _ in range(3)) / 100
-
         run = self._disabled_touches(monkeypatch)  # counted from here on
-        assert run()[0] == 0
-        touches, windows = run(measure_compute=True)
-        per_window = touches / windows
-        assert per_window > 0
-        assert per_call * per_window < 0.05 * phase, (
-            f"disabled instrumentation {per_call * 1e9:.0f}ns/call exceeds "
-            f"5% of a {phase * 1e3:.2f}ms phase at {per_window:.0f} calls/window"
-        )
+        for runtime in ({}, {"measure_compute": True}):
+            touches, windows = run(**runtime)
+            assert windows > 0
+            assert touches == 0, f"{touches} disabled-recorder calls under {runtime}"

@@ -612,7 +612,8 @@ class TestCallerThreadExecution:
         query asked again with time to spare is computed in full."""
         before = _service_threads()
         with DetectionService(metrics=MetricsRegistry()) as svc:
-            svc.register_graph(_cliques(), name="g")
+            # the 50 rounds must outlast the 0.1 s timeout: ~0.4 s compiled
+            svc.register_graph(_cliques(400), name="g")
             spec = QuerySpec(kind="detect-path", graph="g", k=10, eps=1e-6,
                              seed={"seed": 1})  # 50 rounds, witness-free
             cut = svc.query(spec, timeout=0.1)
@@ -814,9 +815,9 @@ class TestFleet:
             assert svc.metrics.snapshot().get("midas_service_sessions") == 1
 
     def test_a_worker_killed_mid_query_costs_one_retry(self):
-        g = _cliques(1000)
+        g = _cliques(3000)  # the rounds must outlast the 0.3 s before the kill
         spec = QuerySpec(kind="detect-path", graph="g", k=10, eps=0.05,
-                         seed={"seed": 3})  # 14 witness-free rounds, ~1 s
+                         seed={"seed": 3})  # 11 witness-free rounds, ~1.2 s
         reference = _standalone(spec, g)
         before = _census()
         reset_flight_recorder()
